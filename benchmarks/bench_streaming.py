@@ -15,8 +15,9 @@ and prequential FTRL end model — and enforces the subsystem's contract:
   <= 1e-6;
 * **durability** (:func:`run_crash_recovery`): with vote/label sinks and
   checkpoint manifests enabled, throughput stays >= 0.4x offline at full
-  scale, and a stream killed mid-run resumes from the manifest to
-  byte-identical shards and <= 1e-6 posteriors;
+  scale, a stream killed mid-run resumes from the manifest to
+  byte-identical shards and <= 1e-6 posteriors, and the last manifest
+  is <= ``MANIFEST_GROWTH_CEILING`` x the first (O(patterns) state);
 * **drift** (:func:`run_drift_eval`): an injected mid-stream shift must
   raise a drift alarm within ``DRIFT_DETECTION_K`` micro-batches, the
   stationary control must never alarm, and the decay-mode online model
@@ -69,6 +70,11 @@ DURABLE_THROUGHPUT_FLOOR = 0.4
 
 #: Posterior agreement required after the online model's final refit.
 PROBA_TOLERANCE = 1e-6
+
+#: Maximum last/first checkpoint-manifest size ratio over a durable
+#: stream: manifests hold O(patterns) state, so stream length must not
+#: show (enforced at every scale).
+MANIFEST_GROWTH_CEILING = 1.25
 
 #: Maximum micro-batches between an injected distribution shift and the
 #: drift monitor's first alarm (the eval's recent window is 4 batches,
@@ -314,6 +320,16 @@ def test_checkpointed_crash_recovery(benchmark, scale):
     )
     assert row["checkpoints_written"] >= 1
     assert row["manifest"] is not None
+    # Manifests carry O(patterns) state, not a per-example log: from the
+    # first checkpoint to the last (n grows ~5x at full scale) the size
+    # may move only by the few patterns discovered in between.
+    assert row["manifest_bytes"] <= MANIFEST_GROWTH_CEILING * (
+        row["manifest_bytes_first"]
+    ), (
+        f"checkpoint manifest grew {row['manifest_bytes_first']:,} -> "
+        f"{row['manifest_bytes']:,} bytes over the stream at "
+        f"{row['patterns']} patterns (ceiling {MANIFEST_GROWTH_CEILING}x)"
+    )
 
     if row["examples"] >= 20_000:
         assert row["throughput_ratio"] >= DURABLE_THROUGHPUT_FLOOR, (

@@ -51,20 +51,20 @@ The class prior ``pi_+`` is uniform by default ("For simplicity, here we
 assume that P(Y_i) is uniform, but we can also learn this distribution"),
 and can be learned through a logit parameter.
 
-Pattern-compressed fitting
---------------------------
-Because the likelihood sees the data only through vote patterns, the
-``(n, m)`` matrix can be deduplicated into ``(patterns, multiplicities)``
-(:mod:`repro.core.patterns`) and the objective rewritten with exact
-multiplicity weights: a full-batch gradient step costs O(patterns × m)
-independent of ``n``. :meth:`SamplingFreeLabelModel.fit_compressed`
-implements that path; minibatch steps sample *expanded row indices* with
-the very RNG calls the full-matrix fit makes and map them to patterns,
-so on an exact compression the compressed fit reproduces the
-full-matrix fit bitwise whenever every step is a minibatch step (and to
-≤ 1e-9 posteriors when full-batch weighted steps are involved — the
-differential fuzz harness in ``tests/test_fit_equivalence.py`` gates
-both regimes).
+One fit path
+------------
+Because the likelihood is a product over rows, it sees the matrix only
+as a multiset of vote patterns. Every fit therefore runs on the
+deduplicated ``(patterns, counts)`` form in one canonical pattern order
+(:mod:`repro.core.patterns`): :meth:`SamplingFreeLabelModel.fit` is
+``fit_compressed(compress_votes(L))``. A full-batch step costs
+O(patterns × m) independent of ``n``; a minibatch step samples rows of
+the count-ordered expansion and runs the same weighted gradient kernel
+at unit weights. ``fit`` is thus invariant to row order, bit for bit,
+and equals a row-wise fit of the expanded matrix — bitwise in the
+minibatch regime, ≤ 1e-9 posteriors full-batch (summation order) —
+which the differential harness in ``tests/test_fit_equivalence.py``
+checks against an independent row-wise reference.
 """
 
 from __future__ import annotations
@@ -109,12 +109,6 @@ class LabelModelConfig:
     we anchor accuracies at >= 50% by default. Set to ``None`` to allow
     adversarial LFs (e.g. for the LF-triage diagnostics on symmetric
     data)."""
-    compress: bool = False
-    """When True, :meth:`SamplingFreeLabelModel.fit` deduplicates the
-    vote matrix into ``(patterns, multiplicities)`` and trains on the
-    compressed form (:meth:`~SamplingFreeLabelModel.fit_compressed`):
-    full-batch steps cost O(patterns × m) instead of O(n × m), and
-    minibatch steps are bitwise-faithful to the uncompressed fit."""
 
 
 class SamplingFreeLabelModel:
@@ -136,32 +130,12 @@ class SamplingFreeLabelModel:
         """Estimate parameters from a label matrix ``L`` of shape (m, n).
 
         Only the votes are used; no ground truth enters the procedure.
-        With ``config.compress`` set, the matrix is deduplicated into
-        ``(patterns, multiplicities)`` first and training runs on the
-        compressed form (see :meth:`fit_compressed`).
+        The matrix is deduplicated into ``(patterns, counts)`` and
+        fitted by :meth:`fit_compressed`, so the result depends on the
+        multiset of rows only — any row permutation of ``L`` fits to the
+        same bits.
         """
-        L = _validate_label_matrix(L)
-        if self.config.compress:
-            return self.fit_compressed(compress_votes(L))
-        m, n = L.shape
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-
-        self._init_fit(n, np.abs(L).sum(axis=0), float(m))
-
-        optimizer = self._optimizer_state()
-
-        for step in range(cfg.n_steps):
-            if cfg.batch_size >= m:
-                batch = L
-            else:
-                idx = rng.integers(0, m, size=cfg.batch_size)
-                batch = L[idx]
-            grads = self._gradients(batch)
-            loss = self._step_update(grads, optimizer)
-            if cfg.track_loss_every and step % cfg.track_loss_every == 0:
-                self.loss_history.append((step, loss / len(batch)))
-        return self
+        return self.fit_compressed(compress_votes(L))
 
     def fit_compressed(self, votes: CompressedVotes) -> "SamplingFreeLabelModel":
         """Estimate parameters from a pattern-compressed vote matrix.
@@ -170,19 +144,16 @@ class SamplingFreeLabelModel:
         match fitting the expanded matrix. Two regimes:
 
         * **minibatch** (``batch_size < n_rows``): each step samples
-          patterns proportional to multiplicity. On an exact compression
-          (``row_ids`` present, or integer weights) the sampler draws
-          expanded row indices with the same RNG calls the full-matrix
-          fit makes, so sampled batches — and therefore the entire fit —
-          are bitwise identical to :meth:`fit` on the expanded matrix.
-          Real-valued weights (decay retention) sample via inverse-CDF
-          over the weight vector, leaving the sampled-gradient
-          distribution unchanged.
+          ``batch_size`` rows via :meth:`CompressedVotes.row_sampler` —
+          uniform over the count-ordered expansion for integer counts
+          (bitwise a row-wise fit of ``votes.expand()``), inverse-CDF
+          over real-valued decay weights — and takes a unit-weight
+          gradient step on them.
         * **full-batch** (``batch_size >= n_rows``): exact
           multiplicity-weighted gradients at O(patterns × m) per step,
-          independent of ``n_rows`` — agreeing with the full-matrix fit
-          to ≤ 1e-9 posteriors (summation order differs, so last-ulp
-          drift is possible but bounded; gated by the fuzz harness).
+          independent of ``n_rows`` — agreeing with a row-wise fit to
+          ≤ 1e-9 posteriors (summation order differs, so last-ulp drift
+          is possible but bounded; gated by the fuzz harness).
 
         Args:
             votes: The compressed matrix (see
@@ -198,49 +169,28 @@ class SamplingFreeLabelModel:
         cfg = self.config
         P = _validate_label_matrix(votes.patterns)
         weights = votes.weights.astype(np.float64, copy=False)
-        absP = np.abs(P)
         total = float(votes.n_rows)
         rng = np.random.default_rng(cfg.seed)
 
-        # Weighted fire counts are exact integers whenever the weights
-        # are, so this reproduces np.abs(L).sum(axis=0) bit-for-bit on
-        # an exact compression.
-        self._init_fit(P.shape[1], (absP * weights[:, None]).sum(axis=0), total)
-
+        # Weighted fire counts are exact integers whenever the counts
+        # are, so the warm start equals the row-wise np.abs(L).sum(0).
+        self._init_fit(
+            P.shape[1], (np.abs(P) * weights[:, None]).sum(axis=0), total
+        )
         optimizer = self._optimizer_state()
 
-        # Exact-compression sampling surface: expanded row index -> row.
-        row_ids = votes.row_ids
-        n_expanded = len(row_ids) if row_ids is not None else (
-            int(total) if votes.integral else 0
-        )
-        pattern_ends = (
-            np.cumsum(weights) if row_ids is None else None
-        )
+        full_batch = cfg.batch_size >= total
+        if not full_batch:
+            draw = votes.row_sampler(rng, cfg.batch_size)
+            weights = np.ones(cfg.batch_size)
+            total = float(cfg.batch_size)
 
         for step in range(cfg.n_steps):
-            if cfg.batch_size >= total:
-                grads = self._gradients_weighted(P, absP, weights, total)
-                loss = self._step_update(grads, optimizer)
-                denom = total
-            else:
-                if row_ids is not None:
-                    idx = rng.integers(0, n_expanded, size=cfg.batch_size)
-                    batch = P[row_ids[idx]]
-                elif votes.integral:
-                    idx = rng.integers(0, n_expanded, size=cfg.batch_size)
-                    batch = P[
-                        np.searchsorted(pattern_ends, idx, side="right")
-                    ]
-                else:
-                    draw = rng.random(cfg.batch_size) * total
-                    picked = np.searchsorted(pattern_ends, draw, side="right")
-                    batch = P[np.minimum(picked, len(P) - 1)]
-                grads = self._gradients(batch)
-                loss = self._step_update(grads, optimizer)
-                denom = len(batch)
+            batch = P if full_batch else P.take(draw(), axis=0)
+            grads = self._gradients_weighted(batch, weights, total)
+            loss = self._step_update(grads, optimizer)
             if cfg.track_loss_every and step % cfg.track_loss_every == 0:
-                self.loss_history.append((step, loss / denom))
+                self.loss_history.append((step, loss / total))
         return self
 
     def _init_fit(
@@ -277,10 +227,9 @@ class SamplingFreeLabelModel:
     ) -> float:
         """Apply one optimizer step from precomputed gradients.
 
-        Shared by the full-matrix and compressed fit loops so the two
-        paths cannot drift: l2, the optimizer update, the ``min_alpha``
-        projection, and the step counter are one code path. Returns the
-        (l2-adjusted) summed loss for tracking.
+        l2, the optimizer update, the ``min_alpha`` projection, and the
+        step counter. Returns the (l2-adjusted) summed loss for
+        tracking.
         """
         cfg = self.config
         adam_alpha, adam_beta, adam_prior = optimizer
@@ -328,7 +277,9 @@ class SamplingFreeLabelModel:
             raise RuntimeError("call fit() or init_params() before partial_step()")
         batch = _validate_label_matrix(batch)
         cfg = self.config
-        grad_alpha, grad_beta, grad_prior, loss = self._gradients(batch)
+        grad_alpha, grad_beta, grad_prior, loss = self._gradients_weighted(
+            batch, np.ones(len(batch)), float(len(batch))
+        )
         self.alpha = self.alpha - cfg.learning_rate * grad_alpha
         self.beta = self.beta - cfg.learning_rate * grad_beta
         if cfg.learn_class_prior:
@@ -388,70 +339,41 @@ class SamplingFreeLabelModel:
     # ------------------------------------------------------------------
     # objective / gradient
     # ------------------------------------------------------------------
-    def _gradients(
-        self, L: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Return (grad_alpha, grad_beta, grad_prior_logit, summed NLL)."""
-        alpha, beta = self.alpha, self.beta
-        B = L.shape[0]
-        absL = np.abs(L)
-
-        a = L @ alpha                      # (B,)
-        b = absL @ beta                    # (B,)
-        z_parts = self._z_components()     # per-LF (p_correct, p_wrong, p_abstain, Z)
-        p_correct, p_wrong, p_abstain, Z = z_parts
-        z_sum = float(Z.sum())
-
-        log_prior_pos = -np.logaddexp(0.0, -self.prior_logit)   # log sigmoid
-        log_prior_neg = -np.logaddexp(0.0, self.prior_logit)
-        lse = np.logaddexp(a + log_prior_pos, -a + log_prior_neg)
-        nll = -float(np.sum(b - z_sum + lse))
-
-        # Posterior P(Y=+1 | L_i) = sigmoid(2 a_i + prior_logit).
-        posterior = _sigmoid(2.0 * a + self.prior_logit)
-        signed = 2.0 * posterior - 1.0       # E[Y_i | L_i]
-
-        grad_alpha = -(L.T @ signed) + B * (p_correct - p_wrong)
-        grad_beta = -absL.sum(axis=0) + B * (1.0 - p_abstain)
-        # d(log prior terms)/d(prior_logit): E[Y]=2p-1 pushes the prior
-        # toward the average posterior.
-        grad_prior = -float(np.sum(posterior - _sigmoid(self.prior_logit)))
-        return grad_alpha, grad_beta, grad_prior, nll
-
     def _gradients_weighted(
-        self,
-        P: np.ndarray,
-        absP: np.ndarray,
-        weights: np.ndarray,
-        total: float,
+        self, P: np.ndarray, weights: np.ndarray, total: float
     ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Multiplicity-weighted gradients over distinct patterns.
+        """Return (grad_alpha, grad_beta, grad_prior_logit, summed NLL).
 
-        Exactly the :meth:`_gradients` objective with each pattern row
-        counted ``weights[p]`` times — every per-row sum becomes a
-        weighted sum and the batch-size factor ``B`` becomes the total
-        row mass — at O(patterns × m) cost. ``grad_beta`` uses an
-        explicit column sum (not a BLAS dot) so that with unit weights
-        it reproduces ``absL.sum(axis=0)`` bit-for-bit.
+        The module-docstring objective with row ``i`` of ``P`` counted
+        ``weights[i]`` times: every per-row sum is a weighted sum and
+        the batch-size factor ``B`` is the total row mass ``total`` —
+        O(rows of P × m) whether ``P`` is a sampled minibatch (unit
+        weights) or the distinct patterns (their counts). ``grad_beta``
+        uses an explicit column sum, not a BLAS dot, so that at unit
+        weights it equals the row-wise ``absL.sum(axis=0)`` bit for bit.
         """
         alpha, beta = self.alpha, self.beta
+        absP = np.abs(P)
         a = P @ alpha                      # (k,)
         b = absP @ beta                    # (k,)
         p_correct, p_wrong, p_abstain, Z = self._z_components()
         z_sum = float(Z.sum())
 
-        log_prior_pos = -np.logaddexp(0.0, -self.prior_logit)
+        log_prior_pos = -np.logaddexp(0.0, -self.prior_logit)   # log sigmoid
         log_prior_neg = -np.logaddexp(0.0, self.prior_logit)
         lse = np.logaddexp(a + log_prior_pos, -a + log_prior_neg)
         nll = -float(np.sum(weights * (b - z_sum + lse)))
 
+        # Posterior P(Y=+1 | L_i) = sigmoid(2 a_i + prior_logit).
         posterior = _sigmoid(2.0 * a + self.prior_logit)
-        signed = 2.0 * posterior - 1.0
+        signed = 2.0 * posterior - 1.0       # E[Y_i | L_i]
 
         grad_alpha = -(P.T @ (weights * signed)) + total * (p_correct - p_wrong)
         grad_beta = (
             -(absP * weights[:, None]).sum(axis=0) + total * (1.0 - p_abstain)
         )
+        # d(log prior terms)/d(prior_logit): E[Y]=2p-1 pushes the prior
+        # toward the average posterior.
         grad_prior = -float(
             np.sum(weights * (posterior - _sigmoid(self.prior_logit)))
         )
@@ -492,7 +414,9 @@ class SamplingFreeLabelModel:
         """Full-dataset mean negative marginal log-likelihood."""
         self._check_fitted()
         L = _validate_label_matrix(L)
-        _, _, _, total = self._gradients(L)
+        _, _, _, total = self._gradients_weighted(
+            L, np.ones(len(L)), float(len(L))
+        )
         return total / len(L)
 
     # ------------------------------------------------------------------

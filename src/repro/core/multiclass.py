@@ -41,10 +41,6 @@ class MulticlassConfig:
     min_alpha: float | None = 0.0
     """Better-than-random accuracy anchor; see
     :class:`repro.core.label_model.LabelModelConfig.min_alpha`."""
-    compress: bool = False
-    """When True, :meth:`MulticlassLabelModel.fit` trains on the
-    deduplicated ``(patterns, multiplicities)`` form — same contract as
-    :attr:`repro.core.label_model.LabelModelConfig.compress`."""
 
 
 class MulticlassLabelModel:
@@ -66,37 +62,19 @@ class MulticlassLabelModel:
     def fit(self, L: np.ndarray) -> "MulticlassLabelModel":
         """Estimate parameters from a vote matrix ``L`` in ``{0..k}``.
 
-        With ``config.compress`` set, the matrix is deduplicated first
-        and training runs on the compressed form
-        (:meth:`fit_compressed`)."""
-        L = self._validate(L)
-        if self.config.compress:
-            return self.fit_compressed(compress_votes(L))
-        m, n = L.shape
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-
-        self._init_fit(n, (L != 0).sum(axis=0), float(m))
-        adam_alpha = AdamState.like(self.alpha)
-        adam_beta = AdamState.like(self.beta)
-
-        for _ in range(cfg.n_steps):
-            if cfg.batch_size >= m:
-                batch = L
-            else:
-                batch = L[rng.integers(0, m, size=cfg.batch_size)]
-            grad_alpha, grad_beta = self._gradients(batch)
-            self._apply_step(grad_alpha, grad_beta, adam_alpha, adam_beta)
-        return self
+        Deduplicates ``L`` and fits the ``(patterns, counts)`` form
+        (:meth:`fit_compressed`), so any row permutation of ``L`` fits
+        to the same bits."""
+        return self.fit_compressed(compress_votes(L))
 
     def fit_compressed(self, votes: CompressedVotes) -> "MulticlassLabelModel":
         """Estimate parameters from a pattern-compressed vote matrix.
 
         Same contract as
         :meth:`repro.core.label_model.SamplingFreeLabelModel.fit_compressed`:
-        minibatch steps on an exact compression are bitwise-faithful to
-        :meth:`fit` on the expanded matrix; full-batch steps use exact
-        multiplicity-weighted gradients at O(patterns × m).
+        minibatch steps sample rows of the count-ordered expansion
+        (bitwise a row-wise fit of ``votes.expand()``); full-batch steps
+        use exact multiplicity-weighted gradients at O(patterns × m).
 
         Args:
             votes: The compressed matrix (see
@@ -117,29 +95,17 @@ class MulticlassLabelModel:
         adam_alpha = AdamState.like(self.alpha)
         adam_beta = AdamState.like(self.beta)
 
-        row_ids = votes.row_ids
-        n_expanded = len(row_ids) if row_ids is not None else (
-            int(total) if votes.integral else 0
-        )
-        pattern_ends = np.cumsum(weights) if row_ids is None else None
+        full_batch = cfg.batch_size >= total
+        if not full_batch:
+            draw = votes.row_sampler(rng, cfg.batch_size)
+            weights = np.ones(cfg.batch_size)
+            total = float(cfg.batch_size)
 
         for _ in range(cfg.n_steps):
-            if cfg.batch_size >= total:
-                grad_alpha, grad_beta = self._gradients_weighted(
-                    P, weights, total
-                )
-            else:
-                if row_ids is not None:
-                    idx = rng.integers(0, n_expanded, size=cfg.batch_size)
-                    batch = P[row_ids[idx]]
-                elif votes.integral:
-                    idx = rng.integers(0, n_expanded, size=cfg.batch_size)
-                    batch = P[np.searchsorted(pattern_ends, idx, side="right")]
-                else:
-                    draw = rng.random(cfg.batch_size) * total
-                    picked = np.searchsorted(pattern_ends, draw, side="right")
-                    batch = P[np.minimum(picked, len(P) - 1)]
-                grad_alpha, grad_beta = self._gradients(batch)
+            batch = P if full_batch else P.take(draw(), axis=0)
+            grad_alpha, grad_beta = self._gradients_weighted(
+                batch, weights, total
+            )
             self._apply_step(grad_alpha, grad_beta, adam_alpha, adam_beta)
         return self
 
@@ -159,7 +125,7 @@ class MulticlassLabelModel:
         adam_alpha: AdamState,
         adam_beta: AdamState,
     ) -> None:
-        """One Adam update + min_alpha projection (shared by both fits)."""
+        """One Adam update + min_alpha projection."""
         cfg = self.config
         self.alpha = adam_step(self.alpha, grad_alpha, adam_alpha, cfg.learning_rate)
         self.beta = adam_step(self.beta, grad_beta, adam_beta, cfg.learning_rate)
@@ -169,11 +135,15 @@ class MulticlassLabelModel:
     def _gradients_weighted(
         self, P: np.ndarray, weights: np.ndarray, total: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Multiplicity-weighted :meth:`_gradients` over distinct
-        patterns: per-row sums become weighted sums and the batch factor
-        ``B`` becomes the total row mass ``total``."""
-        posterior = self.predict_proba(P)
+        """Marginal-NLL gradients with row ``i`` of ``P`` counted
+        ``weights[i]`` times: per-row sums are weighted sums and the
+        batch factor is the total row mass ``total`` (unit weights for a
+        sampled minibatch, counts for the distinct patterns)."""
+        posterior = self.predict_proba(P)         # (B, k)
         non_abstain = P != 0
+
+        # q_match[i, j] = posterior probability that LF j's vote on i is
+        # correct (0 where it abstained).
         vote_index = np.clip(P, 1, self.n_classes) - 1
         q_match = _gather_rows(posterior, vote_index) * non_abstain
 
@@ -184,23 +154,6 @@ class MulticlassLabelModel:
         grad_beta = -(non_abstain * weights[:, None]).sum(axis=0) + total * (
             1.0 - p_abstain
         )
-        return grad_alpha, grad_beta
-
-    def _gradients(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        B, n = L.shape
-        posterior = self.predict_proba(L)         # (B, k)
-        non_abstain = L != 0
-
-        # q_match[i, j] = posterior probability that LF j's vote on i is
-        # correct (0 where it abstained).
-        vote_index = np.clip(L, 1, self.n_classes) - 1
-        q_match = _gather_rows(posterior, vote_index) * non_abstain
-
-        p_correct, p_wrong_total, p_abstain = self._outcome_probs()
-        grad_alpha = -np.sum(
-            (2.0 * q_match - 1.0) * non_abstain, axis=0
-        ) + B * (p_correct - p_wrong_total)
-        grad_beta = -non_abstain.sum(axis=0) + B * (1.0 - p_abstain)
         return grad_alpha, grad_beta
 
     def _outcome_probs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,19 +1,19 @@
 """Online generative label model for streaming weak supervision.
 
-The Section 5.2 trainer (:class:`SamplingFreeLabelModel`) is full-batch:
-it holds the whole ``(n, m)`` label matrix and samples minibatches from
-it. A streaming deployment sees votes one micro-batch at a time and can
-never hold the raw examples; this module provides the incremental
-counterpart built on two observations about the conditionally
-independent model:
+The Section 5.2 trainer (:class:`SamplingFreeLabelModel`) fits a whole
+``(n, m)`` label matrix. A streaming deployment sees votes one
+micro-batch at a time and can never hold the raw examples; this module
+provides the incremental counterpart built on two observations about
+the conditionally independent model:
 
-1. **The data enters the likelihood only through vote patterns.** For m
-   labeling functions there are at most ``3^m`` distinct vote rows, and
-   in practice a handful: the stream can be retained losslessly as a
-   *pattern dictionary* (each distinct row stored once) plus a 4-byte
-   pattern id per observed example. At the benchmark's 13-LF workload
-   this is ~500x smaller than the decoded records and reconstructs the
-   exact label matrix, in stream order, on demand.
+1. **The data enters the likelihood only as a multiset of vote
+   patterns.** For m labeling functions there are at most ``3^m``
+   distinct vote rows, and in practice a handful: the stream is retained
+   losslessly as a *pattern table* — each distinct row stored once, with
+   the count (or recency weight) of examples that voted it. The table is
+   O(patterns) however long the stream runs, and it is exactly the
+   :class:`~repro.core.patterns.CompressedVotes` form every fit trains
+   on.
 2. **Cheap first/second vote moments track the stream between refits.**
    Per-LF vote sums, fire rates, and the pairwise agreement matrix are
    O(m^2) per micro-batch and feed monitoring (the Section 3.3
@@ -23,16 +23,14 @@ independent model:
 Training interleaves two update kinds:
 
 * ``observe(votes)`` folds a micro-batch into the moments and the
-  pattern log, then takes a few exact-gradient ``partial_step``s on rows
-  sampled from the new batch — the model tracks a drifting stream at
-  O(steps x batch) cost per micro-batch;
+  pattern table, then takes a few exact-gradient ``partial_step``s on
+  rows sampled from the new batch — the model tracks a drifting stream
+  at O(steps x batch) cost per micro-batch;
 * ``refit()`` (scheduled every ``refit_every`` batches, or called
-  manually at stream end) re-runs the offline fit over the retained
-  stream. By default it trains *directly on the pattern log*
-  (:meth:`SamplingFreeLabelModel.fit_compressed` — O(patterns x m) per
-  step instead of O(n x m), bitwise identical in the minibatch regime);
-  set ``compressed_refit=False`` or ``REPRO_COMPRESSED_REFIT=0`` to
-  rebuild the expanded matrix and run the identical offline ``fit``.
+  manually at stream end) runs
+  :meth:`SamplingFreeLabelModel.fit_compressed` on the table. Offline
+  ``fit(L)`` is the same call on ``compress_votes(L)``, so **a refit is
+  bitwise the offline fit of the retained rows, in any order**.
 
 Retention modes
 ---------------
@@ -40,40 +38,34 @@ Production traffic is non-stationary; a refit that pools all of history
 keeps trusting labeling functions long after they rot. The accumulators
 therefore run in one of three modes, selected by the config:
 
-* **cumulative** (default): moments and the pattern log grow without
-  forgetting. Refits reproduce the offline fit on the full stream
-  *exactly* — same config, same seed, same bytes — so after a refit the
-  online model's parameters and posteriors are exactly those of an
-  offline :class:`SamplingFreeLabelModel` fit on the same data (the
-  equivalence suite asserts agreement to 1e-6; in practice they are
-  bitwise equal).
+* **cumulative** (default): moments and pattern counts grow without
+  forgetting; a refit equals the offline fit of the whole stream prefix.
 * **decay** (``decay=0.95``-ish): every observed micro-batch multiplies
   the moments and the per-pattern weights by ``decay`` before folding
   the new batch in — an exponential recency window with half-life
   ``ln 2 / ln(1/decay)`` batches. Patterns whose weight sinks below
-  ``pattern_weight_floor`` are evicted, so the log's footprint tracks
-  the *recent* pattern diversity, not all of history. Refits see a
-  recency-weighted matrix: each retained pattern repeated
-  ``round(weight)`` times by default, or — with
-  ``decay_weighted_refit=True`` — weighted by its exact real-valued
-  decayed weight (no rounding; requires compressed refits).
-* **window** (``window_batches=N``): moments and the pattern log cover
-  exactly the last ``N`` micro-batches (exact rolling sums — all
-  integer-valued, so no drift). Patterns no longer referenced by the
-  window are evicted. Refits see precisely the window's rows, in stream
-  order.
+  ``pattern_weight_floor`` are evicted, so the table's footprint tracks
+  the *recent* pattern diversity, not all of history. Refits count each
+  retained pattern ``round(weight)`` times by default, or — with
+  ``decay_weighted_refit=True`` — weight it by its exact real-valued
+  decayed weight (no rounding).
+* **window** (``window_batches=N``): moments and pattern counts cover
+  exactly the last ``N`` micro-batches. Each retained batch keeps its
+  own sparse ``(pattern ids, counts)`` contribution, so expiry subtracts
+  exactly what that batch added (all integer-valued — no drift) and
+  patterns the window no longer references are evicted. A refit equals
+  the offline fit of precisely the window's rows.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
-from repro.core.patterns import CompressedVotes
+from repro.core.patterns import CompressedVotes, compress_votes
 
 __all__ = ["OnlineLabelModelConfig", "OnlineLabelModel"]
 
@@ -100,26 +92,17 @@ class OnlineLabelModelConfig:
     (0, 1); ``None`` (with ``window_batches=None``) keeps the cumulative
     all-of-history behavior. Mutually exclusive with ``window_batches``."""
     window_batches: int | None = None
-    """Sliding-window retention: moments and pattern log cover exactly
+    """Sliding-window retention: moments and pattern counts cover exactly
     the last N observed micro-batches. Mutually exclusive with
     ``decay``."""
     pattern_weight_floor: float = 0.25
     """Decay mode only: patterns whose decayed weight falls below this
-    floor are evicted from the log. Must be in (0, 1) so a pattern seen
+    floor are evicted from the table. Must be in (0, 1) so a pattern seen
     in the current batch (weight >= 1) is never evicted on arrival."""
-    compressed_refit: bool | None = None
-    """Whether :meth:`OnlineLabelModel.refit` trains directly on the
-    retained ``(patterns, multiplicities)`` log instead of expanding it
-    into a row matrix first. ``None`` (default) defers to the
-    ``REPRO_COMPRESSED_REFIT`` env knob (on unless set to ``"0"``).
-    Results are unchanged — minibatch refits are bitwise identical to
-    the expanded fit, and the tiny-stream full-batch regime falls back
-    to the expanded fit — only the per-step cost drops from O(n × m) to
-    O(patterns × m)."""
     decay_weighted_refit: bool = False
     """Decay mode only: when True, refits weight each retained pattern
     by its *real-valued* decayed weight (exact recency semantics)
-    instead of the legacy ``round(weight)`` row repetition. Off by
+    instead of ``round(weight)`` repetitions. Off by
     default for bit-compatibility with existing decay-mode streams; the
     weighted objective agrees with the rounded one to O(1/weight) in the
     fitted parameters (regression-tested tolerance, not bitwise)."""
@@ -131,7 +114,7 @@ class OnlineLabelModel:
     Feed micro-batches via :meth:`observe`; read the current parameter
     estimate from :attr:`model`; call :meth:`refit` (or set
     ``refit_every``) for full re-estimates from the retained pattern
-    log. Retention semantics (cumulative / decay / window) are set by
+    table. Retention semantics (cumulative / decay / window) are set by
     the config — see the module docstring.
     """
 
@@ -176,16 +159,16 @@ class OnlineLabelModel:
         self.n_observed = 0
         self.batches_observed = 0
         self.refits_done = 0
-        # Pattern log: distinct vote rows, plus per-example pattern ids
-        # (cumulative/window) or per-pattern decayed weights (decay).
+        # Pattern table: distinct vote rows in arrival order with the
+        # retained mass per pattern — example counts (cumulative/window;
+        # integer-valued, so window expiry subtracts exactly) or decayed
+        # weights (decay).
         self._pattern_ids: dict[bytes, int] = {}
         self._pattern_rows: list[np.ndarray] = []
-        self._row_ids: list[np.ndarray] = []
-        self._pattern_weights: np.ndarray | None = (
-            np.zeros(0) if cfg.decay is not None else None
-        )
-        self._pattern_refs: np.ndarray | None = (
-            np.zeros(0, dtype=np.int64) if cfg.window_batches is not None else None
+        self._pattern_weights = np.zeros(0)
+        # Window mode: each retained batch's sparse (pattern ids, counts).
+        self._window_patterns: deque[tuple] | None = (
+            deque() if cfg.window_batches is not None else None
         )
         # Streaming vote moments (recency-weighted in decay/window mode)
         # plus the effective sample weight behind them.
@@ -212,13 +195,13 @@ class OnlineLabelModel:
     def observe(self, votes: np.ndarray) -> None:
         """Fold one micro-batch of votes into the model.
 
-        ``votes`` is an ``(B, m)`` array over ``{-1, 0, +1}``; rows enter
-        the pattern log in arrival order (and, in decay/window mode,
+        ``votes`` is an ``(B, m)`` array over ``{-1, 0, +1}``; rows are
+        counted into the pattern table (and, in decay/window mode,
         displace stale history per the retention policy) so a later
-        refit sees the retained stream's label matrix.
+        refit sees the retained stream's rows.
 
         Args:
-            votes: The micro-batch's vote rows, stream-ordered.
+            votes: The micro-batch's vote rows.
 
         Raises:
             ValueError: On a non-2-D batch, a column-count mismatch with
@@ -237,26 +220,14 @@ class OnlineLabelModel:
             self.refit()
 
     def refit(self) -> SamplingFreeLabelModel:
-        """Full offline fit on the retained pattern log.
+        """Full offline fit on the retained pattern table.
 
-        Runs :meth:`SamplingFreeLabelModel.fit` semantics with the
-        ``base`` config over the retained stream. In cumulative mode the
-        result is exactly what an offline fit on the same stream prefix
-        produces; in decay/window mode it is the offline fit of the
-        *recency-weighted* matrix (see :meth:`reconstruct_matrix`).
-
-        When compressed refits are enabled (the default — see
-        :attr:`OnlineLabelModelConfig.compressed_refit`) the fit trains
-        directly on the pattern log via
-        :meth:`SamplingFreeLabelModel.fit_compressed`: per-step cost is
-        O(patterns × m) regardless of stream length, and minibatch-
-        regime results are bitwise identical to the expanded fit.
-        Streams small enough that every step would be a full-batch step
-        (``total rows <= base.batch_size``) fall back to the expanded
-        fit so tiny-stream refits also stay bitwise. With
-        ``decay_weighted_refit`` the decayed pattern weights enter the
-        objective as real-valued multiplicities instead of the legacy
-        ``round(weight)`` row repetition.
+        Runs :meth:`SamplingFreeLabelModel.fit_compressed` with the
+        ``base`` config on :meth:`compressed_votes` — the call offline
+        ``fit`` makes — so in cumulative and window mode the result is
+        bitwise the offline fit of the retained rows in any order, at
+        O(patterns × m) per step regardless of stream length. In decay
+        mode it is the offline fit of the recency-weighted rows.
 
         Returns:
             The freshly fitted inner model (also exposed as
@@ -268,38 +239,18 @@ class OnlineLabelModel:
         if self.n_observed == 0:
             raise RuntimeError("cannot refit before observing any votes")
         self._model = SamplingFreeLabelModel(replace(self.config.base))
-        votes = (
-            self.compressed_votes() if self._compressed_refit_enabled() else None
-        )
-        if votes is not None and (
-            votes.n_rows > self.config.base.batch_size
-            or (self.mode == "decay" and self.config.decay_weighted_refit)
-        ):
-            self._model.fit_compressed(votes)
-        else:
-            self._model.fit(self.reconstruct_matrix())
+        self._model.fit_compressed(self.compressed_votes())
         self.refits_done += 1
         return self._model
-
-    def _compressed_refit_enabled(self) -> bool:
-        """Resolve the compressed-refit switch (config, else env knob)."""
-        if self.config.compressed_refit is not None:
-            return self.config.compressed_refit
-        return os.environ.get("REPRO_COMPRESSED_REFIT", "1") != "0"
 
     def compressed_votes(self) -> CompressedVotes:
         """The retained stream as a pattern-compressed vote matrix.
 
-        The compressed counterpart of :meth:`reconstruct_matrix` — no
-        row expansion is materialized:
-
         * cumulative / window mode: the retained patterns with their
-          reference counts as integer multiplicities and the stream-
-          order ``row_ids`` map, so the compression is *exact* (the
-          expanded matrix is recoverable bit-for-bit);
-        * decay mode, legacy semantics: each pattern's multiplicity is
-          ``round(weight)`` (half-up), matching the row-repeated matrix
-          :meth:`reconstruct_matrix` builds, in pattern-id order;
+          example counts — equal, field by field, to
+          ``compress_votes`` of the retained rows;
+        * decay mode: each pattern's multiplicity is ``round(weight)``
+          (half-up, so a weight at 0.5 still contributes a row);
           zero-multiplicity patterns are omitted;
         * decay mode with ``decay_weighted_refit``: the real-valued
           decayed weights themselves — exact recency semantics with no
@@ -307,38 +258,22 @@ class OnlineLabelModel:
 
         Returns:
             The :class:`~repro.core.patterns.CompressedVotes` the next
-            compressed refit trains on.
+            refit trains on.
 
         Raises:
             RuntimeError: If no votes have been observed yet.
         """
         if self.n_observed == 0:
             raise RuntimeError("no votes observed yet")
-        patterns = np.vstack(self._pattern_rows)
-        if self.mode == "decay":
-            if self.config.decay_weighted_refit:
-                keep = self._pattern_weights > 0.0
-                return CompressedVotes(
-                    patterns=patterns[keep],
-                    weights=self._pattern_weights[keep].astype(np.float64),
-                    row_ids=None,
-                    n_rows=float(self._pattern_weights[keep].sum()),
-                )
-            reps = np.floor(self._pattern_weights + 0.5).astype(np.int64)
-            keep = reps > 0
-            return CompressedVotes(
-                patterns=patterns[keep],
-                weights=reps[keep].astype(np.float64),
-                row_ids=None,
-                n_rows=float(reps[keep].sum()),
-            )
-        ids = np.concatenate(self._row_ids).astype(np.int64)
-        weights = np.bincount(ids, minlength=len(patterns)).astype(np.float64)
+        weights = self._pattern_weights
+        if self.mode == "decay" and not self.config.decay_weighted_refit:
+            weights = np.floor(weights + 0.5)
+        keep = weights > 0.0
+        weights = weights[keep]
         return CompressedVotes(
-            patterns=patterns,
+            patterns=np.vstack(self._pattern_rows)[keep],
             weights=weights,
-            row_ids=ids,
-            n_rows=float(len(ids)),
+            n_rows=float(weights.sum()),
         )
 
     # ------------------------------------------------------------------
@@ -401,49 +336,38 @@ class OnlineLabelModel:
 
     def _append_patterns(self, votes: np.ndarray) -> None:
         mode = self.mode
-        uniq, inverse = np.unique(votes, axis=0, return_inverse=True)
-        if mode == "decay" and len(self._pattern_weights):
-            # Age the whole log before folding this batch in.
+        batch = compress_votes(votes)
+        if mode == "decay":
+            # Age the whole table before folding this batch in.
             self._pattern_weights *= self.config.decay
-        new_rows = 0
-        local_to_global = np.empty(len(uniq), dtype=np.int32)
-        for k, row in enumerate(uniq):
+        ids = np.empty(batch.n_patterns, dtype=np.int32)
+        for k, row in enumerate(batch.patterns):
             key = row.tobytes()
             pattern = self._pattern_ids.get(key)
             if pattern is None:
                 pattern = len(self._pattern_rows)
                 self._pattern_ids[key] = pattern
                 self._pattern_rows.append(row.copy())
-                new_rows += 1
-            local_to_global[k] = pattern
+            ids[k] = pattern
+        new_rows = len(self._pattern_rows) - len(self._pattern_weights)
+        if new_rows:
+            self._pattern_weights = np.concatenate(
+                [self._pattern_weights, np.zeros(new_rows)]
+            )
+        self._pattern_weights[ids] += batch.weights
         if mode == "decay":
-            counts = np.bincount(
-                np.ravel(inverse), minlength=len(uniq)
-            ).astype(np.float64)
-            if new_rows:
-                self._pattern_weights = np.concatenate(
-                    [self._pattern_weights, np.zeros(new_rows)]
-                )
-            self._pattern_weights[local_to_global] += counts
             self._evict_patterns(
                 self._pattern_weights >= self.config.pattern_weight_floor
             )
         elif mode == "window":
-            counts = np.bincount(np.ravel(inverse), minlength=len(uniq))
-            if new_rows:
-                self._pattern_refs = np.concatenate(
-                    [self._pattern_refs, np.zeros(new_rows, dtype=np.int64)]
-                )
-            self._pattern_refs[local_to_global] += counts
-            self._row_ids.append(local_to_global[inverse.astype(np.int32)])
-            while len(self._row_ids) > self.config.window_batches:
-                expired = self._row_ids.pop(0)
-                self._pattern_refs -= np.bincount(
-                    expired, minlength=len(self._pattern_refs)
-                )
-            self._evict_patterns(self._pattern_refs > 0)
-        else:
-            self._row_ids.append(local_to_global[inverse.astype(np.int32)])
+            # Ascending ids: the one form an upgraded row-id log counts
+            # into as well, so resumed manifests match byte for byte.
+            order = np.argsort(ids)
+            self._window_patterns.append((ids[order], batch.weights[order]))
+            while len(self._window_patterns) > self.config.window_batches:
+                expired_ids, expired_counts = self._window_patterns.popleft()
+                self._pattern_weights[expired_ids] -= expired_counts
+            self._evict_patterns(self._pattern_weights > 0.0)
 
     def _evict_patterns(self, keep: np.ndarray) -> None:
         """Drop patterns where ``keep`` is False; remap retained ids."""
@@ -456,14 +380,14 @@ class OnlineLabelModel:
         self._pattern_ids = {
             row.tobytes(): i for i, row in enumerate(self._pattern_rows)
         }
-        if self._pattern_weights is not None:
-            self._pattern_weights = self._pattern_weights[keep]
-        if self._pattern_refs is not None:
-            self._pattern_refs = self._pattern_refs[keep]
-        if self._row_ids:
-            self._row_ids = [
-                remap[ids].astype(np.int32) for ids in self._row_ids
-            ]
+        self._pattern_weights = self._pattern_weights[keep]
+        if self._window_patterns is not None:
+            # Every evicted pattern has zero retained count, so no
+            # retained batch references it.
+            self._window_patterns = deque(
+                (remap[ids].astype(np.int32), counts)
+                for ids, counts in self._window_patterns
+            )
 
     def _incremental_steps(self, votes: np.ndarray) -> None:
         cfg = self.config
@@ -489,16 +413,17 @@ class OnlineLabelModel:
 
         Includes the minibatch sampler's RNG state, both step counters
         (``batches_observed`` here, ``steps_taken`` on the inner model),
-        and the retention-mode state (decayed moments and pattern
-        weights, or the rolling window's per-batch contributions) so a
-        restored model takes *exactly* the updates the uninterrupted run
-        would have taken — resumed streams converge to the same
-        parameters to the bit, not just in distribution.
+        and the retention-mode state (pattern weights, the rolling
+        window's per-batch contributions) so a restored model takes
+        *exactly* the updates the uninterrupted run would have taken —
+        resumed streams converge to the same parameters to the bit, not
+        just in distribution. Everything is O(patterns) or O(window):
+        the snapshot does not grow with stream length.
 
         Returns:
-            A JSON-safe dict (arrays as base64 raw buffers). Schema 2;
-            readers accept schema-1 dicts written before the retention
-            modes existed (see :meth:`load_state`).
+            A JSON-safe dict (arrays as base64 raw buffers). Schema 3;
+            readers accept schema 1 and 2 dicts, which logged a pattern
+            id per example instead of counts (see :meth:`load_state`).
         """
         from repro.dfs.records import encode_ndarray
 
@@ -506,8 +431,9 @@ class OnlineLabelModel:
             return None if array is None else encode_ndarray(array)
 
         window = self._window_moments
+        batches = self._window_patterns
         return {
-            "schema": 2,
+            "schema": 3,
             "n_lfs": self.n_lfs,
             "n_observed": self.n_observed,
             "batches_observed": self.batches_observed,
@@ -516,19 +442,14 @@ class OnlineLabelModel:
             "pattern_rows": enc(
                 np.vstack(self._pattern_rows) if self._pattern_rows else None
             ),
-            "row_ids": enc(
-                np.concatenate(self._row_ids) if self._row_ids else None
-            ),
-            "row_id_lengths": [len(ids) for ids in self._row_ids],
+            "pattern_weights": enc(self._pattern_weights),
             "vote_sum": enc(self._vote_sum),
             "fire_sum": enc(self._fire_sum),
             "agreement": enc(self._agreement),
             "model": self._model.state_dict(),
-            # Retention-mode state (schema 2; absent in pre-drift
-            # manifests, which load_state treats as cumulative).
+            # Retention-mode state (absent in schema-1 manifests, which
+            # load_state treats as cumulative).
             "moment_weight": self._moment_weight,
-            "pattern_weights": enc(self._pattern_weights),
-            "pattern_refs": enc(self._pattern_refs),
             "window_vote_sums": enc(
                 np.stack([e[0] for e in window]) if window else None
             ),
@@ -541,6 +462,13 @@ class OnlineLabelModel:
             "window_counts": enc(
                 np.array([e[3] for e in window]) if window else None
             ),
+            "window_pattern_ids": enc(
+                np.concatenate([e[0] for e in batches]) if batches else None
+            ),
+            "window_pattern_counts": enc(
+                np.concatenate([e[1] for e in batches]) if batches else None
+            ),
+            "window_pattern_lengths": [len(e[0]) for e in batches or ()],
         }
 
     def load_state(self, state: dict) -> "OnlineLabelModel":
@@ -548,22 +476,34 @@ class OnlineLabelModel:
 
         The instance must have been constructed with the same config the
         snapshot was taken under (configs are the caller's contract, the
-        snapshot carries only mutable state). Schema-1 dicts — written
-        by pre-drift checkpoints, before the retention modes existed —
-        restore cleanly: the missing retention keys default to the
-        cumulative-mode values they implicitly had.
+        snapshot carries only mutable state). Older dicts upgrade in
+        place: schema 1 (pre-drift checkpoints) lacks the retention keys,
+        which default to the cumulative-mode values they implicitly had;
+        schemas 1 and 2 carry a per-example pattern-id log, which is
+        counted into pattern weights (batch by batch, so window expiry
+        still subtracts exactly).
 
         Args:
-            state: A dict produced by :meth:`state_dict` (schema 1 or 2).
+            state: A dict produced by :meth:`state_dict` (schema 1-3).
 
         Returns:
             ``self``, for chaining.
+
+        Raises:
+            ValueError: On any other schema — a snapshot from a newer
+                writer must not be half-read.
         """
         from repro.dfs.records import decode_ndarray
 
         def dec(payload):
             return None if payload is None else decode_ndarray(payload)
 
+        schema = state.get("schema")
+        if schema not in (1, 2, 3):
+            raise ValueError(
+                f"unsupported label-model state schema {schema!r}; this "
+                "reader understands schemas 1, 2 and 3"
+            )
         self.n_lfs = state["n_lfs"]
         self.n_observed = int(state["n_observed"])
         self.batches_observed = int(state["batches_observed"])
@@ -575,43 +515,44 @@ class OnlineLabelModel:
         self._pattern_ids = {
             row.tobytes(): i for i, row in enumerate(self._pattern_rows)
         }
-        flat_ids = dec(state["row_ids"])
-        self._row_ids = []
-        if flat_ids is not None:
-            offset = 0
-            for length in state["row_id_lengths"]:
-                self._row_ids.append(flat_ids[offset:offset + length])
-                offset += length
+        weights = dec(state.get("pattern_weights"))
+        if schema == 3:
+            lengths = state["window_pattern_lengths"]
+            batches = zip(
+                _split(dec(state["window_pattern_ids"]), lengths),
+                _split(dec(state["window_pattern_counts"]), lengths),
+            )
+        else:
+            # Schemas 1/2 logged one pattern id per retained example,
+            # segmented by batch; the table keeps only the counts.
+            logged = _split(dec(state["row_ids"]), state["row_id_lengths"])
+            batches = [
+                (ids, counts.astype(np.float64))
+                for ids, counts in (
+                    np.unique(segment, return_counts=True) for segment in logged
+                )
+            ]
+            if logged:
+                weights = np.zeros(len(self._pattern_rows))
+                for ids, counts in batches:
+                    weights[ids] += counts
+        self._pattern_weights = (
+            np.zeros(len(self._pattern_rows)) if weights is None else weights
+        )
+        windowed = self.config.window_batches is not None
+        self._window_patterns = deque(batches) if windowed else None
         self._vote_sum = dec(state["vote_sum"])
         self._fire_sum = dec(state["fire_sum"])
         self._agreement = dec(state["agreement"])
         # Schema-1 dicts predate the retention modes: their implicit
-        # moment weight is the observed count and they carry no decayed
-        # weights or window segments.
+        # moment weight is the observed count and they carry no window
+        # segments.
         self._moment_weight = float(
             state.get("moment_weight", self.n_observed)
         )
-        weights = dec(state.get("pattern_weights"))
-        if self.config.decay is not None:
-            self._pattern_weights = (
-                np.zeros(len(self._pattern_rows)) if weights is None else weights
-            )
-        else:
-            self._pattern_weights = weights
-        refs = dec(state.get("pattern_refs"))
-        if self.config.window_batches is not None:
-            self._pattern_refs = (
-                np.zeros(len(self._pattern_rows), dtype=np.int64)
-                if refs is None
-                else refs
-            )
-        else:
-            self._pattern_refs = refs
-        self._window_moments = (
-            deque() if self.config.window_batches is not None else None
-        )
+        self._window_moments = deque() if windowed else None
         w_votes = dec(state.get("window_vote_sums"))
-        if w_votes is not None and self._window_moments is not None:
+        if w_votes is not None and windowed:
             w_fires = dec(state.get("window_fire_sums"))
             w_agrees = dec(state.get("window_agreements"))
             w_counts = dec(state.get("window_counts"))
@@ -624,29 +565,8 @@ class OnlineLabelModel:
         return self
 
     # ------------------------------------------------------------------
-    # reconstruction + accessors
+    # accessors
     # ------------------------------------------------------------------
-    def reconstruct_matrix(self) -> np.ndarray:
-        """The retained label matrix the next refit will train on.
-
-        Returns:
-            Cumulative mode: the exact observed matrix, in stream order,
-            as int8. Window mode: exactly the last ``window_batches``
-            micro-batches' rows, in stream order. Decay mode: the
-            recency-weighted matrix — each retained pattern repeated
-            ``round(weight)`` times (half-up, so a weight at 0.5 still
-            contributes a row), in pattern-id order; patterns whose
-            weight rounds to zero are omitted.
-        """
-        if self.n_observed == 0:
-            return np.zeros((0, self.n_lfs or 0), dtype=np.int8)
-        patterns = np.vstack(self._pattern_rows)
-        if self.mode == "decay":
-            reps = np.floor(self._pattern_weights + 0.5).astype(np.int64)
-            return patterns[np.repeat(np.arange(len(patterns)), reps)]
-        ids = np.concatenate(self._row_ids)
-        return patterns[ids]
-
     @property
     def model(self) -> SamplingFreeLabelModel:
         """The current parameter estimate (incremental or last refit)."""
@@ -762,3 +682,10 @@ class OnlineLabelModel:
     def _check_observed(self) -> None:
         if self.n_observed == 0:
             raise RuntimeError("no votes observed yet")
+
+
+def _split(flat: np.ndarray | None, lengths: list[int]) -> list[np.ndarray]:
+    """Cut a flattened per-batch array back into its batch segments."""
+    if flat is None:
+        return []
+    return np.split(flat, np.cumsum(lengths)[:-1])

@@ -1,41 +1,40 @@
-"""Pattern compression for label-model fitting.
+"""Pattern compression: the one form label models are fitted from.
 
 The generative model only sees the data through vote *patterns*: two
 examples with identical vote rows contribute identically to the marginal
-likelihood, so an ``(n, m)`` label matrix is losslessly equivalent to the
-pair ``(patterns, multiplicities)`` — the distinct rows and how often
-each occurs. At the benchmark workloads distinct patterns number in the
-low thousands while ``n`` grows unbounded (≈5k patterns at n=30,720 in
-the drift bench), so a fit that works on the compressed pair does
-O(patterns × m) work per full-batch gradient step *independent of stream
-length*.
+likelihood, so an ``(n, m)`` label matrix is a multiset of rows, fully
+described by the pair ``(patterns, counts)`` — the distinct rows and how
+often each occurs. Distinct patterns number in the tens to low thousands
+while ``n`` grows unbounded, so a fit over the pair does O(patterns × m)
+work per full-batch step and stores O(patterns) state *independent of
+stream length*.
 
-:class:`CompressedVotes` is the carrier the compressed fitting paths in
-:class:`~repro.core.label_model.SamplingFreeLabelModel` and
-:class:`~repro.core.multiclass.MulticlassLabelModel` consume. It comes in
-two flavors:
+This module owns that form and its one **canonical order**:
+:class:`CompressedVotes` keeps its patterns sorted lexicographically by
+vote value (column 0 most significant), whatever order the caller
+supplied. Every fit — ``fit(L)`` on either label model, an online refit,
+a restored checkpoint — goes through ``fit_compressed`` on a
+:class:`CompressedVotes`, so two fits of the same multiset of rows are
+**bitwise identical** no matter how the rows were ordered, batched, or
+stored.
 
-* **exact** (``row_ids`` present, or integer ``weights``): the expanded
-  matrix — ``patterns[row_ids]``, or each pattern repeated ``weights[p]``
-  times in pattern order — is recoverable bit-for-bit. Minibatch
-  sampling draws *expanded row indices* with the same RNG calls the
-  full-matrix fit makes and maps them to patterns, so sampled batches
-  are byte-identical to the full path's and the whole fit reproduces the
-  full-matrix fit **bitwise** whenever every step is a minibatch step.
-* **weighted** (real-valued ``weights``, no ``row_ids``): the decay
-  retention mode's recency weights. No expanded matrix exists; minibatch
-  sampling draws patterns with probability proportional to weight, which
-  leaves the sampled-gradient *distribution* unchanged relative to
-  fitting the (hypothetical) weighted matrix.
+Minibatch steps sample through :meth:`CompressedVotes.row_sampler`:
 
-Full-batch steps (``batch_size >= n_rows``) always use the
-multiplicity-weighted closed-form gradients — the O(patterns × m) path
-the refit-latency benchmark gates.
+* **integer counts**: uniform draws over the *count-ordered expansion*
+  (each pattern repeated ``count`` times, in canonical order — the
+  matrix :meth:`CompressedVotes.expand` returns), mapped to patterns by
+  ``searchsorted`` over the cumulative counts. The RNG calls are exactly
+  those of a row-wise fit of the expansion, which is the reference the
+  differential harness in ``tests/test_fit_equivalence.py`` compares
+  against, bit for bit.
+* **real-valued weights** (decay retention's recency weights — no
+  expanded matrix exists): inverse-CDF draws proportional to weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,18 +43,17 @@ __all__ = ["CompressedVotes", "compress_votes"]
 
 @dataclass(frozen=True)
 class CompressedVotes:
-    """A deduplicated vote matrix: distinct rows plus multiplicities.
+    """A multiset of vote rows: distinct rows plus multiplicities.
+
+    Construction sorts the rows into canonical (lexicographic) order and
+    permutes ``weights`` along, so equal multisets compare equal field
+    by field and fit identically.
 
     Attributes:
-        patterns: ``(k, m)`` float64 (binary model) or int64 (multiclass)
-            array of distinct vote rows.
+        patterns: ``(k, m)`` array of distinct vote rows, canonically
+            ordered.
         weights: ``(k,)`` float64 positive multiplicities. Integer-valued
             for exact compressions; real-valued for decay-weighted ones.
-        row_ids: Optional ``(n,)`` integer map from expanded row index to
-            pattern index, in original stream order. When present,
-            ``patterns[row_ids]`` reconstructs the source matrix
-            bit-for-bit and minibatch sampling is bitwise-faithful to
-            the full-matrix fit.
         n_rows: Total row mass ``weights.sum()`` — the ``n`` of the
             matrix this compression stands for (float: real-valued in
             decay-weighted mode).
@@ -63,7 +61,6 @@ class CompressedVotes:
 
     patterns: np.ndarray
     weights: np.ndarray
-    row_ids: np.ndarray | None
     n_rows: float
 
     def __post_init__(self) -> None:
@@ -78,11 +75,10 @@ class CompressedVotes:
             )
         if len(self.weights) and float(self.weights.min()) <= 0.0:
             raise ValueError("pattern weights must be strictly positive")
-        if self.row_ids is not None and len(self.row_ids) != int(self.n_rows):
-            raise ValueError(
-                f"row_ids has {len(self.row_ids)} entries but n_rows is "
-                f"{self.n_rows}"
-            )
+        if self.patterns.size:
+            order = np.lexsort(self.patterns.T[::-1])
+            object.__setattr__(self, "patterns", self.patterns[order])
+            object.__setattr__(self, "weights", self.weights[order])
 
     @property
     def n_patterns(self) -> int:
@@ -95,20 +91,15 @@ class CompressedVotes:
         return bool(np.all(self.weights == np.floor(self.weights)))
 
     def expand(self) -> np.ndarray:
-        """The matrix this compression stands for.
+        """The count-ordered matrix this compression stands for.
 
         Returns:
-            ``patterns[row_ids]`` (original order) when ``row_ids`` is
-            present; otherwise each pattern repeated ``round(weight)``
-            times in pattern order.
+            Each pattern repeated ``weight`` times, in canonical order.
 
         Raises:
-            ValueError: If the weights are non-integral and no
-                ``row_ids`` map exists — a real-valued weighting has no
-                expanded matrix.
+            ValueError: If the weights are non-integral — a real-valued
+                weighting has no expanded matrix.
         """
-        if self.row_ids is not None:
-            return self.patterns[self.row_ids]
         if not self.integral:
             raise ValueError(
                 "cannot expand real-valued pattern weights into rows"
@@ -116,35 +107,55 @@ class CompressedVotes:
         reps = self.weights.astype(np.int64)
         return self.patterns[np.repeat(np.arange(self.n_patterns), reps)]
 
+    def row_sampler(
+        self, rng: np.random.Generator, size: int
+    ) -> Callable[[], np.ndarray]:
+        """A minibatch sampler over the rows this compression stands for.
+
+        Args:
+            rng: The fit's generator; each call advances it.
+            size: Rows per minibatch.
+
+        Returns:
+            A zero-argument callable returning ``size`` pattern indices,
+            one per sampled row (see the module docstring for the two
+            sampling regimes).
+        """
+        if self.integral:
+            ends = np.cumsum(self.weights.astype(np.int64))
+            n_expanded = int(self.n_rows)
+            return lambda: ends.searchsorted(
+                rng.integers(0, n_expanded, size=size), side="right"
+            )
+        ends = np.cumsum(self.weights)
+        total, last = self.n_rows, self.n_patterns - 1
+        return lambda: np.minimum(
+            np.searchsorted(ends, rng.random(size) * total, side="right"), last
+        )
+
 
 def compress_votes(L: np.ndarray) -> CompressedVotes:
-    """Deduplicate a vote matrix into ``(patterns, multiplicities)``.
+    """Deduplicate a vote matrix into ``(patterns, counts)``.
 
     Args:
         L: ``(n, m)`` vote matrix (any dtype; rows are compared exactly).
 
     Returns:
-        An exact :class:`CompressedVotes` whose ``row_ids`` reconstructs
-        ``L`` bit-for-bit (``patterns[row_ids] == L``). The all-abstain
-        row, duplicate-free matrices, and the 0-row matrix all compress
-        losslessly — a 0-row input yields 0 patterns.
+        The exact :class:`CompressedVotes` of ``L``'s rows: integer
+        counts summing to ``n``. The all-abstain row, duplicate-free
+        matrices, and the 0-row matrix all compress losslessly — a 0-row
+        input yields 0 patterns.
     """
-    L = np.asarray(L)
+    L = np.ascontiguousarray(L)
     if L.ndim != 2:
         raise ValueError(f"vote matrix must be 2-D, got shape {L.shape}")
-    if L.shape[0] == 0:
-        return CompressedVotes(
-            patterns=L.copy(),
-            weights=np.zeros(0, dtype=np.float64),
-            row_ids=np.zeros(0, dtype=np.int64),
-            n_rows=0.0,
-        )
-    patterns, inverse = np.unique(L, axis=0, return_inverse=True)
-    row_ids = np.ravel(inverse).astype(np.int64)
-    weights = np.bincount(row_ids, minlength=len(patterns)).astype(np.float64)
+    # One opaque key per row: a 1-D unique is ~10x cheaper than
+    # np.unique(axis=0), and grouping needs equality only — the
+    # canonical order comes from CompressedVotes itself.
+    keys = L.view(np.dtype((np.void, L.dtype.itemsize * L.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     return CompressedVotes(
-        patterns=patterns,
-        weights=weights,
-        row_ids=row_ids,
+        patterns=L[first],
+        weights=counts.astype(np.float64),
         n_rows=float(L.shape[0]),
     )

@@ -772,7 +772,9 @@ def run_crash_recovery(
     }
     shards_identical = full_files == resumed_files
 
-    L = uninterrupted.online.reconstruct_matrix()
+    # Every retained row is one of these patterns, so the max gap over
+    # patterns is the max gap over the stream.
+    L = uninterrupted.online.compressed_votes().patterns
     final_full = uninterrupted.online.refit()
     final_resumed = resumed.online.refit()
     max_proba_diff = float(
@@ -788,6 +790,12 @@ def run_crash_recovery(
     manifest = uninterrupted.manager.latest()
     manifest_bytes = (
         dfs.size(manifest.path) if manifest is not None else 0
+    )
+    # Manifests hold O(patterns) label-model state: the first one (a
+    # few batches in) and the last (all n examples) bracket the sweep.
+    manifest_paths = uninterrupted.manager.manifest_paths()
+    manifest_bytes_first = (
+        dfs.size(manifest_paths[0]) if manifest_paths else 0
     )
 
     lines = [
@@ -805,7 +813,8 @@ def run_crash_recovery(
         f"{len(full_files):>12,} files",
         f"{'checkpoints written':<34} "
         f"{full_report.checkpoints_written:>12,} "
-        f"(last manifest {manifest_bytes:,} bytes)",
+        f"(first manifest {manifest_bytes_first:,} bytes, last "
+        f"{manifest_bytes:,}; {uninterrupted.online.n_patterns} patterns)",
         f"{'crash injected after batch':<34} {crash_after:>12,} "
         f"of {total_batches:,}",
         f"{'resumed from batch':<34} "
@@ -829,6 +838,8 @@ def run_crash_recovery(
             "max_resident_records": full_report.stream.max_resident_records,
             "checkpoints_written": full_report.checkpoints_written,
             "manifest_bytes": manifest_bytes,
+            "manifest_bytes_first": manifest_bytes_first,
+            "patterns": uninterrupted.online.n_patterns,
             "crash_after_batch": crash_after,
             "crash_seen": crash_seen,
             "resumed_from_batch": resumed_report.resumed_from_batch,

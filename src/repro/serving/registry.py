@@ -23,16 +23,14 @@ root as the unit of deployment:
   N+1 activates mid-batch — the no-torn-reads contract the serving
   tests hammer.
 
-Because cumulative-mode ``refit`` reproduces the offline
-:class:`~repro.core.label_model.SamplingFreeLabelModel` fit on the
-stream prefix exactly, posteriors served from a generation are bitwise
-equal to an offline fit of the snapshot's prefix (the ARCHITECTURE
-invariant the serving benchmark enforces). That invariant survives the
-pattern-compressed refit path (the default): restore-time refits train
-on the manifest's dictionary-encoded pattern log at O(patterns x m) per
-step, and in the minibatch regime the result is bitwise identical to
-fitting the expanded matrix — so generation activation gets cheaper as
-streams grow without moving a single served posterior bit.
+Because a cumulative-mode ``refit`` and an offline
+:meth:`~repro.core.label_model.SamplingFreeLabelModel.fit` are the same
+``fit_compressed`` call on the same ``(patterns, counts)``, posteriors
+served from a generation are bitwise equal to an offline fit of the
+snapshot's stream prefix, in any row order (the ARCHITECTURE invariant
+the serving benchmark enforces). The manifest carries O(patterns) state
+and the restore-time refit costs O(patterns x m) per step, so generation
+activation does not slow down as streams grow.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ class ServingGeneration:
     """Restored end model, or ``None`` when the manifest carries no
     end-model state (or no factory was configured)."""
     n_patterns: int
-    """Distinct vote patterns retained by the snapshot's pattern log."""
+    """Distinct vote patterns retained by the snapshot's pattern table."""
 
 
 class CheckpointModelRegistry:
@@ -208,8 +206,8 @@ class CheckpointModelRegistry:
         """Rebuild scoring-ready models from one decoded manifest."""
         online = OnlineLabelModel(self.online_config)
         online.load_state(checkpoint.label_model_state)
-        # Offline-exact parameters: cumulative-mode refit reproduces the
-        # offline fit of the snapshot's stream prefix bit for bit.
+        # Offline-exact parameters: a cumulative-mode refit is the
+        # offline fit of the snapshot's stream prefix, bit for bit.
         label_model = online.refit()
         end_model = None
         if (

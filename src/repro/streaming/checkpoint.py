@@ -10,8 +10,8 @@ periodically snapshots everything else a resumed stream needs —
   supports it),
 * the :class:`~repro.core.online_label_model.OnlineLabelModel`'s full
   mutable state: vote moments (including decay/window retention state),
-  the dictionary-encoded pattern log, the minibatch sampler's RNG
-  state, and both step counters,
+  the pattern table (distinct vote rows and their counts or weights),
+  the minibatch sampler's RNG state, and both step counters,
 * optionally the FTRL end model's per-coordinate optimizer state,
 * optionally the :class:`~repro.core.drift.DriftMonitor`'s reference /
   recent windows and alarm counters, so a resumed stream scores and
@@ -49,15 +49,16 @@ uninterrupted run. The mechanism:
    crashed.
 
 Refits scheduled by the stream (cadence or drift reaction) run through
-:meth:`OnlineLabelModel.refit`, which by default trains directly on the
-dictionary-encoded pattern log the manifest already snapshots
-(pattern-compressed fitting — O(patterns x m) per step). The recovery
-contract is unchanged: compressed refits are bitwise identical to the
-expanded fit in the minibatch regime, so killed-and-resumed streams
-still reproduce the uninterrupted run's shards and posteriors byte for
-byte, manifests written before the compressed path existed restore and
-refit identically, and ``REPRO_COMPRESSED_REFIT=0`` recovers the
-expanded-matrix behavior exactly.
+:meth:`OnlineLabelModel.refit`, which fits the ``(patterns, counts)``
+table the manifest snapshots — the same ``fit_compressed`` call an
+offline ``fit`` makes, so a refit depends only on *which* rows were
+retained, never on how they were batched or when the stream was killed.
+That table is O(patterns): manifests (label-model ``state_dict`` schema
+3) stay the same size however long the stream runs. Manifests from
+earlier writers — schema 1 (pre-drift) and schema 2, both of which
+logged a pattern id per example — restore by counting that log, resume
+to the same bytes, and refit identically; an unknown schema is refused
+with ``ValueError`` rather than half-read.
 """
 
 from __future__ import annotations

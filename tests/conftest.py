@@ -139,6 +139,18 @@ def synthetic_label_matrix(
     return L, y
 
 
+def same_rows(votes, L) -> bool:
+    """True when ``votes`` (a ``CompressedVotes``) holds exactly the
+    rows of ``L`` as a multiset. ``CompressedVotes`` keeps one canonical
+    pattern order, so multiset equality is field equality."""
+    from repro.core.patterns import compress_votes
+
+    expected = compress_votes(np.asarray(L))
+    return np.array_equal(votes.patterns, expected.patterns) and (
+        np.array_equal(votes.weights, expected.weights)
+    )
+
+
 @pytest.fixture(scope="session")
 def recovery_matrix():
     """A 3000x6 matrix from known parameters, for recovery tests."""

@@ -27,7 +27,13 @@ from repro.discriminative.logistic import (
     LogisticConfig,
     NoiseAwareLogisticRegression,
 )
-from repro.dfs.records import decode_ndarray, encode_ndarray, read_records
+from repro.dfs.records import (
+    decode_ndarray,
+    decode_records,
+    encode_ndarray,
+    iter_record_blobs,
+    read_records,
+)
 from repro.features.extractors import HashedTextFeaturizer
 from repro.lf.applier import apply_lfs_in_memory, stage_examples
 from repro.lf.templates import keyword_lf, url_domain_lf
@@ -43,7 +49,7 @@ from repro.streaming import (
 )
 from repro.types import Example
 
-from tests.conftest import synthetic_label_matrix
+from tests.conftest import same_rows, synthetic_label_matrix
 
 
 def make_corpus(n=400, seed=11):
@@ -100,6 +106,21 @@ def corpus():
 @pytest.fixture(scope="module")
 def lfs():
     return make_lfs()
+
+
+def retained_rows(online):
+    """The rows ``online``'s next refit trains on, in canonical order —
+    equal arrays iff equal multisets (stream order is not retained)."""
+    return online.compressed_votes().expand()
+
+
+def stream_matrix(dfs, shards, lfs):
+    """The vote matrix of the staged corpus, in stream order."""
+    decoded = [
+        Example.from_record(record)
+        for record in iter_record_blobs(dfs, shards)
+    ]
+    return apply_lfs_in_memory(lfs, decoded).matrix
 
 
 def tree_bytes(dfs, root):
@@ -180,9 +201,7 @@ class TestCheckpointManager:
         restored = OnlineLabelModel(ONLINE_CONFIG)
         restored.load_state(checkpoint.label_model_state)
         assert restored.n_observed == model.n_observed
-        assert np.array_equal(
-            restored.reconstruct_matrix(), model.reconstruct_matrix()
-        )
+        assert np.array_equal(retained_rows(restored), retained_rows(model))
 
     def test_latest_picks_newest(self, dfs):
         manager = CheckpointManager(dfs, "/run")
@@ -274,9 +293,7 @@ class TestStateSnapshots:
 
         assert np.array_equal(straight.model.alpha, resumed.model.alpha)
         assert np.array_equal(straight.model.beta, resumed.model.beta)
-        assert np.array_equal(
-            straight.reconstruct_matrix(), resumed.reconstruct_matrix()
-        )
+        assert same_rows(resumed.compressed_votes(), L)
         np.testing.assert_array_equal(
             straight._agreement, resumed._agreement
         )
@@ -285,6 +302,21 @@ class TestStateSnapshots:
         assert straight.refit().predict_proba(L).tobytes() == (
             resumed.refit().predict_proba(L).tobytes()
         )
+
+    @pytest.mark.parametrize("schema", [4, 0, None, "3"])
+    def test_load_state_refuses_unknown_schema(self, schema):
+        """A snapshot from a newer (or foreign) writer is refused whole,
+        not half-read under this reader's layout."""
+        L, _ = synthetic_label_matrix(m=100, seed=8)
+        source = OnlineLabelModel(ONLINE_CONFIG)
+        source.observe(L)
+        state = source.state_dict()
+        assert state["schema"] == 3
+        state["schema"] = schema
+        target = OnlineLabelModel(ONLINE_CONFIG)
+        with pytest.raises(ValueError, match="schema"):
+            target.load_state(state)
+        assert target.n_observed == 0 and target.n_patterns == 0
 
     def test_ftrl_snapshot_keeps_learning_rate_schedule(self):
         ftrl = FTRLProximal(8, alpha=0.2)
@@ -406,7 +438,7 @@ class TestCrashResume:
     ):
         dfs, shards, baseline, base_report = staged
         reference = tree_bytes(dfs, "/baseline")
-        L = baseline.online.reconstruct_matrix()
+        L = retained_rows(baseline.online)
         total = base_report.batches_finalized
         assert total >= 5
 
@@ -424,7 +456,7 @@ class TestCrashResume:
                 f"divergent bytes after kill at batch {kill_after}"
             )
             assert report.last_batch_seq == base_report.last_batch_seq
-            assert np.array_equal(resumed.online.reconstruct_matrix(), L)
+            assert np.array_equal(retained_rows(resumed.online), L)
             # Source-side cursor: the resume seeks, it does not replay —
             # zero consumed examples are re-decoded, and ingest touches
             # only what remains past the manifest's cursor.
@@ -445,7 +477,7 @@ class TestCrashResume:
             )
         resumed = self._make_runner(dfs, lfs, root)
         resumed.run(RecordStreamSource(dfs, shards))
-        L = baseline.online.reconstruct_matrix()
+        L = retained_rows(baseline.online)
         gap = np.max(
             np.abs(
                 baseline.online.refit().predict_proba(L)
@@ -496,8 +528,8 @@ class TestCrashResume:
         # Vote/label shards converge; only the pre-crash manifests keep
         # their cursor-less legacy meta.
         assert shards_only(tree_bytes(dfs, root)) == shards_only(reference)
-        L = baseline.online.reconstruct_matrix()
-        assert np.array_equal(resumed.online.reconstruct_matrix(), L)
+        L = retained_rows(baseline.online)
+        assert np.array_equal(retained_rows(resumed.online), L)
 
     def test_completed_root_is_idempotent(self, staged, lfs):
         dfs, shards, baseline, _ = staged
@@ -695,8 +727,64 @@ class TestDriftCheckpointing:
 
 
 # ----------------------------------------------------------------------
-# pre-drift manifest compatibility (schema satellite)
+# manifests from earlier writers (label-model state schemas 1 and 2)
 # ----------------------------------------------------------------------
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def stage_captured_root(corpus, payload, captured):
+    """A fresh DFS holding the re-staged corpus (deterministic shard
+    bytes) and the captured durable root; returns it and the shards."""
+    from repro.dfs.filesystem import DistributedFileSystem
+
+    dfs = DistributedFileSystem()
+    shards = stage_examples(
+        dfs, corpus, payload["examples_root"], num_shards=payload["num_shards"]
+    )
+    for path, blob in captured["files"].items():
+        dfs.write_file(path, base64.b64decode(blob))
+    return dfs, shards
+
+
+def resume_captured_root(corpus, lfs, payload, captured, online_config):
+    """Transplant a captured durable root, resume it, and require the
+    same bytes a fresh run over the same stream writes.
+
+    Everything must match except the captured manifests themselves
+    (which legitimately keep their era's schema). Returns the resumed
+    stream, the fresh one, the resume report, and the stream's vote
+    matrix.
+    """
+    dfs, shards = stage_captured_root(corpus, payload, captured)
+
+    def runner(root):
+        return CheckpointedStream(
+            dfs,
+            lfs,
+            root,
+            batch_size=payload["batch_size"],
+            online_config=online_config,
+            checkpoint_every=payload["checkpoint_every"],
+        )
+
+    resumed = runner(captured["root"])
+    report = resumed.run(RecordStreamSource(dfs, shards))
+    fresh = runner("/fresh")
+    fresh.run(RecordStreamSource(dfs, shards))
+    fresh_tree = tree_bytes(dfs, "/fresh")
+    resumed_tree = tree_bytes(dfs, captured["root"])
+    assert set(resumed_tree) == set(fresh_tree)
+    era_manifests = {
+        path[len(captured["root"]):]
+        for path in captured["files"]
+        if "/checkpoints/" in path
+    }
+    for rel, blob in fresh_tree.items():
+        if rel not in era_manifests:
+            assert resumed_tree[rel] == blob, f"divergent bytes at {rel}"
+    return resumed, fresh, report, stream_matrix(dfs, shards, lfs)
+
+
 class TestPreDriftManifestCompat:
     """A PR 3/4-era durable root must restore into the drift-aware code.
 
@@ -710,7 +798,7 @@ class TestPreDriftManifestCompat:
     shards orphaned.
     """
 
-    FIXTURE = Path(__file__).parent / "fixtures" / "pre_drift_root.json"
+    FIXTURE = FIXTURES / "pre_drift_root.json"
 
     @pytest.fixture()
     def fixture_payload(self):
@@ -720,33 +808,9 @@ class TestPreDriftManifestCompat:
     def test_pre_drift_root_resumes_with_cumulative_behavior(
         self, corpus, lfs, fixture_payload
     ):
-        from repro.dfs.filesystem import DistributedFileSystem
-
-        dfs = DistributedFileSystem()
-        # Re-stage the identical corpus (deterministic shard bytes) and
-        # transplant the captured pre-drift durable root.
-        shards = stage_examples(
-            dfs,
-            corpus,
-            fixture_payload["examples_root"],
-            num_shards=fixture_payload["num_shards"],
+        resumed, fresh, report, L = resume_captured_root(
+            corpus, lfs, fixture_payload, fixture_payload, ONLINE_CONFIG
         )
-        pre_existing = sorted(fixture_payload["files"])
-        for path, blob in fixture_payload["files"].items():
-            dfs.write_file(path, base64.b64decode(blob))
-
-        def runner(root):
-            return CheckpointedStream(
-                dfs,
-                lfs,
-                root,
-                batch_size=fixture_payload["batch_size"],
-                online_config=ONLINE_CONFIG,
-                checkpoint_every=fixture_payload["checkpoint_every"],
-            )
-
-        resumed = runner(fixture_payload["root"])
-        report = resumed.run(RecordStreamSource(dfs, shards))
         assert report.resumed_from_batch == 1
         # Orphan truncation applied to the era shards too.
         assert len(report.orphan_shards_deleted) == 2
@@ -756,132 +820,147 @@ class TestPreDriftManifestCompat:
         assert resumed.online.mode == "cumulative"
         assert resumed.online.effective_examples == resumed.online.n_observed
 
-        # A fresh drift-aware run over the same stream must produce the
-        # same bytes everywhere except the era manifest itself (which
-        # legitimately lacks the schema-2 retention keys).
-        fresh = runner("/fresh")
-        fresh.run(RecordStreamSource(dfs, shards))
-        fresh_tree = tree_bytes(dfs, "/fresh")
-        resumed_tree = tree_bytes(dfs, fixture_payload["root"])
-        assert set(resumed_tree) == set(fresh_tree)
-        era_manifests = {
-            path[len(fixture_payload["root"]):]
-            for path in pre_existing
-            if "/checkpoints/" in path
-        }
-        for rel, blob in fresh_tree.items():
-            if rel in era_manifests:
-                continue
-            assert resumed_tree[rel] == blob, f"divergent bytes at {rel}"
-
         # And the final models agree to the bit.
-        L = fresh.online.reconstruct_matrix()
-        assert np.array_equal(resumed.online.reconstruct_matrix(), L)
+        assert same_rows(resumed.online.compressed_votes(), L)
         assert fresh.online.refit().predict_proba(L).tobytes() == (
             resumed.online.refit().predict_proba(L).tobytes()
         )
 
 
+class TestSchema2ManifestCompat:
+    """The last row-id-logging writer's roots must resume unchanged.
+
+    ``tests/fixtures/schema2_roots.json`` was captured at the parent of
+    the commit that replaced the per-example ``row_ids`` log with
+    pattern counts: same corpus and shape as the pre-drift fixture, one
+    root per exact retention mode, with ``refit_every`` set so the first
+    scheduled refit falls *after* the resume point — the resumed stream
+    refits from counted row ids, the fresh one from native counts, and
+    every later label shard and manifest must still match byte for byte.
+    """
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        with open(FIXTURES / "schema2_roots.json") as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("mode", ["cumulative", "window"])
+    def test_schema2_root_resumes_byte_identical(
+        self, corpus, lfs, payload, mode
+    ):
+        captured = payload["roots"][mode]
+        era_state = next(
+            record["state"]
+            for path, blob in captured["files"].items()
+            if "/checkpoints/" in path
+            for record in decode_records(base64.b64decode(blob))
+            if record["kind"] == "label_model"
+        )
+        assert era_state["schema"] == 2 and era_state["row_ids"] is not None
+
+        config = replace(
+            ONLINE_CONFIG,
+            refit_every=payload["refit_every"],
+            window_batches=captured["window_batches"],
+        )
+        resumed, fresh, report, L = resume_captured_root(
+            corpus, lfs, payload, captured, config
+        )
+        assert report.resumed_from_batch == 1
+        assert resumed.online.mode == mode
+        assert resumed.online.refits_done > 0
+        assert resumed.online.state_dict() == fresh.online.state_dict()
+
+        # The retained rows are the stream's (its tail, in window mode),
+        # and a refit is their offline fit in any order.
+        if mode == "window":
+            n_batches = -(-len(L) // payload["batch_size"])
+            first_kept = n_batches - captured["window_batches"]
+            L = L[first_kept * payload["batch_size"]:]
+        assert same_rows(resumed.online.compressed_votes(), L)
+        shuffled = L[np.random.default_rng(0).permutation(len(L))]
+        offline = SamplingFreeLabelModel(config.base).fit(shuffled)
+        assert np.array_equal(
+            resumed.online.refit().predict_proba(L), offline.predict_proba(L)
+        )
+
+
 # ----------------------------------------------------------------------
-# pattern-compressed refits under the durability contracts
+# scheduled refits under the durability contracts
 # ----------------------------------------------------------------------
 class TestCompressedRefitCheckpointing:
-    """Compressed refits must not move a byte of the durable contract.
+    """Mid-run refits must not move a byte of the durable contract.
 
     Streams here schedule refits *mid-run* (``refit_every=2``), so
     refitted parameters feed the label shards of every later batch —
-    any compressed/expanded divergence would surface as shard bytes,
+    a refit that depended on anything but the retained multiset of rows
+    (batching, kill point, restore path) would surface as shard bytes,
     not just as a final-posterior gap.
     """
 
     BATCH = 64
 
-    def _runner(self, dfs, lfs, root, compressed):
-        config = replace(
-            ONLINE_CONFIG, compressed_refit=compressed, refit_every=2
-        )
+    def _runner(self, dfs, lfs, root):
         return CheckpointedStream(
             dfs,
             lfs,
             root,
             batch_size=self.BATCH,
-            online_config=config,
+            online_config=replace(ONLINE_CONFIG, refit_every=2),
             checkpoint_every=2,
         )
 
     def test_kill_matrix_with_compressed_refits(self, corpus, lfs):
-        """Killed after ANY batch with compressed refits enabled, the
-        resumed stream converges to byte-identical shards/manifests —
-        and the whole durable tree matches the expanded-refit stream bit
-        for bit, because minibatch-regime compressed refits are bitwise.
+        """Killed after ANY batch with refits scheduled, the resumed
+        stream converges to byte-identical shards/manifests, and the
+        final refit is bitwise the offline fit of the shuffled stream.
         """
         from repro.dfs.filesystem import DistributedFileSystem
 
         dfs = DistributedFileSystem()
         shards = stage_examples(dfs, corpus, "/examples/e", num_shards=3)
-        legacy = self._runner(dfs, lfs, "/refit-legacy", compressed=False)
-        legacy.run(RecordStreamSource(dfs, shards))
-        baseline = self._runner(
-            dfs, lfs, "/refit-compressed", compressed=True
-        )
+        baseline = self._runner(dfs, lfs, "/refit-baseline")
         base_report = baseline.run(RecordStreamSource(dfs, shards))
         assert baseline.online.refits_done > 0
+        reference = tree_bytes(dfs, "/refit-baseline")
 
-        reference = tree_bytes(dfs, "/refit-compressed")
-        assert tree_bytes(dfs, "/refit-legacy") == reference, (
-            "compressed refits moved durable bytes relative to the "
-            "expanded-matrix refit path"
+        L = stream_matrix(dfs, shards, lfs)
+        shuffled = L[np.random.default_rng(0).permutation(len(L))]
+        offline = SamplingFreeLabelModel(ONLINE_CONFIG.base).fit(shuffled)
+        assert np.array_equal(
+            baseline.online.refit().predict_proba(L), offline.predict_proba(L)
         )
-        L = baseline.online.reconstruct_matrix()
-        gap = np.max(
-            np.abs(
-                legacy.online.model.predict_proba(L)
-                - baseline.online.model.predict_proba(L)
-            )
-        )
-        assert gap <= 1e-9
 
         for kill_after in range(base_report.batches_finalized - 1):
             root = f"/refit-killed-{kill_after}"
             with pytest.raises(SimulatedCrash):
-                self._runner(dfs, lfs, root, compressed=True).run(
+                self._runner(dfs, lfs, root).run(
                     RecordStreamSource(dfs, shards),
                     fail_after_batch=kill_after,
                 )
-            resumed = self._runner(dfs, lfs, root, compressed=True)
+            resumed = self._runner(dfs, lfs, root)
             resumed.run(RecordStreamSource(dfs, shards))
             assert tree_bytes(dfs, root) == reference, (
                 f"divergent bytes after kill at batch {kill_after} "
-                "with compressed refits enabled"
+                "with refits scheduled"
             )
 
-    def test_pre_drift_manifest_refits_identically_compressed(self):
-        """A manifest written before the compressed path existed must
-        restore and refit to the same parameters under it: the pattern
-        log it carries is exactly what the compressed fit consumes."""
-        from repro.dfs.filesystem import DistributedFileSystem
-
+    def test_pre_drift_manifest_refits_identically_compressed(self, corpus, lfs):
+        """A manifest written before pattern counts existed must restore
+        and refit to the offline fit of its stream prefix: the row-id
+        log it carries counts into exactly the table the fit consumes."""
         with open(TestPreDriftManifestCompat.FIXTURE) as handle:
             fixture = json.load(handle)
-        dfs = DistributedFileSystem()
-        for path, blob in fixture["files"].items():
-            dfs.write_file(path, base64.b64decode(blob))
+        dfs, shards = stage_captured_root(corpus, fixture, fixture)
         checkpoint = CheckpointManager(dfs, fixture["root"]).latest()
+        online = OnlineLabelModel(ONLINE_CONFIG)
+        online.load_state(checkpoint.label_model_state)
 
-        def restored(compressed):
-            online = OnlineLabelModel(
-                replace(ONLINE_CONFIG, compressed_refit=compressed)
-            )
-            online.load_state(checkpoint.label_model_state)
-            return online
-
-        legacy, compressed = restored(False), restored(True)
-        legacy_model = legacy.refit()
-        compressed_model = compressed.refit()
-        L = legacy.reconstruct_matrix()
-        assert np.array_equal(legacy_model.alpha, compressed_model.alpha)
-        assert np.array_equal(legacy_model.beta, compressed_model.beta)
-        assert np.array_equal(
-            legacy_model.predict_proba(L), compressed_model.predict_proba(L)
-        )
-
+        L = stream_matrix(dfs, shards, lfs)[: checkpoint.cursor]
+        assert same_rows(online.compressed_votes(), L)
+        shuffled = L[np.random.default_rng(0).permutation(len(L))]
+        offline = SamplingFreeLabelModel(ONLINE_CONFIG.base).fit(shuffled)
+        restored = online.refit()
+        assert np.array_equal(offline.alpha, restored.alpha)
+        assert np.array_equal(offline.beta, restored.beta)
+        assert np.array_equal(offline.predict_proba(L), restored.predict_proba(L))

@@ -20,7 +20,7 @@ from repro.core.online_label_model import (
 from repro.streaming import MemorySource, MicroBatchPipeline
 from repro.types import Example
 
-from tests.conftest import synthetic_label_matrix
+from tests.conftest import same_rows, synthetic_label_matrix
 
 
 def draw_batches(
@@ -252,11 +252,11 @@ class TestDecayMode:
         assert model.n_patterns == 2  # weight 0.25 >= floor: retained
         model.observe(late)
         assert model.n_patterns == 1  # 0.125 < 0.25: evicted
-        assert np.array_equal(
-            model.reconstruct_matrix()[0], late[0]
-        )
+        assert np.array_equal(model.compressed_votes().patterns, late[:1])
 
     def test_reconstruct_matrix_repeats_by_rounded_weight(self):
+        """The matrix a default decay refit stands for (the expansion of
+        ``compressed_votes()``) repeats each pattern round(weight) times."""
         model = OnlineLabelModel(
             OnlineLabelModelConfig(steps_per_batch=0, decay=0.5)
         )
@@ -265,7 +265,7 @@ class TestDecayMode:
         model.observe(a)
         model.observe(b)
         # Weights now: a = 6 * 0.5 = 3, b = 2.
-        L = model.reconstruct_matrix()
+        L = model.compressed_votes().expand()
         assert L.shape == (5, 3)
         assert (L == a[0]).all(axis=1).sum() == 3
         assert (L == b[0]).all(axis=1).sum() == 2
@@ -293,38 +293,31 @@ class TestDecayMode:
 
     def test_compat_refit_pins_round_weight_semantics_bit_exactly(self):
         """Regression pin: with ``decay_weighted_refit`` off (the
-        default), a compressed decay-mode refit reproduces today's
-        ``round(weight)`` row-repetition semantics to the bit — both
-        against the expanded-matrix refit and against an offline fit of
-        :meth:`reconstruct_matrix`'s repeated matrix."""
+        default), a decay-mode refit is, to the bit, the offline fit of
+        the matrix that repeats each retained pattern ``round(weight)``
+        times (half-up) — in any row order."""
         stream = draw_batches(8, seed=13) + draw_batches(8, seed=14, **SHIFTED)
         base = LabelModelConfig(n_steps=300, seed=0)
-
-        def build(**kwargs):
-            model = OnlineLabelModel(
-                OnlineLabelModelConfig(
-                    base=base, steps_per_batch=0, decay=0.7, **kwargs
-                )
-            )
-            for votes in stream:
-                model.observe(votes)
-            return model
-
-        legacy = build(compressed_refit=False)
-        compat = build(compressed_refit=True)
-        legacy_model, compat_model = legacy.refit(), compat.refit()
-        L = legacy.reconstruct_matrix()
-        assert np.array_equal(legacy_model.alpha, compat_model.alpha)
-        assert np.array_equal(legacy_model.beta, compat_model.beta)
-        assert np.array_equal(
-            legacy_model.predict_proba(L), compat_model.predict_proba(L)
+        model = OnlineLabelModel(
+            OnlineLabelModelConfig(base=base, steps_per_batch=0, decay=0.7)
         )
+        for votes in stream:
+            model.observe(votes)
+        reps = np.floor(model._pattern_weights + 0.5).astype(np.int64)
+        assert (reps != model._pattern_weights).any()  # rounding binds
+        L = np.repeat(np.vstack(model._pattern_rows), reps, axis=0)
+        L = L[np.random.default_rng(0).permutation(len(L))]
+        assert same_rows(model.compressed_votes(), L)
+
+        refit = model.refit()
         offline = SamplingFreeLabelModel(base).fit(L)
-        assert np.array_equal(offline.alpha, compat_model.alpha)
+        assert np.array_equal(offline.alpha, refit.alpha)
+        assert np.array_equal(offline.beta, refit.beta)
+        assert np.array_equal(offline.predict_proba(L), refit.predict_proba(L))
 
     def test_weighted_refit_within_documented_tolerance(self):
         """``decay_weighted_refit=True`` drops the rounding: fitted
-        posteriors stay within the documented 0.1 of the legacy
+        posteriors stay within the documented 0.1 of the default
         ``round(weight)`` fit (the gap is the rounding error itself, a
         few multiplicities of O(1) on a weight mass of hundreds), while
         still adapting to the post-shift regime."""
@@ -341,10 +334,10 @@ class TestDecayMode:
                 model.observe(votes)
             return model
 
-        legacy = build(compressed_refit=False)
-        weighted = build(compressed_refit=True, decay_weighted_refit=True)
+        legacy = build()
+        weighted = build(decay_weighted_refit=True)
         legacy_model, weighted_model = legacy.refit(), weighted.refit()
-        L = legacy.reconstruct_matrix()
+        L = legacy.compressed_votes().expand()
         gap = np.max(
             np.abs(
                 legacy_model.predict_proba(L)
@@ -356,7 +349,6 @@ class TestDecayMode:
         # the real-valued decayed total, not a row count.
         votes = weighted.compressed_votes()
         assert not votes.integral
-        assert votes.row_ids is None
         # LF 0 flipped post-shift: the weighted refit must still rate it
         # near-useless, same as the legacy decayed refit.
         assert weighted_model.accuracies()[0] <= 0.55
@@ -387,11 +379,12 @@ class TestDecayMode:
             resumed.observe(votes)
 
         assert resumed.state_dict() == straight.state_dict()
-        assert straight.refit().predict_proba(
-            straight.reconstruct_matrix()
-        ).tobytes() == resumed.refit().predict_proba(
-            resumed.reconstruct_matrix()
-        ).tobytes()
+        L = straight.compressed_votes().expand()
+        assert same_rows(resumed.compressed_votes(), L)
+        assert (
+            straight.refit().predict_proba(L).tobytes()
+            == resumed.refit().predict_proba(L).tobytes()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -422,9 +415,7 @@ class TestWindowMode:
         )
         for votes in batches:
             model.observe(votes)
-        np.testing.assert_array_equal(
-            model.reconstruct_matrix(), np.vstack(batches[-2:])
-        )
+        assert same_rows(model.compressed_votes(), np.vstack(batches[-2:]))
 
     def test_patterns_evict_when_they_leave_the_window(self):
         model = OnlineLabelModel(
@@ -438,9 +429,7 @@ class TestWindowMode:
         assert model.n_patterns == 2
         model.observe(c)  # a slides out of the 2-batch window
         assert model.n_patterns == 2
-        assert np.array_equal(
-            model.reconstruct_matrix(), np.vstack([b, c])
-        )
+        assert same_rows(model.compressed_votes(), np.vstack([b, c]))
 
     def test_windowed_refit_matches_offline_fit_of_the_window(self):
         """A window refit is *exactly* the offline fit of the tail."""
@@ -477,8 +466,8 @@ class TestWindowMode:
             resumed.observe(votes)
 
         assert resumed.state_dict() == straight.state_dict()
-        np.testing.assert_array_equal(
-            resumed.reconstruct_matrix(), straight.reconstruct_matrix()
+        assert same_rows(
+            resumed.compressed_votes(), np.vstack(stream[-3:])
         )
 
 

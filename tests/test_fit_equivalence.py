@@ -1,25 +1,35 @@
-"""Differential fuzz harness: pattern-compressed fit vs full-matrix fit.
+"""Differential fuzz harness: the one fit path vs a row-wise reference.
 
-The gate for the compressed-fitting tentpole. Every case family draws a
-seeded randomized vote matrix, fits it both ways — the unmodified
-full-matrix path and the ``(patterns, multiplicities)`` path — and
-asserts the compression contract:
+Every label-model fit in ``src/`` runs on ``(patterns, counts)`` in one
+canonical pattern order. The oracle here is deliberately *not* that: a
+plain row-wise trainer over the expanded ``(n, m)`` matrix, written in
+this module from the formulas in the ``label_model`` / ``multiclass``
+docstrings — it samples row indices, slices rows, and sums over rows,
+and shares no code with ``_gradients_weighted``, ``CompressedVotes`` or
+``compress_votes`` (only the optimizer updates in ``repro.core.optim``).
+Every case family draws a seeded randomized vote matrix, fits it both
+ways, and asserts the contract:
 
-* **minibatch regime** (``batch_size < n``): the compressed fit samples
-  expanded row indices with the same RNG calls the full fit makes, so
-  alpha, beta, posteriors, and the tracked loss curve must be **bitwise
-  identical**, for the binary and the multiclass model alike;
-* **full-batch regime** (``batch_size >= n``): the compressed fit uses
-  exact multiplicity-weighted gradients, which reorder summation — the
-  posteriors must agree to <= 1e-9 (empirically ~1e-15);
-* a :class:`CompressedVotes` built from aggregated integer weights
-  (no ``row_ids``) must fit bitwise identically to the full fit of its
-  pattern-order expansion — the decay compat path.
+* **minibatch regime** (``batch_size < n``): ``fit(L)`` samples rows of
+  the count-ordered expansion — ``L`` with its rows sorted
+  lexicographically — with the RNG calls the row-wise trainer makes on
+  that matrix, so alpha, beta, posteriors, and the tracked loss curve
+  must be **bitwise identical**, for the binary and the multiclass
+  model alike;
+* **full-batch regime** (``batch_size >= n``): the fit uses exact
+  count-weighted gradients over distinct patterns, which reorder
+  summation — the posteriors must agree to <= 1e-9 (empirically
+  ~1e-15);
+* ``fit`` depends on the multiset of rows only: any row permutation of
+  ``L`` fits to the same bits, and an online refit (cumulative or
+  window) is bitwise the offline ``fit`` of the retained rows, shuffled.
 
 Families: dense uniform votes, abstain-heavy, duplicate-heavy (few
 distinct patterns), single-pattern degenerate, matrices with all-abstain
 rows, and multiclass votes — across several (n, m) shapes and seeds.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +40,164 @@ from repro.core.online_label_model import (
     OnlineLabelModel,
     OnlineLabelModelConfig,
 )
+from repro.core.optim import AdamState, adam_step, sgd_step
 from repro.core.patterns import CompressedVotes, compress_votes
+
+from tests.conftest import same_rows
+
+
+# ----------------------------------------------------------------------
+# the reference: row-wise fits of an expanded matrix
+# ----------------------------------------------------------------------
+def canonical_rows(L):
+    """``L`` with its rows sorted lexicographically (column 0 most
+    significant): the count-ordered expansion ``fit`` samples from."""
+    L = np.asarray(L)
+    return L[np.lexsort(L.T[::-1])]
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _outcome_probs(alpha, beta, n_wrong=1):
+    """Per-LF P(correct), P(wrong), P(abstain) and log partition Z_j for
+    ``n_wrong`` equally likely wrong labels (1 in the binary model)."""
+    logits = np.stack(
+        [alpha + beta, -alpha + beta + np.log(n_wrong), np.zeros_like(alpha)]
+    )
+    peak = logits.max(axis=0)
+    Z = peak + np.log(np.exp(logits - peak).sum(axis=0))
+    probs = np.exp(logits - Z)
+    return probs[0], probs[1], probs[2], Z
+
+
+def reference_fit_binary(L, config):
+    """Row-wise Section 5.2 trainer over the (n, m) matrix ``L``.
+
+    Per step: draw ``batch_size`` row indices (or take every row when
+    the batch covers the matrix), then for the batch ``B``::
+
+        a_i = sum_j L_ij alpha_j          b_i = sum_j |L_ij| beta_j
+        NLL = -sum_i [b_i - sum_j Z_j + logaddexp(a_i + log pi+,
+                                                  -a_i + log pi-)]
+        p_i = sigmoid(2 a_i + logit pi+)
+        dNLL/dalpha_j = -sum_i (2 p_i - 1) L_ij + |B| (Pc_j - Pw_j)
+        dNLL/dbeta_j  = -sum_i |L_ij|          + |B| (1 - Pabstain_j)
+    """
+    cfg = config
+    L = np.asarray(L, dtype=np.float64)
+    n, m = L.shape
+    rng = np.random.default_rng(cfg.seed)
+    alpha = np.full(m, cfg.init_alpha)
+    propensity = np.clip(np.abs(L).sum(axis=0) / float(n), 1e-3, 1 - 1e-3)
+    beta = np.log(propensity / (1 - propensity)) / 2.0
+    prior = min(max(cfg.init_class_prior, 1e-9), 1 - 1e-9)
+    prior_logit = float(np.log(prior / (1 - prior)))
+    adam = [AdamState.like(alpha), AdamState.like(beta), AdamState.like(np.zeros(1))]
+    loss_history = []
+
+    for step in range(cfg.n_steps):
+        rows = L if cfg.batch_size >= n else L[rng.integers(0, n, size=cfg.batch_size)]
+        B = rows.shape[0]
+        fired = np.abs(rows)
+        a = rows @ alpha
+        b = fired @ beta
+        p_correct, p_wrong, p_abstain, Z = _outcome_probs(alpha, beta)
+        log_pos = -np.logaddexp(0.0, -prior_logit)
+        log_neg = -np.logaddexp(0.0, prior_logit)
+        lse = np.logaddexp(a + log_pos, -a + log_neg)
+        loss = -float(np.sum(b - float(Z.sum()) + lse))
+        posterior = _sigmoid(2.0 * a + prior_logit)
+        grad_alpha = -(rows.T @ (2.0 * posterior - 1.0)) + B * (p_correct - p_wrong)
+        grad_beta = -fired.sum(axis=0) + B * (1.0 - p_abstain)
+        grad_prior = -float(np.sum(posterior - _sigmoid(prior_logit)))
+        if cfg.l2 > 0.0:
+            grad_alpha = grad_alpha + cfg.l2 * alpha
+            grad_beta = grad_beta + cfg.l2 * beta
+            loss += 0.5 * cfg.l2 * (float(alpha @ alpha) + float(beta @ beta))
+        if cfg.optimizer == "adam":
+            alpha = adam_step(alpha, grad_alpha, adam[0], cfg.learning_rate)
+            beta = adam_step(beta, grad_beta, adam[1], cfg.learning_rate)
+            if cfg.learn_class_prior:
+                prior_logit = float(
+                    adam_step(
+                        np.array([prior_logit]),
+                        np.array([grad_prior]),
+                        adam[2],
+                        cfg.learning_rate,
+                    )[0]
+                )
+        else:
+            alpha = sgd_step(alpha, grad_alpha, cfg.learning_rate)
+            beta = sgd_step(beta, grad_beta, cfg.learning_rate)
+            if cfg.learn_class_prior:
+                prior_logit -= cfg.learning_rate * grad_prior
+        if cfg.min_alpha is not None:
+            alpha = np.maximum(alpha, cfg.min_alpha)
+        if cfg.track_loss_every and step % cfg.track_loss_every == 0:
+            loss_history.append((step, loss / B))
+
+    return SimpleNamespace(
+        alpha=alpha,
+        beta=beta,
+        prior_logit=prior_logit,
+        loss_history=loss_history,
+        predict_proba=lambda M: _sigmoid(
+            2.0 * (np.asarray(M, dtype=np.float64) @ alpha) + prior_logit
+        ),
+    )
+
+
+def _multiclass_posterior(L, alpha, k):
+    """softmax_y( 2 sum_j alpha_j 1{L_ij = y} ) over y in 1..k."""
+    scores = np.zeros((L.shape[0], k))
+    for y in range(1, k + 1):
+        scores[:, y - 1] = (L == y).astype(np.float64) @ (2.0 * alpha)
+    scores -= scores.max(axis=1, keepdims=True)
+    exp = np.exp(scores)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def reference_fit_multiclass(L, k, config):
+    """Row-wise categorical trainer (``multiclass`` docstring): with
+    ``q_ij`` the posterior probability that LF j's vote on row i is
+    right, ``dNLL/dalpha_j = -sum_{i: L_ij != 0} (2 q_ij - 1) + |B| (Pc_j
+    - Pw_j)`` and ``dNLL/dbeta_j = -#{i: L_ij != 0} + |B| (1 -
+    Pabstain_j)``, stepped with Adam."""
+    cfg = config
+    L = np.asarray(L, dtype=np.int64)
+    n, m = L.shape
+    rng = np.random.default_rng(cfg.seed)
+    alpha = np.full(m, cfg.init_alpha)
+    propensity = np.clip((L != 0).sum(axis=0) / float(n), 1e-3, 1 - 1e-3)
+    beta = np.log(propensity / (1 - propensity)) / 2.0
+    adam_alpha, adam_beta = AdamState.like(alpha), AdamState.like(beta)
+
+    for _ in range(cfg.n_steps):
+        rows = L if cfg.batch_size >= n else L[rng.integers(0, n, size=cfg.batch_size)]
+        B = rows.shape[0]
+        posterior = _multiclass_posterior(rows, alpha, k)
+        voted = rows != 0
+        vote_index = np.clip(rows, 1, k) - 1
+        q = posterior[np.arange(B)[:, None], vote_index] * voted
+        p_correct, p_wrong, p_abstain, _ = _outcome_probs(alpha, beta, k - 1)
+        grad_alpha = -np.sum((2.0 * q - 1.0) * voted, axis=0) + B * (
+            p_correct - p_wrong
+        )
+        grad_beta = -voted.sum(axis=0) + B * (1.0 - p_abstain)
+        alpha = adam_step(alpha, grad_alpha, adam_alpha, cfg.learning_rate)
+        beta = adam_step(beta, grad_beta, adam_beta, cfg.learning_rate)
+        if cfg.min_alpha is not None:
+            alpha = np.maximum(alpha, cfg.min_alpha)
+
+    return SimpleNamespace(
+        alpha=alpha,
+        beta=beta,
+        predict_proba=lambda M: _multiclass_posterior(
+            np.asarray(M, dtype=np.int64), alpha, k
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -75,12 +242,11 @@ SHAPES = [(400, 5), (1_500, 12)]
 
 
 def fit_both(L, **config):
-    """Fit ``L`` with and without compression under one binary config."""
-    full = SamplingFreeLabelModel(LabelModelConfig(**config)).fit(L)
-    compressed = SamplingFreeLabelModel(
-        LabelModelConfig(compress=True, **config)
-    ).fit(L)
-    return full, compressed
+    """The row-wise reference on the count-ordered rows of ``L``, and
+    the model's own ``fit`` on ``L`` as given."""
+    cfg = LabelModelConfig(**config)
+    reference = reference_fit_binary(canonical_rows(L), cfg)
+    return reference, SamplingFreeLabelModel(cfg).fit(L)
 
 
 def assert_bitwise(full, compressed, L):
@@ -129,7 +295,7 @@ class TestBinaryEquivalence:
         assert np.max(np.abs(full.alpha - compressed.alpha)) <= 1e-9
 
     def test_adam_prior_and_l2_stay_bitwise_in_minibatch(self):
-        """The optimizer/prior/l2 machinery is shared, not duplicated."""
+        """Adam, a learned class prior and l2 all ride the one kernel."""
         L = duplicate_heavy(np.random.default_rng(3), 1_000, 10)
         full, compressed = fit_both(
             L,
@@ -149,20 +315,22 @@ class TestBinaryEquivalence:
         assert_bitwise(full, compressed, L)
 
     def test_aggregated_weights_match_pattern_order_expansion(self):
-        """Integer weights without row_ids (the decay compat shape) fit
-        bitwise identically to the full fit of the pattern-order
+        """Hand-built integer weights (the decay-mode shape), patterns
+        supplied in *reverse* order: ``CompressedVotes`` re-sorts them,
+        and the fit is bitwise the row-wise fit of the pattern-order
         expansion — the searchsorted sampler reproduces np.repeat's row
         order index for index."""
         L = duplicate_heavy(np.random.default_rng(5), 900, 9)
         exact = compress_votes(L)
         aggregated = CompressedVotes(
-            patterns=exact.patterns,
-            weights=exact.weights,
-            row_ids=None,
+            patterns=exact.patterns[::-1],
+            weights=exact.weights[::-1],
             n_rows=exact.n_rows,
         )
+        assert np.array_equal(aggregated.patterns, exact.patterns)
+        assert np.array_equal(aggregated.expand(), canonical_rows(L))
         config = LabelModelConfig(n_steps=250, batch_size=64, seed=5)
-        full = SamplingFreeLabelModel(config).fit(aggregated.expand())
+        full = reference_fit_binary(aggregated.expand(), config)
         compressed = SamplingFreeLabelModel(config)
         compressed.fit_compressed(aggregated)
         assert_bitwise(full, compressed, L)
@@ -178,7 +346,6 @@ class TestBinaryEquivalence:
         weighted = CompressedVotes(
             patterns=exact.patterns,
             weights=weights,
-            row_ids=None,
             n_rows=float(weights.sum()),
         )
         config = LabelModelConfig(n_steps=400, batch_size=64, seed=2)
@@ -189,6 +356,18 @@ class TestBinaryEquivalence:
         assert np.all(np.isfinite(model.beta))
         assert np.max(np.abs(model.accuracies() - reference.accuracies())) < 0.2
 
+    @pytest.mark.parametrize("batch_size", [64, 10_000], ids=["minibatch", "full"])
+    def test_fit_is_row_order_invariant(self, batch_size):
+        """``fit(L) == fit(L[perm])`` to the bit, in both regimes."""
+        rng = np.random.default_rng(11)
+        L = with_all_abstain_rows(rng, 1_000, 7)
+        config = LabelModelConfig(
+            n_steps=250, batch_size=batch_size, seed=4, optimizer="adam"
+        )
+        straight = SamplingFreeLabelModel(config).fit(L)
+        shuffled = SamplingFreeLabelModel(config).fit(L[rng.permutation(len(L))])
+        assert_bitwise(straight, shuffled, L)
+
 
 # ----------------------------------------------------------------------
 # multiclass model
@@ -198,17 +377,21 @@ def multiclass_votes(rng, n, m, k, abstain=0.5):
     return rng.choice(np.arange(k + 1), size=(n, m), p=probs)
 
 
+def fit_both_multiclass(L, k, **config):
+    cfg = MulticlassConfig(**config)
+    reference = reference_fit_multiclass(canonical_rows(L), k, cfg)
+    return reference, MulticlassLabelModel(k, cfg).fit(L)
+
+
 class TestMulticlassEquivalence:
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_minibatch_fit_is_bitwise(self, k, seed):
         rng = np.random.default_rng(seed)
         L = multiclass_votes(rng, 1_100, 9, k)
-        config = dict(n_steps=250, batch_size=64, seed=seed)
-        full = MulticlassLabelModel(k, MulticlassConfig(**config)).fit(L)
-        compressed = MulticlassLabelModel(
-            k, MulticlassConfig(compress=True, **config)
-        ).fit(L)
+        full, compressed = fit_both_multiclass(
+            L, k, n_steps=250, batch_size=64, seed=seed
+        )
         assert np.array_equal(full.alpha, compressed.alpha)
         assert np.array_equal(full.beta, compressed.beta)
         assert np.array_equal(
@@ -219,11 +402,9 @@ class TestMulticlassEquivalence:
     def test_full_batch_fit_within_1e9(self, seed):
         rng = np.random.default_rng(seed)
         L = multiclass_votes(rng, 400, 7, 4, abstain=0.7)
-        config = dict(n_steps=200, batch_size=10_000, seed=seed)
-        full = MulticlassLabelModel(4, MulticlassConfig(**config)).fit(L)
-        compressed = MulticlassLabelModel(
-            4, MulticlassConfig(compress=True, **config)
-        ).fit(L)
+        full, compressed = fit_both_multiclass(
+            L, 4, n_steps=200, batch_size=10_000, seed=seed
+        )
         gap = np.max(
             np.abs(full.predict_proba(L) - compressed.predict_proba(L))
         )
@@ -235,14 +416,25 @@ class TestMulticlassEquivalence:
         pool = multiclass_votes(rng, 6, 8, 3)
         L = pool[rng.integers(0, len(pool), size=2_000)]
         assert compress_votes(L).n_patterns <= 6
-        config = dict(n_steps=250, batch_size=64, seed=2)
-        full = MulticlassLabelModel(3, MulticlassConfig(**config)).fit(L)
-        compressed = MulticlassLabelModel(
-            3, MulticlassConfig(compress=True, **config)
-        ).fit(L)
+        full, compressed = fit_both_multiclass(
+            L, 3, n_steps=250, batch_size=64, seed=2
+        )
         assert np.array_equal(full.alpha, compressed.alpha)
         assert np.array_equal(
             full.predict_proba(L), compressed.predict_proba(L)
+        )
+
+    @pytest.mark.parametrize("batch_size", [64, 10_000], ids=["minibatch", "full"])
+    def test_fit_is_row_order_invariant(self, batch_size):
+        rng = np.random.default_rng(13)
+        L = multiclass_votes(rng, 900, 8, 4)
+        config = MulticlassConfig(n_steps=200, batch_size=batch_size, seed=6)
+        straight = MulticlassLabelModel(4, config).fit(L)
+        shuffled = MulticlassLabelModel(4, config).fit(L[rng.permutation(len(L))])
+        assert np.array_equal(straight.alpha, shuffled.alpha)
+        assert np.array_equal(straight.beta, shuffled.beta)
+        assert np.array_equal(
+            straight.predict_proba(L), shuffled.predict_proba(L)
         )
 
 
@@ -251,13 +443,20 @@ class TestMulticlassEquivalence:
 # ----------------------------------------------------------------------
 class TestCompressVotes:
     def test_round_trip_reconstructs_bit_for_bit(self):
+        """Lossless up to row order, whatever the input dtype."""
         L = duplicate_heavy(np.random.default_rng(4), 700, 6)
         votes = compress_votes(L)
-        assert np.array_equal(votes.patterns[votes.row_ids], L)
-        assert np.array_equal(votes.expand(), L)
+        assert np.array_equal(votes.expand(), canonical_rows(L))
         assert votes.weights.sum() == len(L)
         assert votes.integral
         assert votes.n_patterns == len(np.unique(L, axis=0))
+        assert np.array_equal(votes.patterns, np.unique(L, axis=0))
+        for dtype in (np.int64, np.float64):
+            again = compress_votes(L.astype(dtype))
+            assert np.array_equal(again.patterns, votes.patterns)
+            assert np.array_equal(again.weights, votes.weights)
+        strided = compress_votes(np.asfortranarray(L))
+        assert np.array_equal(strided.expand(), votes.expand())
 
     def test_zero_row_matrix(self):
         votes = compress_votes(np.zeros((0, 5), dtype=np.int8))
@@ -272,29 +471,26 @@ class TestCompressVotes:
             CompressedVotes(
                 patterns=np.zeros((2, 3)),
                 weights=np.ones(3),
-                row_ids=None,
                 n_rows=3.0,
             )
         with pytest.raises(ValueError, match="strictly positive"):
             CompressedVotes(
                 patterns=np.zeros((2, 3)),
                 weights=np.array([1.0, 0.0]),
-                row_ids=None,
                 n_rows=1.0,
             )
-        with pytest.raises(ValueError, match="row_ids"):
-            CompressedVotes(
-                patterns=np.zeros((1, 3)),
-                weights=np.array([2.0]),
-                row_ids=np.zeros(3, dtype=np.int64),
-                n_rows=2.0,
-            )
+        # Votes are validated on the pattern rows, after compression.
+        bad = np.zeros((50, 4), dtype=np.int8)
+        bad[17, 2] = 2
+        with pytest.raises(ValueError, match="-1, 0, 1"):
+            SamplingFreeLabelModel(LabelModelConfig(n_steps=1)).fit(bad)
+        with pytest.raises(ValueError, match="votes must be in 0..3"):
+            MulticlassLabelModel(3, MulticlassConfig(n_steps=1)).fit(bad + 2)
 
     def test_expand_refuses_real_valued_weights(self):
         votes = CompressedVotes(
             patterns=np.zeros((1, 3)),
             weights=np.array([1.5]),
-            row_ids=None,
             n_rows=1.5,
         )
         assert not votes.integral
@@ -303,54 +499,39 @@ class TestCompressVotes:
 
 
 # ----------------------------------------------------------------------
-# the refit switch
+# online refits ride the same path
 # ----------------------------------------------------------------------
-class TestCompressedRefitKnob:
-    def _observed(self, **kwargs):
+class TestOnlineRefitEquivalence:
+    BASE = LabelModelConfig(n_steps=100, seed=0)
+
+    def _observed(self, batches, **kwargs):
         model = OnlineLabelModel(
-            OnlineLabelModelConfig(
-                base=LabelModelConfig(n_steps=100, seed=0),
-                steps_per_batch=0,
-                **kwargs,
-            )
+            OnlineLabelModelConfig(base=self.BASE, steps_per_batch=0, **kwargs)
         )
-        model.observe(duplicate_heavy(np.random.default_rng(0), 300, 5))
+        for votes in batches:
+            model.observe(votes)
         return model
 
-    def test_env_knob_controls_default(self, monkeypatch):
-        model = self._observed()
-        monkeypatch.delenv("REPRO_COMPRESSED_REFIT", raising=False)
-        assert model._compressed_refit_enabled()
-        monkeypatch.setenv("REPRO_COMPRESSED_REFIT", "0")
-        assert not model._compressed_refit_enabled()
-        monkeypatch.setenv("REPRO_COMPRESSED_REFIT", "1")
-        assert model._compressed_refit_enabled()
+    @pytest.mark.parametrize("window", [None, 3], ids=["cumulative", "window"])
+    @pytest.mark.parametrize("rows", [12, 300], ids=["full", "minibatch"])
+    def test_refit_is_offline_fit_of_the_retained_rows_shuffled(
+        self, window, rows
+    ):
+        """Both exact retention modes, both step regimes (12-row
+        batches keep even the cumulative total under ``batch_size``):
+        the refit depends on the retained multiset only."""
+        rng = np.random.default_rng(21)
+        batches = [duplicate_heavy(rng, rows, 5) for _ in range(4)]
+        model = self._observed(batches, window_batches=window)
+        retained = np.vstack(batches if window is None else batches[-window:])
+        assert same_rows(model.compressed_votes(), retained)
+        shuffled = retained[rng.permutation(len(retained))]
+        offline = SamplingFreeLabelModel(self.BASE).fit(shuffled)
+        assert_bitwise(offline, model.refit(), retained)
 
-    def test_config_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPRESSED_REFIT", "0")
-        assert self._observed(
-            compressed_refit=True
-        )._compressed_refit_enabled()
-        monkeypatch.delenv("REPRO_COMPRESSED_REFIT", raising=False)
-        assert not self._observed(
-            compressed_refit=False
-        )._compressed_refit_enabled()
-
-    def test_refit_matches_either_way(self):
-        """The knob changes cost, never posteriors: both settings refit
-        a cumulative stream to bitwise-identical parameters."""
-        on = self._observed(compressed_refit=True)
-        off = self._observed(compressed_refit=False)
-        on_model, off_model = on.refit(), off.refit()
-        L = on.reconstruct_matrix()
-        assert np.array_equal(on_model.alpha, off_model.alpha)
-        assert np.array_equal(
-            on_model.predict_proba(L), off_model.predict_proba(L)
-        )
-
-    def test_compressed_votes_matches_reconstruction(self):
-        model = self._observed()
-        votes = model.compressed_votes()
-        assert np.array_equal(votes.expand(), model.reconstruct_matrix())
+    def test_compressed_votes_matches_offline_compression(self):
+        L = duplicate_heavy(np.random.default_rng(0), 300, 5)
+        votes = self._observed([L[:100], L[100:]]).compressed_votes()
+        assert same_rows(votes, L)
         assert votes.integral
-        assert votes.n_rows == model.n_observed
+        assert votes.n_rows == len(L)

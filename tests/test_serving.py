@@ -10,9 +10,9 @@ is bitwise equal to an offline fit of the served snapshot's stream
 prefix — including for a stream that was killed mid-run.
 """
 
-import base64
 import json
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,13 @@ from repro.streaming import (
 )
 from repro.types import Example
 
-from tests.test_checkpoint import ONLINE_CONFIG, make_corpus, make_lfs
+from tests.test_checkpoint import (
+    ONLINE_CONFIG,
+    make_corpus,
+    make_lfs,
+    stage_captured_root,
+    stream_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +226,27 @@ class TestCheckpointModelRegistry:
         assert registry.active() is good
         assert registry.counters.as_dict()["serving/swaps"] == 1
 
+    def test_newer_state_schema_keeps_active(self, checkpointed):
+        """A well-formed manifest whose label-model state comes from a
+        newer writer raises ``ValueError`` (which the server's watcher
+        counts as ``serving/refresh_errors``) instead of deploying a
+        misread model."""
+        dfs = checkpointed["dfs"]
+        registry = make_registry(dfs, "/reg/newer")
+        deploy(dfs, checkpointed["manifests"][0], "/reg/newer")
+        good = registry.refresh()
+        checkpoint = registry.manager.load(checkpointed["manifests"][1])
+        registry.manager.write(
+            99,
+            checkpoint.cursor,
+            {**checkpoint.label_model_state, "schema": 4},
+            meta=checkpoint.meta,
+        )
+        with pytest.raises(ValueError, match="schema"):
+            registry.refresh()
+        assert registry.active() is good
+        assert registry.counters.as_dict()["serving/swaps"] == 1
+
     def test_watcher_survives_torn_manifest(self, checkpointed, lfs):
         import time
 
@@ -254,37 +281,59 @@ class TestCheckpointModelRegistry:
 
 
 class TestPreDriftManifestServing:
-    """A legacy (pre-drift schema) manifest is still a deployable."""
+    """A manifest from any earlier writer is still a deployable."""
 
-    FIXTURE = Path(__file__).parent / "fixtures" / "pre_drift_root.json"
+    FIXTURES = Path(__file__).parent / "fixtures"
 
-    def test_legacy_manifest_serves(self, lfs):
-        with open(self.FIXTURE) as handle:
-            payload = json.load(handle)
-        dfs = DistributedFileSystem()
-        shards = stage_examples(
-            dfs,
-            make_corpus(),
-            payload["examples_root"],
-            num_shards=payload["num_shards"],
+    def _serve_captured(self, lfs, payload, captured, online_config):
+        """Deploy a captured root; return its generation and the
+        stream's vote matrix."""
+        dfs, shards = stage_captured_root(make_corpus(), payload, captured)
+        registry = CheckpointModelRegistry(
+            dfs, captured["root"], online_config=online_config
         )
-        for path, blob in payload["files"].items():
-            dfs.write_file(path, base64.b64decode(blob))
-
-        registry = make_registry(dfs, payload["root"])
         generation = registry.refresh()
         assert generation is not None and generation.generation == 1
         assert generation.lf_names == tuple(lf.name for lf in lfs)
 
-        decoded = [
-            Example.from_record(record)
-            for record in iter_record_blobs(dfs, shards)
-        ]
-        matrix = apply_lfs_in_memory(lfs, decoded).matrix
+        return generation, stream_matrix(dfs, shards, lfs)
+
+    def test_legacy_manifest_serves(self, lfs):
+        with open(self.FIXTURES / "pre_drift_root.json") as handle:
+            payload = json.load(handle)
+        generation, matrix = self._serve_captured(
+            lfs, payload, payload, ONLINE_CONFIG
+        )
         offline = SamplingFreeLabelModel(
             LabelModelConfig(n_steps=200, seed=0)
         )
         offline.fit(matrix[: generation.cursor])
+        assert np.array_equal(
+            generation.label_model.predict_proba(matrix),
+            offline.predict_proba(matrix),
+        )
+
+    @pytest.mark.parametrize("mode", ["cumulative", "window"])
+    def test_schema2_manifest_serves(self, lfs, mode):
+        """The last row-id-logging writer's manifests (see
+        ``TestSchema2ManifestCompat``) serve the offline fit of the rows
+        they retained — the whole prefix, or the window's batches."""
+        with open(self.FIXTURES / "schema2_roots.json") as handle:
+            payload = json.load(handle)
+        captured = payload["roots"][mode]
+        config = replace(
+            ONLINE_CONFIG, window_batches=captured["window_batches"]
+        )
+        generation, matrix = self._serve_captured(
+            lfs, payload, captured, config
+        )
+        # The manifest sits at batch 1: two batches seen, all retained
+        # by either mode (window_batches=3).
+        retained = matrix[: generation.cursor]
+        shuffled = retained[
+            np.random.default_rng(0).permutation(len(retained))
+        ]
+        offline = SamplingFreeLabelModel(config.base).fit(shuffled)
         assert np.array_equal(
             generation.label_model.predict_proba(matrix),
             offline.predict_proba(matrix),
