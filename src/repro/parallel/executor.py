@@ -4,10 +4,9 @@ One :class:`ParallelLabelExecutor` serves both hot paths:
 
 * the offline applier submits example blocks and drains votes in block
   order (:meth:`label_blocks` / :meth:`label_examples`);
-* the streaming pipeline submits micro-batches from its ingest thread
-  and drains completions from its consumer thread
-  (:meth:`submit` / :meth:`next_completed`), reassembling sink order
-  itself.
+* the streaming pipeline's pool label stage submits micro-batches from
+  its ingest thread and drains them from its consumer thread
+  (:meth:`submit` / :meth:`next_completed`).
 
 Execution model
 ---------------
@@ -19,10 +18,13 @@ setup hook of the MapReduce engine, translated to processes. Tasks are
 :func:`repro.lf.applier.label_example_block` kernel as a serial run, and
 returns the ``int8`` vote block plus its labeling wall time.
 
-Ordering is restored by the caller-visible APIs: every task carries its
-sequence number, completions may arrive in any order, and
-:meth:`label_blocks` yields strictly by sequence — so a parallel run's
-votes are positionally identical to a serial run at any worker count.
+Order is restored here and nowhere else: workers finish in any order,
+but :meth:`next_completed` hands blocks back oldest-submission first,
+parking early finishers on their in-flight entry until their turn (a
+retried block keeps its place; :meth:`reset` drops parked results with
+the rest). :meth:`label_blocks` and the streaming pipeline both just
+drain it — so a parallel run's votes are positionally identical to a
+serial run at any worker count.
 
 Failure model
 -------------
@@ -185,6 +187,9 @@ class _Inflight:
     examples: list[Example]
     attempts: int = 0
     future: Future | None = field(default=None, repr=False)
+    #: ``(votes, label_us)`` once the block has completed — parked here
+    #: until every earlier submission has been handed out.
+    result: tuple[np.ndarray, int] | None = field(default=None, repr=False)
 
 
 class ParallelLabelExecutor:
@@ -261,8 +266,9 @@ class ParallelLabelExecutor:
         would collide with — or hang — the next run. Callers that own
         their executor simply close it; callers reusing a warm pool
         reset it between runs (the parallel pipeline does this for the
-        ``executor=`` case). Results of dropped blocks that are still
-        executing arrive later as stale notifications and are ignored.
+        ``executor=`` case). Parked results go with their blocks;
+        results of dropped blocks that are still executing arrive later
+        as stale notifications and are ignored.
         """
         with self._lock:
             dropped = len(self._inflight)
@@ -331,13 +337,24 @@ class ParallelLabelExecutor:
     def next_completed(
         self, timeout: float | None = None
     ) -> tuple[int, list[Example], np.ndarray, int]:
-        """Return any finished block: ``(seq, examples, votes, label_us)``.
+        """Return the oldest submitted block once it has finished:
+        ``(seq, examples, votes, label_us)``.
 
-        Blocks until a completion arrives (``queue.Empty`` after
-        ``timeout``). Failed attempts are retried transparently;
-        exhausted budgets raise :class:`WorkerFailure`.
+        Blocks come back in *submission* order whatever order the
+        workers finish in: a block that completes ahead of an earlier
+        one is parked on its in-flight entry until its turn. Waits for
+        completions (``queue.Empty`` when none arrives within
+        ``timeout``). Failed attempts are retried transparently — the
+        retried block keeps its place in line; exhausted budgets raise
+        :class:`WorkerFailure`.
         """
         while True:
+            with self._lock:
+                # dicts iterate in insertion order: first is oldest.
+                seq, entry = next(iter(self._inflight.items()), (None, None))
+                if entry is not None and entry.result is not None:
+                    del self._inflight[seq]
+                    return seq, entry.examples, *entry.result
             seq, future = self._done_q.get(timeout=timeout)
             with self._lock:
                 entry = self._inflight.get(seq)
@@ -354,8 +371,7 @@ class ParallelLabelExecutor:
                 votes = (
                     np.frombuffer(blob, dtype=np.int8).reshape(shape).copy()
                 )
-                with self._lock:
-                    del self._inflight[seq]
+                entry.result = (votes, label_us)
                 if self.telemetry is not None:
                     if stats is not None:
                         for name, hist in decode_histograms(stats).items():
@@ -363,7 +379,7 @@ class ParallelLabelExecutor:
                                 name, growth=hist.growth
                             ).merge(hist)
                     self.telemetry.counter("parallel/blocks")
-                return seq, entry.examples, votes, label_us
+                continue
             entry.attempts += 1
             if entry.attempts > self.max_retries:
                 raise WorkerFailure(
@@ -384,47 +400,26 @@ class ParallelLabelExecutor:
     ) -> Iterator[tuple[int, list[Example], np.ndarray]]:
         """Label ``(seq, examples)`` blocks; yield in *submission* order.
 
-        At most ``window`` blocks are in flight at once (default
-        ``2 * workers + 2``), so encoding pipelines with labeling while
-        memory stays bounded. Sequence numbers must be unique; blocks
-        are emitted in exactly the order they were submitted regardless
-        of worker completion order (ascending seqs in = ascending seqs
-        out, which is how :meth:`label_examples` restores row order).
-        On any failure the executor's in-flight state is reset so a
-        warm pool can be reused for the next run.
+        At most ``window`` blocks are in flight or parked at once
+        (default ``2 * workers + 2``), so encoding pipelines with
+        labeling while memory stays bounded. Sequence numbers must be
+        unique; :meth:`next_completed` supplies the order (ascending
+        seqs in = ascending seqs out, which is how
+        :meth:`label_examples` restores row order). On any failure the
+        executor's in-flight state is reset so a warm pool can be
+        reused for the next run.
         """
         if window is None:
             window = 2 * self.workers + 2
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        pending_out: dict[int, tuple[list[Example], np.ndarray]] = {}
-        submitted: list[int] = []
-        next_out = 0  # index into ``submitted`` of the next block to emit
-        source = iter(blocks)
-        exhausted = False
         try:
-            while True:
-                while not exhausted and self.pending() < window:
-                    item = next(source, None)
-                    if item is None:
-                        exhausted = True
-                        break
-                    seq, examples = item
-                    self.submit(seq, examples)
-                    submitted.append(seq)
-                if exhausted and not self.pending():
-                    break
-                seq, examples, votes, _ = self.next_completed()
-                pending_out[seq] = (examples, votes)
-                # Emit the longest ready prefix in submission order.
-                while (
-                    next_out < len(submitted)
-                    and submitted[next_out] in pending_out
-                ):
-                    head = submitted[next_out]
-                    examples, votes = pending_out.pop(head)
-                    next_out += 1
-                    yield head, examples, votes
+            for seq, examples in blocks:
+                self.submit(seq, examples)
+                if self.pending() >= window:
+                    yield self.next_completed()[:3]
+            while self.pending():
+                yield self.next_completed()[:3]
         except BaseException:
             self.reset()
             raise
@@ -437,27 +432,21 @@ class ParallelLabelExecutor:
         """Label a flat example list; returns the ``(n, m)`` int8 matrix.
 
         The parallel counterpart of the serial block loop in
-        :func:`repro.lf.applier.apply_lfs_in_memory`: identical votes,
-        restored to input order via block offsets.
+        :func:`repro.lf.applier.apply_lfs_in_memory`: identical votes in
+        input order, because blocks come back in submission order.
         """
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         examples = list(examples)
-        n = len(examples)
-        offsets = list(range(0, n, block_size))
-
-        def blocks() -> Iterator[tuple[int, Sequence[Example]]]:
-            for seq, start in enumerate(offsets):
-                yield seq, examples[start:start + block_size]
-
-        if not offsets:
+        if not examples:
             # Width is unknowable without a worker round-trip; callers
             # handle the empty case with their own LF count.
             return np.zeros((0, 0), dtype=np.int8)
-        parts: list[np.ndarray | None] = [None] * len(offsets)
-        for seq, _, votes in self.label_blocks(blocks()):
-            parts[seq] = votes
-        return np.vstack(parts)
+        blocks = (
+            (seq, examples[start:start + block_size])
+            for seq, start in enumerate(range(0, len(examples), block_size))
+        )
+        return np.vstack([votes for _, _, votes in self.label_blocks(blocks)])
 
     # ------------------------------------------------------------------
     # internals

@@ -8,18 +8,25 @@ token-match executor plus per-LF batch kernels); finalized votes are
 handed to sink callbacks (online label model update, end-model training,
 vote persistence) strictly in batch order.
 
-Labeling has two execution modes:
+One loop, two label stages
+--------------------------
+There is one ingest closure and one consumer loop; *where* the kernel
+executes sits behind a small internal label stage. The ingest thread
+calls ``dispatch(batch)`` and ``end_input()``; the calling thread calls
+``take()`` — the next labeled batch **in sequence order**, ``None`` at
+end of input — and ``close()``. :meth:`MicroBatchPipeline.run` picks
+the stage once:
 
-* **single-consumer** (default): the caller's thread labels each batch
-  as it leaves the handoff queue — one producer, one consumer, a FIFO
-  queue.
-* **multi-consumer** (``workers > 1``): the ingest thread dispatches
+* **inline** (default): a FIFO hand-off queue; the calling thread labels
+  each batch as it leaves the queue, so arrival order is batch order.
+* **pool** (``workers > 1`` or ``executor=``): the ingest thread submits
   each decoded batch to a :class:`repro.parallel.ParallelLabelExecutor`
-  process pool; the caller's thread drains completions, restores batch
-  order by sequence number, and finalizes. Sinks and checkpoints still
-  observe batches strictly in order, so streamed votes, sink shards,
-  and posteriors stay bit-exact with a serial run at any worker count
-  (asserted by the equivalence suite).
+  process pool, which hands blocks back oldest-submission first — order
+  is restored in the executor, which owns sequence numbers and retries,
+  and this module keeps no reorder buffer. Sinks and checkpoints see
+  exactly the order an inline run produces, so streamed votes, sink
+  shards, and posteriors stay bit-exact at any worker count (asserted
+  by the equivalence suite).
 
 Flow control is admission-based, not just queue-based: the ingest stage
 must hold one *residency permit* per in-flight micro-batch before it may
@@ -27,11 +34,10 @@ decode the batch's records, and the permit is only returned after the
 batch has been labeled and the sink has consumed it. With the default
 ``max_resident_batches=2`` the pipeline never holds more than two
 micro-batches of decoded records no matter how fast the source is — and
-in multi-consumer mode the same permits bound the batches in flight
-*across all workers* (decoded, queued, labeling, or awaiting in-order
-finalization). A :class:`repro.mapreduce.counters.Gauge` tracks the
-actual high-water mark so benchmarks can assert the bound rather than
-trust it.
+on the pool the same permits bound the batches in flight *across all
+workers* (decoded, queued, labeling, or parked awaiting in-order
+release). A :class:`repro.mapreduce.counters.Gauge` tracks the actual
+high-water mark so benchmarks can assert the bound rather than trust it.
 
 Counter contract
 ----------------
@@ -43,18 +49,19 @@ listed in :data:`COUNTER_CONTRACT` (enforced by a test):
 * ``ingest/records``, ``ingest/batches``, ``ingest/decode_us`` — the
   decode stage;
 * ``label/records``, ``label/batches``, ``label/votes``, ``label/us`` —
-  the labeling stage (in multi-consumer mode ``label/us`` sums
-  *worker-side* labeling time across processes, so it can exceed wall
-  time);
-* ``queue/wait_us`` — producer-to-consumer handoff latency (in
-  multi-consumer mode: dispatch-to-finalize latency, which includes
-  worker compute).
+  the labeling stage (on the pool ``label/us`` sums *worker-side*
+  labeling time across processes, so it can exceed wall time);
+* ``queue/wait_us`` — producer-to-consumer handoff latency (on the
+  pool: dispatch-to-release latency, which includes worker compute).
+
+The ``label`` and ``queue`` events of a batch are emitted when the
+consumer loop takes it, i.e. at in-order release on either stage.
 
 Conditional keys (:data:`CONDITIONAL_COUNTER_KEYS`): backpressure stalls
 land in ``ingest/backpressure_waits`` / ``ingest/wait_us`` — *not* in
 ``queue/wait_us``, which never measures backpressure — sink timing in
 ``sink/us`` / ``sink/batches`` / ``sink/records`` (plus per-sink
-``sink/<name>/us|batches|records``), and multi-consumer runs add
+``sink/<name>/us|batches|records``), and pool runs add
 ``ingest/encode_us`` for the record-codec framing of each dispatched
 batch.
 
@@ -136,7 +143,7 @@ COUNTER_CONTRACT = (
 )
 
 #: Keys recorded only when their condition occurs: backpressure stalls,
-#: a configured sink stage, multi-consumer dispatch, or an attached
+#: a configured sink stage, dispatch to the pool stage, or an attached
 #: drift monitor (the ``drift/*`` family).
 CONDITIONAL_COUNTER_KEYS = (
     "ingest/backpressure_waits",
@@ -155,21 +162,164 @@ CONDITIONAL_COUNTER_KEYS = (
 
 @dataclass
 class _Batch:
+    """One micro-batch on its way through a run: the ingest thread fills
+    the first four fields, the label stage the last three."""
+
     seq: int
     examples: list[Example]
     created: float
-    enqueued: float = 0.0
+    enqueued: float
+    votes: np.ndarray | None = None
+    label_us: int = 0
+    wait_us: int = 0
 
 
 @dataclass
-class _Tallies:
-    """Mutable per-run aggregates shared by both execution modes."""
+class _Run:
+    """One run's mutable state, shared by the ingest thread, the label
+    stage and the finalizer."""
 
+    permits: threading.Semaphore
+    #: The configured tracer when tracing is on, else ``None`` — resolved
+    #: once, so a disabled tracer (the default) costs the hot loops one
+    #: ``is not None`` check per batch.
+    tracer: object | None
+    counters: CounterSet = field(default_factory=CounterSet)
+    resident: Gauge = field(default_factory=Gauge)
+    stop: threading.Event = field(default_factory=threading.Event)
+    ingest_error: BaseException | None = None
     batches_done: int = 0
     examples_done: int = 0
     votes_emitted: int = 0
     latency_sum: float = 0.0
     latency_max: float = 0.0
+    collected_votes: list[np.ndarray] = field(default_factory=list)
+    collected_ids: list[str] = field(default_factory=list)
+
+
+class _InlineStage:
+    """Label stage that runs the kernel on the calling thread.
+
+    One producer and one consumer share a FIFO queue, so hand-off order
+    already is batch order.
+    """
+
+    def __init__(self, lfs: Sequence[AbstractLabelingFunction]) -> None:
+        self._lfs = lfs
+        self._fused_cols = fused_lf_columns(lfs)
+        self._handoff: queue_module.Queue[_Batch | None] = queue_module.Queue()
+        start_lf_resources(lfs)
+
+    def dispatch(self, batch: _Batch) -> None:
+        self._handoff.put(batch)
+
+    def end_input(self) -> None:
+        # Queued behind the batches already handed off: they are still
+        # labeled and finalized before the run ends or re-raises.
+        self._handoff.put(None)
+
+    def take(self) -> _Batch | None:
+        batch = self._handoff.get()
+        if batch is None:
+            return None
+        label_start = time.perf_counter()
+        batch.wait_us = int((label_start - batch.enqueued) * 1e6)
+        batch.votes = label_example_block(
+            self._lfs, batch.examples, self._fused_cols
+        )
+        batch.label_us = int((time.perf_counter() - label_start) * 1e6)
+        return batch
+
+    def close(self) -> None:
+        stop_lf_resources(self._lfs)
+
+
+class _PoolStage:
+    """Label stage that runs the kernel on a process pool.
+
+    The ingest thread submits each decoded batch to the
+    :class:`repro.parallel.ParallelLabelExecutor` (record-codec
+    round-trip); :meth:`take` drains it, and the executor releases
+    blocks oldest-submission first, so no reordering happens here.
+    """
+
+    #: How long one :meth:`take` poll waits for a completion before
+    #: re-checking whether the input has ended.
+    _POLL_S = 0.05
+
+    def __init__(self, pipeline: "MicroBatchPipeline", run: _Run) -> None:
+        from repro.parallel import ParallelLabelExecutor
+
+        self._owned = pipeline.executor is None
+        self._executor = pipeline.executor
+        if self._owned:
+            self._executor = ParallelLabelExecutor(
+                pipeline.suite_spec,
+                pipeline.workers,
+                telemetry=pipeline.telemetry,
+            )
+        self._lf_count = len(pipeline.lfs)
+        self._run = run
+        #: seq -> dispatched batch; written by the ingest thread, popped
+        #: once by :meth:`take` (disjoint keys).
+        self._dispatched: dict[int, _Batch] = {}
+        self._input_done = threading.Event()
+        # Start the pool before the ingest thread exists: forked workers
+        # must never inherit a half-running pipeline.
+        self._executor.start()
+
+    def dispatch(self, batch: _Batch) -> None:
+        # The batch must be visible BEFORE the submit: a fast worker can
+        # complete the block (and the consumer take it) before this
+        # thread runs another line.
+        self._dispatched[batch.seq] = batch
+        self._executor.submit(batch.seq, batch.examples)
+        self._run.counters.increment(
+            "ingest/encode_us",
+            int((time.perf_counter() - batch.enqueued) * 1e6),
+        )
+
+    def end_input(self) -> None:
+        self._input_done.set()
+
+    def take(self) -> _Batch | None:
+        while True:
+            # A dead ingest thread (source error, failed dispatch) ends
+            # the input at once: its error must surface now rather than
+            # after worker completions that may never drain.
+            if self._input_done.is_set() and (
+                self._run.ingest_error is not None
+                or self._executor.pending() == 0
+            ):
+                return None
+            try:
+                seq, _, votes, label_us = self._executor.next_completed(
+                    timeout=self._POLL_S
+                )
+            except queue_module.Empty:
+                continue
+            if votes.shape[1] != self._lf_count:
+                raise ValueError(
+                    f"worker suite produced {votes.shape[1]} vote "
+                    f"columns; this pipeline has {self._lf_count} LFs "
+                    "— the suite_spec must rebuild the same suite"
+                )
+            batch = self._dispatched.pop(seq)
+            batch.votes = votes
+            batch.label_us = label_us
+            batch.wait_us = int((time.perf_counter() - batch.enqueued) * 1e6)
+            return batch
+
+    def close(self) -> None:
+        if self._owned:
+            self._executor.close()
+        else:
+            # A shared (warm) executor must not carry this run's blocks
+            # into the caller's next run — a failed run would otherwise
+            # leave in-flight state that collides with or stalls the
+            # resume. The ingest thread is joined by now, so nothing can
+            # submit behind the reset.
+            self._executor.reset()
 
 
 @dataclass
@@ -279,7 +429,7 @@ class MicroBatchPipeline:
                 the batch holds its residency permit.
             first_batch_seq: Batch numbering offset (resume support).
             workers: ``> 1`` labels batches on a process pool
-                (multi-consumer mode).
+                (the pool label stage).
             suite_spec: Picklable LF-suite factory for worker processes.
             executor: A live, reusable
                 :class:`repro.parallel.ParallelLabelExecutor`.
@@ -339,7 +489,7 @@ class MicroBatchPipeline:
         #: Batch numbering offset — a resumed stream continues the
         #: uninterrupted run's sequence so sink shard names line up.
         self.first_batch_seq = first_batch_seq
-        #: Multi-consumer mode: >1 labels batches on a process pool.
+        #: Pool label stage: >1 labels batches on a process pool.
         self.workers = workers
         self.suite_spec = suite_spec
         self.executor = executor
@@ -358,68 +508,139 @@ class MicroBatchPipeline:
     def run(self, source: Iterable[Example]) -> StreamReport:
         """Drain the source through the pipeline; returns the report.
 
-        The ingest stage runs on its own thread. In single-consumer mode
-        labeling and the sinks run on the calling thread; in
-        multi-consumer mode labeling runs on the worker pool and the
-        calling thread reassembles, so sinks still see batch order.
+        The ingest stage runs on its own thread; the calling thread
+        takes labeled batches from the label stage in sequence order
+        and runs the sinks. Labeling itself runs wherever the stage
+        puts it — on the calling thread (inline) or on the worker pool.
         """
+        telemetry = self.telemetry
+        tracer = self.tracer
+        if tracer is not None and not tracer.enabled:
+            tracer = None
+        run = _Run(threading.Semaphore(self.max_resident_batches), tracer)
+        counters = run.counters
         if self.workers > 1 or self.executor is not None:
-            return self._run_parallel(source)
-        return self._run_serial(source)
+            stage = _PoolStage(self, run)
+        else:
+            stage = _InlineStage(self.lfs)
+
+        def produce() -> None:
+            try:
+                batches = iter_example_batches(
+                    self._counted(iter(source), run.resident),
+                    self.batch_size,
+                )
+                seq = self.first_batch_seq
+                while not run.stop.is_set():
+                    # Admission control: hold a residency permit BEFORE
+                    # decoding the next batch's records.
+                    self._acquire_permit(run)
+                    if run.stop.is_set():
+                        run.permits.release()
+                        return
+                    decode_start = time.perf_counter()
+                    batch_examples = next(batches, None)
+                    if batch_examples is None:
+                        run.permits.release()
+                        return
+                    now = time.perf_counter()
+                    decode_us = int((now - decode_start) * 1e6)
+                    counters.increment("ingest/decode_us", decode_us)
+                    counters.increment("ingest/records", len(batch_examples))
+                    counters.increment("ingest/batches")
+                    if telemetry is not None:
+                        telemetry.record("stream/decode_us", decode_us)
+                    if tracer is not None:
+                        tracer.emit(
+                            "stream.ingest",
+                            decode_us,
+                            seq=seq,
+                            records=len(batch_examples),
+                        )
+                    stage.dispatch(
+                        _Batch(seq, batch_examples, decode_start, now)
+                    )
+                    seq += 1
+            except BaseException as error:  # surfaced on the consumer side
+                run.ingest_error = error
+            finally:
+                stage.end_input()
+
+        wall_start = time.perf_counter()
+        producer = threading.Thread(
+            target=produce, name="microbatch-ingest", daemon=True
+        )
+        producer.start()
+        try:
+            while True:
+                batch = stage.take()
+                if batch is None:
+                    break
+                counters.increment("queue/wait_us", batch.wait_us)
+                counters.increment("label/us", batch.label_us)
+                counters.increment("label/batches")
+                if telemetry is not None:
+                    telemetry.record("stream/queue_wait_us", batch.wait_us)
+                    telemetry.record("stream/label_us", batch.label_us)
+                if tracer is not None:
+                    tracer.emit(
+                        "stream.label",
+                        batch.label_us,
+                        seq=batch.seq,
+                        records=len(batch.examples),
+                    )
+                self._finish_batch(run, batch)
+        except BaseException:
+            # Wake the producer if it is blocked on a permit; with the
+            # stop flag set it exits at the next check, so the join in
+            # the finally block cannot hang.
+            run.stop.set()
+            run.permits.release()
+            raise
+        finally:
+            _join_producer(producer)
+            if telemetry is not None:
+                # Fold this run's counters and residency gauge into the
+                # registry on every exit path — a crashed stream's final
+                # snapshot needs its volumes, not only its latencies.
+                # The registry outlives the run, so a long-lived service
+                # accumulates across streams.
+                telemetry.counters.merge(counters)
+                telemetry.gauge("stream/resident_records").merge(run.resident)
+            stage.close()
+        if run.ingest_error is not None:
+            raise run.ingest_error
+        return self._build_report(run, time.perf_counter() - wall_start)
 
     # ------------------------------------------------------------------
-    # shared pieces
+    # pieces of the loop
     # ------------------------------------------------------------------
     def _counted(self, examples: Iterable[Example], resident: Gauge):
         for example in examples:
             resident.add(1)
             yield example
 
-    def _active_tracer(self):
-        """The configured tracer when tracing is on, else ``None``.
-
-        Hot loops branch on this once per batch, so a disabled tracer
-        (the default) costs a single attribute check.
-        """
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            return tracer
-        return None
-
-    def _acquire_permit(
-        self,
-        permits: threading.Semaphore,
-        counters: CounterSet,
-    ) -> None:
+    def _acquire_permit(self, run: _Run) -> None:
         """Admission control, with backpressure stalls counted."""
-        if not permits.acquire(blocking=False):
-            counters.increment("ingest/backpressure_waits")
+        if not run.permits.acquire(blocking=False):
+            run.counters.increment("ingest/backpressure_waits")
             waited = time.perf_counter()
-            permits.acquire()
-            counters.increment(
+            run.permits.acquire()
+            run.counters.increment(
                 "ingest/wait_us",
                 int((time.perf_counter() - waited) * 1e6),
             )
 
-    def _finish_batch(
-        self,
-        batch: _Batch,
-        votes: np.ndarray,
-        counters: CounterSet,
-        resident: Gauge,
-        permits: threading.Semaphore,
-        tallies: _Tallies,
-        collected_votes: list[np.ndarray],
-        collected_ids: list[str],
-    ) -> None:
-        """Post-labeling stages, identical in both modes: counters,
-        ordered sinks, vote collection, latency, permit return."""
+    def _finish_batch(self, run: _Run, batch: _Batch) -> None:
+        """Post-labeling stages: counters, ordered sinks, vote
+        collection, latency, permit return."""
         telemetry = self.telemetry
-        tracer = self._active_tracer()
+        counters = run.counters
+        votes = batch.votes
         sink_elapsed_us = 0
         counters.increment("label/records", len(batch.examples))
         batch_votes = int(np.count_nonzero(votes))
-        tallies.votes_emitted += batch_votes
+        run.votes_emitted += batch_votes
         counters.increment("label/votes", batch_votes)
         if self.on_batch is not None:
             sink_start = time.perf_counter()
@@ -458,356 +679,63 @@ class MicroBatchPipeline:
             counters.increment("sink/records", len(batch.examples))
             if telemetry is not None:
                 telemetry.record("stream/sink_us", sink_elapsed_us)
-            if tracer is not None:
-                tracer.emit(
+            if run.tracer is not None:
+                run.tracer.emit(
                     "stream.sink",
                     sink_elapsed_us,
                     seq=batch.seq,
                     records=len(batch.examples),
                 )
         if self.collect_votes:
-            collected_votes.append(votes)
-            collected_ids.extend(e.example_id for e in batch.examples)
-        tallies.batches_done += 1
-        tallies.examples_done += len(batch.examples)
+            run.collected_votes.append(votes)
+            run.collected_ids.extend(e.example_id for e in batch.examples)
+        run.batches_done += 1
+        run.examples_done += len(batch.examples)
         latency = time.perf_counter() - batch.created
-        tallies.latency_sum += latency
-        tallies.latency_max = max(tallies.latency_max, latency)
+        run.latency_sum += latency
+        run.latency_max = max(run.latency_max, latency)
         if telemetry is not None:
             telemetry.record("stream/batch_latency_us", int(latency * 1e6))
         # The batch's records leave the pipeline here; only now may the
         # ingest stage decode a replacement batch.
-        resident.subtract(len(batch.examples))
-        permits.release()
+        run.resident.subtract(len(batch.examples))
+        run.permits.release()
 
-    def _build_report(
-        self,
-        counters: CounterSet,
-        resident: Gauge,
-        tallies: _Tallies,
-        wall: float,
-        collected_votes: list[np.ndarray],
-        collected_ids: list[str],
-    ) -> StreamReport:
+    def _build_report(self, run: _Run, wall: float) -> StreamReport:
         label_matrix = None
         if self.collect_votes:
             stacked = (
-                np.vstack(collected_votes)
-                if collected_votes
+                np.vstack(run.collected_votes)
+                if run.collected_votes
                 else np.zeros((0, len(self.lfs)), dtype=np.int8)
             )
             label_matrix = LabelMatrix(
-                stacked, collected_ids, [lf.name for lf in self.lfs]
+                stacked, run.collected_ids, [lf.name for lf in self.lfs]
             )
-        telemetry_snapshot = None
-        if self.telemetry is not None:
-            # Fold this run's counters and residency gauge into the
-            # registry, then snapshot — the registry outlives the run,
-            # so a long-lived service accumulates across streams.
-            self.telemetry.counters.merge(counters)
-            self.telemetry.gauge("stream/resident_records").merge(resident)
-            telemetry_snapshot = self.telemetry.snapshot()
         return StreamReport(
-            examples=tallies.examples_done,
-            batches=tallies.batches_done,
+            examples=run.examples_done,
+            batches=run.batches_done,
             lf_count=len(self.lfs),
             wall_seconds=wall,
-            peak_resident_records=resident.peak,
+            peak_resident_records=run.resident.peak,
             max_resident_records=self.max_resident_batches * self.batch_size,
-            backpressure_waits=counters.value("ingest/backpressure_waits"),
-            votes_emitted=tallies.votes_emitted,
+            backpressure_waits=run.counters.value("ingest/backpressure_waits"),
+            votes_emitted=run.votes_emitted,
             mean_batch_latency_seconds=(
-                tallies.latency_sum / tallies.batches_done
-                if tallies.batches_done
+                run.latency_sum / run.batches_done
+                if run.batches_done
                 else 0.0
             ),
-            max_batch_latency_seconds=tallies.latency_max,
-            counters=counters.as_dict(),
+            max_batch_latency_seconds=run.latency_max,
+            counters=run.counters.as_dict(),
             label_matrix=label_matrix,
             workers=max(
                 self.workers,
                 self.executor.workers if self.executor is not None else 1,
             ),
-            telemetry=telemetry_snapshot,
-        )
-
-    # ------------------------------------------------------------------
-    # single-consumer mode
-    # ------------------------------------------------------------------
-    def _run_serial(self, source: Iterable[Example]) -> StreamReport:
-        counters = CounterSet()
-        resident = Gauge()
-        permits = threading.Semaphore(self.max_resident_batches)
-        handoff: queue_module.Queue[_Batch | None] = queue_module.Queue()
-        stop = threading.Event()
-        producer_error: list[BaseException | None] = [None]
-        telemetry = self.telemetry
-        tracer = self._active_tracer()
-
-        def produce() -> None:
-            try:
-                batches = iter_example_batches(
-                    self._counted(iter(source), resident), self.batch_size
-                )
-                seq = self.first_batch_seq
-                while not stop.is_set():
-                    # Admission control: hold a residency permit BEFORE
-                    # decoding the next batch's records.
-                    self._acquire_permit(permits, counters)
-                    if stop.is_set():
-                        permits.release()
-                        return
-                    decode_start = time.perf_counter()
-                    batch_examples = next(batches, None)
-                    if batch_examples is None:
-                        permits.release()
-                        return
-                    now = time.perf_counter()
-                    decode_us = int((now - decode_start) * 1e6)
-                    counters.increment("ingest/decode_us", decode_us)
-                    counters.increment("ingest/records", len(batch_examples))
-                    counters.increment("ingest/batches")
-                    if telemetry is not None:
-                        telemetry.record("stream/decode_us", decode_us)
-                    if tracer is not None:
-                        tracer.emit(
-                            "stream.ingest",
-                            decode_us,
-                            seq=seq,
-                            records=len(batch_examples),
-                        )
-                    batch = _Batch(seq, batch_examples, decode_start, now)
-                    seq += 1
-                    handoff.put(batch)
-            except BaseException as error:  # surfaced on the consumer side
-                producer_error[0] = error
-            finally:
-                handoff.put(None)
-
-        fused_cols = fused_lf_columns(self.lfs)
-        collected_votes: list[np.ndarray] = []
-        collected_ids: list[str] = []
-        tallies = _Tallies()
-
-        wall_start = time.perf_counter()
-        start_lf_resources(self.lfs)
-        producer = threading.Thread(
-            target=produce, name="microbatch-ingest", daemon=True
-        )
-        producer.start()
-        try:
-            while True:
-                batch = handoff.get()
-                if batch is None:
-                    if producer_error[0] is not None:
-                        raise producer_error[0]
-                    break
-                wait_us = int((time.perf_counter() - batch.enqueued) * 1e6)
-                counters.increment("queue/wait_us", wait_us)
-                label_start = time.perf_counter()
-                votes = label_example_block(self.lfs, batch.examples, fused_cols)
-                label_us = int((time.perf_counter() - label_start) * 1e6)
-                counters.increment("label/us", label_us)
-                counters.increment("label/batches")
-                if telemetry is not None:
-                    telemetry.record("stream/queue_wait_us", wait_us)
-                    telemetry.record("stream/label_us", label_us)
-                if tracer is not None:
-                    tracer.emit(
-                        "stream.label",
-                        label_us,
-                        seq=batch.seq,
-                        records=len(batch.examples),
-                    )
-                self._finish_batch(
-                    batch,
-                    votes,
-                    counters,
-                    resident,
-                    permits,
-                    tallies,
-                    collected_votes,
-                    collected_ids,
-                )
-        except BaseException:
-            # Wake the producer if it is blocked on a permit; with the
-            # stop flag set it exits at the next check, so the join in
-            # the finally block cannot hang.
-            stop.set()
-            permits.release()
-            raise
-        finally:
-            _join_producer(producer)
-            stop_lf_resources(self.lfs)
-        wall = time.perf_counter() - wall_start
-        return self._build_report(
-            counters, resident, tallies, wall, collected_votes, collected_ids
-        )
-
-    # ------------------------------------------------------------------
-    # multi-consumer mode
-    # ------------------------------------------------------------------
-    def _run_parallel(self, source: Iterable[Example]) -> StreamReport:
-        """One admission-controlled ingest feeding N labeling workers.
-
-        The ingest thread dispatches each decoded batch straight to the
-        process pool (record-codec round-trip); the calling thread
-        drains completions in whatever order workers finish, buffers
-        out-of-order batches, and finalizes strictly by sequence number
-        — so the sink stage (and therefore checkpoints and durable
-        shards) observes exactly the order a serial run produces.
-        """
-        from repro.parallel import ParallelLabelExecutor
-
-        owned = self.executor is None
-        executor = self.executor
-        if owned:
-            executor = ParallelLabelExecutor(
-                self.suite_spec, self.workers, telemetry=self.telemetry
-            )
-        # Start the pool before the ingest thread exists: forked workers
-        # must never inherit a half-running pipeline.
-        executor.start()
-
-        telemetry = self.telemetry
-        tracer = self._active_tracer()
-        counters = CounterSet()
-        resident = Gauge()
-        permits = threading.Semaphore(self.max_resident_batches)
-        stop = threading.Event()
-        finished = threading.Event()
-        producer_error: list[BaseException | None] = [None]
-        #: seq -> (created, dispatched) timestamps; written by the ingest
-        #: thread, consumed once by the finalizer (disjoint keys).
-        batch_times: dict[int, tuple[float, float]] = {}
-
-        def produce() -> None:
-            try:
-                batches = iter_example_batches(
-                    self._counted(iter(source), resident), self.batch_size
-                )
-                seq = self.first_batch_seq
-                while not stop.is_set():
-                    self._acquire_permit(permits, counters)
-                    if stop.is_set():
-                        permits.release()
-                        return
-                    decode_start = time.perf_counter()
-                    batch_examples = next(batches, None)
-                    if batch_examples is None:
-                        permits.release()
-                        return
-                    now = time.perf_counter()
-                    decode_us = int((now - decode_start) * 1e6)
-                    counters.increment("ingest/decode_us", decode_us)
-                    counters.increment("ingest/records", len(batch_examples))
-                    counters.increment("ingest/batches")
-                    if telemetry is not None:
-                        telemetry.record("stream/decode_us", decode_us)
-                    if tracer is not None:
-                        tracer.emit(
-                            "stream.ingest",
-                            decode_us,
-                            seq=seq,
-                            records=len(batch_examples),
-                        )
-                    # Timestamps must be visible BEFORE the submit: a
-                    # fast worker can complete the block (and the
-                    # consumer finalize it) before this thread runs
-                    # another line.
-                    batch_times[seq] = (decode_start, now)
-                    executor.submit(seq, batch_examples)
-                    counters.increment(
-                        "ingest/encode_us",
-                        int((time.perf_counter() - now) * 1e6),
-                    )
-                    seq += 1
-            except BaseException as error:  # surfaced on the consumer side
-                producer_error[0] = error
-            finally:
-                finished.set()
-
-        collected_votes: list[np.ndarray] = []
-        collected_ids: list[str] = []
-        tallies = _Tallies()
-        reorder: dict[int, tuple[list[Example], np.ndarray]] = {}
-        next_seq = self.first_batch_seq
-
-        wall_start = time.perf_counter()
-        producer = threading.Thread(
-            target=produce, name="microbatch-ingest", daemon=True
-        )
-        producer.start()
-        try:
-            while True:
-                if finished.is_set() and producer_error[0] is not None:
-                    # The ingest thread died (source error, failed
-                    # dispatch): surface it now rather than waiting on
-                    # worker completions that may never drain.
-                    break
-                if (
-                    finished.is_set()
-                    and executor.pending() == 0
-                    and not reorder
-                ):
-                    break
-                try:
-                    seq, examples, votes, label_us = executor.next_completed(
-                        timeout=0.05
-                    )
-                except queue_module.Empty:
-                    continue
-                if votes.shape[1] != len(self.lfs):
-                    raise ValueError(
-                        f"worker suite produced {votes.shape[1]} vote "
-                        f"columns; this pipeline has {len(self.lfs)} LFs "
-                        "— the suite_spec must rebuild the same suite"
-                    )
-                counters.increment("label/us", label_us)
-                counters.increment("label/batches")
-                if telemetry is not None:
-                    telemetry.record("stream/label_us", label_us)
-                if tracer is not None:
-                    tracer.emit(
-                        "stream.label", label_us, seq=seq, records=len(examples)
-                    )
-                reorder[seq] = (examples, votes)
-                while next_seq in reorder:
-                    examples, votes = reorder.pop(next_seq)
-                    created, dispatched = batch_times.pop(next_seq)
-                    wait_us = int((time.perf_counter() - dispatched) * 1e6)
-                    counters.increment("queue/wait_us", wait_us)
-                    if telemetry is not None:
-                        telemetry.record("stream/queue_wait_us", wait_us)
-                    self._finish_batch(
-                        _Batch(next_seq, examples, created, dispatched),
-                        votes,
-                        counters,
-                        resident,
-                        permits,
-                        tallies,
-                        collected_votes,
-                        collected_ids,
-                    )
-                    next_seq += 1
-        except BaseException:
-            stop.set()
-            permits.release()
-            raise
-        finally:
-            _join_producer(producer)
-            if owned:
-                executor.close()
-            else:
-                # A shared (warm) executor must not carry this run's
-                # blocks into the caller's next run — a failed run would
-                # otherwise leave in-flight state that collides with or
-                # stalls the resume (reset after join: the ingest thread
-                # can no longer submit).
-                executor.reset()
-        if producer_error[0] is not None:
-            raise producer_error[0]
-        wall = time.perf_counter() - wall_start
-        return self._build_report(
-            counters, resident, tallies, wall, collected_votes, collected_ids
+            telemetry=(
+                self.telemetry.snapshot()
+                if self.telemetry is not None
+                else None
+            ),
         )

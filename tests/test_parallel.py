@@ -190,8 +190,33 @@ class TestReassemblyOrder:
             for seq, examples, votes in executor.label_blocks(blocks):
                 seen.append(seq)
                 rows.append(votes)
+            # The policy itself, without the driver: the slow head
+            # blocks are overtaken inside the pool, yet N submits then N
+            # takes come back in submission order.
+            order = list(range(len(corpus) // 40))
+            for seq in order:
+                executor.submit(seq, corpus[seq * 40:(seq + 1) * 40])
+            taken = [executor.next_completed(timeout=60) for _ in order]
+            # A head block whose worker dies is retried in place: it is
+            # still delivered first, ahead of blocks that finished long
+            # before its second attempt.
+            executor.kill_worker_on(100, attempts=1)
+            for seq in (100, 101, 102, 103):
+                executor.submit(seq, corpus[(seq - 100) * 40:(seq - 99) * 40])
+            retried = [executor.next_completed(timeout=60) for _ in range(4)]
+            assert executor.pool_restarts >= 1
+            assert executor.pending() == 0
         assert seen == sorted(seen), "blocks were emitted out of order"
         assert np.array_equal(np.vstack(rows), serial.matrix)
+        assert [seq for seq, *_ in taken] == order
+        assert np.array_equal(
+            np.vstack([votes for _, _, votes, _ in taken]), serial.matrix
+        )
+        assert [seq for seq, *_ in retried] == [100, 101, 102, 103]
+        assert np.array_equal(
+            np.vstack([votes for _, _, votes, _ in retried]),
+            serial.matrix[:160],
+        )
 
     def test_streaming_sinks_see_batches_in_order(self):
         corpus = make_corpus(n=500, seed=9)

@@ -22,6 +22,8 @@ from repro.core.online_label_model import (
 from repro.experiments.harness import get_content_experiment
 from repro.lf.applier import apply_lfs_in_memory, stage_examples
 from repro.mapreduce.counters import Gauge
+from repro.obs import MetricsRegistry
+from repro.parallel import LFSuiteSpec, ParallelLabelExecutor
 from repro.streaming import (
     DriftMonitor,
     DriftPolicy,
@@ -39,6 +41,18 @@ from tests.conftest import same_rows, synthetic_label_matrix
 def product_pipeline():
     exp = get_content_experiment("product", "tiny")
     return exp.lfs, exp.dataset.unlabeled[:300]
+
+
+def build_product_suite():
+    """Module-level factory: what the pool stage's LFSuiteSpec points at."""
+    return get_content_experiment("product", "tiny").lfs
+
+
+@pytest.fixture(scope="module")
+def warm_executor(product_pipeline):
+    spec = LFSuiteSpec(factory="tests.test_streaming:build_product_suite")
+    with ParallelLabelExecutor(spec, workers=2) as executor:
+        yield executor
 
 
 # ----------------------------------------------------------------------
@@ -224,10 +238,20 @@ class TestSources:
 # pipeline
 # ----------------------------------------------------------------------
 class TestMicroBatchPipeline:
-    def test_matches_offline_applier_in_order(self, product_pipeline):
+    """Every case runs on the inline label stage here and again on the
+    pool stage in :class:`TestMicroBatchPipelineOnPool`."""
+
+    @pytest.fixture
+    def stage(self):
+        """Pipeline kwargs selecting the label stage."""
+        return {}
+
+    def test_matches_offline_applier_in_order(self, product_pipeline, stage):
         lfs, examples = product_pipeline
         offline = apply_lfs_in_memory(lfs, examples)
-        pipe = MicroBatchPipeline(lfs, batch_size=64, collect_votes=True)
+        pipe = MicroBatchPipeline(
+            lfs, batch_size=64, collect_votes=True, **stage
+        )
         report = pipe.run(MemorySource(examples, fresh=True))
         assert report.examples == len(examples)
         assert report.label_matrix.example_ids == offline.example_ids
@@ -235,8 +259,9 @@ class TestMicroBatchPipeline:
         assert report.votes_emitted == int(
             np.count_nonzero(offline.matrix)
         )
+        assert report.peak_resident_records <= report.max_resident_records
 
-    def test_sink_sees_batches_in_order(self, product_pipeline):
+    def test_sink_sees_batches_in_order(self, product_pipeline, stage):
         lfs, examples = product_pipeline
         seen: list[tuple[int, int]] = []
         pipe = MicroBatchPipeline(
@@ -245,28 +270,32 @@ class TestMicroBatchPipeline:
             on_batch=lambda seq, batch, votes: seen.append(
                 (seq, len(batch))
             ),
+            **stage,
         )
         report = pipe.run(MemorySource(examples, fresh=True))
         assert [seq for seq, _ in seen] == list(range(report.batches))
         assert sum(size for _, size in seen) == len(examples)
 
-    def test_resident_records_bounded_under_slow_sink(self, product_pipeline):
+    def test_resident_records_bounded_under_slow_sink(
+        self, product_pipeline, stage
+    ):
         lfs, examples = product_pipeline
         pipe = MicroBatchPipeline(
             lfs,
             batch_size=32,
             max_resident_batches=2,
             on_batch=lambda *_: time.sleep(0.002),
+            **stage,
         )
         report = pipe.run(MemorySource(examples, fresh=True))
         assert report.peak_resident_records <= 2 * 32
         assert report.backpressure_waits > 0
         assert report.counters["ingest/records"] == len(examples)
 
-    def test_stage_counters_populated(self, product_pipeline):
+    def test_stage_counters_populated(self, product_pipeline, stage):
         lfs, examples = product_pipeline
         pipe = MicroBatchPipeline(
-            lfs, batch_size=50, on_batch=lambda *_: None
+            lfs, batch_size=50, on_batch=lambda *_: None, **stage
         )
         report = pipe.run(MemorySource(examples, fresh=True))
         stages = report.stages()
@@ -279,12 +308,12 @@ class TestMicroBatchPipeline:
             >= report.mean_batch_latency_seconds
         )
 
-    def test_stage_accounting_is_per_stage(self, product_pipeline):
+    def test_stage_accounting_is_per_stage(self, product_pipeline, stage):
         """Regression: every stage once read ``ingest/records``, so a
         sink-less run reported ingest volume for the sink stage and an
         infinite records/sec (records > 0 over 0 recorded time)."""
         lfs, examples = product_pipeline
-        report = MicroBatchPipeline(lfs, batch_size=50).run(
+        report = MicroBatchPipeline(lfs, batch_size=50, **stage).run(
             MemorySource(examples, fresh=True)
         )
         sink = report.stage("sink")
@@ -297,16 +326,16 @@ class TestMicroBatchPipeline:
         ingest = report.stage("ingest")
         assert ingest.records == len(examples)
 
-    def test_sink_stage_counts_its_own_records(self, product_pipeline):
+    def test_sink_stage_counts_its_own_records(self, product_pipeline, stage):
         lfs, examples = product_pipeline
         report = MicroBatchPipeline(
-            lfs, batch_size=50, on_batch=lambda *_: None
+            lfs, batch_size=50, on_batch=lambda *_: None, **stage
         ).run(MemorySource(examples, fresh=True))
         sink = report.stage("sink")
         assert sink.records == len(examples)
         assert sink.batches == report.batches
 
-    def test_counter_contract_keys_all_appear(self, product_pipeline):
+    def test_counter_contract_keys_all_appear(self, product_pipeline, stage):
         """Every documented counter key must show up in a real run.
 
         Regression for the docstring drift that advertised
@@ -338,15 +367,17 @@ class TestMicroBatchPipeline:
             max_resident_batches=1,
             on_batch=lambda *_: time.sleep(0.002),  # force backpressure
             drift_monitor=monitor,
+            **stage,
         ).run(MemorySource(examples, fresh=True))
         for key in COUNTER_CONTRACT:
             assert key in report.counters, f"missing documented key {key}"
         # This run configured a sink, stalled ingest, and monitored
-        # drift, so every conditional key except the multi-consumer one
-        # must appear too.
+        # drift, so every conditional key must appear too — except that
+        # ``ingest/encode_us`` appears on the pool stage and only there.
         for key in CONDITIONAL_COUNTER_KEYS:
             if key == "ingest/encode_us":
-                continue  # multi-consumer only; covered in test_parallel
+                assert (key in report.counters) == ("executor" in stage)
+                continue
             assert key in report.counters, f"missing conditional key {key}"
         # Backpressure time lands in ingest/wait_us, never queue/wait_us.
         assert report.counters["ingest/wait_us"] > 0
@@ -359,9 +390,9 @@ class TestMicroBatchPipeline:
             == monitor.reference_resets
         )
 
-    def test_empty_source(self, product_pipeline):
+    def test_empty_source(self, product_pipeline, stage):
         lfs, _ = product_pipeline
-        report = MicroBatchPipeline(lfs, collect_votes=True).run(
+        report = MicroBatchPipeline(lfs, collect_votes=True, **stage).run(
             MemorySource([])
         )
         assert report.examples == 0
@@ -369,13 +400,15 @@ class TestMicroBatchPipeline:
         assert report.label_matrix.matrix.shape == (0, len(lfs))
         assert report.stage("label").records_per_second == 0.0
 
-    def test_sink_error_propagates(self, product_pipeline):
+    def test_sink_error_propagates(self, product_pipeline, stage):
         lfs, examples = product_pipeline
 
         def explode(seq, batch, votes):
             raise RuntimeError("sink crashed")
 
-        pipe = MicroBatchPipeline(lfs, batch_size=16, on_batch=explode)
+        pipe = MicroBatchPipeline(
+            lfs, batch_size=16, on_batch=explode, **stage
+        )
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="sink crashed"):
             pipe.run(MemorySource(examples, fresh=True))
@@ -385,16 +418,47 @@ class TestMicroBatchPipeline:
             time.sleep(0.01)
         assert threading.active_count() <= before
 
-    def test_source_error_propagates(self, product_pipeline):
+    def test_failed_run_still_folds_counters_into_registry(
+        self, product_pipeline, stage
+    ):
+        """Regression: the report was the only fold point, so a run that
+        raised left the attached registry with stage histograms but no
+        counters and no residency gauge — latencies without volumes."""
+        lfs, examples = product_pipeline
+
+        def explode(seq, batch, votes):
+            if seq == 2:
+                raise RuntimeError("sink crashed")
+
+        registry = MetricsRegistry()
+        pipe = MicroBatchPipeline(
+            lfs, batch_size=16, on_batch=explode, telemetry=registry, **stage
+        )
+        with pytest.raises(RuntimeError, match="sink crashed"):
+            pipe.run(MemorySource(examples, fresh=True))
+        snapshot = registry.snapshot()
+        assert snapshot["histograms"]["stream/label_us"]["count"] == 3
+        assert snapshot["counters"]["label/batches"] == 3
+        assert snapshot["counters"]["sink/batches"] == 2
+        assert snapshot["counters"]["ingest/records"] >= 3 * 16
+        assert snapshot["gauges"]["stream/resident_records"]["peak"] >= 16
+
+    def test_source_error_propagates(self, product_pipeline, stage):
         lfs, examples = product_pipeline
 
         def broken_source():
             yield from examples[:40]
             raise OSError("shard vanished")
 
-        pipe = MicroBatchPipeline(lfs, batch_size=16)
+        pipe = MicroBatchPipeline(lfs, batch_size=16, **stage)
         with pytest.raises(OSError, match="shard vanished"):
             pipe.run(broken_source())
+        # The original exception surfaced and the ingest thread was
+        # joined (on the pool, the ``stage`` fixture then asserts the
+        # shared executor was handed back with ``pending() == 0``).
+        assert not any(
+            t.name == "microbatch-ingest" for t in threading.enumerate()
+        )
 
     def test_rejects_bad_parameters(self, product_pipeline):
         lfs, _ = product_pipeline
@@ -402,6 +466,16 @@ class TestMicroBatchPipeline:
             MicroBatchPipeline(lfs, batch_size=0)
         with pytest.raises(ValueError, match="max_resident_batches"):
             MicroBatchPipeline(lfs, max_resident_batches=0)
+
+
+class TestMicroBatchPipelineOnPool(TestMicroBatchPipeline):
+    """The same cases over the pool label stage: a warm, shared 2-worker
+    ``executor=`` that every run must hand back drained."""
+
+    @pytest.fixture
+    def stage(self, warm_executor):
+        yield {"executor": warm_executor}
+        assert warm_executor.pending() == 0
 
 
 # ----------------------------------------------------------------------
