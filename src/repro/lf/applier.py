@@ -48,6 +48,7 @@ from repro.dfs.records import (
 from repro.lf.base import AbstractLabelingFunction, LFRunResult
 from repro.lf.default import LabelingFunction
 from repro.mapreduce.runner import MapContext, MapReduceJob, MapReduceSpec
+from repro.obs.registry import MetricsRegistry
 from repro.types import Example, LabelMatrix
 
 __all__ = [
@@ -399,13 +400,11 @@ def apply_lfs_in_memory(
     pool. The matrix is byte-identical to the serial batched path at
     every worker count — the equivalence suite asserts it.
 
-    ``telemetry`` (a :class:`repro.obs.MetricsRegistry`) records
-    ``offline/label_block_us`` per batched block plus the
-    ``offline/blocks`` / ``offline/examples`` counters, and rides into
-    an owned parallel executor (``worker/*`` histograms); ``tracer``
-    emits ``offline.label_block`` spans. Both default to off, in which
-    case the hot loop runs with zero added timing calls — the votes are
-    identical either way.
+    ``telemetry`` (a :class:`repro.obs.MetricsRegistry`) receives one
+    ``offline.label_block`` stage event per batched block and rides into
+    an owned parallel executor; ``tracer`` gets the same events as
+    spans. Both default to off, in which case the hot loop runs with
+    zero added timing calls — the votes are identical either way.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -451,37 +450,24 @@ def apply_lfs_in_memory(
         # whole group instead of once per LF. The same block kernel
         # drives the streaming pipeline's micro-batches.
         fused_cols = fused_lf_columns(lfs)
-        # Telemetry-off keeps the loop free of timing calls entirely;
-        # telemetry-on adds two perf_counter reads per *block* (never
-        # per example), which the overhead gate bounds.
-        active_tracer = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
-        observed = telemetry is not None or active_tracer is not None
+        # Unobserved, clock() reads nothing: the loop stays free of
+        # timing calls. Observed, it costs two perf_counter reads per
+        # *block* (never per example), which the overhead gate bounds.
+        metrics = MetricsRegistry().attach(telemetry, tracer)
         start_lf_resources(lfs)
         try:
             for start in range(0, n, batch_size):
                 block = examples[start:start + batch_size]
-                if observed:
-                    # repro: allow[determinism] timing only taken when telemetry/tracing is on; labels untouched
-                    block_start = time.perf_counter()
+                started = metrics.clock()
                 matrix[start:start + len(block)] = label_example_block(
                     lfs, block, fused_cols
                 )
-                if observed:
-                    # repro: allow[determinism] histogram payload only; off when telemetry is off
-                    block_us = int((time.perf_counter() - block_start) * 1e6)
-                    if telemetry is not None:
-                        telemetry.record("offline/label_block_us", block_us)
-                        telemetry.counter("offline/blocks")
-                        telemetry.counter("offline/examples", len(block))
-                    if active_tracer is not None:
-                        active_tracer.emit(
-                            "offline.label_block",
-                            block_us,
-                            offset=start,
-                            records=len(block),
-                        )
+                metrics.stage(
+                    "offline.label_block",
+                    since=started,
+                    offset=start,
+                    records=len(block),
+                )
         finally:
             stop_lf_resources(lfs)
     else:

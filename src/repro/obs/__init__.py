@@ -5,7 +5,8 @@
 * :class:`~repro.obs.histogram.Histogram` — thread-safe, picklable,
   mergeable log-bucketed latency/size distributions with p50/p90/p99;
 * :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges, and
-  histograms under one namespace with a deterministic snapshot;
+  histograms under one namespace with a deterministic snapshot, and the
+  one emission seam (``stage``) every instrumented layer reports through;
 * :class:`~repro.obs.tracing.Tracer` / :class:`~repro.obs.tracing.Span`
   — deterministic span tracing emitted as durable DFS trace shards,
   gated by ``REPRO_TRACE`` / ``REPRO_TRACE_SAMPLE``;
@@ -17,15 +18,13 @@ attached produces byte-identical votes, sink shards, and posteriors to
 a run without (gated by ``benchmarks/bench_telemetry.py``, along with a
 >= 0.9x telemetry-on/off throughput floor).
 
-:data:`HISTOGRAM_CONTRACT` pins the histogram keys the wired subsystems
-emit, and :data:`TELEMETRY_COUNTER_CONTRACT` /
-:data:`TELEMETRY_GAUGE_CONTRACT` pin the registry counter and gauge
-keys that ride the same telemetry registry; ``docs/OPERATIONS.md``
-documents them, ``tests/test_docs.py`` diffs the tables against the
-tuples, and the ``contract-closure`` rule in :mod:`repro.analysis`
-proves every emission site is covered.
+Every key the wired subsystems emit, and which keys and span each stage
+event feeds, is pinned by the one table in :mod:`repro.obs.contract`;
+the subsystems emit through :meth:`MetricsRegistry.stage` and nothing
+else (see :mod:`repro.obs.registry`).
 """
 
+from repro.obs.contract import KEY_CONTRACT, STAGES, ContractKey
 from repro.obs.exporter import TelemetryExporter
 from repro.obs.histogram import (
     DEFAULT_GROWTH,
@@ -62,49 +61,7 @@ __all__ = [
     "TRACE_ENV",
     "TRACE_SAMPLE_ENV",
     "TelemetryExporter",
-    "HISTOGRAM_CONTRACT",
-    "TELEMETRY_COUNTER_CONTRACT",
-    "TELEMETRY_GAUGE_CONTRACT",
+    "ContractKey",
+    "KEY_CONTRACT",
+    "STAGES",
 ]
-
-#: Histogram keys the wired subsystems emit, by layer. Pinned here so
-#: the telemetry table in docs/OPERATIONS.md cannot silently rot
-#: (tests/test_docs.py diffs the documented keys against this tuple).
-HISTOGRAM_CONTRACT = (
-    # streaming pipeline stages (per micro-batch)
-    "stream/decode_us",
-    "stream/label_us",
-    "stream/queue_wait_us",
-    "stream/sink_us",
-    "stream/batch_latency_us",
-    "stream/checkpoint_us",
-    "stream/drift_score",
-    # parallel executor (worker-side, merged over bytes-only IPC)
-    "worker/decode_us",
-    "worker/label_us",
-    # offline batched applier (per block)
-    "offline/label_block_us",
-    # label server (per request / per flush)
-    "serving/latency_us",
-    "serving/batch_size",
-)
-
-#: Counter keys emitted through the shared telemetry registry (as
-#: opposed to the streaming/serving ``CounterSet`` contracts, which
-#: live next to their pipelines). Same docs/tests/analysis coverage as
-#: :data:`HISTOGRAM_CONTRACT`.
-TELEMETRY_COUNTER_CONTRACT = (
-    # offline batched applier (per block)
-    "offline/blocks",
-    "offline/examples",
-    # parallel executor driver side
-    "parallel/blocks",
-    "parallel/retries",
-    "parallel/pool_restarts",
-)
-
-#: Gauge keys emitted through the shared telemetry registry.
-TELEMETRY_GAUGE_CONTRACT = (
-    # streaming pipeline bounded-queue residency (backpressure signal)
-    "stream/resident_records",
-)

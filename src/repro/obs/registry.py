@@ -1,13 +1,23 @@
-"""One namespace for counters, gauges, and histograms.
+"""One registry, one emission seam: counters, gauges, histograms, spans.
 
-The repo grew three observability primitives in three places:
+:class:`MetricsRegistry` holds the three instrument kinds —
 :class:`~repro.mapreduce.counters.CounterSet` (monotonic sums),
-:class:`~repro.mapreduce.counters.Gauge` (levels with high-water marks),
-and :class:`~repro.obs.histogram.Histogram` (distributions).
-:class:`MetricsRegistry` holds all three under one namespace with a
-single deterministic :meth:`~MetricsRegistry.snapshot` — the dict the
-:class:`~repro.obs.exporter.TelemetryExporter` publishes, the streaming
-report embeds, and ``scripts/metrics_dump.py`` pretty-prints.
+:class:`~repro.mapreduce.counters.Gauge` (levels with high-water marks)
+and :class:`~repro.obs.histogram.Histogram` (distributions) — under one
+namespace with a single deterministic :meth:`~MetricsRegistry.snapshot`:
+the dict the :class:`~repro.obs.exporter.TelemetryExporter` publishes,
+the streaming report embeds, and ``scripts/metrics_dump.py`` prints.
+
+It is also the only place an event is emitted. Every instrumented class
+on the hot path owns one *scoped* registry (:meth:`MetricsRegistry.attach`)
+built from its ``telemetry=`` / ``tracer=`` keywords and reports each
+stage event with one :meth:`MetricsRegistry.stage` call, which feeds the
+keys and span :data:`repro.obs.contract.STAGES` lists for it. A scoped
+registry keeps counters and gauges locally (the per-run / per-instance
+view) and forwards every event, as it happens, to the attached registry.
+"Off" is its own behaviour, not a branch at the call site: unattached it
+drops histograms, without an enabled tracer it drops spans, and with
+neither :meth:`MetricsRegistry.clock` never reads the clock.
 
 Registries merge like their parts: counters add, gauge peaks take the
 max, histograms fold bucket-wise — so per-worker or per-subsystem
@@ -18,12 +28,32 @@ result.
 from __future__ import annotations
 
 import threading
-from typing import Mapping
+import time
+from typing import Any, Mapping
 
 from repro.mapreduce.counters import CounterSet, Gauge
+from repro.obs.contract import STAGES
 from repro.obs.histogram import DEFAULT_GROWTH, Histogram
 
 __all__ = ["MetricsRegistry"]
+
+
+class _ForwardingGauge(Gauge):
+    """A scoped registry's gauge: every move also moves the parent's."""
+
+    def __init__(self, parent: Gauge) -> None:
+        super().__init__()
+        self._parent = parent
+
+    def add(self, amount: int) -> int:
+        level = super().add(amount)
+        self._parent.add(amount)
+        return level
+
+    def subtract(self, amount: int) -> int:
+        level = super().subtract(amount)
+        self._parent.subtract(amount)
+        return level
 
 
 class MetricsRegistry:
@@ -32,7 +62,8 @@ class MetricsRegistry:
     Thread contract: every method may be called from any thread; the
     registry locks only its name→instrument maps, and each instrument
     carries its own lock — so hot-path ``record`` calls on different
-    histograms never contend.
+    histograms never contend. :meth:`attach` is the exception: call it
+    before the owning instance starts emitting.
     """
 
     def __init__(self, namespace: str = "repro") -> None:
@@ -41,6 +72,27 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: Scoped registries (see :meth:`attach`) forward every event to
+        #: ``_parent``; histograms are stored by ``_home`` — this
+        #: registry, the one it is attached to, or nobody (``None``).
+        self._parent: MetricsRegistry | None = None
+        self._home: MetricsRegistry | None = self
+        self._tracer = None
+
+    def attach(self, parent: "MetricsRegistry | None", tracer=None):
+        """Scope this registry to one instrumented instance (or run).
+
+        Counters and gauges are kept locally *and* forwarded to
+        ``parent`` as they happen; histograms live only in ``parent``
+        (dropped without one); spans go to ``tracer`` when it is
+        enabled. Returns ``self``.
+        """
+        self._parent = parent
+        self._home = None if parent is None else parent._home
+        self._tracer = (
+            tracer if tracer is not None and tracer.enabled else None
+        )
+        return self
 
     # ------------------------------------------------------------------
     # instruments (get-or-create)
@@ -48,13 +100,19 @@ class MetricsRegistry:
     def counter(self, name: str, amount: int = 1) -> None:
         """Increment the named counter (non-negative amounts only)."""
         self.counters.increment(name, amount)
+        if self._parent is not None:
+            self._parent.counter(name, amount)
 
     def gauge(self, name: str) -> Gauge:
         """The named gauge, created on first use."""
         with self._lock:
             gauge = self._gauges.get(name)
             if gauge is None:
-                gauge = self._gauges[name] = Gauge()
+                gauge = self._gauges[name] = (
+                    Gauge()
+                    if self._parent is None
+                    else _ForwardingGauge(self._parent.gauge(name))
+                )
             return gauge
 
     def histogram(
@@ -79,7 +137,43 @@ class MetricsRegistry:
 
     def record(self, name: str, value: float) -> None:
         """Record one observation into the named histogram."""
-        self.histogram(name).record(value)
+        if self._home is not None:
+            self._home.histogram(name).record(value)
+
+    # ------------------------------------------------------------------
+    # the emission seam
+    # ------------------------------------------------------------------
+    @property
+    def observed(self) -> bool:
+        """Whether anything consumes durations: a histogram home or an
+        enabled tracer."""
+        return self._home is not None or self._tracer is not None
+
+    def clock(self) -> float | None:
+        """``perf_counter()`` when :attr:`observed`, else ``None`` — so
+        a stage timed only for telemetry costs no clock read when off.
+        Hand the reading to :meth:`stage` as ``since=``."""
+        return time.perf_counter() if self.observed else None
+
+    def stage(
+        self, name: str, us: int = 0, since: float | None = None, **attrs: Any
+    ) -> None:
+        """Emit one stage event: feed every key
+        :data:`repro.obs.contract.STAGES` lists for ``name`` — counters
+        always, histograms where they have a home — and, when an enabled
+        tracer is attached, a completed ``name`` span carrying ``attrs``.
+        The duration is ``us``, or the time since a :meth:`clock`
+        reading ``since``."""
+        if since is not None:
+            us = int((time.perf_counter() - since) * 1e6)
+        fields = {"us": us, "events": 1, **attrs}
+        for row in STAGES[name]:
+            if row.kind == "histogram":
+                self.record(row.key, fields[row.field])
+            else:
+                self.counter(row.key, fields[row.field])
+        if self._tracer is not None:
+            self._tracer.emit(name, us, **attrs)
 
     # ------------------------------------------------------------------
     # aggregation
@@ -92,28 +186,27 @@ class MetricsRegistry:
             histograms = dict(other._histograms)
         for name, gauge in gauges.items():
             self.gauge(name).merge(gauge)
-        for name, hist in histograms.items():
-            self.histogram(name, growth=hist.growth).merge(hist)
+        self.merge_histograms(histograms)
 
-    def merge_histograms(self, mapping: Mapping[str, Mapping]) -> None:
-        """Fold decoded worker histograms (``name -> as_dict()``) in.
+    def merge_histograms(self, histograms: Mapping[str, Histogram]) -> None:
+        """Fold decoded worker histograms in, where histograms live.
 
         This is the parent side of the executor's bytes-only IPC: the
         worker returns :func:`repro.obs.histogram.encode_histograms`
-        output, the parent decodes to plain dicts and merges here.
+        output, the parent decodes with
+        :func:`repro.obs.histogram.decode_histograms` and merges here.
         """
-        for name, data in mapping.items():
-            self.histogram(name, growth=float(data["growth"])).merge(
-                Histogram.from_dict(data)
-            )
+        if self._home is not None:
+            for name, hist in histograms.items():
+                self._home.histogram(name, growth=hist.growth).merge(hist)
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def histogram_names(self) -> list[str]:
-        """Sorted names of every histogram created so far."""
-        with self._lock:
-            return sorted(self._histograms)
+    def attached_snapshot(self) -> dict | None:
+        """Snapshot of the registry a scoped registry forwards to
+        (``None`` when none is attached)."""
+        return None if self._parent is None else self._parent.snapshot()
 
     def snapshot(self, include_buckets: bool = False) -> dict:
         """Deterministic dict of everything the registry holds.
@@ -144,10 +237,3 @@ class MetricsRegistry:
             },
             "histograms": hist_view,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MetricsRegistry({self.namespace!r}, "
-            f"counters={len(self.counters.as_dict())}, "
-            f"histograms={len(self.histogram_names())})"
-        )

@@ -66,6 +66,7 @@ from repro.obs.histogram import (
     decode_histograms,
     encode_histograms,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.parallel.spec import (
     LFSuiteSpec,
     decode_example_block,
@@ -147,9 +148,10 @@ def _worker_label(
     to the parent (a broken pool, not an exception).
 
     ``collect=True`` additionally returns worker-side stage histograms
-    (:data:`repro.obs.HISTOGRAM_CONTRACT` ``worker/*`` keys) encoded
-    with :func:`repro.obs.histogram.encode_histograms` — telemetry rides
-    the existing bytes-only IPC and never touches the vote payload.
+    (the ``worker/*`` keys of :data:`repro.obs.contract.KEY_CONTRACT`)
+    encoded with :func:`repro.obs.histogram.encode_histograms` —
+    telemetry rides the existing bytes-only IPC and never touches the
+    vote payload.
     """
     if kill:
         os._exit(1)
@@ -217,12 +219,11 @@ class ParallelLabelExecutor:
         self.suite_spec = suite_spec
         self.workers = workers
         self.max_retries = max_retries
-        #: Optional :class:`repro.obs.MetricsRegistry`. When set, each
-        #: completed block folds its worker-side histograms in and the
-        #: ``parallel/blocks`` / ``parallel/retries`` /
-        #: ``parallel/pool_restarts`` counters track the run; when None
-        #: the workers skip collection entirely.
-        self.telemetry = telemetry
+        #: Scoped registry forwarding to ``telemetry`` (an optional
+        #: :class:`repro.obs.MetricsRegistry`): the ``parallel/*``
+        #: counters and, per completed block, the worker-side
+        #: histograms. Unattached, the workers skip collection entirely.
+        self.metrics = MetricsRegistry().attach(telemetry)
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
@@ -239,7 +240,6 @@ class ParallelLabelExecutor:
             queue_module.Queue()
         )
         self._kill_plan: dict[int, int] = {}
-        self._pool_restarts = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -289,7 +289,7 @@ class ParallelLabelExecutor:
     @property
     def pool_restarts(self) -> int:
         """How many times a dead worker forced a pool rebuild."""
-        return self._pool_restarts
+        return self.metrics.counters.value("parallel/pool_restarts")
 
     def pending(self) -> int:
         """Blocks submitted but not yet drained by the caller."""
@@ -372,13 +372,9 @@ class ParallelLabelExecutor:
                     np.frombuffer(blob, dtype=np.int8).reshape(shape).copy()
                 )
                 entry.result = (votes, label_us)
-                if self.telemetry is not None:
-                    if stats is not None:
-                        for name, hist in decode_histograms(stats).items():
-                            self.telemetry.histogram(
-                                name, growth=hist.growth
-                            ).merge(hist)
-                    self.telemetry.counter("parallel/blocks")
+                if stats is not None:
+                    self.metrics.merge_histograms(decode_histograms(stats))
+                self.metrics.counter("parallel/blocks")
                 continue
             entry.attempts += 1
             if entry.attempts > self.max_retries:
@@ -386,8 +382,7 @@ class ParallelLabelExecutor:
                     f"parallel labeling block {seq} failed after "
                     f"{entry.attempts} attempts"
                 ) from error
-            if self.telemetry is not None:
-                self.telemetry.counter("parallel/retries")
+            self.metrics.counter("parallel/retries")
             self._dispatch(seq, entry)
 
     # ------------------------------------------------------------------
@@ -507,9 +502,7 @@ class ParallelLabelExecutor:
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = None
             self._pool_generation += 1
-            self._pool_restarts += 1
-            if self.telemetry is not None:
-                self.telemetry.counter("parallel/pool_restarts")
+            self.metrics.counter("parallel/pool_restarts")
 
     def _dispatch(self, seq: int, entry: _Inflight) -> None:
         kill = entry.attempts < self._kill_plan.get(seq, 0)
@@ -524,7 +517,7 @@ class ParallelLabelExecutor:
                     seq,
                     entry.blob,
                     kill,
-                    self.telemetry is not None,
+                    self.metrics.observed,
                 )
                 break
             except BrokenExecutor as error:

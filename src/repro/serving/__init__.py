@@ -31,8 +31,6 @@ from repro.serving.model_registry import ModelRegistry, ModelVersion
 from repro.serving.registry import CheckpointModelRegistry, ServingGeneration
 from repro.serving.server import ProductionServer, ServingStats
 from repro.serving.service import (
-    SERVING_CONDITIONAL_COUNTER_KEYS,
-    SERVING_COUNTER_CONTRACT,
     LabelServer,
     ServeConfig,
     ServeResult,
@@ -54,6 +52,4 @@ __all__ = [
     "ServeConfig",
     "ServeResult",
     "ServeTimeout",
-    "SERVING_COUNTER_CONTRACT",
-    "SERVING_CONDITIONAL_COUNTER_KEYS",
 ]

@@ -14,10 +14,10 @@ root as the unit of deployment:
   swaps the new :class:`ServingGeneration` in with a single reference
   assignment — readers never block and never observe a half-loaded
   generation;
-* every swap increments the ``serving/swaps`` counter and advances
-  ``serving/active_generation``, so operators can watch deployments
-  through the same :class:`~repro.mapreduce.counters.CounterSet`
-  surface as every other subsystem;
+* every swap increments the ``serving/swaps`` counter, so operators can
+  watch deployments through the same registry seam as every other
+  subsystem (:attr:`CheckpointModelRegistry.generation` carries the
+  level);
 * generations are immutable (frozen dataclass): an in-flight request
   batch that snapshotted generation N keeps scoring against N even if
   N+1 activates mid-batch — the no-torn-reads contract the serving
@@ -46,6 +46,7 @@ from repro.core.online_label_model import (
 )
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.mapreduce.counters import CounterSet
+from repro.obs.registry import MetricsRegistry
 from repro.streaming.checkpoint import Checkpoint, CheckpointManager
 
 __all__ = ["ServingGeneration", "CheckpointModelRegistry"]
@@ -121,7 +122,13 @@ class CheckpointModelRegistry:
         self.manager = CheckpointManager(dfs, root)
         self.online_config = online_config or OnlineLabelModelConfig()
         self.end_model_factory = end_model_factory
-        self.counters = counters if counters is not None else CounterSet()
+        #: The serving tier's one scoped registry; the
+        #: :class:`~repro.serving.service.LabelServer` emits through it
+        #: too and attaches its ``telemetry=`` / ``tracer=`` to it.
+        self.metrics = MetricsRegistry().attach(None)
+        if counters is not None:
+            self.metrics.counters = counters
+        self.counters = self.metrics.counters
         self._swap_lock = threading.Lock()
         self._active: ServingGeneration | None = None
 
@@ -192,12 +199,7 @@ class CheckpointModelRegistry:
             # The swap: one reference assignment. In-flight batches that
             # captured the previous generation keep scoring against it.
             self._active = generation
-            self.counters.increment("serving/swaps")
-            self.counters.increment(
-                "serving/active_generation",
-                generation.generation
-                - (0 if active is None else active.generation),
-            )
+            self.metrics.counter("serving/swaps")
             return generation
 
     def _load_generation(

@@ -35,10 +35,10 @@ Operational contract:
   requests happened to coalesce into batches.
 
 Every knob reads its default from a serving environment variable
-documented in ``docs/OPERATIONS.md``; the counter families above are
-pinned by :data:`SERVING_COUNTER_CONTRACT` /
-:data:`SERVING_CONDITIONAL_COUNTER_KEYS` and enforced against the
-documentation by ``tests/test_docs.py``.
+documented in ``docs/OPERATIONS.md``; the ``serving/*`` keys are rows of
+:data:`repro.obs.contract.KEY_CONTRACT` (layer ``serving``) and each
+flush is one ``serving.flush`` stage event on the registry the server
+shares with its :class:`CheckpointModelRegistry`.
 """
 
 from __future__ import annotations
@@ -68,28 +68,7 @@ __all__ = [
     "ServeResult",
     "ServeTimeout",
     "LabelServer",
-    "SERVING_COUNTER_CONTRACT",
-    "SERVING_CONDITIONAL_COUNTER_KEYS",
 ]
-
-#: Counter keys every served load reports (request path basics).
-SERVING_COUNTER_CONTRACT = (
-    "serving/requests",
-    "serving/batches",
-)
-
-#: Counter keys that appear only when their condition occurs: a manifest
-#: deploys (swaps / active generation), the registry is empty (degraded),
-#: a request outlives its deadline (timeouts), admission control stalls a
-#: submitter (backpressure), or a refresh hits an unreadable manifest.
-SERVING_CONDITIONAL_COUNTER_KEYS = (
-    "serving/swaps",
-    "serving/active_generation",
-    "serving/degraded",
-    "serving/timeouts",
-    "serving/backpressure_waits",
-    "serving/refresh_errors",
-)
 
 #: Vote blocks are zero-padded to a multiple of this many rows before
 #: ``predict_proba``. BLAS gemv kernels process rows in small vector
@@ -241,19 +220,18 @@ class LabelServer:
         """Wire a server to its registry and LF suite.
 
         Args:
-            registry: Source of scoring generations; the server shares
-                its :class:`~repro.mapreduce.counters.CounterSet` so the
-                whole tier reports one counter surface.
+            registry: Source of scoring generations; the server emits
+                through its scoped :class:`repro.obs.MetricsRegistry`
+                so the whole tier reports one counter surface.
             lfs: Labeling-function suite — must match the suite the
                 manifests' stream ran, or votes (and posteriors) are
                 meaningless.
             config: Serving knobs; ``None`` reads the environment via
                 :meth:`ServeConfig.from_env`.
-            telemetry: Optional :class:`repro.obs.MetricsRegistry`;
-                when set, every request records ``serving/latency_us``
-                and every flush records ``serving/batch_size``
-                (:data:`repro.obs.HISTOGRAM_CONTRACT` keys), and
-                :meth:`report` embeds the registry snapshot.
+            telemetry: Optional :class:`repro.obs.MetricsRegistry`
+                the tier's registry forwards to; it alone keeps the
+                ``serving/*`` histograms, and :meth:`report` embeds its
+                snapshot.
             tracer: Optional :class:`repro.obs.Tracer`; batcher flushes
                 emit ``serving.flush`` spans.
 
@@ -265,9 +243,8 @@ class LabelServer:
         self.registry = registry
         self.lfs = list(lfs)
         self.config = config or ServeConfig.from_env()
+        self.metrics = registry.metrics.attach(telemetry, tracer)
         self.counters = registry.counters
-        self.telemetry = telemetry
-        self.tracer = tracer if tracer is not None and tracer.enabled else None
         self.resident = Gauge()
         self._fused_cols = fused_lf_columns(self.lfs)
         self._abstain_prior = registry.abstain_prior()
@@ -370,7 +347,7 @@ class LabelServer:
             self.config.timeout_ms if timeout_ms is None else timeout_ms
         )
         if not pending.event.wait(budget / 1000.0):
-            self.counters.increment("serving/timeouts")
+            self.metrics.counter("serving/timeouts")
             raise ServeTimeout(
                 f"no result for {example.example_id!r} within {budget}ms"
             )
@@ -384,14 +361,14 @@ class LabelServer:
         # Admission control: non-blocking fast path, counted wait
         # otherwise — the streaming pipeline's residency-permit idiom.
         if not self._permits.acquire(blocking=False):
-            self.counters.increment("serving/backpressure_waits")
+            self.metrics.counter("serving/backpressure_waits")
             self._permits.acquire()
         self.resident.add(1)
         pending = _Pending(example)
         with self._wake:
             self._queue.append(pending)
             self._wake.notify()
-        self.counters.increment("serving/requests")
+        self.metrics.counter("serving/requests")
         return pending
 
     # ------------------------------------------------------------------
@@ -433,14 +410,13 @@ class LabelServer:
 
     def _score_batch(self, batch: list[_Pending]) -> None:
         """Label + score one micro-batch against one captured generation."""
-        # repro: allow[determinism] trace-span timing; posteriors are pure functions of the generation
-        flush_start = time.perf_counter()
+        started = self.metrics.clock()
         # One generation snapshot per batch: every response in this
         # batch is scored by the same immutable object, even if the
         # watcher swaps mid-batch.
         generation = self.registry.active()
         if generation is None:
-            self.counters.increment("serving/degraded", len(batch))
+            self.metrics.counter("serving/degraded", len(batch))
             for pending in batch:
                 self._resolve(
                     pending,
@@ -462,18 +438,12 @@ class LabelServer:
                     degraded=False,
                     fired=int(n_fired),
                 )
-        self.counters.increment("serving/batches")
-        if self.telemetry is not None:
-            self.telemetry.record("serving/batch_size", len(batch))
-        if self.tracer is not None:
-            # repro: allow[determinism] trace payload only; emitted solely when tracing is on
-            flush_us = int((time.perf_counter() - flush_start) * 1e6)
-            self.tracer.emit(
-                "serving.flush",
-                flush_us,
-                requests=len(batch),
-                degraded=generation is None,
-            )
+        self.metrics.stage(
+            "serving.flush",
+            since=started,
+            requests=len(batch),
+            degraded=generation is None,
+        )
 
     @staticmethod
     def _score_votes(
@@ -507,8 +477,7 @@ class LabelServer:
             fired=fired,
             latency_ms=latency_ms,
         )
-        if self.telemetry is not None:
-            self.telemetry.record("serving/latency_us", latency_ms * 1e3)
+        self.metrics.record("serving/latency_us", latency_ms * 1e3)
         pending.event.set()
         self.resident.subtract(1)
         self._permits.release()
@@ -526,7 +495,7 @@ class LabelServer:
                 # An unreadable newest manifest (foreign schema, torn
                 # external copy) must not kill serving: keep the active
                 # generation and surface the problem as a counter.
-                self.counters.increment("serving/refresh_errors")
+                self.metrics.counter("serving/refresh_errors")
 
     # ------------------------------------------------------------------
     # observability
@@ -547,7 +516,5 @@ class LabelServer:
             "peak_pending": self.resident.peak,
             "max_pending": self.config.max_pending,
             "active_generation": self.registry.generation,
-            "telemetry": (
-                None if self.telemetry is None else self.telemetry.snapshot()
-            ),
+            "telemetry": self.metrics.attached_snapshot(),
         }

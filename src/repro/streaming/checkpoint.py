@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import re
 import threading
-import time
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -78,6 +77,7 @@ from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.records import RecordWriter, read_records
 from repro.discriminative.logistic import NoiseAwareLogisticRegression
 from repro.lf.base import AbstractLabelingFunction
+from repro.obs.registry import MetricsRegistry
 from repro.streaming.pipeline import MicroBatchPipeline, StreamReport
 from repro.streaming.sinks import LabelSink, VoteSink
 from repro.streaming.sources import SourceCursor
@@ -389,13 +389,12 @@ class CheckpointedStream:
                 snapshotted into every manifest (bit-exactly), and
                 ``drift/*`` counters appear on the stream report.
             telemetry: Optional :class:`repro.obs.MetricsRegistry`
-                shared with the pipeline (stage histograms) and fed
-                ``stream/checkpoint_us`` per manifest written. Purely
-                observational — manifests and shards stay byte-identical
-                with or without it.
+                shared with the pipeline; each manifest write is a
+                ``stream.checkpoint`` stage event. Purely observational
+                — manifests and shards stay byte-identical with or
+                without it.
             tracer: Optional :class:`repro.obs.Tracer` shared with the
-                pipeline; manifest writes emit ``stream.checkpoint``
-                spans.
+                pipeline.
 
         Raises:
             ValueError: On a non-positive ``checkpoint_every`` or an
@@ -430,7 +429,8 @@ class CheckpointedStream:
         #: restores the manifest's monitor snapshot on resume).
         self.drift_policy = drift
         self.telemetry = telemetry
-        self.tracer = tracer if tracer is not None and tracer.enabled else None
+        self.tracer = tracer
+        self.metrics = MetricsRegistry().attach(telemetry, tracer)
         self.manager = CheckpointManager(dfs, self.root)
         self.online = OnlineLabelModel(self.online_config)
         self.drift_monitor: DriftMonitor | None = None
@@ -571,10 +571,9 @@ class CheckpointedStream:
         # batch fell between checkpoint cadences.
         if self._last_seq > self._last_checkpoint_seq:
             self._write_checkpoint(self._last_seq)
-        if self.telemetry is not None:
-            # Re-snapshot so the report sees the end-of-stream manifest
-            # write too (the pipeline snapshots before it happens).
-            report.telemetry = self.telemetry.snapshot()
+        # Re-snapshot so the report sees the end-of-stream manifest
+        # write too (the pipeline snapshots before it happens).
+        report.telemetry = self.metrics.attached_snapshot()
         return CheckpointedRunReport(
             stream=report,
             resumed_from_batch=resumed_from,
@@ -626,8 +625,7 @@ class CheckpointedStream:
             )
 
     def _write_checkpoint(self, seq: int) -> str:
-        # repro: allow[determinism] times the write for stream/checkpoint_us; checkpoint bytes are clock-free
-        start = time.perf_counter()
+        started = self.metrics.clock()
         meta = {
             "batch_size": self.batch_size,
             "checkpoint_every": self.checkpoint_every,
@@ -654,12 +652,7 @@ class CheckpointedStream:
         )
         self._last_checkpoint_seq = seq
         self._checkpoints_written += 1
-        # repro: allow[determinism] telemetry payload only; not written into the checkpoint
-        checkpoint_us = int((time.perf_counter() - start) * 1e6)
-        if self.telemetry is not None:
-            self.telemetry.record("stream/checkpoint_us", checkpoint_us)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "stream.checkpoint", checkpoint_us, seq=seq, path=path
-            )
+        self.metrics.stage(
+            "stream.checkpoint", since=started, seq=seq, path=path
+        )
         return path

@@ -39,41 +39,25 @@ workers* (decoded, queued, labeling, or parked awaiting in-order
 release). A :class:`repro.mapreduce.counters.Gauge` tracks the actual
 high-water mark so benchmarks can assert the bound rather than trust it.
 
-Counter contract
-----------------
-Per-stage observability reuses the MapReduce counter machinery; one
-:class:`CounterSet` collects everything and :class:`PipelineStats`
-summarizes it per stage on the report. The keys every run produces are
-listed in :data:`COUNTER_CONTRACT` (enforced by a test):
+Observability
+-------------
+Each run owns one scoped :class:`repro.obs.MetricsRegistry`: the per-run
+counters on the report, the residency gauge, and the seam its stage
+events (``stream.ingest`` / ``stream.label`` / ``stream.sink``) go
+through — :data:`repro.obs.contract.KEY_CONTRACT` lists every key and
+the stage that feeds it. Events reach the ``telemetry=`` registry as they
+happen, so a mid-stream snapshot is consistent. What the table cannot say:
 
-* ``ingest/records``, ``ingest/batches``, ``ingest/decode_us`` — the
-  decode stage;
-* ``label/records``, ``label/batches``, ``label/votes``, ``label/us`` —
-  the labeling stage (on the pool ``label/us`` sums *worker-side*
-  labeling time across processes, so it can exceed wall time);
-* ``queue/wait_us`` — producer-to-consumer handoff latency (on the
-  pool: dispatch-to-release latency, which includes worker compute).
-
-The ``label`` and ``queue`` events of a batch are emitted when the
-consumer loop takes it, i.e. at in-order release on either stage.
-
-Conditional keys (:data:`CONDITIONAL_COUNTER_KEYS`): backpressure stalls
-land in ``ingest/backpressure_waits`` / ``ingest/wait_us`` — *not* in
-``queue/wait_us``, which never measures backpressure — sink timing in
-``sink/us`` / ``sink/batches`` / ``sink/records`` (plus per-sink
-``sink/<name>/us|batches|records``), and pool runs add
-``ingest/encode_us`` for the record-codec framing of each dispatched
-batch.
-
-Runs with a drift monitor attached (``drift_monitor=``) additionally
-emit ``drift/batches`` (batches fed to the monitor), ``drift/checks``
-(batches where both windows were full and a score was computed),
-``drift/alarms`` (score over threshold), and — per reaction fired —
-``drift/forced_refits`` / ``drift/reference_resets``. The monitor is
-fed on the consumer thread, strictly in batch order, *after* the
-``on_batch`` callback (so a model sink has already observed the batch
-when a forced refit fires) and *before* the durable sinks (so label
-sinks and checkpoint manifests see post-reaction state).
+* a batch's ``stream.label`` event is emitted when the consumer loop
+  takes it, i.e. at in-order release on either stage; on the pool
+  ``label/us`` sums *worker-side* time across processes (it can exceed
+  wall time) and ``queue/wait_us`` is dispatch-to-release latency;
+* backpressure stalls land in ``ingest/backpressure_waits`` /
+  ``ingest/wait_us`` — *not* in ``queue/wait_us``;
+* the drift monitor (``drift/*``) is fed on the consumer thread, in
+  batch order, *after* the ``on_batch`` callback (a model sink has
+  already observed the batch when a forced refit fires) and *before* the
+  durable sinks (label sinks and manifests see post-reaction state).
 """
 
 from __future__ import annotations
@@ -93,7 +77,8 @@ from repro.lf.applier import (
     stop_lf_resources,
 )
 from repro.lf.base import AbstractLabelingFunction
-from repro.mapreduce.counters import CounterSet, Gauge
+from repro.mapreduce.counters import Gauge
+from repro.obs.registry import MetricsRegistry
 from repro.streaming.sources import iter_example_batches
 from repro.types import Example, LabelMatrix
 
@@ -101,8 +86,6 @@ __all__ = [
     "MicroBatchPipeline",
     "PipelineStats",
     "StreamReport",
-    "COUNTER_CONTRACT",
-    "CONDITIONAL_COUNTER_KEYS",
 ]
 
 #: Sink callback: (batch_index, examples, votes) — runs on the consumer
@@ -130,35 +113,6 @@ def _join_producer(producer: threading.Thread) -> None:
             f"{_JOIN_TIMEOUT_S:.0f}s"
         )
 
-#: Counter keys every non-empty run records (see module docstring).
-COUNTER_CONTRACT = (
-    "ingest/records",
-    "ingest/batches",
-    "ingest/decode_us",
-    "label/records",
-    "label/batches",
-    "label/votes",
-    "label/us",
-    "queue/wait_us",
-)
-
-#: Keys recorded only when their condition occurs: backpressure stalls,
-#: a configured sink stage, dispatch to the pool stage, or an attached
-#: drift monitor (the ``drift/*`` family).
-CONDITIONAL_COUNTER_KEYS = (
-    "ingest/backpressure_waits",
-    "ingest/wait_us",
-    "ingest/encode_us",
-    "sink/us",
-    "sink/batches",
-    "sink/records",
-    "drift/batches",
-    "drift/checks",
-    "drift/alarms",
-    "drift/forced_refits",
-    "drift/reference_resets",
-)
-
 
 @dataclass
 class _Batch:
@@ -180,12 +134,10 @@ class _Run:
     stage and the finalizer."""
 
     permits: threading.Semaphore
-    #: The configured tracer when tracing is on, else ``None`` — resolved
-    #: once, so a disabled tracer (the default) costs the hot loops one
-    #: ``is not None`` check per batch.
-    tracer: object | None
-    counters: CounterSet = field(default_factory=CounterSet)
-    resident: Gauge = field(default_factory=Gauge)
+    #: This run's scoped registry, and its residency gauge (held because
+    #: ingest moves it once per decoded example).
+    metrics: MetricsRegistry
+    resident: Gauge
     stop: threading.Event = field(default_factory=threading.Event)
     ingest_error: BaseException | None = None
     batches_done: int = 0
@@ -274,7 +226,7 @@ class _PoolStage:
         # thread runs another line.
         self._dispatched[batch.seq] = batch
         self._executor.submit(batch.seq, batch.examples)
-        self._run.counters.increment(
+        self._run.metrics.counter(
             "ingest/encode_us",
             int((time.perf_counter() - batch.enqueued) * 1e6),
         )
@@ -439,18 +391,13 @@ class MicroBatchPipeline:
                 and the sinks; its activity lands in the ``drift/*``
                 counters.
             telemetry: Optional :class:`repro.obs.MetricsRegistry`.
-                When set, each stage records per-batch latency
-                histograms (``stream/decode_us``, ``stream/label_us``,
-                ``stream/queue_wait_us``, ``stream/sink_us``,
-                ``stream/batch_latency_us``, plus ``stream/drift_score``
-                when a monitor is attached), the run's counters and
-                residency gauge fold into the registry, and the report
-                carries a final snapshot. Telemetry never perturbs
-                votes, shards, or posteriors.
-            tracer: Optional :class:`repro.obs.Tracer`. When enabled it
-                emits per-batch ``stream.ingest`` / ``stream.label`` /
-                ``stream.sink`` spans (sampling and ids are
-                deterministic — no RNG is touched).
+                Every event of a run is forwarded to it as it happens
+                (only it keeps the ``stream/*`` histograms) and the
+                report carries its final snapshot. Telemetry never
+                perturbs votes, shards, or posteriors.
+            tracer: Optional :class:`repro.obs.Tracer`. When enabled,
+                each stage event is also emitted as a span (sampling
+                and ids are deterministic — no RNG is touched).
 
         Raises:
             ValueError: On non-positive sizes, a negative
@@ -497,8 +444,8 @@ class MicroBatchPipeline:
         #: order) — between ``on_batch`` and the sink stage, so forced
         #: refits mutate model state before anything durable observes it.
         self.drift_monitor = drift_monitor
-        #: Optional telemetry registry (stage histograms + folded
-        #: counters) and span tracer; both are pure observers.
+        #: Optional telemetry registry and span tracer each run's scoped
+        #: registry forwards to; both are pure observers.
         self.telemetry = telemetry
         self.tracer = tracer
 
@@ -513,12 +460,12 @@ class MicroBatchPipeline:
         and runs the sinks. Labeling itself runs wherever the stage
         puts it — on the calling thread (inline) or on the worker pool.
         """
-        telemetry = self.telemetry
-        tracer = self.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        run = _Run(threading.Semaphore(self.max_resident_batches), tracer)
-        counters = run.counters
+        metrics = MetricsRegistry().attach(self.telemetry, self.tracer)
+        run = _Run(
+            threading.Semaphore(self.max_resident_batches),
+            metrics,
+            metrics.gauge("stream/resident_records"),
+        )
         if self.workers > 1 or self.executor is not None:
             stage = _PoolStage(self, run)
         else:
@@ -544,19 +491,12 @@ class MicroBatchPipeline:
                         run.permits.release()
                         return
                     now = time.perf_counter()
-                    decode_us = int((now - decode_start) * 1e6)
-                    counters.increment("ingest/decode_us", decode_us)
-                    counters.increment("ingest/records", len(batch_examples))
-                    counters.increment("ingest/batches")
-                    if telemetry is not None:
-                        telemetry.record("stream/decode_us", decode_us)
-                    if tracer is not None:
-                        tracer.emit(
-                            "stream.ingest",
-                            decode_us,
-                            seq=seq,
-                            records=len(batch_examples),
-                        )
+                    metrics.stage(
+                        "stream.ingest",
+                        int((now - decode_start) * 1e6),
+                        seq=seq,
+                        records=len(batch_examples),
+                    )
                     stage.dispatch(
                         _Batch(seq, batch_examples, decode_start, now)
                     )
@@ -576,19 +516,6 @@ class MicroBatchPipeline:
                 batch = stage.take()
                 if batch is None:
                     break
-                counters.increment("queue/wait_us", batch.wait_us)
-                counters.increment("label/us", batch.label_us)
-                counters.increment("label/batches")
-                if telemetry is not None:
-                    telemetry.record("stream/queue_wait_us", batch.wait_us)
-                    telemetry.record("stream/label_us", batch.label_us)
-                if tracer is not None:
-                    tracer.emit(
-                        "stream.label",
-                        batch.label_us,
-                        seq=batch.seq,
-                        records=len(batch.examples),
-                    )
                 self._finish_batch(run, batch)
         except BaseException:
             # Wake the producer if it is blocked on a permit; with the
@@ -599,14 +526,6 @@ class MicroBatchPipeline:
             raise
         finally:
             _join_producer(producer)
-            if telemetry is not None:
-                # Fold this run's counters and residency gauge into the
-                # registry on every exit path — a crashed stream's final
-                # snapshot needs its volumes, not only its latencies.
-                # The registry outlives the run, so a long-lived service
-                # accumulates across streams.
-                telemetry.counters.merge(counters)
-                telemetry.gauge("stream/resident_records").merge(run.resident)
             stage.close()
         if run.ingest_error is not None:
             raise run.ingest_error
@@ -623,85 +542,80 @@ class MicroBatchPipeline:
     def _acquire_permit(self, run: _Run) -> None:
         """Admission control, with backpressure stalls counted."""
         if not run.permits.acquire(blocking=False):
-            run.counters.increment("ingest/backpressure_waits")
+            run.metrics.counter("ingest/backpressure_waits")
             waited = time.perf_counter()
             run.permits.acquire()
-            run.counters.increment(
+            run.metrics.counter(
                 "ingest/wait_us",
                 int((time.perf_counter() - waited) * 1e6),
             )
 
     def _finish_batch(self, run: _Run, batch: _Batch) -> None:
-        """Post-labeling stages: counters, ordered sinks, vote
+        """Post-labeling stages: the label event, ordered sinks, vote
         collection, latency, permit return."""
-        telemetry = self.telemetry
-        counters = run.counters
+        metrics = run.metrics
         votes = batch.votes
-        sink_elapsed_us = 0
-        counters.increment("label/records", len(batch.examples))
+        records = len(batch.examples)
         batch_votes = int(np.count_nonzero(votes))
         run.votes_emitted += batch_votes
-        counters.increment("label/votes", batch_votes)
+        metrics.stage(
+            "stream.label",
+            batch.label_us,
+            seq=batch.seq,
+            records=records,
+            votes=batch_votes,
+            wait_us=batch.wait_us,
+        )
+        sink_us = 0
         if self.on_batch is not None:
             sink_start = time.perf_counter()
             self.on_batch(batch.seq, batch.examples, votes)
-            on_batch_us = int((time.perf_counter() - sink_start) * 1e6)
-            sink_elapsed_us += on_batch_us
-            counters.increment("sink/us", on_batch_us)
+            sink_us += int((time.perf_counter() - sink_start) * 1e6)
         if self.drift_monitor is not None:
             check = self.drift_monitor.observe_batch(votes)
-            counters.increment("drift/batches")
+            metrics.counter("drift/batches")
             if check.checked:
-                counters.increment("drift/checks")
-                if telemetry is not None:
-                    telemetry.record("stream/drift_score", check.score)
+                metrics.counter("drift/checks")
+                metrics.record("stream/drift_score", check.score)
             if check.alarmed:
-                counters.increment("drift/alarms")
+                metrics.counter("drift/alarms")
             for reaction in check.reactions:
                 if reaction == "refit":
-                    counters.increment("drift/forced_refits")
+                    metrics.counter("drift/forced_refits")
                 elif reaction == "reset_reference":
-                    counters.increment("drift/reference_resets")
+                    metrics.counter("drift/reference_resets")
+        for sink in self.sinks:
+            sink_start = time.perf_counter()
+            sink(batch.seq, batch.examples, votes)
+            elapsed_us = int((time.perf_counter() - sink_start) * 1e6)
+            sink_us += elapsed_us
+            name = getattr(sink, "name", type(sink).__name__)
+            for unit, amount in (
+                ("us", elapsed_us),
+                ("batches", 1),
+                ("records", records),
+            ):
+                metrics.counter(f"sink/{name}/{unit}", amount)
         if self.on_batch is not None or self.sinks:
-            for sink in self.sinks:
-                sink_start = time.perf_counter()
-                sink(batch.seq, batch.examples, votes)
-                elapsed_us = int((time.perf_counter() - sink_start) * 1e6)
-                sink_elapsed_us += elapsed_us
-                name = getattr(sink, "name", type(sink).__name__)
-                counters.increment("sink/us", elapsed_us)
-                counters.increment(f"sink/{name}/us", elapsed_us)
-                counters.increment(f"sink/{name}/batches")
-                counters.increment(
-                    f"sink/{name}/records", len(batch.examples)
-                )
-            counters.increment("sink/batches")
-            counters.increment("sink/records", len(batch.examples))
-            if telemetry is not None:
-                telemetry.record("stream/sink_us", sink_elapsed_us)
-            if run.tracer is not None:
-                run.tracer.emit(
-                    "stream.sink",
-                    sink_elapsed_us,
-                    seq=batch.seq,
-                    records=len(batch.examples),
-                )
+            metrics.stage(
+                "stream.sink", sink_us, seq=batch.seq, records=records
+            )
         if self.collect_votes:
             run.collected_votes.append(votes)
             run.collected_ids.extend(e.example_id for e in batch.examples)
         run.batches_done += 1
-        run.examples_done += len(batch.examples)
+        run.examples_done += records
         latency = time.perf_counter() - batch.created
         run.latency_sum += latency
         run.latency_max = max(run.latency_max, latency)
-        if telemetry is not None:
-            telemetry.record("stream/batch_latency_us", int(latency * 1e6))
+        metrics.record("stream/batch_latency_us", int(latency * 1e6))
         # The batch's records leave the pipeline here; only now may the
         # ingest stage decode a replacement batch.
-        run.resident.subtract(len(batch.examples))
+        run.resident.subtract(records)
         run.permits.release()
 
     def _build_report(self, run: _Run, wall: float) -> StreamReport:
+        counters = run.metrics.counters.as_dict()
         label_matrix = None
         if self.collect_votes:
             stacked = (
@@ -719,7 +633,7 @@ class MicroBatchPipeline:
             wall_seconds=wall,
             peak_resident_records=run.resident.peak,
             max_resident_records=self.max_resident_batches * self.batch_size,
-            backpressure_waits=run.counters.value("ingest/backpressure_waits"),
+            backpressure_waits=counters.get("ingest/backpressure_waits", 0),
             votes_emitted=run.votes_emitted,
             mean_batch_latency_seconds=(
                 run.latency_sum / run.batches_done
@@ -727,15 +641,11 @@ class MicroBatchPipeline:
                 else 0.0
             ),
             max_batch_latency_seconds=run.latency_max,
-            counters=run.counters.as_dict(),
+            counters=counters,
             label_matrix=label_matrix,
             workers=max(
                 self.workers,
                 self.executor.workers if self.executor is not None else 1,
             ),
-            telemetry=(
-                self.telemetry.snapshot()
-                if self.telemetry is not None
-                else None
-            ),
+            telemetry=run.metrics.attached_snapshot(),
         )

@@ -160,3 +160,16 @@ def recovery_matrix():
         propensities=(0.6, 0.5, 0.7, 0.4, 0.55, 0.45),
         seed=11,
     )
+
+
+def contract_keys(kind=None, layer=None, conditional=None) -> tuple[str, ...]:
+    """Keys of ``repro.obs.KEY_CONTRACT`` matching every given column."""
+    from repro.obs import KEY_CONTRACT
+
+    return tuple(
+        row.key
+        for row in KEY_CONTRACT
+        if (kind is None or row.kind == kind)
+        and (layer is None or row.layer == layer)
+        and (conditional is None or row.conditional == conditional)
+    )

@@ -198,7 +198,7 @@ class TestBaseline:
 
 
 class TestContractClosureRule:
-    SOURCES = {"src/contract.py": (("FAKE_CONTRACT", "counter"),)}
+    SOURCES = ("src/contract.py",)
 
     def _files(self, contract: str, emit: str) -> dict[str, str]:
         return {
@@ -210,7 +210,7 @@ class TestContractClosureRule:
         repo = make_repo(
             tmp_path,
             self._files(
-                '("jobs/started",)',
+                '(("jobs/started", "counter", "jobs", False),)',
                 'def go(t):\n    t.counter("jobs/started")\n',
             ),
         )
@@ -223,7 +223,7 @@ class TestContractClosureRule:
         repo = make_repo(
             tmp_path,
             self._files(
-                '("jobs/started",)',
+                '(("jobs/started", "counter", "jobs", False),)',
                 "def go(t):\n"
                 '    t.counter("jobs/started")\n'
                 '    t.counter("jobs/rogue")  # planted\n',
@@ -241,7 +241,8 @@ class TestContractClosureRule:
         repo = make_repo(
             tmp_path,
             self._files(
-                '(\n    "jobs/started",\n    "jobs/ghost",\n)',
+                '(\n    ("jobs/started", "counter", "jobs", False),\n'
+                '    ("jobs/ghost", "counter", "jobs", True),\n)',
                 'def go(t):\n    t.counter("jobs/started")\n',
             ),
         )
@@ -259,7 +260,7 @@ class TestContractClosureRule:
         repo = make_repo(
             tmp_path,
             self._files(
-                '("jobs/latency",)',
+                '(("jobs/latency", "counter", "jobs", False),)',
                 'def go(t):\n    t.record("jobs/latency", 5)\n',
             ),
         )
@@ -270,6 +271,48 @@ class TestContractClosureRule:
         assert len(messages) == 2
         assert any("histogram key" in m and "emitted but" in m for m in messages)
         assert any("counter key" in m and "no longer" in m for m in messages)
+
+    STAGED = (
+        '(("jobs/done", "counter", "jobs", False, "jobs.run", "events"),'
+        ' ("jobs/run_us", "histogram", "jobs", False, "jobs.run", "us"))'
+    )
+
+    def test_stage_call_emits_every_row_naming_it(self, tmp_path):
+        """The seam: one ``.stage("jobs.run")`` closes both a counter
+        and a histogram row, each under its own kind — and an undotted
+        ``.stage("m")`` (e.g. ``ModelRegistry.stage``) is not the seam."""
+        repo = make_repo(
+            tmp_path,
+            self._files(
+                self.STAGED,
+                "def go(metrics, models):\n"
+                '    metrics.stage("jobs.run", 7, records=3)\n'
+                '    models.stage("m")\n',
+            ),
+        )
+        report = run_analysis(
+            repo, [ContractClosureRule(contract_sources=self.SOURCES)]
+        )
+        assert report.ok
+
+    def test_uninvoked_or_unknown_stage_is_a_closure_failure(self, tmp_path):
+        repo = make_repo(
+            tmp_path,
+            self._files(
+                self.STAGED,
+                'def go(metrics):\n    metrics.stage("jobs.rogue", 7)  # planted\n',
+            ),
+        )
+        report = run_analysis(
+            repo, [ContractClosureRule(contract_sources=self.SOURCES)]
+        )
+        findings = findings_for(report, "contract-closure")
+        [rogue] = [f for f in findings if "'jobs.rogue'" in f.message]
+        assert rogue.path == "src/emit.py"
+        assert rogue.line == line_of(repo, "src/emit.py", "# planted")
+        dead = [f for f in findings if "no longer" in f.message]
+        assert len(dead) == 2 and len(findings) == 3
+        assert {f.path for f in dead} == {"src/contract.py"}
 
     def test_planted_key_fails_against_live_repo(self, tmp_path):
         """Acceptance: an undocumented counter key provably fails."""

@@ -13,6 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from tests.conftest import contract_keys
+
 REPO = Path(__file__).resolve().parent.parent
 OPERATIONS = REPO / "docs" / "OPERATIONS.md"
 
@@ -55,121 +59,6 @@ class TestEnvKnobs:
             f"stale={sorted(documented - in_code)}"
         )
 
-
-class TestCounterContract:
-    def test_documented_keys_match_contract(self):
-        """The counter table equals COUNTER_CONTRACT + conditionals."""
-        from repro.streaming.pipeline import (
-            CONDITIONAL_COUNTER_KEYS,
-            COUNTER_CONTRACT,
-        )
-
-        documented = set(COUNTER_KEY_RE.findall(marker_block("counter-contract")))
-        contract = set(COUNTER_CONTRACT) | set(CONDITIONAL_COUNTER_KEYS)
-        assert documented == contract, (
-            f"docs/OPERATIONS.md counter contract out of sync: "
-            f"undocumented={sorted(contract - documented)}, "
-            f"stale={sorted(documented - contract)}"
-        )
-
-    def test_drift_keys_are_part_of_the_contract(self):
-        """The drift/* counter family is pinned as conditional keys."""
-        from repro.streaming.pipeline import CONDITIONAL_COUNTER_KEYS
-
-        drift_keys = {
-            key for key in CONDITIONAL_COUNTER_KEYS if key.startswith("drift/")
-        }
-        assert drift_keys == {
-            "drift/batches",
-            "drift/checks",
-            "drift/alarms",
-            "drift/forced_refits",
-            "drift/reference_resets",
-        }
-
-
-class TestServingCounterContract:
-    def test_documented_keys_match_contract(self):
-        """The serving counter table equals the serving contract."""
-        from repro.serving import (
-            SERVING_CONDITIONAL_COUNTER_KEYS,
-            SERVING_COUNTER_CONTRACT,
-        )
-
-        documented = set(
-            COUNTER_KEY_RE.findall(marker_block("serving-counter-contract"))
-        )
-        contract = set(SERVING_COUNTER_CONTRACT) | set(
-            SERVING_CONDITIONAL_COUNTER_KEYS
-        )
-        assert documented == contract, (
-            f"docs/OPERATIONS.md serving counter contract out of sync: "
-            f"undocumented={sorted(contract - documented)}, "
-            f"stale={sorted(documented - contract)}"
-        )
-
-    def test_contract_is_disjoint_from_streaming(self):
-        """Serving keys live in their own family: no collisions with the
-        streaming pipeline's contract."""
-        from repro.serving import (
-            SERVING_CONDITIONAL_COUNTER_KEYS,
-            SERVING_COUNTER_CONTRACT,
-        )
-        from repro.streaming.pipeline import (
-            CONDITIONAL_COUNTER_KEYS,
-            COUNTER_CONTRACT,
-        )
-
-        serving = set(SERVING_COUNTER_CONTRACT) | set(
-            SERVING_CONDITIONAL_COUNTER_KEYS
-        )
-        streaming = set(COUNTER_CONTRACT) | set(CONDITIONAL_COUNTER_KEYS)
-        assert not serving & streaming
-        assert all(key.startswith("serving/") for key in serving)
-
-
-class TestTelemetryContract:
-    def test_documented_histogram_keys_match_contract(self):
-        """The telemetry histogram table equals HISTOGRAM_CONTRACT."""
-        from repro.obs import HISTOGRAM_CONTRACT
-
-        documented = set(
-            COUNTER_KEY_RE.findall(marker_block("telemetry-histograms"))
-        )
-        contract = set(HISTOGRAM_CONTRACT)
-        assert documented == contract, (
-            f"docs/OPERATIONS.md telemetry histogram contract out of sync: "
-            f"undocumented={sorted(contract - documented)}, "
-            f"stale={sorted(documented - contract)}"
-        )
-
-    def test_contract_covers_every_hot_layer(self):
-        """Each instrumented layer owns at least one histogram family."""
-        from repro.obs import HISTOGRAM_CONTRACT
-
-        families = {key.split("/", 1)[0] for key in HISTOGRAM_CONTRACT}
-        assert families == {"stream", "worker", "offline", "serving"}
-
-    def test_documented_registry_counter_keys_match_contract(self):
-        """The registry counter/gauge table equals the telemetry
-        counter + gauge contract tuples."""
-        from repro.obs import (
-            TELEMETRY_COUNTER_CONTRACT,
-            TELEMETRY_GAUGE_CONTRACT,
-        )
-
-        documented = set(
-            COUNTER_KEY_RE.findall(marker_block("telemetry-counters"))
-        )
-        contract = set(TELEMETRY_COUNTER_CONTRACT) | set(
-            TELEMETRY_GAUGE_CONTRACT
-        )
-        assert documented == contract, (
-            f"docs/OPERATIONS.md registry counter contract out of sync: "
-            f"undocumented={sorted(contract - documented)}, "
-            f"stale={sorted(documented - contract)}"
-        )
-
     def test_trace_knobs_are_documented(self):
         """REPRO_TRACE* knobs appear in the env-knobs block and match
         the code's knob names."""
@@ -177,6 +66,81 @@ class TestTelemetryContract:
 
         documented = set(KNOB_RE.findall(marker_block("env-knobs")))
         assert {TRACE_ENV, TRACE_SAMPLE_ENV} <= documented
+
+
+#: Each docs/OPERATIONS.md contract marker block is one filter of the
+#: single table in ``repro.obs.contract``.
+CONTRACT_BLOCKS = {
+    "counter-contract": lambda row: (
+        row.kind == "counter" and row.layer == "stream"
+    ),
+    "serving-counter-contract": lambda row: (
+        row.kind == "counter" and row.layer == "serving"
+    ),
+    "telemetry-histograms": lambda row: row.kind == "histogram",
+    "telemetry-counters": lambda row: row.kind == "gauge"
+    or (row.kind == "counter" and row.layer in ("offline", "parallel")),
+}
+
+
+class TestKeyContract:
+    @pytest.mark.parametrize("block", sorted(CONTRACT_BLOCKS))
+    def test_documented_keys_match_table(self, block):
+        """Each documented table equals its filter of KEY_CONTRACT."""
+        from repro.obs import KEY_CONTRACT
+
+        documented = set(COUNTER_KEY_RE.findall(marker_block(block)))
+        contract = {
+            row.key for row in KEY_CONTRACT if CONTRACT_BLOCKS[block](row)
+        }
+        assert documented == contract, (
+            f"docs/OPERATIONS.md {block} block out of sync: "
+            f"undocumented={sorted(contract - documented)}, "
+            f"stale={sorted(documented - contract)}"
+        )
+
+    def test_every_row_is_documented_exactly_once(self):
+        """No key is pinned twice, and the four blocks partition the
+        table — a new row cannot land outside every documented table."""
+        from repro.obs import KEY_CONTRACT
+
+        keys = [row.key for row in KEY_CONTRACT]
+        assert len(keys) == len(set(keys))
+        for row in KEY_CONTRACT:
+            homes = [b for b, keep in CONTRACT_BLOCKS.items() if keep(row)]
+            assert len(homes) == 1, (row, homes)
+
+    def test_drift_keys_are_conditional_stream_counters(self):
+        """The drift/* counter family is pinned as conditional keys."""
+        conditional = contract_keys("counter", "stream", conditional=True)
+        assert {key for key in conditional if key.startswith("drift/")} == {
+            "drift/batches",
+            "drift/checks",
+            "drift/alarms",
+            "drift/forced_refits",
+            "drift/reference_resets",
+        }
+
+    def test_serving_keys_are_disjoint_from_streaming(self):
+        """Serving keys live in their own family: no collisions with the
+        streaming pipeline's keys."""
+        serving = set(contract_keys(layer="serving"))
+        assert not serving & set(contract_keys(layer="stream"))
+        assert all(key.startswith("serving/") for key in serving)
+
+    def test_histograms_cover_every_hot_layer(self):
+        """Each instrumented layer owns at least one histogram, and
+        stage events feed only counters and histograms."""
+        from repro.obs import KEY_CONTRACT, STAGES
+
+        layers = {row.layer for row in KEY_CONTRACT}
+        assert layers == {"stream", "offline", "parallel", "serving"}
+        assert {
+            row.layer for row in KEY_CONTRACT if row.kind == "histogram"
+        } == layers
+        assert all(
+            row.kind != "gauge" for rows in STAGES.values() for row in rows
+        )
 
 
 class TestBenchArtifacts:

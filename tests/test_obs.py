@@ -30,7 +30,6 @@ from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.records import iter_record_blobs
 from repro.lf.applier import apply_lfs_in_memory
 from repro.obs import (
-    HISTOGRAM_CONTRACT,
     DfsTraceSink,
     Histogram,
     JsonlTraceSink,
@@ -44,6 +43,7 @@ from repro.obs import (
 from repro.serving import LabelServer, ServeConfig
 from repro.streaming import MemorySource, MicroBatchPipeline
 
+from tests.conftest import contract_keys
 from tests.test_checkpoint import make_corpus, make_lfs
 from tests.test_parallel import SPEC
 from tests.test_serving import deploy, make_registry
@@ -248,14 +248,14 @@ class TestMetricsRegistry:
         assert snap["gauges"]["g"] == {"current": 5, "peak": 4}
 
     def test_merge_histograms_from_worker_encoding(self):
-        """The parent side of the IPC path: name -> as_dict mappings."""
+        """The parent side of the IPC path: decoded name -> Histogram."""
         worker = Histogram()
         for i in range(10):
             worker.record(float(i + 1))
         registry = MetricsRegistry()
         registry.record("worker/label_us", 100.0)
         blob = encode_histograms({"worker/label_us": worker})
-        registry.merge_histograms(json.loads(blob.decode("utf-8")))
+        registry.merge_histograms(decode_histograms(blob))
         assert registry.histogram("worker/label_us").count == 11
 
 
@@ -475,7 +475,7 @@ class TestHotPathIntegration:
         }
         # Telemetry keys recorded by the hot layers stay inside the
         # documented contract (plus nothing undocumented).
-        assert set(snap["histograms"]) <= set(HISTOGRAM_CONTRACT)
+        assert set(snap["histograms"]) <= set(contract_keys("histogram"))
 
     def test_bare_report_has_no_telemetry(self):
         corpus = make_corpus(n=120, seed=7)
@@ -537,4 +537,104 @@ class TestHotPathIntegration:
         batch_hist = snap["histograms"]["serving/batch_size"]
         assert batch_hist["count"] == report["counters"]["serving/batches"]
         assert any(r["name"] == "serving.flush" for r in sink.records)
-        assert set(snap["histograms"]) <= set(HISTOGRAM_CONTRACT)
+        assert set(snap["histograms"]) <= set(contract_keys("histogram"))
+
+
+# ----------------------------------------------------------------------
+# Zero cost when off
+# ----------------------------------------------------------------------
+class _CountingTime:
+    """Stand-in for the ``time`` module that counts clock reads."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    def perf_counter(self) -> float:
+        self.reads += 1
+        return 0.0
+
+
+class TestZeroCostWhenOff:
+    def test_unobserved_offline_loop_reads_no_clock(self, monkeypatch):
+        """No registry, no tracer: the batched in-memory loop makes zero
+        ``perf_counter`` calls — in the applier or through the seam."""
+        import repro.lf.applier as applier
+        import repro.obs.registry as registry_module
+
+        corpus = make_corpus(n=300, seed=3)
+        clock = _CountingTime()
+        monkeypatch.setattr(applier, "time", clock)
+        monkeypatch.setattr(registry_module, "time", clock)
+        off = apply_lfs_in_memory(make_lfs(), corpus, batch_size=64)
+        assert clock.reads == 0
+        # Observed, it is two reads per block and identical votes.
+        on = apply_lfs_in_memory(
+            make_lfs(), corpus, batch_size=64, telemetry=MetricsRegistry()
+        )
+        assert clock.reads == 2 * 5  # ceil(300 / 64) blocks
+        assert (on.matrix == off.matrix).all()
+
+    def test_disabled_tracer_opens_no_span_and_no_histogram(
+        self, tmp_path, monkeypatch
+    ):
+        """A disabled ``Tracer`` (the default) and no registry: none of
+        the five instrumented layers opens a span, creates a histogram,
+        collects worker stats, or reads the seam's clock."""
+        import repro.obs.registry as registry_module
+        import repro.parallel.executor as executor_module
+        from repro.lf.applier import stage_examples
+        from repro.parallel import ParallelLabelExecutor
+        from repro.streaming import CheckpointedStream, RecordStreamSource
+
+        from tests.test_checkpoint import ONLINE_CONFIG
+
+        created: list[float] = []
+
+        class SpiedHistogram(Histogram):
+            def __init__(self, growth=registry_module.DEFAULT_GROWTH):
+                created.append(growth)
+                super().__init__(growth)
+
+        def no_worker_stats(blob):
+            raise AssertionError("workers collected histograms while off")
+
+        clock = _CountingTime()
+        monkeypatch.setattr(registry_module, "Histogram", SpiedHistogram)
+        monkeypatch.setattr(registry_module, "time", clock)
+        monkeypatch.setattr(
+            executor_module, "decode_histograms", no_worker_stats
+        )
+        sink = ListTraceSink()
+        tracer = Tracer(sink=sink, enabled=False)
+        corpus = make_corpus(n=200, seed=5)
+        lfs = make_lfs()
+        dfs = DistributedFileSystem()
+
+        # 1. offline applier, 2. process pool
+        apply_lfs_in_memory(lfs, corpus, batch_size=64, tracer=tracer)
+        with ParallelLabelExecutor(SPEC, workers=2) as executor:
+            apply_lfs_in_memory(lfs, corpus, executor=executor, tracer=tracer)
+            assert not executor.metrics.observed
+        # 3. pipeline + 4. checkpointed stream
+        shards = stage_examples(dfs, corpus, "/off/examples", num_shards=2)
+        stream = CheckpointedStream(
+            dfs, lfs, "/off/stream", batch_size=100,
+            online_config=ONLINE_CONFIG, write_labels=False, tracer=tracer,
+        )
+        report = stream.run(RecordStreamSource(dfs, shards))
+        assert report.checkpoints_written == 2
+        assert report.stream.telemetry is None
+        # 5. serving tier
+        registry = make_registry(dfs, "/off/live")
+        deploy(dfs, stream.manager.manifest_paths()[-1], "/off/live")
+        config = ServeConfig(flush_ms=0.5, poll_ms=2.0)
+        with LabelServer(registry, lfs, config, tracer=tracer) as server:
+            for example in corpus[:20]:
+                server.predict(example)
+            served = server.report()
+        assert served["counters"]["serving/batches"] >= 1
+        assert served["telemetry"] is None
+
+        assert tracer.spans_started == 0 and sink.records == []
+        assert created == []
+        assert clock.reads == 0

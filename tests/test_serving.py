@@ -195,7 +195,7 @@ class TestCheckpointModelRegistry:
         assert again is first
         counters = registry.counters.as_dict()
         assert counters["serving/swaps"] == 1
-        assert counters["serving/active_generation"] == 1
+        assert registry.generation == 1
 
     def test_newer_manifest_swaps(self, checkpointed):
         dfs = checkpointed["dfs"]
@@ -208,7 +208,7 @@ class TestCheckpointModelRegistry:
         assert second.cursor > first.cursor
         counters = registry.counters.as_dict()
         assert counters["serving/swaps"] == 2
-        assert counters["serving/active_generation"] == 2
+        assert registry.generation == 2
         # The old generation object is untouched (immutable snapshot).
         assert first.generation == 1
 

@@ -34,7 +34,7 @@ from repro.streaming import (
 )
 from repro.types import Example
 
-from tests.conftest import same_rows, synthetic_label_matrix
+from tests.conftest import contract_keys, same_rows, synthetic_label_matrix
 
 
 @pytest.fixture(scope="module")
@@ -343,11 +343,6 @@ class TestMicroBatchPipeline:
         names ``ingest/wait_us`` for backpressure and this test pins
         every key — a renamed or dropped counter fails here, not in a
         dashboard."""
-        from repro.streaming.pipeline import (
-            CONDITIONAL_COUNTER_KEYS,
-            COUNTER_CONTRACT,
-        )
-
         lfs, examples = product_pipeline
         # A hair-trigger monitor makes every drift/* key appear: with
         # one-batch windows and a ~zero threshold, every check alarms
@@ -369,12 +364,12 @@ class TestMicroBatchPipeline:
             drift_monitor=monitor,
             **stage,
         ).run(MemorySource(examples, fresh=True))
-        for key in COUNTER_CONTRACT:
+        for key in contract_keys("counter", "stream", conditional=False):
             assert key in report.counters, f"missing documented key {key}"
         # This run configured a sink, stalled ingest, and monitored
         # drift, so every conditional key must appear too — except that
         # ``ingest/encode_us`` appears on the pool stage and only there.
-        for key in CONDITIONAL_COUNTER_KEYS:
+        for key in contract_keys("counter", "stream", conditional=True):
             if key == "ingest/encode_us":
                 assert (key in report.counters) == ("executor" in stage)
                 continue
@@ -442,6 +437,46 @@ class TestMicroBatchPipeline:
         assert snapshot["counters"]["sink/batches"] == 2
         assert snapshot["counters"]["ingest/records"] >= 3 * 16
         assert snapshot["gauges"]["stream/resident_records"]["peak"] >= 16
+
+    def test_attached_registry_is_consistent_mid_run(
+        self, product_pipeline, stage
+    ):
+        """Regression: stage histograms reached an attached registry
+        live but the run's counters and gauge only at the end-of-run
+        fold, so a mid-stream export showed ``stream/label_us.count ==
+        k`` beside ``label/batches == 0``. Every event now forwards as
+        it happens."""
+        lfs, examples = product_pipeline
+        registry = MetricsRegistry()
+        seen: list[dict] = []
+
+        def snapshotting_sink(seq, batch, votes):
+            if seq == 2:
+                seen.append(registry.snapshot())
+
+        report = MicroBatchPipeline(
+            lfs,
+            batch_size=16,
+            sinks=[snapshotting_sink],
+            telemetry=registry,
+            **stage,
+        ).run(MemorySource(examples, fresh=True))
+        [mid] = seen
+        assert mid["histograms"]["stream/label_us"]["count"] == 3
+        assert (
+            mid["counters"]["label/batches"]
+            == mid["histograms"]["stream/label_us"]["count"]
+        )
+        assert mid["counters"]["sink/batches"] == 2
+        assert mid["gauges"]["stream/resident_records"]["current"] >= 16
+        # The per-run view stays per-run and agrees with what arrived.
+        final = registry.snapshot()
+        for key, value in report.counters.items():
+            assert final["counters"][key] == value
+        assert final["gauges"]["stream/resident_records"] == {
+            "current": 0,
+            "peak": report.peak_resident_records,
+        }
 
     def test_source_error_propagates(self, product_pipeline, stage):
         lfs, examples = product_pipeline
