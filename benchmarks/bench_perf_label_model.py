@@ -7,23 +7,17 @@ sampler, a ≈2x speedup at ten labeling functions.
 
 Assertions: the sampling-free trainer exceeds 100 steps/s, and its
 example throughput beats the Gibbs sampler by at least 2x (ours is far
-larger because the Gibbs inner loop is pure Python — recorded as such
-in EXPERIMENTS.md).
+larger because the Gibbs inner loop is pure Python — the rendered table
+says so).
 
-Also home to the ``label_model_fit`` refit-latency gate: full-batch
-fitting of a growing matrix drawn from a fixed pattern pool. Every fit
-runs on ``(patterns, counts)``, so at every size it must match the
-row-wise reference trainer from ``tests/test_fit_equivalence.py`` to
-<= 1e-9 posteriors, and at benchmark scale (n >= 20,000) its per-step
-cost must be flat in n (bounded growth across a >15x size sweep). Rows
-land in ``BENCH_perf.json`` / ``BENCH_history.jsonl`` with the standard
-trend gate (warns by default, fails under ``REPRO_ENFORCE_TREND=1``).
-
-Environment knobs: ``REPRO_SCALE`` (dataset scale) and ``REPRO_BENCH_N``
-(largest row count in the refit-latency sweep).
+Also home to the ``label_model_fit`` flatness gate: full-batch fitting
+of matrices of 2,000 / 8,000 / 30,720 rows drawn from one fixed
+200-pattern pool. Every fit runs on ``(patterns, counts)``, so at every
+size it must match the row-wise reference trainer from
+``tests/test_fit_equivalence.py`` to <= 1e-9 posteriors, and its
+per-step cost must be flat in n (bounded growth across the >15x sweep —
+a within-run ratio, so it binds on any host).
 """
-
-import os
 
 import numpy as np
 
@@ -35,34 +29,12 @@ from repro.experiments.harness import get_content_experiment
 from benchmarks.conftest import emit
 from tests.test_fit_equivalence import reference_fit_binary
 
-#: Largest matrix in the refit-latency sweep.
-BENCH_N = int(os.environ.get("REPRO_BENCH_N", "30720"))
-
 #: Posterior agreement with the row-wise reference, at every size.
 FIT_EQUIVALENCE_TOLERANCE = 1e-9
 
 #: Maximum allowed per-step cost growth across the size sweep ("flat in
-#: n"), binding at benchmark scale only (n >= 20,000).
+#: n"; measured 1.00x).
 FIT_STEP_GROWTH_CEILING = 3.0
-
-
-def _trend_gate(section: str, metric: str, match: dict) -> None:
-    """Warn on trend regressions; fail only when explicitly enforced.
-
-    ``match`` pins the comparison to same-configuration history rows so
-    smoke runs (small N) and full runs never share a trend line.
-    """
-    flag = perf.check_history_trend(section, metric, match=match)
-    if flag is None:
-        return
-    message = (
-        f"TREND REGRESSION: {section}.{metric} = {flag['latest']:.1f} is "
-        f"{100 * (1 - flag['ratio']):.0f}% below the trailing median "
-        f"{flag['trailing_median']:.1f} (window {flag['window']})"
-    )
-    print(f"[{message}]")
-    if os.environ.get("REPRO_ENFORCE_TREND") == "1":
-        raise AssertionError(message)
 
 
 def test_section52_speed_comparison(benchmark, scale):
@@ -88,41 +60,20 @@ def test_sampling_free_step(benchmark, scale):
 
 
 def test_label_model_fit_compression(benchmark, scale):
-    """Refit-latency gate: fitting over (patterns, counts) flat in n."""
-    n_values = tuple(
-        sorted({max(500, BENCH_N // 16), max(1_000, BENCH_N // 4), BENCH_N})
-    )
+    """Flatness gate: fitting over (patterns, counts) is flat in n."""
     result = benchmark.pedantic(
-        lambda: perf.run_fit_compression_eval(
-            reference_fit_binary, n_values=n_values
-        ),
+        lambda: perf.run_fit_compression_eval(reference_fit_binary),
         rounds=1,
         iterations=1,
     )
     emit(result)
 
-    # Correctness binds at every size: the pattern fit is only a faster
-    # path if it is the same fit as the row-wise one.
+    # The pattern fit is only a faster path if it is the same fit as the
+    # row-wise one.
     for row in result.rows:
         assert row["max_posterior_diff"] <= FIT_EQUIVALENCE_TOLERANCE, row
-
     largest = result.rows[-1]
-    payload = {"scale": scale, **largest}
-    perf.update_bench_json("label_model_fit", payload)
-    perf.append_bench_history("label_model_fit", payload)
-    _trend_gate(
-        "label_model_fit",
-        "steps_per_second",
-        {"scale": scale, "examples": largest["examples"]},
-    )
-
-    # The flatness ceiling binds at benchmark scale only; smoke runs
-    # (small REPRO_BENCH_N) still exercise the path and the equivalence
-    # gate.
-    if largest["examples"] >= 20_000:
-        assert (
-            largest["compressed_step_growth"] <= FIT_STEP_GROWTH_CEILING
-        ), largest
+    assert largest["compressed_step_growth"] <= FIT_STEP_GROWTH_CEILING, largest
 
 
 def test_gibbs_batch(benchmark, scale):

@@ -1,5 +1,4 @@
-"""Section 1 benchmark: end-to-end labeling throughput, the 6M-point
-sub-30-minute extrapolation, and the batched-engine regression gate.
+"""Section 1 benchmark: the 6M-point sub-30-minute extrapolation.
 
 Runs the full DFS + MapReduce labeling path (staging, per-LF jobs, vote
 join) on a slice of the product pool, measures examples/second, and
@@ -7,48 +6,14 @@ extrapolates how many simulated nodes would be needed to label 6.5M
 examples in under 30 minutes — the claim in Section 1 ("implementing
 weak supervision over 6M+ data points with sub-30min execution time").
 
-``test_batched_vs_per_example`` is the perf gate for the vectorized
-batch execution engine: it compares the batched in-memory labeling path
-against the per-example baseline on the same pool and fails if the
-speedup regresses below the floor. Every benchmark here also appends
-its rows to ``BENCH_perf.json`` at the repository root (uploaded as a
-CI artifact) so the performance trajectory is tracked per commit.
-
-Environment knobs:
-
-* ``REPRO_SCALE`` — dataset scale (small/tiny/full), see repro.config.
-* ``REPRO_BENCH_N`` — example count for the batch-engine comparison
-  (default 20000; CI smoke runs use a small value). The >= 3x speedup
-  floor is only enforced at the default 20k+ regime where per-example
-  dispatch dominates; below it the gate only requires parity.
+This is the paper's claim restated for this substrate, not a perf gate:
+throughput of the labeling path is measured and compared across commits
+by ``bench/run.py`` (``batch_offline``, ``pool_parallel``) only.
 """
 
-import os
-
-from repro.dfs.filesystem import DistributedFileSystem
 from repro.experiments import perf
-from repro.experiments.harness import get_content_experiment
-from repro.lf.applier import LFApplier, stage_examples
-from repro.parallel import default_workers
 
 from benchmarks.conftest import emit
-
-#: Example count for the batch-vs-per-example comparison.
-BENCH_N = int(os.environ.get("REPRO_BENCH_N", "20000"))
-
-#: Minimum batched/per-example speedup enforced at the full 20k regime.
-SPEEDUP_FLOOR = 3.0
-
-#: Worker count for the process-pool gate (``REPRO_WORKERS`` overrides;
-#: clamped to >= 2 — one worker measures nothing but pool overhead and
-#: the comparison row would not even carry the parallel fields).
-WORKERS = max(2, default_workers(4))
-
-#: Minimum parallel/serial-batched speedup, enforced only where it is
-#: physically possible: the full n >= 20k regime on a machine exposing
-#: at least ``WORKERS`` CPUs (same policy as the hosted-runner carve-out
-#: for the 3x floor — byte-identity is asserted unconditionally).
-PARALLEL_SPEEDUP_FLOOR = 1.8
 
 
 def test_scale_extrapolation(benchmark, scale):
@@ -57,118 +22,5 @@ def test_scale_extrapolation(benchmark, scale):
     )
     emit(result)
     row = result.rows[0]
-    perf.update_bench_json("mapreduce_scale", {"scale": scale, **row})
     assert row["examples_per_second"] > 0
     assert row["nodes_for_30min_at_6_5m"] >= 1
-
-
-def test_batched_vs_per_example(benchmark, scale):
-    """The batch-engine gate: vectorized path must stay >= 3x at 20k."""
-    result = benchmark.pedantic(
-        lambda: perf.run_batch_throughput(scale=scale, n_examples=BENCH_N),
-        rounds=1,
-        iterations=1,
-    )
-    emit(result)
-    row = result.rows[0]
-    path = perf.update_bench_json(
-        "batch_throughput", {"scale": scale, **row}
-    )
-    perf.append_bench_history("batch_throughput", {"scale": scale, **row})
-    print(f"[bench json updated: {path}]")
-    flag = perf.check_history_trend(
-        "batch_throughput",
-        "batched_examples_per_second",
-        match={"scale": scale, "examples": row["examples"]},
-    )
-    if flag is not None:
-        message = (
-            f"TREND REGRESSION: batched throughput {flag['latest']:,.0f} is "
-            f"{100 * (1 - flag['ratio']):.0f}% below the trailing median "
-            f"{flag['trailing_median']:,.0f} (window {flag['window']})"
-        )
-        print(f"[{message}]")
-        if os.environ.get("REPRO_ENFORCE_TREND") == "1":
-            raise AssertionError(message)
-    if row["examples"] >= 20_000:
-        assert row["speedup"] >= SPEEDUP_FLOOR, (
-            f"batched engine regressed: {row['speedup']:.2f}x < "
-            f"{SPEEDUP_FLOOR}x at n={row['examples']}"
-        )
-    else:
-        # Smoke regime: overheads dominate tiny pools; require parity.
-        assert row["speedup"] > 0.8
-
-
-def test_parallel_vs_serial_batched(benchmark, scale):
-    """The process-pool gate: workers shard blocks, votes stay bit-exact.
-
-    Byte-identity (asserted inside ``run_batch_throughput``) holds at
-    every scale and worker count; the 1.8x throughput floor binds only
-    at n >= 20k on hardware that actually has ``WORKERS`` CPUs.
-    """
-    result = benchmark.pedantic(
-        lambda: perf.run_batch_throughput(
-            scale=scale, n_examples=BENCH_N, workers=WORKERS
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    emit(result)
-    row = result.rows[0]
-    path = perf.update_bench_json("parallel_throughput", {"scale": scale, **row})
-    perf.append_bench_history("parallel_throughput", {"scale": scale, **row})
-    print(f"[bench json updated: {path}]")
-    flag = perf.check_history_trend(
-        "parallel_throughput",
-        "parallel_examples_per_second",
-        match={
-            "scale": scale,
-            "examples": row["examples"],
-            "workers": row["workers"],
-        },
-    )
-    if flag is not None:
-        message = (
-            f"TREND REGRESSION: parallel throughput {flag['latest']:,.0f} is "
-            f"{100 * (1 - flag['ratio']):.0f}% below the trailing median "
-            f"{flag['trailing_median']:,.0f} (window {flag['window']})"
-        )
-        print(f"[{message}]")
-        if os.environ.get("REPRO_ENFORCE_TREND") == "1":
-            raise AssertionError(message)
-    assert row["parallel_votes_identical"], (
-        "parallel labeling diverged from the serial batched path"
-    )
-    cpus = os.cpu_count() or 1
-    if row["examples"] >= 20_000 and cpus >= row["workers"]:
-        assert row["parallel_speedup"] >= PARALLEL_SPEEDUP_FLOOR, (
-            f"parallel engine regressed: {row['parallel_speedup']:.2f}x < "
-            f"{PARALLEL_SPEEDUP_FLOOR}x with {row['workers']} workers at "
-            f"n={row['examples']}"
-        )
-    else:
-        # Smoke regime (small N or fewer CPUs than workers): the pool
-        # cannot beat serial, but it must stay within sane overhead.
-        print(
-            f"[parallel floor not binding: n={row['examples']}, "
-            f"{cpus} CPUs for {row['workers']} workers — "
-            f"measured {row['parallel_speedup']:.2f}x]"
-        )
-        assert row["parallel_speedup"] > 0.2
-
-
-def test_mapreduce_labeling_throughput(benchmark, scale):
-    """Microbenchmark: one LF binary over 1000 staged examples."""
-    exp = get_content_experiment("product", scale)
-    examples = exp.dataset.unlabeled[:1000]
-    lf = exp.lfs[0]
-
-    def run_one():
-        dfs = DistributedFileSystem()
-        paths = stage_examples(dfs, examples, "/bench/examples", num_shards=4)
-        applier = LFApplier(dfs, paths, run_root="/bench/run", parallelism=2)
-        return applier.apply([lf])
-
-    report = benchmark.pedantic(run_one, rounds=3, iterations=1)
-    assert report.label_matrix.n_examples == 1000

@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
-Each benchmark regenerates one table or figure from the paper
-(see DESIGN.md section 4). Experiment state is cached per
+Each benchmark regenerates one table, figure or claim from the paper,
+or gates one quality experiment; every assertion binds on every run (no
+branch on example count or CPU count). Experiment state is cached per
 ``(task, scale, seed)`` inside :mod:`repro.experiments.harness`, so the
 expensive end-to-end pipelines run once per pytest session; the
 ``benchmark`` fixture then times a representative core computation for

@@ -139,13 +139,12 @@ def main():
     )
 
     # 4. Multi-consumer streaming: the same stream with labeling fanned
-    #    out to a process pool (REPRO_WORKERS workers, default 2 here).
-    #    One admission-controlled ingest feeds every worker; sinks still
-    #    see batches strictly in order, so the votes are byte-identical
-    #    to the single-consumer run above.
-    from repro.parallel import LFSuiteSpec, default_workers
+    #    out to a two-process pool. One admission-controlled ingest
+    #    feeds every worker; sinks still see batches strictly in order,
+    #    so the votes are byte-identical to the single-consumer run above.
+    from repro.parallel import LFSuiteSpec
 
-    workers = default_workers(fallback=2)
+    workers = 2
     # Point the spec at an *importable* module path, never "__main__":
     # spawn-based platforms re-import the factory module inside each
     # worker, and their "__main__" is the multiprocessing bootstrap.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Telemetry snapshot and bench-history inspector.
+"""Telemetry snapshot inspector.
 
-Three modes, one per flag:
+Two modes, one per flag:
 
 * ``--snapshot FILE`` — pretty-print a telemetry snapshot: either a
   single JSON object or a JSONL file of exporter lines (the
@@ -9,14 +9,11 @@ Three modes, one per flag:
   case the *last* line is shown. Counters, gauges, and histogram
   digests (count / mean / p50 / p90 / p99 / max) come out as aligned
   tables.
-* ``--history [N]`` — tail the last ``N`` rows of
-  ``BENCH_history.jsonl`` (default 10), one line per row: timestamp,
-  section, scale, and the row's headline metrics.
 * ``--demo`` — exercise the live telemetry layer end to end: record a
   synthetic workload into a fresh
   :class:`~repro.obs.MetricsRegistry`, publish one exporter snapshot,
-  and pretty-print it. Used by the CI telemetry smoke job as a
-  zero-dependency sanity check of the snapshot pipeline.
+  and pretty-print it. Used by the CI smoke job as a zero-dependency
+  sanity check of the snapshot pipeline.
 
 Exactly one mode is required. Exit status is non-zero on missing or
 malformed input files.
@@ -105,24 +102,6 @@ def format_snapshot(snapshot: dict) -> list[str]:
     return out
 
 
-def format_history_row(row: dict) -> str:
-    """One-line digest of a ``BENCH_history.jsonl`` row."""
-    section = row.get("section", "?")
-    when = row.get("recorded_unix", "?")
-    scale = row.get("scale", "?")
-    skip = {"section", "recorded_unix", "scale"}
-    metrics = []
-    for key, value in row.items():
-        if key in skip or not isinstance(value, (int, float)):
-            continue
-        if isinstance(value, bool):
-            continue
-        metrics.append(f"{key}={value:,.1f}")
-        if len(metrics) == 5:
-            break
-    return f"{when}  {section:<22} scale={scale:<8} " + "  ".join(metrics)
-
-
 def run_demo() -> dict:
     """Record a synthetic workload and publish one exporter snapshot."""
     import tempfile
@@ -147,21 +126,13 @@ def run_demo() -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="metrics_dump",
-        description="Pretty-print telemetry snapshots or tail bench history.",
+        description="Pretty-print telemetry snapshots.",
     )
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--snapshot",
         metavar="FILE",
         help="snapshot JSON, or exporter JSONL (last line is shown)",
-    )
-    group.add_argument(
-        "--history",
-        nargs="?",
-        const=10,
-        type=int,
-        metavar="N",
-        help="tail the last N rows of BENCH_history.jsonl (default 10)",
     )
     group.add_argument(
         "--demo",
@@ -176,33 +147,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\nspans written: {entry['spans_written']}")
         return 0
 
-    if args.snapshot is not None:
-        path = Path(args.snapshot)
-        if not path.exists():
-            print(f"metrics_dump: no such file: {path}", file=sys.stderr)
-            return 1
-        try:
-            snapshot = load_snapshot(path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"metrics_dump: {exc}", file=sys.stderr)
-            return 1
-        print("\n".join(format_snapshot(snapshot)))
-        return 0
-
-    from repro.experiments.perf import bench_history_path
-
-    history = Path(bench_history_path())
-    if not history.exists():
-        print(f"metrics_dump: no history at {history}", file=sys.stderr)
+    path = Path(args.snapshot)
+    if not path.exists():
+        print(f"metrics_dump: no such file: {path}", file=sys.stderr)
         return 1
-    rows = []
-    with history.open(encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                rows.append(json.loads(line))
-    for row in rows[-args.history:]:
-        print(format_history_row(row))
-    print(f"[metrics_dump] {len(rows)} history rows total")
+    try:
+        snapshot = load_snapshot(path)
+    except (ValueError, json.JSONDecodeError) as exc:
+        print(f"metrics_dump: {exc}", file=sys.stderr)
+        return 1
+    print("\n".join(format_snapshot(snapshot)))
     return 0
 
 

@@ -67,8 +67,6 @@ __all__ = [
     "EventsExperiment",
     "get_content_experiment",
     "get_events_experiment",
-    "build_experiment_lfs",
-    "content_lf_suite_spec",
     "results_path",
 ]
 
@@ -463,35 +461,6 @@ def get_events_experiment(
     if key not in _EVENTS_CACHE:
         _EVENTS_CACHE[key] = EventsExperiment(scale_cfg, seed)
     return _EVENTS_CACHE[key]
-
-
-# ----------------------------------------------------------------------
-# parallel-labeling suite specs
-# ----------------------------------------------------------------------
-def build_experiment_lfs(
-    task: str, scale: str | None = None, seed: int = DEFAULT_SEED
-):
-    """Top-level LF-suite factory addressable from a worker process.
-
-    This is the target :func:`content_lf_suite_spec` points at: the
-    datasets and suites are deterministic per ``(task, scale, seed)``,
-    so every worker rebuilds a suite that votes identically to the
-    parent's — the premise of byte-exact parallel labeling. The
-    experiment cache makes repeat builds (and forked workers) free.
-    """
-    return get_content_experiment(task, scale, seed).lfs
-
-
-def content_lf_suite_spec(
-    task: str, scale: str | None = None, seed: int = DEFAULT_SEED
-):
-    """Picklable :class:`repro.parallel.LFSuiteSpec` for a content task."""
-    from repro.parallel import LFSuiteSpec
-
-    return LFSuiteSpec(
-        factory="repro.experiments.harness:build_experiment_lfs",
-        args=(task, scale, seed),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -16,20 +16,16 @@ labeling + modeling throughput on the simulated MapReduce substrate and
 extrapolate to 6.5M examples, reporting the implied node count needed to
 stay under 30 minutes.
 
-Batch engine: :func:`run_batch_throughput` compares the vectorized
-in-memory labeling path against the per-example baseline on identical
-example pools (votes asserted identical) and times the label-model fit.
-All perf experiments contribute their rows to a machine-readable
-``BENCH_perf.json`` at the repository root via :func:`update_bench_json`,
-which CI uploads as an artifact so the performance trajectory is tracked
-per commit.
+Fit flatness: :func:`run_fit_compression_eval` fits growing matrices
+drawn from one fixed pattern pool and reports the per-step cost growth,
+checked against a row-wise oracle at every size.
+
+Throughput, latency and durable-byte figures for the example -> votes ->
+posterior -> durable/served path are measured by ``bench/run.py`` only.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
 
 import numpy as np
@@ -38,181 +34,16 @@ from repro.config import DEFAULT_SEED
 from repro.core.gibbs import GibbsConfig, GibbsLabelModel
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.patterns import compress_votes
-from repro.experiments.harness import (
-    ExperimentResult,
-    get_content_experiment,
-    results_path,
-)
-from repro.lf.applier import LFApplier, apply_lfs_in_memory, stage_examples
+from repro.experiments.harness import ExperimentResult, get_content_experiment
+from repro.lf.applier import LFApplier, stage_examples
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.types import Example
 
 __all__ = [
     "run_speed",
     "run_scale",
-    "run_batch_throughput",
     "run_fit_compression_eval",
     "measure_label_model_steps_per_second",
-    "bench_json_path",
-    "update_bench_json",
-    "bench_history_path",
-    "append_bench_history",
-    "check_history_trend",
 ]
-
-
-def bench_json_path() -> str:
-    """``BENCH_perf.json`` at the repository root."""
-    return os.path.join(os.path.dirname(results_path()), "BENCH_perf.json")
-
-
-def update_bench_json(section: str, payload: dict, path: str | None = None) -> str:
-    """Merge one experiment's rows into ``BENCH_perf.json``.
-
-    Each perf benchmark owns a section; read-modify-write keeps the file
-    a single machine-readable snapshot regardless of which benchmarks
-    ran. Returns the path written.
-    """
-    path = path or bench_json_path()
-    data: dict = {"schema": 1}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            data = {"schema": 1}
-    data[section] = payload
-    data["python"] = platform.python_version()
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def bench_history_path() -> str:
-    """``BENCH_history.jsonl`` at the repository root."""
-    return os.path.join(os.path.dirname(results_path()), "BENCH_history.jsonl")
-
-
-def append_bench_history(
-    section: str, payload: dict, path: str | None = None
-) -> str:
-    """Append one benchmark row to the append-only history log.
-
-    ``BENCH_perf.json`` is a latest-snapshot; the JSONL history keeps
-    every run so the trend gate can flag *gradual* regressions that
-    never trip a hard floor in any single run. One line per (run,
-    section), stamped with wall-clock time and the Python version.
-    Returns the path written.
-    """
-    path = path or bench_history_path()
-    entry = {
-        "section": section,
-        "recorded_unix": round(time.time(), 3),
-        "python": platform.python_version(),
-        **payload,
-    }
-    with open(path, "a") as handle:
-        json.dump(entry, handle, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-#: History fields that define a benchmark *configuration*. Entries whose
-#: values differ on any of these never share a trend window: comparing a
-#: ``REPRO_BENCH_N=4000`` smoke run against 20k-example history (or a
-#: ``REPRO_SCALE`` / ``REPRO_WORKERS`` change) flags spurious >20%
-#: "regressions" that are really workload changes.
-TREND_CONFIG_KEYS = ("scale", "examples", "workers")
-
-
-def check_history_trend(
-    section: str,
-    metric: str,
-    higher_is_better: bool = True,
-    window: int = 10,
-    tolerance: float = 0.20,
-    min_history: int = 3,
-    path: str | None = None,
-    match: dict | None = None,
-    config_keys: tuple[str, ...] = TREND_CONFIG_KEYS,
-) -> dict | None:
-    """Compare the latest history entry against its trailing median.
-
-    Reads the last ``window`` prior entries for ``(section, metric)``
-    and flags the newest one when it regresses more than ``tolerance``
-    (default 20%) from their median — the complement of the hard
-    speedup floors, which only catch cliff-edge regressions.
-
-    The window is keyed strictly per configuration: prior entries only
-    join the trend line when their ``config_keys`` fields
-    (scale / example count by default) equal the newest entry's, so a
-    history that spans a ``REPRO_BENCH_N`` or ``REPRO_SCALE`` change
-    never mixes configurations even when the caller passes no explicit
-    ``match``. ``match`` additionally restricts the series to entries
-    whose fields equal the given values. Returns a diagnostic dict when
-    flagged, ``None`` when healthy or when fewer than ``min_history``
-    prior same-configuration runs exist (fresh checkouts and CI machines
-    with no baseline stay green).
-    """
-    path = path or bench_history_path()
-    if not os.path.exists(path):
-        return None
-    entries: list[dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if entry.get("section") != section or metric not in entry:
-                continue
-            if match and any(
-                entry.get(key) != value for key, value in match.items()
-            ):
-                continue
-            entries.append(entry)
-    if not entries:
-        return None
-    # Key the window per configuration: the newest entry defines the
-    # configuration under test; history rows recorded under any other
-    # configuration are a different workload, not a different speed.
-    config = {
-        key: entries[-1].get(key)
-        for key in config_keys
-        if key in entries[-1]
-    }
-    values = [
-        float(entry[metric])
-        for entry in entries
-        if all(entry.get(key) == value for key, value in config.items())
-    ]
-    if len(values) < min_history + 1:
-        return None
-    latest = values[-1]
-    trailing = values[-(window + 1):-1]
-    median = float(np.median(trailing))
-    if median <= 0:
-        return None
-    ratio = latest / median
-    regressed = ratio < (1.0 - tolerance) if higher_is_better else (
-        ratio > (1.0 + tolerance)
-    )
-    if not regressed:
-        return None
-    return {
-        "section": section,
-        "metric": metric,
-        "latest": latest,
-        "trailing_median": median,
-        "ratio": ratio,
-        "window": len(trailing),
-        "tolerance": tolerance,
-        "config": config,
-    }
 
 
 def measure_label_model_steps_per_second(
@@ -415,135 +246,3 @@ def run_fit_compression_eval(
     for row in rows:
         row["compressed_step_growth"] = flatness
     return ExperimentResult("label_model_fit", "\n".join(lines), rows)
-
-
-def _clone_examples(examples) -> list[Example]:
-    """Fresh Example objects so per-example token memos start cold."""
-    return [
-        Example(
-            example_id=e.example_id,
-            fields=dict(e.fields),
-            servable=dict(e.servable),
-            non_servable=dict(e.non_servable),
-            label=e.label,
-        )
-        for e in examples
-    ]
-
-
-def run_batch_throughput(
-    scale: str | None = None,
-    seed: int = DEFAULT_SEED,
-    n_examples: int = 20_000,
-    rounds: int = 2,
-    workers: int = 1,
-) -> ExperimentResult:
-    """Batched vs per-example in-memory labeling throughput.
-
-    Runs the product application's LF suite over ``n_examples`` pool
-    examples through both execution paths, asserts the label matrices
-    are identical, and reports examples/second (best of ``rounds``, on
-    freshly cloned examples each round so tokenization memos never
-    carry over) plus the generative-model fit time.
-
-    ``workers > 1`` additionally measures the process-pool parallel
-    path (one warmed :class:`repro.parallel.ParallelLabelExecutor`
-    reused across rounds), asserts its matrix is byte-identical to the
-    serial batched run, and reports the parallel/serial speedup — the
-    number the parallel bench gate enforces.
-    """
-    exp = get_content_experiment("product", scale, seed)
-    pool = exp.dataset.unlabeled
-    n = min(n_examples, len(pool))
-    lfs = exp.lfs
-
-    # Warm run-scoped state that is not what we measure: KG translation
-    # closures, lazily built matchers, allocator pools.
-    apply_lfs_in_memory(lfs, _clone_examples(pool[:256]), batched=True)
-    apply_lfs_in_memory(lfs, _clone_examples(pool[:256]), batched=False)
-
-    def best_rate(**kwargs) -> tuple[float, "np.ndarray"]:
-        best = 0.0
-        matrix = None
-        for _ in range(max(1, rounds)):
-            examples = _clone_examples(pool[:n])
-            start = time.perf_counter()
-            L = apply_lfs_in_memory(lfs, examples, **kwargs)
-            wall = time.perf_counter() - start
-            best = max(best, n / wall)
-            matrix = L.matrix
-        return best, matrix
-
-    batched_eps, L_batched = best_rate(batched=True)
-    per_example_eps, L_per = best_rate(batched=False)
-    if not np.array_equal(L_batched, L_per):
-        raise AssertionError(
-            "batched and per-example labeling disagree; the batch engine "
-            "must be vote-for-vote identical to the per-example path"
-        )
-    speedup = batched_eps / max(per_example_eps, 1e-9)
-
-    parallel_eps = None
-    parallel_speedup = None
-    parallel_identical = None
-    if workers > 1:
-        from repro.experiments.harness import content_lf_suite_spec
-        from repro.parallel import ParallelLabelExecutor
-
-        spec = content_lf_suite_spec("product", scale, seed)
-        with ParallelLabelExecutor(spec, workers) as executor:
-            # Pool construction pre-warms every worker's suite; one
-            # labeled block on top settles allocator/token-memo state
-            # before timing.
-            apply_lfs_in_memory(
-                lfs, _clone_examples(pool[:256]), executor=executor
-            )
-            parallel_eps, L_parallel = best_rate(executor=executor)
-        # Report the measured truth and let the bench gate enforce it —
-        # a hardcoded True here would make that assertion tautological.
-        parallel_identical = bool(np.array_equal(L_parallel, L_batched))
-        parallel_speedup = parallel_eps / max(batched_eps, 1e-9)
-
-    start = time.perf_counter()
-    model = SamplingFreeLabelModel(LabelModelConfig(seed=seed))
-    model.fit(L_batched)
-    fit_seconds = time.perf_counter() - start
-
-    lines = [
-        "Batched LF execution engine: in-memory labeling throughput "
-        f"({n:,} examples, {len(lfs)} LFs, best of {rounds})",
-        "",
-        f"{'batched path':<32} {batched_eps:>12,.0f} examples/s",
-        f"{'per-example path':<32} {per_example_eps:>12,.0f} examples/s",
-        f"{'speedup':<32} {speedup:>12.2f}x",
-    ]
-    if parallel_eps is not None:
-        lines += [
-            f"{'parallel path (%d workers)' % workers:<32} "
-            f"{parallel_eps:>12,.0f} examples/s",
-            f"{'parallel / serial batched':<32} "
-            f"{parallel_speedup:>12.2f}x (votes byte-identical: "
-            f"{parallel_identical}, {os.cpu_count()} CPUs visible)",
-        ]
-    lines.append(
-        f"{'label model fit':<32} {fit_seconds:>11.2f}s "
-        f"({L_batched.shape[0]:,} x {L_batched.shape[1]})"
-    )
-    row = {
-        "examples": n,
-        "lfs": len(lfs),
-        "rounds": rounds,
-        "batched_examples_per_second": batched_eps,
-        "per_example_examples_per_second": per_example_eps,
-        "speedup": speedup,
-        "label_model_fit_seconds": fit_seconds,
-    }
-    if parallel_eps is not None:
-        row.update(
-            workers=workers,
-            cpu_count=os.cpu_count(),
-            parallel_examples_per_second=parallel_eps,
-            parallel_speedup=parallel_speedup,
-            parallel_votes_identical=parallel_identical,
-        )
-    return ExperimentResult("perf_batch_throughput", "\n".join(lines), [row])

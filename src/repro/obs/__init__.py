@@ -15,8 +15,8 @@
 
 Everything here is opt-in and identity-preserving: a run with telemetry
 attached produces byte-identical votes, sink shards, and posteriors to
-a run without (gated by ``benchmarks/bench_telemetry.py``, along with a
->= 0.9x telemetry-on/off throughput floor).
+a run without (gated by ``tests/test_obs.py``; the cost of tracing is
+``trace_overhead_ratio`` in ``bench/run.py --traced``).
 
 Every key the wired subsystems emit, and which keys and span each stage
 event feeds, is pinned by the one table in :mod:`repro.obs.contract`;

@@ -128,9 +128,8 @@ class ListTraceSink:
 class JsonlTraceSink:
     """Local-file sink: one JSON line per finished span.
 
-    This is the CI artifact format (``BENCH_trace.jsonl``): plain
-    ``jq``-able lines, no framing, flushed per write so a crashed run
-    still leaves every completed span on disk.
+    Plain ``jq``-able lines, no framing, flushed per write so a crashed
+    run still leaves every completed span on disk.
     """
 
     def __init__(self, path: str) -> None:

@@ -32,7 +32,6 @@ Consumers: ``repro.lf.applier.apply_lfs_in_memory(workers=N)`` and
 from repro.parallel.executor import (
     DEFAULT_MAX_RETRIES,
     ParallelLabelExecutor,
-    default_workers,
     parallel_block_size,
 )
 from repro.parallel.spec import (
@@ -46,7 +45,6 @@ __all__ = [
     "LFSuiteSpec",
     "ParallelLabelExecutor",
     "decode_example_block",
-    "default_workers",
     "encode_example_block",
     "parallel_block_size",
 ]

@@ -76,27 +76,12 @@ from repro.types import Example
 
 __all__ = [
     "ParallelLabelExecutor",
-    "default_workers",
     "parallel_block_size",
     "DEFAULT_MAX_RETRIES",
 ]
 
 #: Retry budget per block, matching ``MapReduceSpec.max_retries``.
 DEFAULT_MAX_RETRIES = 2
-
-#: Environment knob: default worker count for benches and examples.
-WORKERS_ENV = "REPRO_WORKERS"
-
-
-def default_workers(fallback: int = 4) -> int:
-    """Worker count from ``REPRO_WORKERS``, else ``fallback``."""
-    value = os.environ.get(WORKERS_ENV)
-    if not value:
-        return fallback
-    workers = int(value)
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return workers
 
 
 def parallel_block_size(

@@ -29,8 +29,8 @@ under a scratch name, renamed to ``ckpt-{batch:06d}`` in one step, so the
 canonical name never points at a partial manifest. Manifests contain no
 wall-clock state — the same stream prefix always produces the same bytes.
 
-Recovery contract (asserted by the crash-resume tests and the
-``bench_streaming`` gate): interrupt the stream after ANY finalized
+Recovery contract (asserted by the crash-resume tests in
+``tests/test_checkpoint.py``): interrupt the stream after ANY finalized
 micro-batch, resume with :meth:`CheckpointedStream.run`, and the vote /
 label shards and final model posteriors are byte-identical to an
 uninterrupted run. The mechanism:

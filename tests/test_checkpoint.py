@@ -468,6 +468,20 @@ class TestCrashResume:
                 n_examples - report.skipped_examples
             )
 
+    def test_manifest_size_is_flat_in_stream_length(self, dfs, corpus, lfs):
+        """Manifests hold O(patterns) state, not a per-example log: the
+        last one has seen 6x the first's examples and is barely larger."""
+        shards = stage_examples(dfs, corpus, "/flat/examples", num_shards=3)
+        runner = self._make_runner(dfs, lfs, "/flat", checkpoint_every=1)
+        runner.run(RecordStreamSource(dfs, shards))
+        paths = runner.manager.manifest_paths()
+        first, last = (runner.manager.load(p) for p in (paths[0], paths[-1]))
+        assert last.cursor >= 5 * first.cursor
+        assert dfs.size(last.path) <= 1.25 * dfs.size(first.path), (
+            f"manifest grew {dfs.size(first.path):,} -> "
+            f"{dfs.size(last.path):,} bytes over {last.cursor} examples"
+        )
+
     def test_resume_restores_posteriors_to_tolerance(self, staged, lfs):
         dfs, shards, baseline, _ = staged
         root = "/posterior-check"

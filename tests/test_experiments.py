@@ -2,7 +2,7 @@
 
 These tests exercise the harness plumbing at tiny scale with reduced
 training budgets — the full reproduction numbers live in the benchmark
-suite (see benchmarks/ and EXPERIMENTS.md).
+suite (see benchmarks/).
 """
 
 import numpy as np
@@ -152,133 +152,3 @@ class TestFigure5Helpers:
         stats = distribution_stats(np.array([0.95, 0.96, 0.97, 0.5]))
         assert stats["mass_above_0.9"] == pytest.approx(0.75)
         assert stats["occupied_bins"] >= 2
-
-
-class TestBenchHistory:
-    """The append-only perf history + trailing-median trend gate."""
-
-    def test_append_and_no_flag_on_short_history(self, tmp_path):
-        from repro.experiments import perf
-
-        path = str(tmp_path / "BENCH_history.jsonl")
-        for eps in (100.0, 101.0):
-            perf.append_bench_history("s", {"eps": eps}, path=path)
-        assert len(open(path).read().splitlines()) == 2
-        # Fewer than min_history prior entries: stay green.
-        assert perf.check_history_trend("s", "eps", path=path) is None
-
-    def test_flags_regression_beyond_tolerance(self, tmp_path):
-        from repro.experiments import perf
-
-        path = str(tmp_path / "BENCH_history.jsonl")
-        for eps in (100.0, 98.0, 102.0, 100.0):
-            perf.append_bench_history("s", {"eps": eps}, path=path)
-        perf.append_bench_history("s", {"eps": 70.0}, path=path)
-        flag = perf.check_history_trend("s", "eps", path=path)
-        assert flag is not None
-        assert flag["latest"] == 70.0
-        assert flag["trailing_median"] == pytest.approx(100.0)
-        assert flag["ratio"] == pytest.approx(0.7)
-
-    def test_tolerated_dip_passes(self, tmp_path):
-        from repro.experiments import perf
-
-        path = str(tmp_path / "BENCH_history.jsonl")
-        for eps in (100.0, 98.0, 102.0, 100.0, 85.0):
-            perf.append_bench_history("s", {"eps": eps}, path=path)
-        assert perf.check_history_trend("s", "eps", path=path) is None
-
-    def test_sections_are_independent(self, tmp_path):
-        from repro.experiments import perf
-
-        path = str(tmp_path / "BENCH_history.jsonl")
-        for eps in (100.0, 100.0, 100.0, 100.0):
-            perf.append_bench_history("a", {"eps": eps}, path=path)
-        perf.append_bench_history("b", {"eps": 1.0}, path=path)
-        perf.append_bench_history("a", {"eps": 99.0}, path=path)
-        assert perf.check_history_trend("a", "eps", path=path) is None
-
-    def test_missing_history_file(self, tmp_path):
-        from repro.experiments import perf
-
-        path = str(tmp_path / "nope.jsonl")
-        assert perf.check_history_trend("s", "eps", path=path) is None
-
-    def test_match_keeps_configurations_separate(self, tmp_path):
-        from repro.experiments import perf
-
-        path = str(tmp_path / "BENCH_history.jsonl")
-        for eps in (100.0, 98.0, 102.0, 100.0):
-            perf.append_bench_history(
-                "s", {"eps": eps, "examples": 20000}, path=path
-            )
-        # A smoke run at a smaller N is slower but must not be compared
-        # against the full-N trend line...
-        perf.append_bench_history(
-            "s", {"eps": 50.0, "examples": 4000}, path=path
-        )
-        assert (
-            perf.check_history_trend(
-                "s", "eps", path=path, match={"examples": 4000}
-            )
-            is None
-        )
-        # ...and must not contaminate the full-N series either.
-        perf.append_bench_history(
-            "s", {"eps": 70.0, "examples": 20000}, path=path
-        )
-        flag = perf.check_history_trend(
-            "s", "eps", path=path, match={"examples": 20000}
-        )
-        assert flag is not None
-        assert flag["trailing_median"] == pytest.approx(100.0)
-
-    def test_window_is_keyed_per_configuration_without_match(self, tmp_path):
-        """Regression: a window spanning a config change must not mix
-        configurations even when the caller passes no explicit match.
-
-        History: four full-N runs, then a REPRO_BENCH_N=4000 smoke run.
-        The smoke entry is ~20x slower than the full-N median — keyed
-        per configuration it has no baseline yet and stays green; the
-        old behavior compared it against the full-N window and flagged a
-        spurious >20% "regression".
-        """
-        from repro.experiments import perf
-
-        path = str(tmp_path / "BENCH_history.jsonl")
-        for eps in (1000.0, 980.0, 1020.0, 1000.0):
-            perf.append_bench_history(
-                "s", {"eps": eps, "examples": 20000, "scale": "small"},
-                path=path,
-            )
-        perf.append_bench_history(
-            "s", {"eps": 50.0, "examples": 4000, "scale": "small"}, path=path
-        )
-        assert perf.check_history_trend("s", "eps", path=path) is None
-        # Same for a scale change at the same example count.
-        perf.append_bench_history(
-            "s", {"eps": 50.0, "examples": 20000, "scale": "tiny"}, path=path
-        )
-        assert perf.check_history_trend("s", "eps", path=path) is None
-        # A genuine same-configuration regression still flags, with the
-        # configuration echoed in the diagnostic.
-        perf.append_bench_history(
-            "s", {"eps": 700.0, "examples": 20000, "scale": "small"},
-            path=path,
-        )
-        flag = perf.check_history_trend("s", "eps", path=path)
-        assert flag is not None
-        assert flag["trailing_median"] == pytest.approx(1000.0)
-        assert flag["config"] == {"examples": 20000, "scale": "small"}
-
-    def test_config_keying_ignores_absent_fields(self, tmp_path):
-        """Sections that never record scale/examples keep one series."""
-        from repro.experiments import perf
-
-        path = str(tmp_path / "BENCH_history.jsonl")
-        for eps in (100.0, 98.0, 102.0, 100.0):
-            perf.append_bench_history("s", {"eps": eps}, path=path)
-        perf.append_bench_history("s", {"eps": 70.0}, path=path)
-        flag = perf.check_history_trend("s", "eps", path=path)
-        assert flag is not None
-        assert flag["config"] == {}

@@ -16,8 +16,9 @@ Covers the :mod:`repro.obs` contracts the rest of the repo leans on:
 * the :class:`TelemetryExporter` — durable snapshot records, JSONL
   lines, and the final-snapshot-on-stop guarantee;
 * integration — ``StreamReport.telemetry`` from an instrumented
-  pipeline, cross-process histogram merge totals equal to a
-  single-process run, and the label server's per-request histograms.
+  pipeline, durable output byte-identical with and without telemetry,
+  cross-process histogram merge totals equal to a single-process run,
+  and the label server's per-request histograms.
 """
 
 import json
@@ -28,7 +29,7 @@ import pytest
 
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.records import iter_record_blobs
-from repro.lf.applier import apply_lfs_in_memory
+from repro.lf.applier import apply_lfs_in_memory, stage_examples
 from repro.obs import (
     DfsTraceSink,
     Histogram,
@@ -41,10 +42,20 @@ from repro.obs import (
     encode_histograms,
 )
 from repro.serving import LabelServer, ServeConfig
-from repro.streaming import MemorySource, MicroBatchPipeline
+from repro.streaming import (
+    CheckpointedStream,
+    MemorySource,
+    MicroBatchPipeline,
+    RecordStreamSource,
+)
 
 from tests.conftest import contract_keys
-from tests.test_checkpoint import make_corpus, make_lfs
+from tests.test_checkpoint import (
+    ONLINE_CONFIG,
+    make_corpus,
+    make_lfs,
+    tree_bytes,
+)
 from tests.test_parallel import SPEC
 from tests.test_serving import deploy, make_registry
 
@@ -483,6 +494,47 @@ class TestHotPathIntegration:
         report = pipe.run(MemorySource(corpus, fresh=True))
         assert report.telemetry is None
 
+    def test_telemetry_changes_no_durable_byte(self):
+        """A registry, an always-on tracer and a running exporter leave
+        every byte under the stream root (vote shards, label shards,
+        manifests) and the offline vote matrix as a bare run makes them."""
+        corpus = make_corpus(n=300, seed=7)
+        lfs = make_lfs()
+        dfs = DistributedFileSystem()
+        shards = stage_examples(dfs, corpus, "/id/examples", num_shards=2)
+
+        def durable_bytes(root, **observers):
+            CheckpointedStream(
+                dfs, lfs, root, batch_size=64,
+                online_config=ONLINE_CONFIG, checkpoint_every=2,
+                **observers,
+            ).run(RecordStreamSource(dfs, shards))
+            return tree_bytes(dfs, root)
+
+        registry = MetricsRegistry()
+        tracer = Tracer(
+            sink=DfsTraceSink(dfs, "/id/obs/traces"), enabled=True, sample=1.0
+        )
+        with TelemetryExporter(
+            registry, interval_s=0.01, dfs=dfs, root="/id/obs/metrics"
+        ) as exporter:
+            observed = durable_bytes(
+                "/id/on", telemetry=registry, tracer=tracer
+            )
+            votes = apply_lfs_in_memory(
+                lfs, corpus, batch_size=64, telemetry=registry, tracer=tracer
+            )
+        tracer.close()
+        # The observed arm really was observed.
+        assert tracer.spans_written > 0
+        assert exporter.snapshots_written >= 1
+        assert registry.histogram("stream/checkpoint_us").count > 0
+
+        assert observed == durable_bytes("/id/off")
+        bare = apply_lfs_in_memory(lfs, corpus, batch_size=64)
+        assert votes.example_ids == bare.example_ids
+        assert (votes.matrix == bare.matrix).all()
+
     def test_cross_worker_merge_equals_single_worker_totals(self):
         """Worker-side histograms merged over IPC carry the same totals
         as one process doing all the work."""
@@ -507,11 +559,6 @@ class TestHotPathIntegration:
         corpus = make_corpus(n=200, seed=5)
         lfs = make_lfs()
         dfs = DistributedFileSystem()
-        from repro.lf.applier import stage_examples
-        from repro.streaming import CheckpointedStream, RecordStreamSource
-
-        from tests.test_checkpoint import ONLINE_CONFIG
-
         shards = stage_examples(dfs, corpus, "/obs/examples", num_shards=2)
         stream = CheckpointedStream(
             dfs, lfs, "/obs/stream", batch_size=100,

@@ -21,7 +21,6 @@ from repro.parallel import (
     LFSuiteSpec,
     ParallelLabelExecutor,
     decode_example_block,
-    default_workers,
     encode_example_block,
     parallel_block_size,
 )
@@ -87,15 +86,6 @@ class TestSuiteSpec:
         assert 1 <= parallel_block_size(10, 4, 8192) <= 8192
         for n in (1, 100, 5000, 100_000):
             assert parallel_block_size(n, 4, 2048) <= 2048
-
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert default_workers(3) == 3
-        monkeypatch.setenv("REPRO_WORKERS", "7")
-        assert default_workers(3) == 7
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            default_workers()
 
 
 # ----------------------------------------------------------------------
