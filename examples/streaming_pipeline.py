@@ -142,9 +142,8 @@ def main():
     #    out to a two-process pool. One admission-controlled ingest
     #    feeds every worker; sinks still see batches strictly in order,
     #    so the votes are byte-identical to the single-consumer run above.
-    from repro.parallel import LFSuiteSpec
+    from repro.parallel import LFSuiteSpec, ParallelLabelExecutor
 
-    workers = 2
     # Point the spec at an *importable* module path, never "__main__":
     # spawn-based platforms re-import the factory module inside each
     # worker, and their "__main__" is the multiprocessing bootstrap.
@@ -154,21 +153,20 @@ def main():
         factory_module = "examples.streaming_pipeline"
     except ImportError:  # run as `python examples/streaming_pipeline.py`
         factory_module = "streaming_pipeline"
-    suite_spec = LFSuiteSpec(factory=f"{factory_module}:build_lfs")
-    parallel_pipeline = MicroBatchPipeline(
-        lfs,
-        batch_size=256,
-        max_resident_batches=workers + 2,
-        collect_votes=True,
-        workers=workers,
-        suite_spec=suite_spec,
-    )
-    parallel_report = parallel_pipeline.run(RecordStreamSource(dfs, shards))
+    spec = LFSuiteSpec(factory=f"{factory_module}:build_lfs")
+    with ParallelLabelExecutor(spec, 2) as pool:
+        parallel_report = MicroBatchPipeline(
+            lfs,
+            batch_size=256,
+            max_resident_batches=pool.workers + 2,
+            collect_votes=True,
+            executor=pool,
+        ).run(RecordStreamSource(dfs, shards))
     assert np.array_equal(
         parallel_report.label_matrix.matrix, report.label_matrix.matrix
     )
     print(
-        f"\nmulti-consumer: {workers} labeling workers at "
+        f"\nmulti-consumer: {parallel_report.workers} labeling workers at "
         f"{parallel_report.examples_per_second:,.0f} examples/s "
         f"(single consumer: {report.examples_per_second:,.0f}); "
         "votes byte-identical"

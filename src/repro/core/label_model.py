@@ -145,10 +145,9 @@ class SamplingFreeLabelModel:
 
         * **minibatch** (``batch_size < n_rows``): each step samples
           ``batch_size`` rows via :meth:`CompressedVotes.row_sampler` —
-          uniform over the count-ordered expansion for integer counts
-          (bitwise a row-wise fit of ``votes.expand()``), inverse-CDF
-          over real-valued decay weights — and takes a unit-weight
-          gradient step on them.
+          uniform over the count-ordered expansion (bitwise a row-wise
+          fit of ``votes.expand()``) — and takes a unit-weight gradient
+          step on them.
         * **full-batch** (``batch_size >= n_rows``): exact
           multiplicity-weighted gradients at O(patterns × m) per step,
           independent of ``n_rows`` — agreeing with a row-wise fit to

@@ -46,9 +46,7 @@ therefore run in one of three modes, selected by the config:
   ``ln 2 / ln(1/decay)`` batches. Patterns whose weight sinks below
   ``pattern_weight_floor`` are evicted, so the table's footprint tracks
   the *recent* pattern diversity, not all of history. Refits count each
-  retained pattern ``round(weight)`` times by default, or — with
-  ``decay_weighted_refit=True`` — weight it by its exact real-valued
-  decayed weight (no rounding).
+  retained pattern ``round(weight)`` times.
 * **window** (``window_batches=N``): moments and pattern counts cover
   exactly the last ``N`` micro-batches. Each retained batch keeps its
   own sparse ``(pattern ids, counts)`` contribution, so expiry subtracts
@@ -99,13 +97,6 @@ class OnlineLabelModelConfig:
     """Decay mode only: patterns whose decayed weight falls below this
     floor are evicted from the table. Must be in (0, 1) so a pattern seen
     in the current batch (weight >= 1) is never evicted on arrival."""
-    decay_weighted_refit: bool = False
-    """Decay mode only: when True, refits weight each retained pattern
-    by its *real-valued* decayed weight (exact recency semantics)
-    instead of ``round(weight)`` repetitions. Off by
-    default for bit-compatibility with existing decay-mode streams; the
-    weighted objective agrees with the rounded one to O(1/weight) in the
-    fitted parameters (regression-tested tolerance, not bitwise)."""
 
 
 class OnlineLabelModel:
@@ -147,11 +138,6 @@ class OnlineLabelModel:
             raise ValueError(
                 "pattern_weight_floor must be in (0, 1), got "
                 f"{cfg.pattern_weight_floor}"
-            )
-        if cfg.decay_weighted_refit and cfg.decay is None:
-            raise ValueError(
-                "decay_weighted_refit requires decay retention; set "
-                "decay to a value in (0, 1)"
             )
         self._model = SamplingFreeLabelModel(replace(cfg.base))
         self._rng = np.random.default_rng(cfg.seed)
@@ -251,10 +237,7 @@ class OnlineLabelModel:
           ``compress_votes`` of the retained rows;
         * decay mode: each pattern's multiplicity is ``round(weight)``
           (half-up, so a weight at 0.5 still contributes a row);
-          zero-multiplicity patterns are omitted;
-        * decay mode with ``decay_weighted_refit``: the real-valued
-          decayed weights themselves — exact recency semantics with no
-          rounding.
+          zero-multiplicity patterns are omitted.
 
         Returns:
             The :class:`~repro.core.patterns.CompressedVotes` the next
@@ -266,7 +249,7 @@ class OnlineLabelModel:
         if self.n_observed == 0:
             raise RuntimeError("no votes observed yet")
         weights = self._pattern_weights
-        if self.mode == "decay" and not self.config.decay_weighted_refit:
+        if self.mode == "decay":
             weights = np.floor(weights + 0.5)
         keep = weights > 0.0
         weights = weights[keep]

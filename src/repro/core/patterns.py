@@ -19,16 +19,15 @@ a restored checkpoint — goes through ``fit_compressed`` on a
 stored.
 
 Minibatch steps sample through :meth:`CompressedVotes.row_sampler`:
-
-* **integer counts**: uniform draws over the *count-ordered expansion*
-  (each pattern repeated ``count`` times, in canonical order — the
-  matrix :meth:`CompressedVotes.expand` returns), mapped to patterns by
-  ``searchsorted`` over the cumulative counts. The RNG calls are exactly
-  those of a row-wise fit of the expansion, which is the reference the
-  differential harness in ``tests/test_fit_equivalence.py`` compares
-  against, bit for bit.
-* **real-valued weights** (decay retention's recency weights — no
-  expanded matrix exists): inverse-CDF draws proportional to weight.
+uniform draws over the *count-ordered expansion* (each pattern repeated
+``count`` times, in canonical order — the matrix
+:meth:`CompressedVotes.expand` returns), mapped to patterns by
+``searchsorted`` over the cumulative counts. The RNG calls are exactly
+those of a row-wise fit of the expansion, which is the reference the
+differential harness in ``tests/test_fit_equivalence.py`` compares
+against, bit for bit. Counts are whole numbers — a multiset has no
+fractional rows — so that expansion always exists (decay retention
+rounds its recency weights before it builds one).
 """
 
 from __future__ import annotations
@@ -52,11 +51,10 @@ class CompressedVotes:
     Attributes:
         patterns: ``(k, m)`` array of distinct vote rows, canonically
             ordered.
-        weights: ``(k,)`` float64 positive multiplicities. Integer-valued
-            for exact compressions; real-valued for decay-weighted ones.
+        weights: ``(k,)`` float64 positive multiplicities, each a whole
+            number.
         n_rows: Total row mass ``weights.sum()`` — the ``n`` of the
-            matrix this compression stands for (float: real-valued in
-            decay-weighted mode).
+            matrix this compression stands for.
     """
 
     patterns: np.ndarray
@@ -75,6 +73,11 @@ class CompressedVotes:
             )
         if len(self.weights) and float(self.weights.min()) <= 0.0:
             raise ValueError("pattern weights must be strictly positive")
+        if not np.array_equal(self.weights, np.floor(self.weights)):
+            raise ValueError(
+                "pattern weights must be whole numbers: a real-valued "
+                "weighting has no expanded matrix to sample rows from"
+            )
         if self.patterns.size:
             order = np.lexsort(self.patterns.T[::-1])
             object.__setattr__(self, "patterns", self.patterns[order])
@@ -85,25 +88,12 @@ class CompressedVotes:
         """Distinct vote rows — the compressed size."""
         return self.patterns.shape[0]
 
-    @property
-    def integral(self) -> bool:
-        """True when every weight is a whole number (exact compression)."""
-        return bool(np.all(self.weights == np.floor(self.weights)))
-
     def expand(self) -> np.ndarray:
         """The count-ordered matrix this compression stands for.
 
         Returns:
             Each pattern repeated ``weight`` times, in canonical order.
-
-        Raises:
-            ValueError: If the weights are non-integral — a real-valued
-                weighting has no expanded matrix.
         """
-        if not self.integral:
-            raise ValueError(
-                "cannot expand real-valued pattern weights into rows"
-            )
         reps = self.weights.astype(np.int64)
         return self.patterns[np.repeat(np.arange(self.n_patterns), reps)]
 
@@ -118,19 +108,12 @@ class CompressedVotes:
 
         Returns:
             A zero-argument callable returning ``size`` pattern indices,
-            one per sampled row (see the module docstring for the two
-            sampling regimes).
+            one per row drawn uniformly from :meth:`expand`'s matrix.
         """
-        if self.integral:
-            ends = np.cumsum(self.weights.astype(np.int64))
-            n_expanded = int(self.n_rows)
-            return lambda: ends.searchsorted(
-                rng.integers(0, n_expanded, size=size), side="right"
-            )
-        ends = np.cumsum(self.weights)
-        total, last = self.n_rows, self.n_patterns - 1
-        return lambda: np.minimum(
-            np.searchsorted(ends, rng.random(size) * total, side="right"), last
+        ends = np.cumsum(self.weights.astype(np.int64))
+        n_expanded = int(self.n_rows)
+        return lambda: ends.searchsorted(
+            rng.integers(0, n_expanded, size=size), side="right"
         )
 
 

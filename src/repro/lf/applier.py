@@ -23,8 +23,8 @@ original per-example path, kept for equivalence tests and as the
 baseline the perf benchmarks measure against.
 
 The in-memory path also parallelizes across *processes*:
-``apply_lfs_in_memory(..., workers=N, suite_spec=...)`` shards example
-blocks over a :class:`repro.parallel.ParallelLabelExecutor` and
+``apply_lfs_in_memory(..., executor=pool)`` shards example blocks over
+the caller's :class:`repro.parallel.ParallelLabelExecutor` and
 reassembles votes in block order, bit-exact with the serial run (the
 GIL makes threads useless here; processes are the unit that scales).
 """
@@ -95,8 +95,6 @@ def stage_examples(
     """Write examples to sharded record files; returns shard paths."""
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
-    from repro.dfs.filesystem import shard_name
-
     paths = []
     for shard in range(num_shards):
         path = shard_name(base_path, shard, num_shards)
@@ -313,9 +311,8 @@ class LFApplier:
                 (j, lfs[j]) for j in fused_lf_columns(lfs)
             ]
             if len(fused) >= 2:
-                for _, lf in fused:
-                    if isinstance(lf, LabelingFunction):
-                        lf.start_resources()
+                fused_lfs = [lf for _, lf in fused]
+                start_lf_resources(fused_lfs)
                 try:
                     fused_results = _run_fused_lf_group(
                         self._dfs,
@@ -326,17 +323,14 @@ class LFApplier:
                         self._batch_size,
                     )
                 finally:
-                    for _, lf in fused:
-                        if isinstance(lf, LabelingFunction):
-                            lf.stop_resources()
+                    stop_lf_resources(fused_lfs)
 
         lf_results = []
         for j, lf in enumerate(lfs):
             if j in fused_results:
                 result = fused_results[j]
             else:
-                if isinstance(lf, LabelingFunction):
-                    lf.start_resources()
+                start_lf_resources([lf])
                 try:
                     output_base = f"{self._run_root}/{lf.name}/votes"
                     result = lf.run(
@@ -347,8 +341,7 @@ class LFApplier:
                         batch_size=self._batch_size,
                     )
                 finally:
-                    if isinstance(lf, LabelingFunction):
-                        lf.stop_resources()
+                    stop_lf_resources([lf])
             lf_results.append(result)
             rows: list[int] = []
             values: list[int] = []
@@ -376,8 +369,6 @@ def apply_lfs_in_memory(
     examples: Sequence[Example],
     batched: bool = True,
     batch_size: int = DEFAULT_MEMORY_BATCH,
-    workers: int = 1,
-    suite_spec=None,
     executor=None,
     telemetry=None,
     tracer=None,
@@ -393,55 +384,39 @@ def apply_lfs_in_memory(
     ``batch_size`` blocks; ``batched=False`` is the seed's per-example
     loop, kept as the baseline the perf suite compares against.
 
-    ``workers > 1`` shards example blocks across a process pool
-    (:class:`repro.parallel.ParallelLabelExecutor`): pass ``suite_spec``
-    (a picklable :class:`repro.parallel.LFSuiteSpec` that rebuilds
-    ``lfs`` in each worker) or a live ``executor`` to reuse a warmed
-    pool. The matrix is byte-identical to the serial batched path at
-    every worker count — the equivalence suite asserts it.
+    ``executor`` (a live :class:`repro.parallel.ParallelLabelExecutor`
+    whose suite spec rebuilds ``lfs`` in each worker) shards example
+    blocks across its process pool. The pool belongs to the caller: it
+    is never closed here, and stays warm for the next call. The matrix
+    is byte-identical to the serial batched path at every worker count
+    — the equivalence suite asserts it.
 
     ``telemetry`` (a :class:`repro.obs.MetricsRegistry`) receives one
-    ``offline.label_block`` stage event per batched block and rides into
-    an owned parallel executor; ``tracer`` gets the same events as
-    spans. Both default to off, in which case the hot loop runs with
-    zero added timing calls — the votes are identical either way.
+    ``offline.label_block`` stage event per serially labeled block (a
+    pool reports through the registry its executor was built with);
+    ``tracer`` gets the same events as spans. Both default to off, in
+    which case the hot loop runs with zero added timing calls — the
+    votes are identical either way.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     examples = list(examples)
     n, m = len(examples), len(lfs)
     matrix = np.zeros((n, m), dtype=np.int8)
 
-    parallel = (workers > 1 or executor is not None) and n > 0
-    if parallel and not batched:
-        raise ValueError("workers > 1 requires the batched path")
-    if parallel:
-        from repro.parallel import ParallelLabelExecutor, parallel_block_size
+    if executor is not None and n > 0:
+        if not batched:
+            raise ValueError("executor= requires the batched path")
+        from repro.parallel import parallel_block_size
 
-        pool_workers = executor.workers if executor is not None else workers
-        block = parallel_block_size(n, pool_workers, batch_size)
-        owned = executor is None
-        if owned:
-            if suite_spec is None:
-                raise ValueError(
-                    "workers > 1 needs a suite_spec (LFs are rebuilt "
-                    "inside each worker process) or a live executor"
-                )
-            executor = ParallelLabelExecutor(
-                suite_spec, workers, telemetry=telemetry
-            )
-        try:
-            votes = executor.label_examples(examples, block)
-        finally:
-            if owned:
-                executor.close()
+        votes = executor.label_examples(
+            examples, parallel_block_size(n, executor.workers, batch_size)
+        )
         if votes.shape != (n, m):
             raise ValueError(
                 f"worker suite produced votes of shape {votes.shape}; "
-                f"this run expects {(n, m)} — the suite_spec must "
-                "rebuild the same LF suite"
+                f"this run expects {(n, m)} — the executor's suite_spec "
+                "must rebuild the same LF suite"
             )
         matrix = votes
     elif batched:

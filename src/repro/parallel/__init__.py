@@ -25,8 +25,10 @@ the serial path — by construction:
   and surfaces as :class:`repro.mapreduce.runner.WorkerFailure` when
   exhausted — the same failure contract as the MapReduce engine.
 
-Consumers: ``repro.lf.applier.apply_lfs_in_memory(workers=N)`` and
-``repro.streaming.pipeline.MicroBatchPipeline(workers=N)``.
+Consumers: ``repro.lf.applier.apply_lfs_in_memory(executor=pool)`` and
+``repro.streaming.pipeline.MicroBatchPipeline(executor=pool)``. The pool
+is always built, and closed, by the caller
+(``with ParallelLabelExecutor(spec, n) as pool``); consumers only borrow it.
 """
 
 from repro.parallel.executor import (

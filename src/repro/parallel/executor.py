@@ -35,10 +35,10 @@ attempt. A task whose attempts exceed ``max_retries`` surfaces as
 :class:`repro.mapreduce.runner.WorkerFailure` — the same exception the
 MapReduce engine uses for exhausted map-task retries.
 
-The default start method is ``fork`` where available: workers inherit
-the parent's warmed module state (dataset caches, matcher tables), so
-pool spin-up is milliseconds. The spec-driven bootstrap keeps ``spawn``
-correct too, just slower on first build.
+Workers ``fork`` where the platform can: they inherit the parent's
+warmed module state (dataset caches, matcher tables), so pool spin-up
+is milliseconds. Elsewhere they ``spawn``, which the spec-driven
+bootstrap keeps correct, just slower on first build.
 """
 
 from __future__ import annotations
@@ -194,7 +194,6 @@ class ParallelLabelExecutor:
         suite_spec: LFSuiteSpec,
         workers: int,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        start_method: str | None = None,
         telemetry=None,
     ) -> None:
         if workers < 1:
@@ -209,10 +208,10 @@ class ParallelLabelExecutor:
         #: counters and, per completed block, the worker-side
         #: histograms. Unattached, the workers skip collection entirely.
         self.metrics = MetricsRegistry().attach(telemetry)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._mp_context = multiprocessing.get_context(start_method)
+        try:
+            self._mp_context = multiprocessing.get_context("fork")
+        except ValueError:  # no fork on this platform
+            self._mp_context = multiprocessing.get_context("spawn")
         self._pool: ProcessPoolExecutor | None = None
         #: Guards pool construction/teardown: submit (producer thread)
         #: and retry (consumer thread) may race through a crash, and
@@ -246,14 +245,14 @@ class ParallelLabelExecutor:
     def reset(self) -> int:
         """Drop every in-flight block; returns how many were dropped.
 
-        After a failed run (sink exception, :class:`WorkerFailure`) a
-        *shared* executor still tracks the dead run's blocks, which
-        would collide with — or hang — the next run. Callers that own
-        their executor simply close it; callers reusing a warm pool
-        reset it between runs (the parallel pipeline does this for the
-        ``executor=`` case). Parked results go with their blocks;
-        results of dropped blocks that are still executing arrive later
-        as stale notifications and are ignored.
+        After a failed run (sink exception, :class:`WorkerFailure`) the
+        executor still tracks the dead run's blocks, which would collide
+        with — or hang — the next run. The pool outlives its runs, so
+        they reset it on the way out: the streaming pipeline's pool
+        stage always, :meth:`label_blocks` on any failure. Parked
+        results go with their blocks; results of dropped blocks that
+        are still executing arrive later as stale notifications and are
+        ignored.
         """
         with self._lock:
             dropped = len(self._inflight)
@@ -376,23 +375,18 @@ class ParallelLabelExecutor:
     def label_blocks(
         self,
         blocks: Iterable[tuple[int, Sequence[Example]]],
-        window: int | None = None,
     ) -> Iterator[tuple[int, list[Example], np.ndarray]]:
         """Label ``(seq, examples)`` blocks; yield in *submission* order.
 
-        At most ``window`` blocks are in flight or parked at once
-        (default ``2 * workers + 2``), so encoding pipelines with
-        labeling while memory stays bounded. Sequence numbers must be
-        unique; :meth:`next_completed` supplies the order (ascending
-        seqs in = ascending seqs out, which is how
-        :meth:`label_examples` restores row order). On any failure the
-        executor's in-flight state is reset so a warm pool can be
-        reused for the next run.
+        At most ``2 * workers + 2`` blocks are in flight or parked at
+        once, so encoding pipelines with labeling while memory stays
+        bounded. Sequence numbers must be unique;
+        :meth:`next_completed` supplies the order (ascending seqs in =
+        ascending seqs out, which is how :meth:`label_examples`
+        restores row order). On any failure the executor's in-flight
+        state is reset so a warm pool can be reused for the next run.
         """
-        if window is None:
-            window = 2 * self.workers + 2
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+        window = 2 * self.workers + 2
         try:
             for seq, examples in blocks:
                 self.submit(seq, examples)

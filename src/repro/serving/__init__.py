@@ -24,7 +24,14 @@ ways models reach production:
   concurrent single-example requests through the vectorized labeling
   kernels, degrades gracefully (class-prior abstains) while no
   generation is deployed, and bounds request latency with counted
-  timeouts. See ``docs/SERVING.md`` for the runbook.
+  timeouts. Configured in code through :class:`ServeConfig`. See
+  ``docs/SERVING.md`` for the runbook.
+
+The two stacks stay apart because they serve different models from
+different artifacts: the first scores the *end model* on servable
+features from staged in-memory versions; the second runs the LF suite
+per request and serves *label-model posteriors* from checkpoint
+manifests (``docs/SERVING.md``, "Why there are two serving stacks").
 """
 
 from repro.serving.model_registry import ModelRegistry, ModelVersion

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from repro.core.label_model import SamplingFreeLabelModel
 from repro.core.online_label_model import (
@@ -45,7 +44,6 @@ from repro.core.online_label_model import (
     OnlineLabelModelConfig,
 )
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.mapreduce.counters import CounterSet
 from repro.obs.registry import MetricsRegistry
 from repro.streaming.checkpoint import Checkpoint, CheckpointManager
 
@@ -74,9 +72,6 @@ class ServingGeneration:
     """LF suite recorded in the manifest (empty for legacy manifests)."""
     label_model: SamplingFreeLabelModel
     """Offline-exact generative model (post-``refit``), scoring-ready."""
-    end_model: object | None
-    """Restored end model, or ``None`` when the manifest carries no
-    end-model state (or no factory was configured)."""
     n_patterns: int
     """Distinct vote patterns retained by the snapshot's pattern table."""
 
@@ -99,8 +94,6 @@ class CheckpointModelRegistry:
         dfs: DistributedFileSystem,
         root: str,
         online_config: OnlineLabelModelConfig | None = None,
-        end_model_factory: Callable[[], object] | None = None,
-        counters: CounterSet | None = None,
     ) -> None:
         """Point a registry at a durable root.
 
@@ -111,23 +104,13 @@ class CheckpointModelRegistry:
                 the configuration the stream that wrote the manifests
                 used — snapshot state only restores into an identically
                 configured model. Defaults to the stream default.
-            end_model_factory: Zero-argument callable returning a fresh
-                end model exposing ``load_state``; called only for
-                manifests that carry end-model state. ``None`` leaves
-                end models undeployed.
-            counters: Shared counter surface; a private
-                :class:`~repro.mapreduce.counters.CounterSet` is created
-                when omitted.
         """
         self.manager = CheckpointManager(dfs, root)
         self.online_config = online_config or OnlineLabelModelConfig()
-        self.end_model_factory = end_model_factory
         #: The serving tier's one scoped registry; the
         #: :class:`~repro.serving.service.LabelServer` emits through it
         #: too and attaches its ``telemetry=`` / ``tracer=`` to it.
         self.metrics = MetricsRegistry().attach(None)
-        if counters is not None:
-            self.metrics.counters = counters
         self.counters = self.metrics.counters
         self._swap_lock = threading.Lock()
         self._active: ServingGeneration | None = None
@@ -211,13 +194,6 @@ class CheckpointModelRegistry:
         # Offline-exact parameters: a cumulative-mode refit is the
         # offline fit of the snapshot's stream prefix, bit for bit.
         label_model = online.refit()
-        end_model = None
-        if (
-            checkpoint.end_model_state is not None
-            and self.end_model_factory is not None
-        ):
-            end_model = self.end_model_factory()
-            end_model.load_state(checkpoint.end_model_state)
         return ServingGeneration(
             generation=number,
             manifest_path=checkpoint.path,
@@ -225,6 +201,5 @@ class CheckpointModelRegistry:
             cursor=checkpoint.cursor,
             lf_names=tuple(checkpoint.meta.get("lf_names") or ()),
             label_model=label_model,
-            end_model=end_model,
             n_patterns=online.n_patterns,
         )

@@ -34,8 +34,8 @@ Operational contract:
   bitwise equal to the generation's offline fit regardless of how
   requests happened to coalesce into batches.
 
-Every knob reads its default from a serving environment variable
-documented in ``docs/OPERATIONS.md``; the ``serving/*`` keys are rows of
+The tier is configured in code, by the fields of :class:`ServeConfig`
+(tabulated in ``docs/SERVING.md``); the ``serving/*`` keys are rows of
 :data:`repro.obs.contract.KEY_CONTRACT` (layer ``serving``) and each
 flush is one ``serving.flush`` stage event on the registry the server
 shares with its :class:`CheckpointModelRegistry`.
@@ -43,7 +43,6 @@ shares with its :class:`CheckpointModelRegistry`.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -106,26 +105,20 @@ class ServeTimeout(TimeoutError):
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Tuning knobs for :class:`LabelServer`.
-
-    Each field's default comes from its serving environment variable
-    via :meth:`from_env` (explicit constructor arguments win).
-    """
+    """Tuning knobs for :class:`LabelServer`."""
 
     max_batch: int = 256
-    """Maximum requests coalesced into one scoring micro-batch
-    (``REPRO_SERVE_MAX_BATCH``)."""
+    """Maximum requests coalesced into one scoring micro-batch."""
     flush_ms: float = 2.0
     """How long the batcher waits for more requests after the first one
-    arrives before flushing a partial batch (``REPRO_SERVE_FLUSH_MS``)."""
+    arrives before flushing a partial batch."""
     timeout_ms: float = 5000.0
-    """Default per-request result deadline (``REPRO_SERVE_TIMEOUT_MS``)."""
+    """Default per-request result deadline."""
     max_pending: int = 1024
-    """Admission-control bound on resident (queued + scoring) requests
-    (``REPRO_SERVE_MAX_PENDING``)."""
+    """Admission-control bound on resident (queued + scoring) requests."""
     poll_ms: float = 25.0
     """Watcher cadence for polling the registry's durable root for new
-    manifests (``REPRO_SERVE_POLL_MS``)."""
+    manifests."""
 
     def __post_init__(self) -> None:
         """Validate bounds.
@@ -149,21 +142,6 @@ class ServeConfig:
             )
         if self.poll_ms <= 0:
             raise ValueError(f"poll_ms must be > 0, got {self.poll_ms}")
-
-    @classmethod
-    def from_env(cls) -> "ServeConfig":
-        """Build a config from the serving environment knobs."""
-        return cls(
-            max_batch=int(os.environ.get("REPRO_SERVE_MAX_BATCH", "256")),
-            flush_ms=float(os.environ.get("REPRO_SERVE_FLUSH_MS", "2.0")),
-            timeout_ms=float(
-                os.environ.get("REPRO_SERVE_TIMEOUT_MS", "5000")
-            ),
-            max_pending=int(
-                os.environ.get("REPRO_SERVE_MAX_PENDING", "1024")
-            ),
-            poll_ms=float(os.environ.get("REPRO_SERVE_POLL_MS", "25")),
-        )
 
 
 @dataclass(frozen=True)
@@ -226,8 +204,7 @@ class LabelServer:
             lfs: Labeling-function suite — must match the suite the
                 manifests' stream ran, or votes (and posteriors) are
                 meaningless.
-            config: Serving knobs; ``None`` reads the environment via
-                :meth:`ServeConfig.from_env`.
+            config: Serving knobs; ``None`` means ``ServeConfig()``.
             telemetry: Optional :class:`repro.obs.MetricsRegistry`
                 the tier's registry forwards to; it alone keeps the
                 ``serving/*`` histograms, and :meth:`report` embeds its
@@ -242,7 +219,7 @@ class LabelServer:
             raise ValueError("LabelServer needs at least one labeling function")
         self.registry = registry
         self.lfs = list(lfs)
-        self.config = config or ServeConfig.from_env()
+        self.config = config or ServeConfig()
         self.metrics = registry.metrics.attach(telemetry, tracer)
         self.counters = registry.counters
         self.resident = Gauge()
@@ -263,7 +240,10 @@ class LabelServer:
 
         Performs one synchronous :meth:`CheckpointModelRegistry.refresh`
         so a root that already holds a manifest serves it from the very
-        first request.
+        first request. An unreadable newest manifest is treated as the
+        watcher treats it: counted as ``serving/refresh_errors``, and
+        the server comes up degraded (serving the prior) until a
+        readable manifest lands.
 
         Args:
             watch: Also spawn the watcher thread that polls the durable
@@ -280,7 +260,7 @@ class LabelServer:
         if self._batcher is not None:
             raise RuntimeError("LabelServer is already started")
         start_lf_resources(self.lfs)
-        self.registry.refresh()
+        self._refresh()
         self._stop.clear()
         self._batcher = threading.Thread(
             target=self._run_batches, name="label-serve-batcher", daemon=True
@@ -485,17 +465,21 @@ class LabelServer:
     # ------------------------------------------------------------------
     # watcher thread
     # ------------------------------------------------------------------
+    def _refresh(self) -> None:
+        """Deploy the newest manifest, if it can be read."""
+        try:
+            self.registry.refresh()
+        except (ValueError, RecordCorruption):
+            # An unreadable newest manifest (foreign schema, torn
+            # external copy) must not kill serving: keep the active
+            # generation and surface the problem as a counter.
+            self.metrics.counter("serving/refresh_errors")
+
     def _watch(self) -> None:
         """Poll the durable root for new manifests until stopped."""
         interval = self.config.poll_ms / 1000.0
         while not self._stop.wait(interval):
-            try:
-                self.registry.refresh()
-            except (ValueError, RecordCorruption):
-                # An unreadable newest manifest (foreign schema, torn
-                # external copy) must not kill serving: keep the active
-                # generation and surface the problem as a counter.
-                self.metrics.counter("serving/refresh_errors")
+            self._refresh()
 
     # ------------------------------------------------------------------
     # observability

@@ -357,8 +357,6 @@ class CheckpointedStream:
         end_model: NoiseAwareLogisticRegression | None = None,
         featurizer=None,
         end_model_epochs: int = 1,
-        workers: int = 1,
-        suite_spec=None,
         executor=None,
         drift: DriftPolicy | None = None,
         telemetry=None,
@@ -379,9 +377,8 @@ class CheckpointedStream:
             end_model: Optional prequential FTRL end model.
             featurizer: Required iff ``end_model`` is given.
             end_model_epochs: FTRL passes per micro-batch.
-            workers: ``> 1`` labels batches on a process pool.
-            suite_spec: Picklable LF-suite factory for workers.
-            executor: A live, reusable parallel executor.
+            executor: A live :class:`repro.parallel.ParallelLabelExecutor`
+                to label batches on; built and closed by the caller.
             drift: Optional :class:`repro.core.drift.DriftPolicy`. When
                 set, each run owns a :class:`DriftMonitor` fed every
                 finalized batch; the ``"refit"`` reaction forces an
@@ -419,11 +416,9 @@ class CheckpointedStream:
         self.end_model = end_model
         self.featurizer = featurizer
         self.end_model_epochs = end_model_epochs
-        #: Multi-consumer labeling (process pool); sinks and manifests
-        #: still finalize strictly in batch order, so durable bytes stay
-        #: identical to a single-consumer run.
-        self.workers = workers
-        self.suite_spec = suite_spec
+        #: Multi-consumer labeling (the caller's process pool); sinks
+        #: and manifests still finalize strictly in batch order, so
+        #: durable bytes stay identical to a single-consumer run.
         self.executor = executor
         #: Drift policy; each run() builds a fresh monitor from it (and
         #: restores the manifest's monitor snapshot on resume).
@@ -533,8 +528,6 @@ class CheckpointedStream:
             on_batch=self._learn,
             sinks=sinks,
             first_batch_seq=last_durable + 1,
-            workers=self.workers,
-            suite_spec=self.suite_spec,
             executor=self.executor,
             drift_monitor=self.drift_monitor,
             telemetry=self.telemetry,

@@ -19,9 +19,9 @@ the stage once:
 
 * **inline** (default): a FIFO hand-off queue; the calling thread labels
   each batch as it leaves the queue, so arrival order is batch order.
-* **pool** (``workers > 1`` or ``executor=``): the ingest thread submits
-  each decoded batch to a :class:`repro.parallel.ParallelLabelExecutor`
-  process pool, which hands blocks back oldest-submission first — order
+* **pool** (``executor=``): the ingest thread submits each decoded batch
+  to the caller's :class:`repro.parallel.ParallelLabelExecutor` process
+  pool, which hands blocks back oldest-submission first — order
   is restored in the executor, which owns sequence numbers and retries,
   and this module keeps no reorder buffer. Sinks and checkpoints see
   exactly the order an inline run produces, so streamed votes, sink
@@ -199,18 +199,9 @@ class _PoolStage:
     #: re-checking whether the input has ended.
     _POLL_S = 0.05
 
-    def __init__(self, pipeline: "MicroBatchPipeline", run: _Run) -> None:
-        from repro.parallel import ParallelLabelExecutor
-
-        self._owned = pipeline.executor is None
-        self._executor = pipeline.executor
-        if self._owned:
-            self._executor = ParallelLabelExecutor(
-                pipeline.suite_spec,
-                pipeline.workers,
-                telemetry=pipeline.telemetry,
-            )
-        self._lf_count = len(pipeline.lfs)
+    def __init__(self, executor, lf_count: int, run: _Run) -> None:
+        self._executor = executor
+        self._lf_count = lf_count
         self._run = run
         #: seq -> dispatched batch; written by the ingest thread, popped
         #: once by :meth:`take` (disjoint keys).
@@ -263,15 +254,12 @@ class _PoolStage:
             return batch
 
     def close(self) -> None:
-        if self._owned:
-            self._executor.close()
-        else:
-            # A shared (warm) executor must not carry this run's blocks
-            # into the caller's next run — a failed run would otherwise
-            # leave in-flight state that collides with or stalls the
-            # resume. The ingest thread is joined by now, so nothing can
-            # submit behind the reset.
-            self._executor.reset()
+        # The pool is the caller's and outlives the run, so it must not
+        # carry this run's blocks into the next one — a failed run would
+        # otherwise leave in-flight state that collides with or stalls
+        # the resume. The ingest thread is joined by now, so nothing can
+        # submit behind the reset.
+        self._executor.reset()
 
 
 @dataclass
@@ -358,8 +346,6 @@ class MicroBatchPipeline:
         collect_votes: bool = False,
         sinks: Sequence[BatchSink] | None = None,
         first_batch_seq: int = 0,
-        workers: int = 1,
-        suite_spec=None,
         executor=None,
         drift_monitor=None,
         telemetry=None,
@@ -380,11 +366,11 @@ class MicroBatchPipeline:
             sinks: Ordered durable sinks, run after ``on_batch`` while
                 the batch holds its residency permit.
             first_batch_seq: Batch numbering offset (resume support).
-            workers: ``> 1`` labels batches on a process pool
-                (the pool label stage).
-            suite_spec: Picklable LF-suite factory for worker processes.
-            executor: A live, reusable
-                :class:`repro.parallel.ParallelLabelExecutor`.
+            executor: A live :class:`repro.parallel.ParallelLabelExecutor`
+                whose suite spec rebuilds ``lfs``: batches are labeled
+                on its process pool (the pool label stage). The pool is
+                the caller's — a run resets its in-flight state on the
+                way out and never closes it.
             drift_monitor: Optional
                 :class:`repro.core.drift.DriftMonitor` fed every
                 finalized batch's votes, in order, between ``on_batch``
@@ -400,9 +386,8 @@ class MicroBatchPipeline:
                 and ids are deterministic — no RNG is touched).
 
         Raises:
-            ValueError: On non-positive sizes, a negative
-                ``first_batch_seq``, or ``workers > 1`` without a
-                ``suite_spec`` or ``executor``.
+            ValueError: On non-positive sizes or a negative
+                ``first_batch_seq``.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -413,13 +398,6 @@ class MicroBatchPipeline:
         if first_batch_seq < 0:
             raise ValueError(
                 f"first_batch_seq must be >= 0, got {first_batch_seq}"
-            )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1 and suite_spec is None and executor is None:
-            raise ValueError(
-                "workers > 1 needs a suite_spec (LFs are rebuilt inside "
-                "each worker process) or a live executor"
             )
         self.lfs = list(lfs)
         self.batch_size = batch_size
@@ -436,9 +414,8 @@ class MicroBatchPipeline:
         #: Batch numbering offset — a resumed stream continues the
         #: uninterrupted run's sequence so sink shard names line up.
         self.first_batch_seq = first_batch_seq
-        #: Pool label stage: >1 labels batches on a process pool.
-        self.workers = workers
-        self.suite_spec = suite_spec
+        #: Pool label stage: the caller's process pool, or ``None`` to
+        #: label inline on the calling thread.
         self.executor = executor
         #: Drift monitor fed per finalized batch (consumer thread, batch
         #: order) — between ``on_batch`` and the sink stage, so forced
@@ -466,8 +443,8 @@ class MicroBatchPipeline:
             metrics,
             metrics.gauge("stream/resident_records"),
         )
-        if self.workers > 1 or self.executor is not None:
-            stage = _PoolStage(self, run)
+        if self.executor is not None:
+            stage = _PoolStage(self.executor, len(self.lfs), run)
         else:
             stage = _InlineStage(self.lfs)
 
@@ -643,9 +620,6 @@ class MicroBatchPipeline:
             max_batch_latency_seconds=run.latency_max,
             counters=counters,
             label_matrix=label_matrix,
-            workers=max(
-                self.workers,
-                self.executor.workers if self.executor is not None else 1,
-            ),
+            workers=1 if self.executor is None else self.executor.workers,
             telemetry=run.metrics.attached_snapshot(),
         )

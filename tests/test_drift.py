@@ -292,10 +292,9 @@ class TestDecayMode:
         assert acc_decayed[0] < acc_cumulative[0] - 0.1
 
     def test_compat_refit_pins_round_weight_semantics_bit_exactly(self):
-        """Regression pin: with ``decay_weighted_refit`` off (the
-        default), a decay-mode refit is, to the bit, the offline fit of
-        the matrix that repeats each retained pattern ``round(weight)``
-        times (half-up) — in any row order."""
+        """Regression pin: a decay-mode refit is, to the bit, the
+        offline fit of the matrix that repeats each retained pattern
+        ``round(weight)`` times (half-up) — in any row order."""
         stream = draw_batches(8, seed=13) + draw_batches(8, seed=14, **SHIFTED)
         base = LabelModelConfig(n_steps=300, seed=0)
         model = OnlineLabelModel(
@@ -314,50 +313,6 @@ class TestDecayMode:
         assert np.array_equal(offline.alpha, refit.alpha)
         assert np.array_equal(offline.beta, refit.beta)
         assert np.array_equal(offline.predict_proba(L), refit.predict_proba(L))
-
-    def test_weighted_refit_within_documented_tolerance(self):
-        """``decay_weighted_refit=True`` drops the rounding: fitted
-        posteriors stay within the documented 0.1 of the default
-        ``round(weight)`` fit (the gap is the rounding error itself, a
-        few multiplicities of O(1) on a weight mass of hundreds), while
-        still adapting to the post-shift regime."""
-        stream = draw_batches(10, seed=13) + draw_batches(10, seed=14, **SHIFTED)
-        base = LabelModelConfig(n_steps=400, seed=0)
-
-        def build(**kwargs):
-            model = OnlineLabelModel(
-                OnlineLabelModelConfig(
-                    base=base, steps_per_batch=0, decay=0.7, **kwargs
-                )
-            )
-            for votes in stream:
-                model.observe(votes)
-            return model
-
-        legacy = build()
-        weighted = build(decay_weighted_refit=True)
-        legacy_model, weighted_model = legacy.refit(), weighted.refit()
-        L = legacy.compressed_votes().expand()
-        gap = np.max(
-            np.abs(
-                legacy_model.predict_proba(L)
-                - weighted_model.predict_proba(L)
-            )
-        )
-        assert 0.0 < gap <= 0.1, gap
-        # The weighted matrix has no expanded form; its weight mass is
-        # the real-valued decayed total, not a row count.
-        votes = weighted.compressed_votes()
-        assert not votes.integral
-        # LF 0 flipped post-shift: the weighted refit must still rate it
-        # near-useless, same as the legacy decayed refit.
-        assert weighted_model.accuracies()[0] <= 0.55
-
-    def test_weighted_refit_requires_decay_mode(self):
-        with pytest.raises(ValueError, match="decay_weighted_refit"):
-            OnlineLabelModel(
-                OnlineLabelModelConfig(decay_weighted_refit=True)
-            )
 
     def test_state_round_trip_is_bitwise(self):
         stream = draw_batches(6, seed=15) + draw_batches(6, seed=16, **SHIFTED)

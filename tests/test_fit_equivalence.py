@@ -335,27 +335,6 @@ class TestBinaryEquivalence:
         compressed.fit_compressed(aggregated)
         assert_bitwise(full, compressed, L)
 
-    def test_real_valued_weights_fit_converges(self):
-        """Decay-weighted compressions (no expanded matrix exists):
-        inverse-CDF sampling must produce a finite, sane fit whose
-        accuracies track the integer-weighted fit's."""
-        L = duplicate_heavy(np.random.default_rng(9), 1_200, 8)
-        exact = compress_votes(L)
-        rng = np.random.default_rng(1)
-        weights = exact.weights * rng.uniform(0.5, 1.0, exact.n_patterns)
-        weighted = CompressedVotes(
-            patterns=exact.patterns,
-            weights=weights,
-            n_rows=float(weights.sum()),
-        )
-        config = LabelModelConfig(n_steps=400, batch_size=64, seed=2)
-        reference = SamplingFreeLabelModel(config).fit(L)
-        model = SamplingFreeLabelModel(config)
-        model.fit_compressed(weighted)
-        assert np.all(np.isfinite(model.alpha))
-        assert np.all(np.isfinite(model.beta))
-        assert np.max(np.abs(model.accuracies() - reference.accuracies())) < 0.2
-
     @pytest.mark.parametrize("batch_size", [64, 10_000], ids=["minibatch", "full"])
     def test_fit_is_row_order_invariant(self, batch_size):
         """``fit(L) == fit(L[perm])`` to the bit, in both regimes."""
@@ -448,7 +427,6 @@ class TestCompressVotes:
         votes = compress_votes(L)
         assert np.array_equal(votes.expand(), canonical_rows(L))
         assert votes.weights.sum() == len(L)
-        assert votes.integral
         assert votes.n_patterns == len(np.unique(L, axis=0))
         assert np.array_equal(votes.patterns, np.unique(L, axis=0))
         for dtype in (np.int64, np.float64):
@@ -488,14 +466,14 @@ class TestCompressVotes:
             MulticlassLabelModel(3, MulticlassConfig(n_steps=1)).fit(bad + 2)
 
     def test_expand_refuses_real_valued_weights(self):
-        votes = CompressedVotes(
-            patterns=np.zeros((1, 3)),
-            weights=np.array([1.5]),
-            n_rows=1.5,
-        )
-        assert not votes.integral
+        """A real-valued weighting has no expanded matrix, so it never
+        reaches ``expand``: construction refuses it."""
         with pytest.raises(ValueError, match="real-valued"):
-            votes.expand()
+            CompressedVotes(
+                patterns=np.zeros((1, 3)),
+                weights=np.array([1.5]),
+                n_rows=1.5,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -533,5 +511,4 @@ class TestOnlineRefitEquivalence:
         L = duplicate_heavy(np.random.default_rng(0), 300, 5)
         votes = self._observed([L[:100], L[100:]]).compressed_votes()
         assert same_rows(votes, L)
-        assert votes.integral
         assert votes.n_rows == len(L)

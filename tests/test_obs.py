@@ -41,6 +41,7 @@ from repro.obs import (
     decode_histograms,
     encode_histograms,
 )
+from repro.parallel import ParallelLabelExecutor
 from repro.serving import LabelServer, ServeConfig
 from repro.streaming import (
     CheckpointedStream,
@@ -540,14 +541,15 @@ class TestHotPathIntegration:
         as one process doing all the work."""
         corpus = make_corpus(n=600, seed=23)
         multi = MetricsRegistry()
-        apply_lfs_in_memory(
-            make_lfs(), corpus, workers=2, suite_spec=SPEC,
-            batch_size=100, telemetry=multi,
-        )
+        with ParallelLabelExecutor(
+            SPEC, workers=2, telemetry=multi
+        ) as executor:
+            apply_lfs_in_memory(
+                make_lfs(), corpus, executor=executor, batch_size=100
+            )
         single = MetricsRegistry()
         apply_lfs_in_memory(
-            make_lfs(), corpus, workers=1, batch_size=100,
-            telemetry=single,
+            make_lfs(), corpus, batch_size=100, telemetry=single
         )
         blocks = 6  # 600 examples / block size 100
         for key in ("worker/decode_us", "worker/label_us"):
@@ -630,7 +632,6 @@ class TestZeroCostWhenOff:
         import repro.obs.registry as registry_module
         import repro.parallel.executor as executor_module
         from repro.lf.applier import stage_examples
-        from repro.parallel import ParallelLabelExecutor
         from repro.streaming import CheckpointedStream, RecordStreamSource
 
         from tests.test_checkpoint import ONLINE_CONFIG

@@ -60,6 +60,27 @@ def serial_matrix(corpus):
     return apply_lfs_in_memory(make_lfs(), corpus).matrix
 
 
+@pytest.fixture(scope="module")
+def pool():
+    """One warm two-worker pool for every case that kills no worker."""
+    with ParallelLabelExecutor(SPEC, workers=2) as executor:
+        yield executor
+
+
+@pytest.fixture(scope="module", params=WORKER_COUNTS)
+def sized_pool(request):
+    with ParallelLabelExecutor(SPEC, workers=request.param) as executor:
+        yield executor
+
+
+@pytest.fixture(scope="module")
+def narrow_pool():
+    """A worker that rebuilds the wrong (narrower) suite."""
+    wrong = LFSuiteSpec(factory="tests.test_parallel:build_other_suite")
+    with ParallelLabelExecutor(wrong, workers=1) as executor:
+        yield executor
+
+
 # ----------------------------------------------------------------------
 # spec + codec round-trip
 # ----------------------------------------------------------------------
@@ -92,46 +113,35 @@ class TestSuiteSpec:
 # offline path: serial vs parallel byte identity
 # ----------------------------------------------------------------------
 class TestOfflineParallel:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_matrix_identical_at_every_worker_count(
-        self, corpus, serial_matrix, workers
+        self, corpus, serial_matrix, sized_pool
     ):
-        L = apply_lfs_in_memory(
-            make_lfs(), corpus, workers=workers, suite_spec=SPEC
-        )
+        L = apply_lfs_in_memory(make_lfs(), corpus, executor=sized_pool)
         assert np.array_equal(L.matrix, serial_matrix)
         assert L.example_ids == [e.example_id for e in corpus]
 
-    def test_small_block_sizes_do_not_change_votes(self, corpus, serial_matrix):
+    def test_small_block_sizes_do_not_change_votes(
+        self, corpus, serial_matrix, pool
+    ):
         L = apply_lfs_in_memory(
-            make_lfs(), corpus, workers=2, suite_spec=SPEC, batch_size=37
+            make_lfs(), corpus, executor=pool, batch_size=37
         )
         assert np.array_equal(L.matrix, serial_matrix)
 
-    def test_executor_reuse_across_calls(self, corpus, serial_matrix):
-        with ParallelLabelExecutor(SPEC, workers=2) as executor:
-            for _ in range(2):
-                L = apply_lfs_in_memory(
-                    make_lfs(), corpus, executor=executor
-                )
-                assert np.array_equal(L.matrix, serial_matrix)
+    def test_executor_reuse_across_calls(self, corpus, serial_matrix, pool):
+        for _ in range(2):
+            L = apply_lfs_in_memory(make_lfs(), corpus, executor=pool)
+            assert np.array_equal(L.matrix, serial_matrix)
 
-    def test_requires_spec_or_executor(self, corpus):
-        with pytest.raises(ValueError, match="suite_spec"):
-            apply_lfs_in_memory(make_lfs(), corpus, workers=2)
-
-    def test_rejects_unbatched_parallel(self, corpus):
+    def test_rejects_unbatched_parallel(self, corpus, pool):
         with pytest.raises(ValueError, match="batched"):
             apply_lfs_in_memory(
-                make_lfs(), corpus, batched=False, workers=2, suite_spec=SPEC
+                make_lfs(), corpus, batched=False, executor=pool
             )
 
-    def test_rejects_mismatched_suite_spec(self, corpus):
-        wrong = LFSuiteSpec(factory="tests.test_parallel:build_other_suite")
+    def test_rejects_mismatched_suite_spec(self, corpus, narrow_pool):
         with pytest.raises(ValueError, match="suite_spec"):
-            apply_lfs_in_memory(
-                make_lfs(), corpus, workers=2, suite_spec=wrong
-            )
+            apply_lfs_in_memory(make_lfs(), corpus, executor=narrow_pool)
 
 
 # ----------------------------------------------------------------------
@@ -213,16 +223,15 @@ class TestReassemblyOrder:
         spec = LFSuiteSpec(factory="tests.test_parallel:build_skewed_suite")
         lfs = build_skewed_suite()
         seqs = []
-        pipe = MicroBatchPipeline(
-            lfs,
-            batch_size=50,
-            max_resident_batches=6,
-            workers=4,
-            suite_spec=spec,
-            on_batch=lambda seq, *_: seqs.append(seq),
-            collect_votes=True,
-        )
-        report = pipe.run(iter(corpus))
+        with ParallelLabelExecutor(spec, workers=4) as executor:
+            report = MicroBatchPipeline(
+                lfs,
+                batch_size=50,
+                max_resident_batches=6,
+                executor=executor,
+                on_batch=lambda seq, *_: seqs.append(seq),
+                collect_votes=True,
+            ).run(iter(corpus))
         assert seqs == list(range(report.batches))
         serial = apply_lfs_in_memory(build_skewed_suite(), corpus)
         assert np.array_equal(report.label_matrix.matrix, serial.matrix)
@@ -242,15 +251,13 @@ class TestStreamingParallel:
         ).run(RecordStreamSource(dfs, shards))
         return dfs, shards, serial
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_votes_identical_at_every_worker_count(self, staged, workers):
+    def test_votes_identical_at_every_worker_count(self, staged, sized_pool):
         dfs, shards, serial = staged
         report = MicroBatchPipeline(
             make_lfs(),
             batch_size=64,
-            max_resident_batches=workers + 2,
-            workers=workers,
-            suite_spec=SPEC,
+            max_resident_batches=sized_pool.workers + 2,
+            executor=sized_pool,
             collect_votes=True,
         ).run(RecordStreamSource(dfs, shards))
         assert report.label_matrix.example_ids == (
@@ -259,28 +266,26 @@ class TestStreamingParallel:
         assert np.array_equal(
             report.label_matrix.matrix, serial.label_matrix.matrix
         )
-        assert report.workers == workers
+        assert report.workers == sized_pool.workers
 
-    def test_residency_permits_bound_inflight_batches(self, staged):
+    def test_residency_permits_bound_inflight_batches(self, staged, pool):
         dfs, shards, _ = staged
         report = MicroBatchPipeline(
             make_lfs(),
             batch_size=64,
             max_resident_batches=3,
-            workers=2,
-            suite_spec=SPEC,
+            executor=pool,
         ).run(RecordStreamSource(dfs, shards))
         assert report.peak_resident_records <= report.max_resident_records
         assert report.max_resident_records == 3 * 64
 
-    def test_posteriors_match_serial(self, staged):
+    def test_posteriors_match_serial(self, staged, pool):
         dfs, shards, serial = staged
         report = MicroBatchPipeline(
             make_lfs(),
             batch_size=64,
             max_resident_batches=4,
-            workers=2,
-            suite_spec=SPEC,
+            executor=pool,
             collect_votes=True,
         ).run(RecordStreamSource(dfs, shards))
         config = LabelModelConfig(n_steps=200, seed=0)
@@ -295,15 +300,10 @@ class TestStreamingParallel:
             == parallel.predict_proba(report.label_matrix.matrix).tobytes()
         )
 
-    def test_requires_spec_or_executor(self):
-        with pytest.raises(ValueError, match="suite_spec"):
-            MicroBatchPipeline(make_lfs(), workers=2)
-
-    def test_mismatched_worker_suite_is_rejected(self, staged):
+    def test_mismatched_worker_suite_is_rejected(self, staged, narrow_pool):
         dfs, shards, _ = staged
-        wrong = LFSuiteSpec(factory="tests.test_parallel:build_other_suite")
         pipe = MicroBatchPipeline(
-            make_lfs(), batch_size=64, workers=2, suite_spec=wrong
+            make_lfs(), batch_size=64, executor=narrow_pool
         )
         with pytest.raises(ValueError, match="vote columns"):
             pipe.run(RecordStreamSource(dfs, shards))
@@ -379,7 +379,13 @@ class TestWorkerCrashes:
             votes = executor.label_examples(corpus, block_size=64)
             assert np.array_equal(votes, serial_matrix)
 
-    def test_shared_executor_survives_pipeline_sink_crash(self):
+    @pytest.mark.parametrize(
+        "ending", ["clean", "sink_raises", "worker_failure"]
+    )
+    def test_run_never_closes_the_callers_executor(self, ending):
+        """The pool is the caller's: however a run ends, the pipeline
+        leaves it open with nothing in flight, and the next run on it is
+        byte-identical to serial."""
         corpus = make_corpus(n=300, seed=13)
         lfs = make_lfs()
         serial = apply_lfs_in_memory(lfs, corpus).matrix
@@ -388,19 +394,27 @@ class TestWorkerCrashes:
             if seq == 2:
                 raise RuntimeError("sink crashed")
 
-        with ParallelLabelExecutor(SPEC, workers=2) as executor:
-            crashy = MicroBatchPipeline(
+        def run(executor, on_batch=None):
+            return MicroBatchPipeline(
                 lfs, batch_size=32, max_resident_batches=4,
-                executor=executor, on_batch=explode,
-            )
-            with pytest.raises(RuntimeError, match="sink crashed"):
-                crashy.run(iter(corpus))
-            assert executor.pending() == 0  # pipeline reset the pool
-            clean = MicroBatchPipeline(
-                lfs, batch_size=32, max_resident_batches=4,
-                executor=executor, collect_votes=True,
-            )
-            report = clean.run(iter(corpus))
+                executor=executor, on_batch=on_batch, collect_votes=True,
+            ).run(iter(corpus))
+
+        with ParallelLabelExecutor(SPEC, workers=2, max_retries=0) as executor:
+            if ending == "clean":
+                run(executor)
+            elif ending == "sink_raises":
+                with pytest.raises(RuntimeError, match="sink crashed"):
+                    run(executor, on_batch=explode)
+            else:
+                executor.kill_worker_on(1, attempts=10)
+                with pytest.raises(WorkerFailure):
+                    run(executor)
+                executor._kill_plan.clear()
+            assert executor.pending() == 0
+            # A closed executor refuses to start, so this run is also
+            # the proof that the one before it closed nothing.
+            report = run(executor)
         assert np.array_equal(report.label_matrix.matrix, serial)
 
     def test_validates_construction(self):

@@ -144,24 +144,9 @@ class TestServeConfig:
         with pytest.raises(ValueError):
             ServeConfig(**bad)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "64")
-        monkeypatch.setenv("REPRO_SERVE_FLUSH_MS", "7.5")
-        monkeypatch.setenv("REPRO_SERVE_TIMEOUT_MS", "1000")
-        monkeypatch.setenv("REPRO_SERVE_MAX_PENDING", "33")
-        monkeypatch.setenv("REPRO_SERVE_POLL_MS", "3")
-        config = ServeConfig.from_env()
-        assert config.max_batch == 64
-        assert config.flush_ms == 7.5
-        assert config.timeout_ms == 1000.0
-        assert config.max_pending == 33
-        assert config.poll_ms == 3.0
-
-    def test_constructor_defaults_to_env(self, monkeypatch, checkpointed):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "16")
+    def test_constructor_defaults_to_serve_config(self):
         registry = make_registry(DistributedFileSystem(), "/cfg/live")
-        server = LabelServer(registry, make_lfs())
-        assert server.config.max_batch == 16
+        assert LabelServer(registry, make_lfs()).config == ServeConfig()
 
     def test_server_requires_lfs(self):
         registry = make_registry(DistributedFileSystem(), "/cfg/live")
@@ -266,6 +251,22 @@ class TestCheckpointModelRegistry:
             # Still serving generation 1 despite the torn deploy.
             result = server.predict(checkpointed["decoded"][0])
             assert result.generation == 1 and not result.degraded
+
+    def test_start_survives_torn_manifest(self, checkpointed, lfs):
+        """The first, synchronous refresh is no different from the
+        watcher's: a torn newest manifest is counted, the server comes
+        up degraded, and the watcher deploys the next readable one."""
+        dfs = checkpointed["dfs"]
+        root = "/reg/startbad"
+        registry = make_registry(dfs, root)
+        dfs.write_file(registry.manager.manifest_path(0), b"torn bytes")
+        config = ServeConfig(flush_ms=0.5, poll_ms=2.0)
+        with LabelServer(registry, lfs, config) as server:
+            assert server.counters.as_dict()["serving/refresh_errors"] >= 1
+            assert server.predict(checkpointed["decoded"][0]).degraded
+            deploy(dfs, checkpointed["manifests"][1], root)
+            wait_for_generation(registry, 1)
+            assert not server.predict(checkpointed["decoded"][0]).degraded
 
     def test_generation_posteriors_match_offline_fit(self, checkpointed):
         dfs = checkpointed["dfs"]
