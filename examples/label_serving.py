@@ -89,7 +89,7 @@ def main():
     registry = CheckpointModelRegistry(
         dfs, "/demo/live", online_config=online_config
     )
-    config = ServeConfig(flush_ms=1.0, poll_ms=2.0)
+    config = ServeConfig(poll_ms=2.0)
     with LabelServer(registry, lfs, config) as server:
         probe = server.predict(decoded[0])
         print(
@@ -109,13 +109,17 @@ def main():
         n_clients, per_client = 4, 100
 
         def client(c):
-            for i in range(per_client):
+            # At least per_client requests, then on until the mid-load
+            # release answers: the load always outlasts the deploy.
+            for i in range(100 * per_client):
                 example = decoded[(c * per_client + i) % len(decoded)]
                 result = server.predict(example)
                 with lock:
                     served.append((example.example_id, result))
                     if len(served) == n_clients * per_client // 2:
                         release(final)
+                if i + 1 >= per_client and result.generation == 2:
+                    break
 
         threads = [
             threading.Thread(target=client, args=(c,))

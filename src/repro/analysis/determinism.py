@@ -19,8 +19,8 @@ Flagged inside :data:`DETERMINISM_SURFACE` modules:
   ``sorted`` or use ``dict.fromkeys`` to deduplicate stably).
 
 Telemetry and deadline code on the surface that legitimately reads the
-clock (latency histograms, flush windows — metadata that never enters
-output bytes) carries per-line ``# repro: allow[determinism] reason``
+clock (latency histograms, request deadlines — metadata that never
+enters output bytes) carries per-line ``# repro: allow[determinism] reason``
 suppressions; the justification requirement keeps each exception
 audited.
 """

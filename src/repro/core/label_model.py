@@ -304,17 +304,19 @@ class SamplingFreeLabelModel:
 
         ``steps_taken`` is part of the snapshot so step-count-dependent
         behavior (learning-rate schedules, loss-tracking cadence) never
-        restarts from zero on a resumed stream.
+        restarts from zero on a resumed stream. ``loss_history`` is
+        reporting that every fit resets: only its last pair is kept.
         """
         from repro.dfs.records import encode_ndarray
 
+        last_loss = self.loss_history[-1:]
         return {
             "alpha": None if self.alpha is None else encode_ndarray(self.alpha),
             "beta": None if self.beta is None else encode_ndarray(self.beta),
             "prior_logit": self.prior_logit,
             "n_lfs": self.n_lfs,
             "steps_taken": self.steps_taken,
-            "loss_history": [[int(s), float(l)] for s, l in self.loss_history],
+            "loss_history": [[int(s), float(l)] for s, l in last_loss],
         }
 
     def load_state(self, state: dict) -> "SamplingFreeLabelModel":

@@ -95,6 +95,7 @@ KEY_CONTRACT: tuple[ContractKey, ...] = tuple(
         ("serving/timeouts", "counter", "serving", True),
         ("serving/backpressure_waits", "counter", "serving", True),
         ("serving/refresh_errors", "counter", "serving", True),
+        ("serving/batch_errors", "counter", "serving", True),
         ("serving/latency_us", "histogram", "serving", False),
         ("serving/batch_size", "histogram", "serving", False, "serving.flush", "requests"),
     )

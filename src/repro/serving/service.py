@@ -6,9 +6,9 @@ label service sees one example per request. Scoring each request alone
 would abandon the vectorized ``label_batch`` kernels and the fused
 token-match executor that make the offline path fast, so
 :class:`LabelServer` *micro-batches*: concurrent requests queue behind a
-single batcher thread that drains up to ``max_batch`` of them (or
-whatever arrived within the ``flush_ms`` deadline), labels the block
-through :func:`repro.lf.applier.label_example_block`, and scores all
+single batcher thread that, the moment it is free, takes everything
+queued (at most ``max_batch``), labels the block through
+:func:`repro.lf.applier.label_example_block`, and scores all
 posteriors with one vectorized
 :meth:`~repro.core.label_model.SamplingFreeLabelModel.predict_proba`
 call against the generation captured once per batch.
@@ -23,8 +23,10 @@ Operational contract:
   request is answered (never erred) with the configured class prior and
   ``degraded=True``, counted as ``serving/degraded``;
 * **bounded latency** — :meth:`LabelServer.predict` waits at most
-  ``timeout_ms`` for its result; expiry raises :class:`ServeTimeout`
-  and increments ``serving/timeouts``;
+  ``timeout_ms`` for admission and its result together; expiry raises
+  :class:`ServeTimeout` and increments ``serving/timeouts``;
+* **contained failures** — a micro-batch that raises fails alone: its
+  callers get the error (``serving/batch_errors``), serving goes on;
 * **hot swap safety** — the batcher captures the active generation once
   per micro-batch, so every response in a batch is scored by exactly
   one immutable generation even if the watcher swaps mid-batch;
@@ -79,10 +81,10 @@ __all__ = [
 #: are sliced off after scoring.
 _SCORE_PAD_ROWS = 32
 
-#: Bound on every shutdown join. The batcher and watcher re-check the
-#: stop flag at least every flush/poll interval (milliseconds), so a
-#: thread that outlives this bound is wedged and must be surfaced, not
-#: waited on forever.
+#: Bound on every shutdown join. The idle batcher re-checks the stop
+#: flag every 50 ms and the watcher every poll interval, so a thread
+#: that outlives this bound is wedged and must be surfaced, not waited
+#: on forever.
 _JOIN_TIMEOUT_S = 5.0
 
 
@@ -100,7 +102,7 @@ def _join_or_raise(thread: threading.Thread, name: str) -> None:
 
 
 class ServeTimeout(TimeoutError):
-    """A request's result did not arrive within its deadline."""
+    """A request was not admitted and answered within its deadline."""
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,10 @@ class ServeConfig:
     """Tuning knobs for :class:`LabelServer`."""
 
     max_batch: int = 256
-    """Maximum requests coalesced into one scoring micro-batch."""
-    flush_ms: float = 2.0
-    """How long the batcher waits for more requests after the first one
-    arrives before flushing a partial batch."""
+    """Cap on the requests scored as one micro-batch; batch size itself
+    is whatever queued while the previous batch was in flight."""
     timeout_ms: float = 5000.0
-    """Default per-request result deadline."""
+    """Default per-request deadline, covering admission and scoring."""
     max_pending: int = 1024
     """Admission-control bound on resident (queued + scoring) requests."""
     poll_ms: float = 25.0
@@ -125,8 +125,7 @@ class ServeConfig:
 
         Raises:
             ValueError: On a non-positive ``max_batch``, ``max_pending``,
-                ``timeout_ms``, or ``poll_ms``, or a negative
-                ``flush_ms``.
+                ``timeout_ms``, or ``poll_ms``.
         """
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
@@ -134,8 +133,6 @@ class ServeConfig:
             raise ValueError(
                 f"max_pending must be >= 1, got {self.max_pending}"
             )
-        if self.flush_ms < 0:
-            raise ValueError(f"flush_ms must be >= 0, got {self.flush_ms}")
         if self.timeout_ms <= 0:
             raise ValueError(
                 f"timeout_ms must be > 0, got {self.timeout_ms}"
@@ -161,20 +158,25 @@ class ServeResult:
     """Labeling functions that voted non-abstain on the example
     (0 in the degraded regime — LFs are not executed)."""
     latency_ms: float
-    """Submit-to-resolve latency measured by the server."""
+    """Submit-to-resolve latency (admission wait included)."""
 
 
 class _Pending:
-    """One queued request: the example plus its completion signal."""
+    """One submitted request: the example plus its completion signal."""
 
-    __slots__ = ("example", "event", "result", "enqueued")
+    __slots__ = ("example", "event", "outcome", "submitted")
 
     def __init__(self, example: Example) -> None:
         self.example = example
         self.event = threading.Event()
-        self.result: ServeResult | None = None
+        self.outcome: ServeResult | Exception | None = None
         # repro: allow[determinism] queue-latency measurement; labels depend only on the model generation
-        self.enqueued = time.perf_counter()
+        self.submitted = time.perf_counter()
+
+    def age_ms(self) -> float:
+        """Milliseconds since submission."""
+        # repro: allow[determinism] latency_ms / deadline metadata on the response envelope, never label math
+        return 1e3 * (time.perf_counter() - self.submitted)
 
 
 class LabelServer:
@@ -309,47 +311,55 @@ class LabelServer:
 
         Args:
             example: The example to label.
-            timeout_ms: Per-call result deadline; ``None`` uses the
-                configured ``timeout_ms``.
+            timeout_ms: Per-call deadline, spent across admission and
+                the wait for the result; ``None`` uses the configured
+                ``timeout_ms``.
 
         Returns:
             The :class:`ServeResult` (degraded when no generation is
             deployed — never an error).
 
         Raises:
-            ServeTimeout: If the result missed the deadline (counted as
-                ``serving/timeouts``; the request still resolves later
-                and its permit is released by the batcher).
+            ServeTimeout: If the deadline expired (counted as
+                ``serving/timeouts``): before admission nothing was
+                enqueued; after it the request still resolves later
+                and its permit is released by the batcher.
             RuntimeError: If the server is stopped.
+            Exception: Whatever the request's micro-batch raised.
         """
-        pending = self._submit(example)
         budget = (
             self.config.timeout_ms if timeout_ms is None else timeout_ms
         )
-        if not pending.event.wait(budget / 1000.0):
+        pending = _Pending(example)
+        left = self._submit(pending, budget)
+        if left is None or not pending.event.wait(left / 1000.0):
             self.metrics.counter("serving/timeouts")
             raise ServeTimeout(
                 f"no result for {example.example_id!r} within {budget}ms"
             )
-        assert pending.result is not None
-        return pending.result
+        if isinstance(pending.outcome, Exception):
+            raise pending.outcome
+        return pending.outcome
 
-    def _submit(self, example: Example) -> _Pending:
-        """Admit and enqueue one request; returns its pending handle."""
+    def _submit(self, pending: _Pending, budget_ms: float) -> float | None:
+        """Admit and enqueue one request; returns the budget left for
+        its result, or ``None`` if admission used it all (no permit is
+        held and nothing was enqueued)."""
         if self._stop.is_set() or self._batcher is None:
             raise RuntimeError("LabelServer is not running")
         # Admission control: non-blocking fast path, counted wait
         # otherwise — the streaming pipeline's residency-permit idiom.
         if not self._permits.acquire(blocking=False):
             self.metrics.counter("serving/backpressure_waits")
-            self._permits.acquire()
+            if not self._permits.acquire(timeout=budget_ms / 1000.0):
+                return None
+            budget_ms = max(0.0, budget_ms - pending.age_ms())
         self.resident.add(1)
-        pending = _Pending(example)
         with self._wake:
             self._queue.append(pending)
             self._wake.notify()
         self.metrics.counter("serving/requests")
-        return pending
+        return budget_ms
 
     # ------------------------------------------------------------------
     # batcher thread
@@ -357,36 +367,32 @@ class LabelServer:
     def _take_batch(self) -> list[_Pending] | None:
         """Block for the next micro-batch; ``None`` means shut down.
 
-        The first request opens a ``flush_ms`` window; the batch closes
-        when the window expires or ``max_batch`` requests coalesced,
-        whichever comes first.
+        Takes everything queued, up to ``max_batch``: an idle batcher
+        flushes a lone request at once, and requests coalesce only while
+        the previous batch is being scored.
         """
         with self._wake:
             while not self._queue:
                 if self._stop.is_set():
                     return None
                 self._wake.wait(0.05)
-            batch = [self._queue.popleft()]
-            # repro: allow[determinism] flush_ms batching deadline — latency SLO, not label math
-            deadline = time.perf_counter() + self.config.flush_ms / 1000.0
-            while len(batch) < self.config.max_batch:
-                if self._queue:
-                    batch.append(self._queue.popleft())
-                    continue
-                # repro: allow[determinism] remaining wait in the flush window; affects batching, not labels
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0 or self._stop.is_set():
-                    break
-                self._wake.wait(remaining)
-            return batch
+            take = min(len(self._queue), self.config.max_batch)
+            return [self._queue.popleft() for _ in range(take)]
 
     def _run_batches(self) -> None:
-        """Batcher main loop: take, score, resolve, until drained."""
+        """Batcher main loop: take, score, resolve, until drained. A
+        batch that raises fails alone and the loop keeps serving."""
         while True:
             batch = self._take_batch()
             if batch is None:
                 return
-            self._score_batch(batch)
+            try:
+                self._score_batch(batch)
+            except Exception as error:
+                self.metrics.counter("serving/batch_errors")
+                for pending in batch:
+                    if not pending.event.is_set():
+                        self._resolve(pending, error)
 
     def _score_batch(self, batch: list[_Pending]) -> None:
         """Label + score one micro-batch against one captured generation."""
@@ -397,27 +403,29 @@ class LabelServer:
         generation = self.registry.active()
         if generation is None:
             self.metrics.counter("serving/degraded", len(batch))
-            for pending in batch:
-                self._resolve(
-                    pending,
-                    posterior=self._abstain_prior,
-                    generation=None,
-                    degraded=True,
-                    fired=0,
-                )
+            number = None
+            posteriors = [self._abstain_prior] * len(batch)
+            fired = [0] * len(batch)
         else:
+            number = generation.generation
             examples = [pending.example for pending in batch]
             votes = label_example_block(self.lfs, examples, self._fused_cols)
             posteriors = self._score_votes(generation, votes)
             fired = np.abs(votes).sum(axis=1)
-            for pending, posterior, n_fired in zip(batch, posteriors, fired):
-                self._resolve(
-                    pending,
+        for pending, posterior, n_fired in zip(batch, posteriors, fired):
+            latency_ms = pending.age_ms()
+            self.metrics.record("serving/latency_us", latency_ms * 1e3)
+            self._resolve(
+                pending,
+                ServeResult(
+                    example_id=pending.example.example_id,
                     posterior=float(posterior),
-                    generation=generation.generation,
-                    degraded=False,
+                    generation=number,
+                    degraded=generation is None,
                     fired=int(n_fired),
-                )
+                    latency_ms=latency_ms,
+                ),
+            )
         self.metrics.stage(
             "serving.flush",
             since=started,
@@ -439,25 +447,10 @@ class LabelServer:
         return generation.label_model.predict_proba(votes)[:n]
 
     def _resolve(
-        self,
-        pending: _Pending,
-        posterior: float,
-        generation: int | None,
-        degraded: bool,
-        fired: int,
+        self, pending: _Pending, outcome: ServeResult | Exception
     ) -> None:
-        """Publish one result, wake its waiter, release its residency."""
-        # repro: allow[determinism] latency_ms is observability metadata on the response envelope
-        latency_ms = 1e3 * (time.perf_counter() - pending.enqueued)
-        pending.result = ServeResult(
-            example_id=pending.example.example_id,
-            posterior=posterior,
-            generation=generation,
-            degraded=degraded,
-            fired=fired,
-            latency_ms=latency_ms,
-        )
-        self.metrics.record("serving/latency_us", latency_ms * 1e3)
+        """Publish one outcome, wake its waiter, release its residency."""
+        pending.outcome = outcome
         pending.event.set()
         self.resident.subtract(1)
         self._permits.release()

@@ -171,6 +171,29 @@ class TestAnalysisRules:
         )
 
 
+class TestServeConfigTable:
+    #: One table row: | `field` | `default` | effect |
+    FIELD_ROW_RE = re.compile(r"^\| `([a-z_]+)` \| `([0-9.]+)` \|", re.MULTILINE)
+
+    def test_configuration_table_matches_serve_config(self):
+        """docs/SERVING.md tabulates exactly the fields of ServeConfig,
+        in order, with their defaults."""
+        import dataclasses
+
+        from repro.serving import ServeConfig
+
+        text = (REPO / "docs" / "SERVING.md").read_text(encoding="utf-8")
+        section = text.split("## Configuration")[1].split("\n## ")[0]
+        documented = [
+            (name, float(default))
+            for name, default in self.FIELD_ROW_RE.findall(section)
+        ]
+        assert documented == [
+            (field.name, float(field.default))
+            for field in dataclasses.fields(ServeConfig)
+        ]
+
+
 class TestMarkdownLinks:
     def test_intra_repo_links_resolve(self):
         """scripts/check_docs.py finds no broken markdown links."""

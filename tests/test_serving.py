@@ -2,16 +2,18 @@
 
 Covers the checkpoint-backed registry (empty-root degradation, first
 deploy, idempotent refresh, unreadable manifests, legacy pre-drift
-manifests), the micro-batching server (coalescing, admission control,
-timeouts, lifecycle), and the headline guarantees: a manifest appearing
-mid-request hot-swaps in without dropping traffic, a swap under
-concurrent load never produces a torn read, and every served posterior
-is bitwise equal to an offline fit of the served snapshot's stream
-prefix — including for a stream that was killed mid-run.
+manifests), the micro-batching server (batches formed from load with
+the clock frozen, admission control and its deadline, a raising batch
+failing alone, timeouts, lifecycle), and the headline guarantees: a
+manifest appearing mid-request hot-swaps in without dropping traffic, a
+swap under concurrent load never produces a torn read, and every served
+posterior is bitwise equal to an offline fit of the served snapshot's
+stream prefix — including for a stream that was killed mid-run.
 """
 
 import json
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -107,15 +109,24 @@ def make_registry(dfs, root):
     return CheckpointModelRegistry(dfs, root, online_config=ONLINE_CONFIG)
 
 
-def wait_for_generation(registry, number, deadline_s=10.0):
-    import time
-
+def wait_until(condition, failure, deadline_s=10.0):
+    """Poll ``condition`` until it holds; fail with ``failure`` if the
+    deadline passes first."""
     deadline = time.perf_counter() + deadline_s
-    while registry.generation < number:
-        assert time.perf_counter() < deadline, (
-            f"generation {number} never activated"
-        )
+    while not condition():
+        assert time.perf_counter() < deadline, failure
         time.sleep(0.002)
+
+
+def wait_for_generation(registry, number):
+    wait_until(
+        lambda: registry.generation >= number,
+        f"generation {number} never activated",
+    )
+
+
+def requests_admitted(server):
+    return server.counters.as_dict().get("serving/requests", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +136,6 @@ class TestServeConfig:
     def test_defaults(self):
         config = ServeConfig()
         assert config.max_batch == 256
-        assert config.flush_ms == 2.0
         assert config.timeout_ms == 5000.0
         assert config.max_pending == 1024
         assert config.poll_ms == 25.0
@@ -135,7 +145,6 @@ class TestServeConfig:
         [
             {"max_batch": 0},
             {"max_pending": 0},
-            {"flush_ms": -1.0},
             {"timeout_ms": 0.0},
             {"poll_ms": 0.0},
         ],
@@ -233,13 +242,11 @@ class TestCheckpointModelRegistry:
         assert registry.counters.as_dict()["serving/swaps"] == 1
 
     def test_watcher_survives_torn_manifest(self, checkpointed, lfs):
-        import time
-
         dfs = checkpointed["dfs"]
         root = "/reg/watchbad"
         registry = make_registry(dfs, root)
         deploy(dfs, checkpointed["manifests"][0], root)
-        config = ServeConfig(flush_ms=0.5, poll_ms=2.0)
+        config = ServeConfig(poll_ms=2.0)
         with LabelServer(registry, lfs, config) as server:
             dfs.write_file(
                 registry.manager.manifest_path(99), b"torn bytes"
@@ -260,7 +267,7 @@ class TestCheckpointModelRegistry:
         root = "/reg/startbad"
         registry = make_registry(dfs, root)
         dfs.write_file(registry.manager.manifest_path(0), b"torn bytes")
-        config = ServeConfig(flush_ms=0.5, poll_ms=2.0)
+        config = ServeConfig(poll_ms=2.0)
         with LabelServer(registry, lfs, config) as server:
             assert server.counters.as_dict()["serving/refresh_errors"] >= 1
             assert server.predict(checkpointed["decoded"][0]).degraded
@@ -347,7 +354,7 @@ class TestPreDriftManifestServing:
 class TestDegradedServing:
     def test_empty_root_serves_prior(self, checkpointed, lfs):
         registry = make_registry(checkpointed["dfs"], "/srv/empty")
-        with LabelServer(registry, lfs, ServeConfig(flush_ms=0.5)) as server:
+        with LabelServer(registry, lfs) as server:
             results = [
                 server.predict(checkpointed["decoded"][i]) for i in range(5)
             ]
@@ -368,7 +375,7 @@ class TestDegradedServing:
         registry = make_registry(dfs, root)
         mid = checkpointed["manifests"][3]
         expected = offline_posteriors(checkpointed, mid)
-        config = ServeConfig(flush_ms=0.5, poll_ms=2.0)
+        config = ServeConfig(poll_ms=2.0)
         with LabelServer(registry, lfs, config) as server:
             degraded = server.predict(checkpointed["decoded"][0])
             assert degraded.degraded and degraded.posterior == 0.5
@@ -407,12 +414,14 @@ class TestHotSwapUnderLoad:
         issued_lock = threading.Lock()
         barrier = threading.Barrier(clients)
         collected = [[] for _ in range(clients)]
-        config = ServeConfig(flush_ms=1.0, poll_ms=2.0)
+        config = ServeConfig(poll_ms=2.0)
         server = LabelServer(registry, lfs, config)
 
         def hammer(c):
+            # At least per_client requests, then on until generation 2
+            # answers: the load outlasts the deploy however fast it is.
             barrier.wait()
-            for i in range(per_client):
+            for i in range(100 * per_client):
                 example = checkpointed["decoded"][
                     (c * per_client + i) % len(checkpointed["decoded"])
                 ]
@@ -422,6 +431,8 @@ class TestHotSwapUnderLoad:
                     if issued[0] == swap_at:
                         deploy(dfs, final, root)
                 collected[c].append((example.example_id, result))
+                if i + 1 >= per_client and result.generation == 2:
+                    break
 
         with server:
             wait_for_generation(registry, 1)
@@ -452,75 +463,283 @@ class TestHotSwapUnderLoad:
         assert served[1] > 0 and served[2] > 0, served
         counters = report["counters"]
         assert counters["serving/swaps"] == 2
-        assert counters["serving/requests"] == clients * per_client
+        assert counters["serving/requests"] == issued[0]
+        assert issued[0] >= clients * per_client
         assert report["active_generation"] == 2
         assert report["pending"] == 0
 
 
+def hold_batches(server, count):
+    """Stall seam: park each of the server's first ``count``
+    micro-batches inside ``_score_batch`` until its ``release`` event is
+    set (its ``held`` event says it is parked); returns the ``(held,
+    release)`` pairs in batch order. Later batches pass straight through."""
+    gates = [(threading.Event(), threading.Event()) for _ in range(count)]
+    upcoming = iter(gates)
+    inner = server._score_batch
+
+    def gated(batch):
+        held, release = next(upcoming, (None, None))
+        if held is not None:
+            held.set()
+            assert release.wait(10.0), "held batch was never released"
+        inner(batch)
+
+    server._score_batch = gated
+    return gates
+
+
+def hold_first_batch(server):
+    """:func:`hold_batches` for one batch: its ``(held, release)``."""
+    return hold_batches(server, 1)[0]
+
+
+def predict_in_thread(server, example, **kwargs):
+    """Run one ``predict`` on a daemon thread; returns the thread and a
+    one-slot list that receives its result or the exception it raised."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(server.predict(example, **kwargs))
+        except Exception as error:
+            outcome.append(error)
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
 class TestMicroBatchingAndAdmission:
-    def test_concurrent_requests_coalesce(self, checkpointed, lfs):
+    """A batch is whatever queued while the batcher was busy — a
+    function of load, never of time."""
+
+    @pytest.fixture(autouse=True)
+    def clock(self, monkeypatch):
+        """Freeze (and count reads of) the server's clock: a batcher
+        that still waited on a timer would never flush."""
+        import repro.serving.service as service_module
+
+        from tests.test_obs import _CountingTime
+
+        clock = _CountingTime()
+        monkeypatch.setattr(service_module, "time", clock)
+        return clock
+
+    def _queue_behind_a_held_batch(
+        self, checkpointed, lfs, queued, max_batch
+    ):
         dfs = checkpointed["dfs"]
-        root = "/srv/coalesce"
+        root = f"/srv/coalesce{max_batch}"
         registry = make_registry(dfs, root)
         deploy(dfs, checkpointed["manifests"][0], root)
-        config = ServeConfig(flush_ms=20.0, max_batch=64)
-        clients, per_client = 4, 25
-        barrier = threading.Barrier(clients)
-
-        def spam(c):
-            barrier.wait()
-            for i in range(per_client):
-                server.predict(checkpointed["decoded"][i])
-
-        with LabelServer(registry, lfs, config) as server:
-            threads = [
-                threading.Thread(target=spam, args=(c,))
-                for c in range(clients)
+        config = ServeConfig(max_batch=max_batch, timeout_ms=10_000.0)
+        server = LabelServer(registry, lfs, config)
+        held, release = hold_first_batch(server)
+        examples = checkpointed["decoded"]
+        with server:
+            callers = [predict_in_thread(server, examples[0])]
+            assert held.wait(10.0), "a lone request was not flushed at once"
+            callers += [
+                predict_in_thread(server, examples[1 + i])
+                for i in range(queued)
             ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            report = server.report()
+            wait_until(
+                lambda: requests_admitted(server) == queued + 1,
+                "requests never queued behind the held batch",
+            )
+            release.set()
+            for thread, _ in callers:
+                thread.join(10.0)
+        for (thread, outcome), example in zip(callers, examples):
+            assert not thread.is_alive()
+            assert outcome[0].example_id == example.example_id
+            assert outcome[0].generation == 1
+        report = server.report()
         counters = report["counters"]
-        assert counters["serving/requests"] == clients * per_client
-        # Coalescing: far fewer kernel invocations than requests.
-        assert counters["serving/batches"] < clients * per_client
-        assert report["peak_pending"] <= report["max_pending"]
-        assert report["peak_pending"] >= 2
+        assert counters["serving/requests"] == queued + 1
+        # The held batch, then everything behind it in max_batch slices.
+        assert counters["serving/batches"] == 1 + -(-queued // max_batch)
+        assert report["peak_pending"] == queued + 1
+        assert report["pending"] == 0
+
+    def test_concurrent_requests_coalesce(self, checkpointed, lfs):
+        """Requests queued behind a held batch are scored as one."""
+        self._queue_behind_a_held_batch(checkpointed, lfs, 8, max_batch=64)
+
+    def test_queue_past_max_batch_is_sliced(self, checkpointed, lfs):
+        self._queue_behind_a_held_batch(checkpointed, lfs, 10, max_batch=4)
+
+    def test_solo_requests_are_their_own_batches(self, checkpointed, lfs):
+        dfs = checkpointed["dfs"]
+        registry = make_registry(dfs, "/srv/solo")
+        deploy(dfs, checkpointed["manifests"][0], "/srv/solo")
+        with LabelServer(
+            registry, lfs, ServeConfig(timeout_ms=2000.0)
+        ) as server:
+            for example in checkpointed["decoded"][:10]:
+                assert server.predict(example).generation == 1
+        counters = server.counters.as_dict()
+        assert counters["serving/requests"] == 10
+        assert counters["serving/batches"] == 10
+
+    def test_two_clock_reads_per_request(self, checkpointed, lfs, clock):
+        """The submit stamp and the latency read are the only clock
+        reads on the request path; forming a batch takes none."""
+        dfs = checkpointed["dfs"]
+        registry = make_registry(dfs, "/srv/clock")
+        deploy(dfs, checkpointed["manifests"][0], "/srv/clock")
+        with LabelServer(
+            registry, lfs, ServeConfig(timeout_ms=2000.0)
+        ) as server:
+            for example in checkpointed["decoded"][:10]:
+                server.predict(example)
+        assert clock.reads == 2 * 10
+
+    def _one_permit_server(self, checkpointed, lfs, root):
+        """An unstarted ``max_pending=1`` server over one deployed
+        generation."""
+        dfs = checkpointed["dfs"]
+        registry = make_registry(dfs, root)
+        deploy(dfs, checkpointed["manifests"][0], root)
+        return LabelServer(registry, lfs, ServeConfig(max_pending=1))
 
     def test_admission_control_counts_backpressure(self, checkpointed, lfs):
+        server = self._one_permit_server(
+            checkpointed, lfs, "/srv/backpressure"
+        )
+        held, release = hold_first_batch(server)
+        examples = checkpointed["decoded"]
+        with server:
+            first, _ = predict_in_thread(server, examples[0])
+            assert held.wait(10.0)
+            # The one permit is out: the second submitter waits, counted,
+            # and is not admitted until the held batch resolves.
+            second, answer = predict_in_thread(server, examples[1])
+            wait_until(
+                lambda: "serving/backpressure_waits"
+                in server.counters.as_dict(),
+                "second submitter never hit the admission bound",
+            )
+            assert requests_admitted(server) == 1
+            release.set()
+            first.join(10.0)
+            second.join(10.0)
+        assert answer[0].generation == 1
+        report = server.report()
+        assert report["peak_pending"] == 1
+        assert report["counters"]["serving/backpressure_waits"] == 1
+        assert report["counters"]["serving/requests"] == 2
+
+    def test_deadline_covers_admission(self, checkpointed, lfs):
+        """A caller stuck behind the admission bound times out on its own
+        deadline, holding no permit and leaving nothing queued."""
+        server = self._one_permit_server(
+            checkpointed, lfs, "/srv/admission-deadline"
+        )
+        held, release = hold_first_batch(server)
+        examples = checkpointed["decoded"]
+        with server:
+            first, answer = predict_in_thread(server, examples[0])
+            assert held.wait(10.0)
+            try:
+                second, refused = predict_in_thread(
+                    server, examples[1], timeout_ms=20
+                )
+                second.join(2.0)
+                assert not second.is_alive(), "predict outlived its deadline"
+            finally:
+                release.set()
+            first.join(10.0)
+            assert isinstance(refused[0], ServeTimeout)
+            assert answer[0].generation == 1
+            # The refused caller took no permit with it: still one.
+            assert server.predict(examples[2]).generation == 1
+        report = server.report()
+        assert report["counters"]["serving/timeouts"] == 1
+        assert report["counters"]["serving/backpressure_waits"] == 1
+        assert report["counters"]["serving/requests"] == 2
+        assert report["peak_pending"] == 1 and report["pending"] == 0
+
+    def test_admission_wait_is_spent_from_the_deadline(
+        self, checkpointed, lfs, clock
+    ):
+        """One budget, two waits: a caller admitted after its budget ran
+        out waiting for a permit does not get the budget again for the
+        result."""
+        server = self._one_permit_server(
+            checkpointed, lfs, "/srv/one-budget"
+        )
+        (held, release), (held_too, release_too) = hold_batches(server, 2)
+        examples = checkpointed["decoded"]
+        with server:
+            first, _ = predict_in_thread(server, examples[0])
+            assert held.wait(10.0)
+            second, late = predict_in_thread(
+                server, examples[1], timeout_ms=60_000
+            )
+            wait_until(
+                lambda: "serving/backpressure_waits"
+                in server.counters.as_dict(),
+                "second submitter never hit the admission bound",
+            )
+            # Two minutes pass on the server's clock while it waits.
+            clock.perf_counter = lambda: 120.0
+            try:
+                release.set()
+                assert held_too.wait(10.0), "second caller never admitted"
+                second.join(2.0)
+                assert not second.is_alive(), "the budget was spent twice"
+            finally:
+                release_too.set()
+            first.join(10.0)
+        assert isinstance(late[0], ServeTimeout)
+        report = server.report()
+        assert report["counters"]["serving/timeouts"] == 1
+        assert report["counters"]["serving/requests"] == 2
+        assert report["pending"] == 0
+
+
+class TestBatchErrors:
+    def test_raising_batch_fails_alone_and_serving_continues(
+        self, checkpointed
+    ):
         dfs = checkpointed["dfs"]
-        root = "/srv/backpressure"
+        root = "/srv/poisoned"
         registry = make_registry(dfs, root)
         deploy(dfs, checkpointed["manifests"][0], root)
-        # One permit + a long flush window: the second submitter must
-        # wait for the first batch to resolve, and is counted.
-        config = ServeConfig(flush_ms=50.0, max_pending=1)
-        barrier = threading.Barrier(2)
+        examples = checkpointed["decoded"]
+        poisoned = examples[3].example_id
+        lfs = make_lfs()
+        inner = lfs[2].label_batch
 
-        def spam():
-            barrier.wait()
-            for i in range(5):
-                server.predict(checkpointed["decoded"][i])
+        def label_batch(block):
+            if any(example.example_id == poisoned for example in block):
+                raise ValueError("poisoned example")
+            return inner(block)
 
-        with LabelServer(registry, lfs, config) as server:
-            threads = [threading.Thread(target=spam) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            report = server.report()
-        assert report["peak_pending"] <= 1
-        assert report["counters"]["serving/backpressure_waits"] > 0
+        lfs[2].label_batch = label_batch
+        with LabelServer(
+            registry, lfs, ServeConfig(timeout_ms=2000.0)
+        ) as server:
+            with pytest.raises(ValueError, match="poisoned example"):
+                server.predict(examples[3])
+            # Same batcher, same generation, next request served.
+            result = server.predict(examples[0])
+            assert result.generation == 1 and not result.degraded
+            assert server._batcher.is_alive()
+        report = server.report()
+        assert report["pending"] == 0
+        assert report["counters"]["serving/batch_errors"] == 1
+        assert report["counters"]["serving/requests"] == 2
+        assert report["counters"]["serving/batches"] == 1
+        assert "serving/timeouts" not in report["counters"]
 
 
 class TestTimeoutsAndLifecycle:
     def test_timeout_raises_and_counts(self, checkpointed, lfs):
-        import time
-
         registry = make_registry(checkpointed["dfs"], "/srv/slow")
-        server = LabelServer(registry, lfs, ServeConfig(flush_ms=0.5))
+        server = LabelServer(registry, lfs)
         inner = server._score_batch
 
         def stalled(batch):
@@ -575,9 +794,7 @@ class TestCrashedStreamServesExactly:
 
         # The kill left a durable root; serve straight from it.
         registry = make_registry(dfs, "/e2e/stream")
-        with LabelServer(
-            registry, lfs, ServeConfig(flush_ms=0.5)
-        ) as server:
+        with LabelServer(registry, lfs) as server:
             generation = registry.active()
             assert generation is not None and generation.batch == 4
             offline = SamplingFreeLabelModel(
