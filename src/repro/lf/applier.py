@@ -47,6 +47,7 @@ from repro.dfs.records import (
 )
 from repro.lf.base import AbstractLabelingFunction, LFRunResult
 from repro.lf.default import LabelingFunction
+from repro.lf.templates import FusedPlan
 from repro.mapreduce.runner import MapContext, MapReduceJob, MapReduceSpec
 from repro.obs.registry import MetricsRegistry
 from repro.types import Example, LabelMatrix
@@ -107,12 +108,20 @@ def stage_examples(
     return paths
 
 
-def fused_lf_columns(lfs: Sequence[AbstractLabelingFunction]) -> list[int]:
-    """Indices of LFs carrying a declarative fused batch spec."""
-    return [
+def fused_lf_columns(lfs: Sequence[AbstractLabelingFunction]) -> FusedPlan:
+    """The suite's fused-spec LFs as one :class:`FusedPlan`.
+
+    The plan iterates as the indices of LFs carrying a declarative fused
+    batch spec and is what :func:`label_example_block` takes as
+    ``fused_cols``. Build one per started run (before or after
+    :func:`start_lf_resources`; it compiles on first use) and hand it to
+    every block of that run.
+    """
+    columns = [
         j for j, lf in enumerate(lfs)
         if getattr(lf, "fused_spec", None) is not None
     ]
+    return FusedPlan([lfs[j].fused_spec for j in columns], columns, len(lfs))
 
 
 def start_lf_resources(lfs: Sequence[AbstractLabelingFunction]) -> None:
@@ -133,32 +142,26 @@ def stop_lf_resources(lfs: Sequence[AbstractLabelingFunction]) -> None:
 def label_example_block(
     lfs: Sequence[AbstractLabelingFunction],
     examples: Sequence[Example],
-    fused_cols: Sequence[int] | None = None,
+    fused_cols: FusedPlan | None = None,
 ) -> np.ndarray:
     """Vote every LF on one in-memory block; returns ``(n, m)`` int8.
 
-    The single batched-labeling kernel shared by the offline applier and
-    the micro-batch streaming pipeline: LFs with a fused spec are
-    evaluated in one tokenize-once pass (:func:`apply_fused_batch_specs`)
-    and the rest through their ``label_batch`` kernels. Callers manage
-    resource lifecycle (:func:`start_lf_resources` /
-    :func:`stop_lf_resources`) around the run.
+    The single batched-labeling kernel shared by the offline applier,
+    the micro-batch streaming pipeline, the pool workers and the label
+    server: LFs with a fused spec are evaluated in one tokenize-once
+    pass by ``fused_cols`` — the run's :func:`fused_lf_columns` plan,
+    compiled once and reused for every block — and the rest through
+    their ``label_batch`` kernels. Callers manage resource lifecycle
+    (:func:`start_lf_resources` / :func:`stop_lf_resources`) around the
+    run.
     """
     if fused_cols is None:
         fused_cols = fused_lf_columns(lfs)
-    votes = np.zeros((len(examples), len(lfs)), dtype=np.int8)
     if not examples:
-        return votes
-    fused_set = frozenset(fused_cols)
-    if fused_cols:
-        from repro.lf.templates import apply_fused_batch_specs
-
-        votes[:, list(fused_cols)] = apply_fused_batch_specs(
-            [lfs[j].fused_spec for j in fused_cols], examples
-        )
-    for j, lf in enumerate(lfs):
-        if j not in fused_set:
-            votes[:, j] = lf.label_batch(examples)
+        return np.zeros((0, len(lfs)), dtype=np.int8)
+    votes = fused_cols.apply(examples)
+    for j in fused_cols.unfused:
+        votes[:, j] = lfs[j].label_batch(examples)
     return votes
 
 
@@ -173,23 +176,22 @@ def _run_fused_lf_group(
     """Run every fused-spec LF as ONE MapReduce job over the examples.
 
     The per-LF execution model re-tokenizes every record once per LF
-    binary; this job instead calls :func:`apply_fused_batch_specs` in its
-    block mapper — one tokenization and one inverted-index probe per
-    record for the whole group — then demultiplexes the combined vote
-    shards into per-LF shard files that are byte-identical to what each
-    LF's own job would have written (asserted by the equivalence suite).
+    binary; this job instead applies one :class:`FusedPlan` (compiled by
+    the first block, shared by all) in its block mapper — one
+    tokenization and one inverted-index probe per record for the whole
+    group — then demultiplexes the combined vote shards into per-LF
+    shard files that are byte-identical to what each LF's own job would
+    have written (asserted by the equivalence suite).
     Returns ``{lf column -> LFRunResult}``.
     """
-    from repro.lf.templates import apply_fused_batch_specs
-
-    specs = [lf.fused_spec for _, lf in fused]
+    plan = FusedPlan([lf.fused_spec for _, lf in fused])
     names = [lf.name for _, lf in fused]
     # repro: allow[determinism] wall_seconds is reporting-only; vote shards never see it
     start = time.perf_counter()
 
     def batch_mapper(ctx: MapContext, records: list[dict]) -> None:
         examples = [Example.from_record(record) for record in records]
-        votes = apply_fused_batch_specs(specs, examples)
+        votes = plan.apply(examples)
         ctx.counters.increment("examples_seen", len(examples))
         for k, name in enumerate(names):
             column = votes[:, k]

@@ -49,6 +49,7 @@ __all__ = [
     "aggregate_threshold_lf",
     "TokenMatchSpec",
     "TopicVetoSpec",
+    "FusedPlan",
     "apply_fused_batch_specs",
 ]
 
@@ -243,112 +244,185 @@ class TopicVetoSpec:
     vote: int
 
 
+class FusedPlan:
+    """The fused token-driven LFs of one suite, compiled once per run.
+
+    Built from the suite's :class:`TokenMatchSpec` / :class:`TopicVetoSpec`
+    list and :meth:`apply`-ed to any number of example blocks. Specs are
+    grouped by their content-field tuple; within a group each example is
+    tokenized once and each token is probed once against a combined
+    inverted index, so cost is O(tokens) per example instead of
+    O(tokens x LFs) — and the index itself is built once, not per block.
+
+    The plan iterates as (and has the length and truthiness of) the
+    suite column indices of its specs, which is what
+    :func:`repro.lf.applier.fused_lf_columns` returns it as.
+
+    Lifetime: one started run. Construction touches no resource; the
+    index is filled on the first :meth:`apply`, which the caller contract
+    places after ``start_lf_resources`` — the only time Knowledge-Graph
+    surfaces can be resolved. Restarting resources means a new plan.
+    """
+
+    def __init__(
+        self,
+        specs: Sequence[TokenMatchSpec | TopicVetoSpec],
+        columns: Sequence[int] | None = None,
+        width: int | None = None,
+    ) -> None:
+        """Describe the plan; compiles nothing.
+
+        Args:
+            specs: One declarative spec per fused LF.
+            columns: Output column of each spec in the vote matrix;
+                ``None`` means ``0..len(specs)-1``.
+            width: Columns of the vote matrix :meth:`apply` returns;
+                ``None`` means ``len(specs)``.
+        """
+        self.specs = tuple(specs)
+        self.columns = (
+            list(range(len(self.specs))) if columns is None else list(columns)
+        )
+        self.width = len(self.specs) if width is None else width
+        #: Vote-matrix columns the plan leaves to ``label_batch`` kernels.
+        self.unfused = tuple(sorted(set(range(self.width)) - set(self.columns)))
+        self._topic_models = tuple(
+            spec.topic_model
+            for spec in self.specs
+            if isinstance(spec, TopicVetoSpec)
+        )
+        self._groups: tuple | None = None
+
+    def __iter__(self):
+        return iter(self.columns)
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def _compile(self) -> tuple:
+        """Build the per-field-group indexes from the (started) specs."""
+        by_fields: dict[tuple[str, ...], list[int]] = {}
+        for k, spec in enumerate(self.specs):
+            by_fields.setdefault(spec.fields, []).append(k)
+
+        groups = []
+        for fields_key, members in by_fields.items():
+            # One combined inverted index for the whole group:
+            # token -> (direct, counted, topic) action lists, where
+            #   direct:  [(column, vote)]          any-hit keyword specs
+            #   counted: [(column, weight)]        min_hits keyword specs
+            #   topic:   [(topic slot, categories)] topic-model specs
+            combined: dict[str, tuple[list, list, list]] = {}
+
+            def _entry(token: str) -> tuple[list, list, list]:
+                entry = combined.get(token)
+                if entry is None:
+                    entry = combined[token] = ([], [], [])
+                return entry
+
+            thresholds: list[tuple[int, int, int]] = []  # (column, min_hits, vote)
+            multis: list[tuple[int, int, tuple[str, ...]]] = []  # (column, vote, surfaces)
+            topics: list[tuple[int, frozenset[str], int]] = []  # (column, veto, vote)
+            for k in members:
+                spec, col = self.specs[k], self.columns[k]
+                if isinstance(spec, TopicVetoSpec):
+                    slot = len(topics)
+                    for keyword, cats in spec.topic_model.keyword_index.items():
+                        _entry(keyword)[2].append((slot, cats))
+                    topics.append((col, spec.veto, spec.vote))
+                    continue
+                lowered = [s.lower() for s in spec.get_surfaces()]
+                singles = [s for s in lowered if " " not in s]
+                multi = tuple(dict.fromkeys(s for s in lowered if " " in s))
+                if spec.min_hits <= 1:
+                    for s in set(singles):
+                        _entry(s)[0].append((col, spec.vote))
+                    if multi:
+                        multis.append((col, spec.vote, multi))
+                else:
+                    for s, c in Counter(singles).items():
+                        _entry(s)[1].append((col, c))
+                    thresholds.append((col, spec.min_hits, spec.vote))
+            groups.append((fields_key, combined, thresholds, multis, topics))
+        return tuple(groups)
+
+    def apply(self, examples: Sequence[Example]) -> np.ndarray:
+        """Vote every fused LF on one block.
+
+        Returns an ``(n_examples, width)`` int8 matrix whose fused
+        columns are vote-for-vote identical to running each spec's LF
+        alone (asserted by the equivalence suite); other columns abstain.
+        Topic-model usage is accounted on every call — one tracked call
+        per document — so a stopped topic model still raises.
+        """
+        groups = self._groups
+        if groups is None:
+            # Built into locals and published with one assignment:
+            # MapReduce block mappers share a plan across threads, and a
+            # racing second build is identical and harmless.
+            groups = self._groups = self._compile()
+        for topic_model in self._topic_models:
+            topic_model.record_batch_calls(len(examples))
+        votes = np.zeros((len(examples), self.width), dtype=np.int8)
+        for fields_key, combined, thresholds, multis, topics in groups:
+            for i, example in enumerate(examples):
+                entry = _example_tokens(example, fields_key)
+                tokens = entry.tokens
+                seen: set[str] | None = None
+                counts: dict[int, int] | None = None
+                topic_hits: list[dict[str, int] | None] = [None] * len(topics)
+                for token in tokens:
+                    actions = combined.get(token)
+                    if actions is None:
+                        continue
+                    if seen is None:
+                        seen = {token}
+                    elif token in seen:
+                        continue
+                    else:
+                        seen.add(token)
+                    direct, counted, topical = actions
+                    for col, vote in direct:
+                        votes[i, col] = vote
+                    if counted:
+                        if counts is None:
+                            counts = {}
+                        for col, weight in counted:
+                            counts[col] = counts.get(col, 0) + weight
+                    for slot, cats in topical:
+                        hits = topic_hits[slot]
+                        if hits is None:
+                            hits = topic_hits[slot] = {}
+                        for cat in cats:
+                            hits[cat] = hits.get(cat, 0) + 1
+                if counts is not None:
+                    for col, min_hits, vote in thresholds:
+                        if counts.get(col, 0) >= min_hits:
+                            votes[i, col] = vote
+                for slot, (col, veto, vote) in enumerate(topics):
+                    hits = topic_hits[slot]
+                    if hits:
+                        # Same argmax + (score desc, category asc) tie-break
+                        # as TopicModel.top_category: the score denominator
+                        # (distinct token count) is shared by all categories.
+                        top = min(hits, key=lambda cat: (-hits[cat], cat))
+                        if top.lower() in veto:
+                            votes[i, col] = vote
+                for col, vote, surfaces in multis:
+                    if votes[i, col] == ABSTAIN and any(
+                        m in entry.joined for m in surfaces
+                    ):
+                        votes[i, col] = vote
+        return votes
+
+
 def apply_fused_batch_specs(
     specs: Sequence[TokenMatchSpec | TopicVetoSpec],
     examples: Sequence[Example],
 ) -> np.ndarray:
-    """Evaluate many token-driven LFs in one pass per example.
-
-    Returns an ``(n_examples, len(specs))`` int8 vote matrix whose
-    columns are vote-for-vote identical to running each spec's LF alone
-    (asserted by the equivalence suite). Specs are grouped by their
-    content-field tuple; within a group each example is tokenized once
-    and each token is probed once against a combined inverted index, so
-    cost is O(tokens) per example instead of O(tokens x LFs).
-    """
-    votes = np.zeros((len(examples), len(specs)), dtype=np.int8)
-    by_fields: dict[tuple[str, ...], list[int]] = {}
-    for k, spec in enumerate(specs):
-        by_fields.setdefault(spec.fields, []).append(k)
-
-    for fields_key, cols in by_fields.items():
-        # One combined inverted index for the whole group:
-        # token -> (direct, counted, topic) action lists, where
-        #   direct:  [(column, vote)]          any-hit keyword specs
-        #   counted: [(column, weight)]        min_hits keyword specs
-        #   topic:   [(topic slot, categories)] topic-model specs
-        combined: dict[str, tuple[list, list, list]] = {}
-
-        def _entry(token: str) -> tuple[list, list, list]:
-            entry = combined.get(token)
-            if entry is None:
-                entry = combined[token] = ([], [], [])
-            return entry
-
-        thresholds: list[tuple[int, int, int]] = []  # (column, min_hits, vote)
-        multis: list[tuple[int, int, tuple[str, ...]]] = []  # (column, vote, surfaces)
-        topics: list[tuple[int, frozenset[str], int]] = []  # (column, veto, vote)
-        for k in cols:
-            spec = specs[k]
-            if isinstance(spec, TopicVetoSpec):
-                spec.topic_model.record_batch_calls(len(examples))
-                slot = len(topics)
-                for keyword, cats in spec.topic_model.keyword_index.items():
-                    _entry(keyword)[2].append((slot, cats))
-                topics.append((k, spec.veto, spec.vote))
-                continue
-            lowered = [s.lower() for s in spec.get_surfaces()]
-            singles = [s for s in lowered if " " not in s]
-            multi = tuple(dict.fromkeys(s for s in lowered if " " in s))
-            if spec.min_hits <= 1:
-                for s in set(singles):
-                    _entry(s)[0].append((k, spec.vote))
-                if multi:
-                    multis.append((k, spec.vote, multi))
-            else:
-                for s, c in Counter(singles).items():
-                    _entry(s)[1].append((k, c))
-                thresholds.append((k, spec.min_hits, spec.vote))
-
-        for i, example in enumerate(examples):
-            entry = _example_tokens(example, fields_key)
-            tokens = entry.tokens
-            seen: set[str] | None = None
-            counts: dict[int, int] | None = None
-            topic_hits: list[dict[str, int] | None] = [None] * len(topics)
-            for token in tokens:
-                actions = combined.get(token)
-                if actions is None:
-                    continue
-                if seen is None:
-                    seen = {token}
-                elif token in seen:
-                    continue
-                else:
-                    seen.add(token)
-                direct, counted, topical = actions
-                for col, vote in direct:
-                    votes[i, col] = vote
-                if counted:
-                    if counts is None:
-                        counts = {}
-                    for col, weight in counted:
-                        counts[col] = counts.get(col, 0) + weight
-                for slot, cats in topical:
-                    hits = topic_hits[slot]
-                    if hits is None:
-                        hits = topic_hits[slot] = {}
-                    for cat in cats:
-                        hits[cat] = hits.get(cat, 0) + 1
-            if counts is not None:
-                for col, min_hits, vote in thresholds:
-                    if counts.get(col, 0) >= min_hits:
-                        votes[i, col] = vote
-            for slot, (col, veto, vote) in enumerate(topics):
-                hits = topic_hits[slot]
-                if hits:
-                    # Same argmax + (score desc, category asc) tie-break
-                    # as TopicModel.top_category: the score denominator
-                    # (distinct token count) is shared by all categories.
-                    top = min(hits, key=lambda cat: (-hits[cat], cat))
-                    if top.lower() in veto:
-                        votes[i, col] = vote
-            for col, vote, surfaces in multis:
-                if votes[i, col] == ABSTAIN and any(
-                    m in entry.joined for m in surfaces
-                ):
-                    votes[i, col] = vote
-    return votes
+    """Compile a throwaway :class:`FusedPlan` and apply it to one block:
+    the ``(n_examples, len(specs))`` votes of ``specs``."""
+    return FusedPlan(specs).apply(examples)
 
 
 def keyword_lf(

@@ -13,9 +13,11 @@ row per key: ``(key, kind, layer, conditional[, stage, field])``.
   :meth:`repro.obs.MetricsRegistry.stage` call feeds the key, and
   ``field`` which number it receives: ``"us"`` (the event's duration),
   ``"events"`` (one per call), or a keyword the call site passes
-  (``records``, ``votes``, ``wait_us``, ``requests``). Rows without a
-  stage are emitted by key (``counter`` / ``record`` / ``gauge``).
-  :data:`STAGES` is the same table grouped by stage.
+  (``records``, ``votes``, ``wait_us``, ``requests``, ``lf_us``,
+  ``score_us``); a conditional row is fed only by calls that pass its
+  field. Rows without a stage are emitted by key (``counter`` /
+  ``record`` / ``gauge``). :data:`STAGES` is the same table grouped by
+  stage.
 
 ``docs/OPERATIONS.md`` documents the keys in four tables that
 ``tests/test_docs.py`` diffs against filters of this one; the
@@ -96,8 +98,11 @@ KEY_CONTRACT: tuple[ContractKey, ...] = tuple(
         ("serving/backpressure_waits", "counter", "serving", True),
         ("serving/refresh_errors", "counter", "serving", True),
         ("serving/batch_errors", "counter", "serving", True),
+        ("serving/table_misses", "counter", "serving", True),
         ("serving/latency_us", "histogram", "serving", False),
         ("serving/batch_size", "histogram", "serving", False, "serving.flush", "requests"),
+        ("serving/lf_us", "histogram", "serving", True, "serving.flush", "lf_us"),
+        ("serving/score_us", "histogram", "serving", True, "serving.flush", "score_us"),
     )
 )
 

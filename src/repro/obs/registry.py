@@ -163,11 +163,14 @@ class MetricsRegistry:
         always, histograms where they have a home — and, when an enabled
         tracer is attached, a completed ``name`` span carrying ``attrs``.
         The duration is ``us``, or the time since a :meth:`clock`
-        reading ``since``."""
+        reading ``since``. A conditional row whose field the call does
+        not pass is skipped: its condition did not occur."""
         if since is not None:
             us = int((time.perf_counter() - since) * 1e6)
         fields = {"us": us, "events": 1, **attrs}
         for row in STAGES[name]:
+            if row.conditional and row.field not in fields:
+                continue
             if row.kind == "histogram":
                 self.record(row.key, fields[row.field])
             else:

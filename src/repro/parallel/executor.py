@@ -105,7 +105,9 @@ def parallel_block_size(
 # worker side (runs in the pool processes)
 # ----------------------------------------------------------------------
 _WORKER_LFS = None
-_WORKER_FUSED: list[int] | None = None
+#: The suite's :class:`~repro.lf.templates.FusedPlan`: one per worker
+#: process, compiled by the first block it labels.
+_WORKER_FUSED = None
 
 
 def _worker_init(spec: LFSuiteSpec) -> None:

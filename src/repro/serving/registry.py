@@ -31,12 +31,23 @@ snapshot's stream prefix, in any row order (the ARCHITECTURE invariant
 the serving benchmark enforces). The manifest carries O(patterns) state
 and the restore-time refit costs O(patterns x m) per step, so generation
 activation does not slow down as streams grow.
+
+The generation also owns scoring (:meth:`ServingGeneration.score`): at
+load it scores the snapshot's retained vote patterns once and keeps
+``{pattern -> posterior}``, so a request whose votes form a known
+pattern — nearly all of them — is answered by a dictionary read, and
+only patterns first seen after the snapshot take a ``predict_proba``
+call. Both produce the same bits.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Mapping
+
+import numpy as np
 
 from repro.core.label_model import SamplingFreeLabelModel
 from repro.core.online_label_model import (
@@ -48,6 +59,17 @@ from repro.obs.registry import MetricsRegistry
 from repro.streaming.checkpoint import Checkpoint, CheckpointManager
 
 __all__ = ["ServingGeneration", "CheckpointModelRegistry"]
+
+#: Vote blocks are zero-padded to a multiple of this many rows before
+#: ``predict_proba``. BLAS gemv kernels process rows in small vector
+#: blocks and fall back to a scalar loop for the remainder, which can
+#: round the last ULP differently than the vectorized path; padding
+#: keeps every *real* row on the vectorized path, making a row's
+#: posterior independent of what else shares its block — bitwise equal
+#: to offline full-matrix scoring for any micro-batch composition, and
+#: to the same row scored alone for the pattern table. Zero rows are
+#: valid votes (all-abstain) and are sliced off after scoring.
+_SCORE_PAD_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -72,8 +94,45 @@ class ServingGeneration:
     """LF suite recorded in the manifest (empty for legacy manifests)."""
     label_model: SamplingFreeLabelModel
     """Offline-exact generative model (post-``refit``), scoring-ready."""
-    n_patterns: int
-    """Distinct vote patterns retained by the snapshot's pattern table."""
+    posteriors: Mapping[bytes, float]
+    """Posterior of every vote pattern the snapshot's pattern table
+    retains, keyed by the int8 row's bytes; read-only, filled at load by
+    :meth:`score` itself."""
+
+    def score(self, votes: np.ndarray) -> tuple[list[float], int]:
+        """Score vote rows: the generation's one scoring method.
+
+        Rows whose pattern is in :attr:`posteriors` are answered from
+        it; the rest go together through one zero-padded
+        ``predict_proba`` call. The table was filled by that same padded
+        call and a row's posterior does not depend on what shares its
+        block, so a hit is bitwise the value the miss path computes —
+        and the snapshot's offline fit gives.
+
+        Args:
+            votes: ``(n, m)`` vote block.
+
+        Returns:
+            The ``n`` posteriors ``P(y = +1)`` in row order, and how many
+            rows missed the table.
+        """
+        votes = np.asarray(votes, dtype=np.int8)
+        width = votes.shape[1]
+        data = votes.tobytes()
+        lookup = self.posteriors.get
+        posteriors = [
+            lookup(data[at:at + width]) for at in range(0, len(data), width)
+        ]
+        misses = [i for i, hit in enumerate(posteriors) if hit is None]
+        if misses:
+            block = votes[misses]
+            pad = (-len(misses)) % _SCORE_PAD_ROWS
+            if pad:
+                block = np.vstack([block, np.zeros((pad, width), np.int8)])
+            scored = self.label_model.predict_proba(block).tolist()
+            for i, posterior in zip(misses, scored):
+                posteriors[i] = posterior
+        return posteriors, len(misses)
 
 
 class CheckpointModelRegistry:
@@ -193,13 +252,19 @@ class CheckpointModelRegistry:
         online.load_state(checkpoint.label_model_state)
         # Offline-exact parameters: a cumulative-mode refit is the
         # offline fit of the snapshot's stream prefix, bit for bit.
-        label_model = online.refit()
-        return ServingGeneration(
+        generation = ServingGeneration(
             generation=number,
             manifest_path=checkpoint.path,
             batch=checkpoint.batch,
             cursor=checkpoint.cursor,
             lf_names=tuple(checkpoint.meta.get("lf_names") or ()),
-            label_model=label_model,
-            n_patterns=online.n_patterns,
+            label_model=online.refit(),
+            posteriors=MappingProxyType({}),
         )
+        # Score the retained patterns once, off the request path, through
+        # the request path's own method: against an empty table every
+        # row takes the padded call.
+        patterns = online.compressed_votes().patterns.astype(np.int8)
+        scored, _ = generation.score(patterns)
+        table = {row.tobytes(): p for row, p in zip(patterns, scored)}
+        return replace(generation, posteriors=MappingProxyType(table))

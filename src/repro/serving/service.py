@@ -8,10 +8,12 @@ token-match executor that make the offline path fast, so
 :class:`LabelServer` *micro-batches*: concurrent requests queue behind a
 single batcher thread that, the moment it is free, takes everything
 queued (at most ``max_batch``), labels the block through
-:func:`repro.lf.applier.label_example_block`, and scores all
-posteriors with one vectorized
-:meth:`~repro.core.label_model.SamplingFreeLabelModel.predict_proba`
-call against the generation captured once per batch.
+:func:`repro.lf.applier.label_example_block` with the fused plan it
+compiled once for this started run, and scores it with
+:meth:`ServingGeneration.score
+<repro.serving.registry.ServingGeneration.score>` — a table read per
+known vote pattern, one vectorized ``predict_proba`` call for the rest
+— against the generation captured once per batch.
 
 Operational contract:
 
@@ -30,11 +32,12 @@ Operational contract:
 * **hot swap safety** — the batcher captures the active generation once
   per micro-batch, so every response in a batch is scored by exactly
   one immutable generation even if the watcher swaps mid-batch;
-* **bitwise reproducibility** — vote blocks are zero-padded to a
-  multiple of 32 rows before scoring so BLAS takes the same vectorized
-  row-block path as offline full-matrix scoring; served posteriors are
+* **bitwise reproducibility** — the generation zero-pads vote blocks
+  to a multiple of 32 rows before scoring so BLAS takes the same
+  vectorized row-block path as offline full-matrix scoring, and fills
+  its pattern table through that same call; served posteriors are
   bitwise equal to the generation's offline fit regardless of how
-  requests happened to coalesce into batches.
+  requests happened to coalesce into batches or hit the table.
 
 The tier is configured in code, by the fields of :class:`ServeConfig`
 (tabulated in ``docs/SERVING.md``); the ``serving/*`` keys are rows of
@@ -61,7 +64,7 @@ from repro.lf.applier import (
 )
 from repro.lf.base import AbstractLabelingFunction
 from repro.mapreduce.counters import Gauge
-from repro.serving.registry import CheckpointModelRegistry, ServingGeneration
+from repro.serving.registry import CheckpointModelRegistry
 from repro.types import Example
 
 __all__ = [
@@ -70,16 +73,6 @@ __all__ = [
     "ServeTimeout",
     "LabelServer",
 ]
-
-#: Vote blocks are zero-padded to a multiple of this many rows before
-#: ``predict_proba``. BLAS gemv kernels process rows in small vector
-#: blocks and fall back to a scalar loop for the remainder, which can
-#: round the last ULP differently than the vectorized path; padding
-#: keeps every *real* row on the vectorized path, making served
-#: posteriors bitwise equal to offline full-matrix scoring for any
-#: micro-batch composition. Zero rows are valid votes (all-abstain) and
-#: are sliced off after scoring.
-_SCORE_PAD_ROWS = 32
 
 #: Bound on every shutdown join. The idle batcher re-checks the stop
 #: flag every 50 ms and the watcher every poll interval, so a thread
@@ -141,7 +134,7 @@ class ServeConfig:
             raise ValueError(f"poll_ms must be > 0, got {self.poll_ms}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServeResult:
     """One answered request."""
 
@@ -225,7 +218,9 @@ class LabelServer:
         self.metrics = registry.metrics.attach(telemetry, tracer)
         self.counters = registry.counters
         self.resident = Gauge()
-        self._fused_cols = fused_lf_columns(self.lfs)
+        #: The suite's fused plan; taken in :meth:`start`, it lives for
+        #: one started run.
+        self._fused_cols = None
         self._abstain_prior = registry.abstain_prior()
         self._queue: deque[_Pending] = deque()
         self._wake = threading.Condition(threading.Lock())
@@ -262,6 +257,9 @@ class LabelServer:
         if self._batcher is not None:
             raise RuntimeError("LabelServer is already started")
         start_lf_resources(self.lfs)
+        # A fresh plan per start: its index holds surfaces resolved from
+        # the resources this start brought up.
+        self._fused_cols = fused_lf_columns(self.lfs)
         self._refresh()
         self._stop.clear()
         self._batcher = threading.Thread(
@@ -401,6 +399,7 @@ class LabelServer:
         # batch is scored by the same immutable object, even if the
         # watcher swaps mid-batch.
         generation = self.registry.active()
+        split = {}
         if generation is None:
             self.metrics.counter("serving/degraded", len(batch))
             number = None
@@ -410,8 +409,17 @@ class LabelServer:
             number = generation.generation
             examples = [pending.example for pending in batch]
             votes = label_example_block(self.lfs, examples, self._fused_cols)
-            posteriors = self._score_votes(generation, votes)
-            fired = np.abs(votes).sum(axis=1)
+            labelled = self.metrics.clock()
+            posteriors, misses = generation.score(votes)
+            if misses:
+                self.metrics.counter("serving/table_misses", misses)
+            if labelled is not None:
+                # Observed: the flush event carries its own split.
+                split = {
+                    "lf_us": int((labelled - started) * 1e6),
+                    "score_us": int((self.metrics.clock() - labelled) * 1e6),
+                }
+            fired = np.count_nonzero(votes, axis=1).tolist()
         for pending, posterior, n_fired in zip(batch, posteriors, fired):
             latency_ms = pending.age_ms()
             self.metrics.record("serving/latency_us", latency_ms * 1e3)
@@ -419,10 +427,10 @@ class LabelServer:
                 pending,
                 ServeResult(
                     example_id=pending.example.example_id,
-                    posterior=float(posterior),
+                    posterior=posterior,
                     generation=number,
                     degraded=generation is None,
-                    fired=int(n_fired),
+                    fired=n_fired,
                     latency_ms=latency_ms,
                 ),
             )
@@ -431,20 +439,8 @@ class LabelServer:
             since=started,
             requests=len(batch),
             degraded=generation is None,
+            **split,
         )
-
-    @staticmethod
-    def _score_votes(
-        generation: ServingGeneration, votes: np.ndarray
-    ) -> np.ndarray:
-        """Posterior block, padded for bitwise batch-size independence."""
-        n = votes.shape[0]
-        pad = (-n) % _SCORE_PAD_ROWS
-        if pad:
-            votes = np.vstack(
-                [votes, np.zeros((pad, votes.shape[1]), dtype=votes.dtype)]
-            )
-        return generation.label_model.predict_proba(votes)[:n]
 
     def _resolve(
         self, pending: _Pending, outcome: ServeResult | Exception

@@ -13,17 +13,34 @@ offline ``SamplingFreeLabelModel``'s probabilistic labels exactly after
 its final refit.
 """
 
+import sys
+import threading
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.applications.product import build_product_lfs
+from repro.datasets.content import build_content_world
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.experiments.harness import get_content_experiment
-from repro.lf.applier import LFApplier, apply_lfs_in_memory, stage_examples
+from repro.lf.applier import (
+    LFApplier,
+    apply_lfs_in_memory,
+    fused_lf_columns,
+    label_example_block,
+    stage_examples,
+    start_lf_resources,
+    stop_lf_resources,
+)
 from repro.lf.default import LabelingFunction
 from repro.lf.nlp import celebrity_example_lf
 from repro.lf.registry import LFCategory, LFInfo
 from repro.lf.templates import (
+    FusedPlan,
+    TokenMatchSpec,
     _fast_tokens,
     aggregate_threshold_lf,
     crawler_lf,
@@ -36,6 +53,7 @@ from repro.lf.templates import (
     url_domain_lf,
 )
 from repro.services.aggregates import AggregateStore
+from repro.services.base import ServiceUnavailable
 from repro.services.knowledge_graph import KnowledgeGraph
 from repro.services.nlp_server import NLPServer, tokenize
 from repro.services.topic_model import TopicModel
@@ -186,6 +204,23 @@ def test_topic_batch_api_accounting():
     assert model.stats.calls == 4
     assert model.stats.virtual_latency_ms == pytest.approx(4 * model.latency_ms)
 
+    # Through a compiled plan, accounting stays per call: one tracked
+    # call per document however the documents are split into blocks.
+    plan = FusedPlan([topic_model_lf("veto", model, ["finance"], -1).fused_spec])
+    docs = [Example(f"d{i}", fields={"body": "mortgage"}) for i in range(7)]
+    with model:
+        for split in ([7], [1, 6], [3, 2, 2]):
+            blocks, at = [], 0
+            for size in split:
+                blocks.append(plan.apply(docs[at:at + size]))
+                at += size
+            assert np.vstack(blocks).ravel().tolist() == [-1] * 7
+    assert model.stats.calls == 4 + 3 * 7
+    # ...and the compiled index is no way around a stopped service.
+    with pytest.raises(ServiceUnavailable):
+        plan.apply(docs[:1])
+    assert model.stats.calls == 4 + 3 * 7
+
 
 # ----------------------------------------------------------------------
 # per-LF label_batch equivalence
@@ -220,6 +255,27 @@ def test_nlp_lf_label_batch_matches_label():
 # ----------------------------------------------------------------------
 # fused in-memory applier equivalence
 # ----------------------------------------------------------------------
+def one_plan_over_blocks(lfs, examples):
+    """The suite's votes from ONE compiled plan, once per block size
+    (1, 2, 1,024): the concatenation of ``label_example_block`` over
+    consecutive blocks."""
+    plan = fused_lf_columns(lfs)
+    matrices = []
+    start_lf_resources(lfs)
+    try:
+        for size in (1, 2, 1024):
+            blocks = [
+                label_example_block(lfs, examples[at:at + size], plan)
+                for at in range(0, len(examples), size)
+            ]
+            matrices.append(
+                np.vstack(blocks) if blocks else np.zeros((0, len(lfs)), np.int8)
+            )
+    finally:
+        stop_lf_resources(lfs)
+    return matrices
+
+
 @given(example_lists())
 @settings(max_examples=25, deadline=None)
 def test_fused_applier_matches_per_example(examples):
@@ -229,6 +285,8 @@ def test_fused_applier_matches_per_example(examples):
     assert batched.lf_names == per_example.lf_names
     assert batched.example_ids == per_example.example_ids
     assert np.array_equal(batched.matrix, per_example.matrix)
+    for matrix in one_plan_over_blocks(lfs, examples):
+        assert np.array_equal(matrix, per_example.matrix)
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 8192])
@@ -243,6 +301,102 @@ def test_in_memory_batch_size_invariant(batch_size):
     reference = apply_lfs_in_memory(lfs, examples, batched=False)
     batched = apply_lfs_in_memory(lfs, examples, batch_size=batch_size)
     assert np.array_equal(batched.matrix, reference.matrix)
+    # One plan, reused across every block of every size, still equals
+    # what each LF's ``label`` produces alone.
+    alone = np.array(
+        [[lf.label(example) for lf in lfs] for example in examples], np.int8
+    )
+    for matrix in one_plan_over_blocks(lfs, examples):
+        assert np.array_equal(matrix, alone)
+
+
+# ----------------------------------------------------------------------
+# the fused plan: compiled once per started suite, safe to share
+# ----------------------------------------------------------------------
+def count_surface_resolutions(lfs) -> Counter:
+    """Rewire every token-match spec in ``lfs`` to count, per LF name,
+    how often its surfaces are resolved (one resolution per index
+    build)."""
+    resolved: Counter = Counter()
+    for lf in lfs:
+        spec = getattr(lf, "fused_spec", None)
+        if isinstance(spec, TokenMatchSpec):
+
+            def counted(name=lf.name, inner=spec.get_surfaces):
+                resolved[name] += 1
+                return inner()
+
+            lf.fused_spec = replace(spec, get_surfaces=counted)
+    return resolved
+
+
+def product_suite_and_examples(n):
+    """A fresh product suite (KG- and topic-model-backed, 8/8 fused)
+    over the first ``n`` examples of the cached tiny product dataset."""
+    exp = get_content_experiment("product", "tiny")
+    lfs = build_product_lfs(build_content_world(exp.seed))[0]
+    return lfs, exp.dataset.unlabeled[:n]
+
+
+def test_plan_builds_its_index_once_per_started_suite():
+    """A count, not a timing: N blocks through one plan resolve every
+    spec's surfaces exactly once (N times before plans existed)."""
+    lfs, examples = product_suite_and_examples(12)
+    resolved = count_surface_resolutions(lfs)
+    token_match = {
+        lf.name for lf in lfs if isinstance(lf.fused_spec, TokenMatchSpec)
+    }
+    assert any("kg_" in name for name in token_match)
+
+    plan = fused_lf_columns(lfs)  # before resources are up, as callers do
+    assert not resolved
+    assert list(plan) == list(range(len(lfs))) and len(plan) == len(lfs)
+    start_lf_resources(lfs)
+    try:
+        for example in examples:
+            label_example_block(lfs, [example], plan)
+        assert resolved == dict.fromkeys(token_match, 1)
+        # A new started run takes a new plan, which builds again.
+        label_example_block(lfs, examples, fused_lf_columns(lfs))
+        assert resolved == dict.fromkeys(token_match, 2)
+    finally:
+        stop_lf_resources(lfs)
+
+
+def test_uncompiled_plan_shared_by_racing_threads():
+    """MapReduce block mappers share one plan across a thread pool: any
+    number of threads may hit the first ``apply`` together, and each
+    must see a whole index, never a half-built one."""
+    lfs, examples = product_suite_and_examples(40)
+    expected = apply_lfs_in_memory(lfs, examples).matrix
+    threads_n, rounds = 4, 10
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    start_lf_resources(lfs)
+    try:
+        for _ in range(rounds):
+            plan = fused_lf_columns(lfs)
+            barrier = threading.Barrier(threads_n)
+            results = [None] * threads_n
+
+            def work(slot):
+                barrier.wait(10.0)
+                results[slot] = label_example_block(lfs, examples, plan)
+
+            threads = [
+                threading.Thread(target=work, args=(slot,), daemon=True)
+                for slot in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+            for votes in results:
+                assert votes is not None and np.array_equal(votes, expected)
+    finally:
+        sys.setswitchinterval(interval)
+        stop_lf_resources(lfs)
 
 
 # ----------------------------------------------------------------------

@@ -589,6 +589,26 @@ class TestHotPathIntegration:
         assert batch_hist["count"] == report["counters"]["serving/batches"]
         assert any(r["name"] == "serving.flush" for r in sink.records)
         assert set(snap["histograms"]) <= set(contract_keys("histogram"))
+        # The flush's split: labelling and scoring, once per batch, and
+        # never more than the flush they are part of.
+        flushes = [r for r in sink.records if r["name"] == "serving.flush"]
+        assert len(flushes) == batch_hist["count"]
+        for key in ("serving/lf_us", "serving/score_us"):
+            assert snap["histograms"][key]["count"] == batch_hist["count"]
+        for flush in flushes:
+            attrs = flush["attrs"]
+            assert 0 <= attrs["lf_us"] + attrs["score_us"] <= flush["duration_us"]
+
+        # A degraded flush labels and scores nothing: no split recorded.
+        degraded = MetricsRegistry()
+        with LabelServer(
+            make_registry(dfs, "/obs/empty"), lfs, config, telemetry=degraded
+        ) as server:
+            assert server.predict(corpus[0]).degraded
+        histograms = degraded.snapshot()["histograms"]
+        assert histograms["serving/batch_size"]["count"] == 1
+        assert "serving/lf_us" not in histograms
+        assert "serving/score_us" not in histograms
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
+from repro.core.online_label_model import OnlineLabelModel
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.records import RecordCorruption, iter_record_blobs
 from repro.lf.applier import apply_lfs_in_memory, stage_examples
@@ -37,6 +38,7 @@ from repro.streaming import (
 )
 from repro.types import Example
 
+from tests.test_batch_equivalence import count_surface_resolutions
 from tests.test_checkpoint import (
     ONLINE_CONFIG,
     make_corpus,
@@ -95,6 +97,14 @@ def offline_posteriors(ctx, manifest_path):
     )
     model.fit(ctx["matrix"][: checkpoint.cursor])
     return model.predict_proba(ctx["matrix"])
+
+
+def table_split(matrix, cursor):
+    """Stream rows whose vote pattern the first ``cursor`` rows contain
+    (hits in that prefix's pattern table) and the rest (misses)."""
+    known = {row.tobytes() for row in matrix[:cursor]}
+    hits = [i for i, row in enumerate(matrix) if row.tobytes() in known]
+    return hits, sorted(set(range(len(matrix))) - set(hits))
 
 
 def deploy(dfs, manifest_path, live_root):
@@ -282,10 +292,84 @@ class TestCheckpointModelRegistry:
         deploy(dfs, mid, "/reg/exact")
         generation = registry.refresh()
         expected = offline_posteriors(checkpointed, mid)
-        served = generation.label_model.predict_proba(
-            checkpointed["matrix"]
-        )
+        matrix = checkpointed["matrix"]
+        served = generation.label_model.predict_proba(matrix)
         assert np.array_equal(served, expected)
+        # The generation's own scoring: by now every pattern of the
+        # corpus is in its table, and a table read is the same bits.
+        scored, misses = generation.score(matrix)
+        assert misses == 0 and np.array_equal(scored, expected)
+        assert len(generation.posteriors) == len(np.unique(matrix, axis=0))
+
+    def test_table_hits_and_misses_match_offline_fit(self, checkpointed):
+        """The first manifest's 50-row prefix lacks one vote pattern:
+        rows answered from the table, rows sent down the padded path,
+        and any mix of the two are bitwise the prefix's offline fit."""
+        dfs = checkpointed["dfs"]
+        registry = make_registry(dfs, "/reg/table")
+        first = checkpointed["manifests"][0]
+        deploy(dfs, first, "/reg/table")
+        generation = registry.refresh()
+        expected = offline_posteriors(checkpointed, first)
+        matrix = checkpointed["matrix"]
+        hits, missing = table_split(matrix, generation.cursor)
+        assert hits and missing
+        for rows in (hits[:1], missing[:1], hits, missing, range(len(matrix))):
+            rows = list(rows)
+            scored, misses = generation.score(matrix[rows])
+            assert scored == expected[rows].tolist()
+            assert misses == len(set(rows) & set(missing))
+        # Read-only: nothing on the request path can grow the table.
+        with pytest.raises(TypeError):
+            generation.posteriors[matrix[missing[0]].tobytes()] = 0.5
+
+    @pytest.mark.parametrize(
+        "retention, batch",
+        [({"decay": 0.3}, 5), ({"window_batches": 1}, 4)],
+        ids=["decay", "window"],
+    )
+    def test_forgetful_snapshot_serves_what_it_retains(
+        self, corpus, lfs, retention, batch
+    ):
+        """A decay- or window-mode snapshot builds its table from
+        whatever ``compressed_votes()`` retains — here one pattern fewer
+        than the corpus has — and serves table and padded rows alike."""
+        dfs = DistributedFileSystem()
+        shards = stage_examples(dfs, corpus, "/forget/examples", num_shards=3)
+        config = replace(ONLINE_CONFIG, **retention)
+        stream = CheckpointedStream(
+            dfs,
+            lfs,
+            "/forget/stream",
+            batch_size=50,
+            online_config=config,
+            checkpoint_every=1,
+            write_labels=False,
+        )
+        stream.run(RecordStreamSource(dfs, shards))
+        deploy(dfs, stream.manager.manifest_paths()[batch], "/forget/live")
+        generation = CheckpointModelRegistry(
+            dfs, "/forget/live", online_config=config
+        ).refresh()
+        assert generation.batch == batch
+
+        snapshot = stream.manager.load(generation.manifest_path)
+        retained = (
+            OnlineLabelModel(config)
+            .load_state(snapshot.label_model_state)
+            .compressed_votes()
+        )
+        matrix = stream_matrix(dfs, shards, lfs)
+        assert retained.n_patterns == len(np.unique(matrix, axis=0)) - 1
+        assert set(generation.posteriors) == {
+            row.astype(np.int8).tobytes() for row in retained.patterns
+        }
+        scored, misses = generation.score(matrix)
+        assert scored == generation.label_model.predict_proba(matrix).tolist()
+        assert misses == sum(
+            row.tobytes() not in generation.posteriors for row in matrix
+        )
+        assert 0 < misses < len(matrix)
 
 
 class TestPreDriftManifestServing:
@@ -320,6 +404,19 @@ class TestPreDriftManifestServing:
             generation.label_model.predict_proba(matrix),
             offline.predict_proba(matrix),
         )
+        self._assert_table_serves(generation, matrix, offline)
+
+    @staticmethod
+    def _assert_table_serves(generation, matrix, offline):
+        """The table holds the snapshot's retained patterns and scoring
+        through it is the offline fit, bit for bit."""
+        _, missing = table_split(matrix, generation.cursor)
+        assert len(generation.posteriors) == len(
+            np.unique(matrix[: generation.cursor], axis=0)
+        )
+        scored, misses = generation.score(matrix)
+        assert misses == len(missing)
+        assert scored == offline.predict_proba(matrix).tolist()
 
     @pytest.mark.parametrize("mode", ["cumulative", "window"])
     def test_schema2_manifest_serves(self, lfs, mode):
@@ -346,6 +443,7 @@ class TestPreDriftManifestServing:
             generation.label_model.predict_proba(matrix),
             offline.predict_proba(matrix),
         )
+        self._assert_table_serves(generation, matrix, offline)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +565,73 @@ class TestHotSwapUnderLoad:
         assert issued[0] >= clients * per_client
         assert report["active_generation"] == 2
         assert report["pending"] == 0
+
+
+    def test_captured_generation_answers_from_its_own_table(
+        self, checkpointed
+    ):
+        """A batch that captured generation 1 is still answered from
+        generation 1's table after generation 2 activates mid-batch: the
+        row generation 1 never saw is a miss (generation 2 holds it),
+        and both posteriors are generation 1's."""
+        dfs = checkpointed["dfs"]
+        root = "/srv/captured"
+        registry = make_registry(dfs, root)
+        first, final = checkpointed["manifests"][0], checkpointed["manifests"][-1]
+        expected = offline_posteriors(checkpointed, first)
+        newer = offline_posteriors(checkpointed, final)
+        hits, missing = table_split(checkpointed["matrix"], 50)
+        rows = [hits[0], missing[0]]
+        assert all(expected[row] != newer[row] for row in rows)
+        deploy(dfs, first, root)
+
+        # Park the batch between capturing its generation and scoring:
+        # inside the one unfused LF's kernel.
+        lfs = make_lfs()
+        inner = lfs[2].label_batch
+        labelling, swapped = threading.Event(), threading.Event()
+
+        def label_batch(block):
+            if len(block) == len(rows):
+                labelling.set()
+                assert swapped.wait(10.0), "generation 2 never deployed"
+            return inner(block)
+
+        lfs[2].label_batch = label_batch
+        server = LabelServer(registry, lfs, ServeConfig(timeout_ms=10_000.0))
+        held, release = hold_first_batch(server)
+        examples = checkpointed["decoded"]
+        server.start(watch=False)
+        try:
+            callers = [predict_in_thread(server, examples[hits[1]])]
+            assert held.wait(10.0)
+            for admitted, row in enumerate(rows, start=2):
+                callers.append(predict_in_thread(server, examples[row]))
+                wait_until(
+                    lambda: requests_admitted(server) == admitted,
+                    "request was never admitted",
+                )
+            release.set()
+            assert labelling.wait(10.0), "the pair was not scored as one batch"
+            deploy(dfs, final, root)
+            second = registry.refresh()
+            assert second.generation == 2
+            assert (
+                checkpointed["matrix"][missing[0]].tobytes() in second.posteriors
+            )
+            swapped.set()
+            for thread, _ in callers:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            after = server.predict(examples[missing[0]])
+        finally:
+            swapped.set()
+            server.stop()
+        for (_, outcome), row in zip(callers[1:], rows):
+            assert outcome[0].generation == 1
+            assert outcome[0].posterior == expected[row]
+        assert after.generation == 2 and after.posterior == newer[missing[0]]
+        assert server.counters.as_dict()["serving/table_misses"] == 1
 
 
 def hold_batches(server, count):
@@ -766,11 +931,33 @@ class TestTimeoutsAndLifecycle:
             server.predict(checkpointed["decoded"][0])
 
 
+    def test_plan_is_compiled_once_per_started_run(self, checkpointed):
+        """The server takes its fused plan in ``start()``: N requests
+        build the LF index once (N times before plans existed), and a
+        stop/start cycle — new resources — builds it once more."""
+        dfs = checkpointed["dfs"]
+        registry = make_registry(dfs, "/srv/plan")
+        deploy(dfs, checkpointed["manifests"][0], "/srv/plan")
+        lfs = make_lfs()
+        resolved = count_surface_resolutions(lfs)
+        server = LabelServer(registry, lfs)
+        for run in (1, 2):
+            assert sum(resolved.values()) == 2 * (run - 1)
+            with server:
+                for example in checkpointed["decoded"][:5]:
+                    assert server.predict(example).generation == 1
+            assert resolved == {"kw_sports": run, "kw_cooking": run}
+
+
 # ---------------------------------------------------------------------------
 # end to end: crash-interrupted stream -> served bitwise
 # ---------------------------------------------------------------------------
 class TestCrashedStreamServesExactly:
-    def test_mid_run_checkpoint_served_bitwise(self, corpus, lfs):
+    @staticmethod
+    def _crash_after(corpus, lfs, batch):
+        """Kill a checkpoint-per-batch stream after ``batch``; returns
+        the filesystem holding its durable root, the decoded stream, its
+        vote matrix and an id -> row map."""
         dfs = DistributedFileSystem()
         shards = stage_examples(dfs, corpus, "/e2e/examples", num_shards=3)
         stream = CheckpointedStream(
@@ -783,7 +970,7 @@ class TestCrashedStreamServesExactly:
             write_labels=False,
         )
         with pytest.raises(SimulatedCrash):
-            stream.run(RecordStreamSource(dfs, shards), fail_after_batch=4)
+            stream.run(RecordStreamSource(dfs, shards), fail_after_batch=batch)
 
         decoded = [
             Example.from_record(record)
@@ -791,20 +978,79 @@ class TestCrashedStreamServesExactly:
         ]
         matrix = apply_lfs_in_memory(lfs, decoded).matrix
         row_of = {ex.example_id: i for i, ex in enumerate(decoded)}
+        return dfs, decoded, matrix, row_of
+
+    @staticmethod
+    def _offline(matrix, generation):
+        offline = SamplingFreeLabelModel(LabelModelConfig(n_steps=200, seed=0))
+        offline.fit(matrix[: generation.cursor])
+        return offline.predict_proba(matrix)
+
+    def test_mid_run_checkpoint_served_bitwise(self, corpus, lfs):
+        dfs, decoded, matrix, row_of = self._crash_after(corpus, lfs, 4)
 
         # The kill left a durable root; serve straight from it.
         registry = make_registry(dfs, "/e2e/stream")
         with LabelServer(registry, lfs) as server:
             generation = registry.active()
             assert generation is not None and generation.batch == 4
-            offline = SamplingFreeLabelModel(
-                LabelModelConfig(n_steps=200, seed=0)
-            )
-            offline.fit(matrix[: generation.cursor])
-            expected = offline.predict_proba(matrix)
+            expected = self._offline(matrix, generation)
             for example in decoded[:25]:
                 result = server.predict(example)
                 assert result.generation == 1
                 assert (
                     result.posterior == expected[row_of[example.example_id]]
                 )
+
+    def test_first_checkpoint_serves_hits_misses_and_mixed_batches(
+        self, corpus, lfs
+    ):
+        """Killed after its first batch, the stream's snapshot lacks one
+        vote pattern: a table hit, a padded-path miss and a held batch
+        mixing both are each the 50-row prefix's offline fit, bitwise
+        and in request order, and the misses are counted exactly."""
+        dfs, decoded, matrix, _ = self._crash_after(corpus, lfs, 0)
+        registry = make_registry(dfs, "/e2e/stream")
+        server = LabelServer(registry, lfs, ServeConfig(timeout_ms=10_000.0))
+        with server:
+            generation = registry.active()
+            assert generation is not None and generation.cursor == 50
+            expected = self._offline(matrix, generation)
+            hits, missing = table_split(matrix, generation.cursor)
+
+            def misses_counted():
+                return server.counters.as_dict().get("serving/table_misses", 0)
+
+            assert server.predict(decoded[hits[0]]).posterior == expected[hits[0]]
+            assert misses_counted() == 0
+            assert (
+                server.predict(decoded[missing[0]]).posterior
+                == expected[missing[0]]
+            )
+            assert misses_counted() == 1
+
+            held, release = hold_first_batch(server)
+            admitted = requests_admitted(server)
+            rows = [hits[1], missing[1], hits[2], missing[0], missing[2], hits[3]]
+            callers = []
+            for row in [hits[0], *rows]:
+                callers.append(predict_in_thread(server, decoded[row]))
+                admitted += 1
+                # Admitted one by one: request order is queue order.
+                wait_until(
+                    lambda: requests_admitted(server) == admitted,
+                    "request was never admitted",
+                )
+                assert held.wait(10.0)
+            batches = server.counters.as_dict()["serving/batches"]
+            release.set()
+            for thread, _ in callers:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            for (_, outcome), row in zip(callers[1:], rows):
+                assert outcome[0].example_id == decoded[row].example_id
+                assert outcome[0].posterior == expected[row]
+        counters = server.counters.as_dict()
+        # The held request alone, then the six behind it as one batch.
+        assert counters["serving/batches"] == batches + 2
+        assert counters["serving/table_misses"] == 1 + 3
