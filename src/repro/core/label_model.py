@@ -59,24 +59,39 @@ deduplicated ``(patterns, counts)`` form in one canonical pattern order
 (:mod:`repro.core.patterns`): :meth:`SamplingFreeLabelModel.fit` is
 ``fit_compressed(compress_votes(L))``. A full-batch step costs
 O(patterns × m) independent of ``n``; a minibatch step samples rows of
-the count-ordered expansion and runs the same weighted gradient kernel
-at unit weights. ``fit`` is thus invariant to row order, bit for bit,
+the count-ordered expansion and runs the same step kernel at unit
+weights. ``fit`` is thus invariant to row order, bit for bit,
 and equals a row-wise fit of the expanded matrix — bitwise in the
 minibatch regime, ≤ 1e-9 posteriors full-batch (summation order) —
 which the differential harness in ``tests/test_fit_equivalence.py``
 checks against an independent row-wise reference.
+
+One step kernel
+---------------
+The objective, its gradients and the optimizer update are written once,
+in :class:`_StepKernel`, which ``fit_compressed`` (both regimes, SGD and
+Adam), ``partial_step`` and ``nll`` all run. Measured on the benchmark's
+21-pattern, 8-LF table (2-CPU container): 6,000 steps in 0.17 s, about
+**35,000 steps per second** at batch 64 — against the paper's "> 100
+steps per second" for its TensorFlow graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from repro.core.optim import AdamState, sgd_step, adam_step
+from repro.core.optim import AdamState, adam_step, sgd_step
 from repro.core.patterns import CompressedVotes, compress_votes
 
 __all__ = ["LabelModelConfig", "SamplingFreeLabelModel"]
+
+#: Votes one minibatch draw-and-gather call fetches, for as many steps
+#: as fit: 256 KB of float64, 64 steps of 64 rows x 8 LFs (the per-call
+#: cost is amortized by then; 4x larger chunks time the same).
+_CHUNK_VOTES = 1 << 15
 
 
 @dataclass
@@ -163,33 +178,43 @@ class SamplingFreeLabelModel:
 
         Raises:
             ValueError: If the patterns contain votes outside
-                ``{-1, 0, 1}``.
+                ``{-1, 0, 1}``, ``votes`` holds no rows, or the config
+                names an unknown ``optimizer`` or a ``batch_size`` below
+                1 — raised before any state of a fitted model is reset.
         """
         cfg = self.config
+        if cfg.optimizer not in ("sgd", "adam"):
+            raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+        if cfg.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
+        if votes.n_rows < 1:
+            raise ValueError(
+                f"votes must hold at least one row, got n_rows={votes.n_rows}"
+            )
         P = _validate_label_matrix(votes.patterns)
         weights = votes.weights.astype(np.float64, copy=False)
         total = float(votes.n_rows)
-        rng = np.random.default_rng(cfg.seed)
 
         # Weighted fire counts are exact integers whenever the counts
-        # are, so the warm start equals the row-wise np.abs(L).sum(0).
-        self._init_fit(
-            P.shape[1], (np.abs(P) * weights[:, None]).sum(axis=0), total
-        )
-        optimizer = self._optimizer_state()
+        # are, so the warm start equals the row-wise np.abs(L).sum(0) —
+        # and they are every full-batch step's fire counts too.
+        fire_counts = (np.abs(P) * weights[:, None]).sum(axis=0)
+        self._init_fit(P.shape[1], fire_counts, total)
 
-        full_batch = cfg.batch_size >= total
-        if not full_batch:
-            draw = votes.row_sampler(rng, cfg.batch_size)
-            weights = np.ones(cfg.batch_size)
-            total = float(cfg.batch_size)
-
-        for step in range(cfg.n_steps):
-            batch = P if full_batch else P.take(draw(), axis=0)
-            grads = self._gradients_weighted(batch, weights, total)
-            loss = self._step_update(grads, optimizer)
-            if cfg.track_loss_every and step % cfg.track_loss_every == 0:
-                self.loss_history.append((step, loss / total))
+        if cfg.batch_size >= total:
+            kernel = _StepKernel(self, len(P), weights, total, cfg.optimizer, cfg.l2)
+            batches = repeat((P, fire_counts), cfg.n_steps)
+        else:
+            kernel = _StepKernel(self, cfg.batch_size, optimizer=cfg.optimizer, l2=cfg.l2)
+            draw = votes.row_sampler(np.random.default_rng(cfg.seed), cfg.batch_size)
+            batches = _minibatches(P, draw, cfg.batch_size, cfg.n_steps)
+        every = cfg.track_loss_every
+        for step, (batch, fired) in enumerate(batches):
+            tracked = bool(every) and step % every == 0
+            loss = kernel.step(batch, fired, want_loss=tracked)
+            if tracked:
+                self.loss_history.append((step, loss / kernel.total))
+        kernel.publish(self, cfg.n_steps)
         return self
 
     def _init_fit(
@@ -211,59 +236,6 @@ class SamplingFreeLabelModel:
         observed_propensity = np.clip(fire_counts / total, 1e-3, 1 - 1e-3)
         self.beta = np.log(observed_propensity / (1 - observed_propensity)) / 2.0
 
-    def _optimizer_state(self) -> tuple[AdamState, AdamState, AdamState]:
-        """Fresh per-fit Adam accumulators (unused under SGD)."""
-        return (
-            AdamState.like(self.alpha),
-            AdamState.like(self.beta),
-            AdamState.like(np.zeros(1)),
-        )
-
-    def _step_update(
-        self,
-        grads: tuple[np.ndarray, np.ndarray, float, float],
-        optimizer: tuple[AdamState, AdamState, AdamState],
-    ) -> float:
-        """Apply one optimizer step from precomputed gradients.
-
-        l2, the optimizer update, the ``min_alpha`` projection, and the
-        step counter. Returns the (l2-adjusted) summed loss for
-        tracking.
-        """
-        cfg = self.config
-        adam_alpha, adam_beta, adam_prior = optimizer
-        grad_alpha, grad_beta, grad_prior, loss = grads
-        if cfg.l2 > 0.0:
-            grad_alpha = grad_alpha + cfg.l2 * self.alpha
-            grad_beta = grad_beta + cfg.l2 * self.beta
-            loss += 0.5 * cfg.l2 * (
-                float(self.alpha @ self.alpha) + float(self.beta @ self.beta)
-            )
-
-        if cfg.optimizer == "adam":
-            self.alpha = adam_step(self.alpha, grad_alpha, adam_alpha, cfg.learning_rate)
-            self.beta = adam_step(self.beta, grad_beta, adam_beta, cfg.learning_rate)
-            if cfg.learn_class_prior:
-                new = adam_step(
-                    np.array([self.prior_logit]),
-                    np.array([grad_prior]),
-                    adam_prior,
-                    cfg.learning_rate,
-                )
-                self.prior_logit = float(new[0])
-        elif cfg.optimizer == "sgd":
-            self.alpha = sgd_step(self.alpha, grad_alpha, cfg.learning_rate)
-            self.beta = sgd_step(self.beta, grad_beta, cfg.learning_rate)
-            if cfg.learn_class_prior:
-                self.prior_logit -= cfg.learning_rate * grad_prior
-        else:
-            raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
-
-        if cfg.min_alpha is not None:
-            self.alpha = np.maximum(self.alpha, cfg.min_alpha)
-        self.steps_taken += 1
-        return loss
-
     def partial_step(self, batch: np.ndarray) -> float:
         """Take one gradient step on a caller-supplied minibatch.
 
@@ -275,18 +247,18 @@ class SamplingFreeLabelModel:
         if self.alpha is None or self.beta is None:
             raise RuntimeError("call fit() or init_params() before partial_step()")
         batch = _validate_label_matrix(batch)
-        cfg = self.config
-        grad_alpha, grad_beta, grad_prior, loss = self._gradients_weighted(
-            batch, np.ones(len(batch)), float(len(batch))
-        )
-        self.alpha = self.alpha - cfg.learning_rate * grad_alpha
-        self.beta = self.beta - cfg.learning_rate * grad_beta
-        if cfg.learn_class_prior:
-            self.prior_logit -= cfg.learning_rate * grad_prior
-        if cfg.min_alpha is not None:
-            self.alpha = np.maximum(self.alpha, cfg.min_alpha)
-        self.steps_taken += 1
-        return loss / len(batch)
+        return self._sgd_steps(batch[None], want_loss=True) / len(batch)
+
+    def _sgd_steps(self, batches: np.ndarray, want_loss: bool = False) -> float | None:
+        """One plain SGD kernel step (no l2) per batch of a float64
+        ``(k, B, m)`` stack whose votes the caller has validated; returns
+        the last batch's summed loss when asked for it."""
+        kernel = _StepKernel(self, batches.shape[1])
+        loss = None
+        for batch, fire in zip(batches, np.abs(batches).sum(axis=1)):
+            loss = kernel.step(batch, fire, want_loss)
+        kernel.publish(self, len(batches))
+        return loss
 
     def init_params(self, n_lfs: int) -> None:
         """Initialize parameters without fitting (for step-wise training)."""
@@ -338,59 +310,6 @@ class SamplingFreeLabelModel:
         return self
 
     # ------------------------------------------------------------------
-    # objective / gradient
-    # ------------------------------------------------------------------
-    def _gradients_weighted(
-        self, P: np.ndarray, weights: np.ndarray, total: float
-    ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Return (grad_alpha, grad_beta, grad_prior_logit, summed NLL).
-
-        The module-docstring objective with row ``i`` of ``P`` counted
-        ``weights[i]`` times: every per-row sum is a weighted sum and
-        the batch-size factor ``B`` is the total row mass ``total`` —
-        O(rows of P × m) whether ``P`` is a sampled minibatch (unit
-        weights) or the distinct patterns (their counts). ``grad_beta``
-        uses an explicit column sum, not a BLAS dot, so that at unit
-        weights it equals the row-wise ``absL.sum(axis=0)`` bit for bit.
-        """
-        alpha, beta = self.alpha, self.beta
-        absP = np.abs(P)
-        a = P @ alpha                      # (k,)
-        b = absP @ beta                    # (k,)
-        p_correct, p_wrong, p_abstain, Z = self._z_components()
-        z_sum = float(Z.sum())
-
-        log_prior_pos = -np.logaddexp(0.0, -self.prior_logit)   # log sigmoid
-        log_prior_neg = -np.logaddexp(0.0, self.prior_logit)
-        lse = np.logaddexp(a + log_prior_pos, -a + log_prior_neg)
-        nll = -float(np.sum(weights * (b - z_sum + lse)))
-
-        # Posterior P(Y=+1 | L_i) = sigmoid(2 a_i + prior_logit).
-        posterior = _sigmoid(2.0 * a + self.prior_logit)
-        signed = 2.0 * posterior - 1.0       # E[Y_i | L_i]
-
-        grad_alpha = -(P.T @ (weights * signed)) + total * (p_correct - p_wrong)
-        grad_beta = (
-            -(absP * weights[:, None]).sum(axis=0) + total * (1.0 - p_abstain)
-        )
-        # d(log prior terms)/d(prior_logit): E[Y]=2p-1 pushes the prior
-        # toward the average posterior.
-        grad_prior = -float(
-            np.sum(weights * (posterior - _sigmoid(self.prior_logit)))
-        )
-        return grad_alpha, grad_beta, grad_prior, nll
-
-    def _z_components(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-LF outcome probabilities and log partition ``Z_j``."""
-        alpha, beta = self.alpha, self.beta
-        logits = np.stack([alpha + beta, -alpha + beta, np.zeros_like(alpha)])
-        Z = _logsumexp_rows(logits)
-        probs = np.exp(logits - Z)
-        return probs[0], probs[1], probs[2], Z
-
-    # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
     def predict_proba(self, L: np.ndarray) -> np.ndarray:
@@ -415,10 +334,7 @@ class SamplingFreeLabelModel:
         """Full-dataset mean negative marginal log-likelihood."""
         self._check_fitted()
         L = _validate_label_matrix(L)
-        _, _, _, total = self._gradients_weighted(
-            L, np.ones(len(L)), float(len(L))
-        )
-        return total / len(L)
+        return _StepKernel(self, len(L)).loss(L) / len(L)
 
     # ------------------------------------------------------------------
     # learned quantities
@@ -436,7 +352,7 @@ class SamplingFreeLabelModel:
     def propensities(self) -> np.ndarray:
         """``P(lambda_j != 0)`` for each LF."""
         self._check_fitted()
-        p_correct, p_wrong, _, _ = self._z_components()
+        p_correct, p_wrong, _ = _StepKernel(self, 0).outcome_probs()
         return p_correct + p_wrong
 
     def class_prior(self) -> float:
@@ -446,6 +362,140 @@ class SamplingFreeLabelModel:
     def _check_fitted(self) -> None:
         if self.alpha is None or self.beta is None:
             raise RuntimeError("model is not fitted; call fit() first")
+
+
+# ----------------------------------------------------------------------
+# the step kernel
+# ----------------------------------------------------------------------
+class _StepKernel:
+    """The objective, its gradients and the update, written once.
+
+    The module-docstring objective with row ``i`` of a batch counted
+    ``weights[i]`` times: every per-row sum is a weighted sum and the
+    batch-size factor ``B`` is the total row mass ``total`` — whether
+    the batch is a sampled minibatch (``weights=None``: unit weights,
+    never multiplied in) or the distinct patterns (their counts).
+
+    One kernel serves one run of steps on batches of ``rows`` rows: it
+    copies the model's parameters, steps them in place through buffers
+    allocated once, and :meth:`publish` hands them back. A step is ~35
+    NumPy calls on a few dozen elements each, so it costs its call
+    count, not its arithmetic: the loss is evaluated only when asked
+    for and the prior gradient only when the prior is learned. The two
+    BLAS products keep the row-wise operand shapes and every elementwise
+    expression its association (``y - x`` for ``-x + y`` is the same
+    IEEE operation), so a step equals the row-wise step to the bit.
+    """
+
+    def __init__(
+        self, model, rows, weights=None, total=None, optimizer="sgd", l2=0.0
+    ) -> None:
+        cfg = model.config
+        self.alpha, self.beta = model.alpha.copy(), model.beta.copy()
+        self.prior_logit = model.prior_logit
+        self.weights = weights
+        self.total = float(rows) if total is None else total
+        self.l2 = l2
+        self.rate = cfg.learning_rate
+        self.learn_prior = cfg.learn_class_prior
+        self.min_alpha = cfg.min_alpha
+        self.adam = None
+        if optimizer == "adam":
+            self.adam = [
+                AdamState.like(p) for p in (self.alpha, self.beta, np.zeros(1))
+            ]
+        n_lfs = len(self.alpha)
+        self._logits = np.zeros((3, n_lfs))  # row 2, abstain, stays 0
+        self._probs = np.empty((3, n_lfs))
+        self._peak, self._Z, self._observed = np.empty((3, n_lfs))
+        self._grad_alpha, self._grad_beta = np.empty((2, n_lfs))
+        self._a, self._signed = np.empty((2, rows))
+
+    def outcome_probs(self) -> np.ndarray:
+        """Per-LF ``P(correct)``, ``P(wrong)``, ``P(abstain)`` as the
+        rows of one array; the log partition ``Z_j`` stays in ``_Z``."""
+        logits, probs, peak, Z = self._logits, self._probs, self._peak, self._Z
+        np.add(self.alpha, self.beta, out=logits[0])
+        np.subtract(self.beta, self.alpha, out=logits[1])
+        # Z = logsumexp over the three outcomes.
+        logits.max(axis=0, out=peak)
+        np.exp(np.subtract(logits, peak, out=probs), out=probs)
+        probs.sum(axis=0, out=Z)
+        np.add(peak, np.log(Z, out=Z), out=Z)
+        return np.exp(np.subtract(logits, Z, out=probs), out=probs)
+
+    def loss(self, batch: np.ndarray) -> float:
+        """Summed marginal NLL of ``batch`` at the current parameters
+        (plus the l2 term)."""
+        a = np.matmul(batch, self.alpha, out=self._a)
+        b = np.abs(batch) @ self.beta
+        self.outcome_probs()
+        z_sum = float(self._Z.sum())
+        log_prior_pos = -np.logaddexp(0.0, -self.prior_logit)   # log sigmoid
+        log_prior_neg = -np.logaddexp(0.0, self.prior_logit)
+        rows = b - z_sum + np.logaddexp(a + log_prior_pos, -a + log_prior_neg)
+        loss = -float(np.sum(rows if self.weights is None else self.weights * rows))
+        if self.l2 > 0.0:
+            loss += 0.5 * self.l2 * (
+                float(self.alpha @ self.alpha) + float(self.beta @ self.beta)
+            )
+        return loss
+
+    def step(self, batch, fired, want_loss=False) -> float | None:
+        """Take one exact-gradient step on the float64 ``(rows, m)``
+        ``batch``, whose weighted per-LF fire counts are ``fired``;
+        returns the summed pre-step :meth:`loss` when asked for it."""
+        alpha, beta, weights = self.alpha, self.beta, self.weights
+        loss = self.loss(batch) if want_loss else None
+        a = np.matmul(batch, alpha, out=self._a)
+        p_correct, p_wrong, p_abstain = self.outcome_probs()
+
+        # Posterior P(Y=+1 | L_i) = sigmoid(2 a_i + prior_logit).
+        posterior = np.multiply(a, 2.0, out=self._signed)
+        _sigmoid(np.add(posterior, self.prior_logit, out=posterior), out=posterior)
+        if self.learn_prior:
+            # d(log prior terms)/d(prior_logit): E[Y]=2p-1 pushes the
+            # prior toward the average posterior.
+            pull = posterior - _sigmoid(self.prior_logit)
+            grad_prior = -float(np.sum(pull if weights is None else weights * pull))
+        signed = np.multiply(posterior, 2.0, out=posterior)  # E[Y_i | L_i]
+        np.subtract(signed, 1.0, out=signed)
+        if weights is not None:
+            np.multiply(weights, signed, out=signed)
+
+        # Each gradient is total * E[outcome] - observed outcome.
+        grad_alpha = np.subtract(p_correct, p_wrong, out=self._grad_alpha)
+        np.multiply(grad_alpha, self.total, out=grad_alpha)
+        observed = np.matmul(batch.T, signed, out=self._observed)
+        np.subtract(grad_alpha, observed, out=grad_alpha)
+        grad_beta = np.subtract(1.0, p_abstain, out=self._grad_beta)
+        np.multiply(grad_beta, self.total, out=grad_beta)
+        np.subtract(grad_beta, fired, out=grad_beta)
+        if self.l2 > 0.0:
+            np.add(grad_alpha, self.l2 * alpha, out=grad_alpha)
+            np.add(grad_beta, self.l2 * beta, out=grad_beta)
+
+        if self.adam is None:
+            sgd_step(alpha, grad_alpha, self.rate, out=alpha)
+            sgd_step(beta, grad_beta, self.rate, out=beta)
+            if self.learn_prior:
+                self.prior_logit -= self.rate * grad_prior
+        else:
+            adam_step(alpha, grad_alpha, self.adam[0], self.rate, out=alpha)
+            adam_step(beta, grad_beta, self.adam[1], self.rate, out=beta)
+            if self.learn_prior:
+                prior, grad = np.array([self.prior_logit]), np.array([grad_prior])
+                adam_step(prior, grad, self.adam[2], self.rate, out=prior)
+                self.prior_logit = float(prior[0])
+        if self.min_alpha is not None:
+            np.maximum(alpha, self.min_alpha, out=alpha)
+        return loss
+
+    def publish(self, model: SamplingFreeLabelModel, steps: int) -> None:
+        """Hand the stepped parameters to ``model``; the kernel is spent."""
+        model.alpha, model.beta = self.alpha, self.beta
+        model.prior_logit = self.prior_logit
+        model.steps_taken += steps
 
 
 # ----------------------------------------------------------------------
@@ -463,16 +513,27 @@ def _validate_label_matrix(L: np.ndarray) -> np.ndarray:
     return L.astype(np.float64, copy=False)
 
 
-def _sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+def _minibatches(P: np.ndarray, draw, batch_size: int, n_steps: int):
+    """Yield each step's ``(batch, fire counts)``: rows of ``P`` drawn
+    and gathered ``_CHUNK_VOTES`` votes — many steps — per NumPy call.
+    Fire counts are sums of 0/1, exact in any order."""
+    chunk = max(1, _CHUNK_VOTES // max(batch_size * P.shape[1], 1))
+    for start in range(0, n_steps, chunk):
+        batches = P.take(draw(min(chunk, n_steps - start)), axis=0)  # (k, B, m)
+        yield from zip(batches, np.abs(batches).sum(axis=1))
+
+
+def _sigmoid(
+    x: np.ndarray | float, out: np.ndarray | None = None
+) -> np.ndarray | float:
+    """``1 / (1 + exp(-clip(x, -500, 500)))``, in ``out`` when given."""
+    # np.clip spelled as the two ufuncs it is defined as: a third of
+    # its call cost on a 64-row batch.
+    z = np.minimum(np.maximum(x, -500, out=out), 500, out=out)
+    z = np.exp(np.negative(z, out=out), out=out)
+    return np.divide(1.0, np.add(1.0, z, out=out), out=out)
 
 
 def _logit(p: float) -> float:
     p = min(max(p, 1e-9), 1 - 1e-9)
     return float(np.log(p / (1 - p)))
-
-
-def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
-    """logsumexp over axis 0 of a (3, n) stack."""
-    peak = logits.max(axis=0)
-    return peak + np.log(np.exp(logits - peak).sum(axis=0))

@@ -102,7 +102,7 @@ class MulticlassLabelModel:
             total = float(cfg.batch_size)
 
         for _ in range(cfg.n_steps):
-            batch = P if full_batch else P.take(draw(), axis=0)
+            batch = P if full_batch else P.take(draw(1)[0], axis=0)
             grad_alpha, grad_beta = self._gradients_weighted(
                 batch, weights, total
             )

@@ -23,9 +23,10 @@ the conditionally independent model:
 Training interleaves two update kinds:
 
 * ``observe(votes)`` folds a micro-batch into the moments and the
-  pattern table, then takes a few exact-gradient ``partial_step``s on
-  rows sampled from the new batch — the model tracks a drifting stream
-  at O(steps x batch) cost per micro-batch;
+  pattern table, then takes a few exact-gradient steps (what
+  ``partial_step`` takes, minus its re-validation) on rows sampled from
+  the new batch — the model tracks a drifting stream at O(steps x
+  batch) cost per micro-batch;
 * ``refit()`` (scheduled every ``refit_every`` batches, or called
   manually at stream end) runs
   :meth:`SamplingFreeLabelModel.fit_compressed` on the table. Offline
@@ -384,9 +385,13 @@ class OnlineLabelModel:
             )
             self._model.beta = np.log(propensity / (1 - propensity)) / 2.0
         batch_size = min(cfg.base.batch_size, votes.shape[0])
-        for _ in range(cfg.steps_per_batch):
-            idx = self._rng.integers(0, votes.shape[0], size=batch_size)
-            self._model.partial_step(votes[idx])
+        # One (steps, batch) draw advances the generator exactly as a
+        # draw per step does, and observe() has validated these votes:
+        # the kernel steps on them without partial_step's re-check.
+        idx = self._rng.integers(
+            0, votes.shape[0], size=(cfg.steps_per_batch, batch_size)
+        )
+        self._model._sgd_steps(votes[idx].astype(np.float64))
 
     # ------------------------------------------------------------------
     # checkpointing

@@ -37,18 +37,26 @@ def adam_step(
     grad: np.ndarray,
     state: AdamState,
     learning_rate: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One Adam update; mutates ``state``, returns new parameters."""
+    """One Adam update; mutates ``state``, returns the new parameters
+    (written into ``out``, which may be ``params``, when given)."""
     state.t += 1
     state.m = state.beta1 * state.m + (1 - state.beta1) * grad
     state.v = state.beta2 * state.v + (1 - state.beta2) * grad * grad
     m_hat = state.m / (1 - state.beta1 ** state.t)
     v_hat = state.v / (1 - state.beta2 ** state.t)
-    return params - learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    return np.subtract(
+        params, learning_rate * m_hat / (np.sqrt(v_hat) + state.eps), out=out
+    )
 
 
 def sgd_step(
-    params: np.ndarray, grad: np.ndarray, learning_rate: float
+    params: np.ndarray,
+    grad: np.ndarray,
+    learning_rate: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One plain SGD update."""
-    return params - learning_rate * grad
+    """One plain SGD update (written into ``out``, which may be
+    ``params``, when given)."""
+    return np.subtract(params, learning_rate * grad, out=out)

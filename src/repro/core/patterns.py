@@ -99,7 +99,7 @@ class CompressedVotes:
 
     def row_sampler(
         self, rng: np.random.Generator, size: int
-    ) -> Callable[[], np.ndarray]:
+    ) -> Callable[[int], np.ndarray]:
         """A minibatch sampler over the rows this compression stands for.
 
         Args:
@@ -107,13 +107,17 @@ class CompressedVotes:
             size: Rows per minibatch.
 
         Returns:
-            A zero-argument callable returning ``size`` pattern indices,
-            one per row drawn uniformly from :meth:`expand`'s matrix.
+            A callable taking a step count ``k`` and returning ``(k,
+            size)`` pattern indices: ``k`` minibatches, one row each
+            drawn uniformly from :meth:`expand`'s matrix. One ``(k,
+            size)`` draw consumes ``rng`` exactly as ``k`` draws of
+            ``size`` do, so however a fit chunks its steps it sees the
+            indices a step-by-step fit sees.
         """
         ends = np.cumsum(self.weights.astype(np.int64))
         n_expanded = int(self.n_rows)
-        return lambda: ends.searchsorted(
-            rng.integers(0, n_expanded, size=size), side="right"
+        return lambda steps: ends.searchsorted(
+            rng.integers(0, n_expanded, size=(steps, size)), side="right"
         )
 
 

@@ -92,7 +92,7 @@ KEY_CONTRACT: tuple[ContractKey, ...] = tuple(
         # label serving: registry + server share one counter surface
         ("serving/requests", "counter", "serving", False),
         ("serving/batches", "counter", "serving", False, "serving.flush", "events"),
-        ("serving/swaps", "counter", "serving", True),
+        ("serving/swaps", "counter", "serving", True, "serving.refresh", "events"),
         ("serving/degraded", "counter", "serving", True),
         ("serving/timeouts", "counter", "serving", True),
         ("serving/backpressure_waits", "counter", "serving", True),
@@ -103,6 +103,7 @@ KEY_CONTRACT: tuple[ContractKey, ...] = tuple(
         ("serving/batch_size", "histogram", "serving", False, "serving.flush", "requests"),
         ("serving/lf_us", "histogram", "serving", True, "serving.flush", "lf_us"),
         ("serving/score_us", "histogram", "serving", True, "serving.flush", "score_us"),
+        ("serving/refresh_us", "histogram", "serving", True, "serving.refresh", "us"),
     )
 )
 

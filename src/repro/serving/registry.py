@@ -234,6 +234,7 @@ class CheckpointModelRegistry:
             active = self._active
             if active is not None and active.manifest_path == path:
                 return active
+            started = self.metrics.clock()
             generation = self._load_generation(
                 self.manager.load(path),
                 1 if active is None else active.generation + 1,
@@ -241,7 +242,9 @@ class CheckpointModelRegistry:
             # The swap: one reference assignment. In-flight batches that
             # captured the previous generation keep scoring against it.
             self._active = generation
-            self.metrics.counter("serving/swaps")
+            self.metrics.stage(
+                "serving.refresh", since=started, generation=generation.generation
+            )
             return generation
 
     def _load_generation(

@@ -5,7 +5,7 @@ canonical pattern order. The oracle here is deliberately *not* that: a
 plain row-wise trainer over the expanded ``(n, m)`` matrix, written in
 this module from the formulas in the ``label_model`` / ``multiclass``
 docstrings — it samples row indices, slices rows, and sums over rows,
-and shares no code with ``_gradients_weighted``, ``CompressedVotes`` or
+and shares no code with ``_StepKernel``, ``CompressedVotes`` or
 ``compress_votes`` (only the optimizer updates in ``repro.core.optim``).
 Every case family draws a seeded randomized vote matrix, fits it both
 ways, and asserts the contract:
@@ -34,7 +34,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
+from repro.core.label_model import (
+    _CHUNK_VOTES,
+    LabelModelConfig,
+    SamplingFreeLabelModel,
+)
 from repro.core.multiclass import MulticlassConfig, MulticlassLabelModel
 from repro.core.online_label_model import (
     OnlineLabelModel,
@@ -240,6 +244,13 @@ FAMILIES = [
 
 SHAPES = [(400, 5), (1_500, 12)]
 
+#: Steps whose rows a fit of 64-row batches over 8 LFs draws in one
+#: call, and a step budget it cannot take in whole chunks: two full
+#: chunks and a ragged tail. (Fewer rows or LFs per batch only make a
+#: chunk longer than this, never shorter.)
+CHUNK_STEPS = _CHUNK_VOTES // (64 * 8)
+RAGGED_STEPS = 2 * CHUNK_STEPS + 37
+
 
 def fit_both(L, **config):
     """The row-wise reference on the count-ordered rows of ``L``, and
@@ -307,6 +318,133 @@ class TestBinaryEquivalence:
             l2=1e-4,
         )
         assert_bitwise(full, compressed, L)
+
+    @pytest.mark.parametrize("track_loss_every", [0, 1, 7])
+    def test_chunked_draws_are_bitwise_across_chunk_boundaries(
+        self, track_loss_every
+    ):
+        """Rows are drawn a chunk of steps at a time. Two chunks and a
+        ragged tail, with the loss off, on every step, and at cadences
+        that do not divide the chunk: same bits, same loss curve."""
+        L = duplicate_heavy(np.random.default_rng(17), 1_200, 8)
+        full, compressed = fit_both(
+            L,
+            n_steps=RAGGED_STEPS,
+            batch_size=64,
+            seed=17,
+            track_loss_every=track_loss_every,
+        )
+        assert_bitwise(full, compressed, L)
+        tracked = range(0, RAGGED_STEPS, track_loss_every) if track_loss_every else []
+        assert [step for step, _ in compressed.loss_history] == list(tracked)
+        assert compressed.steps_taken == RAGGED_STEPS
+
+    @pytest.mark.parametrize("batch_size", [64, 10_000], ids=["minibatch", "full"])
+    def test_zero_steps_is_the_warm_start(self, batch_size):
+        L = uniform(np.random.default_rng(1), 300, 6)
+        full, compressed = fit_both(L, n_steps=0, batch_size=batch_size, seed=1)
+        assert_bitwise(full, compressed, L)
+        assert compressed.steps_taken == 0
+
+    def test_adam_prior_and_l2_stay_bitwise_across_a_chunk_boundary(self):
+        L = abstain_heavy(np.random.default_rng(9), 1_000, 8)
+        full, compressed = fit_both(
+            L,
+            n_steps=CHUNK_STEPS + 44,
+            batch_size=64,
+            seed=9,
+            optimizer="adam",
+            learn_class_prior=True,
+            l2=1e-4,
+            track_loss_every=7,
+        )
+        assert_bitwise(full, compressed, L)
+
+    def test_sgd_learned_prior_without_projection_is_bitwise(self):
+        """The kernel's remaining branches: SGD on a learned prior, l2,
+        and no ``min_alpha`` projection."""
+        L = with_all_abstain_rows(np.random.default_rng(4), 900, 8)
+        full, compressed = fit_both(
+            L,
+            n_steps=CHUNK_STEPS + 5,
+            batch_size=64,
+            seed=4,
+            learn_class_prior=True,
+            init_class_prior=0.3,
+            l2=1e-3,
+            min_alpha=None,
+        )
+        assert_bitwise(full, compressed, L)
+
+    def test_full_batch_past_a_chunk_of_steps_within_1e9(self):
+        """The full-batch regime draws no rows, so it has no chunks to
+        cross: a budget longer than two of them, with an odd loss
+        cadence and a learned prior, keeps today's tolerance."""
+        L = duplicate_heavy(np.random.default_rng(6), 500, 8)
+        full, compressed = fit_both(
+            L,
+            n_steps=RAGGED_STEPS,
+            batch_size=10_000,
+            seed=6,
+            learning_rate=0.0005,
+            learn_class_prior=True,
+            track_loss_every=7,
+        )
+        gap = np.max(
+            np.abs(full.predict_proba(L) - compressed.predict_proba(L))
+        )
+        assert gap <= 1e-9, gap
+        assert np.max(np.abs(full.alpha - compressed.alpha)) <= 1e-9
+        assert [s for s, _ in compressed.loss_history] == [
+            s for s, _ in full.loss_history
+        ]
+        assert np.allclose(
+            [l for _, l in compressed.loss_history],
+            [l for _, l in full.loss_history],
+            rtol=0,
+            atol=1e-9,
+        )
+
+    def test_default_budget_on_a_bench_shaped_table(self):
+        """The regime every benchmark workload fits: 6,000 steps of 64
+        rows over 8,000 rows that are <= 25 distinct patterns of 8 LFs
+        — 93 full chunks and a tail, the default loss cadence."""
+        rng = np.random.default_rng(2026)
+        pool = rng.choice(
+            np.array([-1, 0, 1], dtype=np.int8), size=(24, 8), p=[0.1, 0.75, 0.15]
+        )
+        skew = rng.dirichlet(np.full(len(pool), 0.3))
+        L = pool[rng.choice(len(pool), size=8_000, p=skew)]
+        assert compress_votes(L).n_patterns <= 25
+        full, compressed = fit_both(L, seed=2026)
+        assert full.loss_history and len(full.loss_history) == 6_000 // 50
+        assert_bitwise(full, compressed, L)
+
+    @pytest.mark.parametrize("size", [1, 50, 64])
+    def test_chunked_sampler_draws_what_per_step_draws_would(self, size):
+        """One ``(k, size)`` draw is, index for index, ``k`` successive
+        per-step draws from an equally seeded generator — each of them
+        the row-wise draw over the expansion — and leaves the generator
+        where they leave it."""
+        votes = compress_votes(duplicate_heavy(np.random.default_rng(8), 700, 6))
+        expanded = votes.expand()
+        k = CHUNK_STEPS + 3
+        chunked_rng, stepped_rng, row_rng = (
+            np.random.default_rng(33) for _ in range(3)
+        )
+        chunked = votes.row_sampler(chunked_rng, size)(k)
+        step = votes.row_sampler(stepped_rng, size)
+        stepped = np.stack([step(1)[0] for _ in range(k)])
+        assert chunked.shape == (k, size)
+        assert np.array_equal(chunked, stepped)
+        for indices in chunked:
+            rows = expanded[row_rng.integers(0, len(expanded), size=size)]
+            assert np.array_equal(votes.patterns[indices], rows)
+        assert (
+            chunked_rng.bit_generator.state
+            == stepped_rng.bit_generator.state
+            == row_rng.bit_generator.state
+        )
 
     def test_all_abstain_matrix(self):
         """The fully degenerate stream: one all-zero pattern."""

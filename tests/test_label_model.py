@@ -1,10 +1,13 @@
 """Tests for the sampling-free generative label model (Section 5.2)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
+from repro.core.patterns import compress_votes
 from tests.conftest import synthetic_label_matrix
 
 
@@ -41,6 +44,50 @@ class TestValidation:
         model = SamplingFreeLabelModel()
         with pytest.raises(RuntimeError, match="init_params"):
             model.partial_step(np.zeros((4, 2)))
+
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            (dict(optimizer="lbfgs"), "optimizer"),
+            (dict(optimizer="lbfgs", n_steps=0), "optimizer"),
+            (dict(batch_size=0), "batch_size"),
+            (dict(batch_size=-3), "batch_size"),
+        ],
+    )
+    def test_rejected_fit_leaves_a_fitted_model_unchanged(self, bad, field):
+        """``fit_compressed`` validates before it mutates: a config it
+        cannot run is a ``ValueError`` naming the field — also when
+        there are no steps to take — and the previous fit survives."""
+        L, _ = synthetic_label_matrix(m=150, seed=2)
+        votes = compress_votes(L)
+        model = SamplingFreeLabelModel(quick_config(n_steps=80, track_loss_every=10))
+        model.fit_compressed(votes)
+        before = (
+            model.alpha.copy(),
+            model.beta.copy(),
+            model.prior_logit,
+            list(model.loss_history),
+            model.steps_taken,
+        )
+        model.config = quick_config(**bad)
+        with pytest.raises(ValueError, match=field):
+            model.fit_compressed(votes)
+        assert np.array_equal(model.alpha, before[0])
+        assert np.array_equal(model.beta, before[1])
+        assert (model.prior_logit, model.loss_history, model.steps_taken) == before[2:]
+
+    def test_zero_row_votes_rejected_without_warnings(self):
+        """A 0-row matrix is a ``ValueError`` naming ``n_rows``, not a
+        NumPy divide warning followed by ``ZeroDivisionError``."""
+        empty = compress_votes(np.zeros((0, 4), dtype=np.int8))
+        model = SamplingFreeLabelModel(quick_config(n_steps=5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_rows"):
+                model.fit_compressed(empty)
+            with pytest.raises(ValueError, match="n_rows"):
+                model.fit(np.zeros((0, 4), dtype=np.int8))
+        assert model.alpha is None and model.steps_taken == 0
 
 
 class TestParameterRecovery:

@@ -598,6 +598,12 @@ class TestHotPathIntegration:
         for flush in flushes:
             attrs = flush["attrs"]
             assert 0 <= attrs["lf_us"] + attrs["score_us"] <= flush["duration_us"]
+        # The deploy: one timed refresh per swap, naming its generation.
+        assert report["counters"]["serving/swaps"] == 1
+        assert snap["histograms"]["serving/refresh_us"]["count"] == 1
+        (refresh,) = [r for r in sink.records if r["name"] == "serving.refresh"]
+        assert refresh["attrs"]["generation"] == 1
+        assert refresh["duration_us"] > 0
 
         # A degraded flush labels and scores nothing: no split recorded.
         degraded = MetricsRegistry()
@@ -609,6 +615,7 @@ class TestHotPathIntegration:
         assert histograms["serving/batch_size"]["count"] == 1
         assert "serving/lf_us" not in histograms
         assert "serving/score_us" not in histograms
+        assert "serving/refresh_us" not in histograms
 
 
 # ----------------------------------------------------------------------

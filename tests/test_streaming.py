@@ -569,6 +569,47 @@ class TestOnlineLabelModel:
             online.accuracies(), offline.accuracies(), atol=0.1
         )
 
+    def test_incremental_steps_are_partial_steps_validated_once(self, monkeypatch):
+        """``observe`` steps the kernel on one ``(steps, batch)`` draw of
+        rows it has already validated: bitwise what the public
+        ``partial_step`` does on a draw per step, with the generator left
+        where those draws leave it — and no second pass over the votes
+        (short batches, learned prior and all)."""
+        import repro.core.label_model as label_model
+
+        L, _ = synthetic_label_matrix(m=700, seed=6)
+        base = LabelModelConfig(learn_class_prior=True, seed=3)
+        config = OnlineLabelModelConfig(base=base, steps_per_batch=5, seed=11)
+        batches = [L[:300], L[300:340], L[340:]]  # 40 rows < batch_size 64
+
+        expected = SamplingFreeLabelModel(base)
+        rng = np.random.default_rng(config.seed)
+        for k, votes in enumerate(batches):
+            if k == 0:
+                expected.init_params(votes.shape[1])
+                rate = np.clip(np.abs(votes).mean(axis=0), 1e-3, 1 - 1e-3)
+                expected.beta = np.log(rate / (1 - rate)) / 2.0
+            for _ in range(config.steps_per_batch):
+                rows = rng.integers(0, len(votes), size=min(64, len(votes)))
+                expected.partial_step(votes[rows])
+
+        validations = []
+        validate = label_model._validate_label_matrix
+        monkeypatch.setattr(
+            label_model,
+            "_validate_label_matrix",
+            lambda votes: validations.append(1) or validate(votes),
+        )
+        online = OnlineLabelModel(config)
+        for votes in batches:
+            online.observe(votes)
+        assert validations == []
+        np.testing.assert_array_equal(online.model.alpha, expected.alpha)
+        np.testing.assert_array_equal(online.model.beta, expected.beta)
+        assert online.model.prior_logit == expected.prior_logit
+        assert online.model.steps_taken == expected.steps_taken == 15
+        assert online._rng.bit_generator.state == rng.bit_generator.state
+
     def test_refit_cadence(self):
         L, _ = synthetic_label_matrix(m=600, seed=2)
         online = OnlineLabelModel(
