@@ -1,10 +1,13 @@
 """Section 1 benchmark: the 6M-point sub-30-minute extrapolation.
 
-Runs the full DFS + MapReduce labeling path (staging, per-LF jobs, vote
-join) on a slice of the product pool, measures examples/second, and
-extrapolates how many simulated nodes would be needed to label 6.5M
-examples in under 30 minutes — the claim in Section 1 ("implementing
-weak supervision over 6M+ data points with sub-30min execution time").
+Runs the full DFS + MapReduce labeling path (staging, one fused map job
+for the product suite's eight token-match LFs, per-LF vote shards
+written from its returned int8 blocks, the label matrix assembled from
+the same blocks) on a slice of the product pool, measures
+examples/second, and extrapolates how many simulated nodes would be
+needed to label 6.5M examples in under 30 minutes — the claim in
+Section 1 ("implementing weak supervision over 6M+ data points with
+sub-30min execution time").
 
 This is the paper's claim restated for this substrate, not a perf gate:
 throughput of the labeling path is measured and compared across commits

@@ -56,6 +56,10 @@ DEFAULT_READ_CHUNK = 256 * 1024
 
 _HEADER = struct.Struct(">II")
 
+#: One encoder for every record: ``json.dumps`` with non-default
+#: arguments builds a ``JSONEncoder`` per call.
+_ENCODE_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
 
 class RecordCorruption(Exception):
     """Raised when a record fails its CRC or framing check."""
@@ -63,7 +67,7 @@ class RecordCorruption(Exception):
 
 def encode_record(payload: dict[str, Any]) -> bytes:
     """Frame one JSON payload with length and CRC."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    body = _ENCODE_JSON(payload).encode("utf-8")
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
 

@@ -6,9 +6,17 @@ environment" and then "loads the labeling functions' output into its
 generative model" (Figure 4). :class:`LFApplier` reproduces that flow:
 
 1. examples are staged to sharded DFS record files,
-2. each LF runs as its own MapReduce job writing its own vote shards,
-3. the vote shards are joined on example id into a
-   :class:`repro.types.LabelMatrix` (missing ids = abstain).
+2. every LF's votes land in its own sparse vote shards, one per input
+   shard — the durable contract, byte for byte the same however they
+   were computed. LFs carrying a fused spec run together as ONE
+   MapReduce job (one decode and one tokenization of the input for the
+   whole group) whose driver writes each LF's shards straight from the
+   int8 blocks the mappers hand back; every other LF is an independent
+   binary running its own job, which writes its own shards,
+3. the votes become a :class:`repro.types.LabelMatrix`: the group's
+   columns and the example ids are the blocks the group job returned —
+   nothing the applier wrote is read back — and each independent LF's
+   shards are joined on example id (missing ids = abstain).
 
 :func:`apply_lfs_in_memory` is the measurement fast path used by large
 parameter sweeps; integration tests assert both paths produce identical
@@ -19,8 +27,9 @@ Both paths are *batched*: LF binaries run block-based map tasks
 ``(n, m)`` int8 matrix filled a column per LF with a vectorized scatter,
 instead of the per-``(example, LF)`` dictionary join the seed shipped
 with. ``batch_size=None`` (or ``batched=False`` in memory) selects the
-original per-example path, kept for equivalence tests and as the
-baseline the perf benchmarks measure against.
+original per-example path — every LF its own per-record job, ids and
+every column read back from the shards — kept as the oracle of the
+equivalence tests.
 
 The in-memory path also parallelizes across *processes*:
 ``apply_lfs_in_memory(..., executor=pool)`` shards example blocks over
@@ -40,8 +49,6 @@ import numpy as np
 from repro.dfs.filesystem import DistributedFileSystem, shard_name
 from repro.dfs.records import (
     DEFAULT_BLOCK_SIZE,
-    RecordReader,
-    RecordWriter,
     iter_record_blobs,
     write_records,
 )
@@ -165,6 +172,16 @@ def label_example_block(
     return votes
 
 
+def _vote_records(blocks, k: int):
+    """Column ``k`` of ``(ids, votes)`` blocks as the sparse
+    ``{"key", "value"}`` records an LF's own job emits, in record order."""
+    for ids, votes in blocks:
+        column = votes[:, k]
+        rows = np.flatnonzero(column)
+        for i, vote in zip(rows.tolist(), column[rows].tolist()):
+            yield {"key": ids[i], "value": vote}
+
+
 def _run_fused_lf_group(
     dfs: DistributedFileSystem,
     fused: Sequence[tuple[int, AbstractLabelingFunction]],
@@ -172,17 +189,20 @@ def _run_fused_lf_group(
     run_root: str,
     parallelism: int,
     batch_size: int,
-) -> dict[int, LFRunResult]:
+) -> tuple[list[str], np.ndarray, dict[int, LFRunResult]]:
     """Run every fused-spec LF as ONE MapReduce job over the examples.
 
     The per-LF execution model re-tokenizes every record once per LF
     binary; this job instead applies one :class:`FusedPlan` (compiled by
     the first block, shared by all) in its block mapper — one
     tokenization and one inverted-index probe per record for the whole
-    group — then demultiplexes the combined vote shards into per-LF
-    shard files that are byte-identical to what each LF's own job would
-    have written (asserted by the equivalence suite).
-    Returns ``{lf column -> LFRunResult}``.
+    group — and gives each block's example ids and ``(B, k)`` int8 votes
+    back to this driver. The job itself publishes nothing; the driver
+    writes every LF's sparse vote shard straight from those blocks,
+    byte-identical to what the LF's own job would have written
+    (asserted by the equivalence suite), and nothing it wrote is read
+    back. Returns the example ids in input order, their ``(n, k)``
+    votes, and ``{lf column -> LFRunResult}``.
     """
     plan = FusedPlan([lf.fused_spec for _, lf in fused])
     names = [lf.name for _, lf in fused]
@@ -205,18 +225,13 @@ def _run_fused_lf_group(
             ):
                 if amount:
                     ctx.counters.increment(f"{name}/{suffix}", amount)
-        # Emit one combined record per example with any non-abstain vote,
-        # in record order, so the demux below can rebuild each LF's
-        # sparse vote file exactly.
-        for i in np.flatnonzero(np.any(votes != 0, axis=1)):
-            ctx.emit(
-                examples[i].example_id, [int(v) for v in votes[i]]
-            )
+        # Ids and votes only: the decoded records die with the block.
+        ctx.give(([example.example_id for example in examples], votes))
 
     spec = MapReduceSpec(
         name="lf/_fused",
         input_paths=list(example_paths),
-        output_base=f"{run_root}/_fused/votes",
+        output_base=None,
         mapper=None,
         batch_mapper=batch_mapper,
         map_block_size=batch_size,
@@ -225,35 +240,23 @@ def _run_fused_lf_group(
     )
     result = MapReduceJob(dfs, spec).run()
 
-    # Demux: split each combined shard into per-LF vote shards under the
-    # same names the per-LF jobs use. One read of the combined shard
-    # feeds every LF's writer; emissions stay in record order, so shard
-    # bytes match the unfused path exactly.
-    n_shards = len(result.output_paths)
+    # One vote shard per (input shard, LF), under the names and with the
+    # records, in record order, that the per-LF jobs write.
+    n_shards = len(result.returned)
     output_paths: list[list[str]] = [[] for _ in fused]
     votes_out = [0] * len(fused)
-    for s, combined_path in enumerate(result.output_paths):
-        writers: list[RecordWriter] = []
-        try:
-            for k, (_, lf) in enumerate(fused):
-                out = shard_name(f"{run_root}/{lf.name}/votes", s, n_shards)
-                writers.append(RecordWriter(dfs, out))
-                output_paths[k].append(out)
-            for record in RecordReader(dfs, combined_path):
-                key = record["key"]
-                for k, vote in enumerate(record["value"]):
-                    if vote:
-                        writers[k].write({"key": key, "value": int(vote)})
-                        votes_out[k] += 1
-        except BaseException:
-            for writer in writers:
-                writer.abandon()
-            raise
-        for writer in writers:
-            writer.close()
-        # The combined shard is a demux intermediate; nothing reads it
-        # after this point, so release the bytes.
-        dfs.delete(combined_path)
+    for s, task_blocks in enumerate(result.returned):
+        for k, (_, lf) in enumerate(fused):
+            out = shard_name(f"{run_root}/{lf.name}/votes", s, n_shards)
+            votes_out[k] += write_records(dfs, out, _vote_records(task_blocks, k))
+            output_paths[k].append(out)
+    blocks = [block for task_blocks in result.returned for block in task_blocks]
+    example_ids = [eid for ids, _ in blocks for eid in ids]
+    votes = (
+        np.concatenate([block_votes for _, block_votes in blocks])
+        if blocks
+        else np.zeros((0, len(fused)), dtype=np.int8)
+    )
 
     # repro: allow[determinism] group wall-clock feeds LFRunResult reporting, not artifacts
     wall = time.perf_counter() - start
@@ -272,7 +275,7 @@ def _run_fused_lf_group(
             wall_seconds=wall,
             nodes_used=result.node_count,
         )
-    return results
+    return example_ids, votes, results
 
 
 class LFApplier:
@@ -295,55 +298,60 @@ class LFApplier:
     def apply(self, lfs: Sequence[AbstractLabelingFunction]) -> ApplyReport:
         # repro: allow[determinism] ApplyReport.wall_seconds is throughput reporting only
         start = time.perf_counter()
-        example_ids = [
-            record["example_id"]
-            for record in iter_record_blobs(self._dfs, self._example_paths)
-        ]
-        # Columnar join: one O(n) id index, then each LF's sparse vote
-        # shards scatter into their own int8 column.
+        # Batched runs execute every fused-spec LF as one MapReduce job
+        # (tokenize once per record for the whole group) that hands back
+        # the ids and the group's columns from its one pass over the
+        # input. Only a run without a group reads the input for its ids.
+        fused = (
+            [(j, lfs[j]) for j in fused_lf_columns(lfs)]
+            if self._batch_size is not None
+            else []
+        )
+        fused_results: dict[int, LFRunResult] = {}
+        if fused:
+            fused_lfs = [lf for _, lf in fused]
+            start_lf_resources(fused_lfs)
+            try:
+                example_ids, fused_votes, fused_results = _run_fused_lf_group(
+                    self._dfs,
+                    fused,
+                    self._example_paths,
+                    self._run_root,
+                    self._parallelism,
+                    self._batch_size,
+                )
+            finally:
+                stop_lf_resources(fused_lfs)
+        else:
+            example_ids = [
+                record["example_id"]
+                for record in iter_record_blobs(self._dfs, self._example_paths)
+            ]
+        # Columnar join: fused columns are assigned whole; every other
+        # LF's sparse vote shards scatter into their own int8 column
+        # through one O(n) id index.
         id_index = {eid: i for i, eid in enumerate(example_ids)}
         matrix = np.zeros((len(example_ids), len(lfs)), dtype=np.int8)
-
-        # Batched runs execute every fused-spec LF as one MapReduce job
-        # (tokenize once per record for the whole group); fusing only
-        # pays with at least two participants.
-        fused_results: dict[int, LFRunResult] = {}
-        if self._batch_size is not None:
-            fused = [
-                (j, lfs[j]) for j in fused_lf_columns(lfs)
-            ]
-            if len(fused) >= 2:
-                fused_lfs = [lf for _, lf in fused]
-                start_lf_resources(fused_lfs)
-                try:
-                    fused_results = _run_fused_lf_group(
-                        self._dfs,
-                        fused,
-                        self._example_paths,
-                        self._run_root,
-                        self._parallelism,
-                        self._batch_size,
-                    )
-                finally:
-                    stop_lf_resources(fused_lfs)
+        if fused:
+            matrix[:, [j for j, _ in fused]] = fused_votes
 
         lf_results = []
         for j, lf in enumerate(lfs):
             if j in fused_results:
-                result = fused_results[j]
-            else:
-                start_lf_resources([lf])
-                try:
-                    output_base = f"{self._run_root}/{lf.name}/votes"
-                    result = lf.run(
-                        self._dfs,
-                        self._example_paths,
-                        output_base,
-                        parallelism=self._parallelism,
-                        batch_size=self._batch_size,
-                    )
-                finally:
-                    stop_lf_resources([lf])
+                lf_results.append(fused_results[j])
+                continue
+            start_lf_resources([lf])
+            try:
+                output_base = f"{self._run_root}/{lf.name}/votes"
+                result = lf.run(
+                    self._dfs,
+                    self._example_paths,
+                    output_base,
+                    parallelism=self._parallelism,
+                    batch_size=self._batch_size,
+                )
+            finally:
+                stop_lf_resources([lf])
             lf_results.append(result)
             rows: list[int] = []
             values: list[int] = []

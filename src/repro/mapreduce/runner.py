@@ -19,12 +19,17 @@ Execution model
   per-record dispatch. Blocks preserve record order within a shard, so a
   batched job's output is byte-identical to the per-record path.
 * Map-only jobs (``reducer=None``) write each map task's emissions to its
-  own output shard — exactly how LF binaries produce vote files.
+  own output shard — exactly how LF binaries produce vote files. With
+  ``output_base=None`` a map-only job publishes nothing: its product is
+  what the mappers ``give`` back (:attr:`MapReduceResult.returned`, one
+  list per map task in task order whatever the ``parallelism``), for a
+  driver that writes the output itself — the fused LF group does.
 * Worker failures: a map task that raises is retried up to
   ``max_retries`` times on a fresh worker; exhausted retries abort the
-  job with :class:`WorkerFailure`. Output is staged per-attempt and only
-  finalized for the winning attempt, so retries never duplicate records
-  (the DFS write-once semantics give us this for free).
+  job with :class:`WorkerFailure`. Every attempt gets its own
+  :class:`MapContext`, and only the winning attempt's emitted pairs,
+  returned values *and* counters reach the job, so a task that died
+  mid-shard contributes nothing twice — not a record, not a count.
 
 Determinism: given the same inputs and spec, output shard contents are
 byte-identical regardless of ``parallelism`` — the shuffle sorts by
@@ -38,7 +43,7 @@ import hashlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.dfs.filesystem import DistributedFileSystem, shard_name
@@ -65,15 +70,21 @@ class WorkerFailure(Exception):
 
 
 class MapContext:
-    """Handle given to mappers: emit pairs, bump counters, call services."""
+    """Handle given to mappers: emit pairs, give values back to the
+    driver, bump counters, call services. One per task *attempt*."""
 
-    def __init__(self, counters: CounterSet, service: NodeService | None) -> None:
+    def __init__(self, service: NodeService | None) -> None:
         self._pairs: list[tuple[str, Any]] = []
-        self.counters = counters
+        self._returned: list[Any] = []
+        self.counters = CounterSet()
         self._service = service
 
     def emit(self, key: str, value: Any) -> None:
         self._pairs.append((str(key), value))
+
+    def give(self, value: Any) -> None:
+        """Hand ``value`` to the driver, unserialized, in call order."""
+        self._returned.append(value)
 
     @property
     def service(self) -> NodeService:
@@ -104,7 +115,8 @@ class MapReduceSpec:
 
     name: str
     input_paths: Sequence[str]
-    output_base: str
+    output_base: str | None
+    """``None`` (map-only jobs only): publish no output shards."""
     mapper: Mapper | None
     reducer: Reducer | None = None
     num_reducers: int = 4
@@ -129,6 +141,10 @@ class MapReduceSpec:
             raise ValueError(
                 f"map_block_size must be >= 1, got {self.map_block_size}"
             )
+        if self.output_base is None and self.reducer is not None:
+            raise ValueError(
+                f"job {self.name!r} has a reducer and needs an output_base"
+            )
 
 
 @dataclass
@@ -144,6 +160,8 @@ class MapReduceResult:
     records_out: int
     retries: int = 0
     node_count: int = 1
+    returned: list[list[Any]] = field(default_factory=list)
+    """What each map task's mappers ``give``-d back, in task order."""
 
 
 def _partition(key: str, buckets: int) -> int:
@@ -167,13 +185,14 @@ class MapReduceJob:
     def run(self) -> MapReduceResult:
         spec = self._spec
         start = time.perf_counter()
-        counters = CounterSet()
 
         pool = NodeServicePool(spec.node_setup, spec.tasks_per_node)
         try:
-            map_outputs, records_in = self._run_map_phase(counters, pool)
+            contexts, records_in = self._run_map_phase(pool)
         finally:
             pool.shutdown()
+        counters = CounterSet.merged(ctx.counters for ctx in contexts)
+        map_outputs = [ctx._pairs for ctx in contexts]
 
         if spec.reducer is None:
             paths, records_out = self._write_map_only(map_outputs)
@@ -194,16 +213,18 @@ class MapReduceJob:
             records_out=records_out,
             retries=self._retries,
             node_count=pool.nodes_started or 1,
+            returned=[ctx._returned for ctx in contexts],
         )
 
     # ------------------------------------------------------------------
     # map phase
     # ------------------------------------------------------------------
     def _run_map_phase(
-        self, counters: CounterSet, pool: NodeServicePool
-    ) -> tuple[list[list[tuple[str, Any]]], int]:
+        self, pool: NodeServicePool
+    ) -> tuple[list[MapContext], int]:
+        """Run every map task; returns each task's *winning* context."""
         spec = self._spec
-        outputs: list[list[tuple[str, Any]] | None] = [None] * len(spec.input_paths)
+        winners: list[MapContext | None] = [None] * len(spec.input_paths)
         records_in = [0] * len(spec.input_paths)
 
         def run_task(index: int) -> None:
@@ -214,7 +235,7 @@ class MapReduceJob:
                 try:
                     if spec.fail_injector is not None:
                         spec.fail_injector(index, attempt)
-                    ctx = MapContext(counters, service)
+                    ctx = MapContext(service)
                     count = 0
                     reader = RecordReader(self._dfs, path)
                     if spec.batch_mapper is not None:
@@ -225,7 +246,7 @@ class MapReduceJob:
                         for record in reader:
                             spec.mapper(ctx, record)
                             count += 1
-                    outputs[index] = ctx._pairs
+                    winners[index] = ctx
                     records_in[index] = count
                     return
                 except Exception as error:  # worker crash -> retry
@@ -253,10 +274,7 @@ class MapReduceJob:
 
         # Over-counted retries are attempts that eventually failed for good
         # reasons; the final retries value counts crashed attempts only.
-        finished: list[list[tuple[str, Any]]] = [
-            pairs if pairs is not None else [] for pairs in outputs
-        ]
-        return finished, sum(records_in)
+        return [ctx for ctx in winners if ctx is not None], sum(records_in)
 
     # ------------------------------------------------------------------
     # map-only output
@@ -265,6 +283,8 @@ class MapReduceJob:
         self, map_outputs: list[list[tuple[str, Any]]]
     ) -> tuple[list[str], int]:
         spec = self._spec
+        if spec.output_base is None:
+            return [], 0
         count = len(map_outputs)
         paths = []
         records_out = 0

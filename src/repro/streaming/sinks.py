@@ -158,11 +158,8 @@ class VoteSink(RecordBatchSink):
             "lf_names": self.lf_names,
             "n": len(examples),
         }
-        for example, row in zip(examples, votes):
-            yield {
-                "example_id": example.example_id,
-                "votes": [int(v) for v in row],
-            }
+        for example, row in zip(examples, votes.tolist()):
+            yield {"example_id": example.example_id, "votes": row}
 
 
 class LabelSink(RecordBatchSink):
@@ -202,5 +199,5 @@ class LabelSink(RecordBatchSink):
                 f"{len(examples)} examples"
             )
         yield {"kind": "meta", "batch": seq, "n": len(examples)}
-        for example, p in zip(examples, proba):
-            yield {"example_id": example.example_id, "proba": float(p)}
+        for example, p in zip(examples, proba.tolist()):
+            yield {"example_id": example.example_id, "proba": p}

@@ -402,11 +402,12 @@ def test_uncompiled_plan_shared_by_racing_threads():
 # ----------------------------------------------------------------------
 # batched MapReduce path: byte-identical vote shards
 # ----------------------------------------------------------------------
-def _apply_report(examples, lfs, batch_size):
-    dfs = DistributedFileSystem()
+def _apply_report(examples, lfs, batch_size, parallelism=2, dfs=None):
+    dfs = dfs or DistributedFileSystem()
     paths = stage_examples(dfs, examples, "/eq/examples", num_shards=4)
     applier = LFApplier(
-        dfs, paths, run_root="/eq/run", parallelism=2, batch_size=batch_size
+        dfs, paths, run_root="/eq/run", parallelism=parallelism,
+        batch_size=batch_size,
     )
     report = applier.apply(lfs)
     shard_bytes = {
@@ -418,14 +419,43 @@ def _apply_report(examples, lfs, batch_size):
     return report, shard_bytes
 
 
-@pytest.mark.parametrize("app", ["product", "topic"])
-def test_mapreduce_batched_output_byte_identical(app):
-    exp = get_content_experiment(app, "tiny")
-    examples = exp.dataset.unlabeled[:200]
-    lfs = exp.lfs
+def _report_fields(report):
+    """Everything an ``ApplyReport`` says except how long it took."""
+    label_matrix = report.label_matrix
+    return (
+        label_matrix.matrix.tolist(),
+        label_matrix.example_ids,
+        label_matrix.lf_names,
+        [replace(result, wall_seconds=0.0) for result in report.lf_results],
+    )
 
-    per_record, bytes_per_record = _apply_report(examples, lfs, batch_size=None)
-    batched, bytes_batched = _apply_report(examples, lfs, batch_size=64)
+
+def _suite(app):
+    """200 examples and the LFs of ``app``: the product suite (eight
+    fused-spec LFs), the topic suite (four, beside six LFs that keep
+    their own job), or the topic suite cut down to exactly one
+    (``one_fused``) or zero (``unfused``) fused-spec LFs."""
+    exp = get_content_experiment("product" if app == "product" else "topic", "tiny")
+    lfs = exp.lfs
+    fused = list(fused_lf_columns(lfs))
+    drop = {"one_fused": fused[1:], "unfused": fused}.get(app, [])
+    lfs = [lf for j, lf in enumerate(lfs) if j not in drop]
+    return exp.dataset.unlabeled[:200], lfs
+
+
+@pytest.mark.parametrize("app", ["product", "topic", "one_fused", "unfused"])
+def test_mapreduce_batched_output_byte_identical(app):
+    examples, lfs = _suite(app)
+    runs = {
+        (batch_size, parallelism): _apply_report(
+            examples, lfs, batch_size, parallelism
+        )
+        for batch_size in (None, 64, 1024)
+        for parallelism in (1, 2)
+    }
+
+    per_record, bytes_per_record = runs[None, 2]
+    batched, bytes_batched = runs[64, 2]
 
     assert bytes_batched == bytes_per_record
     assert np.array_equal(
@@ -437,6 +467,100 @@ def test_mapreduce_batched_output_byte_identical(app):
         assert res_a.positives == res_b.positives
         assert res_a.negatives == res_b.negatives
         assert res_a.abstains == res_b.abstains
+
+    # Ids, names, every result field and every shard byte, at every
+    # block size and parallelism, against the per-record oracle.
+    for report, shard_bytes in runs.values():
+        assert shard_bytes == bytes_per_record
+        assert _report_fields(report) == _report_fields(per_record)
+
+
+class _CountingDFS(DistributedFileSystem):
+    """Totals ``read_at`` bytes per path and appended bytes, and records
+    every created path."""
+
+    def __init__(self):
+        super().__init__()
+        self.read_bytes = Counter()
+        self.created = []
+        self.appended = 0
+
+    def read_at(self, path, offset, size):
+        chunk = super().read_at(path, offset, size)
+        self.read_bytes[path] += len(chunk)
+        return chunk
+
+    def create(self, path):
+        super().create(path)
+        self.created.append(path)
+
+    def append(self, path, data):
+        super().append(path, data)
+        self.appended += len(data)
+
+
+@pytest.mark.parametrize("app", ["product", "topic"])
+def test_apply_moves_each_byte_once(app):
+    """A count, not a timing: the input is read once per job that needs
+    it, nothing written for a fused column is read back, and no
+    intermediate file is ever created."""
+    examples, lfs = _suite(app)
+    dfs = _CountingDFS()
+    paths = stage_examples(dfs, examples, "/eq/examples", num_shards=4)
+    staged_bytes = dfs.appended
+    dfs.created.clear()
+    report = LFApplier(
+        dfs, paths, run_root="/eq/run", parallelism=1, batch_size=64
+    ).apply(lfs)
+
+    # One pass by the fused group (which also yields the ids), one by
+    # each LF that keeps its own job: 1 for product, 1 + 6 for topic.
+    fused = set(fused_lf_columns(lfs))
+    jobs = 1 + len(lfs) - len(fused)
+    assert jobs == {"product": 1, "topic": 7}[app]
+    for path in paths:
+        assert dfs.read_bytes[path] == jobs * dfs.size(path)
+    for j, result in enumerate(report.lf_results):
+        for path in result.output_paths:
+            read_back = 0 if j in fused else dfs.size(path)
+            assert dfs.read_bytes[path] == read_back
+
+    published = [p for result in report.lf_results for p in result.output_paths]
+    assert sorted(dfs.created) == sorted(published)
+    assert not any("/_fused/" in path for path in dfs.created)
+    assert dfs.appended - staged_bytes == sum(dfs.size(p) for p in published)
+    assert dfs.staged_paths() == []
+
+
+def test_fused_group_retried_task_contributes_once(monkeypatch):
+    """A group map task that dies after its first block (the topic model
+    fails once) and is retried yields exactly the clean run: same
+    matrix, ids, shard bytes and counts, nothing left staged."""
+    examples, lfs = _suite("product")
+    clean, clean_bytes = _apply_report(examples, lfs, 16, parallelism=1)
+
+    topic_model = next(
+        resource for lf in lfs for resource in lf.resources
+        if isinstance(resource, TopicModel)
+    )
+    record_batch_calls = topic_model.record_batch_calls
+    calls = []
+
+    def fail_on_second_block(n):
+        calls.append(n)
+        if len(calls) == 2:
+            raise ServiceUnavailable("topic model hiccup")
+        record_batch_calls(n)
+
+    monkeypatch.setattr(topic_model, "record_batch_calls", fail_on_second_block)
+    dfs = DistributedFileSystem()
+    retried, retried_bytes = _apply_report(examples, lfs, 16, 1, dfs)
+
+    # 4 shards x 4 blocks of <= 16, plus the failed block and the redone one.
+    assert len(calls) == 16 + 2
+    assert retried_bytes == clean_bytes
+    assert _report_fields(retried) == _report_fields(clean)
+    assert dfs.staged_paths() == []
 
 
 # ----------------------------------------------------------------------

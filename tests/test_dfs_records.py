@@ -1,5 +1,7 @@
 """Tests for record-file serialization."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,6 +54,23 @@ class TestFraming:
     )
     def test_any_json_payload_round_trips(self, payload):
         assert list(decode_records(encode_record(payload))) == [payload]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"key": "doc-00017", "value": -1},
+            {"votes": [0, 1, -1, 0], "example_id": "ünï-çødé/例-7"},
+            {"example_id": "x", "proba": 0.1 + 0.2},
+            {"kind": "meta", "lf_names": ["b", "a"], "nested": {"z": None, "a": 1}},
+        ],
+    )
+    def test_shared_encoder_writes_json_dumps_bytes(self, payload):
+        """The module-level encoder must frame exactly what the
+        per-record ``json.dumps`` call it replaced did."""
+        body = json.dumps(
+            payload, separators=(",", ":"), sort_keys=True
+        ).encode("utf-8")
+        assert encode_record(payload)[8:] == body
 
 
 class TestWriterReader:

@@ -131,6 +131,23 @@ class TestMapOnly:
         ).run()
         assert result.counters.value("seen") == 20
 
+    def test_map_only_job_without_output_base_publishes_nothing(self, dfs):
+        paths = stage_numbers(dfs, shards=3, per_shard=2)
+        before = dfs.file_count()
+
+        def mapper(ctx, record):
+            ctx.give(record["n"])
+
+        for parallelism in (1, 3):
+            spec = MapReduceSpec("t", paths, None, mapper, parallelism=parallelism)
+            result = MapReduceJob(dfs, spec).run()
+            # Task order, whatever the parallelism.
+            assert result.returned == [[0, 1], [2, 3], [4, 5]]
+            assert result.output_paths == [] and result.records_out == 0
+        assert dfs.file_count() == before and dfs.staged_paths() == []
+        with pytest.raises(ValueError, match="output_base"):
+            MapReduceSpec("t", paths, None, mapper, reducer=lambda c, k, v: None)
+
 
 class TestReduce:
     def _word_count(self, dfs, parallelism=1):
@@ -197,6 +214,36 @@ class TestFailureHandling:
         result = MapReduceJob(dfs, spec).run()
         assert result.retries == 1
         assert result.records_out == 10  # no duplicates from the retry
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_mid_task_failure_contributes_once(self, dfs, batched):
+        """Regression: attempts shared the job's counters, so a task
+        that died on record 5 of 10 and was retried reported 15."""
+        paths = stage_numbers(dfs, shards=1, per_shard=10)
+        crashed = []
+
+        def mapper(ctx, record):
+            if record["n"] == 5 and not crashed:
+                crashed.append(True)
+                raise RuntimeError("worker died mid-shard")
+            ctx.counters.increment("seen")
+            ctx.emit(str(record["n"]), 1)
+            ctx.give(record["n"])
+
+        def batch_mapper(ctx, records):
+            for record in records:
+                mapper(ctx, record)
+
+        spec = MapReduceSpec(
+            "t", paths, "/out/mid", mapper,
+            batch_mapper=batch_mapper if batched else None,
+            map_block_size=2,
+        )
+        result = MapReduceJob(dfs, spec).run()
+        assert result.retries == 1
+        assert result.records_in == result.records_out == 10
+        assert result.counters.as_dict() == {"seen": 10}
+        assert result.returned == [list(range(10))]
 
     def test_persistent_failure_aborts(self, dfs):
         paths = stage_numbers(dfs, shards=1)
