@@ -37,7 +37,6 @@ __all__ = [
     "stream_records",
     "stream_records_with_offsets",
     "iter_record_blobs",
-    "iter_record_blocks",
     "encode_ndarray",
     "decode_ndarray",
     "DEFAULT_BLOCK_SIZE",
@@ -95,7 +94,11 @@ def decode_ndarray(payload: dict[str, Any]) -> np.ndarray:
 
 
 def decode_records(blob: bytes) -> Iterator[dict[str, Any]]:
-    """Yield payloads from a framed byte blob, verifying CRCs."""
+    """Yield payloads from a framed byte blob, verifying CRCs.
+
+    The whole-blob reference decoder: nothing in ``src/`` calls it, and
+    the stream-decoder tests compare the incremental readers against it.
+    """
     offset = 0
     total = len(blob)
     while offset < total:
@@ -331,18 +334,3 @@ def iter_record_blobs(
     """
     for path in paths:
         yield from RecordReader(dfs, path)
-
-
-def iter_record_blocks(
-    dfs: DistributedFileSystem,
-    paths: Iterable[str],
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> Iterator[list[dict[str, Any]]]:
-    """Iterate records across many files in blocks of up to ``block_size``.
-
-    Blocks never span a file boundary, so a shard set read block-wise
-    concatenates to exactly the same record sequence as
-    :func:`iter_record_blobs`.
-    """
-    for path in paths:
-        yield from RecordReader(dfs, path).iter_blocks(block_size)

@@ -9,7 +9,7 @@
   one emission seam (``stage``) every instrumented layer reports through;
 * :class:`~repro.obs.tracing.Tracer` / :class:`~repro.obs.tracing.Span`
   — deterministic span tracing emitted as durable DFS trace shards,
-  gated by ``REPRO_TRACE`` / ``REPRO_TRACE_SAMPLE``;
+  off unless constructed with ``enabled=True``;
 * :class:`~repro.obs.exporter.TelemetryExporter` — periodic durable
   snapshot publication.
 
@@ -34,15 +34,11 @@ from repro.obs.histogram import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import (
-    TRACE_ENV,
-    TRACE_SAMPLE_ENV,
     DfsTraceSink,
     JsonlTraceSink,
     ListTraceSink,
     Span,
     Tracer,
-    trace_sample_rate,
-    tracing_enabled,
 )
 
 __all__ = [
@@ -56,10 +52,6 @@ __all__ = [
     "ListTraceSink",
     "JsonlTraceSink",
     "DfsTraceSink",
-    "tracing_enabled",
-    "trace_sample_rate",
-    "TRACE_ENV",
-    "TRACE_SAMPLE_ENV",
     "TelemetryExporter",
     "ContractKey",
     "KEY_CONTRACT",

@@ -16,18 +16,17 @@ append-only JSONL-shaped records through a pluggable sink:
   CRC-checked, finalize-on-close), so traces get the same durability
   story as votes and checkpoints.
 
-Tracing is **off by default** and controlled by two environment knobs:
-``REPRO_TRACE`` (truthy value enables) and ``REPRO_TRACE_SAMPLE``
-(fraction of root spans kept, default 1.0). Sampling is a deterministic
-counter-based accumulator, *not* an RNG draw — tracing must never
-perturb seeded random state, or the byte-identity invariants would
-quietly depend on whether telemetry was on.
+Tracing is **off by default**: a caller turns it on in code with
+``Tracer(enabled=True)`` and thins it with ``sample=`` (fraction of root
+spans kept, default 1.0). Sampling is a deterministic counter-based
+accumulator, *not* an RNG draw — tracing must never perturb seeded
+random state, or the byte-identity invariants would quietly depend on
+whether telemetry was on.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -43,41 +42,7 @@ __all__ = [
     "ListTraceSink",
     "JsonlTraceSink",
     "DfsTraceSink",
-    "tracing_enabled",
-    "trace_sample_rate",
-    "TRACE_ENV",
-    "TRACE_SAMPLE_ENV",
 ]
-
-#: Environment knob: any of ``1/true/yes/on`` enables span tracing.
-TRACE_ENV = "REPRO_TRACE"
-
-#: Environment knob: fraction of root spans kept (0.0–1.0, default 1.0).
-TRACE_SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def tracing_enabled() -> bool:
-    """Whether ``REPRO_TRACE`` requests span tracing."""
-    return os.environ.get(TRACE_ENV, "").strip().lower() in _TRUTHY
-
-
-def trace_sample_rate() -> float:
-    """The ``REPRO_TRACE_SAMPLE`` root-span keep fraction.
-
-    Raises:
-        ValueError: When the knob is set outside ``[0, 1]``.
-    """
-    raw = os.environ.get(TRACE_SAMPLE_ENV)
-    if raw is None or not raw.strip():
-        return 1.0
-    rate = float(raw)
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(
-            f"{TRACE_SAMPLE_ENV} must be in [0, 1], got {rate}"
-        )
-    return rate
 
 
 @dataclass
@@ -228,23 +193,22 @@ class Tracer:
     def __init__(
         self,
         sink: ListTraceSink | JsonlTraceSink | DfsTraceSink | None = None,
-        enabled: bool | None = None,
-        sample: float | None = None,
+        enabled: bool = False,
+        sample: float = 1.0,
     ) -> None:
         """Configure the tracer.
 
         Args:
             sink: Where finished spans go; ``None`` keeps them in an
                 internal :class:`ListTraceSink`.
-            enabled: ``None`` reads ``REPRO_TRACE``.
-            sample: Root-span keep fraction; ``None`` reads
-                ``REPRO_TRACE_SAMPLE``.
+            enabled: Off, the tracer records nothing.
+            sample: Root-span keep fraction.
 
         Raises:
             ValueError: On a sample outside ``[0, 1]``.
         """
-        self.enabled = tracing_enabled() if enabled is None else enabled
-        self.sample = trace_sample_rate() if sample is None else float(sample)
+        self.enabled = enabled
+        self.sample = float(sample)
         if not 0.0 <= self.sample <= 1.0:
             raise ValueError(f"sample must be in [0, 1], got {self.sample}")
         self.sink = sink if sink is not None else ListTraceSink()

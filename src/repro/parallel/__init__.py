@@ -14,12 +14,12 @@ the serial path — by construction:
 
 * workers never receive live Python objects: the LF suite is rebuilt in
   each worker from a picklable :class:`LFSuiteSpec` (an importable
-  factory reference), and examples round-trip through the existing DFS
-  record codec (:func:`encode_example_block` /
-  :func:`decode_example_block`), exactly the bytes a staged shard would
-  hold;
-* every block carries a sequence number and the parent reassembles
-  results strictly in sequence order, so votes, sink shards, and
+  factory reference), and a block crosses the pool once, as one pickled
+  list of ``Example.to_record()`` dicts the worker rebuilds with
+  ``Example.from_record`` — the field values a serial run reads,
+  without the token memos an ``Example`` accumulates;
+* the parent hands results back strictly in submission order (it only
+  ever waits on the oldest in-flight block), so votes, sink shards, and
   posteriors are bit-exact with a serial run at any worker count;
 * a worker crash is retried on a fresh process up to a bounded budget
   and surfaces as :class:`repro.mapreduce.runner.WorkerFailure` when
@@ -36,17 +36,11 @@ from repro.parallel.executor import (
     ParallelLabelExecutor,
     parallel_block_size,
 )
-from repro.parallel.spec import (
-    LFSuiteSpec,
-    decode_example_block,
-    encode_example_block,
-)
+from repro.parallel.spec import LFSuiteSpec
 
 __all__ = [
     "DEFAULT_MAX_RETRIES",
     "LFSuiteSpec",
     "ParallelLabelExecutor",
-    "decode_example_block",
-    "encode_example_block",
     "parallel_block_size",
 ]

@@ -13,25 +13,29 @@ Execution model
 Each worker process runs :func:`_worker_init` once: rebuild the LF suite
 from the picklable :class:`~repro.parallel.spec.LFSuiteSpec`, start its
 offline resources, and precompute the fused-spec columns — the per-node
-setup hook of the MapReduce engine, translated to processes. Tasks are
-``(seq, record-codec block bytes)``; the worker decodes, runs the same
+setup hook of the MapReduce engine, translated to processes. A task is
+one pickled list of ``Example.to_record()`` dicts — never the
+``Example`` objects, whose token memos live in ``__dict__`` and must
+not cross the pool; the worker rebuilds the block with
+``Example.from_record``, runs the same
 :func:`repro.lf.applier.label_example_block` kernel as a serial run, and
 returns the ``int8`` vote block plus its labeling wall time.
 
 Order is restored here and nowhere else: workers finish in any order,
-but :meth:`next_completed` hands blocks back oldest-submission first,
-parking early finishers on their in-flight entry until their turn (a
-retried block keeps its place; :meth:`reset` drops parked results with
-the rest). :meth:`label_blocks` and the streaming pipeline both just
-drain it — so a parallel run's votes are positionally identical to a
-serial run at any worker count.
+but :meth:`next_completed` waits on the *oldest* in-flight future, so
+blocks come back oldest-submission first and an early finisher simply
+stays on its future until its turn (a retried block keeps its place;
+:meth:`reset` forgets the futures with the rest). :meth:`label_blocks`
+and the streaming pipeline both just drain it — so a parallel run's
+votes are positionally identical to a serial run at any worker count.
 
 Failure model
 -------------
 A task that raises retries on the (respawned) pool; a worker that *dies*
-breaks the whole pool (`concurrent.futures` semantics), so the executor
-rebuilds the pool and resubmits every in-flight task, charging each one
-attempt. A task whose attempts exceed ``max_retries`` surfaces as
+breaks the whole pool (`concurrent.futures` semantics) and fails every
+in-flight future, so the executor rebuilds the pool and each in-flight
+block is charged one attempt and resubmitted when its turn comes. A
+task whose attempts exceed ``max_retries`` surfaces as
 :class:`repro.mapreduce.runner.WorkerFailure` — the same exception the
 MapReduce engine uses for exhausted map-task retries.
 
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import queue as queue_module
 import threading
 import time
@@ -53,6 +58,7 @@ from concurrent.futures import (
     CancelledError,
     Future,
     ProcessPoolExecutor,
+    TimeoutError as FutureTimeout,
 )
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -67,11 +73,7 @@ from repro.obs.histogram import (
     encode_histograms,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.spec import (
-    LFSuiteSpec,
-    decode_example_block,
-    encode_example_block,
-)
+from repro.parallel.spec import LFSuiteSpec
 from repro.types import Example
 
 __all__ = [
@@ -126,9 +128,9 @@ def _worker_warm() -> bool:
 
 
 def _worker_label(
-    seq: int, blob: bytes, kill: bool, collect: bool
-) -> tuple[int, tuple[int, int], bytes, int, bytes | None]:
-    """Label one block; returns ``(seq, shape, vote bytes, label_us, stats)``.
+    payload: bytes, kill: bool, collect: bool
+) -> tuple[np.ndarray, int, bytes | None]:
+    """Label one pickled block; returns ``(votes, label_us, stats)``.
 
     ``kill=True`` is the crash-injection hook: the process exits without
     cleanup, exactly what an OOM-killed or preempted worker looks like
@@ -136,16 +138,15 @@ def _worker_label(
 
     ``collect=True`` additionally returns worker-side stage histograms
     (the ``worker/*`` keys of :data:`repro.obs.contract.KEY_CONTRACT`)
-    encoded with :func:`repro.obs.histogram.encode_histograms` —
-    telemetry rides the existing bytes-only IPC and never touches the
-    vote payload.
+    encoded with :func:`repro.obs.histogram.encode_histograms`, beside
+    the vote block and never inside it.
     """
     if kill:
         os._exit(1)
     from repro.lf.applier import label_example_block
 
     decode_start = time.perf_counter()
-    examples = decode_example_block(blob)
+    examples = [Example.from_record(r) for r in pickle.loads(payload)]
     decode_us = int((time.perf_counter() - decode_start) * 1e6)
     start = time.perf_counter()
     votes = label_example_block(_WORKER_LFS, examples, _WORKER_FUSED)
@@ -162,7 +163,7 @@ def _worker_label(
                 "worker/label_us": label_hist,
             }
         )
-    return seq, votes.shape, votes.tobytes(), label_us, stats
+    return votes, label_us, stats
 
 
 # ----------------------------------------------------------------------
@@ -170,15 +171,12 @@ def _worker_label(
 # ----------------------------------------------------------------------
 @dataclass
 class _Inflight:
-    """One submitted block: payload kept for retries, examples for sinks."""
+    """One submitted block: its examples (for sinks and for retries),
+    the attempts charged so far and the future of the live attempt."""
 
-    blob: bytes
     examples: list[Example]
     attempts: int = 0
     future: Future | None = field(default=None, repr=False)
-    #: ``(votes, label_us)`` once the block has completed — parked here
-    #: until every earlier submission has been handed out.
-    result: tuple[np.ndarray, int] | None = field(default=None, repr=False)
 
 
 class ParallelLabelExecutor:
@@ -186,7 +184,8 @@ class ParallelLabelExecutor:
 
     Thread contract: :meth:`submit` may run on one producer thread while
     :meth:`next_completed` runs on one consumer thread (the streaming
-    wiring); internal state is lock-protected. The convenience drivers
+    wiring); the in-flight table is guarded by a condition the producer
+    signals on every submit. The convenience drivers
     :meth:`label_blocks` / :meth:`label_examples` do both from the
     calling thread.
     """
@@ -220,11 +219,11 @@ class ParallelLabelExecutor:
         #: exactly one of them must rebuild the pool.
         self._pool_lock = threading.Lock()
         self._pool_generation = 0
-        self._lock = threading.Lock()
+        #: Guards ``_inflight``; notified by :meth:`submit` so a consumer
+        #: that has drained everything can wait for the next block.
+        self._submitted = threading.Condition(threading.Lock())
+        #: seq -> block, in submission order (dicts keep insertion order).
         self._inflight: dict[int, _Inflight] = {}
-        self._done_q: queue_module.Queue[tuple[int, Future]] = (
-            queue_module.Queue()
-        )
         self._kill_plan: dict[int, int] = {}
         self._closed = False
 
@@ -251,19 +250,13 @@ class ParallelLabelExecutor:
         executor still tracks the dead run's blocks, which would collide
         with — or hang — the next run. The pool outlives its runs, so
         they reset it on the way out: the streaming pipeline's pool
-        stage always, :meth:`label_blocks` on any failure. Parked
-        results go with their blocks; results of dropped blocks that
-        are still executing arrive later as stale notifications and are
-        ignored.
+        stage always, :meth:`label_blocks` on any failure. A dropped
+        block's future goes with it, so whatever a still-running worker
+        returns for it later is never handed out.
         """
-        with self._lock:
+        with self._submitted:
             dropped = len(self._inflight)
             self._inflight.clear()
-        while True:
-            try:
-                self._done_q.get_nowait()
-            except queue_module.Empty:
-                break
         return dropped
 
     def __enter__(self) -> "ParallelLabelExecutor":
@@ -279,7 +272,7 @@ class ParallelLabelExecutor:
 
     def pending(self) -> int:
         """Blocks submitted but not yet drained by the caller."""
-        with self._lock:
+        with self._submitted:
             return len(self._inflight)
 
     # ------------------------------------------------------------------
@@ -298,27 +291,20 @@ class ParallelLabelExecutor:
     # submission / completion (the streaming-facing API)
     # ------------------------------------------------------------------
     def submit(self, seq: int, examples: Sequence[Example]) -> None:
-        """Encode one block through the record codec and dispatch it."""
+        """Pickle one block's records and dispatch it."""
         if self._closed:
             raise RuntimeError("executor already closed")
-        examples = list(examples)
-        entry = _Inflight(
-            blob=encode_example_block(examples), examples=examples
-        )
-        with self._lock:
+        with self._submitted:
             if seq in self._inflight:
                 raise ValueError(f"block {seq} already in flight")
+        entry = _Inflight(examples=list(examples))
+        # Dispatch before registering: a block is never in flight
+        # without a future, so a failed dispatch leaves nothing behind
+        # for pending() to count or a consumer to wait on.
+        self._dispatch(seq, entry)
+        with self._submitted:
             self._inflight[seq] = entry
-        try:
-            self._dispatch(seq, entry)
-        except BaseException:
-            # Never leave a block registered with no future: nothing
-            # would ever complete it, so pending() could not drain and
-            # a consumer waiting on it would hang instead of seeing
-            # this error.
-            with self._lock:
-                self._inflight.pop(seq, None)
-            raise
+            self._submitted.notify()
 
     def next_completed(
         self, timeout: float | None = None
@@ -327,41 +313,38 @@ class ParallelLabelExecutor:
         ``(seq, examples, votes, label_us)``.
 
         Blocks come back in *submission* order whatever order the
-        workers finish in: a block that completes ahead of an earlier
-        one is parked on its in-flight entry until its turn. Waits for
-        completions (``queue.Empty`` when none arrives within
-        ``timeout``). Failed attempts are retried transparently — the
-        retried block keeps its place in line; exhausted budgets raise
+        workers finish in, because only the oldest in-flight future is
+        ever waited on; a block that completes ahead of an earlier one
+        stays on its future until its turn. Raises ``queue.Empty`` when
+        a wait — for a first submission with nothing in flight, else
+        for the oldest block's live attempt — outlasts ``timeout``.
+        Failed attempts are retried transparently — the retried block
+        keeps its place in line; exhausted budgets raise
         :class:`WorkerFailure`.
         """
+        with self._submitted:
+            if not self._submitted.wait_for(
+                lambda: self._inflight, timeout
+            ):
+                raise queue_module.Empty
+            seq, entry = next(iter(self._inflight.items()))
         while True:
-            with self._lock:
-                # dicts iterate in insertion order: first is oldest.
-                seq, entry = next(iter(self._inflight.items()), (None, None))
-                if entry is not None and entry.result is not None:
-                    del self._inflight[seq]
-                    return seq, entry.examples, *entry.result
-            seq, future = self._done_q.get(timeout=timeout)
-            with self._lock:
-                entry = self._inflight.get(seq)
-            if entry is None or entry.future is not future:
-                continue  # stale notification from a superseded attempt
             try:
-                error = future.exception()
+                error = entry.future.exception(timeout)
+            except FutureTimeout:
+                raise queue_module.Empty from None
             except CancelledError as cancelled:
                 # A future caught mid-restart; treat like a crashed
                 # attempt and let the retry budget decide.
                 error = cancelled
             if error is None:
-                _, shape, blob, label_us, stats = future.result()
-                votes = (
-                    np.frombuffer(blob, dtype=np.int8).reshape(shape).copy()
-                )
-                entry.result = (votes, label_us)
+                with self._submitted:
+                    del self._inflight[seq]
+                votes, label_us, stats = entry.future.result()
                 if stats is not None:
                     self.metrics.merge_histograms(decode_histograms(stats))
                 self.metrics.counter("parallel/blocks")
-                continue
+                return seq, entry.examples, votes, label_us
             entry.attempts += 1
             if entry.attempts > self.max_retries:
                 raise WorkerFailure(
@@ -487,6 +470,9 @@ class ParallelLabelExecutor:
 
     def _dispatch(self, seq: int, entry: _Inflight) -> None:
         kill = entry.attempts < self._kill_plan.get(seq, 0)
+        payload = pickle.dumps(
+            [e.to_record() for e in entry.examples], pickle.HIGHEST_PROTOCOL
+        )
         future: Future | None = None
         last_error: BaseException | None = None
         for _ in range(2):
@@ -495,8 +481,7 @@ class ParallelLabelExecutor:
                 pool, generation = self._ensure_pool()
                 future = pool.submit(
                     _worker_label,
-                    seq,
-                    entry.blob,
+                    payload,
                     kill,
                     self.metrics.observed,
                 )
@@ -510,6 +495,3 @@ class ParallelLabelExecutor:
                 f"could not dispatch block {seq}: worker pool keeps dying"
             ) from last_error
         entry.future = future
-        future.add_done_callback(
-            lambda f, seq=seq: self._done_q.put((seq, f))
-        )

@@ -7,25 +7,23 @@ plus its arguments. :class:`LFSuiteSpec` carries that recipe across the
 process boundary and each worker rebuilds its own private suite from it,
 the in-process analogue of shipping the LF binary to a compute node.
 
-Examples cross the boundary the same way they cross the simulated
-distributed filesystem: framed through the record codec
-(:func:`repro.dfs.records.encode_record`), CRC and all. A parallel run
-therefore exercises exactly the serialization a staged shard would —
-if an example survives staging, it survives the worker round-trip, and
-the worker decodes the same bytes a fresh MapReduce task would read.
+Examples are plain data and need no recipe: the executor pickles each
+block's ``Example.to_record()`` dicts once and the worker rebuilds the
+block with ``Example.from_record`` (see
+:mod:`repro.parallel.executor`), so a worker labels the very field
+values a serial run reads — tuples stay tuples, integer keys stay
+integers — and nothing memoised on an ``Example`` crosses the pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Sequence
+from typing import Any
 
-from repro.dfs.records import decode_records, encode_record
 from repro.lf.base import AbstractLabelingFunction
-from repro.types import Example
 
-__all__ = ["LFSuiteSpec", "encode_example_block", "decode_example_block"]
+__all__ = ["LFSuiteSpec"]
 
 
 @dataclass(frozen=True)
@@ -58,13 +56,3 @@ class LFSuiteSpec:
             target = getattr(target, part)
         lfs = target(*self.args, **self.kwargs)
         return list(lfs)
-
-
-def encode_example_block(examples: Sequence[Example]) -> bytes:
-    """Frame a block of examples with the DFS record codec."""
-    return b"".join(encode_record(e.to_record()) for e in examples)
-
-
-def decode_example_block(blob: bytes) -> list[Example]:
-    """Inverse of :func:`encode_example_block` (CRCs verified)."""
-    return [Example.from_record(record) for record in decode_records(blob)]

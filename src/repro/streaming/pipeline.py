@@ -190,8 +190,8 @@ class _PoolStage:
     """Label stage that runs the kernel on a process pool.
 
     The ingest thread submits each decoded batch to the
-    :class:`repro.parallel.ParallelLabelExecutor` (record-codec
-    round-trip); :meth:`take` drains it, and the executor releases
+    :class:`repro.parallel.ParallelLabelExecutor` (one pickled block
+    each way); :meth:`take` drains it, and the executor releases
     blocks oldest-submission first, so no reordering happens here.
     """
 

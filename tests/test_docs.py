@@ -62,14 +62,6 @@ class TestEnvKnobs:
             f"set by CI but read nowhere={sorted(in_ci - in_code)}"
         )
 
-    def test_trace_knobs_are_documented(self):
-        """REPRO_TRACE* knobs appear in the env-knobs block and match
-        the code's knob names."""
-        from repro.obs.tracing import TRACE_ENV, TRACE_SAMPLE_ENV
-
-        documented = set(KNOB_RE.findall(marker_block("env-knobs")))
-        assert {TRACE_ENV, TRACE_SAMPLE_ENV} <= documented
-
 
 #: Each docs/OPERATIONS.md contract marker block is one filter of the
 #: single table in ``repro.obs.contract``.

@@ -7,6 +7,7 @@ serial run — including under artificially skewed per-block latency and
 across worker crashes that exhaust into retries.
 """
 
+import queue
 import time
 
 import numpy as np
@@ -20,8 +21,6 @@ from repro.mapreduce.runner import WorkerFailure
 from repro.parallel import (
     LFSuiteSpec,
     ParallelLabelExecutor,
-    decode_example_block,
-    encode_example_block,
     parallel_block_size,
 )
 from repro.streaming import (
@@ -31,6 +30,7 @@ from repro.streaming import (
 )
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.online_label_model import OnlineLabelModelConfig
+from repro.types import Example
 
 from tests.test_checkpoint import make_corpus, make_lfs
 
@@ -45,6 +45,26 @@ def build_suite():
 def build_other_suite():
     """A narrower suite, for the spec-mismatch guard tests."""
     return make_lfs()[:2]
+
+
+def _typed_field_vote(example):
+    """Reads an int dict key and a tuple — both of which JSON rewrites."""
+    hist, span = example.fields["hist"], example.fields["span"]
+    return 1 if 3 in hist and isinstance(span, tuple) else -1
+
+
+def build_typed_field_suite():
+    """The normal suite plus one LF over fields JSON is not invariant on."""
+    typed = LabelingFunction(
+        LFInfo(
+            name="typed_fields",
+            category=LFCategory.CONTENT_HEURISTIC,
+            servable=True,
+            description="votes on an int-keyed dict and a tuple field",
+        ),
+        fn=_typed_field_vote,
+    )
+    return [*make_lfs(), typed]
 
 
 SPEC = LFSuiteSpec(factory="tests.test_parallel:build_suite")
@@ -82,7 +102,7 @@ def narrow_pool():
 
 
 # ----------------------------------------------------------------------
-# spec + codec round-trip
+# spec + block sizing
 # ----------------------------------------------------------------------
 class TestSuiteSpec:
     def test_build_reconstructs_the_suite(self):
@@ -92,13 +112,6 @@ class TestSuiteSpec:
     def test_rejects_malformed_factory(self):
         with pytest.raises(ValueError, match="module:callable"):
             LFSuiteSpec(factory="not-a-path")
-
-    def test_example_block_round_trip(self, corpus):
-        blob = encode_example_block(corpus[:50])
-        decoded = decode_example_block(blob)
-        assert [e.to_record() for e in decoded] == [
-            e.to_record() for e in corpus[:50]
-        ]
 
     def test_block_size_is_deterministic_and_bounded(self):
         assert parallel_block_size(20_000, 4, 8192) == parallel_block_size(
@@ -142,6 +155,25 @@ class TestOfflineParallel:
     def test_rejects_mismatched_suite_spec(self, corpus, narrow_pool):
         with pytest.raises(ValueError, match="suite_spec"):
             apply_lfs_in_memory(make_lfs(), corpus, executor=narrow_pool)
+
+    def test_workers_see_field_values_not_their_json_image(self):
+        """A worker labels the values a serial run reads: ``{3: .9}``
+        must not arrive as ``{"3": .9}`` nor ``(1, 2)`` as ``[1, 2]``."""
+        corpus = [
+            Example(
+                e.example_id,
+                fields={**e.fields, "hist": {3: 0.9}, "span": (1, 2)},
+            )
+            for e in make_corpus(n=60, seed=3)
+        ]
+        spec = LFSuiteSpec(factory="tests.test_parallel:build_typed_field_suite")
+        serial = apply_lfs_in_memory(build_typed_field_suite(), corpus).matrix
+        assert (serial[:, -1] == 1).all()
+        with ParallelLabelExecutor(spec, workers=1) as executor:
+            pooled = apply_lfs_in_memory(
+                build_typed_field_suite(), corpus, executor=executor
+            ).matrix
+        assert np.array_equal(pooled, serial)
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +448,53 @@ class TestWorkerCrashes:
             # the proof that the one before it closed nothing.
             report = run(executor)
         assert np.array_equal(report.label_matrix.matrix, serial)
+
+    def test_next_completed_times_out_with_nothing_in_flight(self, pool):
+        assert pool.pending() == 0
+        start = time.monotonic()
+        with pytest.raises(queue.Empty):
+            pool.next_completed(timeout=0.2)
+        assert 0.2 <= time.monotonic() - start < 10
+
+    def test_kill_charges_every_inflight_block_once_and_keeps_order(self):
+        """Three slow blocks are running when a fourth kills its worker:
+        the broken pool fails all four futures, each block is charged
+        one attempt, and they still come back in submission order."""
+        corpus = make_corpus(n=160, seed=5)
+        spec = LFSuiteSpec(factory="tests.test_parallel:build_skewed_suite")
+        serial = apply_lfs_in_memory(build_skewed_suite(), corpus).matrix
+        with ParallelLabelExecutor(spec, workers=4) as executor:
+            executor.kill_worker_on(3, attempts=1)
+            for seq in range(4):
+                executor.submit(seq, corpus[seq * 40:(seq + 1) * 40])
+            taken = [executor.next_completed(timeout=60) for _ in range(4)]
+            assert executor.pending() == 0
+            retries = executor.metrics.counters.value("parallel/retries")
+            assert executor.pool_restarts == 1
+        assert [seq for seq, *_ in taken] == [0, 1, 2, 3]
+        assert retries == 4
+        assert np.array_equal(
+            np.vstack([votes for _, _, votes, _ in taken]), serial
+        )
+
+    def test_late_result_of_a_dropped_block_is_never_handed_out(self):
+        """``reset()`` forgets a block that is still running; the same
+        seq is then reused and only the new block ever comes back."""
+        corpus = make_corpus(n=160, seed=5)
+        spec = LFSuiteSpec(factory="tests.test_parallel:build_skewed_suite")
+        serial = apply_lfs_in_memory(build_skewed_suite(), corpus).matrix
+        with ParallelLabelExecutor(spec, workers=2) as executor:
+            executor.submit(0, corpus[:40])  # slow: ~80 ms of sleeps
+            assert executor.reset() == 1
+            assert executor.pending() == 0
+            executor.submit(0, corpus[120:160])
+            seq, examples, votes, _ = executor.next_completed(timeout=60)
+            assert seq == 0 and examples == corpus[120:160]
+            assert np.array_equal(votes, serial[120:160])
+            # Long enough for the dropped block to finish in its worker.
+            with pytest.raises(queue.Empty):
+                executor.next_completed(timeout=0.5)
+            assert executor.pending() == 0
 
     def test_validates_construction(self):
         with pytest.raises(ValueError, match="workers"):
