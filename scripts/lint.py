@@ -8,12 +8,13 @@ Two layers run on every invocation:
    hermetic environments without ruff, a byte-compile pass over
    ``src``/``tests`` stands in (the AST-level checks below cover the
    highest-signal Pyflakes classes either way).
-2. **Invariant analysis** — the :mod:`repro.analysis` rule suite
-   (determinism surface, counter/gauge/histogram contract closure,
-   lock discipline, resource safety, unused imports, docstrings,
-   syntax, suppression grammar). Intentional violations carry inline
-   ``# repro: allow[rule-id] reason`` suppressions; pre-existing
-   findings may be grandfathered in ``scripts/analysis_baseline.json``.
+2. **Invariant analysis** — the nine :mod:`repro.analysis` rules
+   (syntax, suppression grammar, determinism surface,
+   counter/gauge/histogram contract closure, lock discipline, blocking
+   under a lock, resource safety, unused imports, docstrings). An
+   intentional violation carries an inline
+   ``# repro: allow[rule-id] reason`` suppression; there is no other
+   way to accept a finding.
 
 Usage::
 
@@ -45,7 +46,7 @@ from repro.analysis import (  # noqa: E402  (path bootstrap above)
     format_json,
     run_analysis,
 )
-from repro.analysis.framework import DEFAULT_TARGETS, builtin_rules  # noqa: E402
+from repro.analysis.framework import DEFAULT_TARGETS  # noqa: E402
 
 TARGETS = list(DEFAULT_TARGETS)
 
@@ -109,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
 
     rules = default_rules()
     if args.list_rules:
-        for rule in builtin_rules() + rules:
+        for rule in rules:
             print(f"{rule.id:18s} {rule.description}")
         return 0
 

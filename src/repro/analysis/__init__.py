@@ -13,14 +13,14 @@ invisible to example-based tests:
     Every namespaced counter/gauge/histogram key emitted anywhere in
     ``src/`` appears in a pinned contract tuple, and every contracted
     key is still emitted — both directions, statically.
-``lock-discipline``
-    In thread-starting classes, attributes mutated from both the thread
-    target and public methods are only touched under ``self._lock``.
-``lock-order`` / ``blocking-under-lock``
-    The static half of the concurrency sanitizer: the per-class/module
-    acquires-while-holding graph is cycle-free, and nothing blocking
-    (joins, foreign waits, ``time.sleep``, DFS writes) runs under a
-    held lock. The runtime half lives in :mod:`repro.sanitizer`.
+``lock-discipline`` / ``blocking-under-lock``
+    One lock model, two rules (:mod:`repro.analysis.locks`): in
+    thread-starting classes, attributes mutated from both the thread
+    target and public methods are only touched under a held lock; and
+    nothing blocking (joins, foreign waits, ``time.sleep``, DFS writes)
+    runs under a held lock. Acquisition order is the runtime
+    sanitizer's job (:mod:`repro.sanitizer`), which proves it from the
+    orders tier-1 actually runs.
 ``resource-safety``
     Record writers, DFS read handles, pools, and threads are released
     on all paths or explicitly change owners.
@@ -28,9 +28,9 @@ invisible to example-based tests:
     The long-standing lint gates, ported onto the same framework.
 
 Entry point is :func:`repro.analysis.run_analysis` (used by
-``scripts/lint.py``); intentional violations carry inline
-``# repro: allow[rule-id] reason`` suppressions, and pre-existing
-findings can be grandfathered in ``scripts/analysis_baseline.json``.
+``scripts/lint.py``); an intentional violation carries an inline
+``# repro: allow[rule-id] reason`` suppression — the one way to accept
+a finding.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.analysis.contracts import ContractClosureRule
 from repro.analysis.determinism import DeterminismRule
 from repro.analysis.docstrings import DOCSTRING_ENFORCED, DocstringRule
 from repro.analysis.framework import (
-    BASELINE_PATH,
     DEFAULT_TARGETS,
     AnalysisReport,
     Finding,
@@ -48,18 +47,16 @@ from repro.analysis.framework import (
     SuppressionIndex,
     collect_modules,
     format_human,
+    _meta_rules,
     format_json,
-    load_baseline,
     run_analysis,
 )
 from repro.analysis.imports import UnusedImportRule
-from repro.analysis.lockorder import BlockingUnderLockRule, LockOrderRule
-from repro.analysis.locks import LockDisciplineRule
+from repro.analysis.locks import BlockingUnderLockRule, LockDisciplineRule
 from repro.analysis.resources import ResourceSafetyRule
 
 __all__ = [
     "AnalysisReport",
-    "BASELINE_PATH",
     "BlockingUnderLockRule",
     "ContractClosureRule",
     "DEFAULT_TARGETS",
@@ -68,7 +65,6 @@ __all__ = [
     "DocstringRule",
     "Finding",
     "LockDisciplineRule",
-    "LockOrderRule",
     "ParsedModule",
     "ResourceSafetyRule",
     "Rule",
@@ -78,21 +74,20 @@ __all__ = [
     "default_rules",
     "format_human",
     "format_json",
-    "load_baseline",
     "run_analysis",
 ]
 
 
 def default_rules() -> list[Rule]:
-    """The full checker suite in rule-id order, freshly instantiated."""
+    """The whole rule registry, freshly instantiated: the ``syntax`` /
+    ``suppression`` meta-rules first, then the checkers in id order."""
     rules = [
         BlockingUnderLockRule(),
         ContractClosureRule(),
         DeterminismRule(),
         DocstringRule(),
         LockDisciplineRule(),
-        LockOrderRule(),
         ResourceSafetyRule(),
         UnusedImportRule(),
     ]
-    return sorted(rules, key=lambda rule: rule.id)
+    return _meta_rules() + sorted(rules, key=lambda rule: rule.id)

@@ -1,13 +1,13 @@
 """Core machinery of the invariant-checker suite.
 
 Everything rule-agnostic lives here: the :class:`Finding` record, the
-``# repro: allow[rule] reason`` suppression grammar, the committed
-baseline of grandfathered findings, the :class:`Rule` registry, and the
+``# repro: allow[rule] reason`` suppression grammar, the :class:`Rule`
+base class with the ``syntax`` / ``suppression`` meta-rules, and the
 :func:`run_analysis` driver that parses the repo once and fans the
 parsed modules out to every rule. Individual checkers (determinism,
-contract closure, lock discipline, resource safety, unused imports,
-docstrings) subclass :class:`Rule` in their own modules and register
-through :func:`default_rules`.
+contract closure, lock discipline, blocking under a lock, resource
+safety, unused imports, docstrings) subclass :class:`Rule` in their own
+modules and register through :func:`repro.analysis.default_rules`.
 
 Design constraints the framework enforces uniformly:
 
@@ -16,10 +16,8 @@ Design constraints the framework enforces uniformly:
 * a suppression comment **must** carry a non-empty reason — an empty
   one is itself a finding (rule id ``suppression``);
 * suppressions are per-rule and lexically scoped to the flagged line or
-  the line directly above it, never file- or block-wide;
-* the baseline (``scripts/analysis_baseline.json``) matches findings by
-  ``(rule, path, message)`` — deliberately line-free, so unrelated
-  edits shifting line numbers cannot resurrect a grandfathered finding.
+  the line directly above it, never file- or block-wide — and they are
+  the one way to accept a finding.
 """
 
 from __future__ import annotations
@@ -40,19 +38,14 @@ __all__ = [
     "AnalysisReport",
     "collect_modules",
     "run_analysis",
-    "load_baseline",
     "format_human",
     "format_json",
     "DEFAULT_TARGETS",
-    "BASELINE_PATH",
 ]
 
 #: Trees the broad hygiene rules (unused imports, syntax) sweep; the
 #: project-invariant checkers narrow this to ``("src",)`` themselves.
 DEFAULT_TARGETS = ("src", "tests", "benchmarks", "examples", "scripts")
-
-#: Repo-relative path of the committed grandfathered-findings baseline.
-BASELINE_PATH = "scripts/analysis_baseline.json"
 
 #: Suppression grammar: ``# repro: allow[rule-id] reason text``. The
 #: reason is everything after the closing bracket; the ``suppression``
@@ -85,10 +78,6 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
         }
-
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Line-free identity used to match committed baseline entries."""
-        return (self.rule, self.path, self.message)
 
 
 @dataclass(frozen=True)
@@ -232,11 +221,9 @@ class AnalysisReport:
     """Outcome of one analysis run."""
 
     findings: list[Finding] = field(default_factory=list)
-    """Unsuppressed, non-baseline findings — the gating set."""
+    """Unsuppressed findings — the gating set."""
     suppressed: list[Finding] = field(default_factory=list)
     """Findings silenced by an in-source suppression comment."""
-    grandfathered: list[Finding] = field(default_factory=list)
-    """Findings silenced by the committed baseline."""
     rules: list[Rule] = field(default_factory=list)
     """Rules that ran (in execution order)."""
     files_checked: int = 0
@@ -249,12 +236,8 @@ class AnalysisReport:
 
 
 def _meta_rules() -> list[Rule]:
-    return [_SyntaxRule(), _SuppressionRule()]
-
-
-def builtin_rules() -> list[Rule]:
     """The framework's own meta-rules (syntax, suppression grammar)."""
-    return _meta_rules()
+    return [_SyntaxRule(), _SuppressionRule()]
 
 
 def collect_modules(
@@ -274,17 +257,6 @@ def collect_modules(
     return modules
 
 
-def load_baseline(repo: Path) -> set[tuple[str, str, str]]:
-    """The committed grandfathered-finding keys (empty set when absent)."""
-    path = repo / BASELINE_PATH
-    if not path.exists():
-        return set()
-    entries = json.loads(path.read_text(encoding="utf-8"))
-    return {
-        (entry["rule"], entry["path"], entry["message"]) for entry in entries
-    }
-
-
 def run_analysis(
     repo: Path,
     rules: Sequence[Rule],
@@ -294,11 +266,12 @@ def run_analysis(
 
     Parses each target tree once, hands every rule the modules matching
     its own ``targets``, then routes raw findings through suppression
-    comments and the baseline.
+    comments.
 
     Args:
         repo: Repository root.
-        rules: Rule instances to run (meta-rules are always included).
+        rules: Rule instances to run (meta-rules are always included,
+            once).
         rule_ids: When given, only rules with these ids run (the meta
             ``syntax``/``suppression`` rules still run — a rule filter
             must not hide broken files or broken suppressions).
@@ -330,7 +303,6 @@ def run_analysis(
                 all_targets.append(target)
     modules = collect_modules(repo, all_targets)
 
-    baseline = load_baseline(repo)
     report = AnalysisReport(rules=selected, files_checked=len(modules))
 
     def module_set(rule: Rule) -> list[ParsedModule]:
@@ -352,14 +324,11 @@ def run_analysis(
                 finding.rule, finding.line
             ):
                 report.suppressed.append(finding)
-            elif finding.baseline_key() in baseline:
-                report.grandfathered.append(finding)
             else:
                 report.findings.append(finding)
 
     report.findings.sort()
     report.suppressed.sort()
-    report.grandfathered.sort()
     return report
 
 
@@ -369,7 +338,6 @@ def format_human(report: AnalysisReport) -> str:
     lines.append(
         f"[analysis] {len(report.findings)} finding(s), "
         f"{len(report.suppressed)} suppressed, "
-        f"{len(report.grandfathered)} baselined, "
         f"{report.files_checked} file(s), "
         f"{len(report.rules)} rule(s)"
     )
@@ -387,8 +355,5 @@ def format_json(report: AnalysisReport) -> str:
         ],
         "findings": [finding.as_dict() for finding in report.findings],
         "suppressed": [finding.as_dict() for finding in report.suppressed],
-        "grandfathered": [
-            finding.as_dict() for finding in report.grandfathered
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

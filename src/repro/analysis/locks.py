@@ -1,41 +1,42 @@
-"""Lock-discipline checker for thread-spawning classes.
+"""Static lock rules: lock discipline and blocking under a lock.
 
-Classes that start threads (`LabelServer`, the telemetry exporter, the
-micro-batch pipeline's ingest threads, …) share instance state between
-the thread body and the public API. The invariant this rule enforces:
-an instance attribute that is **mutated both from thread-side code and
-from public-side code** is a shared variable, and every access to it
-must sit inside a ``with self.<lock>`` block.
+Both rules read what one scanner gathers per method under one lock
+model: a *guard* is an instance attribute or plain name assigned a
+``threading.Lock/RLock/Condition`` in the class / module, or anything
+whose last name part says ``lock``; ``with`` pushes each guard on a
+held stack for its body; a nested ``def`` / ``lambda`` runs later and
+holds nothing; a ``Thread(target=closure)`` closure is scanned as a
+pseudo-method of its own.
 
-How the rule reasons, per class that constructs ``threading.Thread``
-(or ``threading.Timer`` — a Timer is a thread with a delay):
+``lock-discipline``
+    In a class that starts a ``threading.Thread`` / ``Timer``, an
+    instance attribute **mutated both from thread-side and from
+    public-side code** is shared, and every access to it must sit
+    under a held guard. Thread entries are the spawn targets — methods,
+    promoted closures, and module functions (in any module) handed the
+    instance through ``args=(self, ...)``, whose matching parameter is
+    read as ``self``; each side is the self-call closure of its entries
+    (a private helper called from ``predict()`` is public-side code).
+    Mutations are (augmented) assignments to ``self.attr`` or a
+    subscript of it and mutating container calls (``append``,
+    ``popleft``, …); thread-safe attributes (locks, events, semaphores,
+    queues, the repo's ``CounterSet`` / ``Gauge`` / ``MetricsRegistry``
+    / ``Histogram``) and ``__init__`` are exempt.
+``blocking-under-lock``
+    In every class and module function, no call that can block
+    indefinitely or do I/O while a guard is held: ``join`` / ``acquire``
+    / ``wait`` on a foreign object, ``time.sleep``, DFS writes
+    (``write_records``, ``write_file``, ``finalize_as``). Waiting on the
+    guard you hold (the Condition idiom) and ``acquire(blocking=False)``
+    are exempt. A held lock turns any other blocking call into a
+    latency cliff for every contending thread — and a deadlock when the
+    thing waited on needs that lock to make progress.
 
-* *thread entries* are ``Thread(target=self.method)`` /
-  ``Timer(delay, self.method)`` targets, ``Thread(target=closure)``
-  closures defined in a method, and module-level functions — in this
-  module or any other — passed as the target with the instance bound
-  through ``args=(self, ...)`` (the function's matching parameter is
-  analyzed as if it were ``self``);
-* the self-method call graph is chased from the entries (thread side)
-  and from every public method (public side) — a private helper called
-  from ``predict()`` is public-side code;
-* *mutations* are assignments/augmented assignments to ``self.attr``
-  (or a subscript of it) and calls to known mutating container methods
-  (``append``, ``popleft``, ``update``, …);
-* attributes holding intrinsically thread-safe objects — locks,
-  conditions, events, semaphores, queues, and the repo's own
-  ``CounterSet`` / ``Gauge`` / ``MetricsRegistry`` / ``Histogram`` —
-  are exempt, as are mutations inside ``__init__`` (it runs before any
-  thread exists);
-* a ``with self.X`` block counts as locked when ``X`` was assigned a
-  ``threading.Lock/RLock/Condition`` anywhere in the class, or its
-  name contains ``lock``.
-
-The analysis is lexical, not a happens-before proof: it cannot see
-attributes reached through other objects or decide that an unlocked
-read is benign. It is designed to make the *protected-by-default*
-idiom checkable and every exception explicit via
-``# repro: allow[lock-discipline] reason``.
+Acquisition *order* is the runtime sanitizer's job
+(:mod:`repro.sanitizer`), proved from the orders tier-1 actually runs.
+The analysis is lexical, not a happens-before proof; every exception
+is explicit via ``# repro: allow[lock-discipline] reason`` /
+``# repro: allow[blocking-under-lock] reason``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Iterator, Sequence
 from repro.analysis.astutil import dotted_name, import_aliases, resolve_call
 from repro.analysis.framework import Finding, ParsedModule, Rule
 
-__all__ = ["LockDisciplineRule"]
+__all__ = ["BlockingUnderLockRule", "LockDisciplineRule"]
 
 #: Method names that mutate common containers in place.
 MUTATOR_METHODS = frozenset(
@@ -97,9 +98,14 @@ THREAD_SAFE_CONSTRUCTORS = frozenset(
     }
 )
 
-#: Constructors that make an attribute usable as the guard in
-#: ``with self.X`` (Condition wraps a lock, so it qualifies).
+#: Constructors whose instances are guards.
 LOCK_CONSTRUCTORS = frozenset({"Lock", "RLock", "Condition"})
+
+#: DFS write entry points: durable I/O that should never sit under a
+#: lock shared with a latency-sensitive path.
+DFS_WRITE_CALLS = frozenset({"write_records", "write_file", "finalize_as"})
+
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _module_qualname(relpath: str) -> str:
@@ -119,6 +125,48 @@ def _module_qualname(relpath: str) -> str:
     return path.replace("/", ".")
 
 
+def _constructed(
+    root: ast.AST, aliases: dict[str, str]
+) -> Iterator[tuple[ast.expr, str]]:
+    """``(target, constructor)`` for every ``target = Ctor(...)`` in ``root``."""
+    for node in ast.walk(root):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            qualified = resolve_call(node.value, aliases)
+            if qualified is not None:
+                ctor = qualified.rsplit(".", 1)[-1]
+                for target in node.targets:
+                    yield target, ctor
+
+
+def _lock_names(tree: ast.Module, aliases: dict[str, str]) -> set[str]:
+    """Plain names assigned a lock constructor anywhere in the module."""
+    return {
+        target.id
+        for target, ctor in _constructed(tree, aliases)
+        if isinstance(target, ast.Name) and ctor in LOCK_CONSTRUCTORS
+    }
+
+
+def _classify_attrs(
+    methods: Sequence[ast.AST], aliases: dict[str, str]
+) -> tuple[set[str], set[str]]:
+    """``self`` attributes assigned lock / thread-safe constructor calls."""
+    lock_attrs: set[str] = set()
+    exempt_attrs: set[str] = set()
+    for method in methods:
+        for target, ctor in _constructed(method, aliases):
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                if ctor in LOCK_CONSTRUCTORS:
+                    lock_attrs.add(target.attr)
+                if ctor in THREAD_SAFE_CONSTRUCTORS:
+                    exempt_attrs.add(target.attr)
+    return lock_attrs, exempt_attrs
+
+
 @dataclass
 class _Access:
     """One appearance of ``self.attr`` inside a method body."""
@@ -131,7 +179,7 @@ class _Access:
 
 @dataclass
 class _Method:
-    """Per-method facts the class-level analysis consumes."""
+    """Per-method facts both rules consume."""
 
     name: str
     accesses: list[_Access] = field(default_factory=list)
@@ -141,54 +189,64 @@ class _Method:
     """Dotted spawn targets that are not methods or local closures,
     with the position of ``self`` in the spawn's ``args=`` tuple
     (``-1`` when the instance is not passed along)."""
+    blocking: list[tuple[int, str, tuple[str, ...]]] = field(
+        default_factory=list
+    )
+    """``(line, call, held guard ids)`` per blocking call under a guard."""
 
 
 class _MethodScanner(ast.NodeVisitor):
-    """Collect self-attribute accesses, self-calls, and thread spawns.
+    """Walk one method body tracking the stack of held guard ids.
 
-    Nested function bodies are attributed to the enclosing method
-    unless the nested function is itself a thread target (the caller
-    splits those out as pseudo-methods).
+    Collects self-attribute accesses, self-calls, thread spawns, and
+    blocking calls made while a guard is held. Nested function bodies
+    are attributed to the enclosing method — holding nothing — unless
+    the nested function is itself a thread target (the caller splits
+    those out as pseudo-methods).
     """
 
     def __init__(
         self,
-        lock_attrs: set[str],
+        name: str,
+        guards: set[str],
         aliases: dict[str, str],
         skip_functions: set[str],
         self_name: str = "self",
     ) -> None:
-        self.lock_attrs = lock_attrs
+        self.guards = guards
         self.aliases = aliases
         self.skip_functions = skip_functions
         self.self_name = self_name
-        self.method = _Method(name="")
-        self._lock_depth = 0
+        self.method = _Method(name=name)
+        self._held: list[str] = []
 
-    # -- locking context ------------------------------------------------
+    # -- guards ---------------------------------------------------------
+    def _guard_id(self, expr: ast.expr) -> str | None:
+        """The guard ``expr`` names, or ``None``; an instance guard is
+        named by its attribute alone."""
+        attr = self._self_attr(expr)
+        name = attr if attr is not None else dotted_name(expr)
+        if name is None:
+            return None
+        if name in self.guards or "lock" in name.rsplit(".", 1)[-1].lower():
+            return name
+        return None
+
     def visit_With(self, node: ast.With) -> None:
-        locked = any(
-            self._is_lock_expr(item.context_expr) for item in node.items
-        )
+        """Hold each guard item for the duration of the block body."""
+        depth = len(self._held)
         for item in node.items:
             self.visit(item.context_expr)
             if item.optional_vars is not None:
                 self.visit(item.optional_vars)
-        if locked:
-            self._lock_depth += 1
+            guard = self._guard_id(item.context_expr)
+            if guard is not None:
+                self._held.append(guard)
         for statement in node.body:
             self.visit(statement)
-        if locked:
-            self._lock_depth -= 1
+        del self._held[depth:]
 
-    def _is_lock_expr(self, expr: ast.expr) -> bool:
-        if (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == self.self_name
-        ):
-            return expr.attr in self.lock_attrs or "lock" in expr.attr
-        return False
+    visit_AsyncWith = visit_With
 
     # -- accesses and mutations ----------------------------------------
     def _self_attr(self, expr: ast.expr) -> str | None:
@@ -202,7 +260,7 @@ class _MethodScanner(ast.NodeVisitor):
 
     def _record(self, attr: str, line: int, mutating: bool) -> None:
         self.method.accesses.append(
-            _Access(attr, line, self._lock_depth > 0, mutating)
+            _Access(attr, line, bool(self._held), mutating)
         )
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -239,12 +297,44 @@ class _MethodScanner(ast.NodeVisitor):
                 and func.value.id == self.self_name
             ):
                 self.method.calls.add(func.attr)
+        if self._held:
+            what = self._blocking_call(node)
+            if what is not None:
+                self.method.blocking.append(
+                    (node.lineno, what, tuple(self._held))
+                )
         qualified = resolve_call(node, self.aliases)
         if qualified in ("threading.Thread", "threading.Timer"):
             target = self._spawn_target(node, qualified)
             if target is not None:
                 self._record_spawn_target(node, target)
         self.generic_visit(node)
+
+    def _blocking_call(self, node: ast.Call) -> str | None:
+        """What ``node`` may block on, minus the safe idioms."""
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            receiver = dotted_name(func.value) or "<expr>"
+            if func.attr in DFS_WRITE_CALLS:
+                return f"DFS {func.attr}()"
+            if func.attr in ("wait", "acquire"):
+                # Waiting on (or re-entering) the guard you hold is the
+                # Condition idiom, not a hazard.
+                if self._guard_id(func.value) in self._held:
+                    return None
+                if func.attr == "acquire" and _nonblocking_acquire(node):
+                    return None
+                return f"{receiver}.{func.attr}()"
+            if func.attr == "join" and _is_thread_join(node):
+                return f"{receiver}.join()"
+        qualified = resolve_call(node, self.aliases)
+        if qualified == "time.sleep":
+            return "time.sleep()"
+        if qualified is not None:
+            last = qualified.rsplit(".", 1)[-1]
+            if last in DFS_WRITE_CALLS:
+                return f"DFS {last}()"
+        return None
 
     @staticmethod
     def _spawn_target(node: ast.Call, qualified: str) -> ast.expr | None:
@@ -297,16 +387,110 @@ class _MethodScanner(ast.NodeVisitor):
                         return index
         return -1
 
-    # -- nested scopes --------------------------------------------------
+    # -- deferred bodies ------------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        if node.name not in self.skip_functions:
-            for statement in node.body:
-                self.visit(statement)
+        """A nested def runs later: scan its body holding nothing."""
+        if node.name in self.skip_functions:
+            return
+        held, self._held = self._held, []
+        for statement in node.body:
+            self.visit(statement)
+        self._held = held
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
+        """A lambda runs later too: its body holds nothing."""
+        held, self._held = self._held, []
         self.visit(node.body)
+        self._held = held
+
+
+def _nonblocking_acquire(node: ast.Call) -> bool:
+    """Whether an ``.acquire(...)`` call cannot block (blocking=False)."""
+    if node.args:
+        first = node.args[0]
+        if isinstance(first, ast.Constant) and first.value is False:
+            return True
+    for keyword in node.keywords:
+        if keyword.arg == "blocking" and (
+            isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is False
+        ):
+            return True
+    return False
+
+
+def _is_thread_join(node: ast.Call) -> bool:
+    """Whether a ``.join(...)`` call looks like a thread join.
+
+    ``thread.join()`` takes no argument or a numeric timeout;
+    ``", ".join(parts)`` takes exactly one iterable. Anything with a
+    single non-numeric positional argument is the string method.
+    """
+    if any(keyword.arg == "timeout" for keyword in node.keywords):
+        return True
+    if not node.args:
+        return True
+    if len(node.args) == 1:
+        arg = node.args[0]
+        return isinstance(arg, ast.Constant) and isinstance(
+            arg.value, (int, float)
+        )
+    return False
+
+
+def _scan(
+    name: str,
+    body: list[ast.stmt],
+    guards: set[str],
+    aliases: dict[str, str],
+    skip_functions: set[str],
+    self_name: str = "self",
+) -> _Method:
+    """Scan one function body into its :class:`_Method` facts."""
+    scanner = _MethodScanner(name, guards, aliases, skip_functions, self_name)
+    for statement in body:
+        scanner.visit(statement)
+    return scanner.method
+
+
+def _scan_functions(
+    functions: Sequence[ast.FunctionDef | ast.AsyncFunctionDef],
+    guards: set[str],
+    aliases: dict[str, str],
+) -> dict[str, _Method]:
+    """Scan sibling functions, promoting thread-target closures.
+
+    Pass 1 finds ``Thread(target=closure)`` names; pass 2 carves those
+    closure bodies out of their enclosing functions and scans them as
+    pseudo-methods of their own (they run on their own thread).
+    """
+    closure_targets: set[str] = set()
+    for function in functions:
+        closure_targets |= _scan(
+            function.name, function.body, guards, aliases, set()
+        ).thread_targets
+    scanned: dict[str, _Method] = {}
+    for function in functions:
+        scanned[function.name] = _scan(
+            function.name, function.body, guards, aliases, closure_targets
+        )
+        for nested in ast.walk(function):
+            if (
+                isinstance(nested, ast.FunctionDef)
+                and nested.name in closure_targets
+                and nested.name not in scanned
+            ):
+                scanned[nested.name] = _scan(
+                    nested.name, nested.body, guards, aliases, set()
+                )
+    return scanned
+
+
+def _functions(body: list[ast.stmt]) -> list:
+    """The function definitions directly in a class or module body."""
+    return [node for node in body if isinstance(node, _FUNCTION_NODES)]
 
 
 class LockDisciplineRule(Rule):
@@ -335,35 +519,23 @@ class LockDisciplineRule(Rule):
                 continue
             qualname = _module_qualname(module.relpath)
             module_aliases = import_aliases(module.tree)
-            for node in module.tree.body:
-                if isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    function_map[f"{qualname}.{node.name}"] = (
-                        node,
-                        module,
-                        module_aliases,
-                    )
-        for module in modules:
-            if module.tree is not None:
-                yield from self._check_one(module, function_map)
-
-    def check_module(self, module: ParsedModule) -> Iterator[Finding]:
-        """Analyze one module standalone (no cross-module resolution)."""
-        yield from self._check_one(module, {})
-
-    def _check_one(
-        self, module: ParsedModule, function_map: dict[str, tuple]
-    ) -> Iterator[Finding]:
-        if module.tree is None:
-            return
-        aliases = import_aliases(module.tree)
-        qualname = _module_qualname(module.relpath)
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(
-                    module, node, aliases, qualname, function_map
+            for node in _functions(module.tree.body):
+                function_map[f"{qualname}.{node.name}"] = (
+                    node,
+                    module,
+                    module_aliases,
                 )
+        for module in modules:
+            if module.tree is None:
+                continue
+            aliases = import_aliases(module.tree)
+            qualname = _module_qualname(module.relpath)
+            names = _lock_names(module.tree, aliases)
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.ClassDef):
+                    yield from self._check_class(
+                        module, node, aliases, names, qualname, function_map
+                    )
 
     # ------------------------------------------------------------------
     # per-class analysis
@@ -373,47 +545,17 @@ class LockDisciplineRule(Rule):
         module: ParsedModule,
         cls: ast.ClassDef,
         aliases: dict[str, str],
+        lock_names: set[str],
         qualname: str,
         function_map: dict[str, tuple],
     ) -> Iterator[Finding]:
-        methods = [
-            item
-            for item in cls.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        lock_attrs, exempt_attrs = self._classify_attrs(methods, aliases)
-
-        # Pass 1: find thread-target closure names so pass 2 can carve
-        # their bodies out of the enclosing methods.
-        closure_targets: set[str] = set()
-        for method in methods:
-            scan = _MethodScanner(lock_attrs, aliases, set())
-            scan.method = _Method(name=method.name)
-            for statement in method.body:
-                scan.visit(statement)
-            closure_targets |= scan.method.thread_targets
-
-        scanned: dict[str, _Method] = {}
+        methods = _functions(cls.body)
+        lock_attrs, exempt_attrs = _classify_attrs(methods, aliases)
+        guards = lock_attrs | lock_names
+        scanned = _scan_functions(methods, guards, aliases)
         thread_entries: set[str] = set()
         for method in methods:
-            scan = _MethodScanner(lock_attrs, aliases, closure_targets)
-            scan.method = _Method(name=method.name)
-            for statement in method.body:
-                scan.visit(statement)
-            scanned[method.name] = scan.method
-            thread_entries |= scan.method.thread_targets
-            # Thread-target closures become pseudo-methods of the class.
-            for nested in ast.walk(method):
-                if (
-                    isinstance(nested, ast.FunctionDef)
-                    and nested.name in closure_targets
-                    and nested.name not in scanned
-                ):
-                    inner = _MethodScanner(lock_attrs, aliases, set())
-                    inner.method = _Method(name=nested.name)
-                    for statement in nested.body:
-                        inner.visit(statement)
-                    scanned[nested.name] = inner.method
+            thread_entries |= scanned[method.name].thread_targets
 
         # Module-level spawn targets (this module or another) become
         # pseudo-methods too: the parameter that binds ``self`` via the
@@ -435,16 +577,14 @@ class LockDisciplineRule(Rule):
                 pseudo = f"<{name}>"
                 if pseudo in scanned:
                     continue
-                external = _MethodScanner(
-                    lock_attrs,
+                scanned[pseudo] = _scan(
+                    pseudo,
+                    fn_node.body,
+                    guards,
                     def_aliases,
                     set(),
                     self_name=params[self_pos],
                 )
-                external.method = _Method(name=pseudo)
-                for statement in fn_node.body:
-                    external.visit(statement)
-                scanned[pseudo] = external.method
                 method_module[pseudo] = def_module
                 thread_entries.add(pseudo)
 
@@ -507,36 +647,6 @@ class LockDisciplineRule(Rule):
         return None
 
     @staticmethod
-    def _classify_attrs(
-        methods: list, aliases: dict[str, str]
-    ) -> tuple[set[str], set[str]]:
-        """Attributes assigned lock-like / thread-safe constructor calls."""
-        lock_attrs: set[str] = set()
-        exempt_attrs: set[str] = set()
-        for method in methods:
-            for node in ast.walk(method):
-                if not isinstance(node, ast.Assign):
-                    continue
-                value = node.value
-                if not isinstance(value, ast.Call):
-                    continue
-                qualified = resolve_call(value, aliases)
-                if qualified is None:
-                    continue
-                ctor = qualified.rsplit(".", 1)[-1]
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        if ctor in LOCK_CONSTRUCTORS:
-                            lock_attrs.add(target.attr)
-                        if ctor in THREAD_SAFE_CONSTRUCTORS:
-                            exempt_attrs.add(target.attr)
-        return lock_attrs, exempt_attrs
-
-    @staticmethod
     def _reachable(
         scanned: dict[str, _Method], entries: set[str]
     ) -> set[str]:
@@ -572,3 +682,38 @@ class LockDisciplineRule(Rule):
             if name in public_side:
                 public_mutated |= mutated
         return (thread_mutated & public_mutated) - exempt_attrs
+
+
+class BlockingUnderLockRule(Rule):
+    """No call that can block indefinitely while a lock is held."""
+
+    id = "blocking-under-lock"
+    description = (
+        "no blocking call (join/acquire/wait on another object, "
+        "time.sleep, DFS writes) while holding a lock"
+    )
+    targets = ("src",)
+
+    def check_module(self, module: ParsedModule) -> Iterator[Finding]:
+        """Report every blocking-under-lock site in one module."""
+        if module.tree is None:
+            return
+        aliases = import_aliases(module.tree)
+        names = _lock_names(module.tree, aliases)
+        scopes = [("", _functions(module.tree.body), names)]
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.ClassDef):
+                methods = _functions(node.body)
+                lock_attrs, _ = _classify_attrs(methods, aliases)
+                scopes.append((f"{node.name}.", methods, lock_attrs | names))
+        for prefix, functions, guards in scopes:
+            scanned = _scan_functions(functions, guards, aliases)
+            for name in sorted(scanned):
+                for line, what, held in scanned[name].blocking:
+                    yield module.finding(
+                        self.id,
+                        line,
+                        f"{prefix}{name} calls {what} while holding "
+                        f"{{{', '.join(held)}}}; blocking under a lock "
+                        "stalls every contending thread",
+                    )

@@ -39,6 +39,13 @@ task whose attempts exceed ``max_retries`` surfaces as
 :class:`repro.mapreduce.runner.WorkerFailure` — the same exception the
 MapReduce engine uses for exhausted map-task retries.
 
+A submit that races a worker death can get back a future nothing will
+ever resolve: CPython (3.11) fails a broken pool's pending work without
+holding the lock ``submit`` registers new work under. So
+:meth:`next_completed` waits in short slices, and an attempt whose pool
+has since been replaced while its future is still pending counts as
+failed like any other.
+
 Workers ``fork`` where the platform can: they inherit the parent's
 warmed module state (dataset caches, matcher tables), so pool spin-up
 is milliseconds. Elsewhere they ``spawn``, which the spec-driven
@@ -84,6 +91,11 @@ __all__ = [
 
 #: Retry budget per block, matching ``MapReduceSpec.max_retries``.
 DEFAULT_MAX_RETRIES = 2
+
+#: Longest single wait on a future: between slices
+#: :meth:`ParallelLabelExecutor.next_completed` checks whether the pool
+#: the attempt went to has been replaced.
+_WAIT_SLICE_S = 0.05
 
 
 def parallel_block_size(
@@ -172,11 +184,13 @@ def _worker_label(
 @dataclass
 class _Inflight:
     """One submitted block: its examples (for sinks and for retries),
-    the attempts charged so far and the future of the live attempt."""
+    the attempts charged so far, and the future of the live attempt with
+    the generation of the pool it went to."""
 
     examples: list[Example]
     attempts: int = 0
     future: Future | None = field(default=None, repr=False)
+    generation: int = -1
 
 
 class ParallelLabelExecutor:
@@ -316,12 +330,15 @@ class ParallelLabelExecutor:
         workers finish in, because only the oldest in-flight future is
         ever waited on; a block that completes ahead of an earlier one
         stays on its future until its turn. Raises ``queue.Empty`` when
-        a wait — for a first submission with nothing in flight, else
-        for the oldest block's live attempt — outlasts ``timeout``.
-        Failed attempts are retried transparently — the retried block
-        keeps its place in line; exhausted budgets raise
-        :class:`WorkerFailure`.
+        the call outlasts ``timeout`` — waiting for a first submission
+        with nothing in flight, else for the oldest block's live
+        attempt. Failed attempts are retried transparently — the
+        retried block keeps its place in line; exhausted budgets raise
+        :class:`WorkerFailure`. An attempt still pending on a pool that
+        has since been replaced is lost (see the module docstring) and
+        fails like any other.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._submitted:
             if not self._submitted.wait_for(
                 lambda: self._inflight, timeout
@@ -329,10 +346,20 @@ class ParallelLabelExecutor:
                 raise queue_module.Empty
             seq, entry = next(iter(self._inflight.items()))
         while True:
+            wait = _WAIT_SLICE_S
+            if deadline is not None:
+                wait = min(wait, max(0.0, deadline - time.monotonic()))
             try:
-                error = entry.future.exception(timeout)
+                error = entry.future.exception(wait)
             except FutureTimeout:
-                raise queue_module.Empty from None
+                if entry.generation == self._pool_generation:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        raise queue_module.Empty from None
+                    continue
+                error = BrokenExecutor(
+                    f"block {seq} was lost with pool generation "
+                    f"{entry.generation}"
+                )
             except CancelledError as cancelled:
                 # A future caught mid-restart; treat like a crashed
                 # attempt and let the retry budget decide.
@@ -495,3 +522,4 @@ class ParallelLabelExecutor:
                 f"could not dispatch block {seq}: worker pool keeps dying"
             ) from last_error
         entry.future = future
+        entry.generation = generation

@@ -1,7 +1,10 @@
 """Runtime concurrency sanitizer: lockset and deadlock detection.
 
-The dynamic half of the repo's concurrency tooling (the static half is
-``repro.analysis``'s ``lock-order`` / ``blocking-under-lock`` rules).
+The repo's one acquisition-order checker: lock-order cycles are proved
+here, from the orders tier-1 actually runs. ``repro.analysis`` keeps
+the two static lock rules, which read one method at a time:
+``lock-discipline`` (shared state touched outside the lock) and
+``blocking-under-lock`` (a blocking call while a lock is held).
 Installing the sanitizer — ``REPRO_TSAN=1`` in the environment, or
 :func:`install` programmatically — swaps the ``threading`` primitives
 for recording proxies that feed a process-wide
@@ -12,7 +15,6 @@ for recording proxies that feed a process-wide
   first acquisition site and stack trace;
 * a cycle is reported the moment its closing edge appears — a
   *potential deadlock* finding without any thread hanging;
-* lock wait and hold times land in two ``repro.obs`` histograms;
 * a thread registry flags repo-owned threads that outlive the shutdown
   sweep or finish without ever being joined.
 
@@ -93,7 +95,7 @@ def install(graph: LockGraph | None = None) -> LockGraph:
     """Activate the sanitizer; returns the recording graph.
 
     The graph is created *before* patching, so its own bookkeeping
-    (histograms, registry mutex) runs on raw primitives. Installs
+    (graph and registry mutexes) runs on raw primitives. Installs
     nest — a test can layer a private graph over the session-wide one
     and :func:`uninstall` restores the outer layer.
     """

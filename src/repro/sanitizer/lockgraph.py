@@ -10,8 +10,6 @@ primitives in :mod:`repro.sanitizer.proxies` and maintains:
 * incremental cycle detection — a cycle is reported the moment its
   closing edge appears, as a *potential deadlock* finding, without any
   thread ever having to hang;
-* wait-vs-hold accounting through two :class:`repro.obs.Histogram`
-  instances (microseconds spent waiting to acquire vs holding);
 * a :class:`ThreadRegistry` that reports leaked threads — repo-owned
   threads still alive at the shutdown sweep, or finished non-daemon
   threads that were never joined.
@@ -24,12 +22,9 @@ Findings mirror the static analysis framework's row shape
 from __future__ import annotations
 
 import threading
-import time
 import traceback
 from dataclasses import dataclass
 from typing import Callable
-
-from repro.obs.histogram import Histogram
 
 __all__ = [
     "LockGraph",
@@ -234,15 +229,15 @@ class LockGraph:
     Proxies call :meth:`note_acquired` / :meth:`note_released`; the
     graph keeps each thread's held stack in thread-local storage and
     only takes its (raw, unrecorded) mutex when a *new* edge appears.
-    A re-entrancy latch in the thread-local state keeps the graph's own
-    instrumentation (histogram locks, registry bookkeeping) out of the
-    recorded event stream.
+    A re-entrancy latch in the thread-local state drops events raised
+    while the graph is already handling one on that thread (a finalizer
+    taking a proxied lock mid-update must not re-enter the mutex).
     """
 
     def __init__(
         self, owned_predicate: Callable[[str], bool] = _default_owner
     ) -> None:
-        """Create an empty graph (histograms use raw, pre-patch locks).
+        """Create an empty graph.
 
         Args:
             owned_predicate: Forwarded to the :class:`ThreadRegistry`.
@@ -256,8 +251,6 @@ class LockGraph:
         self._cycle_keys: set[frozenset[int]] = set()
         self._next_uid = 0
         self.threads = ThreadRegistry(owned_predicate)
-        self.wait_us = Histogram()
-        self.hold_us = Histogram()
 
     # ------------------------------------------------------------------
     # registration
@@ -283,23 +276,21 @@ class LockGraph:
     # ------------------------------------------------------------------
     # event stream (called by proxies)
     # ------------------------------------------------------------------
-    def note_acquired(
-        self, uid: int, stackable: bool, wait_s: float
-    ) -> None:
-        """One successful acquire: record edges, push the held stack."""
+    def note_acquired(self, uid: int, levels: int = 1) -> None:
+        """One successful acquire: record edges, push ``levels`` entries
+        on the held stack — none for a permit (never held), every
+        recursion level a ``Condition.wait`` released when it restores
+        them (see :meth:`note_released_all`)."""
         state = self._state()
         if state["busy"]:
             return
         state["busy"] = True
         try:
             stack = state["stack"]
-            held_uids = {entry[0] for entry in stack}
-            if uid not in held_uids:
-                for held in held_uids:
+            if uid not in stack:
+                for held in set(stack):
                     self._record_edge(held, uid)
-            if stackable:
-                stack.append((uid, time.perf_counter()))
-            self.wait_us.record(wait_s * 1e6)
+            stack.extend([uid] * levels)
         finally:
             state["busy"] = False
 
@@ -312,11 +303,8 @@ class LockGraph:
         try:
             stack = state["stack"]
             for index in range(len(stack) - 1, -1, -1):
-                if stack[index][0] == uid:
-                    _, acquired_at = stack.pop(index)
-                    self.hold_us.record(
-                        (time.perf_counter() - acquired_at) * 1e6
-                    )
+                if stack[index] == uid:
+                    del stack[index]
                     break
         finally:
             state["busy"] = False
@@ -325,7 +313,7 @@ class LockGraph:
         """Fully release a reentrant lock (``Condition.wait`` path).
 
         Returns the number of recursion levels dropped, so the matching
-        :meth:`note_reacquired` can restore them.
+        re-acquire can restore them.
         """
         state = self._state()
         if state["busy"]:
@@ -333,35 +321,9 @@ class LockGraph:
         state["busy"] = True
         try:
             stack = state["stack"]
-            levels = 0
-            for index in range(len(stack) - 1, -1, -1):
-                if stack[index][0] == uid:
-                    _, acquired_at = stack.pop(index)
-                    if levels == 0:
-                        self.hold_us.record(
-                            (time.perf_counter() - acquired_at) * 1e6
-                        )
-                    levels += 1
+            levels = stack.count(uid)
+            stack[:] = [held for held in stack if held != uid]
             return levels
-        finally:
-            state["busy"] = False
-
-    def note_reacquired(self, uid: int, levels: int, wait_s: float) -> None:
-        """Undo :meth:`note_released_all` after the wait completes."""
-        state = self._state()
-        if state["busy"]:
-            return
-        state["busy"] = True
-        try:
-            stack = state["stack"]
-            held_uids = {entry[0] for entry in stack}
-            if uid not in held_uids:
-                for held in held_uids:
-                    self._record_edge(held, uid)
-            now = time.perf_counter()
-            for _ in range(max(levels, 1)):
-                stack.append((uid, now))
-            self.wait_us.record(wait_s * 1e6)
         finally:
             state["busy"] = False
 
@@ -486,7 +448,7 @@ def collect_report(graph: LockGraph) -> dict:
 
     Mirrors the static analysis report: an ``ok`` verdict plus finding
     rows carrying ``path``/``line``/``rule``/``message``, with the lock
-    graph's edges and the wait/hold accounting as supporting sections.
+    graph's edges and the thread tallies as supporting sections.
     """
     findings = graph.findings()
     return {
@@ -494,8 +456,4 @@ def collect_report(graph: LockGraph) -> dict:
         "findings": [finding.as_dict() for finding in findings],
         "edges": graph.edges(),
         "threads": graph.threads.counts(),
-        "timing": {
-            "wait_us": graph.wait_us.summary(),
-            "hold_us": graph.hold_us.summary(),
-        },
     }

@@ -7,7 +7,9 @@ double-wrap) in a thin recording shim feeding a
 :class:`~repro.sanitizer.lockgraph.LockGraph`:
 
 * :class:`LockProxy` / :class:`RLockProxy` push and pop the per-thread
-  held stack; the reentrant variant also implements the
+  held stack, and reset their real lock in a forked child
+  (``_at_fork_reinit``, which ``threading``'s after-fork hook calls on
+  every thread's locks); the reentrant variant also implements the
   ``_is_owned`` / ``_release_save`` / ``_acquire_restore`` protocol, so
   a genuine ``threading.Condition`` built over a proxy records its
   ``wait()`` release/re-acquire cycle correctly;
@@ -15,7 +17,7 @@ double-wrap) in a thin recording shim feeding a
   caller's (proxied) lock — conditions sharing one mutex (e.g. a
   ``queue.Queue``'s ``not_empty``/``not_full``) collapse onto a single
   graph node, exactly matching the runtime object graph;
-* :class:`SemaphoreProxy` records waits and acquisition *edges* but is
+* :class:`SemaphoreProxy` records acquisition *edges* but is
   never pushed on the held stack: a permit acquired on one thread is
   legitimately released on another (the serving tier's admission
   control), so permits have no bracketed hold span to track;
@@ -31,7 +33,6 @@ uninstall pops the most recent layer.
 from __future__ import annotations
 
 import threading
-import time
 
 from repro.sanitizer.lockgraph import LockGraph
 
@@ -60,15 +61,11 @@ _PATCHED_NAMES = tuple(_REAL)
 #: Saved ``threading`` attributes, one dict per active install.
 _PATCH_STACK: list[dict] = []
 
-#: Monotonic clock, bound once so proxies stay cheap.
-_perf = time.perf_counter
-
 
 class LockProxy:
     """A ``threading.Lock`` that reports acquire/release to a graph."""
 
     _KIND = "Lock"
-    _STACKABLE = True
 
     def __init__(self, graph: LockGraph, inner=None) -> None:
         """Wrap ``inner`` (a fresh real lock when omitted).
@@ -85,23 +82,24 @@ class LockProxy:
         return _REAL["Lock"]()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        """Acquire the real lock, recording wait time and order edges."""
-        started = _perf()
+        """Acquire the real lock, recording order edges."""
         ok = self._inner.acquire(blocking, timeout)
         if ok:
-            self._graph.note_acquired(
-                self._uid, self._STACKABLE, _perf() - started
-            )
+            self._graph.note_acquired(self._uid)
         return ok
 
     def release(self) -> None:
-        """Release the real lock, recording the hold time."""
+        """Release the real lock, popping it off the held stack."""
         self._graph.note_released(self._uid)
         self._inner.release()
 
     def locked(self) -> bool:
         """Whether the underlying lock is currently held by anyone."""
         return self._inner.locked()
+
+    def _at_fork_reinit(self) -> None:
+        """Reset the real lock in a forked child (``threading`` hook)."""
+        self._inner._at_fork_reinit()
 
     def __enter__(self) -> bool:
         """``with`` protocol: acquire."""
@@ -136,21 +134,18 @@ class RLockProxy(LockProxy):
     def _acquire_restore(self, saved) -> None:
         """Re-acquire to the saved recursion depth (Condition protocol)."""
         state, levels = saved
-        started = _perf()
         self._inner._acquire_restore(state)
-        self._graph.note_reacquired(self._uid, levels, _perf() - started)
+        self._graph.note_acquired(self._uid, max(levels, 1))
 
 
 class SemaphoreProxy:
-    """A recording semaphore: edge target and wait source, never held.
+    """A recording semaphore: an edge target, never held.
 
     A blocking ``acquire`` under a lock shows up as a graph edge (the
     hazard the static ``blocking-under-lock`` rule flags), but permits
     are not pushed on the held stack — they are routinely released by a
     different thread than the one that acquired them.
     """
-
-    _STACKABLE = False
 
     def __init__(
         self, graph: LockGraph, value: int = 1, bounded: bool = False
@@ -166,17 +161,14 @@ class SemaphoreProxy:
     def acquire(
         self, blocking: bool = True, timeout: float | None = None
     ) -> bool:
-        """Acquire one permit, recording wait time and order edges."""
-        started = _perf()
+        """Acquire one permit, recording order edges."""
         ok = self._inner.acquire(blocking, timeout)
         if ok:
-            self._graph.note_acquired(
-                self._uid, self._STACKABLE, _perf() - started
-            )
+            self._graph.note_acquired(self._uid, levels=0)
         return ok
 
     def release(self, n: int = 1) -> None:
-        """Release ``n`` permits (no hold span to record)."""
+        """Release ``n`` permits (a permit is never on a held stack)."""
         self._inner.release(n)
 
     def __enter__(self) -> bool:

@@ -2,14 +2,17 @@
 
 Each rule gets a fixture mini-repo with at least one planted violation,
 asserted at its exact ``file:line``; the framework mechanics
-(suppression comments, empty-reason policing, the line-free baseline,
-rule filtering) get their own coverage; and the closure tests prove the
-*live* repository passes the full suite with zero unsuppressed findings
-while a planted undocumented counter key provably fails it.
+(suppression comments, empty-reason policing, rule filtering) get their
+own coverage; and the closure tests prove the *live* repository passes
+the full suite with zero unsuppressed findings while a planted
+undocumented counter key provably fails it. Lock-order cycles are the
+runtime sanitizer's finding: the fixtures of the static rule it
+replaced run through its lock graph here, so each catch is still shown.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -18,13 +21,13 @@ from pathlib import Path
 
 import pytest
 
+from repro import sanitizer
 from repro.analysis import (
     BlockingUnderLockRule,
     ContractClosureRule,
     DeterminismRule,
     DocstringRule,
     LockDisciplineRule,
-    LockOrderRule,
     ResourceSafetyRule,
     Rule,
     UnusedImportRule,
@@ -32,7 +35,7 @@ from repro.analysis import (
     default_rules,
     run_analysis,
 )
-from repro.analysis.framework import BASELINE_PATH, ParsedModule, builtin_rules
+from repro.analysis.framework import ParsedModule
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -173,28 +176,6 @@ class TestSuppressions:
         assert report.findings[0].line == line_of(
             repo, "src/repro/core/fake.py", "allow[determinism]"
         )
-
-
-class TestBaseline:
-    def test_baselined_finding_is_grandfathered(self, tmp_path):
-        files = {
-            "src/repro/core/fake.py": """\
-                import time
-
-                NOW = time.time()
-            """,
-        }
-        repo = make_repo(tmp_path, files)
-        rule = DeterminismRule(surface=("src/repro/core/",))
-        first = run_analysis(repo, [rule])
-        assert len(first.findings) == 1
-        entry = first.findings[0].as_dict()
-        del entry["line"]  # the baseline matches line-free
-        (repo / BASELINE_PATH).parent.mkdir(parents=True, exist_ok=True)
-        (repo / BASELINE_PATH).write_text(json.dumps([entry]))
-        second = run_analysis(repo, [rule])
-        assert second.ok
-        assert [f.rule for f in second.grandfathered] == ["determinism"]
 
 
 class TestContractClosureRule:
@@ -552,6 +533,21 @@ class TestLockDisciplineRule:
             )
         ]
 
+    def test_deferred_closure_body_is_not_locked(self, tmp_path):
+        """A callback defined under the lock runs later, without it —
+        the same rule blocking-under-lock applies to deferred code."""
+        source = LOCKED_CLASS.replace(
+            """            with self._lock:
+                self._buf.append(item)""",
+            """            with self._lock:
+                return lambda: self._buf.append(item)  # deferred unlocked""",
+        )
+        repo = make_repo(tmp_path, {"src/worker.py": source})
+        report = run_analysis(repo, [LockDisciplineRule()])
+        assert [f.line for f in findings_for(report, "lock-discipline")] == [
+            line_of(repo, "src/worker.py", "# deferred unlocked")
+        ]
+
 
 INVERTED_PAIR = """\
     import threading
@@ -574,20 +570,50 @@ INVERTED_PAIR = """\
 """
 
 
+def lock_order_findings(repo: Path, relpath: str, drive) -> list:
+    """Load a fixture module under a private sanitizer layer, call
+    ``drive(module)``, and return the runtime ``lock-order`` findings."""
+    spec = importlib.util.spec_from_file_location(
+        Path(relpath).stem, repo / relpath
+    )
+    module = importlib.util.module_from_spec(spec)
+    graph = sanitizer.install(sanitizer.LockGraph())
+    try:
+        spec.loader.exec_module(module)
+        drive(module)
+    finally:
+        sanitizer.uninstall()
+    return [
+        f for f in graph.findings(sweep_threads=False) if f.rule == "lock-order"
+    ]
+
+
 class TestLockOrderRule:
+    """``lock-order`` is a runtime finding: every acquisition cycle the
+    static rule's fixtures planted is reported by the sanitizer's graph
+    the first time the code runs both orders."""
+
     def test_inversion_detected_at_exact_site(self, tmp_path):
-        """The planted inversion: the finding anchors on the first
-        edge's acquisition site and names both locks and both sites."""
+        """The planted inversion: the finding names both locks by
+        creation site and both acquisition sites."""
         repo = make_repo(tmp_path, {"src/pair.py": INVERTED_PAIR})
-        report = run_analysis(repo, [LockOrderRule()])
-        hits = findings_for(report, "lock-order")
-        assert len(hits) == 1
-        assert hits[0].path == "src/pair.py"
-        assert hits[0].line == line_of(repo, "src/pair.py", "# forward inner")
-        assert "_a" in hits[0].message and "_b" in hits[0].message
-        assert "in forward" in hits[0].message
-        assert "in backward" in hits[0].message
-        assert "deadlock" in hits[0].message
+
+        def drive(module):
+            pair = module.Pair()
+            pair.forward()
+            pair.backward()
+
+        [hit] = lock_order_findings(repo, "src/pair.py", drive)
+        backward_inner = line_of(repo, "src/pair.py", "def backward") + 2
+        assert (hit.path, hit.line) == ("src/pair.py", backward_inner)
+        for site in (
+            line_of(repo, "src/pair.py", "self._a = "),
+            line_of(repo, "src/pair.py", "self._b = "),
+            line_of(repo, "src/pair.py", "# forward inner"),
+            backward_inner,
+        ):
+            assert f"src/pair.py:{site}" in hit.message
+        assert "potential deadlock" in hit.message
 
     def test_consistent_order_passes(self, tmp_path):
         repo = make_repo(
@@ -614,8 +640,13 @@ class TestLockOrderRule:
                 """,
             },
         )
-        report = run_analysis(repo, [LockOrderRule()])
-        assert report.ok
+
+        def drive(module):
+            pair = module.Pair()
+            pair.forward()
+            pair.also_forward()
+
+        assert lock_order_findings(repo, "src/pair.py", drive) == []
 
     def test_interprocedural_cycle_via_self_call(self, tmp_path):
         """A method called under a lock contributes the locks it takes."""
@@ -633,6 +664,10 @@ class TestLockOrderRule:
 
                         def flush(self):
                             with self._b:
+                                pass
+
+                        def rebalance(self):
+                            with self._b:
                                 with self._a:
                                     pass
 
@@ -642,10 +677,15 @@ class TestLockOrderRule:
                 """,
             },
         )
-        report = run_analysis(repo, [LockOrderRule()])
-        hits = findings_for(report, "lock-order")
-        assert len(hits) == 1
-        assert "via flush()" in hits[0].message
+
+        def drive(module):
+            chain = module.Chain()
+            chain.drain()
+            chain.rebalance()
+
+        [hit] = lock_order_findings(repo, "src/chain.py", drive)
+        call = line_of(repo, "src/chain.py", "# call under a")
+        assert f"src/chain.py:{call} in drain" in hit.detail
 
     def test_bare_acquire_counts_as_acquisition(self, tmp_path):
         repo = make_repo(
@@ -663,15 +703,22 @@ class TestLockOrderRule:
                         def grab(self):
                             with self._a:
                                 self._b.acquire()
+                                self._b.release()
 
                         def grab_reversed(self):
                             with self._b:
                                 self._a.acquire()
+                                self._a.release()
                 """,
             },
         )
-        report = run_analysis(repo, [LockOrderRule()])
-        assert len(findings_for(report, "lock-order")) == 1
+
+        def drive(module):
+            bare = module.Bare()
+            bare.grab()
+            bare.grab_reversed()
+
+        assert len(lock_order_findings(repo, "src/bare.py", drive)) == 1
 
     def test_module_level_locks_form_their_own_scope(self, tmp_path):
         repo = make_repo(
@@ -697,54 +744,66 @@ class TestLockOrderRule:
                 """,
             },
         )
-        report = run_analysis(repo, [LockOrderRule()])
-        hits = findings_for(report, "lock-order")
-        assert len(hits) == 1
-        assert "<module>" in hits[0].message
-        assert "LOCK_A" in hits[0].message and "LOCK_B" in hits[0].message
 
-    def test_serving_admission_pattern_is_clean(self, tmp_path):
-        """Semaphore-then-condition admission (the serving tier's
-        shape) holds nothing while acquiring, so no edges form."""
-        repo = make_repo(
-            tmp_path,
-            {
-                "src/gate.py": """\
-                    import threading
+        def drive(module):
+            module.forward()
+            module.backward()
+
+        [hit] = lock_order_findings(repo, "src/modlocks.py", drive)
+        for name in ("LOCK_A = ", "LOCK_B = "):
+            line = line_of(repo, "src/modlocks.py", name)
+            assert f"Lock(src/modlocks.py:{line})" in hit.message
 
 
-                    class Gate:
-                        def __init__(self):
-                            self._permits = threading.Semaphore(4)
-                            self._wake = threading.Condition()
+ADMISSION_GATE = """\
+    import threading
 
-                        def submit(self):
-                            self._permits.acquire()
-                            with self._wake:
-                                self._wake.wait(0.05)
-                """,
-            },
-        )
-        report = run_analysis(
-            repo, [LockOrderRule(), BlockingUnderLockRule()]
-        )
-        assert report.ok
 
-    def test_suppression_silences_the_cycle(self, tmp_path):
-        source = INVERTED_PAIR.replace(
-            "# forward inner",
-            "# repro: allow[lock-order] planted for the fixture",
-        )
-        repo = make_repo(tmp_path, {"src/pair.py": source})
-        report = run_analysis(repo, [LockOrderRule()])
-        assert not report.findings
-        assert [f.rule for f in report.suppressed] == ["lock-order"]
+    class Gate:
+        def __init__(self):
+            self._permits = threading.Semaphore(4)
+            self._wake = threading.Condition()
+
+        def submit(self):
+            self._permits.acquire()
+            with self._wake:
+                self._wake.wait(0.05)
+"""
 
 
 class TestBlockingUnderLockRule:
     def _report(self, tmp_path, body: str):
         repo = make_repo(tmp_path, {"src/holder.py": textwrap.dedent(body)})
         return repo, run_analysis(repo, [BlockingUnderLockRule()])
+
+    def test_serving_admission_pattern_is_clean(self, tmp_path):
+        """Semaphore-then-condition admission (the serving tier's
+        shape) holds nothing while it waits for a permit, and waits on
+        the condition it holds."""
+        _, report = self._report(tmp_path, ADMISSION_GATE)
+        assert report.ok
+
+    def test_permit_wait_under_the_condition_flagged(self, tmp_path):
+        """The same gate with the permit taken inside the condition:
+        every request, and the batcher that frees permits, waits behind
+        one blocked admission."""
+        repo, report = self._report(
+            tmp_path,
+            ADMISSION_GATE.replace(
+                """            self._permits.acquire()
+            with self._wake:
+                self._wake.wait(0.05)""",
+                """            with self._wake:
+                self._permits.acquire()  # permit under wake
+                self._wake.wait(0.05)""",
+            ),
+        )
+        hits = findings_for(report, "blocking-under-lock")
+        assert [f.line for f in hits] == [
+            line_of(repo, "src/holder.py", "# permit under wake")
+        ]
+        assert "Gate.submit calls self._permits.acquire()" in hits[0].message
+        assert "{_wake}" in hits[0].message
 
     def test_sleep_under_lock_flagged(self, tmp_path):
         repo, report = self._report(
@@ -1086,7 +1145,7 @@ class TestFrameworkMechanics:
         assert [f.rule for f in report.findings] == ["suppression"]
 
     def test_rule_ids_are_unique_and_described(self):
-        rules = builtin_rules() + default_rules()
+        rules = default_rules()
         ids = [rule.id for rule in rules]
         assert len(ids) == len(set(ids))
         for rule in rules:
@@ -1102,8 +1161,7 @@ class TestLiveRepoClosure:
             f.format() for f in report.findings
         )
         # Every suppression in the tree carries a reason (the
-        # suppression meta-rule gates), and the baseline is not being
-        # used to hide anything new.
+        # suppression meta-rule gates).
         assert not [f for f in report.findings if f.rule == "suppression"]
 
     def test_lint_cli_json_contract(self):
@@ -1119,16 +1177,15 @@ class TestLiveRepoClosure:
         payload = json.loads(result.stdout)
         assert payload["ok"] is True
         assert payload["findings"] == []
-        rule_ids = {rule["id"] for rule in payload["rules"]}
-        assert {
-            "syntax",
-            "suppression",
-            "determinism",
-            "contract-closure",
+        rule_ids = [rule["id"] for rule in payload["rules"]]
+        assert sorted(rule_ids) == [
             "blocking-under-lock",
-            "lock-discipline",
-            "lock-order",
-            "resource-safety",
-            "unused-import",
+            "contract-closure",
+            "determinism",
             "docstring",
-        } <= rule_ids
+            "lock-discipline",
+            "resource-safety",
+            "suppression",
+            "syntax",
+            "unused-import",
+        ]

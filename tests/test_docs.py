@@ -146,12 +146,8 @@ class TestAnalysisRules:
         """The analysis rule table equals the live rule registry —
         ids AND descriptions, so neither can drift silently."""
         from repro.analysis import default_rules
-        from repro.analysis.framework import builtin_rules
 
-        registry = {
-            rule.id: rule.description
-            for rule in builtin_rules() + default_rules()
-        }
+        registry = {rule.id: rule.description for rule in default_rules()}
         documented = dict(
             self.RULE_ROW_RE.findall(marker_block("analysis-rules"))
         )

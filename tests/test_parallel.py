@@ -9,6 +9,7 @@ across worker crashes that exhaust into retries.
 
 import queue
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -495,6 +496,25 @@ class TestWorkerCrashes:
             with pytest.raises(queue.Empty):
                 executor.next_completed(timeout=0.5)
             assert executor.pending() == 0
+
+    def test_lost_future_of_a_replaced_pool_fails_its_attempt(
+        self, corpus, serial_matrix
+    ):
+        """A submit that races a worker death can get back a future no
+        one will ever resolve. Once that pool has been replaced, the
+        attempt is charged and retried instead of waited on forever."""
+        with ParallelLabelExecutor(SPEC, workers=1) as executor:
+            executor.submit(0, corpus[:64])
+            lost = executor._inflight[0]
+            lost.future.result(timeout=60)
+            lost.future = Future()  # what the racing submit got back
+            executor._restart_pool(executor._pool_generation)
+            seq, examples, votes, _ = executor.next_completed(timeout=10)
+            retries = executor.metrics.counters.value("parallel/retries")
+            assert executor.pending() == 0
+        assert seq == 0 and examples == corpus[:64]
+        assert np.array_equal(votes, serial_matrix[:64])
+        assert retries == 1
 
     def test_validates_construction(self):
         with pytest.raises(ValueError, match="workers"):
