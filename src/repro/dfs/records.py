@@ -14,6 +14,13 @@ Format per record::
 Payloads are JSON (UTF-8). JSON keeps records language-neutral, matching
 the paper's loosely-coupled architecture in which labeling functions are
 independent executables.
+
+What a record costs: every durable byte (input, vote and label shards,
+manifests, trace shards) passes here. *Encode* is one per-thread C JSON
+encoder, built once; *append* is one locked DFS call per
+:data:`DEFAULT_READ_CHUNK` bytes a :class:`RecordWriter` buffers, plus
+one at close; *decode* slices each body from the chunk just read into
+one prebuilt JSON decoder.
 """
 
 from __future__ import annotations
@@ -21,7 +28,10 @@ from __future__ import annotations
 import base64
 import json
 import struct
+import threading
 import zlib
+from itertools import islice
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -48,16 +58,19 @@ __all__ = [
 #: cache alongside its decoded payloads.
 DEFAULT_BLOCK_SIZE = 1024
 
-#: Bytes pulled from the filesystem per positional read while streaming.
-#: Peak reader memory is one chunk plus one in-flight record, regardless
-#: of shard size.
+#: Bytes per positional read while streaming, and per buffered writer
+#: append. Peak reader memory is one chunk plus one in-flight record,
+#: regardless of shard size.
 DEFAULT_READ_CHUNK = 256 * 1024
 
 _HEADER = struct.Struct(">II")
 
-#: One encoder for every record: ``json.dumps`` with non-default
-#: arguments builds a ``JSONEncoder`` per call.
-_ENCODE_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``'s
+#: settings; its own ``encode`` runs only to re-raise a failed encode.
+_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+#: Each thread's C encoder: its ``markers`` dict is per-encode scratch.
+_THREAD = threading.local()
+_DECODE_JSON = json.JSONDecoder().decode
 
 
 class RecordCorruption(Exception):
@@ -65,8 +78,27 @@ class RecordCorruption(Exception):
 
 
 def encode_record(payload: dict[str, Any]) -> bytes:
-    """Frame one JSON payload with length and CRC."""
-    body = _ENCODE_JSON(payload).encode("utf-8")
+    """Frame one JSON payload with length and CRC.
+
+    The body, and the error for a payload json cannot encode, are
+    ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``'s.
+    """
+    try:
+        encoder = _THREAD.encoder
+    except AttributeError:
+        # The C encoder ``_JSON.encode`` would build, with its arguments.
+        encoder = _THREAD.encoder = c_make_encoder(
+            {}, _JSON.default, encode_basestring_ascii, _JSON.indent,
+            _JSON.key_separator, _JSON.item_separator, _JSON.sort_keys,
+            _JSON.skipkeys, _JSON.allow_nan,
+        )
+    try:
+        body = "".join(encoder(payload, 0)).encode("utf-8")
+    except Exception:
+        # A failed encode leaves ids in ``markers`` (false cycles later):
+        # drop this encoder and let the stock one raise json's own error.
+        del _THREAD.encoder
+        body = _JSON.encode(payload).encode("utf-8")
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
@@ -93,32 +125,6 @@ def decode_ndarray(payload: dict[str, Any]) -> np.ndarray:
     return array.reshape(payload["shape"]).copy()
 
 
-def decode_records(blob: bytes) -> Iterator[dict[str, Any]]:
-    """Yield payloads from a framed byte blob, verifying CRCs.
-
-    The whole-blob reference decoder: nothing in ``src/`` calls it, and
-    the stream-decoder tests compare the incremental readers against it.
-    """
-    offset = 0
-    total = len(blob)
-    while offset < total:
-        if offset + _HEADER.size > total:
-            raise RecordCorruption(
-                f"truncated header at offset {offset} of {total}"
-            )
-        length, crc = _HEADER.unpack_from(blob, offset)
-        offset += _HEADER.size
-        if offset + length > total:
-            raise RecordCorruption(
-                f"record of {length} bytes overruns file (offset {offset})"
-            )
-        body = blob[offset:offset + length]
-        offset += length
-        if zlib.crc32(body) != crc:
-            raise RecordCorruption(f"CRC mismatch at offset {offset - length}")
-        yield json.loads(body.decode("utf-8"))
-
-
 class RecordWriter:
     """Streams records into one staged DFS file.
 
@@ -129,6 +135,10 @@ class RecordWriter:
     atomically renamed to ``final_path`` on close (write-then-rename) —
     the checkpoint-manifest idiom where the canonical name must never
     name a partial file.
+
+    Records reach the staged file in one ``append`` per
+    :data:`DEFAULT_READ_CHUNK` buffered bytes, plus one at close; staged
+    files are invisible, so no reader can tell.
     """
 
     def __init__(
@@ -141,6 +151,7 @@ class RecordWriter:
         self._path = path
         self._final_path = final_path
         self._count = 0
+        self._buffer = bytearray()
         self._open = True
         dfs.create(path)
 
@@ -152,11 +163,20 @@ class RecordWriter:
     def write(self, payload: dict[str, Any]) -> None:
         if not self._open:
             raise ValueError("writer already closed")
-        self._dfs.append(self._path, encode_record(payload))
+        self._buffer += encode_record(payload)
         self._count += 1
+        if len(self._buffer) >= DEFAULT_READ_CHUNK:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Append the buffered records to the staged file, in one call."""
+        data, self._buffer = self._buffer, bytearray()
+        if data:
+            self._dfs.append(self._path, data)
 
     def close(self) -> None:
         if self._open:
+            self._flush()
             if self._final_path is not None:
                 self._dfs.finalize_as(self._path, self._final_path)
             else:
@@ -166,6 +186,7 @@ class RecordWriter:
     def abandon(self) -> None:
         """Discard the staged file (simulates a crashed writer)."""
         if self._open:
+            self._buffer = bytearray()
             self._dfs.abandon(self._path)
             self._open = False
 
@@ -195,66 +216,58 @@ def stream_records_with_offsets(
     exactly the remaining records, no replay. Decoding starts at the
     handle's current position, so a seeked handle works transparently.
 
-    Bytes are pulled ``chunk_size`` at a time and the parse buffer is
-    trimmed after every record, so peak memory is one chunk plus one
-    in-flight record no matter how large the shard is. The record
-    sequence (and every corruption diagnostic) is identical to
+    Bytes are pulled ``chunk_size`` at a time and each body is sliced
+    out of the chunk that holds it; a record crossing a chunk boundary
+    joins the chunk's tail to the next read. So peak memory is one chunk
+    plus one in-flight record no matter how large the shard is. The
+    record sequence (and every corruption diagnostic) is identical to
     whole-blob decoding.
     """
     if chunk_size < _HEADER.size:
         raise ValueError(
             f"chunk_size must be >= {_HEADER.size}, got {chunk_size}"
         )
+    header = _HEADER.size
     total = handle.size
-    buffer = bytearray()
-    consumed = handle.tell()  # absolute offset of buffer[0] within the file
+    chunk, pos = b"", 0
+    offset = handle.tell()  # the file offset of chunk[pos]
 
     def _fill(needed: int) -> bool:
-        """Grow the buffer to ``needed`` bytes; False at clean EOF."""
-        while len(buffer) < needed:
-            chunk = handle.read(max(chunk_size, needed - len(buffer)))
-            if not chunk:
+        """Restart ``chunk`` at ``pos`` holding ``needed`` bytes; False at EOF."""
+        nonlocal chunk, pos
+        chunk, pos = chunk[pos:], 0
+        while len(chunk) < needed:
+            more = handle.read(max(chunk_size, needed - len(chunk)))
+            if not more:
                 return False
-            buffer.extend(chunk)
+            chunk += more
         return True
 
     while True:
-        if not buffer and not _fill(1):
-            return
-        offset = consumed
-        if not _fill(_HEADER.size):
-            raise RecordCorruption(
-                f"truncated header at offset {offset} of {total}"
-            )
-        length, crc = _HEADER.unpack_from(buffer, 0)
-        if offset + _HEADER.size + length > total or not _fill(
-            _HEADER.size + length
-        ):
-            raise RecordCorruption(
-                f"record of {length} bytes overruns file "
-                f"(offset {offset + _HEADER.size})"
-            )
-        body = bytes(buffer[_HEADER.size:_HEADER.size + length])
-        del buffer[:_HEADER.size + length]
-        consumed = offset + _HEADER.size + length
+        if len(chunk) - pos < header and not _fill(header):
+            if not chunk:
+                return
+            raise RecordCorruption(f"truncated header at offset {offset} of {total}")
+        length, crc = _HEADER.unpack_from(chunk, pos)
+        if pos + header + length > len(chunk):
+            if offset + header + length > total or not _fill(header + length):
+                raise RecordCorruption(
+                    f"record of {length} bytes overruns file (offset {offset + header})"
+                )
+        body = chunk[pos + header:pos + header + length]
+        pos += header + length
+        offset += header + length
         if zlib.crc32(body) != crc:
-            raise RecordCorruption(
-                f"CRC mismatch at offset {offset + _HEADER.size}"
-            )
-        yield json.loads(body.decode("utf-8")), consumed
+            raise RecordCorruption(f"CRC mismatch at offset {offset - length}")
+        yield _DECODE_JSON(body.decode("utf-8")), offset
 
 
 def stream_records(
     handle, chunk_size: int = DEFAULT_READ_CHUNK
 ) -> Iterator[dict[str, Any]]:
-    """Yield payloads from a sequential read handle, verifying CRCs.
-
-    Incremental counterpart of :func:`decode_records`; see
-    :func:`stream_records_with_offsets` for the offset-reporting variant
-    the streaming resume cursor is built on.
-    """
-    for payload, _ in stream_records_with_offsets(handle, chunk_size):
-        yield payload
+    """Yield payloads from a sequential read handle, verifying CRCs
+    (:func:`stream_records_with_offsets` without the offsets)."""
+    return (payload for payload, _ in stream_records_with_offsets(handle, chunk_size))
 
 
 class RecordReader:
@@ -277,8 +290,7 @@ class RecordReader:
         self._dfs = dfs
         self._path = path
         self._chunk_size = chunk_size
-        # Fail fast on missing files, like the blob reader did.
-        self._size = dfs.size(path)
+        dfs.size(path)  # fail fast on a missing file
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
         return stream_records(self._dfs.open_read(self._path), self._chunk_size)
@@ -288,27 +300,18 @@ class RecordReader:
     ) -> Iterator[list[dict[str, Any]]]:
         """Yield records in lists of up to ``block_size``.
 
-        This is the chunked-iteration primitive behind the batched mapper
-        path: consumers amortize per-record dispatch over a whole block
-        while record order (and therefore output bytes) stays identical
-        to one-at-a-time iteration.
+        The batched mapper path amortizes per-record dispatch over a
+        block; record order (so output bytes) is one-at-a-time's.
         """
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
-        block: list[dict[str, Any]] = []
-        for record in self:
-            block.append(record)
-            if len(block) >= block_size:
-                yield block
-                block = []
-        if block:
+        records = iter(self)
+        while block := list(islice(records, block_size)):
             yield block
 
 
 def write_records(
-    dfs: DistributedFileSystem,
-    path: str,
-    payloads: Iterable[dict[str, Any]],
+    dfs: DistributedFileSystem, path: str, payloads: Iterable[dict[str, Any]]
 ) -> int:
     """Write an iterable of payloads to one file; returns record count."""
     with RecordWriter(dfs, path) as writer:
@@ -327,10 +330,8 @@ def iter_record_blobs(
 ) -> Iterator[dict[str, Any]]:
     """Iterate records across many files (e.g. a whole shard set).
 
-    Despite the historical name, iteration is streamed: each shard is
-    read in bounded chunks through the filesystem layer, never as one
-    blob, so a consumer that processes records as they arrive holds O(1)
-    file bytes regardless of shard-set size.
+    Despite the historical name, each shard streams in bounded chunks,
+    so a consumer holds O(1) file bytes whatever the shard set's size.
     """
     for path in paths:
         yield from RecordReader(dfs, path)

@@ -342,7 +342,13 @@ class LabelServer:
     def _submit(self, pending: _Pending, budget_ms: float) -> float | None:
         """Admit and enqueue one request; returns the budget left for
         its result, or ``None`` if admission used it all (no permit is
-        held and nothing was enqueued)."""
+        held and nothing was enqueued).
+
+        Raises:
+            RuntimeError: If the server is not running, or stops while
+                the request waits for admission (its permit and
+                residency are released first).
+        """
         if self._stop.is_set() or self._batcher is None:
             raise RuntimeError("LabelServer is not running")
         # Admission control: non-blocking fast path, counted wait
@@ -354,8 +360,17 @@ class LabelServer:
             budget_ms = max(0.0, budget_ms - pending.age_ms())
         self.resident.add(1)
         with self._wake:
-            self._queue.append(pending)
-            self._wake.notify()
+            # Re-checked under ``_wake``: the batcher exits only from an
+            # empty queue under it, so a request queued after ``stop``
+            # would never be served.
+            running = not self._stop.is_set()
+            if running:
+                self._queue.append(pending)
+                self._wake.notify()
+        if not running:
+            self.resident.subtract(1)
+            self._permits.release()
+            raise RuntimeError("LabelServer is not running")
         self.metrics.counter("serving/requests")
         return budget_ms
 

@@ -14,7 +14,11 @@ With the knob unset the sanitizer is never imported.
 
 from __future__ import annotations
 
+import json
 import os
+import struct
+import zlib
+from typing import Any, Iterator
 
 import numpy as np
 import pytest
@@ -27,9 +31,13 @@ from repro.datasets.content import (
 )
 from repro.datasets.events import generate_events_dataset
 from repro.dfs.filesystem import DistributedFileSystem
+from repro.dfs.records import RecordCorruption
 
 
 _TSAN_INSTALLED = False
+
+#: ``[length][CRC32]``, both 4-byte big-endian: the record framing.
+_RECORD_HEADER = struct.Struct(">II")
 
 
 def _tsan_requested() -> bool:
@@ -137,6 +145,33 @@ def synthetic_label_matrix(
         correct = rng.random(m) < acc
         L[fires, j] = np.where(correct[fires], y[fires], -y[fires])
     return L, y
+
+
+def decode_records(blob: bytes) -> Iterator[dict[str, Any]]:
+    """Yield payloads from a framed byte blob, verifying CRCs.
+
+    The whole-blob reference decoder: the stream-decoder tests judge
+    ``repro.dfs.records``' incremental readers (payloads and every
+    corruption message) against it.
+    """
+    offset = 0
+    total = len(blob)
+    while offset < total:
+        if offset + _RECORD_HEADER.size > total:
+            raise RecordCorruption(
+                f"truncated header at offset {offset} of {total}"
+            )
+        length, crc = _RECORD_HEADER.unpack_from(blob, offset)
+        offset += _RECORD_HEADER.size
+        if offset + length > total:
+            raise RecordCorruption(
+                f"record of {length} bytes overruns file (offset {offset})"
+            )
+        body = blob[offset:offset + length]
+        offset += length
+        if zlib.crc32(body) != crc:
+            raise RecordCorruption(f"CRC mismatch at offset {offset - length}")
+        yield json.loads(body.decode("utf-8"))
 
 
 def same_rows(votes, L) -> bool:

@@ -29,7 +29,6 @@ from repro.discriminative.logistic import (
 )
 from repro.dfs.records import (
     decode_ndarray,
-    decode_records,
     encode_ndarray,
     iter_record_blobs,
     read_records,
@@ -49,7 +48,7 @@ from repro.streaming import (
 )
 from repro.types import Example
 
-from tests.conftest import same_rows, synthetic_label_matrix
+from tests.conftest import decode_records, same_rows, synthetic_label_matrix
 
 
 def make_corpus(n=400, seed=11):

@@ -1,22 +1,73 @@
 """Tests for record-file serialization."""
 
 import json
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.dfs.filesystem import DFSError, FileNotFound
 from repro.dfs.records import (
+    DEFAULT_READ_CHUNK,
     RecordCorruption,
     RecordReader,
     RecordWriter,
-    decode_records,
     encode_record,
     iter_record_blobs,
     read_records,
     stream_records,
+    stream_records_with_offsets,
     write_records,
 )
+
+from tests.conftest import decode_records
+
+
+def dumps(payload):
+    """The stock call the record encoder must match, byte for byte."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def record_ends(blob):
+    """File offset one past each record of a well-formed blob."""
+    ends, offset = [], 0
+    while offset < len(blob):
+        offset += 8 + int.from_bytes(blob[offset:offset + 4], "big")
+        ends.append(offset)
+    return ends
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [1e16, 5e-324, -0.0, 0.1 + 0.2, float("nan"), float("inf"), -float("inf")]
+    ),
+    st.text(max_size=12),
+    st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f\x7f', "ünï-çødé/例-7", "\u2028\ud800😀"]),
+    st.lists(st.integers(-1, 1), max_size=10).map(
+        lambda row: np.asarray(row, dtype=np.int8).tolist()
+    ),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+#: Values json cannot encode, built inside the payload they poison.
+UNENCODABLE = {
+    "set": lambda payload: {1, 2},
+    "object": lambda payload: object(),
+    "circular": lambda payload: payload,
+}
 
 
 class TestFraming:
@@ -72,6 +123,65 @@ class TestFraming:
         ).encode("utf-8")
         assert encode_record(payload)[8:] == body
 
+    @given(st.dictionaries(st.text(max_size=8), json_values, max_size=5))
+    def test_encoder_writes_json_dumps_bytes_for_any_value(self, payload):
+        assert encode_record(payload)[8:] == dumps(payload).encode("utf-8")
+
+    @pytest.mark.parametrize("kind", sorted(UNENCODABLE))
+    def test_encode_errors_are_json_dumps_errors(self, kind):
+        """Same exception type and text as ``json.dumps``, and a failed
+        encode leaves the thread's encoder clean: the very objects it
+        was encoding, once made encodable, encode with no false cycle."""
+        for _ in range(2):  # the second pass runs after a failed encode
+            payload = {"a": 1, "k": [0]}
+            payload["k"].append(UNENCODABLE[kind](payload))
+            with pytest.raises((TypeError, ValueError)) as ours:
+                encode_record(payload)
+            with pytest.raises((TypeError, ValueError)) as stock:
+                dumps(payload)
+            assert type(ours.value) is type(stock.value)
+            assert str(ours.value) == str(stock.value)
+            payload["k"][1] = None
+            assert encode_record(payload)[8:] == dumps(payload).encode()
+
+    def test_threads_encode_the_same_bytes(self):
+        """Four threads encoding at once, with a payload object they all
+        share and a failing encode every 50 records, each get exactly
+        the stock bytes."""
+        shared = {"lf_names": ["b", "a"], "n": 3}
+        payloads = [
+            {"example_id": f"ex-{i}", "votes": [i % 3 - 1] * 8, "meta": shared}
+            for i in range(1500)
+        ]
+        expected = [dumps(p).encode() for p in payloads]
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(slot):
+            barrier.wait(10.0)
+            out = []
+            for i, payload in enumerate(payloads):
+                if i % 50 == 0:
+                    with pytest.raises(TypeError):
+                        encode_record({"meta": shared, "bad": {i}})
+                out.append(encode_record(payload)[8:])
+            results[slot] = out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(slot,)) for slot in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(out == expected for out in results)
+
 
 class TestWriterReader:
     def test_write_read_round_trip(self, dfs):
@@ -92,6 +202,46 @@ class TestWriterReader:
                 raise RuntimeError("worker crash")
         # The crashed writer's output never became visible.
         assert not dfs.exists("/r/x")
+
+    def test_writer_appends_once_per_chunk_and_publishes_at_close(
+        self, dfs, monkeypatch
+    ):
+        payloads = [{"i": i, "pad": "x" * 200} for i in range(3000)]
+        appended = []
+        append = dfs.append
+        monkeypatch.setattr(
+            dfs,
+            "append",
+            lambda path, data: (appended.append(len(data)), append(path, data)),
+        )
+        writer = RecordWriter(dfs, "/r/big")
+        for payload in payloads:
+            writer.write(payload)
+        assert appended and min(appended) >= DEFAULT_READ_CHUNK
+        assert not dfs.exists("/r/big")  # flushed, still invisible
+        writer.close()
+        blob = b"".join(encode_record(p) for p in payloads)
+        assert len(appended) == 1 + len(blob) // DEFAULT_READ_CHUNK
+        assert dfs.read_file("/r/big") == blob
+
+    def test_abandon_after_a_flush_leaves_nothing_staged(
+        self, dfs, monkeypatch
+    ):
+        appended = []
+        append = dfs.append
+        monkeypatch.setattr(
+            dfs,
+            "append",
+            lambda path, data: (appended.append(len(data)), append(path, data)),
+        )
+        writer = RecordWriter(dfs, "/r/abandoned")
+        while not appended:
+            writer.write({"pad": "x" * 200})
+        writer.write({"pad": "buffered, never appended"})
+        writer.abandon()
+        assert len(appended) == 1
+        assert dfs.staged_paths() == []
+        assert not dfs.exists("/r/abandoned")
 
     def test_closed_writer_rejects_writes(self, dfs):
         writer = RecordWriter(dfs, "/r/x")
@@ -205,6 +355,28 @@ class TestStreamingReads:
                 with pytest.raises(RecordCorruption) as stream_error:
                     list(RecordReader(dfs, path, chunk_size=chunk_size))
                 assert str(stream_error.value) == str(blob_error.value)
+
+    def test_resume_from_every_record_boundary(self, dfs):
+        """The ``SourceCursor`` resume path: a handle seeked to any record
+        boundary yields the oracle's ``(payload, end_offset)`` pairs, at
+        chunk sizes below, around and above the records, with one record
+        larger than every chunk."""
+        payloads = [{"i": i, "pad": "x" * (7 * i % 50)} for i in range(40)]
+        payloads.insert(17, {"big": "y" * (DEFAULT_READ_CHUNK + 1000)})
+        write_records(dfs, "/r/resume", payloads)
+        blob = dfs.read_file("/r/resume")
+        ends = record_ends(blob)
+        oracle = list(decode_records(blob))
+        assert oracle == payloads
+        for first, start in enumerate([0] + ends):
+            expected = list(zip(oracle[first:], ends[first:]))
+            for chunk_size in (8, 13, 64, DEFAULT_READ_CHUNK):
+                handle = dfs.open_read("/r/resume")
+                handle.seek(start)
+                assert (
+                    list(stream_records_with_offsets(handle, chunk_size))
+                    == expected
+                )
 
     def test_rejects_tiny_chunk_size(self, dfs):
         write_records(dfs, "/r/x", [{"i": 1}])

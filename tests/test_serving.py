@@ -930,6 +930,36 @@ class TestTimeoutsAndLifecycle:
         with pytest.raises(RuntimeError):
             server.predict(checkpointed["decoded"][0])
 
+    def test_stop_during_admission_refuses_the_request(
+        self, checkpointed, lfs
+    ):
+        """A ``stop()`` that lands after ``predict`` passed its running
+        check but before it enqueued must not strand the request in a
+        queue no batcher serves: the caller gets ``RuntimeError`` at
+        once, and its permit and residency come back."""
+        registry = make_registry(checkpointed["dfs"], "/srv/stop-race")
+        server = LabelServer(registry, lfs, ServeConfig(max_pending=2))
+        permits = server._permits
+
+        class StopWhileAdmitting:
+            def acquire(self, *args, **kwargs):
+                server.stop()
+                return permits.acquire(*args, **kwargs)
+
+            def release(self):
+                permits.release()
+
+        server.start(watch=False)
+        server._permits = StopWhileAdmitting()
+        with pytest.raises(RuntimeError, match="not running"):
+            server.predict(checkpointed["decoded"][0], timeout_ms=300)
+        report = server.report()
+        assert report["pending"] == 0
+        assert "serving/timeouts" not in report["counters"]
+        assert "serving/requests" not in report["counters"]
+        assert permits.acquire(blocking=False)
+        assert permits.acquire(blocking=False), "the refused permit leaked"
+
 
     def test_plan_is_compiled_once_per_started_run(self, checkpointed):
         """The server takes its fused plan in ``start()``: N requests
