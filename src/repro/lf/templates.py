@@ -14,9 +14,11 @@ the per-example ``fn`` (the engineer-facing code, unchanged from the
 paper) and a vectorized ``batch_fn`` used by ``label_batch`` and the
 block-based MapReduce mapper. The two are semantically identical — the
 equivalence suite asserts vote-for-vote agreement — but the batch
-kernels tokenize each example once (memoized across LFs), test keyword
-sets with hashed set intersection instead of per-surface scans, and
-threshold model scores as NumPy arrays.
+kernels tokenize each field once per kernel pass (once per example
+across every LF of a fused plan), probe keyword sets with one hashed set
+intersection instead of per-surface scans, and threshold model scores
+as NumPy arrays. Kernels read an ``Example`` and never write to it:
+tokens live only as long as the probe that reads them.
 """
 
 from __future__ import annotations
@@ -94,73 +96,28 @@ def _fast_tokens(lowered_text: str) -> list[str]:
     )
 
 
-#: Attribute used to memoize per-example tokenization. Several LFs in a
-#: suite read the same content fields; on the batched path the first LF
-#: to touch an example pays for tokenization and the rest reuse it (the
-#: per-example path, by design, re-tokenizes for every LF — that cost is
-#: exactly what the batch engine removes). Tokens are memoized per
-#: *field* and composed by concatenation, so ``("title",)`` and
-#: ``("title", "body")`` consumers share the title tokens.
-_TOKEN_MEMO_ATTR = "_repro_token_memo"
-
-
-class _TokenEntry:
-    """Memoized tokenization of one example's content fields."""
-
-    __slots__ = ("tokens", "_set", "_joined")
-
-    def __init__(self, tokens: list[str]) -> None:
-        self.tokens = tokens
-        self._set: frozenset[str] | None = None
-        self._joined: str | None = None
-
-    @property
-    def token_set(self) -> frozenset[str]:
-        if self._set is None:
-            self._set = frozenset(self.tokens)
-        return self._set
-
-    @property
-    def joined(self) -> str:
-        """Space-joined token stream (multi-word surface matching)."""
-        if self._joined is None:
-            self._joined = " ".join(self.tokens)
-        return self._joined
-
-
-def _example_tokens(example: Example, fields_key: tuple[str, ...]) -> _TokenEntry:
-    """Lowercased tokens for one example's content fields, memoized.
+def _field_tokens(example: Example, fields_key: tuple[str, ...]) -> list[str]:
+    """Lowercased tokens of one example's content fields, in field order.
 
     Field texts are joined with a single space before tokenization in
     the scalar path, so the token stream of a multi-field key is exactly
     the concatenation of the per-field token streams — which is how it
-    is built here.
+    is built here. Nothing is kept on the example.
     """
-    memo = getattr(example, _TOKEN_MEMO_ATTR, None)
-    if memo is None:
-        memo = {}
-        setattr(example, _TOKEN_MEMO_ATTR, memo)
-    entry = memo.get(fields_key)
-    if entry is None:
-        if len(fields_key) == 1:
-            text = str(example.fields.get(fields_key[0], ""))
-            entry = _TokenEntry(_fast_tokens(text.lower()))
-        else:
-            tokens: list[str] = []
-            for field in fields_key:
-                tokens.extend(_example_tokens(example, (field,)).tokens)
-            entry = _TokenEntry(tokens)
-        memo[fields_key] = entry
-    return entry
+    fields = example.fields
+    tokens: list[str] = []
+    for field in fields_key:
+        tokens += _fast_tokens(str(fields.get(field, "")).lower())
+    return tokens
 
 
 class _SurfaceMatcher:
     """Keyword-surface matching against pre-tokenized examples.
 
     Mirrors :func:`_contains_any` exactly: single-token surfaces match by
-    set membership (here: one hashed set intersection instead of a scan
-    over every surface), multi-token surfaces match as substrings of the
-    space-joined lowercased token stream.
+    set membership (here: one hashed probe of the token stream instead
+    of a scan over every surface), multi-token surfaces match as
+    substrings of the space-joined lowercased token stream.
     """
 
     def __init__(self, surfaces: Iterable[str]) -> None:
@@ -169,23 +126,23 @@ class _SurfaceMatcher:
         self.single = frozenset(self.counts)
         self.multi = tuple(dict.fromkeys(s for s in lowered if " " in s))
 
-    def matches(self, entry: _TokenEntry) -> bool:
-        if not self.single.isdisjoint(entry.token_set):
+    def matches(self, tokens: list[str]) -> bool:
+        if not self.single.isdisjoint(tokens):
             return True
         if self.multi:
-            joined = entry.joined
+            joined = " ".join(tokens)
             return any(m in joined for m in self.multi)
         return False
 
-    def hit_count(self, entry: _TokenEntry) -> int:
-        """Surface occurrences found in the token set.
+    def hit_count(self, tokens: list[str]) -> int:
+        """Surface occurrences found among the tokens.
 
         Matches the per-example ``min_hits`` semantics: duplicate
         surfaces count once each per duplicate, and multi-token surfaces
-        never match a (single-token) set entry.
+        never match a (single-token) token.
         """
-        token_set = entry.token_set
-        return sum(c for s, c in self.counts.items() if s in token_set)
+        counts = self.counts
+        return sum(counts[s] for s in self.single.intersection(tokens))
 
 
 def _keyword_batch_votes(
@@ -198,11 +155,11 @@ def _keyword_batch_votes(
     votes = np.zeros(len(examples), dtype=np.int8)
     if min_hits <= 1:
         for i, example in enumerate(examples):
-            if matcher.matches(_example_tokens(example, fields_key)):
+            if matcher.matches(_field_tokens(example, fields_key)):
                 votes[i] = vote
     else:
         for i, example in enumerate(examples):
-            if matcher.hit_count(_example_tokens(example, fields_key)) >= min_hits:
+            if matcher.hit_count(_field_tokens(example, fields_key)) >= min_hits:
                 votes[i] = vote
     return votes
 
@@ -249,10 +206,11 @@ class FusedPlan:
 
     Built from the suite's :class:`TokenMatchSpec` / :class:`TopicVetoSpec`
     list and :meth:`apply`-ed to any number of example blocks. Specs are
-    grouped by their content-field tuple; within a group each example is
-    tokenized once and each token is probed once against a combined
-    inverted index, so cost is O(tokens) per example instead of
-    O(tokens x LFs) — and the index itself is built once, not per block.
+    grouped by their content-field tuple; each field of an example is
+    tokenized once for every group, and each group probes its combined
+    inverted index with one set intersection, so cost is O(tokens) per
+    example instead of O(tokens x LFs) — and the index itself is built
+    once, not per block.
 
     The plan iterates as (and has the length and truthiness of) the
     suite column indices of its specs, which is what
@@ -343,7 +301,9 @@ class FusedPlan:
                     for s, c in Counter(singles).items():
                         _entry(s)[1].append((col, c))
                     thresholds.append((col, spec.min_hits, spec.vote))
-            groups.append((fields_key, combined, thresholds, multis, topics))
+            groups.append(
+                (fields_key, frozenset(combined), combined, thresholds, multis, topics)
+            )
         return tuple(groups)
 
     def apply(self, examples: Sequence[Example]) -> np.ndarray:
@@ -364,24 +324,28 @@ class FusedPlan:
         for topic_model in self._topic_models:
             topic_model.record_batch_calls(len(examples))
         votes = np.zeros((len(examples), self.width), dtype=np.int8)
-        for fields_key, combined, thresholds, multis, topics in groups:
-            for i, example in enumerate(examples):
-                entry = _example_tokens(example, fields_key)
-                tokens = entry.tokens
-                seen: set[str] | None = None
+        for i, example in enumerate(examples):
+            fields = example.fields
+            # Each field is tokenized once per example and shared by the
+            # groups that read it; nothing outlives this iteration.
+            field_tokens: dict[str, list[str]] = {}
+            for fields_key, keys, combined, thresholds, multis, topics in groups:
+                tokens: list[str] = []
+                for field in fields_key:
+                    part = field_tokens.get(field)
+                    if part is None:
+                        part = field_tokens[field] = _fast_tokens(
+                            str(fields.get(field, "")).lower()
+                        )
+                    tokens += part
                 counts: dict[int, int] | None = None
-                topic_hits: list[dict[str, int] | None] = [None] * len(topics)
-                for token in tokens:
-                    actions = combined.get(token)
-                    if actions is None:
-                        continue
-                    if seen is None:
-                        seen = {token}
-                    elif token in seen:
-                        continue
-                    else:
-                        seen.add(token)
-                    direct, counted, topical = actions
+                topic_hits: list[dict[str, int] | None] | None = None
+                # One probe, in C: each distinct indexed token once, in
+                # hash order. No action depends on order: direct actions
+                # write one constant per column, and counted and topic
+                # actions sum integers.
+                for token in keys.intersection(tokens):
+                    direct, counted, topical = combined[token]
                     for col, vote in direct:
                         votes[i, col] = vote
                     if counted:
@@ -389,30 +353,36 @@ class FusedPlan:
                             counts = {}
                         for col, weight in counted:
                             counts[col] = counts.get(col, 0) + weight
-                    for slot, cats in topical:
-                        hits = topic_hits[slot]
-                        if hits is None:
-                            hits = topic_hits[slot] = {}
-                        for cat in cats:
-                            hits[cat] = hits.get(cat, 0) + 1
+                    if topical:
+                        if topic_hits is None:
+                            topic_hits = [None] * len(topics)
+                        for slot, cats in topical:
+                            hits = topic_hits[slot]
+                            if hits is None:
+                                hits = topic_hits[slot] = {}
+                            for cat in cats:
+                                hits[cat] = hits.get(cat, 0) + 1
                 if counts is not None:
                     for col, min_hits, vote in thresholds:
                         if counts.get(col, 0) >= min_hits:
                             votes[i, col] = vote
-                for slot, (col, veto, vote) in enumerate(topics):
-                    hits = topic_hits[slot]
-                    if hits:
-                        # Same argmax + (score desc, category asc) tie-break
-                        # as TopicModel.top_category: the score denominator
-                        # (distinct token count) is shared by all categories.
-                        top = min(hits, key=lambda cat: (-hits[cat], cat))
-                        if top.lower() in veto:
-                            votes[i, col] = vote
+                if topic_hits is not None:
+                    for hits, (col, veto, vote) in zip(topic_hits, topics):
+                        if hits:
+                            # Same argmax + (score desc, category asc)
+                            # tie-break as TopicModel.top_category: the
+                            # score denominator (distinct token count) is
+                            # shared by all categories.
+                            top = min(hits, key=lambda cat: (-hits[cat], cat))
+                            if top.lower() in veto:
+                                votes[i, col] = vote
+                joined: str | None = None
                 for col, vote, surfaces in multis:
-                    if votes[i, col] == ABSTAIN and any(
-                        m in entry.joined for m in surfaces
-                    ):
-                        votes[i, col] = vote
+                    if votes[i, col] == ABSTAIN:
+                        if joined is None:
+                            joined = " ".join(tokens)
+                        if any(m in joined for m in surfaces):
+                            votes[i, col] = vote
         return votes
 
 
@@ -571,11 +541,11 @@ def topic_model_lf(
         # One tracked model call per example, exactly like the
         # per-example path — the topic model's virtual-latency accounting
         # is part of the cost model and must not be short-circuited — but
-        # through the pre-tokenized batch API and the shared token memo.
+        # through the pre-tokenized batch API and the fast lexer.
         top_from_tokens = topic_model.top_category_from_tokens
         votes = np.zeros(len(examples), dtype=np.int8)
         for i, example in enumerate(examples):
-            top = top_from_tokens(_example_tokens(example, fields_key).tokens)
+            top = top_from_tokens(_field_tokens(example, fields_key))
             if top is not None and top.lower() in veto:
                 votes[i] = vote
         return votes

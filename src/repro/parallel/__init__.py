@@ -16,8 +16,8 @@ the serial path — by construction:
   each worker from a picklable :class:`LFSuiteSpec` (an importable
   factory reference), and a block crosses the pool once, as one pickled
   list of ``Example.to_record()`` dicts the worker rebuilds with
-  ``Example.from_record`` — the field values a serial run reads,
-  without the token memos an ``Example`` accumulates;
+  ``Example.from_record`` — the field values a serial run reads, and
+  exactly what decoding a record gives;
 * the parent hands results back strictly in submission order (it only
   ever waits on the oldest in-flight block), so votes, sink shards, and
   posteriors are bit-exact with a serial run at any worker count;

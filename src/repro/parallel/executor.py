@@ -14,9 +14,9 @@ Each worker process runs :func:`_worker_init` once: rebuild the LF suite
 from the picklable :class:`~repro.parallel.spec.LFSuiteSpec`, start its
 offline resources, and precompute the fused-spec columns — the per-node
 setup hook of the MapReduce engine, translated to processes. A task is
-one pickled list of ``Example.to_record()`` dicts — never the
-``Example`` objects, whose token memos live in ``__dict__`` and must
-not cross the pool; the worker rebuilds the block with
+one pickled list of ``Example.to_record()`` dicts, never the
+``Example`` objects, so a worker sees exactly what decoding a record
+gives; the worker rebuilds the block with
 ``Example.from_record``, runs the same
 :func:`repro.lf.applier.label_example_block` kernel as a serial run, and
 returns the ``int8`` vote block plus its labeling wall time.

@@ -12,7 +12,8 @@ block's ``Example.to_record()`` dicts once and the worker rebuilds the
 block with ``Example.from_record`` (see
 :mod:`repro.parallel.executor`), so a worker labels the very field
 values a serial run reads — tuples stay tuples, integer keys stay
-integers — and nothing memoised on an ``Example`` crosses the pool.
+integers — and sees exactly what decoding a record gives: attributes
+set on an ``Example`` after construction never cross the pool.
 """
 
 from __future__ import annotations

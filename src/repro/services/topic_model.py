@@ -62,6 +62,7 @@ class TopicModel(ModelServer):
             for keyword in keywords:
                 index[keyword] = index.get(keyword, ()) + (cat,)
         self._keyword_index = index
+        self._keywords = frozenset(index)
 
     # ------------------------------------------------------------------
     # API
@@ -92,24 +93,18 @@ class TopicModel(ModelServer):
         Callers pass the output of :func:`~repro.services.nlp_server.tokenize`,
         lowercased. Accounting is identical to :meth:`top_category` — one
         tracked call per document — but category affinities come from one
-        pass over the tokens through the inverted keyword index instead
+        probe of the tokens against the inverted keyword index instead
         of one set intersection per category. Because every category
         shares the document's token-count denominator, the argmax (and
         its ``(score desc, category asc)`` tie-break) is unchanged; the
         equivalence suite asserts agreement with :meth:`top_category`.
         """
         self._track()
-        if not lowered_tokens:
-            return None
         index = self._keyword_index
         hits: dict[str, int] = {}
-        seen: set[str] = set()
-        for token in lowered_tokens:
-            cats = index.get(token)
-            if cats is not None and token not in seen:
-                seen.add(token)
-                for cat in cats:
-                    hits[cat] = hits.get(cat, 0) + 1
+        for token in self._keywords.intersection(lowered_tokens):
+            for cat in index[token]:
+                hits[cat] = hits.get(cat, 0) + 1
         if not hits:
             return None
         return min(hits, key=lambda cat: (-hits[cat], cat))

@@ -12,9 +12,9 @@ way). Two concrete sources cover the repository's needs:
   memory in the source itself (the pipeline's admission control bounds
   the decoded records downstream).
 * :class:`MemorySource` — an in-memory replay source for tests and
-  benchmarks. It can re-yield the same Example objects (cheap) or clone
-  them per pass (``fresh=True``) so per-example token memos start cold,
-  matching what decoding from records would produce.
+  benchmarks. Every pass re-yields the same Example objects: labeling
+  reads an Example and never writes to it, so a second pass sees
+  exactly what the first did.
 """
 
 from __future__ import annotations
@@ -143,33 +143,16 @@ class RecordStreamSource:
 
 
 class MemorySource:
-    """Replays an in-memory example list, optionally as fresh clones.
+    """Replays an in-memory example list, the same objects every pass."""
 
-    ``fresh=True`` yields copies so that state an execution engine hangs
-    off Example objects (the batch engine's token memos) never leaks
-    between passes — the honest stand-in for records decoded off the
-    wire.
-    """
-
-    def __init__(self, examples: Sequence[Example], fresh: bool = False) -> None:
+    def __init__(self, examples: Sequence[Example]) -> None:
         self._examples = list(examples)
-        self._fresh = fresh
 
     def __len__(self) -> int:
         return len(self._examples)
 
     def __iter__(self) -> Iterator[Example]:
-        if not self._fresh:
-            yield from self._examples
-            return
-        for e in self._examples:
-            yield Example(
-                example_id=e.example_id,
-                fields=dict(e.fields),
-                servable=dict(e.servable),
-                non_servable=dict(e.non_servable),
-                label=e.label,
-            )
+        return iter(self._examples)
 
 
 def iter_example_batches(

@@ -576,7 +576,7 @@ def test_streaming_pipeline_matches_offline(examples, micro_batch):
     pipeline = MicroBatchPipeline(
         lfs, batch_size=micro_batch, collect_votes=True
     )
-    report = pipeline.run(MemorySource(examples, fresh=True))
+    report = pipeline.run(MemorySource(examples))
     assert report.label_matrix.example_ids == offline.example_ids
     assert report.label_matrix.lf_names == offline.lf_names
     assert np.array_equal(report.label_matrix.matrix, offline.matrix)

@@ -386,7 +386,7 @@ class TestPipelineSinkStage:
             batch_size=64,
             sinks=[Recorder("first"), Recorder("second")],
         )
-        report = pipe.run(MemorySource(corpus, fresh=True))
+        report = pipe.run(MemorySource(corpus))
         assert report.counters["sink/first/batches"] == report.batches
         assert report.counters["sink/second/batches"] == report.batches
         assert report.counters["sink/first/records"] == len(corpus)
@@ -403,7 +403,7 @@ class TestPipelineSinkStage:
             on_batch=lambda seq, *_: seen.append(seq),
             first_batch_seq=5,
         )
-        report = pipe.run(MemorySource(corpus[:130], fresh=True))
+        report = pipe.run(MemorySource(corpus[:130]))
         assert seen == list(range(5, 5 + report.batches))
         with pytest.raises(ValueError, match="first_batch_seq"):
             MicroBatchPipeline(lfs, first_batch_seq=-1)

@@ -459,7 +459,7 @@ class TestPipelineDrift:
         )
         report = MicroBatchPipeline(
             self._lfs(), batch_size=50, drift_monitor=monitor
-        ).run(MemorySource(self._examples(), fresh=True))
+        ).run(MemorySource(self._examples()))
         assert report.counters["drift/batches"] == report.batches
         assert report.counters["drift/checks"] == monitor.checks_run > 0
         assert "drift/alarms" not in report.counters  # nothing fired
@@ -476,5 +476,5 @@ class TestPipelineDrift:
             batch_size=64,
             on_batch=lambda seq, batch, votes: seen.append(len(batch)),
             drift_monitor=monitor,
-        ).run(MemorySource(self._examples(), fresh=True))
+        ).run(MemorySource(self._examples()))
         assert monitor.batches_observed == len(seen)

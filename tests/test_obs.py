@@ -469,7 +469,7 @@ class TestHotPathIntegration:
             telemetry=registry,
             tracer=tracer,
         )
-        report = pipe.run(MemorySource(corpus, fresh=True))
+        report = pipe.run(MemorySource(corpus))
         tracer.close()
         snap = report.telemetry
         assert snap is not None
@@ -492,7 +492,7 @@ class TestHotPathIntegration:
     def test_bare_report_has_no_telemetry(self):
         corpus = make_corpus(n=120, seed=7)
         pipe = MicroBatchPipeline(make_lfs(), batch_size=64)
-        report = pipe.run(MemorySource(corpus, fresh=True))
+        report = pipe.run(MemorySource(corpus))
         assert report.telemetry is None
 
     def test_telemetry_changes_no_durable_byte(self):

@@ -11,6 +11,7 @@ posterior is bitwise equal to an offline fit of the served snapshot's
 stream prefix — including for a stream that was killed mid-run.
 """
 
+import copy
 import json
 import threading
 import time
@@ -977,6 +978,22 @@ class TestTimeoutsAndLifecycle:
                 for example in checkpointed["decoded"][:5]:
                     assert server.predict(example).generation == 1
             assert resolved == {"kw_sports": run, "kw_cooking": run}
+
+    def test_served_predict_leaves_the_example_as_it_was(
+        self, checkpointed, lfs
+    ):
+        dfs = checkpointed["dfs"]
+        registry = make_registry(dfs, "/srv/untouched")
+        deploy(dfs, checkpointed["manifests"][0], "/srv/untouched")
+        examples = [
+            Example.from_record(e.to_record())
+            for e in checkpointed["decoded"][:5]
+        ]
+        before = [copy.deepcopy(vars(e)) for e in examples]
+        with LabelServer(registry, lfs) as server:
+            for example in examples:
+                assert server.predict(example).generation == 1
+        assert [vars(e) for e in examples] == before
 
 
 # ---------------------------------------------------------------------------

@@ -134,15 +134,6 @@ class TestSources:
         with pytest.raises(ValueError, match="batch_size"):
             list(iter_example_batches(iter([]), 0))
 
-    def test_memory_source_fresh_clones(self):
-        examples = [Example("a", fields={"title": "bike"})]
-        fresh = MemorySource(examples, fresh=True)
-        first, second = list(fresh)[0], list(fresh)[0]
-        assert first is not examples[0] and second is not first
-        assert first.to_record() == examples[0].to_record()
-        shared = MemorySource(examples)
-        assert list(shared)[0] is examples[0]
-
     def test_record_stream_source_round_trips(self, dfs):
         examples = [Example(f"e{i}", fields={"k": i}) for i in range(25)]
         paths = stage_examples(dfs, examples, "/src/e", num_shards=3)
@@ -252,7 +243,7 @@ class TestMicroBatchPipeline:
         pipe = MicroBatchPipeline(
             lfs, batch_size=64, collect_votes=True, **stage
         )
-        report = pipe.run(MemorySource(examples, fresh=True))
+        report = pipe.run(MemorySource(examples))
         assert report.examples == len(examples)
         assert report.label_matrix.example_ids == offline.example_ids
         assert np.array_equal(report.label_matrix.matrix, offline.matrix)
@@ -272,7 +263,7 @@ class TestMicroBatchPipeline:
             ),
             **stage,
         )
-        report = pipe.run(MemorySource(examples, fresh=True))
+        report = pipe.run(MemorySource(examples))
         assert [seq for seq, _ in seen] == list(range(report.batches))
         assert sum(size for _, size in seen) == len(examples)
 
@@ -287,7 +278,7 @@ class TestMicroBatchPipeline:
             on_batch=lambda *_: time.sleep(0.002),
             **stage,
         )
-        report = pipe.run(MemorySource(examples, fresh=True))
+        report = pipe.run(MemorySource(examples))
         assert report.peak_resident_records <= 2 * 32
         assert report.backpressure_waits > 0
         assert report.counters["ingest/records"] == len(examples)
@@ -297,7 +288,7 @@ class TestMicroBatchPipeline:
         pipe = MicroBatchPipeline(
             lfs, batch_size=50, on_batch=lambda *_: None, **stage
         )
-        report = pipe.run(MemorySource(examples, fresh=True))
+        report = pipe.run(MemorySource(examples))
         stages = report.stages()
         assert stages["label"].batches == report.batches
         assert stages["sink"].batches == report.batches
@@ -314,7 +305,7 @@ class TestMicroBatchPipeline:
         infinite records/sec (records > 0 over 0 recorded time)."""
         lfs, examples = product_pipeline
         report = MicroBatchPipeline(lfs, batch_size=50, **stage).run(
-            MemorySource(examples, fresh=True)
+            MemorySource(examples)
         )
         sink = report.stage("sink")
         assert sink.records == 0
@@ -330,7 +321,7 @@ class TestMicroBatchPipeline:
         lfs, examples = product_pipeline
         report = MicroBatchPipeline(
             lfs, batch_size=50, on_batch=lambda *_: None, **stage
-        ).run(MemorySource(examples, fresh=True))
+        ).run(MemorySource(examples))
         sink = report.stage("sink")
         assert sink.records == len(examples)
         assert sink.batches == report.batches
@@ -363,7 +354,7 @@ class TestMicroBatchPipeline:
             on_batch=lambda *_: time.sleep(0.002),  # force backpressure
             drift_monitor=monitor,
             **stage,
-        ).run(MemorySource(examples, fresh=True))
+        ).run(MemorySource(examples))
         for key in contract_keys("counter", "stream", conditional=False):
             assert key in report.counters, f"missing documented key {key}"
         # This run configured a sink, stalled ingest, and monitored
@@ -406,7 +397,7 @@ class TestMicroBatchPipeline:
         )
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="sink crashed"):
-            pipe.run(MemorySource(examples, fresh=True))
+            pipe.run(MemorySource(examples))
         # The ingest thread exits rather than leaking.
         deadline = time.time() + 5.0
         while threading.active_count() > before and time.time() < deadline:
@@ -430,7 +421,7 @@ class TestMicroBatchPipeline:
             lfs, batch_size=16, on_batch=explode, telemetry=registry, **stage
         )
         with pytest.raises(RuntimeError, match="sink crashed"):
-            pipe.run(MemorySource(examples, fresh=True))
+            pipe.run(MemorySource(examples))
         snapshot = registry.snapshot()
         assert snapshot["histograms"]["stream/label_us"]["count"] == 3
         assert snapshot["counters"]["label/batches"] == 3
@@ -460,7 +451,7 @@ class TestMicroBatchPipeline:
             sinks=[snapshotting_sink],
             telemetry=registry,
             **stage,
-        ).run(MemorySource(examples, fresh=True))
+        ).run(MemorySource(examples))
         [mid] = seen
         assert mid["histograms"]["stream/label_us"]["count"] == 3
         assert (
