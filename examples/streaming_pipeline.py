@@ -4,8 +4,8 @@
 Stages a toy corpus as DFS record shards, then runs the continuous
 pipeline: chunked record ingestion -> micro-batch LF execution (fused
 token-match executor) -> online generative model -> FTRL end model —
-every example seen exactly once, with at most two micro-batches of
-records resident at any moment. Finishes by verifying the streaming run
+every example seen exactly once, with one micro-batch of records
+resident at a time. Finishes by verifying the streaming run
 against the offline batch pipeline: identical votes, identical
 probabilistic labels after the final refit.
 
@@ -99,8 +99,7 @@ def main():
     )
     print(
         f"peak resident records: {report.peak_resident_records} "
-        f"(bound {report.max_resident_records}); "
-        f"backpressure waits: {report.backpressure_waits}"
+        f"(bound {report.max_resident_records})"
     )
     label_stage = report.stage("label")
     print(

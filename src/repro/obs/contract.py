@@ -7,8 +7,9 @@ row per key: ``(key, kind, layer, conditional[, stage, field])``.
 * ``kind`` is ``counter``, ``gauge`` or ``histogram``; ``layer`` is the
   subsystem that emits it (``stream``, ``offline``, ``parallel``,
   ``serving``); ``conditional`` keys appear only when their condition
-  occurs (a stall, a configured sink, the pool stage, an attached drift
-  monitor, a deploy), the rest in every non-empty run of their layer.
+  occurs (the pool label path, a full pool window, a configured sink, an
+  attached drift monitor, a deploy), the rest in every non-empty run of
+  their layer.
 * ``stage`` names the stage event — and span — whose one
   :meth:`repro.obs.MetricsRegistry.stage` call feeds the key, and
   ``field`` which number it receives: ``"us"`` (the event's duration),
@@ -58,6 +59,9 @@ KEY_CONTRACT: tuple[ContractKey, ...] = tuple(
         ("label/votes", "counter", "stream", False, "stream.label", "votes"),
         ("label/us", "counter", "stream", False, "stream.label", "us"),
         ("queue/wait_us", "counter", "stream", False, "stream.label", "wait_us"),
+        # pool label path only: reads that waited on a full in-flight
+        # window (backpressure) and their wait, and the hand-off to the
+        # pool; an inline run has no window and no hand-off
         ("ingest/backpressure_waits", "counter", "stream", True),
         ("ingest/wait_us", "counter", "stream", True),
         ("ingest/encode_us", "counter", "stream", True),

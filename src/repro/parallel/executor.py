@@ -2,11 +2,14 @@
 
 One :class:`ParallelLabelExecutor` serves both hot paths:
 
-* the offline applier submits example blocks and drains votes in block
-  order (:meth:`label_blocks` / :meth:`label_examples`);
-* the streaming pipeline's pool label stage submits micro-batches from
-  its ingest thread and drains them from its consumer thread
-  (:meth:`submit` / :meth:`next_completed`).
+* the offline applier labels a flat example list (:meth:`label_examples`);
+* the streaming pipeline iterates :meth:`label_blocks` over its
+  micro-batches with its residency bound as the window, and finalizes
+  each block it hands back while the workers label the ones behind.
+
+Both run on one windowed submit/drain loop, :meth:`label_blocks`, on
+the caller's thread; :meth:`submit` / :meth:`next_completed` are the
+primitives under it.
 
 Execution model
 ---------------
@@ -26,8 +29,8 @@ but :meth:`next_completed` waits on the *oldest* in-flight future, so
 blocks come back oldest-submission first and an early finisher simply
 stays on its future until its turn (a retried block keeps its place;
 :meth:`reset` forgets the futures with the rest). :meth:`label_blocks`
-and the streaming pipeline both just drain it — so a parallel run's
-votes are positionally identical to a serial run at any worker count.
+just drains it — so a parallel run's votes are positionally identical
+to a serial run at any worker count.
 
 Failure model
 -------------
@@ -68,7 +71,7 @@ from concurrent.futures import (
     TimeoutError as FutureTimeout,
 )
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import multiprocessing
 import numpy as np
@@ -84,6 +87,7 @@ from repro.parallel.spec import LFSuiteSpec
 from repro.types import Example
 
 __all__ = [
+    "LabeledBlock",
     "ParallelLabelExecutor",
     "parallel_block_size",
     "DEFAULT_MAX_RETRIES",
@@ -193,15 +197,30 @@ class _Inflight:
     generation: int = -1
 
 
+class LabeledBlock(NamedTuple):
+    """One block :meth:`ParallelLabelExecutor.label_blocks` hands back."""
+
+    seq: int
+    examples: list[Example]
+    votes: np.ndarray
+    #: Worker-side labeling time (µs).
+    label_us: int
+    #: Parent-side time (µs) to pickle the block and hand it to the pool.
+    encode_us: int
+    #: Time (µs) the loop blocked on this block because the window
+    #: was full; 0 when it was taken already finished, or at the end of
+    #: the input.
+    wait_us: int
+
+
 class ParallelLabelExecutor:
     """Labels example blocks on a pool of worker processes.
 
-    Thread contract: :meth:`submit` may run on one producer thread while
-    :meth:`next_completed` runs on one consumer thread (the streaming
-    wiring); the in-flight table is guarded by a condition the producer
-    signals on every submit. The convenience drivers
-    :meth:`label_blocks` / :meth:`label_examples` do both from the
-    calling thread.
+    Thread contract: every caller in the repo drives an executor from
+    one thread — :meth:`label_blocks` submits and drains in turn, and
+    both consumers iterate it. :meth:`submit` and :meth:`next_completed`
+    may still run on different threads: the in-flight table is guarded
+    by a condition every submit signals.
     """
 
     def __init__(
@@ -228,9 +247,9 @@ class ParallelLabelExecutor:
         except ValueError:  # no fork on this platform
             self._mp_context = multiprocessing.get_context("spawn")
         self._pool: ProcessPoolExecutor | None = None
-        #: Guards pool construction/teardown: submit (producer thread)
-        #: and retry (consumer thread) may race through a crash, and
-        #: exactly one of them must rebuild the pool.
+        #: Guards pool construction/teardown: a submit and a retry (or
+        #: close) may race through a crash, and exactly one of them must
+        #: rebuild the pool.
         self._pool_lock = threading.Lock()
         self._pool_generation = 0
         #: Guards ``_inflight``; notified by :meth:`submit` so a consumer
@@ -263,8 +282,8 @@ class ParallelLabelExecutor:
         After a failed run (sink exception, :class:`WorkerFailure`) the
         executor still tracks the dead run's blocks, which would collide
         with — or hang — the next run. The pool outlives its runs, so
-        they reset it on the way out: the streaming pipeline's pool
-        stage always, :meth:`label_blocks` on any failure. A dropped
+        :meth:`label_blocks` resets it whenever it ends early: on any
+        failure, or when its caller stops iterating. A dropped
         block's future goes with it, so whatever a still-running worker
         returns for it later is never handed out.
         """
@@ -302,7 +321,7 @@ class ParallelLabelExecutor:
         self._kill_plan[seq] = attempts
 
     # ------------------------------------------------------------------
-    # submission / completion (the streaming-facing API)
+    # submission / completion (the primitives)
     # ------------------------------------------------------------------
     def submit(self, seq: int, examples: Sequence[Example]) -> None:
         """Pickle one block's records and dispatch it."""
@@ -382,30 +401,51 @@ class ParallelLabelExecutor:
             self._dispatch(seq, entry)
 
     # ------------------------------------------------------------------
-    # convenience drivers (the offline-facing API)
+    # the windowed loop (what both consumers iterate)
     # ------------------------------------------------------------------
     def label_blocks(
         self,
         blocks: Iterable[tuple[int, Sequence[Example]]],
-    ) -> Iterator[tuple[int, list[Example], np.ndarray]]:
+        window: int | None = None,
+    ) -> Iterator[LabeledBlock]:
         """Label ``(seq, examples)`` blocks; yield in *submission* order.
 
-        At most ``2 * workers + 2`` blocks are in flight or parked at
-        once, so encoding pipelines with labeling while memory stays
-        bounded. Sequence numbers must be unique;
-        :meth:`next_completed` supplies the order (ascending seqs in =
-        ascending seqs out, which is how :meth:`label_examples`
-        restores row order). On any failure the executor's in-flight
-        state is reset so a warm pool can be reused for the next run.
+        At most ``window`` blocks (default ``2 * workers + 2``) are in
+        flight at once, so encoding pipelines with labeling while memory
+        stays bounded: the next block is read from ``blocks`` only when
+        the window has room. After each submit, every head block that
+        has already finished is handed back at once, so a caller that
+        works per block does it while the workers label the blocks
+        behind; the loop blocks on the head only while the window is
+        full. Sequence numbers must be unique; :meth:`next_completed`
+        supplies the order (ascending seqs in = ascending seqs out,
+        which is how :meth:`label_examples` restores row order). On any
+        failure, or when the caller stops iterating early, the
+        executor's in-flight state is reset so a warm pool can be reused
+        for the next run.
         """
-        window = 2 * self.workers + 2
+        if window is None:
+            window = 2 * self.workers + 2
+        encode_us: dict[int, int] = {}
         try:
             for seq, examples in blocks:
+                started = time.perf_counter()
                 self.submit(seq, examples)
-                if self.pending() >= window:
-                    yield self.next_completed()[:3]
+                encode_us[seq] = int((time.perf_counter() - started) * 1e6)
+                while self.pending():
+                    wait_us = 0
+                    try:
+                        done = self.next_completed(timeout=0)
+                    except queue_module.Empty:
+                        if self.pending() < window:
+                            break
+                        started = time.perf_counter()
+                        done = self.next_completed()
+                        wait_us = int((time.perf_counter() - started) * 1e6)
+                    yield LabeledBlock(*done, encode_us.pop(done[0]), wait_us)
             while self.pending():
-                yield self.next_completed()[:3]
+                done = self.next_completed()
+                yield LabeledBlock(*done, encode_us.pop(done[0]), 0)
         except BaseException:
             self.reset()
             raise
@@ -432,7 +472,7 @@ class ParallelLabelExecutor:
             (seq, examples[start:start + block_size])
             for seq, start in enumerate(range(0, len(examples), block_size))
         )
-        return np.vstack([votes for _, _, votes in self.label_blocks(blocks)])
+        return np.vstack([block.votes for block in self.label_blocks(blocks)])
 
     # ------------------------------------------------------------------
     # internals
@@ -481,10 +521,10 @@ class ParallelLabelExecutor:
     def _restart_pool(self, generation: int) -> None:
         """Replace the pool — but only if ``generation`` is still live.
 
-        Both the producer and consumer threads can observe the same
-        broken pool; the generation check makes the second observer a
-        no-op instead of tearing down the replacement the first one
-        just built (which would cancel freshly resubmitted work).
+        A dispatch and a retry can both observe the same broken pool;
+        the generation check makes the second observer a no-op instead
+        of tearing down the replacement the first one just built (which
+        would cancel freshly resubmitted work).
         """
         with self._pool_lock:
             if generation != self._pool_generation:

@@ -13,12 +13,13 @@ engine of PR 1 into that continuous pipeline:
   chunk, never as whole-shard blobs) that also reports seekable
   ``SourceCursor`` positions for O(1) resume, and an in-memory replay
   source for tests and benchmarks;
-* :mod:`repro.streaming.pipeline` — :class:`MicroBatchPipeline`, a
-  two-stage producer/consumer scheduler with bounded queues and
-  admission-controlled backpressure (peak resident records is capped at
-  a fixed number of micro-batches), driving the same block-labeling
-  kernel as the offline applier so streamed votes are vote-for-vote
-  identical to an offline run;
+* :mod:`repro.streaming.pipeline` — :class:`MicroBatchPipeline`, one
+  loop on the calling thread that assembles, labels and finalizes each
+  micro-batch in turn (inline, or through a process pool's bounded
+  in-flight window; peak resident records is capped at a fixed number
+  of micro-batches), driving the same block-labeling kernel as the
+  offline applier so streamed votes are vote-for-vote identical to an
+  offline run;
 * :mod:`repro.streaming.sinks` — durable per-batch outputs: vote and
   probabilistic-label record shards published atomically per finalized
   micro-batch;

@@ -64,7 +64,6 @@ with ``ValueError`` rather than half-read.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -271,12 +270,12 @@ class CheckpointedRunReport:
 class _CursorTracker:
     """Records the source cursor at every micro-batch boundary.
 
-    Wraps the source's ``(example, cursor)`` stream; consumed on the
-    ingest thread, queried on the consumer thread when a manifest is
-    written (by then ingest has necessarily decoded past the boundary,
-    since the batch being checkpointed was fully decoded first).
-    Positions below the last written checkpoint are pruned, so the map
-    stays bounded by the pipeline's in-flight window.
+    Wraps the source's ``(example, cursor)`` stream. The pipeline's one
+    loop both feeds it (assembling batches) and queries it (writing a
+    manifest); by then the boundary is always recorded, since the batch
+    being checkpointed was fully assembled first. Positions below the
+    last written checkpoint are pruned, so the map stays bounded by the
+    pipeline's in-flight window.
     """
 
     def __init__(
@@ -288,7 +287,6 @@ class _CursorTracker:
         self._pairs = pairs
         self._batch_size = batch_size
         self._base_count = base_count
-        self._lock = threading.Lock()
         self._positions: dict[int, SourceCursor] = {}
 
     def __iter__(self) -> Iterator[Example]:
@@ -298,23 +296,19 @@ class _CursorTracker:
             count += 1
             last = cursor
             if count % self._batch_size == 0:
-                with self._lock:
-                    self._positions[count] = cursor
+                self._positions[count] = cursor
             yield example
         # The trailing partial batch ends at EOF; record it so the final
         # checkpoint can still carry a seekable position.
         if last is not None and count % self._batch_size != 0:
-            with self._lock:
-                self._positions[count] = last
+            self._positions[count] = last
 
     def position_for(self, count: int) -> SourceCursor | None:
-        with self._lock:
-            return self._positions.get(count)
+        return self._positions.get(count)
 
     def prune_below(self, count: int) -> None:
-        with self._lock:
-            for key in [k for k in self._positions if k < count]:
-                del self._positions[key]
+        for key in [k for k in self._positions if k < count]:
+            del self._positions[key]
 
 
 class _CheckpointSink:
@@ -369,7 +363,8 @@ class CheckpointedStream:
             lfs: Labeling-function suite (fixed for the root's life).
             root: Durable root; sinks and manifests live under it.
             batch_size: Micro-batch size (pinned by the first manifest).
-            max_resident_batches: Residency-permit pool size.
+            max_resident_batches: The pool's in-flight window (an
+                inline run holds one batch).
             online_config: Online label model configuration, including
                 its retention mode (cumulative / decay / window).
             checkpoint_every: Manifest cadence in finalized batches.
@@ -416,9 +411,9 @@ class CheckpointedStream:
         self.end_model = end_model
         self.featurizer = featurizer
         self.end_model_epochs = end_model_epochs
-        #: Multi-consumer labeling (the caller's process pool); sinks
-        #: and manifests still finalize strictly in batch order, so
-        #: durable bytes stay identical to a single-consumer run.
+        #: Pool labeling (the caller's process pool); sinks and
+        #: manifests still finalize strictly in batch order, so durable
+        #: bytes stay identical to an inline run.
         self.executor = executor
         #: Drift policy; each run() builds a fresh monitor from it (and
         #: restores the manifest's monitor snapshot on resume).
@@ -580,7 +575,7 @@ class CheckpointedStream:
         )
 
     # ------------------------------------------------------------------
-    # per-batch stages (consumer thread)
+    # per-batch stages (the pipeline's sink stage)
     # ------------------------------------------------------------------
     def _learn(
         self, seq: int, examples: list[Example], votes: np.ndarray

@@ -1,43 +1,42 @@
 """The micro-batch streaming scheduler.
 
 :class:`MicroBatchPipeline` converts an example source into a continuous
-labeling run: an ingest thread decodes examples and assembles
-micro-batches; labeling runs the same block-labeling kernel the offline
-applier uses (:func:`repro.lf.applier.label_example_block` — fused
-token-match executor plus per-LF batch kernels); finalized votes are
-handed to sink callbacks (online label model update, end-model training,
-vote persistence) strictly in batch order.
+labeling run on the calling thread. Each pass of its one loop assembles
+the next micro-batch from the source, labels it with the same block
+kernel the offline applier uses
+(:func:`repro.lf.applier.label_example_block` — fused token-match
+executor plus per-LF batch kernels), and hands the finalized votes to
+sink callbacks (online label model update, end-model training, vote
+persistence) strictly in batch order. The pipeline starts no thread:
+decoding, labeling, model updates and sink writes are all GIL-bound
+Python, so a second thread could only trade the GIL back and forth with
+this one, never overlap it.
 
-One loop, two label stages
---------------------------
-There is one ingest closure and one consumer loop; *where* the kernel
-executes sits behind a small internal label stage. The ingest thread
-calls ``dispatch(batch)`` and ``end_input()``; the calling thread calls
-``take()`` — the next labeled batch **in sequence order**, ``None`` at
-end of input — and ``close()``. :meth:`MicroBatchPipeline.run` picks
-the stage once:
+Two label paths
+---------------
+:meth:`MicroBatchPipeline.run` picks one per run:
 
-* **inline** (default): a FIFO hand-off queue; the calling thread labels
-  each batch as it leaves the queue, so arrival order is batch order.
-* **pool** (``executor=``): the ingest thread submits each decoded batch
-  to the caller's :class:`repro.parallel.ParallelLabelExecutor` process
-  pool, which hands blocks back oldest-submission first — order
-  is restored in the executor, which owns sequence numbers and retries,
-  and this module keeps no reorder buffer. Sinks and checkpoints see
-  exactly the order an inline run produces, so streamed votes, sink
-  shards, and posteriors stay bit-exact at any worker count (asserted
-  by the equivalence suite).
+* **inline** (default): the calling thread labels each batch as soon as
+  it is assembled, so one batch is resident at a time and the source is
+  never more than one batch ahead of the sinks.
+* **pool** (``executor=``): the batches go through the caller's
+  :meth:`repro.parallel.ParallelLabelExecutor.label_blocks` with
+  ``max_resident_batches`` as its window — the executor's one windowed
+  submit/drain loop. It reads the next batch only while fewer than that
+  many are in flight, hands back every finished head block at once, and
+  blocks on the oldest only while the window is full. Blocks come back
+  oldest-submission first (the executor owns sequence numbers and
+  retries; this module keeps no reorder buffer), so sinks and
+  checkpoints see exactly the order an inline run produces, and
+  streamed votes, sink shards and posteriors stay bit-exact at any
+  worker count (asserted by the equivalence suite).
 
-Flow control is admission-based, not just queue-based: the ingest stage
-must hold one *residency permit* per in-flight micro-batch before it may
-decode the batch's records, and the permit is only returned after the
-batch has been labeled and the sink has consumed it. With the default
-``max_resident_batches=2`` the pipeline never holds more than two
-micro-batches of decoded records no matter how fast the source is — and
-on the pool the same permits bound the batches in flight *across all
-workers* (decoded, queued, labeling, or parked awaiting in-order
-release). A :class:`repro.mapreduce.counters.Gauge` tracks the actual
-high-water mark so benchmarks can assert the bound rather than trust it.
+A batch's records count as resident from the moment it is assembled
+until its sinks have run. The loop bounds that by construction — one
+batch inline, ``max_resident_batches`` on the pool (decoded, labeling,
+or awaiting in-order release) — and a
+:class:`repro.mapreduce.counters.Gauge` tracks the high-water mark so
+benchmarks can assert the bound rather than trust it.
 
 Observability
 -------------
@@ -48,25 +47,28 @@ through — :data:`repro.obs.contract.KEY_CONTRACT` lists every key and
 the stage that feeds it. Events reach the ``telemetry=`` registry as they
 happen, so a mid-stream snapshot is consistent. What the table cannot say:
 
-* a batch's ``stream.label`` event is emitted when the consumer loop
-  takes it, i.e. at in-order release on either stage; on the pool
-  ``label/us`` sums *worker-side* time across processes (it can exceed
-  wall time) and ``queue/wait_us`` is dispatch-to-release latency;
-* backpressure stalls land in ``ingest/backpressure_waits`` /
-  ``ingest/wait_us`` — *not* in ``queue/wait_us``;
-* the drift monitor (``drift/*``) is fed on the consumer thread, in
-  batch order, *after* the ``on_batch`` callback (a model sink has
-  already observed the batch when a forced refit fires) and *before* the
-  durable sinks (label sinks and manifests see post-reaction state).
+* a batch's ``stream.label`` event is emitted when the loop finalizes
+  it; on the pool ``label/us`` sums *worker-side* time across processes
+  (it can exceed wall time) and ``queue/wait_us`` is dispatch-to-release
+  latency, while inline nothing queues and it stays 0;
+* on the pool, a wait on a full window is the backpressure:
+  ``ingest/backpressure_waits`` / ``ingest/wait_us`` — *not*
+  ``queue/wait_us`` — and ``ingest/encode_us`` is the hand-off to the
+  pool. All three are pool-only;
+* the drift monitor (``drift/*``) is fed in batch order, *after* the
+  ``on_batch`` callback (a model sink has already observed the batch
+  when a forced refit fires) and *before* the durable sinks (label sinks
+  and manifests see post-reaction state).
 """
 
 from __future__ import annotations
 
-import queue as queue_module
-import threading
 import time
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from itertools import count
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,36 +90,16 @@ __all__ = [
     "StreamReport",
 ]
 
-#: Sink callback: (batch_index, examples, votes) — runs on the consumer
-#: thread, in batch order, while the batch still holds its residency
-#: permit (the examples are guaranteed alive for the duration).
+#: Sink callback: (batch_index, examples, votes) — runs on the calling
+#: thread, in batch order, while the batch's records still count as
+#: resident (the examples are guaranteed alive for the duration).
 BatchSink = Callable[[int, list[Example], np.ndarray], None]
-
-#: Bound on the shutdown join of the ingest thread. On every exit path
-#: the stop flag is set and a residency permit released before joining,
-#: so the producer unblocks within one queue/permit wait; exceeding
-#: this bound means it is wedged and the error must surface.
-_JOIN_TIMEOUT_S = 5.0
-
-
-def _join_producer(producer: threading.Thread) -> None:
-    """Join the ingest thread within the shutdown bound or fail loudly.
-
-    Raises:
-        RuntimeError: If the producer is still alive after the bound.
-    """
-    producer.join(timeout=_JOIN_TIMEOUT_S)
-    if producer.is_alive():
-        raise RuntimeError(
-            "microbatch-ingest thread failed to stop within "
-            f"{_JOIN_TIMEOUT_S:.0f}s"
-        )
 
 
 @dataclass
 class _Batch:
-    """One micro-batch on its way through a run: the ingest thread fills
-    the first four fields, the label stage the last three."""
+    """One micro-batch on its way through a run: assembly fills the
+    first four fields, labeling the last three."""
 
     seq: int
     examples: list[Example]
@@ -130,16 +112,12 @@ class _Batch:
 
 @dataclass
 class _Run:
-    """One run's mutable state, shared by the ingest thread, the label
-    stage and the finalizer."""
+    """One run's mutable state."""
 
-    permits: threading.Semaphore
     #: This run's scoped registry, and its residency gauge (held because
-    #: ingest moves it once per decoded example).
+    #: every batch moves it twice).
     metrics: MetricsRegistry
     resident: Gauge
-    stop: threading.Event = field(default_factory=threading.Event)
-    ingest_error: BaseException | None = None
     batches_done: int = 0
     examples_done: int = 0
     votes_emitted: int = 0
@@ -147,119 +125,6 @@ class _Run:
     latency_max: float = 0.0
     collected_votes: list[np.ndarray] = field(default_factory=list)
     collected_ids: list[str] = field(default_factory=list)
-
-
-class _InlineStage:
-    """Label stage that runs the kernel on the calling thread.
-
-    One producer and one consumer share a FIFO queue, so hand-off order
-    already is batch order.
-    """
-
-    def __init__(self, lfs: Sequence[AbstractLabelingFunction]) -> None:
-        self._lfs = lfs
-        self._fused_cols = fused_lf_columns(lfs)
-        self._handoff: queue_module.Queue[_Batch | None] = queue_module.Queue()
-        start_lf_resources(lfs)
-
-    def dispatch(self, batch: _Batch) -> None:
-        self._handoff.put(batch)
-
-    def end_input(self) -> None:
-        # Queued behind the batches already handed off: they are still
-        # labeled and finalized before the run ends or re-raises.
-        self._handoff.put(None)
-
-    def take(self) -> _Batch | None:
-        batch = self._handoff.get()
-        if batch is None:
-            return None
-        label_start = time.perf_counter()
-        batch.wait_us = int((label_start - batch.enqueued) * 1e6)
-        batch.votes = label_example_block(
-            self._lfs, batch.examples, self._fused_cols
-        )
-        batch.label_us = int((time.perf_counter() - label_start) * 1e6)
-        return batch
-
-    def close(self) -> None:
-        stop_lf_resources(self._lfs)
-
-
-class _PoolStage:
-    """Label stage that runs the kernel on a process pool.
-
-    The ingest thread submits each decoded batch to the
-    :class:`repro.parallel.ParallelLabelExecutor` (one pickled block
-    each way); :meth:`take` drains it, and the executor releases
-    blocks oldest-submission first, so no reordering happens here.
-    """
-
-    #: How long one :meth:`take` poll waits for a completion before
-    #: re-checking whether the input has ended.
-    _POLL_S = 0.05
-
-    def __init__(self, executor, lf_count: int, run: _Run) -> None:
-        self._executor = executor
-        self._lf_count = lf_count
-        self._run = run
-        #: seq -> dispatched batch; written by the ingest thread, popped
-        #: once by :meth:`take` (disjoint keys).
-        self._dispatched: dict[int, _Batch] = {}
-        self._input_done = threading.Event()
-        # Start the pool before the ingest thread exists: forked workers
-        # must never inherit a half-running pipeline.
-        self._executor.start()
-
-    def dispatch(self, batch: _Batch) -> None:
-        # The batch must be visible BEFORE the submit: a fast worker can
-        # complete the block (and the consumer take it) before this
-        # thread runs another line.
-        self._dispatched[batch.seq] = batch
-        self._executor.submit(batch.seq, batch.examples)
-        self._run.metrics.counter(
-            "ingest/encode_us",
-            int((time.perf_counter() - batch.enqueued) * 1e6),
-        )
-
-    def end_input(self) -> None:
-        self._input_done.set()
-
-    def take(self) -> _Batch | None:
-        while True:
-            # A dead ingest thread (source error, failed dispatch) ends
-            # the input at once: its error must surface now rather than
-            # after worker completions that may never drain.
-            if self._input_done.is_set() and (
-                self._run.ingest_error is not None
-                or self._executor.pending() == 0
-            ):
-                return None
-            try:
-                seq, _, votes, label_us = self._executor.next_completed(
-                    timeout=self._POLL_S
-                )
-            except queue_module.Empty:
-                continue
-            if votes.shape[1] != self._lf_count:
-                raise ValueError(
-                    f"worker suite produced {votes.shape[1]} vote "
-                    f"columns; this pipeline has {self._lf_count} LFs "
-                    "— the suite_spec must rebuild the same suite"
-                )
-            batch = self._dispatched.pop(seq)
-            batch.votes = votes
-            batch.label_us = label_us
-            batch.wait_us = int((time.perf_counter() - batch.enqueued) * 1e6)
-            return batch
-
-    def close(self) -> None:
-        # The pool is the caller's and outlives the run, so it must not
-        # carry this run's blocks into the next one — a failed run would
-        # otherwise leave in-flight state that collides with or stalls
-        # the resume. The ingest thread is joined by now, so nothing can
-        # submit behind the reset.
-        self._executor.reset()
 
 
 @dataclass
@@ -357,20 +222,21 @@ class MicroBatchPipeline:
             lfs: The labeling-function suite, applied per micro-batch
                 through the same block kernel as the offline applier.
             batch_size: Examples per micro-batch.
-            max_resident_batches: Residency-permit pool size — the hard
-                bound on decoded micro-batches in flight.
+            max_resident_batches: The pool's window — the hard bound on
+                decoded micro-batches in flight there. An inline run
+                holds one.
             on_batch: Callback ``(seq, examples, votes)`` run first per
                 finalized batch (model updates).
             collect_votes: Keep every batch's votes and return them as
                 one :class:`~repro.types.LabelMatrix` on the report.
             sinks: Ordered durable sinks, run after ``on_batch`` while
-                the batch holds its residency permit.
+                the batch's records still count as resident.
             first_batch_seq: Batch numbering offset (resume support).
             executor: A live :class:`repro.parallel.ParallelLabelExecutor`
                 whose suite spec rebuilds ``lfs``: batches are labeled
-                on its process pool (the pool label stage). The pool is
-                the caller's — a run resets its in-flight state on the
-                way out and never closes it.
+                on its process pool. The pool is the caller's — a run
+                resets its in-flight state on the way out and never
+                closes it.
             drift_monitor: Optional
                 :class:`repro.core.drift.DriftMonitor` fed every
                 finalized batch's votes, in order, between ``on_batch``
@@ -404,22 +270,21 @@ class MicroBatchPipeline:
         self.max_resident_batches = max_resident_batches
         self.on_batch = on_batch
         self.collect_votes = collect_votes
-        #: Ordered sink stage: each callable runs after ``on_batch``, on
-        #: the consumer thread, while the batch holds its residency
-        #: permit (sink time is therefore part of the backpressure
-        #: accounting — a slow sink stalls ingest, it does not grow
-        #: memory). Each sink gets its own counters keyed by its ``name``
-        #: attribute (class name when absent).
+        #: Ordered sink stage: each callable runs after ``on_batch``, in
+        #: batch order, while the batch's records still count as
+        #: resident (a slow sink slows the stream; it never grows
+        #: memory). Each sink gets its own counters keyed by its
+        #: ``name`` attribute (class name when absent).
         self.sinks = list(sinks) if sinks else []
         #: Batch numbering offset — a resumed stream continues the
         #: uninterrupted run's sequence so sink shard names line up.
         self.first_batch_seq = first_batch_seq
-        #: Pool label stage: the caller's process pool, or ``None`` to
-        #: label inline on the calling thread.
+        #: The caller's process pool, or ``None`` to label inline on the
+        #: calling thread.
         self.executor = executor
-        #: Drift monitor fed per finalized batch (consumer thread, batch
-        #: order) — between ``on_batch`` and the sink stage, so forced
-        #: refits mutate model state before anything durable observes it.
+        #: Drift monitor fed per finalized batch (batch order) — between
+        #: ``on_batch`` and the sink stage, so forced refits mutate model
+        #: state before anything durable observes it.
         self.drift_monitor = drift_monitor
         #: Optional telemetry registry and span tracer each run's scoped
         #: registry forwards to; both are pure observers.
@@ -432,104 +297,98 @@ class MicroBatchPipeline:
     def run(self, source: Iterable[Example]) -> StreamReport:
         """Drain the source through the pipeline; returns the report.
 
-        The ingest stage runs on its own thread; the calling thread
-        takes labeled batches from the label stage in sequence order
-        and runs the sinks. Labeling itself runs wherever the stage
-        puts it — on the calling thread (inline) or on the worker pool.
+        One loop on the calling thread assembles, labels and finalizes
+        each batch in turn; labeling runs inline or on the worker pool.
+        An error from the source, the kernel or a sink raises where it
+        happens.
         """
         metrics = MetricsRegistry().attach(self.telemetry, self.tracer)
-        run = _Run(
-            threading.Semaphore(self.max_resident_batches),
-            metrics,
-            metrics.gauge("stream/resident_records"),
-        )
-        if self.executor is not None:
-            stage = _PoolStage(self.executor, len(self.lfs), run)
-        else:
-            stage = _InlineStage(self.lfs)
-
-        def produce() -> None:
-            try:
-                batches = iter_example_batches(
-                    self._counted(iter(source), run.resident),
-                    self.batch_size,
-                )
-                seq = self.first_batch_seq
-                while not run.stop.is_set():
-                    # Admission control: hold a residency permit BEFORE
-                    # decoding the next batch's records.
-                    self._acquire_permit(run)
-                    if run.stop.is_set():
-                        run.permits.release()
-                        return
-                    decode_start = time.perf_counter()
-                    batch_examples = next(batches, None)
-                    if batch_examples is None:
-                        run.permits.release()
-                        return
-                    now = time.perf_counter()
-                    metrics.stage(
-                        "stream.ingest",
-                        int((now - decode_start) * 1e6),
-                        seq=seq,
-                        records=len(batch_examples),
-                    )
-                    stage.dispatch(
-                        _Batch(seq, batch_examples, decode_start, now)
-                    )
-                    seq += 1
-            except BaseException as error:  # surfaced on the consumer side
-                run.ingest_error = error
-            finally:
-                stage.end_input()
-
+        run = _Run(metrics, metrics.gauge("stream/resident_records"))
+        batches = self._assemble(run, source)
         wall_start = time.perf_counter()
-        producer = threading.Thread(
-            target=produce, name="microbatch-ingest", daemon=True
-        )
-        producer.start()
-        try:
-            while True:
-                batch = stage.take()
-                if batch is None:
-                    break
-                self._finish_batch(run, batch)
-        except BaseException:
-            # Wake the producer if it is blocked on a permit; with the
-            # stop flag set it exits at the next check, so the join in
-            # the finally block cannot hang.
-            run.stop.set()
-            run.permits.release()
-            raise
-        finally:
-            _join_producer(producer)
-            stage.close()
-        if run.ingest_error is not None:
-            raise run.ingest_error
+        if self.executor is None:
+            self._label_inline(run, batches)
+        else:
+            self._label_on_pool(run, batches)
         return self._build_report(run, time.perf_counter() - wall_start)
 
     # ------------------------------------------------------------------
     # pieces of the loop
     # ------------------------------------------------------------------
-    def _counted(self, examples: Iterable[Example], resident: Gauge):
-        for example in examples:
-            resident.add(1)
-            yield example
-
-    def _acquire_permit(self, run: _Run) -> None:
-        """Admission control, with backpressure stalls counted."""
-        if not run.permits.acquire(blocking=False):
-            run.metrics.counter("ingest/backpressure_waits")
-            waited = time.perf_counter()
-            run.permits.acquire()
-            run.metrics.counter(
-                "ingest/wait_us",
-                int((time.perf_counter() - waited) * 1e6),
+    def _assemble(self, run: _Run, source: Iterable[Example]) -> Iterator[_Batch]:
+        """Assemble micro-batches from the source, one ``stream.ingest``
+        event each; a batch's records count as resident from here."""
+        batches = iter_example_batches(source, self.batch_size)
+        for seq in count(self.first_batch_seq):
+            started = time.perf_counter()
+            examples = next(batches, None)
+            if examples is None:
+                return
+            run.resident.add(len(examples))
+            now = time.perf_counter()
+            run.metrics.stage(
+                "stream.ingest",
+                int((now - started) * 1e6),
+                seq=seq,
+                records=len(examples),
             )
+            yield _Batch(seq, examples, started, now)
+
+    def _label_inline(self, run: _Run, batches: Iterator[_Batch]) -> None:
+        """Label each batch on the calling thread as it is assembled."""
+        fused_cols = fused_lf_columns(self.lfs)
+        start_lf_resources(self.lfs)
+        try:
+            for batch in batches:
+                started = time.perf_counter()
+                batch.votes = label_example_block(
+                    self.lfs, batch.examples, fused_cols
+                )
+                batch.label_us = int((time.perf_counter() - started) * 1e6)
+                self._finish_batch(run, batch)
+        finally:
+            stop_lf_resources(self.lfs)
+
+    def _label_on_pool(self, run: _Run, batches: Iterator[_Batch]) -> None:
+        """Label on the caller's pool through its windowed loop.
+
+        The pool outlives the run: ``label_blocks`` resets its in-flight
+        state whenever the run ends early, so a failed run cannot leave
+        blocks that collide with or stall the resume.
+        """
+        handed: deque[_Batch] = deque()
+
+        def blocks():
+            for batch in batches:
+                handed.append(batch)
+                yield batch.seq, batch.examples
+
+        labeled = self.executor.label_blocks(
+            blocks(), window=self.max_resident_batches
+        )
+        with closing(labeled):
+            for block in labeled:
+                if block.votes.shape[1] != len(self.lfs):
+                    raise ValueError(
+                        f"worker suite produced {block.votes.shape[1]} vote "
+                        f"columns; this pipeline has {len(self.lfs)} LFs "
+                        "— the suite_spec must rebuild the same suite"
+                    )
+                batch = handed.popleft()
+                batch.votes = block.votes
+                batch.label_us = block.label_us
+                batch.wait_us = int(
+                    (time.perf_counter() - batch.enqueued) * 1e6
+                )
+                run.metrics.counter("ingest/encode_us", block.encode_us)
+                if block.wait_us:
+                    run.metrics.counter("ingest/backpressure_waits")
+                    run.metrics.counter("ingest/wait_us", block.wait_us)
+                self._finish_batch(run, batch)
 
     def _finish_batch(self, run: _Run, batch: _Batch) -> None:
         """Post-labeling stages: the label event, ordered sinks, vote
-        collection, latency, permit return."""
+        collection, latency, residency."""
         metrics = run.metrics
         votes = batch.votes
         records = len(batch.examples)
@@ -586,10 +445,8 @@ class MicroBatchPipeline:
         run.latency_sum += latency
         run.latency_max = max(run.latency_max, latency)
         metrics.record("stream/batch_latency_us", int(latency * 1e6))
-        # The batch's records leave the pipeline here; only now may the
-        # ingest stage decode a replacement batch.
+        # The batch's records leave the pipeline here.
         run.resident.subtract(records)
-        run.permits.release()
 
     def _build_report(self, run: _Run, wall: float) -> StreamReport:
         counters = run.metrics.counters.as_dict()

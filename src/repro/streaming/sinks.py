@@ -1,12 +1,13 @@
 """Durable sinks: micro-batch outputs persisted to DFS record shards.
 
 A sink is a callable the pipeline invokes once per finalized micro-batch
-(``sink(seq, examples, votes)``), on the consumer thread, while the batch
-still holds its residency permit. The sinks here make the stream's
-outputs *durable*: each batch becomes one finalized record shard under
-the sink's root, written through the DFS stage-then-publish path so a
-crash mid-batch leaves no partial shard visible — a reader sees either
-the whole batch or nothing (the invariant crash-resume is built on).
+(``sink(seq, examples, votes)``), on the calling thread, in batch order,
+while the batch's records still count as resident. The sinks here make
+the stream's outputs *durable*: each batch becomes one finalized record
+shard under the sink's root, written through the DFS stage-then-publish
+path so a crash mid-batch leaves no partial shard visible — a reader
+sees either the whole batch or nothing (the invariant crash-resume is
+built on).
 
 Shard-per-batch is deliberate: batch ``seq`` maps to exactly one file
 (``{root}/{kind}/batch-{seq:06d}``), so recovery can reason about what

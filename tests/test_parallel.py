@@ -220,9 +220,9 @@ class TestReassemblyOrder:
                 for seq, start in enumerate(range(0, len(corpus), 40))
             )
             rows = []
-            for seq, examples, votes in executor.label_blocks(blocks):
-                seen.append(seq)
-                rows.append(votes)
+            for block in executor.label_blocks(blocks):
+                seen.append(block.seq)
+                rows.append(block.votes)
             # The policy itself, without the driver: the slow head
             # blocks are overtaken inside the pool, yet N submits then N
             # takes come back in submission order.

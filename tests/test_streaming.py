@@ -1,7 +1,7 @@
 """Tests for the micro-batch streaming subsystem.
 
 Covers the three layers independently — sources (bounded ingestion),
-the MicroBatchPipeline scheduler (ordering, backpressure, error
+the MicroBatchPipeline scheduler (ordering, residency, error
 propagation, counters), and the OnlineLabelModel (moments, lossless
 pattern log, refit-exactness) — plus the gauge primitive they share.
 The cross-cutting stream-vs-offline equivalence guarantees live in
@@ -21,6 +21,8 @@ from repro.core.online_label_model import (
 )
 from repro.experiments.harness import get_content_experiment
 from repro.lf.applier import apply_lfs_in_memory, stage_examples
+from repro.lf.default import LabelingFunction
+from repro.lf.registry import LFCategory, LFInfo
 from repro.mapreduce.counters import Gauge
 from repro.obs import MetricsRegistry
 from repro.parallel import LFSuiteSpec, ParallelLabelExecutor
@@ -44,14 +46,42 @@ def product_pipeline():
 
 
 def build_product_suite():
-    """Module-level factory: what the pool stage's LFSuiteSpec points at."""
+    """Module-level factory: what the pool path's LFSuiteSpec points at."""
     return get_content_experiment("product", "tiny").lfs
+
+
+def _sleepy_abstain(example):
+    time.sleep(0.0002)
+    return 0
+
+
+def build_slow_product_suite():
+    """The product suite plus one LF that abstains after a short sleep
+    per example: a pool worker running it is slower than the stream
+    that feeds it."""
+    slow = LabelingFunction(
+        LFInfo(
+            name="sleepy_abstain",
+            category=LFCategory.CONTENT_HEURISTIC,
+            servable=True,
+            description="always abstains, 0.2 ms per example",
+        ),
+        fn=_sleepy_abstain,
+    )
+    return [*build_product_suite(), slow]
 
 
 @pytest.fixture(scope="module")
 def warm_executor(product_pipeline):
     spec = LFSuiteSpec(factory="tests.test_streaming:build_product_suite")
     with ParallelLabelExecutor(spec, workers=2) as executor:
+        yield executor
+
+
+@pytest.fixture(scope="module")
+def slow_executor(product_pipeline):
+    spec = LFSuiteSpec(factory="tests.test_streaming:build_slow_product_suite")
+    with ParallelLabelExecutor(spec, workers=1) as executor:
         yield executor
 
 
@@ -78,12 +108,12 @@ class TestGauge:
             gauge.subtract(1)
 
     def test_concurrent_updates_never_lose_counts(self):
-        """Concurrency regression test for the ingest/consumer race.
+        """Concurrency regression test for the gauge's update race.
 
-        The pipeline raises the gauge from the ingest thread and lowers
-        it from the consumer thread; an unlocked read-modify-write would
-        drop updates and report a bogus ``current``/``peak``. Hammer the
-        gauge from both sides and check the invariants exactly.
+        A gauge may be raised on one thread and lowered on another; an
+        unlocked read-modify-write would drop updates and report a bogus
+        ``current``/``peak``. Hammer the gauge from both sides and check
+        the invariants exactly.
         """
         gauge = Gauge()
         n, workers = 20_000, 4
@@ -229,12 +259,17 @@ class TestSources:
 # pipeline
 # ----------------------------------------------------------------------
 class TestMicroBatchPipeline:
-    """Every case runs on the inline label stage here and again on the
-    pool stage in :class:`TestMicroBatchPipelineOnPool`."""
+    """Every case runs on the inline label path here and again on the
+    pool path in :class:`TestMicroBatchPipelineOnPool`."""
 
     @pytest.fixture
     def stage(self):
-        """Pipeline kwargs selecting the label stage."""
+        """Pipeline kwargs selecting the label path."""
+        return {}
+
+    @pytest.fixture
+    def slow_stage(self):
+        """Label-path kwargs for :func:`build_slow_product_suite`."""
         return {}
 
     def test_matches_offline_applier_in_order(self, product_pipeline, stage):
@@ -270,6 +305,8 @@ class TestMicroBatchPipeline:
     def test_resident_records_bounded_under_slow_sink(
         self, product_pipeline, stage
     ):
+        """Inline, one batch is resident at a time; on the pool, at most
+        ``max_resident_batches`` — however slow the sink."""
         lfs, examples = product_pipeline
         pipe = MicroBatchPipeline(
             lfs,
@@ -279,9 +316,47 @@ class TestMicroBatchPipeline:
             **stage,
         )
         report = pipe.run(MemorySource(examples))
-        assert report.peak_resident_records <= 2 * 32
-        assert report.backpressure_waits > 0
+        resident_batches = 2 if "executor" in stage else 1
+        assert report.peak_resident_records <= resident_batches * 32
         assert report.counters["ingest/records"] == len(examples)
+
+    def test_source_never_runs_ahead_of_the_sinks(
+        self, product_pipeline, stage
+    ):
+        """When batch ``k``'s sink runs, the source has yielded at most
+        the batches up to ``k`` inline, and at most
+        ``max_resident_batches - 1`` more on the pool."""
+        lfs, examples = product_pipeline
+        yielded = [0]
+        ahead = []
+
+        def counted():
+            for example in examples:
+                yielded[0] += 1
+                yield example
+
+        def sink(seq, batch, votes):
+            time.sleep(0.005)  # room for any reader running ahead
+            ahead.append(yielded[0] - (seq + 1) * 32)
+
+        MicroBatchPipeline(
+            lfs, batch_size=32, max_resident_batches=2, sinks=[sink], **stage
+        ).run(counted())
+        limit = 32 if "executor" in stage else 0
+        assert len(ahead) == -(-len(examples) // 32)
+        assert max(ahead) <= limit
+
+    def test_starts_no_thread(self, product_pipeline, stage):
+        lfs, examples = product_pipeline
+        during = []
+        before = threading.active_count()
+        MicroBatchPipeline(
+            lfs,
+            batch_size=32,
+            sinks=[lambda *_: during.append(threading.active_count())],
+            **stage,
+        ).run(MemorySource(examples))
+        assert during and set(during) == {before}
 
     def test_stage_counters_populated(self, product_pipeline, stage):
         lfs, examples = product_pipeline
@@ -326,7 +401,9 @@ class TestMicroBatchPipeline:
         assert sink.records == len(examples)
         assert sink.batches == report.batches
 
-    def test_counter_contract_keys_all_appear(self, product_pipeline, stage):
+    def test_counter_contract_keys_all_appear(
+        self, product_pipeline, slow_stage
+    ):
         """Every documented counter key must show up in a real run.
 
         Regression for the docstring drift that advertised
@@ -334,7 +411,7 @@ class TestMicroBatchPipeline:
         names ``ingest/wait_us`` for backpressure and this test pins
         every key — a renamed or dropped counter fails here, not in a
         dashboard."""
-        lfs, examples = product_pipeline
+        _, examples = product_pipeline
         # A hair-trigger monitor makes every drift/* key appear: with
         # one-batch windows and a ~zero threshold, every check alarms
         # and fires both counted reactions.
@@ -347,26 +424,37 @@ class TestMicroBatchPipeline:
             ),
             refit_callback=lambda: None,
         )
+        # On the pool, a worker slower than the stream fills the
+        # one-batch window, so ingest waits on it before every read.
+        pooled = "executor" in slow_stage
         report = MicroBatchPipeline(
-            lfs,
+            build_slow_product_suite(),
             batch_size=32,
             max_resident_batches=1,
-            on_batch=lambda *_: time.sleep(0.002),  # force backpressure
+            on_batch=lambda *_: None,
             drift_monitor=monitor,
-            **stage,
+            **slow_stage,
         ).run(MemorySource(examples))
         for key in contract_keys("counter", "stream", conditional=False):
             assert key in report.counters, f"missing documented key {key}"
-        # This run configured a sink, stalled ingest, and monitored
-        # drift, so every conditional key must appear too — except that
-        # ``ingest/encode_us`` appears on the pool stage and only there.
+        # This run configured a sink and monitored drift, so every
+        # conditional key must appear too — except the pool's hand-off
+        # and backpressure keys, which appear on the pool and only there.
+        pool_only = {
+            "ingest/encode_us",
+            "ingest/backpressure_waits",
+            "ingest/wait_us",
+        }
         for key in contract_keys("counter", "stream", conditional=True):
-            if key == "ingest/encode_us":
-                assert (key in report.counters) == ("executor" in stage)
+            if key in pool_only:
+                assert (key in report.counters) == pooled, key
                 continue
             assert key in report.counters, f"missing conditional key {key}"
-        # Backpressure time lands in ingest/wait_us, never queue/wait_us.
-        assert report.counters["ingest/wait_us"] > 0
+        if pooled:
+            # Backpressure time lands in ingest/wait_us, never
+            # queue/wait_us.
+            assert report.backpressure_waits == report.batches
+            assert report.counters["ingest/wait_us"] > 0
         # The drift counters mirror the monitor's own tallies.
         assert report.counters["drift/batches"] == report.batches
         assert report.counters["drift/alarms"] == monitor.alarms
@@ -398,7 +486,7 @@ class TestMicroBatchPipeline:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="sink crashed"):
             pipe.run(MemorySource(examples))
-        # The ingest thread exits rather than leaking.
+        # Nothing the run touched is left running.
         deadline = time.time() + 5.0
         while threading.active_count() > before and time.time() < deadline:
             time.sleep(0.01)
@@ -469,8 +557,17 @@ class TestMicroBatchPipeline:
             "peak": report.peak_resident_records,
         }
 
-    def test_source_error_propagates(self, product_pipeline, stage):
+    def test_source_error_propagates(
+        self, product_pipeline, stage, monkeypatch
+    ):
         lfs, examples = product_pipeline
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread,
+            "start",
+            lambda thread: started.append(thread) or real_start(thread),
+        )
 
         def broken_source():
             yield from examples[:40]
@@ -479,12 +576,10 @@ class TestMicroBatchPipeline:
         pipe = MicroBatchPipeline(lfs, batch_size=16, **stage)
         with pytest.raises(OSError, match="shard vanished"):
             pipe.run(broken_source())
-        # The original exception surfaced and the ingest thread was
-        # joined (on the pool, the ``stage`` fixture then asserts the
-        # shared executor was handed back with ``pending() == 0``).
-        assert not any(
-            t.name == "microbatch-ingest" for t in threading.enumerate()
-        )
+        # The original exception surfaced and no thread was started (on
+        # the pool, the ``stage`` fixture then asserts the shared
+        # executor was handed back with ``pending() == 0``).
+        assert started == []
 
     def test_rejects_bad_parameters(self, product_pipeline):
         lfs, _ = product_pipeline
@@ -495,13 +590,18 @@ class TestMicroBatchPipeline:
 
 
 class TestMicroBatchPipelineOnPool(TestMicroBatchPipeline):
-    """The same cases over the pool label stage: a warm, shared 2-worker
+    """The same cases over the pool label path: a warm, shared 2-worker
     ``executor=`` that every run must hand back drained."""
 
     @pytest.fixture
     def stage(self, warm_executor):
         yield {"executor": warm_executor}
         assert warm_executor.pending() == 0
+
+    @pytest.fixture
+    def slow_stage(self, slow_executor):
+        yield {"executor": slow_executor}
+        assert slow_executor.pending() == 0
 
 
 # ----------------------------------------------------------------------
