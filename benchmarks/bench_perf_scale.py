@@ -1,9 +1,9 @@
 """Section 1 benchmark: the 6M-point sub-30-minute extrapolation.
 
-Runs the full DFS + MapReduce labeling path (staging, one fused map job
-for the product suite's eight token-match LFs, per-LF vote shards
-written from its returned int8 blocks, the label matrix assembled from
-the same blocks) on a slice of the product pool, measures
+Runs the full DFS + MapReduce labeling path (staging, one map job for
+the whole product suite with its eight token-match LFs fused, per-LF
+vote shards written from its returned int8 blocks, the label matrix
+assembled from the same blocks) on a slice of the product pool, measures
 examples/second, and extrapolates how many simulated nodes would be
 needed to label 6.5M examples in under 30 minutes — the claim in
 Section 1 ("implementing weak supervision over 6M+ data points with

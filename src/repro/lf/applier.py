@@ -1,35 +1,36 @@
 """Executing labeling functions and joining their votes.
 
-In production each LF is an independent binary: Snorkel DryBell
-"executes the labeling function binary on Google's distributed compute
-environment" and then "loads the labeling functions' output into its
-generative model" (Figure 4). :class:`LFApplier` reproduces that flow:
+Snorkel DryBell "executes the labeling function binary on Google's
+distributed compute environment" and then "loads the labeling functions'
+output into its generative model" (Figure 4). :class:`LFApplier`
+reproduces that flow:
 
 1. examples are staged to sharded DFS record files,
-2. every LF's votes land in its own sparse vote shards, one per input
-   shard — the durable contract, byte for byte the same however they
-   were computed. LFs carrying a fused spec run together as ONE
-   MapReduce job (one decode and one tokenization of the input for the
-   whole group) whose driver writes each LF's shards straight from the
-   int8 blocks the mappers hand back; every other LF is an independent
-   binary running its own job, which writes its own shards,
-3. the votes become a :class:`repro.types.LabelMatrix`: the group's
-   columns and the example ids are the blocks the group job returned —
-   nothing the applier wrote is read back — and each independent LF's
-   shards are joined on example id (missing ids = abstain).
+2. the whole suite votes in ONE MapReduce job — one decode of the input,
+   one tokenization per record for the fused-spec LFs, every other LF
+   through its ``label_batch`` on the same block
+   (:func:`label_example_block`, the kernel the stream, the pool workers
+   and the server run too) — whose driver writes every LF's sparse vote
+   shards, one per input shard, straight from the int8 blocks the
+   mappers hand back. The shards are the durable contract: byte for
+   byte what each LF's own binary writes,
+3. the votes become a :class:`repro.types.LabelMatrix` whose rows and
+   example ids are those same blocks; nothing the applier wrote is read
+   back.
 
 :func:`apply_lfs_in_memory` is the measurement fast path used by large
 parameter sweeps; integration tests assert both paths produce identical
 matrices.
 
-Both paths are *batched*: LF binaries run block-based map tasks
-(``batch_size`` records per block) and the vote join is columnar — one
-``(n, m)`` int8 matrix filled a column per LF with a vectorized scatter,
-instead of the per-``(example, LF)`` dictionary join the seed shipped
-with. ``batch_size=None`` (or ``batched=False`` in memory) selects the
-original per-example path — every LF its own per-record job, ids and
-every column read back from the shards — kept as the oracle of the
-equivalence tests.
+Both paths are *batched*: map tasks take ``batch_size`` records per
+block and the votes are one ``(n, m)`` int8 matrix, instead of the
+per-``(example, LF)`` dictionary join the seed shipped with.
+``batch_size=None`` (or ``batched=False`` in memory) selects the
+original per-example path, kept as the oracle of the equivalence tests:
+every LF is the paper's independent binary, running
+:meth:`~repro.lf.base.AbstractLabelingFunction.run` as its own
+per-record job, and its shards are read back and joined on example id
+(missing ids = abstain).
 
 The in-memory path also parallelizes across *processes*:
 ``apply_lfs_in_memory(..., executor=pool)`` shards example blocks over
@@ -41,17 +42,14 @@ GIL makes threads useless here; processes are the unit that scales).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.dfs.filesystem import DistributedFileSystem, shard_name
-from repro.dfs.records import (
-    DEFAULT_BLOCK_SIZE,
-    iter_record_blobs,
-    write_records,
-)
+from repro.dfs.records import DEFAULT_BLOCK_SIZE, iter_record_blobs, write_records
 from repro.lf.base import AbstractLabelingFunction, LFRunResult
 from repro.lf.default import LabelingFunction
 from repro.lf.templates import FusedPlan
@@ -132,14 +130,17 @@ def fused_lf_columns(lfs: Sequence[AbstractLabelingFunction]) -> FusedPlan:
 
 
 def start_lf_resources(lfs: Sequence[AbstractLabelingFunction]) -> None:
-    """Bring up every LF's offline resources for a bulk run."""
+    """Bring up every LF's offline resources and local model server for a
+    bulk run — before any block is labelled, since a MapReduce job labels
+    blocks on several threads at once."""
     for lf in lfs:
         if isinstance(lf, LabelingFunction):
             lf.start_resources()
+        lf.start_local_service()
 
 
 def stop_lf_resources(lfs: Sequence[AbstractLabelingFunction]) -> None:
-    """Tear down resources and any node-local services after a run."""
+    """Tear down resources and any local model servers after a run."""
     for lf in lfs:
         if isinstance(lf, LabelingFunction):
             lf.stop_resources()
@@ -174,7 +175,8 @@ def label_example_block(
 
 def _vote_records(blocks, k: int):
     """Column ``k`` of ``(ids, votes)`` blocks as the sparse
-    ``{"key", "value"}`` records an LF's own job emits, in record order."""
+    ``{"key", "value"}`` records :meth:`AbstractLabelingFunction.run`
+    emits, in record order."""
     for ids, votes in blocks:
         column = votes[:, k]
         rows = np.flatnonzero(column)
@@ -182,104 +184,9 @@ def _vote_records(blocks, k: int):
             yield {"key": ids[i], "value": vote}
 
 
-def _run_fused_lf_group(
-    dfs: DistributedFileSystem,
-    fused: Sequence[tuple[int, AbstractLabelingFunction]],
-    example_paths: Sequence[str],
-    run_root: str,
-    parallelism: int,
-    batch_size: int,
-) -> tuple[list[str], np.ndarray, dict[int, LFRunResult]]:
-    """Run every fused-spec LF as ONE MapReduce job over the examples.
-
-    The per-LF execution model re-tokenizes every record once per LF
-    binary; this job instead applies one :class:`FusedPlan` (compiled by
-    the first block, shared by all) in its block mapper — one
-    tokenization and one inverted-index probe per record for the whole
-    group — and gives each block's example ids and ``(B, k)`` int8 votes
-    back to this driver. The job itself publishes nothing; the driver
-    writes every LF's sparse vote shard straight from those blocks,
-    byte-identical to what the LF's own job would have written
-    (asserted by the equivalence suite), and nothing it wrote is read
-    back. Returns the example ids in input order, their ``(n, k)``
-    votes, and ``{lf column -> LFRunResult}``.
-    """
-    plan = FusedPlan([lf.fused_spec for _, lf in fused])
-    names = [lf.name for _, lf in fused]
-    # repro: allow[determinism] wall_seconds is reporting-only; vote shards never see it
-    start = time.perf_counter()
-
-    def batch_mapper(ctx: MapContext, records: list[dict]) -> None:
-        examples = [Example.from_record(record) for record in records]
-        votes = plan.apply(examples)
-        ctx.counters.increment("examples_seen", len(examples))
-        for k, name in enumerate(names):
-            column = votes[:, k]
-            positives = int(np.count_nonzero(column > 0))
-            negatives = int(np.count_nonzero(column < 0))
-            abstains = len(examples) - positives - negatives
-            for suffix, amount in (
-                ("abstains", abstains),
-                ("positives", positives),
-                ("negatives", negatives),
-            ):
-                if amount:
-                    ctx.counters.increment(f"{name}/{suffix}", amount)
-        # Ids and votes only: the decoded records die with the block.
-        ctx.give(([example.example_id for example in examples], votes))
-
-    spec = MapReduceSpec(
-        name="lf/_fused",
-        input_paths=list(example_paths),
-        output_base=None,
-        mapper=None,
-        batch_mapper=batch_mapper,
-        map_block_size=batch_size,
-        reducer=None,
-        parallelism=parallelism,
-    )
-    result = MapReduceJob(dfs, spec).run()
-
-    # One vote shard per (input shard, LF), under the names and with the
-    # records, in record order, that the per-LF jobs write.
-    n_shards = len(result.returned)
-    output_paths: list[list[str]] = [[] for _ in fused]
-    votes_out = [0] * len(fused)
-    for s, task_blocks in enumerate(result.returned):
-        for k, (_, lf) in enumerate(fused):
-            out = shard_name(f"{run_root}/{lf.name}/votes", s, n_shards)
-            votes_out[k] += write_records(dfs, out, _vote_records(task_blocks, k))
-            output_paths[k].append(out)
-    blocks = [block for task_blocks in result.returned for block in task_blocks]
-    example_ids = [eid for ids, _ in blocks for eid in ids]
-    votes = (
-        np.concatenate([block_votes for _, block_votes in blocks])
-        if blocks
-        else np.zeros((0, len(fused)), dtype=np.int8)
-    )
-
-    # repro: allow[determinism] group wall-clock feeds LFRunResult reporting, not artifacts
-    wall = time.perf_counter() - start
-    counters = result.counters
-    results: dict[int, LFRunResult] = {}
-    for k, (col, lf) in enumerate(fused):
-        results[col] = LFRunResult(
-            lf_name=lf.name,
-            output_paths=output_paths[k],
-            examples_seen=counters.value("examples_seen"),
-            votes_emitted=votes_out[k],
-            positives=counters.value(f"{lf.name}/positives"),
-            negatives=counters.value(f"{lf.name}/negatives"),
-            abstains=counters.value(f"{lf.name}/abstains"),
-            # The group shares one job; each LF reports the group wall.
-            wall_seconds=wall,
-            nodes_used=result.node_count,
-        )
-    return example_ids, votes, results
-
-
 class LFApplier:
-    """Runs a set of LF binaries over staged examples and joins votes."""
+    """Labels staged examples with an LF suite: one vote shard set per LF
+    and the joined label matrix."""
 
     def __init__(
         self,
@@ -296,63 +203,131 @@ class LFApplier:
         self._batch_size = batch_size
 
     def apply(self, lfs: Sequence[AbstractLabelingFunction]) -> ApplyReport:
+        names = [lf.name for lf in lfs]
+        duplicates = sorted(name for name, n in Counter(names).items() if n > 1)
+        if duplicates:
+            # Each LF publishes under run_root/<name>/: caught here, before
+            # any job runs, not after the first LF's shards are published.
+            raise ValueError(f"duplicate labeling function names: {duplicates}")
         # repro: allow[determinism] ApplyReport.wall_seconds is throughput reporting only
         start = time.perf_counter()
-        # Batched runs execute every fused-spec LF as one MapReduce job
-        # (tokenize once per record for the whole group) that hands back
-        # the ids and the group's columns from its one pass over the
-        # input. Only a run without a group reads the input for its ids.
-        fused = (
-            [(j, lfs[j]) for j in fused_lf_columns(lfs)]
-            if self._batch_size is not None
-            else []
+        run = self._per_lf_jobs if self._batch_size is None else self._suite_job
+        example_ids, matrix, lf_results = run(lfs)
+        # repro: allow[determinism] wall_seconds is throughput reporting only
+        wall = time.perf_counter() - start
+        return ApplyReport(
+            label_matrix=LabelMatrix(matrix, example_ids, names),
+            lf_results=lf_results,
+            wall_seconds=wall,
+            examples=len(example_ids),
         )
-        fused_results: dict[int, LFRunResult] = {}
-        if fused:
-            fused_lfs = [lf for _, lf in fused]
-            start_lf_resources(fused_lfs)
-            try:
-                example_ids, fused_votes, fused_results = _run_fused_lf_group(
-                    self._dfs,
-                    fused,
-                    self._example_paths,
-                    self._run_root,
-                    self._parallelism,
-                    self._batch_size,
-                )
-            finally:
-                stop_lf_resources(fused_lfs)
-        else:
-            example_ids = [
-                record["example_id"]
-                for record in iter_record_blobs(self._dfs, self._example_paths)
-            ]
-        # Columnar join: fused columns are assigned whole; every other
-        # LF's sparse vote shards scatter into their own int8 column
-        # through one O(n) id index.
+
+    def _suite_job(
+        self, lfs: Sequence[AbstractLabelingFunction]
+    ) -> tuple[list[str], np.ndarray, list[LFRunResult]]:
+        """Label the whole suite in ONE MapReduce job over the examples.
+
+        The block mapper runs :func:`label_example_block` with one
+        :class:`FusedPlan` for the job and gives each block's example ids
+        and ``(B, m)`` int8 votes back. The job publishes nothing: this
+        driver writes every LF's sparse vote shard straight from those
+        blocks — the names and bytes the LF's own
+        :meth:`~repro.lf.base.AbstractLabelingFunction.run` writes — and
+        takes each LF's counts from them; nothing it wrote is read back.
+        Returns the example ids in input order, their ``(n, m)`` votes and
+        one :class:`LFRunResult` per LF.
+        """
+        plan = fused_lf_columns(lfs)
+
+        def batch_mapper(ctx: MapContext, records: list[dict]) -> None:
+            examples = [Example.from_record(record) for record in records]
+            votes = label_example_block(lfs, examples, plan)
+            # Ids and votes only: the decoded records die with the block.
+            ctx.give(([example.example_id for example in examples], votes))
+
+        spec = MapReduceSpec(
+            name="lf/_suite",
+            input_paths=self._example_paths,
+            output_base=None,
+            mapper=None,
+            batch_mapper=batch_mapper,
+            map_block_size=self._batch_size,
+            reducer=None,
+            parallelism=self._parallelism,
+        )
+        # Started before the job: its map tasks label on several threads.
+        start_lf_resources(lfs)
+        try:
+            result = MapReduceJob(self._dfs, spec).run()
+        finally:
+            stop_lf_resources(lfs)
+
+        # One vote shard per (input shard, LF), under the names and with the
+        # records, in record order, that the LF's own job writes.
+        n_shards = len(result.returned)
+        output_paths: list[list[str]] = [[] for _ in lfs]
+        for s, task_blocks in enumerate(result.returned):
+            for k, lf in enumerate(lfs):
+                out = shard_name(f"{self._run_root}/{lf.name}/votes", s, n_shards)
+                write_records(self._dfs, out, _vote_records(task_blocks, k))
+                output_paths[k].append(out)
+        blocks = [block for task_blocks in result.returned for block in task_blocks]
+        example_ids = [eid for ids, _ in blocks for eid in ids]
+        votes = (
+            np.concatenate([block_votes for _, block_votes in blocks])
+            if blocks
+            else np.zeros((0, len(lfs)), dtype=np.int8)
+        )
+        n = len(example_ids)
+        positives = np.count_nonzero(votes > 0, axis=0).tolist()
+        negatives = np.count_nonzero(votes < 0, axis=0).tolist()
+        results = [
+            LFRunResult(
+                lf_name=lf.name,
+                output_paths=output_paths[k],
+                examples_seen=n,
+                votes_emitted=positives[k] + negatives[k],
+                positives=positives[k],
+                negatives=negatives[k],
+                abstains=n - positives[k] - negatives[k],
+                # The suite shares one job; each LF reports the job's wall.
+                wall_seconds=result.wall_seconds,
+                nodes_used=result.node_count,
+            )
+            for k, lf in enumerate(lfs)
+        ]
+        return example_ids, votes, results
+
+    def _per_lf_jobs(
+        self, lfs: Sequence[AbstractLabelingFunction]
+    ) -> tuple[list[str], np.ndarray, list[LFRunResult]]:
+        """The per-record oracle: every LF is its own binary.
+
+        Each LF runs :meth:`~repro.lf.base.AbstractLabelingFunction.run`,
+        whose job starts the model servers per compute node; the ids come
+        from one more pass over the input, and every LF's shards are read
+        back and scattered into its column through an id index.
+        """
+        example_ids = [
+            record["example_id"]
+            for record in iter_record_blobs(self._dfs, self._example_paths)
+        ]
         id_index = {eid: i for i, eid in enumerate(example_ids)}
         matrix = np.zeros((len(example_ids), len(lfs)), dtype=np.int8)
-        if fused:
-            matrix[:, [j for j, _ in fused]] = fused_votes
-
-        lf_results = []
+        results = []
         for j, lf in enumerate(lfs):
-            if j in fused_results:
-                lf_results.append(fused_results[j])
-                continue
-            start_lf_resources([lf])
+            if isinstance(lf, LabelingFunction):
+                lf.start_resources()
             try:
-                output_base = f"{self._run_root}/{lf.name}/votes"
                 result = lf.run(
                     self._dfs,
                     self._example_paths,
-                    output_base,
+                    f"{self._run_root}/{lf.name}/votes",
                     parallelism=self._parallelism,
-                    batch_size=self._batch_size,
                 )
             finally:
                 stop_lf_resources([lf])
-            lf_results.append(result)
+            results.append(result)
             rows: list[int] = []
             values: list[int] = []
             for record in iter_record_blobs(self._dfs, result.output_paths):
@@ -362,16 +337,7 @@ class LFApplier:
                     values.append(int(record["value"]))
             if rows:
                 matrix[np.asarray(rows), j] = np.asarray(values, dtype=np.int8)
-
-        label_matrix = LabelMatrix(matrix, example_ids, [lf.name for lf in lfs])
-        # repro: allow[determinism] wall_seconds is throughput reporting only
-        wall = time.perf_counter() - start
-        return ApplyReport(
-            label_matrix=label_matrix,
-            lf_results=lf_results,
-            wall_seconds=wall,
-            examples=len(example_ids),
-        )
+        return example_ids, matrix, results
 
 
 def apply_lfs_in_memory(
@@ -457,15 +423,12 @@ def apply_lfs_in_memory(
             stop_lf_resources(lfs)
     else:
         for j, lf in enumerate(lfs):
-            if isinstance(lf, LabelingFunction):
-                lf.start_resources()
+            start_lf_resources([lf])
             try:
                 for i, example in enumerate(examples):
                     matrix[i, j] = lf.vote_in_memory(example)
             finally:
-                if isinstance(lf, LabelingFunction):
-                    lf.stop_resources()
-                lf.close_local_service()
+                stop_lf_resources([lf])
     return LabelMatrix(
         matrix,
         [e.example_id for e in examples],

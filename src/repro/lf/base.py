@@ -8,13 +8,17 @@ template slots for functions to be executed within the pipeline."
 The reproduction follows the same contract:
 
 * :meth:`run` is the whole "labeling function binary": it reads example
-  records from the DFS, executes the subclass-defined MapReduce pipeline,
-  and writes one vote record per non-abstaining example to its own
-  sharded output — LFs never share state except through the filesystem
-  (Section 5.4's loosely-coupled design).
+  records from the DFS, executes the subclass-defined MapReduce pipeline
+  one record at a time, and writes one vote record per non-abstaining
+  example to its own sharded output — LFs never share state except
+  through the filesystem (Section 5.4's loosely-coupled design).
+  :class:`repro.lf.applier.LFApplier` runs it as the per-record oracle;
+  its batched mode labels the whole suite in one job through
+  :meth:`label_batch` and writes the same shards.
 * Subclasses override :meth:`_node_service_factory` (which model server,
   if any, to launch per compute node) and :meth:`_vote` (the per-example
-  slot an engineer writes).
+  slot an engineer writes). Outside :meth:`run` that server is one
+  local service per LF, brought up by :meth:`start_local_service`.
 
 Vote records have the shape ``{"key": example_id, "value": vote}`` with
 ``vote in {-1, +1}`` (abstains are simply not written; the join treats
@@ -29,7 +33,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.dfs.records import DEFAULT_BLOCK_SIZE
 from repro.mapreduce.runner import MapContext, MapReduceJob, MapReduceSpec
 from repro.lf.registry import LFInfo
 from repro.services.base import ModelServer
@@ -54,7 +57,6 @@ class LFRunResult:
     abstains: int
     wall_seconds: float
     nodes_used: int
-    virtual_service_ms: float = 0.0
 
     @property
     def coverage(self) -> float:
@@ -133,14 +135,12 @@ class AbstractLabelingFunction:
         parallelism: int = 1,
         tasks_per_node: int = 4,
         fail_injector: Callable[[int, int], None] | None = None,
-        batch_size: int | None = DEFAULT_BLOCK_SIZE,
     ) -> LFRunResult:
         """Execute this LF over example record files; write vote shards.
 
-        ``batch_size`` selects the batched mapper path (map tasks consume
-        blocks of records and call :meth:`_vote_batch`); ``None`` selects
-        the per-record mapper. Both produce byte-identical vote shards —
-        the equivalence suite asserts this for every shipped LF.
+        One map task per input shard calls :meth:`_vote` on each record,
+        with the node-local model server when the pipeline declares one
+        (started once per simulated compute node).
         """
 
         def mapper(ctx: MapContext, record: dict) -> None:
@@ -159,37 +159,11 @@ class AbstractLabelingFunction:
             ctx.counters.increment("positives" if vote > 0 else "negatives")
             ctx.emit(example.example_id, vote)
 
-        def batch_mapper(ctx: MapContext, records: list[dict]) -> None:
-            examples = [Example.from_record(record) for record in records]
-            service = ctx.service if ctx.has_service else None
-            votes = self._validate_votes(
-                self._vote_batch(examples, service), len(examples)
-            )
-            ctx.counters.increment("examples_seen", len(examples))
-            positives = int(np.count_nonzero(votes > 0))
-            negatives = int(np.count_nonzero(votes < 0))
-            abstains = len(examples) - positives - negatives
-            # Touch only the counters the per-record mapper would have,
-            # so counter *names* match too, not just totals.
-            for name, amount in (
-                ("abstains", abstains),
-                ("positives", positives),
-                ("negatives", negatives),
-            ):
-                if amount:
-                    ctx.counters.increment(name, amount)
-            # Emissions stay in record order: shard bytes match the
-            # per-record path exactly.
-            for i in np.flatnonzero(votes):
-                ctx.emit(examples[i].example_id, int(votes[i]))
-
         spec = MapReduceSpec(
             name=f"lf/{self.name}",
             input_paths=list(input_paths),
             output_base=output_base,
             mapper=mapper,
-            batch_mapper=batch_mapper if batch_size is not None else None,
-            map_block_size=batch_size or DEFAULT_BLOCK_SIZE,
             reducer=None,
             parallelism=parallelism,
             tasks_per_node=tasks_per_node,
@@ -221,11 +195,7 @@ class AbstractLabelingFunction:
         the method. The integration tests assert this fast path agrees
         with :meth:`run` exactly.
         """
-        factory = self._node_service_factory()
-        if factory is None:
-            return self._vote(example, None)
-        service = self._ensure_local_service(factory)
-        return self._vote(example, service)
+        return self._vote(example, self.start_local_service())
 
     def label(self, example: Example) -> int:
         """Alias for :meth:`vote_in_memory` — the per-example API."""
@@ -242,19 +212,21 @@ class AbstractLabelingFunction:
         every shipped LF.
         """
         examples = list(examples)
-        factory = self._node_service_factory()
-        service = (
-            self._ensure_local_service(factory) if factory is not None else None
-        )
-        votes = self._vote_batch(examples, service)
+        votes = self._vote_batch(examples, self.start_local_service())
         return self._validate_votes(votes, len(examples))
 
     _local_service: ModelServer | None = None
 
-    def _ensure_local_service(
-        self, factory: Callable[[], ModelServer]
-    ) -> ModelServer:
-        if self._local_service is None:
+    def start_local_service(self) -> ModelServer | None:
+        """This LF's local model server, built and started on first call.
+
+        ``None`` when the pipeline launches no server. The check is not
+        locked: a bulk run starts the server through
+        :func:`repro.lf.applier.start_lf_resources` before any block is
+        labelled, so threads that label blocks only ever find it running.
+        """
+        factory = self._node_service_factory()
+        if factory is not None and self._local_service is None:
             self._local_service = factory()
             self._local_service.start()
         return self._local_service

@@ -23,7 +23,8 @@ Execution model
   ``output_base=None`` a map-only job publishes nothing: its product is
   what the mappers ``give`` back (:attr:`MapReduceResult.returned`, one
   list per map task in task order whatever the ``parallelism``), for a
-  driver that writes the output itself — the fused LF group does.
+  driver that writes the output itself — ``LFApplier``'s one job per LF
+  suite does.
 * Worker failures: a map task that raises is retried up to
   ``max_retries`` times on a fresh worker; exhausted retries abort the
   job with :class:`WorkerFailure`. Every attempt gets its own

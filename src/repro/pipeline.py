@@ -9,10 +9,11 @@ The four numbered stages of the paper's system figure:
    probabilistic training labels consumed by production ML systems.
 
 :class:`DryBellPipeline` wires those stages to a dataset: it stages the
-unlabeled pool to the simulated DFS, executes every LF as its own
-MapReduce job (or through the in-memory fast path), fits the
-sampling-free generative model, and hands soft labels to the TFX-style
-training pipeline which stages the deployment model in a registry.
+unlabeled pool to the simulated DFS, labels it with every LF in one
+MapReduce job that writes each LF's own vote shards (or through the
+in-memory fast path), fits the sampling-free generative model, and
+hands soft labels to the TFX-style training pipeline which stages the
+deployment model in a registry.
 """
 
 from __future__ import annotations

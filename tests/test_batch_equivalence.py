@@ -3,8 +3,9 @@
 The batched engine is only allowed to be *faster* than the per-example
 path, never different: every shipped LF's ``label_batch`` must agree
 vote-for-vote with looping ``label``, the fused in-memory applier must
-agree with the per-example applier, and the block-based MapReduce mapper
-must produce byte-identical vote shards to the per-record mapper.
+agree with the per-example applier, and the suite's one block-based
+MapReduce job must produce byte-identical vote shards to every LF's own
+per-record job.
 
 The same contract extends to the streaming subsystem: micro-batching a
 dataset through ``MicroBatchPipeline`` must yield a vote-for-vote
@@ -36,7 +37,7 @@ from repro.lf.applier import (
     stop_lf_resources,
 )
 from repro.lf.default import LabelingFunction
-from repro.lf.nlp import celebrity_example_lf
+from repro.lf.nlp import NLPLabelingFunction, celebrity_example_lf
 from repro.lf.registry import LFCategory, LFInfo
 from repro.lf.templates import (
     FusedPlan,
@@ -432,9 +433,10 @@ def _report_fields(report):
 
 def _suite(app):
     """200 examples and the LFs of ``app``: the product suite (eight
-    fused-spec LFs), the topic suite (four, beside six LFs that keep
-    their own job), or the topic suite cut down to exactly one
-    (``one_fused``) or zero (``unfused``) fused-spec LFs."""
+    fused-spec LFs), the topic suite (four, beside six that label
+    through ``label_batch``, two of them on an NLP model server), or the
+    topic suite cut down to exactly one (``one_fused``) or zero
+    (``unfused``) fused-spec LFs."""
     exp = get_content_experiment("product" if app == "product" else "topic", "tiny")
     lfs = exp.lfs
     fused = list(fused_lf_columns(lfs))
@@ -501,9 +503,9 @@ class _CountingDFS(DistributedFileSystem):
 
 @pytest.mark.parametrize("app", ["product", "topic"])
 def test_apply_moves_each_byte_once(app):
-    """A count, not a timing: the input is read once per job that needs
-    it, nothing written for a fused column is read back, and no
-    intermediate file is ever created."""
+    """A count, not a timing: the suite's one job reads each input shard
+    once, no vote shard is read back, and no intermediate file is ever
+    created."""
     examples, lfs = _suite(app)
     dfs = _CountingDFS()
     paths = stage_examples(dfs, examples, "/eq/examples", num_shards=4)
@@ -513,27 +515,20 @@ def test_apply_moves_each_byte_once(app):
         dfs, paths, run_root="/eq/run", parallelism=1, batch_size=64
     ).apply(lfs)
 
-    # One pass by the fused group (which also yields the ids), one by
-    # each LF that keeps its own job: 1 for product, 1 + 6 for topic.
-    fused = set(fused_lf_columns(lfs))
-    jobs = 1 + len(lfs) - len(fused)
-    assert jobs == {"product": 1, "topic": 7}[app]
     for path in paths:
-        assert dfs.read_bytes[path] == jobs * dfs.size(path)
-    for j, result in enumerate(report.lf_results):
-        for path in result.output_paths:
-            read_back = 0 if j in fused else dfs.size(path)
-            assert dfs.read_bytes[path] == read_back
-
+        assert dfs.read_bytes[path] == dfs.size(path)
     published = [p for result in report.lf_results for p in result.output_paths]
+    assert len(published) == len(lfs) * len(paths)
+    for path in published:
+        assert dfs.read_bytes[path] == 0
+
     assert sorted(dfs.created) == sorted(published)
-    assert not any("/_fused/" in path for path in dfs.created)
     assert dfs.appended - staged_bytes == sum(dfs.size(p) for p in published)
     assert dfs.staged_paths() == []
 
 
-def test_fused_group_retried_task_contributes_once(monkeypatch):
-    """A group map task that dies after its first block (the topic model
+def test_suite_job_retried_task_contributes_once(monkeypatch):
+    """A suite map task that dies after its first block (the topic model
     fails once) and is retried yields exactly the clean run: same
     matrix, ids, shard bytes and counts, nothing left staged."""
     examples, lfs = _suite("product")
@@ -561,6 +556,47 @@ def test_fused_group_retried_task_contributes_once(monkeypatch):
     assert retried_bytes == clean_bytes
     assert _report_fields(retried) == _report_fields(clean)
     assert dfs.staged_paths() == []
+
+
+@pytest.mark.parametrize("batch_size", [64, None])
+def test_apply_starts_one_server_per_nlp_lf(monkeypatch, batch_size):
+    """The suite job labels through each NLP LF's one local server,
+    started before the job's map threads; the per-record oracle starts
+    none of those, only its job's one node server per LF. Either way
+    every server is started once and stopped — with four map threads on
+    this 4-shard input and a short switch interval, so a lazily started
+    server would be raced into a second one."""
+    examples, lfs = _suite("topic")
+    servers = Counter()
+    created = []
+    builders = []
+    for lf in lfs:
+        if isinstance(lf, NLPLabelingFunction):
+            def counting_factory(factory=lf._server_factory, name=lf.name):
+                server = factory()
+                servers[name] += 1
+                created.append(server)
+                builders.append(threading.current_thread())
+                return server
+
+            monkeypatch.setattr(lf, "_server_factory", counting_factory)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _apply_report(examples, lfs, batch_size, parallelism=4)
+    finally:
+        sys.setswitchinterval(interval)
+
+    nlp_names = [lf.name for lf in lfs if isinstance(lf, NLPLabelingFunction)]
+    assert len(nlp_names) == 2
+    assert servers == Counter({name: 1 for name in nlp_names})
+    assert [server.stats.starts for server in created] == [1, 1]
+    assert not any(server.running for server in created)
+    assert all(lf._local_service is None for lf in lfs)
+    if batch_size is not None:
+        # Built on this thread, before the job's map threads exist.
+        assert builders == [threading.current_thread()] * 2
 
 
 # ----------------------------------------------------------------------
@@ -659,5 +695,6 @@ def test_batched_run_rejects_invalid_votes(dfs):
     )
     examples = [Example(f"x{i}") for i in range(4)]
     paths = stage_examples(dfs, examples, "/bad/e", num_shards=1)
+    applier = LFApplier(dfs, paths, run_root="/bad/run", batch_size=2)
     with pytest.raises(WorkerFailure):
-        lf.run(dfs, paths, "/bad/v", batch_size=2)
+        applier.apply([lf])

@@ -232,6 +232,15 @@ class TestApplier:
         dfs_matrix = report.label_matrix.select_examples(memory.example_ids)
         assert np.array_equal(memory.matrix, dfs_matrix.matrix)
 
+    @pytest.mark.parametrize("batch_size", [64, None])
+    def test_apply_rejects_duplicate_names_before_any_job(self, dfs, batch_size):
+        paths = stage_examples(dfs, make_examples(6), "/d/dup", num_shards=2)
+        lfs = [simple_lf("same", "good", 1), simple_lf("same", "bad", -1)]
+        applier = LFApplier(dfs, paths, run_root="/runs/dup", batch_size=batch_size)
+        with pytest.raises(ValueError, match="'same'"):
+            applier.apply(lfs)
+        assert dfs.list("/runs/dup/") == []
+
     def test_stage_examples_validates_shards(self, dfs):
         with pytest.raises(ValueError):
             stage_examples(dfs, make_examples(2), "/d/x", num_shards=0)
