@@ -17,10 +17,11 @@ independent executables.
 
 What a record costs: every durable byte (input, vote and label shards,
 manifests, trace shards) passes here. *Encode* is one per-thread C JSON
-encoder, built once; *append* is one locked DFS call per
-:data:`DEFAULT_READ_CHUNK` bytes a :class:`RecordWriter` buffers, plus
-one at close; *decode* slices each body from the chunk just read into
-one prebuilt JSON decoder.
+encoder, built once, or a row template filled by :func:`json_token`;
+*append* is one locked DFS call per :data:`DEFAULT_READ_CHUNK` bytes a
+:class:`RecordWriter` buffers, plus one at close; *decode* runs json's C
+scanner on each body sliced from the chunk just read (json's own decode
+only for a body the scan does not consume whole).
 """
 
 from __future__ import annotations
@@ -71,14 +72,15 @@ _JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 #: Each thread's C encoder: its ``markers`` dict is per-encode scratch.
 _THREAD = threading.local()
 _DECODE_JSON = json.JSONDecoder().decode
+_SCAN_JSON = json.JSONDecoder().scan_once
 
 
 class RecordCorruption(Exception):
     """Raised when a record fails its CRC or framing check."""
 
 
-def encode_record(payload: dict[str, Any]) -> bytes:
-    """Frame one JSON payload with length and CRC.
+def record_body(payload: dict[str, Any]) -> bytes:
+    """One record's JSON body, unframed.
 
     The body, and the error for a payload json cannot encode, are
     ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``'s.
@@ -93,13 +95,29 @@ def encode_record(payload: dict[str, Any]) -> bytes:
             _JSON.skipkeys, _JSON.allow_nan,
         )
     try:
-        body = "".join(encoder(payload, 0)).encode("utf-8")
+        return "".join(encoder(payload, 0)).encode("utf-8")
     except Exception:
         # A failed encode leaves ids in ``markers`` (false cycles later):
         # drop this encoder and let the stock one raise json's own error.
         del _THREAD.encoder
-        body = _JSON.encode(payload).encode("utf-8")
+        return _JSON.encode(payload).encode("utf-8")
+
+
+def json_token(value: Any) -> str:
+    """``value``'s JSON as :func:`record_body` writes it in a payload."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)  # the C encoder's own escaper
+    return record_body(value).decode()
+
+
+def _frame(body: bytes) -> bytes:
+    """Prefix one body with its length and CRC."""
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
+
+
+def encode_record(payload: dict[str, Any]) -> bytes:
+    """Frame one JSON payload (:func:`record_body`) with length and CRC."""
+    return _frame(record_body(payload))
 
 
 def encode_ndarray(array: np.ndarray) -> dict[str, Any]:
@@ -161,9 +179,13 @@ class RecordWriter:
         return self._final_path or self._path
 
     def write(self, payload: dict[str, Any]) -> None:
+        self.write_body(record_body(payload))
+
+    def write_body(self, body: bytes) -> None:
+        """Write one record from its :func:`record_body` bytes."""
         if not self._open:
             raise ValueError("writer already closed")
-        self._buffer += encode_record(payload)
+        self._buffer += _frame(body)
         self._count += 1
         if len(self._buffer) >= DEFAULT_READ_CHUNK:
             self._flush()
@@ -259,7 +281,13 @@ def stream_records_with_offsets(
         offset += header + length
         if zlib.crc32(body) != crc:
             raise RecordCorruption(f"CRC mismatch at offset {offset - length}")
-        yield _DECODE_JSON(body.decode("utf-8")), offset
+        text = body.decode("utf-8")
+        try:
+            value, end = _SCAN_JSON(text, 0)
+        except StopIteration:
+            end = -1
+        # Whitespace, trailing data or no value: json's decode says what.
+        yield (value if end == len(text) else _DECODE_JSON(text)), offset
 
 
 def stream_records(

@@ -49,7 +49,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.dfs.filesystem import DistributedFileSystem, shard_name
-from repro.dfs.records import DEFAULT_BLOCK_SIZE, iter_record_blobs, write_records
+from repro.dfs.records import (
+    DEFAULT_BLOCK_SIZE, RecordWriter, iter_record_blobs, json_token, write_records,
+)
 from repro.lf.base import AbstractLabelingFunction, LFRunResult
 from repro.lf.default import LabelingFunction
 from repro.lf.templates import FusedPlan
@@ -173,15 +175,15 @@ def label_example_block(
     return votes
 
 
-def _vote_records(blocks, k: int):
-    """Column ``k`` of ``(ids, votes)`` blocks as the sparse
-    ``{"key", "value"}`` records :meth:`AbstractLabelingFunction.run`
-    emits, in record order."""
+def _vote_bodies(blocks, k: int):
+    """Column ``k`` of ``(ids, votes)`` blocks as the bodies of the
+    sparse ``{"key", "value"}`` records
+    :meth:`AbstractLabelingFunction.run` emits, in record order."""
     for ids, votes in blocks:
         column = votes[:, k]
         rows = np.flatnonzero(column)
         for i, vote in zip(rows.tolist(), column[rows].tolist()):
-            yield {"key": ids[i], "value": vote}
+            yield f'{{"key":{json_token(ids[i])},"value":{vote}}}'.encode()
 
 
 class LFApplier:
@@ -269,7 +271,9 @@ class LFApplier:
         for s, task_blocks in enumerate(result.returned):
             for k, lf in enumerate(lfs):
                 out = shard_name(f"{self._run_root}/{lf.name}/votes", s, n_shards)
-                write_records(self._dfs, out, _vote_records(task_blocks, k))
+                with RecordWriter(self._dfs, out) as writer:
+                    for body in _vote_bodies(task_blocks, k):
+                        writer.write_body(body)
                 output_paths[k].append(out)
         blocks = [block for task_blocks in result.returned for block in task_blocks]
         example_ids = [eid for ids, _ in blocks for eid in ids]

@@ -17,10 +17,10 @@ Each worker process runs :func:`_worker_init` once: rebuild the LF suite
 from the picklable :class:`~repro.parallel.spec.LFSuiteSpec`, start its
 offline resources, and precompute the fused-spec columns — the per-node
 setup hook of the MapReduce engine, translated to processes. A task is
-one pickled list of ``Example.to_record()`` dicts, never the
-``Example`` objects, so a worker sees exactly what decoding a record
-gives; the worker rebuilds the block with
-``Example.from_record``, runs the same
+one pickled list of ``(example_id, fields, servable, non_servable,
+label)`` tuples, never the ``Example`` objects, so a worker sees
+exactly what decoding a record gives; the worker rebuilds each
+``Example`` as ``Example.from_record`` would, runs the same
 :func:`repro.lf.applier.label_example_block` kernel as a serial run, and
 returns the ``int8`` vote block plus its labeling wall time.
 
@@ -143,6 +143,20 @@ def _worker_warm() -> bool:
     return True
 
 
+def _pack_block(examples: Sequence[Example]) -> bytes:
+    """One block as the pool payload: a tuple of fields per example."""
+    rows = [(e.example_id, e.fields, e.servable, e.non_servable, e.label) for e in examples]
+    return pickle.dumps(rows, pickle.HIGHEST_PROTOCOL)
+
+
+def _unpack_block(payload: bytes) -> list[Example]:
+    """Inverse of :func:`_pack_block`: ``from_record``'s examples, no dict copied."""
+    return [
+        Example(eid, fields or {}, servable or {}, non_servable or {}, label)
+        for eid, fields, servable, non_servable, label in pickle.loads(payload)
+    ]
+
+
 def _worker_label(
     payload: bytes, kill: bool, collect: bool
 ) -> tuple[np.ndarray, int, bytes | None]:
@@ -162,7 +176,7 @@ def _worker_label(
     from repro.lf.applier import label_example_block
 
     decode_start = time.perf_counter()
-    examples = [Example.from_record(r) for r in pickle.loads(payload)]
+    examples = _unpack_block(payload)
     decode_us = int((time.perf_counter() - decode_start) * 1e6)
     start = time.perf_counter()
     votes = label_example_block(_WORKER_LFS, examples, _WORKER_FUSED)
@@ -537,9 +551,7 @@ class ParallelLabelExecutor:
 
     def _dispatch(self, seq: int, entry: _Inflight) -> None:
         kill = entry.attempts < self._kill_plan.get(seq, 0)
-        payload = pickle.dumps(
-            [e.to_record() for e in entry.examples], pickle.HIGHEST_PROTOCOL
-        )
+        payload = _pack_block(entry.examples)
         future: Future | None = None
         last_error: BaseException | None = None
         for _ in range(2):

@@ -8,8 +8,8 @@ process boundary and each worker rebuilds its own private suite from it,
 the in-process analogue of shipping the LF binary to a compute node.
 
 Examples are plain data and need no recipe: the executor pickles each
-block's ``Example.to_record()`` dicts once and the worker rebuilds the
-block with ``Example.from_record`` (see
+block once, as one ``(example_id, fields, servable, non_servable, label)``
+tuple per example the worker rebuilds its ``Example`` objects from (see
 :mod:`repro.parallel.executor`), so a worker labels the very field
 values a serial run reads — tuples stay tuples, integer keys stay
 integers — and sees exactly what decoding a record gives: attributes

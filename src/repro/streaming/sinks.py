@@ -26,15 +26,18 @@ sorted keys, fixed separators).
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.dfs.records import RecordWriter
+from repro.dfs.records import RecordWriter, json_token, record_body
 from repro.types import Example
 
 __all__ = ["RecordBatchSink", "VoteSink", "LabelSink", "batch_shard_seq"]
+
+#: json's tokens for the floats whose ``repr`` is not JSON.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 _BATCH_SHARD_RE = re.compile(r"/batch-(?P<seq>\d{6,})$")
 
@@ -67,10 +70,12 @@ class RecordBatchSink:
         """The canonical shard path for batch ``seq`` under this sink."""
         return f"{self.root}/{self.kind}/batch-{seq:06d}"
 
-    def batch_payloads(
+    def batch_bodies(
         self, seq: int, examples: list[Example], votes: np.ndarray
-    ) -> Iterator[dict[str, Any]]:
-        """Yield the records one batch's shard contains (subclass hook).
+    ) -> list[bytes]:
+        """The :func:`~repro.dfs.records.record_body` bytes of each
+        record of one batch's shard (subclass hook); runs before the
+        shard is staged, so a batch it rejects leaves nothing behind.
 
         Args:
             seq: Batch sequence number.
@@ -85,9 +90,10 @@ class RecordBatchSink:
     def __call__(
         self, seq: int, examples: list[Example], votes: np.ndarray
     ) -> None:
+        bodies = self.batch_bodies(seq, examples, votes)
         with RecordWriter(self._dfs, self.shard_path(seq)) as writer:
-            for payload in self.batch_payloads(seq, examples, votes):
-                writer.write(payload)
+            for body in bodies:
+                writer.write_body(body)
             written = writer.records_written
         self.shards_written += 1
         self.records_written += written
@@ -149,18 +155,26 @@ class VoteSink(RecordBatchSink):
         super().__init__(dfs, root, name)
         self.lf_names = list(lf_names)
 
-    def batch_payloads(
+    def batch_bodies(
         self, seq: int, examples: list[Example], votes: np.ndarray
-    ) -> Iterator[dict[str, Any]]:
-        """One meta record, then ``{example_id, votes}`` per example."""
-        yield {
-            "kind": "meta",
-            "batch": seq,
-            "lf_names": self.lf_names,
-            "n": len(examples),
-        }
+    ) -> list[bytes]:
+        """One meta record, then ``{example_id, votes}`` per example;
+        each distinct vote row is encoded once, as its records' tail.
+
+        Raises:
+            ValueError: If ``votes`` is not ``(len(examples), len(lf_names))``.
+        """
+        shape = (len(examples), len(self.lf_names))
+        if np.shape(votes) != shape:
+            raise ValueError(f"votes of shape {np.shape(votes)} for (examples, LFs) = {shape}")
+        meta = {"kind": "meta", "batch": seq, "lf_names": self.lf_names, "n": shape[0]}
+        bodies, tails = [record_body(meta)], {}
         for example, row in zip(examples, votes.tolist()):
-            yield {"example_id": example.example_id, "votes": row}
+            tail = tails.get(key := tuple(row))
+            if tail is None:
+                tail = tails[key] = b"," + record_body({"votes": row})[1:]
+            bodies.append(b'{"example_id":' + json_token(example.example_id).encode() + tail)
+        return bodies
 
 
 class LabelSink(RecordBatchSink):
@@ -185,9 +199,9 @@ class LabelSink(RecordBatchSink):
         super().__init__(dfs, root, name)
         self._proba_fn = proba_fn
 
-    def batch_payloads(
+    def batch_bodies(
         self, seq: int, examples: list[Example], votes: np.ndarray
-    ) -> Iterator[dict[str, Any]]:
+    ) -> list[bytes]:
         """One meta record, then ``{example_id, proba}`` per example.
 
         Raises:
@@ -199,6 +213,8 @@ class LabelSink(RecordBatchSink):
                 f"proba_fn returned shape {proba.shape} for a batch of "
                 f"{len(examples)} examples"
             )
-        yield {"kind": "meta", "batch": seq, "n": len(examples)}
+        bodies = [record_body({"kind": "meta", "batch": seq, "n": len(examples)})]
         for example, p in zip(examples, proba.tolist()):
-            yield {"example_id": example.example_id, "proba": p}
+            token, eid = _NON_FINITE.get(r := float.__repr__(p), r), example.example_id
+            bodies.append(f'{{"example_id":{json_token(eid)},"proba":{token}}}'.encode())
+        return bodies

@@ -1,14 +1,16 @@
 """Tests for record-file serialization."""
 
 import json
+import struct
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dfs.filesystem import DFSError, FileNotFound
+from repro.dfs.filesystem import DFSError, DistributedFileSystem, FileNotFound
 from repro.dfs.records import (
     DEFAULT_READ_CHUNK,
     RecordCorruption,
@@ -17,10 +19,14 @@ from repro.dfs.records import (
     encode_record,
     iter_record_blobs,
     read_records,
+    record_body,
     stream_records,
     stream_records_with_offsets,
     write_records,
 )
+from repro.lf.applier import _vote_bodies
+from repro.streaming.sinks import LabelSink, VoteSink
+from repro.types import Example
 
 from tests.conftest import decode_records
 
@@ -183,6 +189,115 @@ class TestFraming:
         assert all(out == expected for out in results)
 
 
+#: Characters an id must survive: JSON escapes, controls, non-ASCII,
+#: astral, and lone surrogates of both halves.
+NASTY_CHARS = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xa0\xfc\u4f8b\U0001f600\u2028\ud800\udbff\udc00\udfff'
+ids = st.one_of(st.text(max_size=12), st.text(NASTY_CHARS, max_size=12))
+probas = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2e-308,
+         1e16, 1e-7, 0.1 + 0.2]
+    ),
+)
+
+
+@st.composite
+def vote_batches(draw):
+    """``(ids, votes)``: a ``(B, m)`` int8 batch, m in 0..12, rows drawn
+    from a few patterns so rows repeat the way a real batch's do."""
+    m = draw(st.integers(0, 12))
+    row = st.lists(st.sampled_from([-1, 0, 1]), min_size=m, max_size=m)
+    patterns = draw(st.lists(row, min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(patterns), max_size=12))
+    batch_ids = draw(st.lists(st.one_of(ids, st.integers()), min_size=len(rows),
+                              max_size=len(rows)))
+    return batch_ids, np.array(rows, dtype=np.int8).reshape(len(rows), m)
+
+
+class TestTemplatedBodies:
+    """Every row shape built from a template must be exactly the body
+    ``record_body`` (so ``json.dumps``) gives for its payload."""
+
+    @given(vote_batches())
+    def test_vote_sink_rows(self, batch):
+        batch_ids, votes = batch
+        names = [f"lf{j}" for j in range(votes.shape[1])]
+        sink = VoteSink(DistributedFileSystem(), "/s", names)
+        bodies = sink.batch_bodies(4, [Example(eid) for eid in batch_ids], votes)
+        expected = [{"kind": "meta", "batch": 4, "lf_names": names, "n": len(batch_ids)}]
+        expected += [
+            {"example_id": eid, "votes": row}
+            for eid, row in zip(batch_ids, votes.tolist())
+        ]
+        assert bodies == [dumps(p).encode() for p in expected]
+        assert bodies == [record_body(p) for p in expected]
+
+    @given(st.lists(st.tuples(st.one_of(ids, st.integers()), probas), max_size=12))
+    def test_label_sink_rows(self, rows):
+        proba = np.array([p for _, p in rows], dtype=np.float64)
+        sink = LabelSink(DistributedFileSystem(), "/s", lambda votes: proba)
+        examples = [Example(eid) for eid, _ in rows]
+        bodies = sink.batch_bodies(2, examples, np.zeros((len(rows), 0), np.int8))
+        expected = [{"kind": "meta", "batch": 2, "n": len(rows)}]
+        expected += [{"example_id": eid, "proba": p} for eid, p in rows]
+        assert bodies == [dumps(p).encode() for p in expected]
+
+    @given(st.lists(vote_batches(), max_size=3), st.integers(0, 11))
+    def test_applier_vote_records(self, blocks, k):
+        blocks = [(bids, votes) for bids, votes in blocks if votes.shape[1] > k]
+        expected = [
+            {"key": batch_ids[i], "value": int(votes[i, k])}
+            for batch_ids, votes in blocks
+            for i in range(len(batch_ids))
+            if votes[i, k]
+        ]
+        bodies = list(_vote_bodies(blocks, k))
+        assert bodies == [dumps(p).encode() for p in expected]
+
+
+def frame(body: bytes) -> bytes:
+    """A record with a valid header around any bytes."""
+    return struct.pack(">II", len(body), zlib.crc32(body)) + body
+
+
+class TestDecoder:
+    """The stream decoder scans each body with json's C scanner and
+    falls back to ``JSONDecoder.decode`` only when the scan does not
+    consume the whole body; values and errors stay json's."""
+
+    @given(json_values)
+    def test_values_are_jsons(self, value):
+        blob = frame(dumps(value).encode())
+        dfs = DistributedFileSystem()
+        dfs.write_file("/r/v", blob)
+        got = list(RecordReader(dfs, "/r/v"))
+        # dumps compares NaN-bearing values and keeps int/float distinct.
+        assert [dumps(v) for v in got] == [dumps(v) for v in decode_records(blob)]
+
+    @pytest.mark.parametrize(
+        "body", [b' {"a": 1}', b'{"a":1} ', b"\n[1, 2]\t", b' "x" ', b" 7 "]
+    )
+    def test_whitespace_around_a_body_decodes_as_before(self, dfs, body):
+        dfs.write_file("/r/ws", frame(body))
+        assert read_records(dfs, "/r/ws") == [json.loads(body)]
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"a":1}x', b'{"a":1} {}', b'{"a":}', b"", b"   ", b"[1,2",
+         b"nul", b'"abc', b'{"a" 1}', b"-", b"01", b'{"a":1,}'],
+    )
+    def test_bad_bodies_raise_the_oracles_error(self, dfs, body):
+        blob = frame(b'{"ok":1}') + frame(body)
+        dfs.write_file("/r/bad", blob)
+        with pytest.raises(ValueError) as oracle:
+            list(decode_records(blob))
+        with pytest.raises(ValueError) as ours:
+            list(RecordReader(dfs, "/r/bad"))
+        assert type(ours.value) is type(oracle.value)
+        assert str(ours.value) == str(oracle.value)
+
+
 class TestWriterReader:
     def test_write_read_round_trip(self, dfs):
         count = write_records(dfs, "/r/file", [{"i": i} for i in range(10)])
@@ -248,6 +363,27 @@ class TestWriterReader:
         writer.close()
         with pytest.raises(ValueError, match="closed"):
             writer.write({"a": 1})
+
+    def test_closed_writer_rejects_bodies_like_writes(self, dfs):
+        writer = RecordWriter(dfs, "/r/x")
+        writer.close()
+        with pytest.raises(ValueError) as by_write:
+            writer.write({"a": 1})
+        with pytest.raises(ValueError) as by_body:
+            writer.write_body(b'{"a":1}')
+        assert str(by_body.value) == str(by_write.value)
+        assert writer.records_written == 0
+
+    def test_write_is_write_body_of_record_body(self, dfs):
+        payloads = [{"i": i, "s": "ü\ud800"} for i in range(5)]
+        with RecordWriter(dfs, "/r/a") as writer:
+            for payload in payloads:
+                writer.write(payload)
+        with RecordWriter(dfs, "/r/b") as writer:
+            for payload in payloads:
+                writer.write_body(record_body(payload))
+        assert dfs.read_file("/r/a") == dfs.read_file("/r/b")
+        assert dfs.read_file("/r/a") == b"".join(encode_record(p) for p in payloads)
 
     def test_reader_iterates_multiple_times(self, dfs):
         write_records(dfs, "/r/x", [{"i": 1}])

@@ -24,6 +24,7 @@ from repro.parallel import (
     ParallelLabelExecutor,
     parallel_block_size,
 )
+from repro.parallel.executor import _pack_block, _unpack_block
 from repro.streaming import (
     CheckpointedStream,
     MicroBatchPipeline,
@@ -175,6 +176,28 @@ class TestOfflineParallel:
                 build_typed_field_suite(), corpus, executor=executor
             ).matrix
         assert np.array_equal(pooled, serial)
+
+    def test_worker_rebuilds_what_from_record_builds(self):
+        """A block crosses as tuples; the worker's examples equal
+        ``Example.from_record(e.to_record())``, tuple values and int
+        keys intact and ``None`` views normalised to ``{}``."""
+        corpus = [
+            Example(
+                e.example_id,
+                fields={**e.fields, "hist": {3: 0.9}, "span": (1, 2)},
+                servable={"s": i},
+                non_servable={7: ("a", "b")},
+                label=i % 2,
+            )
+            for i, e in enumerate(make_corpus(n=12, seed=5))
+        ]
+        corpus.append(Example("bare", fields=None, servable=None, non_servable=None))
+        rebuilt = _unpack_block(_pack_block(corpus))
+        assert rebuilt == [Example.from_record(e.to_record()) for e in corpus]
+        assert rebuilt[0].fields["span"] == (1, 2)
+        assert rebuilt[0].fields["hist"] == {3: 0.9}
+        assert rebuilt[0].non_servable == {7: ("a", "b")}
+        assert (rebuilt[-1].fields, rebuilt[-1].servable) == ({}, {})
 
 
 # ----------------------------------------------------------------------

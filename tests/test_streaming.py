@@ -32,6 +32,7 @@ from repro.streaming import (
     MemorySource,
     MicroBatchPipeline,
     RecordStreamSource,
+    VoteSink,
     iter_example_batches,
 )
 from repro.types import Example
@@ -146,6 +147,26 @@ class TestGauge:
         # on either side leaves current != 0 (or tripped underflow).
         assert gauge.current == 0
         assert 1 <= gauge.peak <= workers * n
+
+
+# ----------------------------------------------------------------------
+# sinks
+# ----------------------------------------------------------------------
+class TestVoteSinkShape:
+    @pytest.mark.parametrize(
+        "shape", [(3, 2), (5, 2), (4, 1), (4, 3)], ids=str
+    )
+    def test_misshapen_votes_raise_before_anything_is_staged(self, dfs, shape):
+        """Fewer or more rows than examples, or a width other than the
+        sink's LF names, would publish a shard its meta record
+        contradicts: the sink refuses the batch and stages nothing."""
+        sink = VoteSink(dfs, "/run", ["a", "b"])
+        examples = [Example(f"x{i}") for i in range(4)]
+        with pytest.raises(ValueError, match="votes of shape"):
+            sink(0, examples, np.zeros(shape, dtype=np.int8))
+        assert dfs.list("/run/") == []
+        assert dfs.staged_paths() == []
+        assert (sink.shards_written, sink.records_written) == (0, 0)
 
 
 # ----------------------------------------------------------------------
