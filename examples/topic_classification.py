@@ -53,7 +53,6 @@ def main():
         label_model_config=LabelModelConfig(n_steps=4000),
         use_mapreduce=True,
         num_shards=8,
-        parallelism=4,
         model_name="topic-classifier",
     )
     dev_labels = np.array([e.label for e in dataset.dev])

@@ -44,7 +44,6 @@ RESOURCE_CONSTRUCTORS: dict[str, tuple[str, frozenset[str]]] = {
         "record writer",
         frozenset({"close", "abandon"}),
     ),
-    "NodeServicePool": ("service pool", frozenset({"shutdown"})),
     "ProcessPoolExecutor": ("process pool", frozenset({"shutdown"})),
     "ThreadPoolExecutor": ("thread pool", frozenset({"shutdown"})),
     "Pool": ("process pool", frozenset({"close", "terminate", "join"})),

@@ -239,10 +239,10 @@ class SamplingFreeLabelModel:
     def partial_step(self, batch: np.ndarray) -> float:
         """Take one gradient step on a caller-supplied minibatch.
 
-        Used by the speed benchmark (steps/second, Section 5.2) and by the
-        distributed trainer in :mod:`repro.pipeline`, which shards batches
-        across simulated nodes the way the paper notes TensorFlow's API
-        makes easy.
+        Used by the speed benchmark (steps/second, Section 5.2,
+        :func:`repro.experiments.perf.run_speed`); the online model's
+        incremental steps take the same kernel step on rows it has
+        already validated.
         """
         if self.alpha is None or self.beta is None:
             raise RuntimeError("call fit() or init_params() before partial_step()")

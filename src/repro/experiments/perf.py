@@ -109,7 +109,7 @@ def run_scale(scale: str | None = None, seed: int = DEFAULT_SEED) -> ExperimentR
 
     dfs = DistributedFileSystem()
     paths = stage_examples(dfs, examples, "/perf/examples", num_shards=8)
-    applier = LFApplier(dfs, paths, run_root="/perf/run", parallelism=4)
+    applier = LFApplier(dfs, paths, run_root="/perf/run")
     start = time.perf_counter()
     report = applier.apply(lfs)
     labeling_wall = time.perf_counter() - start

@@ -133,8 +133,7 @@ def fused_lf_columns(lfs: Sequence[AbstractLabelingFunction]) -> FusedPlan:
 
 def start_lf_resources(lfs: Sequence[AbstractLabelingFunction]) -> None:
     """Bring up every LF's offline resources and local model server for a
-    bulk run — before any block is labelled, since a MapReduce job labels
-    blocks on several threads at once."""
+    bulk run, once, before its first block is labelled."""
     for lf in lfs:
         if isinstance(lf, LabelingFunction):
             lf.start_resources()
@@ -188,7 +187,11 @@ def _vote_bodies(blocks, k: int):
 
 class LFApplier:
     """Labels staged examples with an LF suite: one vote shard set per LF
-    and the joined label matrix."""
+    and the joined label matrix.
+
+    ``parallelism`` accepts only ``1``: map tasks run one after another
+    on the caller's thread.
+    """
 
     def __init__(
         self,
@@ -198,10 +201,15 @@ class LFApplier:
         parallelism: int = 1,
         batch_size: int | None = DEFAULT_BLOCK_SIZE,
     ) -> None:
+        if parallelism != 1:
+            raise ValueError(
+                f"LFApplier runs its map tasks on the caller's thread; got "
+                f"parallelism={parallelism}. To label on several processes, "
+                "use apply_lfs_in_memory(executor=ParallelLabelExecutor(...))"
+            )
         self._dfs = dfs
         self._example_paths = list(example_paths)
         self._run_root = run_root.rstrip("/")
-        self._parallelism = parallelism
         self._batch_size = batch_size
 
     def apply(self, lfs: Sequence[AbstractLabelingFunction]) -> ApplyReport:
@@ -254,10 +262,7 @@ class LFApplier:
             mapper=None,
             batch_mapper=batch_mapper,
             map_block_size=self._batch_size,
-            reducer=None,
-            parallelism=self._parallelism,
         )
-        # Started before the job: its map tasks label on several threads.
         start_lf_resources(lfs)
         try:
             result = MapReduceJob(self._dfs, spec).run()
@@ -296,7 +301,6 @@ class LFApplier:
                 abstains=n - positives[k] - negatives[k],
                 # The suite shares one job; each LF reports the job's wall.
                 wall_seconds=result.wall_seconds,
-                nodes_used=result.node_count,
             )
             for k, lf in enumerate(lfs)
         ]
@@ -308,7 +312,7 @@ class LFApplier:
         """The per-record oracle: every LF is its own binary.
 
         Each LF runs :meth:`~repro.lf.base.AbstractLabelingFunction.run`,
-        whose job starts the model servers per compute node; the ids come
+        whose job starts its model server once; the ids come
         from one more pass over the input, and every LF's shards are read
         back and scattered into its column through an id index.
         """
@@ -327,7 +331,6 @@ class LFApplier:
                     self._dfs,
                     self._example_paths,
                     f"{self._run_root}/{lf.name}/votes",
-                    parallelism=self._parallelism,
                 )
             finally:
                 stop_lf_resources([lf])

@@ -56,7 +56,6 @@ class LFRunResult:
     negatives: int
     abstains: int
     wall_seconds: float
-    nodes_used: int
 
     @property
     def coverage(self) -> float:
@@ -132,15 +131,12 @@ class AbstractLabelingFunction:
         dfs: DistributedFileSystem,
         input_paths: Sequence[str],
         output_base: str,
-        parallelism: int = 1,
-        tasks_per_node: int = 4,
-        fail_injector: Callable[[int, int], None] | None = None,
     ) -> LFRunResult:
         """Execute this LF over example record files; write vote shards.
 
         One map task per input shard calls :meth:`_vote` on each record,
         with the node-local model server when the pipeline declares one
-        (started once per simulated compute node).
+        (started once for the job).
         """
 
         def mapper(ctx: MapContext, record: dict) -> None:
@@ -164,11 +160,7 @@ class AbstractLabelingFunction:
             input_paths=list(input_paths),
             output_base=output_base,
             mapper=mapper,
-            reducer=None,
-            parallelism=parallelism,
-            tasks_per_node=tasks_per_node,
             node_setup=self._node_service_factory(),
-            fail_injector=fail_injector,
         )
         result = MapReduceJob(dfs, spec).run()
         counters = result.counters
@@ -181,7 +173,6 @@ class AbstractLabelingFunction:
             negatives=counters.value("negatives"),
             abstains=counters.value("abstains"),
             wall_seconds=result.wall_seconds,
-            nodes_used=result.node_count,
         )
 
     # ------------------------------------------------------------------

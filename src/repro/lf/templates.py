@@ -317,9 +317,9 @@ class FusedPlan:
         """
         groups = self._groups
         if groups is None:
-            # Built into locals and published with one assignment:
-            # MapReduce block mappers share a plan across threads, and a
-            # racing second build is identical and harmless.
+            # Built into locals and published with one assignment: a
+            # caller's threads may share a plan, and a racing second
+            # build is identical and harmless.
             groups = self._groups = self._compile()
         for topic_model in self._topic_models:
             topic_model.record_batch_calls(len(examples))

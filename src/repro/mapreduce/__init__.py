@@ -9,10 +9,10 @@ on each compute node" (Section 5.1).
 
 This package reproduces the slice of MapReduce those templates need:
 
-* shard-parallel map over DFS record files,
-* deterministic hash shuffle and sorted reduce,
-* per-node lifecycle hooks (where model servers start/stop),
-* counters, retry-on-worker-failure, and thread-pool parallelism.
+* a map-only job over DFS record files, one map task per shard, run in
+  task order on the caller's thread,
+* one node-local service per job (where model servers start/stop),
+* counters and retry-on-worker-failure.
 """
 
 from repro.mapreduce.counters import CounterSet
@@ -20,9 +20,9 @@ from repro.mapreduce.runner import (
     MapReduceJob,
     MapReduceResult,
     MapReduceSpec,
+    NodeService,
     WorkerFailure,
 )
-from repro.mapreduce.service import NodeService, NodeServicePool
 
 __all__ = [
     "CounterSet",
@@ -31,5 +31,4 @@ __all__ = [
     "MapReduceSpec",
     "WorkerFailure",
     "NodeService",
-    "NodeServicePool",
 ]

@@ -66,7 +66,6 @@ class DryBellPipeline:
         use_mapreduce: bool = False,
         dfs: DistributedFileSystem | None = None,
         num_shards: int = 8,
-        parallelism: int = 2,
         model_name: str = "drybell-model",
     ) -> None:
         if not lfs:
@@ -79,7 +78,6 @@ class DryBellPipeline:
         self.use_mapreduce = use_mapreduce
         self.dfs = dfs or DistributedFileSystem()
         self.num_shards = num_shards
-        self.parallelism = parallelism
         self.model_name = model_name
 
     # ------------------------------------------------------------------
@@ -89,18 +87,23 @@ class DryBellPipeline:
         """Stages 2-3: execute every LF, join votes into the matrix."""
         if not self.use_mapreduce:
             return apply_lfs_in_memory(self.lfs, examples), None
-        run_id = f"run-{int(time.time() * 1000)}"
+        run_id = self._unused_run_id()
         paths = stage_examples(
             self.dfs, list(examples), f"/data/{run_id}/examples", self.num_shards
         )
-        applier = LFApplier(
-            self.dfs,
-            paths,
-            run_root=f"/runs/{run_id}",
-            parallelism=self.parallelism,
+        report = LFApplier(self.dfs, paths, run_root=f"/runs/{run_id}").apply(
+            self.lfs
         )
-        report = applier.apply(self.lfs)
         return report.label_matrix, report
+
+    def _unused_run_id(self) -> str:
+        """The first ``run-N`` with nothing under ``/data/`` or ``/runs/``
+        on this DFS. DFS files are immutable, so an id must not repeat on
+        one DFS however close together two runs start."""
+        n = 0
+        while self.dfs.list(f"/data/run-{n}/") or self.dfs.list(f"/runs/run-{n}/"):
+            n += 1
+        return f"run-{n}"
 
     def fit_label_model(self, matrix: LabelMatrix) -> SamplingFreeLabelModel:
         """Stage 4: fit the sampling-free generative model."""

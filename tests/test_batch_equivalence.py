@@ -365,9 +365,9 @@ def test_plan_builds_its_index_once_per_started_suite():
 
 
 def test_uncompiled_plan_shared_by_racing_threads():
-    """MapReduce block mappers share one plan across a thread pool: any
-    number of threads may hit the first ``apply`` together, and each
-    must see a whole index, never a half-built one."""
+    """A caller's threads may share one plan: any number of them may
+    hit the first ``apply`` together, and each must see a whole index,
+    never a half-built one."""
     lfs, examples = product_suite_and_examples(40)
     expected = apply_lfs_in_memory(lfs, examples).matrix
     threads_n, rounds = 4, 10
@@ -403,14 +403,12 @@ def test_uncompiled_plan_shared_by_racing_threads():
 # ----------------------------------------------------------------------
 # batched MapReduce path: byte-identical vote shards
 # ----------------------------------------------------------------------
-def _apply_report(examples, lfs, batch_size, parallelism=2, dfs=None):
+def _apply_report(examples, lfs, batch_size, dfs=None):
     dfs = dfs or DistributedFileSystem()
     paths = stage_examples(dfs, examples, "/eq/examples", num_shards=4)
-    applier = LFApplier(
-        dfs, paths, run_root="/eq/run", parallelism=parallelism,
-        batch_size=batch_size,
-    )
-    report = applier.apply(lfs)
+    report = LFApplier(
+        dfs, paths, run_root="/eq/run", batch_size=batch_size
+    ).apply(lfs)
     shard_bytes = {
         result.lf_name: b"".join(
             dfs.read_file(path) for path in result.output_paths
@@ -449,15 +447,12 @@ def _suite(app):
 def test_mapreduce_batched_output_byte_identical(app):
     examples, lfs = _suite(app)
     runs = {
-        (batch_size, parallelism): _apply_report(
-            examples, lfs, batch_size, parallelism
-        )
+        batch_size: _apply_report(examples, lfs, batch_size)
         for batch_size in (None, 64, 1024)
-        for parallelism in (1, 2)
     }
 
-    per_record, bytes_per_record = runs[None, 2]
-    batched, bytes_batched = runs[64, 2]
+    per_record, bytes_per_record = runs[None]
+    batched, bytes_batched = runs[64]
 
     assert bytes_batched == bytes_per_record
     assert np.array_equal(
@@ -471,7 +466,7 @@ def test_mapreduce_batched_output_byte_identical(app):
         assert res_a.abstains == res_b.abstains
 
     # Ids, names, every result field and every shard byte, at every
-    # block size and parallelism, against the per-record oracle.
+    # block size, against the per-record oracle.
     for report, shard_bytes in runs.values():
         assert shard_bytes == bytes_per_record
         assert _report_fields(report) == _report_fields(per_record)
@@ -511,9 +506,7 @@ def test_apply_moves_each_byte_once(app):
     paths = stage_examples(dfs, examples, "/eq/examples", num_shards=4)
     staged_bytes = dfs.appended
     dfs.created.clear()
-    report = LFApplier(
-        dfs, paths, run_root="/eq/run", parallelism=1, batch_size=64
-    ).apply(lfs)
+    report = LFApplier(dfs, paths, run_root="/eq/run", batch_size=64).apply(lfs)
 
     for path in paths:
         assert dfs.read_bytes[path] == dfs.size(path)
@@ -532,7 +525,7 @@ def test_suite_job_retried_task_contributes_once(monkeypatch):
     fails once) and is retried yields exactly the clean run: same
     matrix, ids, shard bytes and counts, nothing left staged."""
     examples, lfs = _suite("product")
-    clean, clean_bytes = _apply_report(examples, lfs, 16, parallelism=1)
+    clean, clean_bytes = _apply_report(examples, lfs, 16)
 
     topic_model = next(
         resource for lf in lfs for resource in lf.resources
@@ -549,7 +542,7 @@ def test_suite_job_retried_task_contributes_once(monkeypatch):
 
     monkeypatch.setattr(topic_model, "record_batch_calls", fail_on_second_block)
     dfs = DistributedFileSystem()
-    retried, retried_bytes = _apply_report(examples, lfs, 16, 1, dfs)
+    retried, retried_bytes = _apply_report(examples, lfs, 16, dfs)
 
     # 4 shards x 4 blocks of <= 16, plus the failed block and the redone one.
     assert len(calls) == 16 + 2
@@ -561,11 +554,9 @@ def test_suite_job_retried_task_contributes_once(monkeypatch):
 @pytest.mark.parametrize("batch_size", [64, None])
 def test_apply_starts_one_server_per_nlp_lf(monkeypatch, batch_size):
     """The suite job labels through each NLP LF's one local server,
-    started before the job's map threads; the per-record oracle starts
-    none of those, only its job's one node server per LF. Either way
-    every server is started once and stopped — with four map threads on
-    this 4-shard input and a short switch interval, so a lazily started
-    server would be raced into a second one."""
+    started before the job; the per-record oracle starts none of those,
+    only its job's one node server per LF. Either way every server is
+    started once and stopped, on the caller's thread."""
     examples, lfs = _suite("topic")
     servers = Counter()
     created = []
@@ -581,12 +572,7 @@ def test_apply_starts_one_server_per_nlp_lf(monkeypatch, batch_size):
 
             monkeypatch.setattr(lf, "_server_factory", counting_factory)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        _apply_report(examples, lfs, batch_size, parallelism=4)
-    finally:
-        sys.setswitchinterval(interval)
+    _apply_report(examples, lfs, batch_size)
 
     nlp_names = [lf.name for lf in lfs if isinstance(lf, NLPLabelingFunction)]
     assert len(nlp_names) == 2
@@ -594,9 +580,7 @@ def test_apply_starts_one_server_per_nlp_lf(monkeypatch, batch_size):
     assert [server.stats.starts for server in created] == [1, 1]
     assert not any(server.running for server in created)
     assert all(lf._local_service is None for lf in lfs)
-    if batch_size is not None:
-        # Built on this thread, before the job's map threads exist.
-        assert builders == [threading.current_thread()] * 2
+    assert builders == [threading.current_thread()] * 2
 
 
 # ----------------------------------------------------------------------

@@ -204,8 +204,8 @@ class TestNLPLabelingFunction:
         )
         examples = make_examples(8)
         paths = stage_examples(dfs, examples, "/d/nlp2", num_shards=4)
-        lf.run(dfs, paths, "/r/nlp2", parallelism=1, tasks_per_node=4)
-        assert len(starts) == 1  # one node -> one server
+        lf.run(dfs, paths, "/r/nlp2")
+        assert len(starts) == 1  # one job -> one server
 
 
 class TestApplier:
@@ -240,6 +240,14 @@ class TestApplier:
         with pytest.raises(ValueError, match="'same'"):
             applier.apply(lfs)
         assert dfs.list("/runs/dup/") == []
+
+    def test_apply_rejects_parallelism_above_one(self, dfs):
+        paths = stage_examples(dfs, make_examples(6), "/d/par", num_shards=2)
+        with pytest.raises(ValueError, match=r"apply_lfs_in_memory\(executor="):
+            LFApplier(dfs, paths, run_root="/runs/par", parallelism=2).apply(
+                [simple_lf()]
+            )
+        assert dfs.list("/runs/par/") == []
 
     def test_stage_examples_validates_shards(self, dfs):
         with pytest.raises(ValueError):

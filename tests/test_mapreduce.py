@@ -4,10 +4,9 @@ import threading
 
 import pytest
 
-from repro.dfs.records import read_records, write_records
+from repro.dfs.records import write_records
 from repro.mapreduce.counters import CounterSet
 from repro.mapreduce.runner import MapReduceJob, MapReduceSpec, WorkerFailure
-from repro.mapreduce.service import NodeServicePool
 
 
 def stage_numbers(dfs, shards=4, per_shard=5):
@@ -138,61 +137,11 @@ class TestMapOnly:
         def mapper(ctx, record):
             ctx.give(record["n"])
 
-        for parallelism in (1, 3):
-            spec = MapReduceSpec("t", paths, None, mapper, parallelism=parallelism)
-            result = MapReduceJob(dfs, spec).run()
-            # Task order, whatever the parallelism.
-            assert result.returned == [[0, 1], [2, 3], [4, 5]]
-            assert result.output_paths == [] and result.records_out == 0
+        result = MapReduceJob(dfs, MapReduceSpec("t", paths, None, mapper)).run()
+        # One list per map task, in task order.
+        assert result.returned == [[0, 1], [2, 3], [4, 5]]
+        assert result.output_paths == [] and result.records_out == 0
         assert dfs.file_count() == before and dfs.staged_paths() == []
-        with pytest.raises(ValueError, match="output_base"):
-            MapReduceSpec("t", paths, None, mapper, reducer=lambda c, k, v: None)
-
-
-class TestReduce:
-    def _word_count(self, dfs, parallelism=1):
-        paths = stage_numbers(dfs, shards=4, per_shard=10)
-
-        def mapper(ctx, record):
-            ctx.emit("even" if record["n"] % 2 == 0 else "odd", 1)
-
-        def reducer(ctx, key, values):
-            ctx.emit(key, sum(values))
-
-        spec = MapReduceSpec(
-            "wc", paths, "/out/wc", mapper, reducer=reducer,
-            num_reducers=2, parallelism=parallelism,
-        )
-        result = MapReduceJob(dfs, spec).run()
-        merged = {}
-        for path in result.output_paths:
-            for record in read_records(dfs, path):
-                merged[record["key"]] = record["value"]
-        return merged, result
-
-    def test_word_count(self, dfs):
-        merged, result = self._word_count(dfs)
-        assert merged == {"even": 20, "odd": 20}
-        assert result.reduce_tasks == 2
-
-    def test_parallel_equals_sequential(self, dfs):
-        from repro.dfs.filesystem import DistributedFileSystem
-
-        sequential, _ = self._word_count(dfs, parallelism=1)
-        parallel, _ = self._word_count(DistributedFileSystem(), parallelism=4)
-        assert sequential == parallel
-
-    def test_reduce_output_bytes_deterministic(self, dfs):
-        from repro.dfs.filesystem import DistributedFileSystem
-
-        outputs = []
-        for parallelism in (1, 4):
-            fresh = DistributedFileSystem()
-            _, result = self._word_count(fresh, parallelism=parallelism)
-            outputs.append(
-                b"".join(fresh.read_file(p) for p in result.output_paths)
-            )
-        assert outputs[0] == outputs[1]
 
 
 class TestFailureHandling:
@@ -247,6 +196,7 @@ class TestFailureHandling:
 
     def test_persistent_failure_aborts(self, dfs):
         paths = stage_numbers(dfs, shards=1)
+        log = []
 
         def always_fail(task, attempt):
             raise RuntimeError("dead node")
@@ -257,9 +207,12 @@ class TestFailureHandling:
         spec = MapReduceSpec(
             "t", paths, "/out/x", mapper,
             fail_injector=always_fail, max_retries=2,
+            node_setup=lambda: _RecordingService(log),
         )
         with pytest.raises(WorkerFailure, match="after 3 attempts"):
             MapReduceJob(dfs, spec).run()
+        # Started once for the job's three attempts, stopped on abort.
+        assert log == ["start", "stop"]
 
     def test_mapper_exception_is_retried_then_fatal(self, dfs):
         paths = stage_numbers(dfs, shards=1)
@@ -284,7 +237,7 @@ class _RecordingService:
 
 
 class TestNodeServices:
-    def test_services_start_per_node_not_per_task(self, dfs):
+    def test_services_start_per_job_not_per_task(self, dfs):
         paths = stage_numbers(dfs, shards=8)
         log = []
 
@@ -295,36 +248,10 @@ class TestNodeServices:
         spec = MapReduceSpec(
             "t", paths, "/out/s", mapper,
             node_setup=lambda: _RecordingService(log),
-            tasks_per_node=4, parallelism=1,
         )
-        result = MapReduceJob(dfs, spec).run()
-        # Sequential execution packs all tasks onto one node.
+        MapReduceJob(dfs, spec).run()
         assert log.count("start") == 1
         assert log.count("stop") == 1
-        assert result.node_count == 1
-
-    def test_parallel_tasks_spread_across_nodes(self, dfs):
-        paths = stage_numbers(dfs, shards=4)
-        log = []
-        barrier = threading.Barrier(4, timeout=30)
-        gate_once = threading.local()
-
-        def mapper(ctx, record):
-            # Force all four map tasks to be in flight simultaneously so
-            # the pool must start four single-slot nodes.
-            if not getattr(gate_once, "passed", False):
-                gate_once.passed = True
-                barrier.wait()
-            ctx.emit("k", 1)
-
-        spec = MapReduceSpec(
-            "t", paths, "/out/s2", mapper,
-            node_setup=lambda: _RecordingService(log),
-            tasks_per_node=1, parallelism=4,
-        )
-        result = MapReduceJob(dfs, spec).run()
-        assert result.node_count == 4
-        assert log.count("start") == log.count("stop") == 4
 
     def test_no_service_configured(self, dfs):
         paths = stage_numbers(dfs, shards=1)
@@ -337,26 +264,26 @@ class TestNodeServices:
 
         MapReduceJob(dfs, MapReduceSpec("t", paths, "/out/n", mapper)).run()
 
-    def test_pool_reuses_nodes_with_free_slots(self):
+    def test_service_start_failure_is_a_crashed_attempt(self, dfs):
+        paths = stage_numbers(dfs, shards=2)
         log = []
-        pool = NodeServicePool(lambda: _RecordingService(log), tasks_per_node=2)
-        a = pool.acquire()
-        b = pool.acquire()
-        assert a is b  # same node, two slots
-        c = pool.acquire()
-        assert c is not a  # third task forces a second node
-        pool.release(a)
-        d = pool.acquire()
-        assert d is a  # freed slot reused
-        pool.shutdown()
-        assert log.count("stop") == 2
+        built = []
 
-    def test_pool_without_factory_returns_none(self):
-        pool = NodeServicePool(None)
-        assert pool.acquire() is None
-        pool.release(None)
-        pool.shutdown()
+        class FlakyStart(_RecordingService):
+            def start(self):
+                if not built:
+                    built.append(self)
+                    raise RuntimeError("server failed to come up")
+                super().start()
 
-    def test_pool_validates_tasks_per_node(self):
-        with pytest.raises(ValueError):
-            NodeServicePool(lambda: _RecordingService([]), tasks_per_node=0)
+        def mapper(ctx, record):
+            ctx.emit(str(record["n"]), 1)
+
+        spec = MapReduceSpec(
+            "t", paths, "/out/fs", mapper,
+            node_setup=lambda: FlakyStart(log),
+        )
+        result = MapReduceJob(dfs, spec).run()
+        assert result.retries == 1
+        assert result.records_out == 10
+        assert log == ["start", "stop"]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.applications.topic import build_topic_lfs, topic_featurizer
 from repro.core.label_model import LabelModelConfig
+from repro.dfs.filesystem import DistributedFileSystem
 from repro.discriminative.logistic import LogisticConfig
 from repro.pipeline import DryBellPipeline
 from repro.serving.model_registry import ModelRegistry
@@ -58,7 +59,6 @@ class TestPipelineStages:
             label_model_config=fast_label_config(),
             use_mapreduce=True,
             num_shards=4,
-            parallelism=2,
         )
         m_matrix, _ = memory.label(topic_slice)
         d_matrix, report = dfs_based.label(topic_slice)
@@ -66,6 +66,35 @@ class TestPipelineStages:
         aligned = d_matrix.select_examples(m_matrix.example_ids)
         assert aligned.lf_names == m_matrix.lf_names
         assert np.array_equal(aligned.matrix, m_matrix.matrix)
+
+    def test_label_run_ids_never_repeat(self, monkeypatch, topic_dataset):
+        """Regression: the run id was the clock in milliseconds, so two
+        ``label`` calls on one DFS within a tick wrote the same immutable
+        files and the second raised."""
+        monkeypatch.setattr("repro.pipeline.time.time", lambda: 1.7e9)
+        lfs, _ = build_topic_lfs(topic_dataset.world)
+        examples = topic_dataset.unlabeled[:40]
+        dfs = DistributedFileSystem()
+        first, second = (
+            DryBellPipeline(lfs, use_mapreduce=True, dfs=dfs, num_shards=2)
+            for _ in range(2)
+        )
+        reports = [
+            first.label(examples)[1],
+            first.label(examples)[1],
+            second.label(examples)[1],
+        ]
+        roots = [
+            {path.rsplit("/", 2)[0] for result in report.lf_results
+             for path in result.output_paths}
+            for report in reports
+        ]
+        assert all(len(root) == 1 for root in roots)
+        assert len(set.union(*roots)) == 3
+        for report in reports[1:]:
+            assert np.array_equal(
+                report.label_matrix.matrix, reports[0].label_matrix.matrix
+            )
 
     def test_full_run_stages_model(self, topic_dataset, topic_slice):
         lfs, _ = build_topic_lfs(topic_dataset.world)
@@ -129,7 +158,6 @@ class TestMapReduceAlignment:
             registry=registry,
             use_mapreduce=True,
             num_shards=5,
-            parallelism=2,
             model_name="aligned",
         )
         slice_ = topic_dataset.unlabeled[:600]
