@@ -21,10 +21,6 @@ Public surface:
   kept as the speed baseline for the Section 5.2 comparison.
 * :mod:`repro.core.combiners` — Logical-OR and equal-weight baselines used
   in Sections 6.3/6.4.
-* :class:`StructuredLabelModel` — the low-tree-width dependency extension
-  flagged as future work in Section 5.2.
-* :class:`TripletLabelModel` — the matrix-factorization-style denoiser
-  plug-in (reference [31]).
 * :class:`LFAnalysis` — coverage/overlap/conflict/accuracy diagnostics
   (how Section 3.3's "previously unknown low-quality sources" were found).
 """
@@ -43,8 +39,6 @@ from repro.core.combiners import (
     majority_vote_labels,
     weighted_vote_probabilities,
 )
-from repro.core.structure import StructuredLabelModel
-from repro.core.matrix_completion import TripletLabelModel
 from repro.core.analysis import LFAnalysis
 from repro.core.noise_aware import (
     expected_log_loss,
@@ -62,8 +56,6 @@ __all__ = [
     "DriftPolicy",
     "MulticlassLabelModel",
     "GibbsLabelModel",
-    "StructuredLabelModel",
-    "TripletLabelModel",
     "LFAnalysis",
     "equal_weight_probabilities",
     "logical_or_labels",

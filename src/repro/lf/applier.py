@@ -364,8 +364,9 @@ def apply_lfs_in_memory(
 
     ``batched=True`` (the default) fills each LF's column via
     :meth:`~repro.lf.base.AbstractLabelingFunction.label_batch` in
-    ``batch_size`` blocks; ``batched=False`` is the seed's per-example
-    loop, kept as the baseline the perf suite compares against.
+    ``batch_size`` blocks; ``batched=False`` is the per-example loop
+    over :meth:`~repro.lf.base.AbstractLabelingFunction.vote_in_memory`,
+    the oracle the equivalence tests judge the batched path against.
 
     ``executor`` (a live :class:`repro.parallel.ParallelLabelExecutor`
     whose suite spec rebuilds ``lfs`` in each worker) shards example
@@ -387,9 +388,9 @@ def apply_lfs_in_memory(
     n, m = len(examples), len(lfs)
     matrix = np.zeros((n, m), dtype=np.int8)
 
+    if executor is not None and not batched:
+        raise ValueError("executor= requires the batched path")
     if executor is not None and n > 0:
-        if not batched:
-            raise ValueError("executor= requires the batched path")
         from repro.parallel import parallel_block_size
 
         votes = executor.label_examples(

@@ -13,11 +13,15 @@ aggregate store) are declared via ``resources`` so the applier can bring
 them up for the duration of a run — the lifecycle bug of calling a
 stopped service is surfaced loudly by :class:`repro.services.ModelServer`.
 
-A pipeline that can vote on a whole block at once additionally supplies
-``batch_fn`` (``Sequence[Example] -> np.ndarray``); the template
-factories in :mod:`repro.lf.templates` all do, which is what makes the
-batched execution engine fast. Without a ``batch_fn`` the per-example
-``fn`` is looped, so handwritten LFs keep working on the batched path.
+A block is voted by one of three kernels, first match wins:
+
+* the LF's ``fused_spec`` (the token-driven template factories attach
+  one), applied through a one-spec :class:`repro.lf.templates.FusedPlan`
+  — the same kernel that labels the whole suite on every runtime path;
+* a ``batch_fn`` (``Sequence[Example] -> np.ndarray``), which the other
+  template factories supply;
+* otherwise the per-example ``fn``, looped, so handwritten LFs keep
+  working on the batched path.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ class LabelingFunction(AbstractLabelingFunction):
     #: Declarative batch spec (a :class:`repro.lf.templates.TokenMatchSpec`
     #: or :class:`repro.lf.templates.TopicVetoSpec`), attached by the
     #: template factories whose vote is a pure function of the example's
-    #: token stream. When present, the in-memory batch applier fuses all
-    #: such LFs into one pass per example.
+    #: token stream. When present, the suite's plan fuses all such LFs
+    #: into one pass per example, and :meth:`label_batch` applies this
+    #: spec alone through a one-spec plan.
     fused_spec = None
 
     def __init__(
@@ -64,6 +69,11 @@ class LabelingFunction(AbstractLabelingFunction):
     def _vote_batch(
         self, examples: Sequence[Example], service: ModelServer | None
     ) -> np.ndarray:
+        if self.fused_spec is not None:
+            # Local import: repro.lf.templates imports this module.
+            from repro.lf.templates import FusedPlan
+
+            return FusedPlan([self.fused_spec]).apply(examples)[:, 0]
         if self._batch_fn is not None:
             return self._batch_fn(examples)
         return super()._vote_batch(examples, service)

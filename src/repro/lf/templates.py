@@ -9,16 +9,19 @@ and aggregate-statistic thresholds. Each factory here returns a
 (category, servability, resources) so registries, the Figure 2 census,
 and the Table 3 ablation all see a consistent inventory.
 
-Every factory wires both template slots of the batched execution engine:
-the per-example ``fn`` (the engineer-facing code, unchanged from the
-paper) and a vectorized ``batch_fn`` used by ``label_batch`` and the
-block-based MapReduce mapper. The two are semantically identical — the
-equivalence suite asserts vote-for-vote agreement — but the batch
-kernels tokenize each field once per kernel pass (once per example
-across every LF of a fused plan), probe keyword sets with one hashed set
-intersection instead of per-surface scans, and threshold model scores
-as NumPy arrays. Kernels read an ``Example`` and never write to it:
-tokens live only as long as the probe that reads them.
+Every factory wires two template slots of the batched execution engine.
+The first is the per-example ``fn``: the engineer-facing code, unchanged
+from the paper, and the oracle the equivalence suite judges every batch
+kernel against vote for vote. The second is the block kernel used by
+``label_batch``. The token-driven factories (keyword, Knowledge-Graph,
+topic-model veto) attach a declarative ``fused_spec``: a
+:class:`FusedPlan` labels a block through it, tokenizing each field once
+per example for every fused LF of a suite and probing keyword sets with
+one hashed set intersection, and ``label_batch`` is that plan over the
+one spec. The other factories pass a hand-written ``batch_fn`` (model
+scores, for one, are thresholded as NumPy arrays). Kernels read an
+``Example`` and never write to it: tokens live only as long as the probe
+that reads them.
 """
 
 from __future__ import annotations
@@ -94,74 +97,6 @@ def _fast_tokens(lowered_text: str) -> list[str]:
     return list(
         filter(None, map(str.strip, lowered_text.split(), repeat(_PUNCT)))
     )
-
-
-def _field_tokens(example: Example, fields_key: tuple[str, ...]) -> list[str]:
-    """Lowercased tokens of one example's content fields, in field order.
-
-    Field texts are joined with a single space before tokenization in
-    the scalar path, so the token stream of a multi-field key is exactly
-    the concatenation of the per-field token streams — which is how it
-    is built here. Nothing is kept on the example.
-    """
-    fields = example.fields
-    tokens: list[str] = []
-    for field in fields_key:
-        tokens += _fast_tokens(str(fields.get(field, "")).lower())
-    return tokens
-
-
-class _SurfaceMatcher:
-    """Keyword-surface matching against pre-tokenized examples.
-
-    Mirrors :func:`_contains_any` exactly: single-token surfaces match by
-    set membership (here: one hashed probe of the token stream instead
-    of a scan over every surface), multi-token surfaces match as
-    substrings of the space-joined lowercased token stream.
-    """
-
-    def __init__(self, surfaces: Iterable[str]) -> None:
-        lowered = [s.lower() for s in surfaces]
-        self.counts = Counter(s for s in lowered if " " not in s)
-        self.single = frozenset(self.counts)
-        self.multi = tuple(dict.fromkeys(s for s in lowered if " " in s))
-
-    def matches(self, tokens: list[str]) -> bool:
-        if not self.single.isdisjoint(tokens):
-            return True
-        if self.multi:
-            joined = " ".join(tokens)
-            return any(m in joined for m in self.multi)
-        return False
-
-    def hit_count(self, tokens: list[str]) -> int:
-        """Surface occurrences found among the tokens.
-
-        Matches the per-example ``min_hits`` semantics: duplicate
-        surfaces count once each per duplicate, and multi-token surfaces
-        never match a (single-token) token.
-        """
-        counts = self.counts
-        return sum(counts[s] for s in self.single.intersection(tokens))
-
-
-def _keyword_batch_votes(
-    examples: Sequence[Example],
-    matcher: _SurfaceMatcher,
-    fields_key: tuple[str, ...],
-    vote: int,
-    min_hits: int = 1,
-) -> np.ndarray:
-    votes = np.zeros(len(examples), dtype=np.int8)
-    if min_hits <= 1:
-        for i, example in enumerate(examples):
-            if matcher.matches(_field_tokens(example, fields_key)):
-                votes[i] = vote
-    else:
-        for i, example in enumerate(examples):
-            if matcher.hit_count(_field_tokens(example, fields_key)) >= min_hits:
-                votes[i] = vote
-    return votes
 
 
 @dataclass(frozen=True)
@@ -412,8 +347,6 @@ def keyword_lf(
     surfaces = [k.lower() for k in keywords]
     if not surfaces:
         raise ValueError(f"keyword LF {name!r} needs at least one keyword")
-    matcher = _SurfaceMatcher(surfaces)
-    fields_key = tuple(fields)
 
     def fn(example: Example) -> int:
         text = _text_of(example, fields)
@@ -423,17 +356,14 @@ def keyword_lf(
         hits = sum(1 for s in surfaces if s in tokens)
         return vote if hits >= min_hits else ABSTAIN
 
-    def batch_fn(examples: Sequence[Example]) -> np.ndarray:
-        return _keyword_batch_votes(examples, matcher, fields_key, vote, min_hits)
-
     info = LFInfo(
         name=name,
         category=LFCategory.CONTENT_HEURISTIC,
         servable=True,
         description=description or f"keyword match -> {vote:+d}",
     )
-    lf = LabelingFunction(info, fn, batch_fn=batch_fn)
-    lf.fused_spec = TokenMatchSpec(fields_key, lambda: surfaces, vote, min_hits)
+    lf = LabelingFunction(info, fn)
+    lf.fused_spec = TokenMatchSpec(tuple(fields), lambda: surfaces, vote, min_hits)
     return lf
 
 
@@ -535,20 +465,6 @@ def topic_model_lf(
             return vote
         return ABSTAIN
 
-    fields_key = tuple(fields)
-
-    def batch_fn(examples: Sequence[Example]) -> np.ndarray:
-        # One tracked model call per example, exactly like the
-        # per-example path — the topic model's virtual-latency accounting
-        # is part of the cost model and must not be short-circuited — but
-        # through the pre-tokenized batch API and the fast lexer.
-        top_from_tokens = topic_model.top_category_from_tokens
-        votes = np.zeros(len(examples), dtype=np.int8)
-        for i, example in enumerate(examples):
-            top = top_from_tokens(_field_tokens(example, fields_key))
-            if top is not None and top.lower() in veto:
-                votes[i] = vote
-        return votes
 
     info = LFInfo(
         name=name,
@@ -557,8 +473,8 @@ def topic_model_lf(
         description=description or "coarse topic model veto",
         resources=("topic-model",),
     )
-    lf = LabelingFunction(info, fn, resources=[topic_model], batch_fn=batch_fn)
-    lf.fused_spec = TopicVetoSpec(fields_key, topic_model, veto, vote)
+    lf = LabelingFunction(info, fn, resources=[topic_model])
+    lf.fused_spec = TopicVetoSpec(tuple(fields), topic_model, veto, vote)
     return lf
 
 
@@ -580,7 +496,6 @@ def kg_translation_lf(
     keyword_list = list(keywords)
     language_list = list(languages)
     cache: dict[str, object] = {}
-    fields_key = tuple(fields)
 
     def surfaces() -> frozenset[str]:
         if "surfaces" not in cache:
@@ -589,19 +504,9 @@ def kg_translation_lf(
             )
         return cache["surfaces"]
 
-    def matcher() -> _SurfaceMatcher:
-        # Built once per run: the translation closure is hundreds of
-        # surfaces, exactly where hashed-set matching pays off most.
-        if "matcher" not in cache:
-            cache["matcher"] = _SurfaceMatcher(surfaces())
-        return cache["matcher"]
-
     def fn(example: Example) -> int:
         text = _text_of(example, fields)
         return vote if _contains_any(text, surfaces()) else ABSTAIN
-
-    def batch_fn(examples: Sequence[Example]) -> np.ndarray:
-        return _keyword_batch_votes(examples, matcher(), fields_key, vote)
 
     info = LFInfo(
         name=name,
@@ -612,8 +517,8 @@ def kg_translation_lf(
         f"{len(language_list)} languages",
         resources=("knowledge-graph",),
     )
-    lf = LabelingFunction(info, fn, resources=[kg], batch_fn=batch_fn)
-    lf.fused_spec = TokenMatchSpec(fields_key, surfaces, vote)
+    lf = LabelingFunction(info, fn, resources=[kg])
+    lf.fused_spec = TokenMatchSpec(tuple(fields), surfaces, vote)
     return lf
 
 
@@ -628,7 +533,6 @@ def kg_category_lf(
 ) -> LabelingFunction:
     """Match products the Knowledge Graph files under a category."""
     cache: dict[str, object] = {}
-    fields_key = tuple(fields)
 
     def surfaces() -> frozenset[str]:
         if "surfaces" not in cache:
@@ -637,17 +541,9 @@ def kg_category_lf(
             )
         return cache["surfaces"]
 
-    def matcher() -> _SurfaceMatcher:
-        if "matcher" not in cache:
-            cache["matcher"] = _SurfaceMatcher(surfaces())
-        return cache["matcher"]
-
     def fn(example: Example) -> int:
         text = _text_of(example, fields)
         return vote if _contains_any(text, surfaces()) else ABSTAIN
-
-    def batch_fn(examples: Sequence[Example]) -> np.ndarray:
-        return _keyword_batch_votes(examples, matcher(), fields_key, vote)
 
     info = LFInfo(
         name=name,
@@ -656,8 +552,8 @@ def kg_category_lf(
         description=description or f"KG products under {category!r}",
         resources=("knowledge-graph",),
     )
-    lf = LabelingFunction(info, fn, resources=[kg], batch_fn=batch_fn)
-    lf.fused_spec = TokenMatchSpec(fields_key, surfaces, vote)
+    lf = LabelingFunction(info, fn, resources=[kg])
+    lf.fused_spec = TokenMatchSpec(tuple(fields), surfaces, vote)
     return lf
 
 

@@ -56,13 +56,12 @@ class TopicModel(ModelServer):
             cat: frozenset(kw.lower() for kw in kws)
             for cat, kws in category_keywords.items()
         }
-        # Inverted keyword index for the batch API: token -> categories.
+        # Inverted keyword index for the fused LF kernel: token -> categories.
         index: dict[str, tuple[str, ...]] = {}
         for cat, keywords in self._category_keywords.items():
             for keyword in keywords:
                 index[keyword] = index.get(keyword, ()) + (cat,)
         self._keyword_index = index
-        self._keywords = frozenset(index)
 
     # ------------------------------------------------------------------
     # API
@@ -87,37 +86,20 @@ class TopicModel(ModelServer):
         scores = self.categorize(text, top_k=1)
         return scores[0].category if scores else None
 
-    def top_category_from_tokens(self, lowered_tokens: list[str]) -> str | None:
-        """Argmax category for pre-tokenized content (the batch API).
-
-        Callers pass the output of :func:`~repro.services.nlp_server.tokenize`,
-        lowercased. Accounting is identical to :meth:`top_category` — one
-        tracked call per document — but category affinities come from one
-        probe of the tokens against the inverted keyword index instead
-        of one set intersection per category. Because every category
-        shares the document's token-count denominator, the argmax (and
-        its ``(score desc, category asc)`` tie-break) is unchanged; the
-        equivalence suite asserts agreement with :meth:`top_category`.
-        """
-        self._track()
-        index = self._keyword_index
-        hits: dict[str, int] = {}
-        for token in self._keywords.intersection(lowered_tokens):
-            for cat in index[token]:
-                hits[cat] = hits.get(cat, 0) + 1
-        if not hits:
-            return None
-        return min(hits, key=lambda cat: (-hits[cat], cat))
-
     @property
     def categories(self) -> list[str]:
         return sorted(self._category_keywords)
 
     @property
     def keyword_index(self) -> dict[str, tuple[str, ...]]:
-        """Inverted ``keyword -> categories`` index for batch kernels.
+        """Inverted ``keyword -> categories`` index, read by
+        :class:`repro.lf.templates.FusedPlan` when it compiles a
+        :class:`~repro.lf.templates.TopicVetoSpec`.
 
-        Consumers reading this directly bypass per-call accounting and
-        must report usage via :meth:`record_batch_calls`.
+        Probing it per document and taking the highest hit count (ties
+        to the smallest category name) gives :meth:`top_category`'s
+        argmax, because every category shares the document's
+        distinct-token denominator. Readers bypass per-call accounting
+        and must report usage via :meth:`record_batch_calls`.
         """
         return self._keyword_index

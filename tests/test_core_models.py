@@ -1,14 +1,11 @@
-"""Tests for the Gibbs baseline, multiclass, structured, and triplet
-label models."""
+"""Tests for the Gibbs baseline and multiclass label models."""
 
 import numpy as np
 import pytest
 
 from repro.core.gibbs import GibbsConfig, GibbsLabelModel
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
-from repro.core.matrix_completion import TripletLabelModel
 from repro.core.multiclass import MulticlassConfig, MulticlassLabelModel
-from repro.core.structure import StructuredConfig, StructuredLabelModel
 from tests.conftest import synthetic_label_matrix
 
 
@@ -125,116 +122,3 @@ class TestMulticlass:
         covered = np.abs(L_binary).sum(axis=1) > 0
         agree = ((p_mc > 0.5) == (p_bin > 0.5))[covered].mean()
         assert agree > 0.95
-
-
-class TestStructured:
-    def test_validates_dependencies(self):
-        with pytest.raises(ValueError, match="bad dependency"):
-            StructuredLabelModel(3, [(0, 3)])
-        with pytest.raises(ValueError, match="bad dependency"):
-            StructuredLabelModel(3, [(1, 1)])
-
-    def test_max_clique_enforced(self):
-        deps = [(i, i + 1) for i in range(7)]
-        with pytest.raises(ValueError, match="tree width"):
-            StructuredLabelModel(8, deps, StructuredConfig(max_clique=4))
-
-    def test_reduces_to_independent_model_without_deps(self):
-        L, _ = synthetic_label_matrix(m=800, seed=8)
-        structured = StructuredLabelModel(
-            L.shape[1], [], StructuredConfig(n_steps=400, seed=0)
-        ).fit(L)
-        flat = SamplingFreeLabelModel(
-            LabelModelConfig(n_steps=4000, seed=0)
-        ).fit(L)
-        p_s = structured.predict_proba(L)
-        p_f = flat.predict_proba(L)
-        covered = np.abs(L).sum(axis=1) > 0
-        assert ((p_s > 0.5) == (p_f > 0.5))[covered].mean() > 0.97
-
-    def test_learns_positive_agreement_for_duplicated_lf(self):
-        """A duplicated LF pair co-votes far beyond what Y explains; the
-        structured model should assign the pair a positive gamma."""
-        rng = np.random.default_rng(9)
-        y = rng.choice([-1, 1], size=1500)
-        L = np.zeros((1500, 4), dtype=np.int8)
-        for j in range(3):
-            fire = rng.random(1500) < 0.6
-            correct = rng.random(1500) < 0.8
-            L[fire, j] = np.where(correct[fire], y[fire], -y[fire])
-        L[:, 3] = L[:, 2]  # exact duplicate
-        model = StructuredLabelModel(
-            4, [(2, 3)], StructuredConfig(n_steps=400, seed=0)
-        ).fit(L)
-        deps = model.learned_dependencies()
-        assert deps[0][:2] == (2, 3)
-        assert deps[0][2] > 0.5
-
-    def test_duplicate_discounted_vs_independent_model(self):
-        """With the duplicate modeled, the pair's combined influence on
-        the posterior should shrink toward one LF's worth."""
-        rng = np.random.default_rng(10)
-        y = rng.choice([-1, 1], size=1500)
-        L = np.zeros((1500, 4), dtype=np.int8)
-        for j in range(3):
-            fire = rng.random(1500) < 0.6
-            correct = rng.random(1500) < 0.8
-            L[fire, j] = np.where(correct[fire], y[fire], -y[fire])
-        L[:, 3] = L[:, 2]
-        structured = StructuredLabelModel(
-            4, [(2, 3)], StructuredConfig(n_steps=400, seed=0)
-        ).fit(L)
-        # Row where only the duplicated pair votes +1: the structured
-        # posterior should be less confident than the naive CI model's.
-        flat = SamplingFreeLabelModel(
-            LabelModelConfig(n_steps=3000, seed=0)
-        ).fit(L)
-        row = np.array([[0, 0, 1, 1]], dtype=np.int8)
-        assert structured.predict_proba(row)[0] < flat.predict_proba(row)[0] + 0.05
-
-    def test_cliques_partition_lfs(self):
-        model = StructuredLabelModel(5, [(0, 1), (1, 2)])
-        sizes = sorted(len(c.members) for c in model.cliques)
-        assert sizes == [1, 1, 3]
-
-
-class TestTriplet:
-    def test_needs_three_lfs(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            TripletLabelModel().fit(np.zeros((10, 2)))
-
-    def test_recovers_accuracies(self, recovery_matrix):
-        L, _ = recovery_matrix
-        model = TripletLabelModel().fit(L)
-        accs = model.accuracies()
-        true = np.array([0.92, 0.85, 0.8, 0.72, 0.65, 0.6])
-        assert np.all(np.abs(accs - true) < 0.12)
-
-    def test_posterior_classifies(self, recovery_matrix):
-        L, y = recovery_matrix
-        model = TripletLabelModel().fit(L)
-        p = model.predict_proba(L)
-        covered = np.abs(L).sum(axis=1) > 0
-        assert ((p > 0.5) == (y == 1))[covered].mean() > 0.85
-
-    def test_prior_shifts_posterior(self, recovery_matrix):
-        L, _ = recovery_matrix
-        model = TripletLabelModel().fit(L)
-        row = np.zeros((1, L.shape[1]))
-        assert model.predict_proba(row, prior=0.2)[0] == pytest.approx(0.2)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            TripletLabelModel().predict_proba(np.zeros((1, 3)))
-
-    def test_much_faster_than_gradient_trainer(self, recovery_matrix):
-        import time
-
-        L, _ = recovery_matrix
-        start = time.perf_counter()
-        TripletLabelModel().fit(L)
-        triplet_time = time.perf_counter() - start
-        start = time.perf_counter()
-        SamplingFreeLabelModel(LabelModelConfig(n_steps=4000)).fit(L)
-        gradient_time = time.perf_counter() - start
-        assert triplet_time < gradient_time

@@ -149,10 +149,13 @@ class TestOfflineParallel:
             assert np.array_equal(L.matrix, serial_matrix)
 
     def test_rejects_unbatched_parallel(self, corpus, pool):
-        with pytest.raises(ValueError, match="batched"):
-            apply_lfs_in_memory(
-                make_lfs(), corpus, batched=False, executor=pool
-            )
+        # The check does not depend on the input: an empty one is
+        # rejected too.
+        for examples in (corpus, []):
+            with pytest.raises(ValueError, match="batched"):
+                apply_lfs_in_memory(
+                    make_lfs(), examples, batched=False, executor=pool
+                )
 
     def test_rejects_mismatched_suite_spec(self, corpus, narrow_pool):
         with pytest.raises(ValueError, match="suite_spec"):
