@@ -5,8 +5,9 @@ the evaluation compares against.
 Public surface:
 
 * :class:`SamplingFreeLabelModel` — the Section 5.2 model: per-LF accuracy
-  and propensity parameters in log space, trained by exact minibatch
-  gradient descent on the marginal likelihood of the observed label matrix.
+  and propensity parameters in log space, trained by exact-gradient SGD
+  steps (its only update) on the marginal likelihood of the observed
+  label matrix.
 * :class:`OnlineLabelModel` — the streaming counterpart: vote-moment
   accumulation, incremental exact-gradient updates, and periodic full
   refits that reproduce the offline fit exactly (``repro.streaming``
@@ -15,8 +16,6 @@ Public surface:
   alarms for streaming deployments: tracked reference vs. recent
   windows over LF fire rates and the agreement matrix, with pluggable
   reactions (log, forced refit, reference reset).
-* :class:`MulticlassLabelModel` — the categorical-target generalization
-  mentioned in Section 2.
 * :class:`GibbsLabelModel` — the original-Snorkel Gibbs-sampling trainer,
   kept as the speed baseline for the Section 5.2 comparison.
 * :mod:`repro.core.combiners` — Logical-OR and equal-weight baselines used
@@ -31,7 +30,6 @@ from repro.core.online_label_model import (
     OnlineLabelModel,
     OnlineLabelModelConfig,
 )
-from repro.core.multiclass import MulticlassLabelModel
 from repro.core.gibbs import GibbsLabelModel
 from repro.core.combiners import (
     equal_weight_probabilities,
@@ -54,7 +52,6 @@ __all__ = [
     "DriftCheck",
     "DriftMonitor",
     "DriftPolicy",
-    "MulticlassLabelModel",
     "GibbsLabelModel",
     "LFAnalysis",
     "equal_weight_probabilities",

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.label_model import _INIT_ALPHA
+
 __all__ = ["GibbsConfig", "GibbsLabelModel"]
 
 
@@ -44,11 +46,6 @@ class GibbsConfig:
     learning_rate: float = 0.03
     burn_in_sweeps: int = 2
     seed: int = 0
-    init_alpha: float = 0.7
-    init_beta: float = 0.0
-    min_alpha: float | None = 0.0
-    """Better-than-random accuracy anchor; see
-    :class:`repro.core.label_model.LabelModelConfig.min_alpha`."""
 
 
 class GibbsLabelModel:
@@ -69,7 +66,7 @@ class GibbsLabelModel:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
 
-        self.alpha = np.full(n, cfg.init_alpha, dtype=np.float64)
+        self.alpha = np.full(n, _INIT_ALPHA, dtype=np.float64)
         observed_propensity = np.clip(np.abs(L).mean(axis=0), 1e-3, 1 - 1e-3)
         self.beta = np.log(observed_propensity / (1 - observed_propensity)) / 2.0
 
@@ -130,8 +127,8 @@ class GibbsLabelModel:
         grad_beta = -non_abstain.sum(axis=0) + B * (1.0 - p_abstain)
         self.alpha = self.alpha - cfg.learning_rate * grad_alpha
         self.beta = self.beta - cfg.learning_rate * grad_beta
-        if cfg.min_alpha is not None:
-            self.alpha = np.maximum(self.alpha, cfg.min_alpha)
+        # The sampling-free trainer's better-than-random anchor.
+        self.alpha = np.maximum(self.alpha, 0.0)
 
     def _outcome_probs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         logits = np.stack([
@@ -166,7 +163,7 @@ class GibbsLabelModel:
 
         if self.alpha is None:
             n = L.shape[1]
-            self.alpha = np.full(n, self.config.init_alpha)
+            self.alpha = np.full(n, _INIT_ALPHA)
             self.beta = np.zeros(n)
         rng = np.random.default_rng(self.config.seed)
         processed = 0

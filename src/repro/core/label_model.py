@@ -68,9 +68,9 @@ checks against an independent row-wise reference.
 
 One step kernel
 ---------------
-The objective, its gradients and the optimizer update are written once,
-in :class:`_StepKernel`, which ``fit_compressed`` (both regimes, SGD and
-Adam), ``partial_step`` and ``nll`` all run. Measured on the benchmark's
+The objective, its gradients and the SGD update are written once, in
+:class:`_StepKernel`, which ``fit_compressed`` (both regimes),
+``partial_step`` and ``nll`` all run. Measured on the benchmark's
 21-pattern, 8-LF table (2-CPU container): 6,000 steps in 0.17 s, about
 **35,000 steps per second** at batch 64 — against the paper's "> 100
 steps per second" for its TensorFlow graph.
@@ -83,7 +83,6 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.core.optim import AdamState, adam_step, sgd_step
 from repro.core.patterns import CompressedVotes, compress_votes
 
 __all__ = ["LabelModelConfig", "SamplingFreeLabelModel"]
@@ -92,6 +91,13 @@ __all__ = ["LabelModelConfig", "SamplingFreeLabelModel"]
 #: as fit: 256 KB of float64, 64 steps of 64 rows x 8 LFs (the per-call
 #: cost is amortized by then; 4x larger chunks time the same).
 _CHUNK_VOTES = 1 << 15
+
+#: Warm start of every accuracy parameter: a weakly-optimistic prior
+#: ("LFs are better than random"), sigmoid(1.4) ~ 80% accurate.
+_INIT_ALPHA = 0.7
+#: Warm start of every propensity parameter when there are no votes to
+#: match (:meth:`SamplingFreeLabelModel.init_params`).
+_INIT_BETA = 0.0
 
 
 @dataclass
@@ -107,23 +113,10 @@ class LabelModelConfig:
     n_steps: int = 6000
     batch_size: int = 64
     learning_rate: float = 0.003
-    optimizer: str = "sgd"  # "sgd" | "adam"
     learn_class_prior: bool = False
     init_class_prior: float = 0.5
-    l2: float = 0.0
     seed: int = 0
-    init_alpha: float = 0.7
-    init_beta: float = 0.0
     track_loss_every: int = 50
-    min_alpha: float | None = 0.0
-    """Lower bound on the accuracy parameters (projected after each
-    step). The marginal likelihood is invariant to flipping the sign of
-    any polarity-connected cluster of LFs, and with rare positives the
-    flipped (anti-accurate) solution actually wins on conflict rows —
-    so, like the original Snorkel's better-than-random accuracy priors,
-    we anchor accuracies at >= 50% by default. Set to ``None`` to allow
-    adversarial LFs (e.g. for the LF-triage diagnostics on symmetric
-    data)."""
 
 
 class SamplingFreeLabelModel:
@@ -179,12 +172,12 @@ class SamplingFreeLabelModel:
         Raises:
             ValueError: If the patterns contain votes outside
                 ``{-1, 0, 1}``, ``votes`` holds no rows, or the config
-                names an unknown ``optimizer`` or a ``batch_size`` below
-                1 — raised before any state of a fitted model is reset.
+                sets a negative ``n_steps`` or a ``batch_size`` below 1
+                — raised before any state of a fitted model is reset.
         """
         cfg = self.config
-        if cfg.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+        if cfg.n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {cfg.n_steps}")
         if cfg.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
         if votes.n_rows < 1:
@@ -202,10 +195,10 @@ class SamplingFreeLabelModel:
         self._init_fit(P.shape[1], fire_counts, total)
 
         if cfg.batch_size >= total:
-            kernel = _StepKernel(self, len(P), weights, total, cfg.optimizer, cfg.l2)
+            kernel = _StepKernel(self, len(P), weights, total)
             batches = repeat((P, fire_counts), cfg.n_steps)
         else:
-            kernel = _StepKernel(self, cfg.batch_size, optimizer=cfg.optimizer, l2=cfg.l2)
+            kernel = _StepKernel(self, cfg.batch_size)
             draw = votes.row_sampler(np.random.default_rng(cfg.seed), cfg.batch_size)
             batches = _minibatches(P, draw, cfg.batch_size, cfg.n_steps)
         every = cfg.track_loss_every
@@ -224,14 +217,13 @@ class SamplingFreeLabelModel:
 
         Initialize beta from observed propensities: beta enters only
         through P(abstain), so matching empirical abstain rates starts
-        the optimizer near the likelihood ridge. This mirrors standard
-        practice and shortens the step budget; alpha still starts from
-        a weakly-optimistic prior ("LFs are better than random").
+        SGD near the likelihood ridge. This mirrors standard practice
+        and shortens the step budget; alpha still starts from
+        ``_INIT_ALPHA``.
         """
-        cfg = self.config
         self.n_lfs = n_lfs
-        self.alpha = np.full(n_lfs, cfg.init_alpha, dtype=np.float64)
-        self.prior_logit = _logit(cfg.init_class_prior)
+        self.alpha = np.full(n_lfs, _INIT_ALPHA, dtype=np.float64)
+        self.prior_logit = _logit(self.config.init_class_prior)
         self.loss_history = []
         observed_propensity = np.clip(fire_counts / total, 1e-3, 1 - 1e-3)
         self.beta = np.log(observed_propensity / (1 - observed_propensity)) / 2.0
@@ -250,9 +242,9 @@ class SamplingFreeLabelModel:
         return self._sgd_steps(batch[None], want_loss=True) / len(batch)
 
     def _sgd_steps(self, batches: np.ndarray, want_loss: bool = False) -> float | None:
-        """One plain SGD kernel step (no l2) per batch of a float64
-        ``(k, B, m)`` stack whose votes the caller has validated; returns
-        the last batch's summed loss when asked for it."""
+        """One kernel step per batch of a float64 ``(k, B, m)`` stack
+        whose votes the caller has validated; returns the last batch's
+        summed loss when asked for it."""
         kernel = _StepKernel(self, batches.shape[1])
         loss = None
         for batch, fire in zip(batches, np.abs(batches).sum(axis=1)):
@@ -262,11 +254,10 @@ class SamplingFreeLabelModel:
 
     def init_params(self, n_lfs: int) -> None:
         """Initialize parameters without fitting (for step-wise training)."""
-        cfg = self.config
         self.n_lfs = n_lfs
-        self.alpha = np.full(n_lfs, cfg.init_alpha, dtype=np.float64)
-        self.beta = np.full(n_lfs, cfg.init_beta, dtype=np.float64)
-        self.prior_logit = _logit(cfg.init_class_prior)
+        self.alpha = np.full(n_lfs, _INIT_ALPHA, dtype=np.float64)
+        self.beta = np.full(n_lfs, _INIT_BETA, dtype=np.float64)
+        self.prior_logit = _logit(self.config.init_class_prior)
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -387,23 +378,14 @@ class _StepKernel:
     IEEE operation), so a step equals the row-wise step to the bit.
     """
 
-    def __init__(
-        self, model, rows, weights=None, total=None, optimizer="sgd", l2=0.0
-    ) -> None:
+    def __init__(self, model, rows, weights=None, total=None) -> None:
         cfg = model.config
         self.alpha, self.beta = model.alpha.copy(), model.beta.copy()
         self.prior_logit = model.prior_logit
         self.weights = weights
         self.total = float(rows) if total is None else total
-        self.l2 = l2
         self.rate = cfg.learning_rate
         self.learn_prior = cfg.learn_class_prior
-        self.min_alpha = cfg.min_alpha
-        self.adam = None
-        if optimizer == "adam":
-            self.adam = [
-                AdamState.like(p) for p in (self.alpha, self.beta, np.zeros(1))
-            ]
         n_lfs = len(self.alpha)
         self._logits = np.zeros((3, n_lfs))  # row 2, abstain, stays 0
         self._probs = np.empty((3, n_lfs))
@@ -425,8 +407,7 @@ class _StepKernel:
         return np.exp(np.subtract(logits, Z, out=probs), out=probs)
 
     def loss(self, batch: np.ndarray) -> float:
-        """Summed marginal NLL of ``batch`` at the current parameters
-        (plus the l2 term)."""
+        """Summed marginal NLL of ``batch`` at the current parameters."""
         a = np.matmul(batch, self.alpha, out=self._a)
         b = np.abs(batch) @ self.beta
         self.outcome_probs()
@@ -434,12 +415,7 @@ class _StepKernel:
         log_prior_pos = -np.logaddexp(0.0, -self.prior_logit)   # log sigmoid
         log_prior_neg = -np.logaddexp(0.0, self.prior_logit)
         rows = b - z_sum + np.logaddexp(a + log_prior_pos, -a + log_prior_neg)
-        loss = -float(np.sum(rows if self.weights is None else self.weights * rows))
-        if self.l2 > 0.0:
-            loss += 0.5 * self.l2 * (
-                float(self.alpha @ self.alpha) + float(self.beta @ self.beta)
-            )
-        return loss
+        return -float(np.sum(rows if self.weights is None else self.weights * rows))
 
     def step(self, batch, fired, want_loss=False) -> float | None:
         """Take one exact-gradient step on the float64 ``(rows, m)``
@@ -471,24 +447,17 @@ class _StepKernel:
         grad_beta = np.subtract(1.0, p_abstain, out=self._grad_beta)
         np.multiply(grad_beta, self.total, out=grad_beta)
         np.subtract(grad_beta, fired, out=grad_beta)
-        if self.l2 > 0.0:
-            np.add(grad_alpha, self.l2 * alpha, out=grad_alpha)
-            np.add(grad_beta, self.l2 * beta, out=grad_beta)
 
-        if self.adam is None:
-            sgd_step(alpha, grad_alpha, self.rate, out=alpha)
-            sgd_step(beta, grad_beta, self.rate, out=beta)
-            if self.learn_prior:
-                self.prior_logit -= self.rate * grad_prior
-        else:
-            adam_step(alpha, grad_alpha, self.adam[0], self.rate, out=alpha)
-            adam_step(beta, grad_beta, self.adam[1], self.rate, out=beta)
-            if self.learn_prior:
-                prior, grad = np.array([self.prior_logit]), np.array([grad_prior])
-                adam_step(prior, grad, self.adam[2], self.rate, out=prior)
-                self.prior_logit = float(prior[0])
-        if self.min_alpha is not None:
-            np.maximum(alpha, self.min_alpha, out=alpha)
+        np.subtract(alpha, self.rate * grad_alpha, out=alpha)
+        np.subtract(beta, self.rate * grad_beta, out=beta)
+        if self.learn_prior:
+            self.prior_logit -= self.rate * grad_prior
+        # Project onto alpha >= 0. The marginal likelihood is invariant
+        # to flipping the sign of any polarity-connected cluster of LFs,
+        # and with rare positives the flipped (anti-accurate) solution
+        # wins on conflict rows — so, like the original Snorkel's
+        # better-than-random accuracy priors, accuracies stay >= 50%.
+        np.maximum(alpha, 0.0, out=alpha)
         return loss
 
     def publish(self, model: SamplingFreeLabelModel, steps: int) -> None:

@@ -119,8 +119,9 @@ class OnlineLabelModel:
 
         Raises:
             ValueError: If the config sets both ``decay`` and
-                ``window_batches``, or sets either to an out-of-range
-                value, or sets ``pattern_weight_floor`` outside (0, 1).
+                ``window_batches``, or sets either or ``refit_every`` to
+                an out-of-range value, or sets ``pattern_weight_floor``
+                outside (0, 1).
         """
         self.config = config or OnlineLabelModelConfig()
         cfg = self.config
@@ -135,6 +136,8 @@ class OnlineLabelModel:
             raise ValueError(
                 f"window_batches must be >= 1, got {cfg.window_batches}"
             )
+        if cfg.refit_every is not None and cfg.refit_every < 1:
+            raise ValueError(f"refit_every must be >= 1, got {cfg.refit_every}")
         if not (0.0 < cfg.pattern_weight_floor < 1.0):
             raise ValueError(
                 "pattern_weight_floor must be in (0, 1), got "

@@ -78,6 +78,11 @@ class CompressedVotes:
                 "pattern weights must be whole numbers: a real-valued "
                 "weighting has no expanded matrix to sample rows from"
             )
+        if self.n_rows != self.weights.sum():
+            raise ValueError(
+                f"n_rows={self.n_rows} does not match the pattern weights, "
+                f"which sum to {self.weights.sum()}"
+            )
         if self.patterns.size:
             order = np.lexsort(self.patterns.T[::-1])
             object.__setattr__(self, "patterns", self.patterns[order])

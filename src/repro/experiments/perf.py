@@ -54,7 +54,7 @@ def measure_label_model_steps_per_second(
 ) -> float:
     """Gradient steps per second of the sampling-free trainer."""
     model = SamplingFreeLabelModel(
-        LabelModelConfig(batch_size=batch_size, optimizer="sgd", seed=seed)
+        LabelModelConfig(batch_size=batch_size, seed=seed)
     )
     model.init_params(L.shape[1])
     rng = np.random.default_rng(seed)
@@ -184,7 +184,6 @@ def run_fit_compression_eval(
     config = LabelModelConfig(
         n_steps=n_steps,
         batch_size=max(n_values) + 1,
-        optimizer="sgd",
         learning_rate=0.0005,
         seed=seed,
     )

@@ -3,10 +3,10 @@
 Every label-model fit in ``src/`` runs on ``(patterns, counts)`` in one
 canonical pattern order. The oracle here is deliberately *not* that: a
 plain row-wise trainer over the expanded ``(n, m)`` matrix, written in
-this module from the formulas in the ``label_model`` / ``multiclass``
-docstrings — it samples row indices, slices rows, and sums over rows,
-and shares no code with ``_StepKernel``, ``CompressedVotes`` or
-``compress_votes`` (only the optimizer updates in ``repro.core.optim``).
+this module from the formulas in the ``label_model`` docstring — it
+samples row indices, slices rows, sums over rows, and writes its own
+SGD update and warm start, sharing no code with ``_StepKernel``,
+``CompressedVotes`` or ``compress_votes``.
 Every case family draws a seeded randomized vote matrix, fits it both
 ways, and asserts the contract:
 
@@ -14,8 +14,7 @@ ways, and asserts the contract:
   the count-ordered expansion — ``L`` with its rows sorted
   lexicographically — with the RNG calls the row-wise trainer makes on
   that matrix, so alpha, beta, posteriors, and the tracked loss curve
-  must be **bitwise identical**, for the binary and the multiclass
-  model alike;
+  must be **bitwise identical**;
 * **full-batch regime** (``batch_size >= n``): the fit uses exact
   count-weighted gradients over distinct patterns, which reorder
   summation — the posteriors must agree to <= 1e-9 (empirically
@@ -26,7 +25,7 @@ ways, and asserts the contract:
 
 Families: dense uniform votes, abstain-heavy, duplicate-heavy (few
 distinct patterns), single-pattern degenerate, matrices with all-abstain
-rows, and multiclass votes — across several (n, m) shapes and seeds.
+rows — across several (n, m) shapes and seeds.
 """
 
 from types import SimpleNamespace
@@ -39,12 +38,10 @@ from repro.core.label_model import (
     LabelModelConfig,
     SamplingFreeLabelModel,
 )
-from repro.core.multiclass import MulticlassConfig, MulticlassLabelModel
 from repro.core.online_label_model import (
     OnlineLabelModel,
     OnlineLabelModelConfig,
 )
-from repro.core.optim import AdamState, adam_step, sgd_step
 from repro.core.patterns import CompressedVotes, compress_votes
 
 from tests.conftest import same_rows
@@ -64,12 +61,15 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _outcome_probs(alpha, beta, n_wrong=1):
-    """Per-LF P(correct), P(wrong), P(abstain) and log partition Z_j for
-    ``n_wrong`` equally likely wrong labels (1 in the binary model)."""
-    logits = np.stack(
-        [alpha + beta, -alpha + beta + np.log(n_wrong), np.zeros_like(alpha)]
-    )
+#: The warm start of every accuracy parameter, and the floor each step
+#: projects the accuracies back onto.
+INIT_ALPHA = 0.7
+MIN_ALPHA = 0.0
+
+
+def _outcome_probs(alpha, beta):
+    """Per-LF P(correct), P(wrong), P(abstain) and log partition Z_j."""
+    logits = np.stack([alpha + beta, -alpha + beta, np.zeros_like(alpha)])
     peak = logits.max(axis=0)
     Z = peak + np.log(np.exp(logits - peak).sum(axis=0))
     probs = np.exp(logits - Z)
@@ -88,17 +88,19 @@ def reference_fit_binary(L, config):
         p_i = sigmoid(2 a_i + logit pi+)
         dNLL/dalpha_j = -sum_i (2 p_i - 1) L_ij + |B| (Pc_j - Pw_j)
         dNLL/dbeta_j  = -sum_i |L_ij|          + |B| (1 - Pabstain_j)
+
+    then one SGD step on each parameter and the projection onto
+    ``alpha >= 0``.
     """
     cfg = config
     L = np.asarray(L, dtype=np.float64)
     n, m = L.shape
     rng = np.random.default_rng(cfg.seed)
-    alpha = np.full(m, cfg.init_alpha)
+    alpha = np.full(m, INIT_ALPHA)
     propensity = np.clip(np.abs(L).sum(axis=0) / float(n), 1e-3, 1 - 1e-3)
     beta = np.log(propensity / (1 - propensity)) / 2.0
     prior = min(max(cfg.init_class_prior, 1e-9), 1 - 1e-9)
     prior_logit = float(np.log(prior / (1 - prior)))
-    adam = [AdamState.like(alpha), AdamState.like(beta), AdamState.like(np.zeros(1))]
     loss_history = []
 
     for step in range(cfg.n_steps):
@@ -116,29 +118,11 @@ def reference_fit_binary(L, config):
         grad_alpha = -(rows.T @ (2.0 * posterior - 1.0)) + B * (p_correct - p_wrong)
         grad_beta = -fired.sum(axis=0) + B * (1.0 - p_abstain)
         grad_prior = -float(np.sum(posterior - _sigmoid(prior_logit)))
-        if cfg.l2 > 0.0:
-            grad_alpha = grad_alpha + cfg.l2 * alpha
-            grad_beta = grad_beta + cfg.l2 * beta
-            loss += 0.5 * cfg.l2 * (float(alpha @ alpha) + float(beta @ beta))
-        if cfg.optimizer == "adam":
-            alpha = adam_step(alpha, grad_alpha, adam[0], cfg.learning_rate)
-            beta = adam_step(beta, grad_beta, adam[1], cfg.learning_rate)
-            if cfg.learn_class_prior:
-                prior_logit = float(
-                    adam_step(
-                        np.array([prior_logit]),
-                        np.array([grad_prior]),
-                        adam[2],
-                        cfg.learning_rate,
-                    )[0]
-                )
-        else:
-            alpha = sgd_step(alpha, grad_alpha, cfg.learning_rate)
-            beta = sgd_step(beta, grad_beta, cfg.learning_rate)
-            if cfg.learn_class_prior:
-                prior_logit -= cfg.learning_rate * grad_prior
-        if cfg.min_alpha is not None:
-            alpha = np.maximum(alpha, cfg.min_alpha)
+        alpha = alpha - cfg.learning_rate * grad_alpha
+        beta = beta - cfg.learning_rate * grad_beta
+        if cfg.learn_class_prior:
+            prior_logit -= cfg.learning_rate * grad_prior
+        alpha = np.maximum(alpha, MIN_ALPHA)
         if cfg.track_loss_every and step % cfg.track_loss_every == 0:
             loss_history.append((step, loss / B))
 
@@ -149,57 +133,6 @@ def reference_fit_binary(L, config):
         loss_history=loss_history,
         predict_proba=lambda M: _sigmoid(
             2.0 * (np.asarray(M, dtype=np.float64) @ alpha) + prior_logit
-        ),
-    )
-
-
-def _multiclass_posterior(L, alpha, k):
-    """softmax_y( 2 sum_j alpha_j 1{L_ij = y} ) over y in 1..k."""
-    scores = np.zeros((L.shape[0], k))
-    for y in range(1, k + 1):
-        scores[:, y - 1] = (L == y).astype(np.float64) @ (2.0 * alpha)
-    scores -= scores.max(axis=1, keepdims=True)
-    exp = np.exp(scores)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
-def reference_fit_multiclass(L, k, config):
-    """Row-wise categorical trainer (``multiclass`` docstring): with
-    ``q_ij`` the posterior probability that LF j's vote on row i is
-    right, ``dNLL/dalpha_j = -sum_{i: L_ij != 0} (2 q_ij - 1) + |B| (Pc_j
-    - Pw_j)`` and ``dNLL/dbeta_j = -#{i: L_ij != 0} + |B| (1 -
-    Pabstain_j)``, stepped with Adam."""
-    cfg = config
-    L = np.asarray(L, dtype=np.int64)
-    n, m = L.shape
-    rng = np.random.default_rng(cfg.seed)
-    alpha = np.full(m, cfg.init_alpha)
-    propensity = np.clip((L != 0).sum(axis=0) / float(n), 1e-3, 1 - 1e-3)
-    beta = np.log(propensity / (1 - propensity)) / 2.0
-    adam_alpha, adam_beta = AdamState.like(alpha), AdamState.like(beta)
-
-    for _ in range(cfg.n_steps):
-        rows = L if cfg.batch_size >= n else L[rng.integers(0, n, size=cfg.batch_size)]
-        B = rows.shape[0]
-        posterior = _multiclass_posterior(rows, alpha, k)
-        voted = rows != 0
-        vote_index = np.clip(rows, 1, k) - 1
-        q = posterior[np.arange(B)[:, None], vote_index] * voted
-        p_correct, p_wrong, p_abstain, _ = _outcome_probs(alpha, beta, k - 1)
-        grad_alpha = -np.sum((2.0 * q - 1.0) * voted, axis=0) + B * (
-            p_correct - p_wrong
-        )
-        grad_beta = -voted.sum(axis=0) + B * (1.0 - p_abstain)
-        alpha = adam_step(alpha, grad_alpha, adam_alpha, cfg.learning_rate)
-        beta = adam_step(beta, grad_beta, adam_beta, cfg.learning_rate)
-        if cfg.min_alpha is not None:
-            alpha = np.maximum(alpha, cfg.min_alpha)
-
-    return SimpleNamespace(
-        alpha=alpha,
-        beta=beta,
-        predict_proba=lambda M: _multiclass_posterior(
-            np.asarray(M, dtype=np.int64), alpha, k
         ),
     )
 
@@ -282,7 +215,7 @@ class TestBinaryEquivalence:
         n, m = shape
         L = family(np.random.default_rng(seed), n, m)
         full, compressed = fit_both(
-            L, n_steps=250, batch_size=64, seed=seed, optimizer="sgd"
+            L, n_steps=250, batch_size=64, seed=seed
         )
         assert_bitwise(full, compressed, L)
 
@@ -296,7 +229,6 @@ class TestBinaryEquivalence:
             n_steps=250,
             batch_size=10_000,
             seed=seed,
-            optimizer="sgd",
             learning_rate=0.0005,
         )
         gap = np.max(
@@ -305,17 +237,15 @@ class TestBinaryEquivalence:
         assert gap <= 1e-9, gap
         assert np.max(np.abs(full.alpha - compressed.alpha)) <= 1e-9
 
-    def test_adam_prior_and_l2_stay_bitwise_in_minibatch(self):
-        """Adam, a learned class prior and l2 all ride the one kernel."""
+    def test_learned_prior_stays_bitwise_in_minibatch(self):
+        """A learned class prior rides the one kernel."""
         L = duplicate_heavy(np.random.default_rng(3), 1_000, 10)
         full, compressed = fit_both(
             L,
             n_steps=250,
             batch_size=64,
             seed=3,
-            optimizer="adam",
             learn_class_prior=True,
-            l2=1e-4,
         )
         assert_bitwise(full, compressed, L)
 
@@ -346,23 +276,21 @@ class TestBinaryEquivalence:
         assert_bitwise(full, compressed, L)
         assert compressed.steps_taken == 0
 
-    def test_adam_prior_and_l2_stay_bitwise_across_a_chunk_boundary(self):
+    def test_learned_prior_stays_bitwise_across_a_chunk_boundary(self):
         L = abstain_heavy(np.random.default_rng(9), 1_000, 8)
         full, compressed = fit_both(
             L,
             n_steps=CHUNK_STEPS + 44,
             batch_size=64,
             seed=9,
-            optimizer="adam",
             learn_class_prior=True,
-            l2=1e-4,
             track_loss_every=7,
         )
         assert_bitwise(full, compressed, L)
 
-    def test_sgd_learned_prior_without_projection_is_bitwise(self):
-        """The kernel's remaining branches: SGD on a learned prior, l2,
-        and no ``min_alpha`` projection."""
+    def test_learned_prior_from_a_skewed_start_is_bitwise(self):
+        """A learned prior that starts off 0.5, on a matrix with
+        all-abstain rows."""
         L = with_all_abstain_rows(np.random.default_rng(4), 900, 8)
         full, compressed = fit_both(
             L,
@@ -371,8 +299,6 @@ class TestBinaryEquivalence:
             seed=4,
             learn_class_prior=True,
             init_class_prior=0.3,
-            l2=1e-3,
-            min_alpha=None,
         )
         assert_bitwise(full, compressed, L)
 
@@ -478,81 +404,10 @@ class TestBinaryEquivalence:
         """``fit(L) == fit(L[perm])`` to the bit, in both regimes."""
         rng = np.random.default_rng(11)
         L = with_all_abstain_rows(rng, 1_000, 7)
-        config = LabelModelConfig(
-            n_steps=250, batch_size=batch_size, seed=4, optimizer="adam"
-        )
+        config = LabelModelConfig(n_steps=250, batch_size=batch_size, seed=4)
         straight = SamplingFreeLabelModel(config).fit(L)
         shuffled = SamplingFreeLabelModel(config).fit(L[rng.permutation(len(L))])
         assert_bitwise(straight, shuffled, L)
-
-
-# ----------------------------------------------------------------------
-# multiclass model
-# ----------------------------------------------------------------------
-def multiclass_votes(rng, n, m, k, abstain=0.5):
-    probs = [abstain] + [(1 - abstain) / k] * k
-    return rng.choice(np.arange(k + 1), size=(n, m), p=probs)
-
-
-def fit_both_multiclass(L, k, **config):
-    cfg = MulticlassConfig(**config)
-    reference = reference_fit_multiclass(canonical_rows(L), k, cfg)
-    return reference, MulticlassLabelModel(k, cfg).fit(L)
-
-
-class TestMulticlassEquivalence:
-    @pytest.mark.parametrize("k", [3, 5])
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_minibatch_fit_is_bitwise(self, k, seed):
-        rng = np.random.default_rng(seed)
-        L = multiclass_votes(rng, 1_100, 9, k)
-        full, compressed = fit_both_multiclass(
-            L, k, n_steps=250, batch_size=64, seed=seed
-        )
-        assert np.array_equal(full.alpha, compressed.alpha)
-        assert np.array_equal(full.beta, compressed.beta)
-        assert np.array_equal(
-            full.predict_proba(L), compressed.predict_proba(L)
-        )
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_full_batch_fit_within_1e9(self, seed):
-        rng = np.random.default_rng(seed)
-        L = multiclass_votes(rng, 400, 7, 4, abstain=0.7)
-        full, compressed = fit_both_multiclass(
-            L, 4, n_steps=200, batch_size=10_000, seed=seed
-        )
-        gap = np.max(
-            np.abs(full.predict_proba(L) - compressed.predict_proba(L))
-        )
-        assert gap <= 1e-9, gap
-
-    def test_duplicate_heavy_multiclass_compresses_hard(self):
-        """A 6-pattern multiclass stream: k patterns ≪ n rows, bitwise."""
-        rng = np.random.default_rng(2)
-        pool = multiclass_votes(rng, 6, 8, 3)
-        L = pool[rng.integers(0, len(pool), size=2_000)]
-        assert compress_votes(L).n_patterns <= 6
-        full, compressed = fit_both_multiclass(
-            L, 3, n_steps=250, batch_size=64, seed=2
-        )
-        assert np.array_equal(full.alpha, compressed.alpha)
-        assert np.array_equal(
-            full.predict_proba(L), compressed.predict_proba(L)
-        )
-
-    @pytest.mark.parametrize("batch_size", [64, 10_000], ids=["minibatch", "full"])
-    def test_fit_is_row_order_invariant(self, batch_size):
-        rng = np.random.default_rng(13)
-        L = multiclass_votes(rng, 900, 8, 4)
-        config = MulticlassConfig(n_steps=200, batch_size=batch_size, seed=6)
-        straight = MulticlassLabelModel(4, config).fit(L)
-        shuffled = MulticlassLabelModel(4, config).fit(L[rng.permutation(len(L))])
-        assert np.array_equal(straight.alpha, shuffled.alpha)
-        assert np.array_equal(straight.beta, shuffled.beta)
-        assert np.array_equal(
-            straight.predict_proba(L), shuffled.predict_proba(L)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -600,8 +455,15 @@ class TestCompressVotes:
         bad[17, 2] = 2
         with pytest.raises(ValueError, match="-1, 0, 1"):
             SamplingFreeLabelModel(LabelModelConfig(n_steps=1)).fit(bad)
-        with pytest.raises(ValueError, match="votes must be in 0..3"):
-            MulticlassLabelModel(3, MulticlassConfig(n_steps=1)).fit(bad + 2)
+        # The row mass is the weights' sum: an n_rows that disagrees
+        # would mis-size the minibatch sampler's draws.
+        for n_rows in (10.0, 3.0):
+            with pytest.raises(ValueError, match="n_rows"):
+                CompressedVotes(
+                    patterns=np.array([[1, 0], [0, 1]]),
+                    weights=np.array([2.0, 3.0]),
+                    n_rows=n_rows,
+                )
 
     def test_expand_refuses_real_valued_weights(self):
         """A real-valued weighting has no expanded matrix, so it never

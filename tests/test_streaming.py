@@ -745,6 +745,11 @@ class TestOnlineLabelModel:
             model.observe(np.array([[2, 0, 0]]))
         with pytest.raises(ValueError, match="2-D"):
             model.observe(np.array([1, 0, -1]))
+        # A refit cadence below one batch is refused up front, not on
+        # the first observe after the batch was already folded in.
+        for cadence in (0, -2):
+            with pytest.raises(ValueError, match="refit_every"):
+                OnlineLabelModel(OnlineLabelModelConfig(refit_every=cadence))
 
     def test_empty_batch_is_a_noop(self):
         model = OnlineLabelModel()
