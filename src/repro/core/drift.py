@@ -446,8 +446,18 @@ class DriftMonitor:
 
         Returns:
             ``self``, for chaining.
+
+        Raises:
+            ValueError: On any schema but 1, before any state changes —
+                a snapshot from a newer writer must not be half-read.
         """
         from repro.dfs.records import decode_ndarray
+
+        if state.get("schema") != 1:
+            raise ValueError(
+                f"unsupported drift state schema {state.get('schema')!r}; "
+                "this reader understands schema 1"
+            )
 
         def dec_window(payload: dict | None) -> _WindowStats | None:
             if payload is None:
@@ -474,12 +484,3 @@ class DriftMonitor:
             dec_window(payload) for payload in state["recent"]
         )
         return self
-
-    def set_refit_callback(self, callback: Callable[[], object]) -> None:
-        """Bind (or rebind) the callable the ``"refit"`` reaction invokes.
-
-        Args:
-            callback: Zero-argument callable; its return value is
-                ignored.
-        """
-        self._refit_callback = callback

@@ -37,7 +37,7 @@ Retention modes
 ---------------
 Production traffic is non-stationary; a refit that pools all of history
 keeps trusting labeling functions long after they rot. The accumulators
-therefore run in one of three modes, selected by the config:
+therefore run in one of two modes, selected by the config:
 
 * **cumulative** (default): moments and pattern counts grow without
   forgetting; a refit equals the offline fit of the whole stream prefix.
@@ -45,20 +45,13 @@ therefore run in one of three modes, selected by the config:
   the moments and the per-pattern weights by ``decay`` before folding
   the new batch in — an exponential recency window with half-life
   ``ln 2 / ln(1/decay)`` batches. Patterns whose weight sinks below
-  ``pattern_weight_floor`` are evicted, so the table's footprint tracks
+  :data:`PATTERN_WEIGHT_FLOOR` are evicted, so the table's footprint tracks
   the *recent* pattern diversity, not all of history. Refits count each
   retained pattern ``round(weight)`` times.
-* **window** (``window_batches=N``): moments and pattern counts cover
-  exactly the last ``N`` micro-batches. Each retained batch keeps its
-  own sparse ``(pattern ids, counts)`` contribution, so expiry subtracts
-  exactly what that batch added (all integer-valued — no drift) and
-  patterns the window no longer references are evicted. A refit equals
-  the offline fit of precisely the window's rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,6 +61,11 @@ from repro.core.patterns import CompressedVotes, compress_votes
 
 __all__ = ["OnlineLabelModelConfig", "OnlineLabelModel"]
 
+#: Decay mode evicts patterns whose decayed weight falls below this
+#: floor. It lies in (0, 1), so a pattern seen in the current batch
+#: (weight >= 1) is never evicted on arrival.
+PATTERN_WEIGHT_FLOOR = 0.25
+
 
 @dataclass
 class OnlineLabelModelConfig:
@@ -75,7 +73,8 @@ class OnlineLabelModelConfig:
 
     ``base`` is the offline trainer configuration used verbatim by
     :meth:`OnlineLabelModel.refit` — keep it identical to the offline
-    model you want streaming runs to converge to.
+    model you want streaming runs to converge to. ``decay`` picks the
+    retention mode: cumulative when ``None``, decay otherwise.
     """
 
     base: LabelModelConfig = field(default_factory=LabelModelConfig)
@@ -88,16 +87,7 @@ class OnlineLabelModelConfig:
     refit seed, which lives in ``base.seed``)."""
     decay: float | None = None
     """Per-batch exponential decay on moments and pattern weights, in
-    (0, 1); ``None`` (with ``window_batches=None``) keeps the cumulative
-    all-of-history behavior. Mutually exclusive with ``window_batches``."""
-    window_batches: int | None = None
-    """Sliding-window retention: moments and pattern counts cover exactly
-    the last N observed micro-batches. Mutually exclusive with
-    ``decay``."""
-    pattern_weight_floor: float = 0.25
-    """Decay mode only: patterns whose decayed weight falls below this
-    floor are evicted from the table. Must be in (0, 1) so a pattern seen
-    in the current batch (weight >= 1) is never evicted on arrival."""
+    (0, 1); ``None`` keeps the cumulative all-of-history behavior."""
 
 
 class OnlineLabelModel:
@@ -106,8 +96,8 @@ class OnlineLabelModel:
     Feed micro-batches via :meth:`observe`; read the current parameter
     estimate from :attr:`model`; call :meth:`refit` (or set
     ``refit_every``) for full re-estimates from the retained pattern
-    table. Retention semantics (cumulative / decay / window) are set by
-    the config — see the module docstring.
+    table. Retention semantics (cumulative / decay) are set by the
+    config — see the module docstring.
     """
 
     def __init__(self, config: OnlineLabelModelConfig | None = None) -> None:
@@ -118,31 +108,15 @@ class OnlineLabelModel:
                 cumulative retention with the default offline config.
 
         Raises:
-            ValueError: If the config sets both ``decay`` and
-                ``window_batches``, or sets either or ``refit_every`` to
-                an out-of-range value, or sets ``pattern_weight_floor``
-                outside (0, 1).
+            ValueError: If the config sets ``decay`` or ``refit_every``
+                to an out-of-range value.
         """
         self.config = config or OnlineLabelModelConfig()
         cfg = self.config
-        if cfg.decay is not None and cfg.window_batches is not None:
-            raise ValueError(
-                "decay and window_batches are mutually exclusive "
-                "retention modes; set at most one"
-            )
         if cfg.decay is not None and not (0.0 < cfg.decay < 1.0):
             raise ValueError(f"decay must be in (0, 1), got {cfg.decay}")
-        if cfg.window_batches is not None and cfg.window_batches < 1:
-            raise ValueError(
-                f"window_batches must be >= 1, got {cfg.window_batches}"
-            )
         if cfg.refit_every is not None and cfg.refit_every < 1:
             raise ValueError(f"refit_every must be >= 1, got {cfg.refit_every}")
-        if not (0.0 < cfg.pattern_weight_floor < 1.0):
-            raise ValueError(
-                "pattern_weight_floor must be in (0, 1), got "
-                f"{cfg.pattern_weight_floor}"
-            )
         self._model = SamplingFreeLabelModel(replace(cfg.base))
         self._rng = np.random.default_rng(cfg.seed)
         self.n_lfs: int | None = None
@@ -150,34 +124,22 @@ class OnlineLabelModel:
         self.batches_observed = 0
         self.refits_done = 0
         # Pattern table: distinct vote rows in arrival order with the
-        # retained mass per pattern — example counts (cumulative/window;
-        # integer-valued, so window expiry subtracts exactly) or decayed
-        # weights (decay).
+        # retained mass per pattern — example counts (cumulative) or
+        # decayed weights (decay).
         self._pattern_ids: dict[bytes, int] = {}
         self._pattern_rows: list[np.ndarray] = []
         self._pattern_weights = np.zeros(0)
-        # Window mode: each retained batch's sparse (pattern ids, counts).
-        self._window_patterns: deque[tuple] | None = (
-            deque() if cfg.window_batches is not None else None
-        )
-        # Streaming vote moments (recency-weighted in decay/window mode)
-        # plus the effective sample weight behind them.
+        # Streaming vote moments (recency-weighted in decay mode) plus
+        # the effective sample weight behind them.
         self._vote_sum: np.ndarray | None = None
         self._fire_sum: np.ndarray | None = None
         self._agreement: np.ndarray | None = None
         self._moment_weight = 0.0
-        self._window_moments: deque[tuple] | None = (
-            deque() if cfg.window_batches is not None else None
-        )
 
     @property
     def mode(self) -> str:
-        """Retention mode: ``"cumulative"``, ``"decay"``, or ``"window"``."""
-        if self.config.decay is not None:
-            return "decay"
-        if self.config.window_batches is not None:
-            return "window"
-        return "cumulative"
+        """Retention mode: ``"cumulative"`` or ``"decay"``."""
+        return "cumulative" if self.config.decay is None else "decay"
 
     # ------------------------------------------------------------------
     # streaming updates
@@ -186,9 +148,8 @@ class OnlineLabelModel:
         """Fold one micro-batch of votes into the model.
 
         ``votes`` is an ``(B, m)`` array over ``{-1, 0, +1}``; rows are
-        counted into the pattern table (and, in decay/window mode,
-        displace stale history per the retention policy) so a later
-        refit sees the retained stream's rows.
+        counted into the pattern table (and, in decay mode, displace
+        stale history) so a later refit sees the retained stream's rows.
 
         Args:
             votes: The micro-batch's vote rows.
@@ -214,8 +175,8 @@ class OnlineLabelModel:
 
         Runs :meth:`SamplingFreeLabelModel.fit_compressed` with the
         ``base`` config on :meth:`compressed_votes` — the call offline
-        ``fit`` makes — so in cumulative and window mode the result is
-        bitwise the offline fit of the retained rows in any order, at
+        ``fit`` makes — so in cumulative mode the result is bitwise the
+        offline fit of the retained rows in any order, at
         O(patterns × m) per step regardless of stream length. In decay
         mode it is the offline fit of the recency-weighted rows.
 
@@ -236,8 +197,8 @@ class OnlineLabelModel:
     def compressed_votes(self) -> CompressedVotes:
         """The retained stream as a pattern-compressed vote matrix.
 
-        * cumulative / window mode: the retained patterns with their
-          example counts — equal, field by field, to
+        * cumulative mode: the retained patterns with their example
+          counts — equal, field by field, to
           ``compress_votes`` of the retained rows;
         * decay mode: each pattern's multiplicity is ``round(weight)``
           (half-up, so a weight at 0.5 still contributes a row);
@@ -293,28 +254,12 @@ class OnlineLabelModel:
         fire = np.abs(dense).sum(axis=0)
         agree = dense.T @ dense
         count = float(votes.shape[0])
-        mode = self.mode
-        if mode == "decay":
+        if self.mode == "decay":
             d = self.config.decay
             self._vote_sum = d * self._vote_sum + vote
             self._fire_sum = d * self._fire_sum + fire
             self._agreement = d * self._agreement + agree
             self._moment_weight = d * self._moment_weight + count
-        elif mode == "window":
-            # Rolling sums stay exact: every entry is an integer-valued
-            # float64, so adding a batch in and subtracting it back out
-            # later reproduces the same bits regardless of order.
-            self._window_moments.append((vote, fire, agree, count))
-            self._vote_sum += vote
-            self._fire_sum += fire
-            self._agreement += agree
-            self._moment_weight += count
-            while len(self._window_moments) > self.config.window_batches:
-                o_vote, o_fire, o_agree, o_count = self._window_moments.popleft()
-                self._vote_sum -= o_vote
-                self._fire_sum -= o_fire
-                self._agreement -= o_agree
-                self._moment_weight -= o_count
         else:
             self._vote_sum += vote
             self._fire_sum += fire
@@ -322,9 +267,9 @@ class OnlineLabelModel:
             self._moment_weight += count
 
     def _append_patterns(self, votes: np.ndarray) -> None:
-        mode = self.mode
+        decay = self.mode == "decay"
         batch = compress_votes(votes)
-        if mode == "decay":
+        if decay:
             # Age the whole table before folding this batch in.
             self._pattern_weights *= self.config.decay
         ids = np.empty(batch.n_patterns, dtype=np.int32)
@@ -342,25 +287,13 @@ class OnlineLabelModel:
                 [self._pattern_weights, np.zeros(new_rows)]
             )
         self._pattern_weights[ids] += batch.weights
-        if mode == "decay":
-            self._evict_patterns(
-                self._pattern_weights >= self.config.pattern_weight_floor
-            )
-        elif mode == "window":
-            # Ascending ids: the one form an upgraded row-id log counts
-            # into as well, so resumed manifests match byte for byte.
-            order = np.argsort(ids)
-            self._window_patterns.append((ids[order], batch.weights[order]))
-            while len(self._window_patterns) > self.config.window_batches:
-                expired_ids, expired_counts = self._window_patterns.popleft()
-                self._pattern_weights[expired_ids] -= expired_counts
-            self._evict_patterns(self._pattern_weights > 0.0)
+        if decay:
+            self._evict_patterns(self._pattern_weights >= PATTERN_WEIGHT_FLOOR)
 
     def _evict_patterns(self, keep: np.ndarray) -> None:
-        """Drop patterns where ``keep`` is False; remap retained ids."""
+        """Drop patterns where ``keep`` is False; renumber the rest."""
         if bool(keep.all()):
             return
-        remap = np.cumsum(keep) - 1
         self._pattern_rows = [
             row for row, kept in zip(self._pattern_rows, keep) if kept
         ]
@@ -368,13 +301,6 @@ class OnlineLabelModel:
             row.tobytes(): i for i, row in enumerate(self._pattern_rows)
         }
         self._pattern_weights = self._pattern_weights[keep]
-        if self._window_patterns is not None:
-            # Every evicted pattern has zero retained count, so no
-            # retained batch references it.
-            self._window_patterns = deque(
-                (remap[ids].astype(np.int32), counts)
-                for ids, counts in self._window_patterns
-            )
 
     def _incremental_steps(self, votes: np.ndarray) -> None:
         cfg = self.config
@@ -404,27 +330,25 @@ class OnlineLabelModel:
 
         Includes the minibatch sampler's RNG state, both step counters
         (``batches_observed`` here, ``steps_taken`` on the inner model),
-        and the retention-mode state (pattern weights, the rolling
-        window's per-batch contributions) so a restored model takes
-        *exactly* the updates the uninterrupted run would have taken —
-        resumed streams converge to the same parameters to the bit, not
-        just in distribution. Everything is O(patterns) or O(window):
-        the snapshot does not grow with stream length.
+        and the retention state (pattern weights, moment weight) so a
+        restored model takes *exactly* the updates the uninterrupted run
+        would have taken — resumed streams converge to the same
+        parameters to the bit, not just in distribution. Everything is
+        O(patterns): the snapshot does not grow with stream length.
 
         Returns:
-            A JSON-safe dict (arrays as base64 raw buffers). Schema 3;
+            A JSON-safe dict (arrays as base64 raw buffers). Schema 4;
             readers accept schema 1 and 2 dicts, which logged a pattern
-            id per example instead of counts (see :meth:`load_state`).
+            id per example instead of counts, and schema 3 dicts, which
+            also carried sliding-window keys (see :meth:`load_state`).
         """
         from repro.dfs.records import encode_ndarray
 
         def enc(array: np.ndarray | None):
             return None if array is None else encode_ndarray(array)
 
-        window = self._window_moments
-        batches = self._window_patterns
         return {
-            "schema": 3,
+            "schema": 4,
             "n_lfs": self.n_lfs,
             "n_observed": self.n_observed,
             "batches_observed": self.batches_observed,
@@ -438,28 +362,9 @@ class OnlineLabelModel:
             "fire_sum": enc(self._fire_sum),
             "agreement": enc(self._agreement),
             "model": self._model.state_dict(),
-            # Retention-mode state (absent in schema-1 manifests, which
-            # load_state treats as cumulative).
+            # Absent in schema-1 manifests, which load_state treats as
+            # cumulative.
             "moment_weight": self._moment_weight,
-            "window_vote_sums": enc(
-                np.stack([e[0] for e in window]) if window else None
-            ),
-            "window_fire_sums": enc(
-                np.stack([e[1] for e in window]) if window else None
-            ),
-            "window_agreements": enc(
-                np.stack([e[2] for e in window]) if window else None
-            ),
-            "window_counts": enc(
-                np.array([e[3] for e in window]) if window else None
-            ),
-            "window_pattern_ids": enc(
-                np.concatenate([e[0] for e in batches]) if batches else None
-            ),
-            "window_pattern_counts": enc(
-                np.concatenate([e[1] for e in batches]) if batches else None
-            ),
-            "window_pattern_lengths": [len(e[0]) for e in batches or ()],
         }
 
     def load_state(self, state: dict) -> "OnlineLabelModel":
@@ -468,14 +373,14 @@ class OnlineLabelModel:
         The instance must have been constructed with the same config the
         snapshot was taken under (configs are the caller's contract, the
         snapshot carries only mutable state). Older dicts upgrade in
-        place: schema 1 (pre-drift checkpoints) lacks the retention keys,
-        which default to the cumulative-mode values they implicitly had;
+        place: schema 1 (pre-drift checkpoints) lacks the moment weight,
+        which defaults to the cumulative-mode value it implicitly had;
         schemas 1 and 2 carry a per-example pattern-id log, which is
-        counted into pattern weights (batch by batch, so window expiry
-        still subtracts exactly).
+        counted into pattern weights; schema 3's sliding-window keys are
+        ignored.
 
         Args:
-            state: A dict produced by :meth:`state_dict` (schema 1-3).
+            state: A dict produced by :meth:`state_dict` (schema 1-4).
 
         Returns:
             ``self``, for chaining.
@@ -490,10 +395,10 @@ class OnlineLabelModel:
             return None if payload is None else decode_ndarray(payload)
 
         schema = state.get("schema")
-        if schema not in (1, 2, 3):
+        if schema not in (1, 2, 3, 4):
             raise ValueError(
                 f"unsupported label-model state schema {schema!r}; this "
-                "reader understands schemas 1, 2 and 3"
+                "reader understands schemas 1 to 4"
             )
         self.n_lfs = state["n_lfs"]
         self.n_observed = int(state["n_observed"])
@@ -507,50 +412,24 @@ class OnlineLabelModel:
             row.tobytes(): i for i, row in enumerate(self._pattern_rows)
         }
         weights = dec(state.get("pattern_weights"))
-        if schema == 3:
-            lengths = state["window_pattern_lengths"]
-            batches = zip(
-                _split(dec(state["window_pattern_ids"]), lengths),
-                _split(dec(state["window_pattern_counts"]), lengths),
-            )
-        else:
-            # Schemas 1/2 logged one pattern id per retained example,
-            # segmented by batch; the table keeps only the counts.
-            logged = _split(dec(state["row_ids"]), state["row_id_lengths"])
-            batches = [
-                (ids, counts.astype(np.float64))
-                for ids, counts in (
-                    np.unique(segment, return_counts=True) for segment in logged
-                )
-            ]
-            if logged:
-                weights = np.zeros(len(self._pattern_rows))
-                for ids, counts in batches:
-                    weights[ids] += counts
+        logged = dec(state.get("row_ids")) if schema < 3 else None
+        if logged is not None:
+            # Schemas 1/2 logged one pattern id per retained example;
+            # the table keeps only the (integer, so exact) counts.
+            weights = np.bincount(
+                logged, minlength=len(self._pattern_rows)
+            ).astype(np.float64)
         self._pattern_weights = (
             np.zeros(len(self._pattern_rows)) if weights is None else weights
         )
-        windowed = self.config.window_batches is not None
-        self._window_patterns = deque(batches) if windowed else None
         self._vote_sum = dec(state["vote_sum"])
         self._fire_sum = dec(state["fire_sum"])
         self._agreement = dec(state["agreement"])
         # Schema-1 dicts predate the retention modes: their implicit
-        # moment weight is the observed count and they carry no window
-        # segments.
+        # moment weight is the observed count.
         self._moment_weight = float(
             state.get("moment_weight", self.n_observed)
         )
-        self._window_moments = deque() if windowed else None
-        w_votes = dec(state.get("window_vote_sums"))
-        if w_votes is not None and windowed:
-            w_fires = dec(state.get("window_fire_sums"))
-            w_agrees = dec(state.get("window_agreements"))
-            w_counts = dec(state.get("window_counts"))
-            for k in range(len(w_counts)):
-                self._window_moments.append(
-                    (w_votes[k], w_fires[k], w_agrees[k], float(w_counts[k]))
-                )
         self._model = SamplingFreeLabelModel(replace(self.config.base))
         self._model.load_state(state["model"])
         return self
@@ -571,8 +450,7 @@ class OnlineLabelModel:
     @property
     def effective_examples(self) -> float:
         """The weight behind the current moments: ``n_observed`` in
-        cumulative mode, the decayed mass in decay mode, the window's
-        example count in window mode."""
+        cumulative mode, the decayed mass in decay mode."""
         return self._moment_weight
 
     def predict_proba(self, L: np.ndarray) -> np.ndarray:
@@ -674,9 +552,3 @@ class OnlineLabelModel:
         if self.n_observed == 0:
             raise RuntimeError("no votes observed yet")
 
-
-def _split(flat: np.ndarray | None, lengths: list[int]) -> list[np.ndarray]:
-    """Cut a flattened per-batch array back into its batch segments."""
-    if flat is None:
-        return []
-    return np.split(flat, np.cumsum(lengths)[:-1])

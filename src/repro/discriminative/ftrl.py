@@ -100,38 +100,3 @@ class FTRLProximal:
     def nonzero_weights(self) -> int:
         """Count of active (non-zero) weights — L1 sparsity measure."""
         return int(np.count_nonzero(self.dense_weights()))
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Bit-exact snapshot of the optimizer state.
-
-        ``n`` (the accumulated squared gradients) *is* FTRL's
-        per-coordinate learning-rate schedule, so restoring it verbatim
-        is what keeps step sizes from resetting on a resumed stream.
-        """
-        from repro.dfs.records import encode_ndarray
-
-        return {
-            "dimension": self.dimension,
-            "z": encode_ndarray(self.z),
-            "n": encode_ndarray(self.n),
-            "w": encode_ndarray(self._w),
-            "dirty": encode_ndarray(self._dirty),
-        }
-
-    def load_state(self, state: dict) -> "FTRLProximal":
-        """Restore a :meth:`state_dict` snapshot onto this instance."""
-        from repro.dfs.records import decode_ndarray
-
-        if state["dimension"] != self.dimension:
-            raise ValueError(
-                f"snapshot has dimension {state['dimension']}, "
-                f"optimizer has {self.dimension}"
-            )
-        self.z = decode_ndarray(state["z"])
-        self.n = decode_ndarray(state["n"])
-        self._w = decode_ndarray(state["w"])
-        self._dirty = decode_ndarray(state["dirty"])
-        return self

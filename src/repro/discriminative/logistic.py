@@ -166,35 +166,3 @@ class NoiseAwareLogisticRegression:
 
     def nonzero_weights(self) -> int:
         return self._ftrl.nonzero_weights()
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Snapshot of the end model: FTRL state plus ``iterations_run``.
-
-        The iteration counter rides along so schedules and budgets keyed
-        on it (and any diagnostics) continue rather than reset when a
-        checkpointed stream resumes.
-        """
-        return {
-            "dimension": self.dimension,
-            "fit_intercept": self.config.fit_intercept,
-            "iterations_run": self.iterations_run,
-            "ftrl": self._ftrl.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> "NoiseAwareLogisticRegression":
-        """Restore a :meth:`state_dict` snapshot onto this instance."""
-        if state["dimension"] != self.dimension:
-            raise ValueError(
-                f"snapshot has dimension {state['dimension']}, "
-                f"model has {self.dimension}"
-            )
-        if bool(state["fit_intercept"]) != self.config.fit_intercept:
-            raise ValueError(
-                "snapshot and model disagree on fit_intercept"
-            )
-        self.iterations_run = int(state["iterations_run"])
-        self._ftrl.load_state(state["ftrl"])
-        return self

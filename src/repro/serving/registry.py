@@ -2,8 +2,8 @@
 
 The streaming tier (PR 3) already publishes bit-exact deployable
 artifacts: every :class:`~repro.streaming.checkpoint.CheckpointManager`
-manifest snapshots the online label model (and optionally the FTRL end
-model) with write-then-rename atomicity. This module closes the loop the
+manifest snapshots the online label model (plus drift state when a
+policy is set) with write-then-rename atomicity. This module closes the loop the
 paper describes for TFX — "once trained, we use TFX to automatically
 stage it for serving" — by treating the newest manifest under a durable
 root as the unit of deployment:

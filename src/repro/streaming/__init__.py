@@ -25,13 +25,12 @@ engine of PR 1 into that continuous pipeline:
   micro-batch;
 * :mod:`repro.streaming.checkpoint` — the fault-tolerance layer:
   checkpoint manifests (write-then-rename) snapshot the online model,
-  the end model, and the source cursor, and
+  the drift monitor when one is attached, and the source cursor, and
   :class:`CheckpointedStream` resumes an interrupted stream to
   byte-identical outputs;
 * :class:`repro.core.online_label_model.OnlineLabelModel` — the
   incremental generative model the pipeline feeds (exported here for
-  convenience), with cumulative / exponential-decay / sliding-window
-  retention modes;
+  convenience), with cumulative and exponential-decay retention modes;
 * :class:`repro.core.drift.DriftMonitor` — moment-based drift alarms
   (also re-exported): attach one to :class:`MicroBatchPipeline` or a
   :class:`CheckpointedStream` via a :class:`repro.core.drift.DriftPolicy`

@@ -9,10 +9,9 @@ periodically snapshots everything else a resumed stream needs —
   plus the seekable (shard, byte offset) position when the source
   supports it),
 * the :class:`~repro.core.online_label_model.OnlineLabelModel`'s full
-  mutable state: vote moments (including decay/window retention state),
-  the pattern table (distinct vote rows and their counts or weights),
-  the minibatch sampler's RNG state, and both step counters,
-* optionally the FTRL end model's per-coordinate optimizer state,
+  mutable state: vote moments (including decay retention state), the
+  pattern table (distinct vote rows and their counts or weights), the
+  minibatch sampler's RNG state, and both step counters,
 * optionally the :class:`~repro.core.drift.DriftMonitor`'s reference /
   recent windows and alarm counters, so a resumed stream scores and
   alarms on exactly the batches the uninterrupted run would have.
@@ -54,11 +53,13 @@ table the manifest snapshots — the same ``fit_compressed`` call an
 offline ``fit`` makes, so a refit depends only on *which* rows were
 retained, never on how they were batched or when the stream was killed.
 That table is O(patterns): manifests (label-model ``state_dict`` schema
-3) stay the same size however long the stream runs. Manifests from
+4) stay the same size however long the stream runs. Manifests from
 earlier writers — schema 1 (pre-drift) and schema 2, both of which
-logged a pattern id per example — restore by counting that log, resume
-to the same bytes, and refit identically; an unknown schema is refused
-with ``ValueError`` rather than half-read.
+logged a pattern id per example, and schema 3, which also carried
+sliding-window keys — restore, resume to the same bytes, and refit
+identically; an unknown schema is refused with ``ValueError`` rather
+than half-read. Records of a kind this reader does not know (such as
+the ``end_model`` record earlier writers could add) are ignored.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from repro.core.drift import DriftMonitor, DriftPolicy
 from repro.core.online_label_model import OnlineLabelModel, OnlineLabelModelConfig
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.records import RecordWriter, read_records
-from repro.discriminative.logistic import NoiseAwareLogisticRegression
 from repro.lf.base import AbstractLabelingFunction
 from repro.obs.registry import MetricsRegistry
 from repro.streaming.pipeline import MicroBatchPipeline, StreamReport
@@ -113,7 +113,6 @@ class Checkpoint:
     cursor: int
     meta: dict
     label_model_state: dict
-    end_model_state: dict | None = None
     drift_state: dict | None = None
 
 
@@ -137,7 +136,6 @@ class CheckpointManager:
         batch: int,
         cursor: int,
         label_model_state: dict,
-        end_model_state: dict | None = None,
         meta: dict | None = None,
         drift_state: dict | None = None,
     ) -> str:
@@ -147,7 +145,6 @@ class CheckpointManager:
             batch: Last finalized batch sequence number.
             cursor: Examples consumed up to and including ``batch``.
             label_model_state: :meth:`OnlineLabelModel.state_dict`.
-            end_model_state: Optional end-model ``state_dict``.
             meta: Extra meta fields (batch size, LF names, source
                 cursor position).
             drift_state: Optional :meth:`DriftMonitor.state_dict`;
@@ -174,8 +171,6 @@ class CheckpointManager:
                 }
             )
             writer.write({"kind": "label_model", "state": label_model_state})
-            if end_model_state is not None:
-                writer.write({"kind": "end_model", "state": end_model_state})
             if drift_state is not None:
                 writer.write({"kind": "drift", "state": drift_state})
         return final
@@ -214,12 +209,14 @@ class CheckpointManager:
             path: A finalized manifest path.
 
         Returns:
-            The decoded :class:`Checkpoint` (drift/end-model states are
-            ``None`` when their records are absent).
+            The decoded :class:`Checkpoint` (the drift state is ``None``
+            when its record is absent).
 
         Raises:
             ValueError: If the file is not a manifest, has an
-                unsupported schema, or lacks the label-model record.
+                unsupported schema, lacks the meta ``batch`` / ``cursor``
+                or the label-model record, or holds a record without a
+                ``kind`` or ``state``.
         """
         records = read_records(self._dfs, path)
         if not records or records[0].get("kind") != "meta":
@@ -230,6 +227,10 @@ class CheckpointManager:
                 f"{path} has manifest schema {meta.get('schema')!r}, "
                 f"this reader supports {MANIFEST_SCHEMA}"
             )
+        if "batch" not in meta or "cursor" not in meta:
+            raise ValueError(f"{path} has no batch or cursor in its meta")
+        if any("kind" not in r or "state" not in r for r in records[1:]):
+            raise ValueError(f"{path} has a record without kind or state")
         states = {r["kind"]: r["state"] for r in records[1:]}
         if "label_model" not in states:
             raise ValueError(f"{path} is missing the label-model state")
@@ -243,7 +244,6 @@ class CheckpointManager:
                 if k not in ("kind", "schema", "batch", "cursor")
             },
             label_model_state=states["label_model"],
-            end_model_state=states.get("end_model"),
             drift_state=states.get("drift"),
         )
 
@@ -328,13 +328,12 @@ class _CheckpointSink:
 class CheckpointedStream:
     """Durable, resumable micro-batch labeling over an example source.
 
-    Owns the online label model (and optionally a prequential FTRL end
-    model), wires :class:`VoteSink` / :class:`LabelSink` into the
-    pipeline's sink stage, checkpoints every ``checkpoint_every``
-    finalized batches plus once at stream end, and — when the root
-    already holds a manifest — resumes instead of restarting: restore
-    state, drop orphan shards, skip consumed examples, continue batch
-    numbering. ``run`` is idempotent; invoking it on a completed root
+    Owns the online label model, wires :class:`VoteSink` /
+    :class:`LabelSink` into the pipeline's sink stage, checkpoints every
+    ``checkpoint_every`` finalized batches plus once at stream end, and
+    — when the root already holds a manifest — resumes instead of
+    restarting: restore state, drop orphan shards, skip consumed
+    examples, continue batch numbering. ``run`` is idempotent; invoking it on a completed root
     replays nothing and rewrites nothing.
     """
 
@@ -348,9 +347,6 @@ class CheckpointedStream:
         online_config: OnlineLabelModelConfig | None = None,
         checkpoint_every: int = 1,
         write_labels: bool = True,
-        end_model: NoiseAwareLogisticRegression | None = None,
-        featurizer=None,
-        end_model_epochs: int = 1,
         executor=None,
         drift: DriftPolicy | None = None,
         telemetry=None,
@@ -366,12 +362,9 @@ class CheckpointedStream:
             max_resident_batches: The pool's in-flight window (an
                 inline run holds one batch).
             online_config: Online label model configuration, including
-                its retention mode (cumulative / decay / window).
+                its retention mode (cumulative / decay).
             checkpoint_every: Manifest cadence in finalized batches.
             write_labels: Also persist per-batch probabilistic labels.
-            end_model: Optional prequential FTRL end model.
-            featurizer: Required iff ``end_model`` is given.
-            end_model_epochs: FTRL passes per micro-batch.
             executor: A live :class:`repro.parallel.ParallelLabelExecutor`
                 to label batches on; built and closed by the caller.
             drift: Optional :class:`repro.core.drift.DriftPolicy`. When
@@ -389,16 +382,11 @@ class CheckpointedStream:
                 pipeline.
 
         Raises:
-            ValueError: On a non-positive ``checkpoint_every`` or an
-                ``end_model``/``featurizer`` mismatch.
+            ValueError: On a non-positive ``checkpoint_every``.
         """
         if checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        if (end_model is None) != (featurizer is None):
-            raise ValueError(
-                "end_model and featurizer must be supplied together"
             )
         self._dfs = dfs
         self.lfs = list(lfs)
@@ -408,9 +396,6 @@ class CheckpointedStream:
         self.online_config = online_config or OnlineLabelModelConfig()
         self.checkpoint_every = checkpoint_every
         self.write_labels = write_labels
-        self.end_model = end_model
-        self.featurizer = featurizer
-        self.end_model_epochs = end_model_epochs
         #: Pool labeling (the caller's process pool); sinks and
         #: manifests still finalize strictly in batch order, so durable
         #: bytes stay identical to an inline run.
@@ -485,13 +470,6 @@ class CheckpointedStream:
                 and checkpoint.drift_state is not None
             ):
                 self.drift_monitor.load_state(checkpoint.drift_state)
-            if self.end_model is not None:
-                if checkpoint.end_model_state is None:
-                    raise ValueError(
-                        "manifest has no end-model state but this run "
-                        "trains an end model"
-                    )
-                self.end_model.load_state(checkpoint.end_model_state)
             resumed_from = checkpoint.batch
             cursor = checkpoint.cursor
 
@@ -580,17 +558,8 @@ class CheckpointedStream:
     def _learn(
         self, seq: int, examples: list[Example], votes: np.ndarray
     ) -> None:
-        """Model updates — runs before the durable sinks."""
+        """Model update — runs before the durable sinks."""
         self.online.observe(votes)
-        if self.end_model is None:
-            return
-        covered = np.abs(votes).sum(axis=1) > 0
-        if covered.any():
-            soft = self.online.predict_proba(votes[covered])
-            X = self.featurizer.transform(
-                [e for e, keep in zip(examples, covered) if keep]
-            )
-            self.end_model.partial_fit(X, soft, epochs=self.end_model_epochs)
 
     def _label_proba(self, votes: np.ndarray) -> np.ndarray:
         """Posterior from the *current* online model for the label sink."""
@@ -628,9 +597,6 @@ class CheckpointedStream:
             seq,
             self._cursor,
             self.online.state_dict(),
-            end_model_state=(
-                None if self.end_model is None else self.end_model.state_dict()
-            ),
             meta=meta,
             drift_state=(
                 None

@@ -22,18 +22,12 @@ from repro.core.online_label_model import (
     OnlineLabelModel,
     OnlineLabelModelConfig,
 )
-from repro.discriminative.ftrl import FTRLProximal
-from repro.discriminative.logistic import (
-    LogisticConfig,
-    NoiseAwareLogisticRegression,
-)
 from repro.dfs.records import (
     decode_ndarray,
     encode_ndarray,
     iter_record_blobs,
     read_records,
 )
-from repro.features.extractors import HashedTextFeaturizer
 from repro.lf.applier import apply_lfs_in_memory, stage_examples
 from repro.lf.templates import keyword_lf, url_domain_lf
 from repro.streaming import (
@@ -306,7 +300,7 @@ class TestStateSnapshots:
             resumed.refit().predict_proba(L).tobytes()
         )
 
-    @pytest.mark.parametrize("schema", [4, 0, None, "3"])
+    @pytest.mark.parametrize("schema", [5, 0, None, "3"])
     def test_load_state_refuses_unknown_schema(self, schema):
         """A snapshot from a newer (or foreign) writer is refused whole,
         not half-read under this reader's layout."""
@@ -314,57 +308,12 @@ class TestStateSnapshots:
         source = OnlineLabelModel(ONLINE_CONFIG)
         source.observe(L)
         state = source.state_dict()
-        assert state["schema"] == 3
+        assert state["schema"] == 4
         state["schema"] = schema
         target = OnlineLabelModel(ONLINE_CONFIG)
         with pytest.raises(ValueError, match="schema"):
             target.load_state(state)
         assert target.n_observed == 0 and target.n_patterns == 0
-
-    def test_ftrl_snapshot_keeps_learning_rate_schedule(self):
-        ftrl = FTRLProximal(8, alpha=0.2)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            idx = rng.integers(0, 8, size=4)
-            ftrl.update(idx, rng.normal(size=4))
-        clone = FTRLProximal(8, alpha=0.2)
-        clone.load_state(ftrl.state_dict())
-        # n is the per-coordinate schedule; z the proximal accumulator.
-        assert np.array_equal(clone.n, ftrl.n)
-        assert np.array_equal(clone.z, ftrl.z)
-        assert np.array_equal(clone.dense_weights(), ftrl.dense_weights())
-        with pytest.raises(ValueError, match="dimension"):
-            FTRLProximal(4).load_state(ftrl.state_dict())
-
-    def test_logistic_resume_matches_uninterrupted_training(self, corpus):
-        featurizer = HashedTextFeaturizer(num_buckets=2 ** 10)
-        X = featurizer.transform(corpus[:200])
-        soft = np.linspace(0.05, 0.95, 200)
-        config = LogisticConfig(seed=0)
-
-        straight = NoiseAwareLogisticRegression(
-            featurizer.spec.dimension, config
-        )
-        for start in range(0, 200, 50):
-            straight.partial_fit(X[start:start + 50], soft[start:start + 50])
-
-        prefix = NoiseAwareLogisticRegression(
-            featurizer.spec.dimension, config
-        )
-        for start in range(0, 100, 50):
-            prefix.partial_fit(X[start:start + 50], soft[start:start + 50])
-        resumed = NoiseAwareLogisticRegression(
-            featurizer.spec.dimension, config
-        )
-        resumed.load_state(prefix.state_dict())
-        assert resumed.iterations_run == prefix.iterations_run
-        for start in range(100, 200, 50):
-            resumed.partial_fit(X[start:start + 50], soft[start:start + 50])
-
-        assert resumed.iterations_run == straight.iterations_run
-        assert np.array_equal(
-            resumed._ftrl.dense_weights(), straight._ftrl.dense_weights()
-        )
 
 
 # ----------------------------------------------------------------------
@@ -580,54 +529,9 @@ class TestCrashResume:
         with pytest.raises(ValueError, match="LF suite"):
             runner.run(RecordStreamSource(dfs, shards))
 
-    def test_end_model_resumes_with_stream(self, dfs, corpus, lfs):
-        shards = stage_examples(dfs, corpus, "/examples/e", num_shards=2)
-        featurizer = HashedTextFeaturizer(num_buckets=2 ** 10)
-
-        def runner(root):
-            return self._make_runner(
-                dfs,
-                lfs,
-                root,
-                end_model=NoiseAwareLogisticRegression(
-                    featurizer.spec.dimension, LogisticConfig(seed=0)
-                ),
-                featurizer=featurizer,
-            )
-
-        straight = runner("/end-full")
-        straight.run(RecordStreamSource(dfs, shards))
-
-        interrupted = runner("/end-resumed")
-        with pytest.raises(SimulatedCrash):
-            interrupted.run(
-                RecordStreamSource(dfs, shards), fail_after_batch=2
-            )
-        resumed = runner("/end-resumed")
-        resumed.run(RecordStreamSource(dfs, shards))
-
-        assert tree_bytes(dfs, "/end-resumed") == tree_bytes(
-            dfs, "/end-full"
-        )
-        assert (
-            resumed.end_model.iterations_run
-            == straight.end_model.iterations_run
-        )
-        assert np.array_equal(
-            resumed.end_model._ftrl.dense_weights(),
-            straight.end_model._ftrl.dense_weights(),
-        )
-
     def test_validates_construction(self, dfs, lfs):
         with pytest.raises(ValueError, match="checkpoint_every"):
             CheckpointedStream(dfs, lfs, "/r", checkpoint_every=0)
-        with pytest.raises(ValueError, match="together"):
-            CheckpointedStream(
-                dfs,
-                lfs,
-                "/r",
-                end_model=NoiseAwareLogisticRegression(16),
-            )
 
 
 # ----------------------------------------------------------------------
@@ -744,7 +648,7 @@ class TestDriftCheckpointing:
 
 
 # ----------------------------------------------------------------------
-# manifests from earlier writers (label-model state schemas 1 and 2)
+# manifests from earlier writers (label-model state schemas 1 to 3)
 # ----------------------------------------------------------------------
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -844,16 +748,28 @@ class TestPreDriftManifestCompat:
         )
 
 
+def era_label_model_state(captured):
+    """The label-model state a captured root's manifest carries."""
+    return next(
+        record["state"]
+        for path, blob in captured["files"].items()
+        if "/checkpoints/" in path
+        for record in decode_records(base64.b64decode(blob))
+        if record["kind"] == "label_model"
+    )
+
+
 class TestSchema2ManifestCompat:
     """The last row-id-logging writer's roots must resume unchanged.
 
     ``tests/fixtures/schema2_roots.json`` was captured at the parent of
     the commit that replaced the per-example ``row_ids`` log with
-    pattern counts: same corpus and shape as the pre-drift fixture, one
-    root per exact retention mode, with ``refit_every`` set so the first
-    scheduled refit falls *after* the resume point — the resumed stream
-    refits from counted row ids, the fresh one from native counts, and
-    every later label shard and manifest must still match byte for byte.
+    pattern counts: same corpus and shape as the pre-drift fixture, with
+    ``refit_every`` set so the first scheduled refit falls *after* the
+    resume point — the resumed stream refits from counted row ids, the
+    fresh one from native counts, and every later label shard and
+    manifest must still match byte for byte. (Its ``window`` root was
+    written by a retention mode this reader no longer has.)
     """
 
     @pytest.fixture(scope="class")
@@ -861,25 +777,15 @@ class TestSchema2ManifestCompat:
         with open(FIXTURES / "schema2_roots.json") as handle:
             return json.load(handle)
 
-    @pytest.mark.parametrize("mode", ["cumulative", "window"])
+    @pytest.mark.parametrize("mode", ["cumulative"])
     def test_schema2_root_resumes_byte_identical(
         self, corpus, lfs, payload, mode
     ):
         captured = payload["roots"][mode]
-        era_state = next(
-            record["state"]
-            for path, blob in captured["files"].items()
-            if "/checkpoints/" in path
-            for record in decode_records(base64.b64decode(blob))
-            if record["kind"] == "label_model"
-        )
+        era_state = era_label_model_state(captured)
         assert era_state["schema"] == 2 and era_state["row_ids"] is not None
 
-        config = replace(
-            ONLINE_CONFIG,
-            refit_every=payload["refit_every"],
-            window_batches=captured["window_batches"],
-        )
+        config = replace(ONLINE_CONFIG, refit_every=payload["refit_every"])
         resumed, fresh, report, L = resume_captured_root(
             corpus, lfs, payload, captured, config
         )
@@ -888,18 +794,58 @@ class TestSchema2ManifestCompat:
         assert resumed.online.refits_done > 0
         assert resumed.online.state_dict() == fresh.online.state_dict()
 
-        # The retained rows are the stream's (its tail, in window mode),
-        # and a refit is their offline fit in any order.
-        if mode == "window":
-            n_batches = -(-len(L) // payload["batch_size"])
-            first_kept = n_batches - captured["window_batches"]
-            L = L[first_kept * payload["batch_size"]:]
+        # The retained rows are the stream's, and a refit is their
+        # offline fit in any order.
         assert same_rows(resumed.online.compressed_votes(), L)
         shuffled = L[np.random.default_rng(0).permutation(len(L))]
         offline = SamplingFreeLabelModel(config.base).fit(shuffled)
         assert np.array_equal(
             resumed.online.refit().predict_proba(L), offline.predict_proba(L)
         )
+
+
+class TestSchema3ManifestCompat:
+    """The last writer with sliding-window keys must resume unchanged.
+
+    ``tests/fixtures/schema3_roots.json`` was captured at the parent of
+    the commit that dropped the seven (null outside window mode)
+    window keys from the label-model state: same corpus and shape as
+    the schema-2 fixture, one cumulative root and one ``decay=0.9``
+    root. The reader ignores the window keys; the resumed stream must
+    write every later shard and manifest byte for byte as a fresh run.
+    """
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        with open(FIXTURES / "schema3_roots.json") as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("mode", ["cumulative", "decay"])
+    def test_schema3_root_resumes_byte_identical(
+        self, corpus, lfs, payload, mode
+    ):
+        captured = payload["roots"][mode]
+        era_state = era_label_model_state(captured)
+        assert era_state["schema"] == 3
+        assert era_state["window_pattern_lengths"] == []
+
+        config = replace(
+            ONLINE_CONFIG,
+            refit_every=payload["refit_every"],
+            decay=captured["decay"],
+        )
+        resumed, fresh, report, L = resume_captured_root(
+            corpus, lfs, payload, captured, config
+        )
+        assert report.resumed_from_batch == 1
+        assert resumed.online.mode == mode
+        assert resumed.online.refits_done > 0
+        assert resumed.online.state_dict() == fresh.online.state_dict()
+        assert fresh.online.refit().predict_proba(L).tobytes() == (
+            resumed.online.refit().predict_proba(L).tobytes()
+        )
+        if mode == "cumulative":
+            assert same_rows(resumed.online.compressed_votes(), L)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tests for the drift layer: retention modes + the drift monitor.
 
-Covers the tentpole bottom-up: the :class:`OnlineLabelModel`'s decay and
-sliding-window retention modes (moment math, weighted pattern log,
-eviction, recency-weighted reconstruction, bit-exact snapshots), the
+Covers the layer bottom-up: the :class:`OnlineLabelModel`'s decay
+retention mode (moment math, weighted pattern log, eviction,
+recency-weighted reconstruction, bit-exact snapshots), the
 :class:`DriftMonitor` (window mechanics, detection, false-alarm
 behavior, reactions, bit-exact resume), and the pipeline/checkpoint
 wiring that surfaces ``drift/*`` counters.
@@ -20,7 +20,7 @@ from repro.core.online_label_model import (
 from repro.streaming import MemorySource, MicroBatchPipeline
 from repro.types import Example
 
-from tests.conftest import same_rows, synthetic_label_matrix
+from tests.conftest import same_rows
 
 
 def draw_batches(
@@ -183,6 +183,22 @@ class TestDriftMonitor:
         assert resumed.reference_resets == straight.reference_resets
         assert resumed.state_dict() == straight.state_dict()
 
+    @pytest.mark.parametrize("schema", [2, 0, None, "x"])
+    def test_load_state_refuses_unknown_schema(self, schema):
+        """A snapshot from a newer (or foreign) writer is refused whole,
+        not half-read under this reader's layout."""
+        policy = DriftPolicy(reference_batches=2, recent_batches=2)
+        source = DriftMonitor(policy)
+        for votes in draw_batches(5, seed=13):
+            source.observe_batch(votes)
+        state = source.state_dict()
+        assert state["schema"] == 1
+        state["schema"] = schema
+        target = DriftMonitor(policy)
+        with pytest.raises(ValueError, match="schema"):
+            target.load_state(state)
+        assert target.state_dict() == DriftMonitor(policy).state_dict()
+
 
 # ----------------------------------------------------------------------
 # decay retention mode
@@ -198,25 +214,10 @@ class TestDecayMode:
     def test_mode_selection_and_validation(self):
         assert OnlineLabelModel().mode == "cumulative"
         assert OnlineLabelModel(DECAY_CONFIG).mode == "decay"
-        assert (
-            OnlineLabelModel(
-                OnlineLabelModelConfig(window_batches=4)
-            ).mode == "window"
-        )
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            OnlineLabelModel(
-                OnlineLabelModelConfig(decay=0.9, window_batches=3)
-            )
         with pytest.raises(ValueError, match="decay"):
             OnlineLabelModel(OnlineLabelModelConfig(decay=1.0))
         with pytest.raises(ValueError, match="decay"):
             OnlineLabelModel(OnlineLabelModelConfig(decay=0.0))
-        with pytest.raises(ValueError, match="window_batches"):
-            OnlineLabelModel(OnlineLabelModelConfig(window_batches=0))
-        with pytest.raises(ValueError, match="pattern_weight_floor"):
-            OnlineLabelModel(
-                OnlineLabelModelConfig(decay=0.9, pattern_weight_floor=1.5)
-            )
 
     def test_moments_follow_exponential_decay(self):
         batches = draw_batches(5, batch=100, seed=12)
@@ -339,90 +340,6 @@ class TestDecayMode:
         assert (
             straight.refit().predict_proba(L).tobytes()
             == resumed.refit().predict_proba(L).tobytes()
-        )
-
-
-# ----------------------------------------------------------------------
-# sliding-window retention mode
-# ----------------------------------------------------------------------
-class TestWindowMode:
-    def test_moments_cover_exactly_the_window(self):
-        batches = draw_batches(7, batch=90, seed=17)
-        model = OnlineLabelModel(
-            OnlineLabelModelConfig(steps_per_batch=0, window_batches=3)
-        )
-        for votes in batches:
-            model.observe(votes)
-        tail = np.vstack(batches[-3:]).astype(np.float64)
-        assert model.effective_examples == len(tail)
-        np.testing.assert_array_equal(model.mean_votes(), tail.mean(axis=0))
-        np.testing.assert_array_equal(
-            model.fire_rates(), np.abs(tail).mean(axis=0)
-        )
-        np.testing.assert_array_equal(
-            model.agreement_matrix(), tail.T @ tail / len(tail)
-        )
-
-    def test_reconstruct_is_exactly_the_last_n_batches(self):
-        batches = draw_batches(6, batch=50, seed=18)
-        model = OnlineLabelModel(
-            OnlineLabelModelConfig(steps_per_batch=0, window_batches=2)
-        )
-        for votes in batches:
-            model.observe(votes)
-        assert same_rows(model.compressed_votes(), np.vstack(batches[-2:]))
-
-    def test_patterns_evict_when_they_leave_the_window(self):
-        model = OnlineLabelModel(
-            OnlineLabelModelConfig(steps_per_batch=0, window_batches=2)
-        )
-        a = np.array([[1, 0]] * 3, dtype=np.int8)
-        b = np.array([[0, -1]] * 3, dtype=np.int8)
-        c = np.array([[1, 1]] * 3, dtype=np.int8)
-        model.observe(a)
-        model.observe(b)
-        assert model.n_patterns == 2
-        model.observe(c)  # a slides out of the 2-batch window
-        assert model.n_patterns == 2
-        assert same_rows(model.compressed_votes(), np.vstack([b, c]))
-
-    def test_windowed_refit_matches_offline_fit_of_the_window(self):
-        """A window refit is *exactly* the offline fit of the tail."""
-        L, _ = synthetic_label_matrix(m=900, seed=19)
-        batches = [L[i:i + 100] for i in range(0, 900, 100)]
-        config = LabelModelConfig(n_steps=200, seed=5)
-        model = OnlineLabelModel(
-            OnlineLabelModelConfig(
-                base=config, steps_per_batch=0, window_batches=4
-            )
-        )
-        for votes in batches:
-            model.observe(votes)
-        tail = np.vstack(batches[-4:])
-        offline = SamplingFreeLabelModel(config).fit(tail)
-        refit = model.refit()
-        np.testing.assert_array_equal(refit.alpha, offline.alpha)
-        np.testing.assert_array_equal(refit.beta, offline.beta)
-
-    def test_state_round_trip_is_bitwise(self):
-        stream = draw_batches(9, seed=20)
-        config = OnlineLabelModelConfig(
-            base=LabelModelConfig(n_steps=60, seed=1), window_batches=3
-        )
-        straight = OnlineLabelModel(config)
-        for votes in stream:
-            straight.observe(votes)
-
-        prefix = OnlineLabelModel(config)
-        for votes in stream[:5]:
-            prefix.observe(votes)
-        resumed = OnlineLabelModel(config).load_state(prefix.state_dict())
-        for votes in stream[5:]:
-            resumed.observe(votes)
-
-        assert resumed.state_dict() == straight.state_dict()
-        assert same_rows(
-            resumed.compressed_votes(), np.vstack(stream[-3:])
         )
 
 

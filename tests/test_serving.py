@@ -24,7 +24,12 @@ import pytest
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.online_label_model import OnlineLabelModel
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.dfs.records import RecordCorruption, iter_record_blobs
+from repro.dfs.records import (
+    RecordCorruption,
+    encode_record,
+    iter_record_blobs,
+    read_records,
+)
 from repro.lf.applier import apply_lfs_in_memory, stage_examples
 from repro.serving import (
     CheckpointModelRegistry,
@@ -39,9 +44,11 @@ from repro.streaming import (
 )
 from repro.types import Example
 
+from tests.conftest import same_rows
 from tests.test_batch_equivalence import count_surface_resolutions
 from tests.test_checkpoint import (
     ONLINE_CONFIG,
+    era_label_model_state,
     make_corpus,
     make_lfs,
     stage_captured_root,
@@ -118,6 +125,19 @@ def deploy(dfs, manifest_path, live_root):
 
 def make_registry(dfs, root):
     return CheckpointModelRegistry(dfs, root, online_config=ONLINE_CONFIG)
+
+
+def unreadable_manifests(dfs, good_path):
+    """Manifest blobs no reader can deploy: torn framing, a meta record
+    without its cursor, and a label-model record without its state."""
+    meta, label_model, *rest = read_records(dfs, good_path)
+    no_cursor = {k: v for k, v in meta.items() if k != "cursor"}
+    stateless = {"kind": label_model["kind"]}
+    return [
+        b"torn bytes",
+        b"".join(map(encode_record, [no_cursor, label_model, *rest])),
+        b"".join(map(encode_record, [meta, stateless, *rest])),
+    ]
 
 
 def wait_until(condition, failure, deadline_s=10.0):
@@ -244,7 +264,7 @@ class TestCheckpointModelRegistry:
         registry.manager.write(
             99,
             checkpoint.cursor,
-            {**checkpoint.label_model_state, "schema": 4},
+            {**checkpoint.label_model_state, "schema": 5},
             meta=checkpoint.meta,
         )
         with pytest.raises(ValueError, match="schema"):
@@ -254,37 +274,42 @@ class TestCheckpointModelRegistry:
 
     def test_watcher_survives_torn_manifest(self, checkpointed, lfs):
         dfs = checkpointed["dfs"]
-        root = "/reg/watchbad"
-        registry = make_registry(dfs, root)
-        deploy(dfs, checkpointed["manifests"][0], root)
-        config = ServeConfig(poll_ms=2.0)
-        with LabelServer(registry, lfs, config) as server:
-            dfs.write_file(
-                registry.manager.manifest_path(99), b"torn bytes"
-            )
-            deadline = time.perf_counter() + 5.0
-            while "serving/refresh_errors" not in server.counters.as_dict():
-                assert time.perf_counter() < deadline
-                time.sleep(0.002)
-            # Still serving generation 1 despite the torn deploy.
-            result = server.predict(checkpointed["decoded"][0])
-            assert result.generation == 1 and not result.degraded
+        good = checkpointed["manifests"][0]
+        for case, blob in enumerate(unreadable_manifests(dfs, good)):
+            root = f"/reg/watchbad{case}"
+            registry = make_registry(dfs, root)
+            deploy(dfs, good, root)
+            config = ServeConfig(poll_ms=2.0)
+            with LabelServer(registry, lfs, config) as server:
+                dfs.write_file(registry.manager.manifest_path(99), blob)
+                deadline = time.perf_counter() + 5.0
+                while (
+                    "serving/refresh_errors" not in server.counters.as_dict()
+                ):
+                    assert time.perf_counter() < deadline, case
+                    time.sleep(0.002)
+                # Still serving generation 1 despite the torn deploy.
+                result = server.predict(checkpointed["decoded"][0])
+                assert result.generation == 1 and not result.degraded
 
     def test_start_survives_torn_manifest(self, checkpointed, lfs):
         """The first, synchronous refresh is no different from the
         watcher's: a torn newest manifest is counted, the server comes
         up degraded, and the watcher deploys the next readable one."""
         dfs = checkpointed["dfs"]
-        root = "/reg/startbad"
-        registry = make_registry(dfs, root)
-        dfs.write_file(registry.manager.manifest_path(0), b"torn bytes")
-        config = ServeConfig(poll_ms=2.0)
-        with LabelServer(registry, lfs, config) as server:
-            assert server.counters.as_dict()["serving/refresh_errors"] >= 1
-            assert server.predict(checkpointed["decoded"][0]).degraded
-            deploy(dfs, checkpointed["manifests"][1], root)
-            wait_for_generation(registry, 1)
-            assert not server.predict(checkpointed["decoded"][0]).degraded
+        blobs = unreadable_manifests(dfs, checkpointed["manifests"][0])
+        for case, blob in enumerate(blobs):
+            root = f"/reg/startbad{case}"
+            registry = make_registry(dfs, root)
+            dfs.write_file(registry.manager.manifest_path(0), blob)
+            config = ServeConfig(poll_ms=2.0)
+            with LabelServer(registry, lfs, config) as server:
+                counters = server.counters.as_dict()
+                assert counters["serving/refresh_errors"] >= 1, case
+                assert server.predict(checkpointed["decoded"][0]).degraded
+                deploy(dfs, checkpointed["manifests"][1], root)
+                wait_for_generation(registry, 1)
+                assert not server.predict(checkpointed["decoded"][0]).degraded
 
     def test_generation_posteriors_match_offline_fit(self, checkpointed):
         dfs = checkpointed["dfs"]
@@ -325,14 +350,12 @@ class TestCheckpointModelRegistry:
             generation.posteriors[matrix[missing[0]].tobytes()] = 0.5
 
     @pytest.mark.parametrize(
-        "retention, batch",
-        [({"decay": 0.3}, 5), ({"window_batches": 1}, 4)],
-        ids=["decay", "window"],
+        "retention, batch", [({"decay": 0.3}, 5)], ids=["decay"]
     )
     def test_forgetful_snapshot_serves_what_it_retains(
         self, corpus, lfs, retention, batch
     ):
-        """A decay- or window-mode snapshot builds its table from
+        """A decay-mode snapshot builds its table from
         whatever ``compressed_votes()`` retains — here one pattern fewer
         than the corpus has — and serves table and padded rows alike."""
         dfs = DistributedFileSystem()
@@ -407,6 +430,19 @@ class TestPreDriftManifestServing:
         )
         self._assert_table_serves(generation, matrix, offline)
 
+    def _assert_serves_fit_of(self, generation, matrix, retained, config):
+        """The generation serves the offline fit of ``retained`` in any
+        row order, through its model and its table alike."""
+        shuffled = retained[
+            np.random.default_rng(0).permutation(len(retained))
+        ]
+        offline = SamplingFreeLabelModel(config.base).fit(shuffled)
+        assert np.array_equal(
+            generation.label_model.predict_proba(matrix),
+            offline.predict_proba(matrix),
+        )
+        self._assert_table_serves(generation, matrix, offline)
+
     @staticmethod
     def _assert_table_serves(generation, matrix, offline):
         """The table holds the snapshot's retained patterns and scoring
@@ -419,32 +455,44 @@ class TestPreDriftManifestServing:
         assert misses == len(missing)
         assert scored == offline.predict_proba(matrix).tolist()
 
-    @pytest.mark.parametrize("mode", ["cumulative", "window"])
+    @pytest.mark.parametrize("mode", ["cumulative"])
     def test_schema2_manifest_serves(self, lfs, mode):
         """The last row-id-logging writer's manifests (see
         ``TestSchema2ManifestCompat``) serve the offline fit of the rows
-        they retained — the whole prefix, or the window's batches."""
+        they retained: the whole prefix."""
         with open(self.FIXTURES / "schema2_roots.json") as handle:
             payload = json.load(handle)
         captured = payload["roots"][mode]
-        config = replace(
-            ONLINE_CONFIG, window_batches=captured["window_batches"]
+        generation, matrix = self._serve_captured(
+            lfs, payload, captured, ONLINE_CONFIG
         )
+        self._assert_serves_fit_of(
+            generation, matrix, matrix[: generation.cursor], ONLINE_CONFIG
+        )
+
+    @pytest.mark.parametrize("mode", ["cumulative", "decay"])
+    def test_schema3_manifest_serves(self, lfs, mode):
+        """The last writer with sliding-window keys (see
+        ``TestSchema3ManifestCompat``) serves the offline fit of the
+        rows its manifest retained: the whole prefix, or its decayed
+        weights rounded to row counts."""
+        with open(self.FIXTURES / "schema3_roots.json") as handle:
+            payload = json.load(handle)
+        captured = payload["roots"][mode]
+        config = replace(ONLINE_CONFIG, decay=captured["decay"])
         generation, matrix = self._serve_captured(
             lfs, payload, captured, config
         )
-        # The manifest sits at batch 1: two batches seen, all retained
-        # by either mode (window_batches=3).
-        retained = matrix[: generation.cursor]
-        shuffled = retained[
-            np.random.default_rng(0).permutation(len(retained))
-        ]
-        offline = SamplingFreeLabelModel(config.base).fit(shuffled)
-        assert np.array_equal(
-            generation.label_model.predict_proba(matrix),
-            offline.predict_proba(matrix),
+        votes = (
+            OnlineLabelModel(config)
+            .load_state(era_label_model_state(captured))
+            .compressed_votes()
         )
-        self._assert_table_serves(generation, matrix, offline)
+        if mode == "cumulative":
+            assert same_rows(votes, matrix[: generation.cursor])
+        # Two batches at decay 0.9 evict nothing: the table still holds
+        # every pattern of the prefix.
+        self._assert_serves_fit_of(generation, matrix, votes.expand(), config)
 
 
 # ---------------------------------------------------------------------------
