@@ -10,13 +10,13 @@ example throughput beats the Gibbs sampler by at least 2x (ours is far
 larger because the Gibbs inner loop is pure Python — the rendered table
 says so).
 
-Also home to the ``label_model_fit`` flatness gate: full-batch fitting
-of matrices of 2,000 / 8,000 / 30,720 rows drawn from one fixed
-200-pattern pool. Every fit runs on ``(patterns, counts)``, so at every
-size it must match the row-wise reference trainer from
-``tests/test_fit_equivalence.py`` to <= 1e-9 posteriors, and its
-per-step cost must be flat in n (bounded growth across the >15x sweep —
-a within-run ratio, so it binds on any host).
+Also home to the ``label_model_fit`` flatness gate: fitting matrices of
+2,000 / 8,000 / 30,720 rows drawn from one fixed 200-pattern pool to
+convergence. Every fit runs on ``(patterns, counts)``, so at every size
+its mean NLL and gradient at the solution must match the row-wise
+reference from ``tests/test_fit_equivalence.py`` to <= 1e-9, and its
+cost per solver iteration must be flat in n (bounded growth across the
+>15x sweep — a within-run ratio, so it binds on any host).
 """
 
 import numpy as np
@@ -27,13 +27,14 @@ from repro.experiments import perf
 from repro.experiments.harness import get_content_experiment
 
 from benchmarks.conftest import emit
-from tests.test_fit_equivalence import reference_fit_binary
+from tests.test_fit_equivalence import reference_gap
 
-#: Posterior agreement with the row-wise reference, at every size.
+#: Agreement of the fitted NLL and gradient with the row-wise
+#: reference, at every size.
 FIT_EQUIVALENCE_TOLERANCE = 1e-9
 
-#: Maximum allowed per-step cost growth across the size sweep ("flat in
-#: n"; measured 1.00x).
+#: Maximum allowed growth of the cost per solver iteration across the
+#: size sweep ("flat in n").
 FIT_STEP_GROWTH_CEILING = 3.0
 
 
@@ -48,10 +49,10 @@ def test_section52_speed_comparison(benchmark, scale):
 
 
 def test_sampling_free_step(benchmark, scale):
-    """Microbenchmark: one exact-gradient step at batch 64, 8-10 LFs."""
+    """Microbenchmark: one exact-gradient SGD step at batch 64, 8-10 LFs."""
     exp = get_content_experiment("product", scale)
     L = exp.L_unlabeled.matrix.astype(np.float64)
-    model = SamplingFreeLabelModel(LabelModelConfig(batch_size=64))
+    model = SamplingFreeLabelModel(LabelModelConfig())
     model.init_params(L.shape[1])
     rng = np.random.default_rng(0)
     batch = L[rng.integers(0, len(L), size=64)]
@@ -62,18 +63,18 @@ def test_sampling_free_step(benchmark, scale):
 def test_label_model_fit_compression(benchmark, scale):
     """Flatness gate: fitting over (patterns, counts) is flat in n."""
     result = benchmark.pedantic(
-        lambda: perf.run_fit_compression_eval(reference_fit_binary),
+        lambda: perf.run_fit_compression_eval(reference_gap),
         rounds=1,
         iterations=1,
     )
     emit(result)
 
-    # The pattern fit is only a faster path if it is the same fit as the
-    # row-wise one.
+    # The pattern fit is only a faster path if it solves the row-wise
+    # objective.
     for row in result.rows:
-        assert row["max_posterior_diff"] <= FIT_EQUIVALENCE_TOLERANCE, row
+        assert row["oracle_gap"] <= FIT_EQUIVALENCE_TOLERANCE, row
     largest = result.rows[-1]
-    assert largest["compressed_step_growth"] <= FIT_STEP_GROWTH_CEILING, largest
+    assert largest["iteration_growth"] <= FIT_STEP_GROWTH_CEILING, largest
 
 
 def test_gibbs_batch(benchmark, scale):

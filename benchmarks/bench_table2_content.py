@@ -35,7 +35,7 @@ def test_label_model_fit_speed(benchmark, scale):
 
     def fit():
         return SamplingFreeLabelModel(
-            LabelModelConfig(n_steps=1500, seed=1)
+            LabelModelConfig(seed=1)
         ).fit(L)
 
     model = benchmark.pedantic(fit, rounds=3, iterations=1)

@@ -39,7 +39,7 @@ def test_servable_arm_cost(benchmark, scale):
 
     def refit():
         return SamplingFreeLabelModel(
-            LabelModelConfig(n_steps=1500, seed=2)
+            LabelModelConfig(seed=2)
         ).fit(L_sub.matrix)
 
     model = benchmark.pedantic(refit, rounds=3, iterations=1)

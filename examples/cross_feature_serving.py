@@ -45,7 +45,7 @@ def main():
             )
     print("  (keyword/pattern LFs run directly on content: no service cost)")
 
-    label_model = SamplingFreeLabelModel(LabelModelConfig(n_steps=3000)).fit(
+    label_model = SamplingFreeLabelModel(LabelModelConfig()).fit(
         matrix.matrix
     )
     soft = label_model.predict_proba(matrix.matrix)

@@ -45,7 +45,7 @@ def main():
     examples, _gold = make_documents(n=600, seed=7)
     lfs = build_lfs()
     online_config = OnlineLabelModelConfig(
-        base=LabelModelConfig(n_steps=300, seed=0), seed=0
+        base=LabelModelConfig(seed=0), seed=0
     )
 
     # 1. Train side: checkpoint-per-batch stream over staged shards.
@@ -73,7 +73,7 @@ def main():
 
     def offline_fit(path):
         cursor = stream.manager.load(path).cursor
-        model = SamplingFreeLabelModel(LabelModelConfig(n_steps=300, seed=0))
+        model = SamplingFreeLabelModel(LabelModelConfig(seed=0))
         model.fit(matrix[:cursor])
         return model.predict_proba(matrix)
 

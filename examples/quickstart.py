@@ -72,7 +72,7 @@ def main():
 
     # 3. Fit the sampling-free generative model (no gold labels used!)
     #    and inspect the learned accuracies.
-    label_model = SamplingFreeLabelModel(LabelModelConfig(n_steps=2500)).fit(
+    label_model = SamplingFreeLabelModel(LabelModelConfig()).fit(
         matrix.matrix
     )
     analysis = LFAnalysis(matrix.matrix, matrix.lf_names)

@@ -64,7 +64,7 @@ def main():
 
     # 2. Wire the continuous pipeline: online label model + FTRL
     #    end model consume each micro-batch as it is labeled.
-    config = LabelModelConfig(n_steps=2500, seed=0)
+    config = LabelModelConfig(seed=0)
     online = OnlineLabelModel(
         OnlineLabelModelConfig(base=config, refit_every=4)
     )

@@ -50,7 +50,7 @@ def main():
         trainer=TrainerSpec(
             kind="logistic", logistic=LogisticConfig(n_iterations=1500)
         ),
-        label_model_config=LabelModelConfig(n_steps=4000),
+        label_model_config=LabelModelConfig(),
         use_mapreduce=True,
         num_shards=8,
         model_name="topic-classifier",

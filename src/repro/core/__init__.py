@@ -5,11 +5,10 @@ the evaluation compares against.
 Public surface:
 
 * :class:`SamplingFreeLabelModel` — the Section 5.2 model: per-LF accuracy
-  and propensity parameters in log space, trained by exact-gradient SGD
-  steps (its only update) on the marginal likelihood of the observed
-  label matrix.
+  and propensity parameters in log space, fitted by a projected Newton
+  solve of the exact marginal likelihood of the observed label matrix.
 * :class:`OnlineLabelModel` — the streaming counterpart: vote-moment
-  accumulation, incremental exact-gradient updates, and periodic full
+  accumulation, incremental SGD updates, and periodic full
   refits that reproduce the offline fit exactly (``repro.streaming``
   feeds it micro-batches).
 * :class:`DriftMonitor` / :class:`DriftPolicy` — moment-based drift

@@ -21,65 +21,54 @@ for an incorrect vote, and ``-Z_j`` for an abstain. The training
 objective is the *marginal* negative log-likelihood ``-log P(Lambda)``,
 marginalizing ``Y`` — no ground-truth labels are used anywhere.
 
-Why sampling-free
------------------
-The open-source Snorkel of the time used a Gibbs sampler to estimate this
-gradient; the paper replaces it with a static compute graph and exact
-gradient steps ("hundreds of gradient steps per second on a single compute
-node"). TensorFlow is not available here, so we implement the *same*
-computation in NumPy: the closed-form objective below **is** the paper's
-static graph, and the analytic gradients below are exactly what
-TensorFlow's reverse-mode autodiff would produce for it.
+The open-source Snorkel of the time estimated this gradient with a
+Gibbs sampler; the paper uses a static compute graph and exact gradients
+instead. The closed-form objective below is that graph in NumPy, and its
+analytic gradients are what TensorFlow's autodiff would produce.
 
-Vectorized form used in this module (per minibatch ``L`` of shape
-``(B, n)``)::
+Vectorized form used in this module (per batch ``L`` of shape
+``(B, m)``, row ``i`` counted ``w_i`` times)::
 
     a_i = sum_j L_ij * alpha_j              # since L in {-1,0,1}
     b_i = sum_j |L_ij| * beta_j
     log P(L_i, Y=+1) = a_i + b_i - sum_j Z_j
     log P(L_i, Y=-1) = -a_i + b_i - sum_j Z_j
-    NLL = -sum_i [ b_i - sum_j Z_j
-                   + logaddexp(a_i + log pi_+, -a_i + log pi_-) ]
+    NLL = -sum_i w_i [ b_i - sum_j Z_j
+                       + logaddexp(a_i + log pi_+, -a_i + log pi_-) ]
 
-with posterior ``P(Y_i=+1 | L_i) = sigmoid(2 a_i + logit(pi_+))``.
-Gradients::
+with posterior ``p_i = P(Y_i=+1 | L_i) = sigmoid(2 a_i + logit(pi_+))``
+and ``W = sum_i w_i``. Gradients::
 
-    dNLL/dalpha_j = -sum_i (2 p_i - 1) L_ij + B * (P_j(correct) - P_j(incorrect))
-    dNLL/dbeta_j  = -sum_i |L_ij|          + B * (1 - P_j(abstain))
+    dNLL/dalpha_j = -sum_i w_i (2 p_i - 1) L_ij + W (P_j(correct) - P_j(incorrect))
+    dNLL/dbeta_j  = -sum_i w_i |L_ij|          + W (1 - P_j(abstain))
 
-The class prior ``pi_+`` is uniform by default ("For simplicity, here we
-assume that P(Y_i) is uniform, but we can also learn this distribution"),
-and can be learned through a logit parameter.
+The Hessian is closed-form too: ``W`` times the covariance of the
+outcome statistics ``(+-1, 1, 0)`` gives a 2x2 ``(alpha_j, beta_j)``
+block per LF, and the posteriors add ``-sum_i w_i 4 p_i (1 - p_i) L_i
+L_i^T`` to the alpha block, so the objective is not convex. The class
+prior ``pi_+`` is uniform by default ("For simplicity, here we assume
+that P(Y_i) is uniform, but we can also learn this distribution"), and
+can be learned through a logit parameter.
 
-One fit path
-------------
-Because the likelihood is a product over rows, it sees the matrix only
-as a multiset of vote patterns. Every fit therefore runs on the
-deduplicated ``(patterns, counts)`` form in one canonical pattern order
-(:mod:`repro.core.patterns`): :meth:`SamplingFreeLabelModel.fit` is
-``fit_compressed(compress_votes(L))``. A full-batch step costs
-O(patterns × m) independent of ``n``; a minibatch step samples rows of
-the count-ordered expansion and runs the same step kernel at unit
-weights. ``fit`` is thus invariant to row order, bit for bit,
-and equals a row-wise fit of the expanded matrix — bitwise in the
-minibatch regime, ≤ 1e-9 posteriors full-batch (summation order) —
-which the differential harness in ``tests/test_fit_equivalence.py``
-checks against an independent row-wise reference.
-
-One step kernel
----------------
-The objective, its gradients and the SGD update are written once, in
-:class:`_StepKernel`, which ``fit_compressed`` (both regimes),
-``partial_step`` and ``nll`` all run. Measured on the benchmark's
-21-pattern, 8-LF table (2-CPU container): 6,000 steps in 0.17 s, about
-**35,000 steps per second** at batch 64 — against the paper's "> 100
-steps per second" for its TensorFlow graph.
+One fit, one objective
+----------------------
+The likelihood sees the matrix only as a multiset of vote patterns, so
+:meth:`SamplingFreeLabelModel.fit` is ``fit_compressed(compress_votes(L))``
+on the canonical ``(patterns, counts)`` form (:mod:`repro.core.patterns`),
+bitwise invariant to row order. ``fit_compressed`` minimises the *mean*
+count-weighted NLL by deterministic projected Newton
+(:meth:`_StepKernel.solve`), O(patterns x m) per iteration whatever ``n``
+is: the paper's claim is about the objective, not the step rule, and
+minibatches drawn from the table only put back noise the compression
+removed. On the benchmark's 20-pattern, 8-LF table (2-CPU container) the
+solve takes 21-29 iterations and 6-12 ms. ``partial_step`` and the
+online model's incremental updates take SGD steps on the same kernel,
+~35,000 per second at batch 64 (the paper: "> 100 steps per second").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -87,36 +76,38 @@ from repro.core.patterns import CompressedVotes, compress_votes
 
 __all__ = ["LabelModelConfig", "SamplingFreeLabelModel"]
 
-#: Votes one minibatch draw-and-gather call fetches, for as many steps
-#: as fit: 256 KB of float64, 64 steps of 64 rows x 8 LFs (the per-call
-#: cost is amortized by then; 4x larger chunks time the same).
-_CHUNK_VOTES = 1 << 15
-
 #: Warm start of every accuracy parameter: a weakly-optimistic prior
 #: ("LFs are better than random"), sigmoid(1.4) ~ 80% accurate.
 _INIT_ALPHA = 0.7
-#: Warm start of every propensity parameter when there are no votes to
-#: match (:meth:`SamplingFreeLabelModel.init_params`).
-_INIT_BETA = 0.0
+
+#: Cap on every accuracy parameter (sigmoid(10) ~ 99.995% accurate): the
+#: likelihood is unbounded for a near-perfect LF. A cap of 3 cost product
+#: Table 4 F1 1.5 points; 5 gained 0.8.
+_MAX_ALPHA = 5.0
+#: The solve stops at this projected-gradient infinity-norm, or after
+#: ``_MAX_ITERATIONS`` (the benchmark's tables take 21-29).
+_TOLERANCE = 1e-9
+_MAX_ITERATIONS = 200
+#: Line search: sufficient-decrease constant, the relative rounding of a
+#: summed loss it forgives, and the step halvings it tries.
+_ARMIJO = 1e-4
+_ROUNDOFF = 4 * np.finfo(np.float64).eps
+_MAX_HALVINGS = 40
+#: Smallest curvature a Newton direction divides by.
+_MIN_CURVATURE = 1e-8
+#: SGD step rate of ``partial_step`` and the online incremental steps.
+_STEP_RATE = 0.003
 
 
 @dataclass
 class LabelModelConfig:
-    """Training configuration for :class:`SamplingFreeLabelModel`.
+    """Configuration of :class:`SamplingFreeLabelModel`. The fit is a
+    deterministic solve, so nothing reads ``seed``; it is kept so that
+    configs built with one stay valid."""
 
-    Defaults mirror the paper's reported regime: minibatches of 64 and a
-    step budget in the thousands (the paper reports >100 steps/second, so
-    thousands of steps stay inside its "tens of minutes" envelope even at
-    full scale).
-    """
-
-    n_steps: int = 6000
-    batch_size: int = 64
-    learning_rate: float = 0.003
     learn_class_prior: bool = False
     init_class_prior: float = 0.5
     seed: int = 0
-    track_loss_every: int = 50
 
 
 class SamplingFreeLabelModel:
@@ -126,7 +117,7 @@ class SamplingFreeLabelModel:
         self.config = config or LabelModelConfig()
         self.alpha: np.ndarray | None = None
         self.beta: np.ndarray | None = None
-        self.prior_logit: float = _logit(self.config.init_class_prior)
+        self.prior_logit: float = _prior_logit(self.config)
         self.loss_history: list[tuple[int, float]] = []
         self.n_lfs: int | None = None
         self.steps_taken: int = 0
@@ -135,32 +126,18 @@ class SamplingFreeLabelModel:
     # training
     # ------------------------------------------------------------------
     def fit(self, L: np.ndarray) -> "SamplingFreeLabelModel":
-        """Estimate parameters from a label matrix ``L`` of shape (m, n).
-
-        Only the votes are used; no ground truth enters the procedure.
-        The matrix is deduplicated into ``(patterns, counts)`` and
-        fitted by :meth:`fit_compressed`, so the result depends on the
-        multiset of rows only — any row permutation of ``L`` fits to the
-        same bits.
+        """Estimate parameters from the votes of a label matrix ``L``
+        (no ground truth): :meth:`fit_compressed` on its ``(patterns,
+        counts)``, so any row permutation of ``L`` fits to the same bits.
         """
         return self.fit_compressed(compress_votes(L))
 
     def fit_compressed(self, votes: CompressedVotes) -> "SamplingFreeLabelModel":
-        """Estimate parameters from a pattern-compressed vote matrix.
-
-        The multiplicity-weighted objective is *exact*: per-step results
-        match fitting the expanded matrix. Two regimes:
-
-        * **minibatch** (``batch_size < n_rows``): each step samples
-          ``batch_size`` rows via :meth:`CompressedVotes.row_sampler` —
-          uniform over the count-ordered expansion (bitwise a row-wise
-          fit of ``votes.expand()``) — and takes a unit-weight gradient
-          step on them.
-        * **full-batch** (``batch_size >= n_rows``): exact
-          multiplicity-weighted gradients at O(patterns × m) per step,
-          independent of ``n_rows`` — agreeing with a row-wise fit to
-          ≤ 1e-9 posteriors (summation order differs, so last-ulp drift
-          is possible but bounded; gated by the fuzz harness).
+        """Estimate parameters from a pattern-compressed vote matrix:
+        the deterministic solve of :meth:`_StepKernel.solve` from the
+        propensity warm start. Afterwards ``loss_history`` is
+        ``[(iterations, mean NLL)]`` and ``steps_taken`` has grown by
+        the iterations.
 
         Args:
             votes: The compressed matrix (see
@@ -171,65 +148,32 @@ class SamplingFreeLabelModel:
 
         Raises:
             ValueError: If the patterns contain votes outside
-                ``{-1, 0, 1}``, ``votes`` holds no rows, or the config
-                sets a negative ``n_steps`` or a ``batch_size`` below 1
-                — raised before any state of a fitted model is reset.
+                ``{-1, 0, 1}``, ``votes`` holds no rows, or the config's
+                ``init_class_prior`` is outside (0, 1) — raised before
+                any state of a fitted model is reset.
         """
-        cfg = self.config
-        if cfg.n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {cfg.n_steps}")
-        if cfg.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
+        prior_logit = _prior_logit(self.config)
         if votes.n_rows < 1:
             raise ValueError(
                 f"votes must hold at least one row, got n_rows={votes.n_rows}"
             )
         P = _validate_label_matrix(votes.patterns)
-        weights = votes.weights.astype(np.float64, copy=False)
         total = float(votes.n_rows)
-
         # Weighted fire counts are exact integers whenever the counts
-        # are, so the warm start equals the row-wise np.abs(L).sum(0) —
-        # and they are every full-batch step's fire counts too.
-        fire_counts = (np.abs(P) * weights[:, None]).sum(axis=0)
-        self._init_fit(P.shape[1], fire_counts, total)
-
-        if cfg.batch_size >= total:
-            kernel = _StepKernel(self, len(P), weights, total)
-            batches = repeat((P, fire_counts), cfg.n_steps)
-        else:
-            kernel = _StepKernel(self, cfg.batch_size)
-            draw = votes.row_sampler(np.random.default_rng(cfg.seed), cfg.batch_size)
-            batches = _minibatches(P, draw, cfg.batch_size, cfg.n_steps)
-        every = cfg.track_loss_every
-        for step, (batch, fired) in enumerate(batches):
-            tracked = bool(every) and step % every == 0
-            loss = kernel.step(batch, fired, want_loss=tracked)
-            if tracked:
-                self.loss_history.append((step, loss / kernel.total))
-        kernel.publish(self, cfg.n_steps)
+        # are, so the warm start equals the row-wise one.
+        fire_rates = (np.abs(P) * votes.weights[:, None]).sum(axis=0) / total
+        self.n_lfs = P.shape[1]
+        self.alpha = np.full(self.n_lfs, _INIT_ALPHA)
+        self.beta = _warm_beta(fire_rates)
+        self.prior_logit = prior_logit
+        kernel = _StepKernel(self, len(P), votes.weights / total, 1.0)
+        iterations, loss = kernel.solve(P, fire_rates)
+        kernel.publish(self, iterations)
+        self.loss_history = [(iterations, loss)]
         return self
 
-    def _init_fit(
-        self, n_lfs: int, fire_counts: np.ndarray, total: float
-    ) -> None:
-        """Reset parameters for a fresh fit.
-
-        Initialize beta from observed propensities: beta enters only
-        through P(abstain), so matching empirical abstain rates starts
-        SGD near the likelihood ridge. This mirrors standard practice
-        and shortens the step budget; alpha still starts from
-        ``_INIT_ALPHA``.
-        """
-        self.n_lfs = n_lfs
-        self.alpha = np.full(n_lfs, _INIT_ALPHA, dtype=np.float64)
-        self.prior_logit = _logit(self.config.init_class_prior)
-        self.loss_history = []
-        observed_propensity = np.clip(fire_counts / total, 1e-3, 1 - 1e-3)
-        self.beta = np.log(observed_propensity / (1 - observed_propensity)) / 2.0
-
     def partial_step(self, batch: np.ndarray) -> float:
-        """Take one gradient step on a caller-supplied minibatch.
+        """Take one SGD step on a caller-supplied minibatch.
 
         Used by the speed benchmark (steps/second, Section 5.2,
         :func:`repro.experiments.perf.run_speed`); the online model's
@@ -253,11 +197,14 @@ class SamplingFreeLabelModel:
         return loss
 
     def init_params(self, n_lfs: int) -> None:
-        """Initialize parameters without fitting (for step-wise training)."""
+        """Initialize parameters without fitting (for step-wise
+        training); an ``init_class_prior`` outside (0, 1) is a
+        ``ValueError`` that leaves the model as it was."""
+        prior_logit = _prior_logit(self.config)
         self.n_lfs = n_lfs
         self.alpha = np.full(n_lfs, _INIT_ALPHA, dtype=np.float64)
-        self.beta = np.full(n_lfs, _INIT_BETA, dtype=np.float64)
-        self.prior_logit = _logit(self.config.init_class_prior)
+        self.beta = np.zeros(n_lfs)  # no votes to match propensities to
+        self.prior_logit = prior_logit
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -265,10 +212,9 @@ class SamplingFreeLabelModel:
     def state_dict(self) -> dict:
         """Bit-exact snapshot of all mutable training state.
 
-        ``steps_taken`` is part of the snapshot so step-count-dependent
-        behavior (learning-rate schedules, loss-tracking cadence) never
-        restarts from zero on a resumed stream. ``loss_history`` is
-        reporting that every fit resets: only its last pair is kept.
+        ``steps_taken`` (SGD steps plus solver iterations) is part of
+        the snapshot so the counter never restarts from zero on a
+        resumed stream; ``loss_history`` keeps its last pair.
         """
         from repro.dfs.records import encode_ndarray
 
@@ -356,42 +302,35 @@ class SamplingFreeLabelModel:
 
 
 # ----------------------------------------------------------------------
-# the step kernel
+# the objective kernel
 # ----------------------------------------------------------------------
 class _StepKernel:
-    """The objective, its gradients and the update, written once.
+    """The module-docstring objective, its gradient and Hessian, written
+    once, and the two ways parameters move on them: :meth:`step` (SGD)
+    and :meth:`solve` (projected Newton).
 
-    The module-docstring objective with row ``i`` of a batch counted
-    ``weights[i]`` times: every per-row sum is a weighted sum and the
-    batch-size factor ``B`` is the total row mass ``total`` — whether
-    the batch is a sampled minibatch (``weights=None``: unit weights,
-    never multiplied in) or the distinct patterns (their counts).
-
-    One kernel serves one run of steps on batches of ``rows`` rows: it
-    copies the model's parameters, steps them in place through buffers
-    allocated once, and :meth:`publish` hands them back. A step is ~35
-    NumPy calls on a few dozen elements each, so it costs its call
-    count, not its arithmetic: the loss is evaluated only when asked
-    for and the prior gradient only when the prior is learned. The two
-    BLAS products keep the row-wise operand shapes and every elementwise
-    expression its association (``y - x`` for ``-x + y`` is the same
-    IEEE operation), so a step equals the row-wise step to the bit.
+    Row ``i`` of a batch counts ``weights[i]`` times (``None``: unit
+    weights, never multiplied in) and ``W`` is ``total``; the solve
+    passes the patterns' shares of the table with ``total`` 1. A kernel
+    copies the model's parameters, moves them in place through buffers
+    allocated once for ``rows``-row batches, and :meth:`publish` hands
+    them back. The two BLAS products keep the row-wise operand shapes
+    and every elementwise expression its association, so an SGD step
+    equals the row-wise step to the bit.
     """
 
     def __init__(self, model, rows, weights=None, total=None) -> None:
-        cfg = model.config
         self.alpha, self.beta = model.alpha.copy(), model.beta.copy()
         self.prior_logit = model.prior_logit
         self.weights = weights
         self.total = float(rows) if total is None else total
-        self.rate = cfg.learning_rate
-        self.learn_prior = cfg.learn_class_prior
+        self.learn_prior = model.config.learn_class_prior
         n_lfs = len(self.alpha)
         self._logits = np.zeros((3, n_lfs))  # row 2, abstain, stays 0
         self._probs = np.empty((3, n_lfs))
         self._peak, self._Z, self._observed = np.empty((3, n_lfs))
         self._grad_alpha, self._grad_beta = np.empty((2, n_lfs))
-        self._a, self._signed = np.empty((2, rows))
+        self._a, self._posterior, self._signed = np.empty((3, rows))
 
     def outcome_probs(self) -> np.ndarray:
         """Per-LF ``P(correct)``, ``P(wrong)``, ``P(abstain)`` as the
@@ -417,24 +356,26 @@ class _StepKernel:
         rows = b - z_sum + np.logaddexp(a + log_prior_pos, -a + log_prior_neg)
         return -float(np.sum(rows if self.weights is None else self.weights * rows))
 
-    def step(self, batch, fired, want_loss=False) -> float | None:
-        """Take one exact-gradient step on the float64 ``(rows, m)``
-        ``batch``, whose weighted per-LF fire counts are ``fired``;
-        returns the summed pre-step :meth:`loss` when asked for it."""
-        alpha, beta, weights = self.alpha, self.beta, self.weights
-        loss = self.loss(batch) if want_loss else None
-        a = np.matmul(batch, alpha, out=self._a)
+    def gradient(self, batch: np.ndarray, fired: np.ndarray) -> float | None:
+        """The gradient of :meth:`loss` on the float64 ``(rows, m)``
+        ``batch`` whose weighted per-LF fire counts are ``fired``: the
+        alpha and beta parts land in ``_grad_alpha`` / ``_grad_beta``
+        (posteriors in ``_posterior``); returns the prior part, or
+        ``None`` when the prior is fixed."""
+        weights = self.weights
+        a = np.matmul(batch, self.alpha, out=self._a)
         p_correct, p_wrong, p_abstain = self.outcome_probs()
 
         # Posterior P(Y=+1 | L_i) = sigmoid(2 a_i + prior_logit).
-        posterior = np.multiply(a, 2.0, out=self._signed)
+        posterior = np.multiply(a, 2.0, out=self._posterior)
         _sigmoid(np.add(posterior, self.prior_logit, out=posterior), out=posterior)
+        grad_prior = None
         if self.learn_prior:
             # d(log prior terms)/d(prior_logit): E[Y]=2p-1 pushes the
             # prior toward the average posterior.
             pull = posterior - _sigmoid(self.prior_logit)
             grad_prior = -float(np.sum(pull if weights is None else weights * pull))
-        signed = np.multiply(posterior, 2.0, out=posterior)  # E[Y_i | L_i]
+        signed = np.multiply(posterior, 2.0, out=self._signed)  # E[Y_i | L_i]
         np.subtract(signed, 1.0, out=signed)
         if weights is not None:
             np.multiply(weights, signed, out=signed)
@@ -447,21 +388,96 @@ class _StepKernel:
         grad_beta = np.subtract(1.0, p_abstain, out=self._grad_beta)
         np.multiply(grad_beta, self.total, out=grad_beta)
         np.subtract(grad_beta, fired, out=grad_beta)
+        return grad_prior
 
-        np.subtract(alpha, self.rate * grad_alpha, out=alpha)
-        np.subtract(beta, self.rate * grad_beta, out=beta)
+    def hessian(self, batch: np.ndarray) -> np.ndarray:
+        """The Hessian of the weighted :meth:`loss` at the point of the
+        last :meth:`gradient` call, over ``(alpha, beta[, prior_logit])``."""
+        p_correct, p_wrong, p_abstain = self._probs
+        m = len(p_correct)
+        hess = np.zeros((2 * m + self.learn_prior,) * 2)
+        lf, fires, margin = np.arange(m), 1.0 - p_abstain, p_correct - p_wrong
+        # Z_j: the covariance of the outcome statistics (+-1, 1, 0).
+        hess[lf, lf] = self.total * (fires - margin * margin)
+        hess[lf, lf + m] = hess[lf + m, lf] = self.total * margin * p_abstain
+        hess[lf + m, lf + m] = self.total * fires * p_abstain
+        curvature = self.weights * self._posterior * (1.0 - self._posterior)
+        hess[:m, :m] -= 4.0 * (batch.T * curvature) @ batch
         if self.learn_prior:
-            self.prior_logit -= self.rate * grad_prior
-        # Project onto alpha >= 0. The marginal likelihood is invariant
-        # to flipping the sign of any polarity-connected cluster of LFs,
-        # and with rare positives the flipped (anti-accurate) solution
-        # wins on conflict rows — so, like the original Snorkel's
-        # better-than-random accuracy priors, accuracies stay >= 50%.
+            prior = _sigmoid(self.prior_logit)
+            hess[:m, -1] = hess[-1, :m] = -2.0 * (batch.T @ curvature)
+            hess[-1, -1] = self.total * prior * (1.0 - prior) - curvature.sum()
+        return hess
+
+    def step(self, batch, fired, want_loss=False) -> float | None:
+        """Take one SGD step on the float64 ``(rows, m)`` ``batch``,
+        whose weighted per-LF fire counts are ``fired``; returns the
+        summed pre-step :meth:`loss` when asked for it."""
+        alpha, beta = self.alpha, self.beta
+        loss = self.loss(batch) if want_loss else None
+        grad_prior = self.gradient(batch, fired)
+        np.subtract(alpha, _STEP_RATE * self._grad_alpha, out=alpha)
+        np.subtract(beta, _STEP_RATE * self._grad_beta, out=beta)
+        if grad_prior is not None:
+            self.prior_logit -= _STEP_RATE * grad_prior
+        # Project onto alpha >= 0: the likelihood is invariant to
+        # flipping the sign of a polarity-connected cluster of LFs, so,
+        # like the original Snorkel's priors, accuracies stay >= 50%.
         np.maximum(alpha, 0.0, out=alpha)
         return loss
 
+    def solve(self, batch: np.ndarray, fired: np.ndarray) -> tuple[int, float]:
+        """Minimise :meth:`loss` over ``0 <= alpha <= _MAX_ALPHA`` (beta
+        and a learned prior are free); returns the accepted iterations
+        and the final loss. Each iteration pins the variables on a bound
+        that the gradient pushes outward, takes a Newton direction on
+        the rest with the Hessian's eigenvalues made positive, and
+        backtracks along its box projection until the Armijo condition
+        holds. Every step descends, so the solve stays in the warm
+        start's basin: in the likelihood's other one a correlated trio
+        of LFs runs to the cap and label quality drops.
+        """
+        m, groups = len(self.alpha), 2 + self.learn_prior
+        lower = np.full(2 * m + self.learn_prior, -np.inf)
+        upper = -lower
+        lower[:m], upper[:m] = 0.0, _MAX_ALPHA
+        theta = np.concatenate([self.alpha, self.beta, [self.prior_logit]][:groups])
+        loss = self.loss(batch)
+        for iteration in range(_MAX_ITERATIONS):
+            grad_prior = self.gradient(batch, fired)
+            grad = np.concatenate([self._grad_alpha, self._grad_beta, [grad_prior]][:groups])
+            projected = theta - np.clip(theta - grad, lower, upper)
+            if np.max(np.abs(projected)) <= _TOLERANCE:
+                return iteration, loss
+            free = ~(((theta <= lower) & (grad > 0)) | ((theta >= upper) & (grad < 0)))
+            values, vectors = np.linalg.eigh(self.hessian(batch)[np.ix_(free, free)])
+            values = np.maximum(np.abs(values), _MIN_CURVATURE)
+            direction = np.zeros_like(theta)
+            direction[free] = -(vectors @ ((vectors.T @ grad[free]) / values))
+            # Near the optimum a step lowers the loss by less than the
+            # rounding of its sum: allow that much, or the solve stalls.
+            slack = _ROUNDOFF * abs(loss)
+            for halvings in range(_MAX_HALVINGS):
+                trial = np.clip(theta + 0.5**halvings * direction, lower, upper)
+                self._set_theta(trial)
+                trial_loss = self.loss(batch)
+                if trial_loss <= loss + _ARMIJO * float(grad @ (trial - theta)) + slack:
+                    break
+            else:  # no step lowers the loss at float precision
+                self._set_theta(theta)
+                return iteration, loss
+            theta, loss = trial, trial_loss
+        return _MAX_ITERATIONS, loss
+
+    def _set_theta(self, theta: np.ndarray) -> None:
+        m = len(self.alpha)
+        self.alpha[:] = theta[:m]
+        self.beta[:] = theta[m : 2 * m]
+        if self.learn_prior:
+            self.prior_logit = float(theta[-1])
+
     def publish(self, model: SamplingFreeLabelModel, steps: int) -> None:
-        """Hand the stepped parameters to ``model``; the kernel is spent."""
+        """Hand the moved parameters to ``model``; the kernel is spent."""
         model.alpha, model.beta = self.alpha, self.beta
         model.prior_logit = self.prior_logit
         model.steps_taken += steps
@@ -482,16 +498,6 @@ def _validate_label_matrix(L: np.ndarray) -> np.ndarray:
     return L.astype(np.float64, copy=False)
 
 
-def _minibatches(P: np.ndarray, draw, batch_size: int, n_steps: int):
-    """Yield each step's ``(batch, fire counts)``: rows of ``P`` drawn
-    and gathered ``_CHUNK_VOTES`` votes — many steps — per NumPy call.
-    Fire counts are sums of 0/1, exact in any order."""
-    chunk = max(1, _CHUNK_VOTES // max(batch_size * P.shape[1], 1))
-    for start in range(0, n_steps, chunk):
-        batches = P.take(draw(min(chunk, n_steps - start)), axis=0)  # (k, B, m)
-        yield from zip(batches, np.abs(batches).sum(axis=1))
-
-
 def _sigmoid(
     x: np.ndarray | float, out: np.ndarray | None = None
 ) -> np.ndarray | float:
@@ -503,6 +509,18 @@ def _sigmoid(
     return np.divide(1.0, np.add(1.0, z, out=out), out=out)
 
 
-def _logit(p: float) -> float:
-    p = min(max(p, 1e-9), 1 - 1e-9)
-    return float(np.log(p / (1 - p)))
+def _warm_beta(fire_rates: np.ndarray) -> np.ndarray:
+    """The propensity warm start: beta enters only through P(abstain),
+    so matching the observed fire rates starts near the likelihood
+    ridge."""
+    propensity = np.clip(fire_rates, 1e-3, 1 - 1e-3)
+    return np.log(propensity / (1 - propensity)) / 2.0
+
+
+def _prior_logit(config: LabelModelConfig) -> float:
+    """``logit(init_class_prior)``; a prior outside (0, 1) is a
+    ``ValueError``, not a clip to one class."""
+    prior = config.init_class_prior
+    if not 0.0 < prior < 1.0:
+        raise ValueError(f"init_class_prior must be in (0, 1), got {prior!r}")
+    return float(np.log(prior / (1 - prior)))

@@ -23,10 +23,10 @@ the conditionally independent model:
 Training interleaves two update kinds:
 
 * ``observe(votes)`` folds a micro-batch into the moments and the
-  pattern table, then takes a few exact-gradient steps (what
-  ``partial_step`` takes, minus its re-validation) on rows sampled from
-  the new batch — the model tracks a drifting stream at O(steps x
-  batch) cost per micro-batch;
+  pattern table, then takes a few SGD steps (what ``partial_step``
+  takes, minus its re-validation) on ``_STEP_BATCH``-row samples of the
+  new batch — the model tracks a drifting stream at O(steps x batch)
+  cost per micro-batch;
 * ``refit()`` (scheduled every ``refit_every`` batches, or called
   manually at stream end) runs
   :meth:`SamplingFreeLabelModel.fit_compressed` on the table. Offline
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
+from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel, _warm_beta
 from repro.core.patterns import CompressedVotes, compress_votes
 
 __all__ = ["OnlineLabelModelConfig", "OnlineLabelModel"]
@@ -65,6 +65,8 @@ __all__ = ["OnlineLabelModelConfig", "OnlineLabelModel"]
 #: floor. It lies in (0, 1), so a pattern seen in the current batch
 #: (weight >= 1) is never evicted on arrival.
 PATTERN_WEIGHT_FLOOR = 0.25
+#: Rows per incremental SGD step (fewer when the batch is smaller).
+_STEP_BATCH = 64
 
 
 @dataclass
@@ -83,8 +85,8 @@ class OnlineLabelModelConfig:
     refit_every: int | None = None
     """Full refit cadence in observed batches; ``None`` = manual only."""
     seed: int = 0
-    """Seed for the incremental-step minibatch sampler (distinct from the
-    refit seed, which lives in ``base.seed``)."""
+    """Seed for the incremental-step minibatch sampler (a refit is a
+    deterministic solve and draws nothing)."""
     decay: float | None = None
     """Per-batch exponential decay on moments and pattern weights, in
     (0, 1); ``None`` keeps the cumulative all-of-history behavior."""
@@ -177,8 +179,9 @@ class OnlineLabelModel:
         ``base`` config on :meth:`compressed_votes` — the call offline
         ``fit`` makes — so in cumulative mode the result is bitwise the
         offline fit of the retained rows in any order, at
-        O(patterns × m) per step regardless of stream length. In decay
-        mode it is the offline fit of the recency-weighted rows.
+        O(patterns × m) per solver iteration regardless of stream
+        length. In decay mode it is the offline fit of the
+        recency-weighted rows.
 
         Returns:
             The freshly fitted inner model (also exposed as
@@ -309,11 +312,8 @@ class OnlineLabelModel:
         if self._model.alpha is None:
             self._model.init_params(votes.shape[1])
             # Mirror fit()'s warm start: beta from observed fire rates.
-            propensity = np.clip(
-                np.abs(votes).mean(axis=0), 1e-3, 1 - 1e-3
-            )
-            self._model.beta = np.log(propensity / (1 - propensity)) / 2.0
-        batch_size = min(cfg.base.batch_size, votes.shape[0])
+            self._model.beta = _warm_beta(np.abs(votes).mean(axis=0))
+        batch_size = min(_STEP_BATCH, votes.shape[0])
         # One (steps, batch) draw advances the generator exactly as a
         # draw per step does, and observe() has validated these votes:
         # the kernel steps on them without partial_step's re-check.
@@ -387,7 +387,8 @@ class OnlineLabelModel:
 
         Raises:
             ValueError: On any other schema — a snapshot from a newer
-                writer must not be half-read.
+                writer must not be half-read — or on parts whose shapes
+                disagree; nothing is restored then.
         """
         from repro.dfs.records import decode_ndarray
 
@@ -400,38 +401,49 @@ class OnlineLabelModel:
                 f"unsupported label-model state schema {schema!r}; this "
                 "reader understands schemas 1 to 4"
             )
-        self.n_lfs = state["n_lfs"]
+        n_lfs = state["n_lfs"]
+        rows = dec(state["pattern_rows"])
+        n_rows = 0 if rows is None else len(rows)
+        weights = dec(state.get("pattern_weights"))
+        logged = dec(state.get("row_ids")) if schema < 3 else None
+        if logged is not None:  # one pattern id per example: keep the counts
+            weights = np.bincount(logged, minlength=n_rows).astype(np.float64)
+        weights = np.zeros(n_rows) if weights is None else weights
+        moments = [dec(state[key]) for key in ("vote_sum", "fire_sum", "agreement")]
+        model = SamplingFreeLabelModel(replace(self.config.base))
+        model.load_state(state["model"])
+        for name, array, shape in (
+            ("pattern_rows", rows, (n_rows, n_lfs)),
+            ("pattern_weights", weights, (n_rows,)),
+            ("vote_sum", moments[0], (n_lfs,)),
+            ("fire_sum", moments[1], (n_lfs,)),
+            ("agreement", moments[2], (n_lfs, n_lfs)),
+            ("alpha", model.alpha, (n_lfs,)),
+            ("beta", model.beta, (n_lfs,)),
+        ):
+            if array is not None and array.shape != shape:
+                raise ValueError(
+                    f"label-model state is malformed: {name} has shape "
+                    f"{array.shape}, expected {shape} for n_lfs={n_lfs}"
+                )
+        rng = np.random.default_rng(self.config.seed)
+        rng.bit_generator.state = state["rng_state"]
+
+        self.n_lfs = n_lfs
         self.n_observed = int(state["n_observed"])
         self.batches_observed = int(state["batches_observed"])
         self.refits_done = int(state["refits_done"])
-        self._rng = np.random.default_rng(self.config.seed)
-        self._rng.bit_generator.state = state["rng_state"]
-        rows = dec(state["pattern_rows"])
+        self._rng = rng
         self._pattern_rows = [] if rows is None else [row for row in rows]
         self._pattern_ids = {
             row.tobytes(): i for i, row in enumerate(self._pattern_rows)
         }
-        weights = dec(state.get("pattern_weights"))
-        logged = dec(state.get("row_ids")) if schema < 3 else None
-        if logged is not None:
-            # Schemas 1/2 logged one pattern id per retained example;
-            # the table keeps only the (integer, so exact) counts.
-            weights = np.bincount(
-                logged, minlength=len(self._pattern_rows)
-            ).astype(np.float64)
-        self._pattern_weights = (
-            np.zeros(len(self._pattern_rows)) if weights is None else weights
-        )
-        self._vote_sum = dec(state["vote_sum"])
-        self._fire_sum = dec(state["fire_sum"])
-        self._agreement = dec(state["agreement"])
+        self._pattern_weights = weights
+        self._vote_sum, self._fire_sum, self._agreement = moments
         # Schema-1 dicts predate the retention modes: their implicit
         # moment weight is the observed count.
-        self._moment_weight = float(
-            state.get("moment_weight", self.n_observed)
-        )
-        self._model = SamplingFreeLabelModel(replace(self.config.base))
-        self._model.load_state(state["model"])
+        self._moment_weight = float(state.get("moment_weight", self.n_observed))
+        self._model = model
         return self
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ likelihood, so an ``(n, m)`` label matrix is a multiset of rows, fully
 described by the pair ``(patterns, counts)`` — the distinct rows and how
 often each occurs. Distinct patterns number in the tens to low thousands
 while ``n`` grows unbounded, so a fit over the pair does O(patterns × m)
-work per full-batch step and stores O(patterns) state *independent of
+work per solver iteration and stores O(patterns) state *independent of
 stream length*.
 
 This module owns that form and its one **canonical order**:
@@ -18,22 +18,14 @@ a restored checkpoint — goes through ``fit_compressed`` on a
 **bitwise identical** no matter how the rows were ordered, batched, or
 stored.
 
-Minibatch steps sample through :meth:`CompressedVotes.row_sampler`:
-uniform draws over the *count-ordered expansion* (each pattern repeated
-``count`` times, in canonical order — the matrix
-:meth:`CompressedVotes.expand` returns), mapped to patterns by
-``searchsorted`` over the cumulative counts. The RNG calls are exactly
-those of a row-wise fit of the expansion, which is the reference the
-differential harness in ``tests/test_fit_equivalence.py`` compares
-against, bit for bit. Counts are whole numbers — a multiset has no
-fractional rows — so that expansion always exists (decay retention
-rounds its recency weights before it builds one).
+Counts are whole numbers (decay retention rounds its recency weights),
+so the count-ordered expansion :meth:`CompressedVotes.expand` always
+exists: the matrix ``tests/test_fit_equivalence.py`` checks fits on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -76,7 +68,7 @@ class CompressedVotes:
         if not np.array_equal(self.weights, np.floor(self.weights)):
             raise ValueError(
                 "pattern weights must be whole numbers: a real-valued "
-                "weighting has no expanded matrix to sample rows from"
+                "weighting has no expanded matrix"
             )
         if self.n_rows != self.weights.sum():
             raise ValueError(
@@ -101,29 +93,6 @@ class CompressedVotes:
         """
         reps = self.weights.astype(np.int64)
         return self.patterns[np.repeat(np.arange(self.n_patterns), reps)]
-
-    def row_sampler(
-        self, rng: np.random.Generator, size: int
-    ) -> Callable[[int], np.ndarray]:
-        """A minibatch sampler over the rows this compression stands for.
-
-        Args:
-            rng: The fit's generator; each call advances it.
-            size: Rows per minibatch.
-
-        Returns:
-            A callable taking a step count ``k`` and returning ``(k,
-            size)`` pattern indices: ``k`` minibatches, one row each
-            drawn uniformly from :meth:`expand`'s matrix. One ``(k,
-            size)`` draw consumes ``rng`` exactly as ``k`` draws of
-            ``size`` do, so however a fit chunks its steps it sees the
-            indices a step-by-step fit sees.
-        """
-        ends = np.cumsum(self.weights.astype(np.int64))
-        n_expanded = int(self.n_rows)
-        return lambda steps: ends.searchsorted(
-            rng.integers(0, n_expanded, size=(steps, size)), side="right"
-        )
 
 
 def compress_votes(L: np.ndarray) -> CompressedVotes:

@@ -187,7 +187,6 @@ def run_drift_eval(
     shift_after: int = 30,
     decay: float = 0.92,
     refit_every: int = 10,
-    refit_steps: int = 400,
     reference_batches: int = 8,
     recent_batches: int = 4,
     threshold: float = 6.0,
@@ -241,7 +240,7 @@ def run_drift_eval(
     def make_arm(arm_decay: float | None) -> OnlineLabelModel:
         return OnlineLabelModel(
             OnlineLabelModelConfig(
-                base=LabelModelConfig(n_steps=refit_steps, seed=seed),
+                base=LabelModelConfig(seed=seed),
                 steps_per_batch=4,
                 refit_every=refit_every,
                 seed=seed,

@@ -632,7 +632,7 @@ def test_streaming_records_match_offline_and_label_model():
 
     dfs = DistributedFileSystem()
     paths = stage_examples(dfs, examples, "/stream_eq/examples", num_shards=4)
-    config = LabelModelConfig(n_steps=800, seed=0)
+    config = LabelModelConfig(seed=0)
     online = OnlineLabelModel(
         OnlineLabelModelConfig(base=config, refit_every=3)
     )

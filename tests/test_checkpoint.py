@@ -87,7 +87,7 @@ def make_lfs():
 
 
 ONLINE_CONFIG = OnlineLabelModelConfig(
-    base=LabelModelConfig(n_steps=200, seed=0), seed=0
+    base=LabelModelConfig(seed=0), seed=0
 )
 
 
@@ -252,22 +252,55 @@ class TestStateSnapshots:
 
     def test_label_model_snapshot_keeps_step_counter(self):
         L, _ = synthetic_label_matrix(m=200, seed=4)
-        config = LabelModelConfig(n_steps=50, track_loss_every=10)
+        config = LabelModelConfig()
         model = SamplingFreeLabelModel(config)
         model.fit(L)
         before = model.steps_taken
         clone = SamplingFreeLabelModel(config)
         clone.load_state(model.state_dict())
-        assert clone.steps_taken == before
+        assert clone.steps_taken == before > 0
         assert np.array_equal(clone.alpha, model.alpha)
         assert np.array_equal(clone.beta, model.beta)
-        # The snapshot carries the fit's final loss, not its whole trace.
-        assert len(model.loss_history) > 1
-        assert clone.loss_history == model.loss_history[-1:]
+        # The snapshot carries the fit's (iterations, final loss) pair.
+        assert clone.loss_history == model.loss_history == [
+            (before, model.loss_history[0][1])
+        ]
         assert clone.state_dict() == model.state_dict()
         # Continued training advances from the restored counter.
         clone.partial_step(L[:32])
         assert clone.steps_taken == before + 1
+
+    def test_malformed_state_is_rejected_before_restoring(self):
+        """A state whose parts disagree in shape is a ``ValueError`` —
+        which a serving watcher survives — and restores nothing: not an
+        ``IndexError`` at the next refit, and not a silent refit with
+        pattern rows wider than ``n_lfs``."""
+        L, _ = synthetic_label_matrix(m=300, seed=5)
+        source = OnlineLabelModel(ONLINE_CONFIG)
+        source.observe(L[:150])
+        state = source.state_dict()
+        m = L.shape[1]
+        rows = decode_ndarray(state["pattern_rows"])
+        weights = decode_ndarray(state["pattern_weights"])
+        malformed = {
+            "short_weights": {"pattern_weights": encode_ndarray(weights[:-1])},
+            "wide_rows": {
+                "pattern_rows": encode_ndarray(
+                    np.hstack([rows, np.zeros((len(rows), 1), rows.dtype)])
+                )
+            },
+            "vote_sum": {"vote_sum": encode_ndarray(np.zeros(m + 1))},
+            "agreement": {"agreement": encode_ndarray(np.zeros((m, m - 1)))},
+        }
+        target = OnlineLabelModel(ONLINE_CONFIG)
+        target.observe(L[150:200])
+        before = target.state_dict()
+        for name, patch in malformed.items():
+            with pytest.raises(ValueError, match="malformed"):
+                target.load_state({**state, **patch})
+            assert target.state_dict() == before, name
+        target.load_state(state)
+        assert target.state_dict() == state
 
     def test_online_model_resume_is_bitwise(self):
         """Snapshot mid-stream; replaying the suffix must be exact."""

@@ -88,7 +88,7 @@ class TestWeightedVote:
         """weights = 2*alpha must reproduce the fitted model exactly."""
         L, _ = synthetic_label_matrix(m=600, seed=3)
         model = SamplingFreeLabelModel(
-            LabelModelConfig(n_steps=800, seed=0)
+            LabelModelConfig(seed=0)
         ).fit(L)
         manual = weighted_vote_probabilities(L, 2.0 * model.alpha)
         assert np.allclose(manual, model.predict_proba(L), atol=1e-12)

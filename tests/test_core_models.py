@@ -21,7 +21,7 @@ class TestGibbs:
         L, _ = recovery_matrix
         gibbs = GibbsLabelModel(GibbsConfig(n_epochs=15, seed=0)).fit(L)
         exact = SamplingFreeLabelModel(
-            LabelModelConfig(n_steps=3000, seed=0)
+            LabelModelConfig(seed=0)
         ).fit(L)
         covered = np.abs(L).sum(axis=1) > 0
         agree = (

@@ -204,7 +204,7 @@ class TestDriftMonitor:
 # decay retention mode
 # ----------------------------------------------------------------------
 DECAY_CONFIG = OnlineLabelModelConfig(
-    base=LabelModelConfig(n_steps=100, seed=0),
+    base=LabelModelConfig(seed=0),
     steps_per_batch=0,
     decay=0.8,
 )
@@ -275,7 +275,7 @@ class TestDecayMode:
         """The point of the mode: post-shift fits forget stale traffic."""
         pre = draw_batches(12, seed=13)
         post = draw_batches(12, seed=14, **SHIFTED)
-        config = LabelModelConfig(n_steps=300, seed=0)
+        config = LabelModelConfig(seed=0)
         cumulative = OnlineLabelModel(
             OnlineLabelModelConfig(base=config, steps_per_batch=0)
         )
@@ -297,7 +297,7 @@ class TestDecayMode:
         offline fit of the matrix that repeats each retained pattern
         ``round(weight)`` times (half-up) — in any row order."""
         stream = draw_batches(8, seed=13) + draw_batches(8, seed=14, **SHIFTED)
-        base = LabelModelConfig(n_steps=300, seed=0)
+        base = LabelModelConfig(seed=0)
         model = OnlineLabelModel(
             OnlineLabelModelConfig(base=base, steps_per_batch=0, decay=0.7)
         )
@@ -318,7 +318,7 @@ class TestDecayMode:
     def test_state_round_trip_is_bitwise(self):
         stream = draw_batches(6, seed=15) + draw_batches(6, seed=16, **SHIFTED)
         config = OnlineLabelModelConfig(
-            base=LabelModelConfig(n_steps=80, seed=3), decay=0.85
+            base=LabelModelConfig(seed=3), decay=0.85
         )
         straight = OnlineLabelModel(config)
         for votes in stream:

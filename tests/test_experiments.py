@@ -28,7 +28,7 @@ class FastContentExperiment(ContentExperiment):
     def label_model_config(self):
         from repro.core.label_model import LabelModelConfig
 
-        return LabelModelConfig(n_steps=2500, seed=self.seed)
+        return LabelModelConfig(seed=self.seed)
 
 
 @pytest.fixture(scope="module")

@@ -1,18 +1,23 @@
 """Tests for the sampling-free generative label model (Section 5.2)."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.patterns import compress_votes
 from tests.conftest import synthetic_label_matrix
 
 
 def quick_config(**overrides) -> LabelModelConfig:
-    defaults = dict(n_steps=1200, seed=0)
+    defaults = dict(seed=0)
     defaults.update(overrides)
     return LabelModelConfig(**defaults)
 
@@ -41,19 +46,20 @@ class TestValidation:
     @pytest.mark.parametrize(
         "bad, field",
         [
-            (dict(n_steps=-1), "n_steps"),
-            (dict(n_steps=-1, batch_size=10_000), "n_steps"),
-            (dict(batch_size=0), "batch_size"),
-            (dict(batch_size=-3), "batch_size"),
+            (dict(init_class_prior=0.0), "init_class_prior"),
+            (dict(init_class_prior=1.0), "init_class_prior"),
+            (dict(init_class_prior=1.5), "init_class_prior"),
+            (dict(init_class_prior=-2.0), "init_class_prior"),
+            (dict(init_class_prior=float("nan")), "init_class_prior"),
         ],
     )
     def test_rejected_fit_leaves_a_fitted_model_unchanged(self, bad, field):
         """``fit_compressed`` validates before it mutates: a config it
-        cannot run is a ``ValueError`` naming the field, in either
-        step regime, and the previous fit survives."""
+        cannot run is a ``ValueError`` naming the field, and the
+        previous fit survives."""
         L, _ = synthetic_label_matrix(m=150, seed=2)
         votes = compress_votes(L)
-        model = SamplingFreeLabelModel(quick_config(n_steps=80, track_loss_every=10))
+        model = SamplingFreeLabelModel(quick_config())
         model.fit_compressed(votes)
         before = (
             model.alpha.copy(),
@@ -69,11 +75,30 @@ class TestValidation:
         assert np.array_equal(model.beta, before[1])
         assert (model.prior_logit, model.loss_history, model.steps_taken) == before[2:]
 
+    @pytest.mark.parametrize("prior", [0.0, 1.5, -2.0])
+    def test_out_of_range_class_prior_is_rejected_not_clipped(self, prior):
+        """A prior outside (0, 1) used to be clipped to 1e-9 or 1 - 1e-9,
+        which labels every row one class. It is a ``ValueError`` at
+        construction, in ``init_params`` and in ``fit_compressed``."""
+        with pytest.raises(ValueError, match="init_class_prior"):
+            SamplingFreeLabelModel(quick_config(init_class_prior=prior))
+        model = SamplingFreeLabelModel(quick_config())
+        model.init_params(3)
+        before = (model.alpha.copy(), model.beta.copy(), model.prior_logit)
+        model.config = quick_config(init_class_prior=prior)
+        with pytest.raises(ValueError, match="init_class_prior"):
+            model.init_params(5)
+        assert model.n_lfs == 3 and model.prior_logit == before[2]
+        assert np.array_equal(model.alpha, before[0])
+        with pytest.raises(ValueError, match="init_class_prior"):
+            model.fit(np.array([[1, 0, -1], [1, 1, 0]]))
+        assert np.array_equal(model.beta, before[1])
+
     def test_zero_row_votes_rejected_without_warnings(self):
         """A 0-row matrix is a ``ValueError`` naming ``n_rows``, not a
         NumPy divide warning followed by ``ZeroDivisionError``."""
         empty = compress_votes(np.zeros((0, 4), dtype=np.int8))
-        model = SamplingFreeLabelModel(quick_config(n_steps=5))
+        model = SamplingFreeLabelModel(quick_config())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="n_rows"):
@@ -86,21 +111,21 @@ class TestValidation:
 class TestParameterRecovery:
     def test_accuracies_recovered_on_balanced_data(self, recovery_matrix):
         L, y = recovery_matrix
-        model = SamplingFreeLabelModel(quick_config(n_steps=4000)).fit(L)
+        model = SamplingFreeLabelModel(quick_config()).fit(L)
         learned = model.accuracies()
         true = np.array([0.92, 0.85, 0.8, 0.72, 0.65, 0.6])
         assert np.all(np.abs(learned - true) < 0.09)
 
     def test_propensities_recovered(self, recovery_matrix):
         L, _ = recovery_matrix
-        model = SamplingFreeLabelModel(quick_config(n_steps=4000)).fit(L)
+        model = SamplingFreeLabelModel(quick_config()).fit(L)
         learned = model.propensities()
         true = np.array([0.6, 0.5, 0.7, 0.4, 0.55, 0.45])
         assert np.all(np.abs(learned - true) < 0.06)
 
     def test_posterior_beats_single_lf(self, recovery_matrix):
         L, y = recovery_matrix
-        model = SamplingFreeLabelModel(quick_config(n_steps=4000)).fit(L)
+        model = SamplingFreeLabelModel(quick_config()).fit(L)
         predictions = model.predict(L)
         combined_accuracy = (predictions == y).mean()
         # The best single LF fires 60% of the time at 92% accuracy;
@@ -114,7 +139,7 @@ class TestParameterRecovery:
 
     def test_accuracy_ordering_preserved(self, recovery_matrix):
         L, _ = recovery_matrix
-        model = SamplingFreeLabelModel(quick_config(n_steps=4000)).fit(L)
+        model = SamplingFreeLabelModel(quick_config()).fit(L)
         learned = model.accuracies()
         # The clearly-best LF must outrank the clearly-worst.
         assert learned[0] > learned[-1] + 0.1
@@ -156,7 +181,7 @@ class TestPosteriorProperties:
     @given(st.integers(min_value=0, max_value=3 ** 5 - 1))
     def test_posterior_in_unit_interval(self, encoded):
         L, _ = synthetic_label_matrix(m=400, seed=5)
-        model = SamplingFreeLabelModel(quick_config(n_steps=400)).fit(L)
+        model = SamplingFreeLabelModel(quick_config()).fit(L)
         row = np.array(
             [[(encoded // 3 ** j) % 3 - 1 for j in range(5)]], dtype=np.int8
         )
@@ -166,19 +191,23 @@ class TestPosteriorProperties:
 
 class TestTrainingBehaviour:
     def test_nll_improves_over_training(self):
+        """The solve descends from its warm start."""
         L, _ = synthetic_label_matrix(m=1500, seed=6)
-        short = SamplingFreeLabelModel(quick_config(n_steps=50)).fit(L)
-        long = SamplingFreeLabelModel(quick_config(n_steps=4000)).fit(L)
-        assert long.nll(L) <= short.nll(L) + 1e-6
+        model = SamplingFreeLabelModel(quick_config())
+        model.init_params(L.shape[1])
+        propensity = np.clip(np.abs(L).mean(axis=0), 1e-3, 1 - 1e-3)
+        model.beta = np.log(propensity / (1 - propensity)) / 2.0
+        warm_start = model.nll(L)
+        assert model.fit(L).nll(L) < warm_start - 1e-3
 
     def test_loss_history_recorded(self):
+        """A fit records one pair: its iterations and its final mean
+        NLL."""
         L, _ = synthetic_label_matrix(m=500, seed=7)
-        model = SamplingFreeLabelModel(
-            quick_config(n_steps=200, track_loss_every=50)
-        ).fit(L)
-        assert len(model.loss_history) == 4
-        steps = [s for s, _ in model.loss_history]
-        assert steps == [0, 50, 100, 150]
+        model = SamplingFreeLabelModel(quick_config()).fit(L)
+        [(iterations, loss)] = model.loss_history
+        assert 0 < iterations < 100
+        assert loss == pytest.approx(model.nll(L), abs=1e-12)
 
     def test_deterministic_given_seed(self):
         L, _ = synthetic_label_matrix(m=600, seed=8)
@@ -203,9 +232,15 @@ class TestTrainingBehaviour:
         assert last < first
 
     def test_steps_taken_counter(self):
+        """Solver iterations and SGD steps both count."""
         L, _ = synthetic_label_matrix(m=300, seed=13)
-        model = SamplingFreeLabelModel(quick_config(n_steps=77)).fit(L)
-        assert model.steps_taken == 77
+        model = SamplingFreeLabelModel(quick_config()).fit(L)
+        iterations = model.loss_history[-1][0]
+        assert model.steps_taken == iterations > 0
+        model.partial_step(L[:64])
+        assert model.steps_taken == iterations + 1
+        model.fit(L)
+        assert model.steps_taken == 2 * iterations + 1
 
 
 class TestClassPrior:
@@ -230,6 +265,26 @@ class TestClassPrior:
             seed=15,
         )
         model = SamplingFreeLabelModel(
-            quick_config(learn_class_prior=True, n_steps=4000)
+            quick_config(learn_class_prior=True)
         ).fit(L)
         assert 0.15 < model.class_prior() < 0.40
+
+
+def test_label_model_paths_do_not_import_scipy_optimize():
+    """The fit is pure NumPy. Importing ``scipy.optimize`` costs ~26 MB
+    of resident memory and ~350 ms, so no module a labeling, streaming
+    or serving process imports may pull it in."""
+    code = (
+        "import sys, repro.core, repro.streaming, repro.serving; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    assert result.stdout.strip() == "False", result.stdout

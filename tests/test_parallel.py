@@ -347,7 +347,7 @@ class TestStreamingParallel:
             executor=pool,
             collect_votes=True,
         ).run(RecordStreamSource(dfs, shards))
-        config = LabelModelConfig(n_steps=200, seed=0)
+        config = LabelModelConfig(seed=0)
         reference = SamplingFreeLabelModel(config).fit(
             serial.label_matrix.matrix
         )
@@ -393,7 +393,7 @@ class TestWorkerCrashes:
         shards = stage_examples(dfs, corpus, "/kill/examples", num_shards=2)
         lfs = make_lfs()
         config = OnlineLabelModelConfig(
-            base=LabelModelConfig(n_steps=200, seed=0), seed=0
+            base=LabelModelConfig(seed=0), seed=0
         )
 
         serial = CheckpointedStream(

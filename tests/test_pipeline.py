@@ -19,7 +19,7 @@ def topic_slice(topic_dataset):
 
 
 def fast_label_config():
-    return LabelModelConfig(n_steps=1500, seed=0)
+    return LabelModelConfig(seed=0)
 
 
 def fast_trainer():

@@ -26,6 +26,8 @@ from repro.core.online_label_model import OnlineLabelModel
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.records import (
     RecordCorruption,
+    decode_ndarray,
+    encode_ndarray,
     encode_record,
     iter_record_blobs,
     read_records,
@@ -101,7 +103,7 @@ def offline_posteriors(ctx, manifest_path):
     """Offline fit of the snapshot's stream prefix, scoring all rows."""
     checkpoint = ctx["stream"].manager.load(manifest_path)
     model = SamplingFreeLabelModel(
-        LabelModelConfig(n_steps=200, seed=0)
+        LabelModelConfig(seed=0)
     )
     model.fit(ctx["matrix"][: checkpoint.cursor])
     return model.predict_proba(ctx["matrix"])
@@ -129,14 +131,32 @@ def make_registry(dfs, root):
 
 def unreadable_manifests(dfs, good_path):
     """Manifest blobs no reader can deploy: torn framing, a meta record
-    without its cursor, and a label-model record without its state."""
+    without its cursor, a label-model record without its state, and two
+    label-model states whose parts disagree in shape (one pattern weight
+    too few; pattern rows one column wider than ``n_lfs``)."""
     meta, label_model, *rest = read_records(dfs, good_path)
     no_cursor = {k: v for k, v in meta.items() if k != "cursor"}
     stateless = {"kind": label_model["kind"]}
+    state = label_model["state"]
+    weights = decode_ndarray(state["pattern_weights"])
+    rows = decode_ndarray(state["pattern_rows"])
+    short_weights = {**state, "pattern_weights": encode_ndarray(weights[:-1])}
+    wide_rows = {
+        **state,
+        "pattern_rows": encode_ndarray(
+            np.hstack([rows, np.zeros((len(rows), 1), rows.dtype)])
+        ),
+    }
     return [
         b"torn bytes",
         b"".join(map(encode_record, [no_cursor, label_model, *rest])),
         b"".join(map(encode_record, [meta, stateless, *rest])),
+        *(
+            b"".join(
+                map(encode_record, [meta, {**label_model, "state": bad}, *rest])
+            )
+            for bad in (short_weights, wide_rows)
+        ),
     ]
 
 
@@ -421,7 +441,7 @@ class TestPreDriftManifestServing:
             lfs, payload, payload, ONLINE_CONFIG
         )
         offline = SamplingFreeLabelModel(
-            LabelModelConfig(n_steps=200, seed=0)
+            LabelModelConfig(seed=0)
         )
         offline.fit(matrix[: generation.cursor])
         assert np.array_equal(
@@ -630,8 +650,11 @@ class TestHotSwapUnderLoad:
         expected = offline_posteriors(checkpointed, first)
         newer = offline_posteriors(checkpointed, final)
         hits, missing = table_split(checkpointed["matrix"], 50)
-        rows = [hits[0], missing[0]]
-        assert all(expected[row] != newer[row] for row in rows)
+        # A hit the two generations score differently. Every miss votes
+        # only through LFs that both fits hold at the accuracy cap, so
+        # the two agree on it: whose model scores it tells them apart.
+        hit = next(row for row in hits[2:] if expected[row] != newer[row])
+        rows = [hit, missing[0]]
         deploy(dfs, first, root)
 
         # Park the batch between capturing its generation and scoring:
@@ -651,6 +674,11 @@ class TestHotSwapUnderLoad:
         held, release = hold_first_batch(server)
         examples = checkpointed["decoded"]
         server.start(watch=False)
+        first_model = registry.active().label_model
+        first_scoring, first_proba = [], first_model.predict_proba
+        first_model.predict_proba = lambda block: (
+            first_scoring.append(block.copy()) or first_proba(block)
+        )
         try:
             callers = [predict_in_thread(server, examples[hits[1]])]
             assert held.wait(10.0)
@@ -681,6 +709,8 @@ class TestHotSwapUnderLoad:
             assert outcome[0].posterior == expected[row]
         assert after.generation == 2 and after.posterior == newer[missing[0]]
         assert server.counters.as_dict()["serving/table_misses"] == 1
+        [block] = first_scoring
+        assert np.array_equal(block[0], checkpointed["matrix"][missing[0]])
 
 
 def hold_batches(server, count):
@@ -1077,7 +1107,7 @@ class TestCrashedStreamServesExactly:
 
     @staticmethod
     def _offline(matrix, generation):
-        offline = SamplingFreeLabelModel(LabelModelConfig(n_steps=200, seed=0))
+        offline = SamplingFreeLabelModel(LabelModelConfig(seed=0))
         offline.fit(matrix[: generation.cursor])
         return offline.predict_proba(matrix)
 

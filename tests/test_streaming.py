@@ -656,7 +656,7 @@ class TestOnlineLabelModel:
 
     def test_refit_is_exactly_the_offline_fit(self):
         L, _ = synthetic_label_matrix(m=1500, seed=3)
-        config = LabelModelConfig(n_steps=500, seed=9)
+        config = LabelModelConfig(seed=9)
         offline = SamplingFreeLabelModel(config).fit(L)
         online = OnlineLabelModel(OnlineLabelModelConfig(base=config))
         self._stream(online, L, batch=256)
@@ -669,7 +669,7 @@ class TestOnlineLabelModel:
 
     def test_incremental_updates_track_offline_accuracies(self):
         L, _ = synthetic_label_matrix(m=4000, seed=1)
-        config = LabelModelConfig(n_steps=2000, seed=0)
+        config = LabelModelConfig(seed=0)
         offline = SamplingFreeLabelModel(config).fit(L)
         online = OnlineLabelModel(
             OnlineLabelModelConfig(base=config, steps_per_batch=40)
@@ -726,7 +726,7 @@ class TestOnlineLabelModel:
         L, _ = synthetic_label_matrix(m=600, seed=2)
         online = OnlineLabelModel(
             OnlineLabelModelConfig(
-                base=LabelModelConfig(n_steps=50), refit_every=2
+                base=LabelModelConfig(), refit_every=2
             )
         )
         self._stream(online, L, batch=100)  # 6 batches -> 3 refits
