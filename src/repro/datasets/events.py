@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.config import ScaleConfig, get_scale
@@ -78,7 +77,7 @@ class EventsWorld:
     badness: np.ndarray                  # latent per-source bad rate
     platforms: np.ndarray                # "A" / "B" per source
     has_history: np.ndarray              # bool: aggregates exist
-    graph: nx.Graph
+    graph: list[dict[int, None]]         # neighbours per source, insertion-ordered
     aggregate_store: AggregateStore
     aggregates: dict[str, dict[str, float]]
     neighbor_bad_rate: np.ndarray
@@ -159,17 +158,16 @@ def _build_world(n_sources: int, seed: int) -> EventsWorld:
     has_history = rng.random(n_sources) >= fresh_prob
 
     # Relationship graph with homophily: mostly intra-community edges.
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n_sources))
+    # Undirected adjacency, one dict per source used as an ordered set:
+    # neighbours iterate in the order their first edge was added.
+    graph: list[dict[int, None]] = [{} for _ in range(n_sources)]
     for s in range(n_sources):
         same = np.flatnonzero(community_of == community_of[s])
-        for _ in range(3):
-            t = int(rng.choice(same))
+        targets = [int(rng.choice(same)) for _ in range(3)]
+        targets.append(int(rng.integers(0, n_sources)))
+        for t in targets:
             if t != s:
-                graph.add_edge(s, t)
-        t = int(rng.integers(0, n_sources))
-        if t != s:
-            graph.add_edge(s, t)
+                graph[s][t] = graph[t][s] = None
 
     # Aggregates (only for sources with history).
     aggregates: dict[str, dict[str, float]] = {}
@@ -198,11 +196,14 @@ def _build_world(n_sources: int, seed: int) -> EventsWorld:
     neighbor_bad_rate = np.zeros(n_sources)
     neighbor_bad_rate_2hop = np.zeros(n_sources)
     for s in range(n_sources):
-        rates = [bad_rate[t] for t in graph.neighbors(s) if has_history[t]]
+        rates = [bad_rate[t] for t in graph[s] if has_history[t]]
         neighbor_bad_rate[s] = float(np.mean(rates)) if rates else 0.0
         two_hop: set[int] = set()
-        for t in graph.neighbors(s):
-            two_hop.update(graph.neighbors(t))
+        for t in graph[s]:
+            # From an iterator, not the dict: ``set.update(dict)``
+            # presizes the table, which reorders the set and so the
+            # float sum below.
+            two_hop.update(iter(graph[t]))
         two_hop.discard(s)
         rates2 = [bad_rate[t] for t in two_hop if has_history[t]]
         neighbor_bad_rate_2hop[s] = float(np.mean(rates2)) if rates2 else 0.0

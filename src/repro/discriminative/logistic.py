@@ -15,14 +15,24 @@ so the supervised baselines share this exact training path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.noise_aware import clip_probabilities, expected_log_loss
 from repro.discriminative.ftrl import FTRLProximal
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 __all__ = ["LogisticConfig", "NoiseAwareLogisticRegression"]
+
+
+def _csr(X) -> "sparse.csr_matrix":
+    """``X`` as a CSR matrix; scipy loads here, not with the module."""
+    from scipy import sparse
+
+    return sparse.csr_matrix(X)
 
 
 @dataclass
@@ -70,7 +80,7 @@ class NoiseAwareLogisticRegression:
         should be converted with
         :func:`repro.core.noise_aware.labels_to_soft_targets` first.
         """
-        X = sparse.csr_matrix(X)
+        X = _csr(X)
         soft = np.asarray(soft_targets, dtype=np.float64)
         if X.shape[0] != soft.shape[0]:
             raise ValueError(
@@ -109,7 +119,7 @@ class NoiseAwareLogisticRegression:
         """
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
-        X = sparse.csr_matrix(X)
+        X = _csr(X)
         soft = np.asarray(soft_targets, dtype=np.float64)
         if X.shape[0] != soft.shape[0]:
             raise ValueError(
@@ -142,7 +152,7 @@ class NoiseAwareLogisticRegression:
     # inference
     # ------------------------------------------------------------------
     def decision_function(self, X: sparse.csr_matrix) -> np.ndarray:
-        X = sparse.csr_matrix(X)
+        X = _csr(X)
         w = self._ftrl.dense_weights()
         margins = X @ w[: self.dimension]
         if self._intercept_index is not None:

@@ -18,14 +18,16 @@ salted per process and would silently break staged models).
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.features.spec import FeatureView, FeaturizerSpec, NonServableAccessError
 from repro.services.nlp_server import tokenize
 from repro.types import Example
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["HashedTextFeaturizer", "EventFeaturizer", "DictVectorFeaturizer"]
 
@@ -97,6 +99,8 @@ class HashedTextFeaturizer:
 
     def transform(self, examples: Sequence[Example]) -> sparse.csr_matrix:
         """CSR matrix of shape (n_examples, num_buckets)."""
+        from scipy import sparse
+
         indptr = [0]
         indices: list[int] = []
         data: list[float] = []

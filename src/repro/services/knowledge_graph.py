@@ -5,8 +5,8 @@ which this classifier is used, we queried Google's Knowledge Graph for
 translations of keywords in ten languages." Graph-based labeling functions
 also derive labels from entity/category relationships (Figure 2).
 
-The reproduction is a networkx directed multigraph with typed nodes and
-edges:
+The reproduction is a directed multigraph with typed nodes and edges,
+kept as plain out- and in-adjacency dicts in insertion order:
 
 * ``keyword`` nodes with ``TRANSLATION`` edges (attributed with a language
   code) to translated surface forms,
@@ -21,9 +21,7 @@ functions need: keyword translation closure, category membership
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import networkx as nx
+from typing import Iterable, Iterator
 
 from repro.services.base import ModelServer
 
@@ -40,13 +38,37 @@ class KnowledgeGraph(ModelServer):
 
     def __init__(self) -> None:
         super().__init__(name="knowledge-graph")
-        self._graph = nx.MultiDiGraph()
+        #: Node attributes (``kind``, ``accessory``, ``language``) by key.
+        self._nodes: dict[str, dict] = {}
+        #: ``source -> target -> [edge data]`` and its mirror image
+        #: ``target -> source -> [edge data]``; parallel edges keep their
+        #: insertion order.
+        self._out: dict[str, dict[str, list[dict]]] = {}
+        self._in: dict[str, dict[str, list[dict]]] = {}
+
+    def _add_node(self, key: str, **attrs) -> None:
+        self._nodes.setdefault(key, {}).update(attrs)
+
+    def _add_edge(self, source: str, target: str, **data) -> None:
+        self._nodes.setdefault(source, {})
+        self._nodes.setdefault(target, {})
+        self._out.setdefault(source, {}).setdefault(target, []).append(data)
+        self._in.setdefault(target, {}).setdefault(source, []).append(data)
+
+    @staticmethod
+    def _edges(
+        adjacency: dict[str, dict[str, list[dict]]], key: str
+    ) -> Iterator[tuple[str, dict]]:
+        """``(neighbour, edge data)`` for every edge of ``key``."""
+        for neighbour, edges in adjacency.get(key, {}).items():
+            for data in edges:
+                yield neighbour, data
 
     # ------------------------------------------------------------------
     # construction API (used by the dataset world builder)
     # ------------------------------------------------------------------
     def add_category(self, category: str) -> None:
-        self._graph.add_node(category.lower(), kind="category")
+        self._add_node(category.lower(), kind="category")
 
     def add_product(
         self,
@@ -57,28 +79,28 @@ class KnowledgeGraph(ModelServer):
         """Register a product (or accessory/part) under a category."""
         product_key = product.lower()
         category_key = category.lower()
-        if category_key not in self._graph:
+        if category_key not in self._nodes:
             self.add_category(category_key)
-        self._graph.add_node(product_key, kind="product", accessory=accessory)
+        self._add_node(product_key, kind="product", accessory=accessory)
         relation = "ACCESSORY_OF" if accessory else "IS_A"
-        self._graph.add_edge(product_key, category_key, relation=relation)
+        self._add_edge(product_key, category_key, relation=relation)
 
     def add_brand(self, brand: str, products: Iterable[str]) -> None:
         brand_key = brand.lower()
-        self._graph.add_node(brand_key, kind="brand")
+        self._add_node(brand_key, kind="brand")
         for product in products:
             product_key = product.lower()
-            if product_key not in self._graph:
+            if product_key not in self._nodes:
                 raise KeyError(f"unknown product {product!r}; add it first")
-            self._graph.add_edge(brand_key, product_key, relation="MAKES")
+            self._add_edge(brand_key, product_key, relation="MAKES")
 
     def add_translation(self, keyword: str, language: str, translated: str) -> None:
         """Record that ``keyword`` translates to ``translated`` in ``language``."""
         source = keyword.lower()
         target = translated.lower()
-        self._graph.add_node(source, kind=self._graph.nodes.get(source, {}).get("kind", "keyword"))
-        self._graph.add_node(target, kind="keyword", language=language)
-        self._graph.add_edge(source, target, relation="TRANSLATION", language=language)
+        self._add_node(source, kind=self._nodes.get(source, {}).get("kind", "keyword"))
+        self._add_node(target, kind="keyword", language=language)
+        self._add_edge(source, target, relation="TRANSLATION", language=language)
 
     # ------------------------------------------------------------------
     # query API (used by labeling functions)
@@ -91,9 +113,7 @@ class KnowledgeGraph(ModelServer):
         wanted = set(languages) if languages is not None else None
         out: dict[str, str] = {}
         key = keyword.lower()
-        if key not in self._graph:
-            return out
-        for _, target, data in self._graph.out_edges(key, data=True):
+        for target, data in self._edges(self._out, key):
             if data.get("relation") != "TRANSLATION":
                 continue
             language = data.get("language")
@@ -120,9 +140,7 @@ class KnowledgeGraph(ModelServer):
         self._track()
         category_key = category.lower()
         out: set[str] = set()
-        if category_key not in self._graph:
-            return out
-        for source, _, data in self._graph.in_edges(category_key, data=True):
+        for source, data in self._edges(self._in, category_key):
             relation = data.get("relation")
             if relation == "IS_A":
                 out.add(source)
@@ -133,28 +151,22 @@ class KnowledgeGraph(ModelServer):
     def categories_of(self, product: str) -> set[str]:
         """Categories a product belongs to (IS_A or ACCESSORY_OF)."""
         self._track()
-        key = product.lower()
-        if key not in self._graph:
-            return set()
         return {
             target
-            for _, target, data in self._graph.out_edges(key, data=True)
+            for target, data in self._edges(self._out, product.lower())
             if data.get("relation") in ("IS_A", "ACCESSORY_OF")
         }
 
     def is_accessory(self, product: str) -> bool:
         self._track()
-        node = self._graph.nodes.get(product.lower())
+        node = self._nodes.get(product.lower())
         return bool(node and node.get("accessory"))
 
     def products_of_brand(self, brand: str) -> set[str]:
         self._track()
-        key = brand.lower()
-        if key not in self._graph:
-            return set()
         return {
             target
-            for _, target, data in self._graph.out_edges(key, data=True)
+            for target, data in self._edges(self._out, brand.lower())
             if data.get("relation") == "MAKES"
         }
 
@@ -162,15 +174,17 @@ class KnowledgeGraph(ModelServer):
     # introspection
     # ------------------------------------------------------------------
     def node_count(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     def edge_count(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(edges) for out in self._out.values() for edges in out.values())
 
     def languages(self) -> set[str]:
         """All language codes present on translation edges."""
         return {
             data["language"]
-            for _, _, data in self._graph.edges(data=True)
+            for targets in self._out.values()
+            for edges in targets.values()
+            for data in edges
             if data.get("relation") == "TRANSLATION"
         }

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from repro.features.spec import NonServableAccessError
 from repro.serving.model_registry import ModelRegistry, ModelVersion
@@ -51,6 +50,15 @@ _INFERENCE_MS = {
     "NoiseAwareLogisticRegression": 0.05,
     "NoiseAwareMLP": 0.3,
 }
+
+
+def _model_input(features):
+    """A featurizer's output as a model takes it: sparse stays sparse
+    (scipy loads here, not with the module), anything else becomes an
+    ndarray."""
+    from scipy import sparse
+
+    return features if sparse.issparse(features) else np.asarray(features)
 
 
 class ProductionServer:
@@ -121,11 +129,8 @@ class ProductionServer:
         featurizer = self._loaded.featurizer
         model = self._loaded.model
 
-        features = featurizer.transform([example])
-        if sparse.issparse(features):
-            score = float(model.predict_proba(features)[0])
-        else:
-            score = float(model.predict_proba(np.asarray(features))[0])
+        features = _model_input(featurizer.transform([example]))
+        score = float(model.predict_proba(features)[0])
 
         latency = featurizer.spec.latency_ms_per_example + _INFERENCE_MS.get(
             type(model).__name__, 0.1
@@ -141,11 +146,8 @@ class ProductionServer:
         if self._loaded is None:
             self.refresh()
         assert self._loaded is not None
-        features = self._loaded.featurizer.transform(examples)
-        if sparse.issparse(features):
-            scores = self._loaded.model.predict_proba(features)
-        else:
-            scores = self._loaded.model.predict_proba(np.asarray(features))
+        features = _model_input(self._loaded.featurizer.transform(examples))
+        scores = self._loaded.model.predict_proba(features)
         per_request = (
             self._loaded.featurizer.spec.latency_ms_per_example
             + _INFERENCE_MS.get(type(self._loaded.model).__name__, 0.1)

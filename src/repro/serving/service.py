@@ -5,15 +5,18 @@ The offline pipeline labels millions of examples per batch; an online
 label service sees one example per request. Scoring each request alone
 would abandon the vectorized ``label_batch`` kernels and the fused
 token-match executor that make the offline path fast, so
-:class:`LabelServer` *micro-batches*: concurrent requests queue behind a
-single batcher thread that, the moment it is free, takes everything
-queued (at most ``max_batch``), labels the block through
-:func:`repro.lf.applier.label_example_block` with the fused plan it
-compiled once for this started run, and scores it with
-:meth:`ServingGeneration.score
+:class:`LabelServer` *micro-batches* on its callers' threads
+(leader/follower). A request that finds no batch in progress *leads*:
+it takes everything queued (at most ``max_batch``, itself included),
+labels the block through :func:`repro.lf.applier.label_example_block`
+with the fused plan compiled once for this started run, and scores it
+with :meth:`ServingGeneration.score
 <repro.serving.registry.ServingGeneration.score>` — a table read per
 known vote pattern, one vectorized ``predict_proba`` call for the rest
-— against the generation captured once per batch.
+— against the generation captured once per batch. Requests arriving
+meanwhile queue as followers; once its own result is in, the leader
+hands leadership to the oldest follower still waiting. A request on an
+idle server is scored on its own thread, with no thread hand-off.
 
 Operational contract:
 
@@ -28,8 +31,9 @@ Operational contract:
   ``timeout_ms`` for admission and its result together; expiry raises
   :class:`ServeTimeout` and increments ``serving/timeouts``;
 * **contained failures** — a micro-batch that raises fails alone: its
-  callers get the error (``serving/batch_errors``), serving goes on;
-* **hot swap safety** — the batcher captures the active generation once
+  callers get the error (``serving/batch_errors``), and the next queued
+  request leads;
+* **hot swap safety** — a leader captures the active generation once
   per micro-batch, so every response in a batch is scored by exactly
   one immutable generation even if the watcher swaps mid-batch;
 * **bitwise reproducibility** — the generation zero-pads vote blocks
@@ -48,6 +52,7 @@ shares with its :class:`CheckpointModelRegistry`.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -67,31 +72,18 @@ from repro.mapreduce.counters import Gauge
 from repro.serving.registry import CheckpointModelRegistry
 from repro.types import Example
 
-__all__ = [
-    "ServeConfig",
-    "ServeResult",
-    "ServeTimeout",
-    "LabelServer",
-]
+__all__ = ["ServeConfig", "ServeResult", "ServeTimeout", "LabelServer"]
 
-#: Bound on every shutdown join. The idle batcher re-checks the stop
-#: flag every 50 ms and the watcher every poll interval, so a thread
-#: that outlives this bound is wedged and must be surfaced, not waited
-#: on forever.
+#: Bound on every shutdown wait. The watcher re-checks the stop flag
+#: every poll interval and a leader drains only what is queued, so one
+#: that outlives this bound is wedged and must be surfaced.
 _JOIN_TIMEOUT_S = 5.0
 
 
-def _join_or_raise(thread: threading.Thread, name: str) -> None:
-    """Join ``thread`` within the shutdown bound or fail loudly.
-
-    Raises:
-        RuntimeError: If the thread is still alive after the bound.
-    """
-    thread.join(timeout=_JOIN_TIMEOUT_S)
-    if thread.is_alive():
-        raise RuntimeError(
-            f"{name} thread failed to stop within {_JOIN_TIMEOUT_S:.0f}s"
-        )
+def _finite_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 class ServeTimeout(TimeoutError):
@@ -117,21 +109,16 @@ class ServeConfig:
         """Validate bounds.
 
         Raises:
-            ValueError: On a non-positive ``max_batch``, ``max_pending``,
-                ``timeout_ms``, or ``poll_ms``.
+            ValueError: If ``max_batch`` or ``max_pending`` is not an
+                ``int`` >= 1 (a ``bool`` is not one), or ``timeout_ms``
+                or ``poll_ms`` is not finite and > 0.
         """
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_pending < 1:
-            raise ValueError(
-                f"max_pending must be >= 1, got {self.max_pending}"
-            )
-        if self.timeout_ms <= 0:
-            raise ValueError(
-                f"timeout_ms must be > 0, got {self.timeout_ms}"
-            )
-        if self.poll_ms <= 0:
-            raise ValueError(f"poll_ms must be > 0, got {self.poll_ms}")
+        for name in ("max_batch", "max_pending"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        _finite_positive("timeout_ms", self.timeout_ms)
+        _finite_positive("poll_ms", self.poll_ms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,14 +142,18 @@ class ServeResult:
 
 
 class _Pending:
-    """One submitted request: the example plus its completion signal."""
+    """One request and its completion signal. Only a follower gets an
+    ``event``, set when its outcome is in or it ``leads``; ``waiting``
+    goes false once its caller gave up."""
 
-    __slots__ = ("example", "event", "outcome", "submitted")
+    __slots__ = ("example", "event", "outcome", "submitted", "waiting", "leads")
 
     def __init__(self, example: Example) -> None:
         self.example = example
-        self.event = threading.Event()
+        self.event: threading.Event | None = None
         self.outcome: ServeResult | Exception | None = None
+        self.waiting = True
+        self.leads = False
         # repro: allow[determinism] queue-latency measurement; labels depend only on the model generation
         self.submitted = time.perf_counter()
 
@@ -175,11 +166,11 @@ class _Pending:
 class LabelServer:
     """Micro-batching label service over a checkpoint-backed registry.
 
-    Lifecycle: construct, :meth:`start` (spawns the batcher thread and,
-    by default, a registry watcher), serve via :meth:`predict` from any
-    number of client threads, :meth:`stop` (drains the queue, resolves
-    every pending request, joins the threads). Also usable as a context
-    manager.
+    Lifecycle: construct, :meth:`start` (by default spawns the registry
+    watcher, the server's only thread), serve via :meth:`predict` from
+    any number of client threads (they score the batches themselves),
+    :meth:`stop` (refuses new requests, waits for the leader to drain
+    the queue, joins the watcher). Also usable as a context manager.
     """
 
     def __init__(
@@ -204,8 +195,8 @@ class LabelServer:
                 the tier's registry forwards to; it alone keeps the
                 ``serving/*`` histograms, and :meth:`report` embeds its
                 snapshot.
-            tracer: Optional :class:`repro.obs.Tracer`; batcher flushes
-                emit ``serving.flush`` spans.
+            tracer: Optional :class:`repro.obs.Tracer`; every scored
+                micro-batch emits a ``serving.flush`` span.
 
         Raises:
             ValueError: If ``lfs`` is empty.
@@ -222,18 +213,22 @@ class LabelServer:
         #: one started run.
         self._fused_cols = None
         self._abstain_prior = registry.abstain_prior()
+        #: Guards the queue and the leader and stop flags; ``stop`` waits
+        #: on it for the last leader to step down.
+        self._queue_lock = threading.Condition(threading.Lock())
         self._queue: deque[_Pending] = deque()
-        self._wake = threading.Condition(threading.Lock())
+        self._leading = False
         self._permits = threading.Semaphore(self.config.max_pending)
-        self._stop = threading.Event()
-        self._batcher: threading.Thread | None = None
+        #: Set while not serving (before ``start``, after ``stop``).
+        self._stopped = threading.Event()
+        self._stopped.set()
         self._watcher: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self, watch: bool = True) -> "LabelServer":
-        """Start serving: LF resources, batcher, optional watcher.
+        """Start serving: LF resources, first refresh, optional watcher.
 
         Performs one synchronous :meth:`CheckpointModelRegistry.refresh`
         so a root that already holds a manifest serves it from the very
@@ -254,18 +249,14 @@ class LabelServer:
         Raises:
             RuntimeError: If the server was already started.
         """
-        if self._batcher is not None:
+        if not self._stopped.is_set():
             raise RuntimeError("LabelServer is already started")
         start_lf_resources(self.lfs)
         # A fresh plan per start: its index holds surfaces resolved from
         # the resources this start brought up.
         self._fused_cols = fused_lf_columns(self.lfs)
         self._refresh()
-        self._stop.clear()
-        self._batcher = threading.Thread(
-            target=self._run_batches, name="label-serve-batcher", daemon=True
-        )
-        self._batcher.start()
+        self._stopped.clear()
         if watch:
             self._watcher = threading.Thread(
                 target=self._watch, name="label-serve-watcher", daemon=True
@@ -274,21 +265,24 @@ class LabelServer:
         return self
 
     def stop(self) -> None:
-        """Stop serving: drain the queue, resolve everything, join.
+        """Stop serving: refuse new requests, wait for the leader to
+        resolve everything queued, join the watcher. Idempotent;
+        requests submitted after ``stop`` raise ``RuntimeError``.
 
-        Idempotent; requests submitted after ``stop`` raise
-        ``RuntimeError``.
+        Raises:
+            RuntimeError: If a leader or the watcher outlives the bound.
         """
-        if self._batcher is None:
+        if self._stopped.is_set():
             return
-        self._stop.set()
-        with self._wake:
-            self._wake.notify_all()
-        _join_or_raise(self._batcher, "label-serve-batcher")
+        with self._queue_lock:
+            self._stopped.set()
+            drained = self._queue_lock.wait_for(lambda: not self._leading, _JOIN_TIMEOUT_S)
         if self._watcher is not None:
-            _join_or_raise(self._watcher, "label-serve-watcher")
-        self._batcher = None
-        self._watcher = None
+            self._watcher.join(timeout=_JOIN_TIMEOUT_S)
+            drained = drained and not self._watcher.is_alive()
+            self._watcher = None
+        if not drained:
+            raise RuntimeError(f"label server failed to stop within {_JOIN_TIMEOUT_S:.0f}s")
         stop_lf_resources(self.lfs)
 
     def __enter__(self) -> "LabelServer":
@@ -300,12 +294,13 @@ class LabelServer:
         self.stop()
 
     # ------------------------------------------------------------------
-    # request path (any client thread)
+    # request path (any client thread; the leader scores)
     # ------------------------------------------------------------------
     def predict(
         self, example: Example, timeout_ms: float | None = None
     ) -> ServeResult:
-        """Serve one example, blocking until its micro-batch resolves.
+        """Serve one example, blocking until its micro-batch resolves
+        (on an idle server, scored on the calling thread).
 
         Args:
             example: The example to label.
@@ -319,37 +314,43 @@ class LabelServer:
 
         Raises:
             ServeTimeout: If the deadline expired (counted as
-                ``serving/timeouts``): before admission nothing was
-                enqueued; after it the request still resolves later
-                and its permit is released by the batcher.
+                ``serving/timeouts``): in admission, nothing was
+                enqueued; while queued, the next leader still scores
+                the request and releases its permit; while leading,
+                after the batch resolved.
+            ValueError: If ``timeout_ms`` is not finite and > 0.
             RuntimeError: If the server is stopped.
             Exception: Whatever the request's micro-batch raised.
         """
-        budget = (
-            self.config.timeout_ms if timeout_ms is None else timeout_ms
-        )
+        budget = self.config.timeout_ms if timeout_ms is None else timeout_ms
+        _finite_positive("timeout_ms", budget)
         pending = _Pending(example)
-        left = self._submit(pending, budget)
-        if left is None or not pending.event.wait(left / 1000.0):
+        left = self._admit(pending, budget)
+        if left is not None and not pending.leads and not pending.event.wait(left / 1e3):
+            with self._queue_lock:
+                # Promoted as the deadline passed: it must lead anyway.
+                pending.waiting = pending.leads
+        if pending.leads:
+            self._lead(pending)
+        outcome = pending.outcome
+        if isinstance(outcome, Exception):
+            raise outcome
+        if outcome is None or (pending.leads and outcome.latency_ms > budget):
             self.metrics.counter("serving/timeouts")
-            raise ServeTimeout(
-                f"no result for {example.example_id!r} within {budget}ms"
-            )
-        if isinstance(pending.outcome, Exception):
-            raise pending.outcome
-        return pending.outcome
+            raise ServeTimeout(f"no result for {example.example_id!r} within {budget}ms")
+        return outcome
 
-    def _submit(self, pending: _Pending, budget_ms: float) -> float | None:
-        """Admit and enqueue one request; returns the budget left for
-        its result, or ``None`` if admission used it all (no permit is
-        held and nothing was enqueued).
+    def _admit(self, pending: _Pending, budget_ms: float) -> float | None:
+        """Admit and enqueue one request, as the leader if there is
+        none; returns the budget left for its result, or ``None`` if
+        admission used it all (no permit is held, nothing is queued).
 
         Raises:
             RuntimeError: If the server is not running, or stops while
                 the request waits for admission (its permit and
                 residency are released first).
         """
-        if self._stop.is_set() or self._batcher is None:
+        if self._stopped.is_set():
             raise RuntimeError("LabelServer is not running")
         # Admission control: non-blocking fast path, counted wait
         # otherwise — the streaming pipeline's residency-permit idiom.
@@ -357,55 +358,52 @@ class LabelServer:
             self.metrics.counter("serving/backpressure_waits")
             if not self._permits.acquire(timeout=budget_ms / 1000.0):
                 return None
-            budget_ms = max(0.0, budget_ms - pending.age_ms())
+            budget_ms -= pending.age_ms()
+            if budget_ms <= 0:
+                self._permits.release()
+                return None
         self.resident.add(1)
-        with self._wake:
-            # Re-checked under ``_wake``: the batcher exits only from an
-            # empty queue under it, so a request queued after ``stop``
-            # would never be served.
-            running = not self._stop.is_set()
-            if running:
-                self._queue.append(pending)
-                self._wake.notify()
-        if not running:
-            self.resident.subtract(1)
-            self._permits.release()
-            raise RuntimeError("LabelServer is not running")
+        with self._queue_lock:
+            # Re-checked under the lock ``stop`` sets it under: a request
+            # queued after the last leader stepped down is never served.
+            if self._stopped.is_set():
+                self.resident.subtract(1)
+                self._permits.release()
+                raise RuntimeError("LabelServer is not running")
+            self._queue.append(pending)
+            if self._leading:
+                pending.event = threading.Event()
+            else:
+                pending.leads = self._leading = True
         self.metrics.counter("serving/requests")
         return budget_ms
 
-    # ------------------------------------------------------------------
-    # batcher thread
-    # ------------------------------------------------------------------
-    def _take_batch(self) -> list[_Pending] | None:
-        """Block for the next micro-batch; ``None`` means shut down.
-
-        Takes everything queued, up to ``max_batch``: an idle batcher
-        flushes a lone request at once, and requests coalesce only while
-        the previous batch is being scored.
-        """
-        with self._wake:
-            while not self._queue:
-                if self._stop.is_set():
-                    return None
-                self._wake.wait(0.05)
-            take = min(len(self._queue), self.config.max_batch)
-            return [self._queue.popleft() for _ in range(take)]
-
-    def _run_batches(self) -> None:
-        """Batcher main loop: take, score, resolve, until drained. A
-        batch that raises fails alone and the loop keeps serving."""
+    def _lead(self, pending: _Pending) -> None:
+        """Score micro-batches (all queued, up to ``max_batch``) until
+        ``pending`` resolves; then hand leadership to the oldest caller
+        still waiting, or drain the queue and step down."""
         while True:
-            batch = self._take_batch()
-            if batch is None:
-                return
+            with self._queue_lock:
+                if pending.outcome is not None:
+                    successor = next((p for p in self._queue if p.waiting), None)
+                    if successor is not None:
+                        successor.leads = True
+                        successor.event.set()
+                        return
+                    if not self._queue:
+                        self._leading = False
+                        self._queue_lock.notify_all()
+                        return
+                take = min(len(self._queue), self.config.max_batch)
+                batch = [self._queue.popleft() for _ in range(take)]
             try:
                 self._score_batch(batch)
-            except Exception as error:
+            except Exception as error:  # fails this batch's callers alone
                 self.metrics.counter("serving/batch_errors")
-                for pending in batch:
-                    if not pending.event.is_set():
-                        self._resolve(pending, error)
+                for queued in batch:
+                    # Not ``event.is_set()``: promotion sets it too.
+                    if queued.outcome is None:
+                        self._resolve(queued, error)
 
     def _score_batch(self, batch: list[_Pending]) -> None:
         """Label + score one micro-batch against one captured generation."""
@@ -457,17 +455,16 @@ class LabelServer:
             **split,
         )
 
-    def _resolve(
-        self, pending: _Pending, outcome: ServeResult | Exception
-    ) -> None:
+    def _resolve(self, pending: _Pending, outcome: ServeResult | Exception) -> None:
         """Publish one outcome, wake its waiter, release its residency."""
         pending.outcome = outcome
-        pending.event.set()
+        if pending.event is not None:
+            pending.event.set()
         self.resident.subtract(1)
         self._permits.release()
 
     # ------------------------------------------------------------------
-    # watcher thread
+    # watcher thread (the server's only thread)
     # ------------------------------------------------------------------
     def _refresh(self) -> None:
         """Deploy the newest manifest, if it can be read."""
@@ -482,7 +479,7 @@ class LabelServer:
     def _watch(self) -> None:
         """Poll the durable root for new manifests until stopped."""
         interval = self.config.poll_ms / 1000.0
-        while not self._stop.wait(interval):
+        while not self._stopped.wait(interval):
             self._refresh()
 
     # ------------------------------------------------------------------

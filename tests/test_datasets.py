@@ -1,5 +1,8 @@
 """Tests for the synthetic dataset generators."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.datasets.events import (
     N_MODEL_VARIANTS,
     N_OFFLINE_MODELS,
     SERVABLE_SIGNALS,
+    _build_world,
 )
 from repro.services.nlp_server import tokenize
 
@@ -181,7 +185,46 @@ class TestProductDataset:
         assert hit > 30
 
 
+def events_world_digest(n_sources, seed):
+    """SHA-256 over every array of ``_build_world(n_sources, seed)``,
+    its aggregates and each source's neighbours in iteration order."""
+    world = _build_world(n_sources, seed)
+    digest = hashlib.sha256()
+    for name in (
+        "badness",
+        "platforms",
+        "has_history",
+        "neighbor_bad_rate",
+        "neighbor_bad_rate_2hop",
+        "weighted_neighbor_bad",
+        "graph_views",
+        "offline_model_scores",
+    ):
+        array = np.ascontiguousarray(getattr(world, name))
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+        digest.update(array.tobytes())
+    digest.update(json.dumps(world.aggregates, sort_keys=True).encode())
+    neighbours = [list(world.graph[s]) for s in range(n_sources)]
+    digest.update(json.dumps(neighbours).encode())
+    return digest.hexdigest()
+
+
 class TestEventsDataset:
+    @pytest.mark.parametrize(
+        "n_sources, seed, expected",
+        [
+            (150, 0, "1d446816518c2fe4fd902ddfd3ad2ca03753662d5282dead6b59c498cf5e7379"),
+            (150, 1, "7e3c9f4b3ed7ccbd5bef4b246ce70bd499f13437021bff20b64dabd0bfa0c676"),
+            (600, 7, "49fa299822b000ab6fc175ede82b72e58f405f579cba2f74f99ee06392471b09"),
+        ],
+    )
+    def test_world_is_bitwise_stable(self, n_sources, seed, expected):
+        """The world, neighbour order and the float sums over it
+        included, is bit for bit what the networkx-backed builder made
+        (digests captured from it): the relationship graph is plain
+        insertion-ordered adjacency now, and must stay equivalent."""
+        assert events_world_digest(n_sources, seed) == expected
+
     def test_sizes(self, events_dataset):
         assert len(events_dataset.unlabeled) == TINY_SCALE.events_unlabeled
         assert len(events_dataset.test) == TINY_SCALE.events_test

@@ -288,3 +288,24 @@ def test_label_model_paths_do_not_import_scipy_optimize():
         timeout=120,
     )
     assert result.stdout.strip() == "False", result.stdout
+
+
+def test_label_paths_import_neither_scipy_nor_networkx():
+    """``scipy.sparse`` (+16 MB RSS) loads only where a sparse matrix is
+    built or checked, and nothing uses networkx (+18 MB): importing any
+    labeling, streaming, serving or pool entry point loads neither."""
+    code = (
+        "import sys, repro.applications.product, repro.datasets.content, "
+        "repro.lf.applier, repro.streaming, repro.serving, repro.parallel; "
+        "print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    assert result.stdout.strip() == "[]", result.stdout

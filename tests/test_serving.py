@@ -3,8 +3,9 @@
 Covers the checkpoint-backed registry (empty-root degradation, first
 deploy, idempotent refresh, unreadable manifests, legacy pre-drift
 manifests), the micro-batching server (batches formed from load with
-the clock frozen, admission control and its deadline, a raising batch
-failing alone, timeouts, lifecycle), and the headline guarantees: a
+the clock frozen, leadership handed from caller to caller, admission
+control and its deadline, a raising batch failing alone, timeouts,
+lifecycle), and the headline guarantees: a
 manifest appearing mid-request hot-swaps in without dropping traffic, a
 swap under concurrent load never produces a torn read, and every served
 posterior is bitwise equal to an offline fit of the served snapshot's
@@ -13,6 +14,7 @@ stream prefix — including for a stream that was killed mid-run.
 
 import copy
 import json
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -203,6 +205,44 @@ class TestServeConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             ServeConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_batch": 2.5},
+            {"max_pending": 2.5},
+            {"max_batch": True},
+            {"max_pending": True},
+            {"max_batch": "4"},
+            {"timeout_ms": float("nan")},
+            {"timeout_ms": float("inf")},
+            {"poll_ms": float("nan")},
+            {"poll_ms": float("inf")},
+            {"timeout_ms": -1.0},
+        ],
+    )
+    def test_values_that_break_serving_are_refused(self, bad):
+        """A fractional batch cap, a ``bool`` count, a NaN or infinite
+        deadline or poll interval: each would wedge or fail every later
+        request, so none gets past the constructor."""
+        with pytest.raises(ValueError):
+            ServeConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), 0.0, -5.0]
+    )
+    def test_per_call_timeout_is_checked(self, checkpointed, lfs, bad):
+        """The per-call deadline gets the config's check, before the
+        request is admitted."""
+        dfs = checkpointed["dfs"]
+        registry = make_registry(dfs, "/srv/bad-timeout")
+        with LabelServer(registry, lfs) as server:
+            with pytest.raises(ValueError, match="timeout_ms"):
+                server.predict(checkpointed["decoded"][0], timeout_ms=bad)
+            assert server.predict(checkpointed["decoded"][0]).degraded
+        counters = server.counters.as_dict()
+        assert counters["serving/requests"] == 1
+        assert "serving/timeouts" not in counters
 
     def test_constructor_defaults_to_serve_config(self):
         registry = make_registry(DistributedFileSystem(), "/cfg/live")
@@ -738,6 +778,21 @@ def hold_first_batch(server):
     return hold_batches(server, 1)[0]
 
 
+def queue_behind(server, examples, **kwargs):
+    """One :func:`predict_in_thread` per example, each admitted before
+    the next starts, so queue order is call order; returns the
+    ``(thread, outcome)`` pairs."""
+    callers = []
+    for example in examples:
+        admitted = requests_admitted(server) + 1
+        callers.append(predict_in_thread(server, example, **kwargs))
+        wait_until(
+            lambda: requests_admitted(server) == admitted,
+            "request was never admitted",
+        )
+    return callers
+
+
 def predict_in_thread(server, example, **kwargs):
     """Run one ``predict`` on a daemon thread; returns the thread and a
     one-slot list that receives its result or the exception it raised."""
@@ -755,12 +810,12 @@ def predict_in_thread(server, example, **kwargs):
 
 
 class TestMicroBatchingAndAdmission:
-    """A batch is whatever queued while the batcher was busy — a
-    function of load, never of time."""
+    """A batch is whatever queued while the previous one was being
+    scored — a function of load, never of time."""
 
     @pytest.fixture(autouse=True)
     def clock(self, monkeypatch):
-        """Freeze (and count reads of) the server's clock: a batcher
+        """Freeze (and count reads of) the server's clock: a leader
         that still waited on a timer would never flush."""
         import repro.serving.service as service_module
 
@@ -908,16 +963,19 @@ class TestMicroBatchingAndAdmission:
     def test_admission_wait_is_spent_from_the_deadline(
         self, checkpointed, lfs, clock
     ):
-        """One budget, two waits: a caller admitted after its budget ran
-        out waiting for a permit does not get the budget again for the
-        result."""
+        """One budget, two waits: a caller whose budget ran out waiting
+        for a permit does not get the budget again for the result. It
+        times out at admission: nothing is queued, and the permit it got
+        goes straight back."""
         server = self._one_permit_server(
             checkpointed, lfs, "/srv/one-budget"
         )
-        (held, release), (held_too, release_too) = hold_batches(server, 2)
+        held, release = hold_first_batch(server)
         examples = checkpointed["decoded"]
         with server:
-            first, _ = predict_in_thread(server, examples[0])
+            first, answer = predict_in_thread(
+                server, examples[0], timeout_ms=600_000
+            )
             assert held.wait(10.0)
             second, late = predict_in_thread(
                 server, examples[1], timeout_ms=60_000
@@ -929,19 +987,18 @@ class TestMicroBatchingAndAdmission:
             )
             # Two minutes pass on the server's clock while it waits.
             clock.perf_counter = lambda: 120.0
-            try:
-                release.set()
-                assert held_too.wait(10.0), "second caller never admitted"
-                second.join(2.0)
-                assert not second.is_alive(), "the budget was spent twice"
-            finally:
-                release_too.set()
+            release.set()
+            second.join(2.0)
+            assert not second.is_alive(), "the budget was spent twice"
             first.join(10.0)
         assert isinstance(late[0], ServeTimeout)
+        assert answer[0].generation == 1
         report = server.report()
         assert report["counters"]["serving/timeouts"] == 1
-        assert report["counters"]["serving/requests"] == 2
+        assert report["counters"]["serving/requests"] == 1
+        assert report["counters"]["serving/batches"] == 1
         assert report["pending"] == 0
+        assert server._permits.acquire(blocking=False), "the permit leaked"
 
 
 class TestBatchErrors:
@@ -968,16 +1025,210 @@ class TestBatchErrors:
         ) as server:
             with pytest.raises(ValueError, match="poisoned example"):
                 server.predict(examples[3])
-            # Same batcher, same generation, next request served.
+            # Same generation, next request served.
             result = server.predict(examples[0])
             assert result.generation == 1 and not result.degraded
-            assert server._batcher.is_alive()
         report = server.report()
         assert report["pending"] == 0
         assert report["counters"]["serving/batch_errors"] == 1
         assert report["counters"]["serving/requests"] == 2
         assert report["counters"]["serving/batches"] == 1
         assert "serving/timeouts" not in report["counters"]
+
+    def test_raising_batch_fails_its_callers_and_hands_on(self, checkpointed):
+        """One request per batch: a promoted follower whose own batch
+        raises gets the error alone, and the next queued request leads."""
+        dfs = checkpointed["dfs"]
+        root = "/srv/poisoned-follower"
+        registry = make_registry(dfs, root)
+        deploy(dfs, checkpointed["manifests"][0], root)
+        examples = checkpointed["decoded"]
+        order = [examples[0], examples[3], examples[1], examples[2]]
+        lfs = make_lfs()
+        inner = lfs[2].label_batch
+
+        def label_batch(block):
+            if any(example is examples[3] for example in block):
+                raise ValueError("poisoned example")
+            return inner(block)
+
+        lfs[2].label_batch = label_batch
+        config = ServeConfig(max_batch=1, timeout_ms=10_000.0)
+        server = LabelServer(registry, lfs, config)
+        held, release = hold_first_batch(server)
+        with server:
+            callers = [predict_in_thread(server, order[0])]
+            assert held.wait(10.0)
+            callers += queue_behind(server, order[1:])
+            queued = list(server._queue)
+            release.set()
+            for thread, _ in callers:
+                thread.join(10.0)
+                assert not thread.is_alive()
+        outcomes = [outcome[0] for _, outcome in callers]
+        assert isinstance(outcomes[1], ValueError)
+        for outcome, example in zip(outcomes, order):
+            if outcome is not outcomes[1]:
+                assert outcome.example_id == example.example_id
+                assert outcome.generation == 1
+        assert [pending.leads for pending in queued] == [True] * 3
+        report = server.report()
+        assert report["pending"] == 0
+        assert report["counters"]["serving/batch_errors"] == 1
+        assert report["counters"]["serving/requests"] == 4
+        assert report["counters"]["serving/batches"] == 3
+
+
+class TestLeaderFollower:
+    """Batches are scored on the callers' threads: the caller that finds
+    no batch in progress leads, and when its own result is in it hands
+    leadership to the oldest queued caller still waiting."""
+
+    @staticmethod
+    def _server(checkpointed, lfs, root, **config):
+        dfs = checkpointed["dfs"]
+        registry = make_registry(dfs, root)
+        deploy(dfs, checkpointed["manifests"][0], root)
+        config = ServeConfig(timeout_ms=10_000.0, **config)
+        return LabelServer(registry, lfs, config)
+
+    def test_many_clients_each_answered_bitwise(self, checkpointed, lfs):
+        """Eight closed-loop clients on a short switch interval, so
+        leadership changes hands mid-batch often; every answer is its
+        own example's offline posterior, bit for bit, whoever led its
+        batch, and no request is lost or answered twice."""
+        dfs = checkpointed["dfs"]
+        root = "/srv/many-clients"
+        registry = make_registry(dfs, root)
+        manifest = checkpointed["manifests"][-1]
+        deploy(dfs, manifest, root)
+        expected = offline_posteriors(checkpointed, manifest)
+        examples = checkpointed["decoded"]
+        clients, per_client = 8, 120
+        barrier = threading.Barrier(clients)
+        answers = [[] for _ in range(clients)]
+        server = LabelServer(
+            registry, lfs, ServeConfig(max_batch=16, timeout_ms=30_000.0)
+        )
+
+        def client(c):
+            barrier.wait()
+            for i in range(per_client):
+                example = examples[(7 * c + i) % len(examples)]
+                answers[c].append((example, server.predict(example)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                threads = [
+                    threading.Thread(target=client, args=(c,))
+                    for c in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(part) for part in answers] == [per_client] * clients
+        for example, result in (entry for part in answers for entry in part):
+            assert result.example_id == example.example_id
+            assert result.generation == 1
+            assert (
+                result.posterior
+                == expected[checkpointed["row_of"][example.example_id]]
+            )
+        report = server.report()
+        counters = report["counters"]
+        assert counters["serving/requests"] == clients * per_client
+        assert counters["serving/batches"] <= clients * per_client
+        assert "serving/timeouts" not in counters
+        assert report["pending"] == 0
+
+    @pytest.mark.parametrize("successor", [True, False])
+    def test_timed_out_follower_is_never_promoted(
+        self, checkpointed, lfs, successor
+    ):
+        """A follower whose deadline passes while queued gives up
+        without leading. The leader skips it when handing on (or, with
+        nobody waiting, scores it itself), and its permit comes back."""
+        server = self._server(checkpointed, lfs, f"/srv/gave-up-{successor}")
+        held, release = hold_first_batch(server)
+        examples = checkpointed["decoded"]
+        with server:
+            leader = predict_in_thread(server, examples[0])
+            assert held.wait(10.0)
+            [(quitter, gave_up)] = queue_behind(
+                server, examples[1:2], timeout_ms=30
+            )
+            quitter.join(5.0)
+            assert isinstance(gave_up[0], ServeTimeout)
+            followers = queue_behind(server, examples[2:3] if successor else [])
+            queued = list(server._queue)
+            release.set()
+            for thread, _ in [leader, *followers]:
+                thread.join(10.0)
+                assert not thread.is_alive()
+        assert not queued[0].waiting and not queued[0].leads
+        assert queued[0].outcome.generation == 1
+        assert [pending.leads for pending in queued[1:]] == [True] * successor
+        for _, outcome in [leader, *followers]:
+            assert outcome[0].generation == 1
+        report = server.report()
+        counters = report["counters"]
+        assert counters["serving/timeouts"] == 1
+        assert counters["serving/requests"] == 2 + successor
+        # The held batch, then everything queued behind it as one.
+        assert counters["serving/batches"] == 2
+        assert report["pending"] == 0
+
+    def test_stop_resolves_every_queued_follower(self, checkpointed, lfs):
+        """``stop()`` refuses new callers at once, then waits while the
+        leaders resolve every follower already queued."""
+        server = self._server(checkpointed, lfs, "/srv/stop-drains", max_batch=2)
+        held, release = hold_first_batch(server)
+        examples = checkpointed["decoded"]
+        server.start(watch=False)
+        callers = [predict_in_thread(server, examples[0])]
+        assert held.wait(10.0)
+        callers += queue_behind(server, examples[1:6])
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        wait_until(server._stopped.is_set, "stop never began")
+        with pytest.raises(RuntimeError, match="not running"):
+            server.predict(examples[6])
+        assert stopper.is_alive(), "stop returned with followers queued"
+        release.set()
+        stopper.join(10.0)
+        assert not stopper.is_alive()
+        for (thread, outcome), example in zip(callers, examples):
+            thread.join(10.0)
+            assert outcome[0].example_id == example.example_id
+            assert outcome[0].generation == 1
+        report = server.report()
+        assert report["pending"] == 0
+        assert report["counters"]["serving/requests"] == 6
+        # The held batch, then the five followers in max_batch slices.
+        assert report["counters"]["serving/batches"] == 1 + 3
+
+    @pytest.mark.parametrize("watch", [True, False])
+    def test_start_spawns_only_the_watcher(self, checkpointed, lfs, watch):
+        """The server owns one thread, the watcher, and none without
+        it; serving a request starts no thread either."""
+        server = self._server(checkpointed, lfs, f"/srv/threads-{watch}")
+        before = set(threading.enumerate())
+        server.start(watch=watch)
+        try:
+            spawned = set(threading.enumerate()) - before
+            assert server.predict(checkpointed["decoded"][0]).generation == 1
+            assert set(threading.enumerate()) - before == spawned
+        finally:
+            server.stop()
+        names = ["label-serve-watcher"] if watch else []
+        assert [thread.name for thread in spawned] == names
+        assert not any(thread.is_alive() for thread in spawned)
 
 
 class TestTimeoutsAndLifecycle:
@@ -1014,7 +1265,7 @@ class TestTimeoutsAndLifecycle:
     ):
         """A ``stop()`` that lands after ``predict`` passed its running
         check but before it enqueued must not strand the request in a
-        queue no batcher serves: the caller gets ``RuntimeError`` at
+        queue no leader serves: the caller gets ``RuntimeError`` at
         once, and its permit and residency come back."""
         registry = make_registry(checkpointed["dfs"], "/srv/stop-race")
         server = LabelServer(registry, lfs, ServeConfig(max_pending=2))
