@@ -11,7 +11,8 @@ Package layout (see DESIGN.md for the full inventory):
 
 * :mod:`repro.core` — the generative label model and baselines,
 * :mod:`repro.lf` — the labeling-function template library,
-* :mod:`repro.dfs` / :mod:`repro.mapreduce` — the distributed substrate,
+* :mod:`repro.dfs` / :mod:`repro.mapreduce` — the distributed substrate
+  (record shards, and the retried map-task loop LF binaries run on),
 * :mod:`repro.services` — simulated organizational resources,
 * :mod:`repro.discriminative` / :mod:`repro.serving` — end models + TFX,
 * :mod:`repro.datasets` / :mod:`repro.applications` — the three case

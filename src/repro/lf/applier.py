@@ -6,7 +6,8 @@ output into its generative model" (Figure 4). :class:`LFApplier`
 reproduces that flow:
 
 1. examples are staged to sharded DFS record files,
-2. the whole suite votes in ONE MapReduce job — one decode of the input,
+2. the whole suite votes in ONE map job
+   (:func:`repro.mapreduce.run_map_tasks`) — one decode of the input,
    one tokenization per record for the fused-spec LFs, every other LF
    through its ``label_batch`` on the same block
    (:func:`label_example_block`, the kernel the stream, the pool workers
@@ -18,19 +19,15 @@ reproduces that flow:
    example ids are those same blocks; nothing the applier wrote is read
    back.
 
-:func:`apply_lfs_in_memory` is the measurement fast path used by large
-parameter sweeps; integration tests assert both paths produce identical
-matrices.
-
-Both paths are *batched*: map tasks take ``batch_size`` records per
-block and the votes are one ``(n, m)`` int8 matrix, instead of the
-per-``(example, LF)`` dictionary join the seed shipped with.
-``batch_size=None`` (or ``batched=False`` in memory) selects the
-original per-example path, kept as the oracle of the equivalence tests:
-every LF is the paper's independent binary, running
-:meth:`~repro.lf.base.AbstractLabelingFunction.run` as its own
-per-record job, and its shards are read back and joined on example id
-(missing ids = abstain).
+:meth:`LFApplier.apply_per_lf` is the per-record reference the
+equivalence tests judge ``apply`` against: every LF is the paper's
+independent binary, running
+:meth:`~repro.lf.base.AbstractLabelingFunction.run` as its own job, and
+its shards are read back and joined on example id (missing ids =
+abstain). :func:`apply_lfs_in_memory` is the measurement fast path used
+by large parameter sweeps; ``batched=False`` there is its per-example
+reference. Integration tests assert every path produces the same
+matrix.
 
 The in-memory path also parallelizes across *processes*:
 ``apply_lfs_in_memory(..., executor=pool)`` shards example blocks over
@@ -43,6 +40,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,7 +53,7 @@ from repro.dfs.records import (
 from repro.lf.base import AbstractLabelingFunction, LFRunResult
 from repro.lf.default import LabelingFunction
 from repro.lf.templates import FusedPlan
-from repro.mapreduce.runner import MapContext, MapReduceJob, MapReduceSpec
+from repro.mapreduce.runner import run_map_tasks
 from repro.obs.registry import MetricsRegistry
 from repro.types import Example, LabelMatrix
 
@@ -133,11 +131,21 @@ def fused_lf_columns(lfs: Sequence[AbstractLabelingFunction]) -> FusedPlan:
 
 def start_lf_resources(lfs: Sequence[AbstractLabelingFunction]) -> None:
     """Bring up every LF's offline resources and local model server for a
-    bulk run, once, before its first block is labelled."""
-    for lf in lfs:
-        if isinstance(lf, LabelingFunction):
-            lf.start_resources()
-        lf.start_local_service()
+    bulk run, once, before its first block is labelled.
+
+    A start that raises stops what this call started, in reverse order,
+    before the error propagates: a failed start leaves nothing running.
+    """
+    started: list[AbstractLabelingFunction] = []
+    try:
+        for lf in lfs:
+            started.append(lf)
+            if isinstance(lf, LabelingFunction):
+                lf.start_resources()
+            lf.start_local_service()
+    except BaseException:
+        stop_lf_resources(started[::-1])
+        raise
 
 
 def stop_lf_resources(lfs: Sequence[AbstractLabelingFunction]) -> None:
@@ -174,15 +182,18 @@ def label_example_block(
     return votes
 
 
-def _vote_bodies(blocks, k: int):
-    """Column ``k`` of ``(ids, votes)`` blocks as the bodies of the
-    sparse ``{"key", "value"}`` records
-    :meth:`AbstractLabelingFunction.run` emits, in record order."""
-    for ids, votes in blocks:
-        column = votes[:, k]
-        rows = np.flatnonzero(column)
-        for i, vote in zip(rows.tolist(), column[rows].tolist()):
-            yield f'{{"key":{json_token(ids[i])},"value":{vote}}}'.encode()
+def _write_vote_block(writers, ids, votes: np.ndarray) -> None:
+    """Fan one ``(ids, (B, m) votes)`` block out to the ``m`` LFs' shard
+    writers in one pass: a sparse ``{"key", "value"}`` record per
+    non-abstaining vote, each LF's in record order, each id's JSON token
+    computed once — the bytes :meth:`AbstractLabelingFunction.run`
+    writes."""
+    rows, cols = np.nonzero(votes)
+    last, head = -1, ""
+    for i, k, vote in zip(rows.tolist(), cols.tolist(), votes[rows, cols].tolist()):
+        if i != last:
+            last, head = i, f'{{"key":{json_token(ids[i])},"value":'
+        writers[k].write_body(f"{head}{vote}}}".encode())
 
 
 class LFApplier:
@@ -190,7 +201,7 @@ class LFApplier:
     and the joined label matrix.
 
     ``parallelism`` accepts only ``1``: map tasks run one after another
-    on the caller's thread.
+    on the caller's thread. ``batch_size`` is the records per map block.
     """
 
     def __init__(
@@ -199,7 +210,7 @@ class LFApplier:
         example_paths: Sequence[str],
         run_root: str = "/runs/default",
         parallelism: int = 1,
-        batch_size: int | None = DEFAULT_BLOCK_SIZE,
+        batch_size: int = DEFAULT_BLOCK_SIZE,
     ) -> None:
         if parallelism != 1:
             raise ValueError(
@@ -207,12 +218,31 @@ class LFApplier:
                 f"parallelism={parallelism}. To label on several processes, "
                 "use apply_lfs_in_memory(executor=ParallelLabelExecutor(...))"
             )
+        if not isinstance(batch_size, int) or batch_size < 1:
+            raise ValueError(
+                f"batch_size must be an int >= 1, got {batch_size!r}; the "
+                "per-record reference is LFApplier.apply_per_lf"
+            )
         self._dfs = dfs
         self._example_paths = list(example_paths)
         self._run_root = run_root.rstrip("/")
         self._batch_size = batch_size
 
     def apply(self, lfs: Sequence[AbstractLabelingFunction]) -> ApplyReport:
+        """Label the whole suite in ONE map job over the examples: the block
+        mapper runs :func:`label_example_block` with one :class:`FusedPlan`
+        for the job, and this driver writes every LF's vote shards from
+        the ``(ids, votes)`` blocks it returns (module docstring, step 2).
+        """
+        return self._report(lfs, self._suite_job)
+
+    def apply_per_lf(self, lfs: Sequence[AbstractLabelingFunction]) -> ApplyReport:
+        """The per-record reference: each LF runs its own
+        :meth:`~repro.lf.base.AbstractLabelingFunction.run`, and its shards
+        are read back and joined on example id."""
+        return self._report(lfs, self._per_lf_jobs)
+
+    def _report(self, lfs, job) -> ApplyReport:
         names = [lf.name for lf in lfs]
         duplicates = sorted(name for name, n in Counter(names).items() if n > 1)
         if duplicates:
@@ -221,8 +251,7 @@ class LFApplier:
             raise ValueError(f"duplicate labeling function names: {duplicates}")
         # repro: allow[determinism] ApplyReport.wall_seconds is throughput reporting only
         start = time.perf_counter()
-        run = self._per_lf_jobs if self._batch_size is None else self._suite_job
-        example_ids, matrix, lf_results = run(lfs)
+        example_ids, matrix, lf_results = job(lfs)
         # repro: allow[determinism] wall_seconds is throughput reporting only
         wall = time.perf_counter() - start
         return ApplyReport(
@@ -235,58 +264,38 @@ class LFApplier:
     def _suite_job(
         self, lfs: Sequence[AbstractLabelingFunction]
     ) -> tuple[list[str], np.ndarray, list[LFRunResult]]:
-        """Label the whole suite in ONE MapReduce job over the examples.
-
-        The block mapper runs :func:`label_example_block` with one
-        :class:`FusedPlan` for the job and gives each block's example ids
-        and ``(B, m)`` int8 votes back. The job publishes nothing: this
-        driver writes every LF's sparse vote shard straight from those
-        blocks — the names and bytes the LF's own
-        :meth:`~repro.lf.base.AbstractLabelingFunction.run` writes — and
-        takes each LF's counts from them; nothing it wrote is read back.
-        Returns the example ids in input order, their ``(n, m)`` votes and
-        one :class:`LFRunResult` per LF.
-        """
         plan = fused_lf_columns(lfs)
 
-        def batch_mapper(ctx: MapContext, records: list[dict]) -> None:
+        def block_mapper(records: list[dict]) -> tuple[list, np.ndarray]:
             examples = [Example.from_record(record) for record in records]
-            votes = label_example_block(lfs, examples, plan)
             # Ids and votes only: the decoded records die with the block.
-            ctx.give(([example.example_id for example in examples], votes))
+            return [e.example_id for e in examples], label_example_block(lfs, examples, plan)
 
-        spec = MapReduceSpec(
-            name="lf/_suite",
-            input_paths=self._example_paths,
-            output_base=None,
-            mapper=None,
-            batch_mapper=batch_mapper,
-            map_block_size=self._batch_size,
-        )
+        # repro: allow[determinism] LFRunResult.wall_seconds is throughput reporting only
+        start = time.perf_counter()
         start_lf_resources(lfs)
         try:
-            result = MapReduceJob(self._dfs, spec).run()
+            tasks = run_map_tasks(
+                self._dfs, self._example_paths, block_mapper, self._batch_size
+            )
         finally:
             stop_lf_resources(lfs)
+        # repro: allow[determinism] wall_seconds is throughput reporting only
+        wall = time.perf_counter() - start
 
         # One vote shard per (input shard, LF), under the names and with the
         # records, in record order, that the LF's own job writes.
-        n_shards = len(result.returned)
-        output_paths: list[list[str]] = [[] for _ in lfs]
-        for s, task_blocks in enumerate(result.returned):
-            for k, lf in enumerate(lfs):
-                out = shard_name(f"{self._run_root}/{lf.name}/votes", s, n_shards)
-                with RecordWriter(self._dfs, out) as writer:
-                    for body in _vote_bodies(task_blocks, k):
-                        writer.write_body(body)
-                output_paths[k].append(out)
-        blocks = [block for task_blocks in result.returned for block in task_blocks]
+        bases = [f"{self._run_root}/{lf.name}/votes" for lf in lfs]
+        output_paths = [[shard_name(b, s, len(tasks)) for s in range(len(tasks))] for b in bases]
+        for s, task_blocks in enumerate(tasks):
+            with ExitStack() as stack:
+                writers = [stack.enter_context(RecordWriter(self._dfs, p[s])) for p in output_paths]
+                for ids, block_votes in task_blocks:
+                    _write_vote_block(writers, ids, block_votes)
+        blocks = [block for task_blocks in tasks for block in task_blocks]
         example_ids = [eid for ids, _ in blocks for eid in ids]
-        votes = (
-            np.concatenate([block_votes for _, block_votes in blocks])
-            if blocks
-            else np.zeros((0, len(lfs)), dtype=np.int8)
-        )
+        empty = np.zeros((0, len(lfs)), dtype=np.int8)
+        votes = np.concatenate([block_votes for _, block_votes in blocks] or [empty])
         n = len(example_ids)
         positives = np.count_nonzero(votes > 0, axis=0).tolist()
         negatives = np.count_nonzero(votes < 0, axis=0).tolist()
@@ -300,7 +309,7 @@ class LFApplier:
                 negatives=negatives[k],
                 abstains=n - positives[k] - negatives[k],
                 # The suite shares one job; each LF reports the job's wall.
-                wall_seconds=result.wall_seconds,
+                wall_seconds=wall,
             )
             for k, lf in enumerate(lfs)
         ]
@@ -309,41 +318,20 @@ class LFApplier:
     def _per_lf_jobs(
         self, lfs: Sequence[AbstractLabelingFunction]
     ) -> tuple[list[str], np.ndarray, list[LFRunResult]]:
-        """The per-record oracle: every LF is its own binary.
-
-        Each LF runs :meth:`~repro.lf.base.AbstractLabelingFunction.run`,
-        whose job starts its model server once; the ids come
-        from one more pass over the input, and every LF's shards are read
-        back and scattered into its column through an id index.
-        """
-        example_ids = [
-            record["example_id"]
-            for record in iter_record_blobs(self._dfs, self._example_paths)
-        ]
-        id_index = {eid: i for i, eid in enumerate(example_ids)}
+        records = iter_record_blobs(self._dfs, self._example_paths)
+        example_ids = [record["example_id"] for record in records]
+        rows = {eid: i for i, eid in enumerate(example_ids)}
         matrix = np.zeros((len(example_ids), len(lfs)), dtype=np.int8)
         results = []
         for j, lf in enumerate(lfs):
-            if isinstance(lf, LabelingFunction):
-                lf.start_resources()
+            start_lf_resources([lf])
             try:
-                result = lf.run(
-                    self._dfs,
-                    self._example_paths,
-                    f"{self._run_root}/{lf.name}/votes",
-                )
+                out = f"{self._run_root}/{lf.name}/votes"
+                results.append(lf.run(self._dfs, self._example_paths, out))
             finally:
                 stop_lf_resources([lf])
-            results.append(result)
-            rows: list[int] = []
-            values: list[int] = []
-            for record in iter_record_blobs(self._dfs, result.output_paths):
-                row = id_index.get(record["key"])
-                if row is not None:
-                    rows.append(row)
-                    values.append(int(record["value"]))
-            if rows:
-                matrix[np.asarray(rows), j] = np.asarray(values, dtype=np.int8)
+            for record in iter_record_blobs(self._dfs, results[-1].output_paths):
+                matrix[rows[record["key"]], j] = record["value"]
         return example_ids, matrix, results
 
 

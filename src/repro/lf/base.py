@@ -8,17 +8,19 @@ template slots for functions to be executed within the pipeline."
 The reproduction follows the same contract:
 
 * :meth:`run` is the whole "labeling function binary": it reads example
-  records from the DFS, executes the subclass-defined MapReduce pipeline
-  one record at a time, and writes one vote record per non-abstaining
-  example to its own sharded output — LFs never share state except
-  through the filesystem (Section 5.4's loosely-coupled design).
-  :class:`repro.lf.applier.LFApplier` runs it as the per-record oracle;
-  its batched mode labels the whole suite in one job through
-  :meth:`label_batch` and writes the same shards.
+  records from the DFS, calls :meth:`_vote` on each one in one map task
+  per input shard (:func:`repro.mapreduce.run_map_tasks`), and writes one
+  vote record per non-abstaining example to its own sharded output —
+  LFs never share state except through the filesystem (Section 5.4's
+  loosely-coupled design). It is the per-record reference
+  :meth:`repro.lf.applier.LFApplier.apply_per_lf` runs; ``apply`` labels
+  the whole suite in one job through :meth:`label_batch` and writes the
+  same shards.
 * Subclasses override :meth:`_node_service_factory` (which model server,
   if any, to launch per compute node) and :meth:`_vote` (the per-example
-  slot an engineer writes). Outside :meth:`run` that server is one
-  local service per LF, brought up by :meth:`start_local_service`.
+  slot an engineer writes). That server is one local service per LF,
+  brought up by :meth:`start_local_service`; :meth:`run` brings it up
+  once per job and stops it afterwards.
 
 Vote records have the shape ``{"key": example_id, "value": vote}`` with
 ``vote in {-1, +1}`` (abstains are simply not written; the join treats
@@ -27,13 +29,16 @@ missing ids as abstain, exactly like sparse vote files at Google scale).
 
 from __future__ import annotations
 
+import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.dfs.filesystem import DistributedFileSystem
-from repro.mapreduce.runner import MapContext, MapReduceJob, MapReduceSpec
+from repro.dfs.filesystem import DistributedFileSystem, shard_name
+from repro.dfs.records import RecordWriter
+from repro.mapreduce.runner import run_map_tasks
 from repro.lf.registry import LFInfo
 from repro.services.base import ModelServer
 from repro.types import ABSTAIN, Example
@@ -134,45 +139,46 @@ class AbstractLabelingFunction:
     ) -> LFRunResult:
         """Execute this LF over example record files; write vote shards.
 
-        One map task per input shard calls :meth:`_vote` on each record,
-        with the node-local model server when the pipeline declares one
-        (started once for the job).
+        The per-record reference the suite job is judged against: one map
+        task per input shard calls :meth:`_vote` on each record, with the
+        node-local model server when the pipeline declares one (its local
+        service, up once for the job and stopped after it), and each task's
+        non-abstaining votes become one ``{"key", "value"}`` shard.
         """
+        start = time.perf_counter()
+        service = self.start_local_service()
 
-        def mapper(ctx: MapContext, record: dict) -> None:
-            example = Example.from_record(record)
-            service = ctx.service if ctx.has_service else None
-            vote = self._vote(example, service)
-            if vote not in VALID_VOTES:
-                raise ValueError(
-                    f"labeling function {self.name!r} returned invalid vote "
-                    f"{vote!r} (must be -1, 0, or +1)"
-                )
-            ctx.counters.increment("examples_seen")
-            if vote == ABSTAIN:
-                ctx.counters.increment("abstains")
-                return
-            ctx.counters.increment("positives" if vote > 0 else "negatives")
-            ctx.emit(example.example_id, vote)
+        def block_mapper(records: list[dict]) -> tuple[list, list[int]]:
+            examples = [Example.from_record(record) for record in records]
+            votes = np.asarray([self._vote(example, service) for example in examples])
+            ids = [example.example_id for example in examples]
+            return ids, self._validate_votes(votes, len(examples)).tolist()
 
-        spec = MapReduceSpec(
-            name=f"lf/{self.name}",
-            input_paths=list(input_paths),
-            output_base=output_base,
-            mapper=mapper,
-            node_setup=self._node_service_factory(),
-        )
-        result = MapReduceJob(dfs, spec).run()
-        counters = result.counters
+        try:
+            tasks = run_map_tasks(dfs, input_paths, block_mapper)
+        finally:
+            self.close_local_service()
+
+        counts = Counter()
+        output_paths = []
+        for index, blocks in enumerate(tasks):
+            path = shard_name(output_base, index, len(tasks))
+            with RecordWriter(dfs, path) as writer:
+                for ids, votes in blocks:
+                    counts.update(votes)
+                    for key, vote in zip(ids, votes):
+                        if vote != ABSTAIN:
+                            writer.write({"key": key, "value": vote})
+            output_paths.append(path)
         return LFRunResult(
             lf_name=self.name,
-            output_paths=result.output_paths,
-            examples_seen=counters.value("examples_seen"),
-            votes_emitted=result.records_out,
-            positives=counters.value("positives"),
-            negatives=counters.value("negatives"),
-            abstains=counters.value("abstains"),
-            wall_seconds=result.wall_seconds,
+            output_paths=output_paths,
+            examples_seen=sum(counts.values()),
+            votes_emitted=counts[1] + counts[-1],
+            positives=counts[1],
+            negatives=counts[-1],
+            abstains=counts[ABSTAIN],
+            wall_seconds=time.perf_counter() - start,
         )
 
     # ------------------------------------------------------------------
@@ -218,8 +224,9 @@ class AbstractLabelingFunction:
         """
         factory = self._node_service_factory()
         if factory is not None and self._local_service is None:
-            self._local_service = factory()
-            self._local_service.start()
+            service = factory()
+            service.start()
+            self._local_service = service
         return self._local_service
 
     def close_local_service(self) -> None:

@@ -7,28 +7,20 @@ pipeline around a template library and distributed compute environment"
 NLP pipeline "uses Google's MapReduce framework to launch a model server
 on each compute node" (Section 5.1).
 
-This package reproduces the slice of MapReduce those templates need:
+This package keeps the slice of MapReduce those templates run:
 
-* a map-only job over DFS record files, one map task per shard, run in
-  task order on the caller's thread,
-* one node-local service per job (where model servers start/stop),
-* counters and retry-on-worker-failure.
+* :func:`run_map_tasks` — one map task per DFS record shard, run in task
+  order on the caller's thread, each one a block loop retried as a unit
+  (exhausted retries raise :class:`WorkerFailure`),
+* :class:`CounterSet` — the counter storage the metrics registry builds on.
+
+The callers own the rest: the LF binary
+(:meth:`repro.lf.base.AbstractLabelingFunction.run`) brings its model
+server up once per job and writes its own vote shards, and
+:class:`repro.lf.applier.LFApplier` does the same for a whole suite.
 """
 
 from repro.mapreduce.counters import CounterSet
-from repro.mapreduce.runner import (
-    MapReduceJob,
-    MapReduceResult,
-    MapReduceSpec,
-    NodeService,
-    WorkerFailure,
-)
+from repro.mapreduce.runner import MAX_RETRIES, WorkerFailure, run_map_tasks
 
-__all__ = [
-    "CounterSet",
-    "MapReduceJob",
-    "MapReduceResult",
-    "MapReduceSpec",
-    "WorkerFailure",
-    "NodeService",
-]
+__all__ = ["CounterSet", "MAX_RETRIES", "WorkerFailure", "run_map_tasks"]

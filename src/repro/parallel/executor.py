@@ -76,7 +76,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import multiprocessing
 import numpy as np
 
-from repro.mapreduce.runner import WorkerFailure
+from repro.mapreduce.runner import MAX_RETRIES, WorkerFailure
 from repro.obs.histogram import (
     Histogram,
     decode_histograms,
@@ -93,8 +93,8 @@ __all__ = [
     "DEFAULT_MAX_RETRIES",
 ]
 
-#: Retry budget per block, matching ``MapReduceSpec.max_retries``.
-DEFAULT_MAX_RETRIES = 2
+#: Retry budget per block: the map-task runner's.
+DEFAULT_MAX_RETRIES = MAX_RETRIES
 
 #: Longest single wait on a future: between slices
 #: :meth:`ParallelLabelExecutor.next_completed` checks whether the pool

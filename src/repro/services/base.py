@@ -72,12 +72,13 @@ class ModelServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Bring the service up (idempotent)."""
+        """Bring the service up (idempotent). A start whose ``_on_start``
+        raises leaves the service stopped, so the next call retries it."""
         with self._lock:
             if not self._running:
+                self._on_start()
                 self._running = True
                 self.stats.starts += 1
-                self._on_start()
 
     def stop(self) -> None:
         """Shut the service down (idempotent)."""

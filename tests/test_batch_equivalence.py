@@ -412,11 +412,16 @@ def test_uncompiled_plan_shared_by_racing_threads():
 # batched MapReduce path: byte-identical vote shards
 # ----------------------------------------------------------------------
 def _apply_report(examples, lfs, batch_size, dfs=None):
+    """The suite job at ``batch_size``; ``None`` is the per-record
+    reference, ``LFApplier.apply_per_lf`` (every LF its own binary)."""
     dfs = dfs or DistributedFileSystem()
     paths = stage_examples(dfs, examples, "/eq/examples", num_shards=4)
-    report = LFApplier(
-        dfs, paths, run_root="/eq/run", batch_size=batch_size
-    ).apply(lfs)
+    if batch_size is None:
+        report = LFApplier(dfs, paths, run_root="/eq/run").apply_per_lf(lfs)
+    else:
+        report = LFApplier(
+            dfs, paths, run_root="/eq/run", batch_size=batch_size
+        ).apply(lfs)
     shard_bytes = {
         result.lf_name: b"".join(
             dfs.read_file(path) for path in result.output_paths
@@ -437,12 +442,28 @@ def _report_fields(report):
     )
 
 
+#: Example ids that need JSON escaping: a quote, a backslash, a
+#: control character, non-ASCII, a lone surrogate and NUL.
+ESCAPED_IDS = ["plain", 'quo"te', "back\\slash", "tab\there", "caf\u00e9", "lone\ud800", "\x00"]
+
+
 def _suite(app):
     """200 examples and the LFs of ``app``: the product suite (eight
     fused-spec LFs), the topic suite (four, beside six that label
     through ``label_batch``, two of them on an NLP model server), or the
     topic suite cut down to exactly one (``one_fused``) or zero
-    (``unfused``) fused-spec LFs."""
+    (``unfused``) fused-spec LFs. ``escaped_ids`` and ``int_ids`` are a
+    few examples with ids that need JSON escaping, or with int ids,
+    under one LF that always votes and one that never does."""
+    if app in ("escaped_ids", "int_ids"):
+        ids = ESCAPED_IDS if app == "escaped_ids" else range(6)
+        examples = [Example(eid, fields={"n": i}) for i, eid in enumerate(ids)]
+        alternating = LFInfo("alternating", LFCategory.CONTENT_HEURISTIC, True)
+        silent = LFInfo("silent", LFCategory.CONTENT_HEURISTIC, True)
+        return examples, [
+            LabelingFunction(alternating, lambda x: 1 if x.fields["n"] % 2 else -1),
+            LabelingFunction(silent, lambda x: 0),
+        ]
     exp = get_content_experiment("product" if app == "product" else "topic", "tiny")
     lfs = exp.lfs
     fused = list(fused_lf_columns(lfs))
@@ -451,8 +472,13 @@ def _suite(app):
     return exp.dataset.unlabeled[:200], lfs
 
 
-@pytest.mark.parametrize("app", ["product", "topic", "one_fused", "unfused"])
+@pytest.mark.parametrize(
+    "app", ["product", "topic", "one_fused", "unfused", "escaped_ids", "int_ids"]
+)
 def test_mapreduce_batched_output_byte_identical(app):
+    """The suite job against the per-record reference. ``int_ids`` is a
+    regression: the reference's shards held ``{"key": "5"}`` where the
+    suite job writes ``{"key": 5}``, so its id join dropped every vote."""
     examples, lfs = _suite(app)
     runs = {
         batch_size: _apply_report(examples, lfs, batch_size)
@@ -474,10 +500,15 @@ def test_mapreduce_batched_output_byte_identical(app):
         assert res_a.abstains == res_b.abstains
 
     # Ids, names, every result field and every shard byte, at every
-    # block size, against the per-record oracle.
+    # block size, against the per-record reference.
     for report, shard_bytes in runs.values():
         assert shard_bytes == bytes_per_record
         assert _report_fields(report) == _report_fields(per_record)
+    # An LF that never votes still gets its shards, each one empty.
+    for result in batched.lf_results:
+        if result.votes_emitted == 0:
+            assert len(result.output_paths) == 4
+            assert bytes_batched[result.lf_name] == b""
 
 
 class _CountingDFS(DistributedFileSystem):
@@ -562,8 +593,8 @@ def test_suite_job_retried_task_contributes_once(monkeypatch):
 @pytest.mark.parametrize("batch_size", [64, None])
 def test_apply_starts_one_server_per_nlp_lf(monkeypatch, batch_size):
     """The suite job labels through each NLP LF's one local server,
-    started before the job; the per-record oracle starts none of those,
-    only its job's one node server per LF. Either way every server is
+    started before the job; the per-record reference brings each LF's
+    server up once for that LF's own job. Either way every server is
     started once and stopped, on the caller's thread."""
     examples, lfs = _suite("topic")
     servers = Counter()

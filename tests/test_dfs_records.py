@@ -24,7 +24,7 @@ from repro.dfs.records import (
     stream_records_with_offsets,
     write_records,
 )
-from repro.lf.applier import _vote_bodies
+from repro.lf.applier import _write_vote_block
 from repro.streaming.sinks import LabelSink, VoteSink
 from repro.types import Example
 
@@ -243,17 +243,29 @@ class TestTemplatedBodies:
         expected += [{"example_id": eid, "proba": p} for eid, p in rows]
         assert bodies == [dumps(p).encode() for p in expected]
 
-    @given(st.lists(vote_batches(), max_size=3), st.integers(0, 11))
-    def test_applier_vote_records(self, blocks, k):
-        blocks = [(bids, votes) for bids, votes in blocks if votes.shape[1] > k]
-        expected = [
-            {"key": batch_ids[i], "value": int(votes[i, k])}
-            for batch_ids, votes in blocks
-            for i in range(len(batch_ids))
-            if votes[i, k]
-        ]
-        bodies = list(_vote_bodies(blocks, k))
-        assert bodies == [dumps(p).encode() for p in expected]
+    @given(st.lists(vote_batches(), max_size=3))
+    def test_applier_vote_records(self, blocks):
+        """One pass per block fans each column's sparse ``{"key",
+        "value"}`` records out to that column's writer, in row order."""
+        width = max((votes.shape[1] for _, votes in blocks), default=0)
+        writers = [_Bodies() for _ in range(width)]
+        for batch_ids, votes in blocks:
+            _write_vote_block(writers, batch_ids, votes)
+        for k, bodies in enumerate(writers):
+            expected = [
+                {"key": batch_ids[i], "value": int(votes[i, k])}
+                for batch_ids, votes in blocks
+                if votes.shape[1] > k
+                for i in range(len(batch_ids))
+                if votes[i, k]
+            ]
+            assert bodies == [dumps(p).encode() for p in expected]
+
+
+class _Bodies(list):
+    """A writer stand-in that keeps the bodies it is given."""
+
+    write_body = list.append
 
 
 def frame(body: bytes) -> bytes:

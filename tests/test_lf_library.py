@@ -8,7 +8,7 @@ from repro.lf.applier import LFApplier, apply_lfs_in_memory, stage_examples
 from repro.lf.default import LabelingFunction
 from repro.lf.nlp import NLPLabelingFunction, celebrity_example_lf
 from repro.lf.registry import LFCategory, LFInfo, LFRegistry
-from repro.services.base import ServiceUnavailable
+from repro.services.base import ModelServer, ServiceUnavailable
 from repro.services.nlp_server import NLPServer
 from repro.types import ABSTAIN, Example
 
@@ -234,12 +234,69 @@ class TestApplier:
 
     @pytest.mark.parametrize("batch_size", [64, None])
     def test_apply_rejects_duplicate_names_before_any_job(self, dfs, batch_size):
+        """``None``: the per-record reference, ``apply_per_lf``."""
         paths = stage_examples(dfs, make_examples(6), "/d/dup", num_shards=2)
         lfs = [simple_lf("same", "good", 1), simple_lf("same", "bad", -1)]
-        applier = LFApplier(dfs, paths, run_root="/runs/dup", batch_size=batch_size)
+        if batch_size is None:
+            run = LFApplier(dfs, paths, run_root="/runs/dup").apply_per_lf
+        else:
+            run = LFApplier(dfs, paths, run_root="/runs/dup", batch_size=batch_size).apply
         with pytest.raises(ValueError, match="'same'"):
-            applier.apply(lfs)
+            run(lfs)
         assert dfs.list("/runs/dup/") == []
+
+    @pytest.mark.parametrize("batch_size", [None, 0])
+    def test_batch_size_must_be_a_positive_int(self, dfs, batch_size):
+        with pytest.raises(ValueError, match="apply_per_lf"):
+            LFApplier(dfs, [], batch_size=batch_size)
+
+    def test_failed_start_leaves_the_resource_stopped(self, dfs):
+        """Regression: a resource whose start raised stayed marked as
+        running, so after one failed ``apply`` every later run labelled
+        silently through the half-started resource."""
+
+        class Broken(ModelServer):
+            def _on_start(self):
+                raise RuntimeError("model failed to load")
+
+        resource = Broken()
+        info = LFInfo("needs_model", LFCategory.MODEL_BASED, False)
+        lf = LabelingFunction(info, lambda x: 1, resources=[resource])
+        examples = make_examples(4)
+        paths = stage_examples(dfs, examples, "/d/broken", num_shards=2)
+        with pytest.raises(RuntimeError, match="failed to load"):
+            LFApplier(dfs, paths, run_root="/runs/broken").apply([lf])
+        assert not resource.running and resource.stats.starts == 0
+        with pytest.raises(RuntimeError, match="failed to load"):
+            apply_lfs_in_memory([lf], examples)
+        assert not resource.running and resource.stats.starts == 0
+
+    def test_partial_start_is_stopped(self, dfs):
+        """Regression: when a later LF's resource failed to start, the
+        resources started before it stayed up after ``apply`` raised."""
+
+        class Broken(ModelServer):
+            def _on_start(self):
+                raise RuntimeError("model failed to load")
+
+        healthy = ModelServer("healthy")
+        lfs = [
+            LabelingFunction(
+                LFInfo(name, LFCategory.MODEL_BASED, False),
+                lambda x: 1,
+                resources=[resource],
+            )
+            for name, resource in (("first", healthy), ("second", Broken()))
+        ]
+        examples = make_examples(4)
+        paths = stage_examples(dfs, examples, "/d/partial", num_shards=2)
+        with pytest.raises(RuntimeError, match="failed to load"):
+            LFApplier(dfs, paths, run_root="/runs/partial").apply(lfs)
+        assert not healthy.running
+        with pytest.raises(RuntimeError, match="failed to load"):
+            apply_lfs_in_memory(lfs, examples)
+        assert not healthy.running
+        assert healthy.stats.starts == healthy.stats.stops == 2
 
     def test_apply_rejects_parallelism_above_one(self, dfs):
         paths = stage_examples(dfs, make_examples(6), "/d/par", num_shards=2)

@@ -1,4 +1,4 @@
-"""Tests for the MapReduce engine, counters, and node services."""
+"""Tests for the map-task runner and the counters."""
 
 import threading
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.dfs.records import write_records
 from repro.mapreduce.counters import CounterSet
-from repro.mapreduce.runner import MapReduceJob, MapReduceSpec, WorkerFailure
+from repro.mapreduce.runner import MAX_RETRIES, WorkerFailure, run_map_tasks
 
 
 def stage_numbers(dfs, shards=4, per_shard=5):
@@ -94,196 +94,103 @@ class TestCounters:
 
 class TestMapOnly:
     def test_one_output_shard_per_input(self, dfs):
+        """One value list per input shard, in task order, every record
+        read once."""
         paths = stage_numbers(dfs, shards=3)
 
-        def mapper(ctx, record):
-            ctx.emit(str(record["n"]), record["n"] * 2)
+        def block_mapper(records):
+            return [record["n"] * 2 for record in records]
 
-        result = MapReduceJob(
-            dfs, MapReduceSpec("t", paths, "/out/m", mapper)
-        ).run()
-        assert len(result.output_paths) == 3
-        assert result.records_in == 15
-        assert result.records_out == 15
+        tasks = run_map_tasks(dfs, paths, block_mapper)
+        assert len(tasks) == 3
+        assert [v for blocks in tasks for block in blocks for v in block] == [
+            n * 2 for n in range(15)
+        ]
 
     def test_mapper_can_filter(self, dfs):
         paths = stage_numbers(dfs)
 
-        def mapper(ctx, record):
-            if record["n"] % 2 == 0:
-                ctx.emit(str(record["n"]), record["n"])
+        def block_mapper(records):
+            return [record["n"] for record in records if record["n"] % 2 == 0]
 
-        result = MapReduceJob(
-            dfs, MapReduceSpec("t", paths, "/out/f", mapper)
-        ).run()
-        assert result.records_out == 10
-
-    def test_counters_reach_result(self, dfs):
-        paths = stage_numbers(dfs)
-
-        def mapper(ctx, record):
-            ctx.counters.increment("seen")
-            ctx.emit("k", 1)
-
-        result = MapReduceJob(
-            dfs, MapReduceSpec("t", paths, "/out/c", mapper)
-        ).run()
-        assert result.counters.value("seen") == 20
+        tasks = run_map_tasks(dfs, paths, block_mapper)
+        assert sum(len(block) for blocks in tasks for block in blocks) == 10
 
     def test_map_only_job_without_output_base_publishes_nothing(self, dfs):
+        """The runner writes nothing: its product is what the block
+        mapper returns, one list of block values per map task."""
         paths = stage_numbers(dfs, shards=3, per_shard=2)
         before = dfs.file_count()
 
-        def mapper(ctx, record):
-            ctx.give(record["n"])
-
-        result = MapReduceJob(dfs, MapReduceSpec("t", paths, None, mapper)).run()
-        # One list per map task, in task order.
-        assert result.returned == [[0, 1], [2, 3], [4, 5]]
-        assert result.output_paths == [] and result.records_out == 0
+        tasks = run_map_tasks(
+            dfs, paths, lambda records: [r["n"] for r in records], block_size=1
+        )
+        assert tasks == [[[0], [1]], [[2], [3]], [[4], [5]]]
         assert dfs.file_count() == before and dfs.staged_paths() == []
 
 
 class TestFailureHandling:
     def test_transient_failures_retried(self, dfs):
         paths = stage_numbers(dfs, shards=2)
-        attempts = {}
+        attempts = []
 
         def flaky_injector(task, attempt):
-            attempts[(task, attempt)] = True
+            attempts.append((task, attempt))
             if task == 0 and attempt == 0:
                 raise RuntimeError("simulated worker crash")
 
-        def mapper(ctx, record):
-            ctx.emit(str(record["n"]), 1)
-
-        spec = MapReduceSpec(
-            "t", paths, "/out/r", mapper, fail_injector=flaky_injector
+        tasks = run_map_tasks(
+            dfs, paths, lambda records: [r["n"] for r in records],
+            fail_injector=flaky_injector,
         )
-        result = MapReduceJob(dfs, spec).run()
-        assert result.retries == 1
-        assert result.records_out == 10  # no duplicates from the retry
+        assert attempts == [(0, 0), (0, 1), (1, 0)]
+        # No duplicates from the retry.
+        assert [v for blocks in tasks for block in blocks for v in block] == list(range(10))
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_mid_task_failure_contributes_once(self, dfs, batched):
-        """Regression: attempts shared the job's counters, so a task
-        that died on record 5 of 10 and was retried reported 15."""
+        """Regression: attempts shared the job's output, so a task that
+        died on record 5 of 10 and was retried reported 15. Unbatched,
+        each block is one record."""
         paths = stage_numbers(dfs, shards=1, per_shard=10)
         crashed = []
 
-        def mapper(ctx, record):
-            if record["n"] == 5 and not crashed:
-                crashed.append(True)
-                raise RuntimeError("worker died mid-shard")
-            ctx.counters.increment("seen")
-            ctx.emit(str(record["n"]), 1)
-            ctx.give(record["n"])
-
-        def batch_mapper(ctx, records):
+        def block_mapper(records):
+            values = []
             for record in records:
-                mapper(ctx, record)
+                if record["n"] == 5 and not crashed:
+                    crashed.append(True)
+                    raise RuntimeError("worker died mid-shard")
+                values.append(record["n"])
+            return values
 
-        spec = MapReduceSpec(
-            "t", paths, "/out/mid", mapper,
-            batch_mapper=batch_mapper if batched else None,
-            map_block_size=2,
+        tasks = run_map_tasks(
+            dfs, paths, block_mapper, block_size=2 if batched else 1
         )
-        result = MapReduceJob(dfs, spec).run()
-        assert result.retries == 1
-        assert result.records_in == result.records_out == 10
-        assert result.counters.as_dict() == {"seen": 10}
-        assert result.returned == [list(range(10))]
+        assert crashed == [True]
+        assert [v for block in tasks[0] for v in block] == list(range(10))
 
     def test_persistent_failure_aborts(self, dfs):
         paths = stage_numbers(dfs, shards=1)
-        log = []
+        attempts = []
 
         def always_fail(task, attempt):
+            attempts.append(attempt)
             raise RuntimeError("dead node")
 
-        def mapper(ctx, record):
-            ctx.emit("k", 1)
-
-        spec = MapReduceSpec(
-            "t", paths, "/out/x", mapper,
-            fail_injector=always_fail, max_retries=2,
-            node_setup=lambda: _RecordingService(log),
-        )
-        with pytest.raises(WorkerFailure, match="after 3 attempts"):
-            MapReduceJob(dfs, spec).run()
-        # Started once for the job's three attempts, stopped on abort.
-        assert log == ["start", "stop"]
+        with pytest.raises(WorkerFailure, match="after 3 attempts") as info:
+            run_map_tasks(dfs, paths, len, fail_injector=always_fail)
+        assert attempts == list(range(MAX_RETRIES + 1)) == [0, 1, 2]
+        assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_mapper_exception_is_retried_then_fatal(self, dfs):
         paths = stage_numbers(dfs, shards=1)
+        calls = []
 
-        def bad_mapper(ctx, record):
+        def bad_mapper(records):
+            calls.append(len(records))
             raise KeyError("bug in user code")
 
-        spec = MapReduceSpec("t", paths, "/out/y", bad_mapper, max_retries=1)
         with pytest.raises(WorkerFailure):
-            MapReduceJob(dfs, spec).run()
-
-
-class _RecordingService:
-    def __init__(self, log):
-        self.log = log
-
-    def start(self):
-        self.log.append("start")
-
-    def stop(self):
-        self.log.append("stop")
-
-
-class TestNodeServices:
-    def test_services_start_per_job_not_per_task(self, dfs):
-        paths = stage_numbers(dfs, shards=8)
-        log = []
-
-        def mapper(ctx, record):
-            assert ctx.has_service
-            ctx.emit("k", 1)
-
-        spec = MapReduceSpec(
-            "t", paths, "/out/s", mapper,
-            node_setup=lambda: _RecordingService(log),
-        )
-        MapReduceJob(dfs, spec).run()
-        assert log.count("start") == 1
-        assert log.count("stop") == 1
-
-    def test_no_service_configured(self, dfs):
-        paths = stage_numbers(dfs, shards=1)
-
-        def mapper(ctx, record):
-            assert not ctx.has_service
-            with pytest.raises(RuntimeError):
-                _ = ctx.service
-            ctx.emit("k", 1)
-
-        MapReduceJob(dfs, MapReduceSpec("t", paths, "/out/n", mapper)).run()
-
-    def test_service_start_failure_is_a_crashed_attempt(self, dfs):
-        paths = stage_numbers(dfs, shards=2)
-        log = []
-        built = []
-
-        class FlakyStart(_RecordingService):
-            def start(self):
-                if not built:
-                    built.append(self)
-                    raise RuntimeError("server failed to come up")
-                super().start()
-
-        def mapper(ctx, record):
-            ctx.emit(str(record["n"]), 1)
-
-        spec = MapReduceSpec(
-            "t", paths, "/out/fs", mapper,
-            node_setup=lambda: FlakyStart(log),
-        )
-        result = MapReduceJob(dfs, spec).run()
-        assert result.retries == 1
-        assert result.records_out == 10
-        assert log == ["start", "stop"]
+            run_map_tasks(dfs, paths, bad_mapper)
+        assert len(calls) == MAX_RETRIES + 1
