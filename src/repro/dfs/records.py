@@ -19,9 +19,15 @@ What a record costs: every durable byte (input, vote and label shards,
 manifests, trace shards) passes here. *Encode* is one per-thread C JSON
 encoder, built once, or a row template filled by :func:`json_token`;
 *append* is one locked DFS call per :data:`DEFAULT_READ_CHUNK` bytes a
-:class:`RecordWriter` buffers, plus one at close; *decode* runs json's C
-scanner on each body sliced from the chunk just read (json's own decode
-only for a body the scan does not consume whole).
+:class:`RecordWriter` buffers, plus one at close; *decode* parses each
+body sliced from the chunk just read with ``orjson.loads``. json's
+``JSONDecoder.decode`` parses a body instead when it holds a run of 19
+or more digits (orjson turns an integer outside ``[-2**63, 2**64)``,
+such as a PCG64 ``rng_state`` word, into a float) or when orjson refuses
+it (``NaN`` / ``Infinity``, which the label sink writes, ``1e400``, a
+lone surrogate, bad UTF-8 or malformed JSON), so every value, type and
+error is json's. The one exception is nesting json's recursion limit
+refuses, which orjson decodes; :func:`record_body` cannot write it.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable, Iterator
 
 import numpy as np
+import orjson
 
 from repro.dfs.filesystem import DistributedFileSystem
 
@@ -72,7 +79,12 @@ _JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 #: Each thread's C encoder: its ``markers`` dict is per-encode scratch.
 _THREAD = threading.local()
 _DECODE_JSON = json.JSONDecoder().decode
-_SCAN_JSON = json.JSONDecoder().scan_once
+#: Maps every nonzero ASCII digit to ``0``, so a body holds a run of 19
+#: digits exactly when its translation holds :data:`_DIGIT_RUN`.
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
+#: The shortest digit run that can spell an integer outside
+#: ``[-2**63, 2**64)``, which orjson decodes as a ``float``.
+_DIGIT_RUN = b"0" * 19
 
 
 class RecordCorruption(Exception):
@@ -281,13 +293,17 @@ def stream_records_with_offsets(
         offset += header + length
         if zlib.crc32(body) != crc:
             raise RecordCorruption(f"CRC mismatch at offset {offset - length}")
-        text = body.decode("utf-8")
+        yield _decode_body(body), offset
+
+
+def _decode_body(body: bytes) -> Any:
+    """One record body's value: json's value, type and error."""
+    if _DIGIT_RUN not in body.translate(_DIGITS_TO_ZERO):
         try:
-            value, end = _SCAN_JSON(text, 0)
-        except StopIteration:
-            end = -1
-        # Whitespace, trailing data or no value: json's decode says what.
-        yield (value if end == len(text) else _DECODE_JSON(text)), offset
+            return orjson.loads(body)
+        except orjson.JSONDecodeError:
+            pass  # NaN, +-Infinity, 1e400, a lone surrogate, bad bytes
+    return _DECODE_JSON(body.decode("utf-8"))
 
 
 def stream_records(

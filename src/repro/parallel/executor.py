@@ -20,7 +20,8 @@ setup hook of the MapReduce engine, translated to processes. A task is
 one pickled list of ``(example_id, fields, servable, non_servable,
 label)`` tuples, never the ``Example`` objects, so a worker sees
 exactly what decoding a record gives; the worker rebuilds each
-``Example`` as ``Example.from_record`` would, runs the same
+``Example`` around the unpickled dicts, adopting them uncopied as
+``Example.from_record`` adopts a decoded record's, runs the same
 :func:`repro.lf.applier.label_example_block` kernel as a serial run, and
 returns the ``int8`` vote block plus its labeling wall time.
 

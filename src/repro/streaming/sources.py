@@ -60,10 +60,19 @@ class SourceCursor:
     @classmethod
     def from_meta(cls, meta: dict) -> "SourceCursor | None":
         """Inverse of :meth:`as_meta`; ``None`` when the manifest has no
-        stored position (pre-cursor manifests)."""
+        stored position (pre-cursor manifests).
+
+        Raises ``ValueError`` unless both stored values are plain ints:
+        a float or bool cursor would seek somewhere no record starts.
+        """
         if "cursor_shard" not in meta or "cursor_offset" not in meta:
             return None
-        return cls(int(meta["cursor_shard"]), int(meta["cursor_offset"]))
+        shard, offset = meta["cursor_shard"], meta["cursor_offset"]
+        if type(shard) is not int or type(offset) is not int:
+            raise ValueError(
+                f"cursor must be two ints, got shard {shard!r}, offset {offset!r}"
+            )
+        return cls(shard, offset)
 
 
 class ExampleSource(Protocol):
@@ -114,13 +123,21 @@ class RecordStreamSource:
         The yielded cursor names the position *after* the example, i.e.
         the exact argument a later call needs to continue with the next
         record. A ``start`` at a shard's EOF is equivalent to the next
-        shard's offset 0.
+        shard's offset 0; past the last shard only offset 0 exists.
+        Every out-of-range ``start`` raises ``ValueError`` before a read.
         """
         first_shard = 0 if start is None else start.shard
         if first_shard < 0 or first_shard > len(self._paths):
             raise ValueError(
                 f"cursor shard {first_shard} out of range for "
                 f"{len(self._paths)} shards"
+            )
+        if start is not None and (
+            start.offset < 0 or (start.offset and first_shard == len(self._paths))
+        ):
+            raise ValueError(
+                f"cursor offset {start.offset} out of range for shard "
+                f"{first_shard} of {len(self._paths)}"
             )
         for index in range(first_shard, len(self._paths)):
             path = self._paths[index]

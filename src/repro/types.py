@@ -95,13 +95,19 @@ class Example:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "Example":
-        """Inverse of :meth:`to_record`."""
+        """Inverse of :meth:`to_record`.
+
+        The example adopts the record's ``fields`` / ``servable`` /
+        ``non_servable`` dicts as they are, not copies (a missing or
+        ``None`` view becomes ``{}``): pass a freshly decoded record,
+        one nothing else holds on to.
+        """
         return cls(
-            example_id=record["example_id"],
-            fields=dict(record.get("fields") or {}),
-            servable=dict(record.get("servable") or {}),
-            non_servable=dict(record.get("non_servable") or {}),
-            label=record.get("label"),
+            record["example_id"],
+            record.get("fields") or {},
+            record.get("servable") or {},
+            record.get("non_servable") or {},
+            record.get("label"),
         )
 
 

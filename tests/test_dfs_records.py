@@ -273,10 +273,15 @@ def frame(body: bytes) -> bytes:
     return struct.pack(">II", len(body), zlib.crc32(body)) + body
 
 
+#: A real PCG64 state word, as label-model manifests store ``rng_state``.
+PCG64_STATE = np.random.PCG64(39).state["state"]["state"]
+
+
 class TestDecoder:
-    """The stream decoder scans each body with json's C scanner and
-    falls back to ``JSONDecoder.decode`` only when the scan does not
-    consume the whole body; values and errors stay json's."""
+    """The stream decoder parses each body with ``orjson.loads`` and
+    hands it to json's ``JSONDecoder.decode`` instead when the body holds
+    a run of 19 digits (an integer orjson might turn into a float) or
+    orjson refuses it; values, types and errors stay json's."""
 
     @given(json_values)
     def test_values_are_jsons(self, value):
@@ -295,9 +300,53 @@ class TestDecoder:
         assert read_records(dfs, "/r/ws") == [json.loads(body)]
 
     @pytest.mark.parametrize(
+        "value",
+        [2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1, PCG64_STATE],
+        ids=["2^63-1", "2^63", "2^64-1", "2^64", "-2^63", "-2^63-1", "pcg64_state"],
+    )
+    def test_wide_integers_stay_ints(self, dfs, value):
+        blob = frame(dumps({"rng_state": value, "row": [value, 1]}).encode())
+        dfs.write_file("/r/int", blob)
+        (got,) = read_records(dfs, "/r/int")
+        assert got == next(decode_records(blob))
+        assert type(got["rng_state"]) is int and got["rng_state"] == value
+        assert type(got["row"][0]) is int and got["row"] == [value, 1]
+
+    def test_pcg64_state_is_wider_than_64_bits(self):
+        assert PCG64_STATE >= 2**64
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"id":"x1234567890123456789y","n":5}', b'{"p":NaN,"q":[0.5]}',
+         b'[-Infinity,Infinity]', b'{"big":1e400}', b'{"s":"\\ud800"}'],
+        ids=["19_digit_string", "nan", "infinity", "1e400", "lone_surrogate"],
+    )
+    def test_bodies_orjson_cannot_decode_are_jsons(self, dfs, body):
+        blob = frame(body)
+        dfs.write_file("/r/hazard", blob)
+        got = read_records(dfs, "/r/hazard")
+        expected = list(decode_records(blob))
+        # dumps compares NaN-bearing values and keeps int/float distinct.
+        assert [dumps(v) for v in got] == [dumps(v) for v in expected]
+
+    def test_label_sink_non_finite_posteriors_read_back_as_json_reads_them(self, dfs):
+        proba = np.array([np.nan, np.inf, -np.inf, 0.25, -0.0, 5e-324])
+        sink = LabelSink(dfs, "/s", lambda votes: proba)
+        sink(3, [Example(f"e{i}") for i in range(len(proba))],
+             np.zeros((len(proba), 0), np.int8))
+        got = read_records(dfs, sink.shard_path(3))
+        expected = list(decode_records(dfs.read_file(sink.shard_path(3))))
+        assert [dumps(v) for v in got] == [dumps(v) for v in expected]
+        assert [type(v["proba"]) for v in got[1:]] == [float] * len(proba)
+        assert np.array_equal(
+            [v["proba"] for v in got[1:]], proba, equal_nan=True
+        )
+
+    @pytest.mark.parametrize(
         "body",
         [b'{"a":1}x', b'{"a":1} {}', b'{"a":}', b"", b"   ", b"[1,2",
-         b"nul", b'"abc', b'{"a" 1}', b"-", b"01", b'{"a":1,}'],
+         b"nul", b'"abc', b'{"a" 1}', b"-", b"01", b'{"a":1,}',
+         b'"\xff"', b'{"s":"\xed\xa0\x80"}', b'{"n":12345678901234567890'],
     )
     def test_bad_bodies_raise_the_oracles_error(self, dfs, body):
         blob = frame(b'{"ok":1}') + frame(body)

@@ -263,6 +263,15 @@ class TestSources:
             list(source.iter_from(SourceCursor(shard=5, offset=0)))
         with pytest.raises(ValueError, match="beyond"):
             list(source.iter_from(SourceCursor(shard=0, offset=10 ** 9)))
+        # Past the last shard only offset 0 exists; no offset is negative.
+        assert list(source.iter_from(SourceCursor(shard=1, offset=0))) == []
+        for bad in (SourceCursor(shard=1, offset=8), SourceCursor(shard=0, offset=-1)):
+            with pytest.raises(ValueError, match="out of range"):
+                list(source.iter_from(bad))
+        # A stored cursor is two ints: no float truncated, no bool as 1.
+        for shard, offset in ((0, 12.7), (0, True), (0.0, 0), (False, 0), ("0", 0)):
+            with pytest.raises(ValueError, match="two ints"):
+                SourceCursor.from_meta({"cursor_shard": shard, "cursor_offset": offset})
 
     def test_cursor_at_shard_eof_rolls_to_next_shard(self, dfs):
         examples = [Example(f"e{i}") for i in range(12)]

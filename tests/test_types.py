@@ -43,12 +43,22 @@ class TestExample:
         restored = Example.from_record(example.to_record())
         assert restored == example
 
+    def test_from_record_adopts_the_record_dicts(self):
+        record = {"example_id": "x3", "fields": {"t": "a"}, "servable": {"n": 1.0},
+                  "non_servable": {"s": 0.5}, "label": 0}
+        restored = Example.from_record(record)
+        assert restored.fields is record["fields"]
+        assert restored.servable is record["servable"]
+        assert restored.non_servable is record["non_servable"]
+
     def test_from_record_defaults_missing_views(self):
         restored = Example.from_record({"example_id": "x2"})
         assert restored.fields == {}
         assert restored.servable == {}
         assert restored.non_servable == {}
         assert restored.label is None
+        nones = {"example_id": "x2", "fields": None, "servable": None, "non_servable": None}
+        assert Example.from_record(nones) == restored
 
     def test_unlabeled_by_default(self):
         assert Example(example_id="x").label is None
