@@ -7,8 +7,9 @@ Public surface:
 * :class:`SamplingFreeLabelModel` — the Section 5.2 model: per-LF accuracy
   and propensity parameters in log space, fitted by a projected Newton
   solve of the exact marginal likelihood of the observed label matrix.
-* :class:`OnlineLabelModel` — the streaming counterpart: vote-moment
-  accumulation, incremental SGD updates, and periodic full
+* :class:`OnlineLabelModel` — the streaming counterpart: a vote-pattern
+  table (its vote moments read off on demand), incremental SGD
+  updates, and periodic full
   refits that reproduce the offline fit exactly (``repro.streaming``
   feeds it micro-batches).
 * :class:`DriftMonitor` / :class:`DriftPolicy` — moment-based drift

@@ -8,9 +8,11 @@ appearing). A continuously running stream therefore needs an alarm that
 fires when the vote distribution moves — *before* anyone inspects an
 end-model metric — and a policy for what to do when it does.
 
-The monitor here reads the same cheap streaming vote moments the
-:class:`~repro.core.online_label_model.OnlineLabelModel` already
-maintains, but split into two tracked windows:
+The monitor reduces each micro-batch to its vote moments with
+:func:`repro.core.patterns.vote_moments` — the formula the
+:class:`~repro.core.online_label_model.OnlineLabelModel`'s monitoring
+views read off its pattern table — and keeps them in two tracked
+windows:
 
 * a **reference window** — the first ``reference_batches`` micro-batches
   after start (or after a reference reset), aggregated once and then
@@ -46,11 +48,16 @@ exactly the batches the uninterrupted run would have.
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from repro.core.patterns import vote_moments
+from repro.types import require_int
 
 __all__ = ["DriftPolicy", "DriftCheck", "DriftMonitor", "DRIFT_REACTIONS"]
 
@@ -84,8 +91,9 @@ class DriftPolicy:
             reference and clear the recent window).
 
     Raises:
-        ValueError: On non-positive window sizes or threshold, or an
-            unknown reaction name.
+        ValueError: If a window size is not an ``int`` >= 1 (a ``bool``
+            is not one), the threshold is not positive, or a reaction
+            name is unknown.
     """
 
     reference_batches: int = 8
@@ -94,14 +102,8 @@ class DriftPolicy:
     reactions: tuple[str, ...] = ("log",)
 
     def __post_init__(self) -> None:
-        if self.reference_batches < 1:
-            raise ValueError(
-                f"reference_batches must be >= 1, got {self.reference_batches}"
-            )
-        if self.recent_batches < 1:
-            raise ValueError(
-                f"recent_batches must be >= 1, got {self.recent_batches}"
-            )
+        for name in ("reference_batches", "recent_batches"):
+            require_int(getattr(self, name), name, minimum=1)
         if not self.threshold > 0:
             raise ValueError(f"threshold must be > 0, got {self.threshold}")
         unknown = [r for r in self.reactions if r not in DRIFT_REACTIONS]
@@ -144,6 +146,19 @@ class _WindowStats:
     fire_sum: np.ndarray
     agreement: np.ndarray
     count: float
+
+    def __add__(self, other: "_WindowStats") -> "_WindowStats":
+        return _WindowStats(
+            self.vote_sum + other.vote_sum,
+            self.fire_sum + other.fire_sum,
+            self.agreement + other.agreement,
+            self.count + other.count,
+        )
+
+
+def _window_total(window: deque[_WindowStats]) -> _WindowStats:
+    """Aggregate a window's per-batch stats (exact: all integers)."""
+    return functools.reduce(operator.add, window)
 
 
 class DriftMonitor:
@@ -269,8 +284,7 @@ class DriftMonitor:
         entirely and the next ``reference_batches`` batches rebuild it.
         """
         if self._recent:
-            total = self._sum_window(self._recent)
-            self._ref = total
+            self._ref = _window_total(self._recent)
             self._ref_batches = len(self._recent)
             self._recent.clear()
         else:
@@ -295,52 +309,17 @@ class DriftMonitor:
         if votes.size and not np.isin(votes, (-1, 0, 1)).all():
             bad = votes[~np.isin(votes, (-1, 0, 1))][0]
             raise ValueError(f"votes must be in {{-1, 0, 1}}, got {bad!r}")
-        dense = votes.astype(np.float64)
-        absd = np.abs(dense)
-        return _WindowStats(
-            vote_sum=dense.sum(axis=0),
-            fire_sum=absd.sum(axis=0),
-            agreement=dense.T @ dense,
-            count=float(votes.shape[0]),
-        )
+        return _WindowStats(*vote_moments(votes))
 
     def _fold_into_reference(self, stats: _WindowStats) -> None:
         """Accumulate one batch into the still-filling reference window."""
-        if self._ref is None:
-            self._ref = _WindowStats(
-                vote_sum=stats.vote_sum.copy(),
-                fire_sum=stats.fire_sum.copy(),
-                agreement=stats.agreement.copy(),
-                count=stats.count,
-            )
-        else:
-            self._ref.vote_sum += stats.vote_sum
-            self._ref.fire_sum += stats.fire_sum
-            self._ref.agreement += stats.agreement
-            self._ref.count += stats.count
+        self._ref = stats if self._ref is None else self._ref + stats
         self._ref_batches += 1
-
-    @staticmethod
-    def _sum_window(window: deque[_WindowStats]) -> _WindowStats:
-        """Aggregate a deque of per-batch stats (exact: all integers)."""
-        first = window[0]
-        total = _WindowStats(
-            vote_sum=first.vote_sum.copy(),
-            fire_sum=first.fire_sum.copy(),
-            agreement=first.agreement.copy(),
-            count=first.count,
-        )
-        for stats in list(window)[1:]:
-            total.vote_sum += stats.vote_sum
-            total.fire_sum += stats.fire_sum
-            total.agreement += stats.agreement
-            total.count += stats.count
-        return total
 
     def _score(self) -> float:
         """Max pooled two-sample |z| over mean/fire/agreement statistics."""
         ref = self._ref
-        rec = self._sum_window(self._recent)
+        rec = _window_total(self._recent)
         n1, n2 = ref.count, rec.count
         inv = 1.0 / n1 + 1.0 / n2
         # A variance floor keeps deterministic statistics (zero sample
@@ -448,8 +427,9 @@ class DriftMonitor:
             ``self``, for chaining.
 
         Raises:
-            ValueError: On any schema but 1, before any state changes —
-                a snapshot from a newer writer must not be half-read.
+            ValueError: On any schema but 1, or a counter that is not an
+                ``int``, before any state changes — a snapshot from a
+                newer writer must not be half-read.
         """
         from repro.dfs.records import decode_ndarray
 
@@ -458,6 +438,20 @@ class DriftMonitor:
                 f"unsupported drift state schema {state.get('schema')!r}; "
                 "this reader understands schema 1"
             )
+        counters = {
+            key: require_int(state[key], key)
+            for key in (
+                "batches_observed",
+                "checks_run",
+                "alarms",
+                "forced_refits",
+                "reference_resets",
+                "reference_batches",
+            )
+        }
+        first = state["first_alarm_batch"]
+        if first is not None:
+            first = require_int(first, "first_alarm_batch")
 
         def dec_window(payload: dict | None) -> _WindowStats | None:
             if payload is None:
@@ -470,16 +464,15 @@ class DriftMonitor:
             )
 
         self.n_lfs = state["n_lfs"]
-        self.batches_observed = int(state["batches_observed"])
-        self.checks_run = int(state["checks_run"])
-        self.alarms = int(state["alarms"])
-        self.forced_refits = int(state["forced_refits"])
-        self.reference_resets = int(state["reference_resets"])
-        first = state["first_alarm_batch"]
-        self.first_alarm_batch = None if first is None else int(first)
+        self.batches_observed = counters["batches_observed"]
+        self.checks_run = counters["checks_run"]
+        self.alarms = counters["alarms"]
+        self.forced_refits = counters["forced_refits"]
+        self.reference_resets = counters["reference_resets"]
+        self.first_alarm_batch = first
         self.last_score = float(state["last_score"])
         self._ref = dec_window(state["reference"])
-        self._ref_batches = int(state["reference_batches"])
+        self._ref_batches = counters["reference_batches"]
         self._recent = deque(
             dec_window(payload) for payload in state["recent"]
         )

@@ -73,6 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.patterns import CompressedVotes, compress_votes
+from repro.types import require_int
 
 __all__ = ["LabelModelConfig", "SamplingFreeLabelModel"]
 
@@ -229,9 +230,19 @@ class SamplingFreeLabelModel:
         }
 
     def load_state(self, state: dict) -> "SamplingFreeLabelModel":
-        """Restore a :meth:`state_dict` snapshot onto this instance."""
+        """Restore a :meth:`state_dict` snapshot onto this instance.
+
+        Raises:
+            ValueError: If ``steps_taken`` or a ``loss_history`` step is
+                not an ``int``; nothing is restored then.
+        """
         from repro.dfs.records import decode_ndarray
 
+        steps_taken = require_int(state["steps_taken"], "steps_taken")
+        loss_history = [
+            (require_int(s, "loss_history step"), float(l))
+            for s, l in state["loss_history"]
+        ]
         self.alpha = (
             None if state["alpha"] is None else decode_ndarray(state["alpha"])
         )
@@ -240,10 +251,8 @@ class SamplingFreeLabelModel:
         )
         self.prior_logit = float(state["prior_logit"])
         self.n_lfs = state["n_lfs"]
-        self.steps_taken = int(state["steps_taken"])
-        self.loss_history = [
-            (int(s), float(l)) for s, l in state["loss_history"]
-        ]
+        self.steps_taken = steps_taken
+        self.loss_history = loss_history
         return self
 
     # ------------------------------------------------------------------

@@ -14,19 +14,20 @@ the conditionally independent model:
    O(patterns) however long the stream runs, and it is exactly the
    :class:`~repro.core.patterns.CompressedVotes` form every fit trains
    on.
-2. **Cheap first/second vote moments track the stream between refits.**
-   Per-LF vote sums, fire rates, and the pairwise agreement matrix are
-   O(m^2) per micro-batch and feed monitoring (the Section 3.3
-   "previously unknown low-quality sources" diagnostics, and the drift
-   monitor in :mod:`repro.core.drift`) without any optimization.
+2. **The vote moments are a function of the table.** Per-LF mean
+   votes, fire rates, and the pairwise agreement matrix — the Section
+   3.3 "previously unknown low-quality sources" diagnostics — are read
+   off the table on demand (:func:`repro.core.patterns.vote_moments`,
+   O(patterns x m^2) per call), so the stream keeps one record of its
+   votes, not a table plus running sums.
 
 Training interleaves two update kinds:
 
-* ``observe(votes)`` folds a micro-batch into the moments and the
-  pattern table, then takes a few SGD steps (what ``partial_step``
-  takes, minus its re-validation) on ``_STEP_BATCH``-row samples of the
-  new batch — the model tracks a drifting stream at O(steps x batch)
-  cost per micro-batch;
+* ``observe(votes)`` folds a micro-batch into the pattern table, then
+  takes a few SGD steps (what ``partial_step`` takes, minus its
+  re-validation) on ``_STEP_BATCH``-row samples of the new batch — the
+  model tracks a drifting stream at O(steps x batch) cost per
+  micro-batch;
 * ``refit()`` (scheduled every ``refit_every`` batches, or called
   manually at stream end) runs
   :meth:`SamplingFreeLabelModel.fit_compressed` on the table. Offline
@@ -36,18 +37,19 @@ Training interleaves two update kinds:
 Retention modes
 ---------------
 Production traffic is non-stationary; a refit that pools all of history
-keeps trusting labeling functions long after they rot. The accumulators
-therefore run in one of two modes, selected by the config:
+keeps trusting labeling functions long after they rot. The table
+therefore runs in one of two modes, selected by the config:
 
-* **cumulative** (default): moments and pattern counts grow without
-  forgetting; a refit equals the offline fit of the whole stream prefix.
+* **cumulative** (default): pattern counts grow without forgetting; a
+  refit equals the offline fit of the whole stream prefix.
 * **decay** (``decay=0.95``-ish): every observed micro-batch multiplies
-  the moments and the per-pattern weights by ``decay`` before folding
-  the new batch in — an exponential recency window with half-life
-  ``ln 2 / ln(1/decay)`` batches. Patterns whose weight sinks below
+  the per-pattern weights by ``decay`` before folding the new batch in
+  — an exponential recency window with half-life ``ln 2 /
+  ln(1/decay)`` batches. Patterns whose weight sinks below
   :data:`PATTERN_WEIGHT_FLOOR` are evicted, so the table's footprint tracks
   the *recent* pattern diversity, not all of history. Refits count each
-  retained pattern ``round(weight)`` times.
+  retained pattern ``round(weight)`` times; the moment views weigh it by
+  its raw decayed weight.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel, _warm_beta
-from repro.core.patterns import CompressedVotes, compress_votes
+from repro.core.patterns import CompressedVotes, compress_votes, vote_moments
+from repro.types import require_int
 
 __all__ = ["OnlineLabelModelConfig", "OnlineLabelModel"]
 
@@ -88,8 +91,8 @@ class OnlineLabelModelConfig:
     """Seed for the incremental-step minibatch sampler (a refit is a
     deterministic solve and draws nothing)."""
     decay: float | None = None
-    """Per-batch exponential decay on moments and pattern weights, in
-    (0, 1); ``None`` keeps the cumulative all-of-history behavior."""
+    """Per-batch exponential decay on pattern weights, in (0, 1);
+    ``None`` keeps the cumulative all-of-history behavior."""
 
 
 class OnlineLabelModel:
@@ -110,15 +113,16 @@ class OnlineLabelModel:
                 cumulative retention with the default offline config.
 
         Raises:
-            ValueError: If the config sets ``decay`` or ``refit_every``
-                to an out-of-range value.
+            ValueError: If the config sets ``decay`` outside (0, 1), or
+                ``refit_every`` to anything but ``None`` or an ``int``
+                >= 1 (a ``bool`` is not one).
         """
         self.config = config or OnlineLabelModelConfig()
         cfg = self.config
         if cfg.decay is not None and not (0.0 < cfg.decay < 1.0):
             raise ValueError(f"decay must be in (0, 1), got {cfg.decay}")
-        if cfg.refit_every is not None and cfg.refit_every < 1:
-            raise ValueError(f"refit_every must be >= 1, got {cfg.refit_every}")
+        if cfg.refit_every is not None:
+            require_int(cfg.refit_every, "refit_every", minimum=1)
         self._model = SamplingFreeLabelModel(replace(cfg.base))
         self._rng = np.random.default_rng(cfg.seed)
         self.n_lfs: int | None = None
@@ -131,12 +135,6 @@ class OnlineLabelModel:
         self._pattern_ids: dict[bytes, int] = {}
         self._pattern_rows: list[np.ndarray] = []
         self._pattern_weights = np.zeros(0)
-        # Streaming vote moments (recency-weighted in decay mode) plus
-        # the effective sample weight behind them.
-        self._vote_sum: np.ndarray | None = None
-        self._fire_sum: np.ndarray | None = None
-        self._agreement: np.ndarray | None = None
-        self._moment_weight = 0.0
 
     @property
     def mode(self) -> str:
@@ -163,7 +161,6 @@ class OnlineLabelModel:
         votes = self._validate(votes)
         if votes.shape[0] == 0:
             return
-        self._update_moments(votes)
         self._append_patterns(votes)
         self.n_observed += votes.shape[0]
         self.batches_observed += 1
@@ -246,29 +243,6 @@ class OnlineLabelModel:
             raise ValueError(f"votes must be in {{-1, 0, 1}}, got {bad!r}")
         return votes.astype(np.int8, copy=False)
 
-    def _update_moments(self, votes: np.ndarray) -> None:
-        m = votes.shape[1]
-        if self._vote_sum is None:
-            self._vote_sum = np.zeros(m)
-            self._fire_sum = np.zeros(m)
-            self._agreement = np.zeros((m, m))
-        dense = votes.astype(np.float64)
-        vote = dense.sum(axis=0)
-        fire = np.abs(dense).sum(axis=0)
-        agree = dense.T @ dense
-        count = float(votes.shape[0])
-        if self.mode == "decay":
-            d = self.config.decay
-            self._vote_sum = d * self._vote_sum + vote
-            self._fire_sum = d * self._fire_sum + fire
-            self._agreement = d * self._agreement + agree
-            self._moment_weight = d * self._moment_weight + count
-        else:
-            self._vote_sum += vote
-            self._fire_sum += fire
-            self._agreement += agree
-            self._moment_weight += count
-
     def _append_patterns(self, votes: np.ndarray) -> None:
         decay = self.mode == "decay"
         batch = compress_votes(votes)
@@ -330,41 +304,34 @@ class OnlineLabelModel:
 
         Includes the minibatch sampler's RNG state, both step counters
         (``batches_observed`` here, ``steps_taken`` on the inner model),
-        and the retention state (pattern weights, moment weight) so a
-        restored model takes *exactly* the updates the uninterrupted run
-        would have taken — resumed streams converge to the same
-        parameters to the bit, not just in distribution. Everything is
-        O(patterns): the snapshot does not grow with stream length.
+        and the pattern table (rows and their counts or decayed
+        weights) so a restored model takes *exactly* the updates the
+        uninterrupted run would have taken — resumed streams converge to
+        the same parameters to the bit, not just in distribution. The
+        vote moments are not stored: they are a function of the table.
+        Everything is O(patterns): the snapshot does not grow with
+        stream length.
 
         Returns:
-            A JSON-safe dict (arrays as base64 raw buffers). Schema 4;
+            A JSON-safe dict (arrays as base64 raw buffers). Schema 5;
             readers accept schema 1 and 2 dicts, which logged a pattern
-            id per example instead of counts, and schema 3 dicts, which
-            also carried sliding-window keys (see :meth:`load_state`).
+            id per example instead of counts, schema 3 dicts, which also
+            carried sliding-window keys, and schema 1-4 dicts' stored
+            moments (see :meth:`load_state`).
         """
         from repro.dfs.records import encode_ndarray
 
-        def enc(array: np.ndarray | None):
-            return None if array is None else encode_ndarray(array)
-
+        rows = np.vstack(self._pattern_rows) if self._pattern_rows else None
         return {
-            "schema": 4,
+            "schema": 5,
             "n_lfs": self.n_lfs,
             "n_observed": self.n_observed,
             "batches_observed": self.batches_observed,
             "refits_done": self.refits_done,
             "rng_state": self._rng.bit_generator.state,
-            "pattern_rows": enc(
-                np.vstack(self._pattern_rows) if self._pattern_rows else None
-            ),
-            "pattern_weights": enc(self._pattern_weights),
-            "vote_sum": enc(self._vote_sum),
-            "fire_sum": enc(self._fire_sum),
-            "agreement": enc(self._agreement),
+            "pattern_rows": None if rows is None else encode_ndarray(rows),
+            "pattern_weights": encode_ndarray(self._pattern_weights),
             "model": self._model.state_dict(),
-            # Absent in schema-1 manifests, which load_state treats as
-            # cumulative.
-            "moment_weight": self._moment_weight,
         }
 
     def load_state(self, state: dict) -> "OnlineLabelModel":
@@ -373,22 +340,23 @@ class OnlineLabelModel:
         The instance must have been constructed with the same config the
         snapshot was taken under (configs are the caller's contract, the
         snapshot carries only mutable state). Older dicts upgrade in
-        place: schema 1 (pre-drift checkpoints) lacks the moment weight,
-        which defaults to the cumulative-mode value it implicitly had;
-        schemas 1 and 2 carry a per-example pattern-id log, which is
-        counted into pattern weights; schema 3's sliding-window keys are
-        ignored.
+        place: schemas 1 and 2 carry a per-example pattern-id log, which
+        is counted into pattern weights; schema 3's sliding-window keys
+        and the vote moments schemas 1-4 stored beside the table
+        (``vote_sum``, ``fire_sum``, ``agreement``, ``moment_weight``)
+        are ignored, since the table holds the same information.
 
         Args:
-            state: A dict produced by :meth:`state_dict` (schema 1-4).
+            state: A dict produced by :meth:`state_dict` (schema 1-5).
 
         Returns:
             ``self``, for chaining.
 
         Raises:
             ValueError: On any other schema — a snapshot from a newer
-                writer must not be half-read — or on parts whose shapes
-                disagree; nothing is restored then.
+                writer must not be half-read — on a counter that is not
+                an ``int``, or on parts whose shapes disagree; nothing
+                is restored then.
         """
         from repro.dfs.records import decode_ndarray
 
@@ -396,11 +364,15 @@ class OnlineLabelModel:
             return None if payload is None else decode_ndarray(payload)
 
         schema = state.get("schema")
-        if schema not in (1, 2, 3, 4):
+        if schema not in (1, 2, 3, 4, 5):
             raise ValueError(
                 f"unsupported label-model state schema {schema!r}; this "
-                "reader understands schemas 1 to 4"
+                "reader understands schemas 1 to 5"
             )
+        counters = {
+            key: require_int(state[key], key)
+            for key in ("n_observed", "batches_observed", "refits_done")
+        }
         n_lfs = state["n_lfs"]
         rows = dec(state["pattern_rows"])
         n_rows = 0 if rows is None else len(rows)
@@ -409,15 +381,11 @@ class OnlineLabelModel:
         if logged is not None:  # one pattern id per example: keep the counts
             weights = np.bincount(logged, minlength=n_rows).astype(np.float64)
         weights = np.zeros(n_rows) if weights is None else weights
-        moments = [dec(state[key]) for key in ("vote_sum", "fire_sum", "agreement")]
         model = SamplingFreeLabelModel(replace(self.config.base))
         model.load_state(state["model"])
         for name, array, shape in (
             ("pattern_rows", rows, (n_rows, n_lfs)),
             ("pattern_weights", weights, (n_rows,)),
-            ("vote_sum", moments[0], (n_lfs,)),
-            ("fire_sum", moments[1], (n_lfs,)),
-            ("agreement", moments[2], (n_lfs, n_lfs)),
             ("alpha", model.alpha, (n_lfs,)),
             ("beta", model.beta, (n_lfs,)),
         ):
@@ -430,19 +398,15 @@ class OnlineLabelModel:
         rng.bit_generator.state = state["rng_state"]
 
         self.n_lfs = n_lfs
-        self.n_observed = int(state["n_observed"])
-        self.batches_observed = int(state["batches_observed"])
-        self.refits_done = int(state["refits_done"])
+        self.n_observed = counters["n_observed"]
+        self.batches_observed = counters["batches_observed"]
+        self.refits_done = counters["refits_done"]
         self._rng = rng
         self._pattern_rows = [] if rows is None else [row for row in rows]
         self._pattern_ids = {
             row.tobytes(): i for i, row in enumerate(self._pattern_rows)
         }
         self._pattern_weights = weights
-        self._vote_sum, self._fire_sum, self._agreement = moments
-        # Schema-1 dicts predate the retention modes: their implicit
-        # moment weight is the observed count.
-        self._moment_weight = float(state.get("moment_weight", self.n_observed))
         self._model = model
         return self
 
@@ -461,9 +425,10 @@ class OnlineLabelModel:
 
     @property
     def effective_examples(self) -> float:
-        """The weight behind the current moments: ``n_observed`` in
-        cumulative mode, the decayed mass in decay mode."""
-        return self._moment_weight
+        """The weight behind the moment views: ``n_observed`` in
+        cumulative mode, the retained table's decayed mass in decay
+        mode (0.0 before any votes)."""
+        return float(self._pattern_weights.sum())
 
     def predict_proba(self, L: np.ndarray) -> np.ndarray:
         """Posterior ``P(Y=+1 | L)`` from the current parameter estimate.
@@ -518,8 +483,17 @@ class OnlineLabelModel:
         return self._model.propensities()
 
     # ------------------------------------------------------------------
-    # streaming moments (monitoring surface)
+    # vote moments (monitoring surface)
     # ------------------------------------------------------------------
+    # Each view is computed on demand from the pattern table. In
+    # cumulative mode the sums are exact integers in float64, so a view
+    # equals, bitwise, the same moment computed from every observed row.
+    # In decay mode a view weighs each retained pattern by its raw
+    # decayed weight, so it describes the table the next refit fits
+    # (before the fit rounds weights to counts). It differs from the
+    # exponentially decayed moment of every observed row only by the
+    # mass of evicted patterns, each below PATTERN_WEIGHT_FLOOR when it
+    # was dropped.
     def mean_votes(self) -> np.ndarray:
         """First vote moment per LF: ``E[lambda_j]`` over the retained
         (recency-weighted) stream.
@@ -530,8 +504,8 @@ class OnlineLabelModel:
         Raises:
             RuntimeError: If no votes have been observed yet.
         """
-        self._check_observed()
-        return self._vote_sum / self._moment_weight
+        vote_sum, _, _, mass = self._moments()
+        return vote_sum / mass
 
     def fire_rates(self) -> np.ndarray:
         """Empirical propensity per LF: ``P(lambda_j != 0)`` over the
@@ -543,13 +517,13 @@ class OnlineLabelModel:
         Raises:
             RuntimeError: If no votes have been observed yet.
         """
-        self._check_observed()
-        return self._fire_sum / self._moment_weight
+        _, fire_sum, _, mass = self._moments()
+        return fire_sum / mass
 
     def agreement_matrix(self) -> np.ndarray:
-        """Second vote moment ``E[lambda_j lambda_k]`` — the signal the
-        LF-quality diagnostics and the drift monitor read for polarity
-        conflicts.
+        """Second vote moment ``E[lambda_j lambda_k]`` over the retained
+        (recency-weighted) stream — the signal the LF-quality
+        diagnostics read for polarity conflicts.
 
         Returns:
             ``(m, m)`` float64 matrix.
@@ -557,10 +531,10 @@ class OnlineLabelModel:
         Raises:
             RuntimeError: If no votes have been observed yet.
         """
-        self._check_observed()
-        return self._agreement / self._moment_weight
+        _, _, agreement, mass = self._moments()
+        return agreement / mass
 
-    def _check_observed(self) -> None:
+    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         if self.n_observed == 0:
             raise RuntimeError("no votes observed yet")
-
+        return vote_moments(np.vstack(self._pattern_rows), self._pattern_weights)

@@ -21,6 +21,10 @@ stored.
 Counts are whole numbers (decay retention rounds its recency weights),
 so the count-ordered expansion :meth:`CompressedVotes.expand` always
 exists: the matrix ``tests/test_fit_equivalence.py`` checks fits on.
+
+The module also owns the one vote-moment formula, :func:`vote_moments`:
+the online model's monitoring views read it off the pattern table, and
+the drift monitor off each micro-batch.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CompressedVotes", "compress_votes"]
+__all__ = ["CompressedVotes", "compress_votes", "vote_moments"]
 
 
 @dataclass(frozen=True)
@@ -119,4 +123,34 @@ def compress_votes(L: np.ndarray) -> CompressedVotes:
         patterns=L[first],
         weights=counts.astype(np.float64),
         n_rows=float(L.shape[0]),
+    )
+
+
+def vote_moments(
+    rows: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """First and second vote moments of weighted rows, as sums.
+
+    Args:
+        rows: ``(k, m)`` vote rows over ``{-1, 0, 1}``.
+        weights: ``(k,)`` non-negative row weights (pattern counts or
+            decayed weights); ``None`` weighs every row 1.
+
+    Returns:
+        ``(vote_sum, fire_sum, agreement, mass)``: ``sum_i w_i L_i``,
+        ``sum_i w_i |L_i|``, the ``(m, m)`` ``sum_i w_i L_i L_i^T`` and
+        ``sum_i w_i``. With whole-number weights every entry is an
+        integer summed exactly in float64, so the sums do not depend on
+        how the rows were ordered, batched or grouped into patterns.
+    """
+    dense = rows.astype(np.float64)
+    if weights is None:
+        weighted, mass = dense, float(dense.shape[0])
+    else:
+        weighted, mass = dense * weights[:, None], float(weights.sum())
+    return (
+        weighted.sum(axis=0),
+        np.abs(weighted).sum(axis=0),
+        weighted.T @ dense,
+        mass,
     )

@@ -70,7 +70,7 @@ from repro.lf.applier import (
 from repro.lf.base import AbstractLabelingFunction
 from repro.mapreduce.counters import Gauge
 from repro.serving.registry import CheckpointModelRegistry
-from repro.types import Example
+from repro.types import Example, require_int
 
 __all__ = ["ServeConfig", "ServeResult", "ServeTimeout", "LabelServer"]
 
@@ -114,9 +114,7 @@ class ServeConfig:
                 or ``poll_ms`` is not finite and > 0.
         """
         for name in ("max_batch", "max_pending"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+            require_int(getattr(self, name), name, minimum=1)
         _finite_positive("timeout_ms", self.timeout_ms)
         _finite_positive("poll_ms", self.poll_ms)
 

@@ -9,18 +9,18 @@ periodically snapshots everything else a resumed stream needs —
   plus the seekable (shard, byte offset) position when the source
   supports it),
 * the :class:`~repro.core.online_label_model.OnlineLabelModel`'s full
-  mutable state: vote moments (including decay retention state), the
-  pattern table (distinct vote rows and their counts or weights), the
-  minibatch sampler's RNG state, and both step counters,
+  mutable state: the pattern table (distinct vote rows and their counts
+  or decayed weights — the vote moments are read off it, not stored),
+  the minibatch sampler's RNG state, and both step counters,
 * optionally the :class:`~repro.core.drift.DriftMonitor`'s reference /
   recent windows and alarm counters, so a resumed stream scores and
   alarms on exactly the batches the uninterrupted run would have.
 
 Manifests stay schema-compatible in both directions: a manifest written
 without drift state (including every pre-drift manifest) restores into a
-drift-aware stream — the online model falls back to cumulative-era
-defaults and the monitor starts fresh — and the drift record is simply
-absent when no policy is configured.
+drift-aware stream — the online model restores its table and the
+monitor starts fresh — and the drift record is simply absent when no
+policy is configured.
 
 Manifests are written with the write-then-rename idiom
 (:meth:`repro.dfs.filesystem.DistributedFileSystem.finalize_as`): staged
@@ -53,13 +53,14 @@ table the manifest snapshots — the same ``fit_compressed`` call an
 offline ``fit`` makes, so a refit depends only on *which* rows were
 retained, never on how they were batched or when the stream was killed.
 That table is O(patterns): manifests (label-model ``state_dict`` schema
-4) stay the same size however long the stream runs. Manifests from
+5) stay the same size however long the stream runs. Manifests from
 earlier writers — schema 1 (pre-drift) and schema 2, both of which
-logged a pattern id per example, and schema 3, which also carried
-sliding-window keys — restore, resume to the same bytes, and refit
-identically; an unknown schema is refused with ``ValueError`` rather
-than half-read. Records of a kind this reader does not know (such as
-the ``end_model`` record earlier writers could add) are ignored.
+logged a pattern id per example, schema 3, which also carried
+sliding-window keys, and schemas 1-4's stored vote moments — restore,
+resume to the same bytes, and refit identically; an unknown schema is
+refused with ``ValueError`` rather than half-read. Records of a kind
+this reader does not know (such as the ``end_model`` record earlier
+writers could add) are ignored.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.streaming.pipeline import MicroBatchPipeline, StreamReport
 from repro.streaming.sinks import LabelSink, VoteSink
 from repro.streaming.sources import SourceCursor
-from repro.types import Example
+from repro.types import Example, require_int
 
 __all__ = [
     "Checkpoint",
@@ -215,8 +216,9 @@ class CheckpointManager:
         Raises:
             ValueError: If the file is not a manifest, has an
                 unsupported schema, lacks the meta ``batch`` / ``cursor``
-                or the label-model record, or holds a record without a
-                ``kind`` or ``state``.
+                (or holds one that is not an ``int``) or the label-model
+                record, or holds a record without a ``kind`` or
+                ``state``.
         """
         records = read_records(self._dfs, path)
         if not records or records[0].get("kind") != "meta":
@@ -236,8 +238,8 @@ class CheckpointManager:
             raise ValueError(f"{path} is missing the label-model state")
         return Checkpoint(
             path=path,
-            batch=int(meta["batch"]),
-            cursor=int(meta["cursor"]),
+            batch=require_int(meta["batch"], "batch"),
+            cursor=require_int(meta["cursor"], "cursor"),
             meta={
                 k: v
                 for k, v in meta.items()

@@ -33,6 +33,7 @@ __all__ = [
     "LabelMatrix",
     "coverage",
     "polarity",
+    "require_int",
 ]
 
 #: Vote constants mirroring the C++ ``LFVote`` enum in Section 5.1.
@@ -225,3 +226,24 @@ def polarity(column: np.ndarray) -> tuple[int, ...]:
     """The set of distinct non-abstain labels emitted by one LF."""
     values = np.unique(np.asarray(column))
     return tuple(int(v) for v in values if v != ABSTAIN)
+
+
+def require_int(value: Any, name: str, minimum: int | None = None) -> int:
+    """``value`` itself if it is an ``int`` (a ``bool`` is not one) of
+    at least ``minimum``.
+
+    Config sizes and the counters and positions a manifest stores are
+    checked here rather than passed through ``int()``, which would read
+    ``4.5`` as 4 and ``true`` as 1.
+
+    Raises:
+        ValueError: Otherwise.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an int{bound}, got {value!r}")
+    return value

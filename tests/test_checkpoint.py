@@ -9,6 +9,7 @@ resumes from the manifest to byte-identical shards and posteriors.
 """
 
 import base64
+import copy
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -233,6 +234,18 @@ class TestCheckpointManager:
         with pytest.raises(ValueError, match="manifest"):
             manager.load("/run/checkpoints/ckpt-000001")
 
+    @pytest.mark.parametrize("field", ["batch", "cursor"])
+    @pytest.mark.parametrize("value", [4.5, 4.0, True])
+    def test_rejects_non_int_batch_or_cursor(self, dfs, field, value):
+        """``int()`` would resume a ``4.5`` cursor at 4 and a ``true``
+        one at 1; the manifest is refused instead."""
+        manager = CheckpointManager(dfs, "/run")
+        state = OnlineLabelModel(ONLINE_CONFIG).state_dict()
+        batch, cursor = (value, 128) if field == "batch" else (4, value)
+        path = manager.write(4, cursor, state, meta={"batch": batch})
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            manager.load(path)
+
 
 # ----------------------------------------------------------------------
 # bit-exact model snapshots (incl. step counters — the lr schedules)
@@ -289,8 +302,12 @@ class TestStateSnapshots:
                     np.hstack([rows, np.zeros((len(rows), 1), rows.dtype)])
                 )
             },
-            "vote_sum": {"vote_sum": encode_ndarray(np.zeros(m + 1))},
-            "agreement": {"agreement": encode_ndarray(np.zeros((m, m - 1)))},
+            "alpha": {
+                "model": {**state["model"], "alpha": encode_ndarray(np.zeros(m + 1))}
+            },
+            "beta": {
+                "model": {**state["model"], "beta": encode_ndarray(np.zeros(m - 1))}
+            },
         }
         target = OnlineLabelModel(ONLINE_CONFIG)
         target.observe(L[150:200])
@@ -325,7 +342,7 @@ class TestStateSnapshots:
         assert np.array_equal(straight.model.beta, resumed.model.beta)
         assert same_rows(resumed.compressed_votes(), L)
         np.testing.assert_array_equal(
-            straight._agreement, resumed._agreement
+            straight.agreement_matrix(), resumed.agreement_matrix()
         )
         # RNG stream continued, not restarted: a fresh model fed the
         # same suffix diverges, the restored one does not.
@@ -333,7 +350,51 @@ class TestStateSnapshots:
             resumed.refit().predict_proba(L).tobytes()
         )
 
-    @pytest.mark.parametrize("schema", [5, 0, None, "3"])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("n_observed",),
+            ("batches_observed",),
+            ("refits_done",),
+            ("model", "steps_taken"),
+        ],
+        ids=".".join,
+    )
+    @pytest.mark.parametrize("value", [4.5, 4.0, True])
+    def test_load_state_refuses_non_int_counters(self, path, value):
+        """A counter ``int()`` would truncate (or read ``true`` as 1) is
+        a ``ValueError`` — which a serving watcher survives — and
+        restores nothing."""
+        L, _ = synthetic_label_matrix(m=100, seed=8)
+        source = OnlineLabelModel(ONLINE_CONFIG)
+        source.observe(L)
+        state = copy.deepcopy(source.state_dict())
+        *parents, key = path
+        holder = state
+        for parent in parents:
+            holder = holder[parent]
+        holder[key] = value
+        target = OnlineLabelModel(ONLINE_CONFIG)
+        target.observe(L[:50])
+        before = target.state_dict()
+        with pytest.raises(ValueError, match=f"{key} must be an int"):
+            target.load_state(state)
+        assert target.state_dict() == before
+
+    def test_load_state_refuses_non_int_loss_history_step(self):
+        L, _ = synthetic_label_matrix(m=100, seed=8)
+        source = OnlineLabelModel(ONLINE_CONFIG)
+        source.observe(L)
+        source.refit()
+        model_state = source.model.state_dict()
+        (step, loss), = model_state["loss_history"]
+        model_state["loss_history"] = [[step + 0.5, loss]]
+        target = SamplingFreeLabelModel(ONLINE_CONFIG.base)
+        with pytest.raises(ValueError, match="loss_history step"):
+            target.load_state(model_state)
+        assert target.alpha is None and target.steps_taken == 0
+
+    @pytest.mark.parametrize("schema", [6, 0, None, "3"])
     def test_load_state_refuses_unknown_schema(self, schema):
         """A snapshot from a newer (or foreign) writer is refused whole,
         not half-read under this reader's layout."""
@@ -341,7 +402,7 @@ class TestStateSnapshots:
         source = OnlineLabelModel(ONLINE_CONFIG)
         source.observe(L)
         state = source.state_dict()
-        assert state["schema"] == 4
+        assert state["schema"] == 5
         state["schema"] = schema
         target = OnlineLabelModel(ONLINE_CONFIG)
         with pytest.raises(ValueError, match="schema"):
@@ -879,6 +940,78 @@ class TestSchema3ManifestCompat:
         )
         if mode == "cumulative":
             assert same_rows(resumed.online.compressed_votes(), L)
+
+
+class TestSchema4ManifestCompat:
+    """The last writer that stored vote moments must resume unchanged.
+
+    ``tests/fixtures/schema4_roots.json`` was captured at the parent of
+    the commit that dropped ``vote_sum`` / ``fire_sum`` / ``agreement``
+    / ``moment_weight`` from the label-model state: same corpus and
+    shape as the schema-3 fixture, one cumulative root and one
+    ``decay=0.9`` root. The reader ignores the stored moments (the table
+    holds the same information); the resumed stream must write every
+    later shard and manifest byte for byte as a fresh run, retain the
+    same rows, and refit bitwise.
+    """
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        with open(FIXTURES / "schema4_roots.json") as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("mode", ["cumulative", "decay"])
+    def test_schema4_root_resumes_byte_identical(
+        self, corpus, lfs, payload, mode
+    ):
+        captured = payload["roots"][mode]
+        era_state = era_label_model_state(captured)
+        assert era_state["schema"] == 4 and "moment_weight" in era_state
+
+        config = replace(
+            ONLINE_CONFIG,
+            refit_every=payload["refit_every"],
+            decay=captured["decay"],
+        )
+        resumed, fresh, report, L = resume_captured_root(
+            corpus, lfs, payload, captured, config
+        )
+        assert report.resumed_from_batch == 1
+        assert resumed.online.mode == mode
+        assert resumed.online.refits_done > 0
+        assert resumed.online.state_dict() == fresh.online.state_dict()
+        assert np.array_equal(
+            retained_rows(resumed.online), retained_rows(fresh.online)
+        )
+        assert fresh.online.refit().predict_proba(L).tobytes() == (
+            resumed.online.refit().predict_proba(L).tobytes()
+        )
+        if mode == "cumulative":
+            assert same_rows(resumed.online.compressed_votes(), L)
+
+    @pytest.mark.parametrize("mode", ["cumulative", "decay"])
+    def test_stored_moments_match_the_tables(self, payload, mode):
+        """What the schema-4 writer stored beside the table is what the
+        views now read off it: bitwise in cumulative mode, and up to
+        rounding in decay mode (two batches at 0.9 evict nothing)."""
+        captured = payload["roots"][mode]
+        state = era_label_model_state(captured)
+        config = replace(ONLINE_CONFIG, decay=captured["decay"])
+        online = OnlineLabelModel(config).load_state(state)
+        weight = state["moment_weight"]
+        views = {
+            "vote_sum": online.mean_votes(),
+            "fire_sum": online.fire_rates(),
+            "agreement": online.agreement_matrix(),
+        }
+        check = (
+            np.testing.assert_array_equal
+            if mode == "cumulative"
+            else np.testing.assert_allclose
+        )
+        check(online.effective_examples, weight)
+        for key, view in views.items():
+            check(view, decode_ndarray(state[key]) / weight)
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from repro.core.drift import DriftMonitor, DriftPolicy
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.online_label_model import (
+    PATTERN_WEIGHT_FLOOR,
     OnlineLabelModel,
     OnlineLabelModelConfig,
 )
@@ -67,6 +68,15 @@ class TestDriftPolicy:
             DriftPolicy(threshold=0.0)
         with pytest.raises(ValueError, match="unknown drift reactions"):
             DriftPolicy(reactions=("log", "page_oncall"))
+
+    @pytest.mark.parametrize("name", ["reference_batches", "recent_batches"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True])
+    def test_window_sizes_must_be_ints(self, name, value):
+        """A fractional window never fills to its size (``recent_batches
+        =1.5`` used to score no batch at all), and a bool is not a
+        size."""
+        with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+            DriftPolicy(**{name: value})
 
     def test_refit_reaction_requires_callback(self):
         with pytest.raises(ValueError, match="refit_callback"):
@@ -183,6 +193,30 @@ class TestDriftMonitor:
         assert resumed.reference_resets == straight.reference_resets
         assert resumed.state_dict() == straight.state_dict()
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "batches_observed",
+            "checks_run",
+            "alarms",
+            "forced_refits",
+            "reference_resets",
+            "reference_batches",
+            "first_alarm_batch",
+        ],
+    )
+    @pytest.mark.parametrize("value", [4.5, True])
+    def test_load_state_refuses_non_int_counters(self, key, value):
+        policy = DriftPolicy(reference_batches=2, recent_batches=2)
+        source = DriftMonitor(policy)
+        for votes in draw_batches(5, seed=13):
+            source.observe_batch(votes)
+        state = {**source.state_dict(), key: value}
+        target = DriftMonitor(policy)
+        with pytest.raises(ValueError, match=f"{key} must be an int"):
+            target.load_state(state)
+        assert target.state_dict() == DriftMonitor(policy).state_dict()
+
     @pytest.mark.parametrize("schema", [2, 0, None, "x"])
     def test_load_state_refuses_unknown_schema(self, schema):
         """A snapshot from a newer (or foreign) writer is refused whole,
@@ -210,6 +244,16 @@ DECAY_CONFIG = OnlineLabelModelConfig(
 )
 
 
+def assert_views_weigh_rows(model, rows, w):
+    """The model's moment views are those of ``rows`` weighted by ``w``."""
+    assert model.effective_examples == pytest.approx(w.sum())
+    np.testing.assert_allclose(model.mean_votes(), w @ rows / w.sum())
+    np.testing.assert_allclose(model.fire_rates(), w @ np.abs(rows) / w.sum())
+    np.testing.assert_allclose(
+        model.agreement_matrix(), (rows.T * w) @ rows / w.sum()
+    )
+
+
 class TestDecayMode:
     def test_mode_selection_and_validation(self):
         assert OnlineLabelModel().mode == "cumulative"
@@ -220,23 +264,45 @@ class TestDecayMode:
             OnlineLabelModel(OnlineLabelModelConfig(decay=0.0))
 
     def test_moments_follow_exponential_decay(self):
+        """With nothing evicted, the views are the exponentially decayed
+        moments of every observed row: batch ``b`` of ``n`` weighs
+        ``decay ** (n - 1 - b)``."""
         batches = draw_batches(5, batch=100, seed=12)
         model = OnlineLabelModel(DECAY_CONFIG)
         for votes in batches:
             model.observe(votes)
         d = DECAY_CONFIG.decay
-        expected_vote = np.zeros(4)
-        expected_weight = 0.0
-        for votes in batches:
-            expected_vote = d * expected_vote + votes.astype(float).sum(axis=0)
-            expected_weight = d * expected_weight + len(votes)
-        np.testing.assert_array_equal(model._vote_sum, expected_vote)
-        assert model.effective_examples == expected_weight
-        np.testing.assert_allclose(
-            model.mean_votes(), expected_vote / expected_weight
+        rows = np.vstack(batches).astype(float)
+        w = np.concatenate(
+            [np.full(len(v), d ** (len(batches) - 1 - b)) for b, v in enumerate(batches)]
         )
+        assert model.n_patterns == len(np.unique(rows, axis=0))
+        assert_views_weigh_rows(model, rows, w)
         # The effective mass is far below the raw observed count.
         assert model.effective_examples < model.n_observed
+
+    def test_views_are_the_retained_tables_moments(self):
+        """Once patterns are evicted, the views describe the retained
+        table — the rows the next refit fits — at raw decayed weight."""
+        d = 0.5
+        model = OnlineLabelModel(OnlineLabelModelConfig(steps_per_batch=0, decay=d))
+        rng = np.random.default_rng(3)
+        table: dict[tuple, float] = {}
+        evicted = 0
+        for _ in range(12):
+            votes = rng.integers(-1, 2, size=(rng.integers(1, 6), 3)).astype(np.int8)
+            model.observe(votes)
+            table = {row: weight * d for row, weight in table.items()}
+            for row in map(tuple, votes.tolist()):
+                table[row] = table.get(row, 0.0) + 1.0
+            kept = {r: w for r, w in table.items() if w >= PATTERN_WEIGHT_FLOOR}
+            evicted += len(table) - len(kept)
+            table = kept
+        assert evicted > 0
+        rows = np.array(list(table), dtype=float)
+        w = np.array(list(table.values()))
+        assert model.n_patterns == len(table)
+        assert_views_weigh_rows(model, rows, w)
 
     def test_pattern_weights_decay_and_evict(self):
         model = OnlineLabelModel(

@@ -324,10 +324,29 @@ class TestCheckpointModelRegistry:
         registry.manager.write(
             99,
             checkpoint.cursor,
-            {**checkpoint.label_model_state, "schema": 5},
+            {**checkpoint.label_model_state, "schema": 6},
             meta=checkpoint.meta,
         )
         with pytest.raises(ValueError, match="schema"):
+            registry.refresh()
+        assert registry.active() is good
+        assert registry.counters.as_dict()["serving/swaps"] == 1
+
+    @pytest.mark.parametrize("cursor", [4.5, True])
+    def test_non_int_cursor_keeps_active(self, checkpointed, cursor):
+        """A manifest whose cursor ``int()`` would truncate is refused
+        with ``ValueError`` (a ``serving/refresh_errors`` tick), not
+        deployed with a table split at the wrong row."""
+        dfs = checkpointed["dfs"]
+        root = f"/reg/cursor-{cursor}"
+        registry = make_registry(dfs, root)
+        deploy(dfs, checkpointed["manifests"][0], root)
+        good = registry.refresh()
+        checkpoint = registry.manager.load(checkpointed["manifests"][1])
+        registry.manager.write(
+            99, cursor, checkpoint.label_model_state, meta=checkpoint.meta
+        )
+        with pytest.raises(ValueError, match="cursor must be an int"):
             registry.refresh()
         assert registry.active() is good
         assert registry.counters.as_dict()["serving/swaps"] == 1
@@ -552,6 +571,27 @@ class TestPreDriftManifestServing:
             assert same_rows(votes, matrix[: generation.cursor])
         # Two batches at decay 0.9 evict nothing: the table still holds
         # every pattern of the prefix.
+        self._assert_serves_fit_of(generation, matrix, votes.expand(), config)
+
+    @pytest.mark.parametrize("mode", ["cumulative", "decay"])
+    def test_schema4_manifest_serves(self, lfs, mode):
+        """The last writer that stored vote moments beside the table
+        (see ``TestSchema4ManifestCompat``) serves the offline fit of
+        the rows its table retained."""
+        with open(self.FIXTURES / "schema4_roots.json") as handle:
+            payload = json.load(handle)
+        captured = payload["roots"][mode]
+        config = replace(ONLINE_CONFIG, decay=captured["decay"])
+        generation, matrix = self._serve_captured(
+            lfs, payload, captured, config
+        )
+        votes = (
+            OnlineLabelModel(config)
+            .load_state(era_label_model_state(captured))
+            .compressed_votes()
+        )
+        if mode == "cumulative":
+            assert same_rows(votes, matrix[: generation.cursor])
         self._assert_serves_fit_of(generation, matrix, votes.expand(), config)
 
 

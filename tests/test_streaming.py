@@ -648,13 +648,19 @@ class TestOnlineLabelModel:
         self._stream(model, L, batch=64)
         dense = L.astype(np.float64)
         assert model.n_observed == len(L)
-        np.testing.assert_allclose(model.mean_votes(), dense.mean(axis=0))
-        np.testing.assert_allclose(
-            model.fire_rates(), np.abs(dense).mean(axis=0)
-        )
-        np.testing.assert_allclose(
-            model.agreement_matrix(), dense.T @ dense / len(L)
-        )
+        # Integer sums are exact in float64: the views read off the
+        # pattern table equal the dense reference bit for bit, and so
+        # do those of a model restored from its snapshot.
+        restored = OnlineLabelModel().load_state(model.state_dict())
+        for online in (model, restored):
+            assert online.effective_examples == len(L)
+            assert np.array_equal(online.mean_votes(), dense.sum(axis=0) / len(L))
+            assert np.array_equal(
+                online.fire_rates(), np.abs(dense).sum(axis=0) / len(L)
+            )
+            assert np.array_equal(
+                online.agreement_matrix(), dense.T @ dense / len(L)
+            )
 
     def test_pattern_log_is_lossless(self):
         L, _ = synthetic_label_matrix(m=700, seed=7)
@@ -740,6 +746,13 @@ class TestOnlineLabelModel:
         )
         self._stream(online, L, batch=100)  # 6 batches -> 3 refits
         assert online.refits_done == 3
+
+    @pytest.mark.parametrize("cadence", [2.5, 2.0, True])
+    def test_refit_every_must_be_an_int(self, cadence):
+        """``refit_every=2.5`` used to refit only when the batch count
+        happened to be a multiple of 2.5 (batches 5, 10, ...)."""
+        with pytest.raises(ValueError, match="refit_every must be an int >= 1"):
+            OnlineLabelModel(OnlineLabelModelConfig(refit_every=cadence))
 
     def test_validation(self):
         model = OnlineLabelModel()
