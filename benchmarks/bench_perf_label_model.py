@@ -1,14 +1,17 @@
 """Section 5.2 benchmark: sampling-free optimizer vs Gibbs sampler.
 
-This is the paper's speed claim measured directly on this
-implementation: ">100 steps per second with a batch size of 64" for the
+This is the paper's speed claim measured on what this implementation
+runs: ">100 steps per second with a batch size of 64" for the
 compute-graph trainer versus "<50 examples per second" for the Gibbs
-sampler, a ≈2x speedup at ten labeling functions.
+sampler, a ≈2x speedup at ten labeling functions. The trainer here is
+one deterministic solve of the pattern table (no minibatch steps), so
+the claim is restated on it with no looser floor.
 
-Assertions: the sampling-free trainer exceeds 100 steps/s, and its
-example throughput beats the Gibbs sampler by at least 2x (ours is far
-larger because the Gibbs inner loop is pure Python — the rendered table
-says so).
+Assertions: the solver takes more than 100 iterations/s (one iteration
+consumes the whole table), and ``fit``'s example throughput beats the
+Gibbs sampler's on the same matrix by at least 2x (ours is far larger
+because the Gibbs inner loop is pure Python — the rendered table says
+so).
 
 Also home to the ``label_model_fit`` flatness gate: fitting matrices of
 2,000 / 8,000 / 30,720 rows drawn from one fixed 200-pattern pool to
@@ -44,20 +47,16 @@ def test_section52_speed_comparison(benchmark, scale):
     )
     emit(result)
     row = result.rows[0]
-    assert row["steps_per_second"] > 100.0, row      # paper: >100 steps/s
-    assert row["speedup"] >= 2.0, row                # paper: ~2x
+    assert row["iterations_per_second"] > 100.0, row  # paper: >100 steps/s
+    assert row["speedup"] >= 2.0, row                 # paper: ~2x
 
 
 def test_sampling_free_step(benchmark, scale):
-    """Microbenchmark: one exact-gradient SGD step at batch 64, 8-10 LFs."""
+    """Microbenchmark: one ``fit`` of the product matrix, 8-10 LFs."""
     exp = get_content_experiment("product", scale)
     L = exp.L_unlabeled.matrix.astype(np.float64)
-    model = SamplingFreeLabelModel(LabelModelConfig())
-    model.init_params(L.shape[1])
-    rng = np.random.default_rng(0)
-    batch = L[rng.integers(0, len(L), size=64)]
 
-    benchmark(model.partial_step, batch)
+    benchmark(lambda: SamplingFreeLabelModel(LabelModelConfig()).fit(L))
 
 
 def test_label_model_fit_compression(benchmark, scale):

@@ -44,9 +44,7 @@ except ImportError:  # run as `python examples/label_serving.py`
 def main():
     examples, _gold = make_documents(n=600, seed=7)
     lfs = build_lfs()
-    online_config = OnlineLabelModelConfig(
-        base=LabelModelConfig(seed=0), seed=0
-    )
+    online_config = OnlineLabelModelConfig()
 
     # 1. Train side: checkpoint-per-batch stream over staged shards.
     dfs = DistributedFileSystem()

@@ -59,7 +59,7 @@ _DICT_EMITTERS = {"encode_histograms"}
 #: The instrument layer itself: its methods take key *variables*, and
 #: its docstrings/doctests would otherwise read as emissions.
 _EXCLUDED_MODULES = {
-    "src/repro/mapreduce/counters.py",
+    "src/repro/obs/counters.py",
     "src/repro/obs/registry.py",
     "src/repro/obs/histogram.py",
 }

@@ -8,10 +8,9 @@ Public surface:
   and propensity parameters in log space, fitted by a projected Newton
   solve of the exact marginal likelihood of the observed label matrix.
 * :class:`OnlineLabelModel` — the streaming counterpart: a vote-pattern
-  table (its vote moments read off on demand), incremental SGD
-  updates, and periodic full
-  refits that reproduce the offline fit exactly (``repro.streaming``
-  feeds it micro-batches).
+  table (its vote moments read off on demand) solved on the first batch
+  and on a cadence, each solve exactly the offline fit
+  (``repro.streaming`` feeds it micro-batches).
 * :class:`DriftMonitor` / :class:`DriftPolicy` — moment-based drift
   alarms for streaming deployments: tracked reference vs. recent
   windows over LF fire rates and the agreement matrix, with pluggable

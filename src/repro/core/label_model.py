@@ -60,10 +60,11 @@ count-weighted NLL by deterministic projected Newton
 (:meth:`_StepKernel.solve`), O(patterns x m) per iteration whatever ``n``
 is: the paper's claim is about the objective, not the step rule, and
 minibatches drawn from the table only put back noise the compression
-removed. On the benchmark's 20-pattern, 8-LF table (2-CPU container) the
-solve takes 21-29 iterations and 6-12 ms. ``partial_step`` and the
-online model's incremental updates take SGD steps on the same kernel,
-~35,000 per second at batch 64 (the paper: "> 100 steps per second").
+removed. It is the only trainer: the streaming model
+(:mod:`repro.core.online_label_model`) solves its pattern table with the
+same call. On the benchmark's 20-pattern, 8-LF table (2-CPU container)
+the solve takes 21-29 iterations and 6-12 ms; each iteration consumes
+the whole table, well past the paper's "> 100 steps per second".
 """
 
 from __future__ import annotations
@@ -96,8 +97,6 @@ _ROUNDOFF = 4 * np.finfo(np.float64).eps
 _MAX_HALVINGS = 40
 #: Smallest curvature a Newton direction divides by.
 _MIN_CURVATURE = 1e-8
-#: SGD step rate of ``partial_step`` and the online incremental steps.
-_STEP_RATE = 0.003
 
 
 @dataclass
@@ -173,49 +172,15 @@ class SamplingFreeLabelModel:
         self.loss_history = [(iterations, loss)]
         return self
 
-    def partial_step(self, batch: np.ndarray) -> float:
-        """Take one SGD step on a caller-supplied minibatch.
-
-        Used by the speed benchmark (steps/second, Section 5.2,
-        :func:`repro.experiments.perf.run_speed`); the online model's
-        incremental steps take the same kernel step on rows it has
-        already validated.
-        """
-        if self.alpha is None or self.beta is None:
-            raise RuntimeError("call fit() or init_params() before partial_step()")
-        batch = _validate_label_matrix(batch)
-        return self._sgd_steps(batch[None], want_loss=True) / len(batch)
-
-    def _sgd_steps(self, batches: np.ndarray, want_loss: bool = False) -> float | None:
-        """One kernel step per batch of a float64 ``(k, B, m)`` stack
-        whose votes the caller has validated; returns the last batch's
-        summed loss when asked for it."""
-        kernel = _StepKernel(self, batches.shape[1])
-        loss = None
-        for batch, fire in zip(batches, np.abs(batches).sum(axis=1)):
-            loss = kernel.step(batch, fire, want_loss)
-        kernel.publish(self, len(batches))
-        return loss
-
-    def init_params(self, n_lfs: int) -> None:
-        """Initialize parameters without fitting (for step-wise
-        training); an ``init_class_prior`` outside (0, 1) is a
-        ``ValueError`` that leaves the model as it was."""
-        prior_logit = _prior_logit(self.config)
-        self.n_lfs = n_lfs
-        self.alpha = np.full(n_lfs, _INIT_ALPHA, dtype=np.float64)
-        self.beta = np.zeros(n_lfs)  # no votes to match propensities to
-        self.prior_logit = prior_logit
-
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Bit-exact snapshot of all mutable training state.
 
-        ``steps_taken`` (SGD steps plus solver iterations) is part of
-        the snapshot so the counter never restarts from zero on a
-        resumed stream; ``loss_history`` keeps its last pair.
+        ``steps_taken`` (solver iterations) is part of the snapshot so
+        the counter never restarts from zero on a resumed stream;
+        ``loss_history`` keeps its last pair.
         """
         from repro.dfs.records import encode_ndarray
 
@@ -234,7 +199,9 @@ class SamplingFreeLabelModel:
 
         Raises:
             ValueError: If ``steps_taken`` or a ``loss_history`` step is
-                not an ``int``; nothing is restored then.
+                not an ``int``, or ``n_lfs`` is not an ``int`` >= 1 (it
+                may be ``None`` only while ``alpha`` is); nothing is
+                restored then.
         """
         from repro.dfs.records import decode_ndarray
 
@@ -243,6 +210,9 @@ class SamplingFreeLabelModel:
             (require_int(s, "loss_history step"), float(l))
             for s, l in state["loss_history"]
         ]
+        n_lfs = state["n_lfs"]
+        if n_lfs is not None or state["alpha"] is not None:
+            require_int(n_lfs, "n_lfs", minimum=1)
         self.alpha = (
             None if state["alpha"] is None else decode_ndarray(state["alpha"])
         )
@@ -250,7 +220,7 @@ class SamplingFreeLabelModel:
             None if state["beta"] is None else decode_ndarray(state["beta"])
         )
         self.prior_logit = float(state["prior_logit"])
-        self.n_lfs = state["n_lfs"]
+        self.n_lfs = n_lfs
         self.steps_taken = steps_taken
         self.loss_history = loss_history
         return self
@@ -315,17 +285,15 @@ class SamplingFreeLabelModel:
 # ----------------------------------------------------------------------
 class _StepKernel:
     """The module-docstring objective, its gradient and Hessian, written
-    once, and the two ways parameters move on them: :meth:`step` (SGD)
-    and :meth:`solve` (projected Newton).
+    once, and :meth:`solve` (projected Newton) moving the parameters on
+    them.
 
     Row ``i`` of a batch counts ``weights[i]`` times (``None``: unit
-    weights, never multiplied in) and ``W`` is ``total``; the solve
+    weights, for :meth:`loss` alone) and ``W`` is ``total``; the solve
     passes the patterns' shares of the table with ``total`` 1. A kernel
     copies the model's parameters, moves them in place through buffers
     allocated once for ``rows``-row batches, and :meth:`publish` hands
-    them back. The two BLAS products keep the row-wise operand shapes
-    and every elementwise expression its association, so an SGD step
-    equals the row-wise step to the bit.
+    them back.
     """
 
     def __init__(self, model, rows, weights=None, total=None) -> None:
@@ -370,7 +338,7 @@ class _StepKernel:
         ``batch`` whose weighted per-LF fire counts are ``fired``: the
         alpha and beta parts land in ``_grad_alpha`` / ``_grad_beta``
         (posteriors in ``_posterior``); returns the prior part, or
-        ``None`` when the prior is fixed."""
+        ``None`` when the prior is fixed. Rows carry ``weights``."""
         weights = self.weights
         a = np.matmul(batch, self.alpha, out=self._a)
         p_correct, p_wrong, p_abstain = self.outcome_probs()
@@ -383,11 +351,10 @@ class _StepKernel:
             # d(log prior terms)/d(prior_logit): E[Y]=2p-1 pushes the
             # prior toward the average posterior.
             pull = posterior - _sigmoid(self.prior_logit)
-            grad_prior = -float(np.sum(pull if weights is None else weights * pull))
+            grad_prior = -float(np.sum(weights * pull))
         signed = np.multiply(posterior, 2.0, out=self._signed)  # E[Y_i | L_i]
         np.subtract(signed, 1.0, out=signed)
-        if weights is not None:
-            np.multiply(weights, signed, out=signed)
+        np.multiply(weights, signed, out=signed)
 
         # Each gradient is total * E[outcome] - observed outcome.
         grad_alpha = np.subtract(p_correct, p_wrong, out=self._grad_alpha)
@@ -417,23 +384,6 @@ class _StepKernel:
             hess[:m, -1] = hess[-1, :m] = -2.0 * (batch.T @ curvature)
             hess[-1, -1] = self.total * prior * (1.0 - prior) - curvature.sum()
         return hess
-
-    def step(self, batch, fired, want_loss=False) -> float | None:
-        """Take one SGD step on the float64 ``(rows, m)`` ``batch``,
-        whose weighted per-LF fire counts are ``fired``; returns the
-        summed pre-step :meth:`loss` when asked for it."""
-        alpha, beta = self.alpha, self.beta
-        loss = self.loss(batch) if want_loss else None
-        grad_prior = self.gradient(batch, fired)
-        np.subtract(alpha, _STEP_RATE * self._grad_alpha, out=alpha)
-        np.subtract(beta, _STEP_RATE * self._grad_beta, out=beta)
-        if grad_prior is not None:
-            self.prior_logit -= _STEP_RATE * grad_prior
-        # Project onto alpha >= 0: the likelihood is invariant to
-        # flipping the sign of a polarity-connected cluster of LFs, so,
-        # like the original Snorkel's priors, accuracies stay >= 50%.
-        np.maximum(alpha, 0.0, out=alpha)
-        return loss
 
     def solve(self, batch: np.ndarray, fired: np.ndarray) -> tuple[int, float]:
         """Minimise :meth:`loss` over ``0 <= alpha <= _MAX_ALPHA`` (beta

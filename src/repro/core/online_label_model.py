@@ -21,18 +21,13 @@ the conditionally independent model:
    O(patterns x m^2) per call), so the stream keeps one record of its
    votes, not a table plus running sums.
 
-Training interleaves two update kinds:
-
-* ``observe(votes)`` folds a micro-batch into the pattern table, then
-  takes a few SGD steps (what ``partial_step`` takes, minus its
-  re-validation) on ``_STEP_BATCH``-row samples of the new batch — the
-  model tracks a drifting stream at O(steps x batch) cost per
-  micro-batch;
-* ``refit()`` (scheduled every ``refit_every`` batches, or called
-  manually at stream end) runs
-  :meth:`SamplingFreeLabelModel.fit_compressed` on the table. Offline
-  ``fit(L)`` is the same call on ``compress_votes(L)``, so **a refit is
-  bitwise the offline fit of the retained rows, in any order**.
+There is one trainer. ``observe(votes)`` folds a micro-batch into the
+pattern table and solves it with ``refit()`` — the
+:meth:`SamplingFreeLabelModel.fit_compressed` call offline ``fit(L)``
+makes on ``compress_votes(L)`` — on the first batch and whenever the
+``refit_every`` cadence hits; between solves the parameters stay put.
+So **every posterior the stream hands out is bitwise the offline fit of
+the retained rows, in any order, as of the last solve**.
 
 Retention modes
 ---------------
@@ -58,7 +53,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel, _warm_beta
+from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.patterns import CompressedVotes, compress_votes, vote_moments
 from repro.types import require_int
 
@@ -68,8 +63,6 @@ __all__ = ["OnlineLabelModelConfig", "OnlineLabelModel"]
 #: floor. It lies in (0, 1), so a pattern seen in the current batch
 #: (weight >= 1) is never evicted on arrival.
 PATTERN_WEIGHT_FLOOR = 0.25
-#: Rows per incremental SGD step (fewer when the batch is smaller).
-_STEP_BATCH = 64
 
 
 @dataclass
@@ -83,26 +76,25 @@ class OnlineLabelModelConfig:
     """
 
     base: LabelModelConfig = field(default_factory=LabelModelConfig)
-    steps_per_batch: int = 8
-    """Incremental exact-gradient steps taken per observed micro-batch."""
     refit_every: int | None = None
-    """Full refit cadence in observed batches; ``None`` = manual only."""
+    """Solve cadence in observed batches; ``None`` solves the first
+    batch only (later solves are the caller's :meth:`refit` calls)."""
     seed: int = 0
-    """Seed for the incremental-step minibatch sampler (a refit is a
-    deterministic solve and draws nothing)."""
+    """Unread: every update is a deterministic solve that draws
+    nothing. Kept so that configs built with one stay valid."""
     decay: float | None = None
     """Per-batch exponential decay on pattern weights, in (0, 1);
     ``None`` keeps the cumulative all-of-history behavior."""
 
 
 class OnlineLabelModel:
-    """Streaming accumulator + incremental trainer for the label model.
+    """Streaming pattern table + solve cadence for the label model.
 
-    Feed micro-batches via :meth:`observe`; read the current parameter
-    estimate from :attr:`model`; call :meth:`refit` (or set
-    ``refit_every``) for full re-estimates from the retained pattern
-    table. Retention semantics (cumulative / decay) are set by the
-    config — see the module docstring.
+    Feed micro-batches via :meth:`observe`; read the last solve's
+    parameters from :attr:`model`; call :meth:`refit` (or set
+    ``refit_every``) for re-estimates from the retained pattern table.
+    Retention semantics (cumulative / decay) are set by the config —
+    see the module docstring.
     """
 
     def __init__(self, config: OnlineLabelModelConfig | None = None) -> None:
@@ -124,7 +116,6 @@ class OnlineLabelModel:
         if cfg.refit_every is not None:
             require_int(cfg.refit_every, "refit_every", minimum=1)
         self._model = SamplingFreeLabelModel(replace(cfg.base))
-        self._rng = np.random.default_rng(cfg.seed)
         self.n_lfs: int | None = None
         self.n_observed = 0
         self.batches_observed = 0
@@ -149,7 +140,8 @@ class OnlineLabelModel:
 
         ``votes`` is an ``(B, m)`` array over ``{-1, 0, +1}``; rows are
         counted into the pattern table (and, in decay mode, displace
-        stale history) so a later refit sees the retained stream's rows.
+        stale history). The table is then solved (:meth:`refit`) if the
+        model has no parameters yet or the ``refit_every`` cadence hits.
 
         Args:
             votes: The micro-batch's vote rows.
@@ -164,9 +156,10 @@ class OnlineLabelModel:
         self._append_patterns(votes)
         self.n_observed += votes.shape[0]
         self.batches_observed += 1
-        self._incremental_steps(votes)
         cadence = self.config.refit_every
-        if cadence is not None and self.batches_observed % cadence == 0:
+        if self._model.alpha is None or (
+            cadence is not None and self.batches_observed % cadence == 0
+        ):
             self.refit()
 
     def refit(self) -> SamplingFreeLabelModel:
@@ -189,8 +182,7 @@ class OnlineLabelModel:
         """
         if self.n_observed == 0:
             raise RuntimeError("cannot refit before observing any votes")
-        self._model = SamplingFreeLabelModel(replace(self.config.base))
-        self._model.fit_compressed(self.compressed_votes())
+        self._model = self._solve(self.compressed_votes())
         self.refits_done += 1
         return self._model
 
@@ -213,20 +205,23 @@ class OnlineLabelModel:
         """
         if self.n_observed == 0:
             raise RuntimeError("no votes observed yet")
-        weights = self._pattern_weights
+        return self._table_votes(np.vstack(self._pattern_rows), self._pattern_weights)
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    def _table_votes(self, rows: np.ndarray, weights: np.ndarray) -> CompressedVotes:
         if self.mode == "decay":
             weights = np.floor(weights + 0.5)
         keep = weights > 0.0
         weights = weights[keep]
         return CompressedVotes(
-            patterns=np.vstack(self._pattern_rows)[keep],
-            weights=weights,
-            n_rows=float(weights.sum()),
+            patterns=rows[keep], weights=weights, n_rows=float(weights.sum())
         )
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
+    def _solve(self, votes: CompressedVotes) -> SamplingFreeLabelModel:
+        return SamplingFreeLabelModel(replace(self.config.base)).fit_compressed(votes)
+
     def _validate(self, votes: np.ndarray) -> np.ndarray:
         votes = np.asarray(votes)
         if votes.ndim != 2:
@@ -279,56 +274,34 @@ class OnlineLabelModel:
         }
         self._pattern_weights = self._pattern_weights[keep]
 
-    def _incremental_steps(self, votes: np.ndarray) -> None:
-        cfg = self.config
-        if cfg.steps_per_batch < 1:
-            return
-        if self._model.alpha is None:
-            self._model.init_params(votes.shape[1])
-            # Mirror fit()'s warm start: beta from observed fire rates.
-            self._model.beta = _warm_beta(np.abs(votes).mean(axis=0))
-        batch_size = min(_STEP_BATCH, votes.shape[0])
-        # One (steps, batch) draw advances the generator exactly as a
-        # draw per step does, and observe() has validated these votes:
-        # the kernel steps on them without partial_step's re-check.
-        idx = self._rng.integers(
-            0, votes.shape[0], size=(cfg.steps_per_batch, batch_size)
-        )
-        self._model._sgd_steps(votes[idx].astype(np.float64))
-
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Bit-exact snapshot of everything :meth:`observe` mutates.
 
-        Includes the minibatch sampler's RNG state, both step counters
-        (``batches_observed`` here, ``steps_taken`` on the inner model),
-        and the pattern table (rows and their counts or decayed
-        weights) so a restored model takes *exactly* the updates the
-        uninterrupted run would have taken — resumed streams converge to
-        the same parameters to the bit, not just in distribution. The
-        vote moments are not stored: they are a function of the table.
-        Everything is O(patterns): the snapshot does not grow with
-        stream length.
+        Includes the counters (``batches_observed`` here, ``steps_taken``
+        on the inner model), the last solve's parameters and the pattern
+        table (rows and their counts or decayed weights), so a restored
+        model solves *exactly* when and what the uninterrupted run
+        would have — resumed streams reach the same parameters to the
+        bit. The vote moments are not stored: they are a function of the
+        table. Everything is O(patterns): the snapshot does not grow
+        with stream length.
 
         Returns:
-            A JSON-safe dict (arrays as base64 raw buffers). Schema 5;
-            readers accept schema 1 and 2 dicts, which logged a pattern
-            id per example instead of counts, schema 3 dicts, which also
-            carried sliding-window keys, and schema 1-4 dicts' stored
-            moments (see :meth:`load_state`).
+            A JSON-safe dict (arrays as base64 raw buffers). Schema 6;
+            readers accept schemas 1-5 too (see :meth:`load_state`).
         """
         from repro.dfs.records import encode_ndarray
 
         rows = np.vstack(self._pattern_rows) if self._pattern_rows else None
         return {
-            "schema": 5,
+            "schema": 6,
             "n_lfs": self.n_lfs,
             "n_observed": self.n_observed,
             "batches_observed": self.batches_observed,
             "refits_done": self.refits_done,
-            "rng_state": self._rng.bit_generator.state,
             "pattern_rows": None if rows is None else encode_ndarray(rows),
             "pattern_weights": encode_ndarray(self._pattern_weights),
             "model": self._model.state_dict(),
@@ -341,13 +314,17 @@ class OnlineLabelModel:
         snapshot was taken under (configs are the caller's contract, the
         snapshot carries only mutable state). Older dicts upgrade in
         place: schemas 1 and 2 carry a per-example pattern-id log, which
-        is counted into pattern weights; schema 3's sliding-window keys
-        and the vote moments schemas 1-4 stored beside the table
+        is counted into pattern weights; schema 3's sliding-window keys,
+        the vote moments schemas 1-4 stored beside the table
         (``vote_sum``, ``fire_sum``, ``agreement``, ``moment_weight``)
-        are ignored, since the table holds the same information.
+        and schemas 1-5's minibatch-sampler ``rng_state`` are ignored.
+        Schemas 1-5 stored SGD estimates between solves, so their
+        parameters are replaced by a solve of the restored table (not
+        counted in ``refits_done``); schema 6 parameters are restored as
+        stored.
 
         Args:
-            state: A dict produced by :meth:`state_dict` (schema 1-5).
+            state: A dict produced by :meth:`state_dict` (schema 1-6).
 
         Returns:
             ``self``, for chaining.
@@ -355,8 +332,9 @@ class OnlineLabelModel:
         Raises:
             ValueError: On any other schema — a snapshot from a newer
                 writer must not be half-read — on a counter that is not
-                an ``int``, or on parts whose shapes disagree; nothing
-                is restored then.
+                an ``int``, on an ``n_lfs`` that is not an ``int`` >= 1
+                (or ``None`` for an empty model), or on parts whose
+                shapes disagree; nothing is restored then.
         """
         from repro.dfs.records import decode_ndarray
 
@@ -364,16 +342,18 @@ class OnlineLabelModel:
             return None if payload is None else decode_ndarray(payload)
 
         schema = state.get("schema")
-        if schema not in (1, 2, 3, 4, 5):
+        if schema not in (1, 2, 3, 4, 5, 6):
             raise ValueError(
                 f"unsupported label-model state schema {schema!r}; this "
-                "reader understands schemas 1 to 5"
+                "reader understands schemas 1 to 6"
             )
         counters = {
             key: require_int(state[key], key)
             for key in ("n_observed", "batches_observed", "refits_done")
         }
         n_lfs = state["n_lfs"]
+        if n_lfs is not None:
+            require_int(n_lfs, "n_lfs", minimum=1)
         rows = dec(state["pattern_rows"])
         n_rows = 0 if rows is None else len(rows)
         weights = dec(state.get("pattern_weights"))
@@ -394,14 +374,13 @@ class OnlineLabelModel:
                     f"label-model state is malformed: {name} has shape "
                     f"{array.shape}, expected {shape} for n_lfs={n_lfs}"
                 )
-        rng = np.random.default_rng(self.config.seed)
-        rng.bit_generator.state = state["rng_state"]
+        if schema < 6 and n_rows:
+            model = self._solve(self._table_votes(rows, weights))
 
         self.n_lfs = n_lfs
         self.n_observed = counters["n_observed"]
         self.batches_observed = counters["batches_observed"]
         self.refits_done = counters["refits_done"]
-        self._rng = rng
         self._pattern_rows = [] if rows is None else [row for row in rows]
         self._pattern_ids = {
             row.tobytes(): i for i, row in enumerate(self._pattern_rows)
@@ -415,7 +394,7 @@ class OnlineLabelModel:
     # ------------------------------------------------------------------
     @property
     def model(self) -> SamplingFreeLabelModel:
-        """The current parameter estimate (incremental or last refit)."""
+        """The last solve's parameters (or a schema-6 restore's)."""
         return self._model
 
     @property

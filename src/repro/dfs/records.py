@@ -23,7 +23,8 @@ encoder, built once, or a row template filled by :func:`json_token`;
 body sliced from the chunk just read with ``orjson.loads``. json's
 ``JSONDecoder.decode`` parses a body instead when it holds a run of 19
 or more digits (orjson turns an integer outside ``[-2**63, 2**64)``,
-such as a PCG64 ``rng_state`` word, into a float) or when orjson refuses
+such as the 128-bit PCG64 ``rng_state`` words schema-5 and earlier
+label-model manifests carry, into a float) or when orjson refuses
 it (``NaN`` / ``Infinity``, which the label sink writes, ``1e400``, a
 lone surrogate, bad UTF-8 or malformed JSON), so every value, type and
 error is json's. The one exception is nesting json's recursion limit

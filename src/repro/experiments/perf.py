@@ -6,9 +6,12 @@ second with a batch size of 64. With ten labeling functions and a batch
 size of 64, a Gibbs sampler averages < 50 examples per second, so
 Snorkel DryBell provides a 2x speedup."
 
-(Note the paper compares optimizer *steps*/s against Gibbs *examples*/s
-at the same batch size — a step consumes one 64-example batch, so the
-comparable rate is steps/s * 64 vs examples/s; we report both.)
+(The paper compares optimizer *steps*/s against Gibbs *examples*/s at
+the same batch size: a step consumes one 64-example batch. Our trainer
+takes no minibatch steps: :meth:`SamplingFreeLabelModel.fit` solves the
+whole matrix's pattern table, so the rates measured are what the product
+runs — solver iterations/s, each consuming the whole table, and fit
+examples/s against Gibbs examples/s on the same matrix.)
 
 Scale: "implementing weak supervision over 6M+ data points with
 sub-30min execution time". We measure this implementation's end-to-end
@@ -43,28 +46,26 @@ __all__ = [
     "run_speed",
     "run_scale",
     "run_fit_compression_eval",
-    "measure_label_model_steps_per_second",
+    "measure_fit_rates",
 ]
 
 
-def measure_label_model_steps_per_second(
-    L: np.ndarray,
-    batch_size: int = 64,
-    budget_seconds: float = 1.0,
-    seed: int = 0,
-) -> float:
-    """SGD steps per second of the sampling-free trainer's
-    :meth:`~SamplingFreeLabelModel.partial_step`."""
-    model = SamplingFreeLabelModel(LabelModelConfig(seed=seed))
-    model.init_params(L.shape[1])
-    rng = np.random.default_rng(seed)
-    steps = 0
+#: Wall-clock budget of each rate measurement in :func:`run_speed`.
+BUDGET_SECONDS = 1.5
+
+
+def measure_fit_rates(L: np.ndarray) -> tuple[float, float]:
+    """Solver iterations per second and examples per second of
+    :meth:`~SamplingFreeLabelModel.fit` on ``L``, refitting from scratch
+    until :data:`BUDGET_SECONDS` have passed (at least once)."""
+    iterations = fits = 0
     start = time.perf_counter()
-    while time.perf_counter() - start < budget_seconds:
-        idx = rng.integers(0, len(L), size=batch_size)
-        model.partial_step(L[idx])
-        steps += 1
-    return steps / (time.perf_counter() - start)
+    while fits == 0 or time.perf_counter() - start < BUDGET_SECONDS:
+        model = SamplingFreeLabelModel(LabelModelConfig()).fit(L)
+        iterations += model.loss_history[-1][0]
+        fits += 1
+    wall = time.perf_counter() - start
+    return iterations / wall, fits * len(L) / wall
 
 
 def run_speed(scale: str | None = None, seed: int = DEFAULT_SEED) -> ExperimentResult:
@@ -72,28 +73,29 @@ def run_speed(scale: str | None = None, seed: int = DEFAULT_SEED) -> ExperimentR
     exp = get_content_experiment("product", scale, seed)
     L = exp.L_unlabeled.matrix.astype(np.float64)
 
-    steps_per_s = measure_label_model_steps_per_second(L, budget_seconds=1.5)
+    iterations_per_s, fit_examples_per_s = measure_fit_rates(L)
     gibbs = GibbsLabelModel(GibbsConfig(batch_size=64, seed=seed))
     gibbs_examples_per_s = gibbs.benchmark_examples_per_second(
-        L, budget_seconds=1.5
+        L, budget_seconds=BUDGET_SECONDS
     )
-    sampling_free_examples_per_s = steps_per_s * 64
-    speedup = sampling_free_examples_per_s / max(gibbs_examples_per_s, 1e-9)
+    speedup = fit_examples_per_s / max(gibbs_examples_per_s, 1e-9)
 
     lines = [
-        "Section 5.2: sampling-free vs Gibbs (product app LF matrix, batch 64)",
+        "Section 5.2: sampling-free fit vs Gibbs (product app LF matrix, "
+        f"{len(L):,} rows)",
         "",
-        f"{'sampling-free optimizer':<32} {steps_per_s:>10.1f} steps/s "
-        f"(paper: >100)",
-        f"{'  = examples consumed':<32} {sampling_free_examples_per_s:>10.1f} examples/s",
-        f"{'Gibbs sampler':<32} {gibbs_examples_per_s:>10.1f} examples/s "
+        f"{'solver iterations':<32} {iterations_per_s:>10.1f} /s "
+        f"(paper: >100 steps/s; one iteration consumes the whole table)",
+        f"{'fit':<32} {fit_examples_per_s:>10.1f} examples/s",
+        f"{'Gibbs sampler (batch 64)':<32} {gibbs_examples_per_s:>10.1f} examples/s "
         f"(paper: <50)",
         f"{'speedup (examples/s ratio)':<32} {speedup:>10.1f}x (paper: ~2x; "
         f"ours is larger because the Gibbs inner loop is pure Python)",
     ]
     rows = [
         {
-            "steps_per_second": steps_per_s,
+            "iterations_per_second": iterations_per_s,
+            "fit_examples_per_second": fit_examples_per_s,
             "gibbs_examples_per_second": gibbs_examples_per_s,
             "speedup": speedup,
         }

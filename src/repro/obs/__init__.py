@@ -2,6 +2,9 @@
 
 ``repro.obs`` is the observability layer the hot paths share:
 
+* :class:`~repro.obs.counters.CounterSet` / :class:`~repro.obs.counters.Gauge`
+  — thread-safe monotonic counters and level meters with a high-water
+  mark, the registry's storage;
 * :class:`~repro.obs.histogram.Histogram` — thread-safe, picklable,
   mergeable log-bucketed latency/size distributions with p50/p90/p99;
 * :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges, and
@@ -25,6 +28,7 @@ else (see :mod:`repro.obs.registry`).
 """
 
 from repro.obs.contract import KEY_CONTRACT, STAGES, ContractKey
+from repro.obs.counters import CounterSet, Gauge
 from repro.obs.exporter import TelemetryExporter
 from repro.obs.histogram import (
     DEFAULT_GROWTH,
@@ -42,6 +46,8 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
+    "CounterSet",
+    "Gauge",
     "Histogram",
     "DEFAULT_GROWTH",
     "encode_histograms",

@@ -1,12 +1,10 @@
-"""MapReduce counters.
+"""Counter and gauge storage behind :class:`repro.obs.registry.MetricsRegistry`.
 
-Google MapReduce exposes named counters aggregated across workers; the LF
-templates use them to report votes emitted, abstains, and model-server
-calls. Counters are the primary observability channel for labeling-function
-runs in this reproduction (surfaced by ``repro.lf.applier``) and for the
-micro-batch streaming pipeline (``repro.streaming``), which additionally
-tracks level quantities — queue depth, resident records — through
-:class:`Gauge`.
+Named counters aggregated across workers, as Google MapReduce exposes
+them: :class:`CounterSet` holds monotonic sums (votes emitted, abstains,
+model-server calls, batches). :class:`Gauge` holds level quantities
+that rise and fall — records resident in the streaming pipeline,
+requests pending at the label server — with their high-water mark.
 """
 
 from __future__ import annotations
@@ -26,12 +24,14 @@ class CounterSet:
         self._counts: Counter[str] = Counter()
 
     def increment(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` (>= 0) to counter ``name``."""
         if amount < 0:
             raise ValueError("counter increments must be non-negative")
         with self._lock:
             self._counts[name] += amount
 
     def value(self, name: str) -> int:
+        """Counter ``name``'s total (0 if never incremented)."""
         with self._lock:
             return self._counts.get(name, 0)
 
@@ -59,10 +59,12 @@ class CounterSet:
             self._counts.update(mapping)
 
     def as_dict(self) -> dict[str, int]:
+        """A ``name -> total`` copy of every counter."""
         with self._lock:
             return dict(self._counts)
 
     def names(self) -> list[str]:
+        """Every counter name, sorted."""
         with self._lock:
             return sorted(self._counts)
 
@@ -71,6 +73,7 @@ class CounterSet:
 
     @classmethod
     def merged(cls, parts: Iterable["CounterSet"]) -> "CounterSet":
+        """A new set holding the sum of ``parts``."""
         total = cls()
         for part in parts:
             total.merge(part)
@@ -115,11 +118,13 @@ class Gauge:
 
     @property
     def current(self) -> int:
+        """The level now."""
         with self._lock:
             return self._current
 
     @property
     def peak(self) -> int:
+        """The highest level ever reached."""
         with self._lock:
             return self._peak
 

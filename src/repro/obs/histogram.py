@@ -1,6 +1,6 @@
 """Mergeable log-bucketed latency histograms.
 
-The repo's counters (:class:`repro.mapreduce.counters.CounterSet`) sum
+The repo's counters (:class:`repro.obs.counters.CounterSet`) sum
 durations — great for totals, useless for tails. :class:`Histogram`
 closes that gap with the HdrHistogram idea scaled down to this
 codebase: values land in exponentially sized buckets (``growth`` per

@@ -1,8 +1,8 @@
 """One registry, one emission seam: counters, gauges, histograms, spans.
 
 :class:`MetricsRegistry` holds the three instrument kinds —
-:class:`~repro.mapreduce.counters.CounterSet` (monotonic sums),
-:class:`~repro.mapreduce.counters.Gauge` (levels with high-water marks)
+:class:`~repro.obs.counters.CounterSet` (monotonic sums),
+:class:`~repro.obs.counters.Gauge` (levels with high-water marks)
 and :class:`~repro.obs.histogram.Histogram` (distributions) — under one
 namespace with a single deterministic :meth:`~MetricsRegistry.snapshot`:
 the dict the :class:`~repro.obs.exporter.TelemetryExporter` publishes,
@@ -31,7 +31,7 @@ import threading
 import time
 from typing import Any, Mapping
 
-from repro.mapreduce.counters import CounterSet, Gauge
+from repro.obs.counters import CounterSet, Gauge
 from repro.obs.contract import STAGES
 from repro.obs.histogram import DEFAULT_GROWTH, Histogram
 

@@ -196,9 +196,8 @@ class CheckpointModelRegistry:
     def abstain_prior(self) -> float:
         """The degraded-mode posterior: the configured class prior.
 
-        Mirrors :meth:`CheckpointedStream._label_proba`'s fallback —
-        before any parameters exist, every example carries only the
-        prior ``P(y = +1)`` of the configured label model.
+        Before any generation is deployed, every example carries only
+        the prior ``P(y = +1)`` of the configured label model.
         """
         return float(
             SamplingFreeLabelModel(

@@ -68,7 +68,7 @@ from repro.lf.applier import (
     stop_lf_resources,
 )
 from repro.lf.base import AbstractLabelingFunction
-from repro.mapreduce.counters import Gauge
+from repro.obs.counters import Gauge
 from repro.serving.registry import CheckpointModelRegistry
 from repro.types import Example, require_int
 

@@ -29,7 +29,7 @@ engine of PR 1 into that continuous pipeline:
   :class:`CheckpointedStream` resumes an interrupted stream to
   byte-identical outputs;
 * :class:`repro.core.online_label_model.OnlineLabelModel` — the
-  incremental generative model the pipeline feeds (exported here for
+  streaming generative model the pipeline feeds (exported here for
   convenience), with cumulative and exponential-decay retention modes;
 * :class:`repro.core.drift.DriftMonitor` — moment-based drift alarms
   (also re-exported): attach one to :class:`MicroBatchPipeline` or a

@@ -11,7 +11,7 @@ periodically snapshots everything else a resumed stream needs —
 * the :class:`~repro.core.online_label_model.OnlineLabelModel`'s full
   mutable state: the pattern table (distinct vote rows and their counts
   or decayed weights — the vote moments are read off it, not stored),
-  the minibatch sampler's RNG state, and both step counters,
+  the last solve's parameters, and the counters,
 * optionally the :class:`~repro.core.drift.DriftMonitor`'s reference /
   recent windows and alarm counters, so a resumed stream scores and
   alarms on exactly the batches the uninterrupted run would have.
@@ -43,24 +43,26 @@ uninterrupted run. The mechanism:
    to the stored (shard, byte offset) position and decode only
    unconsumed records, while plain iterables fall back to replaying and
    discarding the consumed prefix — and batch numbering continues from
-   the manifest's batch id, so shard names, batch boundaries, RNG
-   draws, and gradient steps all line up with the run that never
-   crashed.
+   the manifest's batch id, so shard names, batch boundaries and
+   solve points all line up with the run that never crashed.
 
-Refits scheduled by the stream (cadence or drift reaction) run through
-:meth:`OnlineLabelModel.refit`, which fits the ``(patterns, counts)``
-table the manifest snapshots — the same ``fit_compressed`` call an
-offline ``fit`` makes, so a refit depends only on *which* rows were
-retained, never on how they were batched or when the stream was killed.
-That table is O(patterns): manifests (label-model ``state_dict`` schema
-5) stay the same size however long the stream runs. Manifests from
-earlier writers — schema 1 (pre-drift) and schema 2, both of which
-logged a pattern id per example, schema 3, which also carried
-sliding-window keys, and schemas 1-4's stored vote moments — restore,
-resume to the same bytes, and refit identically; an unknown schema is
-refused with ``ValueError`` rather than half-read. Records of a kind
-this reader does not know (such as the ``end_model`` record earlier
-writers could add) are ignored.
+Every label the stream writes comes from a solve
+(:meth:`OnlineLabelModel.refit`: the first batch, the cadence, or a
+drift reaction) of the ``(patterns, counts)`` table the manifest
+snapshots — the same ``fit_compressed`` call an offline ``fit`` makes,
+so a solve depends only on *which* rows were retained, never on how they
+were batched or when the stream was killed. That table is O(patterns):
+manifests (label-model ``state_dict`` schema 6) stay the same size
+however long the stream runs. Manifests from earlier writers — schema 1
+(pre-drift) and schema 2, both of which logged a pattern id per example,
+schema 3, which also carried sliding-window keys, schemas 1-4's stored
+vote moments and schemas 1-5's SGD-moved parameters and sampler state —
+restore by solving the restored table, resume to the same vote bytes,
+and from the first solve after the resume point write the same labels
+and state as a fresh run; an unknown schema is refused with
+``ValueError`` rather than half-read. Records of a kind this reader does
+not know (such as the ``end_model`` record earlier writers could add)
+are ignored.
 """
 
 from __future__ import annotations
@@ -479,7 +481,7 @@ class CheckpointedStream:
         sinks: list = [vote_sink]
         label_sink = None
         if self.write_labels:
-            label_sink = LabelSink(self._dfs, self.root, self._label_proba)
+            label_sink = LabelSink(self._dfs, self.root, self.online.predict_proba)
             sinks.append(label_sink)
         sinks.append(_CheckpointSink(self))
 
@@ -562,15 +564,6 @@ class CheckpointedStream:
     ) -> None:
         """Model update — runs before the durable sinks."""
         self.online.observe(votes)
-
-    def _label_proba(self, votes: np.ndarray) -> np.ndarray:
-        """Posterior from the *current* online model for the label sink."""
-        model = self.online.model
-        if model.alpha is None:
-            # No parameters yet (steps_per_batch=0 before any refit):
-            # every row carries only the configured class prior.
-            return np.full(votes.shape[0], model.class_prior())
-        return self.online.predict_proba(votes)
 
     def _finalize_batch(self, seq: int, n_examples: int) -> None:
         """Last sink stage: advance the cursor, checkpoint, maybe crash."""

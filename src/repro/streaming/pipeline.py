@@ -35,7 +35,7 @@ A batch's records count as resident from the moment it is assembled
 until its sinks have run. The loop bounds that by construction — one
 batch inline, ``max_resident_batches`` on the pool (decoded, labeling,
 or awaiting in-order release) — and a
-:class:`repro.mapreduce.counters.Gauge` tracks the high-water mark so
+:class:`repro.obs.counters.Gauge` tracks the high-water mark so
 benchmarks can assert the bound rather than trust it.
 
 Observability
@@ -79,7 +79,7 @@ from repro.lf.applier import (
     stop_lf_resources,
 )
 from repro.lf.base import AbstractLabelingFunction
-from repro.mapreduce.counters import Gauge
+from repro.obs.counters import Gauge
 from repro.obs.registry import MetricsRegistry
 from repro.streaming.sources import iter_example_batches
 from repro.types import Example, LabelMatrix

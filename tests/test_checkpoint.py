@@ -20,6 +20,7 @@ import pytest
 from repro.core.drift import DriftMonitor, DriftPolicy
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.online_label_model import (
+    PATTERN_WEIGHT_FLOOR,
     OnlineLabelModel,
     OnlineLabelModelConfig,
 )
@@ -41,6 +42,7 @@ from repro.streaming import (
     SimulatedCrash,
     VoteSink,
 )
+from repro.streaming.sinks import batch_shard_seq
 from repro.types import Example
 
 from tests.conftest import decode_records, same_rows, synthetic_label_matrix
@@ -87,9 +89,7 @@ def make_lfs():
     ]
 
 
-ONLINE_CONFIG = OnlineLabelModelConfig(
-    base=LabelModelConfig(seed=0), seed=0
-)
+ONLINE_CONFIG = OnlineLabelModelConfig(base=LabelModelConfig(seed=0))
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,53 @@ def stream_matrix(dfs, shards, lfs):
 def tree_bytes(dfs, root):
     """Every finalized byte under ``root``, keyed by relative path."""
     return {p[len(root):]: dfs.read_file(p) for p in dfs.list(root)}
+
+
+def retained_reference(L, batch, n_batches, decay):
+    """The rows a solve after the first ``n_batches`` ``batch``-row
+    batches of the stream ``L`` fits, counted here from the rows: the
+    whole prefix (cumulative), or every pattern repeated round(weight)
+    times (half-up), its weight decaying by ``decay`` per batch and the
+    pattern evicted once below ``PATTERN_WEIGHT_FLOOR`` (decay)."""
+    if decay is None:
+        return L[: n_batches * batch]
+    table: dict[tuple, float] = {}
+    for b in range(n_batches):
+        table = {row: weight * decay for row, weight in table.items()}
+        rows, counts = np.unique(L[b * batch : (b + 1) * batch], axis=0, return_counts=True)
+        for row, count in zip(map(tuple, rows.tolist()), counts):
+            table[row] = table.get(row, 0.0) + float(count)
+        table = {r: w for r, w in table.items() if w >= PATTERN_WEIGHT_FLOOR}
+    return np.vstack(
+        [np.repeat([row], int(np.floor(w + 0.5)), axis=0) for row, w in table.items()]
+    ).astype(L.dtype)
+
+
+def assert_labels_are_fits(dfs, root, L, batch, decay, last_solve):
+    """Batch ``t``'s label shard under ``root`` holds, bit for bit, the
+    offline fit of the rows retained through batch ``last_solve[t]``
+    (inclusive) scoring batch ``t``'s votes, for every ``t`` given."""
+    fits = {}
+    for t, solved in last_solve.items():
+        if solved not in fits:
+            rows = retained_reference(L, batch, solved + 1, decay)
+            fits[solved] = SamplingFreeLabelModel(ONLINE_CONFIG.base).fit(rows)
+        records = read_records(dfs, f"{root}/labels/batch-{t:06d}")[1:]
+        served = np.array([record["proba"] for record in records])
+        expected = fits[solved].predict_proba(L[t * batch : (t + 1) * batch])
+        assert np.array_equal(served, expected), f"label shard of batch {t}"
+
+
+def without_refit_count(records):
+    """Manifest records with the label-model state's ``refits_done``
+    dropped."""
+    out = []
+    for record in records:
+        if record.get("kind") == "label_model":
+            record = {**record, "state": dict(record["state"])}
+            record["state"].pop("refits_done")
+        out.append(record)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +326,9 @@ class TestStateSnapshots:
             (before, model.loss_history[0][1])
         ]
         assert clone.state_dict() == model.state_dict()
-        # Continued training advances from the restored counter.
-        clone.partial_step(L[:32])
-        assert clone.steps_taken == before + 1
+        # A later fit advances from the restored counter.
+        clone.fit(L)
+        assert clone.steps_taken == 2 * before
 
     def test_malformed_state_is_rejected_before_restoring(self):
         """A state whose parts disagree in shape is a ``ValueError`` —
@@ -344,8 +391,7 @@ class TestStateSnapshots:
         np.testing.assert_array_equal(
             straight.agreement_matrix(), resumed.agreement_matrix()
         )
-        # RNG stream continued, not restarted: a fresh model fed the
-        # same suffix diverges, the restored one does not.
+        assert resumed.state_dict() == straight.state_dict()
         assert straight.refit().predict_proba(L).tobytes() == (
             resumed.refit().predict_proba(L).tobytes()
         )
@@ -394,7 +440,7 @@ class TestStateSnapshots:
             target.load_state(model_state)
         assert target.alpha is None and target.steps_taken == 0
 
-    @pytest.mark.parametrize("schema", [6, 0, None, "3"])
+    @pytest.mark.parametrize("schema", [7, 0, None, "3"])
     def test_load_state_refuses_unknown_schema(self, schema):
         """A snapshot from a newer (or foreign) writer is refused whole,
         not half-read under this reader's layout."""
@@ -402,12 +448,48 @@ class TestStateSnapshots:
         source = OnlineLabelModel(ONLINE_CONFIG)
         source.observe(L)
         state = source.state_dict()
-        assert state["schema"] == 5
+        assert state["schema"] == 6 and "rng_state" not in state
         state["schema"] = schema
         target = OnlineLabelModel(ONLINE_CONFIG)
         with pytest.raises(ValueError, match="schema"):
             target.load_state(state)
         assert target.n_observed == 0 and target.n_patterns == 0
+
+    @pytest.mark.parametrize("value", [3.0, 2.5, True, 0, "3"])
+    @pytest.mark.parametrize("empty", [False, True], ids=["observed", "empty"])
+    def test_load_state_refuses_non_int_n_lfs(self, value, empty):
+        """``n_lfs: 3.0`` used to restore and be written back as
+        ``3.0`` (the next manifest's bytes then differ from a fresh
+        run's), and an empty state took ``n_lfs: 2.5``. Both models'
+        ``load_state`` require an ``int`` >= 1 and restore nothing
+        otherwise."""
+        L, _ = synthetic_label_matrix(m=100, seed=8)
+        source = OnlineLabelModel(ONLINE_CONFIG)
+        if not empty:
+            source.observe(L[:, :3])
+        state = copy.deepcopy(source.state_dict())
+        state["n_lfs"] = value
+        target = OnlineLabelModel(ONLINE_CONFIG)
+        with pytest.raises(ValueError, match="n_lfs must be an int >= 1"):
+            target.load_state(state)
+        assert target.n_lfs is None and target.n_observed == 0
+        if empty:
+            return
+        model_state = {**source.model.state_dict(), "n_lfs": value}
+        model = SamplingFreeLabelModel(ONLINE_CONFIG.base)
+        with pytest.raises(ValueError, match="n_lfs must be an int >= 1"):
+            model.load_state(model_state)
+        assert model.alpha is None and model.n_lfs is None
+
+    def test_n_lfs_may_be_none_only_without_parameters(self):
+        model_state = SamplingFreeLabelModel(ONLINE_CONFIG.base).state_dict()
+        assert model_state["n_lfs"] is None
+        SamplingFreeLabelModel(ONLINE_CONFIG.base).load_state(model_state)
+        fitted = SamplingFreeLabelModel(ONLINE_CONFIG.base).fit(np.eye(3, dtype=np.int8))
+        with pytest.raises(ValueError, match="n_lfs"):
+            SamplingFreeLabelModel(ONLINE_CONFIG.base).load_state(
+                {**fitted.state_dict(), "n_lfs": None}
+            )
 
 
 # ----------------------------------------------------------------------
@@ -762,13 +844,25 @@ def stage_captured_root(corpus, payload, captured):
 
 
 def resume_captured_root(corpus, lfs, payload, captured, online_config):
-    """Transplant a captured durable root, resume it, and require the
-    same bytes a fresh run over the same stream writes.
+    """Transplant a captured durable root, resume it, and run a fresh
+    stream over the same corpus beside it.
 
-    Everything must match except the captured manifests themselves
-    (which legitimately keep their era's schema). Returns the resumed
-    stream, the fresh one, the resume report, and the stream's vote
-    matrix.
+    The captured manifests come from writers whose label-model
+    parameters were SGD estimates between solves, which a fresh run no
+    longer makes; ``load_state`` replaces them with a solve of the
+    restored table. So the resumed stream must match the fresh one
+    wherever both come from the same solve:
+
+    * every vote shard is byte-identical;
+    * each label shard written before the first cadence solve after the
+      resume point is the offline fit of the restored prefix;
+    * from that solve on, label shards are the fresh run's bytes, and
+      manifests are the fresh run's records with ``refits_done`` the
+      only key allowed to differ;
+    * both retain the same rows, and their refits are bitwise equal.
+
+    Returns the resumed stream, the fresh one, the resume report, and
+    the stream's vote matrix.
     """
     dfs, shards = stage_captured_root(corpus, payload, captured)
 
@@ -786,18 +880,48 @@ def resume_captured_root(corpus, lfs, payload, captured, online_config):
     report = resumed.run(RecordStreamSource(dfs, shards))
     fresh = runner("/fresh")
     fresh.run(RecordStreamSource(dfs, shards))
+    L = stream_matrix(dfs, shards, lfs)
     fresh_tree = tree_bytes(dfs, "/fresh")
     resumed_tree = tree_bytes(dfs, captured["root"])
     assert set(resumed_tree) == set(fresh_tree)
-    era_manifests = {
-        path[len(captured["root"]):]
-        for path in captured["files"]
-        if "/checkpoints/" in path
-    }
+
+    start, cadence = report.resumed_from_batch + 1, online_config.refit_every
+    end = report.last_batch_seq + 1
+    solved = next(
+        (t for t in range(start, end) if cadence and (t + 1) % cadence == 0), end
+    )
+    assert_labels_are_fits(
+        dfs,
+        captured["root"],
+        L,
+        payload["batch_size"],
+        online_config.decay,
+        {t: start - 1 for t in range(start, solved)},
+    )
     for rel, blob in fresh_tree.items():
-        if rel not in era_manifests:
+        seq = batch_shard_seq(rel)
+        if rel.startswith("/votes/") or (rel.startswith("/labels/") and seq >= solved):
             assert resumed_tree[rel] == blob, f"divergent bytes at {rel}"
-    return resumed, fresh, report, stream_matrix(dfs, shards, lfs)
+        elif rel.startswith("/checkpoints/") and manifest_seq(rel) >= solved:
+            assert without_refit_count(decode_records(resumed_tree[rel])) == (
+                without_refit_count(decode_records(blob))
+            ), f"divergent manifest at {rel}"
+    assert np.array_equal(retained_rows(resumed.online), retained_rows(fresh.online))
+    assert fresh.online.refit().predict_proba(L).tobytes() == (
+        resumed.online.refit().predict_proba(L).tobytes()
+    )
+    return resumed, fresh, report, L
+
+
+def manifest_seq(rel):
+    """The batch number in a manifest path (``.../ckpt-000003``)."""
+    return int(rel.rsplit("-", 1)[1])
+
+
+def state_without_refit_count(online):
+    state = online.state_dict()
+    state.pop("refits_done")
+    return state
 
 
 class TestPreDriftManifestCompat:
@@ -834,12 +958,7 @@ class TestPreDriftManifestCompat:
         # pre-drift accounting: effective mass == observed count.
         assert resumed.online.mode == "cumulative"
         assert resumed.online.effective_examples == resumed.online.n_observed
-
-        # And the final models agree to the bit.
         assert same_rows(resumed.online.compressed_votes(), L)
-        assert fresh.online.refit().predict_proba(L).tobytes() == (
-            resumed.online.refit().predict_proba(L).tobytes()
-        )
 
 
 def era_label_model_state(captured):
@@ -862,8 +981,9 @@ class TestSchema2ManifestCompat:
     ``refit_every`` set so the first scheduled refit falls *after* the
     resume point — the resumed stream refits from counted row ids, the
     fresh one from native counts, and every later label shard and
-    manifest must still match byte for byte. (Its ``window`` root was
-    written by a retention mode this reader no longer has.)
+    manifest must still match (see :func:`resume_captured_root`). (Its
+    ``window`` root was written by a retention mode this reader no
+    longer has.)
     """
 
     @pytest.fixture(scope="class")
@@ -886,7 +1006,9 @@ class TestSchema2ManifestCompat:
         assert report.resumed_from_batch == 1
         assert resumed.online.mode == mode
         assert resumed.online.refits_done > 0
-        assert resumed.online.state_dict() == fresh.online.state_dict()
+        assert state_without_refit_count(resumed.online) == (
+            state_without_refit_count(fresh.online)
+        )
 
         # The retained rows are the stream's, and a refit is their
         # offline fit in any order.
@@ -906,7 +1028,7 @@ class TestSchema3ManifestCompat:
     window keys from the label-model state: same corpus and shape as
     the schema-2 fixture, one cumulative root and one ``decay=0.9``
     root. The reader ignores the window keys; the resumed stream must
-    write every later shard and manifest byte for byte as a fresh run.
+    match a fresh run as :func:`resume_captured_root` sets out.
     """
 
     @pytest.fixture(scope="class")
@@ -934,9 +1056,8 @@ class TestSchema3ManifestCompat:
         assert report.resumed_from_batch == 1
         assert resumed.online.mode == mode
         assert resumed.online.refits_done > 0
-        assert resumed.online.state_dict() == fresh.online.state_dict()
-        assert fresh.online.refit().predict_proba(L).tobytes() == (
-            resumed.online.refit().predict_proba(L).tobytes()
+        assert state_without_refit_count(resumed.online) == (
+            state_without_refit_count(fresh.online)
         )
         if mode == "cumulative":
             assert same_rows(resumed.online.compressed_votes(), L)
@@ -950,9 +1071,8 @@ class TestSchema4ManifestCompat:
     / ``moment_weight`` from the label-model state: same corpus and
     shape as the schema-3 fixture, one cumulative root and one
     ``decay=0.9`` root. The reader ignores the stored moments (the table
-    holds the same information); the resumed stream must write every
-    later shard and manifest byte for byte as a fresh run, retain the
-    same rows, and refit bitwise.
+    holds the same information); the resumed stream must match a fresh
+    run as :func:`resume_captured_root` sets out.
     """
 
     @pytest.fixture(scope="class")
@@ -979,12 +1099,8 @@ class TestSchema4ManifestCompat:
         assert report.resumed_from_batch == 1
         assert resumed.online.mode == mode
         assert resumed.online.refits_done > 0
-        assert resumed.online.state_dict() == fresh.online.state_dict()
-        assert np.array_equal(
-            retained_rows(resumed.online), retained_rows(fresh.online)
-        )
-        assert fresh.online.refit().predict_proba(L).tobytes() == (
-            resumed.online.refit().predict_proba(L).tobytes()
+        assert state_without_refit_count(resumed.online) == (
+            state_without_refit_count(fresh.online)
         )
         if mode == "cumulative":
             assert same_rows(resumed.online.compressed_votes(), L)
@@ -1012,6 +1128,75 @@ class TestSchema4ManifestCompat:
         check(online.effective_examples, weight)
         for key, view in views.items():
             check(view, decode_ndarray(state[key]) / weight)
+
+
+class TestSchema5ManifestCompat:
+    """The last writer that took SGD steps between solves must resume.
+
+    ``tests/fixtures/schema5_roots.json`` was captured at the parent of
+    the commit that removed the online model's SGD steps, its sampler
+    and ``rng_state`` from the label-model state: same corpus and shape
+    as the schema-4 fixture, one cumulative root and one ``decay=0.9``
+    root. Its manifest's alpha / beta are SGD estimates; the reader
+    replaces them with a solve of the restored table.
+    """
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        with open(FIXTURES / "schema5_roots.json") as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("mode", ["cumulative", "decay"])
+    def test_schema5_root_resumes(self, corpus, lfs, payload, mode):
+        captured = payload["roots"][mode]
+        era_state = era_label_model_state(captured)
+        assert era_state["schema"] == 5 and "rng_state" in era_state
+
+        config = replace(
+            ONLINE_CONFIG,
+            refit_every=payload["refit_every"],
+            decay=captured["decay"],
+        )
+        resumed, fresh, report, L = resume_captured_root(
+            corpus, lfs, payload, captured, config
+        )
+        assert report.resumed_from_batch == 1
+        assert resumed.online.mode == mode
+        assert resumed.online.refits_done > 0
+        assert state_without_refit_count(resumed.online) == (
+            state_without_refit_count(fresh.online)
+        )
+        assert "rng_state" not in resumed.online.state_dict()
+
+    @pytest.mark.parametrize("mode", ["cumulative", "decay"])
+    def test_stored_sgd_estimates_are_replaced_by_a_solve(self, lfs, payload, mode):
+        """A schema-5 state restores as the offline fit of its retained
+        rows (its stored alpha is not that fit), without counting a
+        refit; a schema-6 state's parameters restore as stored."""
+        captured = payload["roots"][mode]
+        era_state = era_label_model_state(captured)
+        config = replace(ONLINE_CONFIG, decay=captured["decay"])
+        online = OnlineLabelModel(config).load_state(era_state)
+        dfs, shards = stage_captured_root(make_corpus(), payload, captured)
+        rows = retained_reference(
+            stream_matrix(dfs, shards, lfs),
+            payload["batch_size"],
+            era_state["batches_observed"],
+            captured["decay"],
+        )
+        offline = SamplingFreeLabelModel(config.base).fit(rows)
+        assert np.array_equal(online.model.alpha, offline.alpha)
+        assert np.array_equal(online.model.beta, offline.beta)
+        assert not np.array_equal(
+            decode_ndarray(era_state["model"]["alpha"]), offline.alpha
+        )
+        assert online.refits_done == era_state["refits_done"] == 0
+
+        current = online.state_dict()
+        moved = offline.alpha + 0.125
+        current["model"]["alpha"] = encode_ndarray(moved)
+        restored = OnlineLabelModel(config).load_state(current)
+        assert np.array_equal(restored.model.alpha, moved)
 
 
 # ----------------------------------------------------------------------
@@ -1073,6 +1258,36 @@ class TestCompressedRefitCheckpointing:
                 f"divergent bytes after kill at batch {kill_after} "
                 "with refits scheduled"
             )
+
+    @pytest.mark.parametrize("decay", [None, 0.9], ids=["cumulative", "decay"])
+    def test_every_label_is_the_offline_fit_at_its_last_solve(
+        self, corpus, lfs, decay
+    ):
+        """The stream solves its table on the first batch and every
+        ``refit_every``-th: each label shard is, bitwise, the offline fit
+        of the rows retained through its batch's last solve point."""
+        from repro.dfs.filesystem import DistributedFileSystem
+
+        cadence = 3
+        dfs = DistributedFileSystem()
+        shards = stage_examples(dfs, corpus, "/examples/e", num_shards=3)
+        stream = CheckpointedStream(
+            dfs,
+            lfs,
+            "/solves",
+            batch_size=self.BATCH,
+            online_config=replace(ONLINE_CONFIG, refit_every=cadence, decay=decay),
+        )
+        report = stream.run(RecordStreamSource(dfs, shards))
+        batches = report.batches_finalized
+        assert batches > 2 * cadence
+        last_solve = {
+            t: max(s for s in range(t + 1) if s == 0 or (s + 1) % cadence == 0)
+            for t in range(batches)
+        }
+        L = stream_matrix(dfs, shards, lfs)
+        assert_labels_are_fits(dfs, "/solves", L, self.BATCH, decay, last_solve)
+        assert stream.online.refits_done == 1 + batches // cadence
 
     def test_pre_drift_manifest_refits_identically_compressed(self, corpus, lfs):
         """A manifest written before pattern counts existed must restore

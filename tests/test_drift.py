@@ -237,11 +237,7 @@ class TestDriftMonitor:
 # ----------------------------------------------------------------------
 # decay retention mode
 # ----------------------------------------------------------------------
-DECAY_CONFIG = OnlineLabelModelConfig(
-    base=LabelModelConfig(seed=0),
-    steps_per_batch=0,
-    decay=0.8,
-)
+DECAY_CONFIG = OnlineLabelModelConfig(base=LabelModelConfig(seed=0), decay=0.8)
 
 
 def assert_views_weigh_rows(model, rows, w):
@@ -285,7 +281,7 @@ class TestDecayMode:
         """Once patterns are evicted, the views describe the retained
         table — the rows the next refit fits — at raw decayed weight."""
         d = 0.5
-        model = OnlineLabelModel(OnlineLabelModelConfig(steps_per_batch=0, decay=d))
+        model = OnlineLabelModel(OnlineLabelModelConfig(decay=d))
         rng = np.random.default_rng(3)
         table: dict[tuple, float] = {}
         evicted = 0
@@ -306,7 +302,7 @@ class TestDecayMode:
 
     def test_pattern_weights_decay_and_evict(self):
         model = OnlineLabelModel(
-            OnlineLabelModelConfig(steps_per_batch=0, decay=0.5)
+            OnlineLabelModelConfig(decay=0.5)
         )
         early = np.array([[1, -1, 0]] * 4, dtype=np.int8)
         late = np.array([[0, 1, 1]] * 4, dtype=np.int8)
@@ -325,7 +321,7 @@ class TestDecayMode:
         """The matrix a default decay refit stands for (the expansion of
         ``compressed_votes()``) repeats each pattern round(weight) times."""
         model = OnlineLabelModel(
-            OnlineLabelModelConfig(steps_per_batch=0, decay=0.5)
+            OnlineLabelModelConfig(decay=0.5)
         )
         a = np.array([[1, 0, -1]] * 6, dtype=np.int8)
         b = np.array([[0, 1, 0]] * 2, dtype=np.int8)
@@ -343,10 +339,10 @@ class TestDecayMode:
         post = draw_batches(12, seed=14, **SHIFTED)
         config = LabelModelConfig(seed=0)
         cumulative = OnlineLabelModel(
-            OnlineLabelModelConfig(base=config, steps_per_batch=0)
+            OnlineLabelModelConfig(base=config)
         )
         decayed = OnlineLabelModel(
-            OnlineLabelModelConfig(base=config, steps_per_batch=0, decay=0.7)
+            OnlineLabelModelConfig(base=config, decay=0.7)
         )
         for votes in pre + post:
             cumulative.observe(votes)
@@ -365,7 +361,7 @@ class TestDecayMode:
         stream = draw_batches(8, seed=13) + draw_batches(8, seed=14, **SHIFTED)
         base = LabelModelConfig(seed=0)
         model = OnlineLabelModel(
-            OnlineLabelModelConfig(base=base, steps_per_batch=0, decay=0.7)
+            OnlineLabelModelConfig(base=base, decay=0.7)
         )
         for votes in stream:
             model.observe(votes)

@@ -15,9 +15,8 @@ contract:
   satisfies the KKT conditions of ``0 <= alpha <= _MAX_ALPHA``;
 * ``fit`` depends on the multiset of rows only: any row permutation of
   ``L`` fits to the same bits, and an online refit — cumulative or
-  decay — is bitwise the offline ``fit`` of the retained rows, shuffled;
-* **the SGD steps** that ``partial_step`` and the online model's
-  incremental updates take are bitwise a row-wise SGD trainer's;
+  decay — is bitwise the offline ``fit`` of the retained rows, shuffled,
+  as is every posterior the online model hands out between solves;
 * **the basin**: on the benchmark's product tables the solve labels
   covered rows no worse than the 6,000-step SGD fit it replaced.
 
@@ -25,8 +24,6 @@ Families: dense uniform votes, abstain-heavy, duplicate-heavy (few
 distinct patterns), single-pattern degenerate, matrices with all-abstain
 rows — across several (n, m) shapes and seeds.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,13 +57,6 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-#: The warm start of every accuracy parameter, and the floor each SGD
-#: step projects the accuracies back onto.
-INIT_ALPHA = 0.7
-MIN_ALPHA = 0.0
-#: The SGD step rate and rows per incremental step.
-STEP_RATE = 0.003
-STEP_BATCH = 64
 #: The solver's stopping tolerance, and the slack the KKT check allows
 #: on top of it for the row-wise summation order.
 TOLERANCE = 1e-9
@@ -166,56 +156,24 @@ def assert_solves(model, L):
     assert np.all((model.alpha >= 0.0) & (model.alpha <= _MAX_ALPHA))
 
 
-def reference_incremental_fit(batches, config, steps, seed):
-    """Row-wise SGD trainer with the online model's incremental schedule:
-    per observed batch ``B``, ``steps`` draws of ``min(64, |B|)`` row
-    indices from one generator, then for each drawn ``rows``::
-
-        dNLL/dalpha_j = -sum_i (2 p_i - 1) L_ij + |rows| (Pc_j - Pw_j)
-        dNLL/dbeta_j  = -sum_i |L_ij|          + |rows| (1 - Pabstain_j)
-
-    one SGD step on each parameter and the projection onto
-    ``alpha >= 0``. The first batch's fire rates warm-start beta.
-    """
-    rng = np.random.default_rng(seed)
-    prior = config.init_class_prior
-    prior_logit = float(np.log(prior / (1 - prior)))
-    alpha = beta = None
-    for votes in batches:
-        if alpha is None:
-            alpha = np.full(votes.shape[1], INIT_ALPHA)
-            propensity = np.clip(np.abs(votes).mean(axis=0), 1e-3, 1 - 1e-3)
-            beta = np.log(propensity / (1 - propensity)) / 2.0
-        size = min(STEP_BATCH, len(votes))
-        for _ in range(steps):
-            rows = votes[rng.integers(0, len(votes), size=size)].astype(np.float64)
-            fired = np.abs(rows)
-            a = rows @ alpha
-            p_correct, p_wrong, p_abstain, _ = _outcome_probs(alpha, beta)
-            posterior = _sigmoid(2.0 * a + prior_logit)
-            grad_alpha = -(rows.T @ (2.0 * posterior - 1.0)) + size * (p_correct - p_wrong)
-            grad_beta = -fired.sum(axis=0) + size * (1.0 - p_abstain)
-            grad_prior = -float(np.sum(posterior - _sigmoid(prior_logit)))
-            alpha = alpha - STEP_RATE * grad_alpha
-            beta = beta - STEP_RATE * grad_beta
-            if config.learn_class_prior:
-                prior_logit -= STEP_RATE * grad_prior
-            alpha = np.maximum(alpha, MIN_ALPHA)
-    return SimpleNamespace(alpha=alpha, beta=beta, prior_logit=prior_logit)
-
-
-def incremental_fit_both(L, config, seed, steps=8, batch_rows=96):
-    """The row-wise SGD reference and the online model's incremental
-    steps, both fed ``L`` in ``batch_rows``-row batches (a ragged last
-    one narrower than a step batch)."""
-    batches = [L[i : i + batch_rows] for i in range(0, len(L), batch_rows)]
+def minibatch_fit_both(L, config, refit_every=3, batch_rows=96):
+    """Feed ``L`` to the online model in ``batch_rows``-row batches (a
+    ragged last one) with a ``refit_every`` cadence. Returns the online
+    model and, per batch, the posterior it handed out next to the
+    offline ``fit`` of the prefix through the batch's last solve point:
+    the first batch, and every ``refit_every``-th."""
     online = OnlineLabelModel(
-        OnlineLabelModelConfig(base=config, steps_per_batch=steps, seed=seed)
+        OnlineLabelModelConfig(base=config, refit_every=refit_every)
     )
-    for votes in batches:
+    pairs, offline = [], None
+    for k, start in enumerate(range(0, len(L), batch_rows), start=1):
+        votes = L[start : start + batch_rows]
         online.observe(votes)
-    reference = reference_incremental_fit(batches, config, steps, seed)
-    return reference, online.model
+        if k == 1 or k % refit_every == 0:
+            offline = SamplingFreeLabelModel(config).fit(L[: start + len(votes)])
+        pairs.append((online.predict_proba(votes), offline.predict_proba(votes)))
+    assert_bitwise(offline, online.model, L)
+    return online, pairs
 
 
 def assert_same_parameters(expected, actual):
@@ -370,34 +328,39 @@ class TestBinaryEquivalence:
         shuffled = fit(L[rng.permutation(len(L))], learn_class_prior=learn_class_prior)
         assert_bitwise(straight, shuffled, L)
 
-    # The SGD step the online model takes per observed batch (and
-    # ``partial_step`` per call) is bitwise the row-wise SGD step.
+    # The online model consumes a stream in minibatches; every posterior
+    # it hands out is bitwise the offline fit of the prefix through its
+    # batch's last solve point, never an estimate between solves.
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"n{s[0]}m{s[1]}")
     @pytest.mark.parametrize("seed", [0, 7])
     def test_minibatch_fit_is_bitwise(self, family, shape, seed):
-        """The online model's incremental minibatch steps: every family,
-        shape, and seed to the bit."""
+        """Every family, shape, and seed to the bit."""
         n, m = shape
         L = family(np.random.default_rng(seed), n, m)
-        reference, model = incremental_fit_both(L, LabelModelConfig(), seed)
-        assert_same_parameters(reference, model)
+        online, pairs = minibatch_fit_both(L, LabelModelConfig())
+        for served, offline in pairs:
+            assert np.array_equal(served, offline)
+        assert online.refits_done == 1 + len(pairs) // 3
 
     def test_learned_prior_stays_bitwise_in_minibatch(self):
-        """A learned class prior rides the one kernel."""
+        """A learned class prior rides the one solve."""
         L = duplicate_heavy(np.random.default_rng(3), 1_000, 10)
         config = LabelModelConfig(learn_class_prior=True)
-        reference, model = incremental_fit_both(L, config, seed=3)
-        assert_same_parameters(reference, model)
-        assert model.prior_logit != 0.0
+        online, pairs = minibatch_fit_both(L, config)
+        for served, offline in pairs:
+            assert np.array_equal(served, offline)
+        assert online.model.prior_logit != 0.0
 
     def test_learned_prior_from_a_skewed_start_is_bitwise(self):
         """A learned prior that starts off 0.5, on a matrix with
-        all-abstain rows."""
+        all-abstain rows, solved after every batch."""
         L = with_all_abstain_rows(np.random.default_rng(4), 900, 8)
         config = LabelModelConfig(learn_class_prior=True, init_class_prior=0.3)
-        reference, model = incremental_fit_both(L, config, seed=4, steps=20)
-        assert_same_parameters(reference, model)
+        online, pairs = minibatch_fit_both(L, config, refit_every=1)
+        for served, offline in pairs:
+            assert np.array_equal(served, offline)
+        assert online.refits_done == len(pairs)
 
 
 # ----------------------------------------------------------------------
@@ -518,9 +481,7 @@ class TestOnlineRefitEquivalence:
     BASE = LabelModelConfig(seed=0)
 
     def _observed(self, batches, **kwargs):
-        model = OnlineLabelModel(
-            OnlineLabelModelConfig(base=self.BASE, steps_per_batch=0, **kwargs)
-        )
+        model = OnlineLabelModel(OnlineLabelModelConfig(base=self.BASE, **kwargs))
         for votes in batches:
             model.observe(votes)
         return model

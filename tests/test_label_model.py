@@ -38,11 +38,6 @@ class TestValidation:
         with pytest.raises(RuntimeError):
             model.accuracies()
 
-    def test_partial_step_requires_init(self):
-        model = SamplingFreeLabelModel()
-        with pytest.raises(RuntimeError, match="init_params"):
-            model.partial_step(np.zeros((4, 2)))
-
     @pytest.mark.parametrize(
         "bad, field",
         [
@@ -79,19 +74,17 @@ class TestValidation:
     def test_out_of_range_class_prior_is_rejected_not_clipped(self, prior):
         """A prior outside (0, 1) used to be clipped to 1e-9 or 1 - 1e-9,
         which labels every row one class. It is a ``ValueError`` at
-        construction, in ``init_params`` and in ``fit_compressed``."""
+        construction and in ``fit_compressed``."""
         with pytest.raises(ValueError, match="init_class_prior"):
             SamplingFreeLabelModel(quick_config(init_class_prior=prior))
         model = SamplingFreeLabelModel(quick_config())
-        model.init_params(3)
+        model.fit(np.array([[1, 0, -1], [1, 1, 0]]))
         before = (model.alpha.copy(), model.beta.copy(), model.prior_logit)
         model.config = quick_config(init_class_prior=prior)
         with pytest.raises(ValueError, match="init_class_prior"):
-            model.init_params(5)
+            model.fit(np.array([[1, 0, -1, 1, 0], [1, 1, 0, 0, -1]]))
         assert model.n_lfs == 3 and model.prior_logit == before[2]
         assert np.array_equal(model.alpha, before[0])
-        with pytest.raises(ValueError, match="init_class_prior"):
-            model.fit(np.array([[1, 0, -1], [1, 1, 0]]))
         assert np.array_equal(model.beta, before[1])
 
     def test_zero_row_votes_rejected_without_warnings(self):
@@ -194,7 +187,7 @@ class TestTrainingBehaviour:
         """The solve descends from its warm start."""
         L, _ = synthetic_label_matrix(m=1500, seed=6)
         model = SamplingFreeLabelModel(quick_config())
-        model.init_params(L.shape[1])
+        model.alpha = np.full(L.shape[1], 0.7)
         propensity = np.clip(np.abs(L).mean(axis=0), 1e-3, 1 - 1e-3)
         model.beta = np.log(propensity / (1 - propensity)) / 2.0
         warm_start = model.nll(L)
@@ -222,25 +215,14 @@ class TestTrainingBehaviour:
         assert np.all(model.alpha >= 0.0)
         assert np.all(model.accuracies() >= 0.5)
 
-    def test_partial_step_reduces_loss(self):
-        L, _ = synthetic_label_matrix(m=800, seed=12)
-        model = SamplingFreeLabelModel(quick_config())
-        model.init_params(L.shape[1])
-        first = model.partial_step(L[:200])
-        for _ in range(100):
-            last = model.partial_step(L[:200])
-        assert last < first
-
     def test_steps_taken_counter(self):
-        """Solver iterations and SGD steps both count."""
+        """Solver iterations count, across fits."""
         L, _ = synthetic_label_matrix(m=300, seed=13)
         model = SamplingFreeLabelModel(quick_config()).fit(L)
         iterations = model.loss_history[-1][0]
         assert model.steps_taken == iterations > 0
-        model.partial_step(L[:64])
-        assert model.steps_taken == iterations + 1
         model.fit(L)
-        assert model.steps_taken == 2 * iterations + 1
+        assert model.steps_taken == 2 * iterations
 
 
 class TestClassPrior:

@@ -5,8 +5,8 @@ import threading
 import pytest
 
 from repro.dfs.records import write_records
-from repro.mapreduce.counters import CounterSet
 from repro.mapreduce.runner import MAX_RETRIES, WorkerFailure, run_map_tasks
+from repro.obs.counters import CounterSet
 
 
 def stage_numbers(dfs, shards=4, per_shard=5):
@@ -64,7 +64,7 @@ class TestCounters:
         assert counters.as_dict() == {"x": 5}
 
     def test_gauge_merge(self):
-        from repro.mapreduce.counters import Gauge
+        from repro.obs.counters import Gauge
 
         a, b = Gauge(), Gauge()
         a.add(4)

@@ -392,9 +392,7 @@ class TestWorkerCrashes:
         dfs = DistributedFileSystem()
         shards = stage_examples(dfs, corpus, "/kill/examples", num_shards=2)
         lfs = make_lfs()
-        config = OnlineLabelModelConfig(
-            base=LabelModelConfig(seed=0), seed=0
-        )
+        config = OnlineLabelModelConfig(base=LabelModelConfig(seed=0))
 
         serial = CheckpointedStream(
             dfs, lfs, "/kill/serial", batch_size=64, online_config=config

@@ -324,7 +324,7 @@ class TestCheckpointModelRegistry:
         registry.manager.write(
             99,
             checkpoint.cursor,
-            {**checkpoint.label_model_state, "schema": 6},
+            {**checkpoint.label_model_state, "schema": 7},
             meta=checkpoint.meta,
         )
         with pytest.raises(ValueError, match="schema"):
@@ -581,6 +581,28 @@ class TestPreDriftManifestServing:
         with open(self.FIXTURES / "schema4_roots.json") as handle:
             payload = json.load(handle)
         captured = payload["roots"][mode]
+        config = replace(ONLINE_CONFIG, decay=captured["decay"])
+        generation, matrix = self._serve_captured(
+            lfs, payload, captured, config
+        )
+        votes = (
+            OnlineLabelModel(config)
+            .load_state(era_label_model_state(captured))
+            .compressed_votes()
+        )
+        if mode == "cumulative":
+            assert same_rows(votes, matrix[: generation.cursor])
+        self._assert_serves_fit_of(generation, matrix, votes.expand(), config)
+
+    @pytest.mark.parametrize("mode", ["cumulative", "decay"])
+    def test_schema5_manifest_serves(self, lfs, mode):
+        """The last writer that stored SGD estimates and a sampler state
+        (see ``TestSchema5ManifestCompat``) serves the offline fit of
+        the rows its table retained."""
+        with open(self.FIXTURES / "schema5_roots.json") as handle:
+            payload = json.load(handle)
+        captured = payload["roots"][mode]
+        assert "rng_state" in era_label_model_state(captured)
         config = replace(ONLINE_CONFIG, decay=captured["decay"])
         generation, matrix = self._serve_captured(
             lfs, payload, captured, config

@@ -23,7 +23,7 @@ from repro.experiments.harness import get_content_experiment
 from repro.lf.applier import apply_lfs_in_memory, stage_examples
 from repro.lf.default import LabelingFunction
 from repro.lf.registry import LFCategory, LFInfo
-from repro.mapreduce.counters import Gauge
+from repro.obs.counters import Gauge
 from repro.obs import MetricsRegistry
 from repro.parallel import LFSuiteSpec, ParallelLabelExecutor
 from repro.streaming import (
@@ -683,69 +683,33 @@ class TestOnlineLabelModel:
         )
 
     def test_incremental_updates_track_offline_accuracies(self):
-        L, _ = synthetic_label_matrix(m=4000, seed=1)
+        """Solved after every batch, the online model's accuracies are
+        the offline fit's of the stream so far, to the bit, at every
+        batch; without a cadence they stay at the first batch's fit."""
+        L, _ = synthetic_label_matrix(m=1000, seed=1)
         config = LabelModelConfig(seed=0)
-        offline = SamplingFreeLabelModel(config).fit(L)
-        online = OnlineLabelModel(
-            OnlineLabelModelConfig(base=config, steps_per_batch=40)
-        )
-        self._stream(online, L, batch=200)
-        # No refit: purely incremental estimates should already be close.
-        assert online.refits_done == 0
-        np.testing.assert_allclose(
-            online.accuracies(), offline.accuracies(), atol=0.1
-        )
-
-    def test_incremental_steps_are_partial_steps_validated_once(self, monkeypatch):
-        """``observe`` steps the kernel on one ``(steps, batch)`` draw of
-        rows it has already validated: bitwise what the public
-        ``partial_step`` does on a draw per step, with the generator left
-        where those draws leave it — and no second pass over the votes
-        (short batches, learned prior and all)."""
-        import repro.core.label_model as label_model
-
-        L, _ = synthetic_label_matrix(m=700, seed=6)
-        base = LabelModelConfig(learn_class_prior=True, seed=3)
-        config = OnlineLabelModelConfig(base=base, steps_per_batch=5, seed=11)
-        batches = [L[:300], L[300:340], L[340:]]  # 40 rows < batch_size 64
-
-        expected = SamplingFreeLabelModel(base)
-        rng = np.random.default_rng(config.seed)
-        for k, votes in enumerate(batches):
-            if k == 0:
-                expected.init_params(votes.shape[1])
-                rate = np.clip(np.abs(votes).mean(axis=0), 1e-3, 1 - 1e-3)
-                expected.beta = np.log(rate / (1 - rate)) / 2.0
-            for _ in range(config.steps_per_batch):
-                rows = rng.integers(0, len(votes), size=min(64, len(votes)))
-                expected.partial_step(votes[rows])
-
-        validations = []
-        validate = label_model._validate_label_matrix
-        monkeypatch.setattr(
-            label_model,
-            "_validate_label_matrix",
-            lambda votes: validations.append(1) or validate(votes),
-        )
-        online = OnlineLabelModel(config)
-        for votes in batches:
-            online.observe(votes)
-        assert validations == []
-        np.testing.assert_array_equal(online.model.alpha, expected.alpha)
-        np.testing.assert_array_equal(online.model.beta, expected.beta)
-        assert online.model.prior_logit == expected.prior_logit
-        assert online.model.steps_taken == expected.steps_taken == 15
-        assert online._rng.bit_generator.state == rng.bit_generator.state
+        every = OnlineLabelModel(OnlineLabelModelConfig(base=config, refit_every=1))
+        first_only = OnlineLabelModel(OnlineLabelModelConfig(base=config))
+        first = SamplingFreeLabelModel(config).fit(L[:200])
+        for end in range(200, len(L) + 1, 200):
+            every.observe(L[end - 200 : end])
+            first_only.observe(L[end - 200 : end])
+            offline = SamplingFreeLabelModel(config).fit(L[:end])
+            assert np.array_equal(every.accuracies(), offline.accuracies())
+            assert np.array_equal(first_only.accuracies(), first.accuracies())
+        assert (every.refits_done, first_only.refits_done) == (5, 1)
 
     def test_refit_cadence(self):
+        """The first batch is solved (the model has no parameters yet),
+        then every ``refit_every``-th."""
         L, _ = synthetic_label_matrix(m=600, seed=2)
         online = OnlineLabelModel(
             OnlineLabelModelConfig(
                 base=LabelModelConfig(), refit_every=2
             )
         )
-        self._stream(online, L, batch=100)  # 6 batches -> 3 refits
-        assert online.refits_done == 3
+        self._stream(online, L, batch=100)  # 6 batches -> 1 + 3 refits
+        assert online.refits_done == 4
 
     @pytest.mark.parametrize("cadence", [2.5, 2.0, True])
     def test_refit_every_must_be_an_int(self, cadence):
