@@ -8,7 +8,9 @@ Runs the full deployment story from docs/SERVING.md on a toy corpus:
 2. a `LabelServer` starts against an *empty* serving root and answers
    degraded (class prior) — nothing is deployed yet;
 3. a mid-stream manifest is "released" (its bytes copied into the
-   serving root); the watcher hot-swaps generation 1 in;
+   serving root); the next request hot-swaps generation 1 in (the
+   server owns no thread: a request leader checks the root at most
+   once per ``poll_ms``);
 4. concurrent client threads hammer the server while the *final*
    manifest is released mid-load — generation 2 swaps in without
    dropping a request;
@@ -95,10 +97,13 @@ def main():
             f"posterior={probe.posterior:.2f} (class prior)"
         )
 
-        # 3. First release: the watcher hot-swaps generation 1 in.
+        # 3. First release: a request that finds it deploys it.
         release(mid)
-        while registry.generation < 1:
-            time.sleep(0.002)
+        deadline = time.perf_counter() + 30.0
+        while server.predict(decoded[0]).generation != 1:
+            if time.perf_counter() > deadline:
+                raise RuntimeError(f"{mid} was never deployed")
+            time.sleep(config.poll_ms / 1e3)
         print(f"deployed {mid} -> generation {registry.generation}")
 
         # 4. Concurrent load with a mid-load release of the final model.

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.patterns import CompressedVotes, compress_votes
-from repro.types import require_int
+from repro.types import require_fields, require_int
 
 __all__ = ["LabelModelConfig", "SamplingFreeLabelModel"]
 
@@ -198,28 +198,35 @@ class SamplingFreeLabelModel:
         """Restore a :meth:`state_dict` snapshot onto this instance.
 
         Raises:
-            ValueError: If ``steps_taken`` or a ``loss_history`` step is
-                not an ``int``, or ``n_lfs`` is not an ``int`` >= 1 (it
-                may be ``None`` only while ``alpha`` is); nothing is
-                restored then.
+            ValueError: If ``state`` is not a dict holding every
+                snapshot key, ``steps_taken`` or a ``loss_history`` step
+                is not an ``int``, ``n_lfs`` is not an ``int`` >= 1 (it
+                may be ``None`` only while ``alpha`` is), the prior or a
+                loss is not a number, or an array is not an encoded
+                array; nothing is restored then.
         """
         from repro.dfs.records import decode_ndarray
 
+        require_fields(
+            state,
+            "label-model parameters",
+            ("alpha", "beta", "prior_logit", "n_lfs", "steps_taken", "loss_history"),
+        )
         steps_taken = require_int(state["steps_taken"], "steps_taken")
-        loss_history = [
-            (require_int(s, "loss_history step"), float(l))
-            for s, l in state["loss_history"]
-        ]
+        try:
+            prior_logit = float(state["prior_logit"])
+            pairs = [(s, float(l)) for s, l in state["loss_history"]]
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"label-model parameters are malformed: {error!r}") from error
+        loss_history = [(require_int(s, "loss_history step"), l) for s, l in pairs]
         n_lfs = state["n_lfs"]
         if n_lfs is not None or state["alpha"] is not None:
             require_int(n_lfs, "n_lfs", minimum=1)
-        self.alpha = (
-            None if state["alpha"] is None else decode_ndarray(state["alpha"])
-        )
-        self.beta = (
-            None if state["beta"] is None else decode_ndarray(state["beta"])
-        )
-        self.prior_logit = float(state["prior_logit"])
+        alpha = None if state["alpha"] is None else decode_ndarray(state["alpha"])
+        beta = None if state["beta"] is None else decode_ndarray(state["beta"])
+        self.alpha = alpha
+        self.beta = beta
+        self.prior_logit = prior_logit
         self.n_lfs = n_lfs
         self.steps_taken = steps_taken
         self.loss_history = loss_history

@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.patterns import CompressedVotes, compress_votes, vote_moments
-from repro.types import require_int
+from repro.types import require_fields, require_int
 
 __all__ = ["OnlineLabelModelConfig", "OnlineLabelModel"]
 
@@ -330,27 +330,29 @@ class OnlineLabelModel:
             ``self``, for chaining.
 
         Raises:
-            ValueError: On any other schema — a snapshot from a newer
-                writer must not be half-read — on a counter that is not
-                an ``int``, on an ``n_lfs`` that is not an ``int`` >= 1
-                (or ``None`` for an empty model), or on parts whose
-                shapes disagree; nothing is restored then.
+            ValueError: If ``state`` is not a dict; on any other schema
+                — a snapshot from a newer writer must not be half-read —
+                on a missing key, a counter that is not an ``int``, an
+                ``n_lfs`` that is not an ``int`` >= 1 (or ``None`` for an
+                empty model), a part that is not an encoded array, or
+                parts whose shapes disagree; nothing is restored then.
         """
         from repro.dfs.records import decode_ndarray
 
         def dec(payload):
             return None if payload is None else decode_ndarray(payload)
 
-        schema = state.get("schema")
+        schema = require_fields(state, "label-model state").get("schema")
         if schema not in (1, 2, 3, 4, 5, 6):
             raise ValueError(
                 f"unsupported label-model state schema {schema!r}; this "
                 "reader understands schemas 1 to 6"
             )
-        counters = {
-            key: require_int(state[key], key)
-            for key in ("n_observed", "batches_observed", "refits_done")
-        }
+        names = ("n_observed", "batches_observed", "refits_done")
+        require_fields(
+            state, "label-model state", (*names, "n_lfs", "pattern_rows", "model")
+        )
+        counters = {key: require_int(state[key], key) for key in names}
         n_lfs = state["n_lfs"]
         if n_lfs is not None:
             require_int(n_lfs, "n_lfs", minimum=1)

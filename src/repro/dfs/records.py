@@ -150,10 +150,19 @@ def encode_ndarray(array: np.ndarray) -> dict[str, Any]:
 
 
 def decode_ndarray(payload: dict[str, Any]) -> np.ndarray:
-    """Inverse of :func:`encode_ndarray`; returns a writable array."""
-    raw = base64.b64decode(payload["__ndarray__"])
-    array = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-    return array.reshape(payload["shape"]).copy()
+    """Inverse of :func:`encode_ndarray`; returns a writable array.
+
+    Raises:
+        ValueError: If ``payload`` is not an encoded array: not a dict,
+            no base64 ``__ndarray__``, an unknown ``dtype``, or a
+            ``shape`` its bytes do not fill.
+    """
+    try:
+        raw = base64.b64decode(payload["__ndarray__"])
+        array = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
+        return array.reshape(payload["shape"]).copy()
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"not an encoded array: {error!r}") from error
 
 
 class RecordWriter:

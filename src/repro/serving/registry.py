@@ -8,12 +8,15 @@ paper describes for TFX — "once trained, we use TFX to automatically
 stage it for serving" — by treating the newest manifest under a durable
 root as the unit of deployment:
 
-* :class:`CheckpointModelRegistry` watches the root and, when a newer
-  manifest appears, loads it, rebuilds the offline-exact label model via
-  :meth:`~repro.core.online_label_model.OnlineLabelModel.refit`, and
-  swaps the new :class:`ServingGeneration` in with a single reference
-  assignment — readers never block and never observe a half-loaded
-  generation;
+* :class:`CheckpointModelRegistry` lists the root on each
+  :meth:`~CheckpointModelRegistry.refresh` (a
+  :class:`~repro.serving.service.LabelServer` leader calls it on the
+  request path, at most once per ``poll_ms``) and, when a newer
+  manifest is there, loads it, rebuilds the offline-exact label model
+  via :meth:`~repro.core.online_label_model.OnlineLabelModel.refit`,
+  and swaps the new :class:`ServingGeneration` in with a single
+  reference assignment — readers never block and never observe a
+  half-loaded generation;
 * every swap increments the ``serving/swaps`` counter, so operators can
   watch deployments through the same registry seam as every other
   subsystem (:attr:`CheckpointModelRegistry.generation` carries the
@@ -77,9 +80,10 @@ class ServingGeneration:
     """One immutable deployed snapshot, built from a single manifest.
 
     A generation is the unit of hot swap: the registry builds it fully
-    off the request path, then publishes it with one atomic reference
-    assignment. Requests that captured an older generation finish
-    against that object — nothing here mutates after construction.
+    before anything can read it, then publishes it with one atomic
+    reference assignment. Requests that captured an older generation
+    finish against that object — nothing here mutates after
+    construction.
     """
 
     generation: int
@@ -138,9 +142,9 @@ class ServingGeneration:
 class CheckpointModelRegistry:
     """Loads and hot-swaps serving generations from checkpoint manifests.
 
-    The registry polls (via :meth:`refresh`, typically driven by a
-    :class:`~repro.serving.service.LabelServer` watcher thread) the
-    durable root written by a
+    The registry polls (via :meth:`refresh`, which a
+    :class:`~repro.serving.service.LabelServer` leader calls before it
+    scores a batch) the durable root written by a
     :class:`~repro.streaming.checkpoint.CheckpointedStream`. When the
     newest manifest path differs from the active generation's, it loads
     the manifest, restores the online label model with the *same*
@@ -206,7 +210,7 @@ class CheckpointModelRegistry:
         )
 
     # ------------------------------------------------------------------
-    # write side (watcher / deploy path)
+    # write side (deploy path: start() and a refreshing leader)
     # ------------------------------------------------------------------
     def refresh(self) -> ServingGeneration | None:
         """Deploy the newest manifest if it differs from the active one.
@@ -218,12 +222,14 @@ class CheckpointModelRegistry:
             yet.
 
         Raises:
-            ValueError: If the newest manifest decodes but has the wrong
-                schema or no label-model state; the active generation is
-                left untouched.
+            ValueError: If the newest manifest's records decode but do
+                not form a deployable manifest (wrong schema, missing
+                or malformed label-model state, ``lf_names`` that are
+                not a list of names); the active generation is left
+                untouched.
             repro.dfs.records.RecordCorruption: If the newest manifest's
                 record framing is torn; the active generation is left
-                untouched. (The server's watcher counts both cases as
+                untouched. (The server counts both cases as
                 ``serving/refresh_errors`` and keeps serving.)
         """
         with self._swap_lock:
@@ -249,7 +255,19 @@ class CheckpointModelRegistry:
     def _load_generation(
         self, checkpoint: Checkpoint, number: int
     ) -> ServingGeneration:
-        """Rebuild scoring-ready models from one decoded manifest."""
+        """Rebuild scoring-ready models from one decoded manifest.
+
+        Raises:
+            ValueError: If the meta's ``lf_names`` is not a list of
+                strings, or the label-model state is malformed.
+        """
+        lf_names = checkpoint.meta.get("lf_names") or []
+        if not isinstance(lf_names, list) or not all(
+            isinstance(name, str) for name in lf_names
+        ):
+            raise ValueError(
+                f"{checkpoint.path} has lf_names {lf_names!r}, not a list of names"
+            )
         online = OnlineLabelModel(self.online_config)
         online.load_state(checkpoint.label_model_state)
         # Offline-exact parameters: a cumulative-mode refit is the
@@ -259,13 +277,13 @@ class CheckpointModelRegistry:
             manifest_path=checkpoint.path,
             batch=checkpoint.batch,
             cursor=checkpoint.cursor,
-            lf_names=tuple(checkpoint.meta.get("lf_names") or ()),
+            lf_names=tuple(lf_names),
             label_model=online.refit(),
             posteriors=MappingProxyType({}),
         )
-        # Score the retained patterns once, off the request path, through
-        # the request path's own method: against an empty table every
-        # row takes the padded call.
+        # Score the retained patterns once, at load, through the request
+        # path's own scoring method: against an empty table every row
+        # takes the padded call.
         patterns = online.compressed_votes().patterns.astype(np.int8)
         scored, _ = generation.score(patterns)
         table = {row.tobytes(): p for row, p in zip(patterns, scored)}

@@ -18,6 +18,11 @@ meanwhile queue as followers; once its own result is in, the leader
 hands leadership to the oldest follower still waiting. A request on an
 idle server is scored on its own thread, with no thread hand-off.
 
+Deployment rides the same path, and the server owns no thread: a
+leader whose batch was submitted ``poll_ms`` or more after the last
+check first refreshes the registry, so an idle server deploys a newer
+manifest on its next request and that leader pays the load.
+
 Operational contract:
 
 * **admission control** — a residency-permit semaphore bounds pending
@@ -35,7 +40,7 @@ Operational contract:
   request leads;
 * **hot swap safety** — a leader captures the active generation once
   per micro-batch, so every response in a batch is scored by exactly
-  one immutable generation even if the watcher swaps mid-batch;
+  one immutable generation even if a swap lands mid-batch;
 * **bitwise reproducibility** — the generation zero-pads vote blocks
   to a multiple of 32 rows before scoring so BLAS takes the same
   vectorized row-block path as offline full-matrix scoring, and fills
@@ -74,9 +79,8 @@ from repro.types import Example, require_int
 
 __all__ = ["ServeConfig", "ServeResult", "ServeTimeout", "LabelServer"]
 
-#: Bound on every shutdown wait. The watcher re-checks the stop flag
-#: every poll interval and a leader drains only what is queued, so one
-#: that outlives this bound is wedged and must be surfaced.
+#: Bound on the shutdown wait. A leader drains only what is queued, so
+#: one that outlives this bound is wedged and must be surfaced.
 _JOIN_TIMEOUT_S = 5.0
 
 
@@ -102,8 +106,8 @@ class ServeConfig:
     max_pending: int = 1024
     """Admission-control bound on resident (queued + scoring) requests."""
     poll_ms: float = 25.0
-    """Watcher cadence for polling the registry's durable root for new
-    manifests."""
+    """Minimum interval between a leader's checks of the registry's
+    durable root for a newer manifest."""
 
     def __post_init__(self) -> None:
         """Validate bounds.
@@ -164,11 +168,11 @@ class _Pending:
 class LabelServer:
     """Micro-batching label service over a checkpoint-backed registry.
 
-    Lifecycle: construct, :meth:`start` (by default spawns the registry
-    watcher, the server's only thread), serve via :meth:`predict` from
-    any number of client threads (they score the batches themselves),
-    :meth:`stop` (refuses new requests, waits for the leader to drain
-    the queue, joins the watcher). Also usable as a context manager.
+    Lifecycle: construct, :meth:`start` (deploys the newest manifest;
+    starts no thread), serve via :meth:`predict` from any number of
+    client threads (they score the batches and deploy newer manifests
+    themselves), :meth:`stop` (refuses new requests, waits for the
+    leader to drain the queue). Also usable as a context manager.
     """
 
     def __init__(
@@ -220,26 +224,22 @@ class LabelServer:
         #: Set while not serving (before ``start``, after ``stop``).
         self._stopped = threading.Event()
         self._stopped.set()
-        self._watcher: threading.Thread | None = None
+        #: The earliest submit stamp whose batch checks the root again;
+        #: read and written by the leader alone, so it needs no lock.
+        self._next_refresh = -math.inf
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self, watch: bool = True) -> "LabelServer":
-        """Start serving: LF resources, first refresh, optional watcher.
+    def start(self) -> "LabelServer":
+        """Start serving: LF resources and a first refresh; no thread.
 
         Performs one synchronous :meth:`CheckpointModelRegistry.refresh`
         so a root that already holds a manifest serves it from the very
-        first request. An unreadable newest manifest is treated as the
-        watcher treats it: counted as ``serving/refresh_errors``, and
+        first request. An unreadable newest manifest is treated as a
+        leader treats it: counted as ``serving/refresh_errors``, and
         the server comes up degraded (serving the prior) until a
-        readable manifest lands.
-
-        Args:
-            watch: Also spawn the watcher thread that polls the durable
-                root every ``poll_ms`` for new manifests (hot swap).
-                Pass ``False`` to drive :meth:`refresh
-                <CheckpointModelRegistry.refresh>` manually.
+        request finds a readable manifest.
 
         Returns:
             ``self``, for chaining.
@@ -255,30 +255,21 @@ class LabelServer:
         self._fused_cols = fused_lf_columns(self.lfs)
         self._refresh()
         self._stopped.clear()
-        if watch:
-            self._watcher = threading.Thread(
-                target=self._watch, name="label-serve-watcher", daemon=True
-            )
-            self._watcher.start()
         return self
 
     def stop(self) -> None:
         """Stop serving: refuse new requests, wait for the leader to
-        resolve everything queued, join the watcher. Idempotent;
-        requests submitted after ``stop`` raise ``RuntimeError``.
+        resolve everything queued. Idempotent; requests submitted after
+        ``stop`` raise ``RuntimeError``.
 
         Raises:
-            RuntimeError: If a leader or the watcher outlives the bound.
+            RuntimeError: If a leader outlives the bound.
         """
         if self._stopped.is_set():
             return
         with self._queue_lock:
             self._stopped.set()
             drained = self._queue_lock.wait_for(lambda: not self._leading, _JOIN_TIMEOUT_S)
-        if self._watcher is not None:
-            self._watcher.join(timeout=_JOIN_TIMEOUT_S)
-            drained = drained and not self._watcher.is_alive()
-            self._watcher = None
         if not drained:
             raise RuntimeError(f"label server failed to stop within {_JOIN_TIMEOUT_S:.0f}s")
         stop_lf_resources(self.lfs)
@@ -379,7 +370,9 @@ class LabelServer:
     def _lead(self, pending: _Pending) -> None:
         """Score micro-batches (all queued, up to ``max_batch``) until
         ``pending`` resolves; then hand leadership to the oldest caller
-        still waiting, or drain the queue and step down."""
+        still waiting, or drain the queue and step down. A batch whose
+        oldest request was submitted ``poll_ms`` or more after the last
+        check first refreshes the registry (deploys a newer manifest)."""
         while True:
             with self._queue_lock:
                 if pending.outcome is not None:
@@ -395,6 +388,10 @@ class LabelServer:
                 take = min(len(self._queue), self.config.max_batch)
                 batch = [self._queue.popleft() for _ in range(take)]
             try:
+                # The oldest submit stamp stands in for "now": no clock read.
+                if batch[0].submitted >= self._next_refresh:
+                    self._next_refresh = batch[0].submitted + self.config.poll_ms / 1e3
+                    self._refresh()
                 self._score_batch(batch)
             except Exception as error:  # fails this batch's callers alone
                 self.metrics.counter("serving/batch_errors")
@@ -407,8 +404,8 @@ class LabelServer:
         """Label + score one micro-batch against one captured generation."""
         started = self.metrics.clock()
         # One generation snapshot per batch: every response in this
-        # batch is scored by the same immutable object, even if the
-        # watcher swaps mid-batch.
+        # batch is scored by the same immutable object, even if a
+        # registry refresh elsewhere swaps mid-batch.
         generation = self.registry.active()
         split = {}
         if generation is None:
@@ -461,24 +458,15 @@ class LabelServer:
         self.resident.subtract(1)
         self._permits.release()
 
-    # ------------------------------------------------------------------
-    # watcher thread (the server's only thread)
-    # ------------------------------------------------------------------
     def _refresh(self) -> None:
         """Deploy the newest manifest, if it can be read."""
         try:
             self.registry.refresh()
         except (ValueError, RecordCorruption):
-            # An unreadable newest manifest (foreign schema, torn
-            # external copy) must not kill serving: keep the active
-            # generation and surface the problem as a counter.
+            # An unreadable newest manifest (foreign schema, torn or
+            # malformed external copy) must not fail serving: keep the
+            # active generation and surface the problem as a counter.
             self.metrics.counter("serving/refresh_errors")
-
-    def _watch(self) -> None:
-        """Poll the durable root for new manifests until stopped."""
-        interval = self.config.poll_ms / 1000.0
-        while not self._stopped.wait(interval):
-            self._refresh()
 
     # ------------------------------------------------------------------
     # observability

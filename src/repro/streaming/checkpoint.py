@@ -83,7 +83,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.streaming.pipeline import MicroBatchPipeline, StreamReport
 from repro.streaming.sinks import LabelSink, VoteSink
 from repro.streaming.sources import SourceCursor
-from repro.types import Example, require_int
+from repro.types import Example, require_fields, require_int
 
 __all__ = [
     "Checkpoint",
@@ -219,11 +219,11 @@ class CheckpointManager:
             ValueError: If the file is not a manifest, has an
                 unsupported schema, lacks the meta ``batch`` / ``cursor``
                 (or holds one that is not an ``int``) or the label-model
-                record, or holds a record without a ``kind`` or
-                ``state``.
+                record, or holds a record that is not a dict with a
+                string ``kind`` and a ``state``.
         """
         records = read_records(self._dfs, path)
-        if not records or records[0].get("kind") != "meta":
+        if not records or not isinstance(records[0], dict) or records[0].get("kind") != "meta":
             raise ValueError(f"{path} is not a checkpoint manifest")
         meta = records[0]
         if meta.get("schema") != MANIFEST_SCHEMA:
@@ -233,8 +233,10 @@ class CheckpointManager:
             )
         if "batch" not in meta or "cursor" not in meta:
             raise ValueError(f"{path} has no batch or cursor in its meta")
-        if any("kind" not in r or "state" not in r for r in records[1:]):
-            raise ValueError(f"{path} has a record without kind or state")
+        for record in records[1:]:
+            require_fields(record, f"{path} record", ("kind", "state"))
+            if not isinstance(record["kind"], str):
+                raise ValueError(f"{path} has a record kind {record['kind']!r}")
         states = {r["kind"]: r["state"] for r in records[1:]}
         if "label_model" not in states:
             raise ValueError(f"{path} is missing the label-model state")

@@ -247,3 +247,24 @@ def require_int(value: Any, name: str, minimum: int | None = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an int{bound}, got {value!r}")
     return value
+
+
+def require_fields(value: Any, name: str, fields: tuple[str, ...] = ()) -> dict:
+    """``value`` itself if it is a ``dict`` holding every key in
+    ``fields``.
+
+    A well-framed manifest record can still hold a list where a state
+    dict belongs, or lack a key; readers check that here, so such a
+    record is refused with ``ValueError`` — the error a serving refresh
+    counts and survives — rather than failing later with a
+    ``KeyError``, ``TypeError`` or ``AttributeError``.
+
+    Raises:
+        ValueError: Otherwise.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a dict, got {type(value).__name__}")
+    missing = [field for field in fields if field not in value]
+    if missing:
+        raise ValueError(f"{name} is missing {', '.join(missing)}")
+    return value

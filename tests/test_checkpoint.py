@@ -331,10 +331,11 @@ class TestStateSnapshots:
         assert clone.steps_taken == 2 * before
 
     def test_malformed_state_is_rejected_before_restoring(self):
-        """A state whose parts disagree in shape is a ``ValueError`` —
-        which a serving watcher survives — and restores nothing: not an
-        ``IndexError`` at the next refit, and not a silent refit with
-        pattern rows wider than ``n_lfs``."""
+        """A state whose parts disagree in shape, or whose prior or loss
+        history is not numbers, is a ``ValueError`` — which a serving
+        refresh survives — and restores nothing: not an ``IndexError``
+        at the next refit, not a silent refit with pattern rows wider
+        than ``n_lfs``, and not a ``TypeError``."""
         L, _ = synthetic_label_matrix(m=300, seed=5)
         source = OnlineLabelModel(ONLINE_CONFIG)
         source.observe(L[:150])
@@ -355,6 +356,8 @@ class TestStateSnapshots:
             "beta": {
                 "model": {**state["model"], "beta": encode_ndarray(np.zeros(m - 1))}
             },
+            "prior": {"model": {**state["model"], "prior_logit": [0.0]}},
+            "loss": {"model": {**state["model"], "loss_history": 5}},
         }
         target = OnlineLabelModel(ONLINE_CONFIG)
         target.observe(L[150:200])
@@ -409,7 +412,7 @@ class TestStateSnapshots:
     @pytest.mark.parametrize("value", [4.5, 4.0, True])
     def test_load_state_refuses_non_int_counters(self, path, value):
         """A counter ``int()`` would truncate (or read ``true`` as 1) is
-        a ``ValueError`` — which a serving watcher survives — and
+        a ``ValueError`` — which a serving refresh survives — and
         restores nothing."""
         L, _ = synthetic_label_matrix(m=100, seed=8)
         source = OnlineLabelModel(ONLINE_CONFIG)

@@ -133,32 +133,53 @@ def make_registry(dfs, root):
 
 def unreadable_manifests(dfs, good_path):
     """Manifest blobs no reader can deploy: torn framing, a meta record
-    without its cursor, a label-model record without its state, and two
+    without its cursor, a label-model record without its state, two
     label-model states whose parts disagree in shape (one pattern weight
-    too few; pattern rows one column wider than ``n_lfs``)."""
+    too few; pattern rows one column wider than ``n_lfs``), and
+    well-framed records of the wrong shape — a state that is a list or
+    a string, one without its model or its pattern rows, a model that
+    is a list, pattern rows that are an int, pattern weights that are
+    not an encoded array or name an unknown dtype, a record whose kind
+    is a list, and ``lf_names`` that are an int."""
     meta, label_model, *rest = read_records(dfs, good_path)
     no_cursor = {k: v for k, v in meta.items() if k != "cursor"}
     stateless = {"kind": label_model["kind"]}
     state = label_model["state"]
     weights = decode_ndarray(state["pattern_weights"])
     rows = decode_ndarray(state["pattern_rows"])
-    short_weights = {**state, "pattern_weights": encode_ndarray(weights[:-1])}
-    wide_rows = {
-        **state,
-        "pattern_rows": encode_ndarray(
-            np.hstack([rows, np.zeros((len(rows), 1), rows.dtype)])
-        ),
-    }
+    encoded = state["pattern_weights"]
+
+    def without(key, record=state):
+        return {k: v for k, v in record.items() if k != key}
+
+    bad_states = [
+        {**state, "pattern_weights": encode_ndarray(weights[:-1])},
+        {
+            **state,
+            "pattern_rows": encode_ndarray(
+                np.hstack([rows, np.zeros((len(rows), 1), rows.dtype)])
+            ),
+        },
+        [1],
+        "state",
+        without("model"),
+        {**state, "model": [1]},
+        without("pattern_rows"),
+        {**state, "pattern_rows": 5},
+        {**state, "pattern_weights": without("__ndarray__", encoded)},
+        {**state, "pattern_weights": {**encoded, "dtype": "no-such-dtype"}},
+    ]
+
+    def manifest(*records):
+        return b"".join(map(encode_record, [*records, *rest]))
+
     return [
         b"torn bytes",
-        b"".join(map(encode_record, [no_cursor, label_model, *rest])),
-        b"".join(map(encode_record, [meta, stateless, *rest])),
-        *(
-            b"".join(
-                map(encode_record, [meta, {**label_model, "state": bad}, *rest])
-            )
-            for bad in (short_weights, wide_rows)
-        ),
+        manifest(no_cursor, label_model),
+        manifest(meta, stateless),
+        *(manifest(meta, {**label_model, "state": bad}) for bad in bad_states),
+        manifest(meta, label_model, {"kind": ["drift"], "state": {}}),
+        manifest({**meta, "lf_names": 5}, label_model),
     ]
 
 
@@ -171,11 +192,19 @@ def wait_until(condition, failure, deadline_s=10.0):
         time.sleep(0.002)
 
 
-def wait_for_generation(registry, number):
-    wait_until(
-        lambda: registry.generation >= number,
-        f"generation {number} never activated",
-    )
+def predict_until(server, example, done, failure):
+    """Request ``example`` until ``done(result)`` holds and return that
+    result. A server deploys on its requests, not on a thread of its
+    own, so a test waits for a deploy (or a counted refresh error) by
+    asking; it fails with ``failure`` if the deadline passes first."""
+    answers = []
+
+    def answered():
+        answers.append(server.predict(example))
+        return done(answers[-1])
+
+    wait_until(answered, failure)
+    return answers[-1]
 
 
 def requests_admitted(server):
@@ -313,8 +342,8 @@ class TestCheckpointModelRegistry:
 
     def test_newer_state_schema_keeps_active(self, checkpointed):
         """A well-formed manifest whose label-model state comes from a
-        newer writer raises ``ValueError`` (which the server's watcher
-        counts as ``serving/refresh_errors``) instead of deploying a
+        newer writer raises ``ValueError`` (which the server counts as
+        ``serving/refresh_errors``) instead of deploying a
         misread model."""
         dfs = checkpointed["dfs"]
         registry = make_registry(dfs, "/reg/newer")
@@ -352,8 +381,11 @@ class TestCheckpointModelRegistry:
         assert registry.counters.as_dict()["serving/swaps"] == 1
 
     def test_watcher_survives_torn_manifest(self, checkpointed, lfs):
+        """A request that finds an unreadable newest manifest counts it
+        and is still answered by the active generation."""
         dfs = checkpointed["dfs"]
         good = checkpointed["manifests"][0]
+        example = checkpointed["decoded"][0]
         for case, blob in enumerate(unreadable_manifests(dfs, good)):
             root = f"/reg/watchbad{case}"
             registry = make_registry(dfs, root)
@@ -361,20 +393,20 @@ class TestCheckpointModelRegistry:
             config = ServeConfig(poll_ms=2.0)
             with LabelServer(registry, lfs, config) as server:
                 dfs.write_file(registry.manager.manifest_path(99), blob)
-                deadline = time.perf_counter() + 5.0
-                while (
-                    "serving/refresh_errors" not in server.counters.as_dict()
-                ):
-                    assert time.perf_counter() < deadline, case
-                    time.sleep(0.002)
+                predict_until(
+                    server,
+                    example,
+                    lambda _: "serving/refresh_errors" in server.counters.as_dict(),
+                    f"case {case} was never counted",
+                )
                 # Still serving generation 1 despite the torn deploy.
-                result = server.predict(checkpointed["decoded"][0])
+                result = server.predict(example)
                 assert result.generation == 1 and not result.degraded
 
     def test_start_survives_torn_manifest(self, checkpointed, lfs):
-        """The first, synchronous refresh is no different from the
-        watcher's: a torn newest manifest is counted, the server comes
-        up degraded, and the watcher deploys the next readable one."""
+        """The first, synchronous refresh is no different from a
+        request's: a torn newest manifest is counted, the server comes
+        up degraded, and a later request deploys the next readable one."""
         dfs = checkpointed["dfs"]
         blobs = unreadable_manifests(dfs, checkpointed["manifests"][0])
         for case, blob in enumerate(blobs):
@@ -387,8 +419,12 @@ class TestCheckpointModelRegistry:
                 assert counters["serving/refresh_errors"] >= 1, case
                 assert server.predict(checkpointed["decoded"][0]).degraded
                 deploy(dfs, checkpointed["manifests"][1], root)
-                wait_for_generation(registry, 1)
-                assert not server.predict(checkpointed["decoded"][0]).degraded
+                predict_until(
+                    server,
+                    checkpointed["decoded"][0],
+                    lambda result: not result.degraded,
+                    f"case {case}: generation 1 never answered",
+                )
 
     def test_generation_posteriors_match_offline_fit(self, checkpointed):
         dfs = checkpointed["dfs"]
@@ -649,7 +685,12 @@ class TestDegradedServing:
             degraded = server.predict(checkpointed["decoded"][0])
             assert degraded.degraded and degraded.posterior == 0.5
             deploy(dfs, mid, root)
-            wait_for_generation(registry, 1)
+            predict_until(
+                server,
+                checkpointed["decoded"][0],
+                lambda result: result.generation == 1,
+                "generation 1 never answered",
+            )
             # Sequential single-example requests: each is its own
             # micro-batch, and must still be bitwise offline-exact.
             for i in range(10):
@@ -704,7 +745,7 @@ class TestHotSwapUnderLoad:
                     break
 
         with server:
-            wait_for_generation(registry, 1)
+            assert registry.generation == 1  # start() deploys it
             threads = [
                 threading.Thread(target=hammer, args=(c,))
                 for c in range(clients)
@@ -775,7 +816,7 @@ class TestHotSwapUnderLoad:
         server = LabelServer(registry, lfs, ServeConfig(timeout_ms=10_000.0))
         held, release = hold_first_batch(server)
         examples = checkpointed["decoded"]
-        server.start(watch=False)
+        server.start()
         first_model = registry.active().label_model
         first_scoring, first_proba = [], first_model.predict_proba
         first_model.predict_proba = lambda block: (
@@ -1252,7 +1293,7 @@ class TestLeaderFollower:
         server = self._server(checkpointed, lfs, "/srv/stop-drains", max_batch=2)
         held, release = hold_first_batch(server)
         examples = checkpointed["decoded"]
-        server.start(watch=False)
+        server.start()
         callers = [predict_in_thread(server, examples[0])]
         assert held.wait(10.0)
         callers += queue_behind(server, examples[1:6])
@@ -1275,22 +1316,116 @@ class TestLeaderFollower:
         # The held batch, then the five followers in max_batch slices.
         assert report["counters"]["serving/batches"] == 1 + 3
 
-    @pytest.mark.parametrize("watch", [True, False])
-    def test_start_spawns_only_the_watcher(self, checkpointed, lfs, watch):
-        """The server owns one thread, the watcher, and none without
-        it; serving a request starts no thread either."""
-        server = self._server(checkpointed, lfs, f"/srv/threads-{watch}")
+    def test_start_spawns_no_thread(self, checkpointed, lfs):
+        """The server owns no thread: neither starting it nor serving a
+        request starts one."""
+        server = self._server(checkpointed, lfs, "/srv/threads")
         before = set(threading.enumerate())
-        server.start(watch=watch)
+        server.start()
         try:
-            spawned = set(threading.enumerate()) - before
+            assert set(threading.enumerate()) - before == set()
             assert server.predict(checkpointed["decoded"][0]).generation == 1
-            assert set(threading.enumerate()) - before == spawned
+            assert set(threading.enumerate()) - before == set()
         finally:
             server.stop()
-        names = ["label-serve-watcher"] if watch else []
-        assert [thread.name for thread in spawned] == names
-        assert not any(thread.is_alive() for thread in spawned)
+
+
+class TestRefreshOnTheRequestPath:
+    """The server deploys on its requests: a leader lists the root for a
+    newer manifest before it scores a batch whose oldest request was
+    submitted ``poll_ms`` or more after the last check."""
+
+    @staticmethod
+    def _server(checkpointed, lfs, root, **config):
+        """A ``poll_ms=2`` server over the first manifest, and a
+        one-slot count of its registry's root listings."""
+        dfs = checkpointed["dfs"]
+        registry = make_registry(dfs, root)
+        deploy(dfs, checkpointed["manifests"][0], root)
+        listings = [0]
+        latest_path = registry.manager.latest_path
+
+        def counted():
+            listings[0] += 1
+            return latest_path()
+
+        registry.manager.latest_path = counted
+        config = ServeConfig(poll_ms=2.0, timeout_ms=10_000.0, **config)
+        return LabelServer(registry, lfs, config), listings
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """Freeze the server's clock at 0.0 (tests move it by hand)."""
+        import repro.serving.service as service_module
+
+        from tests.test_obs import _CountingTime
+
+        clock = _CountingTime()
+        monkeypatch.setattr(service_module, "time", clock)
+        return clock
+
+    def test_idle_server_does_not_list_its_root(self, checkpointed, lfs):
+        """Across 25 intervals without a request the root is never
+        listed, so a release waits there; the next request deploys it."""
+        root = "/srv/idle"
+        server, listings = self._server(checkpointed, lfs, root)
+        final = checkpointed["manifests"][-1]
+        with server:
+            assert listings == [1]  # start()'s own refresh
+            deploy(checkpointed["dfs"], final, root)
+            time.sleep(25 * server.config.poll_ms / 1e3)
+            assert listings == [1]
+            assert server.registry.generation == 1
+            result = server.predict(checkpointed["decoded"][0])
+        assert listings == [2]
+        assert result.generation == 2
+
+    def test_burst_inside_one_interval_lists_once(
+        self, checkpointed, lfs, clock
+    ):
+        """Batches led one after another and a queue coalesced behind a
+        held batch, all submitted inside one interval: one listing."""
+        server, listings = self._server(checkpointed, lfs, "/srv/burst")
+        held, release = hold_first_batch(server)
+        examples = checkpointed["decoded"]
+        with server:
+            listings[0] = 0
+            callers = [predict_in_thread(server, examples[0])]
+            assert held.wait(10.0)
+            callers += queue_behind(server, examples[1:6])
+            release.set()
+            for thread, _ in callers:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            for example in examples[6:12]:
+                assert server.predict(example).generation == 1
+        assert listings == [1]
+        assert [outcome[0].generation for _, outcome in callers] == [1] * 6
+        assert server.counters.as_dict()["serving/batches"] == 2 + 6
+
+    def test_first_request_after_the_interval_serves_the_deploy(
+        self, checkpointed, lfs, clock
+    ):
+        """A release is not seen inside the interval of the last check;
+        the first request submitted once ``poll_ms`` has passed deploys
+        it, and it and every later answer are bitwise the offline fit
+        of the new snapshot's prefix."""
+        root = "/srv/interval"
+        server, listings = self._server(checkpointed, lfs, root)
+        final = checkpointed["manifests"][-1]
+        expected = offline_posteriors(checkpointed, final)
+        examples = checkpointed["decoded"][:20]
+        with server:
+            assert server.predict(examples[0]).generation == 1
+            deploy(checkpointed["dfs"], final, root)
+            assert server.predict(examples[1]).generation == 1
+            clock.perf_counter = lambda: server.config.poll_ms / 1e3
+            results = [server.predict(example) for example in examples]
+        assert listings == [3]  # start(), then one check per interval
+        assert [result.generation for result in results] == [2] * len(examples)
+        for example, result in zip(examples, results):
+            row = checkpointed["row_of"][example.example_id]
+            assert result.posterior == expected[row]
 
 
 class TestTimeoutsAndLifecycle:
@@ -1314,7 +1449,7 @@ class TestTimeoutsAndLifecycle:
         server = LabelServer(registry, lfs)
         with pytest.raises(RuntimeError):
             server.predict(checkpointed["decoded"][0])
-        server.start(watch=False)
+        server.start()
         with pytest.raises(RuntimeError):
             server.start()
         server.stop()
@@ -1341,7 +1476,7 @@ class TestTimeoutsAndLifecycle:
             def release(self):
                 permits.release()
 
-        server.start(watch=False)
+        server.start()
         server._permits = StopWhileAdmitting()
         with pytest.raises(RuntimeError, match="not running"):
             server.predict(checkpointed["decoded"][0], timeout_ms=300)
