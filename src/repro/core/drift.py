@@ -57,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.patterns import vote_moments
-from repro.types import require_int
+from repro.types import require_fields, require_int
 
 __all__ = ["DriftPolicy", "DriftCheck", "DriftMonitor", "DRIFT_REACTIONS"]
 
@@ -159,6 +159,18 @@ class _WindowStats:
 def _window_total(window: deque[_WindowStats]) -> _WindowStats:
     """Aggregate a window's per-batch stats (exact: all integers)."""
     return functools.reduce(operator.add, window)
+
+
+def _require_number(value, name: str) -> float:
+    """``value`` as a float if it is an ``int`` or ``float`` (not a
+    ``bool``, whose JSON is ``true``).
+
+    Raises:
+        ValueError: Otherwise.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 class DriftMonitor:
@@ -427,53 +439,76 @@ class DriftMonitor:
             ``self``, for chaining.
 
         Raises:
-            ValueError: On any schema but 1, or a counter that is not an
-                ``int``, before any state changes — a snapshot from a
-                newer writer must not be half-read.
+            ValueError: If ``state`` is not a dict; on any schema but 1
+                — a snapshot from a newer writer must not be half-read
+                — a missing key, a counter or ``n_lfs`` that is not an
+                ``int``, a score or window count that is not a number,
+                or a window that is not a dict of encoded arrays shaped
+                for ``n_lfs``; everything is decoded before any state
+                changes, so nothing is restored then.
         """
         from repro.dfs.records import decode_ndarray
 
-        if state.get("schema") != 1:
+        schema = require_fields(state, "drift state").get("schema")
+        if schema != 1:
             raise ValueError(
-                f"unsupported drift state schema {state.get('schema')!r}; "
+                f"unsupported drift state schema {schema!r}; "
                 "this reader understands schema 1"
             )
-        counters = {
-            key: require_int(state[key], key)
-            for key in (
-                "batches_observed",
-                "checks_run",
-                "alarms",
-                "forced_refits",
-                "reference_resets",
-                "reference_batches",
-            )
-        }
+        names = (
+            "batches_observed",
+            "checks_run",
+            "alarms",
+            "forced_refits",
+            "reference_resets",
+            "reference_batches",
+        )
+        require_fields(
+            state,
+            "drift state",
+            (*names, "n_lfs", "first_alarm_batch", "last_score", "reference", "recent"),
+        )
+        counters = {key: require_int(state[key], key) for key in names}
         first = state["first_alarm_batch"]
         if first is not None:
             first = require_int(first, "first_alarm_batch")
+        n_lfs = state["n_lfs"]
+        if n_lfs is not None:
+            require_int(n_lfs, "n_lfs", minimum=0)
+        last_score = _require_number(state["last_score"], "last_score")
+        if not isinstance(state["recent"], list):
+            raise ValueError(f"drift state recent must be a list, got {state['recent']!r}")
 
-        def dec_window(payload: dict | None) -> _WindowStats | None:
-            if payload is None:
-                return None
-            return _WindowStats(
+        def dec_window(payload: dict) -> _WindowStats:
+            require_fields(
+                payload, "drift window", ("vote_sum", "fire_sum", "agreement", "count")
+            )
+            stats = _WindowStats(
                 vote_sum=decode_ndarray(payload["vote_sum"]),
                 fire_sum=decode_ndarray(payload["fire_sum"]),
                 agreement=decode_ndarray(payload["agreement"]),
-                count=float(payload["count"]),
+                count=_require_number(payload["count"], "drift window count"),
             )
+            m = -1 if n_lfs is None else n_lfs  # no shape fits an empty monitor
+            shapes = (stats.vote_sum.shape, stats.fire_sum.shape, stats.agreement.shape)
+            if shapes != ((m,), (m,), (m, m)):
+                raise ValueError(
+                    f"drift window has shapes {shapes} for n_lfs={n_lfs}"
+                )
+            return stats
 
-        self.n_lfs = state["n_lfs"]
+        reference = None if state["reference"] is None else dec_window(state["reference"])
+        recent = deque(dec_window(payload) for payload in state["recent"])
+
+        self.n_lfs = n_lfs
         self.batches_observed = counters["batches_observed"]
         self.checks_run = counters["checks_run"]
         self.alarms = counters["alarms"]
         self.forced_refits = counters["forced_refits"]
         self.reference_resets = counters["reference_resets"]
         self.first_alarm_batch = first
-        self.last_score = float(state["last_score"])
-        self._ref = dec_window(state["reference"])
+        self.last_score = last_score
+        self._ref = reference
         self._ref_batches = counters["reference_batches"]
-        self._recent = deque(
-            dec_window(payload) for payload in state["recent"]
-        )
+        self._recent = recent
         return self

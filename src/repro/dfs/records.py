@@ -25,8 +25,8 @@ body sliced from the chunk just read with ``orjson.loads``. json's
 or more digits (orjson turns an integer outside ``[-2**63, 2**64)``,
 such as the 128-bit PCG64 ``rng_state`` words schema-5 and earlier
 label-model manifests carry, into a float) or when orjson refuses
-it (``NaN`` / ``Infinity``, which the label sink writes, ``1e400``, a
-lone surrogate, bad UTF-8 or malformed JSON), so every value, type and
+it (``NaN`` / ``Infinity``, which label shards of the per-example row
+layout hold, ``1e400``, a lone surrogate, bad UTF-8 or malformed JSON), so every value, type and
 error is json's. The one exception is nesting json's recursion limit
 refuses, which orjson decodes; :func:`record_body` cannot write it.
 """

@@ -22,7 +22,7 @@ engine of PR 1 into that continuous pipeline:
   offline run;
 * :mod:`repro.streaming.sinks` — durable per-batch outputs: vote and
   probabilistic-label record shards published atomically per finalized
-  micro-batch;
+  micro-batch, and :func:`read_labels`, the label shards' reader;
 * :mod:`repro.streaming.checkpoint` — the fault-tolerance layer:
   checkpoint manifests (write-then-rename) snapshot the online model,
   the drift monitor when one is attached, and the source cursor, and
@@ -57,7 +57,7 @@ from repro.streaming.pipeline import (
     PipelineStats,
     StreamReport,
 )
-from repro.streaming.sinks import LabelSink, RecordBatchSink, VoteSink
+from repro.streaming.sinks import LabelSink, RecordBatchSink, VoteSink, read_labels
 from repro.streaming.sources import (
     ExampleSource,
     MemorySource,
@@ -78,6 +78,7 @@ __all__ = [
     "RecordBatchSink",
     "VoteSink",
     "LabelSink",
+    "read_labels",
     "Checkpoint",
     "CheckpointManager",
     "CheckpointedStream",

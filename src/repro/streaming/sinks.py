@@ -13,14 +13,19 @@ Shard-per-batch is deliberate: batch ``seq`` maps to exactly one file
 (``{root}/{kind}/batch-{seq:06d}``), so recovery can reason about what
 is durable by listing file names alone, and re-labeling a batch after a
 crash rewrites byte-identical shards (record encoding is deterministic:
-sorted keys, fixed separators).
+sorted keys, fixed separators; arrays travel as their raw bytes).
 
 * :class:`VoteSink` persists the raw LF votes per example — the
   streaming counterpart of the offline applier's vote shards.
-* :class:`LabelSink` persists probabilistic labels per example, computed
-  by a caller-supplied function from the batch's votes (typically the
-  online label model's *current* posterior, i.e. the labels a downstream
-  trainer consumed at that point in the stream).
+* :class:`LabelSink` persists each batch's probabilistic labels as one
+  block record: the id column, the batch's distinct posteriors as raw
+  float64, and one small-integer index per example into them (a label
+  model's posterior is a function of the vote pattern, so a batch holds
+  few distinct values). The labels come from a caller-supplied function
+  of the batch's votes (typically the online label model's *current*
+  posterior, i.e. the labels a downstream trainer consumed at that
+  point in the stream). :func:`read_labels` reads a label shard back,
+  in this layout or in the per-example row layout earlier writers used.
 """
 
 from __future__ import annotations
@@ -31,13 +36,23 @@ from typing import Callable
 import numpy as np
 
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.dfs.records import RecordWriter, json_token, record_body
-from repro.types import Example
+from repro.dfs.records import (
+    RecordReader,
+    RecordWriter,
+    decode_ndarray,
+    encode_ndarray,
+    json_token,
+    record_body,
+)
+from repro.types import Example, require_fields, require_int
 
-__all__ = ["RecordBatchSink", "VoteSink", "LabelSink", "batch_shard_seq"]
-
-#: json's tokens for the floats whose ``repr`` is not JSON.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+__all__ = [
+    "RecordBatchSink",
+    "VoteSink",
+    "LabelSink",
+    "batch_shard_seq",
+    "read_labels",
+]
 
 _BATCH_SHARD_RE = re.compile(r"/batch-(?P<seq>\d{6,})$")
 
@@ -178,13 +193,21 @@ class VoteSink(RecordBatchSink):
 
 
 class LabelSink(RecordBatchSink):
-    """Persists per-example probabilistic labels for each micro-batch.
+    """Persists each micro-batch's probabilistic labels as one block.
 
     ``proba_fn(votes) -> (B,) array`` supplies the labels — wired to the
     online label model's ``predict_proba`` this records the posterior the
     stream actually produced at batch time (which is what makes resumed
     and uninterrupted runs byte-comparable: the restored model yields the
     same bits).
+
+    Shard layout: one record, ``{"kind": "labels", "batch", "n", "ids",
+    "posteriors", "index"}``. ``posteriors`` is the batch's distinct
+    labels as an encoded float64 array, sorted by bit pattern;
+    ``index`` holds each example's position in it, as the narrowest of
+    uint8 / uint16 / uint32 that fits. Labels are deduplicated on their
+    float64 bits, so every value (``-0.0``, NaN payloads, subnormals)
+    reads back bitwise; :func:`read_labels` is the reader.
     """
 
     kind = "labels"
@@ -202,19 +225,75 @@ class LabelSink(RecordBatchSink):
     def batch_bodies(
         self, seq: int, examples: list[Example], votes: np.ndarray
     ) -> list[bytes]:
-        """One meta record, then ``{example_id, proba}`` per example.
+        """The batch's one block record.
 
         Raises:
             ValueError: If ``proba_fn`` returns the wrong shape.
         """
-        proba = np.asarray(self._proba_fn(votes), dtype=np.float64)
+        proba = np.ascontiguousarray(self._proba_fn(votes), dtype=np.float64)
         if proba.shape != (len(examples),):
             raise ValueError(
                 f"proba_fn returned shape {proba.shape} for a batch of "
                 f"{len(examples)} examples"
             )
-        bodies = [record_body({"kind": "meta", "batch": seq, "n": len(examples)})]
-        for example, p in zip(examples, proba.tolist()):
-            token, eid = _NON_FINITE.get(r := float.__repr__(p), r), example.example_id
-            bodies.append(f'{{"example_id":{json_token(eid)},"proba":{token}}}'.encode())
-        return bodies
+        bits, index = np.unique(proba.view(np.uint64), return_inverse=True)
+        width = np.min_scalar_type(max(len(bits) - 1, 0))
+        block = {
+            "kind": "labels",
+            "batch": seq,
+            "n": len(examples),
+            "ids": [example.example_id for example in examples],
+            "posteriors": encode_ndarray(bits.view(np.float64)),
+            "index": encode_ndarray(index.astype(width)),
+        }
+        return [record_body(block)]
+
+
+def read_labels(dfs: DistributedFileSystem, path: str) -> tuple[list, np.ndarray]:
+    """One label shard's ``(example ids, posteriors)``, in stream order.
+
+    Reads a :class:`LabelSink` block (first record ``kind: "labels"``)
+    and the per-example row layout earlier writers used (a ``kind:
+    "meta"`` record, then one ``{"example_id", "proba"}`` record per
+    example), so a root resumed across the two writers reads back whole.
+
+    Raises:
+        ValueError: If the shard is empty, of another kind, or malformed
+            (a missing field, an id or index count that is not ``n``, an
+            index past the posterior table, or a record after the block).
+        RecordCorruption: If a record fails its CRC or framing check.
+    """
+    records = iter(RecordReader(dfs, path))
+    first = require_fields(next(records, None), f"first record of {path}", ("kind",))
+    if first["kind"] == "meta":
+        rows = [
+            require_fields(row, f"label row of {path}", ("example_id", "proba"))
+            for row in records
+        ]
+        n = require_int(first.get("n"), "n", minimum=0)
+        if len(rows) != n:
+            raise ValueError(f"{path} holds {len(rows)} label rows, its meta says {n}")
+        try:
+            proba = np.array([row["proba"] for row in rows], dtype=np.float64)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"{path} holds a non-numeric proba: {error!r}") from error
+        return [row["example_id"] for row in rows], proba
+    if first["kind"] != "labels":
+        raise ValueError(f"{path} is not a label shard: kind {first['kind']!r}")
+    block = require_fields(
+        first, f"label block of {path}", ("batch", "n", "ids", "posteriors", "index")
+    )
+    require_int(block["batch"], "batch", minimum=0)
+    n = require_int(block["n"], "n", minimum=0)
+    ids = block["ids"]
+    table = decode_ndarray(block["posteriors"])
+    index = decode_ndarray(block["index"])
+    if not isinstance(ids, list) or len(ids) != n:
+        raise ValueError(f"{path} needs a list of {n} ids")
+    if table.dtype != np.float64 or table.ndim != 1:
+        raise ValueError(f"{path} posteriors are {table.dtype} {table.shape}, not 1-D float64")
+    if index.dtype.kind != "u" or index.shape != (n,) or (n and index.max() >= len(table)):
+        raise ValueError(f"{path} needs {n} unsigned indices into {len(table)} posteriors")
+    if next(records, None) is not None:
+        raise ValueError(f"{path} holds a record after its label block")
+    return ids, table[index]

@@ -29,6 +29,7 @@ from repro.dfs.records import (
     encode_ndarray,
     iter_record_blobs,
     read_records,
+    write_records,
 )
 from repro.lf.applier import apply_lfs_in_memory, stage_examples
 from repro.lf.templates import keyword_lf, url_domain_lf
@@ -41,6 +42,7 @@ from repro.streaming import (
     RecordStreamSource,
     SimulatedCrash,
     VoteSink,
+    read_labels,
 )
 from repro.streaming.sinks import batch_shard_seq
 from repro.types import Example
@@ -151,8 +153,7 @@ def assert_labels_are_fits(dfs, root, L, batch, decay, last_solve):
         if solved not in fits:
             rows = retained_reference(L, batch, solved + 1, decay)
             fits[solved] = SamplingFreeLabelModel(ONLINE_CONFIG.base).fit(rows)
-        records = read_records(dfs, f"{root}/labels/batch-{t:06d}")[1:]
-        served = np.array([record["proba"] for record in records])
+        _, served = read_labels(dfs, f"{root}/labels/batch-{t:06d}")
         expected = fits[solved].predict_proba(L[t * batch : (t + 1) * batch])
         assert np.array_equal(served, expected), f"label shard of batch {t}"
 
@@ -196,9 +197,17 @@ class TestSinks:
             dfs, "/run", lambda v: np.full(v.shape[0], 0.25)
         )
         sink(0, corpus[:4], votes)
-        records = read_records(dfs, "/run/labels/batch-000000")
-        assert records[0] == {"kind": "meta", "batch": 0, "n": 4}
-        assert all(r["proba"] == 0.25 for r in records[1:])
+        (block,) = read_records(dfs, "/run/labels/batch-000000")
+        assert {key: block[key] for key in ("kind", "batch", "n")} == {
+            "kind": "labels", "batch": 0, "n": 4,
+        }
+        # One distinct posterior: a one-entry table and four zero indices.
+        assert decode_ndarray(block["posteriors"]).tolist() == [0.25]
+        assert decode_ndarray(block["index"]).tolist() == [0, 0, 0, 0]
+        ids, proba = read_labels(dfs, "/run/labels/batch-000000")
+        assert ids == [example.example_id for example in corpus[:4]]
+        assert np.array_equal(proba, np.full(4, 0.25))
+        assert sink.shards_written == 1 and sink.records_written == 1
 
     def test_label_sink_rejects_misshapen_probas(self, dfs, corpus, lfs):
         votes = apply_lfs_in_memory(lfs, corpus[:4]).matrix
@@ -207,6 +216,34 @@ class TestSinks:
             sink(0, corpus[:4], votes)
         # The half-written shard never became visible.
         assert not dfs.exists("/run/labels/batch-000000")
+
+    @pytest.mark.parametrize(
+        "distinct, width",
+        [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65537, np.uint32)],
+    )
+    def test_label_index_is_the_narrowest_that_fits(self, dfs, distinct, width):
+        """Past 256 distinct posteriors a batch takes a uint16 index, past
+        65,536 a uint32 one; every label reads back bitwise."""
+        rng = np.random.default_rng(distinct)
+        table = np.sort(rng.random(distinct))
+        proba = table[np.arange(distinct + 40) % distinct][::-1].copy()
+        examples = [Example(f"e{i}") for i in range(len(proba))]
+        sink = LabelSink(dfs, "/run", lambda v: proba)
+        sink(7, examples, np.zeros((len(proba), 0), np.int8))
+        (block,) = read_records(dfs, sink.shard_path(7))
+        assert decode_ndarray(block["index"]).dtype == width
+        assert np.array_equal(decode_ndarray(block["posteriors"]), table)
+        ids, read = read_labels(dfs, sink.shard_path(7))
+        assert ids == [example.example_id for example in examples]
+        assert read.tobytes() == proba.tobytes()
+
+    def test_empty_batch_writes_a_readable_block(self, dfs):
+        sink = LabelSink(dfs, "/run", lambda v: np.zeros(0))
+        sink(0, [], np.zeros((0, 3), np.int8))
+        (block,) = read_records(dfs, sink.shard_path(0))
+        assert block["kind"] == "labels" and block["n"] == 0
+        ids, proba = read_labels(dfs, sink.shard_path(0))
+        assert ids == [] and proba.dtype == np.float64 and proba.shape == (0,)
 
     def test_delete_after_truncates_orphans(self, dfs, corpus, lfs):
         votes = apply_lfs_in_memory(lfs, corpus[:4]).matrix
@@ -222,6 +259,81 @@ class TestSinks:
             "/run/votes/batch-000000",
             "/run/votes/batch-000001",
         ]
+
+
+def label_block():
+    """A well-formed label block record of 3 examples."""
+    return {
+        "kind": "labels",
+        "batch": 0,
+        "n": 3,
+        "ids": ["e0", "e1", "e2"],
+        "posteriors": encode_ndarray(np.array([0.25, 0.75])),
+        "index": encode_ndarray(np.array([0, 1, 0], np.uint8)),
+    }
+
+
+def legacy_label_rows():
+    """A 3-example label shard in the per-example row layout earlier
+    writers used."""
+    return [
+        {"kind": "meta", "batch": 0, "n": 3},
+        *({"example_id": f"e{i}", "proba": 0.25 * i} for i in range(3)),
+    ]
+
+
+#: Label shards ``read_labels`` must refuse, as ``ValueError``.
+MALFORMED_LABEL_SHARDS = {
+    "empty": [],
+    "record_a_list": [[1, 2]],
+    "no_kind": [{"batch": 0}],
+    "other_kind": [{**label_block(), "kind": "votes"}],
+    **{
+        f"no_{field}": [{k: v for k, v in label_block().items() if k != field}]
+        for field in ("batch", "n", "ids", "posteriors", "index")
+    },
+    "fractional_n": [{**label_block(), "n": 3.0}],
+    "ids_a_dict": [{**label_block(), "ids": {"e0": 0}}],
+    "ids_short": [{**label_block(), "ids": ["e0"]}],
+    "posteriors_not_an_array": [{**label_block(), "posteriors": 5}],
+    "posteriors_float32": [
+        {**label_block(), "posteriors": encode_ndarray(np.zeros(2, np.float32))}
+    ],
+    "posteriors_2d": [
+        {**label_block(), "posteriors": encode_ndarray(np.zeros((1, 2)))}
+    ],
+    "index_signed": [
+        {**label_block(), "index": encode_ndarray(np.zeros(3, np.int8))}
+    ],
+    "index_short": [
+        {**label_block(), "index": encode_ndarray(np.zeros(2, np.uint8))}
+    ],
+    "index_past_table": [
+        {**label_block(), "index": encode_ndarray(np.array([0, 1, 2], np.uint8))}
+    ],
+    "record_after_block": [label_block(), label_block()],
+    "rows_fewer_than_n": legacy_label_rows()[:-1],
+    "row_without_proba": [*legacy_label_rows()[:-1], {"example_id": "e2"}],
+    "row_proba_a_string": [*legacy_label_rows()[:-1], {"example_id": "e2", "proba": "x"}],
+    "row_a_list": [*legacy_label_rows()[:-1], [0.5]],
+    "meta_without_n": [{"kind": "meta", "batch": 0}],
+}
+
+
+class TestReadLabels:
+    def test_the_malformed_cases_edit_readable_shards(self, dfs):
+        """The control for the cases below: unedited, both layouts read."""
+        write_records(dfs, "/l/block", [label_block()])
+        write_records(dfs, "/l/rows", legacy_label_rows())
+        assert read_labels(dfs, "/l/block")[1].tolist() == [0.25, 0.75, 0.25]
+        assert read_labels(dfs, "/l/rows")[1].tolist() == [0.0, 0.25, 0.5]
+        assert read_labels(dfs, "/l/block")[0] == read_labels(dfs, "/l/rows")[0]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LABEL_SHARDS))
+    def test_malformed_shards_are_value_errors(self, dfs, case):
+        write_records(dfs, "/l/bad", MALFORMED_LABEL_SHARDS[case])
+        with pytest.raises(ValueError):
+            read_labels(dfs, "/l/bad")
 
 
 # ----------------------------------------------------------------------
@@ -1200,6 +1312,80 @@ class TestSchema5ManifestCompat:
         current["model"]["alpha"] = encode_ndarray(moved)
         restored = OnlineLabelModel(config).load_state(current)
         assert np.array_equal(restored.model.alpha, moved)
+
+
+#: Every committed fixture root, as ``(fixture, mode)``; ``None`` is the
+#: pre-drift fixture's one root.
+CAPTURED_ROOTS = [
+    ("pre_drift_root", None),
+    ("schema2_roots", "cumulative"),
+    ("schema2_roots", "window"),
+    *((f"schema{k}_roots", mode) for k in (3, 4, 5) for mode in ("cumulative", "decay")),
+]
+
+
+def load_captured_root(fixture, mode):
+    """A fixture's payload and the captured root ``mode`` names."""
+    with open(FIXTURES / f"{fixture}.json") as handle:
+        payload = json.load(handle)
+    return payload, payload if mode is None else payload["roots"][mode]
+
+
+class TestLabelShardFormats:
+    """Label shards written before the block layout (one ``{example_id,
+    proba}`` row per example after a ``meta`` record) read back through
+    the same reader, including in a root resumed across the change."""
+
+    @pytest.mark.parametrize("fixture, mode", CAPTURED_ROOTS)
+    def test_row_format_shards_read_as_their_records(self, fixture, mode):
+        payload, captured = load_captured_root(fixture, mode)
+        dfs, _ = stage_captured_root(make_corpus(), payload, captured)
+        paths = dfs.list(f"{captured['root']}/labels/")
+        assert len(paths) == payload["fail_after_batch"] + 1
+        for path in paths:
+            meta, *rows = read_records(dfs, path)
+            assert meta["kind"] == "meta" and meta["n"] == len(rows) > 0
+            ids, proba = read_labels(dfs, path)
+            assert ids == [row["example_id"] for row in rows]
+            assert np.array_equal(proba, np.array([row["proba"] for row in rows]))
+
+    @pytest.mark.parametrize(
+        "fixture, mode", [root for root in CAPTURED_ROOTS if root[1] != "window"]
+    )
+    def test_root_resumed_across_the_change_reads_back_whole(
+        self, corpus, lfs, fixture, mode
+    ):
+        """Rows through the resume point, blocks after it, and every
+        example of the stream once, in order."""
+        payload, captured = load_captured_root(fixture, mode)
+        dfs, shards = stage_captured_root(corpus, payload, captured)
+        config = replace(
+            ONLINE_CONFIG,
+            refit_every=payload.get("refit_every"),
+            decay=captured.get("decay"),
+        )
+        root = captured["root"]
+        before = {path: read_labels(dfs, path) for path in dfs.list(f"{root}/labels/")}
+        report = CheckpointedStream(
+            dfs, lfs, root, batch_size=payload["batch_size"],
+            online_config=config, checkpoint_every=payload["checkpoint_every"],
+        ).run(RecordStreamSource(dfs, shards))
+        ids, kinds = [], []
+        for path in dfs.list(f"{root}/labels/"):
+            shard_ids, proba = read_labels(dfs, path)
+            kinds.append(read_records(dfs, path)[0]["kind"])
+            if batch_shard_seq(path) <= report.resumed_from_batch:
+                assert shard_ids == before[path][0]
+                assert proba.tobytes() == before[path][1].tobytes()
+            assert len(proba) == len(shard_ids)
+            ids += shard_ids
+        resumed_from = report.resumed_from_batch
+        assert kinds == ["meta"] * (resumed_from + 1) + ["labels"] * (
+            report.last_batch_seq - resumed_from
+        )
+        assert ids == [
+            example.example_id for example in RecordStreamSource(dfs, shards)
+        ]
 
 
 # ----------------------------------------------------------------------

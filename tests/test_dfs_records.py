@@ -16,6 +16,7 @@ from repro.dfs.records import (
     RecordCorruption,
     RecordReader,
     RecordWriter,
+    encode_ndarray,
     encode_record,
     iter_record_blobs,
     read_records,
@@ -25,7 +26,7 @@ from repro.dfs.records import (
     write_records,
 )
 from repro.lf.applier import _write_vote_block
-from repro.streaming.sinks import LabelSink, VoteSink
+from repro.streaming.sinks import LabelSink, VoteSink, read_labels
 from repro.types import Example
 
 from tests.conftest import decode_records
@@ -235,13 +236,47 @@ class TestTemplatedBodies:
 
     @given(st.lists(st.tuples(st.one_of(ids, st.integers()), probas), max_size=12))
     def test_label_sink_rows(self, rows):
+        """A label block is ``record_body`` of its payload, and its rows
+        read back with every posterior's bits (the table is deduplicated
+        on bits, so ``-0.0`` and each NaN payload keep their own entry)."""
         proba = np.array([p for _, p in rows], dtype=np.float64)
-        sink = LabelSink(DistributedFileSystem(), "/s", lambda votes: proba)
+        dfs = DistributedFileSystem()
+        sink = LabelSink(dfs, "/s", lambda votes: proba)
         examples = [Example(eid) for eid, _ in rows]
-        bodies = sink.batch_bodies(2, examples, np.zeros((len(rows), 0), np.int8))
-        expected = [{"kind": "meta", "batch": 2, "n": len(rows)}]
-        expected += [{"example_id": eid, "proba": p} for eid, p in rows]
-        assert bodies == [dumps(p).encode() for p in expected]
+        votes = np.zeros((len(rows), 0), np.int8)
+        (body,) = sink.batch_bodies(2, examples, votes)
+        bits, index = np.unique(proba.view(np.uint64), return_inverse=True)
+        expected = {
+            "kind": "labels",
+            "batch": 2,
+            "n": len(rows),
+            "ids": [eid for eid, _ in rows],
+            "posteriors": encode_ndarray(bits.view(np.float64)),
+            "index": encode_ndarray(index.astype(np.uint8)),
+        }
+        assert body == dumps(expected).encode()
+        sink(2, examples, votes)
+        got_ids, got = read_labels(dfs, sink.shard_path(2))
+        # JSON joins an escaped surrogate pair: ids are json's values.
+        assert got_ids == json.loads(dumps([eid for eid, _ in rows]))
+        assert got.dtype == np.float64 and got.tobytes() == proba.tobytes()
+
+    @given(st.lists(st.tuples(st.one_of(ids, st.integers()), probas), max_size=12))
+    def test_row_format_label_shards_read_back(self, rows):
+        """A shard in the per-example row layout earlier label sinks
+        wrote reads back with json's value for every posterior."""
+        dfs = DistributedFileSystem()
+        write_records(dfs, "/s/rows", [
+            {"kind": "meta", "batch": 0, "n": len(rows)},
+            *({"example_id": eid, "proba": p} for eid, p in rows),
+        ])
+        got_ids, got = read_labels(dfs, "/s/rows")
+        assert got_ids == json.loads(dumps([eid for eid, _ in rows]))
+        expected = np.array([p for _, p in rows], dtype=np.float64)
+        assert np.array_equal(got, expected, equal_nan=True)
+        # JSON's NaN has no sign; every other value keeps its own.
+        numbers = ~np.isnan(expected)
+        assert got[numbers].tobytes() == expected[numbers].tobytes()
 
     @given(st.lists(vote_batches(), max_size=3))
     def test_applier_vote_records(self, blocks):
@@ -330,17 +365,21 @@ class TestDecoder:
         assert [dumps(v) for v in got] == [dumps(v) for v in expected]
 
     def test_label_sink_non_finite_posteriors_read_back_as_json_reads_them(self, dfs):
-        proba = np.array([np.nan, np.inf, -np.inf, 0.25, -0.0, 5e-324])
+        """Non-finite posteriors travel as raw float64 bits inside a
+        label block, so its body is plain JSON orjson decodes, and each
+        one (a NaN's payload too) reads back bitwise."""
+        payload_nan = np.array([0x7FF8_0000_DEAD_BEEF], np.uint64).view(np.float64)[0]
+        proba = np.array([np.nan, np.inf, -np.inf, 0.25, -0.0, 5e-324, payload_nan])
         sink = LabelSink(dfs, "/s", lambda votes: proba)
         sink(3, [Example(f"e{i}") for i in range(len(proba))],
              np.zeros((len(proba), 0), np.int8))
         got = read_records(dfs, sink.shard_path(3))
         expected = list(decode_records(dfs.read_file(sink.shard_path(3))))
         assert [dumps(v) for v in got] == [dumps(v) for v in expected]
-        assert [type(v["proba"]) for v in got[1:]] == [float] * len(proba)
-        assert np.array_equal(
-            [v["proba"] for v in got[1:]], proba, equal_nan=True
-        )
+        assert b"NaN" not in dfs.read_file(sink.shard_path(3))
+        ids, read = read_labels(dfs, sink.shard_path(3))
+        assert ids == [f"e{i}" for i in range(len(proba))]
+        assert read.tobytes() == proba.tobytes()
 
     @pytest.mark.parametrize(
         "body",

@@ -83,6 +83,48 @@ class TestDriftPolicy:
             DriftMonitor(DriftPolicy(reactions=("refit",)))
 
 
+def _with(key, value):
+    """A state edit: ``key`` set to ``value``."""
+    return lambda state: {**state, key: value}
+
+
+def _with_reference(key, value):
+    """A state edit: the reference window's ``key`` set to ``value``
+    (``value`` of ``...`` drops the key)."""
+    def edit(state):
+        window = {**state["reference"], key: value}
+        if value is ...:
+            del window[key]
+        return {**state, "reference": window}
+    return edit
+
+
+#: Drift snapshots ``load_state`` must refuse, as edits of a real one.
+MALFORMED_DRIFT_STATES = {
+    "a_list": lambda state: [state],
+    "a_string": lambda state: "state",
+    **{
+        f"no_{key}": lambda state, key=key: {k: v for k, v in state.items() if k != key}
+        for key in ("n_lfs", "last_score", "reference", "recent", "checks_run")
+    },
+    "n_lfs_fractional": _with("n_lfs", 4.5),
+    "n_lfs_a_string": _with("n_lfs", "4"),
+    "n_lfs_negative": _with("n_lfs", -1),
+    "n_lfs_not_the_windows": lambda state: {**state, "n_lfs": state["n_lfs"] + 1},
+    "last_score_a_string": _with("last_score", "0.5"),
+    "last_score_none": _with("last_score", None),
+    "last_score_a_bool": _with("last_score", True),
+    "reference_a_list": _with("reference", [1.0]),
+    "reference_without_count": _with_reference("count", ...),
+    "reference_without_agreement": _with_reference("agreement", ...),
+    "reference_count_a_string": _with_reference("count", "64"),
+    "reference_vote_sum_not_an_array": _with_reference("vote_sum", [1, 2]),
+    "recent_not_a_list": _with("recent", 5),
+    "recent_holds_none": lambda state: {**state, "recent": [None, *state["recent"]]},
+    "recent_window_a_list": lambda state: {**state, "recent": [*state["recent"], []]},
+}
+
+
 # ----------------------------------------------------------------------
 # monitor mechanics
 # ----------------------------------------------------------------------
@@ -216,6 +258,24 @@ class TestDriftMonitor:
         with pytest.raises(ValueError, match=f"{key} must be an int"):
             target.load_state(state)
         assert target.state_dict() == DriftMonitor(policy).state_dict()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DRIFT_STATES))
+    def test_load_state_refuses_malformed_state_unchanged(self, case):
+        """A malformed snapshot is a ``ValueError``, and the monitor it
+        was loaded onto keeps every bit of its own state."""
+        policy = DriftPolicy(reference_batches=2, recent_batches=2)
+        source = DriftMonitor(policy)
+        for votes in draw_batches(5, seed=13):
+            source.observe_batch(votes)
+        state = source.state_dict()
+        assert state["reference"] is not None and len(state["recent"]) == 2
+        target = DriftMonitor(policy)
+        for votes in draw_batches(3, seed=14):
+            target.observe_batch(votes)
+        before = target.state_dict()
+        with pytest.raises(ValueError):
+            target.load_state(MALFORMED_DRIFT_STATES[case](state))
+        assert target.state_dict() == before
 
     @pytest.mark.parametrize("schema", [2, 0, None, "x"])
     def test_load_state_refuses_unknown_schema(self, schema):

@@ -25,10 +25,13 @@ from repro.parallel import (
     parallel_block_size,
 )
 from repro.parallel.executor import _pack_block, _unpack_block
+from repro.dfs.records import read_records
 from repro.streaming import (
     CheckpointedStream,
     MicroBatchPipeline,
     RecordStreamSource,
+    SimulatedCrash,
+    read_labels,
 )
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.online_label_model import OnlineLabelModelConfig
@@ -358,6 +361,50 @@ class TestStreamingParallel:
             reference.predict_proba(serial.label_matrix.matrix).tobytes()
             == parallel.predict_proba(report.label_matrix.matrix).tobytes()
         )
+
+    def test_label_shards_identical_across_serial_pool_and_resumed(
+        self, staged, pool
+    ):
+        """With solves mid-stream (so batches carry different posterior
+        tables), a serial run, a pooled run and a pooled run resumed
+        after a crash write the same label blocks, byte for byte."""
+        dfs, shards, serial = staged
+        config = OnlineLabelModelConfig(
+            base=LabelModelConfig(seed=0), refit_every=2
+        )
+
+        def stream(root, executor=None):
+            return CheckpointedStream(
+                dfs, make_lfs(), root, batch_size=64, online_config=config,
+                checkpoint_every=2, executor=executor,
+            )
+
+        stream("/lab/serial").run(RecordStreamSource(dfs, shards))
+        stream("/lab/pool", pool).run(RecordStreamSource(dfs, shards))
+        with pytest.raises(SimulatedCrash):
+            stream("/lab/resumed").run(
+                RecordStreamSource(dfs, shards), fail_after_batch=4
+            )
+        stream("/lab/resumed", pool).run(RecordStreamSource(dfs, shards))
+
+        def labels(root):
+            return {
+                p[len(root):]: dfs.read_file(p)
+                for p in dfs.list(f"{root}/labels/")
+            }
+
+        reference = labels("/lab/serial")
+        assert len(reference) == -(-len(serial.label_matrix.example_ids) // 64)
+        assert labels("/lab/pool") == reference
+        assert labels("/lab/resumed") == reference
+        paths = dfs.list("/lab/serial/labels/")
+        assert all(
+            [record["kind"] for record in read_records(dfs, p)] == ["labels"]
+            for p in paths
+        )
+        assert [
+            eid for p in paths for eid in read_labels(dfs, p)[0]
+        ] == serial.label_matrix.example_ids
 
     def test_mismatched_worker_suite_is_rejected(self, staged, narrow_pool):
         dfs, shards, _ = staged
