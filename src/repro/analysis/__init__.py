@@ -14,11 +14,11 @@ invisible to example-based tests:
     ``src/`` appears in a pinned contract tuple, and every contracted
     key is still emitted — both directions, statically.
 ``lock-discipline`` / ``blocking-under-lock``
-    One lock model, two rules (:mod:`repro.analysis.locks`): in
-    thread-starting classes, attributes mutated from both the thread
-    target and public methods are only touched under a held lock; and
-    nothing blocking (joins, foreign waits, ``time.sleep``, DFS writes)
-    runs under a held lock. Acquisition order is the runtime
+    One lock model, two rules (:mod:`repro.analysis.locks`): per class,
+    an attribute any method touches under ``with self.<guard>`` is
+    mutated only under that guard, whichever thread runs the method (a
+    static lockset); and nothing blocking (joins, foreign waits,
+    ``time.sleep``, DFS writes) runs under a held lock. Acquisition order is the runtime
     sanitizer's job (:mod:`repro.sanitizer`), which proves it from the
     orders tier-1 actually runs.
 ``resource-safety``

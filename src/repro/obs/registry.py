@@ -87,11 +87,12 @@ class MetricsRegistry:
         (dropped without one); spans go to ``tracer`` when it is
         enabled. Returns ``self``.
         """
-        self._parent = parent
-        self._home = None if parent is None else parent._home
-        self._tracer = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
+        with self._lock:
+            self._parent = parent
+            self._home = None if parent is None else parent._home
+            self._tracer = (
+                tracer if tracer is not None and tracer.enabled else None
+            )
         return self
 
     # ------------------------------------------------------------------

@@ -285,8 +285,8 @@ class ParallelLabelExecutor:
 
     def close(self) -> None:
         """Shut the pool down; the executor cannot be reused after."""
-        self._closed = True
         with self._pool_lock:
+            self._closed = True
             if self._pool is not None:
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = None

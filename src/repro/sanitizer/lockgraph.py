@@ -12,7 +12,10 @@ primitives in :mod:`repro.sanitizer.proxies` and maintains:
   thread ever having to hang;
 * a :class:`ThreadRegistry` that reports leaked threads — repo-owned
   threads still alive at the shutdown sweep, or finished non-daemon
-  threads that were never joined.
+  threads that were never joined;
+* one after-fork hook that resets every graph's and registry's raw
+  mutex in a forked child, so a fork while another thread held one
+  cannot hang the child.
 
 Findings mirror the static analysis framework's row shape
 (``{path, line, rule, message}``), so ``sanitizer-report.json`` and
@@ -21,8 +24,11 @@ Findings mirror the static analysis framework's row shape
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
 import traceback
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +42,23 @@ __all__ = [
 #: The genuine lock constructor, captured before any proxy patching —
 #: the graph's own mutex must never be a recording proxy.
 _RAW_LOCK = threading.Lock
+
+#: Every live graph and thread registry, for the after-fork reset.
+_MUTEX_OWNERS: weakref.WeakSet = weakref.WeakSet()
+
+
+def _reset_mutexes_in_child() -> None:
+    """Reset every owner's raw mutex in a forked child.
+
+    A child forked while some thread held one inherits it held, with no
+    thread left to release it: its next thread or edge would hang.
+    """
+    for owner in list(_MUTEX_OWNERS):
+        owner._mutex._at_fork_reinit()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_mutexes_in_child)
 
 
 def _normalize(filename: str) -> str:
@@ -155,6 +178,7 @@ class ThreadRegistry:
         self._mutex = _RAW_LOCK()
         self._records: dict[int, _ThreadRecord] = {}
         self._owned = owned_predicate
+        _MUTEX_OWNERS.add(self)
 
     def note_created(self, thread: threading.Thread) -> None:
         """Record a thread construction (captures the creation site)."""
@@ -249,19 +273,23 @@ class LockGraph:
         self._adjacency: dict[int, set[int]] = {}
         self._findings: list[SanitizerFinding] = []
         self._cycle_keys: set[frozenset[int]] = set()
-        self._next_uid = 0
+        self._uids = itertools.count(1)
         self.threads = ThreadRegistry(owned_predicate)
+        _MUTEX_OWNERS.add(self)
 
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
     def register_lock(self, kind: str) -> int:
-        """Allocate a uid and creation-site label for a new primitive."""
+        """Allocate a uid and creation-site label for a new primitive.
+
+        Takes no mutex (``count`` and one dict store are atomic): in a
+        forked child, ``threading``'s own after-fork hook builds an
+        ``RLock`` before :func:`_reset_mutexes_in_child` runs.
+        """
         path, line, _ = _caller_site()
-        with self._mutex:
-            self._next_uid += 1
-            uid = self._next_uid
-            self._labels[uid] = f"{kind}({path}:{line})"
+        uid = next(self._uids)
+        self._labels[uid] = f"{kind}({path}:{line})"
         return uid
 
     # ------------------------------------------------------------------

@@ -358,6 +358,10 @@ UNLOCKED_CLASS = """\
 
         def push(self, item):
             self._buf.append(item)  # public-side unlocked
+
+        def size(self):
+            with self._lock:
+                return len(self._buf)
 """
 
 
@@ -377,6 +381,8 @@ class TestLockDisciplineRule:
         assert report.ok
 
     def test_threadless_class_is_ignored(self, tmp_path):
+        """A class that takes no lock guards nothing, so nothing it
+        mutates is a finding."""
         repo = make_repo(
             tmp_path,
             {
@@ -412,7 +418,8 @@ class TestLockDisciplineRule:
 
                             thread = threading.Thread(target=produce)
                             thread.start()
-                            self._pending.append(2)
+                            with self._lock:
+                                self._pending.append(2)
                             thread.join()
                 """,
             },
@@ -452,87 +459,6 @@ class TestLockDisciplineRule:
         lines = {f.line for f in findings_for(report, "lock-discipline")}
         assert line_of(repo, "src/beeper.py", "# timer-side unlocked") in lines
 
-    def test_same_module_function_target_counts_as_thread_side(
-        self, tmp_path
-    ):
-        repo = make_repo(
-            tmp_path,
-            {
-                "src/pumper.py": """\
-                    import threading
-
-
-                    def pump(state):
-                        state._buf.append(1)  # module fn unlocked
-
-
-                    class Owner:
-                        def __init__(self):
-                            self._lock = threading.Lock()
-                            self._buf = []
-
-                        def start(self):
-                            thread = threading.Thread(
-                                target=pump, args=(self,)
-                            )
-                            thread.start()
-
-                        def push(self, item):
-                            with self._lock:
-                                self._buf.append(item)
-                """,
-            },
-        )
-        report = run_analysis(repo, [LockDisciplineRule()])
-        lines = {f.line for f in findings_for(report, "lock-discipline")}
-        assert (
-            line_of(repo, "src/pumper.py", "# module fn unlocked") in lines
-        )
-
-    def test_cross_module_function_target_flagged_in_defining_module(
-        self, tmp_path
-    ):
-        """The Thread target lives in another module; the finding is
-        anchored where the unlocked access actually is."""
-        repo = make_repo(
-            tmp_path,
-            {
-                "src/workerlib.py": """\
-                    def pump(state):
-                        state._buf.append(1)  # external unlocked
-                """,
-                "src/owner.py": """\
-                    import threading
-
-                    from workerlib import pump
-
-
-                    class Owner:
-                        def __init__(self):
-                            self._lock = threading.Lock()
-                            self._buf = []
-
-                        def start(self):
-                            thread = threading.Thread(
-                                target=pump, args=(self,)
-                            )
-                            thread.start()
-
-                        def push(self, item):
-                            with self._lock:
-                                self._buf.append(item)
-                """,
-            },
-        )
-        report = run_analysis(repo, [LockDisciplineRule()])
-        hits = findings_for(report, "lock-discipline")
-        assert [(f.path, f.line) for f in hits] == [
-            (
-                "src/workerlib.py",
-                line_of(repo, "src/workerlib.py", "# external unlocked"),
-            )
-        ]
-
     def test_deferred_closure_body_is_not_locked(self, tmp_path):
         """A callback defined under the lock runs later, without it —
         the same rule blocking-under-lock applies to deferred code."""
@@ -547,6 +473,151 @@ class TestLockDisciplineRule:
         assert [f.line for f in findings_for(report, "lock-discipline")] == [
             line_of(repo, "src/worker.py", "# deferred unlocked")
         ]
+
+    def lock_discipline_lines(self, tmp_path, source: str) -> tuple:
+        """``(repo, finding lines, findings)`` for one fixture module."""
+        repo = make_repo(tmp_path, {"src/fixture.py": source})
+        report = run_analysis(repo, [LockDisciplineRule()])
+        hits = findings_for(report, "lock-discipline")
+        return repo, [f.line for f in hits], hits
+
+    def test_client_threads_share_a_threadless_queue(self, tmp_path):
+        """The serving tier's shape: no thread is started, yet every
+        caller appends to the queue a leader drains under the lock."""
+        repo, lines, hits = self.lock_discipline_lines(
+            tmp_path,
+            """\
+            import threading
+            from collections import deque
+
+
+            class Server:
+                def __init__(self):
+                    self._queue_lock = threading.Condition(threading.Lock())
+                    self._queue = deque()
+
+                def admit(self, item):
+                    self._queue.append(item)  # admit unlocked
+                    with self._queue_lock:
+                        self._queue_lock.notify_all()
+
+                def lead(self):
+                    with self._queue_lock:
+                        return self._queue.popleft()
+            """,
+        )
+        assert lines == [line_of(repo, "src/fixture.py", "# admit unlocked")]
+        assert "Server.admit mutates self._queue outside {_queue_lock}" in (
+            hits[0].message
+        )
+
+    def test_counter_bumped_outside_the_lock_its_reader_takes(self, tmp_path):
+        """A sequence counter read under the lock by a property and
+        bumped outside it: only the bump is a finding."""
+        repo, lines, _ = self.lock_discipline_lines(
+            tmp_path,
+            """\
+            import threading
+
+
+            class Exporter:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._seq = 0
+
+                @property
+                def seq(self):
+                    with self._lock:
+                        return self._seq
+
+                def export_now(self):
+                    seq = self._seq
+                    self._seq += 1  # bump unlocked
+                    return seq
+            """,
+        )
+        assert lines == [line_of(repo, "src/fixture.py", "# bump unlocked")]
+
+    def test_mutation_under_a_different_guard_flagged(self, tmp_path):
+        repo, lines, hits = self.lock_discipline_lines(
+            tmp_path,
+            """\
+            import threading
+
+
+            class Two:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._other_lock = threading.Lock()
+                    self._items = []
+
+                def size(self):
+                    with self._lock:
+                        return len(self._items)
+
+                def add(self, item):
+                    with self._other_lock:
+                        self._items.append(item)  # wrong guard
+            """,
+        )
+        assert lines == [line_of(repo, "src/fixture.py", "# wrong guard")]
+        assert "outside {_lock}" in hits[0].message
+
+    def test_setstate_writes_are_exempt(self, tmp_path):
+        """``__setstate__`` builds the instance before anyone shares it,
+        as ``__init__`` does."""
+        _, lines, _ = self.lock_discipline_lines(
+            tmp_path,
+            """\
+            import threading
+
+
+            class Snapshot:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._state = {}
+
+                def __setstate__(self, state):
+                    self._lock = threading.Lock()
+                    self._state = dict(state)
+
+                def get(self, key):
+                    with self._lock:
+                        return self._state[key]
+            """,
+        )
+        assert lines == []
+
+    def test_attribute_never_touched_under_a_lock_is_out_of_scope(
+        self, tmp_path
+    ):
+        """The rule infers a guard only from locked accesses: a class
+        that takes a lock for one attribute says nothing about another
+        it never touches under one."""
+        _, lines, _ = self.lock_discipline_lines(
+            tmp_path,
+            """\
+            import threading
+
+
+            class Counter:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._hits = 0
+                    self._guarded = 0
+
+                def hit(self):
+                    self._hits += 1
+
+                def total(self):
+                    return self._hits
+
+                def bump(self):
+                    with self._lock:
+                        self._guarded += 1
+            """,
+        )
+        assert lines == []
 
 
 INVERTED_PAIR = """\

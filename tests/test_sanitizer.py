@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import queue
+import signal
 import sys
 import threading
 import time
@@ -338,6 +339,42 @@ class TestInstall:
             sys.unraisablehook = saved_hook
             sanitizer.uninstall()
         assert verdict == b"1"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("owner", ["graph", "threads"])
+    def test_forked_child_resets_the_sanitizers_own_mutexes(self, owner):
+        """A child forked while a thread holds the graph's or the thread
+        registry's raw mutex inherits it held, with no thread left to
+        release it. The child must still build locks and threads; the
+        parent kills it at a deadline, so a hang fails the test instead
+        of wedging the suite."""
+        graph = sanitizer.install(LockGraph())
+        try:
+            with (graph if owner == "graph" else graph.threads)._mutex:
+                pid = os.fork()
+                if pid == 0:  # the child: lock, spawn, report, leave
+                    code = 1
+                    try:
+                        with threading.Lock():
+                            worker = threading.Thread(target=lambda: None)
+                            worker.start()
+                        worker.join(timeout=5.0)
+                        code = 0 if graph.threads.counts()["joined"] else 2
+                    finally:
+                        os._exit(code)
+        finally:
+            sanitizer.uninstall()
+        deadline = time.monotonic() + 5.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail(f"forked child hung on the held {owner} mutex")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_uninstall_without_install_raises(self):
         depth = 0
