@@ -117,8 +117,7 @@ def run_demo() -> dict:
         registry.gauge("demo/resident").add(42)
     tracer.close()
     with tempfile.NamedTemporaryFile(mode="w", suffix=".jsonl") as handle:
-        exporter = TelemetryExporter(registry, interval_s=60.0, path=handle.name)
-        entry = exporter.export_now()
+        entry = TelemetryExporter(registry, path=handle.name).export_now()
     entry["spans_written"] = tracer.spans_written
     return entry
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 
-__all__ = ["import_aliases", "dotted_name", "resolve_call"]
+__all__ = ["import_aliases", "dotted_name", "resolve_call", "resolve_name"]
 
 
 def import_aliases(tree: ast.Module) -> dict[str, str]:
@@ -54,16 +54,21 @@ def dotted_name(node: ast.expr) -> str | None:
     return ".".join(reversed(parts))
 
 
-def resolve_call(node: ast.Call, aliases: dict[str, str]) -> str | None:
-    """The fully qualified name a call resolves to, via the alias map.
+def resolve_name(node: ast.expr, aliases: dict[str, str]) -> str | None:
+    """The fully qualified name a Name/Attribute chain resolves to.
 
-    ``np.random.rand(...)`` with ``{"np": "numpy"}`` resolves to
-    ``numpy.random.rand``; a call through a non-name expression (e.g.
-    a subscript or another call's result) resolves to ``None``.
+    ``np.random.rand`` with ``{"np": "numpy"}`` resolves to
+    ``numpy.random.rand``; any other expression (e.g. a subscript or a
+    call's result) resolves to ``None``.
     """
-    name = dotted_name(node.func)
+    name = dotted_name(node)
     if name is None:
         return None
     root, _, rest = name.partition(".")
     origin = aliases.get(root, root)
     return f"{origin}.{rest}" if rest else origin
+
+
+def resolve_call(node: ast.Call, aliases: dict[str, str]) -> str | None:
+    """The fully qualified name a call resolves to, via the alias map."""
+    return resolve_name(node.func, aliases)

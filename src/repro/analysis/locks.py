@@ -2,10 +2,11 @@
 
 Both rules read what one scanner gathers per method under one lock
 model: a *guard* is an instance attribute or plain name assigned a
-``threading.Lock/RLock/Condition`` in the class / module, or anything
-whose last name part says ``lock``; ``with`` pushes each guard on a
-held stack for its body; a nested ``def`` / ``lambda`` runs later and
-holds nothing.
+``threading.Lock/RLock/Condition`` in the class / module (directly or
+through a module-level alias such as ``_RAW_LOCK = threading.Lock``),
+or anything whose last name part says ``lock``; ``with`` pushes each
+guard on a held stack for its body; a nested ``def`` / ``lambda`` runs
+later and holds nothing.
 
 ``lock-discipline``
     A static lockset rule per class (Eraser's idea, Savage et al.,
@@ -45,7 +46,12 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.analysis.astutil import dotted_name, import_aliases, resolve_call
+from repro.analysis.astutil import (
+    dotted_name,
+    import_aliases,
+    resolve_call,
+    resolve_name,
+)
 from repro.analysis.framework import Finding, ParsedModule, Rule
 
 __all__ = ["BlockingUnderLockRule", "LockDisciplineRule"]
@@ -109,6 +115,26 @@ CONSTRUCTORS = frozenset({"__init__", "__setstate__"})
 DFS_WRITE_CALLS = frozenset({"write_records", "write_file", "finalize_as"})
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _aliases(tree: ast.Module) -> dict[str, str]:
+    """The import aliases plus module-level constructor aliases:
+    ``_RAW_LOCK = threading.Lock`` makes ``_RAW_LOCK()`` a ``Lock``."""
+    aliases = import_aliases(tree)
+    for node in tree.body:
+        if not (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+        ):
+            continue
+        qualified = resolve_name(node.value, aliases)
+        if (
+            qualified is not None
+            and qualified.rsplit(".", 1)[-1] in THREAD_SAFE_CONSTRUCTORS
+        ):
+            aliases[node.targets[0].id] = qualified
+    return aliases
 
 
 def _constructed(
@@ -386,9 +412,7 @@ class LockDisciplineRule(Rule):
         """Report every mutation outside its attribute's guards."""
         if module.tree is None:
             return
-        for cls, methods, exempt in _scopes(
-            module.tree, import_aliases(module.tree)
-        ):
+        for cls, methods, exempt in _scopes(module.tree, _aliases(module.tree)):
             if cls is None:
                 continue
             methods = [m for m in methods if m.name not in CONSTRUCTORS]
@@ -429,9 +453,7 @@ class BlockingUnderLockRule(Rule):
         """Report every blocking-under-lock site in one module."""
         if module.tree is None:
             return
-        for cls, methods, _ in _scopes(
-            module.tree, import_aliases(module.tree)
-        ):
+        for cls, methods, _ in _scopes(module.tree, _aliases(module.tree)):
             prefix = "" if cls is None else f"{cls.name}."
             for method in sorted(methods, key=lambda m: m.name):
                 for line, what, held in method.blocking:

@@ -13,7 +13,7 @@
 * :class:`~repro.obs.tracing.Tracer` / :class:`~repro.obs.tracing.Span`
   — deterministic span tracing emitted as durable DFS trace shards,
   off unless constructed with ``enabled=True``;
-* :class:`~repro.obs.exporter.TelemetryExporter` — periodic durable
+* :class:`~repro.obs.exporter.TelemetryExporter` — on-demand durable
   snapshot publication.
 
 Everything here is opt-in and identity-preserving: a run with telemetry

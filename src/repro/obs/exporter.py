@@ -1,9 +1,11 @@
-"""Periodic durable export of metrics-registry snapshots.
+"""Durable export of metrics-registry snapshots.
 
 A registry is process-local state; an operator watching a weeks-long
-stream needs it *published*. :class:`TelemetryExporter` runs a daemon
-thread that snapshots a :class:`~repro.obs.registry.MetricsRegistry`
-every ``interval_s`` and writes each snapshot:
+stream needs it *published*. :class:`TelemetryExporter` starts no
+thread: its owner calls :meth:`~TelemetryExporter.export_now` on its
+own schedule (after a run, between batches, at shutdown), and each
+call snapshots a :class:`~repro.obs.registry.MetricsRegistry` and
+writes it:
 
 * as one finalized DFS record file per snapshot
   (``<root>/metrics-NNNNN.records``) — write-once publish, so a reader
@@ -11,14 +13,14 @@ every ``interval_s`` and writes each snapshot:
 * as one JSON line appended to a local file — the ``jq``-able form CI
   uploads.
 
-``stop()`` always takes one final snapshot, so the last export reflects
-the completed run — that final dict is what the serving and telemetry
-evals fold into their benchmark rows.
+An exporter opened on a root that already holds snapshots resumes
+after the highest one, so a restarted process keeps publishing.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 
@@ -28,18 +30,15 @@ from repro.obs.registry import MetricsRegistry
 
 __all__ = ["TelemetryExporter"]
 
-#: Bound on the shutdown join; the export loop wakes at least every
-#: ``interval_s``, so a thread alive past this is wedged.
-_JOIN_TIMEOUT_S = 5.0
+_SNAPSHOT_RE = re.compile(r"/metrics-(?P<seq>\d{5,})\.records$")
 
 
 class TelemetryExporter:
-    """Background thread publishing registry snapshots durably."""
+    """Publishes registry snapshots durably when its owner asks."""
 
     def __init__(
         self,
         registry: MetricsRegistry,
-        interval_s: float = 5.0,
         dfs: DistributedFileSystem | None = None,
         root: str | None = None,
         path: str | None = None,
@@ -49,114 +48,69 @@ class TelemetryExporter:
 
         Args:
             registry: The registry to snapshot.
-            interval_s: Seconds between periodic exports.
             dfs: Filesystem for durable record-file snapshots.
             root: DFS directory for ``metrics-NNNNN.records`` files
-                (required iff ``dfs`` is given).
+                (required iff ``dfs`` is given). Numbering resumes
+                after the highest snapshot already there.
             path: Local file to append JSONL snapshot lines to.
             include_buckets: Embed raw histogram buckets (lossless but
                 larger) in every snapshot.
 
         Raises:
-            ValueError: On a non-positive interval or a ``dfs``/``root``
-                mismatch.
+            ValueError: On a ``dfs``/``root`` mismatch.
         """
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
         if (dfs is None) != (root is None):
             raise ValueError("dfs and root must be supplied together")
         self.registry = registry
-        self.interval_s = interval_s
         self._dfs = dfs
         self.root = root.rstrip("/") if root else None
         self.path = path
         self.include_buckets = include_buckets
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._seq = 0
+        # Parsed as ints, not sorted as names: they outgrow the padding.
+        names = dfs.list(f"{self.root}/") if dfs is not None else []
+        existing = [
+            int(match.group("seq"))
+            for name in names
+            if (match := _SNAPSHOT_RE.search(name))
+        ]
+        self._first_seq = self._seq = max(existing, default=-1) + 1
         self.last_snapshot: dict | None = None
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "TelemetryExporter":
-        """Spawn the periodic export thread.
-
-        Raises:
-            RuntimeError: If the exporter is already running.
-        """
-        if self._thread is not None:
-            raise RuntimeError("TelemetryExporter is already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="telemetry-exporter", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> dict:
-        """Stop the thread and publish one final snapshot.
-
-        Idempotent; returns the final snapshot either way (taking one
-        now if the exporter was never started).
-        """
-        if self._thread is not None:
-            self._stop.set()
-            # Bounded join: the export loop re-checks the stop event at
-            # least every interval_s, so exceeding the bound means the
-            # thread is wedged (e.g. inside a stuck DFS write) and the
-            # caller must hear about it rather than hang.
-            self._thread.join(timeout=_JOIN_TIMEOUT_S)
-            if self._thread.is_alive():
-                raise RuntimeError(
-                    "telemetry-exporter thread failed to stop within "
-                    f"{_JOIN_TIMEOUT_S:.0f}s"
-                )
-            self._thread = None
-        return self.export_now()
-
-    def __enter__(self) -> "TelemetryExporter":
-        """Start exporting on context entry."""
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        """Stop (with a final export) on context exit."""
-        self.stop()
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
     @property
     def snapshots_written(self) -> int:
-        """How many snapshots have been published so far."""
+        """How many snapshots this exporter has published."""
         with self._lock:
-            return self._seq
+            return self._seq - self._first_seq
 
     def export_now(self) -> dict:
-        """Take and publish one snapshot immediately; returns it."""
+        """Take and publish one snapshot immediately; returns it.
+
+        Safe from any thread. A publish that raises consumes no
+        sequence number: the next call retries the same one. The JSONL
+        line goes first, so a failed DFS publish can leave a line whose
+        seq the retry's line repeats, but never a record file that
+        blocks every later call.
+        """
         snapshot = self.registry.snapshot(self.include_buckets)
         with self._lock:
-            seq = self._seq
-            self._seq += 1
             entry = {
-                "seq": seq,
+                "seq": self._seq,
                 "unix": round(time.time(), 3),
                 **snapshot,
             }
-            if self._dfs is not None:
-                # repro: allow[blocking-under-lock] the lock deliberately serializes the seq-ordered publish (records file per seq, JSONL appends in seq order); contenders are only the exporter thread and stop(), and the in-memory DFS write cannot block on I/O
-                write_records(
-                    self._dfs, f"{self.root}/metrics-{seq:05d}.records", [entry]
-                )
             if self.path is not None:
                 with open(self.path, "a", encoding="utf-8") as handle:
                     handle.write(
                         json.dumps(entry, sort_keys=True) + "\n"
                     )
+            if self._dfs is not None:
+                # repro: allow[blocking-under-lock] the lock serializes the seq-ordered publish (one records file per seq, JSONL appends in seq order) between callers on different threads; the in-memory DFS write cannot block on I/O
+                write_records(
+                    self._dfs,
+                    f"{self.root}/metrics-{self._seq:05d}.records",
+                    [entry],
+                )
+            self._seq += 1
             self.last_snapshot = entry
         return entry
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.export_now()

@@ -1,4 +1,4 @@
-"""Runtime concurrency sanitizer: lockset and deadlock detection.
+"""Runtime concurrency sanitizer: lock-order (potential deadlock) detection.
 
 The repo's one acquisition-order checker: lock-order cycles are proved
 here, from the orders tier-1 actually runs. ``repro.analysis`` keeps
@@ -14,9 +14,7 @@ for recording proxies that feed a process-wide
 * each "acquired B while holding A" pair becomes a graph edge with its
   first acquisition site and stack trace;
 * a cycle is reported the moment its closing edge appears — a
-  *potential deadlock* finding without any thread hanging;
-* a thread registry flags repo-owned threads that outlive the shutdown
-  sweep or finish without ever being joined.
+  *potential deadlock* finding without any thread hanging.
 
 ``tests/conftest.py`` wires the gate: with ``REPRO_TSAN=1`` the whole
 tier-1 suite runs under the sanitizer, ``sanitizer-report.json`` (path
@@ -33,7 +31,6 @@ import os
 from repro.sanitizer.lockgraph import (
     LockGraph,
     SanitizerFinding,
-    ThreadRegistry,
     collect_report,
 )
 from repro.sanitizer.proxies import (
@@ -50,7 +47,6 @@ __all__ = [
     "RLockProxy",
     "SanitizerFinding",
     "SemaphoreProxy",
-    "ThreadRegistry",
     "TSAN_ENV",
     "TSAN_REPORT_ENV",
     "active_graph",
@@ -95,7 +91,7 @@ def install(graph: LockGraph | None = None) -> LockGraph:
     """Activate the sanitizer; returns the recording graph.
 
     The graph is created *before* patching, so its own bookkeeping
-    (graph and registry mutexes) runs on raw primitives. Installs
+    (the graph mutex) runs on raw primitives. Installs
     nest — a test can layer a private graph over the session-wide one
     and :func:`uninstall` restores the outer layer.
     """

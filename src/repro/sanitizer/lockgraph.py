@@ -10,12 +10,8 @@ primitives in :mod:`repro.sanitizer.proxies` and maintains:
 * incremental cycle detection — a cycle is reported the moment its
   closing edge appears, as a *potential deadlock* finding, without any
   thread ever having to hang;
-* a :class:`ThreadRegistry` that reports leaked threads — repo-owned
-  threads still alive at the shutdown sweep, or finished non-daemon
-  threads that were never joined;
-* one after-fork hook that resets every graph's and registry's raw
-  mutex in a forked child, so a fork while another thread held one
-  cannot hang the child.
+* one after-fork hook that resets every graph's raw mutex in a forked
+  child, so a fork while another thread held one cannot hang the child.
 
 Findings mirror the static analysis framework's row shape
 (``{path, line, rule, message}``), so ``sanitizer-report.json`` and
@@ -30,12 +26,10 @@ import threading
 import traceback
 import weakref
 from dataclasses import dataclass
-from typing import Callable
 
 __all__ = [
     "LockGraph",
     "SanitizerFinding",
-    "ThreadRegistry",
     "collect_report",
 ]
 
@@ -43,18 +37,18 @@ __all__ = [
 #: the graph's own mutex must never be a recording proxy.
 _RAW_LOCK = threading.Lock
 
-#: Every live graph and thread registry, for the after-fork reset.
-_MUTEX_OWNERS: weakref.WeakSet = weakref.WeakSet()
+#: Every live graph, for the after-fork reset.
+_LIVE_GRAPHS: weakref.WeakSet = weakref.WeakSet()
 
 
 def _reset_mutexes_in_child() -> None:
-    """Reset every owner's raw mutex in a forked child.
+    """Reset every graph's raw mutex in a forked child.
 
     A child forked while some thread held one inherits it held, with no
-    thread left to release it: its next thread or edge would hang.
+    thread left to release it: its next new edge would hang.
     """
-    for owner in list(_MUTEX_OWNERS):
-        owner._mutex._at_fork_reinit()
+    for graph in list(_LIVE_GRAPHS):
+        graph._mutex._at_fork_reinit()
 
 
 if hasattr(os, "register_at_fork"):
@@ -95,25 +89,12 @@ def _caller_site() -> tuple[str, int, tuple[str, ...]]:
     return "<unknown>", 0, stack
 
 
-def _default_owner(path: str) -> bool:
-    """Whether a creation site makes a thread repo-owned.
-
-    Pool workers spawned inside ``concurrent.futures`` (or any other
-    library) are that library's responsibility; only threads whose
-    creating frame sits in ``src/repro`` (outside the sanitizer itself)
-    are held to the join-on-stop contract.
-    """
-    return path.startswith("src/repro/") and not path.startswith(
-        "src/repro/sanitizer/"
-    )
-
-
 @dataclass(frozen=True)
 class SanitizerFinding:
     """One runtime finding, shaped like a static-analysis finding."""
 
     rule: str
-    """Finding kind: ``lock-order`` or ``thread-leak``."""
+    """Finding kind: always ``lock-order``."""
     path: str
     """Repo-relative path of the anchoring site."""
     line: int
@@ -144,109 +125,6 @@ class _Edge:
     count: int = 1
 
 
-@dataclass
-class _ThreadRecord:
-    """Creation/join bookkeeping for one recorded thread."""
-
-    thread: threading.Thread
-    path: str
-    line: int
-    owned: bool
-    started: bool = False
-    joined: bool = False
-
-
-class ThreadRegistry:
-    """Track every thread created under the sanitizer.
-
-    A *leak* is a repo-owned thread that is still alive when the
-    shutdown sweep runs, or a finished non-daemon repo-owned thread
-    that was never successfully joined — both mean a ``stop()`` path
-    skipped its bounded join.
-    """
-
-    def __init__(
-        self, owned_predicate: Callable[[str], bool] = _default_owner
-    ) -> None:
-        """Create an empty registry.
-
-        Args:
-            owned_predicate: Maps a creation-site path to whether the
-                thread is held to the join-on-stop contract (tests
-                substitute ``lambda path: True``).
-        """
-        self._mutex = _RAW_LOCK()
-        self._records: dict[int, _ThreadRecord] = {}
-        self._owned = owned_predicate
-        _MUTEX_OWNERS.add(self)
-
-    def note_created(self, thread: threading.Thread) -> None:
-        """Record a thread construction (captures the creation site)."""
-        path, line, _ = _caller_site()
-        with self._mutex:
-            self._records[id(thread)] = _ThreadRecord(
-                thread, path, line, self._owned(path)
-            )
-
-    def note_started(self, thread: threading.Thread) -> None:
-        """Record a thread start."""
-        with self._mutex:
-            record = self._records.get(id(thread))
-            if record is not None:
-                record.started = True
-
-    def note_joined(self, thread: threading.Thread) -> None:
-        """Record a successful (thread actually finished) join."""
-        with self._mutex:
-            record = self._records.get(id(thread))
-            if record is not None:
-                record.joined = True
-
-    def counts(self) -> dict:
-        """Summary tallies for the report payload."""
-        with self._mutex:
-            records = list(self._records.values())
-        return {
-            "created": len(records),
-            "owned": sum(1 for r in records if r.owned),
-            "started": sum(1 for r in records if r.started),
-            "joined": sum(1 for r in records if r.joined),
-        }
-
-    def leaks(self) -> list[SanitizerFinding]:
-        """The leak findings as of right now (the shutdown sweep)."""
-        with self._mutex:
-            records = list(self._records.values())
-        findings = []
-        for record in records:
-            if not record.owned or not record.started:
-                continue
-            name = record.thread.name
-            if record.thread.is_alive():
-                findings.append(
-                    SanitizerFinding(
-                        "thread-leak",
-                        record.path,
-                        record.line,
-                        f"thread {name!r} (created at {record.path}:"
-                        f"{record.line}) is still alive at the shutdown "
-                        "sweep; a stop() path is missing its bounded join",
-                    )
-                )
-            elif not record.joined and not record.thread.daemon:
-                findings.append(
-                    SanitizerFinding(
-                        "thread-leak",
-                        record.path,
-                        record.line,
-                        f"non-daemon thread {name!r} (created at "
-                        f"{record.path}:{record.line}) finished but was "
-                        "never joined; its shutdown path leaks the handle",
-                    )
-                )
-        return findings
-
-
 class LockGraph:
     """Thread-safe acquisition graph with incremental cycle detection.
 
@@ -258,14 +136,8 @@ class LockGraph:
     taking a proxied lock mid-update must not re-enter the mutex).
     """
 
-    def __init__(
-        self, owned_predicate: Callable[[str], bool] = _default_owner
-    ) -> None:
-        """Create an empty graph.
-
-        Args:
-            owned_predicate: Forwarded to the :class:`ThreadRegistry`.
-        """
+    def __init__(self) -> None:
+        """Create an empty graph."""
         self._mutex = _RAW_LOCK()
         self._tls = threading.local()
         self._labels: dict[int, str] = {}
@@ -274,8 +146,7 @@ class LockGraph:
         self._findings: list[SanitizerFinding] = []
         self._cycle_keys: set[frozenset[int]] = set()
         self._uids = itertools.count(1)
-        self.threads = ThreadRegistry(owned_predicate)
-        _MUTEX_OWNERS.add(self)
+        _LIVE_GRAPHS.add(self)
 
     # ------------------------------------------------------------------
     # registration
@@ -289,6 +160,7 @@ class LockGraph:
         """
         path, line, _ = _caller_site()
         uid = next(self._uids)
+        # repro: allow[lock-discipline] lock-free on purpose: threading's after-fork hook builds an RLock before the child's mutex is reset, and one dict store of a fresh key is atomic
         self._labels[uid] = f"{kind}({path}:{line})"
         return uid
 
@@ -444,12 +316,10 @@ class LockGraph:
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    def findings(self, sweep_threads: bool = True) -> list[SanitizerFinding]:
-        """All findings so far (cycles, plus the thread-leak sweep)."""
+    def findings(self) -> list[SanitizerFinding]:
+        """All acquisition-cycle findings so far."""
         with self._mutex:
             found = list(self._findings)
-        if sweep_threads:
-            found.extend(self.threads.leaks())
         return sorted(
             found, key=lambda f: (f.rule, f.path, f.line, f.message)
         )
@@ -476,12 +346,11 @@ def collect_report(graph: LockGraph) -> dict:
 
     Mirrors the static analysis report: an ``ok`` verdict plus finding
     rows carrying ``path``/``line``/``rule``/``message``, with the lock
-    graph's edges and the thread tallies as supporting sections.
+    graph's edges as the supporting section.
     """
     findings = graph.findings()
     return {
         "ok": not findings,
         "findings": [finding.as_dict() for finding in findings],
         "edges": graph.edges(),
-        "threads": graph.threads.counts(),
     }

@@ -1,7 +1,7 @@
 """Recording proxies for ``threading`` primitives, plus the patcher.
 
 :func:`install` swaps ``threading.Lock/RLock/Condition/Semaphore/
-BoundedSemaphore/Thread`` for factories that wrap the *real* primitive
+BoundedSemaphore`` for factories that wrap the *real* primitive
 (captured in :data:`_REAL` at import time, so nested installs never
 double-wrap) in a thin recording shim feeding a
 :class:`~repro.sanitizer.lockgraph.LockGraph`:
@@ -20,10 +20,10 @@ double-wrap) in a thin recording shim feeding a
 * :class:`SemaphoreProxy` records acquisition *edges* but is
   never pushed on the held stack: a permit acquired on one thread is
   legitimately released on another (the serving tier's admission
-  control), so permits have no bracketed hold span to track;
-* the Thread factory subclasses the real ``Thread`` (subclassing and
-  ``isinstance`` keep working) and registers construction/start/join
-  with the graph's :class:`~repro.sanitizer.lockgraph.ThreadRegistry`.
+  control), so permits have no bracketed hold span to track.
+
+``threading.Thread`` is left alone: ``src/`` constructs no thread
+(``tests/test_analysis.py`` holds it to that statically).
 
 :func:`uninstall` restores whatever :func:`install` replaced; installs
 nest (a test can layer a private graph over the session-wide one) and
@@ -53,7 +53,6 @@ _REAL = {
     "Condition": threading.Condition,
     "Semaphore": threading.Semaphore,
     "BoundedSemaphore": threading.BoundedSemaphore,
-    "Thread": threading.Thread,
 }
 
 _PATCHED_NAMES = tuple(_REAL)
@@ -192,31 +191,6 @@ def _condition_factory(graph: LockGraph):
     return condition
 
 
-def _thread_factory(graph: LockGraph):
-    """A patched ``threading.Thread`` reporting to the registry."""
-    real = _REAL["Thread"]
-
-    class RecordingThread(real):
-        """A real Thread that registers construction, start, and join."""
-
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            graph.threads.note_created(self)
-
-        def start(self) -> None:
-            """Start the thread, marking it started in the registry."""
-            graph.threads.note_started(self)
-            super().start()
-
-        def join(self, timeout: float | None = None) -> None:
-            """Join; only a join that saw the thread finish counts."""
-            super().join(timeout)
-            if not self.is_alive():
-                graph.threads.note_joined(self)
-
-    return RecordingThread
-
-
 def install(graph: LockGraph) -> None:
     """Patch ``threading`` so new primitives record into ``graph``.
 
@@ -234,7 +208,6 @@ def install(graph: LockGraph) -> None:
     threading.BoundedSemaphore = lambda value=1: SemaphoreProxy(
         graph, value, bounded=True
     )
-    threading.Thread = _thread_factory(graph)
 
 
 def installed() -> bool:

@@ -79,8 +79,9 @@ from repro.types import Example, require_int
 
 __all__ = ["ServeConfig", "ServeResult", "ServeTimeout", "LabelServer"]
 
-#: Bound on the shutdown wait. A leader drains only what is queued, so
-#: one that outlives this bound is wedged and must be surfaced.
+#: Bound on each shutdown wait, for the queue lock and then for the
+#: leader. Both drain only what is queued, so outliving it is a wedge
+#: that must be surfaced.
 _JOIN_TIMEOUT_S = 5.0
 
 
@@ -263,13 +264,20 @@ class LabelServer:
         ``stop`` raise ``RuntimeError``.
 
         Raises:
-            RuntimeError: If a leader outlives the bound.
+            RuntimeError: If the queue lock or a leader outlives the
+                bound.
         """
         if self._stopped.is_set():
             return
-        with self._queue_lock:
-            self._stopped.set()
-            drained = self._queue_lock.wait_for(lambda: not self._leading, _JOIN_TIMEOUT_S)
+        # Bounded like the leader wait: a holder that never lets go of
+        # the queue lock is a wedge the caller must hear about.
+        drained = self._queue_lock.acquire(timeout=_JOIN_TIMEOUT_S)
+        if drained:
+            try:
+                self._stopped.set()
+                drained = self._queue_lock.wait_for(lambda: not self._leading, _JOIN_TIMEOUT_S)
+            finally:
+                self._queue_lock.release()
         if not drained:
             raise RuntimeError(f"label server failed to stop within {_JOIN_TIMEOUT_S:.0f}s")
         stop_lf_resources(self.lfs)

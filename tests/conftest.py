@@ -7,8 +7,8 @@ only trades isolation we do not need for a large speedup.
 With ``REPRO_TSAN=1`` the whole suite runs under the runtime
 concurrency sanitizer (``repro.sanitizer``): the threading primitives
 are swapped for recording proxies at configure time, the session writes
-``sanitizer-report.json`` at teardown, and any finding — a lock-order
-cycle observed live, or a leaked repo-owned thread — fails the run.
+``sanitizer-report.json`` at teardown, and any finding (a lock-order
+cycle observed live) fails the run.
 With the knob unset the sanitizer is never imported.
 """
 
@@ -71,9 +71,9 @@ def pytest_unconfigure(config):
 def _concurrency_sanitizer_gate():
     """Session gate: write the sanitizer report and fail on findings.
 
-    Runs its teardown after the last test: every started component has
-    been stopped by then, so a live repo-owned thread is a genuine leak
-    and a recorded acquisition cycle a genuine deadlock hazard.
+    Runs its teardown after the last test, so the report covers every
+    acquisition order the suite ran; a recorded cycle is a genuine
+    deadlock hazard.
     """
     yield
     if not _TSAN_INSTALLED:

@@ -12,6 +12,7 @@ replaced run through its lock graph here, so each catch is still shown.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -35,9 +36,13 @@ from repro.analysis import (
     default_rules,
     run_analysis,
 )
+from repro.analysis.astutil import import_aliases, resolve_name
 from repro.analysis.framework import ParsedModule
 
 REPO = Path(__file__).resolve().parent.parent
+
+#: What starts a thread: constructing (or subclassing) any of these.
+THREAD_CONSTRUCTORS = frozenset({"Thread", "Timer", "ThreadPoolExecutor"})
 
 
 def make_repo(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -60,6 +65,28 @@ def line_of(repo: Path, relpath: str, needle: str) -> int:
 
 def findings_for(report, rule_id: str):
     return [f for f in report.findings if f.rule == rule_id]
+
+
+def thread_constructions(repo: Path, package: str) -> list[str]:
+    """``path:line`` of every call to, or class deriving from, a
+    :data:`THREAD_CONSTRUCTORS` name in ``repo/package``'s modules,
+    resolved through each module's imports."""
+    sites = []
+    for path in sorted((repo / package).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = import_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                refs = [node.func]
+            elif isinstance(node, ast.ClassDef):
+                refs = node.bases
+            else:
+                continue
+            for ref in refs:
+                name = resolve_name(ref, aliases) or ""
+                if name.rsplit(".", 1)[-1] in THREAD_CONSTRUCTORS:
+                    sites.append((str(path.relative_to(repo)), node.lineno))
+    return [f"{relpath}:{line}" for relpath, line in sorted(sites)]
 
 
 class TestDeterminismRule:
@@ -588,6 +615,34 @@ class TestLockDisciplineRule:
         )
         assert lines == []
 
+    def test_module_level_constructor_alias_is_a_guard(self, tmp_path):
+        """``_RAW_LOCK = threading.Lock`` (the sanitizer's idiom for a
+        lock the patcher must not wrap) still builds a guard, though
+        neither the alias nor the attribute says ``lock``."""
+        repo, lines, hits = self.lock_discipline_lines(
+            tmp_path,
+            """\
+            import threading
+
+            _RAW_LOCK = threading.Lock
+
+
+            class Graph:
+                def __init__(self):
+                    self._mutex = _RAW_LOCK()
+                    self._labels = {}
+
+                def register(self, uid, label):
+                    self._labels[uid] = label  # store unlocked
+
+                def label(self, uid):
+                    with self._mutex:
+                        return self._labels[uid]
+            """,
+        )
+        assert lines == [line_of(repo, "src/fixture.py", "# store unlocked")]
+        assert "outside {_mutex}" in hits[0].message
+
     def test_attribute_never_touched_under_a_lock_is_out_of_scope(
         self, tmp_path
     ):
@@ -654,9 +709,7 @@ def lock_order_findings(repo: Path, relpath: str, drive) -> list:
         drive(module)
     finally:
         sanitizer.uninstall()
-    return [
-        f for f in graph.findings(sweep_threads=False) if f.rule == "lock-order"
-    ]
+    return [f for f in graph.findings() if f.rule == "lock-order"]
 
 
 class TestLockOrderRule:
@@ -1234,6 +1287,43 @@ class TestLiveRepoClosure:
         # Every suppression in the tree carries a reason (the
         # suppression meta-rule gates).
         assert not [f for f in report.findings if f.rule == "suppression"]
+
+    def test_src_constructs_no_thread(self):
+        """``src/`` starts no thread of its own: owners call the
+        exporter, callers' threads lead the server, workers are
+        processes. Binds on every run, not only under the sanitizer."""
+        assert thread_constructions(REPO, "src/repro") == []
+
+    def test_thread_constructions_are_found(self, tmp_path):
+        """The walk above sees a plain, an aliased, a pooled and a
+        subclassed thread, and ignores annotations and strings."""
+        repo = make_repo(
+            tmp_path,
+            {
+                "src/spawn.py": """\
+                    import threading
+                    from concurrent.futures import ThreadPoolExecutor
+                    from threading import Timer as Later
+
+                    handle: threading.Thread | None = None
+                    KIND = "Thread"
+
+
+                    class Worker(threading.Thread):  # subclassed
+                        pass
+
+
+                    def go(fn):
+                        threading.Thread(target=fn).start()  # plain
+                        Later(1.0, fn).start()  # aliased
+                        return ThreadPoolExecutor(2)  # pooled
+                """
+            },
+        )
+        assert thread_constructions(repo, "src") == [
+            f"src/spawn.py:{line_of(repo, 'src/spawn.py', '# ' + tag)}"
+            for tag in ("subclassed", "plain", "aliased", "pooled")
+        ]
 
     def test_lint_cli_json_contract(self):
         """scripts/lint.py --json emits the machine-readable report."""

@@ -14,7 +14,8 @@ Covers the :mod:`repro.obs` contracts the rest of the repo leans on:
   accumulator sampling, disabled-mode no-ops, and all three sinks
   (list, JSONL file, rolling DFS trace shards);
 * the :class:`TelemetryExporter` — durable snapshot records, JSONL
-  lines, and the final-snapshot-on-stop guarantee;
+  lines, numbering that resumes after a restart, and a failed publish
+  that consumes no number;
 * integration — ``StreamReport.telemetry`` from an instrumented
   pipeline, durable output byte-identical with and without telemetry,
   cross-process histogram merge totals equal to a single-process run,
@@ -27,8 +28,8 @@ import threading
 
 import pytest
 
-from repro.dfs.filesystem import DistributedFileSystem
-from repro.dfs.records import iter_record_blobs
+from repro.dfs.filesystem import DFSError, DistributedFileSystem
+from repro.dfs.records import iter_record_blobs, write_records
 from repro.lf.applier import apply_lfs_in_memory, stage_examples
 from repro.obs import (
     DfsTraceSink,
@@ -424,8 +425,7 @@ class TestTelemetryExporter:
         registry = MetricsRegistry()
         registry.record("h", 5.0)
         exporter = TelemetryExporter(
-            registry, interval_s=60.0, dfs=dfs, root="/obs/metrics",
-            path=str(path),
+            registry, dfs=dfs, root="/obs/metrics", path=str(path)
         )
         first = exporter.export_now()
         registry.record("h", 6.0)
@@ -443,14 +443,39 @@ class TestTelemetryExporter:
         )
         assert records[0]["seq"] == 0
 
-    def test_stop_takes_final_snapshot(self):
+    def test_restarted_exporter_resumes_after_the_highest_snapshot(self):
+        """A second exporter on a root that already holds snapshots
+        publishes after them, ordered by number, not by name: the
+        names outgrow their 5-digit padding at 100000."""
+        dfs = DistributedFileSystem()
         registry = MetricsRegistry()
-        exporter = TelemetryExporter(registry, interval_s=3600.0)
-        with exporter:
-            registry.counter("late", 7)
-        # Nothing ticked (interval is an hour), but stop() snapshots.
-        assert exporter.snapshots_written >= 1
-        assert exporter.last_snapshot["counters"]["late"] == 7
+        first = TelemetryExporter(registry, dfs=dfs, root="/obs/m")
+        first.export_now()
+        first.export_now()
+        restarted = TelemetryExporter(registry, dfs=dfs, root="/obs/m")
+        assert restarted.snapshots_written == 0
+        assert restarted.export_now()["seq"] == 2
+        assert restarted.snapshots_written == 1
+        write_records(dfs, "/obs/m/metrics-99999.records", [{"seq": 99999}])
+        write_records(dfs, "/obs/m/metrics-100000.records", [{"seq": 100000}])
+        late = TelemetryExporter(registry, dfs=dfs, root="/obs/m")
+        assert late.export_now()["seq"] == 100001
+        assert dfs.exists("/obs/m/metrics-100001.records")
+
+    def test_failed_publish_consumes_no_seq(self):
+        """A publish that raises is not counted, and the next call
+        retries its number."""
+        dfs = DistributedFileSystem()
+        registry = MetricsRegistry()
+        exporter = TelemetryExporter(registry, dfs=dfs, root="/obs/f")
+        write_records(dfs, "/obs/f/metrics-00000.records", [{"seq": 0}])
+        with pytest.raises(DFSError):
+            exporter.export_now()
+        assert exporter.snapshots_written == 0
+        assert exporter.last_snapshot is None
+        dfs.delete("/obs/f/metrics-00000.records")
+        assert exporter.export_now()["seq"] == 0
+        assert exporter.snapshots_written == 1
 
 
 # ----------------------------------------------------------------------
@@ -496,9 +521,10 @@ class TestHotPathIntegration:
         assert report.telemetry is None
 
     def test_telemetry_changes_no_durable_byte(self):
-        """A registry, an always-on tracer and a running exporter leave
-        every byte under the stream root (vote shards, label shards,
-        manifests) and the offline vote matrix as a bare run makes them."""
+        """A registry, an always-on tracer and an exporter publishing
+        between the observed runs leave every byte under the stream root
+        (vote shards, label shards, manifests) and the offline vote
+        matrix as a bare run makes them."""
         corpus = make_corpus(n=300, seed=7)
         lfs = make_lfs()
         dfs = DistributedFileSystem()
@@ -516,19 +542,17 @@ class TestHotPathIntegration:
         tracer = Tracer(
             sink=DfsTraceSink(dfs, "/id/obs/traces"), enabled=True, sample=1.0
         )
-        with TelemetryExporter(
-            registry, interval_s=0.01, dfs=dfs, root="/id/obs/metrics"
-        ) as exporter:
-            observed = durable_bytes(
-                "/id/on", telemetry=registry, tracer=tracer
-            )
-            votes = apply_lfs_in_memory(
-                lfs, corpus, batch_size=64, telemetry=registry, tracer=tracer
-            )
+        exporter = TelemetryExporter(registry, dfs=dfs, root="/id/obs/metrics")
+        observed = durable_bytes("/id/on", telemetry=registry, tracer=tracer)
+        exporter.export_now()
+        votes = apply_lfs_in_memory(
+            lfs, corpus, batch_size=64, telemetry=registry, tracer=tracer
+        )
+        exporter.export_now()
         tracer.close()
         # The observed arm really was observed.
         assert tracer.spans_written > 0
-        assert exporter.snapshots_written >= 1
+        assert exporter.snapshots_written == 2
         assert registry.histogram("stream/checkpoint_us").count > 0
 
         assert observed == durable_bytes("/id/off")

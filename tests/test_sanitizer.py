@@ -33,8 +33,8 @@ from repro.sanitizer.proxies import _REAL
 
 
 def run_threads(*targets):
-    """Run each target in a real (pre-patch) thread and join them all."""
-    threads = [_REAL["Thread"](target=target) for target in targets]
+    """Run each target in its own thread and join them all."""
+    threads = [threading.Thread(target=target) for target in targets]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -213,69 +213,12 @@ class TestConditionAndSemaphore:
         assert graph.findings() == []
 
 
-class TestThreadRegistry:
-    def test_joined_thread_is_clean(self):
-        graph = sanitizer.install(LockGraph(owned_predicate=lambda p: True))
-        try:
-            thread = threading.Thread(target=lambda: None)
-            thread.start()
-            thread.join(timeout=5.0)
-        finally:
-            sanitizer.uninstall()
-        assert graph.threads.leaks() == []
-        counts = graph.threads.counts()
-        assert counts["created"] == counts["joined"] == 1
-
-    def test_unjoined_finished_thread_is_a_leak(self):
-        graph = sanitizer.install(LockGraph(owned_predicate=lambda p: True))
-        try:
-            finished = threading.Event()
-            thread = threading.Thread(target=finished.set)
-            thread.start()
-            assert finished.wait(5.0)
-            deadline = time.monotonic() + 5.0
-            while thread.is_alive() and time.monotonic() < deadline:
-                time.sleep(0.005)
-        finally:
-            sanitizer.uninstall()
-        leaks = graph.threads.leaks()
-        assert len(leaks) == 1
-        assert leaks[0].rule == "thread-leak"
-        assert "never joined" in leaks[0].message
-
-    def test_alive_thread_is_a_leak(self):
-        graph = sanitizer.install(LockGraph(owned_predicate=lambda p: True))
-        try:
-            release = threading.Event()
-            thread = threading.Thread(target=release.wait, daemon=True)
-            thread.start()
-            leaks = graph.threads.leaks()
-            assert len(leaks) == 1
-            assert "still alive" in leaks[0].message
-            release.set()
-            thread.join(timeout=5.0)
-            assert graph.threads.leaks() == []
-        finally:
-            sanitizer.uninstall()
-
-    def test_foreign_threads_are_not_owned(self):
-        """Threads created outside src/repro (like this test's) are not
-        held to the join contract by the default predicate."""
-        graph = sanitizer.install(LockGraph())
-        try:
-            thread = threading.Thread(target=lambda: None)
-            thread.start()
-            thread.join(timeout=5.0)
-            assert graph.threads.counts()["owned"] == 0
-        finally:
-            sanitizer.uninstall()
-
-
 class TestInstall:
     def test_patch_and_restore(self):
         before = (threading.Lock, threading.RLock, threading.Thread)
         graph = sanitizer.install(LockGraph())
         try:
+            assert threading.Thread is before[2], "threads stay unpatched"
             assert isinstance(threading.Lock(), LockProxy)
             assert isinstance(threading.RLock(), RLockProxy)
             assert isinstance(threading.Semaphore(2), SemaphoreProxy)
@@ -341,25 +284,26 @@ class TestInstall:
         assert verdict == b"1"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    @pytest.mark.parametrize("owner", ["graph", "threads"])
+    @pytest.mark.parametrize("owner", ["graph"])
     def test_forked_child_resets_the_sanitizers_own_mutexes(self, owner):
-        """A child forked while a thread holds the graph's or the thread
-        registry's raw mutex inherits it held, with no thread left to
-        release it. The child must still build locks and threads; the
-        parent kills it at a deadline, so a hang fails the test instead
-        of wedging the suite."""
+        """A child forked while a thread holds the graph's raw mutex
+        inherits it held, with no thread left to release it. The child
+        must still record a new edge and start a thread; the parent
+        kills it at a deadline, so a hang fails the test instead of
+        wedging the suite."""
         graph = sanitizer.install(LockGraph())
         try:
-            with (graph if owner == "graph" else graph.threads)._mutex:
+            with graph._mutex:
                 pid = os.fork()
-                if pid == 0:  # the child: lock, spawn, report, leave
+                if pid == 0:  # the child: nest two locks, spawn, leave
                     code = 1
                     try:
                         with threading.Lock():
-                            worker = threading.Thread(target=lambda: None)
-                            worker.start()
+                            with threading.Lock():
+                                worker = threading.Thread(target=lambda: None)
+                                worker.start()
                         worker.join(timeout=5.0)
-                        code = 0 if graph.threads.counts()["joined"] else 2
+                        code = 0 if graph.edges() else 2
                     finally:
                         os._exit(code)
         finally:
@@ -407,12 +351,7 @@ class TestReport:
 
     def test_schema_mirrors_analysis_report(self):
         payload = sanitizer.collect_report(self.make_cycle_graph())
-        assert set(payload) == {
-            "ok",
-            "findings",
-            "edges",
-            "threads",
-        }
+        assert set(payload) == {"ok", "findings", "edges"}
         assert payload["ok"] is False
         row = payload["findings"][0]
         assert set(row) >= {"path", "line", "rule", "message"}
