@@ -1,4 +1,4 @@
-"""An in-process stand-in for Google's distributed filesystem.
+"""A stand-in for Google's distributed filesystem, stored in one directory.
 
 The LF template library (Section 5.1) "handles all input and output to
 Google's distributed filesystem" so that engineers only write per-example
@@ -7,23 +7,30 @@ semantics that MapReduce-era Google infrastructure provides and the
 templates rely on:
 
 * hierarchical paths under a namespace (``/ns/app/run-0/part-00003``),
-* *sharded file sets* addressed by a pattern (``...@16`` meaning 16 parts),
+  with sharded file sets named by :func:`shard_name`,
 * write-once semantics: writers stage data under a temporary name and
-  atomically ``finalize`` (rename) it, so readers never observe partial
-  files — this is what makes independently-scheduled LF binaries safe,
-* listing/globbing so the vote-joining step can discover LF outputs.
+  atomically ``finalize`` it, so readers never observe partial files —
+  this is what makes independently-scheduled LF binaries safe,
+* listing so the vote-joining step can discover LF outputs.
 
-Data lives in memory by default; a ``root`` directory can be supplied to
-spill bytes to local disk (used by the scale benchmarks so memory stays
-bounded).
+The directory is the store. DFS path ``/a/b`` is the file ``<root>/a/b``
+and every read goes to that file, so memory stays flat however much is
+written. A staged file is a temp file in ``<root>/.staging``, a name no
+DFS path may start with; publishing hard-links it to its final name,
+which fails atomically if that name exists, so write-once holds between
+every DFS object and process that shares the root (forked pool workers
+included). A DFS built without a root owns a private temp directory,
+removed when the DFS is collected.
 """
 
 from __future__ import annotations
 
-import fnmatch
+import itertools
 import os
-import re
-import threading
+import shutil
+import stat
+import tempfile
+import weakref
 
 __all__ = [
     "DistributedFileSystem",
@@ -31,7 +38,6 @@ __all__ = [
     "DFSError",
     "FileNotFound",
     "shard_name",
-    "shard_pattern",
 ]
 
 
@@ -43,7 +49,14 @@ class FileNotFound(DFSError):
     """Raised when reading a path that does not exist."""
 
 
-_SHARD_RE = re.compile(r"^(?P<base>.*)@(?P<count>\d+)$")
+#: The root's staging directory; no DFS path may start with it.
+STAGING = ".staging"
+
+#: What the OS raises for a DFS path that names no finalized file.
+_MISSING = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
+
+#: Temp-file numbers, unique within a process (names also carry the pid).
+_TEMP_IDS = itertools.count()
 
 
 def shard_name(base: str, index: int, count: int) -> str:
@@ -57,25 +70,6 @@ def shard_name(base: str, index: int, count: int) -> str:
     return f"{base}-{index:05d}-of-{count:05d}"
 
 
-def shard_pattern(base: str, count: int) -> list[str]:
-    """All shard names for a sharded file set."""
-    return [shard_name(base, i, count) for i in range(count)]
-
-
-def parse_sharded(path: str) -> tuple[str, int] | None:
-    """Parse ``base@N`` shard-set notation; return ``None`` for plain paths.
-
-    >>> parse_sharded("/app/votes@4")
-    ('/app/votes', 4)
-    >>> parse_sharded("/app/votes") is None
-    True
-    """
-    match = _SHARD_RE.match(path)
-    if match is None:
-        return None
-    return match.group("base"), int(match.group("count"))
-
-
 def _normalize(path: str) -> str:
     if not path.startswith("/"):
         raise DFSError(f"DFS paths must be absolute, got {path!r}")
@@ -83,24 +77,46 @@ def _normalize(path: str) -> str:
     parts = [p for p in path.split("/") if p]
     if any(p in (".", "..") for p in parts):
         raise DFSError(f"relative components not allowed in {path!r}")
+    if parts and parts[0] == STAGING:
+        raise DFSError(f"{path!r} is inside the DFS's staging directory")
     return "/" + "/".join(parts)
 
 
-class DistributedFileSystem:
-    """Thread-safe simulated distributed filesystem.
+def _release(staged: dict, private_root: str | None, owner: int) -> None:
+    """Close a collected DFS's staged files and remove its private root.
 
-    All mutating operations take an internal lock so that simulated
-    MapReduce workers running in threads can write shards concurrently,
-    mirroring the real system's independent writers.
+    Only the creating process cleans up: a forked worker that drops its
+    copy of the DFS must not delete the files its parent still serves.
+    """
+    if os.getpid() != owner:
+        return
+    for fd, _ in staged.values():
+        os.close(fd)
+    if private_root is not None:
+        shutil.rmtree(private_root, ignore_errors=True)
+
+
+class DistributedFileSystem:
+    """Write-once filesystem over the directory ``root``.
+
+    Without ``root`` the DFS owns a private temp directory. Writers on
+    different threads may stage distinct files at once: the table of
+    staged files is only read and changed by single dict calls
+    (``setdefault``, ``pop``, lookups), each atomic.
     """
 
     def __init__(self, root: str | None = None) -> None:
-        self._lock = threading.Lock()
-        self._files: dict[str, bytes] = {}
-        self._staged: dict[str, bytearray] = {}
-        self._root = root
-        if root is not None:
-            os.makedirs(root, exist_ok=True)
+        self._staged: dict[str, tuple[int, str]] = {}
+        private = None
+        if root is None:
+            root = private = tempfile.mkdtemp(prefix="repro-dfs-")
+        self._root = os.path.abspath(root)
+        self._staging = os.path.join(self._root, STAGING)
+        os.makedirs(self._staging, exist_ok=True)
+        weakref.finalize(self, _release, self._staged, private, os.getpid())
+
+    def _local(self, path: str) -> str:
+        return self._root + _normalize(path)
 
     # ------------------------------------------------------------------
     # write path: stage -> append -> finalize
@@ -108,33 +124,24 @@ class DistributedFileSystem:
     def create(self, path: str) -> None:
         """Open a staged (temporary) file for writing."""
         path = _normalize(path)
-        with self._lock:
-            if path in self._files:
-                raise DFSError(f"{path} already finalized; DFS files are immutable")
-            if path in self._staged:
-                raise DFSError(f"{path} already staged by another writer")
-            self._staged[path] = bytearray()
+        if os.path.exists(self._root + path):
+            raise DFSError(f"{path} already finalized; DFS files are immutable")
+        temp = os.path.join(self._staging, f"{os.getpid()}-{next(_TEMP_IDS)}")
+        entry = (os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644), temp)
+        if self._staged.setdefault(path, entry) is not entry:
+            self._discard(entry)
+            raise DFSError(f"{path} already staged by another writer")
 
     def append(self, path: str, data: bytes) -> None:
         """Append bytes to a staged file."""
-        path = _normalize(path)
-        with self._lock:
-            try:
-                self._staged[path].extend(data)
-            except KeyError:
-                raise DFSError(f"{path} is not staged for writing") from None
+        fd = self._staged_entry(_normalize(path))[0]
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
 
     def finalize(self, path: str) -> None:
-        """Atomically publish a staged file (rename temp -> final)."""
-        path = _normalize(path)
-        with self._lock:
-            try:
-                data = bytes(self._staged.pop(path))
-            except KeyError:
-                raise DFSError(f"{path} is not staged for writing") from None
-            self._files[path] = data
-            if self._root is not None:
-                self._spill(path, data)
+        """Atomically publish a staged file under its own name."""
+        self._publish(path, path)
 
     def finalize_as(self, staged_path: str, final_path: str) -> None:
         """Atomically publish a staged file under a *different* name.
@@ -146,28 +153,42 @@ class DistributedFileSystem:
         half-written manifest. A crash before the rename leaves only the
         invisible staged file, which the next writer can ``abandon``.
         """
+        self._publish(staged_path, final_path)
+
+    def _publish(self, staged_path: str, final_path: str) -> None:
         staged_path = _normalize(staged_path)
         final_path = _normalize(final_path)
-        with self._lock:
-            if final_path in self._files:
-                raise DFSError(
-                    f"{final_path} already finalized; DFS files are immutable"
-                )
+        temp = self._staged_entry(staged_path)[1]
+        final = self._root + final_path
+        try:
             try:
-                data = bytes(self._staged.pop(staged_path))
-            except KeyError:
-                raise DFSError(
-                    f"{staged_path} is not staged for writing"
-                ) from None
-            self._files[final_path] = data
-            if self._root is not None:
-                self._spill(final_path, data)
+                os.link(temp, final)
+            except FileNotFoundError:
+                os.makedirs(os.path.dirname(final), exist_ok=True)
+                os.link(temp, final)
+        except FileExistsError:
+            # The staged file survives a refused publish.
+            raise DFSError(
+                f"{final_path} already finalized; DFS files are immutable"
+            ) from None
+        self._discard(self._staged.pop(staged_path))
+
+    def _staged_entry(self, path: str) -> tuple[int, str]:
+        try:
+            return self._staged[path]
+        except KeyError:
+            raise DFSError(f"{path} is not staged for writing") from None
+
+    @staticmethod
+    def _discard(entry: tuple[int, str]) -> None:
+        os.close(entry[0])
+        os.unlink(entry[1])
 
     def abandon(self, path: str) -> None:
         """Discard a staged file (a crashed writer's temp output)."""
-        path = _normalize(path)
-        with self._lock:
-            self._staged.pop(path, None)
+        entry = self._staged.pop(_normalize(path), None)
+        if entry is not None:
+            self._discard(entry)
 
     def write_file(self, path: str, data: bytes) -> None:
         """Convenience: stage, write, and finalize in one call."""
@@ -180,12 +201,11 @@ class DistributedFileSystem:
     # ------------------------------------------------------------------
     def read_file(self, path: str) -> bytes:
         """Read a finalized file. Staged files are invisible to readers."""
-        path = _normalize(path)
-        with self._lock:
-            try:
-                return self._files[path]
-            except KeyError:
-                raise FileNotFound(path) from None
+        try:
+            with open(self._local(path), "rb") as handle:
+                return handle.read()
+        except _MISSING:
+            raise FileNotFound(path) from None
 
     def read_at(self, path: str, offset: int, size: int) -> bytes:
         """Read up to ``size`` bytes of a finalized file from ``offset``.
@@ -200,69 +220,65 @@ class DistributedFileSystem:
             raise DFSError(
                 f"read_at needs offset/size >= 0, got ({offset}, {size})"
             )
-        path = _normalize(path)
-        with self._lock:
+        try:
+            fd = os.open(self._local(path), os.O_RDONLY)
             try:
-                data = self._files[path]
-            except KeyError:
-                raise FileNotFound(path) from None
-            return data[offset:offset + size]
+                return os.pread(fd, size, offset)
+            finally:
+                os.close(fd)
+        except _MISSING:
+            raise FileNotFound(path) from None
 
     def open_read(self, path: str) -> "DFSReadHandle":
         """Open a sequential read handle on a finalized file."""
         return DFSReadHandle(self, path, self.size(path))
 
     def exists(self, path: str) -> bool:
-        path = _normalize(path)
-        with self._lock:
-            return path in self._files
+        return os.path.isfile(self._local(path))
 
     def size(self, path: str) -> int:
-        path = _normalize(path)
-        with self._lock:
-            try:
-                return len(self._files[path])
-            except KeyError:
-                raise FileNotFound(path) from None
+        try:
+            info = os.stat(self._local(path))
+        except _MISSING:
+            raise FileNotFound(path) from None
+        if not stat.S_ISREG(info.st_mode):
+            raise FileNotFound(path)
+        return info.st_size
 
     def delete(self, path: str) -> None:
-        path = _normalize(path)
-        with self._lock:
-            if self._files.pop(path, None) is None:
-                raise FileNotFound(path)
-            if self._root is not None:
-                spill = self._spill_path(path)
-                if os.path.exists(spill):
-                    os.remove(spill)
+        try:
+            os.unlink(self._local(path))
+        except _MISSING:
+            raise FileNotFound(path) from None
 
     # ------------------------------------------------------------------
     # namespace operations
     # ------------------------------------------------------------------
     def list(self, prefix: str) -> list[str]:
-        """List finalized files under a path prefix, sorted."""
-        prefix = _normalize(prefix)
-        with self._lock:
-            return sorted(
-                p for p in self._files
-                if p == prefix or p.startswith(prefix.rstrip("/") + "/")
-                or p.startswith(prefix)
-            )
+        """List finalized files whose path starts with ``prefix``, sorted.
 
-    def glob(self, pattern: str) -> list[str]:
-        """Glob finalized files, supporting ``*``/``?`` and ``base@N``."""
-        sharded = parse_sharded(pattern)
-        if sharded is not None:
-            base, count = sharded
-            names = shard_pattern(_normalize(base), count)
-            missing = [n for n in names if not self.exists(n)]
-            if missing:
-                raise FileNotFound(
-                    f"shard set {pattern} incomplete; missing {missing[:3]}"
-                )
-            return names
-        pattern = _normalize(pattern)
-        with self._lock:
-            return sorted(p for p in self._files if fnmatch.fnmatch(p, pattern))
+        The prefix is a string prefix of the normalized path, so
+        ``/runs/a`` lists ``/runs/a/1`` and ``/runs/ab`` alike.
+        """
+        head, _, tail = _normalize(prefix).rpartition("/")
+        found = []
+        try:
+            scan = os.scandir(self._root + head)
+        except _MISSING:
+            return []
+        with scan:
+            for entry in scan:
+                if not entry.name.startswith(tail) or (
+                    not head and entry.name == STAGING
+                ):
+                    continue
+                if not entry.is_dir(follow_symlinks=False):
+                    found.append(f"{head}/{entry.name}")
+                    continue
+                for directory, _, names in os.walk(entry.path):
+                    base = directory[len(self._root):]
+                    found.extend(f"{base}/{name}" for name in names)
+        return sorted(found)
 
     def delete_recursive(self, prefix: str) -> int:
         """Delete every finalized file under a prefix; returns count."""
@@ -271,44 +287,9 @@ class DistributedFileSystem:
             self.delete(path)
         return len(paths)
 
-    # ------------------------------------------------------------------
-    # disk spill (optional persistence)
-    # ------------------------------------------------------------------
-    def _spill_path(self, path: str) -> str:
-        assert self._root is not None
-        return os.path.join(self._root, path.lstrip("/").replace("/", "__"))
-
-    def _spill(self, path: str, data: bytes) -> None:
-        spill = self._spill_path(path)
-        with open(spill, "wb") as handle:
-            handle.write(data)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._files.values())
-
-    def file_count(self) -> int:
-        with self._lock:
-            return len(self._files)
-
     def staged_paths(self) -> list[str]:
-        with self._lock:
-            return sorted(self._staged)
-
-    def copy_tree(self, src_prefix: str, dst_prefix: str) -> list[str]:
-        """Copy every file under ``src_prefix`` to ``dst_prefix``."""
-        src_prefix = _normalize(src_prefix)
-        dst_prefix = _normalize(dst_prefix)
-        copied = []
-        for path in self.list(src_prefix):
-            rel = path[len(src_prefix):]
-            dst = dst_prefix + rel
-            self.write_file(dst, self.read_file(path))
-            copied.append(dst)
-        return copied
+        """Paths this DFS object has staged and not yet published."""
+        return sorted(self._staged)
 
 
 class DFSReadHandle:

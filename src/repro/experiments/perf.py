@@ -14,10 +14,11 @@ runs — solver iterations/s, each consuming the whole table, and fit
 examples/s against Gibbs examples/s on the same matrix.)
 
 Scale: "implementing weak supervision over 6M+ data points with
-sub-30min execution time". We measure this implementation's end-to-end
-labeling + modeling throughput on the simulated MapReduce substrate and
-extrapolate to 6.5M examples, reporting the implied node count needed to
-stay under 30 minutes.
+sub-30min execution time". :func:`run_scale` streams about 100k and 1M
+examples through the durable checkpointed stream, each in its own
+process, and reports wall time, examples/s and peak RSS at both sizes;
+6.5M is extrapolated from the measured 1M rate, with the implied node
+count needed to stay under 30 minutes.
 
 Fit flatness: :func:`run_fit_compression_eval` fits growing matrices
 drawn from one fixed pattern pool to convergence and reports the growth
@@ -30,17 +31,22 @@ posterior -> durable/served path are measured by ``bench/run.py`` only.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import numpy as np
 
-from repro.config import DEFAULT_SEED
+from repro.applications.product import build_product_lfs
+from repro.config import DEFAULT_SEED, ScaleConfig
 from repro.core.gibbs import GibbsConfig, GibbsLabelModel
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
+from repro.core.online_label_model import OnlineLabelModelConfig
 from repro.core.patterns import compress_votes
+from repro.datasets.content import generate_product_dataset
+from repro.dfs.filesystem import DistributedFileSystem, shard_name
+from repro.dfs.records import write_records
 from repro.experiments.harness import ExperimentResult, get_content_experiment
-from repro.lf.applier import LFApplier, stage_examples
-from repro.dfs.filesystem import DistributedFileSystem
+from repro.streaming import CheckpointedStream, RecordStreamSource
 
 __all__ = [
     "run_speed",
@@ -52,6 +58,16 @@ __all__ = [
 
 #: Wall-clock budget of each rate measurement in :func:`run_speed`.
 BUDGET_SECONDS = 1.5
+
+#: Product examples generated for :func:`run_scale`'s pool.
+SCALE_POOL = 8_000
+
+#: Epochs of the pool each :func:`run_scale` run streams: n = 96,000 and
+#: n = 960,000.
+SCALE_EPOCHS = (12, 120)
+
+#: The example count the paper's Section 1 claim is about.
+PAPER_EXAMPLES = 6_500_000
 
 
 def measure_fit_rates(L: np.ndarray) -> tuple[float, float]:
@@ -103,49 +119,135 @@ def run_speed(scale: str | None = None, seed: int = DEFAULT_SEED) -> ExperimentR
     return ExperimentResult("perf_label_model", "\n".join(lines), rows)
 
 
-def run_scale(scale: str | None = None, seed: int = DEFAULT_SEED) -> ExperimentResult:
-    """The Section 1 scale claim: 6M+ points in under 30 minutes."""
-    exp = get_content_experiment("product", scale, seed)
-    examples = exp.dataset.unlabeled[:4000]
-    lfs = exp.lfs
+def _scale_stream(seed: int, epochs: int) -> dict:
+    """Stream ``epochs`` id-suffixed copies of the product pool through
+    a durable :class:`CheckpointedStream`; returns the run's figures.
 
+    Each epoch is staged as its own shard straight from the pool's
+    records, so the process never holds more than the pool in
+    ``Example`` objects however large ``n`` grows.
+    """
+    sizes = ScaleConfig(
+        name="scale",
+        topic_unlabeled=0,
+        topic_dev=0,
+        topic_test=0,
+        product_unlabeled=SCALE_POOL,
+        product_dev=0,
+        product_test=0,
+        events_unlabeled=0,
+        events_test=0,
+    )
+    dataset = generate_product_dataset(sizes, seed=seed)
+    lfs = build_product_lfs(dataset.world)[0]
+    pool = dataset.unlabeled
     dfs = DistributedFileSystem()
-    paths = stage_examples(dfs, examples, "/perf/examples", num_shards=8)
-    applier = LFApplier(dfs, paths, run_root="/perf/run")
+    paths = []
+    for epoch in range(epochs):
+        path = shard_name("/scale/in/examples", epoch, epochs)
+        write_records(
+            dfs,
+            path,
+            (
+                {**e.to_record(), "example_id": f"{e.example_id}#e{epoch}"}
+                for e in pool
+            ),
+        )
+        paths.append(path)
+    rss_before = _peak_rss_mb()
+    stream = CheckpointedStream(
+        dfs,
+        lfs,
+        "/scale/run",
+        batch_size=1024,
+        online_config=OnlineLabelModelConfig(
+            base=LabelModelConfig(seed=seed), refit_every=16
+        ),
+        checkpoint_every=1,
+        write_labels=True,
+    )
     start = time.perf_counter()
-    report = applier.apply(lfs)
-    labeling_wall = time.perf_counter() - start
+    examples = stream.run(RecordStreamSource(dfs, paths)).stream.examples
+    wall = time.perf_counter() - start
+    return {
+        "examples": examples,
+        "lfs": len(lfs),
+        "wall_seconds": wall,
+        "examples_per_second": examples / wall,
+        "peak_rss_mb_before": rss_before,
+        "peak_rss_mb_after": _peak_rss_mb(),
+    }
 
-    start = time.perf_counter()
-    model = SamplingFreeLabelModel(LabelModelConfig(seed=seed))
-    model.fit(report.label_matrix.matrix)
-    modeling_wall = time.perf_counter() - start
 
-    per_example = labeling_wall / len(examples)
-    target = 6_500_000
-    single_node_minutes = per_example * target / 60
+def _peak_rss_mb() -> float:
+    """This process's own peak RSS (``VmHWM``). Not ``ru_maxrss``:
+    Linux carries the spawning parent's peak across ``exec`` into it, so
+    a child spawned from a 480 MB pytest session reads 480 MB before it
+    has allocated anything."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("/proc/self/status has no VmHWM line")
+
+
+def _child_main(conn, seed: int, epochs: int) -> None:
+    conn.send(_scale_stream(seed, epochs))
+    conn.close()
+
+
+def _in_child(seed: int, epochs: int) -> dict:
+    """:func:`_scale_stream` in a fresh spawned process, so its peak RSS
+    is that run's alone."""
+    context = multiprocessing.get_context("spawn")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_child_main, args=(sender, seed, epochs))
+    child.start()
+    sender.close()
+    try:
+        row = receiver.recv()
+    except EOFError:
+        row = None
+    child.join()
+    if row is None:
+        raise RuntimeError(
+            f"the {epochs}-epoch scale run exited with code {child.exitcode}"
+        )
+    return row
+
+
+def run_scale(seed: int = DEFAULT_SEED) -> ExperimentResult:
+    """The Section 1 scale claim: 6M+ points in under 30 minutes.
+
+    Streams ``SCALE_POOL * e`` examples for each ``e`` in
+    :data:`SCALE_EPOCHS` (one child process each) and extrapolates 6.5M
+    examples from the largest run's measured rate. The rows are what the
+    scale gates read: peak RSS and examples/s must stay flat in ``n``.
+    """
+    rows = [_in_child(seed, e) for e in SCALE_EPOCHS]
+    rate = rows[-1]["examples_per_second"]
+    single_node_minutes = PAPER_EXAMPLES / rate / 60
     nodes_for_30min = max(1, int(np.ceil(single_node_minutes / 30)))
-
     lines = [
-        "Section 1 scale: end-to-end labeling throughput (MapReduce substrate)",
+        "Section 1 scale: durable stream (CheckpointedStream, batch 1,024, "
+        "a manifest per batch, vote + label shards) over the product pool "
+        f"cloned by epoch, {rows[-1]['lfs']} LFs",
         "",
-        f"{'examples labeled':<36} {len(examples):>12,}",
-        f"{'labeling functions':<36} {len(lfs):>12}",
-        f"{'labeling wall time':<36} {labeling_wall:>11.1f}s "
-        f"({report.examples_per_second:,.0f} examples/s)",
-        f"{'generative model training':<36} {modeling_wall:>11.1f}s",
-        f"{'extrapolated 6.5M single-node':<36} {single_node_minutes:>10.1f}min",
-        f"{'nodes needed for sub-30min':<36} {nodes_for_30min:>12,} "
-        f"(paper: 6M+ in <30min on Google's cluster)",
+        f"{'examples':>12} {'wall':>9} {'examples/s':>11} "
+        f"{'peak RSS before -> after run':>29}",
     ]
-    rows = [
-        {
-            "examples": len(examples),
-            "labeling_wall_seconds": labeling_wall,
-            "modeling_wall_seconds": modeling_wall,
-            "examples_per_second": report.examples_per_second,
-            "nodes_for_30min_at_6_5m": nodes_for_30min,
-        }
+    lines += [
+        f"{row['examples']:>12,} {row['wall_seconds']:>8.1f}s "
+        f"{row['examples_per_second']:>11,.0f} "
+        f"{row['peak_rss_mb_before']:>19.0f} -> {row['peak_rss_mb_after']:.0f} MB"
+        for row in rows
+    ]
+    lines += [
+        "",
+        f"{'6.5M single-node at the largest rate':<38} "
+        f"{single_node_minutes:>8.1f} min",
+        f"{'nodes needed for sub-30min':<38} {nodes_for_30min:>8,} "
+        "(paper: 6M+ in <30min on Google's cluster)",
     ]
     return ExperimentResult("perf_scale", "\n".join(lines), rows)
 

@@ -105,7 +105,7 @@ class TelemetryExporter:
                         json.dumps(entry, sort_keys=True) + "\n"
                     )
             if self._dfs is not None:
-                # repro: allow[blocking-under-lock] the lock serializes the seq-ordered publish (one records file per seq, JSONL appends in seq order) between callers on different threads; the in-memory DFS write cannot block on I/O
+                # repro: allow[blocking-under-lock] the lock serializes the seq-ordered publish (one records file per seq, JSONL appends in seq order) between callers on different threads; the DFS write is one small file created, written and linked on the local disk, and takes no lock of its own, so a contender waits at most that one write
                 write_records(
                     self._dfs,
                     f"{self.root}/metrics-{self._seq:05d}.records",

@@ -1,16 +1,19 @@
 """Tests for the simulated distributed filesystem."""
 
+import gc
+import multiprocessing
+import os
+import sys
 import threading
 
 import pytest
 
 from repro.dfs.filesystem import (
+    STAGING,
     DFSError,
     DistributedFileSystem,
     FileNotFound,
-    parse_sharded,
     shard_name,
-    shard_pattern,
 )
 
 
@@ -24,25 +27,23 @@ class TestShardNaming:
         with pytest.raises(ValueError):
             shard_name("/a", -1, 16)
 
-    def test_shard_pattern_enumerates_all(self):
-        names = shard_pattern("/a", 3)
-        assert len(names) == 3
-        assert names[0].endswith("-00000-of-00003")
-
-    def test_parse_sharded(self):
-        assert parse_sharded("/a/votes@4") == ("/a/votes", 4)
-        assert parse_sharded("/a/votes") is None
-
 
 class TestWritePath:
-    def test_staged_files_invisible_until_finalized(self, dfs):
+    def test_staged_files_invisible_until_finalized(self, tmp_path):
+        """Invisible to the writer and to a second DFS on the same root,
+        which then reads what the first published."""
+        dfs = DistributedFileSystem(root=str(tmp_path))
+        other = DistributedFileSystem(root=str(tmp_path))
         dfs.create("/x")
         dfs.append("/x", b"data")
-        assert not dfs.exists("/x")
-        with pytest.raises(FileNotFound):
-            dfs.read_file("/x")
+        for reader in (dfs, other):
+            assert not reader.exists("/x") and reader.list("/") == []
+            with pytest.raises(FileNotFound):
+                reader.read_file("/x")
         dfs.finalize("/x")
-        assert dfs.read_file("/x") == b"data"
+        for reader in (dfs, other):
+            assert reader.read_file("/x") == b"data"
+            assert reader.list("/") == ["/x"]
 
     def test_write_file_convenience(self, dfs):
         dfs.write_file("/y", b"hello")
@@ -117,6 +118,12 @@ class TestPathValidation:
         dfs.write_file("/a//b", b"x")
         assert dfs.read_file("/a/b") == b"x"
 
+    def test_staging_directory_is_not_a_dfs_path(self, dfs):
+        for path in (f"/{STAGING}", f"//{STAGING}/x", f"/{STAGING}/0-0"):
+            with pytest.raises(DFSError, match="staging"):
+                dfs.exists(path)
+        assert dfs.exists(f"/a/{STAGING}") is False
+
 
 class TestNamespaceOps:
     def test_list_by_prefix(self, dfs):
@@ -124,23 +131,11 @@ class TestNamespaceOps:
         dfs.write_file("/runs/a/2", b"")
         dfs.write_file("/runs/b/1", b"")
         assert dfs.list("/runs/a") == ["/runs/a/1", "/runs/a/2"]
-
-    def test_glob_wildcards(self, dfs):
-        dfs.write_file("/v/part-0", b"")
-        dfs.write_file("/v/part-1", b"")
-        dfs.write_file("/v/other", b"")
-        assert dfs.glob("/v/part-*") == ["/v/part-0", "/v/part-1"]
-
-    def test_glob_shard_set(self, dfs):
-        for i in range(3):
-            dfs.write_file(shard_name("/v/votes", i, 3), b"")
-        names = dfs.glob("/v/votes@3")
-        assert len(names) == 3
-
-    def test_glob_incomplete_shard_set_raises(self, dfs):
-        dfs.write_file(shard_name("/v/votes", 0, 3), b"")
-        with pytest.raises(FileNotFound, match="incomplete"):
-            dfs.glob("/v/votes@3")
+        # A string prefix of the path, not only a directory.
+        dfs.write_file("/runs/ab", b"")
+        assert dfs.list("/runs/a") == ["/runs/a/1", "/runs/a/2", "/runs/ab"]
+        assert dfs.list("/runs/a/") == dfs.list("/runs/a")
+        assert dfs.list("/nowhere/") == []
 
     def test_delete(self, dfs):
         dfs.write_file("/x", b"1")
@@ -155,21 +150,8 @@ class TestNamespaceOps:
         assert dfs.delete_recursive("/t") == 2
         assert dfs.list("/t") == []
 
-    def test_copy_tree(self, dfs):
-        dfs.write_file("/src/a", b"1")
-        dfs.write_file("/src/b", b"2")
-        copied = dfs.copy_tree("/src", "/dst")
-        assert sorted(copied) == ["/dst/a", "/dst/b"]
-        assert dfs.read_file("/dst/b") == b"2"
-
 
 class TestAccounting:
-    def test_total_bytes_and_count(self, dfs):
-        dfs.write_file("/a", b"12345")
-        dfs.write_file("/b", b"67")
-        assert dfs.total_bytes() == 7
-        assert dfs.file_count() == 2
-
     def test_staged_paths_visible_for_debugging(self, dfs):
         dfs.create("/pending")
         assert dfs.staged_paths() == ["/pending"]
@@ -177,7 +159,9 @@ class TestAccounting:
 
 class TestConcurrency:
     def test_parallel_writers_distinct_shards(self, dfs):
-        errors = []
+        """Sixteen threads each publish a shard, and all race to stage one
+        shared path: exactly one of them may hold it."""
+        errors, staged = [], []
 
         def write(i: int) -> None:
             try:
@@ -187,20 +171,87 @@ class TestConcurrency:
                 dfs.finalize(path)
             except Exception as error:  # pragma: no cover
                 errors.append(error)
+            try:
+                dfs.create("/contended")
+                staged.append(i)
+            except DFSError:
+                pass
 
-        threads = [threading.Thread(target=write, args=(i,)) for i in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(dfs.glob("/c/votes@16")) == 16
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(i,)) for i in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(staged) == 1
+        assert dfs.list("/c/") == [shard_name("/c/votes", i, 16) for i in range(16)]
 
     def test_disk_spill_round_trip(self, tmp_path):
+        """The root holds the published bytes at their DFS path; staged
+        bytes live only in the staging directory."""
         dfs = DistributedFileSystem(root=str(tmp_path))
-        dfs.write_file("/spill/a", b"bytes")
-        spilled = list(tmp_path.iterdir())
-        assert len(spilled) == 1
-        assert spilled[0].read_bytes() == b"bytes"
-        dfs.delete("/spill/a")
-        assert list(tmp_path.iterdir()) == []
+        dfs.write_file("/run/a", b"bytes")
+        dfs.create("/run/b")
+        dfs.append("/run/b", b"staged")
+        assert (tmp_path / "run" / "a").read_bytes() == b"bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [STAGING, "run"]
+        assert [p.read_bytes() for p in (tmp_path / STAGING).iterdir()] == [b"staged"]
+        dfs.delete("/run/a")
+        assert list((tmp_path / "run").iterdir()) == []
+
+
+def _in_fork(body) -> multiprocessing.Process:
+    """Start ``body`` in a forked child (exit code 0 if it returns)."""
+    child = multiprocessing.get_context("fork").Process(target=body)
+    child.start()
+    return child
+
+
+def _exit_code(child: multiprocessing.Process) -> int | None:
+    child.join(timeout=30)
+    return child.exitcode
+
+
+class TestStore:
+    def test_forked_child_reads_a_file_published_after_the_fork(self, dfs):
+        published = multiprocessing.get_context("fork").Event()
+
+        def child():
+            assert published.wait(timeout=30)
+            assert dfs.read_file("/late") == b"after the fork"
+            assert dfs.list("/") == ["/late"]
+
+        forked = _in_fork(child)
+        try:
+            dfs.write_file("/late", b"after the fork")
+        finally:
+            published.set()
+        assert _exit_code(forked) == 0
+
+    def test_forked_child_dropping_its_copy_keeps_the_parents_root(self):
+        dfs = DistributedFileSystem()
+        dfs.write_file("/kept", b"parent's")
+
+        def child():
+            nonlocal dfs
+            dfs = None
+            gc.collect()
+
+        assert _exit_code(_in_fork(child)) == 0
+        with open(os.path.join(dfs._root, "kept"), "rb") as kept:
+            assert kept.read() == b"parent's"
+
+    def test_private_root_removed_when_collected(self):
+        dfs = DistributedFileSystem()
+        dfs.write_file("/a/b", b"x")
+        dfs.create("/pending")
+        root = dfs._root
+        assert os.path.isdir(root)
+        del dfs
+        gc.collect()
+        assert not os.path.exists(root)

@@ -120,13 +120,13 @@ class TestMapOnly:
         """The runner writes nothing: its product is what the block
         mapper returns, one list of block values per map task."""
         paths = stage_numbers(dfs, shards=3, per_shard=2)
-        before = dfs.file_count()
+        before = dfs.list("/")
 
         tasks = run_map_tasks(
             dfs, paths, lambda records: [r["n"] for r in records], block_size=1
         )
         assert tasks == [[[0], [1]], [[2], [3]], [[4], [5]]]
-        assert dfs.file_count() == before and dfs.staged_paths() == []
+        assert dfs.list("/") == before and dfs.staged_paths() == []
 
 
 class TestFailureHandling:
