@@ -2,9 +2,11 @@
 
 Streams the product pool, cloned by id suffix and staged one epoch per
 shard, through the durable ``CheckpointedStream`` (batch 1,024, a
-manifest every batch, vote and label shards) at n = 96,000 and
-n = 960,000, each in its own child process so ``ru_maxrss`` is that
-run's alone. 6.5M examples are extrapolated from the measured 960k rate.
+manifest every batch, vote and label shards, a label-model solve every
+batch) at n = 96,000 (``perf.SMALL_RUNS`` runs, gated on their medians:
+one 2-4 s run is too noisy to compare with a 30 s one) and n = 960,000,
+each run in its own child process so its peak RSS is its own. 6.5M
+examples are extrapolated from the measured 960k rate.
 The claim in Section 1 is "implementing weak supervision over 6M+ data
 points with sub-30min execution time".
 
@@ -17,10 +19,12 @@ from repro.experiments import perf
 
 from benchmarks.conftest import emit
 
-#: Largest peak-RSS growth allowed from the small run to the large one.
+#: Largest peak-RSS growth allowed from the small runs' median to the
+#: large run.
 RSS_GROWTH_MB = 32
 
-#: Smallest examples/s of the large run, as a share of the small run's.
+#: Smallest examples/s of the large run, as a share of the small runs'
+#: median.
 RATE_RATIO = 0.85
 
 

@@ -85,14 +85,11 @@ def test_drift_detection(benchmark, scale):
         f"drift detected {row['detection_delay_batches']} micro-batches "
         f"after the shift, over the K={DRIFT_DETECTION_K} bound"
     )
-    assert row["forced_refits"] >= 1, (
-        "the alarm fired but never forced an early refit"
-    )
     assert (
         row["decayed_post_shift_accuracy"]
         > row["cumulative_post_shift_accuracy"]
     ), (
-        "decayed refit did not beat cumulative post-shift label accuracy: "
+        "decayed arm did not beat cumulative post-shift label accuracy: "
         f"{row['decayed_post_shift_accuracy']:.3f} vs "
         f"{row['cumulative_post_shift_accuracy']:.3f}"
     )

@@ -65,9 +65,7 @@ def main():
     # 2. Wire the continuous pipeline: online label model + FTRL
     #    end model consume each micro-batch as it is labeled.
     config = LabelModelConfig(seed=0)
-    online = OnlineLabelModel(
-        OnlineLabelModelConfig(base=config, refit_every=4)
-    )
+    online = OnlineLabelModel(OnlineLabelModelConfig(base=config))
     featurizer = HashedTextFeaturizer(num_buckets=2 ** 12)
     end_model = NoiseAwareLogisticRegression(
         featurizer.spec.dimension, LogisticConfig()
@@ -91,7 +89,7 @@ def main():
         collect_votes=True,
     )
     report = pipeline.run(RecordStreamSource(dfs, shards))
-    final_model = online.refit()
+    final_model = online.model
 
     print(
         f"streamed {report.examples} examples in {report.batches} "
@@ -110,7 +108,7 @@ def main():
     print(
         f"online label model: {online.n_observed} votes observed, "
         f"{online.n_patterns} distinct vote patterns, "
-        f"{online.refits_done} refits"
+        f"{online.refits_done} solves (one per batch)"
     )
 
     # 3. Verify against the offline batch pipeline.
@@ -128,7 +126,7 @@ def main():
     )
     print(
         "\nstream/offline equivalence: votes identical, "
-        f"posterior gap after final refit = {gap:.2e}"
+        f"posterior gap after the last batch's solve = {gap:.2e}"
     )
 
     metrics = binary_metrics(gold, end_model.predict_proba(featurizer.transform(examples)))
@@ -180,7 +178,7 @@ def main():
             lfs,
             root,
             batch_size=256,
-            online_config=OnlineLabelModelConfig(base=config, refit_every=4),
+            online_config=OnlineLabelModelConfig(base=config),
             checkpoint_every=2,
         )
 
@@ -221,8 +219,8 @@ def main():
     # 6. Drift: attach a DriftMonitor to the pipeline (reference vs
     #    recent windows over the vote moments). The toy corpus is
     #    stationary, so the monitor stays quiet — then a synthetic
-    #    stream with an injected mid-stream shift shows the alarm, the
-    #    forced early refit, and the decay-mode model adapting.
+    #    stream with an injected mid-stream shift shows the alarm and
+    #    the decay-mode model, solved every batch, adapting.
     from repro.core.drift import DriftMonitor, DriftPolicy
 
     quiet_monitor = DriftMonitor(
@@ -253,10 +251,7 @@ def main():
     drifting = OnlineLabelModel(
         OnlineLabelModelConfig(base=config, decay=0.9)
     )
-    alarm_monitor = DriftMonitor(
-        DriftPolicy(reactions=("log", "refit", "reset_reference")),
-        refit_callback=drifting.refit,
-    )
+    alarm_monitor = DriftMonitor(DriftPolicy(reactions=("log", "reset_reference")))
     for batch_index in range(30):
         votes = synthetic_batch(flipped=batch_index >= 18)
         drifting.observe(votes)

@@ -8,13 +8,13 @@ Public surface:
   and propensity parameters in log space, fitted by a projected Newton
   solve of the exact marginal likelihood of the observed label matrix.
 * :class:`OnlineLabelModel` — the streaming counterpart: a vote-pattern
-  table (its vote moments read off on demand) solved on the first batch
-  and on a cadence, each solve exactly the offline fit
-  (``repro.streaming`` feeds it micro-batches).
+  table (its vote moments read off on demand) solved on every batch,
+  each solve exactly the offline fit (``repro.streaming`` feeds it
+  micro-batches).
 * :class:`DriftMonitor` / :class:`DriftPolicy` — moment-based drift
   alarms for streaming deployments: tracked reference vs. recent
   windows over LF fire rates and the agreement matrix, with pluggable
-  reactions (log, forced refit, reference reset).
+  reactions (log, reference reset).
 * :class:`GibbsLabelModel` — the original-Snorkel Gibbs-sampling trainer,
   kept as the speed baseline for the Section 5.2 comparison.
 * :mod:`repro.core.combiners` — Logical-OR and equal-weight baselines used

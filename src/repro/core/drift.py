@@ -33,13 +33,10 @@ stationary stream regardless of batch size or LF count, so a single
 threshold works across workloads.
 
 Reactions are pluggable (``DriftPolicy.reactions``): ``"log"`` only
-counts the alarm, ``"refit"`` invokes a caller-supplied callback
-(wired to :meth:`OnlineLabelModel.refit` by
-:class:`repro.streaming.checkpoint.CheckpointedStream`, forcing an early
-refit so the model re-estimates from recency-weighted votes), and
-``"reset_reference"`` adopts the recent window as the new reference —
-the stream is declared to be in a new regime and stops re-alarming on
-the same shift.
+counts the alarm, and ``"reset_reference"`` adopts the recent window as
+the new reference — the stream is declared to be in a new regime and
+stops re-alarming on the same shift. (The online label model needs no
+reaction: it solves its table on every batch.)
 
 All monitor state snapshots bit-exactly (:meth:`DriftMonitor.state_dict`)
 so checkpoint manifests can restore it and a resumed stream alarms on
@@ -52,7 +49,6 @@ import functools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -62,7 +58,7 @@ from repro.types import require_fields, require_int
 __all__ = ["DriftPolicy", "DriftCheck", "DriftMonitor", "DRIFT_REACTIONS"]
 
 #: The reaction names :class:`DriftPolicy` accepts, in execution order.
-DRIFT_REACTIONS = ("log", "refit", "reset_reference")
+DRIFT_REACTIONS = ("log", "reset_reference")
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,6 @@ class DriftPolicy:
             tens.
         reactions: Reactions executed, in order, on every alarmed batch.
             Subset of :data:`DRIFT_REACTIONS`: ``"log"`` (count only),
-            ``"refit"`` (invoke the monitor's refit callback),
             ``"reset_reference"`` (adopt the recent window as the new
             reference and clear the recent window).
 
@@ -187,7 +182,6 @@ class DriftMonitor:
         batches_observed: Total micro-batches fed to the monitor.
         checks_run: Batches for which a score was computed.
         alarms: Total alarmed batches.
-        forced_refits: ``"refit"`` reactions fired.
         reference_resets: ``"reset_reference"`` reactions fired.
         first_alarm_batch: Monitor-local index of the first alarmed
             batch, or ``None``.
@@ -195,35 +189,18 @@ class DriftMonitor:
             check).
     """
 
-    def __init__(
-        self,
-        policy: DriftPolicy | None = None,
-        refit_callback: Callable[[], object] | None = None,
-    ) -> None:
+    def __init__(self, policy: DriftPolicy | None = None) -> None:
         """Create a monitor.
 
         Args:
             policy: Windows/threshold/reactions; defaults to
                 ``DriftPolicy()``.
-            refit_callback: Zero-argument callable invoked by the
-                ``"refit"`` reaction (its return value is ignored).
-
-        Raises:
-            ValueError: If the policy requests the ``"refit"`` reaction
-                but no ``refit_callback`` was supplied.
         """
         self.policy = policy or DriftPolicy()
-        if "refit" in self.policy.reactions and refit_callback is None:
-            raise ValueError(
-                "the 'refit' reaction needs a refit_callback (typically "
-                "OnlineLabelModel.refit, wired by CheckpointedStream)"
-            )
-        self._refit_callback = refit_callback
         self.n_lfs: int | None = None
         self.batches_observed = 0
         self.checks_run = 0
         self.alarms = 0
-        self.forced_refits = 0
         self.reference_resets = 0
         self.first_alarm_batch: int | None = None
         self.last_score = 0.0
@@ -376,10 +353,6 @@ class DriftMonitor:
         for reaction in self.policy.reactions:
             if reaction == "log":
                 fired.append(reaction)
-            elif reaction == "refit":
-                self._refit_callback()
-                self.forced_refits += 1
-                fired.append(reaction)
             elif reaction == "reset_reference":
                 self.reset_reference()
                 self.reference_resets += 1
@@ -416,7 +389,6 @@ class DriftMonitor:
             "batches_observed": self.batches_observed,
             "checks_run": self.checks_run,
             "alarms": self.alarms,
-            "forced_refits": self.forced_refits,
             "reference_resets": self.reference_resets,
             "first_alarm_batch": self.first_alarm_batch,
             "last_score": self.last_score,
@@ -433,7 +405,8 @@ class DriftMonitor:
         the snapshot carries only mutable state).
 
         Args:
-            state: A dict produced by :meth:`state_dict`.
+            state: A dict produced by :meth:`state_dict` (an earlier
+                writer's ``forced_refits`` count is ignored).
 
         Returns:
             ``self``, for chaining.
@@ -459,7 +432,6 @@ class DriftMonitor:
             "batches_observed",
             "checks_run",
             "alarms",
-            "forced_refits",
             "reference_resets",
             "reference_batches",
         )
@@ -504,7 +476,6 @@ class DriftMonitor:
         self.batches_observed = counters["batches_observed"]
         self.checks_run = counters["checks_run"]
         self.alarms = counters["alarms"]
-        self.forced_refits = counters["forced_refits"]
         self.reference_resets = counters["reference_resets"]
         self.first_alarm_batch = first
         self.last_score = last_score

@@ -62,13 +62,16 @@ is: the paper's claim is about the objective, not the step rule, and
 minibatches drawn from the table only put back noise the compression
 removed. It is the only trainer: the streaming model
 (:mod:`repro.core.online_label_model`) solves its pattern table with the
-same call. On the benchmark's 20-pattern, 8-LF table (2-CPU container)
-the solve takes 21-29 iterations and 6-12 ms; each iteration consumes
-the whole table, well past the paper's "> 100 steps per second".
+same call on every batch. On the benchmark's 15-21-pattern, 8-LF tables
+(2-CPU container) the solve takes 17-32 iterations and about 2-4 ms
+(:class:`_StepKernel` says where the time goes); each iteration
+consumes the whole table, well past the paper's "> 100 steps per
+second".
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,14 +90,16 @@ _INIT_ALPHA = 0.7
 #: Table 4 F1 1.5 points; 5 gained 0.8.
 _MAX_ALPHA = 5.0
 #: The solve stops at this projected-gradient infinity-norm, or after
-#: ``_MAX_ITERATIONS`` (the benchmark's tables take 21-29).
+#: ``_MAX_ITERATIONS`` (the benchmark's tables take 17-32).
 _TOLERANCE = 1e-9
 _MAX_ITERATIONS = 200
 #: Line search: sufficient-decrease constant, the relative rounding of a
-#: summed loss it forgives, and the step halvings it tries.
+#: summed loss it forgives, and the step scales it tries (1, 1/2, ...,
+#: 2**-39), scored in chunks: half the iterations take the full step,
+#: most of the rest pass within eight halvings.
 _ARMIJO = 1e-4
 _ROUNDOFF = 4 * np.finfo(np.float64).eps
-_MAX_HALVINGS = 40
+_HALVINGS = tuple(0.5 ** np.arange(a, b) for a, b in ((0, 8), (8, 40)))
 #: Smallest curvature a Newton direction divides by.
 _MIN_CURVATURE = 1e-8
 
@@ -157,18 +162,13 @@ class SamplingFreeLabelModel:
             raise ValueError(
                 f"votes must hold at least one row, got n_rows={votes.n_rows}"
             )
-        P = _validate_label_matrix(votes.patterns)
-        total = float(votes.n_rows)
-        # Weighted fire counts are exact integers whenever the counts
-        # are, so the warm start equals the row-wise one.
-        fire_rates = (np.abs(P) * votes.weights[:, None]).sum(axis=0) / total
-        self.n_lfs = P.shape[1]
-        self.alpha = np.full(self.n_lfs, _INIT_ALPHA)
-        self.beta = _warm_beta(fire_rates)
-        self.prior_logit = prior_logit
-        kernel = _StepKernel(self, len(P), votes.weights / total, 1.0)
-        iterations, loss = kernel.solve(P, fire_rates)
-        kernel.publish(self, iterations)
+        learn_prior = self.config.learn_class_prior
+        kernel = _StepKernel(votes, learn_prior, prior_logit)
+        iterations, loss, theta = kernel.solve()
+        m = self.n_lfs = kernel.n_lfs
+        self.alpha, self.beta = theta[:m].copy(), theta[m : 2 * m].copy()
+        self.prior_logit = float(theta[-1]) if learn_prior else prior_logit
+        self.steps_taken += iterations
         self.loss_history = [(iterations, loss)]
         return self
 
@@ -256,8 +256,8 @@ class SamplingFreeLabelModel:
     def nll(self, L: np.ndarray) -> float:
         """Full-dataset mean negative marginal log-likelihood."""
         self._check_fitted()
-        L = _validate_label_matrix(L)
-        return _StepKernel(self, len(L)).loss(L) / len(L)
+        kernel = _StepKernel(compress_votes(_validate_label_matrix(L)), False, self.prior_logit)
+        return float(kernel.losses(np.concatenate([self.alpha, self.beta])[:, None])[0])
 
     # ------------------------------------------------------------------
     # learned quantities
@@ -275,8 +275,8 @@ class SamplingFreeLabelModel:
     def propensities(self) -> np.ndarray:
         """``P(lambda_j != 0)`` for each LF."""
         self._check_fitted()
-        p_correct, p_wrong, _ = _StepKernel(self, 0).outcome_probs()
-        return p_correct + p_wrong
+        Z = np.logaddexp(np.logaddexp(self.alpha + self.beta, self.beta - self.alpha), 0.0)
+        return -np.expm1(-Z)
 
     def class_prior(self) -> float:
         """``P(Y = +1)`` (0.5 unless the prior was learned)."""
@@ -290,163 +290,222 @@ class SamplingFreeLabelModel:
 # ----------------------------------------------------------------------
 # the objective kernel
 # ----------------------------------------------------------------------
-class _StepKernel:
-    """The module-docstring objective, its gradient and Hessian, written
-    once, and :meth:`solve` (projected Newton) moving the parameters on
-    them.
+@functools.lru_cache(maxsize=None)
+def _layout(m: int, learn_prior: bool) -> tuple:
+    """What every kernel over ``m`` LFs shares (read-only): the maps
+    from theta to the logits ``(alpha + beta, beta - alpha, 0)`` and
+    from their probabilities to ``(margin, -P(abstain))``, the Hessian
+    cells of the per-LF terms and of the alpha (and prior) block, and
+    ``[[H, I], [I, I / floor]]``, which factors iff H's eigenvalues all
+    exceed the floor, its factor's lower-left ``F`` then being
+    ``H^-1 = F F^T``."""
+    size, lf = 2 * m + learn_prior, np.arange(m)
+    eye, zero = np.eye(m), np.zeros((m, m))
+    logit_map = np.block([[eye, eye], [-eye, eye], [zero, zero]])
+    outcome_map = np.block([[eye, -eye, zero], [zero, zero, -eye]])
+    cells = np.zeros((3 * m + learn_prior, size, size))
+    cells[lf, lf, lf] = 1.0
+    cells[m + lf, lf, m + lf] = cells[m + lf, m + lf, lf] = 1.0
+    cells[2 * m + lf, m + lf, m + lf] = 1.0
+    cells[3 * m :, -1, -1] = 1.0  # the learned prior's corner
+    block = np.r_[lf, 2 * m : size]
+    bordered = np.block([[np.zeros((size, size)), np.eye(size)],
+                         [np.eye(size), np.eye(size) / _MIN_CURVATURE]])
+    constants = (logit_map, outcome_map, cells.reshape(len(cells), -1), block, bordered)
+    for array in constants:
+        array.flags.writeable = False
+    return constants
 
-    Row ``i`` of a batch counts ``weights[i]`` times (``None``: unit
-    weights, for :meth:`loss` alone) and ``W`` is ``total``; the solve
-    passes the patterns' shares of the table with ``total`` 1. A kernel
-    copies the model's parameters, moves them in place through buffers
-    allocated once for ``rows``-row batches, and :meth:`publish` hands
-    them back.
+
+class _StepKernel:
+    """The module-docstring objective over one pattern table, and
+    :meth:`solve` (projected Newton) on it.
+
+    The parameters are one vector ``theta = (alpha, beta[,
+    prior_logit])``; pattern ``i`` counts ``counts[i] / n``, so the loss
+    is the mean NLL (``W = 1``). A solve is a few dozen iterations on
+    arrays of a few dozen entries, so it costs its NumPy calls, not its
+    arithmetic: constant matrices (:func:`_layout`, and the table's own,
+    built here) make the per-LF algebra, the observed votes and the
+    Hessian single products, and :meth:`evaluate` scores a stack of
+    candidates (one per column) in one pass, keeping what
+    :meth:`gradient` reads.
     """
 
-    def __init__(self, model, rows, weights=None, total=None) -> None:
-        self.alpha, self.beta = model.alpha.copy(), model.beta.copy()
-        self.prior_logit = model.prior_logit
-        self.weights = weights
-        self.total = float(rows) if total is None else total
-        self.learn_prior = model.config.learn_class_prior
-        n_lfs = len(self.alpha)
-        self._logits = np.zeros((3, n_lfs))  # row 2, abstain, stays 0
-        self._probs = np.empty((3, n_lfs))
-        self._peak, self._Z, self._observed = np.empty((3, n_lfs))
-        self._grad_alpha, self._grad_beta = np.empty((2, n_lfs))
-        self._a, self._posterior, self._signed = np.empty((3, rows))
+    def __init__(self, votes: CompressedVotes, learn_prior: bool, prior_logit: float) -> None:
+        P = self.patterns = _validate_label_matrix(votes.patterns)
+        m, patterns = P.shape[1], len(P)
+        size = self.size = 2 * m + learn_prior
+        self.n_lfs = m
+        self.weights = votes.weights / votes.n_rows
+        # Weighted fire counts are exact integers, so the fire rates do
+        # not depend on the pattern order.
+        self.fired = (np.abs(P) * votes.weights[:, None]).sum(axis=0) / votes.n_rows
+        self.learn_prior, self.prior_logit = learn_prior, prior_logit
+        self._log_prior = (-np.logaddexp(0.0, -prior_logit), -np.logaddexp(0.0, prior_logit))
+        self._logit_map, self._outcome_map, lf_cells, block, bordered = _layout(m, bool(learn_prior))
+        # A candidate's loss: its column (theta, Z, mixture) times
+        # (0, -fired, 0, 1, -w).
+        self._loss_row = np.concatenate((np.zeros(m), -self.fired, np.zeros(size - 2 * m),
+                                         np.ones(m), -self.weights))
+        # Observed outcomes: (2 L^T (w p) - L^T w, fired).
+        self._observed_map = np.vstack((2.0 * P.T, np.zeros((m, patterns))))
+        self._observed_offset = np.concatenate((P.T @ self.weights, -self.fired))
+        # The Hessian: its weights (the posterior curvatures c_i = w_i
+        # p_i (1 - p_i), then the per-LF terms) times this map, whose
+        # row i is -4 L_i L_i^T on the alpha (and prior) block (a learned
+        # prior is a last column of 1/2 in L_i: -2 sum_i c_i L_i, and
+        # -sum_i c_i in the corner).
+        rows = np.hstack((P, np.full((patterns, int(learn_prior)), 0.5)))
+        posterior_cells = np.zeros((patterns, size, size))
+        posterior_cells[:, block[:, None], block] = -4.0 * rows[:, :, None] * rows[:, None, :]
+        self._hessian_map = np.vstack((posterior_cells.reshape(patterns, -1), lf_cells))
+        self._hessian_weights = np.empty(len(self._hessian_map))
+        self._bordered = bordered.copy()
+        self.passes = 0
 
-    def outcome_probs(self) -> np.ndarray:
-        """Per-LF ``P(correct)``, ``P(wrong)``, ``P(abstain)`` as the
-        rows of one array; the log partition ``Z_j`` stays in ``_Z``."""
-        logits, probs, peak, Z = self._logits, self._probs, self._peak, self._Z
-        np.add(self.alpha, self.beta, out=logits[0])
-        np.subtract(self.beta, self.alpha, out=logits[1])
-        # Z = logsumexp over the three outcomes.
-        logits.max(axis=0, out=peak)
-        np.exp(np.subtract(logits, peak, out=probs), out=probs)
-        probs.sum(axis=0, out=Z)
-        np.add(peak, np.log(Z, out=Z), out=Z)
-        return np.exp(np.subtract(logits, Z, out=probs), out=probs)
+    def losses(self, trials: np.ndarray) -> np.ndarray:
+        """The loss at each column of the ``(size, K)`` ``trials``."""
+        stack = np.empty((len(self._loss_row), trials.shape[1]))
+        stack[: len(trials)] = trials
+        return self.evaluate(stack, self._loss_row)
 
-    def loss(self, batch: np.ndarray) -> float:
-        """Summed marginal NLL of ``batch`` at the current parameters."""
-        a = np.matmul(batch, self.alpha, out=self._a)
-        b = np.abs(batch) @ self.beta
-        self.outcome_probs()
-        z_sum = float(self._Z.sum())
-        log_prior_pos = -np.logaddexp(0.0, -self.prior_logit)   # log sigmoid
-        log_prior_neg = -np.logaddexp(0.0, self.prior_logit)
-        rows = b - z_sum + np.logaddexp(a + log_prior_pos, -a + log_prior_neg)
-        return -float(np.sum(rows if self.weights is None else self.weights * rows))
+    def evaluate(self, stack: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+        """Write ``Z_j`` and the mixture terms under the candidates in
+        the first ``size`` rows of ``stack``; return ``coefficients @
+        stack``."""
+        m, size = self.n_lfs, self.size
+        pairs = self._logit_map[: 2 * m] @ stack[: 2 * m]
+        np.logaddexp(np.logaddexp(pairs[:m], pairs[m:]), 0.0, out=stack[size : size + m])
+        a = self.patterns @ stack[:m]
+        if self.learn_prior:
+            prior = stack[size - 1]
+            log_pos, log_neg = -np.logaddexp(0.0, -prior), -np.logaddexp(0.0, prior)
+        else:
+            log_pos, log_neg = self._log_prior
+        positive = a + log_pos
+        mixture = np.logaddexp(positive, log_neg - a, out=stack[size + m :])
+        self._evaluated = positive, mixture
+        self.passes += 1
+        return coefficients @ stack
 
-    def gradient(self, batch: np.ndarray, fired: np.ndarray) -> float | None:
-        """The gradient of :meth:`loss` on the float64 ``(rows, m)``
-        ``batch`` whose weighted per-LF fire counts are ``fired``: the
-        alpha and beta parts land in ``_grad_alpha`` / ``_grad_beta``
-        (posteriors in ``_posterior``); returns the prior part, or
-        ``None`` when the prior is fixed. Rows carry ``weights``."""
-        weights = self.weights
-        a = np.matmul(batch, self.alpha, out=self._a)
-        p_correct, p_wrong, p_abstain = self.outcome_probs()
-
+    def gradient(self, theta: np.ndarray, column: int) -> np.ndarray:
+        """The gradient at ``theta`` (alphas in the box), column
+        ``column`` of the last :meth:`evaluate`."""
+        m, weights = self.n_lfs, self.weights
+        positive, mixture = self._evaluated
         # Posterior P(Y=+1 | L_i) = sigmoid(2 a_i + prior_logit).
-        posterior = np.multiply(a, 2.0, out=self._posterior)
-        _sigmoid(np.add(posterior, self.prior_logit, out=posterior), out=posterior)
-        grad_prior = None
+        posterior = np.exp(positive[:, column] - mixture[:, column])
+        weighted = weights * posterior
+        np.subtract(weighted, weighted * posterior, out=self._hessian_weights[: len(weights)])
+        # The outcome probabilities: the softmax of the logits, shifted
+        # by their peak (the first logit or 0, as alpha >= 0).
+        logits = (self._logit_map @ theta[: 2 * m]).reshape(3, m)
+        peak = np.maximum(logits[0], 0.0)
+        Z = np.log(np.exp(logits - peak).sum(axis=0)) + peak
+        self._probs = probs = np.exp(logits - Z)
+        # Each gradient is E[outcome] - observed outcome.
+        self._outcomes = self._outcome_map @ probs.reshape(-1)
+        self._outcomes[m:] += 1.0
+        grad = self._outcomes - (self._observed_map @ weighted - self._observed_offset)
         if self.learn_prior:
             # d(log prior terms)/d(prior_logit): E[Y]=2p-1 pushes the
             # prior toward the average posterior.
-            pull = posterior - _sigmoid(self.prior_logit)
-            grad_prior = -float(np.sum(weights * pull))
-        signed = np.multiply(posterior, 2.0, out=self._signed)  # E[Y_i | L_i]
-        np.subtract(signed, 1.0, out=signed)
-        np.multiply(weights, signed, out=signed)
+            grad = np.append(grad, _sigmoid(theta[-1]) * weights.sum() - weighted.sum())
+        return grad
 
-        # Each gradient is total * E[outcome] - observed outcome.
-        grad_alpha = np.subtract(p_correct, p_wrong, out=self._grad_alpha)
-        np.multiply(grad_alpha, self.total, out=grad_alpha)
-        observed = np.matmul(batch.T, signed, out=self._observed)
-        np.subtract(grad_alpha, observed, out=grad_alpha)
-        grad_beta = np.subtract(1.0, p_abstain, out=self._grad_beta)
-        np.multiply(grad_beta, self.total, out=grad_beta)
-        np.subtract(grad_beta, fired, out=grad_beta)
-        return grad_prior
-
-    def hessian(self, batch: np.ndarray) -> np.ndarray:
-        """The Hessian of the weighted :meth:`loss` at the point of the
-        last :meth:`gradient` call, over ``(alpha, beta[, prior_logit])``."""
-        p_correct, p_wrong, p_abstain = self._probs
-        m = len(p_correct)
-        hess = np.zeros((2 * m + self.learn_prior,) * 2)
-        lf, fires, margin = np.arange(m), 1.0 - p_abstain, p_correct - p_wrong
-        # Z_j: the covariance of the outcome statistics (+-1, 1, 0).
-        hess[lf, lf] = self.total * (fires - margin * margin)
-        hess[lf, lf + m] = hess[lf + m, lf] = self.total * margin * p_abstain
-        hess[lf + m, lf + m] = self.total * fires * p_abstain
-        curvature = self.weights * self._posterior * (1.0 - self._posterior)
-        hess[:m, :m] -= 4.0 * (batch.T * curvature) @ batch
+    def direction(self, theta: np.ndarray, grad: np.ndarray, pinned: list) -> np.ndarray:
+        """The Newton direction at the last :meth:`gradient` call on the
+        variables not ``pinned`` (alpha indices), with the free
+        Hessian's eigenvalues made positive (at least
+        :data:`_MIN_CURVATURE`). When they all clear the floor that is
+        the plain Newton step, and one Cholesky factorization of the
+        bordered Hessian (pinned rows and columns unit) decides that and
+        gives the inverse; otherwise the eigendecomposition decides."""
+        # The Hessian: the posterior part, and per LF the covariance of
+        # the outcome statistics (+-1, 1, 0) that Z_j contributes.
+        m, size = self.n_lfs, len(theta)
+        margin, fires, p_abstain = self._outcomes[:m], self._outcomes[m:], self._probs[2]
+        terms = self._hessian_weights[len(self.weights) :]
+        np.subtract(fires, margin * margin, out=terms[:m])
+        np.multiply(margin, p_abstain, out=terms[m : 2 * m])
+        np.multiply(fires, p_abstain, out=terms[2 * m : 3 * m])
         if self.learn_prior:
-            prior = _sigmoid(self.prior_logit)
-            hess[:m, -1] = hess[-1, :m] = -2.0 * (batch.T @ curvature)
-            hess[-1, -1] = self.total * prior * (1.0 - prior) - curvature.sum()
-        return hess
-
-    def solve(self, batch: np.ndarray, fired: np.ndarray) -> tuple[int, float]:
-        """Minimise :meth:`loss` over ``0 <= alpha <= _MAX_ALPHA`` (beta
-        and a learned prior are free); returns the accepted iterations
-        and the final loss. Each iteration pins the variables on a bound
-        that the gradient pushes outward, takes a Newton direction on
-        the rest with the Hessian's eigenvalues made positive, and
-        backtracks along its box projection until the Armijo condition
-        holds. Every step descends, so the solve stays in the warm
-        start's basin: in the likelihood's other one a correlated trio
-        of LFs runs to the cap and label quality drops.
-        """
-        m, groups = len(self.alpha), 2 + self.learn_prior
-        lower = np.full(2 * m + self.learn_prior, -np.inf)
-        upper = -lower
-        lower[:m], upper[:m] = 0.0, _MAX_ALPHA
-        theta = np.concatenate([self.alpha, self.beta, [self.prior_logit]][:groups])
-        loss = self.loss(batch)
-        for iteration in range(_MAX_ITERATIONS):
-            grad_prior = self.gradient(batch, fired)
-            grad = np.concatenate([self._grad_alpha, self._grad_beta, [grad_prior]][:groups])
-            projected = theta - np.clip(theta - grad, lower, upper)
-            if np.max(np.abs(projected)) <= _TOLERANCE:
-                return iteration, loss
-            free = ~(((theta <= lower) & (grad > 0)) | ((theta >= upper) & (grad < 0)))
-            values, vectors = np.linalg.eigh(self.hessian(batch)[np.ix_(free, free)])
+            prior = _sigmoid(theta[-1])
+            terms[-1] = prior * (1.0 - prior)
+        hess = (self._hessian_weights @ self._hessian_map).reshape(size, size)
+        if pinned:
+            hess[pinned], hess[:, pinned] = 0.0, 0.0
+            hess[pinned, pinned] = 1.0
+            grad = grad.copy()
+            grad[pinned] = 0.0
+        bordered = self._bordered
+        bordered[:size, :size] = hess
+        try:
+            inverse = np.linalg.cholesky(bordered)[size:, :size]
+        except np.linalg.LinAlgError:
+            free = np.ones(size, dtype=bool)
+            free[pinned] = False
+            values, vectors = np.linalg.eigh(hess[np.ix_(free, free)])
             values = np.maximum(np.abs(values), _MIN_CURVATURE)
-            direction = np.zeros_like(theta)
+            direction = np.zeros(size)
             direction[free] = -(vectors @ ((vectors.T @ grad[free]) / values))
-            # Near the optimum a step lowers the loss by less than the
-            # rounding of its sum: allow that much, or the solve stalls.
-            slack = _ROUNDOFF * abs(loss)
-            for halvings in range(_MAX_HALVINGS):
-                trial = np.clip(theta + 0.5**halvings * direction, lower, upper)
-                self._set_theta(trial)
-                trial_loss = self.loss(batch)
-                if trial_loss <= loss + _ARMIJO * float(grad @ (trial - theta)) + slack:
+            return direction
+        return inverse @ (grad @ -inverse)
+
+    def solve(self) -> tuple[int, float, np.ndarray]:
+        """Minimise the loss over ``0 <= alpha <= _MAX_ALPHA`` (beta and
+        a learned prior are free) from the warm start (alpha
+        :data:`_INIT_ALPHA`, beta :func:`_warm_beta`, the configured
+        prior); returns the accepted iterations, the final loss and
+        ``theta``. Each iteration pins the alphas on a bound that the
+        gradient pushes outward, takes :meth:`direction` on the rest,
+        and backtracks along its box projection, halving the step, until
+        the Armijo condition holds (the halvings are scored a chunk at a
+        time; the first that passes is taken). Every step descends, so
+        the solve stays in the warm start's basin: in the likelihood's
+        other one a correlated trio of LFs runs to the cap and label
+        quality drops.
+        """
+        m, size = self.n_lfs, self.size
+        theta = np.full(size, self.prior_logit)
+        theta[:m], theta[m : 2 * m] = _INIT_ALPHA, _warm_beta(self.fired)
+        loss, column = float(self.losses(theta[:, None])[0]), 0
+        # Row 0 sums a candidate's loss; row 1 also takes off the
+        # Armijo slope, _ARMIJO grad . candidate.
+        coefficients = np.vstack((self._loss_row, self._loss_row))
+        for iteration in range(_MAX_ITERATIONS):
+            grad = self.gradient(theta, column)
+            alphas, slopes = theta[:m].tolist(), grad.tolist()
+            pinned = [
+                j
+                for j, (x, g) in enumerate(zip(alphas, slopes))
+                if (g > 0.0 and x <= 0.0) or (g < 0.0 and x >= _MAX_ALPHA)
+            ]
+            # The projected gradient, theta - clip(theta - grad).
+            moves = [x - min(max(x - g, 0.0), _MAX_ALPHA) for x, g in zip(alphas, slopes)]
+            if max(map(abs, moves + slopes[m:])) <= _TOLERANCE:
+                return iteration, loss, theta
+            direction = self.direction(theta, grad, pinned)
+            # Armijo: loss(T) <= loss + _ARMIJO grad . (T - theta),
+            # forgiving the rounding of a summed loss: near the optimum a
+            # step lowers the loss by less, and the solve would stall.
+            np.subtract(self._loss_row[:size], _ARMIJO * grad, out=coefficients[1, :size])
+            bound = loss + _ROUNDOFF * abs(loss) - _ARMIJO * float(grad @ theta)
+            origin = theta[:, None]
+            for scales in _HALVINGS:
+                stack = np.empty((len(self._loss_row), len(scales)))
+                trials = np.add(origin, np.multiply.outer(direction, scales), out=stack[:size])
+                np.minimum(np.maximum(trials[:m], 0.0, out=trials[:m]), _MAX_ALPHA, out=trials[:m])
+                values = self.evaluate(stack, coefficients)
+                passed = (values[1] <= bound).tolist()
+                if True in passed:
                     break
             else:  # no step lowers the loss at float precision
-                self._set_theta(theta)
-                return iteration, loss
-            theta, loss = trial, trial_loss
-        return _MAX_ITERATIONS, loss
-
-    def _set_theta(self, theta: np.ndarray) -> None:
-        m = len(self.alpha)
-        self.alpha[:] = theta[:m]
-        self.beta[:] = theta[m : 2 * m]
-        if self.learn_prior:
-            self.prior_logit = float(theta[-1])
-
-    def publish(self, model: SamplingFreeLabelModel, steps: int) -> None:
-        """Hand the moved parameters to ``model``; the kernel is spent."""
-        model.alpha, model.beta = self.alpha, self.beta
-        model.prior_logit = self.prior_logit
-        model.steps_taken += steps
+                return iteration, loss, theta
+            column = passed.index(True)
+            theta, loss = trials[:, column], float(values[0, column])
+        return _MAX_ITERATIONS, loss, theta
 
 
 # ----------------------------------------------------------------------
@@ -456,23 +515,15 @@ def _validate_label_matrix(L: np.ndarray) -> np.ndarray:
     L = np.asarray(L)
     if L.ndim != 2:
         raise ValueError(f"label matrix must be 2-D, got shape {L.shape}")
-    values = np.unique(L)
-    if not np.all(np.isin(values, (-1, 0, 1))):
+    if ((L != 0) & (L != 1) & (L != -1)).any():
         raise ValueError(
-            f"binary label matrix entries must be in {{-1, 0, 1}}, got {values}"
+            f"binary label matrix entries must be in {{-1, 0, 1}}, got {np.unique(L)}"
         )
     return L.astype(np.float64, copy=False)
 
 
-def _sigmoid(
-    x: np.ndarray | float, out: np.ndarray | None = None
-) -> np.ndarray | float:
-    """``1 / (1 + exp(-clip(x, -500, 500)))``, in ``out`` when given."""
-    # np.clip spelled as the two ufuncs it is defined as: a third of
-    # its call cost on a 64-row batch.
-    z = np.minimum(np.maximum(x, -500, out=out), 500, out=out)
-    z = np.exp(np.negative(z, out=out), out=out)
-    return np.divide(1.0, np.add(1.0, z, out=out), out=out)
+def _sigmoid(x: np.ndarray | float) -> np.ndarray | float:
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
 
 def _warm_beta(fire_rates: np.ndarray) -> np.ndarray:

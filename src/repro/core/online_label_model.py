@@ -24,10 +24,11 @@ the conditionally independent model:
 There is one trainer. ``observe(votes)`` folds a micro-batch into the
 pattern table and solves it with ``refit()`` — the
 :meth:`SamplingFreeLabelModel.fit_compressed` call offline ``fit(L)``
-makes on ``compress_votes(L)`` — on the first batch and whenever the
-``refit_every`` cadence hits; between solves the parameters stay put.
-So **every posterior the stream hands out is bitwise the offline fit of
-the retained rows, in any order, as of the last solve**.
+makes on ``compress_votes(L)`` — on every batch, and ``load_state``
+solves the restored table the same way. The parameters are a function
+of the table: **every posterior the stream hands out is bitwise the
+offline fit of the retained rows through its own batch, in any
+order**.
 
 Retention modes
 ---------------
@@ -77,8 +78,8 @@ class OnlineLabelModelConfig:
 
     base: LabelModelConfig = field(default_factory=LabelModelConfig)
     refit_every: int | None = None
-    """Solve cadence in observed batches; ``None`` solves the first
-    batch only (later solves are the caller's :meth:`refit` calls)."""
+    """Unread: every batch is solved. Kept so that configs built with
+    one stay valid."""
     seed: int = 0
     """Unread: every update is a deterministic solve that draws
     nothing. Kept so that configs built with one stay valid."""
@@ -88,13 +89,12 @@ class OnlineLabelModelConfig:
 
 
 class OnlineLabelModel:
-    """Streaming pattern table + solve cadence for the label model.
+    """Streaming pattern table for the label model, solved on every
+    batch.
 
-    Feed micro-batches via :meth:`observe`; read the last solve's
-    parameters from :attr:`model`; call :meth:`refit` (or set
-    ``refit_every``) for re-estimates from the retained pattern table.
-    Retention semantics (cumulative / decay) are set by the config —
-    see the module docstring.
+    Feed micro-batches via :meth:`observe`; read the fit of the retained
+    pattern table from :attr:`model`. Retention semantics (cumulative /
+    decay) are set by the config — see the module docstring.
     """
 
     def __init__(self, config: OnlineLabelModelConfig | None = None) -> None:
@@ -105,16 +105,12 @@ class OnlineLabelModel:
                 cumulative retention with the default offline config.
 
         Raises:
-            ValueError: If the config sets ``decay`` outside (0, 1), or
-                ``refit_every`` to anything but ``None`` or an ``int``
-                >= 1 (a ``bool`` is not one).
+            ValueError: If the config sets ``decay`` outside (0, 1).
         """
         self.config = config or OnlineLabelModelConfig()
         cfg = self.config
         if cfg.decay is not None and not (0.0 < cfg.decay < 1.0):
             raise ValueError(f"decay must be in (0, 1), got {cfg.decay}")
-        if cfg.refit_every is not None:
-            require_int(cfg.refit_every, "refit_every", minimum=1)
         self._model = SamplingFreeLabelModel(replace(cfg.base))
         self.n_lfs: int | None = None
         self.n_observed = 0
@@ -140,8 +136,7 @@ class OnlineLabelModel:
 
         ``votes`` is an ``(B, m)`` array over ``{-1, 0, +1}``; rows are
         counted into the pattern table (and, in decay mode, displace
-        stale history). The table is then solved (:meth:`refit`) if the
-        model has no parameters yet or the ``refit_every`` cadence hits.
+        stale history), and the table is solved (:meth:`refit`).
 
         Args:
             votes: The micro-batch's vote rows.
@@ -156,26 +151,18 @@ class OnlineLabelModel:
         self._append_patterns(votes)
         self.n_observed += votes.shape[0]
         self.batches_observed += 1
-        cadence = self.config.refit_every
-        if self._model.alpha is None or (
-            cadence is not None and self.batches_observed % cadence == 0
-        ):
-            self.refit()
+        self.refit()
 
     def refit(self) -> SamplingFreeLabelModel:
-        """Full offline fit on the retained pattern table.
-
-        Runs :meth:`SamplingFreeLabelModel.fit_compressed` with the
-        ``base`` config on :meth:`compressed_votes` — the call offline
-        ``fit`` makes — so in cumulative mode the result is bitwise the
-        offline fit of the retained rows in any order, at
-        O(patterns × m) per solver iteration regardless of stream
-        length. In decay mode it is the offline fit of the
-        recency-weighted rows.
+        """Solve the retained pattern table: the ``base`` config's
+        :meth:`SamplingFreeLabelModel.fit_compressed` on
+        :meth:`compressed_votes`, the call offline ``fit`` makes, so in
+        cumulative mode the result is bitwise the offline fit of the
+        retained rows in any order (in decay mode, of the
+        recency-weighted rows), at O(patterns × m) per solver iteration.
 
         Returns:
-            The freshly fitted inner model (also exposed as
-            :attr:`model`).
+            The fitted inner model (also exposed as :attr:`model`).
 
         Raises:
             RuntimeError: If no votes have been observed yet.
@@ -278,16 +265,12 @@ class OnlineLabelModel:
     # checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Bit-exact snapshot of everything :meth:`observe` mutates.
-
-        Includes the counters (``batches_observed`` here, ``steps_taken``
-        on the inner model), the last solve's parameters and the pattern
-        table (rows and their counts or decayed weights), so a restored
-        model solves *exactly* when and what the uninterrupted run
-        would have — resumed streams reach the same parameters to the
-        bit. The vote moments are not stored: they are a function of the
-        table. Everything is O(patterns): the snapshot does not grow
-        with stream length.
+        """Bit-exact snapshot of everything :meth:`observe` mutates: the
+        counters (``batches_observed`` here, ``steps_taken`` on the inner
+        model), the pattern table (rows and their counts or decayed
+        weights) and its solved parameters, which a restore solves again.
+        The vote moments are not stored: they are a function of the
+        table. Everything is O(patterns), however long the stream runs.
 
         Returns:
             A JSON-safe dict (arrays as base64 raw buffers). Schema 6;
@@ -311,17 +294,12 @@ class OnlineLabelModel:
         """Restore a :meth:`state_dict` snapshot onto this instance.
 
         The instance must have been constructed with the same config the
-        snapshot was taken under (configs are the caller's contract, the
-        snapshot carries only mutable state). Older dicts upgrade in
-        place: schemas 1 and 2 carry a per-example pattern-id log, which
-        is counted into pattern weights; schema 3's sliding-window keys,
-        the vote moments schemas 1-4 stored beside the table
-        (``vote_sum``, ``fire_sum``, ``agreement``, ``moment_weight``)
-        and schemas 1-5's minibatch-sampler ``rng_state`` are ignored.
-        Schemas 1-5 stored SGD estimates between solves, so their
-        parameters are replaced by a solve of the restored table (not
-        counted in ``refits_done``); schema 6 parameters are restored as
-        stored.
+        snapshot was taken under (the snapshot carries only mutable
+        state). Schemas 1 and 2's per-example pattern-id log is counted
+        into pattern weights; schema 3's sliding-window keys, schemas
+        1-4's stored vote moments and schemas 1-5's ``rng_state`` are
+        ignored. The stored parameters are validated, then replaced by a
+        solve of the restored table (not counted in ``refits_done``).
 
         Args:
             state: A dict produced by :meth:`state_dict` (schema 1-6).
@@ -376,7 +354,7 @@ class OnlineLabelModel:
                     f"label-model state is malformed: {name} has shape "
                     f"{array.shape}, expected {shape} for n_lfs={n_lfs}"
                 )
-        if schema < 6 and n_rows:
+        if n_rows:
             model = self._solve(self._table_votes(rows, weights))
 
         self.n_lfs = n_lfs
@@ -396,7 +374,7 @@ class OnlineLabelModel:
     # ------------------------------------------------------------------
     @property
     def model(self) -> SamplingFreeLabelModel:
-        """The last solve's parameters (or a schema-6 restore's)."""
+        """The fit of the retained pattern table."""
         return self._model
 
     @property

@@ -258,9 +258,12 @@ class DistributedFileSystem:
         """List finalized files whose path starts with ``prefix``, sorted.
 
         The prefix is a string prefix of the normalized path, so
-        ``/runs/a`` lists ``/runs/a/1`` and ``/runs/ab`` alike.
+        ``/runs/a`` lists ``/runs/a/1`` and ``/runs/ab`` alike; a prefix
+        that ends in ``/`` names a directory, so ``/runs/a/`` lists
+        ``/runs/a/1`` and not ``/runs/ab``.
         """
-        head, _, tail = _normalize(prefix).rpartition("/")
+        path = _normalize(prefix)
+        head, tail = (path.rstrip("/"), "") if prefix.endswith("/") else path.rpartition("/")[::2]
         found = []
         try:
             scan = os.scandir(self._root + head)
@@ -281,7 +284,7 @@ class DistributedFileSystem:
         return sorted(found)
 
     def delete_recursive(self, prefix: str) -> int:
-        """Delete every finalized file under a prefix; returns count."""
+        """Delete every finalized file :meth:`list` finds; returns count."""
         paths = self.list(prefix)
         for path in paths:
             self.delete(path)

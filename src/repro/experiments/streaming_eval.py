@@ -23,10 +23,10 @@ identities.
 mid-stream distribution shift (LF accuracy swaps + a class-balance
 flip) into a synthetic vote stream drawn from the paper's generative
 model, and compares a cumulative :class:`OnlineLabelModel` against a
-decayed one watched by a :class:`~repro.core.drift.DriftMonitor` — the
-alarm must fire within a few micro-batches of the shift (and never on
-the stationary control), and the decayed arm's post-shift label and
-end-model quality must beat the cumulative arm's.
+decayed one, with a :class:`~repro.core.drift.DriftMonitor` on the
+stream — the alarm must fire within a few micro-batches of the shift
+(and never on the stationary control), and the decayed arm's post-shift
+label and end-model quality must beat the cumulative arm's.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def run_streaming_eval(
     """Train an end model prequentially off the product stream.
 
     One pass over ``n_examples`` staged pool examples: every micro-batch
-    is folded into an :class:`OnlineLabelModel` and solved
-    (``refit_every=1``), whose probabilistic labels train an FTRL
+    is folded into an :class:`OnlineLabelModel` and solved, whose
+    probabilistic labels train an FTRL
     logistic model (two passes per micro-batch, then the batch is
     discarded). The row compares its test-set F1 with the offline
     DryBell arm's.
@@ -95,7 +95,7 @@ def run_streaming_eval(
         dfs, pool[:n], "/streaming/examples", num_shards=8
     )
 
-    online = OnlineLabelModel(OnlineLabelModelConfig(refit_every=1))
+    online = OnlineLabelModel()
     end_model = NoiseAwareLogisticRegression(
         featurizer.spec.dimension,
         LogisticConfig(alpha=0.2, seed=seed),
@@ -185,7 +185,6 @@ def run_drift_eval(
     batch_size: int = 512,
     shift_after: int = 30,
     decay: float = 0.92,
-    refit_every: int = 10,
     reference_batches: int = 8,
     recent_batches: int = 4,
     threshold: float = 6.0,
@@ -199,19 +198,18 @@ def run_drift_eval(
       ``shift_after`` — two LFs flip polarity (accuracy ``a -> 1-a``),
       one degrades to coin-flipping, and the class balance moves from
       0.5 to 0.3 — fed to three consumers: a *cumulative*
-      :class:`OnlineLabelModel` (periodic refits over all of history),
-      a *decayed* one (same cadence, exponential recency weighting),
-      and a :class:`~repro.core.drift.DriftMonitor` wired to force an
-      early refit of the decayed model and re-baseline its reference
-      window on alarm;
+      :class:`OnlineLabelModel` (a solve of all of history per batch),
+      a *decayed* one (a solve per batch under exponential recency
+      weighting), and a :class:`~repro.core.drift.DriftMonitor` that
+      re-baselines its reference window on alarm;
     * a **stationary control** of the same length and parameters (no
       shift), fed to an identically configured monitor — any alarm here
       is a false alarm.
 
     Both label-model arms also train a prequential FTRL end model on
     their own probabilistic labels (votes as features, every covered
-    example seen once). After the stream, both arms take a final refit
-    and are scored on a held-out *post-shift* sample: label-model
+    example seen once). After the stream, both arms' last solves are
+    scored on a held-out *post-shift* sample: label-model
     prediction accuracy and end-model accuracy/F1 against the known
     synthetic labels. ``benchmarks/bench_streaming.py`` gates the
     detection delay, the stationary false-alarm count, and the
@@ -236,23 +234,16 @@ def run_drift_eval(
     post_rate = 0.3
     m = len(pre_acc)
 
-    def make_arm(arm_decay: float | None) -> OnlineLabelModel:
-        return OnlineLabelModel(
-            OnlineLabelModelConfig(refit_every=refit_every, decay=arm_decay)
-        )
-
-    cumulative = make_arm(None)
-    decayed = make_arm(decay)
+    cumulative = OnlineLabelModel()
+    decayed = OnlineLabelModel(OnlineLabelModelConfig(decay=decay))
     policy = DriftPolicy(
         reference_batches=reference_batches,
         recent_batches=recent_batches,
         threshold=threshold,
-        reactions=("log", "refit", "reset_reference"),
+        reactions=("log", "reset_reference"),
     )
-    monitor = DriftMonitor(policy, refit_callback=decayed.refit)
-    stationary_monitor = DriftMonitor(
-        policy, refit_callback=lambda: None
-    )
+    monitor = DriftMonitor(policy)
+    stationary_monitor = DriftMonitor(policy)
 
     end_models = {
         "cumulative": NoiseAwareLogisticRegression(
@@ -264,8 +255,8 @@ def run_drift_eval(
     }
 
     def train_end_model(name: str, arm: OnlineLabelModel, votes) -> None:
-        # Prequential: probabilistic labels from the arm's last solve
-        # train its end model on the votes themselves as features;
+        # Prequential: probabilistic labels from the arm's solve of
+        # this batch train its end model on the votes themselves as features;
         # covered rows only (all-abstain rows carry nothing).
         covered = np.abs(votes).sum(axis=1) > 0
         if covered.any():
@@ -295,8 +286,8 @@ def run_drift_eval(
             stationary_rng, batch_size, pre_acc, pre_prop, pre_rate
         )
         stationary_monitor.observe_batch(stationary_votes)
-    final_cumulative = cumulative.refit()
-    final_decayed = decayed.refit()
+    final_cumulative = cumulative.model
+    final_decayed = decayed.model
     wall = time.perf_counter() - wall_start
 
     # Held-out post-shift evaluation against the known synthetic labels.
@@ -345,7 +336,6 @@ def run_drift_eval(
         f"{'detection delay':<36} {str(detection_delay):>12} micro-batches",
         f"{'drift-stream alarms / checks':<36} "
         f"{monitor.alarms:>5} / {monitor.checks_run}",
-        f"{'forced early refits':<36} {monitor.forced_refits:>12}",
         f"{'stationary false alarms':<36} "
         f"{stationary_monitor.alarms:>12} (of {stationary_monitor.checks_run} checks)",
         f"{'post-shift label accuracy':<36} "
@@ -376,7 +366,6 @@ def run_drift_eval(
             "detection_delay_batches": detection_delay,
             "drift_alarms": monitor.alarms,
             "drift_checks": monitor.checks_run,
-            "forced_refits": monitor.forced_refits,
             "reference_resets": monitor.reference_resets,
             "stationary_alarms": stationary_monitor.alarms,
             "stationary_checks": stationary_monitor.checks_run,

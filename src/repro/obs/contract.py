@@ -71,7 +71,6 @@ KEY_CONTRACT: tuple[ContractKey, ...] = tuple(
         ("drift/batches", "counter", "stream", True),
         ("drift/checks", "counter", "stream", True),
         ("drift/alarms", "counter", "stream", True),
-        ("drift/forced_refits", "counter", "stream", True),
         ("drift/reference_resets", "counter", "stream", True),
         # streaming pipeline: residency gauge and per-batch histograms
         ("stream/resident_records", "gauge", "stream", False),

@@ -12,9 +12,9 @@ root as the unit of deployment:
   :meth:`~CheckpointModelRegistry.refresh` (a
   :class:`~repro.serving.service.LabelServer` leader calls it on the
   request path, at most once per ``poll_ms``) and, when a newer
-  manifest is there, loads it, rebuilds the offline-exact label model
-  via :meth:`~repro.core.online_label_model.OnlineLabelModel.refit`,
-  and swaps the new :class:`ServingGeneration` in with a single
+  manifest is there, restores it (the restore solves the snapshot's
+  pattern table, so the label model is offline-exact), and swaps the
+  new :class:`ServingGeneration` in with a single
   reference assignment — readers never block and never observe a
   half-loaded generation;
 * every swap increments the ``serving/swaps`` counter, so operators can
@@ -26,13 +26,13 @@ root as the unit of deployment:
   N+1 activates mid-batch — the no-torn-reads contract the serving
   tests hammer.
 
-Because a cumulative-mode ``refit`` and an offline
+Because the restore's solve and an offline
 :meth:`~repro.core.label_model.SamplingFreeLabelModel.fit` are the same
 ``fit_compressed`` call on the same ``(patterns, counts)``, posteriors
 served from a generation are bitwise equal to an offline fit of the
 snapshot's stream prefix, in any row order (the ARCHITECTURE invariant
 the serving benchmark enforces). The manifest carries O(patterns) state
-and the restore-time refit costs O(patterns x m) per step, so generation
+and the restore's solve costs O(patterns x m) per step, so generation
 activation does not slow down as streams grow.
 
 The generation also owns scoring (:meth:`ServingGeneration.score`): at
@@ -97,7 +97,7 @@ class ServingGeneration:
     lf_names: tuple[str, ...]
     """LF suite recorded in the manifest (empty for legacy manifests)."""
     label_model: SamplingFreeLabelModel
-    """Offline-exact generative model (post-``refit``), scoring-ready."""
+    """Offline-exact generative model (the restore's solve), scoring-ready."""
     posteriors: Mapping[bytes, float]
     """Posterior of every vote pattern the snapshot's pattern table
     retains, keyed by the int8 row's bytes; read-only, filled at load by
@@ -148,8 +148,8 @@ class CheckpointModelRegistry:
     :class:`~repro.streaming.checkpoint.CheckpointedStream`. When the
     newest manifest path differs from the active generation's, it loads
     the manifest, restores the online label model with the *same*
-    configuration the stream used, refits to offline-exact parameters,
-    and atomically swaps the active generation.
+    configuration the stream used (whose restore solves the table to
+    offline-exact parameters), and atomically swaps the generation.
     """
 
     def __init__(
@@ -268,17 +268,17 @@ class CheckpointModelRegistry:
             raise ValueError(
                 f"{checkpoint.path} has lf_names {lf_names!r}, not a list of names"
             )
+        # The restore solves the snapshot's table: in cumulative mode
+        # that is the offline fit of the stream prefix, bit for bit.
         online = OnlineLabelModel(self.online_config)
         online.load_state(checkpoint.label_model_state)
-        # Offline-exact parameters: a cumulative-mode refit is the
-        # offline fit of the snapshot's stream prefix, bit for bit.
         generation = ServingGeneration(
             generation=number,
             manifest_path=checkpoint.path,
             batch=checkpoint.batch,
             cursor=checkpoint.cursor,
             lf_names=tuple(lf_names),
-            label_model=online.refit(),
+            label_model=online.model,
             posteriors=MappingProxyType({}),
         )
         # Score the retained patterns once, at load, through the request

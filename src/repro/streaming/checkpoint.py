@@ -11,7 +11,7 @@ periodically snapshots everything else a resumed stream needs —
 * the :class:`~repro.core.online_label_model.OnlineLabelModel`'s full
   mutable state: the pattern table (distinct vote rows and their counts
   or decayed weights — the vote moments are read off it, not stored),
-  the last solve's parameters, and the counters,
+  the parameters its solve of that table gave, and the counters,
 * optionally the :class:`~repro.core.drift.DriftMonitor`'s reference /
   recent windows and alarm counters, so a resumed stream scores and
   alarms on exactly the batches the uninterrupted run would have.
@@ -43,23 +43,22 @@ uninterrupted run. The mechanism:
    to the stored (shard, byte offset) position and decode only
    unconsumed records, while plain iterables fall back to replaying and
    discarding the consumed prefix — and batch numbering continues from
-   the manifest's batch id, so shard names, batch boundaries and
-   solve points all line up with the run that never crashed.
+   the manifest's batch id, so shard names and batch boundaries line up
+   with the run that never crashed.
 
-Every label the stream writes comes from a solve
-(:meth:`OnlineLabelModel.refit`: the first batch, the cadence, or a
-drift reaction) of the ``(patterns, counts)`` table the manifest
-snapshots — the same ``fit_compressed`` call an offline ``fit`` makes,
-so a solve depends only on *which* rows were retained, never on how they
-were batched or when the stream was killed. That table is O(patterns):
+Every label the stream writes comes from the solve of its own batch's
+``(patterns, counts)`` table (a restore solves the snapshot's table) —
+the offline ``fit``'s own ``fit_compressed`` call, so a label shard is
+the offline fit of the retained prefix through its batch, whatever the
+batching or the kill point. That table is O(patterns):
 manifests (label-model ``state_dict`` schema 6) stay the same size
 however long the stream runs. Manifests from earlier writers — schema 1
 (pre-drift) and schema 2, both of which logged a pattern id per example,
 schema 3, which also carried sliding-window keys, schemas 1-4's stored
 vote moments and schemas 1-5's SGD-moved parameters and sampler state —
 restore by solving the restored table, resume to the same vote bytes,
-and from the first solve after the resume point write the same labels
-and state as a fresh run; an unknown schema is refused with
+and from the resume point on write the same labels and state as a
+fresh run; an unknown schema is refused with
 ``ValueError`` rather than half-read. Records of a kind this reader does
 not know (such as the ``end_model`` record earlier writers could add)
 are ignored.
@@ -375,9 +374,8 @@ class CheckpointedStream:
                 to label batches on; built and closed by the caller.
             drift: Optional :class:`repro.core.drift.DriftPolicy`. When
                 set, each run owns a :class:`DriftMonitor` fed every
-                finalized batch; the ``"refit"`` reaction forces an
-                early :meth:`OnlineLabelModel.refit`, monitor state is
-                snapshotted into every manifest (bit-exactly), and
+                finalized batch, monitor state is snapshotted into
+                every manifest (bit-exactly), and
                 ``drift/*`` counters appear on the stream report.
             telemetry: Optional :class:`repro.obs.MetricsRegistry`
                 shared with the pipeline; each manifest write is a
@@ -442,10 +440,7 @@ class CheckpointedStream:
         self.online = OnlineLabelModel(self.online_config)
         self.drift_monitor = None
         if self.drift_policy is not None:
-            self.drift_monitor = DriftMonitor(
-                self.drift_policy,
-                refit_callback=lambda: self.online.refit(),
-            )
+            self.drift_monitor = DriftMonitor(self.drift_policy)
         resumed_from: int | None = None
         cursor = 0
         lf_names = [lf.name for lf in self.lfs]

@@ -56,9 +56,8 @@ happen, so a mid-stream snapshot is consistent. What the table cannot say:
   ``queue/wait_us`` — and ``ingest/encode_us`` is the hand-off to the
   pool. All three are pool-only;
 * the drift monitor (``drift/*``) is fed in batch order, *after* the
-  ``on_batch`` callback (a model sink has already observed the batch
-  when a forced refit fires) and *before* the durable sinks (label sinks
-  and manifests see post-reaction state).
+  ``on_batch`` callback (a model sink has already observed the batch)
+  and *before* the durable sinks (manifests see post-reaction state).
 """
 
 from __future__ import annotations
@@ -283,8 +282,8 @@ class MicroBatchPipeline:
         #: calling thread.
         self.executor = executor
         #: Drift monitor fed per finalized batch (batch order) — between
-        #: ``on_batch`` and the sink stage, so forced refits mutate model
-        #: state before anything durable observes it.
+        #: ``on_batch`` and the sink stage, so a reference reset lands
+        #: before anything durable observes it.
         self.drift_monitor = drift_monitor
         #: Optional telemetry registry and span tracer each run's scoped
         #: registry forwards to; both are pure observers.
@@ -415,11 +414,8 @@ class MicroBatchPipeline:
                 metrics.record("stream/drift_score", check.score)
             if check.alarmed:
                 metrics.counter("drift/alarms")
-            for reaction in check.reactions:
-                if reaction == "refit":
-                    metrics.counter("drift/forced_refits")
-                elif reaction == "reset_reference":
-                    metrics.counter("drift/reference_resets")
+            if "reset_reference" in check.reactions:
+                metrics.counter("drift/reference_resets")
         for sink in self.sinks:
             sink_start = time.perf_counter()
             sink(batch.seq, batch.examples, votes)

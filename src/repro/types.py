@@ -19,6 +19,7 @@ crosses a process boundary must serialize to plain dictionaries (see
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -35,6 +36,9 @@ __all__ = [
     "polarity",
     "require_int",
 ]
+
+#: A surrogate code point: JSON reads an escaped pair back as one character.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 #: Vote constants mirroring the C++ ``LFVote`` enum in Section 5.1.
 ABSTAIN = 0
@@ -62,7 +66,8 @@ class Example:
     ----------
     example_id:
         Unique identifier; also the shard/sort key in the distributed
-        filesystem.
+        filesystem. A ``str`` id holding a surrogate code point is a
+        ``ValueError``: it would not read back from a shard as written.
     fields:
         Arbitrary raw fields (``title``, ``body``, ``url``, event signal
         names, ...). Labeling functions read these; the discriminative
@@ -83,6 +88,11 @@ class Example:
     servable: dict[str, Any] = field(default_factory=dict)
     non_servable: dict[str, Any] = field(default_factory=dict)
     label: int | None = None
+
+    def __post_init__(self) -> None:
+        example_id = self.example_id
+        if type(example_id) is str and not example_id.isascii() and _SURROGATE.search(example_id):
+            raise ValueError(f"example id {example_id!r} holds a surrogate code point")
 
     def to_record(self) -> dict[str, Any]:
         """Serialize to a plain dictionary for record-file storage."""

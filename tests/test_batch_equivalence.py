@@ -443,8 +443,9 @@ def _report_fields(report):
 
 
 #: Example ids that need JSON escaping: a quote, a backslash, a
-#: control character, non-ASCII, a lone surrogate and NUL.
-ESCAPED_IDS = ["plain", 'quo"te', "back\\slash", "tab\there", "caf\u00e9", "lone\ud800", "\x00"]
+#: control character, non-ASCII, astral and NUL (an Example refuses a
+#: surrogate).
+ESCAPED_IDS = ["plain", 'quo"te', "back\\slash", "tab\there", "caf\u00e9", "\U0001f600", "\x00"]
 
 
 def _suite(app):
@@ -664,9 +665,7 @@ def test_streaming_records_match_offline_and_label_model():
     dfs = DistributedFileSystem()
     paths = stage_examples(dfs, examples, "/stream_eq/examples", num_shards=4)
     config = LabelModelConfig(seed=0)
-    online = OnlineLabelModel(
-        OnlineLabelModelConfig(base=config, refit_every=3)
-    )
+    online = OnlineLabelModel(OnlineLabelModelConfig(base=config))
     pipeline = MicroBatchPipeline(
         lfs,
         batch_size=64,
@@ -679,7 +678,7 @@ def test_streaming_records_match_offline_and_label_model():
     aligned = offline.select_examples(streamed.example_ids)
     assert np.array_equal(streamed.matrix, aligned.matrix)
 
-    final = online.refit()
+    final = online.model
     reference = SamplingFreeLabelModel(config).fit(streamed.matrix)
     np.testing.assert_allclose(
         final.predict_proba(streamed.matrix),

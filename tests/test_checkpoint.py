@@ -144,17 +144,15 @@ def retained_reference(L, batch, n_batches, decay):
     ).astype(L.dtype)
 
 
-def assert_labels_are_fits(dfs, root, L, batch, decay, last_solve):
+def assert_labels_are_fits(dfs, root, L, batch, decay, batches):
     """Batch ``t``'s label shard under ``root`` holds, bit for bit, the
-    offline fit of the rows retained through batch ``last_solve[t]``
-    (inclusive) scoring batch ``t``'s votes, for every ``t`` given."""
-    fits = {}
-    for t, solved in last_solve.items():
-        if solved not in fits:
-            rows = retained_reference(L, batch, solved + 1, decay)
-            fits[solved] = SamplingFreeLabelModel(ONLINE_CONFIG.base).fit(rows)
+    offline fit of the rows retained through batch ``t`` (inclusive)
+    scoring batch ``t``'s votes, for every ``t`` in ``batches``."""
+    for t in batches:
+        rows = retained_reference(L, batch, t + 1, decay)
+        fit = SamplingFreeLabelModel(ONLINE_CONFIG.base).fit(rows)
         _, served = read_labels(dfs, f"{root}/labels/batch-{t:06d}")
-        expected = fits[solved].predict_proba(L[t * batch : (t + 1) * batch])
+        expected = fit.predict_proba(L[t * batch : (t + 1) * batch])
         assert np.array_equal(served, expected), f"label shard of batch {t}"
 
 
@@ -831,14 +829,14 @@ class TestCrashResume:
 class TestDriftCheckpointing:
     BATCH = 64
 
-    #: Hair-trigger policy: tiny windows and a low threshold so alarms,
-    #: forced refits, and reference resets all fire *mid-stream* — the
-    #: crash matrix below then proves they replay deterministically.
+    #: Hair-trigger policy: tiny windows and a low threshold so alarms
+    #: and reference resets fire *mid-stream* — the crash matrix below
+    #: then proves they replay deterministically.
     POLICY = DriftPolicy(
         reference_batches=1,
         recent_batches=1,
         threshold=1.0,
-        reactions=("log", "refit", "reset_reference"),
+        reactions=("log", "reset_reference"),
     )
 
     def _make_runner(self, dfs, lfs, root):
@@ -875,10 +873,10 @@ class TestDriftCheckpointing:
 
     def test_drift_kill_matrix_resumes_byte_identical(self, corpus, lfs):
         """The crash-resume guarantee must survive active drift
-        reactions: forced refits and reference resets triggered by the
-        monitor are part of the replayed state, so a stream killed after
-        ANY batch still converges to byte-identical manifests/shards and
-        the same alarm history."""
+        reactions: reference resets triggered by the monitor are part of
+        the replayed state, so a stream killed after ANY batch still
+        converges to byte-identical manifests/shards and the same alarm
+        history."""
         from repro.dfs.filesystem import DistributedFileSystem
 
         dfs = DistributedFileSystem()
@@ -888,7 +886,7 @@ class TestDriftCheckpointing:
         reference = tree_bytes(dfs, "/drift-baseline")
         # The hair-trigger policy must actually exercise the reactions.
         assert baseline.drift_monitor.alarms > 0
-        assert baseline.drift_monitor.forced_refits > 0
+        assert baseline.drift_monitor.reference_resets > 0
         assert (
             base_report.stream.counters["drift/alarms"]
             == baseline.drift_monitor.alarms
@@ -962,18 +960,18 @@ def resume_captured_root(corpus, lfs, payload, captured, online_config):
     """Transplant a captured durable root, resume it, and run a fresh
     stream over the same corpus beside it.
 
-    The captured manifests come from writers whose label-model
-    parameters were SGD estimates between solves, which a fresh run no
-    longer makes; ``load_state`` replaces them with a solve of the
-    restored table. So the resumed stream must match the fresh one
-    wherever both come from the same solve:
+    The captured manifests come from writers that solved on a cadence
+    (and, before schema 6, moved the parameters by SGD in between);
+    ``load_state`` solves the restored table whatever the schema, and
+    the resumed stream solves every batch. So after the resume point it
+    matches a fresh run:
 
     * every vote shard is byte-identical;
-    * each label shard written before the first cadence solve after the
-      resume point is the offline fit of the restored prefix;
-    * from that solve on, label shards are the fresh run's bytes, and
-      manifests are the fresh run's records with ``refits_done`` the
-      only key allowed to differ;
+    * each label shard after the resume point is the offline fit of the
+      prefix through its own batch, and the fresh run's bytes;
+    * each manifest after the resume point is the fresh run's records,
+      with ``refits_done`` (which counts the captured writer's solves)
+      the only key allowed to differ;
     * both retain the same rows, and their refits are bitwise equal.
 
     Returns the resumed stream, the fresh one, the resume report, and
@@ -1000,24 +998,20 @@ def resume_captured_root(corpus, lfs, payload, captured, online_config):
     resumed_tree = tree_bytes(dfs, captured["root"])
     assert set(resumed_tree) == set(fresh_tree)
 
-    start, cadence = report.resumed_from_batch + 1, online_config.refit_every
-    end = report.last_batch_seq + 1
-    solved = next(
-        (t for t in range(start, end) if cadence and (t + 1) % cadence == 0), end
-    )
+    start = report.resumed_from_batch + 1
     assert_labels_are_fits(
         dfs,
         captured["root"],
         L,
         payload["batch_size"],
         online_config.decay,
-        {t: start - 1 for t in range(start, solved)},
+        range(start, report.last_batch_seq + 1),
     )
     for rel, blob in fresh_tree.items():
         seq = batch_shard_seq(rel)
-        if rel.startswith("/votes/") or (rel.startswith("/labels/") and seq >= solved):
+        if rel.startswith("/votes/") or (rel.startswith("/labels/") and seq >= start):
             assert resumed_tree[rel] == blob, f"divergent bytes at {rel}"
-        elif rel.startswith("/checkpoints/") and manifest_seq(rel) >= solved:
+        elif rel.startswith("/checkpoints/") and manifest_seq(rel) >= start:
             assert without_refit_count(decode_records(resumed_tree[rel])) == (
                 without_refit_count(decode_records(blob))
             ), f"divergent manifest at {rel}"
@@ -1092,11 +1086,11 @@ class TestSchema2ManifestCompat:
 
     ``tests/fixtures/schema2_roots.json`` was captured at the parent of
     the commit that replaced the per-example ``row_ids`` log with
-    pattern counts: same corpus and shape as the pre-drift fixture, with
-    ``refit_every`` set so the first scheduled refit falls *after* the
-    resume point — the resumed stream refits from counted row ids, the
-    fresh one from native counts, and every later label shard and
-    manifest must still match (see :func:`resume_captured_root`). (Its
+    pattern counts: same corpus and shape as the pre-drift fixture
+    (written with ``refit_every=4``, a cadence the reader no longer
+    has) — the resumed stream solves from counted row ids, the fresh
+    one from native counts, and every later label shard and manifest
+    must still match (see :func:`resume_captured_root`). (Its
     ``window`` root was written by a retention mode this reader no
     longer has.)
     """
@@ -1114,7 +1108,7 @@ class TestSchema2ManifestCompat:
         era_state = era_label_model_state(captured)
         assert era_state["schema"] == 2 and era_state["row_ids"] is not None
 
-        config = replace(ONLINE_CONFIG, refit_every=payload["refit_every"])
+        config = ONLINE_CONFIG
         resumed, fresh, report, L = resume_captured_root(
             corpus, lfs, payload, captured, config
         )
@@ -1162,7 +1156,6 @@ class TestSchema3ManifestCompat:
 
         config = replace(
             ONLINE_CONFIG,
-            refit_every=payload["refit_every"],
             decay=captured["decay"],
         )
         resumed, fresh, report, L = resume_captured_root(
@@ -1205,7 +1198,6 @@ class TestSchema4ManifestCompat:
 
         config = replace(
             ONLINE_CONFIG,
-            refit_every=payload["refit_every"],
             decay=captured["decay"],
         )
         resumed, fresh, report, L = resume_captured_root(
@@ -1269,7 +1261,6 @@ class TestSchema5ManifestCompat:
 
         config = replace(
             ONLINE_CONFIG,
-            refit_every=payload["refit_every"],
             decay=captured["decay"],
         )
         resumed, fresh, report, L = resume_captured_root(
@@ -1287,7 +1278,8 @@ class TestSchema5ManifestCompat:
     def test_stored_sgd_estimates_are_replaced_by_a_solve(self, lfs, payload, mode):
         """A schema-5 state restores as the offline fit of its retained
         rows (its stored alpha is not that fit), without counting a
-        refit; a schema-6 state's parameters restore as stored."""
+        refit; so does a schema-6 state: the parameters are a function
+        of the table, whatever the state stored."""
         captured = payload["roots"][mode]
         era_state = era_label_model_state(captured)
         config = replace(ONLINE_CONFIG, decay=captured["decay"])
@@ -1308,10 +1300,10 @@ class TestSchema5ManifestCompat:
         assert online.refits_done == era_state["refits_done"] == 0
 
         current = online.state_dict()
-        moved = offline.alpha + 0.125
-        current["model"]["alpha"] = encode_ndarray(moved)
+        current["model"]["alpha"] = encode_ndarray(offline.alpha + 0.125)
         restored = OnlineLabelModel(config).load_state(current)
-        assert np.array_equal(restored.model.alpha, moved)
+        assert np.array_equal(restored.model.alpha, offline.alpha)
+        assert restored.state_dict() == online.state_dict()
 
 
 #: Every committed fixture root, as ``(fixture, mode)``; ``None`` is the
@@ -1361,7 +1353,6 @@ class TestLabelShardFormats:
         dfs, shards = stage_captured_root(corpus, payload, captured)
         config = replace(
             ONLINE_CONFIG,
-            refit_every=payload.get("refit_every"),
             decay=captured.get("decay"),
         )
         root = captured["root"]
@@ -1389,16 +1380,15 @@ class TestLabelShardFormats:
 
 
 # ----------------------------------------------------------------------
-# scheduled refits under the durability contracts
+# per-batch solves under the durability contracts
 # ----------------------------------------------------------------------
 class TestCompressedRefitCheckpointing:
-    """Mid-run refits must not move a byte of the durable contract.
+    """Per-batch solves must not move a byte of the durable contract.
 
-    Streams here schedule refits *mid-run* (``refit_every=2``), so
-    refitted parameters feed the label shards of every later batch —
-    a refit that depended on anything but the retained multiset of rows
-    (batching, kill point, restore path) would surface as shard bytes,
-    not just as a final-posterior gap.
+    Every batch's parameters feed its label shard, so a solve that
+    depended on anything but the retained multiset of rows (batching,
+    kill point, restore path) would surface as shard bytes, not just as
+    a final-posterior gap.
     """
 
     BATCH = 64
@@ -1409,14 +1399,14 @@ class TestCompressedRefitCheckpointing:
             lfs,
             root,
             batch_size=self.BATCH,
-            online_config=replace(ONLINE_CONFIG, refit_every=2),
+            online_config=ONLINE_CONFIG,
             checkpoint_every=2,
         )
 
     def test_kill_matrix_with_compressed_refits(self, corpus, lfs):
-        """Killed after ANY batch with refits scheduled, the resumed
-        stream converges to byte-identical shards/manifests, and the
-        final refit is bitwise the offline fit of the shuffled stream.
+        """Killed after ANY batch, the resumed stream converges to
+        byte-identical shards/manifests, and the final refit is bitwise
+        the offline fit of the shuffled stream.
         """
         from repro.dfs.filesystem import DistributedFileSystem
 
@@ -1444,20 +1434,18 @@ class TestCompressedRefitCheckpointing:
             resumed = self._runner(dfs, lfs, root)
             resumed.run(RecordStreamSource(dfs, shards))
             assert tree_bytes(dfs, root) == reference, (
-                f"divergent bytes after kill at batch {kill_after} "
-                "with refits scheduled"
+                f"divergent bytes after kill at batch {kill_after}"
             )
 
     @pytest.mark.parametrize("decay", [None, 0.9], ids=["cumulative", "decay"])
     def test_every_label_is_the_offline_fit_at_its_last_solve(
         self, corpus, lfs, decay
     ):
-        """The stream solves its table on the first batch and every
-        ``refit_every``-th: each label shard is, bitwise, the offline fit
-        of the rows retained through its batch's last solve point."""
+        """The stream solves its table on every batch, so its last solve
+        is its own: each label shard is, bitwise, the offline fit of the
+        rows retained through its batch."""
         from repro.dfs.filesystem import DistributedFileSystem
 
-        cadence = 3
         dfs = DistributedFileSystem()
         shards = stage_examples(dfs, corpus, "/examples/e", num_shards=3)
         stream = CheckpointedStream(
@@ -1465,18 +1453,14 @@ class TestCompressedRefitCheckpointing:
             lfs,
             "/solves",
             batch_size=self.BATCH,
-            online_config=replace(ONLINE_CONFIG, refit_every=cadence, decay=decay),
+            online_config=replace(ONLINE_CONFIG, decay=decay),
         )
         report = stream.run(RecordStreamSource(dfs, shards))
         batches = report.batches_finalized
-        assert batches > 2 * cadence
-        last_solve = {
-            t: max(s for s in range(t + 1) if s == 0 or (s + 1) % cadence == 0)
-            for t in range(batches)
-        }
+        assert batches > 6
         L = stream_matrix(dfs, shards, lfs)
-        assert_labels_are_fits(dfs, "/solves", L, self.BATCH, decay, last_solve)
-        assert stream.online.refits_done == 1 + batches // cadence
+        assert_labels_are_fits(dfs, "/solves", L, self.BATCH, decay, range(batches))
+        assert stream.online.refits_done == batches
 
     def test_pre_drift_manifest_refits_identically_compressed(self, corpus, lfs):
         """A manifest written before pattern counts existed must restore

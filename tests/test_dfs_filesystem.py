@@ -134,8 +134,11 @@ class TestNamespaceOps:
         # A string prefix of the path, not only a directory.
         dfs.write_file("/runs/ab", b"")
         assert dfs.list("/runs/a") == ["/runs/a/1", "/runs/a/2", "/runs/ab"]
-        assert dfs.list("/runs/a/") == dfs.list("/runs/a")
+        # A trailing slash names the directory: its siblings stay out.
+        assert dfs.list("/runs/a/") == ["/runs/a/1", "/runs/a/2"]
+        assert dfs.list("/") == dfs.list("/runs")
         assert dfs.list("/nowhere/") == []
+        assert dfs.list("/runs/ab/") == []
 
     def test_delete(self, dfs):
         dfs.write_file("/x", b"1")
@@ -149,6 +152,12 @@ class TestNamespaceOps:
         dfs.write_file("/t/2", b"")
         assert dfs.delete_recursive("/t") == 2
         assert dfs.list("/t") == []
+
+    def test_delete_recursive_spares_sibling_prefixes(self, dfs):
+        dfs.write_file("/x/run-1/votes/0", b"")
+        dfs.write_file("/x/run-10/votes/0", b"")
+        assert dfs.delete_recursive("/x/run-1/") == 1
+        assert dfs.list("/x/") == ["/x/run-10/votes/0"]
 
 
 class TestAccounting:

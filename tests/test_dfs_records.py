@@ -194,6 +194,13 @@ class TestFraming:
 #: astral, and lone surrogates of both halves.
 NASTY_CHARS = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xa0\xfc\u4f8b\U0001f600\u2028\ud800\udbff\udc00\udfff'
 ids = st.one_of(st.text(max_size=12), st.text(NASTY_CHARS, max_size=12))
+#: The ids an ``Example`` takes: the same, less the surrogates it
+#: refuses (hypothesis's default alphabet has none).
+example_ids = st.one_of(
+    st.text(max_size=12),
+    st.text([c for c in NASTY_CHARS if not "\ud800" <= c <= "\udfff"], max_size=12),
+    st.integers(),
+)
 probas = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(
@@ -211,8 +218,7 @@ def vote_batches(draw):
     row = st.lists(st.sampled_from([-1, 0, 1]), min_size=m, max_size=m)
     patterns = draw(st.lists(row, min_size=1, max_size=4))
     rows = draw(st.lists(st.sampled_from(patterns), max_size=12))
-    batch_ids = draw(st.lists(st.one_of(ids, st.integers()), min_size=len(rows),
-                              max_size=len(rows)))
+    batch_ids = draw(st.lists(example_ids, min_size=len(rows), max_size=len(rows)))
     return batch_ids, np.array(rows, dtype=np.int8).reshape(len(rows), m)
 
 
@@ -234,7 +240,7 @@ class TestTemplatedBodies:
         assert bodies == [dumps(p).encode() for p in expected]
         assert bodies == [record_body(p) for p in expected]
 
-    @given(st.lists(st.tuples(st.one_of(ids, st.integers()), probas), max_size=12))
+    @given(st.lists(st.tuples(example_ids, probas), max_size=12))
     def test_label_sink_rows(self, rows):
         """A label block is ``record_body`` of its payload, and its rows
         read back with every posterior's bits (the table is deduplicated
@@ -257,8 +263,7 @@ class TestTemplatedBodies:
         assert body == dumps(expected).encode()
         sink(2, examples, votes)
         got_ids, got = read_labels(dfs, sink.shard_path(2))
-        # JSON joins an escaped surrogate pair: ids are json's values.
-        assert got_ids == json.loads(dumps([eid for eid, _ in rows]))
+        assert got_ids == [eid for eid, _ in rows]
         assert got.dtype == np.float64 and got.tobytes() == proba.tobytes()
 
     @given(st.lists(st.tuples(st.one_of(ids, st.integers()), probas), max_size=12))

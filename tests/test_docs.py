@@ -112,7 +112,6 @@ class TestKeyContract:
             "drift/batches",
             "drift/checks",
             "drift/alarms",
-            "drift/forced_refits",
             "drift/reference_resets",
         }
 

@@ -11,7 +11,7 @@ wiring that surfaces ``drift/*`` counters.
 import numpy as np
 import pytest
 
-from repro.core.drift import DriftMonitor, DriftPolicy
+from repro.core.drift import DRIFT_REACTIONS, DriftMonitor, DriftPolicy
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.online_label_model import (
     PATTERN_WEIGHT_FLOOR,
@@ -78,9 +78,12 @@ class TestDriftPolicy:
         with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
             DriftPolicy(**{name: value})
 
-    def test_refit_reaction_requires_callback(self):
-        with pytest.raises(ValueError, match="refit_callback"):
-            DriftMonitor(DriftPolicy(reactions=("refit",)))
+    def test_refit_is_no_longer_a_reaction(self):
+        """The online model solves every batch, so there is nothing for
+        a refit reaction to force."""
+        assert DRIFT_REACTIONS == ("log", "reset_reference")
+        with pytest.raises(ValueError, match="unknown drift reactions"):
+            DriftPolicy(reactions=("refit",))
 
 
 def _with(key, value):
@@ -181,19 +184,6 @@ class TestDriftMonitor:
         # check keeps scoring above threshold.
         assert monitor.alarms > 5
 
-    def test_refit_reaction_invokes_callback(self):
-        fired = []
-        monitor = DriftMonitor(
-            DriftPolicy(reactions=("refit", "reset_reference")),
-            refit_callback=lambda: fired.append(True),
-        )
-        stream = draw_batches(16, seed=8) + draw_batches(8, seed=9, **SHIFTED)
-        checks = [monitor.observe_batch(votes) for votes in stream]
-        assert fired
-        assert monitor.forced_refits == len(fired)
-        alarmed = [c for c in checks if c.alarmed]
-        assert alarmed and alarmed[0].reactions == ("refit", "reset_reference")
-
     def test_validation(self):
         monitor = DriftMonitor(DriftPolicy())
         with pytest.raises(ValueError, match="2-D"):
@@ -235,13 +225,24 @@ class TestDriftMonitor:
         assert resumed.reference_resets == straight.reference_resets
         assert resumed.state_dict() == straight.state_dict()
 
+    def test_earlier_states_with_a_forced_refit_count_load(self):
+        """Earlier writers stored the refit reaction's count; it is
+        ignored, and the rest restores bitwise."""
+        policy = DriftPolicy(reference_batches=2, recent_batches=2)
+        source = DriftMonitor(policy)
+        for votes in draw_batches(5, seed=13):
+            source.observe_batch(votes)
+        state = source.state_dict()
+        assert "forced_refits" not in state
+        restored = DriftMonitor(policy).load_state({**state, "forced_refits": 2})
+        assert restored.state_dict() == state
+
     @pytest.mark.parametrize(
         "key",
         [
             "batches_observed",
             "checks_run",
             "alarms",
-            "forced_refits",
             "reference_resets",
             "reference_batches",
             "first_alarm_batch",

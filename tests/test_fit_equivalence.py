@@ -16,7 +16,8 @@ contract:
 * ``fit`` depends on the multiset of rows only: any row permutation of
   ``L`` fits to the same bits, and an online refit — cumulative or
   decay — is bitwise the offline ``fit`` of the retained rows, shuffled,
-  as is every posterior the online model hands out between solves;
+  as is every posterior the online model hands out (it solves every
+  batch);
 * **the basin**: on the benchmark's product tables the solve labels
   covered rows no worse than the 6,000-step SGD fit it replaced.
 
@@ -24,6 +25,9 @@ Families: dense uniform votes, abstain-heavy, duplicate-heavy (few
 distinct patterns), single-pattern degenerate, matrices with all-abstain
 rows — across several (n, m) shapes and seeds.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -104,13 +108,12 @@ def reference_objective(L, alpha, beta, prior_logit):
 def model_objective(model, votes):
     """The model's own mean NLL and gradient at its parameters, through
     the kernel its solve ran (the other side of the comparison)."""
-    P = votes.patterns.astype(np.float64)
-    weights = votes.weights / votes.n_rows
-    fire_rates = (np.abs(P) * votes.weights[:, None]).sum(axis=0) / votes.n_rows
-    kernel = _StepKernel(model, len(P), weights, 1.0)
-    nll = kernel.loss(P)
-    grad_prior = kernel.gradient(P, fire_rates)
-    return nll, kernel._grad_alpha.copy(), kernel._grad_beta.copy(), grad_prior
+    learn_prior = model.config.learn_class_prior
+    kernel = _StepKernel(votes, learn_prior, model.prior_logit)
+    theta = np.concatenate([model.alpha, model.beta, [model.prior_logit]][: 2 + learn_prior])
+    nll = float(kernel.losses(theta[:, None])[0])
+    grad, m = kernel.gradient(theta, 0), len(model.alpha)
+    return nll, grad[:m], grad[m : 2 * m], grad[-1] if learn_prior else None
 
 
 def kkt_residual(model, grad_alpha, grad_beta, grad_prior):
@@ -156,23 +159,19 @@ def assert_solves(model, L):
     assert np.all((model.alpha >= 0.0) & (model.alpha <= _MAX_ALPHA))
 
 
-def minibatch_fit_both(L, config, refit_every=3, batch_rows=96):
+def minibatch_fit_both(L, config, batch_rows=96):
     """Feed ``L`` to the online model in ``batch_rows``-row batches (a
-    ragged last one) with a ``refit_every`` cadence. Returns the online
-    model and, per batch, the posterior it handed out next to the
-    offline ``fit`` of the prefix through the batch's last solve point:
-    the first batch, and every ``refit_every``-th."""
-    online = OnlineLabelModel(
-        OnlineLabelModelConfig(base=config, refit_every=refit_every)
-    )
-    pairs, offline = [], None
-    for k, start in enumerate(range(0, len(L), batch_rows), start=1):
+    ragged last one). Returns the online model and, per batch, the
+    posterior it handed out next to the offline ``fit`` of the prefix
+    through that batch, whose parameters it must hold to the bit."""
+    online = OnlineLabelModel(OnlineLabelModelConfig(base=config))
+    pairs = []
+    for start in range(0, len(L), batch_rows):
         votes = L[start : start + batch_rows]
         online.observe(votes)
-        if k == 1 or k % refit_every == 0:
-            offline = SamplingFreeLabelModel(config).fit(L[: start + len(votes)])
+        offline = SamplingFreeLabelModel(config).fit(L[: start + len(votes)])
+        assert_bitwise(offline, online.model, L)
         pairs.append((online.predict_proba(votes), offline.predict_proba(votes)))
-    assert_bitwise(offline, online.model, L)
     return online, pairs
 
 
@@ -330,7 +329,7 @@ class TestBinaryEquivalence:
 
     # The online model consumes a stream in minibatches; every posterior
     # it hands out is bitwise the offline fit of the prefix through its
-    # batch's last solve point, never an estimate between solves.
+    # own batch.
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"n{s[0]}m{s[1]}")
     @pytest.mark.parametrize("seed", [0, 7])
@@ -341,7 +340,7 @@ class TestBinaryEquivalence:
         online, pairs = minibatch_fit_both(L, LabelModelConfig())
         for served, offline in pairs:
             assert np.array_equal(served, offline)
-        assert online.refits_done == 1 + len(pairs) // 3
+        assert online.refits_done == len(pairs)
 
     def test_learned_prior_stays_bitwise_in_minibatch(self):
         """A learned class prior rides the one solve."""
@@ -357,10 +356,41 @@ class TestBinaryEquivalence:
         all-abstain rows, solved after every batch."""
         L = with_all_abstain_rows(np.random.default_rng(4), 900, 8)
         config = LabelModelConfig(learn_class_prior=True, init_class_prior=0.3)
-        online, pairs = minibatch_fit_both(L, config, refit_every=1)
+        online, pairs = minibatch_fit_both(L, config)
         for served, offline in pairs:
             assert np.array_equal(served, offline)
         assert online.refits_done == len(pairs)
+
+
+# ----------------------------------------------------------------------
+# the kernel reference: the solve the kernel replaced, table by table
+# ----------------------------------------------------------------------
+#: ``fit_compressed`` outputs of the previous kernel (one eigh-based
+#: Newton direction and one loss evaluation per halving), recorded on
+#: the tables themselves: product and topic prefixes, decay-rounded
+#: tables, learned priors, one-pattern tables and LFs on both alpha
+#: bounds. Where a coordinate has no finite optimum (the beta of an LF
+#: that always or never fires, a prior that runs off), both kernels stop
+#: where the gradient meets the tolerance, so it is where they agree
+#: least.
+with open(os.path.join(os.path.dirname(__file__), "fixtures", "fit_reference.json")) as _file:
+    KERNEL_REFERENCE = {case["name"]: case for case in json.load(_file)["tables"]}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_REFERENCE))
+def test_kernel_lands_on_the_reference_solve(name):
+    case = KERNEL_REFERENCE[name]
+    weights = np.array(case["weights"], dtype=np.float64)
+    votes = CompressedVotes(
+        patterns=np.array(case["patterns"], dtype=np.int8),
+        weights=weights,
+        n_rows=float(weights.sum()),
+    )
+    model = SamplingFreeLabelModel(LabelModelConfig(**case["config"])).fit_compressed(votes)
+    assert np.max(np.abs(model.alpha - case["alpha"])) <= 1e-8
+    assert np.max(np.abs(model.beta - case["beta"])) <= 1e-8
+    assert abs(model.prior_logit - case["prior_logit"]) <= 1e-8
+    assert_solves(model, votes.expand())
 
 
 # ----------------------------------------------------------------------

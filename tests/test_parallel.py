@@ -37,7 +37,7 @@ from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.online_label_model import OnlineLabelModelConfig
 from repro.types import Example
 
-from tests.test_checkpoint import make_corpus, make_lfs
+from tests.test_checkpoint import assert_labels_are_fits, make_corpus, make_lfs
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -365,13 +365,12 @@ class TestStreamingParallel:
     def test_label_shards_identical_across_serial_pool_and_resumed(
         self, staged, pool
     ):
-        """With solves mid-stream (so batches carry different posterior
+        """With a solve per batch (so batches carry different posterior
         tables), a serial run, a pooled run and a pooled run resumed
-        after a crash write the same label blocks, byte for byte."""
+        after a crash write the same label blocks, byte for byte, and
+        each is the offline fit of the stream through its batch."""
         dfs, shards, serial = staged
-        config = OnlineLabelModelConfig(
-            base=LabelModelConfig(seed=0), refit_every=2
-        )
+        config = OnlineLabelModelConfig(base=LabelModelConfig(seed=0))
 
         def stream(root, executor=None):
             return CheckpointedStream(
@@ -405,6 +404,9 @@ class TestStreamingParallel:
         assert [
             eid for p in paths for eid in read_labels(dfs, p)[0]
         ] == serial.label_matrix.example_ids
+        assert_labels_are_fits(
+            dfs, "/lab/serial", serial.label_matrix.matrix, 64, None, range(len(paths))
+        )
 
     def test_mismatched_worker_suite_is_rejected(self, staged, narrow_pool):
         dfs, shards, _ = staged

@@ -60,6 +60,21 @@ class TestExample:
         nones = {"example_id": "x2", "fields": None, "servable": None, "non_servable": None}
         assert Example.from_record(nones) == restored
 
+    @pytest.mark.parametrize(
+        "example_id", ["\ud800\udc00", "pair\udbff\udfffend", "lone\ud800", "\udc00"]
+    )
+    def test_surrogate_ids_are_refused(self, example_id):
+        """JSON reads an escaped surrogate pair back as one astral
+        character, so such an id would not survive a shard."""
+        with pytest.raises(ValueError, match="surrogate"):
+            Example(example_id)
+        with pytest.raises(ValueError, match="surrogate"):
+            Example.from_record({"example_id": example_id})
+
+    def test_astral_and_int_ids_are_kept(self):
+        assert Example("\U00010000").example_id == "\U00010000"
+        assert Example(7).example_id == 7
+
     def test_unlabeled_by_default(self):
         assert Example(example_id="x").label is None
 
