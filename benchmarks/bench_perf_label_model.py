@@ -14,8 +14,8 @@ because the Gibbs inner loop is pure Python — the rendered table says
 so).
 
 The solve report times a cold solve of the product and topic tables,
-whole and first 1,024 rows, with its iterations and passes over the
-table per iteration.
+whole and first 1,024 rows, and of the 140-LF events table, with its
+iterations and passes over the table per iteration.
 
 Also home to the ``label_model_fit`` flatness gate: fitting matrices of
 2,000 / 8,000 / 30,720 rows drawn from one fixed 200-pattern pool to
@@ -39,7 +39,11 @@ from repro.core.label_model import (
 )
 from repro.core.patterns import compress_votes
 from repro.experiments import perf
-from repro.experiments.harness import ExperimentResult, get_content_experiment
+from repro.experiments.harness import (
+    ExperimentResult,
+    get_content_experiment,
+    get_events_experiment,
+)
 
 from benchmarks.conftest import emit
 from tests.test_fit_equivalence import reference_gap
@@ -63,11 +67,27 @@ def test_section52_speed_comparison(benchmark, scale):
     assert row["speedup"] >= 2.0, row                 # paper: ~2x
 
 
+def _passes_per_iteration(votes, config: LabelModelConfig) -> tuple[int, float]:
+    """One solve's iterations and its passes over the table per
+    iteration, counted by wrapping the kernel's ``evaluate``."""
+    kernel = _StepKernel(votes, False, SamplingFreeLabelModel(config).prior_logit)
+    evaluate, passes = kernel.evaluate, []
+
+    def counted(*args):
+        passes.append(None)
+        return evaluate(*args)
+
+    kernel.evaluate = counted
+    iterations, _, _ = kernel.solve()
+    return iterations, len(passes) / max(iterations, 1)
+
+
 def solve_report(scale, repeats: int = 20) -> ExperimentResult:
     """Cold ``fit_compressed`` solves of the product and topic tables,
-    whole and as their first 1,024 rows: the median wall time over
-    ``repeats`` solves, the iterations, and the passes over the table
-    per iteration (each pass scores one chunk of line-search halvings).
+    whole and as their first 1,024 rows, and of the 140-LF events table:
+    the median wall time over ``repeats`` solves, the iterations, and
+    the passes over the table per iteration (each pass scores one chunk
+    of line-search halvings).
     """
     rows, lines = [], [
         f"Label-model solve: cold fit_compressed per table (median of {repeats})",
@@ -75,39 +95,44 @@ def solve_report(scale, repeats: int = 20) -> ExperimentResult:
         f"{'table':<22} {'patterns':>8} {'LFs':>4} {'median ms':>10} "
         f"{'iterations':>10} {'passes/iteration':>17}",
     ]
+    tables = []
     for task in ("product", "topic"):
         matrix = get_content_experiment(task, scale).L_unlabeled.matrix
-        for name, L in ((task, matrix), (f"{task} first 1,024", matrix[:1024])):
-            votes = compress_votes(L)
-            walls = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                SamplingFreeLabelModel(LabelModelConfig()).fit_compressed(votes)
-                walls.append(time.perf_counter() - start)
-            kernel = _StepKernel(votes, False, 0.0)
-            iterations, _, _ = kernel.solve()
-            row = {
-                "table": name,
-                "patterns": votes.n_patterns,
-                "lfs": L.shape[1],
-                "solve_ms": 1e3 * float(np.median(walls)),
-                "iterations": iterations,
-                "passes_per_iteration": kernel.passes / max(iterations, 1),
-            }
-            rows.append(row)
-            lines.append(
-                f"{name:<22} {row['patterns']:>8} {row['lfs']:>4} "
-                f"{row['solve_ms']:>10.2f} {iterations:>10} "
-                f"{row['passes_per_iteration']:>17.2f}"
-            )
+        tables += [(task, matrix, LabelModelConfig()),
+                   (f"{task} first 1,024", matrix[:1024], LabelModelConfig())]
+    events = get_events_experiment(scale)
+    tables.append(("events", events.L_unlabeled.matrix,
+                   LabelModelConfig(init_class_prior=events.class_prior)))
+    for name, L, config in tables:
+        votes = compress_votes(L)
+        walls = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            SamplingFreeLabelModel(config).fit_compressed(votes)
+            walls.append(time.perf_counter() - start)
+        iterations, passes = _passes_per_iteration(votes, config)
+        row = {
+            "table": name,
+            "patterns": votes.n_patterns,
+            "lfs": L.shape[1],
+            "solve_ms": 1e3 * float(np.median(walls)),
+            "iterations": iterations,
+            "passes_per_iteration": passes,
+        }
+        rows.append(row)
+        lines.append(
+            f"{name:<22} {row['patterns']:>8} {row['lfs']:>4} "
+            f"{row['solve_ms']:>10.2f} {iterations:>10} {passes:>17.2f}"
+        )
     return ExperimentResult("label_model_solve", "\n".join(lines), rows)
 
 
 def test_solve_report(benchmark, scale):
     """What one solve costs on the product and topic tables, whole and
-    as their first 1,024 rows: the median cold solve, its iterations
-    and its passes over the table per iteration. Reported, not gated
-    (timings move 3-4x on a shared host); every solve must converge."""
+    as their first 1,024 rows, and on the 140-LF events table: the
+    median cold solve, its iterations and its passes over the table per
+    iteration. Reported, not gated (timings move 3-4x on a shared host);
+    every solve must converge."""
     result = benchmark.pedantic(lambda: solve_report(scale), rounds=1, iterations=1)
     emit(result)
     for row in result.rows:

@@ -57,13 +57,13 @@ The likelihood sees the matrix only as a multiset of vote patterns, so
 on the canonical ``(patterns, counts)`` form (:mod:`repro.core.patterns`),
 bitwise invariant to row order. ``fit_compressed`` minimises the *mean*
 count-weighted NLL by deterministic projected Newton
-(:meth:`_StepKernel.solve`), O(patterns x m) per iteration whatever ``n``
-is: the paper's claim is about the objective, not the step rule, and
-minibatches drawn from the table only put back noise the compression
-removed. It is the only trainer: the streaming model
+(:meth:`_StepKernel.solve`), O(patterns x m^2 + m^3) per iteration
+whatever ``n`` is: the paper's claim is about the objective, not the
+step rule, and minibatches drawn from the table only put back noise the
+compression removed. It is the only trainer: the streaming model
 (:mod:`repro.core.online_label_model`) solves its pattern table with the
 same call on every batch. On the benchmark's 15-21-pattern, 8-LF tables
-(2-CPU container) the solve takes 17-32 iterations and about 2-4 ms
+(2-CPU container) the solve takes 17-32 iterations and about 1.5-4 ms
 (:class:`_StepKernel` says where the time goes); each iteration
 consumes the whole table, well past the paper's "> 100 steps per
 second".
@@ -71,7 +71,6 @@ second".
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,33 +289,6 @@ class SamplingFreeLabelModel:
 # ----------------------------------------------------------------------
 # the objective kernel
 # ----------------------------------------------------------------------
-@functools.lru_cache(maxsize=None)
-def _layout(m: int, learn_prior: bool) -> tuple:
-    """What every kernel over ``m`` LFs shares (read-only): the maps
-    from theta to the logits ``(alpha + beta, beta - alpha, 0)`` and
-    from their probabilities to ``(margin, -P(abstain))``, the Hessian
-    cells of the per-LF terms and of the alpha (and prior) block, and
-    ``[[H, I], [I, I / floor]]``, which factors iff H's eigenvalues all
-    exceed the floor, its factor's lower-left ``F`` then being
-    ``H^-1 = F F^T``."""
-    size, lf = 2 * m + learn_prior, np.arange(m)
-    eye, zero = np.eye(m), np.zeros((m, m))
-    logit_map = np.block([[eye, eye], [-eye, eye], [zero, zero]])
-    outcome_map = np.block([[eye, -eye, zero], [zero, zero, -eye]])
-    cells = np.zeros((3 * m + learn_prior, size, size))
-    cells[lf, lf, lf] = 1.0
-    cells[m + lf, lf, m + lf] = cells[m + lf, m + lf, lf] = 1.0
-    cells[2 * m + lf, m + lf, m + lf] = 1.0
-    cells[3 * m :, -1, -1] = 1.0  # the learned prior's corner
-    block = np.r_[lf, 2 * m : size]
-    bordered = np.block([[np.zeros((size, size)), np.eye(size)],
-                         [np.eye(size), np.eye(size) / _MIN_CURVATURE]])
-    constants = (logit_map, outcome_map, cells.reshape(len(cells), -1), block, bordered)
-    for array in constants:
-        array.flags.writeable = False
-    return constants
-
-
 class _StepKernel:
     """The module-docstring objective over one pattern table, and
     :meth:`solve` (projected Newton) on it.
@@ -325,44 +297,36 @@ class _StepKernel:
     prior_logit])``; pattern ``i`` counts ``counts[i] / n``, so the loss
     is the mean NLL (``W = 1``). A solve is a few dozen iterations on
     arrays of a few dozen entries, so it costs its NumPy calls, not its
-    arithmetic: constant matrices (:func:`_layout`, and the table's own,
-    built here) make the per-LF algebra, the observed votes and the
-    Hessian single products, and :meth:`evaluate` scores a stack of
-    candidates (one per column) in one pass, keeping what
-    :meth:`gradient` reads.
+    arithmetic: the buffers are allocated once per table, a stack of
+    candidates (one per column) is scored in one pass, and the gradient
+    and Hessian read that pass's terms. Memory is O(patterns x m + m^2).
     """
 
     def __init__(self, votes: CompressedVotes, learn_prior: bool, prior_logit: float) -> None:
         P = self.patterns = _validate_label_matrix(votes.patterns)
-        m, patterns = P.shape[1], len(P)
+        m = self.n_lfs = P.shape[1]
         size = self.size = 2 * m + learn_prior
-        self.n_lfs = m
         self.weights = votes.weights / votes.n_rows
         # Weighted fire counts are exact integers, so the fire rates do
         # not depend on the pattern order.
         self.fired = (np.abs(P) * votes.weights[:, None]).sum(axis=0) / votes.n_rows
         self.learn_prior, self.prior_logit = learn_prior, prior_logit
         self._log_prior = (-np.logaddexp(0.0, -prior_logit), -np.logaddexp(0.0, prior_logit))
-        self._logit_map, self._outcome_map, lf_cells, block, bordered = _layout(m, bool(learn_prior))
-        # A candidate's loss: its column (theta, Z, mixture) times
-        # (0, -fired, 0, 1, -w).
-        self._loss_row = np.concatenate((np.zeros(m), -self.fired, np.zeros(size - 2 * m),
-                                         np.ones(m), -self.weights))
-        # Observed outcomes: (2 L^T (w p) - L^T w, fired).
-        self._observed_map = np.vstack((2.0 * P.T, np.zeros((m, patterns))))
-        self._observed_offset = np.concatenate((P.T @ self.weights, -self.fired))
-        # The Hessian: its weights (the posterior curvatures c_i = w_i
-        # p_i (1 - p_i), then the per-LF terms) times this map, whose
-        # row i is -4 L_i L_i^T on the alpha (and prior) block (a learned
-        # prior is a last column of 1/2 in L_i: -2 sum_i c_i L_i, and
-        # -sum_i c_i in the corner).
-        rows = np.hstack((P, np.full((patterns, int(learn_prior)), 0.5)))
-        posterior_cells = np.zeros((patterns, size, size))
-        posterior_cells[:, block[:, None], block] = -4.0 * rows[:, :, None] * rows[:, None, :]
-        self._hessian_map = np.vstack((posterior_cells.reshape(patterns, -1), lf_cells))
-        self._hessian_weights = np.empty(len(self._hessian_map))
-        self._bordered = bordered.copy()
-        self.passes = 0
+        # The observed votes are 2 L^T (w p) - L^T w.
+        self._votes2, self._vote_offset = 2.0 * P.T, P.T @ self.weights
+        self._curvature_map = -4.0 * P.T
+        # A candidate's loss: its stack column (theta, Z_j, mixture_i)
+        # times (0, -fired, 0, 1, -w).
+        self._loss_row = np.concatenate(
+            (np.zeros(m), -self.fired, np.zeros(size - 2 * m), np.ones(m), -self.weights)
+        )
+        # Besides the alpha (and prior) block, the Hessian has four
+        # diagonals: (alpha_j, alpha_j), (alpha_j, beta_j), (beta_j,
+        # alpha_j) and (beta_j, beta_j).
+        self._hessian = np.zeros((size, size))
+        flat, stride = self._hessian.reshape(-1), size + 1
+        self._diagonals = [flat[start::stride][:m] for start in (0, m, size * m, stride * m)]
+        self._floor = _MIN_CURVATURE * np.eye(size)
 
     def losses(self, trials: np.ndarray) -> np.ndarray:
         """The loss at each column of the ``(size, K)`` ``trials``."""
@@ -372,77 +336,82 @@ class _StepKernel:
 
     def evaluate(self, stack: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
         """Write ``Z_j`` and the mixture terms under the candidates in
-        the first ``size`` rows of ``stack``; return ``coefficients @
-        stack``."""
+        the first ``size`` rows of ``stack``, keep each candidate's
+        outcome probabilities and posterior terms for :meth:`gradient`,
+        and return ``coefficients @ stack``."""
         m, size = self.n_lfs, self.size
-        pairs = self._logit_map[: 2 * m] @ stack[: 2 * m]
-        np.logaddexp(np.logaddexp(pairs[:m], pairs[m:]), 0.0, out=stack[size : size + m])
-        a = self.patterns @ stack[:m]
+        alpha, beta = stack[:m], stack[m : 2 * m]
+        # Each LF's outcome logits (correct, wrong, abstain) and their
+        # softmax, shifted by the peak (the first logit or 0: alpha >= 0).
+        logits = np.zeros((3, m, stack.shape[1]))
+        np.add(alpha, beta, out=logits[0])
+        np.subtract(beta, alpha, out=logits[1])
+        peak = np.maximum(logits[0], 0.0)
+        shifted = np.exp(logits - peak)
+        total = shifted.sum(axis=0)
+        np.add(np.log(total), peak, out=stack[size : size + m])
+        self._all_probs = shifted / total
+        a = self.patterns @ alpha
         if self.learn_prior:
             prior = stack[size - 1]
             log_pos, log_neg = -np.logaddexp(0.0, -prior), -np.logaddexp(0.0, prior)
         else:
             log_pos, log_neg = self._log_prior
-        positive = a + log_pos
-        mixture = np.logaddexp(positive, log_neg - a, out=stack[size + m :])
-        self._evaluated = positive, mixture
-        self.passes += 1
+        self._positive = positive = a + log_pos
+        self._mixture = np.logaddexp(positive, log_neg - a, out=stack[size + m :])
         return coefficients @ stack
 
     def gradient(self, theta: np.ndarray, column: int) -> np.ndarray:
         """The gradient at ``theta`` (alphas in the box), column
         ``column`` of the last :meth:`evaluate`."""
         m, weights = self.n_lfs, self.weights
-        positive, mixture = self._evaluated
         # Posterior P(Y=+1 | L_i) = sigmoid(2 a_i + prior_logit).
-        posterior = np.exp(positive[:, column] - mixture[:, column])
+        posterior = np.exp(self._positive[:, column] - self._mixture[:, column])
         weighted = weights * posterior
-        np.subtract(weighted, weighted * posterior, out=self._hessian_weights[: len(weights)])
-        # The outcome probabilities: the softmax of the logits, shifted
-        # by their peak (the first logit or 0, as alpha >= 0).
-        logits = (self._logit_map @ theta[: 2 * m]).reshape(3, m)
-        peak = np.maximum(logits[0], 0.0)
-        Z = np.log(np.exp(logits - peak).sum(axis=0)) + peak
-        self._probs = probs = np.exp(logits - Z)
+        self._curvature = weighted - weighted * posterior
+        self._probs = probs = self._all_probs[:, :, column]
+        self._margin, self._fires = probs[0] - probs[1], 1.0 - probs[2]
         # Each gradient is E[outcome] - observed outcome.
-        self._outcomes = self._outcome_map @ probs.reshape(-1)
-        self._outcomes[m:] += 1.0
-        grad = self._outcomes - (self._observed_map @ weighted - self._observed_offset)
+        grad = np.empty(len(theta))
+        np.subtract(self._margin, self._votes2 @ weighted - self._vote_offset, out=grad[:m])
+        np.subtract(self._fires, self.fired, out=grad[m : 2 * m])
         if self.learn_prior:
             # d(log prior terms)/d(prior_logit): E[Y]=2p-1 pushes the
             # prior toward the average posterior.
-            grad = np.append(grad, _sigmoid(theta[-1]) * weights.sum() - weighted.sum())
+            grad[-1] = _sigmoid(theta[-1]) * weights.sum() - weighted.sum()
         return grad
 
     def direction(self, theta: np.ndarray, grad: np.ndarray, pinned: list) -> np.ndarray:
         """The Newton direction at the last :meth:`gradient` call on the
         variables not ``pinned`` (alpha indices), with the free
         Hessian's eigenvalues made positive (at least
-        :data:`_MIN_CURVATURE`). When they all clear the floor that is
-        the plain Newton step, and one Cholesky factorization of the
-        bordered Hessian (pinned rows and columns unit) decides that and
-        gives the inverse; otherwise the eigendecomposition decides."""
-        # The Hessian: the posterior part, and per LF the covariance of
-        # the outcome statistics (+-1, 1, 0) that Z_j contributes.
-        m, size = self.n_lfs, len(theta)
-        margin, fires, p_abstain = self._outcomes[:m], self._outcomes[m:], self._probs[2]
-        terms = self._hessian_weights[len(self.weights) :]
-        np.subtract(fires, margin * margin, out=terms[:m])
-        np.multiply(margin, p_abstain, out=terms[m : 2 * m])
-        np.multiply(fires, p_abstain, out=terms[2 * m : 3 * m])
+        :data:`_MIN_CURVATURE`). When they all clear the floor, which a
+        Cholesky factorization of ``H - floor I`` (pinned rows and
+        columns unit) decides, that is the plain Newton step; otherwise
+        the eigendecomposition gives it."""
+        m, size, hess = self.n_lfs, self.size, self._hessian
+        margin, fires, p_abstain = self._margin, self._fires, self._probs[2]
+        # The posteriors' part: -4 sum_i c_i L_i L_i^T on the alpha
+        # block (a learned prior is a last column of 1/2 in L_i).
+        curvature = self._curvature
+        np.matmul(self._curvature_map * curvature, self.patterns, out=hess[:m, :m])
         if self.learn_prior:
             prior = _sigmoid(theta[-1])
-            terms[-1] = prior * (1.0 - prior)
-        hess = (self._hessian_weights @ self._hessian_map).reshape(size, size)
+            hess[:m, -1] = hess[-1, :m] = 0.5 * (self._curvature_map @ curvature)
+            hess[-1, -1] = prior * (1.0 - prior) - curvature.sum()
+        # Z_j's part: the covariance of the outcome statistics (+-1, 1, 0).
+        alphas, alpha_beta, beta_alpha, betas = self._diagonals
+        alphas += fires - margin * margin
+        np.multiply(margin, p_abstain, out=alpha_beta)
+        beta_alpha[:] = alpha_beta
+        np.multiply(fires, p_abstain, out=betas)
         if pinned:
-            hess[pinned], hess[:, pinned] = 0.0, 0.0
-            hess[pinned, pinned] = 1.0
             grad = grad.copy()
-            grad[pinned] = 0.0
-        bordered = self._bordered
-        bordered[:size, :size] = hess
+            for j in pinned:
+                hess[j], hess[:, j], grad[j] = 0.0, 0.0, 0.0
+                hess[j, j] = 1.0
         try:
-            inverse = np.linalg.cholesky(bordered)[size:, :size]
+            np.linalg.cholesky(hess - self._floor)
         except np.linalg.LinAlgError:
             free = np.ones(size, dtype=bool)
             free[pinned] = False
@@ -451,7 +420,7 @@ class _StepKernel:
             direction = np.zeros(size)
             direction[free] = -(vectors @ ((vectors.T @ grad[free]) / values))
             return direction
-        return inverse @ (grad @ -inverse)
+        return np.linalg.solve(hess, -grad)
 
     def solve(self) -> tuple[int, float, np.ndarray]:
         """Minimise the loss over ``0 <= alpha <= _MAX_ALPHA`` (beta and

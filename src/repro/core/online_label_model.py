@@ -159,7 +159,7 @@ class OnlineLabelModel:
         :meth:`compressed_votes`, the call offline ``fit`` makes, so in
         cumulative mode the result is bitwise the offline fit of the
         retained rows in any order (in decay mode, of the
-        recency-weighted rows), at O(patterns × m) per solver iteration.
+        recency-weighted rows), at O(patterns × m² + m³) per solver iteration.
 
         Returns:
             The fitted inner model (also exposed as :attr:`model`).
@@ -220,9 +220,9 @@ class OnlineLabelModel:
                 f"vote batch has {votes.shape[1]} columns, model has "
                 f"{self.n_lfs} labeling functions"
             )
-        if votes.size and not np.isin(votes, (-1, 0, 1)).all():
-            bad = votes[~np.isin(votes, (-1, 0, 1))][0]
-            raise ValueError(f"votes must be in {{-1, 0, 1}}, got {bad!r}")
+        outside = (votes != 0) & (votes != 1) & (votes != -1)
+        if outside.any():
+            raise ValueError(f"votes must be in {{-1, 0, 1}}, got {votes[outside][0]!r}")
         return votes.astype(np.int8, copy=False)
 
     def _append_patterns(self, votes: np.ndarray) -> None:

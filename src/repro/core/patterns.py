@@ -5,7 +5,7 @@ examples with identical vote rows contribute identically to the marginal
 likelihood, so an ``(n, m)`` label matrix is a multiset of rows, fully
 described by the pair ``(patterns, counts)`` — the distinct rows and how
 often each occurs. Distinct patterns number in the tens to low thousands
-while ``n`` grows unbounded, so a fit over the pair does O(patterns × m)
+while ``n`` grows unbounded, so a fit over the pair does O(patterns × m²)
 work per solver iteration and stores O(patterns) state *independent of
 stream length*.
 

@@ -32,7 +32,7 @@ Because the restore's solve and an offline
 served from a generation are bitwise equal to an offline fit of the
 snapshot's stream prefix, in any row order (the ARCHITECTURE invariant
 the serving benchmark enforces). The manifest carries O(patterns) state
-and the restore's solve costs O(patterns x m) per step, so generation
+and the restore's solve costs O(patterns x m^2) per step, so generation
 activation does not slow down as streams grow.
 
 The generation also owns scoring (:meth:`ServingGeneration.score`): at
