@@ -13,10 +13,9 @@ rule proves both directions statically, per kind:
 * it extracts every **constant, namespaced** (``family/name``) string
   key passed to ``.increment(...)`` / ``.counter(...)`` (counters),
   ``.gauge(...)`` (gauges), ``.record(...)`` / ``.observe(...)`` /
-  ``.histogram(...)`` (histograms), string keys of dict literals handed
-  to ``encode_histograms`` (the workers' bytes-only IPC), and — the
-  seam — every ``.stage("layer.event", ...)`` call, which emits each
-  row naming that stage, under the row's kind;
+  ``.histogram(...)`` (histograms), and — the seam — every
+  ``.stage("layer.event", ...)`` call, which emits each row naming
+  that stage, under the row's kind;
 * an emitted-but-uncontracted key, or a stage event no row names, is
   flagged at its emission site; a contracted-but-never-emitted key is
   flagged at the table row's own line.
@@ -51,10 +50,6 @@ _EMIT_ATTRS = {
     "observe": "histogram",
     "histogram": "histogram",
 }
-
-#: Functions whose dict-literal argument's string keys name histograms
-#: (worker-side telemetry rides bytes-only IPC through these).
-_DICT_EMITTERS = {"encode_histograms"}
 
 #: The instrument layer itself: its methods take key *variables*, and
 #: its docstrings/doctests would otherwise read as emissions.
@@ -149,21 +144,6 @@ class ContractClosureRule(Rule):
                     yield kind, arg.value
                 if func.attr == "stage" and _is_stage(arg.value):
                     yield "stage", arg.value
-        name = (
-            func.attr
-            if isinstance(func, ast.Attribute)
-            else func.id
-            if isinstance(func, ast.Name)
-            else None
-        )
-        if name in _DICT_EMITTERS:
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                if isinstance(arg, ast.Dict):
-                    for key in arg.keys:
-                        if isinstance(key, ast.Constant) and _is_key(
-                            key.value
-                        ):
-                            yield "histogram", key.value
 
     # ------------------------------------------------------------------
     # closure

@@ -194,10 +194,6 @@ class AbstractLabelingFunction:
         """
         return self._vote(example, self.start_local_service())
 
-    def label(self, example: Example) -> int:
-        """Alias for :meth:`vote_in_memory` — the per-example API."""
-        return self.vote_in_memory(example)
-
     def label_batch(self, examples: Sequence[Example]) -> np.ndarray:
         """Vote on a block of in-memory examples; returns an ``int8`` array.
 

@@ -5,8 +5,8 @@
 * :class:`~repro.obs.counters.CounterSet` / :class:`~repro.obs.counters.Gauge`
   — thread-safe monotonic counters and level meters with a high-water
   mark, the registry's storage;
-* :class:`~repro.obs.histogram.Histogram` — thread-safe, picklable,
-  mergeable log-bucketed latency/size distributions with p50/p90/p99;
+* :class:`~repro.obs.histogram.Histogram` — thread-safe log-bucketed
+  latency/size distributions with p50/p90/p99;
 * :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges, and
   histograms under one namespace with a deterministic snapshot, and the
   one emission seam (``stage``) every instrumented layer reports through;
@@ -23,40 +23,27 @@ a run without (gated by ``tests/test_obs.py``; the cost of tracing is
 
 Every key the wired subsystems emit, and which keys and span each stage
 event feeds, is pinned by the one table in :mod:`repro.obs.contract`;
-the subsystems emit through :meth:`MetricsRegistry.stage` and nothing
-else (see :mod:`repro.obs.registry`).
+the subsystems emit through their scoped :class:`MetricsRegistry`:
+stage events through :meth:`MetricsRegistry.stage`, the keys no stage
+feeds through its ``counter`` / ``gauge`` / ``record`` (see
+:mod:`repro.obs.registry`).
 """
 
 from repro.obs.contract import KEY_CONTRACT, STAGES, ContractKey
 from repro.obs.counters import CounterSet, Gauge
 from repro.obs.exporter import TelemetryExporter
-from repro.obs.histogram import (
-    DEFAULT_GROWTH,
-    Histogram,
-    decode_histograms,
-    encode_histograms,
-)
+from repro.obs.histogram import Histogram
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import (
-    DfsTraceSink,
-    JsonlTraceSink,
-    ListTraceSink,
-    Span,
-    Tracer,
-)
+from repro.obs.tracing import DfsTraceSink, ListTraceSink, Span, Tracer
 
 __all__ = [
     "CounterSet",
     "Gauge",
     "Histogram",
-    "DEFAULT_GROWTH",
-    "encode_histograms",
-    "decode_histograms",
     "MetricsRegistry",
     "Span",
     "Tracer",
     "ListTraceSink",
-    "JsonlTraceSink",
     "DfsTraceSink",
     "TelemetryExporter",
     "ContractKey",

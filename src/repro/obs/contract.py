@@ -85,8 +85,8 @@ KEY_CONTRACT: tuple[ContractKey, ...] = tuple(
         ("offline/blocks", "counter", "offline", False, "offline.label_block", "events"),
         ("offline/examples", "counter", "offline", False, "offline.label_block", "records"),
         ("offline/label_block_us", "histogram", "offline", False, "offline.label_block", "us"),
-        # process pool: driver-side counters, worker-side histograms
-        # (merged into the parent over the bytes-only IPC)
+        # process pool: parent-side counters; the worker's two per-block
+        # timings come back as ints and the parent records them
         ("parallel/blocks", "counter", "parallel", False),
         ("parallel/retries", "counter", "parallel", True),
         ("parallel/pool_restarts", "counter", "parallel", True),

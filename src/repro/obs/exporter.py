@@ -10,8 +10,8 @@ writes it:
 * as one finalized DFS record file per snapshot
   (``<root>/metrics-NNNNN.records``) — write-once publish, so a reader
   never observes a torn snapshot; and/or
-* as one JSON line appended to a local file — the ``jq``-able form CI
-  uploads.
+* as one JSON line appended to a local file, which
+  ``scripts/metrics_dump.py`` reads back.
 
 An exporter opened on a root that already holds snapshots resumes
 after the highest one, so a restarted process keeps publishing.
@@ -42,7 +42,6 @@ class TelemetryExporter:
         dfs: DistributedFileSystem | None = None,
         root: str | None = None,
         path: str | None = None,
-        include_buckets: bool = False,
     ) -> None:
         """Configure the exporter.
 
@@ -53,8 +52,6 @@ class TelemetryExporter:
                 (required iff ``dfs`` is given). Numbering resumes
                 after the highest snapshot already there.
             path: Local file to append JSONL snapshot lines to.
-            include_buckets: Embed raw histogram buckets (lossless but
-                larger) in every snapshot.
 
         Raises:
             ValueError: On a ``dfs``/``root`` mismatch.
@@ -65,7 +62,6 @@ class TelemetryExporter:
         self._dfs = dfs
         self.root = root.rstrip("/") if root else None
         self.path = path
-        self.include_buckets = include_buckets
         self._lock = threading.Lock()
         # Parsed as ints, not sorted as names: they outgrow the padding.
         names = dfs.list(f"{self.root}/") if dfs is not None else []
@@ -92,7 +88,7 @@ class TelemetryExporter:
         seq the retry's line repeats, but never a record file that
         blocks every later call.
         """
-        snapshot = self.registry.snapshot(self.include_buckets)
+        snapshot = self.registry.snapshot()
         with self._lock:
             entry = {
                 "seq": self._seq,

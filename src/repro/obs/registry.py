@@ -18,22 +18,17 @@ view) and forwards every event, as it happens, to the attached registry.
 "Off" is its own behaviour, not a branch at the call site: unattached it
 drops histograms, without an enabled tracer it drops spans, and with
 neither :meth:`MetricsRegistry.clock` never reads the clock.
-
-Registries merge like their parts: counters add, gauge peaks take the
-max, histograms fold bucket-wise — so per-worker or per-subsystem
-registries aggregate into a fleet view in any order with an identical
-result.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Mapping
+from typing import Any
 
 from repro.obs.counters import CounterSet, Gauge
 from repro.obs.contract import STAGES
-from repro.obs.histogram import DEFAULT_GROWTH, Histogram
+from repro.obs.histogram import Histogram
 
 __all__ = ["MetricsRegistry"]
 
@@ -116,24 +111,12 @@ class MetricsRegistry:
                 )
             return gauge
 
-    def histogram(
-        self, name: str, growth: float = DEFAULT_GROWTH
-    ) -> Histogram:
-        """The named histogram, created on first use.
-
-        Raises:
-            ValueError: When the histogram exists with a different
-                ``growth`` — its buckets would not merge.
-        """
+    def histogram(self, name: str) -> Histogram:
+        """The named histogram, created on first use."""
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
-                hist = self._histograms[name] = Histogram(growth)
-            elif hist.growth != growth:
-                raise ValueError(
-                    f"histogram {name!r} exists with growth {hist.growth}, "
-                    f"requested {growth}"
-                )
+                hist = self._histograms[name] = Histogram()
             return hist
 
     def record(self, name: str, value: float) -> None:
@@ -180,31 +163,6 @@ class MetricsRegistry:
             self._tracer.emit(name, us, **attrs)
 
     # ------------------------------------------------------------------
-    # aggregation
-    # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's instruments into this one."""
-        self.counters.merge(other.counters)
-        with other._lock:
-            gauges = dict(other._gauges)
-            histograms = dict(other._histograms)
-        for name, gauge in gauges.items():
-            self.gauge(name).merge(gauge)
-        self.merge_histograms(histograms)
-
-    def merge_histograms(self, histograms: Mapping[str, Histogram]) -> None:
-        """Fold decoded worker histograms in, where histograms live.
-
-        This is the parent side of the executor's bytes-only IPC: the
-        worker returns :func:`repro.obs.histogram.encode_histograms`
-        output, the parent decodes with
-        :func:`repro.obs.histogram.decode_histograms` and merges here.
-        """
-        if self._home is not None:
-            for name, hist in histograms.items():
-                self._home.histogram(name, growth=hist.growth).merge(hist)
-
-    # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def attached_snapshot(self) -> dict | None:
@@ -212,23 +170,16 @@ class MetricsRegistry:
         (``None`` when none is attached)."""
         return None if self._parent is None else self._parent.snapshot()
 
-    def snapshot(self, include_buckets: bool = False) -> dict:
+    def snapshot(self) -> dict:
         """Deterministic dict of everything the registry holds.
 
         Keys are sorted at every level, so two registries that saw the
-        same events — in any thread interleaving or merge order —
-        produce byte-identical JSON. ``include_buckets`` additionally
-        embeds each histogram's raw bucket map (the lossless form).
+        same events — in any thread interleaving — produce
+        byte-identical JSON.
         """
         with self._lock:
             gauges = dict(self._gauges)
             histograms = dict(self._histograms)
-        hist_view = {}
-        for name in sorted(histograms):
-            digest = histograms[name].summary()
-            if include_buckets:
-                digest["buckets"] = histograms[name].as_dict()["buckets"]
-            hist_view[name] = digest
         return {
             "namespace": self.namespace,
             "counters": dict(sorted(self.counters.as_dict().items())),
@@ -239,5 +190,7 @@ class MetricsRegistry:
                 }
                 for name in sorted(gauges)
             },
-            "histograms": hist_view,
+            "histograms": {
+                name: histograms[name].summary() for name in sorted(histograms)
+            },
         }

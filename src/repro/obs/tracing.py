@@ -6,11 +6,9 @@ Counters and histograms say *how much* and *how slow*; traces say
 deterministic ids, parent links (per-thread stacks — a span started on
 the consumer thread nests under the consumer's open span, never a
 producer's), and wall-clock durations. Finished spans are emitted as
-append-only JSONL-shaped records through a pluggable sink:
+JSON-safe dict records through a pluggable sink:
 
 * :class:`ListTraceSink` — in-memory, for tests and ad-hoc inspection;
-* :class:`JsonlTraceSink` — one JSON line per span in a local file
-  (the CI trace artifact);
 * :class:`DfsTraceSink` — rolling trace shards written through the
   existing :class:`repro.dfs.records.RecordWriter` (length-prefixed,
   CRC-checked, finalize-on-close), so traces get the same durability
@@ -26,7 +24,6 @@ whether telemetry was on.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from contextlib import contextmanager
@@ -40,7 +37,6 @@ __all__ = [
     "Span",
     "Tracer",
     "ListTraceSink",
-    "JsonlTraceSink",
     "DfsTraceSink",
 ]
 
@@ -88,34 +84,6 @@ class ListTraceSink:
 
     def close(self) -> None:
         """No-op; the records list stays readable."""
-
-
-class JsonlTraceSink:
-    """Local-file sink: one JSON line per finished span.
-
-    Plain ``jq``-able lines, no framing, flushed per write so a crashed
-    run still leaves every completed span on disk.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._lock = threading.Lock()
-        self._handle = open(path, "a", encoding="utf-8")
-        self.records_written = 0
-
-    def write(self, record: dict) -> None:
-        """Append one span as a JSON line and flush."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            self.records_written += 1
-
-    def close(self) -> None:
-        """Close the underlying file (idempotent)."""
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
 
 
 class DfsTraceSink:
@@ -192,7 +160,7 @@ class Tracer:
 
     def __init__(
         self,
-        sink: ListTraceSink | JsonlTraceSink | DfsTraceSink | None = None,
+        sink: ListTraceSink | DfsTraceSink | None = None,
         enabled: bool = False,
         sample: float = 1.0,
     ) -> None:

@@ -23,7 +23,8 @@ exactly what decoding a record gives; the worker rebuilds each
 ``Example`` around the unpickled dicts, adopting them uncopied as
 ``Example.from_record`` adopts a decoded record's, runs the same
 :func:`repro.lf.applier.label_example_block` kernel as a serial run, and
-returns the ``int8`` vote block plus its labeling wall time.
+returns the ``int8`` vote block plus its decode and labeling wall times
+as two ints, which the parent records.
 
 Order is restored here and nowhere else: workers finish in any order,
 but :meth:`next_completed` waits on the *oldest* in-flight future, so
@@ -78,11 +79,6 @@ import multiprocessing
 import numpy as np
 
 from repro.mapreduce.runner import MAX_RETRIES, WorkerFailure
-from repro.obs.histogram import (
-    Histogram,
-    decode_histograms,
-    encode_histograms,
-)
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.spec import LFSuiteSpec
 from repro.types import Example
@@ -158,19 +154,15 @@ def _unpack_block(payload: bytes) -> list[Example]:
     ]
 
 
-def _worker_label(
-    payload: bytes, kill: bool, collect: bool
-) -> tuple[np.ndarray, int, bytes | None]:
-    """Label one pickled block; returns ``(votes, label_us, stats)``.
+def _worker_label(payload: bytes, kill: bool) -> tuple[np.ndarray, int, int]:
+    """Label one pickled block; returns ``(votes, decode_us, label_us)``.
 
     ``kill=True`` is the crash-injection hook: the process exits without
     cleanup, exactly what an OOM-killed or preempted worker looks like
     to the parent (a broken pool, not an exception).
 
-    ``collect=True`` additionally returns worker-side stage histograms
-    (the ``worker/*`` keys of :data:`repro.obs.contract.KEY_CONTRACT`)
-    encoded with :func:`repro.obs.histogram.encode_histograms`, beside
-    the vote block and never inside it.
+    The two timings are what the parent records as the ``worker/*``
+    histograms of :data:`repro.obs.contract.KEY_CONTRACT`.
     """
     if kill:
         os._exit(1)
@@ -182,19 +174,7 @@ def _worker_label(
     start = time.perf_counter()
     votes = label_example_block(_WORKER_LFS, examples, _WORKER_FUSED)
     label_us = int((time.perf_counter() - start) * 1e6)
-    stats: bytes | None = None
-    if collect:
-        decode_hist = Histogram()
-        decode_hist.record(decode_us)
-        label_hist = Histogram()
-        label_hist.record(label_us)
-        stats = encode_histograms(
-            {
-                "worker/decode_us": decode_hist,
-                "worker/label_us": label_hist,
-            }
-        )
-    return votes, label_us, stats
+    return votes, decode_us, label_us
 
 
 # ----------------------------------------------------------------------
@@ -254,8 +234,8 @@ class ParallelLabelExecutor:
         self.max_retries = max_retries
         #: Scoped registry forwarding to ``telemetry`` (an optional
         #: :class:`repro.obs.MetricsRegistry`): the ``parallel/*``
-        #: counters and, per completed block, the worker-side
-        #: histograms. Unattached, the workers skip collection entirely.
+        #: counters and, per completed block, the worker's two timings
+        #: as ``worker/*`` histograms (dropped when unattached).
         self.metrics = MetricsRegistry().attach(telemetry)
         try:
             self._mp_context = multiprocessing.get_context("fork")
@@ -401,9 +381,9 @@ class ParallelLabelExecutor:
             if error is None:
                 with self._submitted:
                     del self._inflight[seq]
-                votes, label_us, stats = entry.future.result()
-                if stats is not None:
-                    self.metrics.merge_histograms(decode_histograms(stats))
+                votes, decode_us, label_us = entry.future.result()
+                self.metrics.record("worker/decode_us", decode_us)
+                self.metrics.record("worker/label_us", label_us)
                 self.metrics.counter("parallel/blocks")
                 return seq, entry.examples, votes, label_us
             entry.attempts += 1
@@ -559,12 +539,7 @@ class ParallelLabelExecutor:
             generation: int | None = None
             try:
                 pool, generation = self._ensure_pool()
-                future = pool.submit(
-                    _worker_label,
-                    payload,
-                    kill,
-                    self.metrics.observed,
-                )
+                future = pool.submit(_worker_label, payload, kill)
                 break
             except BrokenExecutor as error:
                 last_error = error

@@ -157,9 +157,6 @@ class NLPServer(ModelServer):
                     matched[i] = matched[i + 1] = True
         return result
 
-    def lexicon_size(self) -> int:
-        return len(self._raw_lexicon)
-
 
 def _looks_like_name(token: str) -> bool:
     return len(token) > 1 and token[0].isupper() and token[1:].islower()

@@ -113,11 +113,6 @@ class ProductionServer:
         self._loaded = version
         return version
 
-    @property
-    def loaded_version(self) -> int | None:
-        """Version number currently loaded, or ``None`` pre-refresh."""
-        return self._loaded.version if self._loaded else None
-
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------

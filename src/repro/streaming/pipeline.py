@@ -299,16 +299,20 @@ class MicroBatchPipeline:
         One loop on the calling thread assembles, labels and finalizes
         each batch in turn; labeling runs inline or on the worker pool.
         An error from the source, the kernel or a sink raises where it
-        happens.
+        happens, after the run releases the records it still holds.
         """
         metrics = MetricsRegistry().attach(self.telemetry, self.tracer)
         run = _Run(metrics, metrics.gauge("stream/resident_records"))
         batches = self._assemble(run, source)
         wall_start = time.perf_counter()
-        if self.executor is None:
-            self._label_inline(run, batches)
-        else:
-            self._label_on_pool(run, batches)
+        try:
+            if self.executor is None:
+                self._label_inline(run, batches)
+            else:
+                self._label_on_pool(run, batches)
+        finally:
+            # A run that raises leaves no batch resident on the registry.
+            run.resident.subtract(run.resident.current)
         return self._build_report(run, time.perf_counter() - wall_start)
 
     # ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The batched engine is only allowed to be *faster* than the per-example
 path, never different: every shipped LF's ``label_batch`` must agree
-vote-for-vote with looping ``label``, the fused in-memory applier must
+vote-for-vote with looping ``vote_in_memory``, the fused in-memory applier must
 agree with the per-example applier, and the suite's one block-based
 MapReduce job must produce byte-identical vote shards to every LF's own
 per-record job.
@@ -240,7 +240,9 @@ def test_every_template_lf_label_batch_matches_label(examples):
     for lf in build_suite():
         try:
             lf.start_resources()
-            looped = np.array([lf.label(e) for e in examples], dtype=np.int8)
+            looped = np.array(
+                [lf.vote_in_memory(e) for e in examples], dtype=np.int8
+            )
             batched = lf.label_batch(examples)
         finally:
             lf.stop_resources()
@@ -255,7 +257,7 @@ def test_nlp_lf_label_batch_matches_label():
         Example("b", fields={"title": "Ada Lovelace", "body": "profile"}),
         Example("c", fields={"title": "Plain Words here", "body": ""}),
     ]
-    looped = [lf.label(e) for e in examples]
+    looped = [lf.vote_in_memory(e) for e in examples]
     batched = lf.label_batch(examples)
     lf.close_local_service()
     assert np.array_equal(batched, np.array(looped))
@@ -311,9 +313,9 @@ def test_in_memory_batch_size_invariant(batch_size):
     batched = apply_lfs_in_memory(lfs, examples, batch_size=batch_size)
     assert np.array_equal(batched.matrix, reference.matrix)
     # One plan, reused across every block of every size, still equals
-    # what each LF's ``label`` produces alone.
+    # what each LF's ``vote_in_memory`` produces alone.
     alone = np.array(
-        [[lf.label(example) for lf in lfs] for example in examples], np.int8
+        [[lf.vote_in_memory(example) for lf in lfs] for example in examples], np.int8
     )
     for matrix in one_plan_over_blocks(lfs, examples):
         assert np.array_equal(matrix, alone)

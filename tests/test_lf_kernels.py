@@ -4,7 +4,7 @@ The batched kernels tokenize into locals that die with the probe: no
 attribute is set on the example, nothing GC-tracked outlives a block,
 and the awkward inputs (a multi-word surface across a field boundary,
 non-string and missing field values, one example labelled by two plans)
-vote exactly as the per-example ``label`` does.
+vote exactly as the per-example ``vote_in_memory`` does.
 """
 
 import copy
@@ -55,7 +55,7 @@ def product_block():
 
 def per_example(lfs, examples):
     return np.array(
-        [[lf.label(example) for lf in lfs] for example in examples], np.int8
+        [[lf.vote_in_memory(example) for lf in lfs] for example in examples], np.int8
     )
 
 

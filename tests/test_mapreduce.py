@@ -32,51 +32,6 @@ class TestCounters:
         with pytest.raises(ValueError):
             CounterSet().increment("a", -1)
 
-    def test_merge(self):
-        a, b = CounterSet(), CounterSet()
-        a.increment("x", 2)
-        b.increment("x", 3)
-        b.increment("y")
-        a.merge(b)
-        assert a.as_dict() == {"x": 5, "y": 1}
-
-    def test_merged_classmethod(self):
-        parts = []
-        for i in range(3):
-            c = CounterSet()
-            c.increment("n", i + 1)
-            parts.append(c)
-        assert CounterSet.merged(parts).value("n") == 6
-
-    def test_merge_mapping(self):
-        counters = CounterSet()
-        counters.increment("x", 1)
-        counters.merge_mapping({"x": 2, "y": 3})
-        assert counters.as_dict() == {"x": 3, "y": 3}
-
-    def test_merge_mapping_rejects_negatives_atomically(self):
-        """Regression: a mapping with one negative amount used to be
-        applied partially; now it must change nothing at all."""
-        counters = CounterSet()
-        counters.increment("x", 5)
-        with pytest.raises(ValueError, match="non-negative"):
-            counters.merge_mapping({"x": 2, "y": -1, "z": 4})
-        assert counters.as_dict() == {"x": 5}
-
-    def test_gauge_merge(self):
-        from repro.obs.counters import Gauge
-
-        a, b = Gauge(), Gauge()
-        a.add(4)
-        a.subtract(2)  # current 2, peak 4
-        b.add(3)  # current 3, peak 3
-        a.merge(b)
-        # Currents add (residency totals); peaks take the max — two
-        # pools' peak residencies never coincided, so summing them
-        # would overstate the high-water mark.
-        assert a.current == 5
-        assert a.peak == 4
-
     def test_thread_safety(self):
         counters = CounterSet()
 

@@ -3,28 +3,26 @@
 Covers the :mod:`repro.obs` contracts the rest of the repo leans on:
 
 * the log-bucketed :class:`Histogram` — thread safety under a
-  multi-thread hammer, merge commutativity (quantiles identical across
-  merge orders), bounded quantile error, and every serialization
-  round-trip (pickle, ``as_dict``/``to_bytes``, the executor's
-  ``encode_histograms``/``decode_histograms`` IPC framing);
-* the :class:`MetricsRegistry` — get-or-create semantics, growth
-  mismatch rejection, deterministic snapshots, registry-level merge and
-  the worker-side ``merge_histograms`` path;
+  multi-thread hammer and bounded quantile error;
+* the :class:`MetricsRegistry` — get-or-create semantics and
+  deterministic snapshots;
 * the :class:`Tracer` — deterministic ids, per-thread parent nesting,
-  accumulator sampling, disabled-mode no-ops, and all three sinks
-  (list, JSONL file, rolling DFS trace shards);
+  accumulator sampling, disabled-mode no-ops, and both sinks (list,
+  rolling DFS trace shards);
 * the :class:`TelemetryExporter` — durable snapshot records, JSONL
-  lines, numbering that resumes after a restart, and a failed publish
-  that consumes no number;
+  lines that ``scripts/metrics_dump.py`` reads back, numbering that
+  resumes after a restart, and a failed publish that consumes no number;
 * integration — ``StreamReport.telemetry`` from an instrumented
   pipeline, durable output byte-identical with and without telemetry,
-  cross-process histogram merge totals equal to a single-process run,
-  and the label server's per-request histograms.
+  a failed run that leaves nothing resident on the registry, one
+  ``worker/*`` sample per pool block recorded by the parent, and the
+  label server's per-request histograms.
 """
 
+import importlib.util
 import json
-import pickle
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -34,13 +32,10 @@ from repro.lf.applier import apply_lfs_in_memory, stage_examples
 from repro.obs import (
     DfsTraceSink,
     Histogram,
-    JsonlTraceSink,
     ListTraceSink,
     MetricsRegistry,
     TelemetryExporter,
     Tracer,
-    decode_histograms,
-    encode_histograms,
 )
 from repro.parallel import ParallelLabelExecutor
 from repro.serving import LabelServer, ServeConfig
@@ -49,6 +44,7 @@ from repro.streaming import (
     MemorySource,
     MicroBatchPipeline,
     RecordStreamSource,
+    SimulatedCrash,
 )
 
 from tests.conftest import contract_keys
@@ -60,6 +56,8 @@ from tests.test_checkpoint import (
 )
 from tests.test_parallel import SPEC
 from tests.test_serving import deploy, make_registry
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -145,66 +143,6 @@ class TestHistogram:
         )
         assert hist.sum == pytest.approx(expected_sum)
 
-    def test_merge_order_does_not_change_quantiles(self):
-        """Merging is commutative: any merge order yields byte-identical
-        state, hence identical quantiles."""
-        parts = []
-        for k in range(4):
-            part = Histogram()
-            for i in range(500):
-                part.record(float(1 + (i * (k + 3)) % 997))
-            parts.append(part)
-
-        def merged(order):
-            total = Histogram()
-            for idx in order:
-                total.merge(parts[idx])
-            return total
-
-        forward = merged([0, 1, 2, 3])
-        backward = merged([3, 2, 1, 0])
-        shuffled = merged([2, 0, 3, 1])
-        assert forward.as_dict() == backward.as_dict() == shuffled.as_dict()
-        for q in (0.5, 0.9, 0.99):
-            assert forward.quantile(q) == backward.quantile(q)
-            assert forward.quantile(q) == shuffled.quantile(q)
-
-    def test_merge_rejects_growth_mismatch(self):
-        a = Histogram(growth=1.1)
-        b = Histogram(growth=1.5)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_pickle_roundtrip(self):
-        hist = Histogram()
-        for value in (0.0, 1.0, 7.5, 1234.5):
-            hist.record(value)
-        clone = pickle.loads(pickle.dumps(hist))
-        assert clone.as_dict() == hist.as_dict()
-        # The clone is live, not a frozen snapshot.
-        clone.record(2.0)
-        assert clone.count == hist.count + 1
-
-    def test_bytes_roundtrip(self):
-        hist = Histogram()
-        for value in (0.0, 3.0, 9000.0):
-            hist.record(value)
-        clone = Histogram.from_bytes(hist.to_bytes())
-        assert clone.as_dict() == hist.as_dict()
-
-    def test_encode_decode_histograms(self):
-        """The executor's bytes-only IPC framing round-trips a mapping."""
-        a, b = Histogram(), Histogram()
-        for i in range(50):
-            a.record(float(i))
-            b.record(float(i * 10))
-        blob = encode_histograms({"worker/label_us": a, "worker/decode_us": b})
-        assert isinstance(blob, bytes)
-        decoded = decode_histograms(blob)
-        assert sorted(decoded) == ["worker/decode_us", "worker/label_us"]
-        assert decoded["worker/label_us"].as_dict() == a.as_dict()
-        assert decoded["worker/decode_us"].as_dict() == b.as_dict()
-
 
 # ----------------------------------------------------------------------
 # MetricsRegistry
@@ -221,12 +159,6 @@ class TestMetricsRegistry:
         assert snap["counters"]["hits"] == 3
         assert snap["gauges"]["resident"] == {"current": 2, "peak": 2}
 
-    def test_growth_mismatch_rejected(self):
-        registry = MetricsRegistry()
-        registry.histogram("a", growth=1.1)
-        with pytest.raises(ValueError):
-            registry.histogram("a", growth=1.2)
-
     def test_snapshot_is_deterministic(self):
         """Same events, different insertion orders -> identical JSON."""
 
@@ -235,7 +167,7 @@ class TestMetricsRegistry:
             for name, value in order:
                 registry.record(name, value)
                 registry.counter(f"count/{name.split('/')[-1]}")
-            return registry.snapshot(include_buckets=True)
+            return registry.snapshot()
 
         events = [("z/late", 5.0), ("a/early", 1.0), ("m/mid", 3.0)]
         forward = build(events)
@@ -244,32 +176,6 @@ class TestMetricsRegistry:
             backward, sort_keys=True
         )
         assert list(forward["histograms"]) == sorted(forward["histograms"])
-
-    def test_merge_registries(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n", 2)
-        b.counter("n", 3)
-        a.record("h", 1.0)
-        b.record("h", 9.0)
-        a.gauge("g").add(4)
-        b.gauge("g").add(1)
-        a.merge(b)
-        snap = a.snapshot()
-        assert snap["counters"]["n"] == 5
-        assert snap["histograms"]["h"]["count"] == 2
-        # Gauge merge: currents add, peaks take the max.
-        assert snap["gauges"]["g"] == {"current": 5, "peak": 4}
-
-    def test_merge_histograms_from_worker_encoding(self):
-        """The parent side of the IPC path: decoded name -> Histogram."""
-        worker = Histogram()
-        for i in range(10):
-            worker.record(float(i + 1))
-        registry = MetricsRegistry()
-        registry.record("worker/label_us", 100.0)
-        blob = encode_histograms({"worker/label_us": worker})
-        registry.merge_histograms(decode_histograms(blob))
-        assert registry.histogram("worker/label_us").count == 11
 
 
 # ----------------------------------------------------------------------
@@ -371,23 +277,6 @@ class TestTracer:
 
 
 class TestTraceSinks:
-    def test_jsonl_sink(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        tracer = Tracer(
-            sink=JsonlTraceSink(str(path)), enabled=True, sample=1.0
-        )
-        with tracer.span("op", k=1):
-            pass
-        tracer.close()
-        lines = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
-            if line.strip()
-        ]
-        assert len(lines) == 1
-        assert lines[0]["name"] == "op"
-        assert lines[0]["attrs"] == {"k": 1}
-
     def test_dfs_sink_rolls_and_finalizes(self):
         dfs = DistributedFileSystem()
         sink = DfsTraceSink(dfs, "/obs/traces", shard_records=10)
@@ -442,6 +331,33 @@ class TestTelemetryExporter:
             iter_record_blobs(dfs, ["/obs/metrics/metrics-00000.records"])
         )
         assert records[0]["seq"] == 0
+
+    def test_metrics_dump_renders_an_exporter_line(self, tmp_path):
+        """``scripts/metrics_dump.py`` reads back what the exporter
+        writes: counters, gauges and histogram digests all render."""
+        spec = importlib.util.spec_from_file_location(
+            "metrics_dump", REPO / "scripts" / "metrics_dump.py"
+        )
+        metrics_dump = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(metrics_dump)
+        path = tmp_path / "metrics.jsonl"
+        registry = MetricsRegistry()
+        exporter = TelemetryExporter(registry, path=str(path))
+        exporter.export_now()
+        registry.counter("demo/requests", 3)
+        registry.gauge("demo/resident").add(7)
+        for value in (10.0, 20.0, 30.0):
+            registry.record("demo/latency_us", value)
+        exporter.export_now()
+        snapshot = metrics_dump.load_snapshot(path)
+        assert snapshot["seq"] == 1
+        lines = metrics_dump.format_snapshot(snapshot)
+        assert lines[0].startswith("telemetry snapshot  namespace=repro  seq=1")
+        rows = {line.split()[0]: line.split()[1:] for line in lines[1:] if line}
+        assert rows["demo/requests"] == ["3"]
+        assert rows["demo/resident"] == ["7", "7"]
+        count, mean, *_, high = rows["demo/latency_us"]
+        assert (count, mean, high) == ("3", "20.0", "30.0")
 
     def test_restarted_exporter_resumes_after_the_highest_snapshot(self):
         """A second exporter on a root that already holds snapshots
@@ -560,26 +476,52 @@ class TestHotPathIntegration:
         assert votes.example_ids == bare.example_ids
         assert (votes.matrix == bare.matrix).all()
 
-    def test_cross_worker_merge_equals_single_worker_totals(self):
-        """Worker-side histograms merged over IPC carry the same totals
-        as one process doing all the work."""
+    def test_pool_records_one_worker_sample_per_block(self):
+        """The parent records each block's two worker timings once: one
+        ``worker/*`` sample per block, and the ``worker/label_us`` sum is
+        the ``label_us`` that ``label_blocks`` hands back."""
         corpus = make_corpus(n=600, seed=23)
-        multi = MetricsRegistry()
+        registry = MetricsRegistry()
+        blocks = [
+            (seq, corpus[start:start + 100])
+            for seq, start in enumerate(range(0, 600, 100))
+        ]
         with ParallelLabelExecutor(
-            SPEC, workers=2, telemetry=multi
+            SPEC, workers=2, telemetry=registry
         ) as executor:
-            apply_lfs_in_memory(
-                make_lfs(), corpus, executor=executor, batch_size=100
-            )
-        single = MetricsRegistry()
-        apply_lfs_in_memory(
-            make_lfs(), corpus, batch_size=100, telemetry=single
-        )
-        blocks = 6  # 600 examples / block size 100
+            label_us = [b.label_us for b in executor.label_blocks(blocks)]
+        assert len(label_us) == len(blocks)
         for key in ("worker/decode_us", "worker/label_us"):
-            assert multi.histogram(key).count == blocks
-        assert single.histogram("offline/label_block_us").count == blocks
-        assert multi.snapshot()["counters"]["parallel/blocks"] == blocks
+            assert registry.histogram(key).count == len(blocks)
+        assert registry.histogram("worker/label_us").sum == sum(label_us)
+        assert registry.snapshot()["counters"]["parallel/blocks"] == len(blocks)
+
+    def test_failed_run_leaves_no_record_resident(self):
+        """A stream run that raises releases the records it still held,
+        so a clean resume on the same registry ends at level 0 with the
+        run's own peak."""
+        corpus = make_corpus(n=500, seed=7)
+        lfs = make_lfs()
+        dfs = DistributedFileSystem()
+        shards = stage_examples(dfs, corpus, "/res/examples", num_shards=2)
+        registry = MetricsRegistry()
+
+        def stream():
+            return CheckpointedStream(
+                dfs, lfs, "/res/stream", batch_size=100,
+                online_config=ONLINE_CONFIG, checkpoint_every=1,
+                telemetry=registry,
+            )
+
+        with pytest.raises(SimulatedCrash):
+            stream().run(RecordStreamSource(dfs, shards), fail_after_batch=2)
+        gauge = registry.snapshot()["gauges"]["stream/resident_records"]
+        assert gauge["current"] == 0
+        report = stream().run(RecordStreamSource(dfs, shards))
+        gauge = registry.snapshot()["gauges"]["stream/resident_records"]
+        assert gauge == {
+            "current": 0, "peak": report.stream.peak_resident_records
+        }
 
     def test_label_server_records_latency_histograms(self, tmp_path):
         corpus = make_corpus(n=200, seed=5)
@@ -681,30 +623,23 @@ class TestZeroCostWhenOff:
     ):
         """A disabled ``Tracer`` (the default) and no registry: none of
         the five instrumented layers opens a span, creates a histogram,
-        collects worker stats, or reads the seam's clock."""
+        or reads the seam's clock."""
         import repro.obs.registry as registry_module
-        import repro.parallel.executor as executor_module
         from repro.lf.applier import stage_examples
         from repro.streaming import CheckpointedStream, RecordStreamSource
 
         from tests.test_checkpoint import ONLINE_CONFIG
 
-        created: list[float] = []
+        created: list[Histogram] = []
 
         class SpiedHistogram(Histogram):
-            def __init__(self, growth=registry_module.DEFAULT_GROWTH):
-                created.append(growth)
-                super().__init__(growth)
-
-        def no_worker_stats(blob):
-            raise AssertionError("workers collected histograms while off")
+            def __init__(self):
+                super().__init__()
+                created.append(self)
 
         clock = _CountingTime()
         monkeypatch.setattr(registry_module, "Histogram", SpiedHistogram)
         monkeypatch.setattr(registry_module, "time", clock)
-        monkeypatch.setattr(
-            executor_module, "decode_histograms", no_worker_stats
-        )
         sink = ListTraceSink()
         tracer = Tracer(sink=sink, enabled=False)
         corpus = make_corpus(n=200, seed=5)
