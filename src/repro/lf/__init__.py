@@ -20,11 +20,12 @@ The Python reproduction keeps the same three-level shape:
 weak-supervision patterns in Section 3 (keyword, URL, topic-model,
 knowledge-graph, model-score heuristics), and :class:`LFApplier` executes
 a set of LF binaries over a DFS-resident corpus and joins their votes
-into a :class:`repro.types.LabelMatrix`.
+into a :class:`repro.types.LabelMatrix`. Each LF's output shard is one
+block of its non-abstaining votes; :func:`read_lf_votes` reads one back.
 """
 
 from repro.lf.registry import LFCategory, LFInfo, LFRegistry
-from repro.lf.base import AbstractLabelingFunction, LFRunResult
+from repro.lf.base import AbstractLabelingFunction, LFRunResult, read_lf_votes
 from repro.lf.default import LabelingFunction
 from repro.lf.nlp import NLPLabelingFunction
 from repro.lf.applier import LFApplier, apply_lfs_in_memory
@@ -39,4 +40,5 @@ __all__ = [
     "NLPLabelingFunction",
     "LFApplier",
     "apply_lfs_in_memory",
+    "read_lf_votes",
 ]

@@ -11,10 +11,12 @@ reproduces that flow:
    one tokenization per record for the fused-spec LFs, every other LF
    through its ``label_batch`` on the same block
    (:func:`label_example_block`, the kernel the stream, the pool workers
-   and the server run too) — whose driver writes every LF's sparse vote
+   and the server run too) — whose driver writes every LF's vote
    shards, one per input shard, straight from the int8 blocks the
-   mappers hand back. The shards are the durable contract: byte for
-   byte what each LF's own binary writes,
+   mappers hand back: each shard is one ``{"kind": "lf_votes", "ids",
+   "votes"}`` block of the LF's non-abstaining votes
+   (:func:`~repro.lf.base.write_lf_votes`). The shards are the durable
+   contract: byte for byte what each LF's own binary writes,
 3. the votes become a :class:`repro.types.LabelMatrix` whose rows and
    example ids are those same blocks; nothing the applier wrote is read
    back.
@@ -23,10 +25,10 @@ reproduces that flow:
 equivalence tests judge ``apply`` against: every LF is the paper's
 independent binary, running
 :meth:`~repro.lf.base.AbstractLabelingFunction.run` as its own job, and
-its shards are read back and joined on example id (missing ids =
-abstain). :func:`apply_lfs_in_memory` is the measurement fast path used
-by large parameter sweeps; ``batched=False`` there is its per-example
-reference. Integration tests assert every path produces the same
+its shards are read back (:func:`~repro.lf.base.read_lf_votes`) and
+joined on example id (missing ids = abstain). :func:`apply_lfs_in_memory`
+is the measurement fast path used by large parameter sweeps;
+``batched=False`` there is its per-example reference. Integration tests assert every path produces the same
 matrix.
 
 The in-memory path also parallelizes across *processes*:
@@ -40,17 +42,16 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.dfs.filesystem import DistributedFileSystem, shard_name
-from repro.dfs.records import (
-    DEFAULT_BLOCK_SIZE, RecordWriter, iter_record_blobs, json_token, write_records,
+from repro.dfs.records import DEFAULT_BLOCK_SIZE, iter_record_blobs, write_records
+from repro.lf.base import (
+    AbstractLabelingFunction, LFRunResult, read_lf_votes, write_lf_votes,
 )
-from repro.lf.base import AbstractLabelingFunction, LFRunResult
 from repro.lf.default import LabelingFunction
 from repro.lf.templates import FusedPlan
 from repro.mapreduce.runner import run_map_tasks
@@ -182,20 +183,6 @@ def label_example_block(
     return votes
 
 
-def _write_vote_block(writers, ids, votes: np.ndarray) -> None:
-    """Fan one ``(ids, (B, m) votes)`` block out to the ``m`` LFs' shard
-    writers in one pass: a sparse ``{"key", "value"}`` record per
-    non-abstaining vote, each LF's in record order, each id's JSON token
-    computed once — the bytes :meth:`AbstractLabelingFunction.run`
-    writes."""
-    rows, cols = np.nonzero(votes)
-    last, head = -1, ""
-    for i, k, vote in zip(rows.tolist(), cols.tolist(), votes[rows, cols].tolist()):
-        if i != last:
-            last, head = i, f'{{"key":{json_token(ids[i])},"value":'
-        writers[k].write_body(f"{head}{vote}}}".encode())
-
-
 class LFApplier:
     """Labels staged examples with an LF suite: one vote shard set per LF
     and the joined label matrix.
@@ -283,19 +270,19 @@ class LFApplier:
         # repro: allow[determinism] wall_seconds is throughput reporting only
         wall = time.perf_counter() - start
 
-        # One vote shard per (input shard, LF), under the names and with the
-        # records, in record order, that the LF's own job writes.
-        bases = [f"{self._run_root}/{lf.name}/votes" for lf in lfs]
-        output_paths = [[shard_name(b, s, len(tasks)) for s in range(len(tasks))] for b in bases]
-        for s, task_blocks in enumerate(tasks):
-            with ExitStack() as stack:
-                writers = [stack.enter_context(RecordWriter(self._dfs, p[s])) for p in output_paths]
-                for ids, block_votes in task_blocks:
-                    _write_vote_block(writers, ids, block_votes)
         blocks = [block for task_blocks in tasks for block in task_blocks]
         example_ids = [eid for ids, _ in blocks for eid in ids]
         empty = np.zeros((0, len(lfs)), dtype=np.int8)
         votes = np.concatenate([block_votes for _, block_votes in blocks] or [empty])
+        # One vote shard per (input shard, LF), under the names and with the
+        # block, in record order, that the LF's own job writes.
+        bases = [f"{self._run_root}/{lf.name}/votes" for lf in lfs]
+        output_paths = [[shard_name(b, s, len(tasks)) for s in range(len(tasks))] for b in bases]
+        stop = 0
+        for s, task_blocks in enumerate(tasks):
+            start, stop = stop, stop + sum(len(ids) for ids, _ in task_blocks)
+            for k, paths in enumerate(output_paths):
+                write_lf_votes(self._dfs, paths[s], example_ids[start:stop], votes[start:stop, k])
         n = len(example_ids)
         positives = np.count_nonzero(votes > 0, axis=0).tolist()
         negatives = np.count_nonzero(votes < 0, axis=0).tolist()
@@ -330,8 +317,9 @@ class LFApplier:
                 results.append(lf.run(self._dfs, self._example_paths, out))
             finally:
                 stop_lf_resources([lf])
-            for record in iter_record_blobs(self._dfs, results[-1].output_paths):
-                matrix[rows[record["key"]], j] = record["value"]
+            for path in results[-1].output_paths:
+                ids, votes = read_lf_votes(self._dfs, path)
+                matrix[[rows[eid] for eid in ids], j] = votes
         return example_ids, matrix, results
 
 

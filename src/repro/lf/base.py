@@ -10,9 +10,9 @@ The reproduction follows the same contract:
 * :meth:`run` is the whole "labeling function binary": it reads example
   records from the DFS, calls :meth:`_vote` on each one in one map task
   per input shard (:func:`repro.mapreduce.run_map_tasks`), and writes one
-  vote record per non-abstaining example to its own sharded output —
-  LFs never share state except through the filesystem (Section 5.4's
-  loosely-coupled design). It is the per-record reference
+  vote shard per input shard to its own sharded output — LFs never share
+  state except through the filesystem (Section 5.4's loosely-coupled
+  design). It is the per-record reference
   :meth:`repro.lf.applier.LFApplier.apply_per_lf` runs; ``apply`` labels
   the whole suite in one job through :meth:`label_batch` and writes the
   same shards.
@@ -22,9 +22,14 @@ The reproduction follows the same contract:
   brought up by :meth:`start_local_service`; :meth:`run` brings it up
   once per job and stops it afterwards.
 
-Vote records have the shape ``{"key": example_id, "value": vote}`` with
-``vote in {-1, +1}`` (abstains are simply not written; the join treats
-missing ids as abstain, exactly like sparse vote files at Google scale).
+A vote shard is one block record, ``{"kind": "lf_votes", "ids": [...],
+"votes": encode_ndarray(int8)}``: the ids of the input shard's examples
+the LF voted on, in record order, and their votes in ``{-1, +1}`` — a
+slice of the LF's column of the sparse label matrix. Abstains are not
+written (the join treats missing ids as abstain, exactly like sparse
+vote files at Google scale), and a shard on which the LF cast no vote is
+published empty. :func:`write_lf_votes` writes a shard and
+:func:`read_lf_votes` reads one back.
 """
 
 from __future__ import annotations
@@ -37,16 +42,78 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.dfs.filesystem import DistributedFileSystem, shard_name
-from repro.dfs.records import RecordWriter
+from repro.dfs.records import (
+    RecordReader, RecordWriter, decode_ndarray, encode_ndarray, record_body,
+)
 from repro.mapreduce.runner import run_map_tasks
 from repro.lf.registry import LFInfo
 from repro.services.base import ModelServer
-from repro.types import ABSTAIN, Example
+from repro.types import ABSTAIN, Example, require_fields
 
-__all__ = ["AbstractLabelingFunction", "LFRunResult", "VALID_VOTES"]
+__all__ = [
+    "AbstractLabelingFunction",
+    "LFRunResult",
+    "VALID_VOTES",
+    "lf_votes_body",
+    "write_lf_votes",
+    "read_lf_votes",
+]
 
 #: The only legal votes in the binary setting (Section 5.1's ``LFVote``).
 VALID_VOTES = (-1, 0, 1)
+
+
+def lf_votes_body(ids: list, votes: np.ndarray) -> bytes:
+    """The record body of one vote block: ``ids`` and their int8 ``votes``."""
+    return record_body({"kind": "lf_votes", "ids": ids, "votes": encode_ndarray(votes)})
+
+
+def write_lf_votes(
+    dfs: DistributedFileSystem, path: str, ids: Sequence, votes: np.ndarray
+) -> None:
+    """Publish one (LF, input shard) vote shard at ``path``.
+
+    ``votes`` holds the LF's vote on each of ``ids``, in record order;
+    the shard is one :func:`lf_votes_body` block of the non-abstaining
+    ones, or empty when the LF cast no vote.
+    """
+    cast = np.flatnonzero(votes)
+    with RecordWriter(dfs, path) as writer:
+        if len(cast):
+            writer.write_body(lf_votes_body([ids[i] for i in cast.tolist()], votes[cast]))
+
+
+def read_lf_votes(dfs: DistributedFileSystem, path: str) -> tuple[list, np.ndarray]:
+    """One vote shard's ``(ids, votes)``: the ids the LF voted on, in
+    record order, and their ``int8`` votes; an empty shard holds none.
+
+    Raises:
+        ValueError: If the shard's record is of another kind or misses a
+            field, its ``ids`` are not a list, its ``votes`` are not a
+            1-D int8 array as long as ``ids`` or hold a vote outside
+            ``{-1, +1}``, or a record follows the block.
+        RecordCorruption: If a record fails its CRC or framing check.
+    """
+    records = iter(RecordReader(dfs, path))
+    block = next(records, None)
+    if block is None:
+        return [], np.zeros(0, dtype=np.int8)
+    block = require_fields(block, f"vote block of {path}", ("kind", "ids", "votes"))
+    if block["kind"] != "lf_votes":
+        raise ValueError(f"{path} is not a vote shard: kind {block['kind']!r}")
+    ids = block["ids"]
+    votes = decode_ndarray(block["votes"])
+    if not isinstance(ids, list):
+        raise ValueError(f"{path} ids are {type(ids).__name__}, not a list")
+    if votes.dtype != np.int8 or votes.shape != (len(ids),):
+        raise ValueError(
+            f"{path} votes are {votes.dtype} {votes.shape}, not int8 ({len(ids)},)"
+        )
+    if not np.isin(votes, (-1, 1)).all():
+        raise ValueError(f"{path} holds a vote outside {{-1, +1}}")
+    if next(records, None) is not None:
+        raise ValueError(f"{path} holds a record after its vote block")
+    return ids, votes
 
 
 @dataclass
@@ -143,16 +210,16 @@ class AbstractLabelingFunction:
         task per input shard calls :meth:`_vote` on each record, with the
         node-local model server when the pipeline declares one (its local
         service, up once for the job and stopped after it), and each task's
-        non-abstaining votes become one ``{"key", "value"}`` shard.
+        votes become one :func:`write_lf_votes` shard.
         """
         start = time.perf_counter()
         service = self.start_local_service()
 
-        def block_mapper(records: list[dict]) -> tuple[list, list[int]]:
+        def block_mapper(records: list[dict]) -> tuple[list, np.ndarray]:
             examples = [Example.from_record(record) for record in records]
             votes = np.asarray([self._vote(example, service) for example in examples])
             ids = [example.example_id for example in examples]
-            return ids, self._validate_votes(votes, len(examples)).tolist()
+            return ids, self._validate_votes(votes, len(examples))
 
         try:
             tasks = run_map_tasks(dfs, input_paths, block_mapper)
@@ -163,12 +230,10 @@ class AbstractLabelingFunction:
         output_paths = []
         for index, blocks in enumerate(tasks):
             path = shard_name(output_base, index, len(tasks))
-            with RecordWriter(dfs, path) as writer:
-                for ids, votes in blocks:
-                    counts.update(votes)
-                    for key, vote in zip(ids, votes):
-                        if vote != ABSTAIN:
-                            writer.write({"key": key, "value": vote})
+            ids = [eid for block_ids, _ in blocks for eid in block_ids]
+            votes = np.concatenate([v for _, v in blocks] or [np.zeros(0, np.int8)])
+            counts.update(votes.tolist())
+            write_lf_votes(dfs, path, ids, votes)
             output_paths.append(path)
         return LFRunResult(
             lf_name=self.name,

@@ -562,6 +562,16 @@ def test_apply_moves_each_byte_once(app):
     assert dfs.staged_paths() == []
 
 
+def test_vote_shard_bytes_per_example():
+    """The vote-shard layout's size, pinned: 278 votes over 200 product
+    examples take 6,999 B (35.0 B per example) as one ``lf_votes`` block
+    per (LF, input shard); a record per vote took 10,894 B (54.5)."""
+    examples, lfs = _suite("product")
+    report, shard_bytes = _apply_report(examples, lfs, 64)
+    assert sum(result.votes_emitted for result in report.lf_results) == 278
+    assert sum(map(len, shard_bytes.values())) == 6999
+
+
 def test_suite_job_retried_task_contributes_once(monkeypatch):
     """A suite map task that dies after its first block (the topic model
     fails once) and is retried yields exactly the clean run: same

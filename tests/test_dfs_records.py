@@ -25,7 +25,7 @@ from repro.dfs.records import (
     stream_records_with_offsets,
     write_records,
 )
-from repro.lf.applier import _write_vote_block
+from repro.lf.base import lf_votes_body, read_lf_votes, write_lf_votes
 from repro.streaming.sinks import LabelSink, VoteSink, read_labels
 from repro.types import Example
 
@@ -283,29 +283,87 @@ class TestTemplatedBodies:
         numbers = ~np.isnan(expected)
         assert got[numbers].tobytes() == expected[numbers].tobytes()
 
-    @given(st.lists(vote_batches(), max_size=3))
-    def test_applier_vote_records(self, blocks):
-        """One pass per block fans each column's sparse ``{"key",
-        "value"}`` records out to that column's writer, in row order."""
-        width = max((votes.shape[1] for _, votes in blocks), default=0)
-        writers = [_Bodies() for _ in range(width)]
-        for batch_ids, votes in blocks:
-            _write_vote_block(writers, batch_ids, votes)
-        for k, bodies in enumerate(writers):
-            expected = [
-                {"key": batch_ids[i], "value": int(votes[i, k])}
-                for batch_ids, votes in blocks
-                if votes.shape[1] > k
-                for i in range(len(batch_ids))
-                if votes[i, k]
-            ]
-            assert bodies == [dumps(p).encode() for p in expected]
+
+def vote_block():
+    """A well-formed 3-vote block record of an LF's vote shard."""
+    return {
+        "kind": "lf_votes",
+        "ids": ["e0", "e1", "e2"],
+        "votes": encode_ndarray(np.array([1, -1, 1], np.int8)),
+    }
 
 
-class _Bodies(list):
-    """A writer stand-in that keeps the bodies it is given."""
+#: LF vote shards ``read_lf_votes`` must refuse, as ``ValueError``.
+MALFORMED_VOTE_SHARDS = {
+    "record_a_list": [[1, 2]],
+    "other_kind": [{**vote_block(), "kind": "labels"}],
+    **{
+        f"no_{field}": [{k: v for k, v in vote_block().items() if k != field}]
+        for field in ("kind", "ids", "votes")
+    },
+    "ids_a_dict": [{**vote_block(), "ids": {"e0": 0, "e1": 1, "e2": 2}}],
+    "ids_a_string": [{**vote_block(), "ids": "e0e1e2"}],
+    "votes_not_an_array": [{**vote_block(), "votes": [1, -1, 1]}],
+    "votes_int16": [{**vote_block(), "votes": encode_ndarray(np.array([1, -1, 1], np.int16))}],
+    "votes_2d": [{**vote_block(), "votes": encode_ndarray(np.array([[1, -1, 1]], np.int8))}],
+    "votes_short": [{**vote_block(), "votes": encode_ndarray(np.array([1, -1], np.int8))}],
+    "votes_long": [{**vote_block(), "votes": encode_ndarray(np.ones(4, np.int8))}],
+    "vote_abstain": [{**vote_block(), "votes": encode_ndarray(np.array([1, 0, 1], np.int8))}],
+    "vote_two": [{**vote_block(), "votes": encode_ndarray(np.array([1, 2, 1], np.int8))}],
+    "record_after_block": [vote_block(), vote_block()],
+}
 
-    write_body = list.append
+
+class TestLFVoteShards:
+    """An LF's vote shard is one ``lf_votes`` block (or nothing), and
+    :func:`read_lf_votes` reads back exactly what was written."""
+
+    @given(st.lists(st.tuples(st.one_of(ids, st.integers()), st.sampled_from([-1, 1]))))
+    def test_block_round_trip(self, rows):
+        """The body is ``record_body`` of the block, and the shard reads
+        back json's ids and the same int8 votes."""
+        block_ids = [eid for eid, _ in rows]
+        votes = np.array([vote for _, vote in rows], dtype=np.int8)
+        body = lf_votes_body(block_ids, votes)
+        expected = {"kind": "lf_votes", "ids": block_ids, "votes": encode_ndarray(votes)}
+        assert body == dumps(expected).encode()
+        dfs = DistributedFileSystem()
+        with RecordWriter(dfs, "/v/shard") as writer:
+            writer.write_body(body)
+        got_ids, got = read_lf_votes(dfs, "/v/shard")
+        assert got_ids == json.loads(dumps(block_ids))
+        assert got.dtype == np.int8 and got.tolist() == votes.tolist()
+
+    @given(st.lists(st.tuples(example_ids, st.sampled_from([-1, 0, 1])), max_size=12))
+    def test_written_shard_holds_the_cast_votes(self, rows):
+        """``write_lf_votes`` keeps the non-abstaining votes in record
+        order, and publishes an empty shard when every vote abstains."""
+        block_ids = [eid for eid, _ in rows]
+        votes = np.array([vote for _, vote in rows], dtype=np.int8)
+        dfs = DistributedFileSystem()
+        write_lf_votes(dfs, "/v/shard", block_ids, votes)
+        got_ids, got = read_lf_votes(dfs, "/v/shard")
+        cast = [(eid, vote) for eid, vote in rows if vote]
+        assert got_ids == [eid for eid, _ in cast]
+        assert got.tolist() == [vote for _, vote in cast]
+        assert (dfs.size("/v/shard") == 0) == (not cast)
+
+    def test_the_malformed_cases_edit_a_readable_shard(self, dfs):
+        """The control for the cases below: unedited, the block and an
+        empty shard read back."""
+        write_records(dfs, "/v/block", [vote_block()])
+        write_records(dfs, "/v/empty", [])
+        got_ids, got = read_lf_votes(dfs, "/v/block")
+        assert got_ids == ["e0", "e1", "e2"]
+        assert got.dtype == np.int8 and got.tolist() == [1, -1, 1]
+        got_ids, got = read_lf_votes(dfs, "/v/empty")
+        assert got_ids == [] and got.dtype == np.int8 and got.shape == (0,)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VOTE_SHARDS))
+    def test_malformed_shards_are_value_errors(self, dfs, case):
+        write_records(dfs, "/v/bad", MALFORMED_VOTE_SHARDS[case])
+        with pytest.raises(ValueError):
+            read_lf_votes(dfs, "/v/bad")
 
 
 def frame(body: bytes) -> bytes:

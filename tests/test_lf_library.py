@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dfs.records import iter_record_blobs
 from repro.lf.applier import LFApplier, apply_lfs_in_memory, stage_examples
+from repro.lf.base import read_lf_votes
 from repro.lf.default import LabelingFunction
 from repro.lf.nlp import NLPLabelingFunction, celebrity_example_lf
 from repro.lf.registry import LFCategory, LFInfo, LFRegistry
@@ -21,6 +21,15 @@ def make_examples(n=20):
         )
         for i in range(n)
     ]
+
+
+def shard_votes(dfs, result):
+    """Every vote ``result``'s shards hold, by example id."""
+    votes = {}
+    for path in result.output_paths:
+        ids, shard = read_lf_votes(dfs, path)
+        votes.update(zip(ids, shard.tolist()))
+    return votes
 
 
 def simple_lf(name="parity", vote_on="good", vote=1, servable=True):
@@ -98,10 +107,7 @@ class TestLabelingFunctionRun:
         assert result.positives == 5
         assert result.abstains == 5
         assert result.coverage == pytest.approx(0.5)
-        votes = {
-            r["key"]: r["value"]
-            for r in iter_record_blobs(dfs, result.output_paths)
-        }
+        votes = shard_votes(dfs, result)
         assert votes == {f"x{i}": 1 for i in range(10) if i % 2}
 
     def test_abstains_not_written(self, dfs):
@@ -126,10 +132,7 @@ class TestLabelingFunctionRun:
         memory_votes = [lf.vote_in_memory(e) for e in examples]
         paths = stage_examples(dfs, examples, "/d/e3", num_shards=3)
         result = lf.run(dfs, paths, "/r/v3")
-        dfs_votes = {
-            r["key"]: r["value"]
-            for r in iter_record_blobs(dfs, result.output_paths)
-        }
+        dfs_votes = shard_votes(dfs, result)
         for example, vote in zip(examples, memory_votes):
             assert dfs_votes.get(example.example_id, 0) == vote
 
@@ -168,10 +171,7 @@ class TestNLPLabelingFunction:
         ]
         paths = stage_examples(dfs, examples, "/d/nlp", num_shards=1)
         result = self._lf().run(dfs, paths, "/r/nlp")
-        votes = {
-            r["key"]: r["value"]
-            for r in iter_record_blobs(dfs, result.output_paths)
-        }
+        votes = shard_votes(dfs, result)
         assert votes == {"a": -1}  # b abstains (person present)
 
     def test_requires_node_service(self):
