@@ -109,7 +109,7 @@ def run_demo() -> dict:
     from repro.obs import MetricsRegistry, TelemetryExporter, Tracer
 
     registry = MetricsRegistry()
-    tracer = Tracer(enabled=True, sample=1.0)
+    tracer = Tracer()
     with tracer.span("demo.run", mode="synthetic"):
         for i in range(1, 1001):
             registry.record("demo/latency_us", float(i))

@@ -415,10 +415,11 @@ class DriftMonitor:
             ValueError: If ``state`` is not a dict; on any schema but 1
                 — a snapshot from a newer writer must not be half-read
                 — a missing key, a counter or ``n_lfs`` that is not an
-                ``int``, a score or window count that is not a number,
-                or a window that is not a dict of encoded arrays shaped
-                for ``n_lfs``; everything is decoded before any state
-                changes, so nothing is restored then.
+                ``int`` >= 0, a score that is not a number, a window count
+                that is not a finite number > 0, or a window that is not
+                a dict of finite encoded arrays shaped for ``n_lfs``;
+                everything is decoded before any state changes, so
+                nothing is restored then.
         """
         from repro.dfs.records import decode_ndarray
 
@@ -440,10 +441,10 @@ class DriftMonitor:
             "drift state",
             (*names, "n_lfs", "first_alarm_batch", "last_score", "reference", "recent"),
         )
-        counters = {key: require_int(state[key], key) for key in names}
+        counters = {key: require_int(state[key], key, minimum=0) for key in names}
         first = state["first_alarm_batch"]
         if first is not None:
-            first = require_int(first, "first_alarm_batch")
+            first = require_int(first, "first_alarm_batch", minimum=0)
         n_lfs = state["n_lfs"]
         if n_lfs is not None:
             require_int(n_lfs, "n_lfs", minimum=0)
@@ -467,6 +468,15 @@ class DriftMonitor:
                 raise ValueError(
                     f"drift window has shapes {shapes} for n_lfs={n_lfs}"
                 )
+            # A saved window holds at least one example (empty batches
+            # never enter one) and integer-valued sums.
+            if not (np.isfinite(stats.count) and stats.count > 0):
+                raise ValueError(
+                    f"drift window count must be finite and > 0, got {stats.count!r}"
+                )
+            sums = (stats.vote_sum, stats.fire_sum, stats.agreement)
+            if not all(np.isfinite(part).all() for part in sums):
+                raise ValueError("drift window sums must be finite")
             return stats
 
         reference = None if state["reference"] is None else dec_window(state["reference"])

@@ -310,10 +310,11 @@ class OnlineLabelModel:
         Raises:
             ValueError: If ``state`` is not a dict; on any other schema
                 — a snapshot from a newer writer must not be half-read —
-                on a missing key, a counter that is not an ``int``, an
-                ``n_lfs`` that is not an ``int`` >= 1 (or ``None`` for an
-                empty model), a part that is not an encoded array, or
-                parts whose shapes disagree; nothing is restored then.
+                on a missing key, a counter that is not an ``int`` >= 0,
+                an ``n_lfs`` that is not an ``int`` >= 1 (or ``None`` for
+                an empty model), a part that is not an encoded array,
+                parts whose shapes disagree, or a pattern weight that is
+                not finite and >= 0; nothing is restored then.
         """
         from repro.dfs.records import decode_ndarray
 
@@ -330,7 +331,7 @@ class OnlineLabelModel:
         require_fields(
             state, "label-model state", (*names, "n_lfs", "pattern_rows", "model")
         )
-        counters = {key: require_int(state[key], key) for key in names}
+        counters = {key: require_int(state[key], key, minimum=0) for key in names}
         n_lfs = state["n_lfs"]
         if n_lfs is not None:
             require_int(n_lfs, "n_lfs", minimum=1)
@@ -354,6 +355,11 @@ class OnlineLabelModel:
                     f"label-model state is malformed: {name} has shape "
                     f"{array.shape}, expected {shape} for n_lfs={n_lfs}"
                 )
+        if not (np.isfinite(weights) & (weights >= 0)).all():
+            raise ValueError(
+                "label-model state is malformed: pattern_weights must be "
+                "finite and >= 0"
+            )
         if n_rows:
             model = self._solve(self._table_votes(rows, weights))
 

@@ -330,7 +330,6 @@ def apply_lfs_in_memory(
     batch_size: int = DEFAULT_MEMORY_BATCH,
     executor=None,
     telemetry=None,
-    tracer=None,
 ) -> LabelMatrix:
     """Fast path: vote on in-memory examples, no DFS/MapReduce.
 
@@ -353,10 +352,10 @@ def apply_lfs_in_memory(
 
     ``telemetry`` (a :class:`repro.obs.MetricsRegistry`) receives one
     ``offline.label_block`` stage event per serially labeled block (a
-    pool reports through the registry its executor was built with);
-    ``tracer`` gets the same events as spans. Both default to off, in
-    which case the hot loop runs with zero added timing calls — the
-    votes are identical either way.
+    pool reports through the registry its executor was built with), and
+    a tracer on that registry gets the same events as spans. It defaults
+    to off, in which case the hot loop runs with zero added timing calls
+    — the votes are identical either way.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -388,7 +387,7 @@ def apply_lfs_in_memory(
         # Unobserved, clock() reads nothing: the loop stays free of
         # timing calls. Observed, it costs two perf_counter reads per
         # *block* (never per example), which the overhead gate bounds.
-        metrics = MetricsRegistry().attach(telemetry, tracer)
+        metrics = MetricsRegistry().attach(telemetry)
         start_lf_resources(lfs)
         try:
             for start in range(0, n, batch_size):

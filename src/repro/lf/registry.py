@@ -95,12 +95,6 @@ class LFRegistry:
             category.value: count / total for category, count in counts.items()
         }
 
-    def merge(self, other: "LFRegistry") -> "LFRegistry":
-        merged = LFRegistry(f"{self.application}+{other.application}")
-        for info in list(self._infos.values()) + list(other._infos.values()):
-            merged.register(info)
-        return merged
-
     @staticmethod
     def figure2_table(registries: Iterable["LFRegistry"]) -> list[dict[str, object]]:
         """Rows of (application, category, count, fraction) across

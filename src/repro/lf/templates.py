@@ -18,8 +18,10 @@ topic-model veto) attach a declarative ``fused_spec``: a
 :class:`FusedPlan` labels a block through it, tokenizing each field once
 per example for every fused LF of a suite and probing keyword sets with
 one hashed set intersection, and ``label_batch`` is that plan over the
-one spec. The other factories pass a hand-written ``batch_fn`` (model
-scores, for one, are thresholded as NumPy arrays). Kernels read an
+one spec. Two factories pass a hand-written ``batch_fn``: the URL-domain
+LF memoizes domains per block and model scores are thresholded as NumPy
+arrays. The rest (pattern, crawler, aggregate) loop their ``fn``, the
+default block kernel of every labeling function. Kernels read an
 ``Example`` and never write to it: tokens live only as long as the probe
 that reads them.
 """
@@ -423,23 +425,13 @@ def pattern_lf(
     def fn(example: Example) -> int:
         return vote if predicate(example) else ABSTAIN
 
-    def batch_fn(examples: Sequence[Example]) -> np.ndarray:
-        # The predicate is arbitrary user code, so the kernel is a tight
-        # loop rather than true vectorization — it still skips the
-        # per-example applier dispatch and vote validation.
-        return np.fromiter(
-            (vote if predicate(example) else ABSTAIN for example in examples),
-            dtype=np.int8,
-            count=len(examples),
-        )
-
     info = LFInfo(
         name=name,
         category=category,
         servable=servable,
         description=description or f"predicate -> {vote:+d}",
     )
-    return LabelingFunction(info, fn, batch_fn=batch_fn)
+    return LabelingFunction(info, fn)
 
 
 def topic_model_lf(
@@ -620,7 +612,11 @@ def crawler_lf(
     """Vote from crawled page profiles (high-latency, non-servable)."""
     targets = frozenset(c.lower() for c in target_categories)
 
-    def classify(result) -> int:
+    def fn(example: Example) -> int:
+        url = str(example.fields.get("url", ""))
+        if not url:
+            return ABSTAIN
+        result = crawler.crawl(url)
         if not result.reachable or result.site_category is None:
             return ABSTAIN
         if (
@@ -630,24 +626,6 @@ def crawler_lf(
             return vote
         return ABSTAIN
 
-    def fn(example: Example) -> int:
-        url = str(example.fields.get("url", ""))
-        if not url:
-            return ABSTAIN
-        return classify(crawler.crawl(url))
-
-    def batch_fn(examples: Sequence[Example]) -> np.ndarray:
-        # One crawl per example with a URL, matching the per-example
-        # path's virtual-latency accounting (crawls dominate this LF's
-        # cost by design; batching does not pretend otherwise).
-        votes = np.zeros(len(examples), dtype=np.int8)
-        crawl = crawler.crawl
-        for i, example in enumerate(examples):
-            url = str(example.fields.get("url", ""))
-            if url:
-                votes[i] = classify(crawl(url))
-        return votes
-
     info = LFInfo(
         name=name,
         category=LFCategory.SOURCE_HEURISTIC,
@@ -655,7 +633,7 @@ def crawler_lf(
         description=description or "crawled site profile",
         resources=("web-crawler",),
     )
-    return LabelingFunction(info, fn, resources=[crawler], batch_fn=batch_fn)
+    return LabelingFunction(info, fn, resources=[crawler])
 
 
 def aggregate_threshold_lf(
@@ -676,7 +654,11 @@ def aggregate_threshold_lf(
     statistics"; these heuristics become weak labelers in DryBell.
     """
 
-    def judge(row) -> int:
+    def fn(example: Example) -> int:
+        key = str(example.fields.get(key_field, ""))
+        if not key:
+            return ABSTAIN
+        row = store.lookup(key)
         if row is None:
             return ABSTAIN
         value = row.stats.get(stat)
@@ -684,21 +666,6 @@ def aggregate_threshold_lf(
             return ABSTAIN
         crosses = value >= threshold if above else value <= threshold
         return vote if crosses else ABSTAIN
-
-    def fn(example: Example) -> int:
-        key = str(example.fields.get(key_field, ""))
-        if not key:
-            return ABSTAIN
-        return judge(store.lookup(key))
-
-    def batch_fn(examples: Sequence[Example]) -> np.ndarray:
-        votes = np.zeros(len(examples), dtype=np.int8)
-        lookup = store.lookup
-        for i, example in enumerate(examples):
-            key = str(example.fields.get(key_field, ""))
-            if key:
-                votes[i] = judge(lookup(key))
-        return votes
 
     info = LFInfo(
         name=name,
@@ -708,4 +675,4 @@ def aggregate_threshold_lf(
         or f"aggregate {stat} {'>=' if above else '<='} {threshold}",
         resources=("aggregate-store",),
     )
-    return LabelingFunction(info, fn, resources=[store], batch_fn=batch_fn)
+    return LabelingFunction(info, fn, resources=[store])

@@ -11,8 +11,9 @@
   histograms under one namespace with a deterministic snapshot, and the
   one emission seam (``stage``) every instrumented layer reports through;
 * :class:`~repro.obs.tracing.Tracer` / :class:`~repro.obs.tracing.Span`
-  — deterministic span tracing emitted as durable DFS trace shards,
-  off unless constructed with ``enabled=True``;
+  — deterministic span tracing emitted as durable DFS trace shards; a
+  tracer rides on a registry (``MetricsRegistry(tracer=...)``), so a
+  layer's one ``telemetry=`` keyword carries its spans too;
 * :class:`~repro.obs.exporter.TelemetryExporter` — on-demand durable
   snapshot publication.
 

@@ -10,14 +10,15 @@ the streaming report embeds, and ``scripts/metrics_dump.py`` prints.
 
 It is also the only place an event is emitted. Every instrumented class
 on the hot path owns one *scoped* registry (:meth:`MetricsRegistry.attach`)
-built from its ``telemetry=`` / ``tracer=`` keywords and reports each
-stage event with one :meth:`MetricsRegistry.stage` call, which feeds the
-keys and span :data:`repro.obs.contract.STAGES` lists for it. A scoped
-registry keeps counters and gauges locally (the per-run / per-instance
-view) and forwards every event, as it happens, to the attached registry.
-"Off" is its own behaviour, not a branch at the call site: unattached it
-drops histograms, without an enabled tracer it drops spans, and with
-neither :meth:`MetricsRegistry.clock` never reads the clock.
+built from its one ``telemetry=`` keyword and reports each stage event
+with one :meth:`MetricsRegistry.stage` call, which feeds the keys and
+span :data:`repro.obs.contract.STAGES` lists for it. A scoped registry
+keeps counters and gauges locally (the per-run / per-instance view) and
+forwards every event, as it happens, to the attached registry; spans go
+to the tracer the root registry was built with (``tracer=``). "Off" is
+its own behaviour, not a branch at the call site: unattached, a scoped
+registry drops histograms and spans, and
+:meth:`MetricsRegistry.clock` never reads the clock.
 """
 
 from __future__ import annotations
@@ -61,7 +62,10 @@ class MetricsRegistry:
     before the owning instance starts emitting.
     """
 
-    def __init__(self, namespace: str = "repro") -> None:
+    def __init__(self, namespace: str = "repro", tracer=None) -> None:
+        """``tracer`` (a :class:`repro.obs.Tracer`) receives a span for
+        every stage event this registry, or any registry attached to it,
+        emits."""
         self.namespace = namespace
         self.counters = CounterSet()
         self._lock = threading.Lock()
@@ -72,22 +76,20 @@ class MetricsRegistry:
         #: registry, the one it is attached to, or nobody (``None``).
         self._parent: MetricsRegistry | None = None
         self._home: MetricsRegistry | None = self
-        self._tracer = None
+        self._tracer = tracer
 
-    def attach(self, parent: "MetricsRegistry | None", tracer=None):
+    def attach(self, parent: "MetricsRegistry | None"):
         """Scope this registry to one instrumented instance (or run).
 
         Counters and gauges are kept locally *and* forwarded to
-        ``parent`` as they happen; histograms live only in ``parent``
-        (dropped without one); spans go to ``tracer`` when it is
-        enabled. Returns ``self``.
+        ``parent`` as they happen; histograms live only in ``parent``,
+        and spans go to ``parent``'s tracer (both dropped without a
+        parent). Returns ``self``.
         """
         with self._lock:
             self._parent = parent
             self._home = None if parent is None else parent._home
-            self._tracer = (
-                tracer if tracer is not None and tracer.enabled else None
-            )
+            self._tracer = None if parent is None else parent._tracer
         return self
 
     # ------------------------------------------------------------------
@@ -129,9 +131,9 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     @property
     def observed(self) -> bool:
-        """Whether anything consumes durations: a histogram home or an
-        enabled tracer."""
-        return self._home is not None or self._tracer is not None
+        """Whether anything consumes durations: a histogram home (a
+        tracer only ever rides on a registry that has one)."""
+        return self._home is not None
 
     def clock(self) -> float | None:
         """``perf_counter()`` when :attr:`observed`, else ``None`` — so
@@ -144,8 +146,8 @@ class MetricsRegistry:
     ) -> None:
         """Emit one stage event: feed every key
         :data:`repro.obs.contract.STAGES` lists for ``name`` — counters
-        always, histograms where they have a home — and, when an enabled
-        tracer is attached, a completed ``name`` span carrying ``attrs``.
+        always, histograms where they have a home — and, when a tracer
+        rides on the registry, a completed ``name`` span carrying ``attrs``.
         The duration is ``us``, or the time since a :meth:`clock`
         reading ``since``. A conditional row whose field the call does
         not pass is skipped: its condition did not occur."""

@@ -14,12 +14,12 @@ JSON-safe dict records through a pluggable sink:
   CRC-checked, finalize-on-close), so traces get the same durability
   story as votes and checkpoints.
 
-Tracing is **off by default**: a caller turns it on in code with
-``Tracer(enabled=True)`` and thins it with ``sample=`` (fraction of root
-spans kept, default 1.0). Sampling is a deterministic counter-based
-accumulator, *not* an RNG draw — tracing must never perturb seeded
-random state, or the byte-identity invariants would quietly depend on
-whether telemetry was on.
+A tracer that exists is on: a caller turns tracing on by building a
+:class:`repro.obs.MetricsRegistry` with ``tracer=Tracer(...)`` and
+passing that registry as a layer's ``telemetry=``; off is no telemetry
+at all. Ids are counters, never RNG draws — tracing must never perturb
+seeded random state, or the byte-identity invariants would quietly
+depend on whether telemetry was on.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ __all__ = [
     "ListTraceSink",
     "DfsTraceSink",
 ]
+
+#: Spans per DFS trace shard before it finalizes and the next opens.
+SHARD_RECORDS = 512
 
 
 @dataclass
@@ -90,24 +93,14 @@ class DfsTraceSink:
     """Durable sink: rolling trace shards via the DFS record writer.
 
     Spans append to ``<root>/trace-NNNNN.records``; a shard finalizes
-    (becomes reader-visible) every ``shard_records`` spans and on
+    (becomes reader-visible) every :data:`SHARD_RECORDS` spans and on
     :meth:`close`. Finalized shards are append-only history — exactly
     the vote-shard durability contract, reused for telemetry.
     """
 
-    def __init__(
-        self,
-        dfs: DistributedFileSystem,
-        root: str,
-        shard_records: int = 512,
-    ) -> None:
-        if shard_records < 1:
-            raise ValueError(
-                f"shard_records must be >= 1, got {shard_records}"
-            )
+    def __init__(self, dfs: DistributedFileSystem, root: str) -> None:
         self._dfs = dfs
         self.root = root.rstrip("/")
-        self.shard_records = shard_records
         self._lock = threading.Lock()
         self._writer: RecordWriter | None = None
         self._shard_index = 0
@@ -125,7 +118,7 @@ class DfsTraceSink:
                 self._shard_index += 1
             self._writer.write(record)
             self.records_written += 1
-            if self._writer.records_written >= self.shard_records:
+            if self._writer.records_written >= SHARD_RECORDS:
                 self._writer.close()
                 self._finalized.append(self._writer.final_path)
                 self._writer = None
@@ -153,72 +146,42 @@ class Tracer:
     Ids are monotonic counters (``t000001`` / ``s000001``), never
     random — two identically driven runs emit identical traces, and a
     tracer can run alongside seeded experiments without touching any
-    RNG. Sampling keeps every ``1/sample``-th *root* span via an
-    accumulator; child spans inherit their root's decision, so traces
-    are always complete or absent, never torn.
+    RNG. Every span it opens is written.
     """
 
-    def __init__(
-        self,
-        sink: ListTraceSink | DfsTraceSink | None = None,
-        enabled: bool = False,
-        sample: float = 1.0,
-    ) -> None:
-        """Configure the tracer.
-
-        Args:
-            sink: Where finished spans go; ``None`` keeps them in an
-                internal :class:`ListTraceSink`.
-            enabled: Off, the tracer records nothing.
-            sample: Root-span keep fraction.
-
-        Raises:
-            ValueError: On a sample outside ``[0, 1]``.
-        """
-        self.enabled = enabled
-        self.sample = float(sample)
-        if not 0.0 <= self.sample <= 1.0:
-            raise ValueError(f"sample must be in [0, 1], got {self.sample}")
+    def __init__(self, sink: ListTraceSink | DfsTraceSink | None = None) -> None:
+        """``sink`` is where finished spans go; ``None`` keeps them in
+        an internal :class:`ListTraceSink`."""
         self.sink = sink if sink is not None else ListTraceSink()
         self._lock = threading.Lock()
         self._next_trace = 0
         self._next_span = 0
-        self._accum = 0.0
         self._local = threading.local()
-        self.spans_started = 0
         self.spans_written = 0
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _stack(self) -> list[tuple[Span, bool]]:
+    def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
         return stack
 
-    def _open(self, name: str, attrs: dict) -> tuple[Span, bool]:
+    def _open(self, name: str, attrs: dict) -> Span:
         """Allocate a span under the current thread's stack top."""
         stack = self._stack()
         with self._lock:
             self._next_span += 1
             span_id = f"s{self._next_span:06d}"
             if stack:
-                parent, sampled = stack[-1]
-                trace_id = parent.trace_id
-                parent_id = parent.span_id
+                trace_id = stack[-1].trace_id
+                parent_id = stack[-1].span_id
             else:
                 self._next_trace += 1
                 trace_id = f"t{self._next_trace:06d}"
                 parent_id = None
-                # Deterministic sampling: keep whenever the accumulated
-                # fraction crosses 1 — every 1/sample-th root, no RNG.
-                self._accum += self.sample
-                sampled = self._accum >= 1.0
-                if sampled:
-                    self._accum -= 1.0
-            self.spans_started += 1
-        span = Span(
+        return Span(
             name=name,
             trace_id=trace_id,
             span_id=span_id,
@@ -226,38 +189,33 @@ class Tracer:
             start_unix=time.time(),
             attrs=attrs,
         )
-        return span, sampled
 
-    def _emit(self, span: Span, sampled: bool) -> None:
-        if sampled:
-            self.sink.write(span.to_record())
-            with self._lock:
-                self.spans_written += 1
+    def _emit(self, span: Span) -> None:
+        self.sink.write(span.to_record())
+        with self._lock:
+            self.spans_written += 1
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span | None]:
-        """Time a block as one span; yields it (``None`` when disabled).
+    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
+        """Time a block as one span; yields it.
 
         Nesting is per-thread: a span opened while another is active on
         the same thread records it as its parent and shares its trace
-        id (and its sampling decision).
+        id.
         """
-        if not self.enabled:
-            yield None
-            return
-        span, sampled = self._open(name, attrs)
+        span = self._open(name, attrs)
         stack = self._stack()
-        stack.append((span, sampled))
+        stack.append(span)
         started = time.perf_counter()
         try:
             yield span
         finally:
             span.duration_us = int((time.perf_counter() - started) * 1e6)
             stack.pop()
-            self._emit(span, sampled)
+            self._emit(span)
 
     def emit(self, name: str, duration_us: int, **attrs: Any) -> None:
         """Record an already-measured operation as a completed span.
@@ -267,11 +225,9 @@ class Tracer:
         the trace stream, parented to the calling thread's open span
         like a ``with``-block span would be.
         """
-        if not self.enabled:
-            return
-        span, sampled = self._open(name, attrs)
+        span = self._open(name, attrs)
         span.duration_us = int(duration_us)
-        self._emit(span, sampled)
+        self._emit(span)
 
     def close(self) -> None:
         """Flush and close the sink."""

@@ -172,7 +172,7 @@ class CheckpointModelRegistry:
         self.online_config = online_config or OnlineLabelModelConfig()
         #: The serving tier's one scoped registry; the
         #: :class:`~repro.serving.service.LabelServer` emits through it
-        #: too and attaches its ``telemetry=`` / ``tracer=`` to it.
+        #: too and attaches its ``telemetry=`` to it.
         self.metrics = MetricsRegistry().attach(None)
         self.counters = self.metrics.counters
         self._swap_lock = threading.Lock()

@@ -182,7 +182,6 @@ class LabelServer:
         lfs: list[AbstractLabelingFunction],
         config: ServeConfig | None = None,
         telemetry=None,
-        tracer=None,
     ) -> None:
         """Wire a server to its registry and LF suite.
 
@@ -197,9 +196,8 @@ class LabelServer:
             telemetry: Optional :class:`repro.obs.MetricsRegistry`
                 the tier's registry forwards to; it alone keeps the
                 ``serving/*`` histograms, and :meth:`report` embeds its
-                snapshot.
-            tracer: Optional :class:`repro.obs.Tracer`; every scored
-                micro-batch emits a ``serving.flush`` span.
+                snapshot. A tracer on it gets a ``serving.flush`` span
+                per scored micro-batch.
 
         Raises:
             ValueError: If ``lfs`` is empty.
@@ -209,7 +207,7 @@ class LabelServer:
         self.registry = registry
         self.lfs = list(lfs)
         self.config = config or ServeConfig()
-        self.metrics = registry.metrics.attach(telemetry, tracer)
+        self.metrics = registry.metrics.attach(telemetry)
         self.counters = registry.counters
         self.resident = Gauge()
         #: The suite's fused plan; taken in :meth:`start`, it lives for

@@ -355,7 +355,6 @@ class CheckpointedStream:
         executor=None,
         drift: DriftPolicy | None = None,
         telemetry=None,
-        tracer=None,
     ) -> None:
         """Configure a durable, resumable stream.
 
@@ -382,8 +381,6 @@ class CheckpointedStream:
                 ``stream.checkpoint`` stage event. Purely observational
                 — manifests and shards stay byte-identical with or
                 without it.
-            tracer: Optional :class:`repro.obs.Tracer` shared with the
-                pipeline.
 
         Raises:
             ValueError: On a non-positive ``checkpoint_every``.
@@ -408,8 +405,7 @@ class CheckpointedStream:
         #: restores the manifest's monitor snapshot on resume).
         self.drift_policy = drift
         self.telemetry = telemetry
-        self.tracer = tracer
-        self.metrics = MetricsRegistry().attach(telemetry, tracer)
+        self.metrics = MetricsRegistry().attach(telemetry)
         self.manager = CheckpointManager(dfs, self.root)
         self.online = OnlineLabelModel(self.online_config)
         self.drift_monitor: DriftMonitor | None = None
@@ -505,7 +501,6 @@ class CheckpointedStream:
             executor=self.executor,
             drift_monitor=self.drift_monitor,
             telemetry=self.telemetry,
-            tracer=self.tracer,
         )
         # Source replay: seek when we can, replay-and-discard when we
         # must. A cursor-capable source resumes at the manifest's

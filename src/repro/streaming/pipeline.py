@@ -213,7 +213,6 @@ class MicroBatchPipeline:
         executor=None,
         drift_monitor=None,
         telemetry=None,
-        tracer=None,
     ) -> None:
         """Configure the pipeline.
 
@@ -244,11 +243,9 @@ class MicroBatchPipeline:
             telemetry: Optional :class:`repro.obs.MetricsRegistry`.
                 Every event of a run is forwarded to it as it happens
                 (only it keeps the ``stream/*`` histograms) and the
-                report carries its final snapshot. Telemetry never
-                perturbs votes, shards, or posteriors.
-            tracer: Optional :class:`repro.obs.Tracer`. When enabled,
-                each stage event is also emitted as a span (sampling
-                and ids are deterministic — no RNG is touched).
+                report carries its final snapshot; a tracer on it gets
+                each stage event as a span. Telemetry never perturbs
+                votes, shards, or posteriors.
 
         Raises:
             ValueError: On non-positive sizes or a negative
@@ -285,10 +282,9 @@ class MicroBatchPipeline:
         #: ``on_batch`` and the sink stage, so a reference reset lands
         #: before anything durable observes it.
         self.drift_monitor = drift_monitor
-        #: Optional telemetry registry and span tracer each run's scoped
-        #: registry forwards to; both are pure observers.
+        #: Optional telemetry registry each run's scoped registry
+        #: forwards to; a pure observer.
         self.telemetry = telemetry
-        self.tracer = tracer
 
     # ------------------------------------------------------------------
     # execution
@@ -301,7 +297,7 @@ class MicroBatchPipeline:
         An error from the source, the kernel or a sink raises where it
         happens, after the run releases the records it still holds.
         """
-        metrics = MetricsRegistry().attach(self.telemetry, self.tracer)
+        metrics = MetricsRegistry().attach(self.telemetry)
         run = _Run(metrics, metrics.gauge("stream/resident_records"))
         batches = self._assemble(run, source)
         wall_start = time.perf_counter()

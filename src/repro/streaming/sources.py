@@ -110,11 +110,6 @@ class RecordStreamSource:
         for example, _ in self.iter_with_cursor():
             yield example
 
-    def iter_from(self, cursor: SourceCursor | None) -> Iterator[Example]:
-        """Examples strictly after ``cursor`` (all of them for ``None``)."""
-        for example, _ in self.iter_with_cursor(cursor):
-            yield example
-
     def iter_with_cursor(
         self, start: SourceCursor | None = None
     ) -> Iterator[tuple[Example, SourceCursor]]:

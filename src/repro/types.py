@@ -156,32 +156,6 @@ class LabelMatrix:
             raise ValueError("duplicate example ids in label matrix")
 
     # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_votes(
-        cls,
-        votes_by_lf: Mapping[str, Mapping[str, int]],
-        example_ids: Iterable[str],
-    ) -> "LabelMatrix":
-        """Join per-LF vote dictionaries into a matrix.
-
-        ``votes_by_lf`` maps LF name -> {example_id -> vote}; missing
-        entries are treated as abstains, which matches the paper's
-        behaviour for labeling functions that skip examples entirely.
-        """
-        ids = list(example_ids)
-        names = sorted(votes_by_lf)
-        matrix = np.zeros((len(ids), len(names)), dtype=np.int8)
-        id_index = {eid: i for i, eid in enumerate(ids)}
-        for j, name in enumerate(names):
-            for eid, vote in votes_by_lf[name].items():
-                row = id_index.get(eid)
-                if row is not None:
-                    matrix[row, j] = vote
-        return cls(matrix, ids, names)
-
-    # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
     @property

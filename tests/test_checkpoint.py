@@ -441,11 +441,12 @@ class TestStateSnapshots:
         assert clone.steps_taken == 2 * before
 
     def test_malformed_state_is_rejected_before_restoring(self):
-        """A state whose parts disagree in shape, or whose prior or loss
-        history is not numbers, is a ``ValueError`` — which a serving
-        refresh survives — and restores nothing: not an ``IndexError``
-        at the next refit, not a silent refit with pattern rows wider
-        than ``n_lfs``, and not a ``TypeError``."""
+        """A state whose parts disagree in shape, whose pattern weights
+        are not finite and >= 0, or whose prior or loss history is not
+        numbers, is a ``ValueError`` — which a serving refresh survives
+        — and restores nothing: not an ``IndexError`` at the next refit,
+        not a silent refit with pattern rows wider than ``n_lfs``, not a
+        solve that drops a row or reads NaN, and not a ``TypeError``."""
         L, _ = synthetic_label_matrix(m=300, seed=5)
         source = OnlineLabelModel(ONLINE_CONFIG)
         source.observe(L[:150])
@@ -455,6 +456,14 @@ class TestStateSnapshots:
         weights = decode_ndarray(state["pattern_weights"])
         malformed = {
             "short_weights": {"pattern_weights": encode_ndarray(weights[:-1])},
+            **{
+                f"weight_{value}": {
+                    "pattern_weights": encode_ndarray(
+                        np.concatenate([weights[:-1], [value]])
+                    )
+                }
+                for value in (-1.0, np.nan, np.inf)
+            },
             "wide_rows": {
                 "pattern_rows": encode_ndarray(
                     np.hstack([rows, np.zeros((len(rows), 1), rows.dtype)])
@@ -537,6 +546,21 @@ class TestStateSnapshots:
         target.observe(L[:50])
         before = target.state_dict()
         with pytest.raises(ValueError, match=f"{key} must be an int"):
+            target.load_state(state)
+        assert target.state_dict() == before
+
+    @pytest.mark.parametrize(
+        "key", ["n_observed", "batches_observed", "refits_done"]
+    )
+    def test_load_state_refuses_negative_counters(self, key):
+        L, _ = synthetic_label_matrix(m=100, seed=8)
+        source = OnlineLabelModel(ONLINE_CONFIG)
+        source.observe(L)
+        state = {**source.state_dict(), key: -1}
+        target = OnlineLabelModel(ONLINE_CONFIG)
+        target.observe(L[:50])
+        before = target.state_dict()
+        with pytest.raises(ValueError, match=f"{key} must be an int >= 0"):
             target.load_state(state)
         assert target.state_dict() == before
 

@@ -18,6 +18,7 @@ from repro.core.online_label_model import (
     OnlineLabelModel,
     OnlineLabelModelConfig,
 )
+from repro.dfs.records import decode_ndarray, encode_ndarray
 from repro.streaming import MemorySource, MicroBatchPipeline
 from repro.types import Example
 
@@ -102,6 +103,13 @@ def _with_reference(key, value):
     return edit
 
 
+def _nan_array(payload, value=float("nan")):
+    """An encoded window array with its first entry set to ``value``."""
+    array = decode_ndarray(payload).astype(np.float64)
+    array.flat[0] = value
+    return encode_ndarray(array)
+
+
 #: Drift snapshots ``load_state`` must refuse, as edits of a real one.
 MALFORMED_DRIFT_STATES = {
     "a_list": lambda state: [state],
@@ -114,6 +122,9 @@ MALFORMED_DRIFT_STATES = {
     "n_lfs_a_string": _with("n_lfs", "4"),
     "n_lfs_negative": _with("n_lfs", -1),
     "n_lfs_not_the_windows": lambda state: {**state, "n_lfs": state["n_lfs"] + 1},
+    "reference_batches_negative": _with("reference_batches", -5),
+    "checks_run_negative": _with("checks_run", -1),
+    "first_alarm_batch_negative": _with("first_alarm_batch", -1),
     "last_score_a_string": _with("last_score", "0.5"),
     "last_score_none": _with("last_score", None),
     "last_score_a_bool": _with("last_score", True),
@@ -121,6 +132,20 @@ MALFORMED_DRIFT_STATES = {
     "reference_without_count": _with_reference("count", ...),
     "reference_without_agreement": _with_reference("agreement", ...),
     "reference_count_a_string": _with_reference("count", "64"),
+    "reference_count_nan": _with_reference("count", float("nan")),
+    "reference_count_inf": _with_reference("count", float("inf")),
+    "reference_count_negative": _with_reference("count", -1.0),
+    "reference_count_zero": _with_reference("count", 0.0),
+    "reference_vote_sum_nan": lambda state: _with_reference(
+        "vote_sum", _nan_array(state["reference"]["vote_sum"])
+    )(state),
+    "reference_agreement_inf": lambda state: _with_reference(
+        "agreement", _nan_array(state["reference"]["agreement"], float("inf"))
+    )(state),
+    "recent_count_nan": lambda state: {
+        **state,
+        "recent": [*state["recent"][:-1], {**state["recent"][-1], "count": float("nan")}],
+    },
     "reference_vote_sum_not_an_array": _with_reference("vote_sum", [1, 2]),
     "recent_not_a_list": _with("recent", 5),
     "recent_holds_none": lambda state: {**state, "recent": [None, *state["recent"]]},

@@ -88,13 +88,6 @@ class TestRegistry:
             }
         ]
 
-    def test_merge(self):
-        a, b = LFRegistry("a"), LFRegistry("b")
-        a.register(LFInfo("x", LFCategory.MODEL_BASED, False))
-        b.register(LFInfo("y", LFCategory.GRAPH_BASED, False))
-        merged = a.merge(b)
-        assert set(merged.names()) == {"x", "y"}
-
 
 class TestLabelingFunctionRun:
     def test_votes_written_to_dfs(self, dfs):

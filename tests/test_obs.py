@@ -7,8 +7,7 @@ Covers the :mod:`repro.obs` contracts the rest of the repo leans on:
 * the :class:`MetricsRegistry` — get-or-create semantics and
   deterministic snapshots;
 * the :class:`Tracer` — deterministic ids, per-thread parent nesting,
-  accumulator sampling, disabled-mode no-ops, and both sinks (list,
-  rolling DFS trace shards);
+  and both sinks (list, rolling DFS trace shards);
 * the :class:`TelemetryExporter` — durable snapshot records, JSONL
   lines that ``scripts/metrics_dump.py`` reads back, numbering that
   resumes after a restart, and a failed publish that consumes no number;
@@ -20,6 +19,7 @@ Covers the :mod:`repro.obs` contracts the rest of the repo leans on:
 """
 
 import importlib.util
+import inspect
 import json
 import threading
 from pathlib import Path
@@ -37,6 +37,7 @@ from repro.obs import (
     TelemetryExporter,
     Tracer,
 )
+from repro.obs.tracing import SHARD_RECORDS
 from repro.parallel import ParallelLabelExecutor
 from repro.serving import LabelServer, ServeConfig
 from repro.streaming import (
@@ -184,7 +185,7 @@ class TestMetricsRegistry:
 class TestTracer:
     def test_nesting_and_deterministic_ids(self):
         sink = ListTraceSink()
-        tracer = Tracer(sink=sink, enabled=True, sample=1.0)
+        tracer = Tracer(sink=sink)
         with tracer.span("outer", seq=1) as outer:
             with tracer.span("inner") as inner:
                 assert inner.trace_id == outer.trace_id
@@ -202,7 +203,7 @@ class TestTracer:
     def test_two_runs_emit_identical_ids(self):
         def run():
             sink = ListTraceSink()
-            tracer = Tracer(sink=sink, enabled=True, sample=1.0)
+            tracer = Tracer(sink=sink)
             for _ in range(3):
                 with tracer.span("op"):
                     tracer.emit("sub", 5)
@@ -214,47 +215,9 @@ class TestTracer:
 
         assert run() == run()
 
-    def test_disabled_tracer_is_inert(self):
-        sink = ListTraceSink()
-        tracer = Tracer(sink=sink, enabled=False)
-        with tracer.span("op") as span:
-            assert span is None
-        tracer.emit("op", 10)
-        tracer.close()
-        assert tracer.spans_started == 0
-        assert tracer.spans_written == 0
-        assert sink.records == []
-
-    def test_accumulator_sampling_keeps_exact_fraction(self):
-        sink = ListTraceSink()
-        tracer = Tracer(sink=sink, enabled=True, sample=0.25)
-        for _ in range(100):
-            with tracer.span("root"):
-                pass
-        tracer.close()
-        assert tracer.spans_started == 100
-        assert tracer.spans_written == 25
-
-    def test_children_inherit_sampling_decision(self):
-        """Traces are complete or absent, never torn."""
-        sink = ListTraceSink()
-        tracer = Tracer(sink=sink, enabled=True, sample=0.5)
-        for _ in range(10):
-            with tracer.span("root"):
-                tracer.emit("child", 1)
-        tracer.close()
-        kept_roots = [r for r in sink.records if r["parent_id"] is None]
-        kept_children = [
-            r for r in sink.records if r["parent_id"] is not None
-        ]
-        assert len(kept_roots) == 5
-        assert len(kept_children) == 5
-        root_traces = {r["trace_id"] for r in kept_roots}
-        assert {r["trace_id"] for r in kept_children} == root_traces
-
     def test_emit_parents_under_open_span(self):
         sink = ListTraceSink()
-        tracer = Tracer(sink=sink, enabled=True, sample=1.0)
+        tracer = Tracer(sink=sink)
         with tracer.span("outer") as outer:
             tracer.emit("measured", 123, records=7)
         tracer.close()
@@ -263,45 +226,41 @@ class TestTracer:
         assert measured["duration_us"] == 123
         assert measured["attrs"] == {"records": 7}
 
-    def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            Tracer(enabled=True, sample=1.5)
-
     def test_env_knobs(self, monkeypatch):
-        """There are none: a default ``Tracer`` is off and unsampled
+        """There are none: a ``Tracer`` writes every span it opens
         whatever the environment sets."""
-        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setenv("REPRO_TRACE", "0")
         monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0.5")
         tracer = Tracer()
-        assert not tracer.enabled and tracer.sample == 1.0
+        for _ in range(10):
+            with tracer.span("root"):
+                tracer.emit("child", 1)
+        assert tracer.spans_written == 20
+        assert len(tracer.sink.records) == 20
 
 
 class TestTraceSinks:
     def test_dfs_sink_rolls_and_finalizes(self):
         dfs = DistributedFileSystem()
-        sink = DfsTraceSink(dfs, "/obs/traces", shard_records=10)
-        tracer = Tracer(sink=sink, enabled=True, sample=1.0)
-        for i in range(25):
+        sink = DfsTraceSink(dfs, "/obs/traces")
+        tracer = Tracer(sink=sink)
+        n = 2 * SHARD_RECORDS + 25
+        for i in range(n):
             tracer.emit("op", i)
         tracer.close()
         paths = sink.paths()
-        # 25 spans at 10 per shard: two full shards + one partial,
-        # finalized by close().
+        # Two full shards + one partial, finalized by close().
         assert len(paths) == 3
         records = list(iter_record_blobs(dfs, paths))
-        assert len(records) == 25
-        assert [r["duration_us"] for r in records] == list(range(25))
-        assert sink.records_written == 25
+        assert len(records) == n
+        assert [r["duration_us"] for r in records] == list(range(n))
+        assert sink.records_written == n
 
     def test_dfs_sink_close_abandons_empty_shard(self):
         dfs = DistributedFileSystem()
-        sink = DfsTraceSink(dfs, "/obs/empty", shard_records=5)
+        sink = DfsTraceSink(dfs, "/obs/empty")
         sink.close()
         assert sink.paths() == []
-
-    def test_dfs_sink_validates_shard_records(self):
-        with pytest.raises(ValueError):
-            DfsTraceSink(DistributedFileSystem(), "/obs/bad", shard_records=0)
 
 
 # ----------------------------------------------------------------------
@@ -400,15 +359,14 @@ class TestTelemetryExporter:
 class TestHotPathIntegration:
     def test_stream_report_carries_telemetry(self):
         corpus = make_corpus(n=300, seed=7)
-        registry = MetricsRegistry()
         sink = ListTraceSink()
-        tracer = Tracer(sink=sink, enabled=True, sample=1.0)
+        tracer = Tracer(sink=sink)
+        registry = MetricsRegistry(tracer=tracer)
         pipe = MicroBatchPipeline(
             make_lfs(),
             batch_size=64,
             collect_votes=True,
             telemetry=registry,
-            tracer=tracer,
         )
         report = pipe.run(MemorySource(corpus))
         tracer.close()
@@ -437,7 +395,7 @@ class TestHotPathIntegration:
         assert report.telemetry is None
 
     def test_telemetry_changes_no_durable_byte(self):
-        """A registry, an always-on tracer and an exporter publishing
+        """A registry carrying a tracer and an exporter publishing
         between the observed runs leave every byte under the stream root
         (vote shards, label shards, manifests) and the offline vote
         matrix as a bare run makes them."""
@@ -454,15 +412,13 @@ class TestHotPathIntegration:
             ).run(RecordStreamSource(dfs, shards))
             return tree_bytes(dfs, root)
 
-        registry = MetricsRegistry()
-        tracer = Tracer(
-            sink=DfsTraceSink(dfs, "/id/obs/traces"), enabled=True, sample=1.0
-        )
+        tracer = Tracer(sink=DfsTraceSink(dfs, "/id/obs/traces"))
+        registry = MetricsRegistry(tracer=tracer)
         exporter = TelemetryExporter(registry, dfs=dfs, root="/id/obs/metrics")
-        observed = durable_bytes("/id/on", telemetry=registry, tracer=tracer)
+        observed = durable_bytes("/id/on", telemetry=registry)
         exporter.export_now()
         votes = apply_lfs_in_memory(
-            lfs, corpus, batch_size=64, telemetry=registry, tracer=tracer
+            lfs, corpus, batch_size=64, telemetry=registry
         )
         exporter.export_now()
         tracer.close()
@@ -536,13 +492,11 @@ class TestHotPathIntegration:
         stream.run(RecordStreamSource(dfs, shards))
         registry = make_registry(dfs, "/obs/live")
         deploy(dfs, stream.manager.manifest_paths()[-1], "/obs/live")
-        telemetry = MetricsRegistry()
         sink = ListTraceSink()
-        tracer = Tracer(sink=sink, enabled=True, sample=1.0)
+        tracer = Tracer(sink=sink)
+        telemetry = MetricsRegistry(tracer=tracer)
         config = ServeConfig(poll_ms=2.0)
-        with LabelServer(
-            registry, lfs, config, telemetry=telemetry, tracer=tracer
-        ) as server:
+        with LabelServer(registry, lfs, config, telemetry=telemetry) as server:
             for example in corpus[:40]:
                 server.predict(example)
         # Read after stop(): a flush's stage event lands after its
@@ -585,6 +539,111 @@ class TestHotPathIntegration:
 
 
 # ----------------------------------------------------------------------
+# One seam: ``telemetry=`` carries histograms and spans alike
+# ----------------------------------------------------------------------
+def traced_registry():
+    """A registry whose stage events also land as spans in a list."""
+    sink = ListTraceSink()
+    return MetricsRegistry(tracer=Tracer(sink)), sink
+
+
+class TestOneSeam:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            apply_lfs_in_memory,
+            MicroBatchPipeline,
+            CheckpointedStream,
+            ParallelLabelExecutor,
+            LabelServer,
+        ],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_entry_point_takes_telemetry_and_no_tracer(self, entry):
+        params = inspect.signature(entry).parameters
+        assert "telemetry" in params
+        assert "tracer" not in params
+
+    def test_attach_inherits_the_parent_tracer(self):
+        registry, sink = traced_registry()
+        scoped = MetricsRegistry().attach(registry)
+        assert scoped.observed
+        scoped.stage("offline.label_block", 7, records=3)
+        assert [(r["name"], r["duration_us"]) for r in sink.records] == [
+            ("offline.label_block", 7)
+        ]
+        detached = MetricsRegistry().attach(None)
+        assert not detached.observed
+        detached.stage("offline.label_block", 7, records=3)
+        assert len(sink.records) == 1
+
+    def test_offline_and_pool_layers(self):
+        corpus = make_corpus(n=200, seed=5)
+        lfs = make_lfs()
+        registry, sink = traced_registry()
+        apply_lfs_in_memory(lfs, corpus, batch_size=64, telemetry=registry)
+        names = [r["name"] for r in sink.records]
+        assert names == ["offline.label_block"] * 4
+        with ParallelLabelExecutor(
+            SPEC, workers=2, telemetry=registry
+        ) as executor:
+            apply_lfs_in_memory(lfs, corpus, executor=executor)
+            report = MicroBatchPipeline(
+                lfs, batch_size=100, executor=executor
+            ).run(MemorySource(corpus))
+        # The pool reports through its own ``telemetry=`` alone; it has
+        # no stage event, so it adds no span.
+        assert registry.histogram("worker/label_us").count >= report.batches
+        assert len(sink.records) == 4
+
+    def test_stream_layers(self):
+        corpus = make_corpus(n=200, seed=5)
+        lfs = make_lfs()
+        registry, sink = traced_registry()
+        MicroBatchPipeline(
+            lfs, batch_size=100, sinks=[lambda seq, examples, votes: None],
+            telemetry=registry,
+        ).run(MemorySource(corpus))
+        assert {r["name"] for r in sink.records} == {
+            "stream.ingest", "stream.label", "stream.sink"
+        }
+        dfs = DistributedFileSystem()
+        shards = stage_examples(dfs, corpus, "/seam/examples", num_shards=2)
+        stream_registry, stream_sink = traced_registry()
+        CheckpointedStream(
+            dfs, lfs, "/seam/stream", batch_size=100,
+            online_config=ONLINE_CONFIG, telemetry=stream_registry,
+        ).run(RecordStreamSource(dfs, shards))
+        names = [r["name"] for r in stream_sink.records]
+        assert set(names) == {
+            "stream.ingest", "stream.label", "stream.sink", "stream.checkpoint"
+        }
+        assert names.count("stream.checkpoint") == 2
+
+    def test_serving_layer(self):
+        corpus = make_corpus(n=200, seed=5)
+        lfs = make_lfs()
+        dfs = DistributedFileSystem()
+        shards = stage_examples(dfs, corpus, "/seam/examples", num_shards=2)
+        stream = CheckpointedStream(
+            dfs, lfs, "/seam/stream", batch_size=100,
+            online_config=ONLINE_CONFIG, write_labels=False,
+        )
+        stream.run(RecordStreamSource(dfs, shards))
+        deploy(dfs, stream.manager.manifest_paths()[-1], "/seam/live")
+        registry, sink = traced_registry()
+        with LabelServer(
+            make_registry(dfs, "/seam/live"), lfs, ServeConfig(poll_ms=2.0),
+            telemetry=registry,
+        ) as server:
+            for example in corpus[:10]:
+                server.predict(example)
+        assert {r["name"] for r in sink.records} == {
+            "serving.flush", "serving.refresh"
+        }
+
+
+# ----------------------------------------------------------------------
 # Zero cost when off
 # ----------------------------------------------------------------------
 class _CountingTime:
@@ -600,7 +659,7 @@ class _CountingTime:
 
 class TestZeroCostWhenOff:
     def test_unobserved_offline_loop_reads_no_clock(self, monkeypatch):
-        """No registry, no tracer: the batched in-memory loop makes zero
+        """No registry: the batched in-memory loop makes zero
         ``perf_counter`` calls — in the applier or through the seam."""
         import repro.lf.applier as applier
         import repro.obs.registry as registry_module
@@ -618,12 +677,12 @@ class TestZeroCostWhenOff:
         assert clock.reads == 2 * 5  # ceil(300 / 64) blocks
         assert (on.matrix == off.matrix).all()
 
-    def test_disabled_tracer_opens_no_span_and_no_histogram(
+    def test_nothing_attached_opens_no_span_and_no_histogram(
         self, tmp_path, monkeypatch
     ):
-        """A disabled ``Tracer`` (the default) and no registry: none of
-        the five instrumented layers opens a span, creates a histogram,
-        or reads the seam's clock."""
+        """No ``telemetry=`` (the default): none of the five
+        instrumented layers opens a span, creates a histogram, or reads
+        the seam's clock."""
         import repro.obs.registry as registry_module
         from repro.lf.applier import stage_examples
         from repro.streaming import CheckpointedStream, RecordStreamSource
@@ -637,25 +696,27 @@ class TestZeroCostWhenOff:
                 super().__init__()
                 created.append(self)
 
+        spans: list[str] = []
         clock = _CountingTime()
         monkeypatch.setattr(registry_module, "Histogram", SpiedHistogram)
         monkeypatch.setattr(registry_module, "time", clock)
-        sink = ListTraceSink()
-        tracer = Tracer(sink=sink, enabled=False)
+        monkeypatch.setattr(
+            Tracer, "_open", lambda self, name, attrs: spans.append(name)
+        )
         corpus = make_corpus(n=200, seed=5)
         lfs = make_lfs()
         dfs = DistributedFileSystem()
 
         # 1. offline applier, 2. process pool
-        apply_lfs_in_memory(lfs, corpus, batch_size=64, tracer=tracer)
+        apply_lfs_in_memory(lfs, corpus, batch_size=64)
         with ParallelLabelExecutor(SPEC, workers=2) as executor:
-            apply_lfs_in_memory(lfs, corpus, executor=executor, tracer=tracer)
+            apply_lfs_in_memory(lfs, corpus, executor=executor)
             assert not executor.metrics.observed
         # 3. pipeline + 4. checkpointed stream
         shards = stage_examples(dfs, corpus, "/off/examples", num_shards=2)
         stream = CheckpointedStream(
             dfs, lfs, "/off/stream", batch_size=100,
-            online_config=ONLINE_CONFIG, write_labels=False, tracer=tracer,
+            online_config=ONLINE_CONFIG, write_labels=False,
         )
         report = stream.run(RecordStreamSource(dfs, shards))
         assert report.checkpoints_written == 2
@@ -664,13 +725,13 @@ class TestZeroCostWhenOff:
         registry = make_registry(dfs, "/off/live")
         deploy(dfs, stream.manager.manifest_paths()[-1], "/off/live")
         config = ServeConfig(poll_ms=2.0)
-        with LabelServer(registry, lfs, config, tracer=tracer) as server:
+        with LabelServer(registry, lfs, config) as server:
             for example in corpus[:20]:
                 server.predict(example)
             served = server.report()
         assert served["counters"]["serving/batches"] >= 1
         assert served["telemetry"] is None
 
-        assert tracer.spans_started == 0 and sink.records == []
+        assert spans == []
         assert created == []
         assert clock.reads == 0

@@ -139,8 +139,9 @@ def unreadable_manifests(dfs, good_path):
     well-framed records of the wrong shape — a state that is a list or
     a string, one without its model or its pattern rows, a model that
     is a list, pattern rows that are an int, pattern weights that are
-    not an encoded array or name an unknown dtype, a record whose kind
-    is a list, and ``lf_names`` that are an int."""
+    not an encoded array or name an unknown dtype or hold a weight that
+    is negative, NaN or infinite, a negative counter, a record whose
+    kind is a list, and ``lf_names`` that are an int."""
     meta, label_model, *rest = read_records(dfs, good_path)
     no_cursor = {k: v for k, v in meta.items() if k != "cursor"}
     stateless = {"kind": label_model["kind"]}
@@ -168,6 +169,16 @@ def unreadable_manifests(dfs, good_path):
         {**state, "pattern_rows": 5},
         {**state, "pattern_weights": without("__ndarray__", encoded)},
         {**state, "pattern_weights": {**encoded, "dtype": "no-such-dtype"}},
+        *(
+            {
+                **state,
+                "pattern_weights": encode_ndarray(
+                    np.concatenate([weights[:-1], [value]])
+                ),
+            }
+            for value in (-1.0, np.nan, np.inf)
+        ),
+        {**state, "n_observed": -1},
     ]
 
     def manifest(*records):

@@ -218,7 +218,7 @@ class TestSources:
         full_ids = [e.example_id for e, _ in pairs]
         assert len(full_ids) == len(examples)
         for k, (_, cursor) in enumerate(pairs):
-            suffix = [e.example_id for e in source.iter_from(cursor)]
+            suffix = [e.example_id for e, _ in source.iter_with_cursor(cursor)]
             assert suffix == full_ids[k + 1:], f"bad suffix after {k}"
 
     def test_cursor_seek_decodes_only_the_suffix(self, dfs, monkeypatch):
@@ -241,7 +241,7 @@ class TestSources:
         monkeypatch.setattr(
             sources_module, "stream_records_with_offsets", counting
         )
-        suffix = list(source.iter_from(cursor))
+        suffix = list(source.iter_with_cursor(cursor))
         assert len(suffix) == 10
         # Nothing before the cursor was decoded: the seek skipped it.
         assert len(decoded) == 10
@@ -260,14 +260,14 @@ class TestSources:
         paths = stage_examples(dfs, examples, "/src/e", num_shards=1)
         source = RecordStreamSource(dfs, paths)
         with pytest.raises(ValueError, match="out of range"):
-            list(source.iter_from(SourceCursor(shard=5, offset=0)))
+            list(source.iter_with_cursor(SourceCursor(shard=5, offset=0)))
         with pytest.raises(ValueError, match="beyond"):
-            list(source.iter_from(SourceCursor(shard=0, offset=10 ** 9)))
+            list(source.iter_with_cursor(SourceCursor(shard=0, offset=10 ** 9)))
         # Past the last shard only offset 0 exists; no offset is negative.
-        assert list(source.iter_from(SourceCursor(shard=1, offset=0))) == []
+        assert list(source.iter_with_cursor(SourceCursor(shard=1, offset=0))) == []
         for bad in (SourceCursor(shard=1, offset=8), SourceCursor(shard=0, offset=-1)):
             with pytest.raises(ValueError, match="out of range"):
-                list(source.iter_from(bad))
+                list(source.iter_with_cursor(bad))
         # A stored cursor is two ints: no float truncated, no bool as 1.
         for shard, offset in ((0, 12.7), (0, True), (0.0, 0), (False, 0), ("0", 0)):
             with pytest.raises(ValueError, match="two ints"):
@@ -281,7 +281,7 @@ class TestSources:
         shard0_records = sum(1 for _, c in pairs if c.shard == 0)
         eof_cursor = pairs[shard0_records - 1][1]
         assert eof_cursor.shard == 0
-        rest = [e.example_id for e in source.iter_from(eof_cursor)]
+        rest = [e.example_id for e, _ in source.iter_with_cursor(eof_cursor)]
         assert rest == [e.example_id for e, _ in pairs[shard0_records:]]
 
 

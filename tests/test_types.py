@@ -135,20 +135,6 @@ class TestLabelMatrix:
         assert projected.example_ids == ["c", "a"]
         assert list(projected.matrix[1]) == [1, 0]
 
-    def test_from_votes_missing_means_abstain(self):
-        matrix = LabelMatrix.from_votes(
-            {"lf1": {"a": 1}, "lf2": {"b": -1}},
-            ["a", "b"],
-        )
-        assert matrix.row_for("a").tolist() == [1, 0]
-        assert matrix.row_for("b").tolist() == [0, -1]
-
-    def test_from_votes_ignores_unknown_ids(self):
-        matrix = LabelMatrix.from_votes(
-            {"lf1": {"ghost": 1, "a": -1}}, ["a"]
-        )
-        assert matrix.row_for("a").tolist() == [-1]
-
 
 class TestCoverageAndPolarity:
     def test_coverage_counts_any_vote(self):
