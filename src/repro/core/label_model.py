@@ -199,10 +199,12 @@ class SamplingFreeLabelModel:
         Raises:
             ValueError: If ``state`` is not a dict holding every
                 snapshot key, ``steps_taken`` or a ``loss_history`` step
-                is not an ``int``, ``n_lfs`` is not an ``int`` >= 1 (it
-                may be ``None`` only while ``alpha`` is), the prior or a
-                loss is not a number, or an array is not an encoded
-                array; nothing is restored then.
+                is not an ``int`` >= 0, ``n_lfs`` is not an ``int`` >= 1
+                (it may be ``None`` only while ``alpha`` is), the prior
+                or a loss is not a finite number, ``alpha`` or ``beta``
+                is neither ``None`` nor a finite float array of shape
+                ``(n_lfs,)``, or an array is not an encoded array;
+                nothing is restored then.
         """
         from repro.dfs.records import decode_ndarray
 
@@ -211,18 +213,36 @@ class SamplingFreeLabelModel:
             "label-model parameters",
             ("alpha", "beta", "prior_logit", "n_lfs", "steps_taken", "loss_history"),
         )
-        steps_taken = require_int(state["steps_taken"], "steps_taken")
+        steps_taken = require_int(state["steps_taken"], "steps_taken", minimum=0)
         try:
             prior_logit = float(state["prior_logit"])
             pairs = [(s, float(l)) for s, l in state["loss_history"]]
         except (TypeError, ValueError) as error:
             raise ValueError(f"label-model parameters are malformed: {error!r}") from error
-        loss_history = [(require_int(s, "loss_history step"), l) for s, l in pairs]
+        loss_history = [
+            (require_int(s, "loss_history step", minimum=0), l) for s, l in pairs
+        ]
+        if not np.isfinite([prior_logit, *(l for _, l in loss_history)]).all():
+            raise ValueError(
+                "label-model parameters are malformed: the prior and every "
+                "loss must be finite"
+            )
         n_lfs = state["n_lfs"]
         if n_lfs is not None or state["alpha"] is not None:
             require_int(n_lfs, "n_lfs", minimum=1)
         alpha = None if state["alpha"] is None else decode_ndarray(state["alpha"])
         beta = None if state["beta"] is None else decode_ndarray(state["beta"])
+        for name, array in (("alpha", alpha), ("beta", beta)):
+            if array is not None and not (
+                array.shape == (n_lfs,)
+                and array.dtype.kind == "f"
+                and np.isfinite(array).all()
+            ):
+                raise ValueError(
+                    f"label-model parameters are malformed: {name} must be "
+                    f"finite floats of shape ({n_lfs},), got {array.dtype} "
+                    f"of shape {array.shape}"
+                )
         self.alpha = alpha
         self.beta = beta
         self.prior_logit = prior_logit

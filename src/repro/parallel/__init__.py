@@ -29,6 +29,10 @@ Consumers: ``repro.lf.applier.apply_lfs_in_memory(executor=pool)`` and
 ``repro.streaming.pipeline.MicroBatchPipeline(executor=pool)``. The pool
 is always built, and closed, by the caller
 (``with ParallelLabelExecutor(spec, n) as pool``); consumers only borrow it.
+
+One thread drives a pool: the consumers iterate its one submit/drain
+loop on their caller's thread, the executor holds no lock, and anyone
+calling ``submit`` / ``next_completed`` directly must be on that thread.
 """
 
 from repro.parallel.executor import (

@@ -11,6 +11,15 @@ Both run on one windowed submit/drain loop, :meth:`label_blocks`, on
 the caller's thread; :meth:`submit` / :meth:`next_completed` are the
 primitives under it.
 
+One caller
+----------
+One thread drives an executor, and the executor holds no lock. Every
+caller in the repo iterates :meth:`label_blocks` (or calls
+:meth:`label_examples`, which does), so submit and drain take turns on
+that thread; a direct caller of :meth:`submit` / :meth:`next_completed`
+must be on it too. With nothing in flight there is nothing to wait
+for, so :meth:`next_completed` raises ``queue.Empty`` at once.
+
 Execution model
 ---------------
 Each worker process runs :func:`_worker_init` once: rebuild the LF suite
@@ -63,7 +72,6 @@ import math
 import os
 import pickle
 import queue as queue_module
-import threading
 import time
 from concurrent.futures import (
     BrokenExecutor,
@@ -211,11 +219,10 @@ class LabeledBlock(NamedTuple):
 class ParallelLabelExecutor:
     """Labels example blocks on a pool of worker processes.
 
-    Thread contract: every caller in the repo drives an executor from
-    one thread — :meth:`label_blocks` submits and drains in turn, and
-    both consumers iterate it. :meth:`submit` and :meth:`next_completed`
-    may still run on different threads: the in-flight table is guarded
-    by a condition every submit signals.
+    One thread drives it and it holds no lock (see the module
+    docstring): :meth:`label_blocks` submits and drains in turn, both
+    consumers iterate it, and a direct caller of :meth:`submit` /
+    :meth:`next_completed` must be on that same thread.
     """
 
     def __init__(
@@ -242,14 +249,9 @@ class ParallelLabelExecutor:
         except ValueError:  # no fork on this platform
             self._mp_context = multiprocessing.get_context("spawn")
         self._pool: ProcessPoolExecutor | None = None
-        #: Guards pool construction/teardown: a submit and a retry (or
-        #: close) may race through a crash, and exactly one of them must
-        #: rebuild the pool.
-        self._pool_lock = threading.Lock()
+        #: Bumped whenever a pool is torn down, so an attempt still
+        #: pending on a replaced pool is known to be lost.
         self._pool_generation = 0
-        #: Guards ``_inflight``; notified by :meth:`submit` so a consumer
-        #: that has drained everything can wait for the next block.
-        self._submitted = threading.Condition(threading.Lock())
         #: seq -> block, in submission order (dicts keep insertion order).
         self._inflight: dict[int, _Inflight] = {}
         self._kill_plan: dict[int, int] = {}
@@ -265,11 +267,10 @@ class ParallelLabelExecutor:
 
     def close(self) -> None:
         """Shut the pool down; the executor cannot be reused after."""
-        with self._pool_lock:
-            self._closed = True
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
+        self._closed = True
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
     def reset(self) -> int:
         """Drop every in-flight block; returns how many were dropped.
@@ -282,9 +283,8 @@ class ParallelLabelExecutor:
         block's future goes with it, so whatever a still-running worker
         returns for it later is never handed out.
         """
-        with self._submitted:
-            dropped = len(self._inflight)
-            self._inflight.clear()
+        dropped = len(self._inflight)
+        self._inflight.clear()
         return dropped
 
     def __enter__(self) -> "ParallelLabelExecutor":
@@ -300,8 +300,7 @@ class ParallelLabelExecutor:
 
     def pending(self) -> int:
         """Blocks submitted but not yet drained by the caller."""
-        with self._submitted:
-            return len(self._inflight)
+        return len(self._inflight)
 
     # ------------------------------------------------------------------
     # failure injection (tests and benchmarks only)
@@ -322,17 +321,14 @@ class ParallelLabelExecutor:
         """Pickle one block's records and dispatch it."""
         if self._closed:
             raise RuntimeError("executor already closed")
-        with self._submitted:
-            if seq in self._inflight:
-                raise ValueError(f"block {seq} already in flight")
+        if seq in self._inflight:
+            raise ValueError(f"block {seq} already in flight")
         entry = _Inflight(examples=list(examples))
         # Dispatch before registering: a block is never in flight
         # without a future, so a failed dispatch leaves nothing behind
-        # for pending() to count or a consumer to wait on.
+        # for pending() to count or next_completed() to wait on.
         self._dispatch(seq, entry)
-        with self._submitted:
-            self._inflight[seq] = entry
-            self._submitted.notify()
+        self._inflight[seq] = entry
 
     def next_completed(
         self, timeout: float | None = None
@@ -343,22 +339,19 @@ class ParallelLabelExecutor:
         Blocks come back in *submission* order whatever order the
         workers finish in, because only the oldest in-flight future is
         ever waited on; a block that completes ahead of an earlier one
-        stays on its future until its turn. Raises ``queue.Empty`` when
-        the call outlasts ``timeout`` — waiting for a first submission
-        with nothing in flight, else for the oldest block's live
-        attempt. Failed attempts are retried transparently — the
+        stays on its future until its turn. Raises ``queue.Empty`` at
+        once when nothing is in flight, whatever ``timeout`` is, and
+        when waiting on the oldest block's live attempt outlasts
+        ``timeout``. Failed attempts are retried transparently — the
         retried block keeps its place in line; exhausted budgets raise
         :class:`WorkerFailure`. An attempt still pending on a pool that
         has since been replaced is lost (see the module docstring) and
         fails like any other.
         """
+        if not self._inflight:
+            raise queue_module.Empty
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._submitted:
-            if not self._submitted.wait_for(
-                lambda: self._inflight, timeout
-            ):
-                raise queue_module.Empty
-            seq, entry = next(iter(self._inflight.items()))
+        seq, entry = next(iter(self._inflight.items()))
         while True:
             wait = _WAIT_SLICE_S
             if deadline is not None:
@@ -379,8 +372,7 @@ class ParallelLabelExecutor:
                 # attempt and let the retry budget decide.
                 error = cancelled
             if error is None:
-                with self._submitted:
-                    del self._inflight[seq]
+                del self._inflight[seq]
                 votes, decode_us, label_us = entry.future.result()
                 self.metrics.record("worker/decode_us", decode_us)
                 self.metrics.record("worker/label_us", label_us)
@@ -472,63 +464,49 @@ class ParallelLabelExecutor:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> tuple[ProcessPoolExecutor, int]:
-        """The live pool plus its generation (for restart arbitration)."""
-        with self._pool_lock:
-            if self._closed:
-                # A resurrected pool would leak its workers: submit()
-                # refuses closed executors, so nothing could ever drain
-                # or shut it down.
-                raise RuntimeError("executor already closed")
-            if self._pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=self._mp_context,
-                    initializer=_worker_init,
-                    initargs=(self.suite_spec,),
-                )
-                # ProcessPoolExecutor forks workers lazily at submit
-                # time; force them ALL into existence now, while the
-                # creating thread is the only one running executor work
-                # — forking later, mid-run, from whichever thread
-                # happens to submit is exactly the fork-with-live-
-                # threads hazard start() promises to avoid (and cold
-                # workers would otherwise pay suite bootstrap inside
-                # the first timed/labeled blocks).
-                try:
-                    warm = [
-                        pool.submit(_worker_warm)
-                        for _ in range(self.workers)
-                    ]
-                    for future in warm:
-                        future.result()
-                except BaseException:
-                    # A failing initializer (unimportable spec, factory
-                    # error) breaks the pool during warm-up; tear it
-                    # down so the dispatch retry loop sees a clean
-                    # slate and can surface WorkerFailure.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    self._pool_generation += 1
-                    raise
-                self._pool = pool
-            return self._pool, self._pool_generation
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        """The live pool, built (and warmed) if there is none."""
+        if self._closed:
+            # A resurrected pool would leak its workers: submit()
+            # refuses closed executors, so nothing could ever drain or
+            # shut it down.
+            raise RuntimeError("executor already closed")
+        if self._pool is None:
+            pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=self._mp_context,
+                initializer=_worker_init,
+                initargs=(self.suite_spec,),
+            )
+            # ProcessPoolExecutor forks workers lazily at submit time;
+            # force them all into existence now, so cold workers do not
+            # pay the suite bootstrap inside the first labeled (and
+            # timed) blocks.
+            try:
+                warm = [pool.submit(_worker_warm) for _ in range(self.workers)]
+                for future in warm:
+                    future.result()
+            except BaseException:
+                # A failing initializer (unimportable spec, factory
+                # error) breaks the pool during warm-up; tear it down so
+                # the dispatch retry loop sees a clean slate and can
+                # surface WorkerFailure.
+                pool.shutdown(wait=False, cancel_futures=True)
+                self._pool_generation += 1
+                raise
+            self._pool = pool
+        return self._pool
 
-    def _restart_pool(self, generation: int) -> None:
-        """Replace the pool — but only if ``generation`` is still live.
+    def _restart_pool(self) -> None:
+        """Tear the broken pool down; the next dispatch builds a new one.
 
-        A dispatch and a retry can both observe the same broken pool;
-        the generation check makes the second observer a no-op instead
-        of tearing down the replacement the first one just built (which
-        would cancel freshly resubmitted work).
+        Bumping the generation marks every attempt still pending on the
+        old pool as lost (see :meth:`next_completed`).
         """
-        with self._pool_lock:
-            if generation != self._pool_generation:
-                return  # another thread already rebuilt this pool
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-            self._pool_generation += 1
-            self.metrics.counter("parallel/pool_restarts")
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._pool = None
+        self._pool_generation += 1
+        self.metrics.counter("parallel/pool_restarts")
 
     def _dispatch(self, seq: int, entry: _Inflight) -> None:
         kill = entry.attempts < self._kill_plan.get(seq, 0)
@@ -536,18 +514,18 @@ class ParallelLabelExecutor:
         future: Future | None = None
         last_error: BaseException | None = None
         for _ in range(2):
-            generation: int | None = None
+            pool: ProcessPoolExecutor | None = None
             try:
-                pool, generation = self._ensure_pool()
+                pool = self._ensure_pool()
                 future = pool.submit(_worker_label, payload, kill)
                 break
             except BrokenExecutor as error:
                 last_error = error
-                if generation is not None:
-                    self._restart_pool(generation)
+                if pool is not None:
+                    self._restart_pool()
         if future is None:
             raise WorkerFailure(
                 f"could not dispatch block {seq}: worker pool keeps dying"
             ) from last_error
         entry.future = future
-        entry.generation = generation
+        entry.generation = self._pool_generation

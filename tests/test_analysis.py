@@ -43,6 +43,10 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: What starts a thread: constructing (or subclassing) any of these.
 THREAD_CONSTRUCTORS = frozenset({"Thread", "Timer", "ThreadPoolExecutor"})
+#: What makes a lock, in ``threading`` or ``multiprocessing``.
+LOCK_CONSTRUCTORS = frozenset(
+    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
+)
 
 
 def make_repo(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -67,10 +71,12 @@ def findings_for(report, rule_id: str):
     return [f for f in report.findings if f.rule == rule_id]
 
 
-def thread_constructions(repo: Path, package: str) -> list[str]:
-    """``path:line`` of every call to, or class deriving from, a
-    :data:`THREAD_CONSTRUCTORS` name in ``repo/package``'s modules,
-    resolved through each module's imports."""
+def constructions(
+    repo: Path, package: str, constructors: frozenset[str]
+) -> list[str]:
+    """``path:line`` of every call to, or class deriving from, one of
+    ``constructors`` in ``repo/package``'s modules, resolved through
+    each module's imports."""
     sites = []
     for path in sorted((repo / package).rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -84,7 +90,7 @@ def thread_constructions(repo: Path, package: str) -> list[str]:
                 continue
             for ref in refs:
                 name = resolve_name(ref, aliases) or ""
-                if name.rsplit(".", 1)[-1] in THREAD_CONSTRUCTORS:
+                if name.rsplit(".", 1)[-1] in constructors:
                     sites.append((str(path.relative_to(repo)), node.lineno))
     return [f"{relpath}:{line}" for relpath, line in sorted(sites)]
 
@@ -1292,17 +1298,25 @@ class TestLiveRepoClosure:
         """``src/`` starts no thread of its own: owners call the
         exporter, callers' threads lead the server, workers are
         processes. Binds on every run, not only under the sanitizer."""
-        assert thread_constructions(REPO, "src/repro") == []
+        assert constructions(REPO, "src/repro", THREAD_CONSTRUCTORS) == []
+
+    def test_parallel_constructs_no_lock(self):
+        """One thread drives an executor, so ``repro.parallel`` holds no
+        lock: a lock there would guard against a caller that does not
+        exist, and a wait on it could only be ended by one."""
+        assert constructions(REPO, "src/repro/parallel", LOCK_CONSTRUCTORS) == []
 
     def test_thread_constructions_are_found(self, tmp_path):
         """The walk above sees a plain, an aliased, a pooled and a
-        subclassed thread, and ignores annotations and strings."""
+        subclassed thread, and an aliased condition, and ignores
+        annotations and strings."""
         repo = make_repo(
             tmp_path,
             {
                 "src/spawn.py": """\
                     import threading
                     from concurrent.futures import ThreadPoolExecutor
+                    from threading import Condition as Signal
                     from threading import Timer as Later
 
                     handle: threading.Thread | None = None
@@ -1317,12 +1331,19 @@ class TestLiveRepoClosure:
                         threading.Thread(target=fn).start()  # plain
                         Later(1.0, fn).start()  # aliased
                         return ThreadPoolExecutor(2)  # pooled
+
+
+                    def wait():
+                        return Signal()  # condition
                 """
             },
         )
-        assert thread_constructions(repo, "src") == [
+        assert constructions(repo, "src", THREAD_CONSTRUCTORS) == [
             f"src/spawn.py:{line_of(repo, 'src/spawn.py', '# ' + tag)}"
             for tag in ("subclassed", "plain", "aliased", "pooled")
+        ]
+        assert constructions(repo, "src", LOCK_CONSTRUCTORS) == [
+            f"src/spawn.py:{line_of(repo, 'src/spawn.py', '# condition')}"
         ]
 
     def test_lint_cli_json_contract(self):

@@ -577,6 +577,42 @@ class TestStateSnapshots:
             target.load_state(model_state)
         assert target.alpha is None and target.steps_taken == 0
 
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("steps_taken", -3, "steps_taken must be an int >= 0"),
+            ("loss_history", [[-1, 0.5]], "loss_history step must be an int >= 0"),
+            ("loss_history", [[3, float("inf")]], "finite"),
+            ("prior_logit", float("nan"), "finite"),
+            ("alpha", np.ones(2), r"alpha must be finite floats of shape \(4,\)"),
+            ("alpha", np.full(4, np.nan), "alpha must be finite"),
+            ("alpha", np.ones((1, 4)), "alpha must be finite"),
+            ("alpha", np.ones(4, dtype=np.int64), "alpha must be finite floats"),
+            ("beta", np.array([0.0, np.inf, 0.0, 0.0]), "beta must be finite"),
+        ],
+        ids=[
+            "negative-steps", "negative-loss-step", "infinite-loss",
+            "nan-prior", "short-alpha", "nan-alpha", "2d-alpha",
+            "int-alpha", "infinite-beta",
+        ],
+    )
+    def test_load_state_refuses_malformed_parameters(self, key, value, match):
+        """Each of these used to restore onto a fitted 4-LF model, and
+        the NaN and short ones then broke ``predict_proba`` (NaN
+        posteriors, numpy's matmul error). Now nothing is assigned."""
+        L, _ = synthetic_label_matrix(m=200, seed=8)
+        fitted = SamplingFreeLabelModel(ONLINE_CONFIG.base).fit(L[:, :4])
+        state = fitted.state_dict()
+        if isinstance(value, np.ndarray):
+            value = encode_ndarray(value)
+        target = SamplingFreeLabelModel(ONLINE_CONFIG.base)
+        target.load_state(state)
+        assert np.isfinite(target.predict_proba(L[:, :4])).all()
+        target = SamplingFreeLabelModel(ONLINE_CONFIG.base)
+        with pytest.raises(ValueError, match=match):
+            target.load_state({**state, key: value})
+        assert target.alpha is None and target.steps_taken == 0
+
     @pytest.mark.parametrize("schema", [7, 0, None, "3"])
     def test_load_state_refuses_unknown_schema(self, schema):
         """A snapshot from a newer (or foreign) writer is refused whole,

@@ -524,11 +524,14 @@ class TestWorkerCrashes:
         assert np.array_equal(report.label_matrix.matrix, serial)
 
     def test_next_completed_times_out_with_nothing_in_flight(self, pool):
+        """With nothing in flight there is nothing to wait for: both
+        calls raise at once, the one without a timeout included."""
         assert pool.pending() == 0
-        start = time.monotonic()
-        with pytest.raises(queue.Empty):
-            pool.next_completed(timeout=0.2)
-        assert 0.2 <= time.monotonic() - start < 10
+        for timeout in (None, 0.2):
+            start = time.monotonic()
+            with pytest.raises(queue.Empty):
+                pool.next_completed(timeout=timeout)
+            assert time.monotonic() - start < 0.2
 
     def test_kill_charges_every_inflight_block_once_and_keeps_order(self):
         """Three slow blocks are running when a fourth kills its worker:
@@ -559,13 +562,14 @@ class TestWorkerCrashes:
         serial = apply_lfs_in_memory(build_skewed_suite(), corpus).matrix
         with ParallelLabelExecutor(spec, workers=2) as executor:
             executor.submit(0, corpus[:40])  # slow: ~80 ms of sleeps
+            dropped = executor._inflight[0].future
             assert executor.reset() == 1
             assert executor.pending() == 0
             executor.submit(0, corpus[120:160])
             seq, examples, votes, _ = executor.next_completed(timeout=60)
             assert seq == 0 and examples == corpus[120:160]
             assert np.array_equal(votes, serial[120:160])
-            # Long enough for the dropped block to finish in its worker.
+            dropped.result(timeout=60)  # its worker has finished it
             with pytest.raises(queue.Empty):
                 executor.next_completed(timeout=0.5)
             assert executor.pending() == 0
@@ -581,7 +585,7 @@ class TestWorkerCrashes:
             lost = executor._inflight[0]
             lost.future.result(timeout=60)
             lost.future = Future()  # what the racing submit got back
-            executor._restart_pool(executor._pool_generation)
+            executor._restart_pool()
             seq, examples, votes, _ = executor.next_completed(timeout=10)
             retries = executor.metrics.counters.value("parallel/retries")
             assert executor.pending() == 0

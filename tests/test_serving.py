@@ -140,7 +140,8 @@ def unreadable_manifests(dfs, good_path):
     a string, one without its model or its pattern rows, a model that
     is a list, pattern rows that are an int, pattern weights that are
     not an encoded array or name an unknown dtype or hold a weight that
-    is negative, NaN or infinite, a negative counter, a record whose
+    is negative, NaN or infinite, a negative counter, a model whose
+    ``steps_taken`` is negative or whose prior is NaN, a record whose
     kind is a list, and ``lf_names`` that are an int."""
     meta, label_model, *rest = read_records(dfs, good_path)
     no_cursor = {k: v for k, v in meta.items() if k != "cursor"}
@@ -179,6 +180,8 @@ def unreadable_manifests(dfs, good_path):
             for value in (-1.0, np.nan, np.inf)
         ),
         {**state, "n_observed": -1},
+        {**state, "model": {**state["model"], "steps_taken": -3}},
+        {**state, "model": {**state["model"], "prior_logit": float("nan")}},
     ]
 
     def manifest(*records):
