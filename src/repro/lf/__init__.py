@@ -8,8 +8,10 @@ computes the labeling function's vote for an individual example".
 
 The Python reproduction keeps the same three-level shape:
 
-* :class:`AbstractLabelingFunction` — owns all DFS I/O and the MapReduce
-  pipeline definition; subclasses fill in template slots.
+* :class:`AbstractLabelingFunction` — owns all DFS I/O, the MapReduce
+  pipeline definition and the LF's one lifecycle (``start`` / ``stop``:
+  its offline resources and any node-local server); subclasses fill in
+  template slots.
 * :class:`LabelingFunction` — the default pipeline: a user function from
   example to vote, with optional offline resources (topic model, KG, ...).
 * :class:`NLPLabelingFunction` — the model-server pipeline: launches an

@@ -52,7 +52,6 @@ from repro.dfs.records import DEFAULT_BLOCK_SIZE, iter_record_blobs, write_recor
 from repro.lf.base import (
     AbstractLabelingFunction, LFRunResult, read_lf_votes, write_lf_votes,
 )
-from repro.lf.default import LabelingFunction
 from repro.lf.templates import FusedPlan
 from repro.mapreduce.runner import run_map_tasks
 from repro.obs.registry import MetricsRegistry
@@ -88,6 +87,7 @@ class ApplyReport:
 
     @property
     def examples_per_second(self) -> float:
+        """Labeling throughput over the run's wall time."""
         if self.wall_seconds <= 0:
             return float("inf")
         return self.examples / self.wall_seconds
@@ -131,8 +131,9 @@ def fused_lf_columns(lfs: Sequence[AbstractLabelingFunction]) -> FusedPlan:
 
 
 def start_lf_resources(lfs: Sequence[AbstractLabelingFunction]) -> None:
-    """Bring up every LF's offline resources and local model server for a
-    bulk run, once, before its first block is labelled.
+    """Start every LF (:meth:`~repro.lf.base.AbstractLabelingFunction.start`:
+    its offline resources and its node-local model server) for a bulk
+    run, once, before its first block is labelled.
 
     A start that raises stops what this call started, in reverse order,
     before the error propagates: a failed start leaves nothing running.
@@ -141,20 +142,16 @@ def start_lf_resources(lfs: Sequence[AbstractLabelingFunction]) -> None:
     try:
         for lf in lfs:
             started.append(lf)
-            if isinstance(lf, LabelingFunction):
-                lf.start_resources()
-            lf.start_local_service()
+            lf.start()
     except BaseException:
         stop_lf_resources(started[::-1])
         raise
 
 
 def stop_lf_resources(lfs: Sequence[AbstractLabelingFunction]) -> None:
-    """Tear down resources and any local model servers after a run."""
+    """Stop every LF (its resources and any node-local server) after a run."""
     for lf in lfs:
-        if isinstance(lf, LabelingFunction):
-            lf.stop_resources()
-        lf.close_local_service()
+        lf.stop()
 
 
 def label_example_block(
@@ -311,12 +308,8 @@ class LFApplier:
         matrix = np.zeros((len(example_ids), len(lfs)), dtype=np.int8)
         results = []
         for j, lf in enumerate(lfs):
-            start_lf_resources([lf])
-            try:
-                out = f"{self._run_root}/{lf.name}/votes"
-                results.append(lf.run(self._dfs, self._example_paths, out))
-            finally:
-                stop_lf_resources([lf])
+            out = f"{self._run_root}/{lf.name}/votes"
+            results.append(lf.run(self._dfs, self._example_paths, out))
             for path in results[-1].output_paths:
                 ids, votes = read_lf_votes(self._dfs, path)
                 matrix[[rows[eid] for eid in ids], j] = votes

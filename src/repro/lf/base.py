@@ -18,9 +18,12 @@ The reproduction follows the same contract:
   same shards.
 * Subclasses override :meth:`_node_service_factory` (which model server,
   if any, to launch per compute node) and :meth:`_vote` (the per-example
-  slot an engineer writes). That server is one local service per LF,
-  brought up by :meth:`start_local_service`; :meth:`run` brings it up
-  once per job and stops it afterwards.
+  slot an engineer writes).
+* Every LF has one lifecycle, :meth:`start` / :meth:`stop`: ``start``
+  brings up the offline resources the LF declares in ``resources`` and
+  its one node-local model server, ``stop`` takes both down. ``run``
+  starts it for its job and stops it afterwards; a bulk run starts every
+  LF once through :func:`repro.lf.applier.start_lf_resources`.
 
 A vote shard is one block record, ``{"kind": "lf_votes", "ids": [...],
 "votes": encode_ndarray(int8)}``: the ids of the input shard's examples
@@ -131,6 +134,7 @@ class LFRunResult:
 
     @property
     def coverage(self) -> float:
+        """Fraction of the examples seen on which the LF did not abstain."""
         if self.examples_seen == 0:
             return 0.0
         return self.votes_emitted / self.examples_seen
@@ -144,6 +148,7 @@ class AbstractLabelingFunction:
 
     @property
     def name(self) -> str:
+        """The LF's registered name (its column in the label matrix)."""
         return self.info.name
 
     # ------------------------------------------------------------------
@@ -208,12 +213,12 @@ class AbstractLabelingFunction:
 
         The per-record reference the suite job is judged against: one map
         task per input shard calls :meth:`_vote` on each record, with the
-        node-local model server when the pipeline declares one (its local
-        service, up once for the job and stopped after it), and each task's
-        votes become one :func:`write_lf_votes` shard.
+        node-local model server when the pipeline declares one, and each
+        task's votes become one :func:`write_lf_votes` shard. The LF is
+        started for the job and stopped after it, whatever was running
+        before: its resources and its server are down when ``run`` returns.
         """
         start = time.perf_counter()
-        service = self.start_local_service()
 
         def block_mapper(records: list[dict]) -> tuple[list, np.ndarray]:
             examples = [Example.from_record(record) for record in records]
@@ -222,9 +227,10 @@ class AbstractLabelingFunction:
             return ids, self._validate_votes(votes, len(examples))
 
         try:
+            service = self.start()
             tasks = run_map_tasks(dfs, input_paths, block_mapper)
         finally:
-            self.close_local_service()
+            self.stop()
 
         counts = Counter()
         output_paths = []
@@ -250,39 +256,50 @@ class AbstractLabelingFunction:
     # fast path used by the experiment harness
     # ------------------------------------------------------------------
     def vote_in_memory(self, example: Example) -> int:
-        """Vote on one in-memory example, managing any service locally.
+        """Vote on one in-memory example, starting the LF if it is down.
 
         Benchmarks label hundreds of thousands of examples; going through
         DFS + MapReduce for each sweep would measure the simulator, not
         the method. The integration tests assert this fast path agrees
         with :meth:`run` exactly.
         """
-        return self._vote(example, self.start_local_service())
+        return self._vote(example, self.start())
 
     def label_batch(self, examples: Sequence[Example]) -> np.ndarray:
         """Vote on a block of in-memory examples; returns an ``int8`` array.
 
         This is the batched counterpart of :meth:`vote_in_memory`: it
-        manages any node-local service, dispatches to :meth:`_vote_batch`
+        starts the LF if it is down, dispatches to :meth:`_vote_batch`
         (vectorized where the pipeline provides a kernel, per-example
         fallback otherwise), and validates the result. The equivalence
         suite asserts ``label_batch(xs) == [label(x) for x in xs]`` for
         every shipped LF.
         """
         examples = list(examples)
-        votes = self._vote_batch(examples, self.start_local_service())
+        votes = self._vote_batch(examples, self.start())
         return self._validate_votes(votes, len(examples))
 
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    #: Offline services the LF queries (topic model, knowledge graph, ...);
+    #: :meth:`start` brings them up and :meth:`stop` takes them down.
+    resources: Sequence[ModelServer] = ()
     _local_service: ModelServer | None = None
 
-    def start_local_service(self) -> ModelServer | None:
-        """This LF's local model server, built and started on first call.
+    def start(self) -> ModelServer | None:
+        """Bring the LF up (idempotent); returns its node-local server.
 
-        ``None`` when the pipeline launches no server. The check is not
-        locked: a bulk run starts the server through
+        Starts every resource that is not running, then builds and starts
+        the server from :meth:`_node_service_factory` if none is live.
+        Returns that server, or ``None`` when the pipeline launches none.
+        Nothing is locked: a bulk run starts its LFs through
         :func:`repro.lf.applier.start_lf_resources` before any block is
-        labelled, so threads that label blocks only ever find it running.
+        labelled, so threads that label blocks only ever find them up.
         """
+        for resource in self.resources:
+            if not resource.running:
+                resource.start()
         factory = self._node_service_factory()
         if factory is not None and self._local_service is None:
             service = factory()
@@ -290,7 +307,10 @@ class AbstractLabelingFunction:
             self._local_service = service
         return self._local_service
 
-    def close_local_service(self) -> None:
+    def stop(self) -> None:
+        """Stop the LF's resources and stop and drop its node server."""
+        for resource in self.resources:
+            resource.stop()
         if self._local_service is not None:
             self._local_service.stop()
             self._local_service = None

@@ -9,9 +9,11 @@ heuristics that can query a knowledge graph offline."
 
 A :class:`LabelingFunction` wraps a plain ``Example -> vote`` callable.
 Offline resources it queries (the topic model, the knowledge graph, the
-aggregate store) are declared via ``resources`` so the applier can bring
-them up for the duration of a run — the lifecycle bug of calling a
-stopped service is surfaced loudly by :class:`repro.services.ModelServer`.
+aggregate store) are declared via ``resources``; the LF's one lifecycle,
+:meth:`~repro.lf.base.AbstractLabelingFunction.start` /
+:meth:`~repro.lf.base.AbstractLabelingFunction.stop`, brings them up and
+down — the lifecycle bug of calling a stopped service is surfaced loudly
+by :class:`repro.services.ModelServer`.
 
 A block is voted by one of three kernels, first match wins:
 
@@ -77,29 +79,3 @@ class LabelingFunction(AbstractLabelingFunction):
         if self._batch_fn is not None:
             return self._batch_fn(examples)
         return super()._vote_batch(examples, service)
-
-    # ------------------------------------------------------------------
-    # offline resource lifecycle (managed by the applier)
-    # ------------------------------------------------------------------
-    def start_resources(self) -> None:
-        for resource in self.resources:
-            resource.start()
-
-    def stop_resources(self) -> None:
-        for resource in self.resources:
-            resource.stop()
-
-    def vote_in_memory(self, example: Example) -> int:
-        # Offline resources are started lazily for ad-hoc in-memory use;
-        # bulk paths call start_resources()/stop_resources() around runs.
-        self._ensure_resources()
-        return self._fn(example)
-
-    def label_batch(self, examples: Sequence[Example]) -> np.ndarray:
-        self._ensure_resources()
-        return super().label_batch(examples)
-
-    def _ensure_resources(self) -> None:
-        for resource in self.resources:
-            if not resource.running:
-                resource.start()

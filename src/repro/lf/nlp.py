@@ -12,15 +12,16 @@ slots —
 
 Because the NLP models are too expensive to run on all content, the
 pipeline launches one model server per MapReduce compute node
-(:meth:`_node_service_factory`), and every annotation is accounted
-against that server's virtual-latency budget.
+(:meth:`_node_service_factory`, built and started by the LF's
+:meth:`~repro.lf.base.AbstractLabelingFunction.start` and stopped by its
+``stop``), and every annotation is accounted against that server's
+virtual-latency budget. The batched path is the base class's loop over
+:meth:`_vote`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable
 
 from repro.lf.base import AbstractLabelingFunction
 from repro.lf.registry import LFCategory, LFInfo
@@ -58,33 +59,6 @@ class NLPLabelingFunction(AbstractLabelingFunction):
         text = self._get_text(example)
         nlp = service.annotate(text)  # type: ignore[attr-defined]
         return self._get_value(example, nlp)
-
-    def _vote_batch(
-        self, examples: Sequence[Example], service: ModelServer | None
-    ) -> np.ndarray:
-        """Annotate a block against the node-local server.
-
-        The model server is the cost center (every ``annotate`` call is
-        accounted against its virtual-latency budget, exactly as in the
-        per-example path), but the batch path checks the service and
-        resolves the template slots once per block instead of per
-        example.
-        """
-        if service is None:
-            raise ServiceUnavailable(
-                f"NLP labeling function {self.name!r} requires a node-local "
-                f"model server; none was launched"
-            )
-        get_text, get_value = self._get_text, self._get_value
-        annotate = service.annotate  # type: ignore[attr-defined]
-        return np.fromiter(
-            (
-                get_value(example, annotate(get_text(example)))
-                for example in examples
-            ),
-            dtype=np.int64,
-            count=len(examples),
-        )
 
 
 def celebrity_example_lf(

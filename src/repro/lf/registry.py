@@ -51,6 +51,8 @@ class LFRegistry:
         self._infos: dict[str, LFInfo] = {}
 
     def register(self, info: LFInfo) -> LFInfo:
+        """Add one LF's metadata and return it; a taken name is a
+        ``ValueError``."""
         if info.name in self._infos:
             raise ValueError(
                 f"labeling function {info.name!r} already registered for "
@@ -66,17 +68,16 @@ class LFRegistry:
         return name in self._infos
 
     def info(self, name: str) -> LFInfo:
+        """The metadata registered under ``name`` (``KeyError`` if none)."""
         return self._infos[name]
 
     def names(self) -> list[str]:
+        """Every registered LF name, sorted."""
         return sorted(self._infos)
 
     def servable_names(self) -> list[str]:
         """LFs usable in the Table 3 'Servable LFs' ablation arm."""
         return sorted(n for n, i in self._infos.items() if i.servable)
-
-    def non_servable_names(self) -> list[str]:
-        return sorted(n for n, i in self._infos.items() if not i.servable)
 
     def category_counts(self) -> dict[LFCategory, int]:
         """LF count per category — the data behind Figure 2."""
@@ -84,16 +85,6 @@ class LFRegistry:
             info.category for info in self._infos.values()
         )
         return dict(counts)
-
-    def category_distribution(self) -> dict[str, float]:
-        """Normalized category mix (fractions sum to 1)."""
-        counts = self.category_counts()
-        total = sum(counts.values())
-        if total == 0:
-            return {}
-        return {
-            category.value: count / total for category, count in counts.items()
-        }
 
     @staticmethod
     def figure2_table(registries: Iterable["LFRegistry"]) -> list[dict[str, object]]:

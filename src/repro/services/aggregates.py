@@ -17,7 +17,7 @@ transfer to real-time features matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.services.base import ModelServer
 
@@ -77,19 +77,3 @@ class AggregateStore(ModelServer):
 
     def keys(self) -> list[str]:
         return sorted(self._rows)
-
-    def staleness(self, key: str) -> int | None:
-        """How many batches old this key's aggregates are."""
-        row = self._rows.get(key)
-        if row is None:
-            return None
-        return self._batch_id - row.batch_id
-
-    def bulk_lookup(self, keys: Iterable[str]) -> dict[str, AggregateRow]:
-        """Vector read used by graph-based labeling functions."""
-        out = {}
-        for key in keys:
-            row = self.lookup(key)
-            if row is not None:
-                out[key] = row
-        return out

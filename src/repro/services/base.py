@@ -101,14 +101,18 @@ class ModelServer:
     # ------------------------------------------------------------------
     # call accounting
     # ------------------------------------------------------------------
-    def _track(self) -> None:
-        """Record one call; raise if the service is not running."""
+    def _require_running(self) -> None:
+        """Count a failure and raise if the service is not running."""
         if not self._running:
             self.stats.failures += 1
             raise ServiceUnavailable(
                 f"{self.name} called while stopped; NLP-style services must "
                 f"be started on each compute node before use"
             )
+
+    def _track(self) -> None:
+        """Record one call; raise if the service is not running."""
+        self._require_running()
         self.stats.record_call(self.latency_ms)
 
     def record_batch_calls(self, n: int) -> None:
@@ -121,12 +125,7 @@ class ModelServer:
         """
         if n < 0:
             raise ValueError(f"call count must be non-negative, got {n}")
-        if not self._running:
-            self.stats.failures += 1
-            raise ServiceUnavailable(
-                f"{self.name} called while stopped; NLP-style services must "
-                f"be started on each compute node before use"
-            )
+        self._require_running()
         self.stats.calls += n
         self.stats.virtual_latency_ms += n * self.latency_ms
 

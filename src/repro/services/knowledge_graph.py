@@ -148,37 +148,9 @@ class KnowledgeGraph(ModelServer):
                 out.add(source)
         return out
 
-    def categories_of(self, product: str) -> set[str]:
-        """Categories a product belongs to (IS_A or ACCESSORY_OF)."""
-        self._track()
-        return {
-            target
-            for target, data in self._edges(self._out, product.lower())
-            if data.get("relation") in ("IS_A", "ACCESSORY_OF")
-        }
-
-    def is_accessory(self, product: str) -> bool:
-        self._track()
-        node = self._nodes.get(product.lower())
-        return bool(node and node.get("accessory"))
-
-    def products_of_brand(self, brand: str) -> set[str]:
-        self._track()
-        return {
-            target
-            for target, data in self._edges(self._out, brand.lower())
-            if data.get("relation") == "MAKES"
-        }
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    def edge_count(self) -> int:
-        return sum(len(edges) for out in self._out.values() for edges in out.values())
-
     def languages(self) -> set[str]:
         """All language codes present on translation edges."""
         return {

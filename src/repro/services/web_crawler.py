@@ -81,6 +81,3 @@ class WebCrawler(ModelServer):
             site_category=category,
             quality_score=quality,
         )
-
-    def known_domains(self) -> int:
-        return len(self._profiles)

@@ -120,11 +120,6 @@ class ModelRegistry:
         with self._lock:
             return list(self._versions.get(name, []))
 
-    def model_names(self) -> list[str]:
-        """Sorted names of every model with at least one staged version."""
-        with self._lock:
-            return sorted(self._versions)
-
     def _find(self, name: str, version: int) -> ModelVersion:
         with self._lock:
             for entry in self._versions.get(name, []):

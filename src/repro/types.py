@@ -154,6 +154,9 @@ class LabelMatrix:
         self._id_index = {eid: i for i, eid in enumerate(self.example_ids)}
         if len(self._id_index) != len(self.example_ids):
             raise ValueError("duplicate example ids in label matrix")
+        if len(set(self.lf_names)) != len(self.lf_names):
+            # column(name) and select_lfs would see only the first one.
+            raise ValueError("duplicate labeling function names in label matrix")
 
     # ------------------------------------------------------------------
     # accessors
@@ -173,10 +176,6 @@ class LabelMatrix:
     def column(self, lf_name: str) -> np.ndarray:
         """Return the vote vector of one labeling function."""
         return self.matrix[:, self.lf_names.index(lf_name)]
-
-    def row_for(self, example_id: str) -> np.ndarray:
-        """Return the vote vector for one example."""
-        return self.matrix[self._id_index[example_id]]
 
     def select_lfs(self, lf_names: Iterable[str]) -> "LabelMatrix":
         """Project onto a subset of labeling functions (used by the

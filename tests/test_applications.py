@@ -50,7 +50,7 @@ class TestTopicSuite:
         nlp_lf = next(lf for lf in lfs if lf.name == "nlp_no_person")
         no_person = Example("a", fields={"title": "", "body": "market up"})
         assert nlp_lf.vote_in_memory(no_person) == -1
-        nlp_lf.close_local_service()
+        nlp_lf.stop()
 
     def test_featurizer_dimension_ratio(self):
         # "an order-of-magnitude more features" than product (§6.1).

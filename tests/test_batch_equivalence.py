@@ -23,7 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.applications.events import build_event_lfs
 from repro.applications.product import build_product_lfs
+from repro.applications.topic import build_topic_lfs
 from repro.datasets.content import build_content_world
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.experiments.harness import get_content_experiment
@@ -36,6 +38,7 @@ from repro.lf.applier import (
     start_lf_resources,
     stop_lf_resources,
 )
+from repro.lf.base import read_lf_votes
 from repro.lf.default import LabelingFunction
 from repro.lf.nlp import NLPLabelingFunction, celebrity_example_lf
 from repro.lf.registry import LFCategory, LFInfo
@@ -239,13 +242,13 @@ def test_topic_batch_api_accounting():
 def test_every_template_lf_label_batch_matches_label(examples):
     for lf in build_suite():
         try:
-            lf.start_resources()
+            lf.start()
             looped = np.array(
                 [lf.vote_in_memory(e) for e in examples], dtype=np.int8
             )
             batched = lf.label_batch(examples)
         finally:
-            lf.stop_resources()
+            lf.stop()
         assert batched.dtype == np.int8
         assert np.array_equal(batched, looped), lf.name
 
@@ -259,7 +262,7 @@ def test_nlp_lf_label_batch_matches_label():
     ]
     looped = [lf.vote_in_memory(e) for e in examples]
     batched = lf.label_batch(examples)
-    lf.close_local_service()
+    lf.stop()
     assert np.array_equal(batched, np.array(looped))
 
 
@@ -633,6 +636,84 @@ def test_apply_starts_one_server_per_nlp_lf(monkeypatch, batch_size):
     assert not any(server.running for server in created)
     assert all(lf._local_service is None for lf in lfs)
     assert builders == [threading.current_thread()] * 2
+
+
+@pytest.mark.parametrize("app", ["product", "topic", "events"])
+def test_start_lf_resources_brings_every_lf_up_and_down(app, events_dataset):
+    """After ``start_lf_resources`` every resource and node server of
+    every LF the application builds is running; after
+    ``stop_lf_resources`` none is, and no LF holds a server."""
+    if app == "events":
+        lfs, _ = build_event_lfs(events_dataset.world)
+    else:
+        build = build_product_lfs if app == "product" else build_topic_lfs
+        lfs, _ = build(build_content_world(seed=0))
+    start_lf_resources(lfs)
+    try:
+        assert all(
+            lf._local_service is not None
+            for lf in lfs if lf._node_service_factory() is not None
+        )
+        services = [
+            service for lf in lfs
+            for service in (*lf.resources, lf._local_service) if service is not None
+        ]
+        # The events LFs read precomputed features and declare no service.
+        assert bool(services) == (app != "events")
+        assert all(service.running for service in services)
+    finally:
+        stop_lf_resources(lfs)
+    assert not any(service.running for service in services)
+    assert all(lf._local_service is None for lf in lfs)
+
+
+@pytest.mark.parametrize("kind", ["topic_model", "kg_category", "nlp"])
+def test_run_starts_and_stops_the_lf(kind):
+    """``lf.run`` is the whole binary: on a fresh world whose resources
+    were never started, it brings the LF's resources and node server up
+    for its job, writes the votes ``vote_in_memory`` casts, and leaves
+    everything stopped."""
+    world = build_content_world(seed=0)
+    servers = []
+    if kind == "topic_model":
+        lf = topic_model_lf("tm", world.topic_model, ["finance"], -1)
+    elif kind == "kg_category":
+        lf = kg_category_lf("kgc", world.knowledge_graph, "cycling")
+    else:
+        def factory():
+            servers.append(NLPServer({"ada lovelace": "person"}))
+            return servers[-1]
+
+        lf = celebrity_example_lf(factory)
+    assert not any(resource.running for resource in lf.resources)
+    bodies = [
+        "market stock earnings investor trading",
+        "new derailleur review",
+        "Ada Lovelace profile",
+        "plain words here",
+    ]
+    examples = [
+        Example(f"e{i}", fields={"title": "", "body": body})
+        for i, body in enumerate(bodies)
+    ]
+    dfs = DistributedFileSystem()
+    paths = stage_examples(dfs, examples, "/d/run", num_shards=2)
+    result = lf.run(dfs, paths, f"/r/{lf.name}")
+
+    services = [*lf.resources, *servers]
+    assert len(services) == 1 and not services[0].running
+    assert lf._local_service is None
+    written = {}
+    for path in result.output_paths:
+        ids, votes = read_lf_votes(dfs, path)
+        written.update(zip(ids, votes.tolist()))
+    expected = {}
+    for example in examples:
+        vote = lf.vote_in_memory(example)
+        if vote:
+            expected[example.example_id] = vote
+    lf.stop()
+    assert expected and written == expected
 
 
 # ----------------------------------------------------------------------

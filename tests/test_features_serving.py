@@ -120,12 +120,6 @@ class TestModelRegistry:
         with pytest.raises(KeyError):
             registry.bless("m", 1)
 
-    def test_model_names(self):
-        registry = ModelRegistry()
-        registry.stage("b", model=1, featurizer=None)
-        registry.stage("a", model=1, featurizer=None)
-        assert registry.model_names() == ["a", "b"]
-
 
 def tiny_text_dataset(n=200, seed=0):
     rng = np.random.default_rng(seed)

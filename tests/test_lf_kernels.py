@@ -77,11 +77,11 @@ def test_every_template_label_batch_leaves_examples_as_they_were():
     examples = word_examples(60)
     before = [copy.deepcopy(vars(e)) for e in examples]
     for lf in build_suite():
-        lf.start_resources()
+        lf.start()
         try:
             lf.label_batch(examples)
         finally:
-            lf.stop_resources()
+            lf.stop()
         assert [vars(e) for e in examples] == before, lf.name
 
 

@@ -63,7 +63,6 @@ class TestRegistry:
         registry.register(LFInfo("s", LFCategory.CONTENT_HEURISTIC, True))
         registry.register(LFInfo("n", LFCategory.MODEL_BASED, False))
         assert registry.servable_names() == ["s"]
-        assert registry.non_servable_names() == ["n"]
 
     def test_category_counts_and_distribution(self):
         registry = LFRegistry("app")
@@ -72,8 +71,6 @@ class TestRegistry:
         registry.register(LFInfo("c", LFCategory.GRAPH_BASED, False))
         counts = registry.category_counts()
         assert counts[LFCategory.MODEL_BASED] == 2
-        dist = registry.category_distribution()
-        assert dist["model-based"] == pytest.approx(2 / 3)
 
     def test_figure2_table(self):
         registry = LFRegistry("app")
@@ -138,9 +135,9 @@ class TestLabelingFunctionRun:
         resource = Res()
         info = LFInfo("r", LFCategory.MODEL_BASED, False)
         lf = LabelingFunction(info, lambda x: 0, resources=[resource])
-        lf.start_resources()
+        lf.start()
         assert resource.running
-        lf.stop_resources()
+        lf.stop()
         assert not resource.running
 
 
@@ -178,7 +175,7 @@ class TestNLPLabelingFunction:
         assert not lf.info.servable
         vote = lf.vote_in_memory(Example("x", fields={"title": "", "body": "plain"}))
         assert vote == -1
-        lf.close_local_service()
+        lf.stop()
 
     def test_server_started_per_node(self, dfs):
         starts = []

@@ -92,7 +92,7 @@ class TestServiceBackedLFs:
         )
         assert vote == -1
         assert lf.vote_in_memory(doc(body="unrelated words only")) == ABSTAIN
-        lf.stop_resources()
+        lf.stop()
 
     def test_kg_translation_expansion(self, content_world):
         lf = kg_translation_lf(
@@ -103,13 +103,13 @@ class TestServiceBackedLFs:
         # The closure includes the original English form.
         assert lf.vote_in_memory(doc(body="buy a helmet")) == 1
         assert lf.vote_in_memory(doc(body="buy a hat")) == ABSTAIN
-        lf.stop_resources()
+        lf.stop()
 
     def test_kg_category_membership(self, content_world):
         lf = kg_category_lf("kgc", content_world.knowledge_graph, "cycling")
         assert lf.vote_in_memory(doc(body="new derailleur review")) == 1
         assert lf.vote_in_memory(doc(body="new dashcam review")) == ABSTAIN
-        lf.stop_resources()
+        lf.stop()
 
     def test_kg_category_excluding_accessories(self, content_world):
         lf = kg_category_lf(
@@ -120,7 +120,7 @@ class TestServiceBackedLFs:
         )
         assert lf.vote_in_memory(doc(body="buy a bicycle")) == 1
         assert lf.vote_in_memory(doc(body="buy a helmet")) == ABSTAIN
-        lf.stop_resources()
+        lf.stop()
 
     def test_crawler_lf(self, content_world):
         lf = crawler_lf(
@@ -131,7 +131,7 @@ class TestServiceBackedLFs:
         assert lf.vote_in_memory(doc(url="https://fanbuzz.example/x")) == ABSTAIN
         assert lf.vote_in_memory(doc(url="https://unknown.example/x")) == ABSTAIN
         assert lf.vote_in_memory(doc()) == ABSTAIN
-        lf.stop_resources()
+        lf.stop()
 
     def test_graph_lfs_are_graph_category(self, content_world):
         lf = kg_translation_lf("kg2", content_world.knowledge_graph, ["helmet"], ["de"])
@@ -180,7 +180,7 @@ class TestAggregateLF:
         assert lf.vote_in_memory(
             Example("e", fields={"source_id": "s2"})
         ) == ABSTAIN
-        lf.stop_resources()
+        lf.stop()
 
     def test_unknown_source_abstains(self):
         store = AggregateStore()
@@ -189,7 +189,7 @@ class TestAggregateLF:
             Example("e", fields={"source_id": "ghost"})
         ) == ABSTAIN
         assert lf.vote_in_memory(Example("e")) == ABSTAIN
-        lf.stop_resources()
+        lf.stop()
 
     def test_missing_stat_abstains(self):
         store = AggregateStore()
@@ -198,4 +198,4 @@ class TestAggregateLF:
         assert lf.vote_in_memory(
             Example("e", fields={"source_id": "s1"})
         ) == ABSTAIN
-        lf.stop_resources()
+        lf.stop()

@@ -114,14 +114,14 @@ class TestLabelMatrix:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
             LabelMatrix(np.zeros((2, 1)), ["a", "a"], ["lf1"])
+        # A duplicate LF name would hide the second column from
+        # column() and select_lfs().
+        with pytest.raises(ValueError, match="duplicate"):
+            LabelMatrix(np.array([[0, -1]]), ["x"], ["k", "k"])
 
     def test_column_lookup(self):
         matrix = self._matrix()
         assert list(matrix.column("lf2")) == [0, 1, 0]
-
-    def test_row_lookup(self):
-        matrix = self._matrix()
-        assert list(matrix.row_for("b")) == [-1, 1]
 
     def test_select_lfs_projects_and_orders(self):
         matrix = self._matrix()
