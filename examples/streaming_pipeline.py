@@ -85,7 +85,7 @@ def main():
         lfs,
         batch_size=256,
         max_resident_batches=2,
-        on_batch=sink,
+        sinks=[sink],
         collect_votes=True,
     )
     report = pipeline.run(RecordStreamSource(dfs, shards))
@@ -216,24 +216,28 @@ def main():
         "byte-identical to the uninterrupted run"
     )
 
-    # 6. Drift: attach a DriftMonitor to the pipeline (reference vs
-    #    recent windows over the vote moments). The toy corpus is
-    #    stationary, so the monitor stays quiet — then a synthetic
-    #    stream with an injected mid-stream shift shows the alarm and
-    #    the decay-mode model, solved every batch, adapting.
+    # 6. Drift: feed a DriftMonitor from a sink (reference vs recent
+    #    windows over the vote moments). The toy corpus is stationary,
+    #    so the monitor stays quiet — then a synthetic stream with an
+    #    injected mid-stream shift shows the alarm and the decay-mode
+    #    model, solved every batch, adapting.
     from repro.core.drift import DriftMonitor, DriftPolicy
 
     quiet_monitor = DriftMonitor(
         DriftPolicy(reference_batches=2, recent_batches=2)
     )
-    quiet_report = MicroBatchPipeline(
-        lfs, batch_size=256, drift_monitor=quiet_monitor
-    ).run(RecordStreamSource(dfs, shards))
+
+    def drift(seq, batch, votes):
+        quiet_monitor.observe_batch(votes)
+
+    MicroBatchPipeline(lfs, batch_size=256, sinks=[drift]).run(
+        RecordStreamSource(dfs, shards)
+    )
     print(
         f"\ndrift monitor on the stationary stream: "
-        f"{quiet_report.counters['drift/batches']} batches fed, "
-        f"{quiet_report.counters.get('drift/checks', 0)} checks, "
-        f"{quiet_report.counters.get('drift/alarms', 0)} alarms"
+        f"{quiet_monitor.batches_observed} batches fed, "
+        f"{quiet_monitor.checks_run} checks, "
+        f"{quiet_monitor.alarms} alarms"
     )
 
     rng = np.random.default_rng(0)
@@ -251,7 +255,7 @@ def main():
     drifting = OnlineLabelModel(
         OnlineLabelModelConfig(base=config, decay=0.9)
     )
-    alarm_monitor = DriftMonitor(DriftPolicy(reactions=("log", "reset_reference")))
+    alarm_monitor = DriftMonitor(DriftPolicy(reset_on_alarm=True))
     for batch_index in range(30):
         votes = synthetic_batch(flipped=batch_index >= 18)
         drifting.observe(votes)
@@ -260,7 +264,7 @@ def main():
             print(
                 f"drift alarm at batch {batch_index} "
                 f"(score {check.score:.1f}, shift injected at 18): "
-                f"reactions {check.reactions}"
+                "reference reset to the new regime"
             )
     print(
         f"decay-mode model after the shift: LF accuracies "

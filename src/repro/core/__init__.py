@@ -13,8 +13,8 @@ Public surface:
   micro-batches).
 * :class:`DriftMonitor` / :class:`DriftPolicy` — moment-based drift
   alarms for streaming deployments: tracked reference vs. recent
-  windows over LF fire rates and the agreement matrix, with pluggable
-  reactions (log, reference reset).
+  windows over LF fire rates and the agreement matrix; an alarm is
+  counted, and resets the reference when the policy asks.
 * :class:`GibbsLabelModel` — the original-Snorkel Gibbs-sampling trainer,
   kept as the speed baseline for the Section 5.2 comparison.
 * :mod:`repro.core.combiners` — Logical-OR and equal-weight baselines used

@@ -32,10 +32,10 @@ normalized by its pooled sampling variance, the score is ~O(1) on a
 stationary stream regardless of batch size or LF count, so a single
 threshold works across workloads.
 
-Reactions are pluggable (``DriftPolicy.reactions``): ``"log"`` only
-counts the alarm, and ``"reset_reference"`` adopts the recent window as
-the new reference — the stream is declared to be in a new regime and
-stops re-alarming on the same shift. (The online label model needs no
+Every alarm is counted. The one reaction is opt-in
+(``DriftPolicy.reset_on_alarm``): adopt the recent window as the new
+reference — the stream is declared to be in a new regime and stops
+re-alarming on the same shift. (The online label model needs no
 reaction: it solves its table on every batch.)
 
 All monitor state snapshots bit-exactly (:meth:`DriftMonitor.state_dict`)
@@ -55,10 +55,7 @@ import numpy as np
 from repro.core.patterns import vote_moments
 from repro.types import require_fields, require_int
 
-__all__ = ["DriftPolicy", "DriftCheck", "DriftMonitor", "DRIFT_REACTIONS"]
-
-#: The reaction names :class:`DriftPolicy` accepts, in execution order.
-DRIFT_REACTIONS = ("log", "reset_reference")
+__all__ = ["DriftPolicy", "DriftCheck", "DriftMonitor"]
 
 
 @dataclass(frozen=True)
@@ -80,33 +77,30 @@ class DriftPolicy:
             depending on how many statistics are tracked; the default 6
             keeps false alarms negligible while real shifts score in the
             tens.
-        reactions: Reactions executed, in order, on every alarmed batch.
-            Subset of :data:`DRIFT_REACTIONS`: ``"log"`` (count only),
-            ``"reset_reference"`` (adopt the recent window as the new
-            reference and clear the recent window).
+        reset_on_alarm: On every alarmed batch, adopt the recent window
+            as the new reference and clear the recent window. Off, an
+            alarm is only counted, and keeps firing while the shift
+            lasts.
+
+    :class:`repro.streaming.CheckpointedStream` (``drift=``) feeds its
+    monitor from its ``drift`` sink, after the model update and before
+    the durable sinks. No manifest stores the policy.
 
     Raises:
         ValueError: If a window size is not an ``int`` >= 1 (a ``bool``
-            is not one), the threshold is not positive, or a reaction
-            name is unknown.
+            is not one) or the threshold is not positive.
     """
 
     reference_batches: int = 8
     recent_batches: int = 4
     threshold: float = 6.0
-    reactions: tuple[str, ...] = ("log",)
+    reset_on_alarm: bool = False
 
     def __post_init__(self) -> None:
         for name in ("reference_batches", "recent_batches"):
             require_int(getattr(self, name), name, minimum=1)
         if not self.threshold > 0:
             raise ValueError(f"threshold must be > 0, got {self.threshold}")
-        unknown = [r for r in self.reactions if r not in DRIFT_REACTIONS]
-        if unknown:
-            raise ValueError(
-                f"unknown drift reactions {unknown}; choose from "
-                f"{DRIFT_REACTIONS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -121,16 +115,14 @@ class DriftCheck:
             recent window is still filling return ``checked=False``.
         score: The shift score (max pooled |z| over tracked statistics);
             0.0 when not checked.
-        alarmed: Whether ``score`` exceeded the policy threshold.
-        reactions: The reaction names that actually fired on this batch
-            (empty unless alarmed).
+        alarmed: Whether ``score`` exceeded the policy threshold (the
+            reference was then reset if the policy says so).
     """
 
     batch: int
     checked: bool
     score: float
     alarmed: bool
-    reactions: tuple[str, ...] = ()
 
 
 @dataclass
@@ -173,7 +165,7 @@ class DriftMonitor:
 
     Feed it every finalized micro-batch's votes, in stream order, via
     :meth:`observe_batch`. The monitor is deterministic: the same vote
-    stream produces the same scores, alarms, and reactions, and a
+    stream produces the same scores, alarms, and reference resets, and a
     monitor restored from :meth:`state_dict` continues bit-exactly.
 
     Attributes:
@@ -182,7 +174,8 @@ class DriftMonitor:
         batches_observed: Total micro-batches fed to the monitor.
         checks_run: Batches for which a score was computed.
         alarms: Total alarmed batches.
-        reference_resets: ``"reset_reference"`` reactions fired.
+        reference_resets: Alarms that reset the reference
+            (``reset_on_alarm``).
         first_alarm_batch: Monitor-local index of the first alarmed
             batch, or ``None``.
         last_score: The most recent computed score (0.0 before the first
@@ -193,7 +186,7 @@ class DriftMonitor:
         """Create a monitor.
 
         Args:
-            policy: Windows/threshold/reactions; defaults to
+            policy: Windows, threshold and reaction; defaults to
                 ``DriftPolicy()``.
         """
         self.policy = policy or DriftPolicy()
@@ -222,7 +215,7 @@ class DriftMonitor:
 
         Returns:
             A :class:`DriftCheck` describing what happened — whether a
-            score was computed, its value, and any reactions fired.
+            score was computed, its value, and whether it alarmed.
 
         Raises:
             ValueError: On a non-2-D batch, a column-count mismatch, or
@@ -245,19 +238,14 @@ class DriftMonitor:
         self.checks_run += 1
         self.last_score = score
         alarmed = bool(score > self.policy.threshold)
-        fired: tuple[str, ...] = ()
         if alarmed:
             self.alarms += 1
             if self.first_alarm_batch is None:
                 self.first_alarm_batch = batch
-            fired = self._react()
-        return DriftCheck(
-            batch=batch,
-            checked=True,
-            score=score,
-            alarmed=alarmed,
-            reactions=fired,
-        )
+            if self.policy.reset_on_alarm:
+                self.reset_reference()
+                self.reference_resets += 1
+        return DriftCheck(batch=batch, checked=True, score=score, alarmed=alarmed)
 
     def reset_reference(self) -> None:
         """Adopt the recent window as the new reference regime.
@@ -346,18 +334,6 @@ class DriftMonitor:
             pooled_agree = ((ref.agreement + rec.agreement) / (n1 + n2))[iu]
             scores.append(z(agree1 - agree2, 1.0 - pooled_agree**2))
         return max(scores)
-
-    def _react(self) -> tuple[str, ...]:
-        """Execute the policy's reactions; returns the names fired."""
-        fired = []
-        for reaction in self.policy.reactions:
-            if reaction == "log":
-                fired.append(reaction)
-            elif reaction == "reset_reference":
-                self.reset_reference()
-                self.reference_resets += 1
-                fired.append(reaction)
-        return tuple(fired)
 
     # ------------------------------------------------------------------
     # checkpointing

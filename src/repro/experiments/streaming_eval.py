@@ -118,7 +118,7 @@ def run_streaming_eval(
         lfs,
         batch_size=batch_size,
         max_resident_batches=2,
-        on_batch=learning_sink,
+        sinks=[learning_sink],
     )
     report = pipeline.run(RecordStreamSource(dfs, shard_paths))
 
@@ -240,7 +240,7 @@ def run_drift_eval(
         reference_batches=reference_batches,
         recent_batches=recent_batches,
         threshold=threshold,
-        reactions=("log", "reset_reference"),
+        reset_on_alarm=True,
     )
     monitor = DriftMonitor(policy)
     stationary_monitor = DriftMonitor(policy)

@@ -19,22 +19,26 @@ engine of PR 1 into that continuous pipeline:
   in-flight window; peak resident records is capped at a fixed number
   of micro-batches), driving the same block-labeling kernel as the
   offline applier so streamed votes are vote-for-vote identical to an
-  offline run;
+  offline run. Its one per-batch hook is the ordered ``sinks`` list,
+  each sink timed under its own ``sink/<name>/*`` counters;
 * :mod:`repro.streaming.sinks` — durable per-batch outputs: vote and
   probabilistic-label record shards published atomically per finalized
   micro-batch, and :func:`read_labels`, the label shards' reader;
 * :mod:`repro.streaming.checkpoint` — the fault-tolerance layer:
-  checkpoint manifests (write-then-rename) snapshot the online model,
-  the drift monitor when one is attached, and the source cursor, and
-  :class:`CheckpointedStream` resumes an interrupted stream to
-  byte-identical outputs;
+  :class:`CheckpointedStream` runs its sinks in the order
+  ``label_model``, ``drift`` (with a policy), ``votes``, ``labels``
+  (with ``write_labels``), ``checkpoint``; manifests
+  (write-then-rename) snapshot the online model, the drift monitor
+  when one is attached, and the source cursor, and a resumed stream
+  writes byte-identical outputs;
 * :class:`repro.core.online_label_model.OnlineLabelModel` — the
   streaming generative model the pipeline feeds (exported here for
   convenience), with cumulative and exponential-decay retention modes;
 * :class:`repro.core.drift.DriftMonitor` — moment-based drift alarms
-  (also re-exported): attach one to :class:`MicroBatchPipeline` or a
-  :class:`CheckpointedStream` via a :class:`repro.core.drift.DriftPolicy`
-  and read the ``drift/*`` counters off the stream report.
+  (also re-exported): give a :class:`CheckpointedStream` a
+  :class:`repro.core.drift.DriftPolicy` and read the ``drift/*``
+  counters off its ``metrics`` (or the attached ``telemetry=``), or feed
+  a monitor from a sink of your own.
 
 Everything downstream is unchanged: probabilistic labels flow to the
 FTRL-trained discriminative models exactly as in the offline pipeline.

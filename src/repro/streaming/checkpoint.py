@@ -79,7 +79,7 @@ from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.records import RecordWriter, read_records
 from repro.lf.base import AbstractLabelingFunction
 from repro.obs.registry import MetricsRegistry
-from repro.streaming.pipeline import MicroBatchPipeline, StreamReport
+from repro.streaming.pipeline import BatchSink, MicroBatchPipeline, StreamReport
 from repro.streaming.sinks import LabelSink, VoteSink
 from repro.streaming.sources import SourceCursor
 from repro.types import Example, require_fields, require_int
@@ -316,26 +316,27 @@ class _CursorTracker:
             del self._positions[key]
 
 
-class _CheckpointSink:
-    """Pipeline sink that advances the cursor and writes manifests."""
+class _NamedSink:
+    """One of the stream's own per-batch steps as a named pipeline sink,
+    so its time reads as ``sink/<name>/*``."""
 
-    name = "checkpoint"
-
-    def __init__(self, runner: "CheckpointedStream") -> None:
-        self._runner = runner
+    def __init__(self, name: str, step: BatchSink) -> None:
+        self.name = name
+        self._step = step
 
     def __call__(
         self, seq: int, examples: list[Example], votes: np.ndarray
     ) -> None:
-        self._runner._finalize_batch(seq, len(examples))
+        self._step(seq, examples, votes)
 
 
 class CheckpointedStream:
     """Durable, resumable micro-batch labeling over an example source.
 
-    Owns the online label model, wires :class:`VoteSink` /
-    :class:`LabelSink` into the pipeline's sink stage, checkpoints every
-    ``checkpoint_every`` finalized batches plus once at stream end, and
+    Owns the online label model, runs the pipeline's sinks ``label_model``
+    (fold and solve), ``drift`` (with a policy), ``votes``, ``labels``
+    (with ``write_labels``) and ``checkpoint`` in that order, checkpoints
+    every ``checkpoint_every`` finalized batches plus once at stream end, and
     — when the root already holds a manifest — resumes instead of
     restarting: restore state, drop orphan shards, skip consumed
     examples, continue batch numbering. ``run`` is idempotent; invoking it on a completed root
@@ -372,13 +373,13 @@ class CheckpointedStream:
             executor: A live :class:`repro.parallel.ParallelLabelExecutor`
                 to label batches on; built and closed by the caller.
             drift: Optional :class:`repro.core.drift.DriftPolicy`. When
-                set, each run owns a :class:`DriftMonitor` fed every
-                finalized batch, monitor state is snapshotted into
-                every manifest (bit-exactly), and
-                ``drift/*`` counters appear on the stream report.
+                set, each run owns a :class:`DriftMonitor` fed by the
+                ``drift`` sink, snapshotted into every manifest
+                (bit-exactly), its activity counted as ``drift/*`` on
+                :attr:`metrics`.
             telemetry: Optional :class:`repro.obs.MetricsRegistry`
-                shared with the pipeline; each manifest write is a
-                ``stream.checkpoint`` stage event. Purely observational
+                shared with the pipeline and :attr:`metrics` (manifest
+                writes, ``drift/*``). Purely observational
                 — manifests and shards stay byte-identical with or
                 without it.
 
@@ -405,6 +406,7 @@ class CheckpointedStream:
         #: restores the manifest's monitor snapshot on resume).
         self.drift_policy = drift
         self.telemetry = telemetry
+        #: Manifest writes and drift activity, over every run.
         self.metrics = MetricsRegistry().attach(telemetry)
         self.manager = CheckpointManager(dfs, self.root)
         self.online = OnlineLabelModel(self.online_config)
@@ -470,13 +472,18 @@ class CheckpointedStream:
             resumed_from = checkpoint.batch
             cursor = checkpoint.cursor
 
+        # The labels include their own batch, a drift reset lands before
+        # anything durable sees it, and a manifest follows its shards.
+        sinks: list = [_NamedSink("label_model", self._learn)]
+        if self.drift_monitor is not None:
+            sinks.append(_NamedSink("drift", self._watch_drift))
         vote_sink = VoteSink(self._dfs, self.root, lf_names)
-        sinks: list = [vote_sink]
+        sinks.append(vote_sink)
         label_sink = None
         if self.write_labels:
             label_sink = LabelSink(self._dfs, self.root, self.online.predict_proba)
             sinks.append(label_sink)
-        sinks.append(_CheckpointSink(self))
+        sinks.append(_NamedSink("checkpoint", self._finalize_batch))
 
         # Recovery truncation: durable output is only trusted up to the
         # manifest — anything newer was mid-flight when we died.
@@ -495,11 +502,9 @@ class CheckpointedStream:
             self.lfs,
             batch_size=self.batch_size,
             max_resident_batches=self.max_resident_batches,
-            on_batch=self._learn,
             sinks=sinks,
             first_batch_seq=last_durable + 1,
             executor=self.executor,
-            drift_monitor=self.drift_monitor,
             telemetry=self.telemetry,
         )
         # Source replay: seek when we can, replay-and-discard when we
@@ -557,9 +562,25 @@ class CheckpointedStream:
         """Model update — runs before the durable sinks."""
         self.online.observe(votes)
 
-    def _finalize_batch(self, seq: int, n_examples: int) -> None:
+    def _watch_drift(
+        self, seq: int, examples: list[Example], votes: np.ndarray
+    ) -> None:
+        """Feed the monitor and count what it did under ``drift/*``."""
+        check = self.drift_monitor.observe_batch(votes)
+        self.metrics.counter("drift/batches")
+        if check.checked:
+            self.metrics.counter("drift/checks")
+            self.metrics.record("stream/drift_score", check.score)
+        if check.alarmed:
+            self.metrics.counter("drift/alarms")
+            if self.drift_policy.reset_on_alarm:
+                self.metrics.counter("drift/reference_resets")
+
+    def _finalize_batch(
+        self, seq: int, examples: list[Example], votes: np.ndarray
+    ) -> None:
         """Last sink stage: advance the cursor, checkpoint, maybe crash."""
-        self._cursor += n_examples
+        self._cursor += len(examples)
         self._last_seq = seq
         if (seq + 1) % self.checkpoint_every == 0:
             self._write_checkpoint(seq)

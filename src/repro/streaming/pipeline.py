@@ -6,11 +6,11 @@ the next micro-batch from the source, labels it with the same block
 kernel the offline applier uses
 (:func:`repro.lf.applier.label_example_block` — fused token-match
 executor plus per-LF batch kernels), and hands the finalized votes to
-sink callbacks (online label model update, end-model training, vote
-persistence) strictly in batch order. The pipeline starts no thread:
-decoding, labeling, model updates and sink writes are all GIL-bound
-Python, so a second thread could only trade the GIL back and forth with
-this one, never overlap it.
+its one per-batch hook, the ordered ``sinks`` list (model updates,
+monitors, durable writers), strictly in batch order. The pipeline
+starts no thread: decoding, labeling, model updates and sink writes are
+all GIL-bound Python, so a second thread could only trade the GIL back
+and forth with this one, never overlap it.
 
 Two label paths
 ---------------
@@ -55,9 +55,10 @@ happen, so a mid-stream snapshot is consistent. What the table cannot say:
   ``ingest/backpressure_waits`` / ``ingest/wait_us`` — *not*
   ``queue/wait_us`` — and ``ingest/encode_us`` is the hand-off to the
   pool. All three are pool-only;
-* the drift monitor (``drift/*``) is fed in batch order, *after* the
-  ``on_batch`` callback (a model sink has already observed the batch)
-  and *before* the durable sinks (manifests see post-reaction state).
+* every sink is timed on its own, under ``sink/<name>/us|batches|records``
+  (the name is the sink's ``name`` attribute, else its ``__name__``,
+  else its type name; two sinks may not share one), and the batch's
+  ``stream.sink`` event (``sink/us``) is exactly the sum of those times.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ __all__ = [
 BatchSink = Callable[[int, list[Example], np.ndarray], None]
 
 
+def _sink_name(sink: BatchSink) -> str:
+    """A sink's counter name: ``name``, else ``__name__``, else its type's."""
+    name = getattr(sink, "name", None) or getattr(sink, "__name__", None)
+    return name or type(sink).__name__
+
+
 @dataclass
 class _Batch:
     """One micro-batch on its way through a run: assembly fills the
@@ -119,7 +126,6 @@ class _Run:
     resident: Gauge
     batches_done: int = 0
     examples_done: int = 0
-    votes_emitted: int = 0
     latency_sum: float = 0.0
     latency_max: float = 0.0
     collected_votes: list[np.ndarray] = field(default_factory=list)
@@ -151,12 +157,10 @@ class StreamReport:
 
     examples: int
     batches: int
-    lf_count: int
     wall_seconds: float
     peak_resident_records: int
     max_resident_records: int
     backpressure_waits: int
-    votes_emitted: int
     mean_batch_latency_seconds: float
     max_batch_latency_seconds: float
     counters: dict[str, int] = field(default_factory=dict)
@@ -206,12 +210,10 @@ class MicroBatchPipeline:
         lfs: Sequence[AbstractLabelingFunction],
         batch_size: int = 1024,
         max_resident_batches: int = 2,
-        on_batch: BatchSink | None = None,
         collect_votes: bool = False,
         sinks: Sequence[BatchSink] | None = None,
         first_batch_seq: int = 0,
         executor=None,
-        drift_monitor=None,
         telemetry=None,
     ) -> None:
         """Configure the pipeline.
@@ -223,23 +225,18 @@ class MicroBatchPipeline:
             max_resident_batches: The pool's window — the hard bound on
                 decoded micro-batches in flight there. An inline run
                 holds one.
-            on_batch: Callback ``(seq, examples, votes)`` run first per
-                finalized batch (model updates).
             collect_votes: Keep every batch's votes and return them as
                 one :class:`~repro.types.LabelMatrix` on the report.
-            sinks: Ordered durable sinks, run after ``on_batch`` while
-                the batch's records still count as resident.
+            sinks: The per-batch hook: callables ``(seq, examples,
+                votes)`` run in this order on every finalized batch while
+                its records still count as resident, each timed under
+                ``sink/<name>/*``.
             first_batch_seq: Batch numbering offset (resume support).
             executor: A live :class:`repro.parallel.ParallelLabelExecutor`
                 whose suite spec rebuilds ``lfs``: batches are labeled
                 on its process pool. The pool is the caller's — a run
                 resets its in-flight state on the way out and never
                 closes it.
-            drift_monitor: Optional
-                :class:`repro.core.drift.DriftMonitor` fed every
-                finalized batch's votes, in order, between ``on_batch``
-                and the sinks; its activity lands in the ``drift/*``
-                counters.
             telemetry: Optional :class:`repro.obs.MetricsRegistry`.
                 Every event of a run is forwarded to it as it happens
                 (only it keeps the ``stream/*`` histograms) and the
@@ -248,8 +245,8 @@ class MicroBatchPipeline:
                 votes, shards, or posteriors.
 
         Raises:
-            ValueError: On non-positive sizes or a negative
-                ``first_batch_seq``.
+            ValueError: On non-positive sizes, a negative
+                ``first_batch_seq``, or two sinks with one name.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -261,27 +258,24 @@ class MicroBatchPipeline:
             raise ValueError(
                 f"first_batch_seq must be >= 0, got {first_batch_seq}"
             )
+        #: Ordered sinks by counter name (a slow sink slows the stream;
+        #: it never grows memory).
+        self.sinks: dict[str, BatchSink] = {}
+        for sink in sinks or ():
+            name = _sink_name(sink)
+            if name in self.sinks:
+                raise ValueError(f"two sinks are named {name!r}; sink/<name>/* needs one each")
+            self.sinks[name] = sink
         self.lfs = list(lfs)
         self.batch_size = batch_size
         self.max_resident_batches = max_resident_batches
-        self.on_batch = on_batch
         self.collect_votes = collect_votes
-        #: Ordered sink stage: each callable runs after ``on_batch``, in
-        #: batch order, while the batch's records still count as
-        #: resident (a slow sink slows the stream; it never grows
-        #: memory). Each sink gets its own counters keyed by its
-        #: ``name`` attribute (class name when absent).
-        self.sinks = list(sinks) if sinks else []
         #: Batch numbering offset — a resumed stream continues the
         #: uninterrupted run's sequence so sink shard names line up.
         self.first_batch_seq = first_batch_seq
         #: The caller's process pool, or ``None`` to label inline on the
         #: calling thread.
         self.executor = executor
-        #: Drift monitor fed per finalized batch (batch order) — between
-        #: ``on_batch`` and the sink stage, so a reference reset lands
-        #: before anything durable observes it.
-        self.drift_monitor = drift_monitor
         #: Optional telemetry registry each run's scoped registry
         #: forwards to; a pure observer.
         self.telemetry = telemetry
@@ -391,44 +385,27 @@ class MicroBatchPipeline:
         metrics = run.metrics
         votes = batch.votes
         records = len(batch.examples)
-        batch_votes = int(np.count_nonzero(votes))
-        run.votes_emitted += batch_votes
         metrics.stage(
             "stream.label",
             batch.label_us,
             seq=batch.seq,
             records=records,
-            votes=batch_votes,
+            votes=int(np.count_nonzero(votes)),
             wait_us=batch.wait_us,
         )
         sink_us = 0
-        if self.on_batch is not None:
-            sink_start = time.perf_counter()
-            self.on_batch(batch.seq, batch.examples, votes)
-            sink_us += int((time.perf_counter() - sink_start) * 1e6)
-        if self.drift_monitor is not None:
-            check = self.drift_monitor.observe_batch(votes)
-            metrics.counter("drift/batches")
-            if check.checked:
-                metrics.counter("drift/checks")
-                metrics.record("stream/drift_score", check.score)
-            if check.alarmed:
-                metrics.counter("drift/alarms")
-            if "reset_reference" in check.reactions:
-                metrics.counter("drift/reference_resets")
-        for sink in self.sinks:
+        for name, sink in self.sinks.items():
             sink_start = time.perf_counter()
             sink(batch.seq, batch.examples, votes)
             elapsed_us = int((time.perf_counter() - sink_start) * 1e6)
             sink_us += elapsed_us
-            name = getattr(sink, "name", type(sink).__name__)
             for unit, amount in (
                 ("us", elapsed_us),
                 ("batches", 1),
                 ("records", records),
             ):
                 metrics.counter(f"sink/{name}/{unit}", amount)
-        if self.on_batch is not None or self.sinks:
+        if self.sinks:
             metrics.stage(
                 "stream.sink", sink_us, seq=batch.seq, records=records
             )
@@ -459,12 +436,10 @@ class MicroBatchPipeline:
         return StreamReport(
             examples=run.examples_done,
             batches=run.batches_done,
-            lf_count=len(self.lfs),
             wall_seconds=wall,
             peak_resident_records=run.resident.peak,
             max_resident_records=self.max_resident_batches * self.batch_size,
             backpressure_waits=counters.get("ingest/backpressure_waits", 0),
-            votes_emitted=run.votes_emitted,
             mean_batch_latency_seconds=(
                 run.latency_sum / run.batches_done
                 if run.batches_done

@@ -762,7 +762,7 @@ def test_streaming_records_match_offline_and_label_model():
     pipeline = MicroBatchPipeline(
         lfs,
         batch_size=64,
-        on_batch=lambda _seq, _batch, votes: online.observe(votes),
+        sinks=[lambda _seq, _batch, votes: online.observe(votes)],
         collect_votes=True,
     )
     report = pipeline.run(RecordStreamSource(dfs, paths))

@@ -693,12 +693,74 @@ class TestPipelineSinkStage:
         assert calls[0][0] == "first" and calls[1][0] == "second"
         assert [c[1] for c in calls[:2]] == [0, 0]
 
+    def test_sinks_are_named_by_name_then_dunder_name_then_type(
+        self, corpus, lfs
+    ):
+        class Unnamed:
+            def __call__(self, seq, examples, votes):
+                pass
+
+        def recorder(seq, examples, votes):
+            pass
+
+        class Named(Unnamed):
+            name = "custom"
+
+        report = MicroBatchPipeline(
+            lfs, batch_size=64, sinks=[Named(), recorder, Unnamed()]
+        ).run(MemorySource(corpus))
+        for name in ("custom", "recorder", "Unnamed"):
+            assert report.counters[f"sink/{name}/batches"] == report.batches
+
+    @pytest.mark.parametrize("kind", ["lambdas", "vote_sinks"])
+    def test_two_sinks_with_one_name_are_refused(self, dfs, lfs, kind):
+        """Two sinks with one name would share (and double) one
+        ``sink/<name>/*`` family."""
+        if kind == "lambdas":
+            sinks = [lambda *_: None, lambda *_: None]
+        else:
+            sinks = [VoteSink(dfs, root, ["x"]) for root in ("/a", "/b")]
+        with pytest.raises(ValueError, match="two sinks are named"):
+            MicroBatchPipeline(lfs, sinks=sinks)
+
+    @pytest.mark.parametrize("with_drift", [False, True], ids=["plain", "drift"])
+    def test_durable_stream_times_every_step_as_a_named_sink(
+        self, dfs, corpus, lfs, with_drift
+    ):
+        """The model update and the drift monitor are sinks too: the
+        stage total is exactly the sum of the per-sink times."""
+        stream = CheckpointedStream(
+            dfs,
+            lfs,
+            "/timed",
+            batch_size=64,
+            online_config=ONLINE_CONFIG,
+            drift=DriftPolicy(reference_batches=1, recent_batches=1)
+            if with_drift
+            else None,
+        )
+        counters = stream.run(MemorySource(corpus)).stream.counters
+        names = ["label_model", "votes", "labels", "checkpoint"]
+        if with_drift:
+            names.insert(1, "drift")
+        per_sink = {
+            key.split("/")[1]
+            for key in counters
+            if key.startswith("sink/") and key.count("/") == 2
+        }
+        assert per_sink == set(names)
+        assert counters["sink/us"] == sum(
+            counters[f"sink/{name}/us"] for name in names
+        )
+        batches = counters["sink/batches"]
+        assert counters["sink/label_model/batches"] == batches == 7
+
     def test_first_batch_seq_offsets_numbering(self, corpus, lfs):
         seen = []
         pipe = MicroBatchPipeline(
             lfs,
             batch_size=64,
-            on_batch=lambda seq, *_: seen.append(seq),
+            sinks=[lambda seq, *_: seen.append(seq)],
             first_batch_seq=5,
         )
         report = pipe.run(MemorySource(corpus[:130]))
@@ -896,7 +958,7 @@ class TestDriftCheckpointing:
         reference_batches=1,
         recent_batches=1,
         threshold=1.0,
-        reactions=("log", "reset_reference"),
+        reset_on_alarm=True,
     )
 
     def _make_runner(self, dfs, lfs, root):
@@ -933,7 +995,7 @@ class TestDriftCheckpointing:
 
     def test_drift_kill_matrix_resumes_byte_identical(self, corpus, lfs):
         """The crash-resume guarantee must survive active drift
-        reactions: reference resets triggered by the monitor are part of
+        resets: reference resets triggered by the monitor are part of
         the replayed state, so a stream killed after ANY batch still
         converges to byte-identical manifests/shards and the same alarm
         history."""
@@ -944,11 +1006,11 @@ class TestDriftCheckpointing:
         baseline = self._make_runner(dfs, lfs, "/drift-baseline")
         base_report = baseline.run(RecordStreamSource(dfs, shards))
         reference = tree_bytes(dfs, "/drift-baseline")
-        # The hair-trigger policy must actually exercise the reactions.
+        # The hair-trigger policy must actually reset the reference.
         assert baseline.drift_monitor.alarms > 0
         assert baseline.drift_monitor.reference_resets > 0
         assert (
-            base_report.stream.counters["drift/alarms"]
+            baseline.metrics.counters.value("drift/alarms")
             == baseline.drift_monitor.alarms
         )
 
@@ -993,7 +1055,7 @@ class TestDriftCheckpointing:
         report = resumed.run(RecordStreamSource(dfs, shards))
         assert resumed.drift_monitor is None
         assert report.batches_finalized > 0
-        assert "drift/batches" not in report.stream.counters
+        assert "drift/batches" not in resumed.metrics.counters.as_dict()
 
 
 # ----------------------------------------------------------------------

@@ -4,14 +4,14 @@ Covers the layer bottom-up: the :class:`OnlineLabelModel`'s decay
 retention mode (moment math, weighted pattern log, eviction,
 recency-weighted reconstruction, bit-exact snapshots), the
 :class:`DriftMonitor` (window mechanics, detection, false-alarm
-behavior, reactions, bit-exact resume), and the pipeline/checkpoint
-wiring that surfaces ``drift/*`` counters.
+behavior, the reference reset, bit-exact resume), and the durable
+stream's ``drift`` sink that surfaces ``drift/*`` counters.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.drift import DRIFT_REACTIONS, DriftMonitor, DriftPolicy
+from repro.core.drift import DriftMonitor, DriftPolicy
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
 from repro.core.online_label_model import (
     PATTERN_WEIGHT_FLOOR,
@@ -19,7 +19,8 @@ from repro.core.online_label_model import (
     OnlineLabelModelConfig,
 )
 from repro.dfs.records import decode_ndarray, encode_ndarray
-from repro.streaming import MemorySource, MicroBatchPipeline
+from repro.dfs.filesystem import DistributedFileSystem
+from repro.streaming import CheckpointedStream, MemorySource
 from repro.types import Example
 
 from tests.conftest import same_rows
@@ -58,7 +59,7 @@ SHIFTED = dict(accuracies=(0.1, 0.85, 0.5, 0.7), positive_rate=0.25)
 class TestDriftPolicy:
     def test_defaults_are_valid(self):
         policy = DriftPolicy()
-        assert policy.reactions == ("log",)
+        assert policy.reset_on_alarm is False
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="reference_batches"):
@@ -67,8 +68,6 @@ class TestDriftPolicy:
             DriftPolicy(recent_batches=0)
         with pytest.raises(ValueError, match="threshold"):
             DriftPolicy(threshold=0.0)
-        with pytest.raises(ValueError, match="unknown drift reactions"):
-            DriftPolicy(reactions=("log", "page_oncall"))
 
     @pytest.mark.parametrize("name", ["reference_batches", "recent_batches"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True])
@@ -81,9 +80,9 @@ class TestDriftPolicy:
 
     def test_refit_is_no_longer_a_reaction(self):
         """The online model solves every batch, so there is nothing for
-        a refit reaction to force."""
-        assert DRIFT_REACTIONS == ("log", "reset_reference")
-        with pytest.raises(ValueError, match="unknown drift reactions"):
+        a refit reaction to force: the reference reset is the one
+        reaction, and there is no list of named ones to put a refit in."""
+        with pytest.raises(TypeError):
             DriftPolicy(reactions=("refit",))
 
 
@@ -187,7 +186,7 @@ class TestDriftMonitor:
         assert monitor.last_score > monitor.policy.threshold
 
     def test_reset_reference_adopts_new_regime(self):
-        policy = DriftPolicy(reactions=("log", "reset_reference"))
+        policy = DriftPolicy(reset_on_alarm=True)
         monitor = DriftMonitor(policy)
         stream = draw_batches(16, seed=5) + draw_batches(24, seed=6, **SHIFTED)
         for votes in stream:
@@ -201,7 +200,7 @@ class TestDriftMonitor:
         assert monitor.alarms == alarms_after_adoption
 
     def test_without_reset_the_alarm_keeps_firing(self):
-        monitor = DriftMonitor(DriftPolicy())  # log only
+        monitor = DriftMonitor(DriftPolicy())  # alarms are only counted
         stream = draw_batches(16, seed=5) + draw_batches(24, seed=6, **SHIFTED)
         for votes in stream:
             monitor.observe_batch(votes)
@@ -228,7 +227,7 @@ class TestDriftMonitor:
 
     def test_state_round_trip_is_bitwise(self):
         """Resume mid-stream; scores/alarms must match an unbroken run."""
-        policy = DriftPolicy(reactions=("log", "reset_reference"))
+        policy = DriftPolicy(reset_on_alarm=True)
         stream = draw_batches(14, seed=10) + draw_batches(
             14, seed=11, **SHIFTED
         )
@@ -492,7 +491,7 @@ class TestDecayMode:
 
 
 # ----------------------------------------------------------------------
-# pipeline wiring
+# durable-stream wiring
 # ----------------------------------------------------------------------
 class TestPipelineDrift:
     def _examples(self, n=400, seed=21):
@@ -518,28 +517,40 @@ class TestPipelineDrift:
             keyword_lf("kw_plain", ["plain"], vote=-1),
         ]
 
-    def test_stationary_pipeline_run_emits_quiet_drift_counters(self):
-        monitor = DriftMonitor(
-            DriftPolicy(reference_batches=2, recent_batches=2)
+    def _stream(self, batch_size, policy):
+        return CheckpointedStream(
+            DistributedFileSystem(),
+            self._lfs(),
+            "/drift",
+            batch_size=batch_size,
+            drift=policy,
         )
-        report = MicroBatchPipeline(
-            self._lfs(), batch_size=50, drift_monitor=monitor
-        ).run(MemorySource(self._examples()))
-        assert report.counters["drift/batches"] == report.batches
-        assert report.counters["drift/checks"] == monitor.checks_run > 0
-        assert "drift/alarms" not in report.counters  # nothing fired
+
+    def test_stationary_pipeline_run_emits_quiet_drift_counters(self):
+        stream = self._stream(
+            50, DriftPolicy(reference_batches=2, recent_batches=2)
+        )
+        report = stream.run(MemorySource(self._examples()))
+        monitor = stream.drift_monitor
+        counters = stream.metrics.counters.as_dict()
+        assert counters["drift/batches"] == report.batches_finalized
+        assert counters["drift/checks"] == monitor.checks_run > 0
+        assert "drift/alarms" not in counters  # nothing fired
         assert monitor.alarms == 0
 
     def test_monitor_feed_order_is_stream_order(self):
-        """The monitor and on_batch see the same batches, same order."""
-        seen = []
-        monitor = DriftMonitor(
-            DriftPolicy(reference_batches=1, recent_batches=1)
+        """The monitor sees every batch the stream finalizes, after the
+        model and before the durable sinks."""
+        stream = self._stream(
+            64, DriftPolicy(reference_batches=1, recent_batches=1)
         )
-        MicroBatchPipeline(
-            self._lfs(),
-            batch_size=64,
-            on_batch=lambda seq, batch, votes: seen.append(len(batch)),
-            drift_monitor=monitor,
-        ).run(MemorySource(self._examples()))
-        assert monitor.batches_observed == len(seen)
+        report = stream.run(MemorySource(self._examples()))
+        assert stream.drift_monitor.batches_observed == report.batches_finalized
+        # Counters are kept in first-emission order: batch 0's sinks.
+        order = [
+            key.split("/")[1]
+            for key in report.stream.counters
+            if key.startswith("sink/") and key.endswith("/batches")
+            and key.count("/") == 2
+        ]
+        assert order == ["label_model", "drift", "votes", "labels", "checkpoint"]

@@ -291,7 +291,7 @@ class TestReassemblyOrder:
                 batch_size=50,
                 max_resident_batches=6,
                 executor=executor,
-                on_batch=lambda seq, *_: seqs.append(seq),
+                sinks=[lambda seq, *_: seqs.append(seq)],
                 collect_votes=True,
             ).run(iter(corpus))
         assert seqs == list(range(report.batches))
@@ -500,10 +500,10 @@ class TestWorkerCrashes:
             if seq == 2:
                 raise RuntimeError("sink crashed")
 
-        def run(executor, on_batch=None):
+        def run(executor, sinks=None):
             return MicroBatchPipeline(
                 lfs, batch_size=32, max_resident_batches=4,
-                executor=executor, on_batch=on_batch, collect_votes=True,
+                executor=executor, sinks=sinks, collect_votes=True,
             ).run(iter(corpus))
 
         with ParallelLabelExecutor(SPEC, workers=2, max_retries=0) as executor:
@@ -511,7 +511,7 @@ class TestWorkerCrashes:
                 run(executor)
             elif ending == "sink_raises":
                 with pytest.raises(RuntimeError, match="sink crashed"):
-                    run(executor, on_batch=explode)
+                    run(executor, sinks=[explode])
             else:
                 executor.kill_worker_on(1, attempts=10)
                 with pytest.raises(WorkerFailure):

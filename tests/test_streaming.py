@@ -19,6 +19,7 @@ from repro.core.online_label_model import (
     OnlineLabelModel,
     OnlineLabelModelConfig,
 )
+from repro.dfs.filesystem import DistributedFileSystem
 from repro.experiments.harness import get_content_experiment
 from repro.lf.applier import apply_lfs_in_memory, stage_examples
 from repro.lf.default import LabelingFunction
@@ -27,7 +28,7 @@ from repro.obs.counters import Gauge
 from repro.obs import MetricsRegistry
 from repro.parallel import LFSuiteSpec, ParallelLabelExecutor
 from repro.streaming import (
-    DriftMonitor,
+    CheckpointedStream,
     DriftPolicy,
     MemorySource,
     MicroBatchPipeline,
@@ -312,7 +313,7 @@ class TestMicroBatchPipeline:
         assert report.examples == len(examples)
         assert report.label_matrix.example_ids == offline.example_ids
         assert np.array_equal(report.label_matrix.matrix, offline.matrix)
-        assert report.votes_emitted == int(
+        assert report.counters["label/votes"] == int(
             np.count_nonzero(offline.matrix)
         )
         assert report.peak_resident_records <= report.max_resident_records
@@ -323,9 +324,7 @@ class TestMicroBatchPipeline:
         pipe = MicroBatchPipeline(
             lfs,
             batch_size=77,
-            on_batch=lambda seq, batch, votes: seen.append(
-                (seq, len(batch))
-            ),
+            sinks=[lambda seq, batch, votes: seen.append((seq, len(batch)))],
             **stage,
         )
         report = pipe.run(MemorySource(examples))
@@ -342,7 +341,7 @@ class TestMicroBatchPipeline:
             lfs,
             batch_size=32,
             max_resident_batches=2,
-            on_batch=lambda *_: time.sleep(0.002),
+            sinks=[lambda *_: time.sleep(0.002)],
             **stage,
         )
         report = pipe.run(MemorySource(examples))
@@ -391,7 +390,7 @@ class TestMicroBatchPipeline:
     def test_stage_counters_populated(self, product_pipeline, stage):
         lfs, examples = product_pipeline
         pipe = MicroBatchPipeline(
-            lfs, batch_size=50, on_batch=lambda *_: None, **stage
+            lfs, batch_size=50, sinks=[lambda *_: None], **stage
         )
         report = pipe.run(MemorySource(examples))
         stages = report.stages()
@@ -425,7 +424,7 @@ class TestMicroBatchPipeline:
     def test_sink_stage_counts_its_own_records(self, product_pipeline, stage):
         lfs, examples = product_pipeline
         report = MicroBatchPipeline(
-            lfs, batch_size=50, on_batch=lambda *_: None, **stage
+            lfs, batch_size=50, sinks=[lambda *_: None], **stage
         ).run(MemorySource(examples))
         sink = report.stage("sink")
         assert sink.records == len(examples)
@@ -434,7 +433,8 @@ class TestMicroBatchPipeline:
     def test_counter_contract_keys_all_appear(
         self, product_pipeline, slow_stage
     ):
-        """Every documented counter key must show up in a real run.
+        """Every documented pipeline counter key must show up in a real
+        run; the ``drift/*`` keys are the durable stream's (next test).
 
         Regression for the docstring drift that advertised
         ``queue/wait_us`` as the backpressure timing: the contract now
@@ -442,17 +442,6 @@ class TestMicroBatchPipeline:
         every key — a renamed or dropped counter fails here, not in a
         dashboard."""
         _, examples = product_pipeline
-        # A hair-trigger monitor makes every drift/* key appear: with
-        # one-batch windows and a ~zero threshold, every check alarms
-        # and fires the counted reaction.
-        monitor = DriftMonitor(
-            DriftPolicy(
-                reference_batches=1,
-                recent_batches=1,
-                threshold=1e-9,
-                reactions=("log", "reset_reference"),
-            ),
-        )
         # On the pool, a worker slower than the stream fills the
         # one-batch window, so ingest waits on it before every read.
         pooled = "executor" in slow_stage
@@ -460,21 +449,22 @@ class TestMicroBatchPipeline:
             build_slow_product_suite(),
             batch_size=32,
             max_resident_batches=1,
-            on_batch=lambda *_: None,
-            drift_monitor=monitor,
+            sinks=[lambda *_: None],
             **slow_stage,
         ).run(MemorySource(examples))
         for key in contract_keys("counter", "stream", conditional=False):
             assert key in report.counters, f"missing documented key {key}"
-        # This run configured a sink and monitored drift, so every
-        # conditional key must appear too — except the pool's hand-off
-        # and backpressure keys, which appear on the pool and only there.
+        # This run configured a sink, so every conditional pipeline key
+        # must appear too — except the pool's hand-off and backpressure
+        # keys, which appear on the pool and only there.
         pool_only = {
             "ingest/encode_us",
             "ingest/backpressure_waits",
             "ingest/wait_us",
         }
         for key in contract_keys("counter", "stream", conditional=True):
+            if key.startswith("drift/"):
+                continue
             if key in pool_only:
                 assert (key in report.counters) == pooled, key
                 continue
@@ -484,13 +474,50 @@ class TestMicroBatchPipeline:
             # queue/wait_us.
             assert report.backpressure_waits == report.batches
             assert report.counters["ingest/wait_us"] > 0
-        # The drift counters mirror the monitor's own tallies.
-        assert report.counters["drift/batches"] == report.batches
-        assert report.counters["drift/alarms"] == monitor.alarms
-        assert (
-            report.counters["drift/reference_resets"]
-            == monitor.reference_resets
+
+    def test_drift_counter_keys_appear_on_the_durable_stream(
+        self, product_pipeline, stage
+    ):
+        """The ``drift`` sink of a durable stream with a policy emits
+        every ``drift/*`` key and the ``stream/drift_score`` histogram
+        on the stream's registry, mirroring the monitor's tallies."""
+        lfs, examples = product_pipeline
+        registry = MetricsRegistry()
+        # A hair-trigger policy makes every drift/* key appear: with
+        # one-batch windows and a ~zero threshold, every check alarms
+        # and resets the reference.
+        stream = CheckpointedStream(
+            DistributedFileSystem(),
+            lfs,
+            "/drift-keys",
+            batch_size=32,
+            drift=DriftPolicy(
+                reference_batches=1,
+                recent_batches=1,
+                threshold=1e-9,
+                reset_on_alarm=True,
+            ),
+            telemetry=registry,
+            **stage,
         )
+        report = stream.run(MemorySource(examples))
+        counters = stream.metrics.counters.as_dict()
+        snapshot = registry.snapshot()
+        drift_keys = [
+            key
+            for key in contract_keys("counter", "stream", conditional=True)
+            if key.startswith("drift/")
+        ]
+        assert drift_keys
+        for key in drift_keys:
+            assert key in counters, f"missing drift key {key}"
+            assert snapshot["counters"][key] == counters[key]
+        monitor = stream.drift_monitor
+        assert counters["drift/batches"] == report.batches_finalized
+        assert counters["drift/checks"] == monitor.checks_run
+        assert counters["drift/alarms"] == monitor.alarms
+        assert counters["drift/reference_resets"] == monitor.reference_resets
+        assert snapshot["histograms"]["stream/drift_score"]["count"] == monitor.checks_run
 
     def test_empty_source(self, product_pipeline, stage):
         lfs, _ = product_pipeline
@@ -508,9 +535,7 @@ class TestMicroBatchPipeline:
         def explode(seq, batch, votes):
             raise RuntimeError("sink crashed")
 
-        pipe = MicroBatchPipeline(
-            lfs, batch_size=16, on_batch=explode, **stage
-        )
+        pipe = MicroBatchPipeline(lfs, batch_size=16, sinks=[explode], **stage)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="sink crashed"):
             pipe.run(MemorySource(examples))
@@ -534,7 +559,7 @@ class TestMicroBatchPipeline:
 
         registry = MetricsRegistry()
         pipe = MicroBatchPipeline(
-            lfs, batch_size=16, on_batch=explode, telemetry=registry, **stage
+            lfs, batch_size=16, sinks=[explode], telemetry=registry, **stage
         )
         with pytest.raises(RuntimeError, match="sink crashed"):
             pipe.run(MemorySource(examples))
