@@ -23,7 +23,10 @@ engine of PR 1 into that continuous pipeline:
   each sink timed under its own ``sink/<name>/*`` counters;
 * :mod:`repro.streaming.sinks` — durable per-batch outputs: vote and
   probabilistic-label record shards published atomically per finalized
-  micro-batch, and :func:`read_labels`, the label shards' reader;
+  micro-batch, and their readers :func:`read_votes` and
+  :func:`read_labels`. A batch's example ids are written once, in its
+  vote shard; its label block holds only the posteriors, and
+  :func:`read_labels` takes the ids from the vote shard beside it;
 * :mod:`repro.streaming.checkpoint` — the fault-tolerance layer:
   :class:`CheckpointedStream` runs its sinks in the order
   ``label_model``, ``drift`` (with a policy), ``votes``, ``labels``
@@ -61,7 +64,13 @@ from repro.streaming.pipeline import (
     PipelineStats,
     StreamReport,
 )
-from repro.streaming.sinks import LabelSink, RecordBatchSink, VoteSink, read_labels
+from repro.streaming.sinks import (
+    LabelSink,
+    RecordBatchSink,
+    VoteSink,
+    read_labels,
+    read_votes,
+)
 from repro.streaming.sources import (
     ExampleSource,
     MemorySource,
@@ -83,6 +92,7 @@ __all__ = [
     "VoteSink",
     "LabelSink",
     "read_labels",
+    "read_votes",
     "Checkpoint",
     "CheckpointManager",
     "CheckpointedStream",

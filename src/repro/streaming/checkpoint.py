@@ -478,19 +478,20 @@ class CheckpointedStream:
         if self.drift_monitor is not None:
             sinks.append(_NamedSink("drift", self._watch_drift))
         vote_sink = VoteSink(self._dfs, self.root, lf_names)
+        label_sink = LabelSink(self._dfs, self.root, self.online.predict_proba)
         sinks.append(vote_sink)
-        label_sink = None
         if self.write_labels:
-            label_sink = LabelSink(self._dfs, self.root, self.online.predict_proba)
             sinks.append(label_sink)
         sinks.append(_NamedSink("checkpoint", self._finalize_batch))
 
         # Recovery truncation: durable output is only trusted up to the
-        # manifest — anything newer was mid-flight when we died.
+        # manifest — anything newer was mid-flight when we died. Label
+        # orphans go whether or not this run writes labels: a label
+        # block takes its ids from the vote shard of its batch, which
+        # this run rewrites.
         last_durable = -1 if resumed_from is None else resumed_from
         orphans = vote_sink.delete_after(last_durable)
-        if label_sink is not None:
-            orphans += label_sink.delete_after(last_durable)
+        orphans += label_sink.delete_after(last_durable)
 
         self._cursor = cursor
         self._last_seq = last_durable

@@ -18,14 +18,22 @@ sorted keys, fixed separators; arrays travel as their raw bytes).
 * :class:`VoteSink` persists the raw LF votes per example — the
   streaming counterpart of the offline applier's vote shards.
 * :class:`LabelSink` persists each batch's probabilistic labels as one
-  block record: the id column, the batch's distinct posteriors as raw
-  float64, and one small-integer index per example into them (a label
-  model's posterior is a function of the vote pattern, so a batch holds
-  few distinct values). The labels come from a caller-supplied function
-  of the batch's votes (typically the online label model's *current*
-  posterior, i.e. the labels a downstream trainer consumed at that
-  point in the stream). :func:`read_labels` reads a label shard back,
-  in this layout or in the per-example row layout earlier writers used.
+  block record: the batch's distinct posteriors as raw float64, and one
+  small-integer index per example into them (a label model's posterior
+  is a function of the vote pattern, so a batch holds few distinct
+  values). The block carries no ids: row ``i`` of a label shard is row
+  ``i`` of the same batch's vote shard under the same root, which the
+  stream publishes first, so each example id is written once per batch.
+  The labels come from a caller-supplied function of the batch's votes
+  (typically the online label model's *current* posterior, i.e. the
+  labels a downstream trainer consumed at that point in the stream).
+
+:func:`read_votes` reads a vote shard back as ``(ids, int8 votes)``;
+:func:`read_labels` reads a label shard back as ``(ids, posteriors)``,
+taking the ids from the batch's vote shard, and also reads the two
+layouts earlier writers used (a block carrying its own id column, and
+one row per example), so a root resumed across writers reads back
+whole.
 """
 
 from __future__ import annotations
@@ -52,9 +60,15 @@ __all__ = [
     "LabelSink",
     "batch_shard_seq",
     "read_labels",
+    "read_votes",
 ]
 
 _BATCH_SHARD_RE = re.compile(r"/batch-(?P<seq>\d{6,})$")
+
+
+def batch_shard_path(root: str, kind: str, seq: int) -> str:
+    """The shard path of batch ``seq`` for the ``kind`` sink under ``root``."""
+    return f"{root}/{kind}/batch-{seq:06d}"
 
 
 def batch_shard_seq(path: str) -> int | None:
@@ -83,7 +97,7 @@ class RecordBatchSink:
     # ------------------------------------------------------------------
     def shard_path(self, seq: int) -> str:
         """The canonical shard path for batch ``seq`` under this sink."""
-        return f"{self.root}/{self.kind}/batch-{seq:06d}"
+        return batch_shard_path(self.root, self.kind, seq)
 
     def batch_bodies(
         self, seq: int, examples: list[Example], votes: np.ndarray
@@ -155,7 +169,9 @@ class VoteSink(RecordBatchSink):
     Shard layout: a meta record (batch seq, LF names, row count) followed
     by one ``{"example_id", "votes"}`` record per example, in stream
     order — self-describing enough that the shard set alone reconstructs
-    the full label matrix.
+    the full label matrix. It is also the batch's one id column: the
+    same batch's label shard takes its ids from here. :func:`read_votes`
+    is the reader.
     """
 
     kind = "votes"
@@ -201,13 +217,17 @@ class LabelSink(RecordBatchSink):
     and uninterrupted runs byte-comparable: the restored model yields the
     same bits).
 
-    Shard layout: one record, ``{"kind": "labels", "batch", "n", "ids",
+    Shard layout: one record, ``{"kind": "labels", "batch", "n",
     "posteriors", "index"}``. ``posteriors`` is the batch's distinct
     labels as an encoded float64 array, sorted by bit pattern;
     ``index`` holds each example's position in it, as the narrowest of
     uint8 / uint16 / uint32 that fits. Labels are deduplicated on their
     float64 bits, so every value (``-0.0``, NaN payloads, subnormals)
-    reads back bitwise; :func:`read_labels` is the reader.
+    reads back bitwise. The block holds no ids: its row ``i`` is row
+    ``i`` of the :class:`VoteSink` shard of the same batch under the
+    same root, so a label shard reads back only beside that shard (run
+    a ``VoteSink`` before this sink, as :class:`CheckpointedStream`
+    does); :func:`read_labels` is the reader.
     """
 
     kind = "labels"
@@ -242,25 +262,77 @@ class LabelSink(RecordBatchSink):
             "kind": "labels",
             "batch": seq,
             "n": len(examples),
-            "ids": [example.example_id for example in examples],
             "posteriors": encode_ndarray(bits.view(np.float64)),
             "index": encode_ndarray(index.astype(width)),
         }
         return [record_body(block)]
 
 
+def read_votes(dfs: DistributedFileSystem, path: str) -> tuple[list, np.ndarray]:
+    """One :class:`VoteSink` shard's ``(example ids, votes)``, in stream
+    order; the votes are an ``(n, len(lf_names))`` int8 matrix.
+
+    Raises:
+        ValueError: If ``path`` is not a batch shard path or holds no
+            shard, the first record is not a vote meta (``kind: "meta"``
+            with ``batch``, ``lf_names`` and ``n``), the meta's batch is
+            not the path's sequence number, the shard holds other than
+            ``n`` rows, or a row misses a field, is not ``len(lf_names)``
+            votes wide or holds a vote outside ``{-1, 0, 1}``.
+        RecordCorruption: If a record fails its CRC or framing check.
+    """
+    seq = batch_shard_seq(path)
+    if seq is None:
+        raise ValueError(f"{path} is not a batch shard path")
+    if not dfs.exists(path):
+        raise ValueError(f"no vote shard at {path}")
+    records = iter(RecordReader(dfs, path))
+    meta = require_fields(
+        next(records, None), f"first record of {path}", ("kind", "batch", "lf_names", "n")
+    )
+    if meta["kind"] != "meta":
+        raise ValueError(f"{path} is not a vote shard: kind {meta['kind']!r}")
+    batch = require_int(meta["batch"], "batch", minimum=0)
+    if batch != seq:
+        raise ValueError(f"{path} holds batch {batch}, its name says {seq}")
+    n = require_int(meta["n"], "n", minimum=0)
+    if not isinstance(meta["lf_names"], list):
+        raise ValueError(f"{path} lf_names are not a list")
+    width = len(meta["lf_names"])
+    ids, rows = [], []
+    for record in records:
+        row = require_fields(record, f"vote row of {path}", ("example_id", "votes"))
+        votes = row["votes"]
+        if type(votes) is not list or len(votes) != width:
+            raise ValueError(f"{path} holds a vote row that is not {width} votes wide")
+        if not all(type(vote) is int and -1 <= vote <= 1 for vote in votes):
+            raise ValueError(f"{path} holds a vote outside {{-1, 0, 1}}")
+        ids.append(row["example_id"])
+        rows.append(votes)
+    if len(rows) != n:
+        raise ValueError(f"{path} holds {len(rows)} vote rows, its meta says {n}")
+    return ids, np.array(rows, dtype=np.int8).reshape(n, width)
+
+
 def read_labels(dfs: DistributedFileSystem, path: str) -> tuple[list, np.ndarray]:
     """One label shard's ``(example ids, posteriors)``, in stream order.
 
-    Reads a :class:`LabelSink` block (first record ``kind: "labels"``)
-    and the per-example row layout earlier writers used (a ``kind:
-    "meta"`` record, then one ``{"example_id", "proba"}`` record per
-    example), so a root resumed across the two writers reads back whole.
+    Reads a :class:`LabelSink` block (first record ``kind: "labels"``),
+    taking its ids from the same batch's vote shard through
+    :func:`read_votes`: the label shard must sit at
+    ``{root}/labels/batch-N`` and its vote shard at
+    ``{root}/votes/batch-N``. Also reads the layouts earlier writers
+    used: a block carrying its own ``ids`` column, and a ``kind:
+    "meta"`` record followed by one ``{"example_id", "proba"}`` record
+    per example, so a root resumed across writers reads back whole.
 
     Raises:
         ValueError: If the shard is empty, of another kind, or malformed
             (a missing field, an id or index count that is not ``n``, an
-            index past the posterior table, or a record after the block).
+            index past the posterior table, or a record after the
+            block), or if a block without ids is not at a label shard
+            path, its batch is not the path's, or its vote shard is
+            missing or malformed (see :func:`read_votes`).
         RecordCorruption: If a record fails its CRC or framing check.
     """
     records = iter(RecordReader(dfs, path))
@@ -281,19 +353,30 @@ def read_labels(dfs: DistributedFileSystem, path: str) -> tuple[list, np.ndarray
     if first["kind"] != "labels":
         raise ValueError(f"{path} is not a label shard: kind {first['kind']!r}")
     block = require_fields(
-        first, f"label block of {path}", ("batch", "n", "ids", "posteriors", "index")
+        first, f"label block of {path}", ("batch", "n", "posteriors", "index")
     )
-    require_int(block["batch"], "batch", minimum=0)
+    batch = require_int(block["batch"], "batch", minimum=0)
     n = require_int(block["n"], "n", minimum=0)
-    ids = block["ids"]
     table = decode_ndarray(block["posteriors"])
     index = decode_ndarray(block["index"])
-    if not isinstance(ids, list) or len(ids) != n:
-        raise ValueError(f"{path} needs a list of {n} ids")
     if table.dtype != np.float64 or table.ndim != 1:
         raise ValueError(f"{path} posteriors are {table.dtype} {table.shape}, not 1-D float64")
     if index.dtype.kind != "u" or index.shape != (n,) or (n and index.max() >= len(table)):
         raise ValueError(f"{path} needs {n} unsigned indices into {len(table)} posteriors")
     if next(records, None) is not None:
         raise ValueError(f"{path} holds a record after its label block")
+    ids = block["ids"] if "ids" in block else _vote_shard_ids(dfs, path, batch)
+    if not isinstance(ids, list) or len(ids) != n:
+        raise ValueError(f"{path} needs a list of {n} ids")
     return ids, table[index]
+
+
+def _vote_shard_ids(dfs: DistributedFileSystem, path: str, batch: int) -> list:
+    """The ids of the vote shard beside label shard ``path`` of ``batch``."""
+    seq = batch_shard_seq(path)
+    root = path[: path.rfind(f"/{LabelSink.kind}/")]
+    if seq is None or path != batch_shard_path(root, LabelSink.kind, seq):
+        raise ValueError(f"{path} is not a label shard path, so its block has no vote shard")
+    if batch != seq:
+        raise ValueError(f"{path} holds batch {batch}, its name says {seq}")
+    return read_votes(dfs, batch_shard_path(root, VoteSink.kind, seq))[0]

@@ -62,6 +62,7 @@ from repro.services.knowledge_graph import KnowledgeGraph
 from repro.services.nlp_server import NLPServer, tokenize
 from repro.services.topic_model import TopicModel
 from repro.services.web_crawler import WebCrawler
+from repro.streaming import CheckpointedStream, RecordStreamSource
 from repro.types import Example
 
 # ----------------------------------------------------------------------
@@ -573,6 +574,23 @@ def test_vote_shard_bytes_per_example():
     report, shard_bytes = _apply_report(examples, lfs, 64)
     assert sum(result.votes_emitted for result in report.lf_results) == 278
     assert sum(map(len, shard_bytes.values())) == 6999
+
+
+def test_label_shard_bytes_per_example():
+    """The label-shard layout's size, pinned: the 200 product examples
+    streamed in 64-row batches take 1,210 B of label shards (6.05 B per
+    example), four blocks of posteriors and indices whose ids are the
+    vote shards'; blocks that carried their own id column took 3,932 B
+    (19.7)."""
+    examples, lfs = _suite("product")
+    dfs = DistributedFileSystem()
+    paths = stage_examples(dfs, examples, "/eq/examples", num_shards=4)
+    CheckpointedStream(dfs, lfs, "/eq/stream", batch_size=64).run(
+        RecordStreamSource(dfs, paths)
+    )
+    shards = dfs.list("/eq/stream/labels/")
+    assert len(shards) == 4
+    assert sum(map(dfs.size, shards)) == 1210
 
 
 def test_suite_job_retried_task_contributes_once(monkeypatch):

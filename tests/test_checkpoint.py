@@ -43,6 +43,7 @@ from repro.streaming import (
     SimulatedCrash,
     VoteSink,
     read_labels,
+    read_votes,
 )
 from repro.streaming.sinks import batch_shard_seq
 from repro.types import Example
@@ -171,6 +172,17 @@ def without_refit_count(records):
 # ----------------------------------------------------------------------
 # sinks
 # ----------------------------------------------------------------------
+def write_batch(dfs, root, seq, examples, votes, proba_fn):
+    """Publish batch ``seq``'s vote shard, then its label shard, under
+    ``root`` (the order ``CheckpointedStream`` runs the two sinks in: a
+    label block takes its ids from the vote shard); returns the label
+    sink."""
+    VoteSink(dfs, root, [f"lf{j}" for j in range(votes.shape[1])])(seq, examples, votes)
+    sink = LabelSink(dfs, root, proba_fn)
+    sink(seq, examples, votes)
+    return sink
+
+
 class TestSinks:
     def test_vote_sink_shard_layout(self, dfs, corpus, lfs):
         votes = apply_lfs_in_memory(lfs, corpus[:10]).matrix
@@ -191,11 +203,11 @@ class TestSinks:
 
     def test_label_sink_writes_probas(self, dfs, corpus, lfs):
         votes = apply_lfs_in_memory(lfs, corpus[:4]).matrix
-        sink = LabelSink(
-            dfs, "/run", lambda v: np.full(v.shape[0], 0.25)
+        sink = write_batch(
+            dfs, "/run", 0, corpus[:4], votes, lambda v: np.full(v.shape[0], 0.25)
         )
-        sink(0, corpus[:4], votes)
         (block,) = read_records(dfs, "/run/labels/batch-000000")
+        assert sorted(block) == ["batch", "index", "kind", "n", "posteriors"]
         assert {key: block[key] for key in ("kind", "batch", "n")} == {
             "kind": "labels", "batch": 0, "n": 4,
         }
@@ -226,8 +238,8 @@ class TestSinks:
         table = np.sort(rng.random(distinct))
         proba = table[np.arange(distinct + 40) % distinct][::-1].copy()
         examples = [Example(f"e{i}") for i in range(len(proba))]
-        sink = LabelSink(dfs, "/run", lambda v: proba)
-        sink(7, examples, np.zeros((len(proba), 0), np.int8))
+        votes = np.zeros((len(proba), 0), np.int8)
+        sink = write_batch(dfs, "/run", 7, examples, votes, lambda v: proba)
         (block,) = read_records(dfs, sink.shard_path(7))
         assert decode_ndarray(block["index"]).dtype == width
         assert np.array_equal(decode_ndarray(block["posteriors"]), table)
@@ -236,8 +248,9 @@ class TestSinks:
         assert read.tobytes() == proba.tobytes()
 
     def test_empty_batch_writes_a_readable_block(self, dfs):
-        sink = LabelSink(dfs, "/run", lambda v: np.zeros(0))
-        sink(0, [], np.zeros((0, 3), np.int8))
+        sink = write_batch(
+            dfs, "/run", 0, [], np.zeros((0, 3), np.int8), lambda v: np.zeros(0)
+        )
         (block,) = read_records(dfs, sink.shard_path(0))
         assert block["kind"] == "labels" and block["n"] == 0
         ids, proba = read_labels(dfs, sink.shard_path(0))
@@ -318,6 +331,152 @@ MALFORMED_LABEL_SHARDS = {
 }
 
 
+JOIN_VOTES = "/j/votes/batch-000000"
+JOIN_LABELS = "/j/labels/batch-000000"
+
+
+def joined_shards():
+    """Batch 0 of a root as the sinks write it, as ``{path: records}``:
+    a 3-row vote shard of two LFs, and its label block, which holds no
+    ids."""
+    return {
+        JOIN_VOTES: [
+            {"kind": "meta", "batch": 0, "lf_names": ["a", "b"], "n": 3},
+            {"example_id": "e0", "votes": [1, 0]},
+            {"example_id": "e1", "votes": [-1, 1]},
+            {"example_id": "e2", "votes": [0, 0]},
+        ],
+        JOIN_LABELS: [{k: v for k, v in label_block().items() if k != "ids"}],
+    }
+
+
+def edited(edit):
+    """``joined_shards()`` after ``edit(shards)``, which mutates them."""
+    shards = copy.deepcopy(joined_shards())
+    edit(shards)
+    return shards
+
+
+def moved(source, target):
+    return lambda shards: shards.update({target: shards.pop(source)})
+
+
+def removed(path):
+    return lambda shards: shards.pop(path)
+
+
+def replaced(path, records):
+    return lambda shards: shards.update({path: records})
+
+
+def meta_set(path, **fields):
+    return lambda shards: shards[path][0].update(fields)
+
+
+def meta_without(path, field):
+    return lambda shards: shards[path][0].pop(field)
+
+
+def vote_rows(*rows):
+    """The joined vote shard's rows replaced by ``rows``."""
+    return lambda shards: shards.update({JOIN_VOTES: [shards[JOIN_VOTES][0], *rows]})
+
+
+def vote_row(votes):
+    return {"example_id": "e9", "votes": votes}
+
+
+def chained(*edits):
+    return lambda shards: [edit(shards) for edit in edits]
+
+
+#: ``(edit, label path)``: a label block without ids and its vote shard,
+#: edited so that ``read_labels`` of the path must refuse, as ``ValueError``.
+MALFORMED_JOINS = {
+    "no_vote_shard": (removed(JOIN_VOTES), JOIN_LABELS),
+    "block_batch_not_the_path_s": (meta_set(JOIN_LABELS, batch=1), JOIN_LABELS),
+    "vote_batch_not_the_block_s": (meta_set(JOIN_VOTES, batch=1), JOIN_LABELS),
+    "block_n_above_the_vote_rows": (
+        meta_set(JOIN_LABELS, n=4, index=encode_ndarray(np.zeros(4, np.uint8))),
+        JOIN_LABELS,
+    ),
+    "vote_rows_below_the_block_n": (
+        chained(vote_rows(vote_row([1, 0])), meta_set(JOIN_VOTES, n=1)),
+        JOIN_LABELS,
+    ),
+    "vote_shard_a_label_block": (replaced(JOIN_VOTES, [label_block()]), JOIN_LABELS),
+    "vote_shard_in_the_label_row_layout": (
+        replaced(JOIN_VOTES, legacy_label_rows()), JOIN_LABELS
+    ),
+    "vote_shard_an_lf_vote_block": (
+        replaced(JOIN_VOTES, [{
+            "kind": "lf_votes",
+            "ids": ["e0", "e1", "e2"],
+            "votes": encode_ndarray(np.array([1, -1, 1], np.int8)),
+        }]),
+        JOIN_LABELS,
+    ),
+    **{
+        f"label_path_{name}": (moved(JOIN_LABELS, path), path)
+        for name, path in {
+            "not_under_labels": "/j/other/batch-000000",
+            "not_a_batch": "/j/labels/block",
+            "seven_digits": "/j/labels/batch-0000000",
+        }.items()
+    },
+}
+
+#: ``(edit, vote path)``: the joined vote shard, edited so that
+#: ``read_votes`` of the path must refuse, as ``ValueError``.
+MALFORMED_VOTE_ROWS = {
+    "missing": (removed(JOIN_VOTES), JOIN_VOTES),
+    "not_a_batch_path": (moved(JOIN_VOTES, "/j/votes/block"), "/j/votes/block"),
+    "empty": (replaced(JOIN_VOTES, []), JOIN_VOTES),
+    "meta_a_list": (replaced(JOIN_VOTES, [[0]]), JOIN_VOTES),
+    "first_record_a_row": (vote_rows(), JOIN_VOTES),
+    **{
+        f"meta_without_{field}": (meta_without(JOIN_VOTES, field), JOIN_VOTES)
+        for field in ("kind", "batch", "lf_names", "n")
+    },
+    **{
+        f"meta_{name}": (meta_set(JOIN_VOTES, **fields), JOIN_VOTES)
+        for name, fields in {
+            "of_another_kind": {"kind": "labels"},
+            "batch_not_the_path_s": {"batch": 1},
+            "batch_a_float": {"batch": 0.0},
+            "n_negative": {"n": -1},
+            "n_a_float": {"n": 3.0},
+            "lf_names_a_string": {"lf_names": "ab"},
+        }.items()
+    },
+    "rows_fewer_than_n": (vote_rows(*[vote_row([1, 0])] * 2), JOIN_VOTES),
+    "rows_more_than_n": (vote_rows(*[vote_row([1, 0])] * 4), JOIN_VOTES),
+    "row_a_list": (vote_rows(*[vote_row([1, 0])] * 2, [1, 0]), JOIN_VOTES),
+    "row_without_example_id": (
+        vote_rows(*[vote_row([1, 0])] * 2, {"votes": [1, 0]}), JOIN_VOTES
+    ),
+    "row_without_votes": (
+        vote_rows(*[vote_row([1, 0])] * 2, {"example_id": "e2"}), JOIN_VOTES
+    ),
+    **{
+        f"votes_{name}": (vote_rows(*[vote_row([1, 0])] * 2, vote_row(votes)), JOIN_VOTES)
+        for name, votes in {
+            "narrow": [1],
+            "wide": [1, 0, -1],
+            "a_dict": {"a": 1, "b": 0},
+            "a_string": "10",
+            "two": [2, 0],
+            "minus_two": [0, -2],
+            "a_float": [1.0, 0],
+            "a_bool": [True, 0],
+            "a_string_vote": ["1", 0],
+            "nested": [[1], 0],
+            "null": [None, 0],
+        }.items()
+    },
+}
+
+
 class TestReadLabels:
     def test_the_malformed_cases_edit_readable_shards(self, dfs):
         """The control for the cases below: unedited, both layouts read."""
@@ -332,6 +491,40 @@ class TestReadLabels:
         write_records(dfs, "/l/bad", MALFORMED_LABEL_SHARDS[case])
         with pytest.raises(ValueError):
             read_labels(dfs, "/l/bad")
+
+    def test_the_malformed_joins_edit_readable_shards(self, dfs):
+        """The control for the join cases: unedited, the block reads its
+        ids off the vote shard beside it, and the vote shard reads."""
+        for path, records in joined_shards().items():
+            write_records(dfs, path, records)
+        ids, proba = read_labels(dfs, JOIN_LABELS)
+        assert ids == ["e0", "e1", "e2"]
+        assert proba.tolist() == [0.25, 0.75, 0.25]
+        ids, votes = read_votes(dfs, JOIN_VOTES)
+        assert ids == ["e0", "e1", "e2"]
+        assert votes.dtype == np.int8
+        assert votes.tolist() == [[1, 0], [-1, 1], [0, 0]]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_JOINS))
+    def test_malformed_joins_are_value_errors(self, dfs, case):
+        edit, path = MALFORMED_JOINS[case]
+        for shard, records in edited(edit).items():
+            write_records(dfs, shard, records)
+        with pytest.raises(ValueError):
+            read_labels(dfs, path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VOTE_ROWS))
+    def test_malformed_vote_shards_are_value_errors(self, dfs, case):
+        edit, path = MALFORMED_VOTE_ROWS[case]
+        for shard, records in edited(edit).items():
+            write_records(dfs, shard, records)
+        with pytest.raises(ValueError):
+            read_votes(dfs, path)
+
+    def test_empty_vote_shard_of_no_lfs_reads(self, dfs):
+        VoteSink(dfs, "/j", [])(3, [], np.zeros((0, 0), np.int8))
+        ids, votes = read_votes(dfs, "/j/votes/batch-000003")
+        assert ids == [] and votes.dtype == np.int8 and votes.shape == (0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -907,6 +1100,36 @@ class TestCrashResume:
         assert shards_only(tree_bytes(dfs, root)) == shards_only(reference)
         L = retained_rows(baseline.online)
         assert np.array_equal(retained_rows(resumed.online), L)
+
+    def test_resume_without_labels_deletes_label_orphans(self, staged, lfs):
+        """A resume with ``write_labels=False`` still deletes the label
+        shards newer than the manifest: kept, such an orphan would take
+        its ids from whatever vote shard is rewritten under its name.
+        Those through the manifest stay, and still read back."""
+        dfs, shards, _, _ = staged
+        root = "/orphans-without-labels"
+        with pytest.raises(SimulatedCrash):
+            self._make_runner(dfs, lfs, root).run(
+                RecordStreamSource(dfs, shards), fail_after_batch=2
+            )
+        assert dfs.exists(f"{root}/labels/batch-000002")
+        report = self._make_runner(dfs, lfs, root, write_labels=False).run(
+            RecordStreamSource(dfs, shards)
+        )
+        assert report.resumed_from_batch == 1
+        assert report.orphan_shards_deleted == [
+            f"{root}/votes/batch-000002",
+            f"{root}/labels/batch-000002",
+        ]
+        assert dfs.list(f"{root}/labels/") == [
+            f"{root}/labels/batch-{seq:06d}" for seq in (0, 1)
+        ]
+        ids = [
+            eid for path in dfs.list(f"{root}/labels/") for eid in read_labels(dfs, path)[0]
+        ]
+        assert ids == [
+            example.example_id for example in RecordStreamSource(dfs, shards)
+        ][: 2 * self.BATCH]
 
     def test_completed_root_is_idempotent(self, staged, lfs):
         dfs, shards, baseline, _ = staged
@@ -1496,6 +1719,78 @@ class TestLabelShardFormats:
         assert kinds == ["meta"] * (resumed_from + 1) + ["labels"] * (
             report.last_batch_seq - resumed_from
         )
+        assert ids == [
+            example.example_id for example in RecordStreamSource(dfs, shards)
+        ]
+
+
+class TestLabelIdBlockRoots:
+    """Label blocks that carried their own id column must still read.
+
+    ``tests/fixtures/label_id_blocks_roots.json`` was captured at the
+    parent of the commit that dropped the ``ids`` column from label
+    blocks (a block now takes its ids from its batch's vote shard): same
+    corpus and shape as the schema-5 fixture, one cumulative root and
+    one ``decay=0.9`` root, label-model state schema 6. Resumed, the
+    root holds blocks with ids through the resume point and blocks
+    without them after it.
+    """
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        with open(FIXTURES / "label_id_blocks_roots.json") as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("mode", ["cumulative", "decay"])
+    def test_root_resumes(self, corpus, lfs, payload, mode):
+        captured = payload["roots"][mode]
+        assert era_label_model_state(captured)["schema"] == 6
+        config = replace(ONLINE_CONFIG, decay=captured["decay"])
+        resumed, _, report, _ = resume_captured_root(
+            corpus, lfs, payload, captured, config
+        )
+        assert report.resumed_from_batch == 1
+        assert report.orphan_shards_deleted == [
+            f"{captured['root']}/{kind}/batch-000002" for kind in ("votes", "labels")
+        ]
+        assert resumed.online.mode == mode
+
+    @pytest.mark.parametrize("mode", ["cumulative", "decay"])
+    def test_resumed_root_reads_back_whole(self, corpus, lfs, payload, mode):
+        """The captured blocks read back their own ids and posteriors,
+        bitwise; every label of the resumed root is the offline fit of
+        its prefix; and the root reads back every example of the stream
+        once, in order."""
+        captured = payload["roots"][mode]
+        dfs, shards = stage_captured_root(corpus, payload, captured)
+        root = captured["root"]
+        before = {}
+        for path in dfs.list(f"{root}/labels/"):
+            (block,) = read_records(dfs, path)
+            table = decode_ndarray(block["posteriors"])
+            before[path] = block["ids"], table[decode_ndarray(block["index"])]
+            assert read_labels(dfs, path)[0] == block["ids"]
+        report = CheckpointedStream(
+            dfs, lfs, root, batch_size=payload["batch_size"],
+            online_config=replace(ONLINE_CONFIG, decay=captured["decay"]),
+            checkpoint_every=payload["checkpoint_every"],
+        ).run(RecordStreamSource(dfs, shards))
+        paths = dfs.list(f"{root}/labels/")
+        assert_labels_are_fits(
+            dfs, root, stream_matrix(dfs, shards, lfs), payload["batch_size"],
+            captured["decay"], range(len(paths)),
+        )
+        ids = []
+        for path in paths:
+            shard_ids, proba = read_labels(dfs, path)
+            (block,) = read_records(dfs, path)
+            if batch_shard_seq(path) <= report.resumed_from_batch:
+                assert shard_ids == before[path][0]
+                assert proba.tobytes() == before[path][1].tobytes()
+            else:
+                assert "ids" not in block
+            ids += shard_ids
+        assert report.resumed_from_batch == 1 and len(paths) > 3
         assert ids == [
             example.example_id for example in RecordStreamSource(dfs, shards)
         ]

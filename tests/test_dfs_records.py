@@ -26,7 +26,7 @@ from repro.dfs.records import (
     write_records,
 )
 from repro.lf.base import lf_votes_body, read_lf_votes, write_lf_votes
-from repro.streaming.sinks import LabelSink, VoteSink, read_labels
+from repro.streaming.sinks import LabelSink, VoteSink, read_labels, read_votes
 from repro.types import Example
 
 from tests.conftest import decode_records
@@ -230,7 +230,8 @@ class TestTemplatedBodies:
     def test_vote_sink_rows(self, batch):
         batch_ids, votes = batch
         names = [f"lf{j}" for j in range(votes.shape[1])]
-        sink = VoteSink(DistributedFileSystem(), "/s", names)
+        dfs = DistributedFileSystem()
+        sink = VoteSink(dfs, "/s", names)
         bodies = sink.batch_bodies(4, [Example(eid) for eid in batch_ids], votes)
         expected = [{"kind": "meta", "batch": 4, "lf_names": names, "n": len(batch_ids)}]
         expected += [
@@ -239,6 +240,10 @@ class TestTemplatedBodies:
         ]
         assert bodies == [dumps(p).encode() for p in expected]
         assert bodies == [record_body(p) for p in expected]
+        sink(4, [Example(eid) for eid in batch_ids], votes)
+        got_ids, got = read_votes(dfs, sink.shard_path(4))
+        assert got_ids == json.loads(dumps(batch_ids))
+        assert got.dtype == np.int8 and np.array_equal(got, votes)
 
     @given(st.lists(st.tuples(example_ids, probas), max_size=12))
     def test_label_sink_rows(self, rows):
@@ -256,14 +261,16 @@ class TestTemplatedBodies:
             "kind": "labels",
             "batch": 2,
             "n": len(rows),
-            "ids": [eid for eid, _ in rows],
             "posteriors": encode_ndarray(bits.view(np.float64)),
             "index": encode_ndarray(index.astype(np.uint8)),
         }
         assert body == dumps(expected).encode()
+        # The ids travel once, in the batch's vote shard beside the block.
+        VoteSink(dfs, "/s", [])(2, examples, votes)
         sink(2, examples, votes)
         got_ids, got = read_labels(dfs, sink.shard_path(2))
         assert got_ids == [eid for eid, _ in rows]
+        assert got_ids == json.loads(dumps([eid for eid, _ in rows]))
         assert got.dtype == np.float64 and got.tobytes() == proba.tobytes()
 
     @given(st.lists(st.tuples(st.one_of(ids, st.integers()), probas), max_size=12))
@@ -434,8 +441,10 @@ class TestDecoder:
         payload_nan = np.array([0x7FF8_0000_DEAD_BEEF], np.uint64).view(np.float64)[0]
         proba = np.array([np.nan, np.inf, -np.inf, 0.25, -0.0, 5e-324, payload_nan])
         sink = LabelSink(dfs, "/s", lambda votes: proba)
-        sink(3, [Example(f"e{i}") for i in range(len(proba))],
-             np.zeros((len(proba), 0), np.int8))
+        examples = [Example(f"e{i}") for i in range(len(proba))]
+        votes = np.zeros((len(proba), 0), np.int8)
+        VoteSink(dfs, "/s", [])(3, examples, votes)
+        sink(3, examples, votes)
         got = read_records(dfs, sink.shard_path(3))
         expected = list(decode_records(dfs.read_file(sink.shard_path(3))))
         assert [dumps(v) for v in got] == [dumps(v) for v in expected]
